@@ -1,4 +1,4 @@
-//! Executor performance benchmark, three sections:
+//! Executor performance benchmark, five sections:
 //!
 //! 1. **Columnar-kernel microbench** — filter, projection, group-by key
 //!    computation and sort-key encoding over typed column batches
@@ -8,9 +8,10 @@
 //!    asserting identical results and reporting rows/sec each way.
 //! 2. **Sort-kernel microbench** — 100k-row sorts of every key shape
 //!    (int, int pair with desc, double, string, date+bool, mixed with
-//!    NULLs), timed through the legacy `Value`-comparator path and the
-//!    normalized-binary-key codec path ([`fto_common::sortkey`]),
-//!    asserting both orders identical and reporting rows/sec each way.
+//!    NULLs), timed through the interpreter's `Value`-comparator sort
+//!    and the executor's normalized-binary-key sort
+//!    ([`fto_common::sortkey`]), asserting both orders identical and
+//!    reporting rows/sec each way.
 //! 3. **Morsel-parallelism** — the TPC-D workload run at parallel
 //!    degrees 1, 2 and 4, reporting wall-clock latency (best-of-N plus
 //!    p50/p95/p99 from an [`fto_obs`] log-linear histogram), simulated
@@ -28,24 +29,14 @@
 //!    work `SegmentedSortOp` does), asserting identical output; plus an
 //!    end-to-end TPC-D query where the clustered lineitem index supplies
 //!    the prefix, run with the segmented enforcer on and off.
-//! 6. **Vectorized operators vs row shim** — hash-join probe, merge
-//!    join and stream group-by over a 1M-row synthetic fact table, each
-//!    executed through the vectorized operators and through the
-//!    row-at-a-time baseline (`OptimizerConfig::with_row_shim`),
-//!    asserting bit-identical rows and reporting wall-clock both ways.
-//! 7. **Spill serde** — a full write+read round trip of 1M mixed-type
-//!    rows through the per-row spill codec (`write_row`/`read_row`)
-//!    against the column-page batch codec (`write_batch`/`read_batch`),
-//!    asserting both recover the original rows exactly.
 //!
 //! ```text
 //! cargo run -p fto-bench --release --bin perfbench [-- <scale> [runs]]
 //! ```
 //!
-//! Results are printed as tables and written to `BENCH_PR8.json`
-//! (sections 1–5) and `BENCH_PR10.json` (sections 6–7) in the current
-//! directory (machine cores included, so single-core containers don't
-//! read as regressions).
+//! Results are printed as tables and written to `BENCH_PR8.json` in the
+//! current directory (machine cores included, so single-core containers
+//! don't read as regressions).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -53,14 +44,12 @@ use std::time::{Duration, Instant};
 
 use fto_bench::harness::tpcd_db;
 use fto_bench::Session;
-use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::column::{encode_batch_keys_arena, Batch};
-use fto_common::{sortkey, ColId, DataType, Direction, Rng, Row, Value};
+use fto_common::{sortkey, ColId, Direction, Rng, Row, Value};
 use fto_exec::sortkernel::{self, SortKeys};
 use fto_expr::{vector, CompareOp, Expr, Predicate, RowLayout};
 use fto_obs::metrics::Histogram;
 use fto_planner::OptimizerConfig;
-use fto_storage::{spill, Database};
 use fto_tpcd::queries;
 
 const DEGREES: &[usize] = &[1, 2, 4];
@@ -488,8 +477,8 @@ fn sort_workload(rng: &mut Rng) -> Vec<(&'static str, Vec<Row>, SortKeys)> {
     shapes
 }
 
-/// Times the legacy `Value`-comparator sort against the normalized-key
-/// codec sort (best of `runs` each, sorting a fresh clone every run),
+/// Times the interpreter's `Value`-comparator sort against the
+/// executor's normalized-key sort (best of `runs` each, sorting a fresh clone every run),
 /// asserting the two outputs identical.
 fn run_sort_bench(runs: usize) -> Vec<SortCell> {
     let mut rng = Rng::new(0x5eed_be4c);
@@ -505,7 +494,11 @@ fn run_sort_bench(runs: usize) -> Vec<SortCell> {
             for (i, codec) in [false, true].into_iter().enumerate() {
                 let mut input = rows.clone();
                 let start = Instant::now();
-                sortkernel::sort_rows_with(&mut input, &keys, codec);
+                if codec {
+                    input = sortkernel::sort_run_codec(input, &keys).rows;
+                } else {
+                    sortkernel::sort_rows(&mut input, &keys);
+                }
                 best[i] = best[i].min(start.elapsed());
                 outputs[i] = Some(input);
             }
@@ -643,8 +636,6 @@ fn main() {
     let ext_cells = run_extsort_bench(&db, runs.max(1));
     let seg_cells = run_segmented_bench(runs.max(1));
     let seg_query = run_segmented_query_bench(&db, runs.max(1));
-    let shim_cells = run_rowshim_bench(runs.max(1));
-    let serde_cell = run_spill_serde_bench(runs.max(1));
 
     let json = render_json(
         scale,
@@ -658,10 +649,8 @@ fn main() {
         &seg_query,
     );
     std::fs::write("BENCH_PR8.json", &json).expect("write BENCH_PR8.json");
-    let json10 = render_json_pr10(runs, cores, &shim_cells, &serde_cell);
-    std::fs::write("BENCH_PR10.json", &json10).expect("write BENCH_PR10.json");
     println!();
-    println!("wrote BENCH_PR8.json and BENCH_PR10.json");
+    println!("wrote BENCH_PR8.json");
 }
 
 /// One (query, budget) cell of the external-sort benchmark. `budget` of
@@ -830,11 +819,11 @@ fn run_segmented_bench(runs: usize) -> Vec<SegCell> {
             let mut best = Duration::MAX;
             let mut out = None;
             for _ in 0..runs {
-                let mut input = rows.clone();
+                let input = rows.clone();
                 let start = Instant::now();
-                sortkernel::sort_rows_with(&mut input, &full_keys, true);
+                let sorted = sortkernel::sort_run_codec(input, &full_keys).rows;
                 best = best.min(start.elapsed());
-                out = Some(input);
+                out = Some(sorted);
             }
             (best, out.expect("runs >= 1"))
         };
@@ -857,11 +846,9 @@ fn run_segmented_bench(runs: usize) -> Vec<SegCell> {
                 // Per-group suffix sorts, emitted in arrival order.
                 let mut sorted: Vec<Row> = Vec::with_capacity(input.len());
                 let mut it = input.into_iter();
-                let mut group: Vec<Row> = Vec::new();
                 for w in bounds.windows(2) {
-                    group.extend(it.by_ref().take(w[1] - w[0]));
-                    sortkernel::sort_rows_with(&mut group, &suffix_keys, true);
-                    sorted.append(&mut group);
+                    let group: Vec<Row> = it.by_ref().take(w[1] - w[0]).collect();
+                    sorted.append(&mut sortkernel::sort_run_codec(group, &suffix_keys).rows);
                 }
                 best = best.min(start.elapsed());
                 out = Some(sorted);
@@ -947,345 +934,6 @@ fn run_segmented_query_bench(db: &fto_storage::Database, runs: usize) -> SegQuer
     );
     println!();
     cell
-}
-
-/// Rows in the vectorized-operator fact table (the probe / group side).
-const SHIM_ROWS: usize = 1_000_000;
-/// Fact rows per dim key: dim has `SHIM_ROWS / SHIM_FANOUT` rows and
-/// every fact row joins exactly one of them.
-const SHIM_FANOUT: usize = 8;
-
-/// One operator cell of the vectorized-vs-row-shim benchmark.
-struct ShimCell {
-    op: &'static str,
-    rows: usize,
-    out_rows: usize,
-    shim_best: Duration,
-    vec_best: Duration,
-}
-
-impl ShimCell {
-    fn speedup(&self) -> f64 {
-        self.shim_best.as_secs_f64() / self.vec_best.as_secs_f64()
-    }
-    fn rows_per_sec(&self, d: Duration) -> f64 {
-        self.rows as f64 / d.as_secs_f64()
-    }
-}
-
-/// A synthetic star pair sized for operator timing: `fact` is 1M rows
-/// clustered on `(j, id)` so a primary-index scan delivers join- and
-/// group-key order for free (no enforcer sort dilutes the operator
-/// being measured), `dim` is one row per distinct `j`.
-fn rowshim_db() -> Database {
-    let mut rng = Rng::new(0x0c0_1a75);
-    let mut cat = Catalog::new();
-    let fact = cat
-        .create_table(
-            "fact",
-            vec![
-                ColumnDef::new("j", DataType::Int),
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("v", DataType::Int),
-            ],
-            vec![KeyDef::primary([0, 1])],
-        )
-        .expect("fact table");
-    let dim = cat
-        .create_table(
-            "dim",
-            vec![
-                ColumnDef::new("d", DataType::Int),
-                ColumnDef::new("w", DataType::Int),
-            ],
-            vec![KeyDef::primary([0])],
-        )
-        .expect("dim table");
-    let mut db = Database::new(cat);
-    db.load_table(
-        fact,
-        (0..SHIM_ROWS)
-            .map(|i| {
-                vec![
-                    Value::Int((i / SHIM_FANOUT) as i64),
-                    Value::Int(i as i64),
-                    Value::Int(rng.range_i64(0, 1_000_000)),
-                ]
-                .into_boxed_slice()
-            })
-            .collect(),
-    )
-    .expect("load fact");
-    db.load_table(
-        dim,
-        (0..SHIM_ROWS / SHIM_FANOUT)
-            .map(|i| {
-                vec![Value::Int(i as i64), Value::Int(rng.range_i64(0, 1_000))].into_boxed_slice()
-            })
-            .collect(),
-    )
-    .expect("load dim");
-    db
-}
-
-/// Times the vectorized hash-join probe, merge join and stream group-by
-/// against the row-at-a-time baseline the same plans lower to under
-/// `OptimizerConfig::with_row_shim`. Plan shape is pinned per cell (the
-/// explain must name the operator under test) and both paths must
-/// return bit-identical rows.
-fn run_rowshim_bench(runs: usize) -> Vec<ShimCell> {
-    let db = rowshim_db();
-    let cases: Vec<(&'static str, &'static str, String, OptimizerConfig)> = vec![
-        (
-            "hash_join_probe",
-            "hash-join",
-            "select id, w from fact, dim where j = d".to_string(),
-            OptimizerConfig::default()
-                .with_merge_join(false)
-                .with_nested_loop(false),
-        ),
-        (
-            "merge_join",
-            "merge-join",
-            "select id, w from fact, dim where j = d".to_string(),
-            // 1996 inventory minus the nested loops, so the clustered
-            // index orders feed the merge join directly.
-            OptimizerConfig::db2_1996().with_nested_loop(false),
-        ),
-        (
-            "stream_group_by",
-            "group-by(stream)",
-            "select j, count(*) as n, sum(v) as total from fact group by j order by j".to_string(),
-            OptimizerConfig::db2_1996(),
-        ),
-    ];
-    println!("Vectorized operators vs row-shim baseline ({SHIM_ROWS} fact rows, best of {runs})");
-    println!();
-    println!(
-        "| operator        | row shim     | vectorized   | shim rows/s | vec rows/s  | speedup | rows    |"
-    );
-    println!(
-        "|-----------------|--------------|--------------|-------------|-------------|---------|---------|"
-    );
-    let mut cells = Vec::new();
-    for (name, node, sql, config) in &cases {
-        let mut bests = [Duration::MAX; 2];
-        let mut outputs: [Option<Vec<Row>>; 2] = [None, None];
-        for (i, shim) in [true, false].into_iter().enumerate() {
-            let prepared = Session::new(&db)
-                .config(config.clone().with_row_shim(shim))
-                .plan(sql)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(
-                prepared.explain().contains(node),
-                "{name}: expected a {node} plan\n{}",
-                prepared.explain()
-            );
-            for _ in 0..runs {
-                let start = Instant::now();
-                let out = prepared
-                    .execute()
-                    .unwrap_or_else(|e| panic!("{name} row_shim={shim}: {e}"));
-                bests[i] = bests[i].min(start.elapsed());
-                outputs[i] = Some(out.rows().to_vec());
-            }
-        }
-        assert_eq!(
-            outputs[0], outputs[1],
-            "{name}: vectorized answer diverged from the row-shim baseline"
-        );
-        let cell = ShimCell {
-            op: name,
-            rows: SHIM_ROWS,
-            out_rows: outputs[1].as_ref().map_or(0, |r| r.len()),
-            shim_best: bests[0],
-            vec_best: bests[1],
-        };
-        println!(
-            "| {:<15} | {:>10.3?} | {:>10.3?} | {:>11.0} | {:>11.0} | {:>6.2}x | {:>7} |",
-            cell.op,
-            cell.shim_best,
-            cell.vec_best,
-            cell.rows_per_sec(cell.shim_best),
-            cell.rows_per_sec(cell.vec_best),
-            cell.speedup(),
-            cell.out_rows
-        );
-        cells.push(cell);
-    }
-    println!();
-    cells
-}
-
-/// Rows in the spill-serde microbench.
-const SERDE_ROWS: usize = 1_000_000;
-
-/// The spill-serde round-trip cell: per-row codec vs column-page codec.
-struct SerdeCell {
-    rows: usize,
-    row_bytes: usize,
-    batch_bytes: usize,
-    row_best: Duration,
-    batch_best: Duration,
-}
-
-impl SerdeCell {
-    fn speedup(&self) -> f64 {
-        self.row_best.as_secs_f64() / self.batch_best.as_secs_f64()
-    }
-}
-
-/// Times a full spill round trip of 1M mixed-type rows (int, nullable
-/// double, string) through the per-row codec against the column-page
-/// batch codec. Each side is timed the way its real consumers run it:
-/// the row path decodes back to `Row`s (what the pre-vectorization
-/// spill readers rebuilt), the batch path decodes to `Batch`es (what
-/// the executor consumes directly). Both must recover the original
-/// rows bit for bit.
-fn run_spill_serde_bench(runs: usize) -> SerdeCell {
-    let mut rng = Rng::new(0xdead_5e4d);
-    let rows: Vec<Row> = (0..SERDE_ROWS)
-        .map(|i| {
-            vec![
-                Value::Int(rng.range_i64(i64::MIN / 2, i64::MAX / 2)),
-                if i % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(rng.range_i64(-1_000_000, 1_000_000) as f64 / 128.0)
-                },
-                Value::str(format!("cust#{:07}", rng.range_i64(0, 10_000_000))),
-            ]
-            .into_boxed_slice()
-        })
-        .collect();
-    let batches: Vec<Batch> = rows.chunks(1024).map(Batch::from_rows).collect();
-
-    let mut row_best = Duration::MAX;
-    let mut row_bytes = 0usize;
-    let mut row_recovered: Option<Vec<Row>> = None;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut buf = Vec::new();
-        for row in &rows {
-            spill::write_row(row, &mut buf);
-        }
-        let mut pos = 0usize;
-        let mut recovered = Vec::with_capacity(rows.len());
-        while pos < buf.len() {
-            recovered.push(spill::read_row(&buf, &mut pos));
-        }
-        row_best = row_best.min(start.elapsed());
-        row_bytes = buf.len();
-        row_recovered = Some(recovered);
-    }
-    assert_eq!(
-        row_recovered.as_deref().expect("runs >= 1"),
-        &rows[..],
-        "per-row spill codec failed to round-trip"
-    );
-
-    let mut batch_best = Duration::MAX;
-    let mut batch_bytes = 0usize;
-    let mut batch_recovered: Option<Vec<Batch>> = None;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut buf = Vec::new();
-        for b in &batches {
-            spill::write_batch(b, &mut buf);
-        }
-        let mut pos = 0usize;
-        let mut recovered = Vec::with_capacity(batches.len());
-        while pos < buf.len() {
-            recovered.push(spill::read_batch(&buf, &mut pos));
-        }
-        batch_best = batch_best.min(start.elapsed());
-        batch_bytes = buf.len();
-        batch_recovered = Some(recovered);
-    }
-    let recovered_rows: Vec<Row> = batch_recovered
-        .expect("runs >= 1")
-        .iter()
-        .flat_map(|b| (0..b.len()).map(|i| b.row(i)).collect::<Vec<_>>())
-        .collect();
-    assert_eq!(
-        recovered_rows, rows,
-        "column-page spill codec failed to round-trip"
-    );
-
-    let cell = SerdeCell {
-        rows: SERDE_ROWS,
-        row_bytes,
-        batch_bytes,
-        row_best,
-        batch_best,
-    };
-    println!("Spill-serde round trip ({SERDE_ROWS} rows, best of {runs})");
-    println!();
-    println!("| codec       | round trip   | bytes      |");
-    println!("|-------------|--------------|------------|");
-    println!(
-        "| per-row     | {:>10.3?} | {:>10} |",
-        cell.row_best, cell.row_bytes
-    );
-    println!(
-        "| column-page | {:>10.3?} | {:>10} |",
-        cell.batch_best, cell.batch_bytes
-    );
-    println!("speedup: {:.2}x", cell.speedup());
-    println!();
-    cell
-}
-
-/// The PR10 companion JSON: vectorized-operator and spill-serde cells
-/// only, same hand-rolled writer as [`render_json`].
-fn render_json_pr10(
-    runs: usize,
-    cores: usize,
-    shim_cells: &[ShimCell],
-    serde: &SerdeCell,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"vectorized_operators_vs_row_shim\",");
-    let _ = writeln!(s, "  \"runs\": {runs},");
-    let _ = writeln!(s, "  \"cores\": {cores},");
-    s.push_str("  \"operators\": [\n");
-    for (i, c) in shim_cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"op\": \"{}\", \"rows\": {}, \"out_rows\": {}, \
-             \"row_shim_ms\": {:.3}, \"vectorized_ms\": {:.3}, \
-             \"row_shim_rows_per_sec\": {:.0}, \"vectorized_rows_per_sec\": {:.0}, \
-             \"speedup\": {:.3}}}",
-            c.op,
-            c.rows,
-            c.out_rows,
-            c.shim_best.as_secs_f64() * 1e3,
-            c.vec_best.as_secs_f64() * 1e3,
-            c.rows_per_sec(c.shim_best),
-            c.rows_per_sec(c.vec_best),
-            c.speedup()
-        );
-        s.push_str(if i + 1 < shim_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"spill_serde\": {{\"rows\": {}, \"row_ms\": {:.3}, \"batch_ms\": {:.3}, \
-         \"row_bytes\": {}, \"batch_bytes\": {}, \"speedup\": {:.3}}}",
-        serde.rows,
-        serde.row_best.as_secs_f64() * 1e3,
-        serde.batch_best.as_secs_f64() * 1e3,
-        serde.row_bytes,
-        serde.batch_bytes,
-        serde.speedup()
-    );
-    s.push_str("}\n");
-    s
 }
 
 /// Parses an optional positional argument strictly: absent uses the

@@ -21,11 +21,11 @@
 //!   (stable sorts, Top-N selection, order-preserving K-way merge of
 //!   sorted runs) used by both engines and by the exchange layer. Its
 //!   stability/tie-order contract is what makes parallel merges
-//!   deterministic. With [`fto_planner::OptimizerConfig::sort_key_codec`]
-//!   on (the default) it decorates rows with normalized binary sort keys
-//!   (`fto_common::sortkey`) and sorts/merges by `memcmp`, with an MSB
-//!   radix path for fixed-width keys; output is bit-identical to the
-//!   legacy `Value`-comparator path.
+//!   deterministic. The streaming executor decorates rows with
+//!   normalized binary sort keys (`fto_common::sortkey`) and
+//!   sorts/merges by `memcmp`, with an MSB radix path for fixed-width
+//!   keys; the interpreter sorts through the `Value` comparator, and the
+//!   differential suite holds the two bit-identical.
 //! * [`parallel`] — the exchange layer. At parallel degree `p > 1`,
 //!   lowering fans partitionable pipeline segments out over `p`
 //!   `std::thread` workers: `Gather` concatenates partition outputs in
@@ -59,7 +59,6 @@ pub mod interp;
 pub mod metrics;
 pub mod obs;
 pub mod parallel;
-pub(crate) mod rowshim;
 pub mod session;
 pub mod sortkernel;
 pub mod stream;

@@ -212,9 +212,7 @@ impl<'db> Session<'db> {
             planner: planner_stats,
             batch_size: self.config.batch_size,
             threads: self.config.threads,
-            sort_key_codec: self.config.sort_key_codec,
             memory_budget: self.config.memory_budget,
-            row_shim: self.config.row_shim,
             obs: self.obs.clone(),
             sql: sql.map(str::to_string),
             trace,
@@ -286,9 +284,7 @@ pub struct PreparedQuery<'db> {
     planner: PlannerStats,
     batch_size: usize,
     threads: usize,
-    sort_key_codec: bool,
     memory_budget: Option<usize>,
-    row_shim: bool,
     obs: Option<Observability>,
     sql: Option<String>,
     trace: Option<Trace>,
@@ -299,10 +295,8 @@ impl PreparedQuery<'_> {
         ExecOptions {
             batch_size: self.batch_size,
             threads: self.threads,
-            sort_key_codec: self.sort_key_codec,
             memory_budget: self.memory_budget,
             profiler: None,
-            row_shim: self.row_shim,
         }
     }
 

@@ -19,18 +19,15 @@
 //! * parallel execution splits the input into runs, sorts each run
 //!   independently, and merges; the merge reproduces the serial output
 //!   *only because* each run is stably sorted and [`merge_runs`] breaks
-//!   key ties by the runs' global sequence tags (or, absent tags, by run
-//!   index — valid whenever run `i` holds rows that precede run `i+1`'s
-//!   in the serial input).
+//!   key ties by the runs' global sequence tags.
 //!
-//! Sorting is decorate–sort–undecorate: key columns are extracted once
-//! per row into a contiguous key array, so comparisons during the sort
-//! touch only the extracted keys instead of re-indexing the full row per
-//! key column per comparison (the old `cmp_rows` pattern).
+//! Sorting is decorate–sort–undecorate. The materializing interpreter —
+//! the differential oracle — decorates with the extracted key `Value`s
+//! and sorts through the `Value` comparator ([`sort_rows`], [`top_n`]).
 //!
-//! # Normalized-key (codec) path
+//! # Normalized keys
 //!
-//! With `OptimizerConfig::sort_key_codec` on (the default), the kernel
+//! Every sort of the streaming executor and the exchange layer
 //! decorates each row once with its [`fto_common::sortkey`] encoding —
 //! an order-preserving byte string whose plain `&[u8]` comparison is
 //! bit-identical in outcome to the `Value` comparator — plus the row's
@@ -61,8 +58,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 /// in this process.
 static KEY_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Cumulative count of key comparisons made by sort/merge operations in
-/// this process (byte-string comparisons on the codec path, `Value`
-/// comparisons on the legacy path; radix-distributed rows add none).
+/// this process (byte-string comparisons in the executor's sorts, `Value`
+/// comparisons in the interpreter's; radix-distributed rows add none).
 static COMPARISONS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of (or delta between) the kernel's process-wide counters.
@@ -213,18 +210,6 @@ pub fn resolve_keys(spec: &OrderSpec, layout: &RowLayout) -> Result<SortKeys> {
         .collect()
 }
 
-/// Compares two rows by `keys` — the kernel's key ordering, exposed for
-/// callers that compare without decorating (e.g. run merging).
-pub fn cmp_rows(a: &Row, b: &Row, keys: &SortKeys) -> Ordering {
-    for &(pos, dir) in keys {
-        let ord = dir.apply(a[pos].total_cmp(&b[pos]));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Extracted key columns for one row, compared positionally with the
 /// keys' directions.
 fn extract(row: &Row, keys: &SortKeys) -> Box<[Value]> {
@@ -242,8 +227,9 @@ fn cmp_extracted(a: &[Value], b: &[Value], keys: &SortKeys) -> Ordering {
 }
 
 /// Stably sorts `rows` by `keys` (ties keep input order) using
-/// decorate–sort–undecorate with the `Value` comparator — the legacy
-/// path, kept as the `sort_key_codec = off` reference.
+/// decorate–sort–undecorate with the `Value` comparator — the
+/// interpreter's sort, and the reference the encoded sorts are tested
+/// against.
 pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
     if rows.len() <= 1 || keys.is_empty() {
         return;
@@ -261,17 +247,6 @@ pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
     *rows = decorated.into_iter().map(|(_, row)| row).collect();
 }
 
-/// Stably sorts `rows` by `keys`, choosing the normalized-key codec path
-/// or the legacy `Value`-comparator path. Both produce bit-identical
-/// output.
-pub fn sort_rows_with(rows: &mut Vec<Row>, keys: &SortKeys, codec: bool) {
-    if codec {
-        sort_rows_codec(rows, keys);
-    } else {
-        sort_rows(rows, keys);
-    }
-}
-
 /// Encodes `row`'s normalized key under `keys` with `seq` appended
 /// big-endian — the decorated byte string the codec sort paths order by.
 fn encode_with_seq(row: &Row, keys: &SortKeys, seq: u64) -> Vec<u8> {
@@ -281,67 +256,16 @@ fn encode_with_seq(row: &Row, keys: &SortKeys, seq: u64) -> Vec<u8> {
     buf
 }
 
-/// The codec sort: decorate each row once with `(normalized key ‖ seq)`,
-/// sort the byte strings (MSB radix when the keys are fixed-width,
-/// otherwise `sort_unstable` on memcmp), undecorate. Equivalent to the
-/// stable `Value` sort because the seq suffix resolves logical ties in
-/// input order.
-fn sort_rows_codec(rows: &mut Vec<Row>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let key = encode_with_seq(&row, keys, i as u64);
-            bytes += key.len() as u64;
-            (key, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// The codec sort for rows whose normalized keys were already encoded
-/// column-at-a-time ([`fto_common::column::encode_batch_keys`]): appends
-/// the big-endian seq suffix, charges `KEY_BYTES` exactly as
-/// [`sort_rows_codec`] (same bytes per row: key ‖ 8-byte seq), and sorts
-/// the decorated byte strings. `encs[i]` must be row `i`'s key encoding
-/// under the same `keys`; the columnar encoder is byte-identical to
-/// [`sortkey::encode_key_into`] by construction, so this path and the
-/// per-row codec path order identically.
-pub fn sort_rows_preencoded(rows: &mut Vec<Row>, encs: Vec<Vec<u8>>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    debug_assert_eq!(rows.len(), encs.len());
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .zip(encs)
-        .enumerate()
-        .map(|(i, (row, mut key))| {
-            key.extend_from_slice(&(i as u64).to_be_bytes());
-            bytes += key.len() as u64;
-            (key, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// The codec sort for rows whose normalized keys were encoded into one
+/// Stably sorts rows whose normalized keys were encoded into one
 /// contiguous arena ([`fto_common::column::encode_batch_keys_arena`]):
-/// row `i`'s key is `bytes[offsets[i]..offsets[i + 1]]`. Builds each
-/// decorated key (key ‖ 8-byte seq) in a single exactly-sized
-/// allocation, charges `KEY_BYTES` identically to [`sort_rows_codec`],
-/// and sorts the decorated byte strings.
-pub fn sort_rows_arena(rows: &mut Vec<Row>, bytes: &[u8], offsets: &[usize], keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
+/// row `i`'s key is `bytes[offsets[i]..offsets[i + 1]]`. Decorates each
+/// row once with `(key ‖ 8-byte seq)` in a single exactly-sized
+/// allocation and sorts the byte strings (MSB radix when the keys are
+/// fixed-width, otherwise `sort_unstable` on memcmp). Equivalent to the
+/// stable `Value` sort because the seq suffix resolves logical ties in
+/// input order — so empty keys leave the input order untouched.
+pub fn sort_rows_arena(rows: &mut Vec<Row>, bytes: &[u8], offsets: &[usize]) {
+    if rows.len() <= 1 {
         return;
     }
     debug_assert_eq!(rows.len() + 1, offsets.len());
@@ -427,31 +351,12 @@ fn radix_sort<T>(items: Vec<T>, d: usize, w: usize, key: impl Fn(&T) -> &[u8] + 
 
 /// Sorts tagged rows by `(keys, seq)` into a [`SortedRun`] — the
 /// per-bucket sort of a round-robin repartition, where each tag is the
-/// row's global position in the serial stream. The tag makes the order
-/// total, so the unstable sort is deterministic, and merging the buckets'
-/// runs by `(keys, seq)` reproduces the serial stable sort exactly.
-pub fn sort_tagged(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
-    let mut decorated: Vec<(Box<[Value]>, u64, Row)> = pairs
-        .into_iter()
-        .map(|(seq, row)| (extract(&row, keys), seq, row))
-        .collect();
-    let cmps = Cell::new(0u64);
-    decorated.sort_unstable_by(|a, b| {
-        cmps.set(cmps.get() + 1);
-        cmp_extracted(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
-    });
-    charge(0, cmps.get());
-    SortedRun {
-        seqs: decorated.iter().map(|d| d.1).collect(),
-        rows: decorated.into_iter().map(|d| d.2).collect(),
-        enc: Vec::new(),
-    }
-}
-
-/// [`sort_tagged`] on the normalized-key path: the decorated byte
+/// row's global position in the serial stream. The decorated byte
 /// strings embed each tag as their suffix, so one byte sort orders by
-/// `(keys, seq)`, and the run keeps its encodings for a memcmp merge.
-fn sort_tagged_codec(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
+/// `(keys, seq)` — a total order, so merging the buckets' runs
+/// reproduces the serial stable sort exactly — and the run keeps its
+/// encodings for a memcmp merge.
+pub fn sort_tagged(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
     let mut bytes = 0u64;
     let decorated: Vec<(Vec<u8>, u64, Row)> = pairs
         .into_iter()
@@ -476,29 +381,22 @@ fn sort_tagged_codec(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
     run
 }
 
-/// Sorts tagged rows into a [`SortedRun`] on the selected path; the
-/// codec run carries stored keys so the downstream merge is memcmp-only.
-pub fn sort_tagged_with(pairs: Vec<(u64, Row)>, keys: &SortKeys, codec: bool) -> SortedRun {
-    if codec {
-        sort_tagged_codec(pairs, keys)
-    } else {
-        sort_tagged(pairs, keys)
-    }
-}
-
 /// Sorts a contiguous slice of the serial input (rows in input order,
 /// occupying serial positions `[0, len)` locally) into a [`SortedRun`]
-/// on the normalized-key path. Tags are local input positions; the
-/// coordinator rebases them with [`SortedRun::shift`] once the run's
-/// global interval is known.
+/// of normalized keys. Tags are local input positions; the coordinator
+/// rebases them with [`SortedRun::shift`] once the run's global interval
+/// is known.
 pub fn sort_run_codec(rows: Vec<Row>, keys: &SortKeys) -> SortedRun {
-    sort_tagged_codec(
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
-            .collect(),
-        keys,
-    )
+    sort_tagged(tag_positions(rows), keys)
+}
+
+/// Tags each row with its position in `rows` — the local sequence tags
+/// the tagged sorts and selections order ties by.
+pub(crate) fn tag_positions(rows: Vec<Row>) -> Vec<(u64, Row)> {
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, r)| (i as u64, r))
+        .collect()
 }
 
 /// [`sort_run_codec`] for rows whose normalized keys were already
@@ -571,10 +469,12 @@ pub fn top_n_tagged(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Vec<(u6
         .collect()
 }
 
-/// [`top_n_tagged`] on the normalized-key path, returning a
-/// [`SortedRun`] with stored keys: selection and the winning prefix's
-/// sort both compare decorated byte strings only.
-fn top_n_tagged_codec(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> SortedRun {
+/// [`top_n_tagged`] over normalized keys, returning a [`SortedRun`] with
+/// stored keys: selection and the winning prefix's sort both compare
+/// decorated byte strings only. The streaming Top-N and the Top-N
+/// exchange's workers (which tag locally; the coordinator rebases with
+/// [`SortedRun::shift`]) both select through here.
+pub fn top_n_run(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> SortedRun {
     if n == 0 {
         return SortedRun::default();
     }
@@ -611,58 +511,13 @@ fn top_n_tagged_codec(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Sorte
     run
 }
 
-/// Tagged top-N into a [`SortedRun`] on the selected path — the
-/// exchange-side entry point (workers tag locally; the coordinator
-/// rebases with [`SortedRun::shift`]).
-pub fn top_n_run(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize, codec: bool) -> SortedRun {
-    if codec {
-        top_n_tagged_codec(rows, keys, n)
-    } else {
-        let top = top_n_tagged(rows, keys, n);
-        let mut run = SortedRun {
-            seqs: Vec::with_capacity(top.len()),
-            rows: Vec::with_capacity(top.len()),
-            enc: Vec::new(),
-        };
-        for (seq, row) in top {
-            run.seqs.push(seq);
-            run.rows.push(row);
-        }
-        run
-    }
-}
-
 /// The first `n` rows of the stable sort of `rows` by `keys` (see
 /// [`top_n_tagged`]; tags here are the input positions themselves).
 pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
-    top_n_tagged(
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
-            .collect(),
-        keys,
-        n,
-    )
-    .into_iter()
-    .map(|(_, row)| row)
-    .collect()
-}
-
-/// [`top_n`] on the selected path. Both paths return the identical
-/// stable-sort prefix.
-pub fn top_n_with(rows: Vec<Row>, keys: &SortKeys, n: usize, codec: bool) -> Vec<Row> {
-    if !codec {
-        return top_n(rows, keys, n);
-    }
-    top_n_tagged_codec(
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
-            .collect(),
-        keys,
-        n,
-    )
-    .rows
+    top_n_tagged(tag_positions(rows), keys, n)
+        .into_iter()
+        .map(|(_, row)| row)
+        .collect()
 }
 
 /// One sorted run entering a merge: rows sorted by `(keys, seq)`, with
@@ -677,48 +532,26 @@ pub struct SortedRun {
     /// within a tie group by construction).
     pub seqs: Vec<u64>,
     /// Stored normalized keys (`key ‖ big-endian seq`), parallel to
-    /// `rows`, when the run was produced by the codec path; empty on the
-    /// legacy path. A merge uses them for memcmp-only heap compares —
-    /// the seq suffix doubles as the tiebreak, so one byte comparison
-    /// decides `(keys, seq)` in full.
+    /// `rows`. A merge compares nothing else — the seq suffix doubles as
+    /// the tiebreak, so one byte comparison decides `(keys, seq)` in
+    /// full (and a keyless run still carries its 8 seq bytes).
     pub enc: Vec<Vec<u8>>,
 }
 
 impl SortedRun {
-    /// Tags `rows` (already stably sorted by the merge keys) with
-    /// consecutive sequence numbers starting at `base`. Correct whenever
-    /// the run's rows occupied the contiguous serial-input interval
-    /// `[base, base + rows.len())` in input order before sorting — which
-    /// a stable sort preserves within tie groups.
-    pub fn from_contiguous(rows: Vec<Row>, base: u64) -> SortedRun {
-        // After a stable sort the original positions are no longer
-        // consecutive, but within any tie group they stay in input order,
-        // so re-tagging 0..len in run order keeps ties correctly ranked
-        // *within* this run; across runs only the run-interval order
-        // matters, which `base` encodes.
-        let seqs = (base..base + rows.len() as u64).collect();
-        SortedRun {
-            rows,
-            seqs,
-            enc: Vec::new(),
-        }
-    }
-
     /// Rebases a run tagged with local positions `[0, len)` onto the
     /// global interval starting at `base`: shifts each seq and patches
-    /// the big-endian seq suffix of any stored keys in place. Workers
+    /// the big-endian seq suffix of the stored keys in place. Workers
     /// tag locally (they cannot know their interval's base); the
     /// coordinator shifts in partition order.
     pub fn shift(&mut self, base: u64) {
         if base == 0 {
             return;
         }
-        for (i, seq) in self.seqs.iter_mut().enumerate() {
+        for (seq, key) in self.seqs.iter_mut().zip(&mut self.enc) {
             *seq += base;
-            if let Some(key) = self.enc.get_mut(i) {
-                let at = key.len() - 8;
-                key[at..].copy_from_slice(&seq.to_be_bytes());
-            }
+            let at = key.len() - 8;
+            key[at..].copy_from_slice(&seq.to_be_bytes());
         }
     }
 }
@@ -728,65 +561,28 @@ impl SortedRun {
 /// stably sorting disjoint pieces of one serial input and tagged
 /// consistently with that input's order, the output is bit-identical to
 /// stably sorting the serial input whole.
-pub fn merge_runs(runs: Vec<SortedRun>, keys: &SortKeys) -> Vec<Row> {
-    merge_runs_into_run(runs, keys).rows
+pub fn merge_runs(runs: Vec<SortedRun>) -> Result<Vec<Row>> {
+    Ok(merge_runs_into_run(runs)?.rows)
 }
 
-/// As [`merge_runs`], but the output keeps its sequence tags (and stored
-/// encodings, when every input run carried them) — i.e. the merge of
-/// sorted runs *is itself a sorted run*, which is what lets the external
-/// sort merge more runs than the fan-in allows in multiple passes: each
-/// pass's outputs feed the next as ordinary runs.
-pub fn merge_runs_into_run(runs: Vec<SortedRun>, keys: &SortKeys) -> SortedRun {
-    let encoded =
-        runs.iter().any(|r| !r.enc.is_empty()) && runs.iter().all(|r| r.enc.len() == r.rows.len());
-    if encoded {
-        return merge_runs_encoded(runs);
+/// As [`merge_runs`], but the output keeps its sequence tags and stored
+/// encodings — i.e. the merge of sorted runs *is itself a sorted run*
+/// and can enter a later merge unchanged.
+///
+/// A run whose encodings do not parallel its rows was not produced by
+/// this kernel: that is a bug in the caller, reported as an internal
+/// error rather than merged through some slower comparator.
+pub fn merge_runs_into_run(runs: Vec<SortedRun>) -> Result<SortedRun> {
+    let keyed = runs
+        .iter()
+        .all(|r| r.enc.len() == r.rows.len() && r.seqs.len() == r.rows.len());
+    debug_assert!(keyed, "sorted run entered a merge without stored keys");
+    if !keyed {
+        return Err(FtoError::internal(
+            "sorted run entered a merge without stored keys",
+        ));
     }
-    let total: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut runs: Vec<(std::vec::IntoIter<Row>, std::vec::IntoIter<u64>)> = runs
-        .into_iter()
-        .map(|r| (r.rows.into_iter(), r.seqs.into_iter()))
-        .collect();
-    // Current head of each run.
-    let mut heads: Vec<Option<(Row, u64)>> = runs
-        .iter_mut()
-        .map(|(rows, seqs)| rows.next().map(|r| (r, seqs.next().unwrap_or(0))))
-        .collect();
-    let mut out = SortedRun {
-        rows: Vec::with_capacity(total),
-        seqs: Vec::with_capacity(total),
-        enc: Vec::new(),
-    };
-    let mut cmps = 0u64;
-    loop {
-        // Linear scan over the (few) run heads for the minimum by
-        // (keys, seq); ties cannot occur because seqs are unique.
-        let mut best: Option<usize> = None;
-        for (k, head) in heads.iter().enumerate() {
-            let Some((row, seq)) = head else { continue };
-            best = match best {
-                None => Some(k),
-                Some(b) => {
-                    let (brow, bseq) = heads[b].as_ref().unwrap();
-                    cmps += 1;
-                    if cmp_rows(row, brow, keys).then(seq.cmp(bseq)) == Ordering::Less {
-                        Some(k)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(k) = best else { break };
-        let (rows, seqs) = &mut runs[k];
-        let next = rows.next().map(|r| (r, seqs.next().unwrap_or(0)));
-        let (row, seq) = std::mem::replace(&mut heads[k], next).unwrap();
-        out.rows.push(row);
-        out.seqs.push(seq);
-    }
-    charge(0, cmps);
-    out
+    Ok(merge_runs_encoded(runs))
 }
 
 /// A consumed run during the encoded merge: rows, seq tags, and stored
@@ -935,13 +731,12 @@ mod tests {
             let mut runs = Vec::new();
             let mut base = 0u64;
             for piece in input.chunks(chunk) {
-                let mut rows = piece.to_vec();
-                let len = rows.len() as u64;
-                sort_rows(&mut rows, &keys);
-                runs.push(SortedRun::from_contiguous(rows, base));
-                base += len;
+                let mut run = sort_run_codec(piece.to_vec(), &keys);
+                run.shift(base);
+                runs.push(run);
+                base += piece.len() as u64;
             }
-            assert_eq!(merge_runs(runs, &keys), serial, "parts={parts}");
+            assert_eq!(merge_runs(runs).unwrap(), serial, "parts={parts}");
         }
     }
 
@@ -961,7 +756,7 @@ mod tests {
             .into_iter()
             .map(|bucket| sort_tagged(bucket, &keys))
             .collect();
-        assert_eq!(merge_runs(runs, &keys), serial);
+        assert_eq!(merge_runs(runs).unwrap(), serial);
     }
 
     /// Mixed-shape rows exercising every codec branch: numerics (int and
@@ -989,9 +784,8 @@ mod tests {
         for dir in [Direction::Asc, Direction::Desc] {
             let keys = keys_from(&[(0, dir)]);
             let mut legacy = mixed_rows(500);
-            let mut codec = legacy.clone();
+            let codec = sort_run_codec(legacy.clone(), &keys).rows;
             sort_rows(&mut legacy, &keys);
-            sort_rows_with(&mut codec, &keys, true);
             assert_eq!(codec, legacy, "dir={dir:?}");
         }
     }
@@ -1006,9 +800,8 @@ mod tests {
         let mut legacy: Vec<Row> = (0..4096)
             .map(|_| row(&[rng.range_i64(-8, 8), rng.range_i64(0, 4)]))
             .collect();
-        let mut codec = legacy.clone();
         let before = stats_snapshot();
-        sort_rows_with(&mut codec, &keys, true);
+        let codec = sort_run_codec(legacy.clone(), &keys).rows;
         let delta = stats_snapshot().delta_since(before);
         assert!(delta.key_bytes >= 4096 * 30, "encoded {delta:?}");
         sort_rows(&mut legacy, &keys);
@@ -1021,7 +814,7 @@ mod tests {
         let rows = mixed_rows(300);
         for n in [0usize, 1, 7, 299, 300, 400] {
             assert_eq!(
-                top_n_with(rows.clone(), &keys, n, true),
+                top_n_run(tag_positions(rows.clone()), &keys, n).rows,
                 top_n(rows.clone(), &keys, n),
                 "n={n}"
             );
@@ -1045,7 +838,7 @@ mod tests {
                 runs.push(run);
                 base += len;
             }
-            assert_eq!(merge_runs(runs, &keys), serial, "parts={parts}");
+            assert_eq!(merge_runs(runs).unwrap(), serial, "parts={parts}");
         }
     }
 
@@ -1062,9 +855,9 @@ mod tests {
         }
         let runs: Vec<SortedRun> = buckets
             .into_iter()
-            .map(|bucket| sort_tagged_with(bucket, &keys, true))
+            .map(|bucket| sort_tagged(bucket, &keys))
             .collect();
-        assert_eq!(merge_runs(runs, &keys), serial);
+        assert_eq!(merge_runs(runs).unwrap(), serial);
     }
 
     #[test]
@@ -1077,18 +870,12 @@ mod tests {
         let mut runs = Vec::new();
         let mut base = 0u64;
         for piece in all.chunks(30) {
-            let tagged: Vec<(u64, Row)> = piece
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, r)| (i as u64, r))
-                .collect();
-            let mut run = top_n_run(tagged, &keys, 10, true);
+            let mut run = top_n_run(tag_positions(piece.to_vec()), &keys, 10);
             run.shift(base);
             runs.push(run);
             base += 30;
         }
-        let mut merged = merge_runs(runs, &keys);
+        let mut merged = merge_runs(runs).unwrap();
         merged.truncate(10);
         assert_eq!(merged, serial);
     }
@@ -1097,8 +884,8 @@ mod tests {
     fn stats_counters_accumulate() {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let before = stats_snapshot();
-        let mut rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        sort_rows_with(&mut rows, &keys, true);
+        let rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
+        sort_run_codec(rows, &keys);
         let after = stats_snapshot();
         let delta = after.delta_since(before);
         assert!(delta.key_bytes > 0, "codec sort must record key bytes");
@@ -1111,13 +898,56 @@ mod tests {
     #[test]
     fn merge_handles_empty_and_unbalanced_runs() {
         let keys = keys_from(&[(0, Direction::Asc)]);
+        let mut last = sort_run_codec(vec![row(&[2, 2])], &keys);
+        last.shift(2);
         let runs = vec![
-            SortedRun::from_contiguous(vec![], 0),
-            SortedRun::from_contiguous(vec![row(&[1, 0]), row(&[3, 1])], 0),
-            SortedRun::from_contiguous(vec![row(&[2, 2])], 2),
+            sort_run_codec(vec![], &keys),
+            sort_run_codec(vec![row(&[1, 0]), row(&[3, 1])], &keys),
+            last,
         ];
-        let merged = merge_runs(runs, &keys);
+        let merged = merge_runs(runs).unwrap();
         let got: Vec<i64> = merged.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn keyless_sorts_and_merges_keep_input_order_by_seq_alone() {
+        // No key columns: every decorated key is just the 8-byte seq, so
+        // sort, top-n and merge all reduce to "input order".
+        let keys = SortKeys::new();
+        let input: Vec<Row> = (0..200).map(|i| row(&[(i * 7) % 13, i])).collect();
+        let mut arena = input.clone();
+        sort_rows_arena(&mut arena, &[], &vec![0; input.len() + 1]);
+        assert_eq!(arena, input);
+        assert_eq!(
+            top_n_run(tag_positions(input.clone()), &keys, 9).rows,
+            input[..9]
+        );
+        let mut runs = Vec::new();
+        for (i, piece) in input.chunks(30).enumerate() {
+            let mut run = sort_run_codec(piece.to_vec(), &keys);
+            run.shift(i as u64 * 30);
+            runs.push(run);
+        }
+        assert_eq!(merge_runs(runs).unwrap(), input);
+    }
+
+    #[test]
+    fn merge_rejects_a_run_without_stored_keys() {
+        // A run whose encodings do not parallel its rows is a caller bug:
+        // a debug assertion in debug builds, a typed error otherwise —
+        // never a silent fallback to some other comparator.
+        let merge = || {
+            merge_runs(vec![SortedRun {
+                rows: vec![row(&[1])],
+                seqs: vec![0],
+                enc: Vec::new(),
+            }])
+        };
+        if cfg!(debug_assertions) {
+            assert!(std::panic::catch_unwind(merge).is_err());
+        } else {
+            assert!(merge().is_err());
+        }
     }
 }

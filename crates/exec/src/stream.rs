@@ -13,8 +13,8 @@
 //! typed kernels and gather survivors (never materializing rows),
 //! projections of bare column references are `Arc` clones, hash group-by
 //! computes its keys by byte-encoding the grouping columns
-//! column-at-a-time, and the sort's codec path encodes normalized keys
-//! straight from the column vectors. Operators with inherently row-wise
+//! column-at-a-time, and the sorts encode normalized keys straight from
+//! the column vectors. Operators with inherently row-wise
 //! logic (joins, order-based group-by, distinct) materialize rows through
 //! `Batch::row`/`to_rows` — the transition shims the columnar redesign
 //! keeps until those paths are vectorized in turn.
@@ -38,7 +38,6 @@ use crate::metrics::{OpMetrics, PlanMetrics};
 use crate::parallel::{
     GatherOp, MergeExchangeOp, PartitionSpec, RepartitionSortOp, TopNExchangeOp,
 };
-use crate::rowshim;
 use crate::sortkernel::{self, resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
 use fto_common::{row_bytes, ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
@@ -103,11 +102,6 @@ pub struct ExecContext<'a> {
     /// worker-side contexts are always 1 so pipelines never nest
     /// exchanges).
     pub threads: usize,
-    /// Whether sort-heavy operators use the normalized binary key codec
-    /// ([`fto_common::sortkey`]) instead of the `Value` comparator. Both
-    /// paths produce bit-identical output; this gates the fast path so
-    /// the differential suite can prove it.
-    pub sort_key_codec: bool,
     /// Per-query memory budget in bytes for pipeline breakers, or `None`
     /// for unbounded in-memory execution. When set, sort and Top-N bound
     /// their buffered working sets (spilling sorted runs), hash group-by
@@ -129,9 +123,6 @@ pub struct ExecContext<'a> {
     /// only observes: rows, [`IoStats`], and metric rollups are
     /// bit-identical with or without it.
     pub profiler: Option<fto_obs::Profiler>,
-    /// Test-only: plans were lowered to the row-at-a-time baseline
-    /// operators (see [`ExecOptions::row_shim`]).
-    pub row_shim: bool,
 }
 
 impl<'a> ExecContext<'a> {
@@ -156,11 +147,9 @@ impl<'a> ExecContext<'a> {
             graph,
             batch_size: opts.batch_size.max(1),
             threads,
-            sort_key_codec: opts.sort_key_codec,
             memory_budget,
             pool: memory_budget.map(|b| RefCell::new(BufferPool::new(b))),
             profiler: opts.profiler.clone(),
-            row_shim: opts.row_shim,
         }
     }
 
@@ -201,11 +190,6 @@ pub struct ExecOptions {
     /// lowering inserts no exchange operators and execution is exactly
     /// the classic single-threaded pipeline.
     pub threads: usize,
-    /// Use the normalized binary key codec for sorts, exchange merges,
-    /// merge-join tie detection, and index probes (default on). Off
-    /// keeps the legacy `Value`-comparator paths; output is identical
-    /// either way.
-    pub sort_key_codec: bool,
     /// Per-query memory budget in bytes, or `None` (the default) for
     /// unbounded execution. See [`ExecContext::memory_budget`].
     pub memory_budget: Option<usize>,
@@ -213,15 +197,6 @@ pub struct ExecOptions {
     /// overhead beyond one thread-local branch per hook). See
     /// [`ExecContext::profiler`].
     pub profiler: Option<fto_obs::Profiler>,
-    /// Test-only baseline: lower the distinct, stream group-by, merge
-    /// join, hash join, and left-outer join operators to their
-    /// pre-vectorization row-at-a-time implementations
-    /// ([`crate::rowshim`]) instead of the columnar ones. The shims
-    /// share the joins' build machinery with the vectorized operators,
-    /// so rows *and* [`IoStats`] must match bit for bit — the
-    /// differential suite proves it. Default off; production code never
-    /// sets this.
-    pub row_shim: bool,
 }
 
 impl Default for ExecOptions {
@@ -229,10 +204,8 @@ impl Default for ExecOptions {
         ExecOptions {
             batch_size: 1024,
             threads: 1,
-            sort_key_codec: true,
             memory_budget: None,
             profiler: None,
-            row_shim: false,
         }
     }
 }
@@ -255,7 +228,7 @@ pub fn execute_plan(
     let start = Instant::now();
     let mut io = IoStats::new();
     let cx = ExecContext::new(db, graph, opts);
-    let mut root = lower_impl(plan, &mut LowerCx::new(None, cx.threads, cx.row_shim))?;
+    let mut root = lower_impl(plan, &mut LowerCx::new(None, cx.threads))?;
     root.open(&cx, &mut io)?;
     let mut batches = Vec::new();
     while let Some(batch) = root.next_batch(&cx, &mut io)? {
@@ -293,7 +266,7 @@ pub fn execute_plan_instrumented(
     let slots = Arc::new(Mutex::new(Vec::new()));
     let mut root = lower_impl(
         plan,
-        &mut LowerCx::new(Some(Arc::clone(&slots)), cx.threads, cx.row_shim),
+        &mut LowerCx::new(Some(Arc::clone(&slots)), cx.threads),
     )?;
     root.open(&cx, &mut io)?;
     let mut batches = Vec::new();
@@ -344,26 +317,26 @@ fn preorder_children(plan: &Plan) -> Vec<Vec<usize>> {
 /// Rows produced faster than they are consumed; drained in batch-size
 /// chunks.
 #[derive(Default)]
-pub(crate) struct OutQueue {
+struct OutQueue {
     rows: VecDeque<Row>,
 }
 
 impl OutQueue {
-    pub(crate) fn push(&mut self, row: Row) {
+    fn push(&mut self, row: Row) {
         self.rows.push_back(row);
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Batch {
+    fn take(&mut self, n: usize) -> Batch {
         let n = n.min(self.rows.len());
         let rows: Vec<Row> = self.rows.drain(..n).collect();
         Batch::from_rows(&rows)
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.rows.clear();
     }
 }
@@ -378,7 +351,7 @@ impl OutQueue {
 /// consumes an entire queued batch at offset zero re-emits it without
 /// copying.
 #[derive(Default)]
-pub(crate) struct BatchQueue {
+struct BatchQueue {
     parts: VecDeque<Batch>,
     /// Rows of the front batch already taken.
     front: usize,
@@ -386,21 +359,21 @@ pub(crate) struct BatchQueue {
 }
 
 impl BatchQueue {
-    pub(crate) fn push(&mut self, batch: Batch) {
+    fn push(&mut self, batch: Batch) {
         if !batch.is_empty() {
             self.len += batch.len();
             self.parts.push_back(batch);
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Removes and returns the next `min(n, pending)` rows as one batch.
     /// `arity` disambiguates the all-consumed case (concat of zero
     /// parts); callers pass their output layout's arity.
-    pub(crate) fn take(&mut self, n: usize, arity: usize) -> Batch {
+    fn take(&mut self, n: usize, arity: usize) -> Batch {
         let n = n.min(self.len);
         let mut picked: Vec<Batch> = Vec::new();
         let mut need = n;
@@ -430,7 +403,7 @@ impl BatchQueue {
         Batch::concat(arity, &picked)
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.parts.clear();
         self.front = 0;
         self.len = 0;
@@ -451,7 +424,7 @@ pub(crate) fn drain_all(
     Ok(rows)
 }
 
-pub(crate) fn key_of(row: &Row, pos: &[usize]) -> Vec<Value> {
+fn key_of(row: &Row, pos: &[usize]) -> Vec<Value> {
     pos.iter().map(|&p| row[p].clone()).collect()
 }
 
@@ -657,7 +630,7 @@ impl Operator for LimitOp {
 
 /// All of a batch's columns as ascending sort keys — the encoding keys a
 /// distinct operator deduplicates whole rows under.
-pub(crate) fn all_cols_asc(batch: &Batch) -> SortKeys {
+fn all_cols_asc(batch: &Batch) -> SortKeys {
     (0..batch.arity()).map(|p| (p, Direction::Asc)).collect()
 }
 
@@ -666,12 +639,9 @@ pub(crate) fn all_cols_asc(batch: &Batch) -> SortKeys {
 /// adjacent duplicates drop on slice inequality, and the survivors
 /// gather out columnar — no per-row `Vec<Value>` materialization.
 ///
-/// Encoding is unconditional (it no longer branches on the codec flag):
-/// the codec canonicalizes exactly like `Value`'s `Eq` (both follow
+/// The codec canonicalizes exactly like `Value`'s `Eq` (both follow
 /// `total_cmp`), so byte equality drops precisely the rows a `Value`
-/// comparison would drop. The row-shim baseline
-/// ([`crate::rowshim::RowStreamDistinctOp`]) keeps both legacy
-/// comparator paths for the differential suite.
+/// comparison would drop.
 struct StreamDistinctOp {
     child: Box<dyn Operator>,
     /// Last emitted row's encoded key.
@@ -829,20 +799,16 @@ impl SortOp {
         cx: &ExecContext<'_>,
         io: &mut IoStats,
     ) -> Result<()> {
-        let encode = cx.sort_key_codec && !self.keys.is_empty();
         self.child.open(cx, io)?;
-        let mut former = RunFormer::new(budget, encode, self.keys.clone());
+        let mut former = RunFormer::new(budget);
         let (mut bb, mut bo) = (Vec::new(), Vec::new());
         let mut rows = Vec::new();
         while let Some(batch) = self.child.next_batch(cx, io)? {
-            if encode {
-                encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
-            }
+            encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
             rows.clear();
             batch.append_rows_to(&mut rows);
             for (i, row) in rows.drain(..).enumerate() {
-                let key = encode.then(|| &bb[bo[i]..bo[i + 1]]);
-                former.push(row, key, io);
+                former.push(row, &bb[bo[i]..bo[i + 1]], io);
             }
         }
         self.child.close();
@@ -862,12 +828,9 @@ impl Operator for SortOp {
         if let Some(budget) = cx.memory_budget {
             return self.open_bounded(budget, cx, io);
         }
-        // Under the codec, sort keys are encoded column-at-a-time while
-        // the input is still columnar — a tight per-type loop per key
-        // column — and the pre-encoded keys are handed to the kernel.
-        // Byte output (and therefore `sort.key_bytes` accounting) is
-        // identical to the kernel's own per-row encoding pass.
-        let encode = cx.sort_key_codec && !self.keys.is_empty();
+        // Sort keys are encoded column-at-a-time while the input is
+        // still columnar — a tight per-type loop per key column — and
+        // the pre-encoded keys are handed to the kernel.
         self.child.open(cx, io)?;
         let mut rows = Vec::new();
         // Key arena accumulated across batches: one backing buffer, no
@@ -876,21 +839,15 @@ impl Operator for SortOp {
         let mut key_offsets: Vec<usize> = vec![0];
         let (mut bb, mut bo) = (Vec::new(), Vec::new());
         while let Some(batch) = self.child.next_batch(cx, io)? {
-            if encode {
-                encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
-                let base = key_bytes.len();
-                key_bytes.extend_from_slice(&bb);
-                key_offsets.extend(bo[1..].iter().map(|&o| base + o));
-            }
+            encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
+            let base = key_bytes.len();
+            key_bytes.extend_from_slice(&bb);
+            key_offsets.extend(bo[1..].iter().map(|&o| base + o));
             batch.append_rows_to(&mut rows);
         }
         self.child.close();
         io.sort_rows += rows.len() as u64;
-        if encode {
-            sortkernel::sort_rows_arena(&mut rows, &key_bytes, &key_offsets, &self.keys);
-        } else {
-            sortkernel::sort_rows_with(&mut rows, &self.keys, cx.sort_key_codec);
-        }
+        sortkernel::sort_rows_arena(&mut rows, &key_bytes, &key_offsets);
         self.buf = rows;
         self.pos = 0;
         Ok(())
@@ -902,7 +859,7 @@ impl Operator for SortOp {
             // materialized whole, only one batch of rows at a time.
             let mut rows = Vec::with_capacity(cx.batch_size);
             while rows.len() < cx.batch_size {
-                match spilled.next_row(&self.keys, io) {
+                match spilled.next_row(io) {
                     Some(row) => rows.push(row),
                     None => break,
                 }
@@ -944,9 +901,9 @@ enum SegmentEmit {
 /// sorted, and emitted incrementally, so memory stays bounded by the
 /// largest group (plus one input batch) and a `LIMIT n` above stops
 /// pulling input after the first ⌈n / group⌉ groups. Group boundaries are
-/// detected by encoded-prefix byte equality on the codec path and by
-/// `Value::total_cmp` equality otherwise — the codec is injective up to
-/// `total_cmp`, so both paths cut identical groups. Each group sorts
+/// detected by encoded-prefix byte equality — the codec is injective up
+/// to `total_cmp`, so it cuts exactly the groups `Value` equality would.
+/// Each group sorts
 /// stably on the suffix keys alone (its prefix columns are all equal, so
 /// this equals the full-key sort), and concatenating groups in arrival
 /// order reproduces the global stable sort bit for bit. Under a memory
@@ -957,16 +914,12 @@ struct SegmentedSortOp {
     /// Prefix keys (boundary detection) and suffix keys (per-group sort).
     pkeys: SortKeys,
     skeys: SortKeys,
-    /// Prefix key positions for the legacy comparator path.
-    ppos: Vec<usize>,
-    /// Current group: rows plus their suffix-key arena (codec path).
+    /// Current group: rows plus their suffix-key arena.
     grp_rows: Vec<Row>,
     grp_kb: Vec<u8>,
     grp_ko: Vec<usize>,
-    /// Current group's prefix identity: encoded bytes (codec path) or a
-    /// representative row (legacy path).
+    /// Current group's prefix identity: its encoded prefix key.
     lead_enc: Vec<u8>,
-    lead_row: Option<Row>,
     group_started: bool,
     /// Per-group run former (present only under a memory budget).
     former: Option<RunFormer>,
@@ -992,14 +945,12 @@ impl SegmentedSortOp {
         };
         SegmentedSortOp {
             child,
-            ppos: pkeys.iter().map(|&(p, _)| p).collect(),
             pkeys,
             skeys,
             grp_rows: Vec::new(),
             grp_kb: Vec::new(),
             grp_ko: vec![0],
             lead_enc: Vec::new(),
-            lead_row: None,
             group_started: false,
             former: None,
             emits: VecDeque::new(),
@@ -1011,7 +962,7 @@ impl SegmentedSortOp {
     /// Sorts and queues the current group for emission (no-op when no
     /// group is open). Counts one formed group toward the process-wide
     /// segmented-sort statistics.
-    fn seal_group(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) {
+    fn seal_group(&mut self, io: &mut IoStats) {
         if !self.group_started {
             return;
         }
@@ -1028,11 +979,7 @@ impl SegmentedSortOp {
         } else {
             let mut rows = std::mem::take(&mut self.grp_rows);
             io.sort_rows += rows.len() as u64;
-            if cx.sort_key_codec {
-                sortkernel::sort_rows_arena(&mut rows, &self.grp_kb, &self.grp_ko, &self.skeys);
-            } else {
-                sortkernel::sort_rows_with(&mut rows, &self.skeys, false);
-            }
+            sortkernel::sort_rows_arena(&mut rows, &self.grp_kb, &self.grp_ko);
             self.emits.push_back(SegmentEmit::Mem(rows, 0));
         }
         self.grp_kb.clear();
@@ -1043,47 +990,30 @@ impl SegmentedSortOp {
 
     /// Absorbs one input batch, sealing groups at every prefix boundary.
     fn absorb(&mut self, batch: &Batch, cx: &ExecContext<'_>, io: &mut IoStats) {
-        let codec = cx.sort_key_codec;
         let (mut pb, mut po) = (Vec::new(), Vec::new());
         let (mut sb, mut so) = (Vec::new(), Vec::new());
-        if codec {
-            encode_batch_keys_arena(batch, &self.pkeys, &mut pb, &mut po);
-            encode_batch_keys_arena(batch, &self.skeys, &mut sb, &mut so);
-        }
+        encode_batch_keys_arena(batch, &self.pkeys, &mut pb, &mut po);
+        encode_batch_keys_arena(batch, &self.skeys, &mut sb, &mut so);
         for i in 0..batch.len() {
             let row = batch.row(i);
-            let pref = codec.then(|| &pb[po[i]..po[i + 1]]);
-            let boundary = self.group_started
-                && match &pref {
-                    Some(pref) => **pref != self.lead_enc[..],
-                    None => {
-                        let lead = self.lead_row.as_ref().expect("open group without lead");
-                        !same_key(lead, &row, &self.ppos)
-                    }
-                };
-            if boundary {
-                self.seal_group(cx, io);
+            let pref = &pb[po[i]..po[i + 1]];
+            if self.group_started && *pref != self.lead_enc[..] {
+                self.seal_group(io);
             }
             if !self.group_started {
                 self.group_started = true;
-                match &pref {
-                    Some(pref) => {
-                        self.lead_enc.clear();
-                        self.lead_enc.extend_from_slice(pref);
-                    }
-                    None => self.lead_row = Some(row.clone()),
-                }
+                self.lead_enc.clear();
+                self.lead_enc.extend_from_slice(pref);
                 if let Some(budget) = cx.memory_budget {
-                    self.former = Some(RunFormer::new(budget, codec, self.skeys.clone()));
+                    self.former = Some(RunFormer::new(budget));
                 }
             }
+            let skey = &sb[so[i]..so[i + 1]];
             match &mut self.former {
-                Some(former) => former.push(row, codec.then(|| &sb[so[i]..so[i + 1]]), io),
+                Some(former) => former.push(row, skey, io),
                 None => {
-                    if codec {
-                        self.grp_kb.extend_from_slice(&sb[so[i]..so[i + 1]]);
-                        self.grp_ko.push(self.grp_kb.len());
-                    }
+                    self.grp_kb.extend_from_slice(skey);
+                    self.grp_ko.push(self.grp_kb.len());
                     self.grp_rows.push(row);
                 }
             }
@@ -1120,7 +1050,7 @@ impl Operator for SegmentedSortOp {
                 Some(SegmentEmit::Spill(s)) => {
                     let mut rows = Vec::with_capacity(cx.batch_size);
                     while rows.len() < cx.batch_size {
-                        match s.next_row(&self.skeys, io) {
+                        match s.next_row(io) {
                             Some(row) => rows.push(row),
                             None => break,
                         }
@@ -1141,7 +1071,7 @@ impl Operator for SegmentedSortOp {
                 None => {
                     self.input_done = true;
                     self.child.close();
-                    self.seal_group(cx, io);
+                    self.seal_group(io);
                 }
             }
         }
@@ -1210,7 +1140,8 @@ impl Operator for TopNOp {
             return self.open_bounded(budget, cx, io);
         }
         let rows = drain_all(&mut self.child, cx, io)?;
-        let top = sortkernel::top_n_with(rows, &self.keys, self.n as usize, cx.sort_key_codec);
+        let tagged = sortkernel::tag_positions(rows);
+        let top = sortkernel::top_n_run(tagged, &self.keys, self.n as usize).rows;
         io.sort_rows += top.len() as u64;
         self.buf = top;
         self.pos = 0;
@@ -1767,15 +1698,7 @@ impl Operator for IndexNestedLoopJoinOp {
                 let orow = batch.row(oi);
                 let key = key_of(&orow, &self.probe_pos);
                 io.index_pages += 1; // descent touches one leaf
-                                     // Codec path: encode the probe once, binary-search the
-                                     // index's stored normalized keys by memcmp. Identical
-                                     // hits either way (asserted in the storage tests).
-                let hits = if cx.sort_key_codec {
-                    ix.probe_encoded(&ix.encode_probe(&key))
-                } else {
-                    ix.probe(&key)
-                };
-                for (_, rid) in hits {
+                for (_, rid) in ix.probe(&key) {
                     // Probe fetches share the budgeted buffer pool with
                     // the scans (keyed by table id); unbounded executions
                     // charge exactly as before.
@@ -1814,7 +1737,7 @@ const JOIN_SPILL_GROUP_ROWS: usize = 256;
 /// (arrival) order, so match order — and with it output order — is
 /// identical on both paths.
 #[derive(Clone, Copy)]
-pub(crate) enum BuildRef {
+enum BuildRef {
     Mem(u32),
     Spilled { group: u32, row: u32 },
 }
@@ -1824,9 +1747,8 @@ pub(crate) enum BuildRef {
 /// `Value` equality by codec canonicalization), resident rows gather
 /// into columnar segments, and overflow rows past the memory budget
 /// spill as [`JOIN_SPILL_GROUP_ROWS`]-row column pages
-/// ([`spill::write_batch`]). Shared by the vectorized operators and the
-/// row-shim baselines so both charge identical [`IoStats`].
-pub(crate) struct JoinBuild {
+/// ([`spill::write_batch`]). Shared by the hash and left-outer joins.
+struct JoinBuild {
     ipos: Vec<usize>,
     ikeys: SortKeys,
     /// Whether equi keys exist. NULL-key build rows are dropped when
@@ -1839,9 +1761,9 @@ pub(crate) struct JoinBuild {
     mem: Batch,
     mem_rows: u32,
     bytes: usize,
-    pub(crate) table: HashMap<Vec<u8>, Vec<BuildRef>>,
+    table: HashMap<Vec<u8>, Vec<BuildRef>>,
     /// All build refs in arrival order (non-keyed path).
-    pub(crate) refs: Vec<BuildRef>,
+    refs: Vec<BuildRef>,
     /// Overflow rows not yet sealed into a spilled group.
     pending: VecDeque<Batch>,
     pending_rows: usize,
@@ -1854,7 +1776,7 @@ pub(crate) struct JoinBuild {
 }
 
 impl JoinBuild {
-    pub(crate) fn new(ipos: Vec<usize>, keyed: bool, arity: usize) -> JoinBuild {
+    fn new(ipos: Vec<usize>, keyed: bool, arity: usize) -> JoinBuild {
         JoinBuild {
             ikeys: ipos.iter().map(|&p| (p, Direction::Asc)).collect(),
             ipos,
@@ -1875,7 +1797,7 @@ impl JoinBuild {
         }
     }
 
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.segs.clear();
         self.mem = Batch::empty(self.arity);
         self.mem_rows = 0;
@@ -1895,7 +1817,7 @@ impl JoinBuild {
     /// the next spilled group. Admission order and per-row costs
     /// ([`batch_row_bytes`] ≡ `row_bytes`) match the row-at-a-time
     /// build exactly, so the same rows land on the same side.
-    pub(crate) fn absorb(
+    fn absorb(
         &mut self,
         batch: &Batch,
         budget: Option<usize>,
@@ -1988,7 +1910,7 @@ impl JoinBuild {
         }
     }
 
-    pub(crate) fn finish(&mut self, io: &mut IoStats) {
+    fn finish(&mut self, io: &mut IoStats) {
         self.flush_groups(true, io);
         self.mem = Batch::concat(self.arity, &std::mem::take(&mut self.segs));
         if !self.file.is_empty() {
@@ -1998,7 +1920,7 @@ impl JoinBuild {
 
     /// Re-reads (and decodes) one spilled group, through the
     /// single-entry cache.
-    pub(crate) fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Batch {
+    fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Batch {
         if let Some((cg, b)) = &self.cache {
             if *cg == g {
                 return b.clone();
@@ -2012,19 +1934,11 @@ impl JoinBuild {
         batch
     }
 
-    /// Materializes the single build row behind a ref (row-shim probe).
-    pub(crate) fn build_row(&mut self, r: BuildRef, io: &mut IoStats) -> Row {
-        match r {
-            BuildRef::Mem(i) => self.mem.row(i as usize),
-            BuildRef::Spilled { group, row } => self.group_batch(group, io).row(row as usize),
-        }
-    }
-
     /// Assembles the candidate batch for one probe batch: outer columns
     /// gathered by `osel` (probe row of the j-th candidate), build
     /// columns gathered from `mem` and any spilled groups by `brefs` —
     /// all Arc-shared, no per-row concat.
-    pub(crate) fn candidates(
+    fn candidates(
         &mut self,
         outer: &Batch,
         osel: &[u32],
@@ -2034,8 +1948,8 @@ impl JoinBuild {
         let mut sources: Vec<Batch> = vec![self.mem.clone()];
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(brefs.len());
         // Consecutive refs into the same spilled group share one source
-        // slot, so decode charges mirror the row-shim's per-match
-        // `group_batch` calls through the same cache.
+        // slot: one `group_batch` decode (through its single-entry
+        // cache) per run of matches in a group.
         let mut last: Option<(u32, u32)> = None;
         for &r in brefs {
             match r {
@@ -2392,11 +2306,6 @@ fn merge_take_group(
     Ok(side.win.slice(start, end - start))
 }
 
-pub(crate) fn same_key(a: &Row, b: &Row, kpos: &[usize]) -> bool {
-    kpos.iter()
-        .all(|&p| a[p].total_cmp(&b[p]) == Ordering::Equal)
-}
-
 /// Merge join, vectorized: both sides advance on encoded key columns
 /// with memcmp (the per-column encodings are prefix-free, so comparing
 /// the concatenated keys ≡ the zipped `total_cmp` walk), tie groups cut
@@ -2517,24 +2426,16 @@ pub(crate) struct LowerCx {
     /// `Some((part, parts))` while lowering one worker's partition of an
     /// exchanged subtree: scans restrict themselves to that partition.
     partition: Option<(usize, usize)>,
-    /// Lower to the row-at-a-time baseline operators ([`crate::rowshim`])
-    /// instead of the vectorized ones — see [`ExecOptions::row_shim`].
-    row_shim: bool,
 }
 
 impl LowerCx {
-    pub(crate) fn new(
-        slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
-        threads: usize,
-        row_shim: bool,
-    ) -> LowerCx {
+    pub(crate) fn new(slots: Option<Arc<Mutex<Vec<OpMetrics>>>>, threads: usize) -> LowerCx {
         LowerCx {
             slots,
             push: true,
             next_id: 0,
             threads,
             partition: None,
-            row_shim,
         }
     }
 }
@@ -2556,9 +2457,6 @@ pub(crate) fn lower_worker(
         next_id: base_id,
         threads: 1,
         partition: Some((part, parts)),
-        // Partitionable pipelines are scan/filter/project chains — none
-        // of the shimmed operators can appear inside one.
-        row_shim: false,
     };
     lower_impl(plan, &mut lw)
 }
@@ -2646,7 +2544,7 @@ impl Operator for InstrumentedOp {
 }
 
 fn lower(plan: &Plan) -> Result<Box<dyn Operator>> {
-    lower_impl(plan, &mut LowerCx::new(None, 1, false))
+    lower_impl(plan, &mut LowerCx::new(None, 1))
 }
 
 /// True when a subtree can run partitioned: a chain of filters and
@@ -2886,27 +2784,16 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             let ikpos = positions(&inner.layout, inner_keys)?;
             let o = lower_impl(outer, lw)?;
             let i = lower_impl(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::MergeJoinOp::new(
-                    o,
-                    i,
-                    okpos,
-                    ikpos,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(MergeJoinOp {
-                    o: MergeSide::new(okpos),
-                    i: MergeSide::new(ikpos),
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    done: false,
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(MergeJoinOp {
+                o: MergeSide::new(okpos),
+                i: MergeSide::new(ikpos),
+                outer: o,
+                inner: i,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                done: false,
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::LeftOuterJoin {
             outer,
@@ -2924,30 +2811,17 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             );
             let o = lower_impl(outer, lw)?;
             let i = lower_drained(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::LeftOuterJoinOp::new(
-                    o,
-                    i,
-                    opos,
-                    keyed,
-                    inner.layout.arity(),
-                    build,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(LeftOuterJoinOp {
-                    okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    opos,
-                    keyed,
-                    build,
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(LeftOuterJoinOp {
+                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                opos,
+                keyed,
+                build,
+                outer: o,
+                inner: i,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::HashJoin {
             outer,
@@ -2964,27 +2838,16 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             );
             let o = lower_impl(outer, lw)?;
             let i = lower_drained(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::HashJoinOp::new(
-                    o,
-                    i,
-                    opos,
-                    build,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(HashJoinOp {
-                    okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    opos,
-                    build,
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(HashJoinOp {
+                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                opos,
+                build,
+                outer: o,
+                inner: i,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::StreamGroupBy {
             input,
@@ -2993,29 +2856,19 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
         } => {
             let gpos = positions(&input.layout, grouping)?;
             let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::StreamGroupByOp::new(
-                    child,
-                    aggs.clone(),
-                    input.layout.clone(),
-                    gpos,
-                    grouping.is_empty(),
-                ))
-            } else {
-                Box::new(StreamGroupByOp {
-                    gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    gpos,
-                    args: aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
-                    grouping_is_empty: grouping.is_empty(),
-                    child,
-                    aggs: aggs.clone(),
-                    layout: input.layout.clone(),
-                    current: None,
-                    saw_input: false,
-                    input_done: false,
-                    out: OutQueue::default(),
-                })
-            }
+            Box::new(StreamGroupByOp {
+                gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                gpos,
+                args: aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
+                grouping_is_empty: grouping.is_empty(),
+                child,
+                aggs: aggs.clone(),
+                layout: input.layout.clone(),
+                current: None,
+                saw_input: false,
+                input_done: false,
+                out: OutQueue::default(),
+            })
         }
         PlanNode::HashGroupBy {
             input,
@@ -3031,25 +2884,17 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
         }),
         PlanNode::StreamDistinct { input } => {
             let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::StreamDistinctOp::new(child))
-            } else {
-                Box::new(StreamDistinctOp {
-                    child,
-                    last_key: None,
-                })
-            }
+            Box::new(StreamDistinctOp {
+                child,
+                last_key: None,
+            })
         }
         PlanNode::HashDistinct { input } => {
             let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::HashDistinctOp::new(child))
-            } else {
-                Box::new(HashDistinctOp {
-                    child,
-                    seen_keys: HashSet::new(),
-                })
-            }
+            Box::new(HashDistinctOp {
+                child,
+                seen_keys: HashSet::new(),
+            })
         }
         PlanNode::UnionAll { inputs } => Box::new(UnionAllOp {
             children: inputs
@@ -3314,6 +3159,63 @@ mod tests {
                 assert_eq!(metrics.ops[0].workers.len(), threads);
                 let worker_rows: u64 = metrics.ops[0].workers.iter().map(|w| w.rows).sum();
                 assert_eq!(worker_rows, 2048);
+            }
+        }
+    }
+
+    #[test]
+    fn keyless_sort_and_top_n_return_input_order_at_every_budget() {
+        // An ORDER BY reduced to nothing sorts by input position alone:
+        // in memory, through the multi-pass external merge (1 KiB holds
+        // ~20 of these rows, so 500 rows form >8 runs), and through the
+        // exchanges.
+        let db = test_db(500);
+        let graph = QueryGraph::new();
+        let scan = scan_plan();
+        let unsorted = execute_plan(&db, &graph, &scan, &ExecOptions::default())
+            .unwrap()
+            .rows();
+        let node = |node| Plan {
+            node,
+            layout: scan.layout.clone(),
+            props: scan.props.clone(),
+            cost: scan.cost,
+        };
+        let sort = node(PlanNode::Sort {
+            input: scan.clone(),
+            spec: fto_order::OrderSpec::empty(),
+        });
+        let top = node(PlanNode::TopN {
+            input: scan.clone(),
+            spec: fto_order::OrderSpec::empty(),
+            n: 7,
+        });
+        for memory_budget in [None, Some(1usize << 10)] {
+            for threads in [1usize, 4] {
+                let opts = ExecOptions {
+                    batch_size: 64,
+                    threads,
+                    memory_budget,
+                    ..ExecOptions::default()
+                };
+                let passes = sortkernel::spill_stats_snapshot();
+                let sorted = execute_plan(&db, &graph, &sort, &opts).unwrap();
+                assert_eq!(
+                    sorted.rows(),
+                    unsorted,
+                    "{memory_budget:?} threads={threads}"
+                );
+                if memory_budget.is_some() && threads == 1 {
+                    let delta = sortkernel::spill_stats_snapshot().delta_since(passes);
+                    assert!(delta.merge_passes >= 2, "{delta:?}");
+                    assert!(sorted.io.spill_pages_read > 0);
+                }
+                let first = execute_plan(&db, &graph, &top, &opts).unwrap();
+                assert_eq!(
+                    first.rows(),
+                    unsorted[..7],
+                    "{memory_budget:?} threads={threads}"
+                );
             }
         }
     }

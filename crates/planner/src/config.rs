@@ -38,8 +38,6 @@ pub struct OptimizerConfig {
     pub enable_hash_grouping: bool,
     /// Consider (index) nested-loop joins.
     pub enable_nested_loop: bool,
-    /// Memory available to a sort before it "spills" (bytes, simulated).
-    pub sort_memory: usize,
     /// Maximum number of sort-ahead orders tried per join step (the paper
     /// notes n < 3 in practice; the complexity bench raises this).
     pub max_sort_ahead: usize,
@@ -51,13 +49,6 @@ pub struct OptimizerConfig {
     /// `p > 1` lets lowering insert exchange operators that fan pipeline
     /// segments out over `p` workers.
     pub threads: usize,
-    /// Use normalized binary sort keys (the `fto_common::sortkey` codec)
-    /// in the execution engine: sorts, exchange merges, merge-join tie
-    /// detection, and index probes compare memcmp-able byte strings
-    /// instead of walking `Value`s. Output is bit-identical either way
-    /// (the differential suite runs both); off keeps the legacy
-    /// `Value`-comparator paths.
-    pub sort_key_codec: bool,
     /// Consider segmented (partial) sorts: when the input's order
     /// property already satisfies a prefix of a sort requirement, the
     /// planner may emit a `SegmentedSort` enforcer that sorts only the
@@ -74,13 +65,6 @@ pub struct OptimizerConfig {
     /// bounded buffer pool of `budget / PAGE_SIZE` frames. Results are
     /// bit-identical to unbounded execution at any budget.
     pub memory_budget: Option<usize>,
-    /// Test-only baseline: execute the distinct, stream group-by, and
-    /// join operators through their pre-vectorization row-at-a-time
-    /// implementations instead of the columnar ones. Rows and I/O
-    /// accounting are bit-identical either way (the differential suite
-    /// proves it); the flag exists so tests and benches can compare the
-    /// two. Default off.
-    pub row_shim: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -92,14 +76,11 @@ impl Default for OptimizerConfig {
             enable_hash_join: true,
             enable_hash_grouping: true,
             enable_nested_loop: true,
-            sort_memory: 16 << 20,
             max_sort_ahead: 4,
             batch_size: 1024,
             threads: 1,
-            sort_key_codec: true,
             enable_segmented_sort: true,
             memory_budget: None,
-            row_shim: false,
         }
     }
 }
@@ -174,12 +155,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the simulated sort memory in bytes.
-    pub fn with_sort_memory(mut self, bytes: usize) -> Self {
-        self.sort_memory = bytes;
-        self
-    }
-
     /// Sets the maximum number of sort-ahead orders per join step.
     pub fn with_max_sort_ahead(mut self, n: usize) -> Self {
         self.max_sort_ahead = n;
@@ -196,21 +171,6 @@ impl OptimizerConfig {
     /// `1` disables exchange insertion entirely.
     pub fn with_threads(mut self, p: usize) -> Self {
         self.threads = p.max(1);
-        self
-    }
-
-    /// Enables or disables the normalized binary sort-key codec in the
-    /// execution engine (default on).
-    pub fn with_sort_key_codec(mut self, on: bool) -> Self {
-        self.sort_key_codec = on;
-        self
-    }
-
-    /// Test-only: routes the distinct, stream group-by, and join
-    /// operators through their row-at-a-time baseline implementations
-    /// (default off). See [`OptimizerConfig::row_shim`].
-    pub fn with_row_shim(mut self, on: bool) -> Self {
-        self.row_shim = on;
         self
     }
 
@@ -263,7 +223,6 @@ mod tests {
         assert!(c.enable_merge_join && c.enable_hash_join && c.enable_nested_loop);
         assert_eq!(c.batch_size, 1024);
         assert_eq!(c.threads, 1);
-        assert!(c.sort_key_codec);
         assert!(c.enable_segmented_sort);
         assert_eq!(c.memory_budget, None);
     }
@@ -297,9 +256,7 @@ mod tests {
             .with_nested_loop(false)
             .with_max_sort_ahead(9)
             .with_batch_size(0)
-            .with_threads(0)
-            .with_sort_key_codec(false);
-        assert!(!c.sort_key_codec);
+            .with_threads(0);
         assert!(!c.enable_merge_join);
         assert!(!c.enable_nested_loop);
         assert_eq!(c.max_sort_ahead, 9);

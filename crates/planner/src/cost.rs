@@ -19,11 +19,7 @@ pub const CPU_ROW: f64 = 0.001;
 /// Calibrated for the executor's default normalized-key path
 /// ([`fto_common::sortkey`]): a comparison is a `memcmp` of two short
 /// byte strings, not a per-column `Value` dispatch, so it prices the
-/// same as a hash-table op ([`CPU_HASH`]). The legacy comparator
-/// (`sort_key_codec` off) is slower per comparison in wall-clock but
-/// identical in comparison *count*, and the model deliberately prices
-/// the default; see the sort-kernel microbench in `perfbench` for
-/// the measured gap.
+/// same as a hash-table op ([`CPU_HASH`]).
 pub const CPU_SORT_CMP: f64 = 0.002;
 /// CPU cost of one hash-table insert/lookup.
 pub const CPU_HASH: f64 = 0.002;
@@ -91,6 +87,12 @@ pub fn index_scan(
 /// the same constant, so `calibrate` can compare the estimated pass
 /// count against the actual one.
 pub const MERGE_FAN_IN: usize = 8;
+
+/// Work space the planner assumes a sort has before it spills, in bytes.
+/// Independent of the executor's `memory_budget`: pricing sorts against
+/// the budget instead re-plans budgeted queries (measured +81 % page cost
+/// on the `bounded_memory` workload), so that fold is its own change.
+pub(crate) const SORT_MEMORY: usize = 16 << 20;
 
 /// Number of spill passes an external sort of `bytes` bytes makes with
 /// `memory` bytes of work space: zero when the input fits, else

@@ -139,7 +139,7 @@ impl<'a> Planner<'a> {
                 consumed,
                 groups_needed,
                 width.max(DEFAULT_ROW_WIDTH / 2),
-                self.config.sort_memory,
+                cost::SORT_MEMORY,
             );
             let full = plan.cost.total - input.cost.total;
             // The input is only pulled until enough groups have been
@@ -676,7 +676,7 @@ impl<'a> Planner<'a> {
                         rows,
                         groups,
                         width,
-                        self.config.sort_memory,
+                        cost::SORT_MEMORY,
                     ));
                     return Plan {
                         node: PlanNode::SegmentedSort {
@@ -693,9 +693,7 @@ impl<'a> Planner<'a> {
             }
         }
 
-        let cost = plan
-            .cost
-            .plus(cost::sort(rows, width, self.config.sort_memory));
+        let cost = plan.cost.plus(cost::sort(rows, width, cost::SORT_MEMORY));
         Plan {
             node: PlanNode::Sort {
                 input: Arc::new(plan),

@@ -5,10 +5,10 @@
 //! hash group-by, hash-join build) write overflow data through a
 //! [`SpillFile`] — an append-only byte stream charged against
 //! [`IoStats`] at page granularity exactly like every other access path
-//! in the simulated I/O model. Rows cross the boundary through an exact
-//! byte codec ([`write_row`] / [`read_row`]) that round-trips every
-//! [`Value`] bit for bit, NaN payloads and `-0.0` included, so a spilled
-//! sort stays bit-identical to its in-memory twin.
+//! in the simulated I/O model. Batches cross the boundary through an exact
+//! column-page codec ([`write_batch`] / [`read_batch`]) that round-trips
+//! every [`Value`] bit for bit, NaN payloads and `-0.0` included, so a
+//! spilled sort stays bit-identical to its in-memory twin.
 //!
 //! The same budget also bounds the page cache: [`BufferPool`] is a
 //! clock-eviction pool over `(tag, page)` keys. When a pool is active,
@@ -20,7 +20,7 @@
 
 use crate::io::{IoStats, PAGE_SIZE};
 use fto_common::column::{Batch, Bitmap, Column, ColumnData};
-use fto_common::{Row, Value};
+use fto_common::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -252,25 +252,6 @@ pub fn read_value(buf: &[u8], pos: &mut usize) -> Value {
         }
         other => panic!("corrupt spill value tag {other}"),
     }
-}
-
-/// Appends the byte encoding of one row: `u16` LE arity, then each value
-/// via [`write_value`].
-pub fn write_row(row: &[Value], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
-    for v in row {
-        write_value(v, out);
-    }
-}
-
-/// Decodes one row written by [`write_row`], advancing `*pos`.
-pub fn read_row(buf: &[u8], pos: &mut usize) -> Row {
-    let arity = u16::from_le_bytes(buf[*pos..*pos + 2].try_into().expect("2 bytes")) as usize;
-    *pos += 2;
-    (0..arity)
-        .map(|_| read_value(buf, pos))
-        .collect::<Vec<_>>()
-        .into_boxed_slice()
 }
 
 // Column-page tags for the batch codec.
@@ -526,6 +507,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fto_common::Row;
 
     #[test]
     fn append_charges_pages_incrementally() {
@@ -589,9 +571,11 @@ mod tests {
             Value::Bool(false),
         ];
         let mut buf = Vec::new();
-        write_row(&vals, &mut buf);
+        for v in &vals {
+            write_value(v, &mut buf);
+        }
         let mut pos = 0;
-        let back = read_row(&buf, &mut pos);
+        let back: Vec<Value> = vals.iter().map(|_| read_value(&buf, &mut pos)).collect();
         assert_eq!(pos, buf.len());
         assert_eq!(back.len(), vals.len());
         for (a, b) in back.iter().zip(&vals) {

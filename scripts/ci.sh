@@ -23,7 +23,7 @@ echo "==> grep guard: no new row-at-a-time batch.row() in the vectorized operato
 # encoded-key arenas, selection vectors and gathers. batch.row() inside
 # crates/exec/src/stream.rs is allowed only in the operators still
 # row-based by design (segmented-sort absorb, top-n, the nested-loop
-# joins); the row-at-a-time baseline is quarantined in rowshim.rs.
+# joins).
 row_sites=$(grep -c 'batch\.row(' crates/exec/src/stream.rs || true)
 if [[ "${row_sites}" -gt 4 ]]; then
     echo "guard failed: ${row_sites} batch.row() call sites in crates/exec/src/stream.rs (allowed: 4);"
@@ -49,17 +49,14 @@ cargo test -q -p fto-common --lib sortkey
 echo "==> columnar batch property tests (row round-trip, key encoders)"
 cargo test -q -p fto-common --test prop_column
 
-echo "==> cargo test -q (includes the engine differential suite)"
+echo "==> cargo test -q (the engine differential, bounded-memory and segmented-sort matrices included)"
 cargo test -q
 
 echo "==> FTO_TEST_THREADS=4 cargo test -q --test differential --test parallel"
 FTO_TEST_THREADS=4 cargo test -q -p fto-bench --test differential --test parallel
 
-echo "==> bounded-memory differential matrix (budgets x threads x codec)"
-cargo test -q -p fto-bench --test spill
-
-echo "==> segmented-sort differential matrix (threads x codec x budgets)"
-cargo test -q -p fto-bench --test segmented
+echo "==> benchmark/: builds against the engine's public surface, allowed-API list holds"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cost-model calibration report (scale 0.005)"
@@ -95,7 +92,7 @@ if [[ "${1:-}" != "quick" ]]; then
         exit 1
     fi
     if ! grep -Eq "counter sort.key_bytes [1-9]" <<<"$smoke_out"; then
-        echo "smoke failed: \\metrics sort.key_bytes not populated (codec not running?)"
+        echo "smoke failed: \\metrics sort.key_bytes not populated (sorts not encoding keys?)"
         exit 1
     fi
     if ! grep -Eq "counter sort.comparisons [1-9]" <<<"$smoke_out"; then

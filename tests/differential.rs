@@ -31,10 +31,6 @@ fn all_configs() -> Vec<OptimizerConfig> {
         OptimizerConfig::default()
             .with_hash_join(false)
             .with_nested_loop(false),
-        // Legacy Value-comparator sort paths (normalized-key codec off):
-        // the interpreter comparison must hold in both key representations.
-        OptimizerConfig::default().with_sort_key_codec(false),
-        OptimizerConfig::db2_1996().with_sort_key_codec(false),
     ];
     if let Some(p) = env_threads() {
         for base in configs.clone() {
@@ -107,17 +103,10 @@ fn tpcd_workload_agrees_across_engines() {
         OptimizerConfig::db2_1996(),
         OptimizerConfig::db2_1996_disabled(),
         OptimizerConfig::default().with_batch_size(13),
-        OptimizerConfig::default().with_sort_key_codec(false),
-        OptimizerConfig::db2_1996().with_sort_key_codec(false),
     ];
     if let Some(p) = env_threads() {
         configs.push(OptimizerConfig::default().with_threads(p));
         configs.push(OptimizerConfig::db2_1996().with_threads(p));
-        configs.push(
-            OptimizerConfig::default()
-                .with_threads(p)
-                .with_sort_key_codec(false),
-        );
     }
     for sql in &workload {
         for config in configs.clone() {
@@ -127,44 +116,13 @@ fn tpcd_workload_agrees_across_engines() {
 }
 
 #[test]
-fn sort_key_codec_output_is_bit_identical_to_legacy() {
-    // The streaming engine's two key representations — normalized binary
-    // sort keys (memcmp) and the legacy Value comparator — must produce
-    // byte-identical rows in byte-identical order on every corpus query,
-    // serial and parallel, and the codec must actually run (key bytes
-    // get encoded) whenever the plan sorts.
-    let db = emp_db();
-    let mut degrees = vec![1usize];
-    degrees.extend(env_threads());
-    for sql in EMP_QUERIES {
-        for &p in &degrees {
-            let base = OptimizerConfig::default().with_threads(p);
-            let on = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(true))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec on, threads {p}: {e}"));
-            let off = Session::new(&db)
-                .config(base.with_sort_key_codec(false))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec off, threads {p}: {e}"));
-            assert_eq!(
-                on.rows(),
-                off.rows(),
-                "codec on/off mismatch\nsql: {sql}\nthreads: {p}"
-            );
-            assert_eq!(on.io, off.io, "I/O accounting diverged\nsql: {sql}");
-        }
-    }
-}
-
-#[test]
 fn distinct_on_encoded_keys_matches_value_comparison() {
-    // The distinct operators dedup on arena-encoded key bytes when the
-    // codec is on (byte equality standing in for Value equality, with
-    // the codec's canonicalization of Int/Double, NaN, and signed
-    // zero). Both distinct shapes — stream (ordered input) and hash
-    // (first-seen) — must emit byte-identical rows either way, serial
-    // and parallel, and agree with the interpreter.
+    // The distinct operators dedup on arena-encoded key bytes (byte
+    // equality standing in for Value equality, with the codec's
+    // canonicalization of Int/Double, NaN, and signed zero). Both
+    // distinct shapes — stream (ordered input) and hash (first-seen) —
+    // must agree with the interpreter's Value comparison, serial and
+    // parallel.
     let db = emp_db();
     let queries = [
         "select distinct grade from emp order by grade",
@@ -174,33 +132,17 @@ fn distinct_on_encoded_keys_matches_value_comparison() {
     ];
     for sql in queries {
         for threads in [1usize, 2, 4] {
-            let base = OptimizerConfig::default().with_threads(threads);
-            let on = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(true))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec on, threads {threads}: {e}"));
-            let off = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(false))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec off, threads {threads}: {e}"));
-            assert_eq!(
-                on.rows(),
-                off.rows(),
-                "distinct codec on/off mismatch\nsql: {sql}\nthreads: {threads}"
-            );
-            assert_engines_agree(&db, sql, base.with_sort_key_codec(true));
+            assert_engines_agree(&db, sql, OptimizerConfig::default().with_threads(threads));
         }
     }
 }
 
 #[test]
-fn vectorized_operators_match_row_shim_baseline() {
+fn vectorized_operators_agree_with_interpreter_under_forced_plan_shapes() {
     // The columnar distinct, stream group-by, merge-join, hash-join,
-    // and left-outer-join operators against their pre-vectorization
-    // row-at-a-time implementations (`OptimizerConfig::with_row_shim`):
-    // rows AND the full I/O accounting must be bit-identical across
-    // threads × codec, under plan shapes that force each join flavor —
-    // and the vectorized side must agree with the interpreter.
+    // and left-outer-join operators against the interpreter, across
+    // threads and under plan shapes that force each join flavor. (Their
+    // spill-path I/O accounting is pinned as literals in tests/spill.rs.)
     let db = emp_db();
     let queries = [
         // Joins feeding grouped aggregation.
@@ -234,32 +176,7 @@ fn vectorized_operators_match_row_shim_baseline() {
     for sql in queries {
         for shape in &shapes {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = shape
-                        .clone()
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let vectorized = Session::new(&db)
-                        .config(config.clone())
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nvectorized, {config:?}: {e}"));
-                    let shim = Session::new(&db)
-                        .config(config.clone().with_row_shim(true))
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nrow shim, {config:?}: {e}"));
-                    assert_eq!(
-                        vectorized.rows(),
-                        shim.rows(),
-                        "vectorized rows diverged from the row-shim baseline\n\
-                         sql: {sql}\nthreads={threads} codec={codec}"
-                    );
-                    assert_eq!(
-                        vectorized.io, shim.io,
-                        "vectorized I/O diverged from the row-shim baseline\n\
-                         sql: {sql}\nthreads={threads} codec={codec}"
-                    );
-                    assert_engines_agree(&db, sql, config);
-                }
+                assert_engines_agree(&db, sql, shape.clone().with_threads(threads));
             }
         }
     }
@@ -296,47 +213,43 @@ fn limit_reads_strictly_fewer_pages_than_materialized() {
 #[test]
 fn columnar_matrix_batch_threads_codec() {
     // The columnar executor against the row-at-a-time interpreter over
-    // the full matrix the batch representation can perturb: batch size
-    // (column boundaries), parallel degree (exchange merges of columnar
-    // partitions), and key codec (column-at-a-time vs per-value key
-    // encoding). Rows must be bit-identical everywhere, and within one
-    // (query, batch size) cell every thread/codec combination must
-    // charge exactly the same I/O.
+    // the matrix the batch representation can perturb: batch size
+    // (column boundaries) and parallel degree (exchange merges of
+    // columnar partitions). Rows must be bit-identical everywhere, and
+    // within one (query, batch size) cell every thread count must charge
+    // exactly the same I/O.
     let db = emp_db();
     for sql in EMP_QUERIES {
         for batch in [1usize, 7, 1024] {
             let mut baseline: Option<fto_storage::IoStats> = None;
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_batch_size(batch)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let prepared = Session::new(&db)
-                        .config(config.clone())
-                        .plan(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    let streamed = prepared
-                        .execute()
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    let materialized = prepared
-                        .execute_materialized()
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    assert_eq!(
-                        streamed.rows(),
-                        materialized.rows(),
-                        "columnar engine diverged from interpreter\nsql: {sql}\n\
-                         batch={batch} threads={threads} codec={codec}\nplan:\n{}",
-                        prepared.explain()
-                    );
-                    match &baseline {
-                        None => baseline = Some(streamed.io),
-                        Some(expected) => assert_eq!(
-                            &streamed.io, expected,
-                            "I/O diverged within batch={batch} cell\nsql: {sql}\n\
-                             threads={threads} codec={codec}"
-                        ),
-                    }
+                let config = OptimizerConfig::default()
+                    .with_batch_size(batch)
+                    .with_threads(threads);
+                let prepared = Session::new(&db)
+                    .config(config.clone())
+                    .plan(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+                let streamed = prepared
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+                let materialized = prepared
+                    .execute_materialized()
+                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+                assert_eq!(
+                    streamed.rows(),
+                    materialized.rows(),
+                    "columnar engine diverged from interpreter\nsql: {sql}\n\
+                     batch={batch} threads={threads}\nplan:\n{}",
+                    prepared.explain()
+                );
+                match &baseline {
+                    None => baseline = Some(streamed.io),
+                    Some(expected) => assert_eq!(
+                        &streamed.io, expected,
+                        "I/O diverged within batch={batch} cell\nsql: {sql}\n\
+                         threads={threads}"
+                    ),
                 }
             }
         }
@@ -347,7 +260,7 @@ fn columnar_matrix_batch_threads_codec() {
 fn columnar_matrix_tpcd() {
     // The same matrix over the TPC-D workload (multi-way joins, grouped
     // aggregates, date filters), at a scale small enough to keep the
-    // 3×3×2 sweep per query affordable.
+    // sweep per query affordable.
     let db = build_database(TpcdConfig {
         scale: 0.002,
         seed: 19,
@@ -362,13 +275,10 @@ fn columnar_matrix_tpcd() {
     for sql in &workload {
         for batch in [3usize, 256] {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_batch_size(batch)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    assert_engines_agree(&db, sql, config);
-                }
+                let config = OptimizerConfig::default()
+                    .with_batch_size(batch)
+                    .with_threads(threads);
+                assert_engines_agree(&db, sql, config);
             }
         }
     }

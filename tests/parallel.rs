@@ -201,9 +201,6 @@ fn corpus_agrees_at_every_parallel_degree() {
             OptimizerConfig::default(),
             OptimizerConfig::disabled(),
             OptimizerConfig::db2_1996(),
-            // Legacy Value-comparator exchange merges (codec off) must
-            // stay deterministic and serial-identical too.
-            OptimizerConfig::default().with_sort_key_codec(false),
         ] {
             assert_parallel_agrees(&db, sql, config);
         }
@@ -244,7 +241,6 @@ fn tpcd_workload_agrees_at_every_parallel_degree() {
             OptimizerConfig::default(),
             OptimizerConfig::db2_1996(),
             OptimizerConfig::default().with_batch_size(13),
-            OptimizerConfig::default().with_sort_key_codec(false),
         ] {
             assert_parallel_agrees(&db, sql, config);
         }
@@ -259,29 +255,22 @@ fn instrumented_rollup_stays_exact_at_every_degree() {
     let db = emp_db();
     for sql in EMP_QUERIES {
         for &p in DEGREES {
-            for codec in [true, false] {
-                let prepared = Session::new(&db)
-                    .config(
-                        OptimizerConfig::default()
-                            .with_threads(p)
-                            .with_sort_key_codec(codec),
-                    )
-                    .plan(sql)
-                    .unwrap();
-                let (out, metrics) = prepared
-                    .execute_instrumented()
-                    .unwrap_or_else(|e| panic!("{sql}\nthreads {p} codec {codec}: {e}"));
-                metrics.validate().unwrap_or_else(|e| {
-                    panic!("rollup broken\nsql: {sql}\nthreads {p} codec {codec}: {e}")
-                });
-                assert_eq!(
-                    metrics.total_io(),
-                    out.io,
-                    "root inclusive I/O != session totals\nsql: {sql}\nthreads {p} codec \
-                     {codec}\nplan:\n{}",
-                    prepared.explain()
-                );
-            }
+            let prepared = Session::new(&db)
+                .config(OptimizerConfig::default().with_threads(p))
+                .plan(sql)
+                .unwrap();
+            let (out, metrics) = prepared
+                .execute_instrumented()
+                .unwrap_or_else(|e| panic!("{sql}\nthreads {p}: {e}"));
+            metrics
+                .validate()
+                .unwrap_or_else(|e| panic!("rollup broken\nsql: {sql}\nthreads {p}: {e}"));
+            assert_eq!(
+                metrics.total_io(),
+                out.io,
+                "root inclusive I/O != session totals\nsql: {sql}\nthreads {p}\nplan:\n{}",
+                prepared.explain()
+            );
         }
     }
 }
@@ -326,8 +315,8 @@ fn parallel_heap_sort_charges_identical_io() {
 
 #[test]
 fn codec_encodes_keys_at_every_degree() {
-    // With the codec on, a sorting query must actually go through the
-    // normalized-key path (key bytes get encoded) at every parallel
+    // A sorting query must actually go through the normalized-key
+    // path (key bytes get encoded) at every parallel
     // degree, and `QueryOutput::sort` must surface it. The counters are
     // process-wide deltas, so only monotone assertions are safe here.
     let db = emp_db();
@@ -341,7 +330,7 @@ fn codec_encodes_keys_at_every_degree() {
             .unwrap();
         assert!(
             out.sort.key_bytes > 0,
-            "threads {p}: codec-on sort encoded no key bytes"
+            "threads {p}: sort encoded no key bytes"
         );
         assert!(
             out.sort.comparisons > 0,

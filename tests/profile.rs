@@ -3,8 +3,7 @@
 //! * **invisibility** — running with the profiler attached changes
 //!   nothing observable: rows are bit-identical, `IoStats` are equal,
 //!   and the per-operator `PlanMetrics` rollup is exactly the same, for
-//!   every corpus query at threads 1/2/4 with the sort-key codec on and
-//!   off;
+//!   every corpus query at threads 1/2/4;
 //! * **structure** — the captured timeline is well formed: within every
 //!   lane, Begin/End span events balance and nest with matching names,
 //!   timestamps are monotone, and parallel plans produce per-worker
@@ -114,33 +113,29 @@ fn profiler_is_invisible_at_every_degree_and_codec() {
     let db = emp_db();
     for sql in EMP_QUERIES {
         for threads in [1usize, 2, 4] {
-            for codec in [true, false] {
-                let cfg = OptimizerConfig::default()
-                    .with_threads(threads)
-                    .with_sort_key_codec(codec);
-                let prepared = Session::new(&db)
-                    .config(cfg)
-                    .plan(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                let (plain, plain_metrics) = prepared
-                    .execute_instrumented()
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                let (profiled, profiled_metrics, profile) = prepared
-                    .execute_profiled()
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                assert_eq!(
-                    plain.rows(),
-                    profiled.rows(),
-                    "profiling changed rows at threads={threads} codec={codec}\nsql: {sql}"
-                );
-                assert_eq!(
-                    plain.io, profiled.io,
-                    "profiling changed IoStats at threads={threads} codec={codec}\nsql: {sql}"
-                );
-                assert_same_rollup(&plain_metrics, &profiled_metrics, sql);
-                let spans = assert_well_formed(&profile, sql);
-                assert!(spans > 0, "no operator spans captured\nsql: {sql}");
-            }
+            let cfg = OptimizerConfig::default().with_threads(threads);
+            let prepared = Session::new(&db)
+                .config(cfg)
+                .plan(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let (plain, plain_metrics) = prepared
+                .execute_instrumented()
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let (profiled, profiled_metrics, profile) = prepared
+                .execute_profiled()
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(
+                plain.rows(),
+                profiled.rows(),
+                "profiling changed rows at threads={threads}\nsql: {sql}"
+            );
+            assert_eq!(
+                plain.io, profiled.io,
+                "profiling changed IoStats at threads={threads}\nsql: {sql}"
+            );
+            assert_same_rollup(&plain_metrics, &profiled_metrics, sql);
+            let spans = assert_well_formed(&profile, sql);
+            assert!(spans > 0, "no operator spans captured\nsql: {sql}");
         }
     }
 }

@@ -3,15 +3,15 @@
 //! budget — external sort runs, spilled hash partitions, and the bounded
 //! buffer pool may change *how* the work happens, never *what* comes
 //! out. Budgets sweep from "everything spills" to "nothing spills",
-//! crossed with thread counts and both sort-key representations, and the
-//! per-query I/O accounting must stay exact (per-operator deltas summing
-//! to the session totals) on the spilling paths too.
+//! crossed with thread counts, and the per-query I/O accounting must stay
+//! exact (per-operator deltas summing to the session totals) on the
+//! spilling paths too.
 
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::Session;
 use fto_common::Row;
 use fto_planner::OptimizerConfig;
-use fto_storage::Database;
+use fto_storage::{Database, IoStats};
 use fto_tpcd::{build_database, queries, TpcdConfig};
 
 /// Budgets the matrix sweeps: 4 KiB forces nearly every sort/group-by
@@ -34,24 +34,19 @@ fn corpus_is_bit_identical_under_memory_budgets() {
         let baseline = unbounded_rows(&db, sql);
         for &budget in BUDGETS {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let out = Session::new(&db)
-                        .config(config)
-                        .execute(sql)
-                        .unwrap_or_else(|e| {
-                            panic!("{sql}\nbudget={budget} threads={threads} codec={codec}: {e}")
-                        });
-                    assert_eq!(
-                        out.rows(),
-                        baseline,
-                        "bounded execution diverged\nsql: {sql}\n\
-                         budget={budget} threads={threads} codec={codec}"
-                    );
-                }
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let out = Session::new(&db)
+                    .config(config)
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"));
+                assert_eq!(
+                    out.rows(),
+                    baseline,
+                    "bounded execution diverged\nsql: {sql}\n\
+                     budget={budget} threads={threads}"
+                );
             }
         }
     }
@@ -82,33 +77,27 @@ fn tiny_budget_spills_and_counts_it() {
     let db = emp_db();
     let sql = "select emp_id, salary from emp order by salary desc, emp_id";
     let baseline = unbounded_rows(&db, sql);
-    for codec in [true, false] {
-        let out = Session::new(&db)
-            .config(
-                OptimizerConfig::default()
-                    .with_memory_budget(1 << 10)
-                    .with_sort_key_codec(codec),
-            )
-            .execute(sql)
-            .unwrap();
-        assert_eq!(out.rows(), baseline, "codec={codec}");
-        assert!(
-            out.io.spill_pages_written > 0,
-            "codec={codec}: sort under 1 KiB must write spill pages"
-        );
-        assert!(
-            out.io.spill_pages_read > 0,
-            "codec={codec}: merge must read the spilled runs back"
-        );
-        assert!(out.spill.runs_formed > 0, "codec={codec}");
-        assert!(out.spill.merge_passes > 0, "codec={codec}");
-        // Heap scans go through the bounded buffer pool when a budget is
-        // set; every page charge is a recorded hit or miss.
-        assert!(
-            out.io.pool_hits + out.io.pool_misses > 0,
-            "codec={codec}: scans must route through the pool"
-        );
-    }
+    let out = Session::new(&db)
+        .config(OptimizerConfig::default().with_memory_budget(1 << 10))
+        .execute(sql)
+        .unwrap();
+    assert_eq!(out.rows(), baseline);
+    assert!(
+        out.io.spill_pages_written > 0,
+        "sort under 1 KiB must write spill pages"
+    );
+    assert!(
+        out.io.spill_pages_read > 0,
+        "merge must read the spilled runs back"
+    );
+    assert!(out.spill.runs_formed > 0);
+    assert!(out.spill.merge_passes > 0);
+    // Heap scans go through the bounded buffer pool when a budget is
+    // set; every page charge is a recorded hit or miss.
+    assert!(
+        out.io.pool_hits + out.io.pool_misses > 0,
+        "scans must route through the pool"
+    );
 }
 
 #[test]
@@ -174,64 +163,76 @@ fn left_join_build_side_spills_under_budget() {
 }
 
 #[test]
-fn row_shim_charges_identical_io_under_budgets() {
-    // The vectorized joins and the row-shim baselines share one
-    // `JoinBuild` — same admission order, same batch-serialized spill
-    // groups, same single-entry decode cache — so even when the build
-    // side spills, rows AND every I/O counter (spill pages included)
-    // must match bit for bit between the two probe implementations.
+fn spilled_join_builds_charge_pinned_io_under_budgets() {
+    // The vectorized joins' I/O accounting when the build side spills —
+    // admission order, batch-serialized spill groups, single-entry
+    // decode cache — pinned as literals. These are the counters the
+    // row-at-a-time baseline operators charged for the same queries
+    // when both implementations existed (captured at the last commit
+    // that had them, where the two agreed bit for bit); rows are held
+    // to the unbounded baseline.
     let db = emp_db();
-    let queries = [
-        "select dept_name, count(*) as n, sum(salary) as total \
-         from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
-        "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
-         order by dept_id, emp_id",
-        "select dept_id, emp_id, salary from dept left join emp \
-         on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
+    let pinned = |index_pages, sort_rows, written, read, misses| IoStats {
+        sequential_pages: 5,
+        random_pages: 0,
+        index_pages,
+        sort_rows,
+        rows_read: 412,
+        spill_pages_written: written,
+        spill_pages_read: read,
+        pool_hits: 0,
+        pool_misses: misses,
+    };
+    // (query, serial I/O at 1 KiB, serial I/O at 4 KiB).
+    let cases = [
+        (
+            "select dept_name, count(*) as n, sum(salary) as total \
+             from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
+            pinned(0, 12, 5, 62, 5),
+            pinned(0, 12, 3, 48, 5),
+        ),
+        (
+            "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
+             order by dept_id, emp_id",
+            pinned(1, 400, 16, 96, 6),
+            pinned(1, 400, 3, 48, 6),
+        ),
+        (
+            "select dept_id, emp_id, salary from dept left join emp \
+             on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
+            pinned(0, 12, 5, 62, 5),
+            pinned(0, 12, 3, 48, 5),
+        ),
     ];
-    for sql in queries {
-        for &budget in &[1 << 10, 4 << 10] {
-            for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let vectorized = Session::new(&db)
-                        .config(config.clone())
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nvectorized, {config:?}: {e}"));
-                    let shim = Session::new(&db)
-                        .config(config.clone().with_row_shim(true))
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nrow shim, {config:?}: {e}"));
-                    assert_eq!(
-                        vectorized.rows(),
-                        shim.rows(),
-                        "rows diverged\nsql: {sql}\nbudget={budget} \
-                         threads={threads} codec={codec}"
-                    );
-                    assert_eq!(
-                        vectorized.io, shim.io,
-                        "I/O diverged\nsql: {sql}\nbudget={budget} \
-                         threads={threads} codec={codec}"
-                    );
-                }
-            }
+    for (sql, at_1k, at_4k) in cases {
+        let baseline = unbounded_rows(&db, sql);
+        let run = |budget: usize, threads: usize| {
+            let config = OptimizerConfig::default()
+                .with_memory_budget(budget)
+                .with_threads(threads);
+            let out = Session::new(&db)
+                .config(config)
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"));
+            assert_eq!(
+                out.rows(),
+                baseline,
+                "{sql}\nbudget={budget} threads={threads}"
+            );
+            out.io
+        };
+        assert_eq!(run(1 << 10, 1), at_1k, "{sql}\nbudget=1024 threads=1");
+        // At 1 KiB the per-worker sub-budgets cut different spill groups
+        // than the serial pipeline, identically at 2 and 4 workers.
+        assert_eq!(run(1 << 10, 2), run(1 << 10, 4), "{sql}\nbudget=1024");
+        for threads in [1usize, 2, 4] {
+            assert_eq!(
+                run(4 << 10, threads),
+                at_4k,
+                "{sql}\nbudget=4096 threads={threads}"
+            );
         }
     }
-    // At 1 KiB the 400-row build side cannot stay resident: both probe
-    // implementations must actually be exercising the spilled groups.
-    let out = Session::new(&db)
-        .config(
-            OptimizerConfig::default()
-                .with_memory_budget(1 << 10)
-                .with_row_shim(true),
-        )
-        .execute(queries[1])
-        .unwrap();
-    assert!(out.io.spill_pages_written > 0);
-    assert!(out.io.spill_pages_read > 0);
 }
 
 #[test]
@@ -332,24 +333,19 @@ fn tpcd_workload_is_bit_identical_under_memory_budgets() {
         let baseline = unbounded_rows(&db, sql);
         for &budget in BUDGETS {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let out = Session::new(&db)
-                        .config(config)
-                        .execute(sql)
-                        .unwrap_or_else(|e| {
-                            panic!("{sql}\nbudget={budget} threads={threads} codec={codec}: {e}")
-                        });
-                    assert_eq!(
-                        out.rows(),
-                        baseline,
-                        "bounded TPC-D execution diverged\nsql: {sql}\n\
-                         budget={budget} threads={threads} codec={codec}"
-                    );
-                }
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let out = Session::new(&db)
+                    .config(config)
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"));
+                assert_eq!(
+                    out.rows(),
+                    baseline,
+                    "bounded TPC-D execution diverged\nsql: {sql}\n\
+                     budget={budget} threads={threads}"
+                );
             }
         }
     }
