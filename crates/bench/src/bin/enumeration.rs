@@ -1,13 +1,16 @@
 //! Regenerates the §5.2 join-enumeration complexity observation: pushing
 //! down sort-ahead orders grows enumeration work roughly quadratically in
 //! the number of interesting orders n (the paper notes n < 3 in
-//! practice, keeping the overhead acceptable).
+//! practice, keeping the overhead acceptable) — and reports what that
+//! work costs here: planner time, time per plan and order contexts built
+//! for statements of two to five tables (TPC-D scale 0.002, where
+//! planning is nearly all of a statement's latency).
 //!
 //! ```text
 //! cargo run -p fto-bench --release --bin enumeration [-- <max_n>]
 //! ```
 
-use fto_bench::harness::enumeration_complexity;
+use fto_bench::harness::{enumeration_complexity, planner_work_by_join_count};
 
 fn main() {
     let max_n: usize = std::env::args()
@@ -33,4 +36,26 @@ fn main() {
         "The paper's claim: complexity grows by O(n^2) for n sort-ahead \
          orders, tolerable because n < 3 in practice."
     );
+    println!();
+    println!("Planner time by join count (TPC-D scale 0.002, best of 5)");
+    println!();
+    println!(
+        "| statement    | tables | plans generated | planner us | us per plan | contexts built | reduce memo hits |"
+    );
+    println!(
+        "|--------------|--------|-----------------|------------|-------------|----------------|------------------|"
+    );
+    for w in planner_work_by_join_count(0.002, 5).unwrap() {
+        let us = w.planner.as_secs_f64() * 1e6;
+        println!(
+            "| {:<12} | {:>6} | {:>15} | {:>10.0} | {:>11.2} | {:>14} | {:>16} |",
+            w.name,
+            w.tables,
+            w.stats.plans_generated,
+            us,
+            us / w.stats.plans_generated.max(1) as f64,
+            w.stats.contexts_built,
+            w.stats.reduce_memo_hits
+        );
+    }
 }

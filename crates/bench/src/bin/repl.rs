@@ -263,6 +263,7 @@ fn dispatch(
                 Ok((q, r)) => {
                     println!("── {label} ──");
                     println!("{}", q.explain());
+                    println!("planner: {}", q.planner_stats());
                     println!("{} rows in {:?}  ({})\n", r.num_rows(), r.elapsed, r.io);
                 }
                 Err(e) => println!("error: {e}"),

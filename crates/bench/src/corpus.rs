@@ -135,3 +135,57 @@ pub const EMP_QUERIES: &[&str] = &[
     "select emp_id from emp where grade = 99 order by emp_id",
     "select grade, emp_id from emp where grade = 2 order by grade, emp_id",
 ];
+
+/// TPC-D statements of two to five tables, each with the number of tables
+/// it joins: the `compile_heavy` templates of `benchmark/`, constants
+/// fixed. Planning dominates them on a small database, so they are what
+/// the planner golden test pins and the `enumeration` binary times.
+pub fn join_ladder() -> Vec<(&'static str, usize, String)> {
+    vec![
+        ("q3", 3, fto_tpcd::queries::q3("1995-03-15", "building")),
+        (
+            "order_report",
+            2,
+            "select o_orderkey, o_orderdate, o_totalprice, c_name \
+             from customer, orders \
+             where c_custkey = o_custkey and o_orderdate >= date('1992-05-01') \
+             group by o_orderkey, o_orderdate, o_totalprice, c_name \
+             order by o_orderkey"
+                .to_string(),
+        ),
+        (
+            "fig6",
+            3,
+            "select c_name, o_orderkey, o_orderdate, sum(l_extendedprice) as total \
+             from customer, orders, lineitem \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and o_orderdate < date('1995-05-01') \
+             group by c_name, o_orderkey, o_orderdate \
+             order by o_orderkey"
+                .to_string(),
+        ),
+        (
+            "j4",
+            4,
+            "select n_name, c_name, o_orderkey, sum(l_extendedprice) as total \
+             from customer, orders, lineitem, nation \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and c_nationkey = n_nationkey and o_orderdate < date('1995-05-01') \
+             group by n_name, c_name, o_orderkey \
+             order by n_name, c_name"
+                .to_string(),
+        ),
+        (
+            "j5",
+            5,
+            "select n_name, s_name, c_name, sum(l_extendedprice) as total \
+             from customer, orders, lineitem, nation, supplier \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and c_nationkey = n_nationkey and l_suppkey = s_suppkey \
+             and o_orderdate < date('1995-05-01') \
+             group by n_name, s_name, c_name \
+             order by n_name, s_name"
+                .to_string(),
+        ),
+    ]
+}

@@ -2,12 +2,14 @@
 //! timing benches. Each function regenerates one artifact of the
 //! paper's evaluation; DESIGN.md maps artifacts to these entry points.
 
+use crate::corpus;
 use fto_common::{FtoError, Result};
 use fto_exec::Session;
-use fto_planner::{OptimizerConfig, Plan, PlanNode};
+use fto_planner::{OptimizerConfig, Plan, PlanNode, Planner, PlannerStats};
+use fto_qgm::{rewrite, OrderScan};
 use fto_storage::Database;
 use fto_tpcd::{build_database, queries, TpcdConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Builds the TPC-D database the Q3 experiments run over.
 pub fn tpcd_db(scale: f64) -> Result<Database> {
@@ -152,6 +154,50 @@ pub fn enumeration_complexity(scale: f64, max_orders: usize) -> Result<Vec<(usiz
         let prepared = Session::new(&db).config(cfg).plan(&sql)?;
         out.push((n, prepared.planner_stats().plans_generated));
     }
+    Ok(out)
+}
+
+/// Planner work for one statement of [`corpus::join_ladder`].
+#[derive(Debug, Clone)]
+pub struct PlannerWork {
+    /// Statement name.
+    pub name: &'static str,
+    /// Tables joined.
+    pub tables: usize,
+    /// Time inside `Planner::plan_query` alone (best of `runs`); parse,
+    /// bind, rewrites and the order scan run off the clock.
+    pub planner: Duration,
+    /// The planner's counters (identical on every run).
+    pub stats: PlannerStats,
+}
+
+/// Planner time and work per join count: every [`corpus::join_ladder`]
+/// statement planned `runs` times under the default configuration.
+pub fn planner_work_by_join_count(scale: f64, runs: usize) -> Result<Vec<PlannerWork>> {
+    let db = tpcd_db(scale)?;
+    let catalog = db.catalog();
+    let mut out = Vec::new();
+    for (name, tables, sql) in corpus::join_ladder() {
+        let mut graph = fto_sql::bind(&fto_sql::parse_query(&sql)?, catalog)?;
+        rewrite::push_down_predicates(&mut graph);
+        rewrite::merge_views(&mut graph);
+        OrderScan::run(&mut graph, catalog);
+        let mut work = PlannerWork {
+            name,
+            tables,
+            planner: Duration::MAX,
+            stats: PlannerStats::default(),
+        };
+        for _ in 0..runs.max(1) {
+            let start = Instant::now();
+            let mut planner = Planner::new(&graph, catalog, OptimizerConfig::default());
+            std::hint::black_box(planner.plan_query()?);
+            work.planner = work.planner.min(start.elapsed());
+            work.stats = planner.stats;
+        }
+        out.push(work);
+    }
+    out.sort_by_key(|w| w.tables);
     Ok(out)
 }
 

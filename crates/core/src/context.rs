@@ -2,6 +2,15 @@
 //! *Reduce Order* (Fig. 2), *Test Order* (Fig. 3), *Cover Order* (Fig. 4)
 //! and *Homogenize Order* (Fig. 5) — evaluated against a set of applied
 //! predicates (as equivalence classes) and functional dependencies.
+//!
+//! A context is immutable once built, and building one is the expensive
+//! step (a head-space rewrite of every dependency), so it is built once
+//! per distinct set of facts and shared: a stream's context lives in the
+//! [`StreamFacts`](crate::props::StreamFacts) that its
+//! [`StreamProps`](crate::props::StreamProps) points at, and every plan
+//! with the same facts borrows the same context. Because it is shared and
+//! outlives single calls, the context also remembers the reductions it
+//! has computed; that memo is owned by the context and dropped with it.
 
 use crate::eqclass::EquivalenceClasses;
 use crate::fd::FdSet;
@@ -9,6 +18,52 @@ use crate::spec::{OrderSpec, SortKey};
 use fto_common::{ColId, ColSet};
 use fto_obs::trace::emit;
 use fto_obs::TraceEvent;
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
+
+/// Order-reasoning work done on the current thread: how many contexts
+/// were built from facts and how many reductions a context answered from
+/// its memo. Counters only grow; a caller that wants the work of one
+/// planning run subtracts two [`ContextWork::snapshot`]s taken on the
+/// thread that planned.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ContextWork {
+    /// Calls of [`OrderContext::new`].
+    pub contexts_built: u64,
+    /// Calls of [`OrderContext::reduce`] answered from the memo.
+    pub reduce_memo_hits: u64,
+}
+
+thread_local! {
+    static WORK: Cell<ContextWork> = const {
+        Cell::new(ContextWork {
+            contexts_built: 0,
+            reduce_memo_hits: 0,
+        })
+    };
+}
+
+impl ContextWork {
+    /// The current thread's totals.
+    pub fn snapshot() -> ContextWork {
+        WORK.get()
+    }
+
+    /// The work done between `earlier` and this snapshot.
+    pub fn since(self, earlier: ContextWork) -> ContextWork {
+        ContextWork {
+            contexts_built: self.contexts_built - earlier.contexts_built,
+            reduce_memo_hits: self.reduce_memo_hits - earlier.reduce_memo_hits,
+        }
+    }
+
+    fn record(f: impl FnOnce(&mut ContextWork)) {
+        let mut work = WORK.get();
+        f(&mut work);
+        WORK.set(work);
+    }
+}
 
 /// The reasoning context for order operations: the equivalence classes and
 /// functional dependencies that hold on a stream.
@@ -18,10 +73,16 @@ use fto_obs::TraceEvent;
 /// constant-bound class contributes the empty-headed FD `{} → {head}`.
 /// This makes the subset/closure tests of reduction insensitive to which
 /// member of a class a specification happens to mention.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct OrderContext {
     eq: EquivalenceClasses,
     norm_fds: FdSet,
+    /// Reductions already computed, by input specification. Every other
+    /// operation starts by reducing its arguments, and a planner asks
+    /// about the same few interesting orders over and over. A mutex, not
+    /// a `RefCell`: plans holding the context are shared across executor
+    /// threads.
+    reduced: Mutex<HashMap<OrderSpec, OrderSpec>>,
 }
 
 impl OrderContext {
@@ -31,7 +92,12 @@ impl OrderContext {
         for head in eq_constant_heads(&eq) {
             norm_fds.add_constant(head);
         }
-        OrderContext { eq, norm_fds }
+        ContextWork::record(|w| w.contexts_built += 1);
+        OrderContext {
+            eq,
+            norm_fds,
+            reduced: Mutex::default(),
+        }
     }
 
     /// A context with no knowledge: reduction only removes duplicate
@@ -40,6 +106,7 @@ impl OrderContext {
         OrderContext {
             eq: EquivalenceClasses::new(),
             norm_fds: FdSet::new(),
+            reduced: Mutex::default(),
         }
     }
 
@@ -66,6 +133,32 @@ impl OrderContext {
     /// When a sort is unavoidable, the reduced specification is also the
     /// *minimal* list of sort columns (paper §4.2).
     pub fn reduce(&self, spec: &OrderSpec) -> OrderSpec {
+        let reduced = if spec.is_empty() {
+            OrderSpec::empty()
+        } else {
+            self.reduce_memoized(spec)
+        };
+        emit(|| TraceEvent::Reduce {
+            before: spec.to_string(),
+            after: reduced.to_string(),
+        });
+        reduced
+    }
+
+    fn reduce_memoized(&self, spec: &OrderSpec) -> OrderSpec {
+        // Entries are complete pairs, so the map is as good after a
+        // holder's panic as before it.
+        let memo = || self.reduced.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = memo().get(spec) {
+            ContextWork::record(|w| w.reduce_memo_hits += 1);
+            return hit.clone();
+        }
+        let reduced = self.reduce_uncached(spec);
+        memo().insert(spec.clone(), reduced.clone());
+        reduced
+    }
+
+    fn reduce_uncached(&self, spec: &OrderSpec) -> OrderSpec {
         let mut reduced = spec.map_cols(|c| self.eq.head(c));
         let mut i = reduced.len();
         while i > 0 {
@@ -76,10 +169,6 @@ impl OrderContext {
                 reduced.remove(i);
             }
         }
-        emit(|| TraceEvent::Reduce {
-            before: spec.to_string(),
-            after: reduced.to_string(),
-        });
         reduced
     }
 

@@ -25,7 +25,9 @@
 //! [`StreamProps`] maintains the four properties the paper tracks per plan
 //! stream — order, applied predicates, keys, and functional dependencies —
 //! together with their propagation rules through filters, projections,
-//! joins, and group-by.
+//! joins, and group-by. The facts order reasoning rests on (equivalences,
+//! FDs, and the [`OrderContext`] derived from them) are one immutable
+//! [`StreamFacts`] value that streams share until a predicate changes it.
 //!
 //! ## Degrees of freedom (paper §7)
 //!
@@ -73,10 +75,10 @@ pub mod keyprop;
 pub mod props;
 pub mod spec;
 
-pub use context::OrderContext;
+pub use context::{ContextWork, OrderContext};
 pub use eqclass::EquivalenceClasses;
 pub use fd::{Fd, FdSet};
 pub use freedom::{FlexColumn, FlexOrder};
 pub use keyprop::KeyProperty;
-pub use props::StreamProps;
+pub use props::{FactsMemo, StreamFacts, StreamProps};
 pub use spec::{OrderSpec, SortKey};

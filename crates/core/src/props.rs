@@ -6,14 +6,97 @@
 //! from the properties of its inputs and the operation applied (paper §3).
 //! The planner calls the methods here operator by operator as it builds
 //! plans bottom-up.
+//!
+//! # Ownership of the facts
+//!
+//! The equivalence classes, the functional dependencies and the
+//! [`OrderContext`] derived from them are one immutable [`StreamFacts`]
+//! value behind an `Arc`. A `StreamProps` points at it; it cannot edit it.
+//! Facts change only where a predicate or a derived dependency is applied
+//! ([`StreamProps::apply_predicate`],
+//! [`StreamProps::apply_outer_join_predicate`], [`StreamProps::join`],
+//! [`StreamProps::group_by`], [`StreamProps::add_computed_columns`]): those
+//! build one new value, context included, and point the output at it.
+//! Everything else — sorting, projecting, DISTINCT, installing an order,
+//! cloning a plan — shares the input's value, so the context is never
+//! rebuilt to ask a question. [`FactsMemo`] extends the sharing to callers
+//! that derive the same facts along many paths.
 
 use crate::context::OrderContext;
 use crate::eqclass::EquivalenceClasses;
-use crate::fd::FdSet;
+use crate::fd::{Fd, FdSet};
 use crate::keyprop::KeyProperty;
 use crate::spec::OrderSpec;
 use fto_common::{ColId, ColSet};
 use fto_expr::{PredClass, PredId, Predicate};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// What is known to hold on a stream: the column equivalences and
+/// functional dependencies induced by the predicates applied so far, and
+/// the reasoning context derived from them. Immutable; a new fact makes a
+/// new value.
+#[derive(Debug)]
+pub struct StreamFacts {
+    /// The dependencies as stated (not yet in head space).
+    fds: FdSet,
+    /// Holds the equivalence classes and the head-space dependencies.
+    ctx: OrderContext,
+}
+
+impl StreamFacts {
+    fn new(eq: EquivalenceClasses, fds: FdSet) -> Arc<StreamFacts> {
+        let ctx = OrderContext::new(eq, &fds);
+        Arc::new(StreamFacts { fds, ctx })
+    }
+
+    fn equivalences(&self) -> &EquivalenceClasses {
+        self.ctx.equivalences()
+    }
+
+    /// The facts of two join inputs taken together.
+    fn union(left: &StreamFacts, right: &StreamFacts) -> Arc<StreamFacts> {
+        let mut fds = left.fds.clone();
+        fds.absorb(&right.fds);
+        let mut eq = left.equivalences().clone();
+        eq.absorb(right.equivalences());
+        StreamFacts::new(eq, fds)
+    }
+
+    /// The facts once `pred` filters the stream, per the paper's §4.1
+    /// mapping. A predicate that is neither `col = const` nor `col = col`
+    /// states none: the result is this same value.
+    fn with_predicate(self: &Arc<Self>, pred: &Predicate) -> Arc<StreamFacts> {
+        let mut eq = self.equivalences().clone();
+        let mut fds = self.fds.clone();
+        match pred.classify() {
+            PredClass::ColEqConst(col, v) => {
+                eq.bind_constant(col, v);
+                fds.add_constant(col);
+            }
+            PredClass::ColEqCol(a, b) => {
+                eq.merge(a, b);
+                fds.add_equivalence(a, b);
+            }
+            PredClass::Opaque => return Arc::clone(self),
+        }
+        StreamFacts::new(eq, fds)
+    }
+
+    /// The facts with further dependencies; this same value when every
+    /// one of them is trivial or already stated.
+    fn with_fds(self: &Arc<Self>, new: impl IntoIterator<Item = Fd>) -> Arc<StreamFacts> {
+        let mut fds = self.fds.clone();
+        for fd in new {
+            fds.add(fd);
+        }
+        if fds.len() == self.fds.len() {
+            return Arc::clone(self);
+        }
+        StreamFacts::new(self.equivalences().clone(), fds)
+    }
+}
 
 /// The data properties of one plan stream.
 #[derive(Clone, Debug)]
@@ -27,10 +110,9 @@ pub struct StreamProps {
     pub preds: Vec<PredId>,
     /// The key property (uniqueness facts, incl. the one-record condition).
     pub keys: KeyProperty,
-    /// The functional-dependency property.
-    pub fds: FdSet,
-    /// Column equivalences induced by the applied predicates.
-    pub eq: EquivalenceClasses,
+    /// The functional-dependency property, the column equivalences and
+    /// their context; shared with every stream they hold on equally.
+    facts: Arc<StreamFacts>,
 }
 
 impl StreamProps {
@@ -48,14 +130,29 @@ impl StreamProps {
             order: OrderSpec::empty(),
             preds: Vec::new(),
             keys: KeyProperty::from_keys(keys),
-            fds,
-            eq: EquivalenceClasses::new(),
+            facts: StreamFacts::new(EquivalenceClasses::new(), fds),
         }
     }
 
     /// The reasoning context for this stream's order operations.
-    pub fn ctx(&self) -> OrderContext {
-        OrderContext::new(self.eq.clone(), &self.fds)
+    pub fn ctx(&self) -> &OrderContext {
+        &self.facts.ctx
+    }
+
+    /// The functional-dependency property.
+    pub fn fds(&self) -> &FdSet {
+        &self.facts.fds
+    }
+
+    /// Column equivalences induced by the applied predicates.
+    pub fn equivalences(&self) -> &EquivalenceClasses {
+        self.facts.equivalences()
+    }
+
+    /// The shared facts value (two streams hold the same facts when
+    /// `Arc::ptr_eq` says so).
+    pub fn facts(&self) -> &Arc<StreamFacts> {
+        &self.facts
     }
 
     /// Returns the stream with an order property installed (index scans
@@ -72,23 +169,27 @@ impl StreamProps {
     /// mapping, and re-canonicalizes the key property (which may surface
     /// the one-record condition).
     pub fn apply_predicate(&mut self, id: PredId, pred: &Predicate) {
+        if self.record_pred(id) {
+            self.set_facts(self.facts.with_predicate(pred));
+        }
+    }
+
+    /// Adds `id` to the predicate property; false when already applied.
+    fn record_pred(&mut self, id: PredId) -> bool {
         match self.preds.binary_search(&id) {
-            Ok(_) => return, // already applied
-            Err(pos) => self.preds.insert(pos, id),
-        }
-        match pred.classify() {
-            PredClass::ColEqConst(col, v) => {
-                self.eq.bind_constant(col, v);
-                self.fds.add_constant(col);
+            Ok(_) => false,
+            Err(pos) => {
+                self.preds.insert(pos, id);
+                true
             }
-            PredClass::ColEqCol(a, b) => {
-                self.eq.merge(a, b);
-                self.fds.add_equivalence(a, b);
-            }
-            PredClass::Opaque => {}
         }
-        let ctx = self.ctx();
-        self.keys.canonicalize(&ctx);
+    }
+
+    /// Points the stream at `facts` and re-derives what depends on them.
+    fn set_facts(&mut self, facts: Arc<StreamFacts>) {
+        self.facts = facts;
+        let ctx = &self.facts.ctx;
+        self.keys.canonicalize(ctx);
         // The physical order of rows is unchanged by filtering; keep the
         // order property but re-reduce it, since new constants may have
         // shortened it.
@@ -107,17 +208,27 @@ impl StreamProps {
     ///   statements about the visible columns and may mention invisible
     ///   ones harmlessly.
     pub fn project(&self, keep: &ColSet) -> StreamProps {
-        let ctx = self.ctx();
         let cols = self.cols.intersection(keep);
-        let (order, _complete) = ctx.homogenize_prefix(&self.order, &cols);
+        let (order, _complete) = self.ctx().homogenize_prefix(&self.order, &cols);
         StreamProps {
             cols,
             order,
             preds: self.preds.clone(),
             keys: self.keys.project(keep),
-            fds: self.fds.clone(),
-            eq: self.eq.clone(),
+            facts: Arc::clone(&self.facts),
         }
+    }
+
+    /// Adds columns computed from the stream's own, each given with the
+    /// columns its expression reads: `{inputs} → {col}` holds by
+    /// construction.
+    pub fn add_computed_columns(&mut self, defs: impl IntoIterator<Item = (ColId, ColSet)>) {
+        let mut defining_fds = Vec::new();
+        for (col, inputs) in defs {
+            self.cols.insert(col);
+            defining_fds.push(Fd::new(inputs, ColSet::singleton(col)));
+        }
+        self.facts = self.facts.with_fds(defining_fds);
     }
 
     /// Properties after sorting the stream by `spec` (which the sort
@@ -152,27 +263,49 @@ impl StreamProps {
         equates: &[(ColId, ColId)],
         outer_order: OrderSpec,
     ) -> StreamProps {
+        let facts = StreamFacts::union(&left.facts, &right.facts);
+        StreamProps::joined(left, right, equates, &outer_order, facts)
+    }
+
+    /// The join output over `facts`, which hold on it: the two inputs'
+    /// facts for an inner join, the preserved side's for an outer join.
+    fn joined(
+        left: &StreamProps,
+        right: &StreamProps,
+        equates: &[(ColId, ColId)],
+        outer_order: &OrderSpec,
+        facts: Arc<StreamFacts>,
+    ) -> StreamProps {
         let mut preds = left.preds.clone();
         for p in &right.preds {
             if let Err(pos) = preds.binary_search(p) {
                 preds.insert(pos, *p);
             }
         }
-        let mut fds = left.fds.clone();
-        fds.absorb(&right.fds);
-        let mut eq = left.eq.clone();
-        eq.absorb(&right.eq);
-        let keys = KeyProperty::join(&left.keys, &right.keys, equates);
-        let mut out = StreamProps {
+        StreamProps {
             cols: left.cols.union(&right.cols),
-            order: OrderSpec::empty(),
+            order: facts.ctx.reduce(outer_order),
             preds,
-            keys,
-            fds,
-            eq,
-        };
-        out.order = out.ctx().reduce(&outer_order);
-        out
+            keys: KeyProperty::join(&left.keys, &right.keys, equates),
+            facts,
+        }
+    }
+
+    /// Combines the properties of the two inputs of a left outer join
+    /// that preserves `left`, *before* the ON predicates are recorded
+    /// through [`StreamProps::apply_outer_join_predicate`].
+    ///
+    /// Null padding invalidates every fact local to the inner side (its
+    /// constants, equivalences, and FDs no longer hold once unmatched
+    /// rows carry NULLs), so the output keeps only the preserved side's
+    /// facts plus the key property; the preserved side's order survives.
+    pub fn left_outer_join(
+        left: &StreamProps,
+        right: &StreamProps,
+        equates: &[(ColId, ColId)],
+    ) -> StreamProps {
+        let facts = Arc::clone(&left.facts);
+        StreamProps::joined(left, right, equates, &left.order, facts)
     }
 
     /// Records an outer-join ON predicate (paper §4.1): the predicate id
@@ -181,20 +314,15 @@ impl StreamProps {
     /// side — never an equivalence class or a constant binding, because
     /// null-padded rows violate both.
     pub fn apply_outer_join_predicate(&mut self, id: PredId, pred: &Predicate, preserved: &ColSet) {
-        match self.preds.binary_search(&id) {
-            Ok(_) => return,
-            Err(pos) => self.preds.insert(pos, id),
+        if !self.record_pred(id) {
+            return;
         }
-        if let PredClass::ColEqCol(a, b) = pred.classify() {
-            if preserved.contains(a) {
-                self.fds.add(crate::fd::Fd::implies(a, b));
-            } else if preserved.contains(b) {
-                self.fds.add(crate::fd::Fd::implies(b, a));
-            }
-        }
-        let ctx = self.ctx();
-        self.keys.canonicalize(&ctx);
-        self.order = ctx.reduce(&self.order);
+        let fd = match pred.classify() {
+            PredClass::ColEqCol(a, b) if preserved.contains(a) => Some(Fd::implies(a, b)),
+            PredClass::ColEqCol(a, b) if preserved.contains(b) => Some(Fd::implies(b, a)),
+            _ => None,
+        };
+        self.set_facts(self.facts.with_fds(fd));
     }
 
     /// Properties after a GROUP BY on `grouping` producing aggregate
@@ -212,32 +340,27 @@ impl StreamProps {
         input_order: OrderSpec,
     ) -> StreamProps {
         let cols = grouping.union(agg_cols);
-        let mut fds = self.fds.clone();
-        if !agg_cols.is_empty() {
-            fds.add_key(grouping.clone(), cols.clone());
-        }
+        let group_fd = (!agg_cols.is_empty()).then(|| Fd::key(grouping.clone(), cols.clone()));
+        let facts = self.facts.with_fds(group_fd);
+        let ctx = &facts.ctx;
         let mut keys = self.keys.clone().project(&cols);
         keys.add_key(grouping.clone());
-        let mut out = StreamProps {
+        keys.canonicalize(ctx);
+        let (order, _) = ctx.homogenize_prefix(&input_order, &cols);
+        StreamProps {
             cols,
-            order: OrderSpec::empty(),
+            order,
             preds: self.preds.clone(),
             keys,
-            fds,
-            eq: self.eq.clone(),
-        };
-        let ctx = out.ctx();
-        out.keys.canonicalize(&ctx);
-        let (order, _) = ctx.homogenize_prefix(&input_order, &out.cols);
-        out.order = order;
-        out
+            facts,
+        }
     }
 
     /// Properties after DISTINCT: every output column together forms a key.
     pub fn distinct(&self) -> StreamProps {
         let mut out = self.clone();
         out.keys.add_key(self.cols.clone());
-        out.keys.canonicalize(&out.ctx());
+        out.keys.canonicalize(self.ctx());
         out
     }
 
@@ -250,7 +373,7 @@ impl StreamProps {
     ///
     /// Two plans with mutually incomparable properties must both be kept.
     pub fn dominates(&self, other: &StreamProps) -> bool {
-        self.dominates_under(other, &self.ctx())
+        self.dominates_under(other, self.ctx())
     }
 
     /// [`StreamProps::dominates`] with an explicit reasoning context —
@@ -275,9 +398,82 @@ impl StreamProps {
     }
 }
 
+/// A facts value as a map key: two keys are equal when they are the same
+/// allocation. Holding the `Arc` keeps that address from being reused
+/// while the key lives.
+struct ById(Arc<StreamFacts>);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &ById) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.0).hash(state);
+    }
+}
+
+/// Derived facts, remembered for as long as the memo lives.
+///
+/// The facts of a join result are a function of the facts of its inputs
+/// and of the predicates applied on top, whatever the join method and
+/// whatever orders the inputs arrive in. Join enumeration derives them
+/// for thousands of plan pairs over a few hundred distinct combinations;
+/// going through a memo builds each combination once and points all those
+/// plans at the one value. [`FactsMemo::join`] and
+/// [`FactsMemo::apply_predicate`] are [`StreamProps::join`] and
+/// [`StreamProps::apply_predicate`] in every other respect.
+///
+/// A predicate is identified by its id, so a memo serves one query.
+#[derive(Default)]
+pub struct FactsMemo {
+    unions: HashMap<(ById, ById), Arc<StreamFacts>>,
+    filtered: HashMap<(ById, PredId), Arc<StreamFacts>>,
+}
+
+impl FactsMemo {
+    /// [`StreamProps::join`], building the combined facts only the first
+    /// time this pair of input facts is joined.
+    pub fn join(
+        &mut self,
+        left: &StreamProps,
+        right: &StreamProps,
+        equates: &[(ColId, ColId)],
+        outer_order: &OrderSpec,
+    ) -> StreamProps {
+        let key = (
+            ById(Arc::clone(&left.facts)),
+            ById(Arc::clone(&right.facts)),
+        );
+        let facts = self
+            .unions
+            .entry(key)
+            .or_insert_with(|| StreamFacts::union(&left.facts, &right.facts));
+        StreamProps::joined(left, right, equates, outer_order, Arc::clone(facts))
+    }
+
+    /// [`StreamProps::apply_predicate`], deriving the filtered facts only
+    /// the first time `id` is applied to these facts.
+    pub fn apply_predicate(&mut self, props: &mut StreamProps, id: PredId, pred: &Predicate) {
+        if !props.record_pred(id) {
+            return;
+        }
+        let facts = self
+            .filtered
+            .entry((ById(Arc::clone(&props.facts)), id))
+            .or_insert_with(|| props.facts.with_predicate(pred));
+        props.set_facts(Arc::clone(facts));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::ContextWork;
     use fto_common::Value;
     use fto_expr::Expr;
 
@@ -301,7 +497,7 @@ mod tests {
     #[test]
     fn base_table_key_fd() {
         let p = base();
-        assert!(p.fds.determines(&cs(&[0]), c(3)));
+        assert!(p.fds().determines(&cs(&[0]), c(3)));
         assert!(p.keys.determined_by(&cs(&[0])));
         assert!(p.order.is_empty());
         assert!(p.preds.is_empty());
@@ -320,7 +516,7 @@ mod tests {
         p.apply_predicate(PredId(0), &Predicate::col_eq_const(c(1), Value::Int(5)));
         assert_eq!(p.order, asc(&[2]));
         assert_eq!(p.preds, vec![PredId(0)]);
-        assert!(p.eq.is_constant(c(1)));
+        assert!(p.equivalences().is_constant(c(1)));
     }
 
     #[test]
@@ -330,7 +526,7 @@ mod tests {
         p.apply_predicate(PredId(3), &pred);
         p.apply_predicate(PredId(3), &pred);
         assert_eq!(p.preds, vec![PredId(3)]);
-        assert!(p.eq.same_class(c(1), c(2)));
+        assert!(p.equivalences().same_class(c(1), c(2)));
     }
 
     #[test]
@@ -389,9 +585,9 @@ mod tests {
         // Order on the outer is preserved.
         assert_eq!(joined.order, asc(&[1]));
         // Equivalence 1 = 10 holds downstream.
-        assert!(joined.eq.same_class(c(1), c(10)));
+        assert!(joined.equivalences().same_class(c(1), c(10)));
         // Key FD from the right side flows through: {10} -> {11}.
-        assert!(joined.fds.determines(&cs(&[10]), c(11)));
+        assert!(joined.fds().determines(&cs(&[10]), c(11)));
         // And via equivalence, {1} -> {11}.
         assert!(joined.ctx().fds().determines(&cs(&[1]), c(11)));
     }
@@ -402,7 +598,7 @@ mod tests {
         let out = p.group_by(&cs(&[1, 2]), &cs(&[7]), asc(&[1, 2]));
         assert_eq!(out.cols, cs(&[1, 2, 7]));
         assert!(out.keys.determined_by(&cs(&[1, 2])));
-        assert!(out.fds.determines(&cs(&[1, 2]), c(7)));
+        assert!(out.fds().determines(&cs(&[1, 2]), c(7)));
         assert_eq!(out.order, asc(&[1, 2]));
     }
 
@@ -419,6 +615,117 @@ mod tests {
         let d = p.distinct();
         assert!(d.keys.determined_by(&cs(&[1, 2])));
         assert!(!d.keys.determined_by(&cs(&[1])));
+    }
+
+    #[test]
+    fn operations_that_state_no_fact_share_the_facts() {
+        let mut p = base().with_order(asc(&[1, 2]));
+        p.apply_predicate(PredId(0), &Predicate::col_eq_col(c(1), c(2)));
+        let before = ContextWork::snapshot();
+        let mut opaque = p.clone();
+        opaque.apply_predicate(PredId(1), &Predicate::eq(Expr::col(c(3)), Expr::col(c(3))));
+        let group_no_aggs = p.group_by(&cs(&[1]), &ColSet::new(), asc(&[1]));
+        let mut no_columns = p.clone();
+        no_columns.add_computed_columns([]);
+        for same in [
+            p.clone().with_order(asc(&[3])),
+            p.sorted(&asc(&[3, 0])),
+            p.project(&cs(&[0, 1])),
+            p.distinct(),
+            opaque,
+            group_no_aggs,
+            no_columns,
+        ] {
+            assert!(Arc::ptr_eq(same.facts(), p.facts()));
+        }
+        assert_eq!(ContextWork::snapshot().since(before).contexts_built, 0);
+    }
+
+    #[test]
+    fn operations_that_state_a_fact_build_one_context() {
+        let built = |f: &dyn Fn()| {
+            let before = ContextWork::snapshot();
+            f();
+            ContextWork::snapshot().since(before).contexts_built
+        };
+        let p = base();
+        let other = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
+        assert_eq!(built(&|| drop(base())), 1);
+        assert_eq!(
+            built(&|| p
+                .clone()
+                .apply_predicate(PredId(0), &Predicate::col_eq_const(c(1), Value::Int(5)))),
+            1
+        );
+        assert_eq!(
+            built(&|| drop(StreamProps::join(&p, &other, &[], OrderSpec::empty()))),
+            1
+        );
+        assert_eq!(
+            built(&|| drop(p.group_by(&cs(&[1]), &cs(&[7]), OrderSpec::empty()))),
+            1
+        );
+        assert_eq!(
+            built(&|| p
+                .clone()
+                .add_computed_columns([(c(8), cs(&[1])), (c(9), cs(&[2, 3]))])),
+            1
+        );
+        // The preserved side's facts carry over; only an ON equality
+        // from that side states something new.
+        assert_eq!(
+            built(&|| {
+                let mut oj = StreamProps::left_outer_join(&p, &other, &[(c(1), c(10))]);
+                assert!(Arc::ptr_eq(oj.facts(), p.facts()));
+                oj.apply_outer_join_predicate(
+                    PredId(0),
+                    &Predicate::col_eq_const(c(11), Value::Int(1)),
+                    &p.cols,
+                );
+                assert!(Arc::ptr_eq(oj.facts(), p.facts()));
+                oj.apply_outer_join_predicate(
+                    PredId(1),
+                    &Predicate::col_eq_col(c(1), c(10)),
+                    &p.cols,
+                );
+                assert!(oj.fds().determines(&cs(&[1]), c(10)));
+                assert!(!oj.equivalences().same_class(c(1), c(10)));
+            }),
+            1
+        );
+    }
+
+    #[test]
+    fn memo_builds_each_derivation_once_and_changes_no_answer() {
+        let left = base().with_order(asc(&[1]));
+        let right = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
+        let pred = Predicate::col_eq_col(c(1), c(10));
+        let direct = {
+            let mut j = StreamProps::join(&left, &right, &[(c(1), c(10))], left.order.clone());
+            j.apply_predicate(PredId(5), &pred);
+            j
+        };
+        let mut memo = FactsMemo::default();
+        let before = ContextWork::snapshot();
+        let via_memo: Vec<StreamProps> = [left.clone(), left.sorted(&asc(&[2]))]
+            .iter()
+            .map(|outer| {
+                let mut j = memo.join(outer, &right, &[(c(1), c(10))], &outer.order);
+                memo.apply_predicate(&mut j, PredId(5), &pred);
+                memo.apply_predicate(&mut j, PredId(5), &pred);
+                j
+            })
+            .collect();
+        // One union and one filtered value for both outers.
+        assert_eq!(ContextWork::snapshot().since(before).contexts_built, 2);
+        assert!(Arc::ptr_eq(via_memo[0].facts(), via_memo[1].facts()));
+        assert_eq!(via_memo[0].order, direct.order);
+        assert_eq!(via_memo[0].preds, direct.preds);
+        assert_eq!(via_memo[0].keys, direct.keys);
+        assert_eq!(via_memo[0].fds(), direct.fds());
+        // A different pair of inputs is a different entry.
+        let other = memo.join(&right, &left, &[(c(10), c(1))], &right.order);
+        assert!(!Arc::ptr_eq(other.facts(), via_memo[0].facts()));
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //! * `homogenize(I, T) = H` ⟹ data sorted by `H` is ordered by `I`;
 //! * `FlexOrder::satisfied_by(P)` ⟹ groups are contiguous under `P`.
 //!
+//! Plus a cache-coherence check on [`StreamProps`]: through random
+//! operator sequences, the context a stream shares answers exactly like
+//! one built from scratch out of independently tracked facts.
+//!
 //! Cases are generated from a fixed seed with the in-repo PRNG, so every
 //! failure is reproducible from the printed case number.
 
 use fto_common::{ColId, ColSet, Direction, Rng, Value};
-use fto_order::{EquivalenceClasses, FdSet, FlexOrder, OrderContext, OrderSpec, SortKey};
+use fto_expr::{CompareOp, Expr, PredClass, PredId, Predicate};
+use fto_order::{
+    EquivalenceClasses, FactsMemo, Fd, FdSet, FlexOrder, OrderContext, OrderSpec, SortKey,
+    StreamProps,
+};
 use std::cmp::Ordering;
 
 const NCOLS: usize = 6;
@@ -49,7 +57,7 @@ fn col_spec(rng: &mut Rng, i: usize) -> ColSpec {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct World {
     rows: Vec<Vec<i64>>,
     ctx: OrderContext,
@@ -332,6 +340,212 @@ fn reduce_yields_canonical_form() {
                 k.col,
                 reduced
             );
+        }
+    }
+}
+
+/// A stream's properties next to the facts that must hold on it, tracked
+/// by value with the §4.1 rules: no sharing, no memo, no derived context.
+struct Tracked {
+    props: StreamProps,
+    eq: EquivalenceClasses,
+    fds: FdSet,
+}
+
+impl Tracked {
+    fn base(rng: &mut Rng) -> Tracked {
+        let cols = random_colset(rng, 1, NCOLS);
+        let keys: Vec<ColSet> = (0..rng.range_usize(0, 3))
+            .map(|_| random_colset(rng, 1, 3).intersection(&cols))
+            .filter(|k| !k.is_empty())
+            .collect();
+        let mut fds = FdSet::new();
+        for k in &keys {
+            fds.add_key(k.clone(), cols.clone());
+        }
+        Tracked {
+            props: StreamProps::base_table(cols, keys),
+            eq: EquivalenceClasses::new(),
+            fds,
+        }
+    }
+
+    /// An operation that states no fact: the tracked facts carry over.
+    fn same_facts(&self, props: StreamProps) -> Tracked {
+        Tracked {
+            props,
+            eq: self.eq.clone(),
+            fds: self.fds.clone(),
+        }
+    }
+
+    fn filter(&self, id: PredId, pred: &Predicate, memo: Option<&mut FactsMemo>) -> Tracked {
+        let mut out = self.same_facts(self.props.clone());
+        let fresh = !self.props.preds.contains(&id);
+        match memo {
+            Some(memo) => memo.apply_predicate(&mut out.props, id, pred),
+            None => out.props.apply_predicate(id, pred),
+        }
+        if fresh {
+            match pred.classify() {
+                PredClass::ColEqConst(col, v) => {
+                    out.eq.bind_constant(col, v);
+                    out.fds.add_constant(col);
+                }
+                PredClass::ColEqCol(a, b) => {
+                    out.eq.merge(a, b);
+                    out.fds.add_equivalence(a, b);
+                }
+                PredClass::Opaque => {}
+            }
+        }
+        out
+    }
+
+    fn outer_filter(&self, id: PredId, pred: &Predicate, preserved: &ColSet) -> Tracked {
+        let mut out = self.same_facts(self.props.clone());
+        let fresh = !self.props.preds.contains(&id);
+        out.props.apply_outer_join_predicate(id, pred, preserved);
+        if let (true, PredClass::ColEqCol(a, b)) = (fresh, pred.classify()) {
+            if preserved.contains(a) {
+                out.fds.add(Fd::implies(a, b));
+            } else if preserved.contains(b) {
+                out.fds.add(Fd::implies(b, a));
+            }
+        }
+        out
+    }
+
+    fn join(&self, right: &Tracked, memo: Option<&mut FactsMemo>) -> Tracked {
+        let order = self.props.order.clone();
+        let props = match memo {
+            Some(memo) => memo.join(&self.props, &right.props, &[], &order),
+            None => StreamProps::join(&self.props, &right.props, &[], order),
+        };
+        let mut out = self.same_facts(props);
+        out.fds.absorb(&right.fds);
+        out.eq.absorb(&right.eq);
+        out
+    }
+
+    fn group_by(&self, grouping: &ColSet, aggs: &ColSet) -> Tracked {
+        let order = self.props.order.clone();
+        let mut out = self.same_facts(self.props.group_by(grouping, aggs, order));
+        if !aggs.is_empty() {
+            out.fds.add_key(grouping.clone(), grouping.union(aggs));
+        }
+        out
+    }
+
+    fn compute(&self, col: ColId, inputs: ColSet) -> Tracked {
+        let mut out = self.same_facts(self.props.clone());
+        out.props.add_computed_columns([(col, inputs.clone())]);
+        out.fds.add(Fd::new(inputs, ColSet::singleton(col)));
+        out
+    }
+
+    /// The shared context must answer every operation like a context
+    /// built now from the tracked facts — asked twice, so that the second
+    /// answer comes out of the reduce memo.
+    fn assert_coherent(&self, rng: &mut Rng, at: &str) {
+        assert_eq!(self.props.fds(), &self.fds, "{at}: FDs diverged");
+        let fresh = OrderContext::new(self.eq.clone(), &self.fds);
+        let shared = self.props.ctx();
+        for _ in 0..3 {
+            let (a, b) = (spec_strategy(rng), spec_strategy(rng));
+            let targets = random_colset(rng, 0, NCOLS);
+            for _ in 0..2 {
+                assert_eq!(shared.reduce(&a), fresh.reduce(&a), "{at}: reduce({a})");
+                assert_eq!(
+                    shared.test_order(&a, &b),
+                    fresh.test_order(&a, &b),
+                    "{at}: test_order({a}, {b})"
+                );
+                assert_eq!(
+                    shared.split_requirement(&a, &b),
+                    fresh.split_requirement(&a, &b),
+                    "{at}: split_requirement({a}, {b})"
+                );
+                assert_eq!(shared.cover(&a, &b), fresh.cover(&a, &b), "{at}: cover");
+                assert_eq!(
+                    shared.homogenize(&a, &targets),
+                    fresh.homogenize(&a, &targets),
+                    "{at}: homogenize({a}, {targets:?})"
+                );
+                assert_eq!(
+                    shared.homogenize_prefix(&a, &targets),
+                    fresh.homogenize_prefix(&a, &targets),
+                    "{at}: homogenize_prefix({a}, {targets:?})"
+                );
+            }
+        }
+    }
+}
+
+/// A stale context silently elides a sort, so: drive random sequences of
+/// every `StreamProps` operation (half of the joins and filters through a
+/// `FactsMemo`), and after every step compare the context the stream
+/// shares with one built from the facts tracked alongside.
+#[test]
+fn shared_context_stays_coherent_with_the_facts() {
+    let mut rng = Rng::new(0x0c);
+    let col = |rng: &mut Rng| ColId(rng.range_i64(0, NCOLS as i64) as u32);
+    for case in 0..CASES {
+        let mut memo = FactsMemo::default();
+        // One predicate per id, as in a query graph; a step may re-apply.
+        let mut preds: Vec<Predicate> = Vec::new();
+        let mut pool = vec![Tracked::base(&mut rng)];
+        for step in 0..14 {
+            let from = rng.range_usize(0, pool.len());
+            let other = rng.range_usize(0, pool.len());
+            let via_memo = rng.bool();
+            let t = &pool[from];
+            let next = match rng.range_usize(0, 12) {
+                0 => Tracked::base(&mut rng),
+                1 => t.same_facts(t.props.clone().with_order(spec_strategy(&mut rng))),
+                2 => t.same_facts(t.props.sorted(&spec_strategy(&mut rng))),
+                3 => t.same_facts(t.props.project(&random_colset(&mut rng, 0, NCOLS))),
+                4 => t.same_facts(t.props.distinct()),
+                5..=7 => {
+                    let id = rng.range_usize(0, preds.len() + 1);
+                    if id == preds.len() {
+                        preds.push(match rng.range_usize(0, 3) {
+                            0 => Predicate::col_eq_col(col(&mut rng), col(&mut rng)),
+                            1 => Predicate::col_eq_const(col(&mut rng), Value::Int(7)),
+                            _ => Predicate::new(
+                                CompareOp::Lt,
+                                Expr::col(col(&mut rng)),
+                                Expr::int(3),
+                            ),
+                        });
+                    }
+                    let id_pred = (PredId(id as u32), &preds[id]);
+                    if rng.range_usize(0, 4) == 0 {
+                        let preserved = random_colset(&mut rng, 1, NCOLS);
+                        t.outer_filter(id_pred.0, id_pred.1, &preserved)
+                    } else {
+                        t.filter(id_pred.0, id_pred.1, via_memo.then_some(&mut memo))
+                    }
+                }
+                8 => t.join(&pool[other], via_memo.then_some(&mut memo)),
+                9 => t.same_facts(StreamProps::left_outer_join(
+                    &t.props,
+                    &pool[other].props,
+                    &[],
+                )),
+                10 => {
+                    let grouping = random_colset(&mut rng, 1, 3);
+                    let aggs = if rng.bool() {
+                        ColSet::singleton(ColId(NCOLS as u32 + step))
+                    } else {
+                        ColSet::new()
+                    };
+                    t.group_by(&grouping, &aggs)
+                }
+                _ => t.compute(ColId(NCOLS as u32 + step), random_colset(&mut rng, 0, 3)),
+            };
+            next.assert_coherent(&mut rng, &format!("case {case} step {step}"));
+            pool.push(next);
         }
     }
 }

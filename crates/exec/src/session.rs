@@ -567,7 +567,8 @@ impl PreparedQuery<'_> {
     /// chosen plan, then every span/plan/sort decision the planner made
     /// (pruning losers named with their winners, sort-ahead variants with
     /// the interesting order that motivated them), closed by the
-    /// enumeration summary. The trace carries no timestamps and planning
+    /// enumeration summary and the planner's work counters (contexts
+    /// built, reduce memo hits). The trace carries no timestamps and planning
     /// always runs on the calling thread, so the output is byte-identical
     /// across runs and executor thread counts.
     pub fn explain_optimizer(&self) -> String {
@@ -581,6 +582,7 @@ impl PreparedQuery<'_> {
                 text.push_str("optimizer trace:\n");
                 text.push_str(&t.render());
                 text.push_str(&t.summary());
+                let _ = writeln!(text, "planner work: {}", self.planner);
             }
             None => text.push_str("optimizer trace: <not collected; tracing was off>\n"),
         }

@@ -30,11 +30,11 @@ pub fn access_paths(
     let fto_qgm::graph::QuantifierInput::Table(tid) = q.input else {
         panic!("access_paths requires a base-table quantifier");
     };
-    let table = planner
-        .catalog
-        .table(tid)
-        .expect("resolved table must exist");
-    let stats = planner.catalog.stats(tid);
+    // Borrowed from the catalog, not from `planner`, whose counters
+    // `apply_filter` writes.
+    let catalog = planner.catalog;
+    let table = catalog.table(tid).expect("resolved table must exist");
+    let stats = catalog.stats(tid);
     let rows = stats.row_count as f64;
     let pages = stats.pages;
 
@@ -44,7 +44,7 @@ pub fn access_paths(
         .iter()
         .map(|k| k.columns.iter().map(|&o| q.cols[o]).collect())
         .collect();
-    for ix in planner.catalog.indexes_for(tid).filter(|ix| ix.unique) {
+    for ix in catalog.indexes_for(tid).filter(|ix| ix.unique) {
         keys.push(ix.key_ordinals().map(|o| q.cols[o]).collect());
     }
     let base_props = StreamProps::base_table(cols, keys);
@@ -65,8 +65,7 @@ pub fn access_paths(
     paths.push(planner.apply_filter(scan, local_preds));
 
     // One path per index.
-    let indexes: Vec<IndexDef> = planner.catalog.indexes_for(tid).cloned().collect();
-    for ix in indexes {
+    for ix in catalog.indexes_for(tid) {
         let order = OrderSpec::new(
             ix.key
                 .iter()
@@ -76,7 +75,7 @@ pub fn access_paths(
                 })
                 .collect::<Vec<_>>(),
         );
-        let (range, fraction) = derive_range(planner, q, &ix, local_preds);
+        let (range, fraction) = derive_range(planner, q, ix, local_preds);
         let fetch_rows = rows * fraction;
         let scan_cost = cost::index_scan(
             planner
@@ -294,7 +293,7 @@ mod tests {
         let paths = access_paths(&mut planner, &q, &[p]);
         for path in &paths {
             assert_eq!(path.props.preds, vec![p]);
-            assert!(path.props.eq.is_constant(cols[1]));
+            assert!(path.props.equivalences().is_constant(cols[1]));
         }
     }
 }

@@ -209,6 +209,33 @@ pub struct PlannerStats {
     /// addition to `sorts_added` (a segmented sort is still a sort
     /// enforcer).
     pub partial_sorts: u64,
+    /// Order contexts built from stream facts by
+    /// [`Planner::plan_query`](crate::Planner::plan_query): one per
+    /// distinct set of facts, so orders of magnitude below
+    /// `plans_generated`. Decisions do not depend on it; it is how a test
+    /// tells that contexts are shared rather than rebuilt per comparison.
+    pub contexts_built: u64,
+    /// Reductions those contexts answered from their memo.
+    pub reduce_memo_hits: u64,
+}
+
+impl std::fmt::Display for PlannerStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "joins considered={} | plans generated={} pruned={} | \
+             sorts added={} avoided={} segmented={} | \
+             contexts built={} reduce memo hits={}",
+            self.joins_considered,
+            self.plans_generated,
+            self.plans_pruned,
+            self.sorts_added,
+            self.sorts_avoided,
+            self.partial_sorts,
+            self.contexts_built,
+            self.reduce_memo_hits,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -17,14 +17,24 @@
 use crate::cost::{self, Cost};
 use crate::plan::{Plan, PlanNode};
 use crate::planner::Planner;
-use fto_common::{ColId, ColSet, FtoError, Result};
+use fto_common::{ColId, ColSet, FtoError, QuantifierId, Result};
 use fto_expr::{PredClass, PredId};
 use fto_obs::trace::emit;
 use fto_obs::TraceEvent;
-use fto_order::{OrderSpec, StreamProps};
+use fto_order::{FactsMemo, OrderSpec, StreamProps};
 use fto_qgm::graph::{QgmBox, QuantifierInput};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What one [`enumerate`] call derives once and shares between the join
+/// plans it generates: the facts of each (outer facts, inner facts,
+/// predicates) combination, whatever the join method and input orders,
+/// and the unfiltered base-table properties an index probe joins against.
+#[derive(Default)]
+struct JoinMemo {
+    facts: FactsMemo,
+    probed_tables: HashMap<QuantifierId, StreamProps>,
+}
 
 /// Enumerates join orders for a multi-quantifier select box.
 ///
@@ -50,6 +60,7 @@ pub fn enumerate(
         Vec::new()
     };
 
+    let mut memo = JoinMemo::default();
     let mut best: HashMap<u32, Vec<Plan>> = HashMap::new();
     for (i, plans) in inputs.iter().enumerate() {
         let mut set = plans.clone();
@@ -73,11 +84,11 @@ pub fn enumerate(
                 if mask & bit != 0 {
                     continue;
                 }
-                let outers = best.get(&mask).cloned().unwrap_or_default();
+                let outers = best.get(&mask).map_or(&[][..], Vec::as_slice);
                 let mut new_plans = Vec::new();
-                for outer in &outers {
+                for outer in outers {
                     for inner in inner_paths {
-                        new_plans.extend(join_pair(planner, qbox, outer, inner));
+                        new_plans.extend(join_pair(planner, &mut memo, qbox, outer, inner));
                     }
                 }
                 if new_plans.is_empty() {
@@ -131,7 +142,13 @@ fn sorted_variants(
 }
 
 /// All join methods for one (outer plan, inner access path) pair.
-fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Plan) -> Vec<Plan> {
+fn join_pair(
+    planner: &mut Planner<'_>,
+    memo: &mut JoinMemo,
+    qbox: &QgmBox,
+    outer: &Plan,
+    inner: &Plan,
+) -> Vec<Plan> {
     planner.stats.joins_considered += 1;
 
     // Predicates that become applicable at this join.
@@ -184,7 +201,7 @@ fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Pla
 
     // --- Nested-loop join (inner rescanned per outer row) ---------------
     if planner.config.enable_nested_loop {
-        let props = join_props(planner, qbox, outer, inner, &equates, &applicable, true);
+        let props = join_props(planner, memo, outer, inner, &equates, &applicable);
         let total = outer.cost.total
             + outer.cost.rows.max(1.0) * inner.cost.total
             + cost::filter(outer.cost.rows * inner.cost.rows, applicable.len().max(1));
@@ -207,6 +224,7 @@ fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Pla
     if planner.config.enable_nested_loop {
         plans.extend(index_nlj(
             planner,
+            memo,
             qbox,
             outer,
             inner,
@@ -244,12 +262,11 @@ fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Pla
         };
         let props = join_props(
             planner,
-            qbox,
+            memo,
             &outer_sorted,
             &inner_sorted,
             &equates,
             &applicable,
-            true,
         );
         // Expected inner rows per distinct join-key value: the tie groups
         // the streaming merge join buffers and rescans per outer row.
@@ -285,7 +302,7 @@ fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Pla
     if planner.config.enable_hash_join && !equates.is_empty() {
         let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
         // Streaming probe preserves the outer's order.
-        let props = join_props(planner, qbox, outer, inner, &equates, &applicable, true);
+        let props = join_props(planner, memo, outer, inner, &equates, &applicable);
         let total = outer.cost.total
             + inner.cost.total
             + cost::hash_join(inner.cost.rows, outer.cost.rows)
@@ -322,6 +339,7 @@ fn join_pair(planner: &mut Planner<'_>, qbox: &QgmBox, outer: &Plan, inner: &Pla
 #[allow(clippy::too_many_arguments)]
 fn index_nlj(
     planner: &mut Planner<'_>,
+    memo: &mut JoinMemo,
     qbox: &QgmBox,
     outer: &Plan,
     inner: &Plan,
@@ -339,22 +357,21 @@ fn index_nlj(
     let inner_local_preds: Vec<PredId> = collect_filter_preds(inner);
 
     let mut plans = Vec::new();
-    if planner.catalog.table(table).is_err() {
+    // Borrowed from the catalog, not from `planner`, whose counters the
+    // loop below writes.
+    let catalog = planner.catalog;
+    if catalog.table(table).is_err() {
         return plans;
     }
-    let inner_q = qbox
-        .quantifiers
-        .iter()
-        .find(|q| q.id == quantifier)
-        .cloned();
-    let Some(inner_q) = inner_q else { return plans };
+    let Some(inner_q) = qbox.quantifiers.iter().find(|q| q.id == quantifier) else {
+        return plans;
+    };
 
-    let stats = planner.catalog.stats(table);
+    let stats = catalog.stats(table);
     let inner_rows = stats.row_count as f64;
     let inner_pages = stats.pages;
 
-    let indexes: Vec<_> = planner.catalog.indexes_for(table).cloned().collect();
-    for ix in indexes {
+    for ix in catalog.indexes_for(table) {
         // Map each leading key part to an equated outer column.
         let mut probe_cols = Vec::new();
         for ord in ix.key_ordinals() {
@@ -389,15 +406,15 @@ fn index_nlj(
         // local predicates are evaluated as residuals too.
         let mut all_preds: Vec<PredId> = applicable.to_vec();
         all_preds.extend(inner_local_preds.iter().copied());
-        let inner_base = StreamProps::base_table(inner_q.col_set(), base_keys(planner, &inner_q));
-        let mut props = StreamProps::join(
-            &outer.props,
-            &inner_base,
-            equates,
-            outer.props.order.clone(),
-        );
+        let inner_base = memo.probed_tables.entry(quantifier).or_insert_with(|| {
+            StreamProps::base_table(inner_q.col_set(), base_keys(planner, inner_q))
+        });
+        let mut props = memo
+            .facts
+            .join(&outer.props, inner_base, equates, &outer.props.order);
         for &pid in &all_preds {
-            props.apply_predicate(pid, planner.graph.predicate(pid));
+            memo.facts
+                .apply_predicate(&mut props, pid, planner.graph.predicate(pid));
         }
 
         let local_sel = planner.estimator().conjunction_selectivity(
@@ -409,53 +426,52 @@ fn index_nlj(
         let total = outer.cost.total
             + probe_cost
             + cost::filter(outer.cost.rows * matches_per_probe, all_preds.len().max(1));
-        plans.push(Plan {
+        let plan = Plan {
             node: PlanNode::IndexNestedLoopJoin {
                 outer: Arc::new(outer.clone()),
                 table,
                 quantifier,
                 index: ix.id,
-                probe_cols: probe_cols.clone(),
+                probe_cols,
                 predicates: all_preds,
             },
             layout: layout.clone(),
             props,
             cost: Cost { total, rows },
-        });
+        };
         planner.stats.plans_generated += 1;
         emit(|| TraceEvent::PlanGenerated {
             stage: "join",
-            plan: plans.last().expect("just pushed").trace_desc(),
+            plan: plan.trace_desc(),
         });
+        plans.push(plan);
     }
     plans
 }
 
-/// Combined stream properties for a join output.
+/// Combined stream properties for a join output that preserves the
+/// outer's order.
 fn join_props(
     planner: &Planner<'_>,
-    _qbox: &QgmBox,
+    memo: &mut JoinMemo,
     outer: &Plan,
     inner: &Plan,
     equates: &[(ColId, ColId)],
     applicable: &[PredId],
-    preserve_outer_order: bool,
 ) -> StreamProps {
-    let order = if preserve_outer_order {
-        outer.props.order.clone()
-    } else {
-        OrderSpec::empty()
-    };
-    let mut props = StreamProps::join(&outer.props, &inner.props, equates, order);
+    let mut props = memo
+        .facts
+        .join(&outer.props, &inner.props, equates, &outer.props.order);
     for &pid in applicable {
-        props.apply_predicate(pid, planner.graph.predicate(pid));
+        memo.facts
+            .apply_predicate(&mut props, pid, planner.graph.predicate(pid));
     }
     props
 }
 
 /// If `plan` is a (possibly filtered) bare scan of a base table, returns
 /// its (table, quantifier) identity.
-fn base_scan_identity(plan: &Plan) -> Option<(fto_common::TableId, fto_common::QuantifierId)> {
+fn base_scan_identity(plan: &Plan) -> Option<(fto_common::TableId, QuantifierId)> {
     match &plan.node {
         PlanNode::TableScan { table, quantifier }
         | PlanNode::IndexScan {

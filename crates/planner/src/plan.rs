@@ -227,6 +227,14 @@ pub struct Plan {
     pub cost: Cost,
 }
 
+// The parallel executor shares one plan between its worker threads, so
+// whatever the shared stream facts hold (the reduce memo included) must
+// be `Send + Sync`: a `RefCell` or `Rc` memo fails to compile here.
+const _: fn() = || {
+    fn ok<T: Send + Sync>() {}
+    ok::<Plan>();
+};
+
 impl Plan {
     /// The operator name used in EXPLAIN output.
     pub fn op_name(&self) -> &'static str {

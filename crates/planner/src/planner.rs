@@ -11,7 +11,7 @@ use fto_common::{ColSet, FtoError, IndexId, Result};
 use fto_expr::{Expr, PredId, RowLayout};
 use fto_obs::trace::{emit, span};
 use fto_obs::TraceEvent;
-use fto_order::{FlexOrder, OrderContext, OrderSpec, StreamProps};
+use fto_order::{ContextWork, FlexOrder, OrderContext, OrderSpec, StreamProps};
 use fto_qgm::graph::{BoxId, BoxKind, OutputExpr, QgmBox, QuantifierInput};
 use fto_qgm::QueryGraph;
 use std::sync::Arc;
@@ -30,6 +30,9 @@ pub struct Planner<'a> {
     pub config: OptimizerConfig,
     /// Work counters.
     pub stats: PlannerStats,
+    /// The context of [`Planner::effective_ctx`] when order optimization
+    /// is disabled; one for the planner's life, not one per comparison.
+    trivial: OrderContext,
 }
 
 impl<'a> Planner<'a> {
@@ -41,13 +44,18 @@ impl<'a> Planner<'a> {
             catalog,
             config,
             stats: PlannerStats::default(),
+            trivial: OrderContext::trivial(),
         }
     }
 
     /// Plans the whole query, returning the cheapest valid plan.
     pub fn plan_query(&mut self) -> Result<Plan> {
-        let candidates = self.plan_box(self.graph.root)?;
-        candidates
+        let before = ContextWork::snapshot();
+        let candidates = self.plan_box(self.graph.root);
+        let work = ContextWork::snapshot().since(before);
+        self.stats.contexts_built += work.contexts_built;
+        self.stats.reduce_memo_hits += work.reduce_memo_hits;
+        candidates?
             .into_iter()
             .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
             .ok_or_else(|| FtoError::Plan("no plan produced".into()))
@@ -56,18 +64,21 @@ impl<'a> Planner<'a> {
     /// Plans one box, returning a Pareto set of alternatives (pruned by
     /// cost + property dominance).
     pub fn plan_box(&mut self, id: BoxId) -> Result<Vec<Plan>> {
-        let qbox = self.graph.boxed(id).clone();
+        // Borrowed from the graph, not from `self`: planning mutates
+        // only the counters.
+        let graph: &'a QueryGraph = self.graph;
+        let qbox = graph.boxed(id);
         let _span = span(|| format!("box {id} ({})", kind_name(&qbox.kind)));
         let mut plans = match &qbox.kind {
-            BoxKind::Select => self.plan_select(&qbox)?,
-            BoxKind::GroupBy { grouping } => self.plan_group_by(&qbox, grouping)?,
-            BoxKind::Union => self.plan_union(&qbox)?,
-            BoxKind::OuterJoin { on } => self.plan_outer_join(&qbox, on)?,
+            BoxKind::Select => self.plan_select(qbox)?,
+            BoxKind::GroupBy { grouping } => self.plan_group_by(qbox, grouping)?,
+            BoxKind::Union => self.plan_union(qbox)?,
+            BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on)?,
         };
 
         // DISTINCT on the box's output.
         if qbox.distinct {
-            plans = self.plan_distinct(&qbox, plans);
+            plans = self.plan_distinct(qbox, plans);
         }
 
         // Output order requirement (ORDER BY).
@@ -193,8 +204,12 @@ impl<'a> Planner<'a> {
             inputs.push(self.prune(candidates));
         }
 
-        let mut plans = if inputs.len() == 1 {
-            let mut plans = inputs.pop().expect("one input");
+        let mut plans = if inputs.len() > 1 {
+            join::enumerate(self, qbox, inputs)?
+        } else {
+            let mut plans = inputs
+                .pop()
+                .ok_or_else(|| FtoError::Plan("select box with no quantifiers".into()))?;
             // Sort-ahead on single-input boxes: offer sorted variants for
             // the box's interesting orders so parents can stream.
             if self.config.sort_ahead {
@@ -202,10 +217,6 @@ impl<'a> Planner<'a> {
                 plans.extend(extra);
             }
             plans
-        } else if inputs.is_empty() {
-            return Err(FtoError::Plan("select box with no quantifiers".into()));
-        } else {
-            join::enumerate(self, qbox, inputs)?
         };
 
         // Apply any predicates not yet applied (correctness backstop; in
@@ -265,7 +276,7 @@ impl<'a> Planner<'a> {
             .ok_or_else(|| FtoError::Plan("group-by box with no input".into()))?;
         let local = self.local_preds(qbox, &q.col_set());
         let child_plans: Vec<Plan> = match q.input {
-            QuantifierInput::Table(_) => access::access_paths(self, &q.clone(), &local),
+            QuantifierInput::Table(_) => access::access_paths(self, q, &local),
             QuantifierInput::Box(child) => self
                 .plan_box(child)?
                 .into_iter()
@@ -310,7 +321,7 @@ impl<'a> Planner<'a> {
             // Order-based: stream directly when the child's order already
             // groups rows; otherwise sort first.
             let ctx = self.effective_ctx(&child.props);
-            let streaming_child = if flex.satisfied_by(&child.props.order, &ctx) {
+            let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
                 self.stats.sorts_avoided += 1;
                 emit(|| TraceEvent::SortAvoided {
                     requirement: "group-by".to_string(),
@@ -318,7 +329,7 @@ impl<'a> Planner<'a> {
                 });
                 child.clone()
             } else {
-                let spec = flex.concretize(&child.props.order, &ctx);
+                let spec = flex.concretize(&child.props.order, ctx);
                 self.add_sort(child.clone(), &spec)
             };
             let props = streaming_child.props.group_by(
@@ -464,30 +475,9 @@ impl<'a> Planner<'a> {
         for left in &lefts {
             for right in &rights {
                 self.stats.joins_considered += 1;
-                // Null padding invalidates every fact local to the inner
-                // side (its constants, equivalences, and FDs no longer
-                // hold once unmatched rows carry NULLs), so the output
-                // keeps only the preserved side's facts plus the key
-                // property and the one-directional ON FDs.
-                let mut preds = left.props.preds.clone();
-                for p in &right.props.preds {
-                    if let Err(pos) = preds.binary_search(p) {
-                        preds.insert(pos, *p);
-                    }
-                }
-                let mut props = StreamProps {
-                    cols: left.props.cols.union(&right.props.cols),
-                    order: fto_order::OrderSpec::empty(),
-                    preds,
-                    keys: fto_order::KeyProperty::join(
-                        &left.props.keys,
-                        &right.props.keys,
-                        &equates,
-                    ),
-                    fds: left.props.fds.clone(),
-                    eq: left.props.eq.clone(),
-                };
-                props.order = props.ctx().reduce(&left.props.order);
+                // The preserved side's facts and order, the joined key
+                // property, then the one-directional ON FDs.
+                let mut props = StreamProps::left_outer_join(&left.props, &right.props, &equates);
                 for &pid in on {
                     props.apply_outer_join_predicate(pid, self.graph.predicate(pid), &preserved);
                 }
@@ -544,7 +534,7 @@ impl<'a> Planner<'a> {
             let ctx = self.effective_ctx(&plan.props);
 
             // Order-based distinct.
-            let ordered = if flex.satisfied_by(&plan.props.order, &ctx) {
+            let ordered = if flex.satisfied_by(&plan.props.order, ctx) {
                 self.stats.sorts_avoided += 1;
                 emit(|| TraceEvent::SortAvoided {
                     requirement: "distinct".to_string(),
@@ -552,7 +542,7 @@ impl<'a> Planner<'a> {
                 });
                 plan.clone()
             } else {
-                let spec = flex.concretize(&plan.props.order, &ctx);
+                let spec = flex.concretize(&plan.props.order, ctx);
                 self.add_sort(plan.clone(), &spec)
             };
             let props = ordered.props.distinct();
@@ -598,13 +588,10 @@ impl<'a> Planner<'a> {
 
     /// The reasoning context the configuration allows: the stream's full
     /// context when order optimization is on, the trivial context when it
-    /// is disabled (orders compare verbatim).
-    pub fn effective_ctx(&self, props: &StreamProps) -> OrderContext {
-        if self.config.order_optimization {
-            props.ctx()
-        } else {
-            OrderContext::trivial()
-        }
+    /// is disabled (orders compare verbatim). Borrowed either way:
+    /// asking a question never builds a context.
+    pub fn effective_ctx<'s>(&'s self, props: &'s StreamProps) -> &'s OrderContext {
+        effective_ctx(&self.config, &self.trivial, props)
     }
 
     /// Does `plan` already provide `interest`?
@@ -621,7 +608,8 @@ impl<'a> Planner<'a> {
     /// an equivalent column), so the reduced specification is homogenized
     /// back onto the plan's actual layout before the sort is built.
     pub fn add_sort(&mut self, plan: Plan, spec: &OrderSpec) -> Plan {
-        let ctx = self.effective_ctx(&plan.props);
+        // Field by field, so the counters stay writable under `ctx`.
+        let ctx = effective_ctx(&self.config, &self.trivial, &plan.props);
         let reduced = ctx.reduce(spec);
         if reduced.is_empty() {
             return plan;
@@ -772,14 +760,12 @@ impl<'a> Planner<'a> {
             .filter_map(|(c, e)| (e.as_col() == Some(*c)).then_some(*c))
             .collect();
         let mut props = plan.props.project(&keep);
-        for (c, e) in &exprs {
-            if e.as_col() != Some(*c) {
-                props.cols.insert(*c);
-                props
-                    .fds
-                    .add(fto_order::Fd::new(e.cols(), ColSet::singleton(*c)));
-            }
-        }
+        props.add_computed_columns(
+            exprs
+                .iter()
+                .filter(|(c, e)| e.as_col() != Some(*c))
+                .map(|(c, e)| (*c, e.cols())),
+        );
         let rows = plan.cost.rows;
         let cost = plan.cost.plus(rows * cost::CPU_ROW * 0.5);
         Plan {
@@ -817,9 +803,9 @@ impl<'a> Planner<'a> {
                 continue;
             }
             let stats = &mut self.stats;
-            let config = &self.config;
+            let (config, trivial) = (&self.config, &self.trivial);
             kept.retain(|k| {
-                let gone = plan_dominates_under(config, &plan, k);
+                let gone = plan_dominates_under(config, trivial, &plan, k);
                 if gone {
                     stats.plans_pruned += 1;
                     emit(|| TraceEvent::PlanPruned {
@@ -835,7 +821,7 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_dominates(&self, a: &Plan, b: &Plan) -> bool {
-        plan_dominates_under(&self.config, a, b)
+        plan_dominates_under(&self.config, &self.trivial, a, b)
     }
 
     /// The cardinality estimator for this query.
@@ -851,18 +837,33 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// Free-function form of [`Planner::effective_ctx`], for callers that
+/// write the planner's counters while they hold the context.
+fn effective_ctx<'a>(
+    config: &OptimizerConfig,
+    trivial: &'a OrderContext,
+    props: &'a StreamProps,
+) -> &'a OrderContext {
+    if config.order_optimization {
+        props.ctx()
+    } else {
+        trivial
+    }
+}
+
 /// Free-function form of the dominance test so [`Planner::prune`] can
 /// call it while its stats counters are mutably borrowed.
-fn plan_dominates_under(config: &OptimizerConfig, a: &Plan, b: &Plan) -> bool {
+fn plan_dominates_under(
+    config: &OptimizerConfig,
+    trivial: &OrderContext,
+    a: &Plan,
+    b: &Plan,
+) -> bool {
     if a.cost.total > b.cost.total {
         return false;
     }
-    let ctx = if config.order_optimization {
-        a.props.ctx()
-    } else {
-        OrderContext::trivial()
-    };
-    a.props.dominates_under(&b.props, &ctx)
+    let ctx = effective_ctx(config, trivial, &a.props);
+    a.props.dominates_under(&b.props, ctx)
 }
 
 /// Short name of a box kind for trace spans.
@@ -1158,7 +1159,7 @@ mod tests {
                 if !std::ptr::eq(a, b) {
                     assert!(
                         !(a.cost.total <= b.cost.total
-                            && a.props.dominates_under(&b.props, &a.props.ctx())),
+                            && a.props.dominates_under(&b.props, a.props.ctx())),
                         "pruning left a dominated plan"
                     );
                 }

@@ -58,6 +58,9 @@ FTO_TEST_THREADS=4 cargo test -q -p fto-bench --test differential --test paralle
 echo "==> benchmark/: builds against the engine's public surface, allowed-API list holds"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark/: quick smoke of every workload and path, answers checked (not comparable numbers)"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cost-model calibration report (scale 0.005)"
     cargo run -q -p fto-bench --release --bin calibrate -- 0.005

@@ -1,0 +1,145 @@
+//! Planner golden test: the "nothing changed" proof for planner-internal
+//! work (caching, sharing, memoization) that must not alter a single
+//! decision.
+//!
+//! For the five `compile_heavy` benchmark templates at TPC-D scale 0.002
+//! ([`join_ladder`]) plus the differential corpus, under three configurations, the six
+//! decision counters of [`PlannerStats`] and the chosen plan — rendered
+//! with every node's cost, rows, order, key and predicate properties —
+//! must match `tests/golden/plan_stability.txt` byte for byte. The file
+//! was captured at commit a27182d, before stream facts became shared.
+//!
+//! After an *intended* plan change, regenerate it and review the diff:
+//!
+//! ```text
+//! cargo test -p fto-bench --test plan_stability -- --ignored regenerate
+//! ```
+
+use fto_bench::corpus::{emp_db, join_ladder, EMP_QUERIES};
+use fto_bench::harness::tpcd_db;
+use fto_bench::Session;
+use fto_planner::OptimizerConfig;
+use fto_storage::Database;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("golden/plan_stability.txt");
+
+fn tiny_tpcd() -> Database {
+    tpcd_db(0.002).unwrap()
+}
+
+fn configs() -> [(&'static str, OptimizerConfig); 3] {
+    [
+        ("default", OptimizerConfig::default()),
+        ("disabled", OptimizerConfig::disabled()),
+        (
+            "budget-64k",
+            OptimizerConfig::default().with_memory_budget(64 << 10),
+        ),
+    ]
+}
+
+/// One case: header, decision counters, plan with properties.
+fn render_case(out: &mut String, db: &Database, name: &str, sql: &str) {
+    for (cfg_name, cfg) in configs() {
+        let prepared = Session::new(db)
+            .config(cfg)
+            .plan(sql)
+            .unwrap_or_else(|e| panic!("{name} under {cfg_name}: {e}"));
+        let s = prepared.planner_stats();
+        let _ = writeln!(out, "== {name} | {cfg_name}");
+        let _ = writeln!(
+            out,
+            "joins={} generated={} pruned={} sorts_added={} sorts_avoided={} partial_sorts={}",
+            s.joins_considered,
+            s.plans_generated,
+            s.plans_pruned,
+            s.sorts_added,
+            s.sorts_avoided,
+            s.partial_sorts
+        );
+        out.push_str(&prepared.explain_properties());
+        if !out.ends_with('\n') {
+            out.push('\n');
+        }
+    }
+}
+
+fn render_all() -> String {
+    let mut out = String::new();
+    let tpcd = tiny_tpcd();
+    for (name, _tables, sql) in join_ladder() {
+        render_case(&mut out, &tpcd, name, &sql);
+    }
+    let emp = emp_db();
+    for (i, sql) in EMP_QUERIES.iter().enumerate() {
+        render_case(&mut out, &emp, &format!("corpus[{i}]"), sql);
+    }
+    out
+}
+
+#[test]
+fn counters_and_plans_match_the_golden_capture() {
+    let actual = render_all();
+    if actual == GOLDEN {
+        return;
+    }
+    // Name the first diverging line with its case header, not a
+    // 4000-line assert_eq dump.
+    let mut case = "";
+    for (n, (a, g)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
+        if a.starts_with("== ") {
+            case = a;
+        }
+        assert_eq!(
+            a,
+            g,
+            "plan_stability.txt line {} differs (left = now, right = golden) in case {case}",
+            n + 1
+        );
+    }
+    panic!(
+        "plan_stability.txt has {} lines, the planner now renders {}",
+        GOLDEN.lines().count(),
+        actual.lines().count()
+    );
+}
+
+/// The deterministic planner-work gate: `j5` generates 47 107 plans and
+/// must build at least an order of magnitude fewer contexts than that.
+/// Building one per dominance comparison or per sort-ahead variant (the
+/// state before facts were shared: hundreds of thousands) fails here by
+/// count, on any machine, where a timer would only drift.
+#[test]
+fn j5_builds_far_fewer_contexts_than_plans() {
+    let db = tiny_tpcd();
+    let (_, _, j5) = join_ladder().pop().unwrap();
+    let s = Session::new(&db).plan(&j5).unwrap().planner_stats();
+    assert_eq!(
+        (
+            s.joins_considered,
+            s.plans_generated,
+            s.plans_pruned,
+            s.sorts_added,
+            s.sorts_avoided,
+            s.partial_sorts
+        ),
+        (3594, 47107, 43867, 37082, 597, 173)
+    );
+    assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
+    assert!(
+        s.contexts_built <= 4_700,
+        "contexts are being rebuilt instead of shared: {s}"
+    );
+}
+
+/// Rewrites the golden file from the current planner.
+#[test]
+#[ignore = "overwrites tests/golden/plan_stability.txt"]
+fn regenerate() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/plan_stability.txt"
+    );
+    std::fs::write(path, render_all()).unwrap();
+}
