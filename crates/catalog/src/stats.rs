@@ -1,7 +1,9 @@
 //! Table and column statistics used by the planner's cardinality and cost
 //! estimation.
 
-use fto_common::Value;
+use fto_common::value::cmp_f64_nan_high;
+use fto_common::{Batch, Column, ColumnData, Value};
+use std::collections::HashSet;
 
 /// Per-column statistics.
 #[derive(Clone, Debug, Default)]
@@ -65,21 +67,191 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Builds statistics by scanning rows (the engine's `RUNSTATS`).
-    pub fn from_rows<'a>(
-        rows: impl IntoIterator<Item = &'a [Value]>,
+    /// Builds statistics from a table's column chunks (the engine's
+    /// `RUNSTATS`): per column the number of distinct non-null values
+    /// and the first-seen smallest and largest of them under
+    /// [`Value::total_cmp`].
+    pub fn from_chunks<'a>(
+        chunks: impl IntoIterator<Item = &'a Batch>,
         arity: usize,
         rows_per_page: u64,
     ) -> Self {
-        let mut columns: Vec<ColStats> = vec![ColStats::default(); arity];
-        let mut distinct: Vec<std::collections::HashSet<Value>> = vec![Default::default(); arity];
+        let mut columns: Vec<ColumnScan<'a>> = (0..arity).map(|_| ColumnScan::default()).collect();
         let mut row_count = 0u64;
+        for chunk in chunks {
+            row_count += chunk.len() as u64;
+            for (scan, col) in columns.iter_mut().zip(chunk.columns()) {
+                scan.absorb(col);
+            }
+        }
+        let rows_per_page = rows_per_page.max(1);
+        TableStats {
+            row_count,
+            pages: row_count.div_ceil(rows_per_page).max(1),
+            columns: columns.into_iter().map(ColumnScan::finish).collect(),
+        }
+    }
+}
+
+/// The distinct values of one column seen so far. Typed while every
+/// chunk of the column has the same typed representation — a set of
+/// primitives, no `Value` built or cloned per row — and `Values`, keyed
+/// by [`Value`]'s own equality (under which `Int(1)` equals
+/// `Double(1.0)`), from the first chunk that disagrees.
+#[derive(Default)]
+enum Distinct<'a> {
+    #[default]
+    Unseen,
+    Ints(HashSet<i64>),
+    Dates(HashSet<i32>),
+    /// Canonical bit patterns: one NaN, one zero.
+    Doubles(HashSet<u64>),
+    Strs(HashSet<&'a [u8]>),
+    Values(HashSet<Value>),
+}
+
+#[derive(Default)]
+struct ColumnScan<'a> {
+    distinct: Distinct<'a>,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+fn canonical_bits(d: f64) -> u64 {
+    if d.is_nan() {
+        f64::NAN.to_bits()
+    } else if d == 0.0 {
+        0
+    } else {
+        d.to_bits()
+    }
+}
+
+impl<'a> ColumnScan<'a> {
+    fn absorb(&mut self, col: &'a Column) {
+        if matches!(self.distinct, Distinct::Unseen) {
+            self.distinct = match &col.data {
+                ColumnData::Int64(_) => Distinct::Ints(HashSet::new()),
+                ColumnData::Date32(_) => Distinct::Dates(HashSet::new()),
+                ColumnData::Float64(_) => Distinct::Doubles(HashSet::new()),
+                ColumnData::Utf8 { .. } => Distinct::Strs(HashSet::new()),
+                ColumnData::Bool(_) | ColumnData::Mixed(_) => Distinct::Values(HashSet::new()),
+            };
+        }
+        let extremes = match (&mut self.distinct, &col.data) {
+            (Distinct::Ints(set), ColumnData::Int64(v)) => {
+                scan(col, |i| v[i], |a, b| a < b, |x| set.insert(x))
+            }
+            (Distinct::Dates(set), ColumnData::Date32(v)) => {
+                scan(col, |i| v[i], |a, b| a < b, |x| set.insert(x))
+            }
+            (Distinct::Doubles(set), ColumnData::Float64(v)) => scan(
+                col,
+                |i| v[i],
+                |a, b| cmp_f64_nan_high(*a, *b).is_lt(),
+                |x| set.insert(canonical_bits(x)),
+            ),
+            (Distinct::Strs(set), ColumnData::Utf8 { offsets, bytes }) => scan(
+                col,
+                |i| &bytes[offsets[i] as usize..offsets[i + 1] as usize],
+                |a, b| a < b,
+                |x| set.insert(x),
+            ),
+            (distinct, _) => {
+                let set = distinct.values();
+                scan(col, |i| col.value(i), |a, b| a < b, |x| set.insert(x))
+            }
+        };
+        if let Some((lo, hi)) = extremes {
+            let (lo, hi) = (col.value(lo), col.value(hi));
+            if self.min.as_ref().is_none_or(|m| &lo < m) {
+                self.min = Some(lo);
+            }
+            if self.max.as_ref().is_none_or(|m| &hi > m) {
+                self.max = Some(hi);
+            }
+        }
+    }
+
+    fn finish(self) -> ColStats {
+        ColStats {
+            ndv: match self.distinct {
+                Distinct::Unseen => 0,
+                Distinct::Ints(s) => s.len(),
+                Distinct::Dates(s) => s.len(),
+                Distinct::Doubles(s) => s.len(),
+                Distinct::Strs(s) => s.len(),
+                Distinct::Values(s) => s.len(),
+            } as u64,
+            min: self.min,
+            max: self.max,
+        }
+    }
+}
+
+impl Distinct<'_> {
+    /// The set as `Value`s, converting a typed one on first use.
+    fn values(&mut self) -> &mut HashSet<Value> {
+        let set = match std::mem::take(self) {
+            Distinct::Unseen => HashSet::new(),
+            Distinct::Ints(s) => s.into_iter().map(Value::Int).collect(),
+            Distinct::Dates(s) => s.into_iter().map(Value::Date).collect(),
+            Distinct::Doubles(s) => s
+                .into_iter()
+                .map(|b| Value::Double(f64::from_bits(b)))
+                .collect(),
+            Distinct::Strs(s) => s
+                .into_iter()
+                .map(|b| Value::str(String::from_utf8_lossy(b)))
+                .collect(),
+            Distinct::Values(s) => s,
+        };
+        *self = Distinct::Values(set);
+        match self {
+            Distinct::Values(s) => s,
+            _ => unreachable!("just assigned"),
+        }
+    }
+}
+
+/// Feeds every valid slot of `col` to `insert` (whose verdict is not
+/// needed) and returns the slots of the first-seen smallest and largest
+/// (`None` when all are NULL).
+fn scan<T: Clone>(
+    col: &Column,
+    get: impl Fn(usize) -> T,
+    less: impl Fn(&T, &T) -> bool,
+    mut insert: impl FnMut(T) -> bool,
+) -> Option<(usize, usize)> {
+    let mut extremes: Option<((T, usize), (T, usize))> = None;
+    for i in (0..col.len()).filter(|&i| col.is_valid(i)) {
+        let v = get(i);
+        insert(v.clone());
+        extremes = Some(match extremes {
+            None => ((v.clone(), i), (v, i)),
+            Some((lo, hi)) => (
+                if less(&v, &lo.0) { (v.clone(), i) } else { lo },
+                if less(&hi.0, &v) { (v, i) } else { hi },
+            ),
+        });
+    }
+    extremes.map(|(lo, hi)| (lo.1, hi.1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fto_common::value::row;
+    use fto_common::Row;
+
+    /// The row-at-a-time RUNSTATS this module used to run: every value
+    /// cloned into a `HashSet<Value>`. Kept as the oracle for
+    /// [`TableStats::from_chunks`].
+    fn reference(rows: &[Row], arity: usize) -> Vec<ColStats> {
+        let mut columns = vec![ColStats::default(); arity];
+        let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); arity];
         for row in rows {
-            row_count += 1;
-            for (i, v) in row.iter().enumerate().take(arity) {
-                if v.is_null() {
-                    continue;
-                }
+            for (i, v) in row.iter().enumerate().filter(|(_, v)| !v.is_null()) {
                 distinct[i].insert(v.clone());
                 let cs = &mut columns[i];
                 if cs.min.as_ref().is_none_or(|m| v < m) {
@@ -90,30 +262,44 @@ impl TableStats {
                 }
             }
         }
-        for (i, set) in distinct.into_iter().enumerate() {
-            columns[i].ndv = set.len() as u64;
+        for (cs, set) in columns.iter_mut().zip(distinct) {
+            cs.ndv = set.len() as u64;
         }
-        let rows_per_page = rows_per_page.max(1);
-        TableStats {
-            row_count,
-            pages: row_count.div_ceil(rows_per_page).max(1),
-            columns,
+        columns
+    }
+
+    /// Bit-exact rendering: `Value`'s own equality calls `-0.0` and
+    /// `0.0`, every NaN, and `Int(1)` and `Double(1.0)` equal.
+    fn exact(v: &Option<Value>) -> String {
+        match v {
+            Some(Value::Double(d)) => format!("Double({:#x})", d.to_bits()),
+            other => format!("{other:?}"),
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn assert_matches_reference(rows: &[Row], arity: usize, chunk_rows: usize) {
+        let chunks: Vec<Batch> = rows
+            .chunks(chunk_rows)
+            .map(|c| Batch::from_rows_arity(c, arity))
+            .collect();
+        let stats = TableStats::from_chunks(&chunks, arity, 10);
+        assert_eq!(stats.row_count, rows.len() as u64);
+        for (i, (got, want)) in stats.columns.iter().zip(reference(rows, arity)).enumerate() {
+            let at = format!("column {i}, chunks of {chunk_rows}");
+            assert_eq!(got.ndv, want.ndv, "ndv of {at}");
+            assert_eq!(exact(&got.min), exact(&want.min), "min of {at}");
+            assert_eq!(exact(&got.max), exact(&want.max), "max of {at}");
+        }
+    }
 
     #[test]
-    fn from_rows_computes_ndv_min_max() {
-        let rows: Vec<Vec<Value>> = vec![
-            vec![Value::Int(3), Value::str("b")],
-            vec![Value::Int(1), Value::str("a")],
-            vec![Value::Int(3), Value::Null],
+    fn from_chunks_computes_ndv_min_max() {
+        let rows: Vec<Row> = vec![
+            row([Value::Int(3), Value::str("b")]),
+            row([Value::Int(1), Value::str("a")]),
+            row([Value::Int(3), Value::Null]),
         ];
-        let stats = TableStats::from_rows(rows.iter().map(|r| r.as_slice()), 2, 2);
+        let stats = TableStats::from_chunks(&[Batch::from_rows_arity(&rows, 2)], 2, 2);
         assert_eq!(stats.row_count, 3);
         assert_eq!(stats.pages, 2);
         assert_eq!(stats.columns[0].ndv, 2);
@@ -124,9 +310,85 @@ mod tests {
 
     #[test]
     fn empty_table_occupies_one_page() {
-        let stats = TableStats::from_rows(std::iter::empty(), 1, 10);
+        let stats = TableStats::from_chunks(&[], 1, 10);
         assert_eq!(stats.row_count, 0);
         assert_eq!(stats.pages, 1);
+        assert_eq!(stats.columns[0].ndv, 0);
+    }
+
+    #[test]
+    fn typed_sets_agree_with_the_value_set_on_awkward_values() {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        // One column per hazard; chunk sizes 1..=4 put the representation
+        // changes (typed -> all-NULL -> typed, Int64 -> Float64 -> Mixed)
+        // on, before and after chunk boundaries.
+        let table: Vec<Row> = vec![
+            //  ints w/ NULLs    signed zeros, NaNs     Int vs Double        strings            dates            bools
+            row([
+                Value::Int(7),
+                Value::Double(0.0),
+                Value::Int(1),
+                Value::str(""),
+                Value::Date(9),
+                Value::Bool(true),
+            ]),
+            row([
+                Value::Null,
+                Value::Double(-0.0),
+                Value::Double(1.0),
+                Value::str("a"),
+                Value::Null,
+                Value::Bool(false),
+            ]),
+            row([
+                Value::Int(-2),
+                Value::Double(nan2),
+                Value::Int(2),
+                Value::str("ab"),
+                Value::Date(-4),
+                Value::Null,
+            ]),
+            row([
+                Value::Null,
+                Value::Double(f64::NAN),
+                Value::Double(2.5),
+                Value::Null,
+                Value::Date(9),
+                Value::Bool(true),
+            ]),
+            row([
+                Value::Null,
+                Value::Null,
+                Value::str("x"),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ]),
+            row([
+                Value::Int(7),
+                Value::Double(-1.5),
+                Value::Int(1 << 60),
+                Value::str("a"),
+                Value::Date(3),
+                Value::Bool(false),
+            ]),
+            row([
+                Value::Int(i64::MIN),
+                Value::Double(f64::INFINITY),
+                Value::Double((1u64 << 60) as f64),
+                Value::str("A"),
+                Value::Date(3),
+                Value::Null,
+            ]),
+        ];
+        for chunk_rows in 1..=table.len() {
+            assert_matches_reference(&table, 6, chunk_rows);
+        }
+        // Reversed, the other member of every equal pair is first-seen.
+        let reversed: Vec<Row> = table.iter().rev().cloned().collect();
+        for chunk_rows in 1..=reversed.len() {
+            assert_matches_reference(&reversed, 6, chunk_rows);
+        }
     }
 
     #[test]

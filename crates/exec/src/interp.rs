@@ -54,7 +54,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             let heap = db.heap(*table)?;
             io.sequential_pages += heap.page_count();
             io.rows_read += heap.row_count();
-            Ok(heap.rows().to_vec())
+            Ok(heap.to_rows())
         }
         PlanNode::IndexScan {
             index,
@@ -80,7 +80,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             for rid in rids {
                 cursor.touch(heap.page_of(rid), io);
                 io.rows_read += 1;
-                out.push(heap.row(rid).clone());
+                out.push(heap.row(rid));
             }
             Ok(out)
         }
@@ -171,7 +171,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
                 for (_, rid) in ix.probe(&key) {
                     cursor.touch(heap.page_of(*rid), io);
                     io.rows_read += 1;
-                    let joined = concat(orow, heap.row(*rid));
+                    let joined = concat(orow, &heap.row(*rid));
                     if eval_preds(graph, predicates, &joined, layout)? {
                         out.push(joined);
                     }
@@ -639,14 +639,14 @@ mod tests {
     }
 
     fn reference(db: &Database) -> Vec<Row> {
-        let a = db.heap(fto_common::TableId(0)).unwrap().rows();
-        let b = db.heap(fto_common::TableId(1)).unwrap().rows();
+        let a = db.heap(fto_common::TableId(0)).unwrap().to_rows();
+        let b = db.heap(fto_common::TableId(1)).unwrap().to_rows();
         let mut out: Vec<Row> = Vec::new();
-        for ar in a {
+        for ar in &a {
             if ar[1] != Value::Int(3) {
                 continue;
             }
-            for br in b {
+            for br in &b {
                 if ar[0] == br[0] {
                     out.push(vec![ar[0].clone(), ar[1].clone(), br[1].clone()].into_boxed_slice());
                 }

@@ -14,10 +14,11 @@
 //! projections of bare column references are `Arc` clones, hash group-by
 //! computes its keys by byte-encoding the grouping columns
 //! column-at-a-time, and the sorts encode normalized keys straight from
-//! the column vectors. Operators with inherently row-wise
-//! logic (joins, order-based group-by, distinct) materialize rows through
-//! `Batch::row`/`to_rows` — the transition shims the columnar redesign
-//! keeps until those paths are vectorized in turn.
+//! the column vectors. The scans never build a batch: the heap stores
+//! column chunks and hands them out whole, sliced or gathered. Only the
+//! operators whose logic is row-granular (segmented-sort group absorb,
+//! top-n's bounded buffer, the nested-loop join) still materialize rows
+//! through `Batch::row`.
 //!
 //! Pipeline breakers: [`PlanNode::Sort`], [`PlanNode::TopN`], and
 //! [`PlanNode::HashGroupBy`] must consume their whole input before
@@ -422,10 +423,6 @@ pub(crate) fn drain_all(
     }
     child.close();
     Ok(rows)
-}
-
-fn key_of(row: &Row, pos: &[usize]) -> Vec<Value> {
-    pos.iter().map(|&p| row[p].clone()).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1662,10 +1659,14 @@ impl Operator for NestedLoopJoinOp {
     }
 }
 
-/// Index nested-loop join: streams the outer, probing the inner table's
-/// index per row. One [`PageCursor`] persists for the operator's
-/// lifetime, so probes arriving in inner-page order (the paper's ordered
-/// nested-loop join) hit the just-read page for free.
+/// Index nested-loop join, vectorized: streams the outer, probing the
+/// inner table's index per row and collecting the matching row ids —
+/// leaf, page, pool and `rows_read` charges fall per probe and per
+/// fetched row, in probe order — then assembles the candidates with one
+/// columnar gather per side per outer batch. One [`PageCursor`] persists
+/// for the operator's lifetime, so probes arriving in inner-page order
+/// (the paper's ordered nested-loop join) hit the just-read page for
+/// free.
 struct IndexNestedLoopJoinOp {
     outer: Box<dyn Operator>,
     table: TableId,
@@ -1674,7 +1675,7 @@ struct IndexNestedLoopJoinOp {
     predicates: Vec<PredId>,
     layout: RowLayout,
     cursor: PageCursor,
-    out: OutQueue,
+    out: BatchQueue,
 }
 
 impl Operator for IndexNestedLoopJoinOp {
@@ -1687,16 +1688,19 @@ impl Operator for IndexNestedLoopJoinOp {
     fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
         let ix = cx.db.index(self.index)?;
+        let mut key: Vec<Value> = Vec::with_capacity(self.probe_pos.len());
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size)));
+                return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
             }
             let Some(batch) = self.outer.next_batch(cx, io)? else {
                 return Ok(None);
             };
+            let mut osel: Vec<u32> = Vec::new();
+            let mut rids: Vec<usize> = Vec::new();
             for oi in 0..batch.len() {
-                let orow = batch.row(oi);
-                let key = key_of(&orow, &self.probe_pos);
+                key.clear();
+                key.extend(self.probe_pos.iter().map(|&p| batch.column(p).value(oi)));
                 io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
                     // Probe fetches share the budgeted buffer pool with
@@ -1711,12 +1715,17 @@ impl Operator for IndexNestedLoopJoinOp {
                         )
                     });
                     io.rows_read += 1;
-                    let joined = concat(&orow, heap.row(*rid));
-                    if eval_preds(cx.graph, &self.predicates, &joined, &self.layout)? {
-                        self.out.push(joined);
-                    }
+                    osel.push(oi as u32);
+                    rids.push(*rid);
                 }
             }
+            if osel.is_empty() {
+                continue;
+            }
+            let mut cols = batch.gather(&osel).columns().to_vec();
+            cols.extend(heap.gather(&rids).columns().iter().cloned());
+            let cand = Batch::from_columns_with_len(cols, osel.len())?;
+            push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
         }
     }
 
@@ -1724,6 +1733,30 @@ impl Operator for IndexNestedLoopJoinOp {
         self.out.clear();
         self.outer.close();
     }
+}
+
+/// Queues the rows of a join's candidate batch that pass every residual
+/// predicate (selection-vector filters; survivors gather once).
+fn push_matches(
+    out: &mut BatchQueue,
+    cx: &ExecContext<'_>,
+    predicates: &[PredId],
+    layout: &RowLayout,
+    cand: Batch,
+) -> Result<()> {
+    let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
+    for pid in predicates {
+        if sel.is_empty() {
+            break;
+        }
+        vector::filter_selection(cx.graph.predicate(*pid), &cand, layout, &mut sel)?;
+    }
+    if sel.len() == cand.len() {
+        out.push(cand);
+    } else if !sel.is_empty() {
+        out.push(cand.gather(&sel));
+    }
+    Ok(())
 }
 
 /// How many build rows each spilled record groups together: overflow
@@ -2031,18 +2064,7 @@ impl Operator for HashJoinOp {
                 continue;
             }
             let cand = self.build.candidates(&batch, &osel, &brefs, io)?;
-            let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
-            for pid in &self.predicates {
-                if sel.is_empty() {
-                    break;
-                }
-                vector::filter_selection(cx.graph.predicate(*pid), &cand, &self.layout, &mut sel)?;
-            }
-            if sel.len() == cand.len() {
-                self.out.push(cand);
-            } else if !sel.is_empty() {
-                self.out.push(cand.gather(&sel));
-            }
+            push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
         }
     }
 
@@ -2371,23 +2393,7 @@ impl Operator for MergeJoinOp {
                     let mut cols = og.gather(&rep).columns().to_vec();
                     cols.extend(ig.gather(&tile).columns().iter().cloned());
                     let cand = Batch::from_columns_with_len(cols, rep.len())?;
-                    let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
-                    for pid in &self.predicates {
-                        if sel.is_empty() {
-                            break;
-                        }
-                        vector::filter_selection(
-                            cx.graph.predicate(*pid),
-                            &cand,
-                            &self.layout,
-                            &mut sel,
-                        )?;
-                    }
-                    if sel.len() == cand.len() {
-                        self.out.push(cand);
-                    } else if !sel.is_empty() {
-                        self.out.push(cand.gather(&sel));
-                    }
+                    push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
                 }
             }
         }
@@ -2771,7 +2777,7 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             predicates: predicates.clone(),
             layout: plan.layout.clone(),
             cursor: PageCursor::new(),
-            out: OutQueue::default(),
+            out: BatchQueue::default(),
         }),
         PlanNode::MergeJoin {
             outer,

@@ -1,6 +1,6 @@
 //! [`Database`]: the catalog plus physical storage for every table.
 
-use crate::heap::HeapTable;
+use crate::heap::{HeapLoader, HeapTable};
 use crate::index::OrderedIndex;
 use fto_catalog::{Catalog, TableStats};
 use fto_common::{FtoError, IndexId, Result, Row, TableId};
@@ -35,57 +35,49 @@ impl Database {
         &mut self.catalog
     }
 
-    /// Loads rows into a table: clusters them if the table has a clustered
-    /// index, builds every declared index, and refreshes statistics.
-    pub fn load_table(&mut self, table: TableId, mut rows: Vec<Row>) -> Result<()> {
-        let def = self.catalog.table(table)?.clone();
-        let mut heap = HeapTable::new(table, def.row_width());
+    /// Loads rows into a table: [`Database::loader`], one push per row,
+    /// [`Database::finish_load`].
+    pub fn load_table(&mut self, table: TableId, rows: Vec<Row>) -> Result<()> {
+        let mut loader = self.loader(table)?;
+        rows.into_iter().try_for_each(|row| loader.push(row))?;
+        self.finish_load(loader)
+    }
 
-        // Cluster the heap by the clustered index key, if any.
-        let clustered = self
-            .catalog
-            .indexes_for(table)
-            .find(|ix| ix.clustered)
-            .cloned();
-        if let Some(cix) = &clustered {
-            let key = cix.key.clone();
-            rows.sort_by(|a, b| {
-                for &(ord, dir) in &key {
-                    let cmp = dir.apply(a[ord].total_cmp(&b[ord]));
-                    if cmp != std::cmp::Ordering::Equal {
-                        return cmp;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+    /// A loader for `table`'s heap. It holds no borrow of the database,
+    /// so a generator can fill several tables in one interleaved pass
+    /// without ever holding a table's worth of rows.
+    pub fn loader(&self, table: TableId) -> Result<HeapLoader> {
+        let def = self.catalog.table(table)?;
+        Ok(HeapLoader::new(table, def.arity(), def.row_width()))
+    }
+
+    /// Installs a loaded heap (replacing the table's previous contents):
+    /// clusters it if the table has a clustered index, builds every
+    /// declared index, and refreshes statistics.
+    pub fn finish_load(&mut self, loader: HeapLoader) -> Result<()> {
+        let table = loader.table();
+        let def = self.catalog.table(table)?;
+        let mut heap = loader.finish();
+        if heap.arity() != def.arity() {
+            return Err(FtoError::Catalog(format!(
+                "loader of arity {} does not match table '{}' arity {}",
+                heap.arity(),
+                def.name,
+                def.arity()
+            )));
         }
-        for row in rows {
-            if row.len() != def.arity() {
-                return Err(FtoError::Catalog(format!(
-                    "row arity {} does not match table '{}' arity {}",
-                    row.len(),
-                    def.name,
-                    def.arity()
-                )));
-            }
-            heap.append(row);
+        if let Some(cix) = self.catalog.indexes_for(table).find(|ix| ix.clustered) {
+            heap.cluster_by(&cix.key);
         }
 
-        // Build all indexes.
-        let index_defs: Vec<_> = self.catalog.indexes_for(table).cloned().collect();
-        for ixdef in index_defs {
-            let ordinals: Vec<usize> = ixdef.key.iter().map(|&(o, _)| o).collect();
-            let dirs: Vec<_> = ixdef.key.iter().map(|&(_, d)| d).collect();
+        for ixdef in self.catalog.indexes_for(table) {
+            let (ordinals, dirs): (Vec<usize>, Vec<_>) = ixdef.key.iter().copied().unzip();
             let ix = OrderedIndex::build(&heap, &ordinals, &dirs);
             self.indexes.insert(ixdef.id, ix);
         }
 
         // Refresh statistics (the engine's RUNSTATS).
-        let stats = TableStats::from_rows(
-            heap.rows().iter().map(|r| r.as_ref()),
-            def.arity(),
-            heap.rows_per_page(),
-        );
+        let stats = TableStats::from_chunks(heap.chunks(), heap.arity(), heap.rows_per_page());
         self.catalog.set_stats(table, stats);
 
         self.heaps.insert(table, heap);
@@ -138,7 +130,11 @@ mod tests {
         db.load_table(t, vec![row2(3, 30), row2(1, 10), row2(2, 20)])
             .unwrap();
         let heap = db.heap(t).unwrap();
-        let keys: Vec<i64> = heap.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let keys: Vec<i64> = heap
+            .to_rows()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
         assert_eq!(keys, vec![1, 2, 3]);
     }
 
@@ -163,6 +159,14 @@ mod tests {
         let (mut db, t) = make_db();
         let bad: Row = vec![Value::Int(1)].into_boxed_slice();
         assert!(db.load_table(t, vec![bad]).is_err());
+    }
+
+    #[test]
+    fn foreign_loader_rejected() {
+        let (mut db, t) = make_db();
+        let loader = HeapLoader::new(t, 3, 24);
+        assert!(db.finish_load(loader).is_err());
+        assert!(db.heap(t).is_err());
     }
 
     #[test]

@@ -1,47 +1,46 @@
-//! Heap tables: rows packed into simulated fixed-size pages.
+//! Heap tables: typed column chunks with simulated fixed-size page
+//! geometry.
+//!
+//! A heap stores its rows the way the executor reads them: as a list of
+//! columnar [`Batch`]es of [`CHUNK_ROWS`] rows each (the last one may be
+//! shorter), built once at load by a [`HeapLoader`]. Scans hand those
+//! chunks out — whole, sliced or gathered — instead of transposing rows
+//! per query. Page geometry is logical: row `rid` lives on page
+//! `rid / rows_per_page` whatever its chunk.
 
 use crate::io::PAGE_SIZE;
-use fto_common::{Row, TableId};
+use fto_common::column::encode_batch_keys_arena;
+use fto_common::{Batch, Direction, FtoError, Result, Row, TableId, Value};
+
+/// Rows per stored chunk: the executor's default batch size, so a
+/// default-sized pull at a chunk boundary is one whole chunk.
+const CHUNK_ROWS: usize = 1024;
 
 /// An in-memory heap table with logical page geometry.
 #[derive(Debug)]
 pub struct HeapTable {
     table: TableId,
-    rows: Vec<Row>,
+    arity: usize,
+    /// Every chunk but the last holds exactly [`CHUNK_ROWS`] rows.
+    chunks: Vec<Batch>,
+    rows: usize,
     rows_per_page: u64,
 }
 
 impl HeapTable {
-    /// Creates a heap for `table` whose declared row width is
-    /// `row_width` bytes; geometry is derived from [`PAGE_SIZE`].
-    pub fn new(table: TableId, row_width: usize) -> HeapTable {
-        let rows_per_page = (PAGE_SIZE / row_width.max(1)).max(1) as u64;
-        HeapTable {
-            table,
-            rows: Vec::new(),
-            rows_per_page,
-        }
-    }
-
     /// The table this heap stores.
     pub fn table(&self) -> TableId {
         self.table
     }
 
-    /// Appends a row, returning its row id.
-    pub fn append(&mut self, row: Row) -> usize {
-        self.rows.push(row);
-        self.rows.len() - 1
-    }
-
-    /// Bulk-replaces the heap contents (used when clustering).
-    pub fn replace_rows(&mut self, rows: Vec<Row>) {
-        self.rows = rows;
+    /// Number of columns.
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Number of rows.
     pub fn row_count(&self) -> u64 {
-        self.rows.len() as u64
+        self.rows as u64
     }
 
     /// Number of logical pages occupied (at least one).
@@ -59,34 +58,194 @@ impl HeapTable {
         rid as u64 / self.rows_per_page
     }
 
-    /// Fetches a row by id.
-    pub fn row(&self, rid: usize) -> &Row {
-        &self.rows[rid]
+    /// The stored chunks, in heap order.
+    pub fn chunks(&self) -> &[Batch] {
+        &self.chunks
     }
 
-    /// All rows, in heap order.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// Rows `lo..hi` in heap order. A range covering exactly one chunk
+    /// shares that chunk's columns (`Arc` clones, no copy); a range
+    /// inside one chunk is a typed slice; a wider one concatenates.
+    pub fn columns(&self, lo: usize, hi: usize) -> Batch {
+        debug_assert!(lo <= hi && hi <= self.rows);
+        let mut parts = Vec::new();
+        let mut at = lo;
+        while at < hi {
+            let chunk = &self.chunks[at / CHUNK_ROWS];
+            let offset = at % CHUNK_ROWS;
+            let len = (chunk.len() - offset).min(hi - at);
+            parts.push(chunk.slice(offset, len));
+            at += len;
+        }
+        Batch::concat(self.arity, &parts)
+    }
+
+    /// The rows named by `rids`, in that order (ids may repeat).
+    pub fn gather(&self, rids: &[usize]) -> Batch {
+        // Only the chunks actually named become gather sources, so the
+        // gather runs typed whenever *they* agree on a representation.
+        let mut slot_of = vec![u32::MAX; self.chunks.len()];
+        let mut sources: Vec<&Batch> = Vec::new();
+        let pairs: Vec<(u32, u32)> = rids
+            .iter()
+            .map(|&rid| {
+                let slot = &mut slot_of[rid / CHUNK_ROWS];
+                if *slot == u32::MAX {
+                    *slot = sources.len() as u32;
+                    sources.push(&self.chunks[rid / CHUNK_ROWS]);
+                }
+                (*slot, (rid % CHUNK_ROWS) as u32)
+            })
+            .collect();
+        if sources.is_empty() {
+            return Batch::empty(self.arity);
+        }
+        Batch::gather_multi(&sources, &pairs)
+    }
+
+    /// Materializes row `rid` — for the row-at-a-time reference
+    /// interpreter and tests; the executor reads [`HeapTable::columns`]
+    /// and [`HeapTable::gather`].
+    pub fn row(&self, rid: usize) -> Row {
+        self.chunks[rid / CHUNK_ROWS].row(rid % CHUNK_ROWS)
+    }
+
+    /// Materializes every row in heap order (see [`HeapTable::row`]).
+    pub fn to_rows(&self) -> Vec<Row> {
+        let mut out = Vec::with_capacity(self.rows);
+        for chunk in &self.chunks {
+            chunk.append_rows_to(&mut out);
+        }
+        out
+    }
+
+    /// Column `col` of row `rid`.
+    pub(crate) fn value(&self, rid: usize, col: usize) -> Value {
+        self.chunks[rid / CHUNK_ROWS]
+            .column(col)
+            .value(rid % CHUNK_ROWS)
+    }
+
+    /// The normalized sort key of every row, in one arena: row `rid`'s
+    /// key is `arena[offsets[rid]..offsets[rid + 1]]`. One buffer per
+    /// row would, once dropped, leave a small hole beside every
+    /// long-lived allocation made meanwhile for later query allocations
+    /// to scatter into — measured at ~2x on the sorts' self time.
+    pub(crate) fn encode_keys(&self, keys: &[(usize, Direction)]) -> (Vec<u8>, Vec<usize>) {
+        let mut arena = Vec::new();
+        let mut offsets = Vec::with_capacity(self.rows + 1);
+        offsets.push(0);
+        let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+        for chunk in &self.chunks {
+            encode_batch_keys_arena(chunk, keys, &mut bytes, &mut ends);
+            let base = arena.len();
+            arena.extend_from_slice(&bytes);
+            offsets.extend(ends[1..].iter().map(|&e| base + e));
+        }
+        (arena, offsets)
+    }
+
+    /// Reorders the heap by `keys` (stable: equal keys keep their load
+    /// order). Rows already in key order — every generated table — are
+    /// left exactly as loaded.
+    pub(crate) fn cluster_by(&mut self, keys: &[(usize, Direction)]) {
+        let (arena, offsets) = self.encode_keys(keys);
+        let enc = |rid: usize| &arena[offsets[rid]..offsets[rid + 1]];
+        if (1..self.rows).all(|rid| enc(rid - 1) <= enc(rid)) {
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.rows).collect();
+        order.sort_by(|&a, &b| enc(a).cmp(enc(b)));
+        self.chunks = order
+            .chunks(CHUNK_ROWS)
+            .map(|rids| self.gather(rids))
+            .collect();
+    }
+}
+
+/// Builds a [`HeapTable`] from pushed rows, sealing a column chunk every
+/// [`CHUNK_ROWS`] rows. At most one chunk of rows is alive at a time, so
+/// a load never leaves a table's worth of freed row boxes behind for
+/// later allocations to scatter into.
+#[derive(Debug)]
+pub struct HeapLoader {
+    heap: HeapTable,
+    pending: Vec<Row>,
+}
+
+impl HeapLoader {
+    /// A loader for `table`, whose rows have `arity` columns and a
+    /// declared width of `row_width` bytes; page geometry is derived
+    /// from [`PAGE_SIZE`].
+    pub fn new(table: TableId, arity: usize, row_width: usize) -> HeapLoader {
+        HeapLoader {
+            heap: HeapTable {
+                table,
+                arity,
+                chunks: Vec::new(),
+                rows: 0,
+                rows_per_page: (PAGE_SIZE / row_width.max(1)).max(1) as u64,
+            },
+            pending: Vec::with_capacity(CHUNK_ROWS),
+        }
+    }
+
+    /// The table being loaded.
+    pub fn table(&self) -> TableId {
+        self.heap.table
+    }
+
+    /// Appends a row; its row id is the number of rows pushed before it.
+    pub fn push(&mut self, row: Row) -> Result<()> {
+        if row.len() != self.heap.arity {
+            return Err(FtoError::Catalog(format!(
+                "row arity {} does not match table {} arity {}",
+                row.len(),
+                self.heap.table,
+                self.heap.arity
+            )));
+        }
+        self.pending.push(row);
+        if self.pending.len() == CHUNK_ROWS {
+            self.seal();
+        }
+        Ok(())
+    }
+
+    fn seal(&mut self) {
+        self.heap.rows += self.pending.len();
+        self.heap
+            .chunks
+            .push(Batch::from_rows_arity(&self.pending, self.heap.arity));
+        self.pending.clear();
+    }
+
+    /// The loaded heap.
+    pub fn finish(mut self) -> HeapTable {
+        if !self.pending.is_empty() {
+            self.seal();
+        }
+        self.heap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fto_common::Value;
 
-    fn int_row(v: i64) -> Row {
-        vec![Value::Int(v)].into_boxed_slice()
+    fn int_heap(width: usize, n: i64) -> HeapTable {
+        let mut l = HeapLoader::new(TableId(0), 1, width);
+        for i in 0..n {
+            l.push(vec![Value::Int(i)].into_boxed_slice()).unwrap();
+        }
+        l.finish()
     }
 
     #[test]
     fn geometry() {
         // 100-byte rows: 40 rows per 4096-byte page.
-        let mut h = HeapTable::new(TableId(0), 100);
+        let h = int_heap(100, 100);
         assert_eq!(h.rows_per_page(), 40);
-        for i in 0..100 {
-            h.append(int_row(i));
-        }
         assert_eq!(h.row_count(), 100);
         assert_eq!(h.page_count(), 3);
         assert_eq!(h.page_of(0), 0);
@@ -97,33 +256,76 @@ mod tests {
 
     #[test]
     fn empty_heap_has_one_page() {
-        let h = HeapTable::new(TableId(0), 8);
+        let h = int_heap(8, 0);
         assert_eq!(h.page_count(), 1);
         assert_eq!(h.row_count(), 0);
+        assert_eq!(h.gather(&[]).arity(), 1);
+        assert_eq!(h.columns(0, 0).arity(), 1);
     }
 
     #[test]
     fn wide_rows_one_per_page() {
-        let h = HeapTable::new(TableId(0), 10_000);
-        assert_eq!(h.rows_per_page(), 1);
+        assert_eq!(int_heap(10_000, 0).rows_per_page(), 1);
     }
 
     #[test]
     fn append_and_fetch() {
-        let mut h = HeapTable::new(TableId(2), 8);
-        let rid = h.append(int_row(7));
-        assert_eq!(rid, 0);
-        assert_eq!(h.row(rid)[0], Value::Int(7));
-        assert_eq!(h.table(), TableId(2));
+        let n = 2 * CHUNK_ROWS as i64 + 5;
+        let h = int_heap(8, n);
+        assert_eq!(h.table(), TableId(0));
+        assert_eq!(h.chunks().len(), 3);
+        assert_eq!(h.row(CHUNK_ROWS + 1)[0], Value::Int(CHUNK_ROWS as i64 + 1));
+        assert_eq!(h.to_rows().len(), n as usize);
+        let got = h.gather(&[2 * CHUNK_ROWS + 4, 0, CHUNK_ROWS, 0]);
+        let keys: Vec<i64> = got
+            .to_rows()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        assert_eq!(keys, vec![n - 1, 0, CHUNK_ROWS as i64, 0]);
+        let span = h.columns(CHUNK_ROWS - 1, CHUNK_ROWS + 2);
+        let keys: Vec<i64> = span
+            .to_rows()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        assert_eq!(keys, vec![1023, 1024, 1025]);
     }
 
     #[test]
-    fn replace_rows() {
-        let mut h = HeapTable::new(TableId(0), 8);
-        h.append(int_row(2));
-        h.append(int_row(1));
-        h.replace_rows(vec![int_row(1), int_row(2)]);
-        assert_eq!(h.row(0)[0], Value::Int(1));
-        assert_eq!(h.rows().len(), 2);
+    fn whole_chunk_pull_shares_the_stored_columns() {
+        let h = int_heap(8, 2 * CHUNK_ROWS as i64);
+        let pulled = h.columns(CHUNK_ROWS, 2 * CHUNK_ROWS);
+        assert!(std::sync::Arc::ptr_eq(
+            pulled.column(0),
+            h.chunks()[1].column(0)
+        ));
+    }
+
+    #[test]
+    fn wrong_arity_is_rejected() {
+        let mut l = HeapLoader::new(TableId(3), 2, 16);
+        assert!(l.push(vec![Value::Int(1)].into_boxed_slice()).is_err());
+    }
+
+    #[test]
+    fn cluster_by_is_stable_and_skips_sorted_heaps() {
+        let mut l = HeapLoader::new(TableId(0), 2, 16);
+        for (k, v) in [(2, 0), (1, 1), (2, 2), (1, 3)] {
+            l.push(vec![Value::Int(k), Value::Int(v)].into_boxed_slice())
+                .unwrap();
+        }
+        let mut h = l.finish();
+        h.cluster_by(&[(0, Direction::Asc)]);
+        let vs: Vec<i64> = h.to_rows().iter().map(|r| r[1].as_int().unwrap()).collect();
+        assert_eq!(vs, vec![1, 3, 0, 2]);
+
+        let mut sorted = int_heap(8, 10);
+        let before = sorted.chunks()[0].column(0).clone();
+        sorted.cluster_by(&[(0, Direction::Asc)]);
+        assert!(std::sync::Arc::ptr_eq(
+            &before,
+            sorted.chunks()[0].column(0)
+        ));
     }
 }

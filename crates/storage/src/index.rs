@@ -7,7 +7,7 @@
 //! DESIGN.md records the substitution.
 
 use crate::heap::HeapTable;
-use fto_common::{sortkey, Direction, Value};
+use fto_common::{Direction, Value};
 use std::cmp::Ordering;
 
 /// Entries per simulated index leaf page (keys are small).
@@ -39,22 +39,13 @@ impl OrderedIndex {
             .copied()
             .zip(directions.iter().copied())
             .collect();
-        // The normalized keys live only for this sort, in one arena
-        // (row `rid`'s key is `arena[offsets[rid]..offsets[rid + 1]]`).
-        // One buffer per entry would, once dropped, leave a small hole
-        // beside every long-lived entry for later query allocations to
-        // scatter into — measured at ~2x on the sorts' self time.
-        let rows = heap.rows();
-        let mut arena = Vec::new();
-        let mut offsets = vec![0];
-        for row in rows {
-            sortkey::encode_key_into(row, &keys, &mut arena);
-            offsets.push(arena.len());
-        }
+        // The normalized keys live only for this sort, in one arena;
+        // entries are then allocated in index order.
+        let (arena, offsets) = heap.encode_keys(&keys);
         let enc = |rid: usize| &arena[offsets[rid]..offsets[rid + 1]];
-        let mut order: Vec<usize> = (0..rows.len()).collect();
+        let mut order: Vec<usize> = (0..heap.row_count() as usize).collect();
         order.sort_unstable_by(|&a, &b| enc(a).cmp(enc(b)).then_with(|| a.cmp(&b)));
-        let key_of = |rid: usize| key_ordinals.iter().map(|&o| rows[rid][o].clone()).collect();
+        let key_of = |rid: usize| key_ordinals.iter().map(|&o| heap.value(rid, o)).collect();
         OrderedIndex {
             entries: order.into_iter().map(|rid| (key_of(rid), rid)).collect(),
             directions: directions.to_vec(),
@@ -149,14 +140,19 @@ fn compare_prefix(key: &[Value], prefix: &[Value], dirs: &[Direction]) -> Orderi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::HeapLoader;
     use fto_common::TableId;
 
-    fn heap(rows: &[(i64, i64)]) -> HeapTable {
-        let mut h = HeapTable::new(TableId(0), 16);
-        for &(a, b) in rows {
-            h.append(vec![Value::Int(a), Value::Int(b)].into_boxed_slice());
+    fn heap_of(rows: impl IntoIterator<Item = [Value; 2]>) -> HeapTable {
+        let mut l = HeapLoader::new(TableId(0), 2, 16);
+        for row in rows {
+            l.push(Box::new(row)).unwrap();
         }
-        h
+        l.finish()
+    }
+
+    fn heap(rows: &[(i64, i64)]) -> HeapTable {
+        heap_of(rows.iter().map(|&(a, b)| [Value::Int(a), Value::Int(b)]))
     }
 
     #[test]
@@ -239,10 +235,7 @@ mod tests {
 
     #[test]
     fn leaf_pages() {
-        let mut h = HeapTable::new(TableId(0), 16);
-        for i in 0..1000 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000).map(|i| [Value::Int(i), Value::Int(0)]));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         assert_eq!(ix.leaf_pages(), 4); // 1000 / 256 rounded up
         let empty = OrderedIndex::build(&heap(&[]), &[0], &[Direction::Asc]);
@@ -251,9 +244,12 @@ mod tests {
 
     #[test]
     fn probe_returns_exactly_the_entries_a_linear_filter_keeps() {
-        let mut h = heap(&[(1, 5), (1, 3), (2, 1), (2, 2), (3, 0), (2, 2)]);
-        h.append(vec![Value::Null, Value::Int(3)].into_boxed_slice());
-        h.append(vec![Value::Int(2), Value::Null].into_boxed_slice());
+        let ints = [(1, 5), (1, 3), (2, 1), (2, 2), (3, 0), (2, 2)];
+        let h = heap_of(
+            ints.iter()
+                .map(|&(a, b)| [Value::Int(a), Value::Int(b)])
+                .chain([[Value::Null, Value::Int(3)], [Value::Int(2), Value::Null]]),
+        );
         let mut probes = vec![Value::Null];
         probes.extend((0..6).map(Value::Int));
         for dirs in [

@@ -4,7 +4,8 @@
 //! laptop-scale substitute documented in DESIGN.md. Tables live in memory,
 //! but every access path charges a simulated page model:
 //!
-//! * heap rows are packed into fixed-size logical pages
+//! * heap rows are stored as typed column chunks and mapped onto
+//!   fixed-size logical pages
 //!   ([`HeapTable::page_of`]);
 //! * sequential page reads (table scans, clustered index scans) and random
 //!   page reads (unclustered probes) are tallied separately in
@@ -24,7 +25,7 @@ pub mod scan;
 pub mod spill;
 
 pub use db::Database;
-pub use heap::HeapTable;
+pub use heap::{HeapLoader, HeapTable};
 pub use index::OrderedIndex;
 pub use io::{IoStats, PageCursor, PAGE_SIZE};
 pub use scan::{index_leaf_tag, partition_bounds, HeapScanState, IndexScanState};

@@ -14,7 +14,7 @@
 use crate::heap::HeapTable;
 use crate::index::{OrderedIndex, ENTRIES_PER_LEAF};
 use crate::io::{IoStats, PageCursor};
-use fto_common::{Batch, BatchBuilder, Row, Value};
+use fto_common::{Batch, Value};
 
 /// Splits `[lo, hi)` into `parts` deterministic contiguous chunks and
 /// returns the bounds of chunk `part`, with every *interior* cut rounded
@@ -100,22 +100,6 @@ impl HeapScanState {
     /// actually crossed. A scan run to completion therefore charges
     /// exactly [`HeapTable::page_count`] pages; a scan abandoned early
     /// charges only the pages behind the rows it produced.
-    pub fn next_batch(&mut self, heap: &HeapTable, max_rows: usize, io: &mut IoStats) -> Vec<Row> {
-        let total = (heap.row_count() as usize).min(self.end_rid);
-        let end = (self.next_rid + max_rows.max(1)).min(total);
-        let mut out = Vec::with_capacity(end.saturating_sub(self.next_rid));
-        for rid in self.next_rid..end {
-            self.cursor.touch(heap.page_of(rid), io);
-            io.rows_read += 1;
-            out.push(heap.row(rid).clone());
-        }
-        self.next_rid = end;
-        out
-    }
-
-    /// As [`HeapScanState::next_batch`], but transposes straight into a
-    /// columnar [`Batch`] (no intermediate row vector). Page and row
-    /// charging is identical.
     pub fn next_columns(&mut self, heap: &HeapTable, max_rows: usize, io: &mut IoStats) -> Batch {
         self.next_columns_pooled(heap, max_rows, io, None)
     }
@@ -124,6 +108,11 @@ impl HeapScanState {
     /// `pool` when one is active: resident pages are free hits, misses
     /// pay the usual charge. With `pool` `None` the accounting is
     /// bit-identical to [`HeapScanState::next_columns`].
+    ///
+    /// Pages and rows are charged row by row — the unit the page cursor
+    /// and the pool see must not depend on how the heap happens to chunk
+    /// its columns — and the rows then come out of the heap as columns: a
+    /// pull covering exactly one stored chunk shares its `Arc`s.
     pub fn next_columns_pooled(
         &mut self,
         heap: &HeapTable,
@@ -134,19 +123,17 @@ impl HeapScanState {
         let total = (heap.row_count() as usize).min(self.end_rid);
         let end = (self.next_rid + max_rows.max(1)).min(total);
         if self.next_rid >= end {
-            return Batch::empty(0);
+            return Batch::empty(heap.arity());
         }
         let tag = heap_pool_tag(heap);
-        let mut b = BatchBuilder::new(heap.row(self.next_rid).len());
         for rid in self.next_rid..end {
             self.cursor
                 .touch_pooled(tag, heap.page_of(rid), io, pool.as_deref_mut());
             io.rows_read += 1;
-            b.push_row(heap.row(rid))
-                .expect("heap rows share one arity");
         }
+        let batch = heap.columns(self.next_rid, end);
         self.next_rid = end;
-        b.finish()
+        batch
     }
 }
 
@@ -243,41 +230,6 @@ impl IndexScanState {
     /// landing on the page just read are free — the clustering effect the
     /// paper's ordered access paths exploit. Pages past the point where
     /// the caller stops pulling are never charged.
-    pub fn next_batch(
-        &mut self,
-        index: &OrderedIndex,
-        heap: &HeapTable,
-        max_rows: usize,
-        io: &mut IoStats,
-    ) -> Vec<Row> {
-        let take = max_rows.max(1).min(self.end - self.start.min(self.end));
-        let mut out = Vec::with_capacity(take);
-        for _ in 0..take {
-            let pos = if self.reverse {
-                self.end - 1
-            } else {
-                self.start
-            };
-            let leaf = pos as u64 / ENTRIES_PER_LEAF;
-            if self.last_leaf != Some(leaf) {
-                io.index_pages += 1;
-                self.last_leaf = Some(leaf);
-            }
-            let rid = index.rid_at(pos);
-            self.cursor.touch(heap.page_of(rid), io);
-            io.rows_read += 1;
-            out.push(heap.row(rid).clone());
-            if self.reverse {
-                self.end -= 1;
-            } else {
-                self.start += 1;
-            }
-        }
-        out
-    }
-
-    /// As [`IndexScanState::next_batch`], but transposes straight into a
-    /// columnar [`Batch`]. Leaf, page, and row charging is identical.
     pub fn next_columns(
         &mut self,
         index: &OrderedIndex,
@@ -294,6 +246,9 @@ impl IndexScanState {
     /// cache under `leaf_tag` (see [`index_leaf_tag`]) so they share the
     /// pool with heap pages without colliding. With `pool` `None` the
     /// accounting is bit-identical to [`IndexScanState::next_columns`].
+    ///
+    /// Charging walks the entries one by one, collecting row ids; the
+    /// rows are then gathered from the heap's columns once per batch.
     pub fn next_columns_pooled(
         &mut self,
         index: &OrderedIndex,
@@ -304,11 +259,8 @@ impl IndexScanState {
         leaf_tag: u64,
     ) -> Batch {
         let take = max_rows.max(1).min(self.end - self.start.min(self.end));
-        if take == 0 {
-            return Batch::empty(0);
-        }
         let tag = heap_pool_tag(heap);
-        let mut b: Option<BatchBuilder> = None;
+        let mut rids = Vec::with_capacity(take);
         for _ in 0..take {
             let pos = if self.reverse {
                 self.end - 1
@@ -334,33 +286,36 @@ impl IndexScanState {
             self.cursor
                 .touch_pooled(tag, heap.page_of(rid), io, pool.as_deref_mut());
             io.rows_read += 1;
-            let row = heap.row(rid);
-            b.get_or_insert_with(|| BatchBuilder::new(row.len()))
-                .push_row(row)
-                .expect("heap rows share one arity");
+            rids.push(rid);
             if self.reverse {
                 self.end -= 1;
             } else {
                 self.start += 1;
             }
         }
-        b.expect("take > 0").finish()
+        heap.gather(&rids)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::HeapLoader;
     use crate::BufferPool;
     use fto_common::{Direction, TableId};
 
-    fn heap(n: i64) -> HeapTable {
-        // 100-byte rows: 40 rows per page.
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..n {
-            h.append(vec![Value::Int(i), Value::Int(i % 3)].into_boxed_slice());
+    // 100-byte rows: 40 rows per page.
+    fn heap_of(rows: impl IntoIterator<Item = (i64, i64)>) -> HeapTable {
+        let mut l = HeapLoader::new(TableId(0), 2, 100);
+        for (a, b) in rows {
+            l.push(vec![Value::Int(a), Value::Int(b)].into_boxed_slice())
+                .unwrap();
         }
-        h
+        l.finish()
+    }
+
+    fn heap(n: i64) -> HeapTable {
+        heap_of((0..n).map(|i| (i, i % 3)))
     }
 
     #[test]
@@ -370,11 +325,11 @@ mod tests {
         let mut io = IoStats::new();
         let mut rows = Vec::new();
         loop {
-            let b = s.next_batch(&h, 7, &mut io);
+            let b = s.next_columns(&h, 7, &mut io);
             if b.is_empty() {
                 break;
             }
-            rows.extend(b);
+            rows.extend(b.to_rows());
         }
         assert!(s.exhausted(&h));
         assert_eq!(rows.len(), 100);
@@ -388,7 +343,7 @@ mod tests {
         let h = heap(100); // 3 pages
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        let b = s.next_batch(&h, 10, &mut io);
+        let b = s.next_columns(&h, 10, &mut io);
         assert_eq!(b.len(), 10);
         assert_eq!(io.sequential_pages, 1);
         assert!(io.sequential_pages < h.page_count());
@@ -399,80 +354,68 @@ mod tests {
         let h = heap(0);
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        assert!(s.next_batch(&h, 8, &mut io).is_empty());
+        assert!(s.next_columns(&h, 8, &mut io).is_empty());
         assert_eq!(io.sequential_pages, 0);
         assert_eq!(io.rows_read, 0);
     }
 
     #[test]
     fn index_scan_delivers_key_order_and_reverse() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in [5i64, 1, 3, 2, 4] {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of(([5i64, 1, 3, 2, 4]).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
         let mut keys = Vec::new();
         loop {
-            let b = s.next_batch(&ix, &h, 2, &mut io);
+            let b = s.next_columns(&ix, &h, 2, &mut io);
             if b.is_empty() {
                 break;
             }
-            keys.extend(b.iter().map(|r| r[0].as_int().unwrap()));
+            keys.extend(b.to_rows().iter().map(|r| r[0].as_int().unwrap()));
         }
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         assert!(s.exhausted());
 
         let mut rio = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_batch(&ix, &h, 10, &mut rio);
-        let keys: Vec<i64> = b.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let b = s.next_columns(&ix, &h, 10, &mut rio);
+        let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
     }
 
     #[test]
     fn index_scan_range_bounds() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..10i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..10i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false);
-        let b = s.next_batch(&ix, &h, 100, &mut io);
-        let keys: Vec<i64> = b.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let b = s.next_columns(&ix, &h, 100, &mut io);
+        let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
     }
 
     #[test]
     fn index_scan_charges_leaves_incrementally() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..1000i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         assert_eq!(ix.leaf_pages(), 4);
 
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        s.next_batch(&ix, &h, 100, &mut io);
+        s.next_columns(&ix, &h, 100, &mut io);
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        while !s.next_batch(&ix, &h, 100, &mut io).is_empty() {}
+        while !s.next_columns(&ix, &h, 100, &mut io).is_empty() {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
 
     #[test]
     fn pooled_index_scan_routes_leaves_through_pool() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..1000i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let tag = index_leaf_tag(fto_common::IndexId(7));
         assert_ne!(tag, heap_pool_tag(&h), "leaf tag must not collide");
@@ -543,11 +486,11 @@ mod tests {
             for part in 0..parts {
                 let mut s = HeapScanState::partition(&h, part, parts);
                 loop {
-                    let b = s.next_batch(&h, 33, &mut io);
+                    let b = s.next_columns(&h, 33, &mut io);
                     if b.is_empty() {
                         break;
                     }
-                    rows.extend(b);
+                    rows.extend(b.to_rows());
                 }
                 assert!(s.exhausted(&h));
             }
@@ -562,10 +505,7 @@ mod tests {
 
     #[test]
     fn partitioned_index_scan_covers_rows_and_charges_leaves_once() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..1000i64 {
-            h.append(vec![Value::Int((i * 37) % 1000), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000i64).map(|i| ((i * 37) % 1000, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         for parts in [1usize, 2, 4] {
             let mut io = IoStats::new();
@@ -573,11 +513,11 @@ mod tests {
             for part in 0..parts {
                 let mut s = IndexScanState::open_partition(&ix, None, None, false, part, parts);
                 loop {
-                    let b = s.next_batch(&ix, &h, 57, &mut io);
+                    let b = s.next_columns(&ix, &h, 57, &mut io);
                     if b.is_empty() {
                         break;
                     }
-                    keys.extend(b.iter().map(|r| r[0].as_int().unwrap()));
+                    keys.extend(b.to_rows().iter().map(|r| r[0].as_int().unwrap()));
                 }
             }
             assert_eq!(keys, (0..1000).collect::<Vec<i64>>(), "parts={parts}");
@@ -590,10 +530,7 @@ mod tests {
 
     #[test]
     fn partitioned_reverse_index_scan_in_reverse_partition_order() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..500i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..500i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let parts = 3;
         let mut io = IoStats::new();
@@ -602,11 +539,11 @@ mod tests {
         for part in (0..parts).rev() {
             let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts);
             loop {
-                let b = s.next_batch(&ix, &h, 64, &mut io);
+                let b = s.next_columns(&ix, &h, 64, &mut io);
                 if b.is_empty() {
                     break;
                 }
-                keys.extend(b.iter().map(|r| r[0].as_int().unwrap()));
+                keys.extend(b.to_rows().iter().map(|r| r[0].as_int().unwrap()));
             }
         }
         assert_eq!(keys, (0..500).rev().collect::<Vec<i64>>());
@@ -614,10 +551,7 @@ mod tests {
 
     #[test]
     fn partitioned_range_scan_respects_bounds() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..1000i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut keys = Vec::new();
@@ -631,11 +565,11 @@ mod tests {
                 4,
             );
             loop {
-                let b = s.next_batch(&ix, &h, 128, &mut io);
+                let b = s.next_columns(&ix, &h, 128, &mut io);
                 if b.is_empty() {
                     break;
                 }
-                keys.extend(b.iter().map(|r| r[0].as_int().unwrap()));
+                keys.extend(b.to_rows().iter().map(|r| r[0].as_int().unwrap()));
             }
         }
         assert_eq!(keys, (100..900).collect::<Vec<i64>>());
@@ -643,18 +577,15 @@ mod tests {
 
     #[test]
     fn reverse_index_scan_stays_lazy_and_bounded() {
-        let mut h = HeapTable::new(TableId(0), 100);
-        for i in 0..1000i64 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
+        let h = heap_of((0..1000i64).map(|i| (i, 0)));
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
 
         // Pulling 10 rows in reverse touches one leaf (the last) and only
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_batch(&ix, &h, 10, &mut io);
-        let keys: Vec<i64> = b.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let b = s.next_columns(&ix, &h, 10, &mut io);
+        let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());
         assert_eq!(io.index_pages, 1);
         assert_eq!(io.rows_read, 10);

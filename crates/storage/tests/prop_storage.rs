@@ -1,18 +1,33 @@
 //! Randomized tests for the storage layer: ordered indexes must agree
-//! with a naive model on scans, probes, and ranges, across many
-//! deterministic random cases.
+//! with a naive model on scans, probes, and ranges, and the columnar heap
+//! with the rows it was loaded from — through every cursor, at every
+//! batch size and partitioning — across many deterministic random cases.
 
-use fto_common::{Direction, Rng, TableId, Value};
-use fto_storage::{HeapTable, OrderedIndex};
+use fto_common::{Batch, Direction, Rng, Row, TableId, Value};
+use fto_storage::{
+    BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
+    PageCursor, PAGE_SIZE,
+};
+use std::sync::Arc;
 
 const CASES: u64 = 200;
 
-fn heap_from(values: &[(i64, i64)]) -> HeapTable {
-    let mut h = HeapTable::new(TableId(0), 16);
-    for &(a, b) in values {
-        h.append(vec![Value::Int(a), Value::Int(b)].into_boxed_slice());
+fn load(arity: usize, width: usize, rows: impl IntoIterator<Item = Row>) -> HeapTable {
+    let mut loader = HeapLoader::new(TableId(0), arity, width);
+    for row in rows {
+        loader.push(row).unwrap();
     }
-    h
+    loader.finish()
+}
+
+fn int_rows(values: impl IntoIterator<Item = (i64, i64)>) -> impl Iterator<Item = Row> {
+    values
+        .into_iter()
+        .map(|(a, b)| vec![Value::Int(a), Value::Int(b)].into_boxed_slice())
+}
+
+fn heap_from(values: &[(i64, i64)]) -> HeapTable {
+    load(2, 16, int_rows(values.iter().copied()))
 }
 
 fn random_pairs(rng: &mut Rng, max_len: usize, lo: i64, hi: i64) -> Vec<(i64, i64)> {
@@ -127,13 +142,14 @@ fn null_keys_sort_high() {
         let n_null = rng.range_usize(0, 5);
         let n_vals = rng.range_usize(0, 20);
         let values: Vec<i64> = (0..n_vals).map(|_| rng.range_i64(-5, 5)).collect();
-        let mut h = HeapTable::new(TableId(0), 16);
-        for &v in &values {
-            h.append(vec![Value::Int(v), Value::Int(0)].into_boxed_slice());
-        }
-        for _ in 0..n_null {
-            h.append(vec![Value::Null, Value::Int(0)].into_boxed_slice());
-        }
+        let keys = values.iter().map(|&v| Value::Int(v));
+        let nulls = (0..n_null).map(|_| Value::Null);
+        let h = load(
+            2,
+            16,
+            keys.chain(nulls)
+                .map(|k| vec![k, Value::Int(0)].into_boxed_slice()),
+        );
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let scanned: Vec<Value> = ix.scan().map(|(k, _)| k[0].clone()).collect();
         // All NULLs at the end.
@@ -151,11 +167,8 @@ fn null_keys_sort_high() {
 #[test]
 fn page_geometry_invariants() {
     for width in [1usize, 7, 100, 4096, 9000] {
-        let mut h = HeapTable::new(TableId(1), width);
+        let h = load(2, width, int_rows((0..50).map(|i| (i, 0))));
         assert!(h.rows_per_page() >= 1);
-        for i in 0..50 {
-            h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-        }
         assert_eq!(h.page_of(0), 0);
         assert!(h.page_of(49) < h.page_count());
         assert_eq!(
@@ -171,14 +184,10 @@ fn page_geometry_invariants() {
 /// touches many more.
 #[test]
 fn ordered_probe_page_locality() {
-    let mut h = HeapTable::new(TableId(0), 400); // ~10 rows per page
     let n = 1000i64;
-    for i in 0..n {
-        h.append(vec![Value::Int(i), Value::Int(0)].into_boxed_slice());
-    }
+    let h = load(2, 400, int_rows((0..n).map(|i| (i, 0)))); // ~10 rows per page
     let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
 
-    use fto_storage::{IoStats, PageCursor};
     let probe_sequences: [Box<dyn Fn(i64) -> i64>; 2] =
         [Box::new(|i| i), Box::new(|i| (i * 617) % 1000)];
     let mut costs = Vec::new();
@@ -198,4 +207,408 @@ fn ordered_probe_page_locality() {
         costs[0],
         costs[1]
     );
+}
+
+// ---------------------------------------------------------------------
+// The columnar heap against the rows it was loaded from
+// ---------------------------------------------------------------------
+
+/// `HeapTable`'s private chunk size. Nothing here depends on it for
+/// correctness — only for *coverage*: the row counts below straddle it,
+/// and `whole_chunk_pulls_share_the_heaps_columns` fails if it moves.
+const CHUNK: usize = 1024;
+
+const ROW_COUNTS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+
+/// Five columns of hazards: ints with NULLs; strings, some empty, some
+/// prefixes of others, some NULL; doubles with NaN payloads and signed
+/// zeros; dates; and an int column that is NULL throughout the second
+/// chunk (so that chunk stores it as an all-NULL column).
+fn random_table(rng: &mut Rng, n: usize) -> Vec<Row> {
+    (0..n)
+        .map(|rid| {
+            let int = if rng.chance(0.2) {
+                Value::Null
+            } else {
+                Value::Int(rng.range_i64(-50, 50))
+            };
+            let text = match rng.range_usize(0, 5) {
+                0 => Value::Null,
+                1 => Value::str(""),
+                k => Value::str(&"abcd"[..k - 1]),
+            };
+            let double = match rng.range_usize(0, 6) {
+                0 => Value::Double(f64::NAN),
+                1 => Value::Double(f64::from_bits(f64::NAN.to_bits() | 7)),
+                2 => Value::Double(0.0),
+                3 => Value::Double(-0.0),
+                4 => Value::Null,
+                _ => Value::Double(rng.range_f64(-9.0, 9.0)),
+            };
+            let date = Value::Date(rng.range_i32(8000, 8100));
+            let gap = if (CHUNK..2 * CHUNK).contains(&rid) {
+                Value::Null
+            } else {
+                Value::Int(rid as i64)
+            };
+            vec![int, text, double, date, gap].into_boxed_slice()
+        })
+        .collect()
+}
+
+/// Bit-exact rendering (`Value`'s equality calls `-0.0` and `0.0`, and
+/// every NaN, equal).
+fn exact(rows: &[Row]) -> Vec<String> {
+    let cell = |v: &Value| match v {
+        Value::Double(d) => format!("Double({:#018x})", d.to_bits()),
+        other => format!("{other:?}"),
+    };
+    rows.iter()
+        .map(|r| r.iter().map(cell).collect::<Vec<_>>().join(","))
+        .collect()
+}
+
+/// Runs `pull` to exhaustion, returning the rows it produced.
+fn drain(batch_rows: usize, arity: usize, mut pull: impl FnMut() -> Batch) -> Vec<Row> {
+    let mut out = Vec::new();
+    loop {
+        let batch = pull();
+        assert_eq!(batch.arity(), arity, "every pull keeps the table's arity");
+        assert!(batch.len() <= batch_rows);
+        if batch.is_empty() {
+            return out;
+        }
+        batch.append_rows_to(&mut out);
+    }
+}
+
+/// Heap scans return the loaded rows, in order, whatever the batch size
+/// and however the heap is partitioned.
+#[test]
+fn heap_scans_return_the_loaded_rows() {
+    let mut rng = Rng::new(0x5704_0010);
+    for n in ROW_COUNTS {
+        let rows = random_table(&mut rng, n);
+        let heap = load(5, 100, rows.iter().cloned());
+        let want = exact(&rows);
+        assert_eq!(exact(&heap.to_rows()), want, "n={n}");
+        assert_eq!(heap.row_count(), n as u64);
+        for batch_rows in [1, 7, CHUNK, 4 * CHUNK] {
+            for parts in 1..=4 {
+                let mut io = IoStats::new();
+                let mut got = Vec::new();
+                for part in 0..parts {
+                    let mut scan = HeapScanState::partition(&heap, part, parts);
+                    got.extend(drain(batch_rows, heap.arity(), || {
+                        scan.next_columns(&heap, batch_rows, &mut io)
+                    }));
+                    assert!(scan.exhausted(&heap));
+                }
+                let at = format!("n={n} batch={batch_rows} parts={parts}");
+                assert_eq!(exact(&got), want, "{at}");
+                assert_eq!(io.rows_read, n as u64, "{at}");
+                assert_eq!(io.sequential_pages, (n as u64).div_ceil(40), "{at}");
+                assert_eq!(io.random_pages, 0, "{at}");
+            }
+        }
+    }
+}
+
+/// `gather` is row selection: random, repeated, reversed and empty id
+/// lists, within one chunk and across several.
+#[test]
+fn gather_is_row_selection() {
+    let mut rng = Rng::new(0x5704_0011);
+    for n in ROW_COUNTS {
+        let rows = random_table(&mut rng, n);
+        let heap = load(5, 100, rows.iter().cloned());
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(), (0..n).rev().collect()];
+        if n > 0 {
+            for len in [1, 5, 300] {
+                let ids: Vec<usize> = (0..len).map(|_| rng.range_usize(0, n)).collect();
+                let doubled = ids.iter().flat_map(|&r| [r, r]).collect();
+                // All within the chunk of the first id.
+                let lo = ids[0] / CHUNK * CHUNK;
+                let local = ids
+                    .iter()
+                    .map(|_| rng.range_usize(lo, n.min(lo + CHUNK)))
+                    .collect();
+                lists.extend([ids, doubled, local]);
+            }
+        }
+        for rids in lists {
+            let want: Vec<Row> = rids.iter().map(|&r| rows[r].clone()).collect();
+            let got = heap.gather(&rids);
+            assert_eq!(got.arity(), heap.arity());
+            assert_eq!(exact(&got.to_rows()), exact(&want), "n={n} rids={rids:?}");
+            for &rid in rids.iter().take(3) {
+                assert_eq!(exact(&[heap.row(rid)]), exact(&[rows[rid].clone()]));
+            }
+        }
+    }
+}
+
+/// A pull that covers exactly one stored chunk hands out the heap's own
+/// columns; one that does not still returns the right rows (checked
+/// above) but must copy.
+#[test]
+fn whole_chunk_pulls_share_the_heaps_columns() {
+    let mut rng = Rng::new(0x5704_0012);
+    let rows = random_table(&mut rng, 3 * CHUNK + 7);
+    let heap = load(5, 100, rows.iter().cloned());
+    assert_eq!(heap.chunks().len(), 4);
+    assert!(heap.chunks()[..3].iter().all(|c| c.len() == CHUNK));
+    let mut io = IoStats::new();
+    let mut scan = HeapScanState::new();
+    for chunk in heap.chunks() {
+        let pulled = scan.next_columns(&heap, CHUNK, &mut io);
+        for (got, stored) in pulled.columns().iter().zip(chunk.columns()) {
+            assert!(Arc::ptr_eq(got, stored));
+        }
+    }
+    assert!(scan.exhausted(&heap));
+
+    let mut scan = HeapScanState::new();
+    scan.next_columns(&heap, 1, &mut io);
+    let shifted = scan.next_columns(&heap, CHUNK, &mut io);
+    assert_eq!(shifted.len(), CHUNK);
+    assert!(!Arc::ptr_eq(shifted.column(0), heap.chunks()[0].column(0)));
+}
+
+/// Index scans fetch the rows their entries name, forward, reversed and
+/// ranged, at every batch size.
+#[test]
+fn index_scans_return_the_indexed_rows() {
+    let mut rng = Rng::new(0x5704_0013);
+    for n in ROW_COUNTS {
+        let rows = random_table(&mut rng, n);
+        let heap = load(5, 100, rows.iter().cloned());
+        let ix = OrderedIndex::build(&heap, &[0, 4], &[Direction::Asc, Direction::Desc]);
+        let (lo, hi) = (Value::Int(-10), Value::Int(20));
+        for (range, reverse) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (lo, hi) = if range {
+                (Some(&lo), Some(&hi))
+            } else {
+                (None, None)
+            };
+            let mut rids: Vec<usize> = ix.range(lo, hi).map(|(_, rid)| rid).collect();
+            if reverse {
+                rids.reverse();
+            }
+            let want: Vec<Row> = rids.iter().map(|&r| rows[r].clone()).collect();
+            for batch_rows in [1, 7, CHUNK, 4 * CHUNK] {
+                let mut io = IoStats::new();
+                let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
+                let got = drain(batch_rows, heap.arity(), || {
+                    scan.next_columns(&ix, &heap, batch_rows, &mut io)
+                });
+                let at = format!("n={n} range={range} reverse={reverse} batch={batch_rows}");
+                assert_eq!(exact(&got), exact(&want), "{at}");
+                assert_eq!(io.rows_read, want.len() as u64, "{at}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Page accounting, pinned to the row-heap engine's numbers
+// ---------------------------------------------------------------------
+
+/// 3 079 two-column rows at 40 a page (77 pages, 13 index leaves). With
+/// `scatter` the key order jumps around the heap (an unclustered index);
+/// without, key order is heap order (a clustered one).
+fn accounting_heap(scatter: bool) -> HeapTable {
+    let n = (3 * CHUNK + 7) as i64;
+    load(
+        2,
+        100,
+        int_rows((0..n).map(|i| (if scatter { i * 617 % n } else { i }, i % 5))),
+    )
+}
+
+fn io(counts: [u64; 6]) -> IoStats {
+    let [sequential_pages, random_pages, index_pages, rows_read, pool_hits, pool_misses] = counts;
+    IoStats {
+        sequential_pages,
+        random_pages,
+        index_pages,
+        rows_read,
+        pool_hits,
+        pool_misses,
+        ..IoStats::new()
+    }
+}
+
+/// Every cursor charges exactly what it charged when the heap was a
+/// vector of rows: the literals were captured from that engine (the
+/// parent commit) running this same function.
+#[test]
+fn io_stats_equal_the_row_heap_engines() {
+    let mut got: Vec<(String, IoStats)> = Vec::new();
+    for pooled in [false, true] {
+        for scatter in [false, true] {
+            let heap = accounting_heap(scatter);
+            let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
+            // Eight frames: far fewer than the heap's 77 pages.
+            let mut pool = pooled.then(|| BufferPool::new(8 * PAGE_SIZE));
+            let mut record = |what: &str, io: IoStats| {
+                got.push((format!("{what} scatter={scatter} pooled={pooled}"), io));
+            };
+
+            let mut io = IoStats::new();
+            let mut scan = HeapScanState::new();
+            while !scan
+                .next_columns_pooled(&heap, 7, &mut io, pool.as_mut())
+                .is_empty()
+            {}
+            record("full scan", io);
+
+            // A LIMIT that stops pulling after three batches.
+            let mut io = IoStats::new();
+            let mut scan = HeapScanState::new();
+            for _ in 0..3 {
+                scan.next_columns_pooled(&heap, 100, &mut io, pool.as_mut());
+            }
+            record("abandoned scan", io);
+
+            let (lo, hi) = (Value::Int(500), Value::Int(1500));
+            for (what, lo, hi, reverse, batch_rows) in [
+                ("index scan", None, None, false, 57),
+                ("reverse index scan", None, None, true, 64),
+                ("ranged index scan", Some(&lo), Some(&hi), false, 128),
+            ] {
+                let mut io = IoStats::new();
+                let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
+                while !scan
+                    .next_columns_pooled(&ix, &heap, batch_rows, &mut io, pool.as_mut(), 1 << 32)
+                    .is_empty()
+                {}
+                record(what, io);
+            }
+
+            // An index nested-loop join's probe stream: an outer of 600
+            // keys (some absent, some repeated), one descent per key.
+            let mut io = IoStats::new();
+            let mut cursor = PageCursor::probing();
+            let mut rids = Vec::new();
+            for probe in (0..600).map(|i| i * 7 % 3200) {
+                io.index_pages += 1;
+                for (_, rid) in ix.probe(&[Value::Int(probe)]) {
+                    cursor.touch_pooled(0, heap.page_of(*rid), &mut io, pool.as_mut());
+                    io.rows_read += 1;
+                    rids.push(*rid);
+                }
+            }
+            record("probe stream", io);
+            let fetched = heap.gather(&rids);
+            assert_eq!(fetched.len(), rids.len());
+            for (at, &rid) in rids.iter().enumerate().step_by(41) {
+                assert_eq!(fetched.row(at), heap.row(rid));
+            }
+        }
+    }
+    //                                         seq  rand  leaf  rows  hits  misses
+    let want = [
+        (
+            "full scan scatter=false pooled=false",
+            [77, 0, 0, 3079, 0, 0],
+        ),
+        (
+            "abandoned scan scatter=false pooled=false",
+            [8, 0, 0, 300, 0, 0],
+        ),
+        (
+            "index scan scatter=false pooled=false",
+            [77, 0, 13, 3079, 0, 0],
+        ),
+        (
+            "reverse index scan scatter=false pooled=false",
+            [1, 76, 13, 3079, 0, 0],
+        ),
+        (
+            "ranged index scan scatter=false pooled=false",
+            [26, 0, 5, 1001, 0, 0],
+        ),
+        (
+            "probe stream scatter=false pooled=false",
+            [100, 2, 600, 582, 0, 0],
+        ),
+        (
+            "full scan scatter=true pooled=false",
+            [77, 0, 0, 3079, 0, 0],
+        ),
+        (
+            "abandoned scan scatter=true pooled=false",
+            [8, 0, 0, 300, 0, 0],
+        ),
+        (
+            "index scan scatter=true pooled=false",
+            [1, 3078, 13, 3079, 0, 0],
+        ),
+        (
+            "reverse index scan scatter=true pooled=false",
+            [1, 3078, 13, 3079, 0, 0],
+        ),
+        (
+            "ranged index scan scatter=true pooled=false",
+            [1, 1000, 5, 1001, 0, 0],
+        ),
+        (
+            "probe stream scatter=true pooled=false",
+            [0, 582, 600, 582, 0, 0],
+        ),
+        (
+            "full scan scatter=false pooled=true",
+            [77, 0, 0, 3079, 0, 77],
+        ),
+        (
+            "abandoned scan scatter=false pooled=true",
+            [8, 0, 0, 300, 0, 8],
+        ),
+        (
+            "index scan scatter=false pooled=true",
+            [77, 0, 13, 3079, 0, 90],
+        ),
+        (
+            "reverse index scan scatter=false pooled=true",
+            [0, 71, 11, 3079, 8, 82],
+        ),
+        (
+            "ranged index scan scatter=false pooled=true",
+            [26, 0, 5, 1001, 0, 31],
+        ),
+        (
+            "probe stream scatter=false pooled=true",
+            [100, 2, 600, 582, 0, 102],
+        ),
+        (
+            "full scan scatter=true pooled=true",
+            [77, 0, 0, 3079, 0, 77],
+        ),
+        (
+            "abandoned scan scatter=true pooled=true",
+            [8, 0, 0, 300, 0, 8],
+        ),
+        (
+            "index scan scatter=true pooled=true",
+            [1, 394, 13, 3079, 2684, 408],
+        ),
+        (
+            "reverse index scan scatter=true pooled=true",
+            [0, 389, 12, 3079, 2691, 401],
+        ),
+        (
+            "ranged index scan scatter=true pooled=true",
+            [1, 132, 5, 1001, 868, 138],
+        ),
+        (
+            "probe stream scatter=true pooled=true",
+            [0, 509, 600, 582, 73, 509],
+        ),
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((what, got), (want_what, want)) in got.iter().zip(want) {
+        assert_eq!(what, want_what);
+        assert_eq!(*got, io(want), "{what}");
+    }
 }

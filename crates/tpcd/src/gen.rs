@@ -65,7 +65,9 @@ pub struct Cardinalities {
     pub suppliers: i64,
 }
 
-/// Builds and loads the full database at the configured scale.
+/// Builds and loads the full database at the configured scale. Every
+/// row goes straight from the generator into its table's loader, so no
+/// table's rows are ever held as rows.
 pub fn build_database(cfg: TpcdConfig) -> Result<Database> {
     let cat = create_schema()?;
     let mut db = Database::new(cat);
@@ -74,65 +76,56 @@ pub fn build_database(cfg: TpcdConfig) -> Result<Database> {
 
     // region / nation: fixed small dimensions.
     let region_names = ["africa", "america", "asia", "europe", "middle east"];
-    let regions: Vec<Row> = region_names
+    let regions = region_names
         .iter()
         .enumerate()
-        .map(|(i, name)| row(vec![Value::Int(i as i64), Value::str(*name)]))
-        .collect();
+        .map(|(i, name)| row(vec![Value::Int(i as i64), Value::str(*name)]));
     load(&mut db, "region", regions)?;
 
-    let nations: Vec<Row> = (0..25)
-        .map(|i| {
-            row(vec![
-                Value::Int(i),
-                Value::Int(i % 5),
-                Value::str(format!("nation{i:02}")),
-            ])
-        })
-        .collect();
+    let nations = (0..25).map(|i| {
+        row(vec![
+            Value::Int(i),
+            Value::Int(i % 5),
+            Value::str(format!("nation{i:02}")),
+        ])
+    });
     load(&mut db, "nation", nations)?;
 
-    let suppliers: Vec<Row> = (0..n.suppliers)
-        .map(|i| {
-            row(vec![
-                Value::Int(i),
-                Value::Int(rng.range_i64(0, 25)),
-                Value::str(format!("supplier{i}")),
-                Value::Double(round2(rng.range_f64(-999.0, 9999.0))),
-            ])
-        })
-        .collect();
+    let suppliers = (0..n.suppliers).map(|i| {
+        row(vec![
+            Value::Int(i),
+            Value::Int(rng.range_i64(0, 25)),
+            Value::str(format!("supplier{i}")),
+            Value::Double(round2(rng.range_f64(-999.0, 9999.0))),
+        ])
+    });
     load(&mut db, "supplier", suppliers)?;
 
-    let customers: Vec<Row> = (0..n.customers)
-        .map(|i| {
-            row(vec![
-                Value::Int(i),
-                Value::str(format!("customer{i}")),
-                Value::str(SEGMENTS[rng.range_usize(0, SEGMENTS.len())]),
-                Value::Int(rng.range_i64(0, 25)),
-                Value::Double(round2(rng.range_f64(-999.0, 9999.0))),
-            ])
-        })
-        .collect();
+    let customers = (0..n.customers).map(|i| {
+        row(vec![
+            Value::Int(i),
+            Value::str(format!("customer{i}")),
+            Value::str(SEGMENTS[rng.range_usize(0, SEGMENTS.len())]),
+            Value::Int(rng.range_i64(0, 25)),
+            Value::Double(round2(rng.range_f64(-999.0, 9999.0))),
+        ])
+    });
     load(&mut db, "customer", customers)?;
 
-    let parts: Vec<Row> = (0..n.parts)
-        .map(|i| {
-            row(vec![
-                Value::Int(i),
-                Value::str(format!("part{i}")),
-                Value::str(format!("brand#{}", rng.range_i64(10, 60))),
-                Value::Double(round2(rng.range_f64(900.0, 2000.0))),
-            ])
-        })
-        .collect();
+    let parts = (0..n.parts).map(|i| {
+        row(vec![
+            Value::Int(i),
+            Value::str(format!("part{i}")),
+            Value::str(format!("brand#{}", rng.range_i64(10, 60))),
+            Value::Double(round2(rng.range_f64(900.0, 2000.0))),
+        ])
+    });
     load(&mut db, "part", parts)?;
 
     // orders + lineitem, correlated as in dbgen: each order has 1..7
     // lineitems whose ship dates follow the order date.
-    let mut orders = Vec::with_capacity(n.orders as usize);
-    let mut lineitems = Vec::new();
+    let mut orders = db.loader(db.catalog().table_by_name("orders")?.id)?;
+    let mut lineitems = db.loader(db.catalog().table_by_name("lineitem")?.id)?;
     let flags = ["a", "n", "r"];
     let statuses = ["f", "o"];
     for okey in 0..n.orders {
@@ -157,7 +150,7 @@ pub fn build_database(cfg: TpcdConfig) -> Result<Database> {
                 Value::Date(shipdate),
                 Value::str(*rng.pick(&flags)),
                 Value::str(*rng.pick(&statuses)),
-            ]));
+            ]))?;
         }
         orders.push(row(vec![
             Value::Int(okey),
@@ -165,17 +158,20 @@ pub fn build_database(cfg: TpcdConfig) -> Result<Database> {
             Value::Date(orderdate),
             Value::Int(rng.range_i64(0, 3)),
             Value::Double(round2(total)),
-        ]));
+        ]))?;
     }
-    load(&mut db, "orders", orders)?;
-    load(&mut db, "lineitem", lineitems)?;
+    db.finish_load(orders)?;
+    db.finish_load(lineitems)?;
 
     Ok(db)
 }
 
-fn load(db: &mut Database, table: &str, rows: Vec<Row>) -> Result<()> {
-    let id = db.catalog().table_by_name(table)?.id;
-    db.load_table(id, rows)
+fn load(db: &mut Database, table: &str, rows: impl Iterator<Item = Row>) -> Result<()> {
+    let mut loader = db.loader(db.catalog().table_by_name(table)?.id)?;
+    for row in rows {
+        loader.push(row)?;
+    }
+    db.finish_load(loader)
 }
 
 fn row(values: Vec<Value>) -> Row {
@@ -218,7 +214,7 @@ mod tests {
         let b = build_database(cfg).unwrap();
         let ta = a.catalog().table_by_name("lineitem").unwrap().id;
         let tb = b.catalog().table_by_name("lineitem").unwrap().id;
-        assert_eq!(a.heap(ta).unwrap().rows(), b.heap(tb).unwrap().rows());
+        assert_eq!(a.heap(ta).unwrap().to_rows(), b.heap(tb).unwrap().to_rows());
     }
 
     #[test]
@@ -231,7 +227,7 @@ mod tests {
         let li = db.catalog().table_by_name("lineitem").unwrap().id;
         let heap = db.heap(li).unwrap();
         let mut last = i64::MIN;
-        for r in heap.rows() {
+        for r in heap.to_rows() {
             let k = r[0].as_int().unwrap();
             assert!(k >= last);
             last = k;
@@ -249,11 +245,11 @@ mod tests {
         let orders = db.heap(cat.table_by_name("orders").unwrap().id).unwrap();
         let li = db.heap(cat.table_by_name("lineitem").unwrap().id).unwrap();
         let odates: std::collections::HashMap<i64, i32> = orders
-            .rows()
+            .to_rows()
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[2].as_date().unwrap()))
             .collect();
-        for r in li.rows().iter().take(500) {
+        for r in li.to_rows().iter().take(500) {
             let ok = r[0].as_int().unwrap();
             let ship = r[7].as_date().unwrap();
             let odate = odates[&ok];
@@ -272,7 +268,7 @@ mod tests {
             .heap(db.catalog().table_by_name("customer").unwrap().id)
             .unwrap();
         let building = cust
-            .rows()
+            .to_rows()
             .iter()
             .filter(|r| r[2].as_str() == Some("building"))
             .count();

@@ -23,12 +23,28 @@ echo "==> grep guard: no new row-at-a-time batch.row() in the vectorized operato
 # encoded-key arenas, selection vectors and gathers. batch.row() inside
 # crates/exec/src/stream.rs is allowed only in the operators still
 # row-based by design (segmented-sort absorb, top-n, the nested-loop
-# joins).
+# join).
 row_sites=$(grep -c 'batch\.row(' crates/exec/src/stream.rs || true)
-if [[ "${row_sites}" -gt 4 ]]; then
-    echo "guard failed: ${row_sites} batch.row() call sites in crates/exec/src/stream.rs (allowed: 4);"
+if [[ "${row_sites}" -gt 3 ]]; then
+    echo "guard failed: ${row_sites} batch.row() call sites in crates/exec/src/stream.rs (allowed: 3);"
     echo "new operator code must stay columnar: selection vectors + gather, not batch.row()"
     grep -n 'batch\.row(' crates/exec/src/stream.rs
+    exit 1
+fi
+
+echo "==> grep guard: the heap is read as columns; only the interpreter materializes its rows"
+# The scan cursors hand out the heap's column chunks (whole, sliced or
+# gathered); transposing rows back into columns per pull is the cost the
+# columnar heap removed. HeapTable::row()/to_rows() exist for the
+# reference interpreter (and tests), not for streaming operators.
+if grep -n 'push_row' crates/storage/src/scan.rs; then
+    echo "guard failed: crates/storage/src/scan.rs builds batches row by row again;"
+    echo "use HeapTable::columns / HeapTable::gather"
+    exit 1
+fi
+if grep -n 'heap\.row(\|to_rows(' crates/exec/src/*.rs | grep -v '^crates/exec/src/interp\.rs:'; then
+    echo "guard failed: heap.row()/to_rows() outside crates/exec/src/interp.rs;"
+    echo "streaming operators read HeapTable::columns / HeapTable::gather"
     exit 1
 fi
 

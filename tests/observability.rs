@@ -217,13 +217,16 @@ fn per_operator_deltas_sum_to_session_totals_on_tpcd() {
 #[test]
 fn index_scan_under_limit_stays_lazy_and_bounded() {
     use fto_common::TableId;
-    use fto_storage::{HeapTable, OrderedIndex};
+    use fto_storage::{HeapLoader, OrderedIndex};
 
     // A large indexed table: 100k rows, 40 rows/page, 256 entries/leaf.
-    let mut heap = HeapTable::new(TableId(0), 100);
+    let mut loader = HeapLoader::new(TableId(0), 2, 100);
     for i in 0..100_000i64 {
-        heap.append(vec![Value::Int(i), Value::Int(i % 7)].into_boxed_slice());
+        loader
+            .push(vec![Value::Int(i), Value::Int(i % 7)].into_boxed_slice())
+            .unwrap();
     }
+    let heap = loader.finish();
     let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
 
     let mut io = IoStats::new();
@@ -239,7 +242,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     assert_eq!(io, IoStats::new(), "open() must charge nothing");
 
     // Pull 10 rows, as a LIMIT 10 would, then stop.
-    let batch = scan.next_batch(&ix, &heap, 10, &mut io);
+    let batch = scan.next_columns(&ix, &heap, 10, &mut io);
     assert_eq!(batch.len(), 10);
     assert_eq!(io.rows_read, 10);
     // One index leaf entered; heap pages only behind the 10 rows read
@@ -250,9 +253,9 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     // Same bounds through reverse scans: last leaf, last page, 10 rows.
     let mut rio = IoStats::new();
     let mut rev = IndexScanState::open(&ix, None, None, true);
-    let batch = rev.next_batch(&ix, &heap, 10, &mut rio);
+    let batch = rev.next_columns(&ix, &heap, 10, &mut rio);
     assert_eq!(batch.len(), 10);
-    assert_eq!(batch[0][0], Value::Int(99_999));
+    assert_eq!(batch.row(0)[0], Value::Int(99_999));
     assert_eq!(rio.rows_read, 10);
     assert_eq!(rio.index_pages, 1);
     assert_eq!(rio.sequential_pages + rio.random_pages, 1);

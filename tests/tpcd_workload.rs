@@ -173,3 +173,46 @@ fn q3_parameter_variations() {
         }
     }
 }
+
+/// RUNSTATS reads the heap's typed columns. On every table the suites
+/// plan against — TPC-D and the emp/dept corpus — it must report exactly
+/// what the row-at-a-time scan it replaced reported: the size of a
+/// `HashSet<Value>` per column and the first-seen smallest and largest
+/// value.
+#[test]
+fn runstats_equal_the_row_at_a_time_scan_on_every_table() {
+    use fto_common::Value;
+    use std::collections::HashSet;
+
+    for db in [tpcd(), fto_bench::corpus::emp_db()] {
+        for table in db.catalog().tables() {
+            let rows = db.heap(table.id).unwrap().to_rows();
+            let stats = db.catalog().stats(table.id);
+            assert_eq!(stats.row_count, rows.len() as u64, "{}", table.name);
+            for (c, got) in stats.columns.iter().enumerate() {
+                let values = || rows.iter().map(|r| &r[c]).filter(|v| !v.is_null());
+                let distinct: HashSet<&Value> = values().collect();
+                let min = values().fold(None, |m: Option<&Value>, v| match m {
+                    Some(m) if v >= m => Some(m),
+                    _ => Some(v),
+                });
+                let max = values().fold(None, |m: Option<&Value>, v| match m {
+                    Some(m) if v <= m => Some(m),
+                    _ => Some(v),
+                });
+                let at = format!("{}.{}", table.name, table.columns[c].name);
+                assert_eq!(got.ndv, distinct.len() as u64, "ndv of {at}");
+                assert_eq!(
+                    format!("{:?}", got.min.as_ref()),
+                    format!("{min:?}"),
+                    "{at}"
+                );
+                assert_eq!(
+                    format!("{:?}", got.max.as_ref()),
+                    format!("{max:?}"),
+                    "{at}"
+                );
+            }
+        }
+    }
+}
