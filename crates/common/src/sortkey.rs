@@ -102,9 +102,9 @@ pub fn encode_value_asc(v: &Value, buf: &mut Vec<u8>) {
 }
 
 /// Flipped-double + sign-flipped-residual numeric payload. Shared with
-/// the columnar encoder ([`crate::column::encode_batch_keys`]) so both
-/// paths stay byte-identical by construction.
-pub(crate) fn encode_numeric(g: f64, r: i16, buf: &mut Vec<u8>) {
+/// the columnar encoders in [`crate::column`] so every path stays
+/// byte-identical by construction.
+pub(crate) fn numeric_payload(g: f64, r: i16) -> [u8; NUMERIC_WIDTH - 1] {
     let bits = if g.is_nan() {
         // Canonical positive quiet NaN: flips above +inf, so NaN sorts
         // last among numerics — the same order as `Value::total_cmp`.
@@ -119,8 +119,15 @@ pub(crate) fn encode_numeric(g: f64, r: i16, buf: &mut Vec<u8>) {
     } else {
         bits | 0x8000_0000_0000_0000
     };
-    buf.extend_from_slice(&flipped.to_be_bytes());
-    buf.extend_from_slice(&((r as u16) ^ 0x8000).to_be_bytes());
+    let mut out = [0u8; NUMERIC_WIDTH - 1];
+    out[..8].copy_from_slice(&flipped.to_be_bytes());
+    out[8..].copy_from_slice(&((r as u16) ^ 0x8000).to_be_bytes());
+    out
+}
+
+/// Appends [`numeric_payload`] to `buf`.
+pub(crate) fn encode_numeric(g: f64, r: i16, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&numeric_payload(g, r));
 }
 
 /// Appends the encoding of one value under `dir` to `buf`

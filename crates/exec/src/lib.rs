@@ -54,6 +54,7 @@
 
 #![deny(missing_docs)]
 
+pub(crate) mod aggkernel;
 pub(crate) mod extsort;
 pub mod interp;
 pub mod metrics;

@@ -33,6 +33,7 @@
 //! reference engine's exact emission order, not merely the same bag of
 //! rows.
 
+use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
 use crate::extsort::{FinishedSort, RunFormer, SpilledSort};
 use crate::interp::{concat, eval_preds, positions};
 use crate::metrics::{OpMetrics, PlanMetrics};
@@ -41,8 +42,8 @@ use crate::parallel::{
 };
 use crate::sortkernel::{self, resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{row_bytes, ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
-use fto_expr::{agg::Accumulator, vector, AggCall, Expr, PredId, RowLayout};
+use fto_common::{row_bytes, Direction, FtoError, IndexId, Result, Row, TableId, Value};
+use fto_expr::{vector, Expr, PredId, RowLayout};
 use fto_obs::profile;
 use fto_planner::{Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
@@ -52,7 +53,7 @@ use fto_storage::{
 };
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -686,35 +687,30 @@ impl Operator for StreamDistinctOp {
     }
 }
 
-/// Hash DISTINCT, vectorized the same way as [`StreamDistinctOp`]: the
-/// seen-set is keyed on encoded bytes and survivors gather out columnar.
+/// Hash DISTINCT, vectorized the same way as [`StreamDistinctOp`]: whole
+/// rows encode to key bytes (byte equality ≡ `Value` equality), a
+/// [`GroupTable`] remembers the keys seen, and the rows that opened a
+/// group — the table's first-seen selection — are the output.
 struct HashDistinctOp {
     child: Box<dyn Operator>,
-    /// Encoded keys seen so far (byte equality ≡ `Value` equality).
-    seen_keys: HashSet<Vec<u8>>,
+    seen: GroupTable,
 }
 
 impl Operator for HashDistinctOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.seen_keys.clear();
+        self.seen = GroupTable::new();
         self.child.open(cx, io)
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        let (mut gids, mut sel) = (Vec::new(), Vec::new());
         loop {
             let Some(batch) = self.child.next_batch(cx, io)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
-            let mut sel: Vec<u32> = Vec::new();
-            for i in 0..batch.len() {
-                let key = &kb[ko[i]..ko[i + 1]];
-                if !self.seen_keys.contains(key) {
-                    self.seen_keys.insert(key.to_vec());
-                    sel.push(i as u32);
-                }
-            }
+            self.seen.assign(&kb, &ko, &mut gids, &mut sel, |_, _| true);
             if sel.len() == batch.len() {
                 return Ok(Some(batch));
             }
@@ -725,7 +721,7 @@ impl Operator for HashDistinctOp {
     }
 
     fn close(&mut self) {
-        self.seen_keys.clear();
+        self.seen = GroupTable::new();
         self.child.close();
     }
 }
@@ -1170,9 +1166,10 @@ const GROUP_SPILL_PARTITIONS: usize = 8;
 const MAX_GROUP_SPILL_DEPTH: usize = 6;
 
 /// FNV-1a over an encoded grouping key, salted per recursion level so a
-/// partition's keys re-split differently when it recurses. Hashing the
-/// *encoded* key makes the partitioning codec-independent: the group-by
-/// always encodes keys for its hash table, on either comparator path.
+/// partition's keys re-split differently when it recurses. It hashes the
+/// *encoded* key the group table is keyed on, and is deliberately not the
+/// table's own hash: which partition a key spills to is part of the
+/// pinned spill I/O.
 fn partition_hash(key: &[u8], salt: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for &b in key {
@@ -1182,122 +1179,116 @@ fn partition_hash(key: &[u8], salt: u64) -> u64 {
     h
 }
 
-/// The grouping machinery resolved once per execution: key positions,
-/// their ascending sort keys (for the codec encoder), and the aggregate
-/// argument expressions.
-struct GroupEnv {
-    gpos: Vec<usize>,
-    gkeys: SortKeys,
-    args: Vec<Expr>,
-}
-
-/// In-flight state of one (sub)aggregation in the bounded hash group-by:
-/// the in-memory groups (each remembering the global position of its
-/// first row, which fixes its output rank), the byte-keyed index over
-/// them, the tracked working-set size, and — once the budget is crossed —
-/// the key-hash partitions overflow rows spill into.
-#[derive(Default)]
+/// In-flight state of one (sub)aggregation of the hash group-by: the
+/// resident groups (key → id in `table`, key rows and aggregate state in
+/// `agg`, each group's first row's global position in `first_seqs`, which
+/// fixes its output rank), the budget charged for them, and — once the
+/// budget is crossed — the key-hash partitions overflow rows spill into.
 struct GroupState {
-    groups: Vec<(Vec<Value>, Vec<Accumulator>, u64)>,
-    index: HashMap<Vec<u8>, usize>,
+    spec: Arc<AggSpec>,
+    table: GroupTable,
+    agg: GroupAgg,
+    first_seqs: Vec<u64>,
     bytes: usize,
     parts: Vec<SpillFile>,
 }
 
-struct HashGroupByOp {
-    child: Box<dyn Operator>,
-    grouping: Vec<ColId>,
-    aggs: Vec<(ColId, AggCall)>,
-    layout: RowLayout,
-    buf: Vec<Row>,
-    pos: usize,
+/// Per-batch scratch of the group-by operators, reused across batches.
+#[derive(Default)]
+struct GroupScratch {
+    key_bytes: Vec<u8>,
+    key_offsets: Vec<usize>,
+    gids: Vec<u32>,
+    first: Vec<u32>,
 }
 
-impl HashGroupByOp {
-    fn env(&self) -> Result<GroupEnv> {
-        let gpos: Vec<usize> = self
-            .grouping
-            .iter()
-            .map(|c| {
-                self.layout
-                    .position(*c)
-                    .ok_or_else(|| FtoError::internal("grouping column missing from layout"))
-            })
-            .collect::<Result<_>>()?;
-        Ok(GroupEnv {
-            gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
-            gpos,
-            args: self.aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
-        })
+/// Splits an overflow record `[u32 nrows][nrows × u64 seq][column pages]`
+/// into its sequence numbers and the position its column pages start at.
+fn group_spill_header(rec: &[u8], seqs: &mut Vec<u64>) -> Result<usize> {
+    let truncated = || FtoError::Exec("group-by spill record truncated".into());
+    let n = rec.get(..4).ok_or_else(truncated)?;
+    let n = u32::from_le_bytes(n.try_into().expect("four bytes")) as usize;
+    let body = rec.get(4..4 + 8 * n).ok_or_else(truncated)?;
+    seqs.clear();
+    seqs.extend(
+        body.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes"))),
+    );
+    Ok(4 + 8 * n)
+}
+
+impl GroupState {
+    fn new(spec: &Arc<AggSpec>) -> GroupState {
+        GroupState {
+            spec: Arc::clone(spec),
+            table: GroupTable::new(),
+            agg: GroupAgg::new(Arc::clone(spec)),
+            first_seqs: Vec::new(),
+            bytes: 0,
+            parts: Vec::new(),
+        }
     }
 
-    /// Absorbs one batch into `state`. Rows of already-admitted keys
-    /// aggregate in place (no new memory); a first-seen key is admitted
-    /// while the working set fits the budget, and once it no longer does,
-    /// new keys' rows spill `[u64 seq][row]` records to the partition
-    /// their key hashes to. A key therefore lives entirely in memory or
-    /// entirely in one partition — the hash is deterministic — which is
-    /// what lets each partition re-aggregate independently.
-    #[allow(clippy::too_many_arguments)]
+    /// Absorbs one batch. Rows of already-admitted keys aggregate in
+    /// place (no new memory); a first-seen key is admitted while the
+    /// working set fits the budget, and once it no longer does, new keys'
+    /// rows spill `[u64 seq][row]` records to the partition their key
+    /// hashes to. A key therefore lives entirely in memory or entirely in
+    /// one partition — the hash is deterministic — which is what lets each
+    /// partition re-aggregate independently.
     fn absorb_batch(
-        &self,
-        state: &mut GroupState,
+        &mut self,
         batch: &Batch,
         seqs: &[u64],
-        env: &GroupEnv,
         budget: usize,
         salt: u64,
-        kb: &mut Vec<u8>,
-        ko: &mut Vec<usize>,
+        scratch: &mut GroupScratch,
         io: &mut IoStats,
     ) -> Result<()> {
-        encode_batch_keys_arena(batch, &env.gkeys, kb, ko);
-        let argcols = vector::eval_agg_args(&env.args, batch, &self.layout)?;
+        let GroupScratch {
+            key_bytes,
+            key_offsets,
+            gids,
+            first,
+        } = scratch;
+        let spec = &self.spec;
+        spec.encode_keys(batch, key_bytes, key_offsets);
+        let key_cols = spec.key_columns(batch)?;
         // Overflow rows collect into per-partition selection vectors and
         // spill once per (batch, partition) as one column-page record:
         // `[u32 nrows][nrows × u64 seq][column pages]`. Per-partition
         // row order is arrival order either way, so replay — and with it
         // the rebuilt aggregation — is unchanged.
         let mut psel: Vec<(Vec<u32>, Vec<u64>)> = Vec::new();
-        for i in 0..batch.len() {
-            let key = &kb[ko[i]..ko[i + 1]];
-            let slot = match state.index.get(key) {
-                Some(&slot) => Some(slot),
-                None => {
-                    let kvals: Vec<Value> =
-                        env.gpos.iter().map(|&p| batch.column(p).value(i)).collect();
-                    // Estimated resident cost of admitting this group:
-                    // its index key, key values, and rough per-
-                    // accumulator (64) and hash-entry (48) overheads.
-                    let cost = key.len() + row_bytes(&kvals) + 64 * self.aggs.len() + 48;
-                    if state.bytes + cost > budget && !state.groups.is_empty() {
-                        if psel.is_empty() {
-                            psel = (0..GROUP_SPILL_PARTITIONS)
-                                .map(|_| (Vec::new(), Vec::new()))
-                                .collect();
-                        }
-                        let p = (partition_hash(key, salt) as usize) % GROUP_SPILL_PARTITIONS;
-                        psel[p].0.push(i as u32);
-                        psel[p].1.push(seqs[i]);
-                        None
-                    } else {
-                        state.bytes += cost;
-                        let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-                        state.index.insert(key.to_vec(), state.groups.len());
-                        state.groups.push((kvals, accs, seqs[i]));
-                        Some(state.groups.len() - 1)
+        let (bytes, mut resident) = (&mut self.bytes, self.table.len());
+        self.table
+            .assign(key_bytes, key_offsets, gids, first, |i, key| {
+                // Estimated resident cost of admitting this group: its
+                // index key, key values, and rough per-accumulator (64)
+                // and hash-entry (48) overheads — what the budget charges,
+                // not what the columnar state occupies.
+                let cost = key.len() + batch_row_bytes(&key_cols, i) + 64 * spec.num_aggs() + 48;
+                if *bytes + cost > budget && resident > 0 {
+                    if psel.is_empty() {
+                        psel = (0..GROUP_SPILL_PARTITIONS)
+                            .map(|_| (Vec::new(), Vec::new()))
+                            .collect();
                     }
+                    let p = (partition_hash(key, salt) as usize) % GROUP_SPILL_PARTITIONS;
+                    psel[p].0.push(i as u32);
+                    psel[p].1.push(seqs[i]);
+                    return false;
                 }
-            };
-            if let Some(slot) = slot {
-                for (acc, col) in state.groups[slot].1.iter_mut().zip(&argcols) {
-                    acc.update_value(col.value(i));
-                }
-            }
-        }
+                *bytes += cost;
+                resident += 1;
+                true
+            });
+        self.first_seqs
+            .extend(first.iter().map(|&i| seqs[i as usize]));
+        self.agg.absorb(batch, gids, first)?;
         if !psel.is_empty() {
-            if state.parts.is_empty() {
-                state.parts = (0..GROUP_SPILL_PARTITIONS)
+            if self.parts.is_empty() {
+                self.parts = (0..GROUP_SPILL_PARTITIONS)
                     .map(|_| SpillFile::new())
                     .collect();
             }
@@ -1312,35 +1303,31 @@ impl HashGroupByOp {
                     payload.extend_from_slice(&s.to_le_bytes());
                 }
                 spill::write_batch(&batch.gather(sel), &mut payload);
-                state.parts[p].append_record(&payload, io);
+                self.parts[p].append_record(&payload, io);
             }
         }
         Ok(())
     }
 
-    /// Finishes a state: in-memory groups emit `(first_seq, output_row)`
-    /// pairs, then each non-empty partition streams back through a fresh
-    /// sub-aggregation under a salted hash (records re-batch and re-spill
-    /// under the same budget, so the read-back stays bounded too).
-    #[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-    fn drain_state(
-        &self,
-        state: GroupState,
-        env: &GroupEnv,
+    /// Finishes the state: the resident groups become one
+    /// `(output batch, first_seq per row)` pair, then each non-empty
+    /// partition streams back through a fresh sub-aggregation under a
+    /// salted hash (records re-batch and re-spill under the same budget,
+    /// so the read-back stays bounded too).
+    fn drain(
+        mut self,
         budget: usize,
         depth: usize,
-        cx: &ExecContext<'_>,
         io: &mut IoStats,
-        out: &mut Vec<(u64, Row)>,
+        out: &mut Vec<(Batch, Vec<u64>)>,
     ) -> Result<()> {
-        let GroupState { groups, parts, .. } = state;
-        for (kvals, accs, first_seq) in groups {
-            let mut row = kvals;
-            row.extend(accs.iter().map(|a| a.finish()));
-            out.push((first_seq, row.into_boxed_slice()));
-        }
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        for file in parts {
+        let groups = self.agg.finish()?;
+        // The one row of an empty-input global aggregate has no first row.
+        self.first_seqs.resize(groups.len(), 0);
+        out.push((groups, self.first_seqs));
+        let mut scratch = GroupScratch::default();
+        let mut seqs: Vec<u64> = Vec::new();
+        for file in self.parts {
             if file.is_empty() {
                 continue;
             }
@@ -1350,157 +1337,90 @@ impl HashGroupByOp {
             } else {
                 budget
             };
-            let mut sub = GroupState::default();
+            let mut sub = GroupState::new(&self.spec);
             let mut cursor = SpillCursor::new(0, file.len());
-            let mut seqs: Vec<u64> = Vec::new();
             while let Some(rec) = cursor.read_record(&file, io) {
-                let n = u32::from_le_bytes(rec[0..4].try_into().expect("spill record truncated"))
-                    as usize;
-                let mut pos = 4;
-                seqs.clear();
-                for _ in 0..n {
-                    seqs.push(u64::from_le_bytes(
-                        rec[pos..pos + 8]
-                            .try_into()
-                            .expect("spill record truncated"),
-                    ));
-                    pos += 8;
-                }
+                let mut pos = group_spill_header(&rec, &mut seqs)?;
                 let batch = spill::read_batch(&rec, &mut pos);
-                self.absorb_batch(
-                    &mut sub,
+                sub.absorb_batch(
                     &batch,
                     &seqs,
-                    env,
                     sub_budget,
                     depth as u64 + 1,
-                    &mut kb,
-                    &mut ko,
+                    &mut scratch,
                     io,
                 )?;
             }
-            self.drain_state(sub, env, budget, depth + 1, cx, io, out)?;
+            sub.drain(budget, depth + 1, io, out)?;
         }
-        Ok(())
-    }
-
-    /// The bounded path. Output rows sort by their group's first-seen
-    /// global position, which *is* the unbounded operator's first-seen
-    /// insertion order — and every row of a key aggregates in arrival
-    /// order whether the key stayed in memory or spilled, so accumulator
-    /// results (float sums included) are bit-identical too.
-    fn open_bounded(
-        &mut self,
-        budget: usize,
-        env: &GroupEnv,
-        cx: &ExecContext<'_>,
-        io: &mut IoStats,
-    ) -> Result<()> {
-        let mut state = GroupState::default();
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        let mut saw_input = false;
-        let mut seq = 0u64;
-        let mut seqs: Vec<u64> = Vec::new();
-        while let Some(batch) = self.child.next_batch(cx, io)? {
-            saw_input = true;
-            seqs.clear();
-            seqs.extend(seq..seq + batch.len() as u64);
-            seq += batch.len() as u64;
-            self.absorb_batch(
-                &mut state, &batch, &seqs, env, budget, 0, &mut kb, &mut ko, io,
-            )?;
-        }
-        self.child.close();
-        let mut out: Vec<(u64, Row)> = Vec::new();
-        self.drain_state(state, env, budget, 0, cx, io, &mut out)?;
-        out.sort_unstable_by_key(|&(s, _)| s);
-        if !saw_input && self.grouping.is_empty() {
-            // A global aggregate over an empty input still produces one
-            // row (COUNT(*) = 0, SUM = NULL).
-            let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-            let row: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-            out.push((0, row.into_boxed_slice()));
-        }
-        self.buf = out.into_iter().map(|(_, row)| row).collect();
-        self.pos = 0;
         Ok(())
     }
 }
 
+/// Hash group-by on the aggregation kernel ([`crate::aggkernel`]): per
+/// input batch the grouping keys become memcmp-comparable byte strings
+/// via the sort-key codec (encoded column-at-a-time), a [`GroupTable`]
+/// turns them into dense first-seen group ids, and the aggregates update
+/// columnar state by group id. The codec is an order-preserving injection
+/// up to `Value::total_cmp` equality, which canonicalizes exactly like
+/// `Value`'s `Eq`/`Hash` (Int 5 ≡ Double 5.0, one NaN, one zero) — so byte
+/// equality groups precisely the rows the row engine groups, and first-
+/// seen order matches its output order.
+///
+/// One path for every budget (unbounded is `usize::MAX`): output rows
+/// order by their group's first row's global position, which *is*
+/// first-seen order — and every row of a key aggregates in arrival order
+/// whether the key stayed in memory or spilled, so results (float sums
+/// included) are bit-identical at every budget.
+struct HashGroupByOp {
+    child: Box<dyn Operator>,
+    spec: Arc<AggSpec>,
+    out: BatchQueue,
+}
+
 impl Operator for HashGroupByOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        // Columnar grouping: per input batch, grouping keys become
-        // memcmp-comparable byte strings via the sort-key codec (encoded
-        // column-at-a-time) and the hash table is keyed on bytes instead
-        // of `Vec<Value>`. The codec is an order-preserving injection up
-        // to `Value::total_cmp` equality, which canonicalizes exactly
-        // like `Value`'s `Eq`/`Hash` (Int 5 ≡ Double 5.0, one NaN, one
-        // zero) — so byte equality groups precisely the rows the row
-        // engine groups, and insertion order matches its output order.
         self.child.open(cx, io)?;
-        let env = self.env()?;
-        if let Some(budget) = cx.memory_budget {
-            return self.open_bounded(budget, &env, cx, io);
-        }
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut saw_input = false;
-        let (mut key_bytes, mut key_offsets) = (Vec::new(), Vec::new());
+        let budget = cx.memory_budget.unwrap_or(usize::MAX);
+        let mut state = GroupState::new(&self.spec);
+        let mut scratch = GroupScratch::default();
+        let mut seq = 0u64;
+        let mut seqs: Vec<u64> = Vec::new();
         while let Some(batch) = self.child.next_batch(cx, io)? {
-            saw_input = true;
-            // Keys land in one contiguous arena; only a first-seen group
-            // copies its key out (HashMap probes borrow the slice).
-            encode_batch_keys_arena(&batch, &env.gkeys, &mut key_bytes, &mut key_offsets);
-            let argcols = vector::eval_agg_args(&env.args, &batch, &self.layout)?;
-            for i in 0..batch.len() {
-                let key = &key_bytes[key_offsets[i]..key_offsets[i + 1]];
-                let slot = match index.get(key) {
-                    Some(&slot) => slot,
-                    None => {
-                        let kvals: Vec<Value> =
-                            env.gpos.iter().map(|&p| batch.column(p).value(i)).collect();
-                        let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-                        groups.push((kvals, accs));
-                        index.insert(key.to_vec(), groups.len() - 1);
-                        groups.len() - 1
-                    }
-                };
-                for (acc, col) in groups[slot].1.iter_mut().zip(&argcols) {
-                    acc.update_value(col.value(i));
-                }
-            }
+            seqs.clear();
+            seqs.extend(seq..seq + batch.len() as u64);
+            seq += batch.len() as u64;
+            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, io)?;
         }
         self.child.close();
-        if !saw_input && self.grouping.is_empty() {
-            // A global aggregate over an empty input still produces one
-            // row (COUNT(*) = 0, SUM = NULL).
-            let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-            groups.push((Vec::new(), accs));
+        let mut parts: Vec<(Batch, Vec<u64>)> = Vec::new();
+        state.drain(budget, 0, io, &mut parts)?;
+        let mut order: Vec<(u64, u32, u32)> = Vec::new();
+        for (p, (_, first_seqs)) in parts.iter().enumerate() {
+            order.extend(
+                first_seqs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (s, p as u32, i as u32)),
+            );
         }
-        self.buf = groups
-            .into_iter()
-            .map(|(key, accs)| {
-                let mut row = key;
-                row.extend(accs.iter().map(|a| a.finish()));
-                row.into_boxed_slice()
-            })
-            .collect();
-        self.pos = 0;
+        order.sort_unstable();
+        let sel: Vec<(u32, u32)> = order.iter().map(|&(_, p, i)| (p, i)).collect();
+        let sources: Vec<&Batch> = parts.iter().map(|(b, _)| b).collect();
+        self.out.clear();
+        self.out.push(Batch::gather_multi(&sources, &sel));
         Ok(())
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        if self.pos >= self.buf.len() {
+        if self.out.is_empty() {
             return Ok(None);
         }
-        let end = (self.pos + cx.batch_size).min(self.buf.len());
-        let batch = Batch::from_rows(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(Some(batch))
+        Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())))
     }
 
     fn close(&mut self) {
-        self.buf = Vec::new();
+        self.out.clear();
     }
 }
 
@@ -1508,60 +1428,53 @@ impl Operator for HashGroupByOp {
 // Order-based group-by (fully streaming)
 // ---------------------------------------------------------------------
 
-/// Order-based group-by, vectorized: group keys encode into a
-/// memcmp-able arena once per batch (byte equality ≡ `Value` equality,
-/// same canonicalization argument as [`StreamDistinctOp`]), aggregate
-/// arguments evaluate column-at-a-time via [`vector::eval_agg_args`],
-/// and boundary detection is a byte-slice comparison against the running
-/// group's encoded key — no per-row `Vec<Value>` round trip.
+/// Order-based group-by on the aggregation kernel: group keys encode into
+/// a memcmp-able arena once per batch (byte equality ≡ `Value` equality,
+/// same canonicalization argument as [`StreamDistinctOp`]), group ids come
+/// from run boundaries — a byte-slice comparison against the previous
+/// row's key — and the aggregates update columnar state by group id. The
+/// last group of a batch stays open (it is group 0 of the next batch);
+/// every group before it leaves as columns.
 struct StreamGroupByOp {
     child: Box<dyn Operator>,
-    aggs: Vec<(ColId, AggCall)>,
-    layout: RowLayout,
-    gpos: Vec<usize>,
-    gkeys: SortKeys,
-    args: Vec<Expr>,
-    grouping_is_empty: bool,
-    /// Running group: encoded key, key values (for the output row), and
-    /// one accumulator per aggregate.
-    current: Option<(Vec<u8>, Vec<Value>, Vec<Accumulator>)>,
-    saw_input: bool,
+    spec: Arc<AggSpec>,
+    agg: GroupAgg,
+    /// Encoded key of the open group (meaningful while `agg` holds one).
+    open_key: Vec<u8>,
+    scratch: GroupScratch,
     input_done: bool,
-    out: OutQueue,
+    out: BatchQueue,
 }
 
 impl StreamGroupByOp {
-    fn flush(&mut self, kvals: Vec<Value>, accs: Vec<Accumulator>) {
-        let mut row: Vec<Value> = kvals;
-        row.extend(accs.iter().map(|a| a.finish()));
-        self.out.push(row.into_boxed_slice());
-    }
-
-    fn absorb(&mut self, batch: &Batch, kb: &mut Vec<u8>, ko: &mut Vec<usize>) -> Result<()> {
-        encode_batch_keys_arena(batch, &self.gkeys, kb, ko);
-        let argcols = vector::eval_agg_args(&self.args, batch, &self.layout)?;
-        for i in 0..batch.len() {
-            let key = &kb[ko[i]..ko[i + 1]];
-            let boundary = match &self.current {
-                Some((ckey, _, _)) => ckey[..] != *key,
-                None => true,
-            };
-            if boundary {
-                if let Some((_, kvals, accs)) = self.current.take() {
-                    self.flush(kvals, accs);
-                }
-                let kvals: Vec<Value> = self
-                    .gpos
-                    .iter()
-                    .map(|&p| batch.column(p).value(i))
-                    .collect();
-                let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-                self.current = Some((key.to_vec(), kvals, accs));
+    fn absorb(&mut self, batch: &Batch) -> Result<()> {
+        let GroupScratch {
+            key_bytes: kb,
+            key_offsets: ko,
+            gids,
+            first,
+        } = &mut self.scratch;
+        self.spec.encode_keys(batch, kb, ko);
+        gids.clear();
+        first.clear();
+        let mut open = self.agg.groups();
+        let mut prev: &[u8] = &self.open_key;
+        for (i, w) in ko.windows(2).enumerate() {
+            let key = &kb[w[0]..w[1]];
+            if open == 0 || key != prev {
+                open += 1;
+                first.push(i as u32);
             }
-            let (_, _, accs) = self.current.as_mut().expect("current set above");
-            for (acc, col) in accs.iter_mut().zip(&argcols) {
-                acc.update_value(col.value(i));
-            }
+            gids.push(open as u32 - 1);
+            prev = key;
+        }
+        self.agg.absorb(batch, gids, first)?;
+        if self.agg.groups() > 1 {
+            self.out.push(self.agg.take(self.agg.groups() - 1)?);
+        }
+        if let Some(w) = ko.windows(2).last() {
+            self.open_key.clear();
+            self.open_key.extend_from_slice(&kb[w[0]..w[1]]);
         }
         Ok(())
     }
@@ -1569,43 +1482,31 @@ impl StreamGroupByOp {
 
 impl Operator for StreamGroupByOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.current = None;
-        self.saw_input = false;
+        self.agg = GroupAgg::new(Arc::clone(&self.spec));
         self.input_done = false;
         self.child.open(cx, io)
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size)));
+                return Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())));
             }
             if self.input_done {
                 return Ok(None);
             }
             match self.child.next_batch(cx, io)? {
-                Some(batch) => {
-                    self.saw_input |= !batch.is_empty();
-                    self.absorb(&batch, &mut kb, &mut ko)?;
-                }
+                Some(batch) => self.absorb(&batch)?,
                 None => {
                     self.input_done = true;
-                    if let Some((_, kvals, accs)) = self.current.take() {
-                        self.flush(kvals, accs);
-                    } else if !self.saw_input && self.grouping_is_empty {
-                        // A global aggregate over an empty input still
-                        // produces one row (COUNT(*) = 0, SUM = NULL).
-                        let accs: Vec<_> = self.aggs.iter().map(|(_, c)| c.accumulator()).collect();
-                        self.flush(Vec::new(), accs);
-                    }
+                    self.out.push(self.agg.finish()?);
                 }
             }
         }
     }
 
     fn close(&mut self) {
-        self.current = None;
+        self.agg = GroupAgg::new(Arc::clone(&self.spec));
         self.out.clear();
         self.child.close();
     }
@@ -2861,33 +2762,29 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             aggs,
         } => {
             let gpos = positions(&input.layout, grouping)?;
-            let child = lower_impl(input, lw)?;
+            let spec = Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone()));
             Box::new(StreamGroupByOp {
-                gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                gpos,
-                args: aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
-                grouping_is_empty: grouping.is_empty(),
-                child,
-                aggs: aggs.clone(),
-                layout: input.layout.clone(),
-                current: None,
-                saw_input: false,
+                child: lower_impl(input, lw)?,
+                agg: GroupAgg::new(Arc::clone(&spec)),
+                spec,
+                open_key: Vec::new(),
+                scratch: GroupScratch::default(),
                 input_done: false,
-                out: OutQueue::default(),
+                out: BatchQueue::default(),
             })
         }
         PlanNode::HashGroupBy {
             input,
             grouping,
             aggs,
-        } => Box::new(HashGroupByOp {
-            child: lower_drained(input, lw)?,
-            grouping: grouping.clone(),
-            aggs: aggs.clone(),
-            layout: input.layout.clone(),
-            buf: Vec::new(),
-            pos: 0,
-        }),
+        } => {
+            let gpos = positions(&input.layout, grouping)?;
+            Box::new(HashGroupByOp {
+                child: lower_drained(input, lw)?,
+                spec: Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone())),
+                out: BatchQueue::default(),
+            })
+        }
         PlanNode::StreamDistinct { input } => {
             let child = lower_impl(input, lw)?;
             Box::new(StreamDistinctOp {
@@ -2899,7 +2796,7 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             let child = lower_impl(input, lw)?;
             Box::new(HashDistinctOp {
                 child,
-                seen_keys: HashSet::new(),
+                seen: GroupTable::new(),
             })
         }
         PlanNode::UnionAll { inputs } => Box::new(UnionAllOp {
@@ -3166,6 +3063,87 @@ mod tests {
                 let worker_rows: u64 = metrics.ops[0].workers.iter().map(|w| w.rows).sum();
                 assert_eq!(worker_rows, 2048);
             }
+        }
+    }
+
+    /// A child that replays canned batches — including, unlike the
+    /// engine's own operators, a zero-row one.
+    struct Feed(VecDeque<Batch>);
+
+    impl Operator for Feed {
+        fn open(&mut self, _cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<()> {
+            Ok(())
+        }
+
+        fn next_batch(&mut self, _: &ExecContext<'_>, _: &mut IoStats) -> Result<Option<Batch>> {
+            Ok(self.0.pop_front())
+        }
+    }
+
+    #[test]
+    fn empty_batches_are_not_input_to_a_global_aggregate() {
+        // `select count(*), sum(c0)` over a child that yields one
+        // zero-row batch: one output row (0, NULL) from both group-bys,
+        // as from the interpreter; with a grouping column, none.
+        use fto_expr::{AggCall, AggFunc};
+        let db = test_db(1);
+        let graph = QueryGraph::new();
+        let cx = ExecContext::new(&db, &graph, &ExecOptions::default());
+        let layout = RowLayout::new(vec![ColId(0)]);
+        let aggs = vec![
+            (ColId(1), AggCall::new(AggFunc::Count, Expr::int(1))),
+            (ColId(2), AggCall::new(AggFunc::Sum, Expr::col(ColId(0)))),
+        ];
+        let feed = || Box::new(Feed(VecDeque::from([Batch::empty(1)]))) as Box<dyn Operator>;
+        for gpos in [vec![], vec![0usize]] {
+            let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone()));
+            let ops: [Box<dyn Operator>; 2] = [
+                Box::new(HashGroupByOp {
+                    child: feed(),
+                    spec: Arc::clone(&spec),
+                    out: BatchQueue::default(),
+                }),
+                Box::new(StreamGroupByOp {
+                    child: feed(),
+                    agg: GroupAgg::new(Arc::clone(&spec)),
+                    spec: Arc::clone(&spec),
+                    open_key: Vec::new(),
+                    scratch: GroupScratch::default(),
+                    input_done: false,
+                    out: BatchQueue::default(),
+                }),
+            ];
+            for mut op in ops {
+                let mut io = IoStats::new();
+                op.open(&cx, &mut io).unwrap();
+                let mut rows = Vec::new();
+                while let Some(batch) = op.next_batch(&cx, &mut io).unwrap() {
+                    batch.append_rows_to(&mut rows);
+                }
+                op.close();
+                if gpos.is_empty() {
+                    assert_eq!(rows, vec![vec![Value::Int(0), Value::Null].into()]);
+                } else {
+                    assert!(rows.is_empty(), "{rows:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_group_spill_record_is_an_error() {
+        let mut rec = Vec::new();
+        rec.extend_from_slice(&2u32.to_le_bytes());
+        rec.extend_from_slice(&7u64.to_le_bytes());
+        rec.extend_from_slice(&9u64.to_le_bytes());
+        rec.extend_from_slice(b"pages");
+        let mut seqs = vec![1, 2, 3];
+        assert_eq!(group_spill_header(&rec, &mut seqs).unwrap(), 20);
+        assert_eq!(seqs, [7, 9]);
+        // Cut inside the count, and inside the sequence numbers.
+        for cut in [0usize, 3, 4, 19] {
+            let err = group_spill_header(&rec[..cut], &mut seqs).unwrap_err();
+            assert!(matches!(err, FtoError::Exec(_)), "cut {cut}: {err:?}");
         }
     }
 

@@ -119,10 +119,10 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Feeds one already-evaluated argument value (the columnar group-by
-    /// path evaluates argument expressions batch-at-a-time and then feeds
-    /// the column slots here). Semantics identical to
-    /// [`Accumulator::update`].
+    /// Feeds one already-evaluated argument value. Semantics identical to
+    /// [`Accumulator::update`]; the streaming executor's columnar
+    /// aggregation kernel reproduces them bit for bit without going
+    /// through this type, which serves the reference interpreter.
     pub fn update_value(&mut self, v: Value) {
         if v.is_null() {
             return;

@@ -115,16 +115,17 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
 ///
 /// * a column reference — `Arc` clone of the batch column (errors like
 ///   the row path when the column is missing from the layout);
-/// * a literal — materialized constant column;
-/// * arithmetic whose operands vectorize to numeric (`Int64`/`Float64`)
-///   columns — typed loops reproducing [`Expr::eval`]'s semantics
+/// * a literal — materialized constant column (only when the literal *is*
+///   the expression; as an arithmetic operand it stays a scalar);
+/// * arithmetic whose operands are numeric (`Int64`/`Float64`) columns or
+///   numeric literals — typed loops reproducing [`Expr::eval`]'s semantics
 ///   (wrapping integer ops, division by zero → NULL, any float operand
 ///   widens, NULL propagates); numeric arithmetic cannot error, so
 ///   evaluating unselected rows is unobservable.
 ///
 /// Returns `Ok(None)` when the expression must run row-at-a-time
-/// (arithmetic over strings, dates, booleans, or mixed-type columns —
-/// where the row evaluator may error).
+/// (arithmetic over strings, dates, booleans, NULL literals or mixed-type
+/// columns — where the row evaluator may error or short-circuit).
 pub fn try_eval_column(
     expr: &Expr,
     batch: &Batch,
@@ -140,12 +141,12 @@ pub fn try_eval_column(
         Expr::Lit(v) => Ok(Some(Arc::new(constant_column(v, batch.len())))),
         Expr::Arith { op, left, right } => {
             let (Some(l), Some(r)) = (
-                try_eval_column(left, batch, layout)?,
-                try_eval_column(right, batch, layout)?,
+                Operand::eval(left, batch, layout)?,
+                Operand::eval(right, batch, layout)?,
             ) else {
                 return Ok(None);
             };
-            Ok(arith_columns(*op, &l, &r).map(Arc::new))
+            Ok(arith_operands(*op, &l, &r, batch.len()).map(Arc::new))
         }
     }
 }
@@ -172,72 +173,144 @@ fn constant_column(v: &Value, n: usize) -> Column {
     Column { data, validity }
 }
 
-/// Reads a column slot as `f64`, widening integers — the vectorized
-/// equivalent of [`Value::as_double`] for numeric columns.
-fn numeric_as_f64(col: &Column) -> Option<Vec<f64>> {
-    match &col.data {
-        ColumnData::Int64(v) => Some(v.iter().map(|&x| x as f64).collect()),
-        ColumnData::Float64(v) => Some(v.clone()),
-        _ => None,
+/// One side of a vectorized arithmetic node: an evaluated column, or a
+/// literal kept as the scalar it is (never broadcast into a column).
+enum Operand<'a> {
+    Col(Arc<Column>),
+    Lit(&'a Value),
+}
+
+/// A typed numeric view of an [`Operand`] for the arithmetic loops.
+#[derive(Clone, Copy)]
+enum Side<'a, T> {
+    Col(&'a [T]),
+    Lit(T),
+}
+
+impl<'a> Operand<'a> {
+    fn eval(expr: &'a Expr, batch: &Batch, layout: &RowLayout) -> Result<Option<Operand<'a>>> {
+        Ok(match expr {
+            Expr::Lit(v) => Some(Operand::Lit(v)),
+            e => try_eval_column(e, batch, layout)?.map(Operand::Col),
+        })
+    }
+
+    fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Operand::Col(c) => c.validity.as_ref(),
+            Operand::Lit(_) => None,
+        }
+    }
+
+    /// The operand as integers, when it is an `Int64` column or literal.
+    fn ints(&self) -> Option<Side<'_, i64>> {
+        match self {
+            Operand::Col(c) => match &c.data {
+                ColumnData::Int64(v) => Some(Side::Col(v)),
+                _ => None,
+            },
+            Operand::Lit(Value::Int(x)) => Some(Side::Lit(*x)),
+            Operand::Lit(_) => None,
+        }
+    }
+
+    /// The operand as doubles — the vectorized [`Value::as_double`]. A
+    /// `Float64` column is borrowed; integers widen (a column into
+    /// `widened`, which must outlive the view).
+    fn floats<'s>(&'s self, widened: &'s mut Vec<f64>) -> Option<Side<'s, f64>> {
+        match self {
+            Operand::Col(c) => match &c.data {
+                ColumnData::Float64(v) => Some(Side::Col(v)),
+                ColumnData::Int64(v) => {
+                    widened.extend(v.iter().map(|&x| x as f64));
+                    Some(Side::Col(widened))
+                }
+                _ => None,
+            },
+            Operand::Lit(Value::Double(x)) => Some(Side::Lit(*x)),
+            Operand::Lit(Value::Int(x)) => Some(Side::Lit(*x as f64)),
+            Operand::Lit(_) => None,
+        }
     }
 }
 
-/// Typed arithmetic over two equal-length columns; `None` when either
-/// operand is non-numeric (row fallback required).
-fn arith_columns(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
-    let n = l.len();
-    debug_assert_eq!(n, r.len());
-    let int_pair = matches!(
-        (&l.data, &r.data),
-        (ColumnData::Int64(_), ColumnData::Int64(_))
-    );
-    if int_pair {
-        let (ColumnData::Int64(a), ColumnData::Int64(b)) = (&l.data, &r.data) else {
-            unreachable!()
-        };
+/// `out[i] = apply(a[i], b[i])` over `n` rows, a literal side read as the
+/// same scalar every row. A row is NULL when `valid` says an input slot
+/// is, or when `apply` returns `None` (division by zero); the validity
+/// bitmap is allocated at the first such row, so all-valid results carry
+/// none. `valid` is `None` when neither input has a bitmap.
+fn zip_arith<T: Copy + Default>(
+    n: usize,
+    a: Side<'_, T>,
+    b: Side<'_, T>,
+    valid: Option<&dyn Fn(usize) -> bool>,
+    apply: impl Fn(T, T) -> Option<T>,
+) -> (Vec<T>, Option<Bitmap>) {
+    fn run<T: Copy + Default>(
+        n: usize,
+        a: impl Fn(usize) -> T,
+        b: impl Fn(usize) -> T,
+        valid: Option<&dyn Fn(usize) -> bool>,
+        apply: impl Fn(T, T) -> Option<T>,
+    ) -> (Vec<T>, Option<Bitmap>) {
+        let mut nulls: Option<Bitmap> = None;
         let mut out = Vec::with_capacity(n);
-        let mut bm = Bitmap::new(n, true);
-        let mut any_null = false;
-        for i in 0..n {
-            if !l.is_valid(i) || !r.is_valid(i) || (op == ArithOp::Div && b[i] == 0) {
-                bm.set(i, false);
-                any_null = true;
-                out.push(0);
-                continue;
-            }
-            out.push(match op {
-                ArithOp::Add => a[i].wrapping_add(b[i]),
-                ArithOp::Sub => a[i].wrapping_sub(b[i]),
-                ArithOp::Mul => a[i].wrapping_mul(b[i]),
-                ArithOp::Div => a[i].wrapping_div(b[i]),
-            });
+        let mut or_null = |i: usize, cell: Option<T>| {
+            cell.unwrap_or_else(|| {
+                nulls
+                    .get_or_insert_with(|| Bitmap::new(n, true))
+                    .set(i, false);
+                T::default()
+            })
+        };
+        match valid {
+            None => out.extend((0..n).map(|i| or_null(i, apply(a(i), b(i))))),
+            Some(valid) => out
+                .extend((0..n).map(|i| or_null(i, valid(i).then(|| apply(a(i), b(i))).flatten()))),
         }
+        (out, nulls)
+    }
+    match (a, b) {
+        (Side::Col(x), Side::Col(y)) => run(n, |i| x[i], |i| y[i], valid, apply),
+        (Side::Col(x), Side::Lit(y)) => run(n, |i| x[i], |_| y, valid, apply),
+        (Side::Lit(x), Side::Col(y)) => run(n, |_| x, |i| y[i], valid, apply),
+        (Side::Lit(x), Side::Lit(y)) => run(n, |_| x, |_| y, valid, apply),
+    }
+}
+
+/// Typed arithmetic over two operands of `n` rows; `None` when either is
+/// non-numeric (row fallback required).
+fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
+    let (lv, rv) = (l.validity(), r.validity());
+    let both_valid = |i: usize| lv.is_none_or(|bm| bm.get(i)) && rv.is_none_or(|bm| bm.get(i));
+    let valid: Option<&dyn Fn(usize) -> bool> = if lv.is_some() || rv.is_some() {
+        Some(&both_valid)
+    } else {
+        None
+    };
+    if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+        let (data, validity) = match op {
+            ArithOp::Add => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_add(y))),
+            ArithOp::Sub => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_sub(y))),
+            ArithOp::Mul => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_mul(y))),
+            ArithOp::Div => zip_arith(n, a, b, valid, |x, y| (y != 0).then(|| x.wrapping_div(y))),
+        };
         return Some(Column {
-            data: ColumnData::Int64(out),
-            validity: any_null.then_some(bm),
+            data: ColumnData::Int64(data),
+            validity,
         });
     }
-    let (a, b) = (numeric_as_f64(l)?, numeric_as_f64(r)?);
-    let mut out = Vec::with_capacity(n);
-    let mut bm = Bitmap::new(n, true);
-    let mut any_null = false;
-    for i in 0..n {
-        if !l.is_valid(i) || !r.is_valid(i) || (op == ArithOp::Div && b[i] == 0.0) {
-            bm.set(i, false);
-            any_null = true;
-            out.push(0.0);
-            continue;
-        }
-        out.push(match op {
-            ArithOp::Add => a[i] + b[i],
-            ArithOp::Sub => a[i] - b[i],
-            ArithOp::Mul => a[i] * b[i],
-            ArithOp::Div => a[i] / b[i],
-        });
-    }
+    let (mut wl, mut wr) = (Vec::new(), Vec::new());
+    let (a, b) = (l.floats(&mut wl)?, r.floats(&mut wr)?);
+    let (data, validity) = match op {
+        ArithOp::Add => zip_arith(n, a, b, valid, |x, y| Some(x + y)),
+        ArithOp::Sub => zip_arith(n, a, b, valid, |x, y| Some(x - y)),
+        ArithOp::Mul => zip_arith(n, a, b, valid, |x, y| Some(x * y)),
+        ArithOp::Div => zip_arith(n, a, b, valid, |x, y| (y != 0.0).then(|| x / y)),
+    };
     Some(Column {
-        data: ColumnData::Float64(out),
-        validity: any_null.then_some(bm),
+        data: ColumnData::Float64(data),
+        validity,
     })
 }
 
@@ -483,6 +556,68 @@ mod tests {
         }
         // Bare column projection is an Arc clone, not a copy.
         assert!(Arc::ptr_eq(out.column(0), batch.column(2)));
+    }
+
+    #[test]
+    fn literal_operands_stay_scalars_in_operand_order() {
+        // `lit ∘ col` must not be computed as `col ∘ lit`: Sub and Div do
+        // not commute. Every shape against the row evaluator, doubles by
+        // bit pattern.
+        let rs = rows(vec![
+            vec![Value::Int(4), Value::Double(0.5), Value::Int(3)],
+            vec![Value::Null, Value::Double(-0.0), Value::Int(-8)],
+            vec![Value::Int(0), Value::Null, Value::Int(i64::MIN)],
+            vec![Value::Int(i64::MAX), Value::Double(f64::NAN), Value::Int(1)],
+        ]);
+        let batch = Batch::from_rows(&rs);
+        let layout = RowLayout::new(vec![c(0), c(1), c(2)]);
+        let lits = [
+            Value::Int(7),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Double(2.5),
+            Value::Double(0.0),
+        ];
+        let mut exprs = Vec::new();
+        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div] {
+            for lit in &lits {
+                for col in 0..3u32 {
+                    exprs.push(Expr::arith(op, Expr::Lit(lit.clone()), Expr::col(c(col))));
+                    exprs.push(Expr::arith(op, Expr::col(c(col)), Expr::Lit(lit.clone())));
+                }
+                exprs.push(Expr::arith(op, Expr::Lit(lit.clone()), Expr::int(2)));
+            }
+            // Nested: TPC-D's `price * (1 - discount)` shape.
+            exprs.push(Expr::arith(
+                ArithOp::Mul,
+                Expr::col(c(1)),
+                Expr::arith(op, Expr::int(1), Expr::col(c(1))),
+            ));
+        }
+        let out = project_batch(&exprs, &batch, &layout).unwrap();
+        for (i, row) in batch.to_rows().iter().enumerate() {
+            for (j, e) in exprs.iter().enumerate() {
+                let expect = e.eval(row, &layout).unwrap();
+                let got = out.column(j).value(i);
+                match (&got, &expect) {
+                    (Value::Double(p), Value::Double(q)) => {
+                        assert_eq!(p.to_bits(), q.to_bits(), "{e} row {i}")
+                    }
+                    _ => assert_eq!(got, expect, "{e} row {i}"),
+                }
+            }
+        }
+        // No input bitmap and no division: no validity is allocated.
+        let col2_minus = Expr::arith(ArithOp::Sub, Expr::int(1), Expr::col(c(2)));
+        let col = try_eval_column(&col2_minus, &batch, &layout)
+            .unwrap()
+            .unwrap();
+        assert!(col.validity.is_none());
+        // A NULL literal operand takes the row path (which yields NULL).
+        let null_plus = Expr::arith(ArithOp::Add, Expr::Lit(Value::Null), Expr::col(c(2)));
+        assert!(try_eval_column(&null_plus, &batch, &layout)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -32,6 +32,25 @@ if [[ "${row_sites}" -gt 3 ]]; then
     exit 1
 fi
 
+echo "==> grep guard: one accumulate implementation per engine, no byte-keyed std maps in the grouping operators"
+# The streaming executor aggregates through crates/exec/src/aggkernel.rs
+# (group ids + columnar state); fto_expr::agg::Accumulator belongs to the
+# interpreter, the oracle. Group-by and distinct keys live in the
+# kernel's GroupTable; the one HashMap<Vec<u8>, _> left in stream.rs is
+# the hash-join build.
+if grep -n 'update_value(\|\.accumulator()' crates/exec/src/*.rs | grep -v '^crates/exec/src/interp\.rs:'; then
+    echo "guard failed: Accumulator used outside crates/exec/src/interp.rs;"
+    echo "streaming operators aggregate through aggkernel::GroupAgg"
+    exit 1
+fi
+byte_maps=$(grep -c 'HashMap<Vec<u8>\|HashSet<Vec<u8>' crates/exec/src/stream.rs || true)
+if [[ "${byte_maps}" -gt 1 ]]; then
+    echo "guard failed: ${byte_maps} HashMap<Vec<u8>/HashSet<Vec<u8> sites in crates/exec/src/stream.rs (allowed: 1, the hash-join build);"
+    echo "key encoded bytes through aggkernel::GroupTable"
+    grep -n 'HashMap<Vec<u8>\|HashSet<Vec<u8>' crates/exec/src/stream.rs
+    exit 1
+fi
+
 echo "==> grep guard: the heap is read as columns; only the interpreter materializes its rows"
 # The scan cursors hand out the heap's column chunks (whole, sliced or
 # gathered); transposing rows back into columns per pull is the cost the

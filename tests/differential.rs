@@ -7,6 +7,8 @@
 
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::{envknob, Session};
+use fto_catalog::{Catalog, ColumnDef, KeyDef};
+use fto_common::{DataType, Value};
 use fto_planner::OptimizerConfig;
 use fto_storage::Database;
 use fto_tpcd::{build_database, queries, TpcdConfig};
@@ -279,6 +281,159 @@ fn columnar_matrix_tpcd() {
                     .with_batch_size(batch)
                     .with_threads(threads);
                 assert_engines_agree(&db, sql, config);
+            }
+        }
+    }
+}
+
+/// A 120-row table built to stress grouping: `k` mixes NULL, `Int` and
+/// `Double` values that compare equal (`3` and `3.0` are one group), `v`
+/// switches from `Int` to `Double` half way (a `sum` widens mid-stream),
+/// `s`/`d` are nullable strings (one a prefix of another, one with an
+/// embedded NUL) and dates, and `(p1, p2)` are string pairs whose
+/// concatenations collide.
+fn grouping_db() -> Database {
+    let mut cat = Catalog::new();
+    let g = cat
+        .create_table(
+            "g",
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("grp", DataType::Int),
+                ColumnDef::new("k", DataType::Double),
+                ColumnDef::new("v", DataType::Double),
+                ColumnDef::new("s", DataType::Str),
+                ColumnDef::new("d", DataType::Date),
+                ColumnDef::new("p1", DataType::Str),
+                ColumnDef::new("p2", DataType::Str),
+            ],
+            vec![KeyDef::primary([0])],
+        )
+        .unwrap();
+    let strings = ["a", "ab", "a\0b", "", "zz", "b"];
+    let pairs = [
+        ("ab", "c"),
+        ("a", "bc"),
+        ("abc", ""),
+        ("", "abc"),
+        ("a\0", "b"),
+        ("a", "\0b"),
+    ];
+    let mut db = Database::new(cat);
+    db.load_table(
+        g,
+        (0..120i64)
+            .map(|i| {
+                let k = match (i % 11, i % 3) {
+                    (0, _) => Value::Null,
+                    (_, 0) => Value::Int(i % 5),
+                    (_, 1) => Value::Double((i % 5) as f64),
+                    _ => Value::Int(100 + i % 4),
+                };
+                let v = match i {
+                    _ if i % 13 == 0 => Value::Null,
+                    _ if i < 50 => Value::Int(i * 3 - 20),
+                    _ => Value::Double(i as f64 * 0.25 - 3.0),
+                };
+                let s = if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(strings[(i % 6) as usize])
+                };
+                let d = if i % 10 == 0 {
+                    Value::Null
+                } else {
+                    Value::Date(9000 + ((i * 37) % 50) as i32 - 25)
+                };
+                let (p1, p2) = pairs[(i % 6) as usize];
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 7),
+                    k,
+                    v,
+                    s,
+                    d,
+                    Value::str(p1),
+                    Value::str(p2),
+                ]
+                .into_boxed_slice()
+            })
+            .collect(),
+    )
+    .unwrap();
+    db
+}
+
+/// One statement per thing the aggregation kernel must get exactly right.
+const GROUPING_QUERIES: &[&str] = &[
+    // NULL group keys (NULLs are one group).
+    "select s, count(*) as n, count(s) as ns, sum(v) as sv from g group by s order by s",
+    // Int ≡ Double-equal keys: `3` and `3.0` are one group.
+    "select k, count(*) as n, sum(id) as ids from g group by k order by k",
+    // `sum`/`avg` widening from Int to Double mid-stream.
+    "select grp, sum(v) as sv, avg(v) as av, count(v) as nv from g group by grp order by grp",
+    // `min`/`max` over strings and dates.
+    "select grp, min(s) as s0, max(s) as s1, min(d) as d0, max(d) as d1 \
+     from g group by grp order by grp",
+    // DISTINCT aggregates (over the Int/Double-mixed column too).
+    "select grp, count(distinct k) as dk, sum(distinct v) as dv, count(distinct s) as ds \
+     from g group by grp order by grp",
+    // HAVING over an aggregate that is not in the select list.
+    "select grp, count(*) as n from g group by grp having sum(id) > 1000 order by grp",
+    // Global aggregate over an empty filter result: one row.
+    "select count(*) as n, sum(v) as sv, min(s) as s0 from g where id < 0",
+    // Hash distinct on string pairs whose concatenations collide.
+    "select distinct p1, p2 from g",
+    "select distinct k from g",
+];
+
+/// Equality by representation: `5` is not `5.0`, doubles by bit pattern.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b && a.data_type() == b.data_type(),
+    }
+}
+
+#[test]
+fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
+    let db = grouping_db();
+    let mut thread_counts = vec![1usize];
+    thread_counts.extend(env_threads());
+    // Default plans (hash group-by / hash distinct where cheaper) and the
+    // order-based inventory (stream group-by over sorts).
+    let shapes = [OptimizerConfig::default(), OptimizerConfig::db2_1996()];
+    for sql in GROUPING_QUERIES {
+        for shape in &shapes {
+            for batch in [1usize, 3, 1024] {
+                for budget in [None, Some(1usize), Some(64 << 10)] {
+                    for &threads in &thread_counts {
+                        let mut config = shape.clone().with_batch_size(batch).with_threads(threads);
+                        if let Some(b) = budget {
+                            config = config.with_memory_budget(b);
+                        }
+                        let cell =
+                            format!("{sql}\nbatch={batch} budget={budget:?} threads={threads}");
+                        let prepared = Session::new(&db)
+                            .config(config)
+                            .plan(sql)
+                            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let streamed = prepared.execute().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let materialized = prepared
+                            .execute_materialized()
+                            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let (got, want) = (streamed.rows(), materialized.rows());
+                        assert_eq!(got.len(), want.len(), "{cell}\n{}", prepared.explain());
+                        for (g, w) in got.iter().zip(want.iter()) {
+                            assert!(
+                                g.len() == w.len()
+                                    && g.iter().zip(w.iter()).all(|(x, y)| same_bits(x, y)),
+                                "{cell}\ngot  {g:?}\nwant {w:?}\nplan:\n{}",
+                                prepared.explain()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -236,6 +236,49 @@ fn spilled_join_builds_charge_pinned_io_under_budgets() {
 }
 
 #[test]
+fn spilled_group_by_charges_pinned_io_under_budgets() {
+    // The hash group-by's partition spill — admission order, the cost
+    // charged per admitted group, one record per (batch, partition),
+    // replay under a salted hash — pinned as literals next to the join
+    // builds'. Captured at the last commit whose group-by kept a
+    // `HashMap<Vec<u8>, usize>` and per-group `Accumulator`s: the columnar
+    // aggregation kernel must admit and spill exactly what that did.
+    let db = emp_db();
+    let sql = "select emp_id, sum(salary) as s, count(*) as n from emp group by emp_id";
+    let baseline = unbounded_rows(&db, sql);
+    // (budget, spill pages written = read, partition runs formed).
+    for (budget, pages, runs) in [(1usize << 10, 48u64, 48u64), (4 << 10, 25, 25)] {
+        for threads in [1usize, 2, 4] {
+            // `runs_formed` is a delta of process-wide counters, which a
+            // spilling test on another thread can only inflate: the
+            // smallest of a few attempts is this query's own count.
+            let mut fewest_runs = u64::MAX;
+            for _ in 0..5 {
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let out = Session::new(&db).config(config).execute(sql).unwrap();
+                assert_eq!(out.rows(), baseline, "budget={budget} threads={threads}");
+                let expected = IoStats {
+                    sequential_pages: 4,
+                    random_pages: 0,
+                    index_pages: 0,
+                    sort_rows: 0,
+                    rows_read: 400,
+                    spill_pages_written: pages,
+                    spill_pages_read: pages,
+                    pool_hits: 0,
+                    pool_misses: 4,
+                };
+                assert_eq!(out.io, expected, "budget={budget} threads={threads}");
+                fewest_runs = fewest_runs.min(out.spill.runs_formed);
+            }
+            assert_eq!(fewest_runs, runs, "budget={budget} threads={threads}");
+        }
+    }
+}
+
+#[test]
 fn budget_and_threads_compose_bit_identically() {
     // A memory budget no longer pins execution serial: parallel workers
     // get budget/P sub-budgets and must produce the same bytes as the
