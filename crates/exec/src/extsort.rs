@@ -1,18 +1,25 @@
-//! External-sort machinery: row-granular run formation under a memory
-//! budget, byte-serialized spill runs, and streaming multi-pass K-way
-//! merges over them.
+//! External-sort machinery behind the order enforcer: run formation
+//! under a memory budget, spilled runs of column pages, and streaming
+//! multi-pass K-way merges over them — columnar end to end.
 //!
-//! The bounded [`SortOp`](crate::stream) drives a [`RunFormer`]: input
-//! rows accumulate in memory until the next row would push the working
-//! set past the budget, at which point the buffered rows are sorted with
-//! the shared kernel and spilled as one [`SortedRun`] — tagged with the
-//! rows' global input positions, so merging the runs by `(keys, seq)`
-//! reproduces the unbounded stable sort bit for bit. When the input ends,
-//! runs beyond the merge fan-in ([`fto_planner::cost::MERGE_FAN_IN`]) are
-//! reduced level by level (each level is one *merge pass*, the unit the
-//! cost model prices in [`fto_planner::cost::sort_spill_passes`]); the
-//! final ≤F runs stream through a [`RunMerge`] that the operator pulls
-//! batch by batch, so the sorted output is never materialized whole.
+//! A [`RunFormer`] buffers one prefix group's rows in a
+//! [`SortBuf`](crate::sortkernel::SortBuf) — references into the input
+//! batches plus encoded keys, never rows. Each row is charged
+//! `row_bytes + key + 8` (its row-shaped footprint plus the decorated key
+//! a spilled run stores); when the next row would push the working set
+//! past the budget the buffer is sorted as a permutation and spilled as
+//! one run, tagged with the rows' input positions, so merging the runs by
+//! `(key, seq)` reproduces the unbounded stable sort bit for bit. One
+//! body serves every budget (unbounded is `usize::MAX`: nothing ever
+//! seals). With a `limit` the former is a top-N: it never spills, and
+//! prunes its candidates back to the best `limit` whenever they outgrow
+//! `max(budget, 2 · limit rows)` — a row outside the running top can never
+//! re-enter it. When the group ends, runs beyond the merge fan-in
+//! ([`fto_planner::cost::MERGE_FAN_IN`]) are reduced level by level (each
+//! level is one *merge pass*, the unit the cost model prices in
+//! [`fto_planner::cost::sort_spill_passes`]); the final ≤F runs stream
+//! through a [`RunMerge`] pulled batch by batch, so the sorted output is
+//! never materialized whole.
 //!
 //! On-spill record format (one length-prefixed record per
 //! [`RUN_GROUP_ROWS`]-row group, via [`SpillFile::append_record`]):
@@ -22,137 +29,112 @@
 //! [nrows × u32 key end-offset LE][key bytes][column pages (spill::write_batch)]
 //! ```
 //!
-//! Each key is the decorated normalized key (`key ‖ big-endian seq`;
-//! a keyless sort stores the 8 seq bytes alone), so a merge compares one
-//! byte slice per heap step exactly like the in-memory
-//! [`crate::sortkernel::merge_runs`]. Rows serialize as batch column
-//! pages, amortizing one encode/decode over the whole group.
+//! Each stored key is the decorated normalized key (`key ‖ big-endian
+//! seq`; a keyless sort stores the 8 seq bytes alone). A group is written
+//! from a gathered batch and decodes back into a
+//! [`Run`](crate::sortkernel::Run); a merge keeps one decoded group and a
+//! row cursor per run.
 
-use crate::sortkernel::{self, SortedRun};
-use fto_common::{row_bytes, Batch, Row};
+use crate::sortkernel::{self, gather_rows, least_head, KeyArena, Run, SortBuf};
+use fto_common::column::{batch_row_bytes, Batch};
+use fto_common::{FtoError, Result};
 use fto_planner::cost::MERGE_FAN_IN;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// How many rows each spilled run record groups together.
 const RUN_GROUP_ROWS: usize = 256;
 
 /// Extent (byte range) of one sorted run inside a spill file.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RunExtent {
+struct RunExtent {
     start: u64,
     end: u64,
 }
 
-/// Appends one run group record to `file` (see the module docs for the
-/// format), reusing `payload` as scratch. `rows`, `seqs`, and `keys`
-/// run parallel.
-fn append_run_group(
-    file: &mut SpillFile,
-    payload: &mut Vec<u8>,
-    rows: &[Row],
-    seqs: &[u64],
-    keys: &[&[u8]],
-    io: &mut IoStats,
-) {
+/// Appends `run` as one run group record to `file` (see the module docs
+/// for the format), reusing `payload` as scratch.
+fn append_run_group(file: &mut SpillFile, payload: &mut Vec<u8>, run: &Run, io: &mut IoStats) {
+    let n = run.seqs.len();
     payload.clear();
-    payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for &seq in seqs {
+    payload.extend_from_slice(&(n as u32).to_le_bytes());
+    for &seq in &run.seqs {
         payload.extend_from_slice(&seq.to_le_bytes());
     }
-    let total: usize = keys.iter().map(|k| k.len()).sum();
-    payload.extend_from_slice(&(total as u32).to_le_bytes());
+    let stored = |i: usize| run.keys.get(i).len() as u32 + 8;
+    payload.extend_from_slice(&(0..n).map(stored).sum::<u32>().to_le_bytes());
     let mut end = 0u32;
-    for k in keys {
-        end += k.len() as u32;
+    for i in 0..n {
+        end += stored(i);
         payload.extend_from_slice(&end.to_le_bytes());
     }
-    for k in keys {
-        payload.extend_from_slice(k);
+    for (i, &seq) in run.seqs.iter().enumerate() {
+        payload.extend_from_slice(run.keys.get(i));
+        payload.extend_from_slice(&seq.to_be_bytes());
     }
-    spill::write_batch(&Batch::from_rows(rows), payload);
+    spill::write_batch(&run.batch, payload);
     file.append_record(payload, io);
 }
 
-/// Serializes a sorted run to the spill file as group records, charging
-/// `spill_pages_written` as pages fill.
-fn spill_sorted_run(file: &mut SpillFile, run: &SortedRun, io: &mut IoStats) -> RunExtent {
-    let start = file.len();
-    let mut payload = Vec::new();
-    let n = run.rows.len();
-    let mut at = 0;
-    while at < n {
-        let end = (at + RUN_GROUP_ROWS).min(n);
-        let keys: Vec<&[u8]> = run.enc[at..end].iter().map(Vec::as_slice).collect();
-        append_run_group(
-            file,
-            &mut payload,
-            &run.rows[at..end],
-            &run.seqs[at..end],
-            &keys,
-            io,
-        );
-        at = end;
+/// Decodes one run group record, bounds-checking every header field: a
+/// truncated or inconsistent record is an error, not a panic. (The column
+/// pages behind the header are [`spill::read_batch`]'s.)
+fn parse_run_group(rec: &[u8]) -> Result<Run> {
+    let bad = || FtoError::Exec("sort run group record truncated or inconsistent".into());
+    let mut pos = 0usize;
+    let mut take = |len: usize| {
+        let field = rec.get(pos..pos.checked_add(len)?)?;
+        pos += len;
+        Some(field)
+    };
+    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("four bytes")) as usize;
+    let n = take(4).map(le32).filter(|&n| n > 0).ok_or_else(bad)?;
+    let seqs: Vec<u64> = take(n.checked_mul(8).ok_or_else(bad)?)
+        .ok_or_else(bad)?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes")))
+        .collect();
+    let total = take(4).map(le32).ok_or_else(bad)?;
+    let ends = take(n * 4).ok_or_else(bad)?;
+    let stored = take(total).ok_or_else(bad)?;
+    let mut keys = KeyArena::default();
+    let mut start = 0;
+    for end in ends.chunks_exact(4).map(le32) {
+        // Each stored key ends in its 8-byte tag, which `seqs` repeats.
+        let key = stored.get(start..end).filter(|k| k.len() >= 8);
+        keys.push(key.map(|k| &k[..k.len() - 8]).ok_or_else(bad)?);
+        start = end;
     }
-    RunExtent {
-        start,
-        end: file.len(),
+    let batch = spill::read_batch(rec, &mut pos);
+    if batch.len() != n || start != total {
+        return Err(bad());
     }
+    Ok(Run { batch, keys, seqs })
 }
 
-/// One decoded run head waiting in a merge.
-struct Head {
-    row: Row,
-    seq: u64,
-    /// Decorated normalized key (`key ‖ big-endian seq`).
-    key: Vec<u8>,
-}
-
-/// Streams one spilled run's heads: each group record decodes whole
-/// (one [`spill::read_batch`] per [`RUN_GROUP_ROWS`] rows) and queues
-/// as per-row [`Head`]s.
+/// Streams one spilled run: the current decoded group and a row cursor.
 struct RunReader {
     cursor: SpillCursor,
-    pending: VecDeque<Head>,
+    group: Option<Run>,
+    at: usize,
 }
 
 impl RunReader {
-    fn next(&mut self, file: &SpillFile, io: &mut IoStats) -> Option<Head> {
-        if self.pending.is_empty() {
-            let rec = self.cursor.read_record(file, io)?;
-            let truncated = "run group truncated";
-            let n = u32::from_le_bytes(rec[0..4].try_into().expect(truncated)) as usize;
-            let mut pos = 4;
-            let mut seqs = Vec::with_capacity(n);
-            for _ in 0..n {
-                seqs.push(u64::from_le_bytes(
-                    rec[pos..pos + 8].try_into().expect(truncated),
-                ));
-                pos += 8;
-            }
-            let total = u32::from_le_bytes(rec[pos..pos + 4].try_into().expect(truncated)) as usize;
-            pos += 4;
-            let mut ends = Vec::with_capacity(n);
-            for _ in 0..n {
-                ends.push(
-                    u32::from_le_bytes(rec[pos..pos + 4].try_into().expect(truncated)) as usize,
-                );
-                pos += 4;
-            }
-            let kbase = pos;
-            pos += total;
-            let batch = spill::read_batch(&rec, &mut pos);
-            let mut kstart = 0;
-            for (i, &kend) in ends.iter().enumerate() {
-                self.pending.push_back(Head {
-                    row: batch.row(i),
-                    seq: seqs[i],
-                    key: rec[kbase + kstart..kbase + kend].to_vec(),
-                });
-                kstart = kend;
-            }
-        }
-        self.pending.pop_front()
+    /// Decodes the run's next group (one [`spill::read_batch`] per
+    /// [`RUN_GROUP_ROWS`] rows), or parks at end of run.
+    fn load(&mut self, file: &SpillFile, io: &mut IoStats) -> Result<()> {
+        self.at = 0;
+        self.group = match self.cursor.read_record(file, io) {
+            Some(rec) => Some(parse_run_group(&rec)?),
+            None => None,
+        };
+        Ok(())
+    }
+
+    fn head(&self) -> Option<(&[u8], u64)> {
+        let g = self.group.as_ref()?;
+        Some((g.keys.get(self.at), g.seqs[self.at]))
     }
 }
 
@@ -160,50 +142,65 @@ impl RunReader {
 /// group per run plus a cursor, so memory stays O(fan-in · group)
 /// regardless of run sizes. Reads charge `spill_pages_read` through the
 /// cursors.
-pub(crate) struct RunMerge {
+struct RunMerge {
     readers: Vec<RunReader>,
-    heads: Vec<Option<Head>>,
 }
 
 impl RunMerge {
-    fn new(file: &SpillFile, extents: &[RunExtent], io: &mut IoStats) -> RunMerge {
-        let mut readers: Vec<RunReader> = extents
-            .iter()
-            .map(|e| RunReader {
+    fn new(file: &SpillFile, extents: &[RunExtent], io: &mut IoStats) -> Result<RunMerge> {
+        let mut readers = Vec::with_capacity(extents.len());
+        for e in extents {
+            let mut reader = RunReader {
                 cursor: SpillCursor::new(e.start, e.end),
-                pending: VecDeque::new(),
-            })
-            .collect();
-        let heads = readers.iter_mut().map(|r| r.next(file, io)).collect();
-        RunMerge { readers, heads }
+                group: None,
+                at: 0,
+            };
+            reader.load(file, io)?;
+            readers.push(reader);
+        }
+        Ok(RunMerge { readers })
     }
 
-    /// Pops the minimum head by `(keys, seq)` and refills it from its
-    /// cursor. Heads compare by memcmp on their stored keys (the seq
-    /// suffix embedded in the key decides ties) — the same contract as
-    /// the in-memory merge.
-    fn next_head(&mut self, file: &SpillFile, io: &mut IoStats) -> Option<Head> {
-        let mut best: Option<usize> = None;
+    /// Pops the next `max` rows (fewer at the end) in `(key, seq)` order
+    /// as one run, gathered straight from the decoded groups; `None` once
+    /// every run is drained. A run whose group empties loads its next one
+    /// at once, so page reads fall where a row-at-a-time merge's would.
+    fn next_run(&mut self, max: usize, file: &SpillFile, io: &mut IoStats) -> Result<Option<Run>> {
+        let mut sources: Vec<Batch> = Vec::new();
+        let mut source_of: Vec<Option<u32>> = vec![None; self.readers.len()];
+        let mut sel: Vec<(u32, u32)> = Vec::new();
+        let (mut keys, mut seqs) = (KeyArena::default(), Vec::new());
         let mut cmps = 0u64;
-        for (k, head) in self.heads.iter().enumerate() {
-            let Some(h) = head else { continue };
-            best = match best {
-                None => Some(k),
-                Some(b) => {
-                    let bh = self.heads[b].as_ref().expect("best head vacated");
-                    cmps += 1;
-                    if h.key < bh.key {
-                        Some(k)
-                    } else {
-                        Some(b)
-                    }
-                }
+        while sel.len() < max {
+            let heads = self.readers.iter().map(RunReader::head);
+            let Some(k) = least_head(heads, &mut cmps) else {
+                break;
             };
+            let reader = &mut self.readers[k];
+            let group = reader.group.as_ref().expect("a head has a group");
+            let source = *source_of[k].get_or_insert_with(|| {
+                sources.push(group.batch.clone());
+                sources.len() as u32 - 1
+            });
+            sel.push((source, reader.at as u32));
+            keys.push(group.keys.get(reader.at));
+            seqs.push(group.seqs[reader.at]);
+            reader.at += 1;
+            if reader.at == group.seqs.len() {
+                reader.load(file, io)?;
+                source_of[k] = None;
+            }
         }
         sortkernel::charge(0, cmps);
-        let k = best?;
-        let next = self.readers[k].next(file, io);
-        std::mem::replace(&mut self.heads[k], next)
+        if sel.is_empty() {
+            return Ok(None);
+        }
+        let sources: Vec<&Batch> = sources.iter().collect();
+        Ok(Some(Run {
+            batch: gather_rows(&sources, &sel),
+            keys,
+            seqs,
+        }))
     }
 }
 
@@ -215,7 +212,8 @@ fn reduce_to_fan_in(
     file: &mut SpillFile,
     mut extents: Vec<RunExtent>,
     io: &mut IoStats,
-) -> Vec<RunExtent> {
+) -> Result<Vec<RunExtent>> {
+    let mut payload = Vec::new();
     while extents.len() > MERGE_FAN_IN {
         sortkernel::note_merge_pass();
         let mut next = Vec::with_capacity(extents.len().div_ceil(MERGE_FAN_IN));
@@ -225,32 +223,9 @@ fn reduce_to_fan_in(
                 continue;
             }
             let start = file.len();
-            let mut merge = RunMerge::new(file, chunk, io);
-            let mut payload = Vec::new();
-            let mut grows: Vec<Row> = Vec::new();
-            let mut gseqs: Vec<u64> = Vec::new();
-            let mut gkeys: Vec<Vec<u8>> = Vec::new();
-            let mut flush = |grows: &mut Vec<Row>,
-                             gseqs: &mut Vec<u64>,
-                             gkeys: &mut Vec<Vec<u8>>,
-                             file: &mut SpillFile,
-                             io: &mut IoStats| {
-                let ks: Vec<&[u8]> = gkeys.iter().map(Vec::as_slice).collect();
-                append_run_group(file, &mut payload, grows, gseqs, &ks, io);
-                grows.clear();
-                gseqs.clear();
-                gkeys.clear();
-            };
-            while let Some(h) = merge.next_head(file, io) {
-                grows.push(h.row);
-                gseqs.push(h.seq);
-                gkeys.push(h.key);
-                if grows.len() == RUN_GROUP_ROWS {
-                    flush(&mut grows, &mut gseqs, &mut gkeys, file, io);
-                }
-            }
-            if !grows.is_empty() {
-                flush(&mut grows, &mut gseqs, &mut gkeys, file, io);
+            let mut merge = RunMerge::new(file, chunk, io)?;
+            while let Some(run) = merge.next_run(RUN_GROUP_ROWS, file, io)? {
+                append_run_group(file, &mut payload, &run, io);
             }
             next.push(RunExtent {
                 start,
@@ -259,123 +234,150 @@ fn reduce_to_fan_in(
         }
         extents = next;
     }
-    extents
+    Ok(extents)
 }
 
 /// The spilled half of a finished external sort: the final ≤F runs and
-/// the streaming merge over them, pulled row by row from `next_batch`.
+/// the streaming merge over them.
 pub(crate) struct SpilledSort {
     file: SpillFile,
     merge: RunMerge,
 }
 
-impl SpilledSort {
-    /// The next row of the merged (fully sorted) output, or `None` when
-    /// every run is drained.
-    pub(crate) fn next_row(&mut self, io: &mut IoStats) -> Option<Row> {
-        self.merge.next_head(&self.file, io).map(|h| h.row)
-    }
-}
-
-/// What a [`RunFormer`] produced once the input ended.
-pub(crate) enum FinishedSort {
-    /// Nothing spilled: the whole input, sorted in memory (the unbounded
-    /// fast path, with identical I/O and kernel accounting).
-    InMemory(Vec<Row>),
-    /// At least one run spilled: stream the final merge.
+/// What a finished prefix group leaves for emission, in order: batches
+/// gathered from memory, or the streaming merge of a group that spilled.
+pub(crate) enum Sorted {
+    Batch(Batch),
     Spilled(SpilledSort),
 }
 
-/// Row-granular run formation for the bounded sort. The working set —
-/// buffered rows ([`fto_common::row_bytes`]) plus their decorated keys —
-/// never exceeds `max(budget, one row)`; crossing the budget seals the
-/// buffer into a sorted, spilled run.
+impl SpilledSort {
+    /// The next `batch_size` rows of the merged (fully sorted) output, or
+    /// `None` when every run is drained.
+    pub(crate) fn next_batch(
+        &mut self,
+        batch_size: usize,
+        io: &mut IoStats,
+    ) -> Result<Option<Batch>> {
+        let run = self.merge.next_run(batch_size, &self.file, io)?;
+        Ok(run.map(|r| r.batch))
+    }
+}
+
+/// Run formation for one prefix group at a time (see the module docs).
+/// The working set never exceeds `max(budget, one row)`.
 pub(crate) struct RunFormer {
     budget: usize,
+    limit: Option<usize>,
+    buf: SortBuf,
+    bytes: usize,
+    /// Input position, within the group, of the next row.
+    next_seq: u64,
     file: SpillFile,
     extents: Vec<RunExtent>,
-    rows: Vec<Row>,
-    /// Key arena for the buffered rows: row `i`'s normalized key is
-    /// `key_bytes[key_offsets[i]..key_offsets[i + 1]]`.
-    key_bytes: Vec<u8>,
-    key_offsets: Vec<usize>,
-    bytes: usize,
-    /// Global input position of `rows[0]`.
-    base_seq: u64,
-    next_seq: u64,
 }
 
 impl RunFormer {
-    pub(crate) fn new(budget: usize) -> RunFormer {
+    pub(crate) fn new(budget: usize, limit: Option<usize>) -> RunFormer {
         RunFormer {
             budget,
+            limit,
+            buf: SortBuf::default(),
+            bytes: 0,
+            next_seq: 0,
             file: SpillFile::new(),
             extents: Vec::new(),
-            rows: Vec::new(),
-            key_bytes: Vec::new(),
-            key_offsets: vec![0],
-            bytes: 0,
-            base_seq: 0,
-            next_seq: 0,
         }
     }
 
-    /// Buffers one input row with its arena-encoded normalized key,
-    /// sealing the current run first when the row would push the working
-    /// set past the budget.
-    pub(crate) fn push(&mut self, row: Row, key: &[u8], io: &mut IoStats) {
-        // The decorated key a sealed run stores is `key ‖ 8-byte seq`.
-        let cost = row_bytes(&row) + key.len() + 8;
-        if !self.rows.is_empty() && self.bytes + cost > self.budget {
-            self.seal(io);
+    /// Buffers `rows` of `batch` with their keys from the batch's key
+    /// arena (`kb`, `ko`), sealing the current run first whenever the next
+    /// row would push the working set past the budget.
+    pub(crate) fn push_rows(
+        &mut self,
+        batch: &Batch,
+        rows: Range<usize>,
+        kb: &[u8],
+        ko: &[usize],
+        io: &mut IoStats,
+    ) {
+        self.buf.add_batch(batch);
+        for i in rows {
+            let key = &kb[ko[i]..ko[i + 1]];
+            let cost = batch_row_bytes(batch, i) + key.len() + 8;
+            let full = self.bytes.saturating_add(cost) > self.budget;
+            if full && self.limit.is_none() && !self.buf.is_empty() {
+                self.seal(io);
+                self.buf.add_batch(batch);
+            }
+            self.bytes += cost;
+            self.buf.push(i, key, self.next_seq);
+            self.next_seq += 1;
         }
-        self.bytes += cost;
-        self.key_bytes.extend_from_slice(key);
-        self.key_offsets.push(self.key_bytes.len());
-        self.rows.push(row);
-        self.next_seq += 1;
+        if let Some(n) = self.limit {
+            let len = self.buf.len();
+            if len > n && (self.bytes > self.budget || len >= 2 * n.max(1)) {
+                let top = self.buf.run(&self.buf.ordered(self.limit));
+                self.buf.clear();
+                self.buf.push_run(&top);
+                self.bytes = (0..top.seqs.len())
+                    .map(|i| batch_row_bytes(&top.batch, i) + top.keys.get(i).len() + 8)
+                    .sum();
+            }
+        }
     }
 
-    /// Sorts the buffered rows into a run tagged with their global input
-    /// positions and spills it. Charges `sort_rows` per run, so the
-    /// external sort's total equals the unbounded operator's.
+    /// Sorts the buffered rows into a run and spills it. Charges
+    /// `sort_rows` per run, so the external sort's total equals the
+    /// in-memory one's.
     fn seal(&mut self, io: &mut IoStats) {
-        if self.rows.is_empty() {
-            return;
+        io.sort_rows += self.buf.len() as u64;
+        let start = self.file.len();
+        let mut payload = Vec::new();
+        for group in self.buf.ordered(None).chunks(RUN_GROUP_ROWS) {
+            append_run_group(&mut self.file, &mut payload, &self.buf.run(group), io);
         }
-        let rows = std::mem::take(&mut self.rows);
-        io.sort_rows += rows.len() as u64;
-        let mut run = sortkernel::sort_run_arena(rows, &self.key_bytes, &self.key_offsets);
-        run.shift(self.base_seq);
-        let extent = spill_sorted_run(&mut self.file, &run, io);
-        self.extents.push(extent);
+        self.extents.push(RunExtent {
+            start,
+            end: self.file.len(),
+        });
         sortkernel::note_spill_runs(1);
-        self.key_bytes.clear();
-        self.key_offsets.clear();
-        self.key_offsets.push(0);
+        self.buf.clear();
         self.bytes = 0;
-        self.base_seq = self.next_seq;
     }
 
-    /// Ends the input. When nothing spilled, the buffer is sorted in
-    /// memory exactly as the unbounded operator would. Otherwise the
-    /// tail seals as the last run, runs reduce to the merge fan-in, and
-    /// the final streaming merge — itself one pass — takes over.
-    pub(crate) fn finish(mut self, io: &mut IoStats) -> FinishedSort {
+    /// Ends the group: queues its sorted rows on `out` and resets the
+    /// former for the next group. When nothing spilled the buffer is
+    /// sorted (or top-`limit` selected) in memory and gathered in
+    /// `batch_size` chunks. Otherwise the tail seals as the last run, runs
+    /// reduce to the merge fan-in, and the final streaming merge — itself
+    /// one pass — is queued.
+    pub(crate) fn finish(
+        &mut self,
+        batch_size: usize,
+        out: &mut VecDeque<Sorted>,
+        io: &mut IoStats,
+    ) -> Result<()> {
         if self.extents.is_empty() {
-            let mut rows = std::mem::take(&mut self.rows);
-            io.sort_rows += rows.len() as u64;
-            sortkernel::sort_rows_arena(&mut rows, &self.key_bytes, &self.key_offsets);
-            return FinishedSort::InMemory(rows);
+            let perm = self.buf.ordered(self.limit);
+            io.sort_rows += perm.len() as u64;
+            for chunk in perm.chunks(batch_size) {
+                out.push_back(Sorted::Batch(self.buf.gather(chunk)));
+            }
+        } else {
+            if !self.buf.is_empty() {
+                self.seal(io);
+            }
+            let mut file = std::mem::take(&mut self.file);
+            let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), io)?;
+            sortkernel::note_merge_pass();
+            let merge = RunMerge::new(&file, &extents, io)?;
+            out.push_back(Sorted::Spilled(SpilledSort { file, merge }));
         }
-        self.seal(io);
-        let extents = reduce_to_fan_in(&mut self.file, self.extents, io);
-        sortkernel::note_merge_pass();
-        let merge = RunMerge::new(&self.file, &extents, io);
-        FinishedSort::Spilled(SpilledSort {
-            file: self.file,
-            merge,
-        })
+        self.buf.clear();
+        self.bytes = 0;
+        self.next_seq = 0;
+        Ok(())
     }
 }
 
@@ -383,27 +385,37 @@ impl RunFormer {
 mod tests {
     use super::*;
     use crate::sortkernel::SortKeys;
-    use fto_common::{Direction, Value};
+    use fto_common::column::encode_batch_keys_arena;
+    use fto_common::{Direction, Row, Value};
 
     fn row(k: i64, v: &str) -> Row {
         vec![Value::Int(k), Value::Str(v.into())].into_boxed_slice()
     }
 
+    fn input(n: i64) -> Vec<Row> {
+        (0..n).map(|i| row(i % 7, &format!("row-{i}"))).collect()
+    }
+
+    /// Sorts `input(n)`, fed in 64-row batches, through a former.
     fn drive(budget: usize, keys: &SortKeys, n: i64) -> (Vec<Row>, IoStats) {
         let mut io = IoStats::new();
-        let mut former = RunFormer::new(budget);
-        for i in 0..n {
-            let r = row(i % 7, &format!("row-{i}"));
-            let mut key = Vec::new();
-            fto_common::sortkey::encode_key_into(&r, keys, &mut key);
-            former.push(r, &key, &mut io);
+        let mut former = RunFormer::new(budget, None);
+        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        for piece in input(n).chunks(64) {
+            let batch = Batch::from_rows(piece);
+            encode_batch_keys_arena(&batch, keys, &mut kb, &mut ko);
+            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut io);
         }
+        let mut sorted = VecDeque::new();
+        former.finish(50, &mut sorted, &mut io).unwrap();
         let mut out = Vec::new();
-        match former.finish(&mut io) {
-            FinishedSort::InMemory(rows) => out = rows,
-            FinishedSort::Spilled(mut s) => {
-                while let Some(r) = s.next_row(&mut io) {
-                    out.push(r);
+        for part in sorted {
+            match part {
+                Sorted::Batch(b) => b.append_rows_to(&mut out),
+                Sorted::Spilled(mut s) => {
+                    while let Some(b) = s.next_batch(50, &mut io).unwrap() {
+                        b.append_rows_to(&mut out);
+                    }
                 }
             }
         }
@@ -419,8 +431,7 @@ mod tests {
             let (unbounded, io0) = drive(usize::MAX, &keys, 500);
             assert_eq!(io0.spill_pages_written, 0);
             if keys.is_empty() {
-                let input: Vec<Row> = (0..500).map(|i| row(i % 7, &format!("row-{i}"))).collect();
-                assert_eq!(unbounded, input, "keyless sort must keep input order");
+                assert_eq!(unbounded, input(500), "keyless sort must keep input order");
             }
             for budget in [1usize, 512, 4096, 1 << 20] {
                 let (got, io) = drive(budget, &keys, 500);
@@ -446,5 +457,40 @@ mod tests {
         assert!(delta.runs_formed >= 200, "runs {}", delta.runs_formed);
         assert!(delta.merge_passes >= 3, "passes {}", delta.merge_passes);
         assert!(io.spill_pages_written > 0 && io.spill_pages_read > 0);
+    }
+
+    #[test]
+    fn corrupt_run_group_headers_are_errors_not_panics() {
+        // One well-formed two-row group, as `append_run_group` frames it.
+        let keys: SortKeys = vec![(0, Direction::Asc)];
+        let mut buf = SortBuf::default();
+        buf.push_batch(&Batch::from_rows(&input(2)), &keys, 5..);
+        let run = buf.run(&buf.ordered(None));
+        let (mut file, mut payload) = (SpillFile::new(), Vec::new());
+        append_run_group(&mut file, &mut payload, &run, &mut IoStats::new());
+        let rec = payload;
+        let back = parse_run_group(&rec).unwrap();
+        assert_eq!(back.seqs, [5, 6]);
+        assert_eq!(back.keys.get(1), run.keys.get(1));
+        assert_eq!(back.batch.columns(), run.batch.columns());
+        // Header layout: [n:4][seqs:16][key_total:4][ends:8][keys:38].
+        let header = 4 + 16 + 4 + 8 + 2 * (11 + 8);
+        // Truncated inside the count, the tags, the key total, the key
+        // end offsets, and the key bytes.
+        for cut in [0, 3, 4, 19, 22, 27, 31, 32, header - 1] {
+            let err = parse_run_group(&rec[..cut]).unwrap_err();
+            assert!(matches!(err, FtoError::Exec(_)), "cut {cut}: {err:?}");
+        }
+        let patch = |at: usize, v: u32| {
+            let mut bad = rec.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            parse_run_group(&bad)
+        };
+        // A key end past key_total, ends running backwards, a key too
+        // short to hold its tag, a zero row count.
+        assert!(patch(28, 39).is_err());
+        assert!(patch(24, 40).is_err());
+        assert!(patch(24, 7).is_err());
+        assert!(patch(0, 0).is_err());
     }
 }

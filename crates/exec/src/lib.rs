@@ -14,25 +14,26 @@
 //!   their keys column-at-a-time. Scans charge simulated page I/O
 //!   incrementally as batches are pulled, so early-terminating queries
 //!   (LIMIT, Top-N) pay only for the pages behind the rows they actually
-//!   produce. The only general pipeline breaker is the in-memory sort;
-//!   hash group-by and Top-N are inherently blocking, and joins
-//!   materialize only their build side.
-//! * [`sortkernel`] — the shared decorate–sort–undecorate sort kernel
-//!   (stable sorts, Top-N selection, order-preserving K-way merge of
-//!   sorted runs) used by both engines and by the exchange layer. Its
-//!   stability/tie-order contract is what makes parallel merges
-//!   deterministic. The streaming executor decorates rows with
-//!   normalized binary sort keys (`fto_common::sortkey`) and
-//!   sorts/merges by `memcmp`, with an MSB radix path for fixed-width
-//!   keys; the interpreter sorts through the `Value` comparator, and the
-//!   differential suite holds the two bit-identical.
+//!   produce. Sort, segmented sort and Top-N are one order-enforcing
+//!   operator; a full sort, a Top-N and hash group-by are inherently
+//!   blocking, and joins materialize only their build side.
+//! * [`sortkernel`] — the interpreter's `Value`-comparator sort and
+//!   top-N (the oracle) and the permutation kernel every order enforcer
+//!   runs on: column batches held as they arrived, normalized binary
+//!   sort keys (`fto_common::sortkey`) in one arena, a permutation
+//!   ordered by `(key, input position)` — `memcmp`, or an MSB radix pass
+//!   on fixed-width keys — one gather per output batch, and the K-way
+//!   `(key, seq)` merge of runs. Its stability/tie-order contract is
+//!   what makes external and parallel merges deterministic; the
+//!   differential suite holds both engines bit-identical.
 //! * [`parallel`] — the exchange layer. At parallel degree `p > 1`,
 //!   lowering fans partitionable pipeline segments out over `p`
-//!   `std::thread` workers: `Gather` concatenates partition outputs in
-//!   partition order, `MergeExchange` sorts per-partition runs and
-//!   K-way-merges them order-preservingly, and `Repartition` deals a
-//!   serial stream round-robin to parallel bucket sorts. Results are
-//!   bit-identical to serial execution at every degree.
+//!   `std::thread` workers: `Gather` concatenates the partitions'
+//!   batches in partition order, and `SortExchange` — the parallel form
+//!   of a full sort or top-N — has workers order partitions (or a
+//!   round-robin deal of a serial child) into runs that the coordinator
+//!   K-way-merges. Results are bit-identical to serial execution at
+//!   every degree.
 //! * [`interp`] — the original fully materializing interpreter, kept as
 //!   the reference engine. The differential test suite runs every query
 //!   through both engines and requires identical rows in identical order.

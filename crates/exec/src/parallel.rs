@@ -14,7 +14,8 @@
 //! stream in partition order. Page/leaf-aligned partitions charge exactly
 //! the pages a serial scan charges, so session totals — and the
 //! [`crate::metrics::PlanMetrics`] exact-rollup invariant — are preserved
-//! at every degree.
+//! at every degree. Workers hand back the column batches they pulled;
+//! nothing here materializes a row.
 //!
 //! Determinism contract (what makes parallel output bit-identical to
 //! serial):
@@ -23,29 +24,28 @@
 //!   partition k of a scan *is* segment k of the serial emission order
 //!   (reverse index scans map partitions accordingly) — so a gather
 //!   reproduces the serial stream exactly.
-//! * [`MergeExchangeOp`] has each worker stably sort its run with the
-//!   shared kernel, then K-way merges by `(keys, seq)` where run k's
-//!   sequence tags occupy the interval of serial positions its partition
-//!   covered — reproducing the serial stable sort
-//!   ([`crate::sortkernel::SortedRun::shift`]).
-//! * [`RepartitionSortOp`] handles non-partitionable sort inputs: the
-//!   coordinator drains the child serially, deals rows round-robin
-//!   tagging each with its global position, workers sort buckets by
-//!   `(keys, seq)`, and the merge restores the serial stable sort.
-//! * [`TopNExchangeOp`] takes each partition's local top-N (kernel
-//!   selection, position-tagged), merges by `(keys, seq)`, and truncates
-//!   — any row of the global top-N is necessarily in its partition's
-//!   top-N, so the result equals the serial Top-N exactly.
+//! * [`SortExchangeOp`] has each worker order its rows with the
+//!   permutation kernel ([`crate::sortkernel`]) into a run tagged with
+//!   serial input positions, then K-way merges by `(key, seq)` —
+//!   reproducing the serial stable sort. Over a partitionable input the
+//!   workers drain the partitions and tag locally; the coordinator
+//!   rebases run k onto the interval of serial positions partition k
+//!   covered. Over any other input the coordinator drains the child
+//!   serially and deals rows round-robin, so worker k's rows already
+//!   carry their global positions. With a `limit` each worker keeps its
+//!   local top-N and the merge stops after N rows — any row of the
+//!   global top-N is necessarily in its partition's top-N.
 //!
 //! All exchanges are pipeline breakers that materialize at `open`; they
-//! are only inserted where the serial plan drained its input at `open`
+//! are only inserted where the serial plan drains its input at `open`
 //! anyway (Sort, TopN, join build sides, hash group-by inputs), so
-//! early-termination behavior above them is unchanged.
+//! early-termination behavior above them is unchanged. A segmented sort
+//! streams group by group and therefore never lowers to an exchange.
 
 use crate::metrics::{OpMetrics, WorkerOpMetrics};
-use crate::sortkernel::{self, SortKeys, SortedRun};
-use crate::stream::{drain_all, lower_worker, Batch, ExecContext, ExecOptions, Operator};
-use fto_common::{Result, Row};
+use crate::sortkernel::{gather_rows, merge_runs, Run, SortBuf, SortKeys};
+use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, ExecOptions, Operator};
+use fto_common::Result;
 use fto_obs::profile;
 use fto_planner::Plan;
 use fto_storage::IoStats;
@@ -75,11 +75,49 @@ struct WorkerRun<T> {
     elapsed: Duration,
 }
 
-/// Runs the spec's subtree over all partitions on scoped threads; worker
-/// `k` drains partition `k` and then applies `finish` (e.g. sorting the
-/// run) before returning. Results come back in partition order, and a
-/// worker's private `IoStats` captures everything it charged — including
-/// whatever `finish` adds — so the coordinator can merge the streams in a
+/// Runs `work(part)` for every partition on its own scoped thread, each
+/// on a profiler lane `"{lane} p{part}"` inside an exchange span
+/// `"{span} p{part}"`. Lanes are allocated here on the coordinator,
+/// before any worker spawns, so lane numbering reflects partition order —
+/// never thread scheduling. Results come back in partition order.
+fn on_workers<T: Send>(
+    cx: &ExecContext<'_>,
+    parts: usize,
+    (lane, span): (&str, &str),
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let lane_base = cx.profiler.as_ref().map(|p| p.alloc_lanes(parts as u32));
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..parts)
+            .map(|part| {
+                let work = &work;
+                let profiler = cx.profiler.clone();
+                s.spawn(move || {
+                    let _lane = profiler.as_ref().map(|p| {
+                        p.install_lane_at(
+                            lane_base.expect("lanes pre-allocated") + part as u32,
+                            format!("{lane} p{part}"),
+                        )
+                    });
+                    profile::span_begin("exchange", || format!("{span} p{part}"));
+                    let out = work(part);
+                    profile::span_end("exchange", || format!("{span} p{part}"));
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// Runs the spec's subtree over all partitions: worker `k` drains
+/// partition `k` as column batches and then applies `finish` (e.g.
+/// sorting them into a run) before returning. A worker's private
+/// `IoStats` captures everything it charged — including whatever
+/// `finish` adds — so the coordinator can merge the streams in a
 /// deterministic order.
 fn run_partitions<T, F>(
     cx: &ExecContext<'_>,
@@ -88,7 +126,7 @@ fn run_partitions<T, F>(
 ) -> Result<Vec<WorkerRun<T>>>
 where
     T: Send,
-    F: Fn(Vec<Row>, &mut IoStats) -> T + Sync,
+    F: Fn(Vec<Batch>, &mut IoStats) -> T + Sync,
 {
     let parts = spec.parts;
     // Workers rebuild their own contexts from plain copies of the
@@ -99,93 +137,61 @@ where
     // worker context builds its own private pool from its share.
     let (db, graph, batch_size) = (cx.db, cx.graph, cx.batch_size);
     let sub_budget = cx.memory_budget.map(|b| (b / parts).max(1));
-    // Profiler lanes are allocated here on the coordinator, before any
-    // worker spawns, so lane numbering reflects partition order — never
-    // thread scheduling. Each worker installs its pre-assigned lane for
-    // the lifetime of its partition pipeline.
-    let lane_base = cx.profiler.as_ref().map(|p| p.alloc_lanes(parts as u32));
-    let results: Vec<Result<WorkerRun<T>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..parts)
-            .map(|part| {
-                let finish = &finish;
-                let profiler = cx.profiler.clone();
-                s.spawn(move || -> Result<WorkerRun<T>> {
-                    let started = Instant::now();
-                    let _lane = profiler.as_ref().map(|p| {
-                        p.install_lane_at(
-                            lane_base.expect("lanes pre-allocated") + part as u32,
-                            format!("worker p{part}"),
-                        )
-                    });
-                    profile::span_begin("exchange", || format!("partition p{part}"));
-                    // Worker contexts pin threads to 1: partition
-                    // pipelines never nest exchanges.
-                    let wcx = ExecContext::new(
-                        db,
-                        graph,
-                        &ExecOptions {
-                            batch_size,
-                            threads: 1,
-                            memory_budget: sub_budget,
-                            profiler: None,
-                        },
-                    );
-                    let mut wio = IoStats::new();
-                    let mut op =
-                        lower_worker(&spec.plan, part, parts, spec.slots.clone(), spec.base_id)?;
-                    op.open(&wcx, &mut wio)?;
-                    let mut rows = Vec::new();
-                    let mut batches = 0u64;
-                    while let Some(batch) = op.next_batch(&wcx, &mut wio)? {
-                        batches += 1;
-                        batch.append_rows_to(&mut rows);
-                    }
-                    op.close();
-                    let out = finish(rows, &mut wio);
-                    profile::span_end("exchange", || format!("partition p{part}"));
-                    Ok(WorkerRun {
-                        out,
-                        io: wio,
-                        batches,
-                        elapsed: started.elapsed(),
-                    })
-                })
+    on_workers(
+        cx,
+        parts,
+        ("worker", "partition"),
+        |part| -> Result<WorkerRun<T>> {
+            let started = Instant::now();
+            // Worker contexts pin threads to 1: partition pipelines never
+            // nest exchanges.
+            let wcx = ExecContext::new(
+                db,
+                graph,
+                &ExecOptions {
+                    batch_size,
+                    threads: 1,
+                    memory_budget: sub_budget,
+                    profiler: None,
+                },
+            );
+            let mut wio = IoStats::new();
+            let mut op = lower_worker(&spec.plan, part, parts, spec.slots.clone(), spec.base_id)?;
+            op.open(&wcx, &mut wio)?;
+            let mut pulled = Vec::new();
+            while let Some(batch) = op.next_batch(&wcx, &mut wio)? {
+                pulled.push(batch);
+            }
+            op.close();
+            let batches = pulled.len() as u64;
+            let out = finish(pulled, &mut wio);
+            Ok(WorkerRun {
+                out,
+                io: wio,
+                batches,
+                elapsed: started.elapsed(),
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    results.into_iter().collect()
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
-/// Attaches per-worker metrics to the slot with pre-order id `id`.
-fn record_workers(
-    slot: &Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    workers: Vec<WorkerOpMetrics>,
-) {
+/// The (id, slots) handle an exchange uses to attach per-worker metrics
+/// to a plan node's slot.
+pub(crate) type SlotRef = Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>;
+
+fn record_workers(slot: &SlotRef, workers: Vec<WorkerOpMetrics>) {
     if let Some((id, slots)) = slot {
         slots.lock().expect("metrics mutex poisoned")[*id].workers = workers;
     }
 }
 
-/// Streams a buffered result in batch-size chunks (the tail shared by all
-/// exchange operators).
-fn emit(buf: &[Row], pos: &mut usize, batch_size: usize) -> Option<Batch> {
-    if *pos >= buf.len() {
-        return None;
-    }
-    let end = (*pos + batch_size).min(buf.len());
-    let batch = Batch::from_rows(&buf[*pos..end]);
-    *pos = end;
-    Some(batch)
-}
-
 /// Order-preserving gather: drains the P partition pipelines on worker
-/// threads and concatenates their outputs in partition order — exactly
-/// the serial emission order. Inserted where the parent fully drains the
-/// child at `open` (join build sides, hash group-by inputs).
+/// threads and concatenates the batches they pulled in partition order —
+/// exactly the serial emission order — re-cut to `batch_size`. Inserted
+/// where the parent fully drains the child at `open` (join build sides,
+/// hash group-by inputs).
 ///
 /// The gather deliberately has no metric slot of its own: the workers'
 /// wrappers record rows/batches/I/O into the exchanged subtree's slots,
@@ -193,34 +199,32 @@ fn emit(buf: &[Row], pos: &mut usize, batch_size: usize) -> Option<Batch> {
 /// [`OpMetrics::workers`].
 pub(crate) struct GatherOp {
     spec: PartitionSpec,
-    buf: Vec<Row>,
-    pos: usize,
+    out: BatchQueue,
 }
 
 impl GatherOp {
     pub(crate) fn new(spec: PartitionSpec) -> GatherOp {
         GatherOp {
             spec,
-            buf: Vec::new(),
-            pos: 0,
+            out: BatchQueue::default(),
         }
     }
 }
 
 impl Operator for GatherOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        let runs = run_partitions(cx, &self.spec, |rows, _| rows)?;
+        let runs = run_partitions(cx, &self.spec, |batches, _| batches)?;
         let mut workers = Vec::with_capacity(runs.len());
-        self.buf = Vec::new();
+        self.out.clear();
         for run in runs {
             io.merge(&run.io);
             workers.push(WorkerOpMetrics {
-                rows: run.out.len() as u64,
+                rows: run.out.iter().map(|b| b.len() as u64).sum(),
                 batches: run.batches,
                 io: run.io,
                 elapsed: run.elapsed,
             });
-            self.buf.extend(run.out);
+            run.out.into_iter().for_each(|b| self.out.push(b));
         }
         let slot = self
             .spec
@@ -228,267 +232,185 @@ impl Operator for GatherOp {
             .as_ref()
             .map(|s| (self.spec.base_id, Arc::clone(s)));
         record_workers(&slot, workers);
-        self.pos = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        Ok(emit(&self.buf, &mut self.pos, cx.batch_size))
+        if self.out.is_empty() {
+            return Ok(None);
+        }
+        let arity = self.spec.plan.layout.arity();
+        Ok(Some(self.out.take(cx.batch_size, arity)))
     }
 
     fn close(&mut self) {
-        self.buf = Vec::new();
+        self.out.clear();
     }
 }
 
-/// Parallel sort over a partitionable input: workers drain and stably
-/// sort disjoint partitions of the serial stream, the coordinator tags
-/// each run with its partition's serial interval and K-way merges by
-/// `(keys, seq)` — bit-identical to the serial sort operator's output.
-pub(crate) struct MergeExchangeOp {
-    spec: PartitionSpec,
-    keys: SortKeys,
-    own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    buf: Vec<Row>,
-    pos: usize,
-}
-
-impl MergeExchangeOp {
-    pub(crate) fn new(
-        spec: PartitionSpec,
-        keys: SortKeys,
-        own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    ) -> MergeExchangeOp {
-        MergeExchangeOp {
-            spec,
-            keys,
-            own_slot,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-}
-
-impl Operator for MergeExchangeOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        let keys = &self.keys;
-        // Each worker charges its run to `sort_rows` and sorts it inside
-        // the thread — the parallel half of the work — keeping its
-        // normalized keys (tagged with local positions) so the
-        // coordinator's merge is memcmp-only.
-        let runs = run_partitions(cx, &self.spec, |rows, wio| {
-            wio.sort_rows += rows.len() as u64;
-            sortkernel::sort_run_codec(rows, keys)
-        })?;
-        let mut workers = Vec::with_capacity(runs.len());
-        let mut sorted = Vec::with_capacity(runs.len());
-        let mut base = 0u64;
-        for run in runs {
-            io.merge(&run.io);
-            workers.push(WorkerOpMetrics {
-                rows: run.out.rows.len() as u64,
-                batches: run.batches,
-                io: run.io,
-                elapsed: run.elapsed,
-            });
-            let mut srun = run.out;
-            let len = srun.rows.len() as u64;
-            // Rebase local tags onto the partition's serial interval.
-            srun.shift(base);
-            sorted.push(srun);
-            base += len;
-        }
-        record_workers(&self.own_slot, workers);
-        self.buf = sortkernel::merge_runs(sorted)?;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        Ok(emit(&self.buf, &mut self.pos, cx.batch_size))
-    }
-
-    fn close(&mut self) {
-        self.buf = Vec::new();
-    }
-}
-
-/// Parallel sort for inputs that cannot be partitioned (joins,
-/// aggregations): the coordinator drains the serial child, deals rows
-/// round-robin into P buckets tagged with their global positions, workers
-/// sort the buckets by `(keys, seq)`, and the K-way merge restores the
-/// serial stable sort exactly.
-pub(crate) struct RepartitionSortOp {
-    child: Box<dyn Operator>,
-    keys: SortKeys,
-    parts: usize,
-    own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    buf: Vec<Row>,
-    pos: usize,
-}
-
-impl RepartitionSortOp {
-    pub(crate) fn new(
+/// Where a [`SortExchangeOp`]'s workers get their rows.
+pub(crate) enum SortSource {
+    /// Workers drain the partitions of a partitionable subtree.
+    Partitioned(PartitionSpec),
+    /// The coordinator drains a serial child and deals its rows
+    /// round-robin over `parts` workers.
+    RoundRobin {
         child: Box<dyn Operator>,
-        keys: SortKeys,
         parts: usize,
-        own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    ) -> RepartitionSortOp {
-        RepartitionSortOp {
-            child,
-            keys,
-            parts,
-            own_slot,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
+    },
 }
 
-impl Operator for RepartitionSortOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        let rows = drain_all(&mut self.child, cx, io)?;
-        io.sort_rows += rows.len() as u64;
-        let mut buckets: Vec<Vec<(u64, Row)>> = (0..self.parts).map(|_| Vec::new()).collect();
-        for (g, row) in rows.into_iter().enumerate() {
-            buckets[g % self.parts].push((g as u64, row));
+/// Orders every `parts`-th row of `batches` starting at row `part` —
+/// `(0, 1)` is all of them — under `keys` into a run tagged with the
+/// rows' positions in `batches`, cut to the first `limit` rows.
+pub(crate) fn sort_run(
+    batches: &[Batch],
+    keys: &SortKeys,
+    limit: Option<usize>,
+    (part, parts): (u64, u64),
+) -> Run {
+    let mut buf = SortBuf::default();
+    let mut base = 0u64;
+    for batch in batches {
+        let tags = (base..base + batch.len() as u64).filter(|g| g % parts == part);
+        if parts == 1 {
+            buf.push_batch(batch, keys, tags);
+        } else {
+            let dealt: Vec<u32> = tags.clone().map(|g| (g - base) as u32).collect();
+            buf.push_batch(&batch.gather(&dealt), keys, tags);
         }
-        let keys = &self.keys;
-        // Lanes pre-allocated on the coordinator, as in run_partitions.
-        let lane_base = cx
-            .profiler
-            .as_ref()
-            .map(|p| p.alloc_lanes(self.parts as u32));
-        let runs: Vec<(SortedRun, Duration)> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(part, bucket)| {
-                    let profiler = cx.profiler.clone();
-                    s.spawn(move || {
-                        let _lane = profiler.as_ref().map(|p| {
-                            p.install_lane_at(
-                                lane_base.expect("lanes pre-allocated") + part as u32,
-                                format!("bucket-sort p{part}"),
-                            )
-                        });
-                        profile::span_begin("exchange", || format!("bucket p{part}"));
-                        let started = Instant::now();
-                        let run = sortkernel::sort_tagged(bucket, keys);
-                        let elapsed = started.elapsed();
-                        profile::span_end("exchange", || format!("bucket p{part}"));
-                        (run, elapsed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        // Bucket sorts touch no pages and pull no batches; only rows and
-        // sort time are meaningful per worker here.
-        let workers = runs
-            .iter()
-            .map(|(run, elapsed)| WorkerOpMetrics {
-                rows: run.rows.len() as u64,
-                batches: 0,
-                io: IoStats::new(),
-                elapsed: *elapsed,
-            })
-            .collect();
-        record_workers(&self.own_slot, workers);
-        self.buf = sortkernel::merge_runs(runs.into_iter().map(|(run, _)| run).collect())?;
-        self.pos = 0;
-        Ok(())
+        base += batch.len() as u64;
     }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        Ok(emit(&self.buf, &mut self.pos, cx.batch_size))
-    }
-
-    fn close(&mut self) {
-        self.buf = Vec::new();
-        self.child.close();
-    }
+    buf.run(&buf.ordered(limit))
 }
 
-/// Parallel Top-N over a partitionable input: each worker selects its
-/// partition's local top-N tagged with local positions; the coordinator
-/// shifts tags onto the partitions' serial intervals, merges by
-/// `(keys, seq)`, and truncates. Any row of the global top-N is in its
-/// partition's top-N, so the result is bit-identical to the serial
-/// operator — including the choice among boundary ties (earliest serial
+/// The parallel order enforcer for a full (no satisfied prefix) sort or
+/// top-N: workers order disjoint pieces of the serial input into runs
+/// tagged with serial positions, the coordinator K-way merges them by
+/// `(key, seq)` — bit-identical to the serial enforcer's output,
+/// including the choice among rows tied at a `limit` (earliest serial
 /// positions win).
-pub(crate) struct TopNExchangeOp {
-    spec: PartitionSpec,
+pub(crate) struct SortExchangeOp {
+    source: SortSource,
     keys: SortKeys,
-    n: usize,
-    own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    buf: Vec<Row>,
+    limit: Option<usize>,
+    own_slot: SlotRef,
+    runs: Vec<Batch>,
+    merged: Vec<(u32, u32)>,
     pos: usize,
 }
 
-impl TopNExchangeOp {
+impl SortExchangeOp {
     pub(crate) fn new(
-        spec: PartitionSpec,
+        source: SortSource,
         keys: SortKeys,
-        n: usize,
-        own_slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    ) -> TopNExchangeOp {
-        TopNExchangeOp {
-            spec,
+        limit: Option<usize>,
+        own_slot: SlotRef,
+    ) -> SortExchangeOp {
+        SortExchangeOp {
+            source,
             keys,
-            n,
+            limit,
             own_slot,
-            buf: Vec::new(),
+            runs: Vec::new(),
+            merged: Vec::new(),
             pos: 0,
         }
     }
 }
 
-impl Operator for TopNExchangeOp {
+impl Operator for SortExchangeOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        let keys = &self.keys;
-        let n = self.n;
-        let runs = run_partitions(cx, &self.spec, |rows, _| {
-            let total = rows.len() as u64;
-            let tagged = sortkernel::tag_positions(rows);
-            (sortkernel::top_n_run(tagged, keys, n), total)
-        })?;
-        let mut workers = Vec::with_capacity(runs.len());
-        let mut sorted = Vec::with_capacity(runs.len());
-        let mut base = 0u64;
-        for run in runs {
-            io.merge(&run.io);
-            let (mut top, drained) = run.out;
-            workers.push(WorkerOpMetrics {
-                rows: top.rows.len() as u64,
-                batches: run.batches,
-                io: run.io,
-                elapsed: run.elapsed,
-            });
-            // Local tags shift onto the partition's serial interval
-            // (stored keys get their seq suffix patched in place).
-            top.shift(base);
-            sorted.push(top);
-            base += drained;
+        let (keys, limit) = (&self.keys, self.limit);
+        let mut workers = Vec::new();
+        let mut runs = Vec::new();
+        match &mut self.source {
+            SortSource::Partitioned(spec) => {
+                // Each worker sorts its run inside the thread — the
+                // parallel half of the work — tagging by local position;
+                // a full sort charges the run to `sort_rows` there.
+                let sorted = run_partitions(cx, spec, |batches, wio| {
+                    let drained: u64 = batches.iter().map(|b| b.len() as u64).sum();
+                    if limit.is_none() {
+                        wio.sort_rows += drained;
+                    }
+                    (sort_run(&batches, keys, limit, (0, 1)), drained)
+                })?;
+                let mut base = 0u64;
+                for worker in sorted {
+                    io.merge(&worker.io);
+                    let (mut run, drained) = worker.out;
+                    workers.push(WorkerOpMetrics {
+                        rows: run.seqs.len() as u64,
+                        batches: worker.batches,
+                        io: worker.io,
+                        elapsed: worker.elapsed,
+                    });
+                    // Rebase local tags onto the partition's serial interval.
+                    run.seqs.iter_mut().for_each(|s| *s += base);
+                    base += drained;
+                    runs.push(run);
+                }
+            }
+            SortSource::RoundRobin { child, parts } => {
+                let parts = *parts as u64;
+                child.open(cx, io)?;
+                let mut batches = Vec::new();
+                while let Some(batch) = child.next_batch(cx, io)? {
+                    if limit.is_none() {
+                        io.sort_rows += batch.len() as u64;
+                    }
+                    batches.push(batch);
+                }
+                child.close();
+                let sorted = on_workers(cx, parts as usize, ("bucket-sort", "bucket"), |part| {
+                    let started = Instant::now();
+                    let run = sort_run(&batches, keys, limit, (part as u64, parts));
+                    (run, started.elapsed())
+                });
+                // Bucket sorts touch no pages and pull no batches; only
+                // rows and sort time are meaningful per worker here.
+                for (run, elapsed) in sorted {
+                    workers.push(WorkerOpMetrics {
+                        rows: run.seqs.len() as u64,
+                        batches: 0,
+                        io: IoStats::new(),
+                        elapsed,
+                    });
+                    runs.push(run);
+                }
+            }
         }
         record_workers(&self.own_slot, workers);
-        let mut merged = sortkernel::merge_runs(sorted)?;
-        merged.truncate(n);
-        // Charge what the serial operator charges: the surviving prefix.
-        io.sort_rows += merged.len() as u64;
-        self.buf = merged;
+        // A worker that drew no rows has no columns to gather from.
+        runs.retain(|r| !r.seqs.is_empty());
+        self.merged = merge_runs(&runs, limit);
+        if limit.is_some() {
+            // A top-N charges what the serial operator charges: the
+            // surviving prefix.
+            io.sort_rows += self.merged.len() as u64;
+        }
+        self.runs = runs.into_iter().map(|r| r.batch).collect();
         self.pos = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        Ok(emit(&self.buf, &mut self.pos, cx.batch_size))
+        if self.pos >= self.merged.len() {
+            return Ok(None);
+        }
+        let end = (self.pos + cx.batch_size).min(self.merged.len());
+        let sources: Vec<&Batch> = self.runs.iter().collect();
+        let batch = gather_rows(&sources, &self.merged[self.pos..end]);
+        self.pos = end;
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
-        self.buf = Vec::new();
+        self.runs = Vec::new();
+        self.merged = Vec::new();
+        if let SortSource::RoundRobin { child, .. } = &mut self.source {
+            child.close();
+        }
     }
 }

@@ -1,58 +1,47 @@
-//! The shared sort kernel: one implementation of row comparison, full
-//! sort, top-N selection, and order-preserving run merging, used by the
-//! materializing interpreter, the streaming executor, and the parallel
-//! exchange operators.
+//! The sort kernel: the interpreter's `Value`-comparator sort and top-N
+//! (the differential oracle), and the one permutation kernel every order
+//! enforcer of the streaming executor and the exchange layer runs on.
 //!
 //! # Stability and tie-order contract
 //!
-//! Every entry point in this module implements the same total ordering:
-//! rows compare by the resolved sort keys (each column through
-//! [`Direction::apply`], NULLs per [`Value::total_cmp`]), and rows whose
-//! keys compare equal stay in **input order**. Equivalently: the output is
-//! what a stable sort of the input produces.
+//! Every entry point implements the same total order: rows compare by
+//! the resolved sort keys (each column through [`Direction::apply`],
+//! NULLs per [`Value::total_cmp`]), and rows whose keys compare equal
+//! stay in **input order** — the output is what a stable sort produces.
+//! That is the determinism anchor of the engine: the differential suite
+//! holds both engines to bit-identical rows, and a parallel or external
+//! sort reproduces the serial one *only because* every run is ordered by
+//! `(key, sequence tag)` and merges break key ties by the tags.
 //!
-//! This is not a cosmetic choice — it is the determinism anchor for the
-//! whole engine:
+//! # The permutation kernel
 //!
-//! * the differential suite requires the streaming and materializing
-//!   engines to emit bit-identical rows, which forces one tie order;
-//! * parallel execution splits the input into runs, sorts each run
-//!   independently, and merges; the merge reproduces the serial output
-//!   *only because* each run is stably sorted and [`merge_runs`] breaks
-//!   key ties by the runs' global sequence tags.
-//!
-//! Sorting is decorate–sort–undecorate. The materializing interpreter —
-//! the differential oracle — decorates with the extracted key `Value`s
-//! and sorts through the `Value` comparator ([`sort_rows`], [`top_n`]).
-//!
-//! # Normalized keys
-//!
-//! Every sort of the streaming executor and the exchange layer
-//! decorates each row once with its [`fto_common::sortkey`] encoding —
-//! an order-preserving byte string whose plain `&[u8]` comparison is
-//! bit-identical in outcome to the `Value` comparator — plus the row's
-//! big-endian sequence tag as a suffix. Appending the tag makes every
-//! decorated key unique, so `sort_unstable` on plain byte strings *is*
-//! the stable sort the contract above demands (ties in the logical key
-//! resolve by tag = input order), and runs merge by memcmp on the stored
-//! keys with no per-heap-op `Value` dispatch. The suffix is safe to
-//! compare as part of the same memcmp because each column's encoding is
-//! prefix-free: two rows with different logical keys already differ at a
-//! byte position present in both encodings. When every decorated key in
-//! a sort has the same width (fixed-width key shapes: numerics, dates,
-//! bools, no NULLs), a byte-wise MSB radix sort replaces the comparison
-//! sort entirely.
+//! The executor never sorts rows. A [`SortBuf`] holds the column batches
+//! it was handed (their `Arc`s, as they arrived), one `(batch, row)`
+//! reference per buffered row, and the rows' [`fto_common::sortkey`]
+//! encodings in one [`KeyArena`] — order-preserving byte strings whose
+//! `memcmp` decides exactly as the `Value` comparator does. Sorting
+//! orders a **permutation** of row indices by `(key bytes, index)`:
+//! buffered rows are always in tag order among equal keys, so the index
+//! is the input-position tiebreak and the comparison sort may be
+//! unstable. When every key has one width (numerics, dates, bools, no
+//! NULLs) a byte-wise MSB radix sort distributes instead of comparing.
+//! Payload moves once, in [`gather_rows`], per output batch. A [`Run`] —
+//! rows in order with their keys and tags — is what a worker hands the
+//! exchange coordinator and what a spilled run group decodes to;
+//! [`least_head`] is the K-way merge step over either.
 //!
 //! The kernel keeps process-wide `sort.key_bytes` / `sort.comparisons`
 //! tallies (see [`stats_snapshot`]); sessions snapshot them around each
 //! execution and feed the deltas to the metrics registry.
 
-use fto_common::{sortkey, Direction, FtoError, Result, Row, Value};
+use fto_common::column::{encode_batch_keys_arena, Batch, Column, ColumnData};
+use fto_common::{Direction, FtoError, Result, Row, Value};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
+use std::sync::Arc;
 
 /// Cumulative count of normalized-key bytes encoded by sort operations
 /// in this process.
@@ -247,212 +236,22 @@ pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
     *rows = decorated.into_iter().map(|(_, row)| row).collect();
 }
 
-/// Encodes `row`'s normalized key under `keys` with `seq` appended
-/// big-endian — the decorated byte string the codec sort paths order by.
-fn encode_with_seq(row: &Row, keys: &SortKeys, seq: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(keys.len() * sortkey::NUMERIC_WIDTH + 8);
-    sortkey::encode_key_into(row, keys, &mut buf);
-    buf.extend_from_slice(&seq.to_be_bytes());
-    buf
-}
-
-/// Stably sorts rows whose normalized keys were encoded into one
-/// contiguous arena ([`fto_common::column::encode_batch_keys_arena`]):
-/// row `i`'s key is `bytes[offsets[i]..offsets[i + 1]]`. Decorates each
-/// row once with `(key ‖ 8-byte seq)` in a single exactly-sized
-/// allocation and sorts the byte strings (MSB radix when the keys are
-/// fixed-width, otherwise `sort_unstable` on memcmp). Equivalent to the
-/// stable `Value` sort because the seq suffix resolves logical ties in
-/// input order — so empty keys leave the input order untouched.
-pub fn sort_rows_arena(rows: &mut Vec<Row>, bytes: &[u8], offsets: &[usize]) {
-    if rows.len() <= 1 {
-        return;
-    }
-    debug_assert_eq!(rows.len() + 1, offsets.len());
-    let mut total = 0u64;
-    let decorated: Vec<(Vec<u8>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let enc = &bytes[offsets[i]..offsets[i + 1]];
-            let mut key = Vec::with_capacity(enc.len() + 8);
-            key.extend_from_slice(enc);
-            key.extend_from_slice(&(i as u64).to_be_bytes());
-            total += key.len() as u64;
-            (key, row)
-        })
-        .collect();
-    charge(total, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// Below this many elements a comparison sort beats radix distribution.
-const RADIX_CUTOFF: usize = 64;
-
-/// Sorts decorated items by their byte key. All keys are unique (the seq
-/// suffix guarantees it), so an unstable sort is deterministic. When
-/// every key has the same width — fixed-width key shapes — a byte-wise
-/// MSB radix sort distributes instead of comparing.
-fn sort_decorated<T>(mut items: Vec<T>, key: impl Fn(&T) -> &[u8] + Copy) -> Vec<T> {
-    if items.len() >= RADIX_CUTOFF {
-        let w = key(&items[0]).len();
-        if items.iter().all(|t| key(t).len() == w) {
-            return radix_sort(items, 0, w, key);
-        }
-    }
-    let cmps = Cell::new(0u64);
-    items.sort_unstable_by(|a, b| {
-        cmps.set(cmps.get() + 1);
-        key(a).cmp(key(b))
-    });
-    charge(0, cmps.get());
-    items
-}
-
-/// Recursive MSB radix sort on fixed-width byte keys: distribute on byte
-/// `d`, recurse per bucket. Small buckets fall back to a comparison sort
-/// of the remaining suffix; buckets whose byte `d` is constant (common —
-/// the leading type tag rarely varies) skip the distribution and descend
-/// directly.
-fn radix_sort<T>(items: Vec<T>, d: usize, w: usize, key: impl Fn(&T) -> &[u8] + Copy) -> Vec<T> {
-    if d >= w || items.len() <= 1 {
-        return items;
-    }
-    if items.len() < RADIX_CUTOFF {
-        let mut items = items;
-        let cmps = Cell::new(0u64);
-        items.sort_unstable_by(|a, b| {
-            cmps.set(cmps.get() + 1);
-            key(a)[d..].cmp(&key(b)[d..])
-        });
-        charge(0, cmps.get());
-        return items;
-    }
-    let mut counts = [0usize; 256];
-    for t in &items {
-        counts[key(t)[d] as usize] += 1;
-    }
-    if counts.contains(&items.len()) {
-        return radix_sort(items, d + 1, w, key);
-    }
-    let mut buckets: Vec<Vec<T>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for t in items {
-        buckets[key(&t)[d] as usize].push(t);
-    }
-    let mut out = Vec::with_capacity(counts.iter().sum());
-    for bucket in buckets {
-        if !bucket.is_empty() {
-            out.append(&mut radix_sort(bucket, d + 1, w, key));
-        }
-    }
-    out
-}
-
-/// Sorts tagged rows by `(keys, seq)` into a [`SortedRun`] — the
-/// per-bucket sort of a round-robin repartition, where each tag is the
-/// row's global position in the serial stream. The decorated byte
-/// strings embed each tag as their suffix, so one byte sort orders by
-/// `(keys, seq)` — a total order, so merging the buckets' runs
-/// reproduces the serial stable sort exactly — and the run keeps its
-/// encodings for a memcmp merge.
-pub fn sort_tagged(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, u64, Row)> = pairs
-        .into_iter()
-        .map(|(seq, row)| {
-            let key = encode_with_seq(&row, keys, seq);
-            bytes += key.len() as u64;
-            (key, seq, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    let mut run = SortedRun {
-        seqs: Vec::with_capacity(decorated.len()),
-        rows: Vec::with_capacity(decorated.len()),
-        enc: Vec::with_capacity(decorated.len()),
-    };
-    for (key, seq, row) in decorated {
-        run.enc.push(key);
-        run.seqs.push(seq);
-        run.rows.push(row);
-    }
-    run
-}
-
-/// Sorts a contiguous slice of the serial input (rows in input order,
-/// occupying serial positions `[0, len)` locally) into a [`SortedRun`]
-/// of normalized keys. Tags are local input positions; the coordinator
-/// rebases them with [`SortedRun::shift`] once the run's global interval
-/// is known.
-pub fn sort_run_codec(rows: Vec<Row>, keys: &SortKeys) -> SortedRun {
-    sort_tagged(tag_positions(rows), keys)
-}
-
-/// Tags each row with its position in `rows` — the local sequence tags
-/// the tagged sorts and selections order ties by.
-pub(crate) fn tag_positions(rows: Vec<Row>) -> Vec<(u64, Row)> {
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, r)| (i as u64, r))
-        .collect()
-}
-
-/// [`sort_run_codec`] for rows whose normalized keys were already
-/// encoded into one contiguous arena
-/// ([`fto_common::column::encode_batch_keys_arena`]): row `i`'s key is
-/// `bytes[offsets[i]..offsets[i + 1]]`. Tags are local positions `[0,
-/// len)`; rebase with [`SortedRun::shift`]. This is the external sort's
-/// run-formation entry point — the arena comes straight from the
-/// columnar encoder, so forming a spill run costs no per-row encoding
-/// allocation beyond the decorated key itself.
-pub fn sort_run_arena(rows: Vec<Row>, bytes: &[u8], offsets: &[usize]) -> SortedRun {
-    debug_assert_eq!(rows.len() + 1, offsets.len());
-    let mut total = 0u64;
-    let decorated: Vec<(Vec<u8>, u64, Row)> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let enc = &bytes[offsets[i]..offsets[i + 1]];
-            let mut key = Vec::with_capacity(enc.len() + 8);
-            key.extend_from_slice(enc);
-            key.extend_from_slice(&(i as u64).to_be_bytes());
-            total += key.len() as u64;
-            (key, i as u64, row)
-        })
-        .collect();
-    charge(total, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    let mut run = SortedRun {
-        seqs: Vec::with_capacity(decorated.len()),
-        rows: Vec::with_capacity(decorated.len()),
-        enc: Vec::with_capacity(decorated.len()),
-    };
-    for (key, seq, row) in decorated {
-        run.enc.push(key);
-        run.seqs.push(seq);
-        run.rows.push(row);
-    }
-    run
-}
-
-/// The first `n` rows of the stable sort of `rows` by `keys`, each tagged
-/// with its original input position. Selection runs before the sort, so
-/// only the winning prefix pays `O(n log n)`; the input-position tag makes
-/// the comparator a total order, which is what pins the *choice* of
-/// boundary ties (the earliest tied input rows win) as well as their
-/// output order.
-pub fn top_n_tagged(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Vec<(u64, Row)> {
+/// The first `n` rows of the stable sort of `rows` by `keys` — the
+/// interpreter's top-N. Selection runs before the sort, so only the
+/// winning prefix pays `O(n log n)`; the input position breaks ties, which
+/// pins the *choice* among rows tied at the cut (the earliest win) as well
+/// as their order.
+pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
     if n == 0 {
         return Vec::new();
     }
-    let mut decorated: Vec<(Box<[Value]>, u64, Row)> = rows
+    let mut decorated: Vec<(Box<[Value]>, usize, Row)> = rows
         .into_iter()
-        .map(|(seq, row)| (extract(&row, keys), seq, row))
+        .enumerate()
+        .map(|(pos, row)| (extract(&row, keys), pos, row))
         .collect();
     let cmps = Cell::new(0u64);
-    let cmp = |a: &(Box<[Value]>, u64, Row), b: &(Box<[Value]>, u64, Row)| {
+    let cmp = |a: &(Box<[Value]>, usize, Row), b: &(Box<[Value]>, usize, Row)| {
         cmps.set(cmps.get() + 1);
         cmp_extracted(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
     };
@@ -460,191 +259,303 @@ pub fn top_n_tagged(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Vec<(u6
         decorated.select_nth_unstable_by(n - 1, cmp);
         decorated.truncate(n);
     }
-    // The tag makes the order total, so an unstable sort is deterministic.
+    // The position makes the order total, so an unstable sort is
+    // deterministic.
     decorated.sort_unstable_by(cmp);
     charge(0, cmps.get());
-    decorated
-        .into_iter()
-        .map(|(_, seq, row)| (seq, row))
-        .collect()
+    decorated.into_iter().map(|(_, _, row)| row).collect()
 }
 
-/// [`top_n_tagged`] over normalized keys, returning a [`SortedRun`] with
-/// stored keys: selection and the winning prefix's sort both compare
-/// decorated byte strings only. The streaming Top-N and the Top-N
-/// exchange's workers (which tag locally; the coordinator rebases with
-/// [`SortedRun::shift`]) both select through here.
-pub fn top_n_run(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> SortedRun {
-    if n == 0 {
-        return SortedRun::default();
+/// Encoded sort keys of a row sequence in one arena: row `i`'s key is
+/// `bytes[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug)]
+pub(crate) struct KeyArena {
+    bytes: Vec<u8>,
+    offsets: Vec<usize>,
+}
+
+impl Default for KeyArena {
+    fn default() -> KeyArena {
+        KeyArena {
+            bytes: Vec::new(),
+            offsets: vec![0],
+        }
     }
-    let mut bytes = 0u64;
-    let mut decorated: Vec<(Vec<u8>, u64, Row)> = rows
-        .into_iter()
-        .map(|(seq, row)| {
-            let key = encode_with_seq(&row, keys, seq);
-            bytes += key.len() as u64;
-            (key, seq, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    if decorated.len() > n {
-        let cmps = Cell::new(0u64);
-        decorated.select_nth_unstable_by(n - 1, |a, b| {
-            cmps.set(cmps.get() + 1);
-            a.0.cmp(&b.0)
-        });
-        charge(0, cmps.get());
-        decorated.truncate(n);
+}
+
+impl KeyArena {
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
     }
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    let mut run = SortedRun {
-        seqs: Vec::with_capacity(decorated.len()),
-        rows: Vec::with_capacity(decorated.len()),
-        enc: Vec::with_capacity(decorated.len()),
-    };
-    for (key, seq, row) in decorated {
-        run.enc.push(key);
-        run.seqs.push(seq);
-        run.rows.push(row);
+
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.offsets.push(self.bytes.len());
     }
-    run
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.offsets.truncate(1);
+    }
 }
 
-/// The first `n` rows of the stable sort of `rows` by `keys` (see
-/// [`top_n_tagged`]; tags here are the input positions themselves).
-pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
-    top_n_tagged(tag_positions(rows), keys, n)
-        .into_iter()
-        .map(|(_, row)| row)
-        .collect()
+/// Rows in `(key, seq)` order with the keys and sequence tags that order
+/// them. Tags are unique across all runs of one merge and consistent with
+/// the serial input order the merge reproduces.
+#[derive(Debug)]
+pub(crate) struct Run {
+    pub(crate) batch: Batch,
+    pub(crate) keys: KeyArena,
+    pub(crate) seqs: Vec<u64>,
 }
 
-/// One sorted run entering a merge: rows sorted by `(keys, seq)`, with
-/// `seqs[i]` the global sequence tag of `rows[i]`. Tags must be unique
-/// across all runs of one merge and consistent with the serial emission
-/// order the merge is meant to reproduce.
-#[derive(Debug, Default)]
-pub struct SortedRun {
-    /// The run's rows, sorted by `(keys, seq)`.
-    pub rows: Vec<Row>,
-    /// Global sequence tags, parallel to `rows` (strictly increasing
-    /// within a tie group by construction).
-    pub seqs: Vec<u64>,
-    /// Stored normalized keys (`key ‖ big-endian seq`), parallel to
-    /// `rows`. A merge compares nothing else — the seq suffix doubles as
-    /// the tiebreak, so one byte comparison decides `(keys, seq)` in
-    /// full (and a keyless run still carries its 8 seq bytes).
-    pub enc: Vec<Vec<u8>>,
+/// Rows awaiting an order: the batches they arrived in, and per buffered
+/// row its `(batch, row)` position, encoded key and sequence tag. Rows
+/// must be pushed so that equal keys arrive in tag order (input order
+/// does; so does a [`Run`] followed by later input) — the sorts break
+/// ties by buffer index.
+#[derive(Default)]
+pub(crate) struct SortBuf {
+    batches: Vec<Batch>,
+    sel: Vec<(u32, u32)>,
+    keys: KeyArena,
+    seqs: Vec<u64>,
 }
 
-impl SortedRun {
-    /// Rebases a run tagged with local positions `[0, len)` onto the
-    /// global interval starting at `base`: shifts each seq and patches
-    /// the big-endian seq suffix of the stored keys in place. Workers
-    /// tag locally (they cannot know their interval's base); the
-    /// coordinator shifts in partition order.
-    pub fn shift(&mut self, base: u64) {
-        if base == 0 {
+impl SortBuf {
+    pub(crate) fn len(&self) -> usize {
+        self.sel.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sel.is_empty()
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.batches.clear();
+        self.sel.clear();
+        self.keys.clear();
+        self.seqs.clear();
+    }
+
+    /// Makes `batch` the source of the rows pushed next.
+    pub(crate) fn add_batch(&mut self, batch: &Batch) {
+        self.batches.push(batch.clone());
+    }
+
+    /// Buffers row `i` of the batch added last.
+    pub(crate) fn push(&mut self, i: usize, key: &[u8], seq: u64) {
+        self.sel.push((self.batches.len() as u32 - 1, i as u32));
+        self.keys.push(key);
+        self.seqs.push(seq);
+    }
+
+    /// Buffers every row of `batch` under `keys`, tagged from `seqs`.
+    pub(crate) fn push_batch(
+        &mut self,
+        batch: &Batch,
+        keys: &SortKeys,
+        seqs: impl Iterator<Item = u64>,
+    ) {
+        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(batch, keys, &mut kb, &mut ko);
+        self.add_batch(batch);
+        for (i, seq) in seqs.take(batch.len()).enumerate() {
+            self.push(i, &kb[ko[i]..ko[i + 1]], seq);
+        }
+    }
+
+    /// Buffers a run's rows (already in `(key, seq)` order).
+    pub(crate) fn push_run(&mut self, run: &Run) {
+        self.add_batch(&run.batch);
+        for (i, &seq) in run.seqs.iter().enumerate() {
+            self.push(i, run.keys.get(i), seq);
+        }
+    }
+
+    /// The buffer's indices in `(key, tag)` order — the stable sort — cut
+    /// to the first `limit`, which are selected before they are sorted.
+    pub(crate) fn ordered(&self, limit: Option<usize>) -> Vec<u32> {
+        let keys = &self.keys;
+        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
+        let mut cmps = 0u64;
+        let mut by_key = |a: &u32, b: &u32| {
+            cmps += 1;
+            let (ka, kb) = (keys.get(*a as usize), keys.get(*b as usize));
+            ka.cmp(kb).then(a.cmp(b))
+        };
+        if let Some(n) = limit.filter(|&n| n < perm.len()) {
+            if n > 0 {
+                perm.select_nth_unstable_by(n - 1, &mut by_key);
+            }
+            perm.truncate(n);
+        }
+        let width = perm.first().map(|&i| keys.get(i as usize).len());
+        let fixed = perm.len() >= RADIX_CUTOFF
+            && perm
+                .iter()
+                .all(|&i| Some(keys.get(i as usize).len()) == width);
+        match width {
+            Some(w) if fixed => radix_sort(keys, &mut perm, &mut Vec::new(), 0, w, &mut cmps),
+            _ => perm.sort_unstable_by(by_key),
+        }
+        // What was ordered: every key plus its 8-byte tag.
+        charge((keys.bytes.len() + 8 * self.len()) as u64, cmps);
+        perm
+    }
+
+    /// Gathers the rows at `perm`, in that order, as one batch.
+    pub(crate) fn gather(&self, perm: &[u32]) -> Batch {
+        let sources: Vec<&Batch> = self.batches.iter().collect();
+        let sel: Vec<(u32, u32)> = perm.iter().map(|&p| self.sel[p as usize]).collect();
+        gather_rows(&sources, &sel)
+    }
+
+    /// The rows at `perm` with their keys and tags — a [`Run`] when `perm`
+    /// is (a slice of) [`Self::ordered`].
+    pub(crate) fn run(&self, perm: &[u32]) -> Run {
+        let mut keys = KeyArena::default();
+        for &p in perm {
+            keys.push(self.keys.get(p as usize));
+        }
+        Run {
+            batch: self.gather(perm),
+            keys,
+            seqs: perm.iter().map(|&p| self.seqs[p as usize]).collect(),
+        }
+    }
+}
+
+/// Below this many elements a comparison sort beats radix distribution.
+const RADIX_CUTOFF: usize = 64;
+
+/// MSB radix sort of `perm` on byte `d..w` of fixed-width keys: distribute
+/// on byte `d`, recurse per bucket. Small buckets fall back to a
+/// comparison sort of the remaining suffix; a byte every key shares
+/// (common — the leading type tag rarely varies) is skipped without
+/// distributing. Keys equal through byte `w` order by index.
+fn radix_sort(
+    keys: &KeyArena,
+    perm: &mut [u32],
+    scratch: &mut Vec<u32>,
+    mut d: usize,
+    w: usize,
+    cmps: &mut u64,
+) {
+    let mut counts = [0usize; 256];
+    loop {
+        if perm.len() < RADIX_CUTOFF || d >= w {
+            perm.sort_unstable_by(|&a, &b| {
+                *cmps += 1;
+                keys.get(a as usize)[d..]
+                    .cmp(&keys.get(b as usize)[d..])
+                    .then(a.cmp(&b))
+            });
             return;
         }
-        for (seq, key) in self.seqs.iter_mut().zip(&mut self.enc) {
-            *seq += base;
-            let at = key.len() - 8;
-            key[at..].copy_from_slice(&seq.to_be_bytes());
+        counts.fill(0);
+        for &i in perm.iter() {
+            counts[keys.get(i as usize)[d] as usize] += 1;
         }
+        if !counts.contains(&perm.len()) {
+            break;
+        }
+        d += 1;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(perm);
+    let mut next = [0usize; 256];
+    let mut at = 0;
+    for (b, &c) in counts.iter().enumerate() {
+        next[b] = at;
+        at += c;
+    }
+    for &i in scratch.iter() {
+        let b = keys.get(i as usize)[d] as usize;
+        perm[next[b]] = i;
+        next[b] += 1;
+    }
+    let mut lo = 0;
+    for &c in &counts {
+        if c > 1 {
+            radix_sort(keys, &mut perm[lo..lo + c], scratch, d + 1, w, cmps);
+        }
+        lo += c;
     }
 }
 
-/// K-way merges sorted runs into one stream ordered by `(keys, seq)` —
-/// the order-preserving half of a merge exchange. Given runs produced by
-/// stably sorting disjoint pieces of one serial input and tagged
-/// consistently with that input's order, the output is bit-identical to
-/// stably sorting the serial input whole.
-pub fn merge_runs(runs: Vec<SortedRun>) -> Result<Vec<Row>> {
-    Ok(merge_runs_into_run(runs)?.rows)
-}
-
-/// As [`merge_runs`], but the output keeps its sequence tags and stored
-/// encodings — i.e. the merge of sorted runs *is itself a sorted run*
-/// and can enter a later merge unchanged.
-///
-/// A run whose encodings do not parallel its rows was not produced by
-/// this kernel: that is a bug in the caller, reported as an internal
-/// error rather than merged through some slower comparator.
-pub fn merge_runs_into_run(runs: Vec<SortedRun>) -> Result<SortedRun> {
-    let keyed = runs
-        .iter()
-        .all(|r| r.enc.len() == r.rows.len() && r.seqs.len() == r.rows.len());
-    debug_assert!(keyed, "sorted run entered a merge without stored keys");
-    if !keyed {
-        return Err(FtoError::internal(
-            "sorted run entered a merge without stored keys",
-        ));
+/// The K-way merge step: which of `heads` is least by `(key, seq)`, or
+/// `None` when every run is drained. Adds its comparisons to `cmps`.
+pub(crate) fn least_head<'a>(
+    heads: impl Iterator<Item = Option<(&'a [u8], u64)>>,
+    cmps: &mut u64,
+) -> Option<usize> {
+    let mut best: Option<(usize, (&[u8], u64))> = None;
+    for (k, head) in heads.enumerate() {
+        let Some(head) = head else { continue };
+        best = match best {
+            Some(b) => {
+                *cmps += 1;
+                Some(if head < b.1 { (k, head) } else { b })
+            }
+            None => Some((k, head)),
+        };
     }
-    Ok(merge_runs_encoded(runs))
+    best.map(|(k, _)| k)
 }
 
-/// A consumed run during the encoded merge: rows, seq tags, and stored
-/// encodings advanced in lockstep.
-type EncodedRunIter = (
-    std::vec::IntoIter<Row>,
-    std::vec::IntoIter<u64>,
-    std::vec::IntoIter<Vec<u8>>,
-);
-
-/// The memcmp merge: every run carries stored `(key ‖ seq)` encodings,
-/// so each heap compare is one byte-slice comparison — no `Value`
-/// dispatch, no separate seq tiebreak. The output run keeps both tags
-/// and encodings, so it can enter a later merge pass unchanged.
-fn merge_runs_encoded(runs: Vec<SortedRun>) -> SortedRun {
-    let total: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut runs: Vec<EncodedRunIter> = runs
-        .into_iter()
-        .map(|r| (r.rows.into_iter(), r.seqs.into_iter(), r.enc.into_iter()))
-        .collect();
-    let mut heads: Vec<Option<(Row, u64, Vec<u8>)>> = runs
-        .iter_mut()
-        .map(|(rows, seqs, enc)| {
-            rows.next()
-                .map(|r| (r, seqs.next().unwrap_or(0), enc.next().unwrap_or_default()))
-        })
-        .collect();
-    let mut out = SortedRun {
-        rows: Vec::with_capacity(total),
-        seqs: Vec::with_capacity(total),
-        enc: Vec::with_capacity(total),
-    };
+/// K-way merges runs into one stream ordered by `(key, seq)`, stopping
+/// after `limit` rows: output row `j` is row `.1` of run `.0`. Given runs
+/// that sorted disjoint pieces of one serial input and are tagged
+/// consistently with its order, this is that input's stable sort.
+pub(crate) fn merge_runs(runs: &[Run], limit: Option<usize>) -> Vec<(u32, u32)> {
+    let total: usize = runs.iter().map(|r| r.seqs.len()).sum();
+    let want = limit.map_or(total, |n| n.min(total));
+    let mut at = vec![0usize; runs.len()];
+    let mut out = Vec::with_capacity(want);
     let mut cmps = 0u64;
-    loop {
-        let mut best: Option<usize> = None;
-        for (k, head) in heads.iter().enumerate() {
-            let Some((_, _, key)) = head else { continue };
-            best = match best {
-                None => Some(k),
-                Some(b) => {
-                    let (_, _, bkey) = heads[b].as_ref().unwrap();
-                    cmps += 1;
-                    if key.as_slice() < bkey.as_slice() {
-                        Some(k)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(k) = best else { break };
-        let (rows, seqs, enc) = &mut runs[k];
-        let next = rows
-            .next()
-            .map(|r| (r, seqs.next().unwrap_or(0), enc.next().unwrap_or_default()));
-        let (row, seq, key) = std::mem::replace(&mut heads[k], next).unwrap();
-        out.rows.push(row);
-        out.seqs.push(seq);
-        out.enc.push(key);
+    while out.len() < want {
+        let heads = runs
+            .iter()
+            .zip(&at)
+            .map(|(r, &i)| (i < r.seqs.len()).then(|| (r.keys.get(i), r.seqs[i])));
+        let k = least_head(heads, &mut cmps).expect("fewer rows merged than the runs hold");
+        out.push((k as u32, at[k] as u32));
+        at[k] += 1;
     }
     charge(0, cmps);
     out
+}
+
+/// Gathers rows from several equal-arity batches — output row `j` is row
+/// `sel[j].1` of `sources[sel[j].0]` — into the representation
+/// [`Batch::from_rows`] would infer from the same values: no validity
+/// bitmap without a NULL, an all-NULL column as invalid `Int64` zeros, a
+/// `Mixed` column whose values share a type as that type. The spill page
+/// codec writes the representation, so what an enforcer emits or spills
+/// must not depend on what its source batches happened to carry.
+pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Batch {
+    let arity = sources.first().map_or(0, |b| b.arity());
+    let columns = (0..arity)
+        .map(|c| {
+            let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
+            let mut col = Column::gather_multi(&cols, sel);
+            if let ColumnData::Mixed(values) = &col.data {
+                col = Column::from_values(values.iter());
+            }
+            match &col.validity {
+                Some(valid) if valid.all_valid() => col.validity = None,
+                Some(valid) if valid.count_valid() == 0 => {
+                    col.data = ColumnData::Int64(vec![0; sel.len()]);
+                }
+                _ => {}
+            }
+            Arc::new(col)
+        })
+        .collect();
+    Batch::from_columns_with_len(columns, sel.len()).expect("gathered columns are sel-long")
 }
 
 #[cfg(test)]
@@ -659,6 +570,68 @@ mod tests {
 
     fn keys_from(cols: &[(usize, Direction)]) -> SortKeys {
         cols.to_vec()
+    }
+
+    /// `rows` tagged `seqs`, ordered by the permutation kernel into a run
+    /// (cut to `limit`) — what an exchange worker or a sealed spill run is.
+    fn run_of(
+        rows: &[Row],
+        seqs: impl Iterator<Item = u64>,
+        keys: &SortKeys,
+        limit: Option<usize>,
+    ) -> Run {
+        let mut buf = SortBuf::default();
+        buf.push_batch(&Batch::from_rows_arity(rows, 2), keys, seqs);
+        buf.run(&buf.ordered(limit))
+    }
+
+    fn rows_of(batch: &Batch) -> Vec<Row> {
+        let mut rows = Vec::new();
+        batch.append_rows_to(&mut rows);
+        rows
+    }
+
+    /// The kernel's stable sort of `rows`, as rows.
+    fn kernel_sort(rows: &[Row], keys: &SortKeys) -> Vec<Row> {
+        rows_of(&run_of(rows, 0.., keys, None).batch)
+    }
+
+    /// The K-way merge of `runs`, as rows.
+    fn merged(runs: &[Run], limit: Option<usize>) -> Vec<Row> {
+        let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
+        rows_of(&gather_rows(&sources, &merge_runs(runs, limit)))
+    }
+
+    /// Runs over `parts` contiguous pieces of `input`, tagged locally and
+    /// rebased onto each piece's serial interval like the exchange does.
+    fn contiguous_runs(
+        input: &[Row],
+        parts: usize,
+        keys: &SortKeys,
+        limit: Option<usize>,
+    ) -> Vec<Run> {
+        let mut base = 0u64;
+        input
+            .chunks(input.len().div_ceil(parts))
+            .map(|piece| {
+                let mut run = run_of(piece, 0.., keys, limit);
+                run.seqs.iter_mut().for_each(|s| *s += base);
+                base += piece.len() as u64;
+                run
+            })
+            .collect()
+    }
+
+    /// Runs over a round-robin deal of `input`, tagged with global
+    /// positions.
+    fn dealt_runs(input: &[Row], parts: usize, keys: &SortKeys) -> Vec<Run> {
+        (0..parts)
+            .map(|p| {
+                let bucket: Vec<Row> = input.iter().skip(p).step_by(parts).cloned().collect();
+                let tags = (p as u64..).step_by(parts);
+                run_of(&bucket, tags, keys, None)
+            })
+            .collect()
     }
 
     fn spec_desc_asc() -> (OrderSpec, RowLayout) {
@@ -684,6 +657,7 @@ mod tests {
         let mut rows: Vec<Row> = (0..200).map(|i| row(&[i % 7, i % 3])).collect();
         let mut expected = rows.clone();
         expected.sort_by(|a, b| b[1].total_cmp(&a[1]).then_with(|| a[0].total_cmp(&b[0])));
+        assert_eq!(kernel_sort(&rows, &keys), expected);
         sort_rows(&mut rows, &keys);
         assert_eq!(rows, expected);
     }
@@ -694,13 +668,14 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let mut rows: Vec<Row> = (0..50).map(|i| row(&[7, i])).collect();
         let expected = rows.clone();
+        assert_eq!(kernel_sort(&rows, &keys), expected);
         sort_rows(&mut rows, &keys);
         assert_eq!(rows, expected, "stable sort must preserve tie order");
     }
 
     #[test]
     fn empty_keys_leave_input_untouched() {
-        let mut rows: Vec<Row> = vec![row(&[3]), row(&[1]), row(&[2])];
+        let mut rows: Vec<Row> = vec![row(&[3, 0]), row(&[1, 0]), row(&[2, 0])];
         let expected = rows.clone();
         sort_rows(&mut rows, &Vec::new());
         assert_eq!(rows, expected);
@@ -714,9 +689,10 @@ mod tests {
         let mut sorted = rows.clone();
         sort_rows(&mut sorted, &keys);
         for n in [0usize, 1, 5, 10, 11, 39, 40, 100] {
-            let got = top_n(rows.clone(), &keys, n);
             let want: Vec<Row> = sorted.iter().take(n).cloned().collect();
-            assert_eq!(got, want, "n={n}");
+            assert_eq!(top_n(rows.clone(), &keys, n), want, "n={n}");
+            let got = rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch);
+            assert_eq!(got, want, "kernel n={n}");
         }
     }
 
@@ -727,16 +703,8 @@ mod tests {
         let mut serial = input.clone();
         sort_rows(&mut serial, &keys);
         for parts in [1usize, 2, 3, 4, 5] {
-            let chunk = input.len().div_ceil(parts);
-            let mut runs = Vec::new();
-            let mut base = 0u64;
-            for piece in input.chunks(chunk) {
-                let mut run = sort_run_codec(piece.to_vec(), &keys);
-                run.shift(base);
-                runs.push(run);
-                base += piece.len() as u64;
-            }
-            assert_eq!(merge_runs(runs).unwrap(), serial, "parts={parts}");
+            let runs = contiguous_runs(&input, parts, &keys, None);
+            assert_eq!(merged(&runs, None), serial, "parts={parts}");
         }
     }
 
@@ -746,17 +714,7 @@ mod tests {
         let input: Vec<Row> = (0..90).map(|i| row(&[(i * 7) % 6, i])).collect();
         let mut serial = input.clone();
         sort_rows(&mut serial, &keys);
-        let parts = 4;
-        // Round-robin deal, remembering global positions.
-        let mut buckets: Vec<Vec<(u64, Row)>> = vec![Vec::new(); parts];
-        for (g, r) in input.into_iter().enumerate() {
-            buckets[g % parts].push((g as u64, r));
-        }
-        let runs: Vec<SortedRun> = buckets
-            .into_iter()
-            .map(|bucket| sort_tagged(bucket, &keys))
-            .collect();
-        assert_eq!(merge_runs(runs).unwrap(), serial);
+        assert_eq!(merged(&dealt_runs(&input, 4, &keys), None), serial);
     }
 
     /// Mixed-shape rows exercising every codec branch: numerics (int and
@@ -784,7 +742,7 @@ mod tests {
         for dir in [Direction::Asc, Direction::Desc] {
             let keys = keys_from(&[(0, dir)]);
             let mut legacy = mixed_rows(500);
-            let codec = sort_run_codec(legacy.clone(), &keys).rows;
+            let codec = kernel_sort(&legacy, &keys);
             sort_rows(&mut legacy, &keys);
             assert_eq!(codec, legacy, "dir={dir:?}");
         }
@@ -792,20 +750,23 @@ mod tests {
 
     #[test]
     fn codec_sort_takes_radix_path_on_fixed_width_keys() {
-        // All-Int composite keys are fixed width (11 bytes per column +
-        // 8-byte seq), so this drives the MSB radix path; the result
-        // must still equal the legacy stable sort.
+        // All-Int composite keys are fixed width (11 bytes per column),
+        // so this drives the MSB radix path; the result must still equal
+        // the legacy stable sort — also on a selected (no longer
+        // index-ordered) top-N prefix.
         let keys = keys_from(&[(0, Direction::Desc), (1, Direction::Asc)]);
         let mut rng = fto_common::Rng::new(3);
         let mut legacy: Vec<Row> = (0..4096)
             .map(|_| row(&[rng.range_i64(-8, 8), rng.range_i64(0, 4)]))
             .collect();
         let before = stats_snapshot();
-        let codec = sort_run_codec(legacy.clone(), &keys).rows;
+        let codec = kernel_sort(&legacy, &keys);
+        let top = rows_of(&run_of(&legacy, 0.., &keys, Some(1500)).batch);
         let delta = stats_snapshot().delta_since(before);
         assert!(delta.key_bytes >= 4096 * 30, "encoded {delta:?}");
         sort_rows(&mut legacy, &keys);
         assert_eq!(codec, legacy);
+        assert_eq!(top, legacy[..1500]);
     }
 
     #[test]
@@ -814,7 +775,7 @@ mod tests {
         let rows = mixed_rows(300);
         for n in [0usize, 1, 7, 299, 300, 400] {
             assert_eq!(
-                top_n_run(tag_positions(rows.clone()), &keys, n).rows,
+                rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch),
                 top_n(rows.clone(), &keys, n),
                 "n={n}"
             );
@@ -828,17 +789,8 @@ mod tests {
         let mut serial = input.clone();
         sort_rows(&mut serial, &keys);
         for parts in [1usize, 2, 3, 5] {
-            let chunk = input.len().div_ceil(parts);
-            let mut runs = Vec::new();
-            let mut base = 0u64;
-            for piece in input.chunks(chunk) {
-                let len = piece.len() as u64;
-                let mut run = sort_run_codec(piece.to_vec(), &keys);
-                run.shift(base);
-                runs.push(run);
-                base += len;
-            }
-            assert_eq!(merge_runs(runs).unwrap(), serial, "parts={parts}");
+            let runs = contiguous_runs(&input, parts, &keys, None);
+            assert_eq!(merged(&runs, None), serial, "parts={parts}");
         }
     }
 
@@ -848,16 +800,7 @@ mod tests {
         let input = mixed_rows(150);
         let mut serial = input.clone();
         sort_rows(&mut serial, &keys);
-        let parts = 3;
-        let mut buckets: Vec<Vec<(u64, Row)>> = vec![Vec::new(); parts];
-        for (g, r) in input.into_iter().enumerate() {
-            buckets[g % parts].push((g as u64, r));
-        }
-        let runs: Vec<SortedRun> = buckets
-            .into_iter()
-            .map(|bucket| sort_tagged(bucket, &keys))
-            .collect();
-        assert_eq!(merge_runs(runs).unwrap(), serial);
+        assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), serial);
     }
 
     #[test]
@@ -867,30 +810,21 @@ mod tests {
         // runs must pick the earliest-input rows, exactly like serial.
         let all: Vec<Row> = (0..60).map(|i| row(&[i % 3, i])).collect();
         let serial = top_n(all.clone(), &keys, 10);
-        let mut runs = Vec::new();
-        let mut base = 0u64;
-        for piece in all.chunks(30) {
-            let mut run = top_n_run(tag_positions(piece.to_vec()), &keys, 10);
-            run.shift(base);
-            runs.push(run);
-            base += 30;
-        }
-        let mut merged = merge_runs(runs).unwrap();
-        merged.truncate(10);
-        assert_eq!(merged, serial);
+        let runs = contiguous_runs(&all, 2, &keys, Some(10));
+        assert_eq!(merged(&runs, Some(10)), serial);
     }
 
     #[test]
     fn stats_counters_accumulate() {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let before = stats_snapshot();
-        let rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        sort_run_codec(rows, &keys);
+        let mut rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
+        kernel_sort(&rows, &keys);
         let after = stats_snapshot();
         let delta = after.delta_since(before);
-        assert!(delta.key_bytes > 0, "codec sort must record key bytes");
-        let mut rows2: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        sort_rows(&mut rows2, &keys);
+        assert!(delta.key_bytes > 0, "kernel sort must record key bytes");
+        assert!(delta.comparisons > 0, "kernel sort counts compares");
+        sort_rows(&mut rows, &keys);
         let legacy_delta = stats_snapshot().delta_since(after);
         assert!(legacy_delta.comparisons > 0, "legacy sort counts compares");
     }
@@ -898,56 +832,60 @@ mod tests {
     #[test]
     fn merge_handles_empty_and_unbalanced_runs() {
         let keys = keys_from(&[(0, Direction::Asc)]);
-        let mut last = sort_run_codec(vec![row(&[2, 2])], &keys);
-        last.shift(2);
         let runs = vec![
-            sort_run_codec(vec![], &keys),
-            sort_run_codec(vec![row(&[1, 0]), row(&[3, 1])], &keys),
-            last,
+            run_of(&[], 0.., &keys, None),
+            run_of(&[row(&[1, 0]), row(&[3, 1])], 0.., &keys, None),
+            run_of(&[row(&[2, 2])], 2.., &keys, None),
         ];
-        let merged = merge_runs(runs).unwrap();
-        let got: Vec<i64> = merged.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let got: Vec<i64> = merge_runs(&runs, None)
+            .iter()
+            .map(|&(r, i)| runs[r as usize].batch.row(i as usize)[0].as_int().unwrap())
+            .collect();
         assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]
     fn keyless_sorts_and_merges_keep_input_order_by_seq_alone() {
-        // No key columns: every decorated key is just the 8-byte seq, so
-        // sort, top-n and merge all reduce to "input order".
+        // No key columns: every key is empty, so sort, top-n and merge
+        // all reduce to "tag order" — the input order.
         let keys = SortKeys::new();
         let input: Vec<Row> = (0..200).map(|i| row(&[(i * 7) % 13, i])).collect();
-        let mut arena = input.clone();
-        sort_rows_arena(&mut arena, &[], &vec![0; input.len() + 1]);
-        assert_eq!(arena, input);
+        assert_eq!(kernel_sort(&input, &keys), input);
         assert_eq!(
-            top_n_run(tag_positions(input.clone()), &keys, 9).rows,
+            rows_of(&run_of(&input, 0.., &keys, Some(9)).batch),
             input[..9]
         );
-        let mut runs = Vec::new();
-        for (i, piece) in input.chunks(30).enumerate() {
-            let mut run = sort_run_codec(piece.to_vec(), &keys);
-            run.shift(i as u64 * 30);
-            runs.push(run);
-        }
-        assert_eq!(merge_runs(runs).unwrap(), input);
+        assert_eq!(
+            merged(&contiguous_runs(&input, 7, &keys, None), None),
+            input
+        );
+        assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), input);
     }
 
     #[test]
-    fn merge_rejects_a_run_without_stored_keys() {
-        // A run whose encodings do not parallel its rows is a caller bug:
-        // a debug assertion in debug builds, a typed error otherwise —
-        // never a silent fallback to some other comparator.
-        let merge = || {
-            merge_runs(vec![SortedRun {
-                rows: vec![row(&[1])],
-                seqs: vec![0],
-                enc: Vec::new(),
-            }])
-        };
-        if cfg!(debug_assertions) {
-            assert!(std::panic::catch_unwind(merge).is_err());
-        } else {
-            assert!(merge().is_err());
+    fn gathered_batches_take_the_representation_rows_would_infer() {
+        // A source column that carries a validity bitmap (or is Mixed)
+        // must not leak that into a gather whose rows do not need it: the
+        // spill codec writes the representation.
+        let rows: Vec<Row> = vec![
+            [Value::Int(1), Value::Null].into_iter().collect(),
+            [Value::Null, Value::Null].into_iter().collect(),
+            [Value::Double(2.0), Value::Null].into_iter().collect(),
+            [Value::Int(3), Value::str("x")].into_iter().collect(),
+        ];
+        let src = Batch::from_rows(&rows);
+        for sel in [
+            vec![0u32, 3],
+            vec![0, 1, 2],
+            vec![1],
+            vec![3],
+            vec![0, 1, 2, 3],
+        ] {
+            let pairs: Vec<(u32, u32)> = sel.iter().map(|&i| (0, i)).collect();
+            let got = gather_rows(&[&src], &pairs);
+            let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
+            let want = Batch::from_rows(&picked);
+            assert_eq!(got.columns(), want.columns(), "sel={sel:?}");
         }
     }
 }

@@ -13,19 +13,19 @@
 //! typed kernels and gather survivors (never materializing rows),
 //! projections of bare column references are `Arc` clones, hash group-by
 //! computes its keys by byte-encoding the grouping columns
-//! column-at-a-time, and the sorts encode normalized keys straight from
-//! the column vectors. The scans never build a batch: the heap stores
-//! column chunks and hands them out whole, sliced or gathered. Only the
-//! operators whose logic is row-granular (segmented-sort group absorb,
-//! top-n's bounded buffer, the nested-loop join) still materialize rows
-//! through `Batch::row`.
+//! column-at-a-time, and the order enforcer holds its input batches as
+//! they arrived, sorts a permutation over their encoded keys and gathers
+//! the payload once per output batch. The scans never build a batch: the
+//! heap stores column chunks and hands them out whole, sliced or
+//! gathered. Only the nested-loop join still materializes rows through
+//! `Batch::row`.
 //!
 //! Pipeline breakers: [`PlanNode::Sort`], [`PlanNode::TopN`], and
 //! [`PlanNode::HashGroupBy`] must consume their whole input before
 //! producing anything and drain it at `open`. Join operators materialize
 //! only their *inner* (build) side; the outer side streams. Everything
-//! else — filter, project, order-based group-by / distinct, merge join,
-//! limit, union — is fully streaming.
+//! else — filter, project, segmented sort (group by group), order-based
+//! group-by / distinct, merge join, limit, union — is fully streaming.
 //!
 //! The executor is row-for-row equivalent to the materializing reference
 //! interpreter in [`crate::interp`] (enforced by the differential test
@@ -34,15 +34,13 @@
 //! rows.
 
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
-use crate::extsort::{FinishedSort, RunFormer, SpilledSort};
+use crate::extsort::{RunFormer, Sorted};
 use crate::interp::{concat, eval_preds, positions};
 use crate::metrics::{OpMetrics, PlanMetrics};
-use crate::parallel::{
-    GatherOp, MergeExchangeOp, PartitionSpec, RepartitionSortOp, TopNExchangeOp,
-};
+use crate::parallel::{GatherOp, PartitionSpec, SlotRef, SortExchangeOp, SortSource};
 use crate::sortkernel::{self, resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{row_bytes, Direction, FtoError, IndexId, Result, Row, TableId, Value};
+use fto_common::{Direction, FtoError, IndexId, Result, Row, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
 use fto_obs::profile;
 use fto_planner::{Plan, PlanNode, ScanRange};
@@ -353,7 +351,7 @@ impl OutQueue {
 /// consumes an entire queued batch at offset zero re-emits it without
 /// copying.
 #[derive(Default)]
-struct BatchQueue {
+pub(crate) struct BatchQueue {
     parts: VecDeque<Batch>,
     /// Rows of the front batch already taken.
     front: usize,
@@ -361,21 +359,21 @@ struct BatchQueue {
 }
 
 impl BatchQueue {
-    fn push(&mut self, batch: Batch) {
+    pub(crate) fn push(&mut self, batch: Batch) {
         if !batch.is_empty() {
             self.len += batch.len();
             self.parts.push_back(batch);
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Removes and returns the next `min(n, pending)` rows as one batch.
     /// `arity` disambiguates the all-consumed case (concat of zero
     /// parts); callers pass their output layout's arity.
-    fn take(&mut self, n: usize, arity: usize) -> Batch {
+    pub(crate) fn take(&mut self, n: usize, arity: usize) -> Batch {
         let n = n.min(self.len);
         let mut picked: Vec<Batch> = Vec::new();
         let mut need = n;
@@ -405,14 +403,14 @@ impl BatchQueue {
         Batch::concat(arity, &picked)
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.parts.clear();
         self.front = 0;
         self.len = 0;
     }
 }
 
-pub(crate) fn drain_all(
+fn drain_all(
     child: &mut Box<dyn Operator>,
     cx: &ExecContext<'_>,
     io: &mut IoStats,
@@ -770,389 +768,151 @@ impl Operator for UnionAllOp {
 // Pipeline breakers
 // ---------------------------------------------------------------------
 
-struct SortOp {
-    child: Box<dyn Operator>,
-    keys: SortKeys,
-    buf: Vec<Row>,
-    pos: usize,
-    /// The spilled external sort, when a memory budget forced one; the
-    /// final K-way merge streams from here instead of `buf`.
-    spilled: Option<SpilledSort>,
-}
-
-impl SortOp {
-    /// The bounded path: rows feed a [`RunFormer`] that seals and spills
-    /// sorted runs as the working set crosses the budget. Run tags are
-    /// global input positions, so the merged output — and `sort_rows`,
-    /// charged per run — is bit-identical to the unbounded operator at
-    /// any budget.
-    fn open_bounded(
-        &mut self,
-        budget: usize,
-        cx: &ExecContext<'_>,
-        io: &mut IoStats,
-    ) -> Result<()> {
-        self.child.open(cx, io)?;
-        let mut former = RunFormer::new(budget);
-        let (mut bb, mut bo) = (Vec::new(), Vec::new());
-        let mut rows = Vec::new();
-        while let Some(batch) = self.child.next_batch(cx, io)? {
-            encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
-            rows.clear();
-            batch.append_rows_to(&mut rows);
-            for (i, row) in rows.drain(..).enumerate() {
-                former.push(row, &bb[bo[i]..bo[i + 1]], io);
-            }
-        }
-        self.child.close();
-        match former.finish(io) {
-            FinishedSort::InMemory(sorted) => {
-                self.buf = sorted;
-                self.pos = 0;
-            }
-            FinishedSort::Spilled(s) => self.spilled = Some(s),
-        }
-        Ok(())
-    }
-}
-
-impl Operator for SortOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        if let Some(budget) = cx.memory_budget {
-            return self.open_bounded(budget, cx, io);
-        }
-        // Sort keys are encoded column-at-a-time while the input is
-        // still columnar — a tight per-type loop per key column — and
-        // the pre-encoded keys are handed to the kernel.
-        self.child.open(cx, io)?;
-        let mut rows = Vec::new();
-        // Key arena accumulated across batches: one backing buffer, no
-        // per-row allocation during encoding.
-        let mut key_bytes: Vec<u8> = Vec::new();
-        let mut key_offsets: Vec<usize> = vec![0];
-        let (mut bb, mut bo) = (Vec::new(), Vec::new());
-        while let Some(batch) = self.child.next_batch(cx, io)? {
-            encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
-            let base = key_bytes.len();
-            key_bytes.extend_from_slice(&bb);
-            key_offsets.extend(bo[1..].iter().map(|&o| base + o));
-            batch.append_rows_to(&mut rows);
-        }
-        self.child.close();
-        io.sort_rows += rows.len() as u64;
-        sortkernel::sort_rows_arena(&mut rows, &key_bytes, &key_offsets);
-        self.buf = rows;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        if let Some(spilled) = &mut self.spilled {
-            // Stream the final merge: the fully sorted output is never
-            // materialized whole, only one batch of rows at a time.
-            let mut rows = Vec::with_capacity(cx.batch_size);
-            while rows.len() < cx.batch_size {
-                match spilled.next_row(io) {
-                    Some(row) => rows.push(row),
-                    None => break,
-                }
-            }
-            if rows.is_empty() {
-                return Ok(None);
-            }
-            return Ok(Some(Batch::from_rows(&rows)));
-        }
-        if self.pos >= self.buf.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + cx.batch_size).min(self.buf.len());
-        let batch = Batch::from_rows(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(Some(batch))
-    }
-
-    fn close(&mut self) {
-        self.buf = Vec::new();
-        self.spilled = None;
-    }
-}
-
-/// One sealed prefix group awaiting emission from a segmented sort: an
-/// in-memory sorted group, or the streaming merge of an oversized group
-/// that external-sorted under the memory budget.
-enum SegmentEmit {
-    Mem(Vec<Row>, usize),
-    Spill(SpilledSort),
-}
-
-/// Segmented (partial) sort: the input already arrives ordered on the
-/// first `prefix_len` sort keys, so rows sharing a prefix value are
-/// contiguous and only the residual suffix keys need sorting — one
-/// prefix group at a time.
+/// The order enforcer — the one operator behind the `Sort`,
+/// `SegmentedSort` and `TopN` plan nodes. Its input already satisfies the
+/// first `pkeys` of the required order (possibly none), so rows sharing a
+/// prefix value are contiguous: groups are cut on encoded-prefix byte
+/// equality (the codec is injective up to `total_cmp`, so it cuts exactly
+/// the groups `Value` equality would), each group is ordered on `skeys`
+/// alone by the permutation kernel through a [`RunFormer`] — under the
+/// memory budget an oversized group seals and spills runs and streams
+/// back as their merge — and groups leave in arrival order, which
+/// reproduces the global stable sort bit for bit.
 ///
-/// Unlike [`SortOp`], this is *not* a pipeline breaker: groups are pulled,
-/// sorted, and emitted incrementally, so memory stays bounded by the
-/// largest group (plus one input batch) and a `LIMIT n` above stops
-/// pulling input after the first ⌈n / group⌉ groups. Group boundaries are
-/// detected by encoded-prefix byte equality — the codec is injective up
-/// to `total_cmp`, so it cuts exactly the groups `Value` equality would.
-/// Each group sorts
-/// stably on the suffix keys alone (its prefix columns are all equal, so
-/// this equals the full-key sort), and concatenating groups in arrival
-/// order reproduces the global stable sort bit for bit. Under a memory
-/// budget every group feeds a per-group [`RunFormer`], so a single
-/// oversized group external-sorts exactly like the bounded [`SortOp`].
-struct SegmentedSortOp {
+/// | plan node | `pkeys` | `limit` | behaviour |
+/// |---|---|---|---|
+/// | `Sort` | none | none | one group that closes at end of input: drains at `open` |
+/// | `SegmentedSort` | `prefix_len` | none | streams group by group; `LIMIT` above stops the input |
+/// | `TopN` | none | n | drains at `open`, keeping only the best n candidates |
+struct EnforceOp {
     child: Box<dyn Operator>,
-    /// Prefix keys (boundary detection) and suffix keys (per-group sort).
     pkeys: SortKeys,
     skeys: SortKeys,
-    /// Current group: rows plus their suffix-key arena.
-    grp_rows: Vec<Row>,
-    grp_kb: Vec<u8>,
-    grp_ko: Vec<usize>,
-    /// Current group's prefix identity: its encoded prefix key.
-    lead_enc: Vec<u8>,
-    group_started: bool,
-    /// Per-group run former (present only under a memory budget).
-    former: Option<RunFormer>,
-    /// Sealed groups not yet emitted, in arrival order.
-    emits: VecDeque<SegmentEmit>,
+    limit: Option<usize>,
+    /// The open group's buffered rows and spilled runs.
+    former: RunFormer,
+    /// Encoded prefix of the open group (meaningful while `group_open`).
+    lead: Vec<u8>,
+    group_open: bool,
+    /// Finished groups not yet emitted, in arrival order.
+    out: VecDeque<Sorted>,
     input_done: bool,
-    /// This node's metric slot, when instrumented: sealed groups count
-    /// into [`OpMetrics::segment_groups`] so EXPLAIN ANALYZE can show
-    /// the actual group count next to the planner's estimate.
-    slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
+    /// This node's metric slot, when instrumented: the groups a segmented
+    /// sort finishes count into [`OpMetrics::segment_groups`] so EXPLAIN
+    /// ANALYZE can show the actual group count next to the estimate.
+    slot: SlotRef,
 }
 
-impl SegmentedSortOp {
+impl EnforceOp {
     fn new(
         child: Box<dyn Operator>,
         keys: SortKeys,
         prefix_len: usize,
-        slot: Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>,
-    ) -> SegmentedSortOp {
-        let (pkeys, skeys) = {
-            let (p, s) = keys.split_at(prefix_len.min(keys.len()));
-            (p.to_vec(), s.to_vec())
-        };
-        SegmentedSortOp {
+        limit: Option<usize>,
+        slot: SlotRef,
+    ) -> EnforceOp {
+        let (pkeys, skeys) = keys.split_at(prefix_len.min(keys.len()));
+        EnforceOp {
             child,
-            pkeys,
-            skeys,
-            grp_rows: Vec::new(),
-            grp_kb: Vec::new(),
-            grp_ko: vec![0],
-            lead_enc: Vec::new(),
-            group_started: false,
-            former: None,
-            emits: VecDeque::new(),
+            pkeys: pkeys.to_vec(),
+            skeys: skeys.to_vec(),
+            limit,
+            former: RunFormer::new(usize::MAX, limit),
+            lead: Vec::new(),
+            group_open: false,
+            out: VecDeque::new(),
             input_done: false,
             slot,
         }
     }
 
-    /// Sorts and queues the current group for emission (no-op when no
-    /// group is open). Counts one formed group toward the process-wide
-    /// segmented-sort statistics.
-    fn seal_group(&mut self, io: &mut IoStats) {
-        if !self.group_started {
-            return;
+    /// Ends the open group (no-op without one): its sorted rows queue for
+    /// emission. A segmented sort counts the group formed.
+    fn finish_group(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+        if !std::mem::take(&mut self.group_open) {
+            return Ok(());
         }
-        sortkernel::note_segment_groups(1);
-        if let Some((id, slots)) = &self.slot {
-            slots.lock().expect("metrics mutex poisoned")[*id].segment_groups += 1;
-        }
-        if let Some(former) = self.former.take() {
-            // The former charged `sort_rows` per run itself.
-            match former.finish(io) {
-                FinishedSort::InMemory(sorted) => self.emits.push_back(SegmentEmit::Mem(sorted, 0)),
-                FinishedSort::Spilled(s) => self.emits.push_back(SegmentEmit::Spill(s)),
+        if !self.pkeys.is_empty() {
+            sortkernel::note_segment_groups(1);
+            if let Some((id, slots)) = &self.slot {
+                slots.lock().expect("metrics mutex poisoned")[*id].segment_groups += 1;
             }
-        } else {
-            let mut rows = std::mem::take(&mut self.grp_rows);
-            io.sort_rows += rows.len() as u64;
-            sortkernel::sort_rows_arena(&mut rows, &self.grp_kb, &self.grp_ko);
-            self.emits.push_back(SegmentEmit::Mem(rows, 0));
         }
-        self.grp_kb.clear();
-        self.grp_ko.clear();
-        self.grp_ko.push(0);
-        self.group_started = false;
+        self.former.finish(cx.batch_size, &mut self.out, io)
     }
 
-    /// Absorbs one input batch, sealing groups at every prefix boundary.
-    fn absorb(&mut self, batch: &Batch, cx: &ExecContext<'_>, io: &mut IoStats) {
-        let (mut pb, mut po) = (Vec::new(), Vec::new());
+    /// Pulls one input batch into the open group, finishing a group at
+    /// every prefix boundary — or, at end of input, finishes the last.
+    fn pull(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+        let Some(batch) = self.child.next_batch(cx, io)? else {
+            self.input_done = true;
+            self.child.close();
+            return self.finish_group(cx, io);
+        };
         let (mut sb, mut so) = (Vec::new(), Vec::new());
-        encode_batch_keys_arena(batch, &self.pkeys, &mut pb, &mut po);
-        encode_batch_keys_arena(batch, &self.skeys, &mut sb, &mut so);
-        for i in 0..batch.len() {
-            let row = batch.row(i);
-            let pref = &pb[po[i]..po[i + 1]];
-            if self.group_started && *pref != self.lead_enc[..] {
-                self.seal_group(io);
-            }
-            if !self.group_started {
-                self.group_started = true;
-                self.lead_enc.clear();
-                self.lead_enc.extend_from_slice(pref);
-                if let Some(budget) = cx.memory_budget {
-                    self.former = Some(RunFormer::new(budget));
+        encode_batch_keys_arena(&batch, &self.skeys, &mut sb, &mut so);
+        let mut lo = 0;
+        if !self.pkeys.is_empty() {
+            let (mut pb, mut po) = (Vec::new(), Vec::new());
+            encode_batch_keys_arena(&batch, &self.pkeys, &mut pb, &mut po);
+            let lead = std::mem::take(&mut self.lead);
+            let mut prev: &[u8] = &lead;
+            for i in 0..batch.len() {
+                let prefix = &pb[po[i]..po[i + 1]];
+                if self.group_open && prefix != prev {
+                    self.former.push_rows(&batch, lo..i, &sb, &so, io);
+                    self.finish_group(cx, io)?;
+                    lo = i;
                 }
+                self.group_open = true;
+                prev = prefix;
             }
-            let skey = &sb[so[i]..so[i + 1]];
-            match &mut self.former {
-                Some(former) => former.push(row, skey, io),
-                None => {
-                    self.grp_kb.extend_from_slice(skey);
-                    self.grp_ko.push(self.grp_kb.len());
-                    self.grp_rows.push(row);
-                }
-            }
+            self.lead = prev.to_vec();
         }
+        self.group_open |= !batch.is_empty();
+        self.former.push_rows(&batch, lo..batch.len(), &sb, &so, io);
+        Ok(())
     }
 }
 
-impl Operator for SegmentedSortOp {
+impl Operator for EnforceOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.grp_rows = Vec::new();
-        self.grp_kb = Vec::new();
-        self.grp_ko = vec![0];
-        self.group_started = false;
-        self.former = None;
-        self.emits = VecDeque::new();
+        self.former = RunFormer::new(cx.memory_budget.unwrap_or(usize::MAX), self.limit);
+        self.group_open = false;
+        self.out = VecDeque::new();
         self.input_done = false;
-        self.child.open(cx, io)
+        self.child.open(cx, io)?;
+        // Without a satisfied prefix nothing can leave before the input
+        // ends: a pipeline breaker, drained here.
+        while self.pkeys.is_empty() && !self.input_done {
+            self.pull(cx, io)?;
+        }
+        Ok(())
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
         loop {
-            // Drain sealed groups first, in arrival order.
-            match self.emits.front_mut() {
-                Some(SegmentEmit::Mem(rows, pos)) => {
-                    if *pos < rows.len() {
-                        let end = (*pos + cx.batch_size).min(rows.len());
-                        let batch = Batch::from_rows(&rows[*pos..end]);
-                        *pos = end;
+            // Drain finished groups first, in arrival order.
+            match self.out.pop_front() {
+                Some(Sorted::Batch(batch)) => return Ok(Some(batch)),
+                Some(Sorted::Spilled(mut merge)) => {
+                    // The final merge streams: the sorted group is never
+                    // materialized whole, only one batch at a time.
+                    if let Some(batch) = merge.next_batch(cx.batch_size, io)? {
+                        self.out.push_front(Sorted::Spilled(merge));
                         return Ok(Some(batch));
                     }
-                    self.emits.pop_front();
-                    continue;
                 }
-                Some(SegmentEmit::Spill(s)) => {
-                    let mut rows = Vec::with_capacity(cx.batch_size);
-                    while rows.len() < cx.batch_size {
-                        match s.next_row(io) {
-                            Some(row) => rows.push(row),
-                            None => break,
-                        }
-                    }
-                    if !rows.is_empty() {
-                        return Ok(Some(Batch::from_rows(&rows)));
-                    }
-                    self.emits.pop_front();
-                    continue;
-                }
-                None => {}
-            }
-            if self.input_done {
-                return Ok(None);
-            }
-            match self.child.next_batch(cx, io)? {
-                Some(batch) => self.absorb(&batch, cx, io),
-                None => {
-                    self.input_done = true;
-                    self.child.close();
-                    self.seal_group(io);
-                }
+                None if self.input_done => return Ok(None),
+                None => self.pull(cx, io)?,
             }
         }
     }
 
     fn close(&mut self) {
-        self.grp_rows = Vec::new();
-        self.grp_kb = Vec::new();
-        self.former = None;
-        self.emits = VecDeque::new();
+        self.former = RunFormer::new(usize::MAX, self.limit);
+        self.out = VecDeque::new();
         self.child.close();
-    }
-}
-
-struct TopNOp {
-    child: Box<dyn Operator>,
-    keys: SortKeys,
-    n: u64,
-    buf: Vec<Row>,
-    pos: usize,
-}
-
-impl TopNOp {
-    /// The bounded path: candidates carry their global input positions
-    /// and the buffer is pruned back to the current top `n` by
-    /// `(keys, seq)` whenever it crosses the budget (or `2n` rows,
-    /// whichever comes first). A row outside the running top `n` can
-    /// never re-enter it, so the survivors — and their order — are
-    /// exactly the unbounded operator's stable-sort prefix. Memory stays
-    /// under `max(budget, 2n rows)` with no spilling.
-    fn open_bounded(
-        &mut self,
-        budget: usize,
-        cx: &ExecContext<'_>,
-        io: &mut IoStats,
-    ) -> Result<()> {
-        let n = self.n as usize;
-        self.child.open(cx, io)?;
-        let mut pending: Vec<(u64, Row)> = Vec::new();
-        let mut bytes = 0usize;
-        let mut seq = 0u64;
-        while let Some(batch) = self.child.next_batch(cx, io)? {
-            for i in 0..batch.len() {
-                let row = batch.row(i);
-                bytes += row_bytes(&row);
-                pending.push((seq, row));
-                seq += 1;
-                if pending.len() > n && (bytes > budget || pending.len() >= 2 * n.max(1)) {
-                    pending = sortkernel::top_n_tagged(std::mem::take(&mut pending), &self.keys, n);
-                    bytes = pending.iter().map(|(_, r)| row_bytes(r)).sum();
-                }
-            }
-        }
-        self.child.close();
-        let top = sortkernel::top_n_tagged(pending, &self.keys, n);
-        io.sort_rows += top.len() as u64;
-        self.buf = top.into_iter().map(|(_, row)| row).collect();
-        self.pos = 0;
-        Ok(())
-    }
-}
-
-impl Operator for TopNOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        if let Some(budget) = cx.memory_budget {
-            return self.open_bounded(budget, cx, io);
-        }
-        let rows = drain_all(&mut self.child, cx, io)?;
-        let tagged = sortkernel::tag_positions(rows);
-        let top = sortkernel::top_n_run(tagged, &self.keys, self.n as usize).rows;
-        io.sort_rows += top.len() as u64;
-        self.buf = top;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
-        if self.pos >= self.buf.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + cx.batch_size).min(self.buf.len());
-        let batch = Batch::from_rows(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(Some(batch))
-    }
-
-    fn close(&mut self) {
-        self.buf = Vec::new();
     }
 }
 
@@ -2514,10 +2274,43 @@ fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx) -> PartitionSpec {
     }
 }
 
-/// The (id, slots) handle an exchange operator uses to attach per-worker
-/// metrics to its own plan node.
-fn own_slot(lw: &LowerCx, id: usize) -> Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)> {
-    lw.slots.as_ref().map(|s| (id, Arc::clone(s)))
+/// Lowers an order-enforcing plan node (`Sort`, `SegmentedSort`, `TopN`:
+/// the three parameterisations of [`EnforceOp`]) whose input satisfies
+/// the first `prefix_len` keys of `spec`. At parallel degree > 1 the
+/// coordinator (never a worker's partition pipeline, where `threads` is
+/// pinned to 1) replaces an enforcer *without* a satisfied prefix by a
+/// [`SortExchangeOp`] — the serial operator drains its input at `open`
+/// anyway. With a prefix the enforcer streams group by group and always
+/// lowers serially, so a `LIMIT` above it keeps its early exit at every
+/// degree. A top-N over a non-partitionable input stays serial too: it
+/// prunes as it drains, which a round-robin deal could not.
+fn lower_enforcer(
+    input: &Arc<Plan>,
+    spec: &fto_order::OrderSpec,
+    prefix_len: usize,
+    limit: Option<usize>,
+    id: usize,
+    lw: &mut LowerCx,
+) -> Result<Box<dyn Operator>> {
+    let keys = resolve_keys(spec, &input.layout)?;
+    let slot: SlotRef = lw.slots.as_ref().map(|s| (id, Arc::clone(s)));
+    if lw.partition.is_none() && lw.threads > 1 && prefix_len == 0 {
+        if partitionable(input) {
+            let source = SortSource::Partitioned(exchange_spec(input, lw));
+            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, slot)));
+        }
+        if limit.is_none() {
+            let source = SortSource::RoundRobin {
+                child: lower_impl(input, lw)?,
+                parts: lw.threads,
+            };
+            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, slot)));
+        }
+    }
+    let child = lower_impl(input, lw)?;
+    Ok(Box::new(EnforceOp::new(
+        child, keys, prefix_len, limit, slot,
+    )))
 }
 
 /// Lowers a child subtree that its parent fully drains at `open` (a join
@@ -2551,9 +2344,6 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             slots.push(op_metrics_for(plan));
         }
     }
-    // Exchange insertion happens only on the coordinator (never inside a
-    // worker's partition pipeline, where `threads` is pinned to 1).
-    let parallel = lw.partition.is_none() && lw.threads > 1;
     let op: Box<dyn Operator> = match &plan.node {
         PlanNode::TableScan { table, .. } => {
             let (part, parts) = lw.partition.unwrap_or((0, 1));
@@ -2592,58 +2382,13 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             exprs: exprs.iter().map(|(_, e)| e.clone()).collect(),
             layout: input.layout.clone(),
         }),
-        PlanNode::Sort { input, spec } => {
-            let keys = resolve_keys(spec, &input.layout)?;
-            if parallel && partitionable(input) {
-                // Merge exchange: workers scan disjoint partitions, sort
-                // their runs, and the coordinator K-way merges — order-
-                // preserving by the kernel's (keys, seq) contract.
-                let slot = own_slot(lw, id);
-                Box::new(MergeExchangeOp::new(exchange_spec(input, lw), keys, slot))
-            } else if parallel {
-                // Repartition: drain the (serial) child on the
-                // coordinator, deal round-robin, sort buckets on worker
-                // threads, merge back by global sequence tags.
-                let slot = own_slot(lw, id);
-                let child = lower_impl(input, lw)?;
-                Box::new(RepartitionSortOp::new(child, keys, lw.threads, slot))
-            } else {
-                Box::new(SortOp {
-                    child: lower_impl(input, lw)?,
-                    keys,
-                    buf: Vec::new(),
-                    pos: 0,
-                    spilled: None,
-                })
-            }
-        }
+        PlanNode::Sort { input, spec } => lower_enforcer(input, spec, 0, None, id, lw)?,
         PlanNode::SegmentedSort {
             input,
             spec,
             prefix_len,
             ..
-        } => {
-            let keys = resolve_keys(spec, &input.layout)?;
-            if parallel && partitionable(input) {
-                // Parallel degrees reuse the full-sort exchanges: a
-                // merge exchange over the full keys produces the same
-                // (globally sorted) stream the segmented operator does.
-                let slot = own_slot(lw, id);
-                Box::new(MergeExchangeOp::new(exchange_spec(input, lw), keys, slot))
-            } else if parallel {
-                let slot = own_slot(lw, id);
-                let child = lower_impl(input, lw)?;
-                Box::new(RepartitionSortOp::new(child, keys, lw.threads, slot))
-            } else {
-                let slot = own_slot(lw, id);
-                Box::new(SegmentedSortOp::new(
-                    lower_impl(input, lw)?,
-                    keys,
-                    *prefix_len,
-                    slot,
-                ))
-            }
-        }
+        } => lower_enforcer(input, spec, *prefix_len, None, id, lw)?,
         PlanNode::NestedLoopJoin {
             outer,
             inner,
@@ -2812,24 +2557,7 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             remaining: *n,
         }),
         PlanNode::TopN { input, spec, n } => {
-            let keys = resolve_keys(spec, &input.layout)?;
-            if parallel && partitionable(input) {
-                let slot = own_slot(lw, id);
-                Box::new(TopNExchangeOp::new(
-                    exchange_spec(input, lw),
-                    keys,
-                    *n as usize,
-                    slot,
-                ))
-            } else {
-                Box::new(TopNOp {
-                    keys,
-                    child: lower_impl(input, lw)?,
-                    n: *n,
-                    buf: Vec::new(),
-                    pos: 0,
-                })
-            }
+            lower_enforcer(input, spec, 0, Some(*n as usize), id, lw)?
         }
     };
     Ok(match &lw.slots {
@@ -3125,6 +2853,167 @@ mod tests {
                     assert_eq!(rows, vec![vec![Value::Int(0), Value::Null].into()]);
                 } else {
                     assert!(rows.is_empty(), "{rows:?}");
+                }
+            }
+        }
+    }
+
+    /// Rows as text with doubles by bit pattern: `Value`'s `Eq` follows
+    /// `total_cmp` (−0.0 = 0.0, Int 5 = Double 5.0), too coarse for
+    /// "bit-identical".
+    fn exact(rows: &[Row]) -> Vec<String> {
+        let show = |v: &Value| match v {
+            Value::Double(d) => format!("D{:016x}", d.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter()
+            .map(|r| r.iter().map(show).collect::<Vec<_>>().join("|"))
+            .collect()
+    }
+
+    /// Opens, drains and closes `op`, checking its emission contract.
+    fn drain(mut op: Box<dyn Operator>, cx: &ExecContext<'_>) -> Vec<Row> {
+        let mut io = IoStats::new();
+        op.open(cx, &mut io).unwrap();
+        let mut rows = Vec::new();
+        while let Some(batch) = op.next_batch(cx, &mut io).unwrap() {
+            assert!(!batch.is_empty() && batch.len() <= cx.batch_size);
+            batch.append_rows_to(&mut rows);
+        }
+        op.close();
+        rows
+    }
+
+    #[test]
+    fn enforcer_and_exchange_match_the_interpreter_sort_on_random_batches() {
+        // The one property every enforcer configuration must satisfy:
+        // (prefix k, limit, budget) serially, and (parts, limit) through
+        // the exchange kernel, all equal the interpreter's stable
+        // `sort_rows` / `top_n` of the same rows, bit for bit.
+        use crate::parallel::sort_run;
+        use crate::sortkernel::{gather_rows, merge_runs, sort_rows, top_n};
+        let db = test_db(1);
+        let graph = QueryGraph::new();
+        let feed = |batches: &[Batch]| Box::new(Feed(batches.iter().cloned().collect()));
+        for seed in 0..24u64 {
+            let mut rng = fto_common::Rng::new(0x5eed ^ seed);
+            let n = match seed % 8 {
+                0 => 2600,
+                1 => 700,
+                _ => rng.range_usize(0, 300),
+            };
+            // Every fourth seed draws NULL-free fixed-width keys (ints and
+            // dates only): the radix path, ties included.
+            let fixed = seed % 4 == 1;
+            let (wide_numeric, last_kind) = (rng.bool(), rng.range_usize(0, 3));
+            let rows: Vec<Row> = (0..n)
+                .map(|id| {
+                    let null = |rng: &mut fto_common::Rng| !fixed && rng.chance(0.1);
+                    let a = match null(&mut rng) {
+                        true => Value::Null,
+                        false => Value::Int(rng.range_i64(0, 6)),
+                    };
+                    let b = match (null(&mut rng), fixed) {
+                        (true, _) => Value::Null,
+                        (_, true) => Value::Int(rng.range_i64(0, 4)),
+                        _ => Value::str(format!("s{}", rng.range_usize(0, 4))),
+                    };
+                    let kinds = match (fixed, wide_numeric) {
+                        (true, _) => 1..2,
+                        (_, true) => 0..8,
+                        _ => 0..2,
+                    };
+                    let c = match rng.range_usize(kinds.start, kinds.end) {
+                        0 => Value::Null,
+                        1 => Value::Int(rng.range_i64(-3, 4)),
+                        2 => Value::Double(rng.range_i64(-3, 4) as f64),
+                        3 => Value::Double(f64::NAN),
+                        4 => Value::Double(-0.0),
+                        5 => Value::Double(0.0),
+                        _ => Value::Double(rng.range_f64(-3.0, 3.0)),
+                    };
+                    let d = match (null(&mut rng), if fixed { 0 } else { last_kind }) {
+                        (true, _) => Value::Null,
+                        (_, 0) => Value::Date(rng.range_i32(0, 5)),
+                        (_, 1) => Value::Bool(rng.bool()),
+                        _ => Value::Double([f64::NAN, -0.0, 0.0, 1.5][rng.range_usize(0, 4)]),
+                    };
+                    [a, b, c, d, Value::Int(id as i64)].into_iter().collect()
+                })
+                .collect();
+            let dir = |rng: &mut fto_common::Rng| match rng.bool() {
+                true => Direction::Asc,
+                false => Direction::Desc,
+            };
+            let keys: SortKeys = (0..4).map(|c| (c, dir(&mut rng))).collect();
+            for k in 0..3usize {
+                // The input satisfies the first k keys, and only those.
+                let mut input = rows.clone();
+                sort_rows(&mut input, &keys[..k].to_vec());
+                let mut want = input.clone();
+                sort_rows(&mut want, &keys);
+                // Random cuts: single rows, small batches, and batches
+                // that cross a 1 024-row chunk.
+                let mut batches = Vec::new();
+                let mut at = 0;
+                while at < n {
+                    let len = [1, 1, rng.range_usize(2, 40), 1024, 1500][rng.range_usize(0, 5)];
+                    let end = (at + len).min(n);
+                    batches.push(Batch::from_rows_arity(&input[at..end], 5));
+                    at = end;
+                }
+                let tie = (1..n).find(|&i| {
+                    keys.iter()
+                        .all(|&(c, _)| want[i - 1][c].total_cmp(&want[i][c]).is_eq())
+                });
+                let limits = match k {
+                    0 => vec![None, Some(0), Some(1), Some(tie.unwrap_or(n / 2))],
+                    _ => vec![None],
+                };
+                for limit in limits {
+                    let want = match limit {
+                        Some(n) => exact(&top_n(input.clone(), &keys, n)),
+                        None => exact(&want),
+                    };
+                    let case = format!("seed={seed} n={n} k={k} limit={limit:?} keys={keys:?}");
+                    for memory_budget in [Some(1usize), Some(1 << 10), None] {
+                        let opts = ExecOptions {
+                            batch_size: [1, 7, 1024][rng.range_usize(0, 3)],
+                            memory_budget,
+                            ..ExecOptions::default()
+                        };
+                        let cx = ExecContext::new(&db, &graph, &opts);
+                        let op = EnforceOp::new(feed(&batches), keys.clone(), k, limit, None);
+                        let got = drain(Box::new(op), &cx);
+                        assert_eq!(exact(&got), want, "{case} {opts:?}");
+                    }
+                    if k > 0 {
+                        continue;
+                    }
+                    let cx = ExecContext::new(&db, &graph, &ExecOptions::default());
+                    for parts in 1..=3usize {
+                        let mut base = 0u64;
+                        let runs: Vec<_> = batches
+                            .chunks(batches.len().div_ceil(parts).max(1))
+                            .map(|piece| {
+                                let mut run = sort_run(piece, &keys, limit, (0, 1));
+                                run.seqs.iter_mut().for_each(|s| *s += base);
+                                base += piece.iter().map(|b| b.len() as u64).sum::<u64>();
+                                run
+                            })
+                            .filter(|r| !r.seqs.is_empty())
+                            .collect();
+                        let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
+                        let mut got = Vec::new();
+                        gather_rows(&sources, &merge_runs(&runs, limit)).append_rows_to(&mut got);
+                        assert_eq!(exact(&got), want, "{case} parts={parts}");
+                    }
+                    let source = SortSource::RoundRobin {
+                        child: feed(&batches),
+                        parts: 3,
+                    };
+                    let op = SortExchangeOp::new(source, keys.clone(), limit, None);
+                    assert_eq!(exact(&drain(Box::new(op), &cx)), want, "{case} dealt");
                 }
             }
         }

@@ -21,14 +21,41 @@ fi
 echo "==> grep guard: no new row-at-a-time batch.row() in the vectorized operators"
 # The join, group-by and distinct operators consume batches natively —
 # encoded-key arenas, selection vectors and gathers. batch.row() inside
-# crates/exec/src/stream.rs is allowed only in the operators still
-# row-based by design (segmented-sort absorb, top-n, the nested-loop
-# join).
+# crates/exec/src/stream.rs is allowed only in the one operator still
+# row-based by design (the nested-loop join).
 row_sites=$(grep -c 'batch\.row(' crates/exec/src/stream.rs || true)
-if [[ "${row_sites}" -gt 3 ]]; then
-    echo "guard failed: ${row_sites} batch.row() call sites in crates/exec/src/stream.rs (allowed: 3);"
+if [[ "${row_sites}" -gt 1 ]]; then
+    echo "guard failed: ${row_sites} batch.row() call sites in crates/exec/src/stream.rs (allowed: 1);"
     echo "new operator code must stay columnar: selection vectors + gather, not batch.row()"
     grep -n 'batch\.row(' crates/exec/src/stream.rs
+    exit 1
+fi
+
+echo "==> grep guard: one order enforcer, and it never materializes a row"
+# Sort, segmented sort and top-n are one operator over one permutation
+# kernel, and the exchanges hand column batches around: no Vec<Row>, no
+# row<->column transposition in the exchange layer, the external sort or
+# the kernel. (Checked above each file's #[cfg(test)]; in sortkernel.rs
+# the interpreter's two entry points, sort_rows and top_n, are the
+# Value-comparator oracle and stay row-based.)
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+for f in parallel extsort; do
+    if non_test "crates/exec/src/$f.rs" | grep -n 'Vec<Row>\|from_rows(\|append_rows_to('; then
+        echo "guard failed: crates/exec/src/$f.rs materializes rows;"
+        echo "hold column batches and gather once per output batch (sortkernel::gather_rows)"
+        exit 1
+    fi
+done
+if non_test crates/exec/src/sortkernel.rs \
+    | sed '/^pub fn sort_rows(/,/^}/d; /^pub fn top_n(/,/^}/d' \
+    | grep -n 'Vec<Row>\|from_rows(\|append_rows_to('; then
+    echo "guard failed: crates/exec/src/sortkernel.rs materializes rows outside sort_rows/top_n"
+    exit 1
+fi
+operators=$(cat crates/exec/src/stream.rs crates/exec/src/parallel.rs | grep -c '^impl Operator for' || true)
+if [[ "${operators}" -gt 19 ]]; then
+    echo "guard failed: ${operators} Operator impls in stream.rs + parallel.rs (allowed: 19);"
+    echo "a new enforcer or exchange is a parameter of EnforceOp / SortExchangeOp, not a new operator"
     exit 1
 fi
 
@@ -161,23 +188,25 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "==> smoke: segmented sort chosen, visible in EXPLAIN OPTIMIZER + ANALYZE"
     # Clustered lineitem index (l_orderkey, l_linenumber) delivers the
     # prefix; the planner must pick the partial sort and the executor
-    # must report the groups it formed. Serial: the parallel lowering
-    # degenerates to full-sort exchanges, which would hide the counter.
+    # must report the groups it formed — serially and at FTO_THREADS=2
+    # alike: a segmented sort streams, so it never lowers to an exchange.
     segq="select l_orderkey, l_shipdate, l_extendedprice from lineitem order by l_orderkey, l_shipdate"
-    seg_out=$(printf '%s\n' \
-        "explain optimizer ${segq};" \
-        "explain analyze ${segq};" \
-        ".quit" \
-        | cargo run -q -p fto-bench --release --bin repl -- 0.005)
-    if ! grep -q "PartialSortChosen" <<<"$seg_out"; then
-        echo "smoke failed: EXPLAIN OPTIMIZER did not record PartialSortChosen"
-        exit 1
-    fi
-    if ! grep -Eq "segmented: groups=[1-9]" <<<"$seg_out"; then
-        echo "smoke failed: EXPLAIN ANALYZE shows no segmented groups formed"
-        exit 1
-    fi
-    grep -E "PartialSortChosen|segmented: groups=" <<<"$seg_out" | head -4
+    for threads in 1 2; do
+        seg_out=$(printf '%s\n' \
+            "explain optimizer ${segq};" \
+            "explain analyze ${segq};" \
+            ".quit" \
+            | FTO_THREADS=$threads cargo run -q -p fto-bench --release --bin repl -- 0.005)
+        if ! grep -q "PartialSortChosen" <<<"$seg_out"; then
+            echo "smoke failed: EXPLAIN OPTIMIZER did not record PartialSortChosen (FTO_THREADS=$threads)"
+            exit 1
+        fi
+        if ! grep -Eq "segmented: groups=[1-9]" <<<"$seg_out"; then
+            echo "smoke failed: EXPLAIN ANALYZE shows no segmented groups formed (FTO_THREADS=$threads)"
+            exit 1
+        fi
+        grep -E "PartialSortChosen|segmented: groups=" <<<"$seg_out" | head -4
+    done
 
     echo "==> smoke: \\profile emits a valid Chrome trace, tracecheck-verified"
     trace_out="$(mktemp -t fto_profile_XXXXXX.json)"

@@ -276,6 +276,58 @@ fn instrumented_rollup_stays_exact_at_every_degree() {
 }
 
 #[test]
+fn exchanges_emit_the_serial_operators_rows_and_batches() {
+    // An exchange replaces its plan node's operator, not its behaviour:
+    // from the exchanged node upward the instrumented rows *and batches* —
+    // the emission boundaries — are those of the serial plan, for a sort
+    // and a top-n (sort exchanges) and a hash join whose build side is
+    // gathered. Below an exchange only the rows are: each partition
+    // pipeline cuts its own last batch.
+    let db = emp_db();
+    for (sql, node) in [
+        (
+            "select emp_dept, salary, emp_id from emp order by salary desc, emp_id",
+            "sort",
+        ),
+        (
+            "select emp_id, salary from emp order by salary desc, emp_id limit 7",
+            "top-n",
+        ),
+        (
+            "select dept_name, emp_id from dept join emp on dept_id = emp_dept order by emp_id",
+            "hash-join",
+        ),
+    ] {
+        for batch in [7usize, 1024] {
+            let emitted = |threads: usize| {
+                let config = OptimizerConfig::default()
+                    .with_threads(threads)
+                    .with_batch_size(batch);
+                let prepared = Session::new(&db).config(config).plan(sql).unwrap();
+                let (_, metrics) = prepared.execute_instrumented().unwrap();
+                let at = metrics
+                    .ops
+                    .iter()
+                    .position(|op| op.name == node)
+                    .unwrap_or_else(|| panic!("no {node} in\n{}", prepared.explain()));
+                let exchanged = metrics.ops.iter().any(|op| !op.workers.is_empty());
+                let rows: Vec<u64> = metrics.ops.iter().map(|op| op.rows).collect();
+                let batches: Vec<u64> = metrics.ops[..=at].iter().map(|op| op.batches).collect();
+                (rows, batches, exchanged)
+            };
+            let (rows, batches, _) = emitted(1);
+            for threads in [2usize, 4] {
+                let case = format!("sql: {sql}\nthreads {threads} batch {batch}");
+                let (par_rows, par_batches, exchanged) = emitted(threads);
+                assert!(exchanged, "no exchange lowered\n{case}");
+                assert_eq!(par_rows, rows, "{case}");
+                assert_eq!(par_batches, batches, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
 fn parallel_heap_sort_charges_identical_io() {
     // On a pure heap-scan + sort pipeline the partitioning is
     // page-aligned and the merge-exchange charges per-run sort_rows that

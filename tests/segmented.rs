@@ -117,21 +117,31 @@ fn tpcd_clustered_prefix_queries_are_bit_identical_everywhere() {
 
 #[test]
 fn segmented_sort_reports_groups_formed() {
-    // Serial segmented execution counts every sealed prefix group; the
-    // count reaches EXPLAIN ANALYZE so a user can see the partial sort
-    // actually segmented.
+    // Segmented execution counts every finished prefix group; the count
+    // reaches EXPLAIN ANALYZE so a user can see the partial sort actually
+    // segmented. A segmented sort streams, so it lowers to the same
+    // serial operator at every parallel degree: same groups, same I/O.
+    // (`groups_formed` is a delta of process-wide counters, which a
+    // segmented test on another thread can only inflate: the smallest of
+    // a few attempts is this query's own count.)
     let db = emp_db();
-    let q = Session::new(&db)
-        .config(OptimizerConfig::default())
-        .plan(EMP_SEGMENTED[0])
-        .unwrap();
-    let out = q.execute().unwrap();
-    assert!(
-        out.segment.groups_formed > 0,
-        "segmented sort must form at least one group"
-    );
-    let text = q.explain_analyze().unwrap();
-    assert!(text.contains("segmented: groups="), "{text}");
+    let run = |threads: usize| {
+        let q = Session::new(&db)
+            .config(OptimizerConfig::default().with_threads(threads))
+            .plan(EMP_SEGMENTED[0])
+            .unwrap();
+        let text = q.explain_analyze().unwrap();
+        assert!(text.contains("segmented: groups="), "{text}");
+        assert!(text.contains("groups est=12 act=12"), "{text}");
+        let outs: Vec<_> = (0..5).map(|_| q.execute().unwrap()).collect();
+        let groups = outs.iter().map(|o| o.segment.groups_formed).min();
+        (outs[0].io, groups)
+    };
+    let serial = run(1);
+    assert_eq!(serial.1, Some(12), "one group per department");
+    for threads in [2usize, 4] {
+        assert_eq!(run(threads), serial, "threads={threads}");
+    }
 }
 
 #[test]
@@ -165,6 +175,17 @@ fn segmented_sort_under_limit_stops_early() {
         limited.io.rows_read,
         full.io.rows_read
     );
+    // The early exit survives parallel degrees: only an enforcer without
+    // a satisfied prefix (which drains its input anyway) becomes an
+    // exchange, so the same pages are read as serially.
+    for threads in [2usize, 4] {
+        let parallel = Session::new(&db)
+            .config(OptimizerConfig::default().with_threads(threads))
+            .execute(&limited_sql)
+            .unwrap();
+        assert_eq!(parallel.rows(), limited.rows(), "threads={threads}");
+        assert_eq!(parallel.io, limited.io, "threads={threads}");
+    }
 }
 
 #[test]

@@ -279,6 +279,60 @@ fn spilled_group_by_charges_pinned_io_under_budgets() {
 }
 
 #[test]
+fn spilled_sorts_charge_pinned_io_under_budgets() {
+    // The order enforcer's external sort — what a buffered row is charged,
+    // where runs seal, the run-group records, the merge passes — pinned as
+    // literals next to the join builds' and the group-by's. Captured at
+    // the last commit whose sorts buffered `Row`s and one `Vec<u8>` key per
+    // row (`SortOp` / `SegmentedSortOp` over `RunFormer`): the columnar
+    // enforcer must seal, spill and merge exactly what those did. One full
+    // sort, and one segmented sort whose ~33-row groups each external-sort.
+    let db = emp_db();
+    // (query, [(budget, pages written, pages read, runs formed, merge passes)]).
+    let cases = [
+        (
+            "select emp_id, salary from emp order by salary desc, emp_id",
+            [
+                (1usize << 10, 12u64, 56u64, 40u64, 2u64),
+                (4 << 10, 12, 23, 10, 2),
+            ],
+        ),
+        (
+            "select emp_dept, dept_id, salary from dept, emp \
+             where dept_id = emp_dept order by emp_dept, salary",
+            [(1 << 10, 29, 194, 111, 25), (4 << 10, 15, 72, 25, 12)],
+        ),
+    ];
+    for (sql, pins) in cases {
+        let baseline = unbounded_rows(&db, sql);
+        for (budget, written, read, runs, passes) in pins {
+            // Process-wide counter deltas: smallest of a few attempts, as
+            // in the group-by pin above.
+            let (mut fewest_runs, mut fewest_passes) = (u64::MAX, u64::MAX);
+            for _ in 0..5 {
+                let out = Session::new(&db)
+                    .config(OptimizerConfig::default().with_memory_budget(budget))
+                    .execute(sql)
+                    .unwrap();
+                assert_eq!(out.rows(), baseline, "{sql}\nbudget={budget}");
+                assert_eq!(
+                    (out.io.spill_pages_written, out.io.spill_pages_read),
+                    (written, read),
+                    "{sql}\nbudget={budget}"
+                );
+                fewest_runs = fewest_runs.min(out.spill.runs_formed);
+                fewest_passes = fewest_passes.min(out.spill.merge_passes);
+            }
+            assert_eq!(
+                (fewest_runs, fewest_passes),
+                (runs, passes),
+                "{sql}\nbudget={budget}"
+            );
+        }
+    }
+}
+
+#[test]
 fn budget_and_threads_compose_bit_identically() {
     // A memory budget no longer pins execution serial: parallel workers
     // get budget/P sub-budgets and must produce the same bytes as the
