@@ -1,5 +1,5 @@
-//! Reusable experiment runners behind the table/figure binaries and the
-//! timing benches. Each function regenerates one artifact of the
+//! Reusable experiment runners behind the table/figure binaries. Each
+//! function regenerates one artifact of the
 //! paper's evaluation; DESIGN.md maps artifacts to these entry points.
 
 use crate::corpus;

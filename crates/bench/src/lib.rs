@@ -3,8 +3,8 @@
 //! The compile-and-execute pipeline itself lives in
 //! [`fto_exec::Session`]; this crate layers the paper's experiments on
 //! top. The binaries in `src/bin/` regenerate every table and figure of
-//! the paper (see DESIGN.md's experiment index); the benches in
-//! `benches/` time the same workloads with a plain best-of-N harness.
+//! the paper (see DESIGN.md's experiment index); end-to-end timing is
+//! `benchmark/`'s job.
 
 #![deny(missing_docs)]
 

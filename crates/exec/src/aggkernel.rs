@@ -15,7 +15,10 @@
 //! no SipHash. A batch becomes `gids: Vec<u32>` plus `first`, the rows
 //! that opened a group — which *is* a hash distinct's output selection and
 //! a group-by's key-column gather list. The stream group-by derives the
-//! same two vectors from run boundaries instead of a table.
+//! same two vectors from run boundaries instead of a table. The build–probe
+//! join keys its build side through the same table (`assign` while
+//! building, the read-only `lookup` while probing) and keeps its match
+//! lists beside it.
 //!
 //! # Aggregate state
 //!
@@ -40,7 +43,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The group id of a row that belongs to no resident group (the bounded
-/// hash group-by's overflow rows); aggregate updates skip it.
+/// hash group-by's overflow rows, which aggregate updates skip; a join's
+/// NULL-keyed build rows and unmatched probe rows).
 pub(crate) const NO_GROUP: u32 = u32::MAX;
 
 /// Hashes an encoded key: eight bytes at a time, the tail as one
@@ -208,6 +212,16 @@ impl GroupTable {
                 Err(_) => NO_GROUP,
             });
         }
+    }
+
+    /// The read-only half of [`Self::assign`]: every key's group id, or
+    /// [`NO_GROUP`] for a key never admitted. `gids` is overwritten.
+    pub(crate) fn lookup(&self, bytes: &[u8], offsets: &[usize], gids: &mut Vec<u32>) {
+        gids.clear();
+        gids.extend(offsets.windows(2).map(|w| {
+            let key = &bytes[w[0]..w[1]];
+            self.find(key, hash_key(key)).unwrap_or(NO_GROUP)
+        }));
     }
 }
 

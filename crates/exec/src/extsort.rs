@@ -106,7 +106,7 @@ fn parse_run_group(rec: &[u8]) -> Result<Run> {
         keys.push(key.map(|k| &k[..k.len() - 8]).ok_or_else(bad)?);
         start = end;
     }
-    let batch = spill::read_batch(rec, &mut pos);
+    let batch = spill::read_batch(rec, &mut pos)?;
     if batch.len() != n || start != total {
         return Err(bad());
     }

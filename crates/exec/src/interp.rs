@@ -365,7 +365,7 @@ pub(crate) fn positions(layout: &RowLayout, cols: &[fto_common::ColId]) -> Resul
         .collect()
 }
 
-pub(crate) fn eval_preds(
+fn eval_preds(
     graph: &QueryGraph,
     preds: &[fto_expr::PredId],
     row: &Row,
@@ -379,7 +379,7 @@ pub(crate) fn eval_preds(
     Ok(true)
 }
 
-pub(crate) fn concat(a: &Row, b: &Row) -> Row {
+fn concat(a: &Row, b: &Row) -> Row {
     a.iter().chain(b.iter()).cloned().collect()
 }
 

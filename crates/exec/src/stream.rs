@@ -17,13 +17,16 @@
 //! they arrived, sorts a permutation over their encoded keys and gathers
 //! the payload once per output batch. The scans never build a batch: the
 //! heap stores column chunks and hands them out whole, sliced or
-//! gathered. Only the nested-loop join still materializes rows through
-//! `Batch::row`.
+//! gathered. The nested-loop, hash and left-outer joins are one build–probe
+//! operator: the build side keys a group table plus a CSR match list, the
+//! probe assembles (outer, build) candidate pairs by gather, at most a
+//! batch of them at a time. No operator materializes a row.
 //!
 //! Pipeline breakers: [`PlanNode::Sort`], [`PlanNode::TopN`], and
 //! [`PlanNode::HashGroupBy`] must consume their whole input before
 //! producing anything and drain it at `open`. Join operators materialize
-//! only their *inner* (build) side; the outer side streams. Everything
+//! only their *inner* (build) side — under the memory budget, spilling
+//! what does not fit; the outer side streams. Everything
 //! else — filter, project, segmented sort (group by group), order-based
 //! group-by / distinct, merge join, limit, union — is fully streaming.
 //!
@@ -33,14 +36,14 @@
 //! reference engine's exact emission order, not merely the same bag of
 //! rows.
 
-use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
+use crate::aggkernel::{AggSpec, GroupAgg, GroupTable, NO_GROUP};
 use crate::extsort::{RunFormer, Sorted};
-use crate::interp::{concat, eval_preds, positions};
+use crate::interp::positions;
 use crate::metrics::{OpMetrics, PlanMetrics};
 use crate::parallel::{GatherOp, PartitionSpec, SlotRef, SortExchangeOp, SortSource};
 use crate::sortkernel::{self, resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{Direction, FtoError, IndexId, Result, Row, TableId, Value};
+use fto_common::{ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
 use fto_obs::profile;
 use fto_planner::{Plan, PlanNode, ScanRange};
@@ -51,7 +54,7 @@ use fto_storage::{
 };
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -314,39 +317,12 @@ fn preorder_children(plan: &Plan) -> Vec<Vec<usize>> {
 // Shared bits
 // ---------------------------------------------------------------------
 
-/// Rows produced faster than they are consumed; drained in batch-size
-/// chunks.
-#[derive(Default)]
-struct OutQueue {
-    rows: VecDeque<Row>,
-}
-
-impl OutQueue {
-    fn push(&mut self, row: Row) {
-        self.rows.push_back(row);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn take(&mut self, n: usize) -> Batch {
-        let n = n.min(self.rows.len());
-        let rows: Vec<Row> = self.rows.drain(..n).collect();
-        Batch::from_rows(&rows)
-    }
-
-    fn clear(&mut self) {
-        self.rows.clear();
-    }
-}
-
 /// Output batches produced faster than they are consumed, drained in
-/// batch-size chunks — the columnar counterpart of [`OutQueue`].
+/// batch-size chunks.
 ///
-/// `take(n)` emits exactly `min(n, pending)` rows, reproducing
-/// [`OutQueue`]'s emission boundaries bit for bit, so instrumented
-/// row/batch counts are identical whichever queue an operator uses.
+/// `take(n)` emits exactly `min(n, pending)` rows, so an operator's
+/// emission boundaries (and with them its instrumented row/batch counts)
+/// depend only on how many rows it queued, not on how they were batched.
 /// Queued batches are stored whole (Arc-shared columns); a take that
 /// consumes an entire queued batch at offset zero re-emits it without
 /// copying.
@@ -368,6 +344,11 @@ impl BatchQueue {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Rows queued.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Removes and returns the next `min(n, pending)` rows as one batch.
@@ -410,18 +391,26 @@ impl BatchQueue {
     }
 }
 
-fn drain_all(
-    child: &mut Box<dyn Operator>,
+/// The rows of `batch` that pass every predicate, ascending: a selection
+/// vector refined predicate by predicate — typed column kernels where the
+/// predicate shape allows, the row evaluator over still-selected rows
+/// otherwise. Sequential refinement preserves the interpreter's
+/// short-circuit AND: rows rejected by an earlier predicate never reach
+/// (and so never error in) a later one.
+fn passing(
     cx: &ExecContext<'_>,
-    io: &mut IoStats,
-) -> Result<Vec<Row>> {
-    child.open(cx, io)?;
-    let mut rows = Vec::new();
-    while let Some(batch) = child.next_batch(cx, io)? {
-        batch.append_rows_to(&mut rows);
+    predicates: &[PredId],
+    batch: &Batch,
+    layout: &RowLayout,
+) -> Result<Vec<u32>> {
+    let mut sel: Vec<u32> = (0..batch.len() as u32).collect();
+    for pid in predicates {
+        if sel.is_empty() {
+            break;
+        }
+        vector::filter_selection(cx.graph.predicate(*pid), batch, layout, &mut sel)?;
     }
-    child.close();
-    Ok(rows)
+    Ok(sel)
 }
 
 // ---------------------------------------------------------------------
@@ -537,19 +526,7 @@ impl Operator for FilterOp {
             let Some(batch) = self.child.next_batch(cx, io)? else {
                 return Ok(None);
             };
-            // Refine a selection vector predicate by predicate — typed
-            // column kernels where the predicate shape allows, the row
-            // evaluator over still-selected rows otherwise. Sequential
-            // refinement preserves the row path's short-circuit AND:
-            // rows rejected by an earlier predicate never reach (and so
-            // never error in) a later one.
-            let mut sel: Vec<u32> = (0..batch.len() as u32).collect();
-            for pid in &self.predicates {
-                if sel.is_empty() {
-                    break;
-                }
-                vector::filter_selection(cx.graph.predicate(*pid), &batch, &self.layout, &mut sel)?;
-            }
+            let sel = passing(cx, &self.predicates, &batch, &self.layout)?;
             if sel.len() == batch.len() {
                 return Ok(Some(batch));
             }
@@ -1101,7 +1078,7 @@ impl GroupState {
             let mut cursor = SpillCursor::new(0, file.len());
             while let Some(rec) = cursor.read_record(&file, io) {
                 let mut pos = group_spill_header(&rec, &mut seqs)?;
-                let batch = spill::read_batch(&rec, &mut pos);
+                let batch = spill::read_batch(&rec, &mut pos)?;
                 sub.absorb_batch(
                     &batch,
                     &seqs,
@@ -1276,50 +1253,6 @@ impl Operator for StreamGroupByOp {
 // Joins
 // ---------------------------------------------------------------------
 
-/// Nested-loop join: inner side materialized once at open, outer side
-/// streamed through it batch by batch.
-struct NestedLoopJoinOp {
-    outer: Box<dyn Operator>,
-    inner: Box<dyn Operator>,
-    predicates: Vec<PredId>,
-    layout: RowLayout,
-    inner_rows: Vec<Row>,
-    out: OutQueue,
-}
-
-impl Operator for NestedLoopJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.inner_rows = drain_all(&mut self.inner, cx, io)?;
-        self.outer.open(cx, io)
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        loop {
-            if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size)));
-            }
-            let Some(batch) = self.outer.next_batch(cx, io)? else {
-                return Ok(None);
-            };
-            for i in 0..batch.len() {
-                let orow = batch.row(i);
-                for irow in &self.inner_rows {
-                    let joined = concat(&orow, irow);
-                    if eval_preds(cx.graph, &self.predicates, &joined, &self.layout)? {
-                        self.out.push(joined);
-                    }
-                }
-            }
-        }
-    }
-
-    fn close(&mut self) {
-        self.inner_rows = Vec::new();
-        self.out.clear();
-        self.outer.close();
-    }
-}
-
 /// Index nested-loop join, vectorized: streams the outer, probing the
 /// inner table's index per row and collecting the matching row ids —
 /// leaf, page, pool and `rows_read` charges fall per probe and per
@@ -1397,7 +1330,7 @@ impl Operator for IndexNestedLoopJoinOp {
 }
 
 /// Queues the rows of a join's candidate batch that pass every residual
-/// predicate (selection-vector filters; survivors gather once).
+/// predicate (survivors gather once).
 fn push_matches(
     out: &mut BatchQueue,
     cx: &ExecContext<'_>,
@@ -1405,13 +1338,7 @@ fn push_matches(
     layout: &RowLayout,
     cand: Batch,
 ) -> Result<()> {
-    let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
-    for pid in predicates {
-        if sel.is_empty() {
-            break;
-        }
-        vector::filter_selection(cx.graph.predicate(*pid), &cand, layout, &mut sel)?;
-    }
+    let sel = passing(cx, predicates, &cand, layout)?;
     if sel.len() == cand.len() {
         out.push(cand);
     } else if !sel.is_empty() {
@@ -1425,42 +1352,41 @@ fn push_matches(
 /// amortize one decode over a whole group instead of one row.
 const JOIN_SPILL_GROUP_ROWS: usize = 256;
 
-/// Where a hash-join build row lives: resident at slot `i` of the
-/// build's `mem` batch, or at `row` inside spilled column-page group
-/// `group`. Either way the table entry vector keeps rows in build
-/// (arrival) order, so match order — and with it output order — is
-/// identical on both paths.
+/// Where a join's build row lives: resident at slot `i` of the build's
+/// `mem` batch, or at `row` inside spilled column-page group `group`.
 #[derive(Clone, Copy)]
 enum BuildRef {
     Mem(u32),
     Spilled { group: u32, row: u32 },
 }
 
-/// The materialized build side of a hash or left-outer join, consumed
-/// batch-at-a-time: keys arena-encode per input batch (byte equality ≡
-/// `Value` equality by codec canonicalization), resident rows gather
-/// into columnar segments, and overflow rows past the memory budget
-/// spill as [`JOIN_SPILL_GROUP_ROWS`]-row column pages
-/// ([`spill::write_batch`]). Shared by the hash and left-outer joins.
+/// The materialized build side of the build–probe join, consumed
+/// batch-at-a-time. Keys arena-encode per input batch (byte equality ≡
+/// `Value` equality by codec canonicalization) and a [`GroupTable`] turns
+/// them into dense key ids; a join without equi keys encodes every row to
+/// the empty key, so its whole build side is key 0. Resident rows gather
+/// into columnar segments, and overflow rows past the memory budget spill
+/// as [`JOIN_SPILL_GROUP_ROWS`]-row column pages ([`spill::write_batch`]).
+/// [`Self::finish`] lays the rows out as a CSR match list — key `g`'s rows
+/// are `refs[offsets[g]..offsets[g + 1]]` in build (arrival) order,
+/// resident and spilled alike — so match order, and with it output order,
+/// is the interpreter's at every budget.
 struct JoinBuild {
-    ipos: Vec<usize>,
     ikeys: SortKeys,
-    /// Whether equi keys exist. NULL-key build rows are dropped when
-    /// they do (NULL never joins); the non-keyed nested loop needs every
-    /// build row, in arrival order, via `refs`.
-    keyed: bool,
     arity: usize,
     /// Resident segments, concatenated into `mem` at [`Self::finish`].
     segs: Vec<Batch>,
     mem: Batch,
     mem_rows: u32,
     bytes: usize,
-    table: HashMap<Vec<u8>, Vec<BuildRef>>,
-    /// All build refs in arrival order (non-keyed path).
+    table: GroupTable,
+    /// Until [`Self::finish`]: every admitted row's key id and location,
+    /// in arrival order.
+    arrivals: Vec<(u32, BuildRef)>,
+    offsets: Vec<u32>,
     refs: Vec<BuildRef>,
     /// Overflow rows not yet sealed into a spilled group.
-    pending: VecDeque<Batch>,
-    pending_rows: usize,
+    pending: BatchQueue,
     spilled_rows: u32,
     group_offsets: Vec<u64>,
     file: SpillFile,
@@ -1470,20 +1396,19 @@ struct JoinBuild {
 }
 
 impl JoinBuild {
-    fn new(ipos: Vec<usize>, keyed: bool, arity: usize) -> JoinBuild {
+    fn new(ikeys: SortKeys, arity: usize) -> JoinBuild {
         JoinBuild {
-            ikeys: ipos.iter().map(|&p| (p, Direction::Asc)).collect(),
-            ipos,
-            keyed,
+            ikeys,
             arity,
             segs: Vec::new(),
             mem: Batch::empty(arity),
             mem_rows: 0,
             bytes: 0,
-            table: HashMap::new(),
+            table: GroupTable::new(),
+            arrivals: Vec::new(),
+            offsets: Vec::new(),
             refs: Vec::new(),
-            pending: VecDeque::new(),
-            pending_rows: 0,
+            pending: BatchQueue::default(),
             spilled_rows: 0,
             group_offsets: Vec::new(),
             file: SpillFile::new(),
@@ -1492,39 +1417,40 @@ impl JoinBuild {
     }
 
     fn reset(&mut self) {
-        self.segs.clear();
-        self.mem = Batch::empty(self.arity);
-        self.mem_rows = 0;
-        self.bytes = 0;
-        self.table.clear();
-        self.refs.clear();
-        self.pending.clear();
-        self.pending_rows = 0;
-        self.spilled_rows = 0;
-        self.group_offsets.clear();
-        self.file = SpillFile::new();
-        self.cache = None;
+        *self = JoinBuild::new(std::mem::take(&mut self.ikeys), self.arity);
     }
 
     /// Absorbs one build batch: rows that fit the budget stay resident
     /// (gathered into a columnar segment), overflow rows queue toward
-    /// the next spilled group. Admission order and per-row costs
-    /// ([`batch_row_bytes`] ≡ `row_bytes`) match the row-at-a-time
-    /// build exactly, so the same rows land on the same side.
+    /// the next spilled group. Rows are admitted in arrival order at
+    /// [`batch_row_bytes`] each, whatever their key.
     fn absorb(
         &mut self,
         batch: &Batch,
         budget: Option<usize>,
-        kb: &mut Vec<u8>,
-        ko: &mut Vec<usize>,
+        scratch: &mut GroupScratch,
         io: &mut IoStats,
     ) {
-        encode_batch_keys_arena(batch, &self.ikeys, kb, ko);
+        let GroupScratch {
+            key_bytes,
+            key_offsets,
+            gids,
+            first,
+        } = scratch;
+        encode_batch_keys_arena(batch, &self.ikeys, key_bytes, key_offsets);
+        // NULL never joins: a key with a NULL in it is never admitted, so
+        // its rows get no key id and drop below — and, the codec being
+        // injective, a probe key with a NULL in it finds nothing.
+        let ikeys = &self.ikeys;
+        self.table
+            .assign(key_bytes, key_offsets, gids, first, |i, _| {
+                ikeys.iter().all(|&(p, _)| batch.column(p).is_valid(i))
+            });
         let mut mem_sel: Vec<u32> = Vec::new();
         let mut spill_sel: Vec<u32> = Vec::new();
-        for i in 0..batch.len() {
-            if self.keyed && self.ipos.iter().any(|&p| !batch.column(p).is_valid(i)) {
-                continue; // NULL never joins
+        for (i, &gid) in gids.iter().enumerate() {
+            if gid == NO_GROUP {
+                continue;
             }
             let overflow = match budget {
                 Some(budget) => {
@@ -1552,14 +1478,7 @@ impl JoinBuild {
                 self.mem_rows += 1;
                 r
             };
-            if self.keyed {
-                self.table
-                    .entry(kb[ko[i]..ko[i + 1]].to_vec())
-                    .or_default()
-                    .push(r);
-            } else {
-                self.refs.push(r);
-            }
+            self.arrivals.push((gid, r));
         }
         if mem_sel.len() == batch.len() {
             self.segs.push(batch.clone());
@@ -1567,9 +1486,7 @@ impl JoinBuild {
             self.segs.push(batch.gather(&mem_sel));
         }
         if !spill_sel.is_empty() {
-            let g = batch.gather(&spill_sel);
-            self.pending_rows += g.len();
-            self.pending.push_back(g);
+            self.pending.push(batch.gather(&spill_sel));
             self.flush_groups(false, io);
         }
     }
@@ -1579,24 +1496,8 @@ impl JoinBuild {
     /// shorter when `fin`).
     fn flush_groups(&mut self, fin: bool, io: &mut IoStats) {
         let mut payload = Vec::new();
-        while self.pending_rows >= JOIN_SPILL_GROUP_ROWS || (fin && self.pending_rows > 0) {
-            let take = self.pending_rows.min(JOIN_SPILL_GROUP_ROWS);
-            let mut picked: Vec<Batch> = Vec::new();
-            let mut need = take;
-            while need > 0 {
-                let front = self.pending.pop_front().expect("pending rows counted");
-                if front.len() <= need {
-                    need -= front.len();
-                    picked.push(front);
-                } else {
-                    picked.push(front.slice(0, need));
-                    self.pending
-                        .push_front(front.slice(need, front.len() - need));
-                    need = 0;
-                }
-            }
-            self.pending_rows -= take;
-            let group = Batch::concat(self.arity, &picked);
+        while self.pending.len() >= JOIN_SPILL_GROUP_ROWS || (fin && !self.pending.is_empty()) {
+            let group = self.pending.take(JOIN_SPILL_GROUP_ROWS, self.arity);
             payload.clear();
             spill::write_batch(&group, &mut payload);
             self.group_offsets
@@ -1610,28 +1511,53 @@ impl JoinBuild {
         if !self.file.is_empty() {
             sortkernel::note_spill_runs(1);
         }
+        // A stable counting pass: count each key's rows, prefix-sum the
+        // counts into `offsets`, then drop the rows into place in arrival
+        // order.
+        let arrivals = std::mem::take(&mut self.arrivals);
+        self.offsets = vec![0; self.table.len() + 1];
+        for &(g, _) in &arrivals {
+            self.offsets[g as usize + 1] += 1;
+        }
+        for g in 0..self.table.len() {
+            self.offsets[g + 1] += self.offsets[g];
+        }
+        let mut at = self.offsets.clone();
+        self.refs = vec![BuildRef::Mem(0); arrivals.len()];
+        for (g, r) in arrivals {
+            self.refs[at[g as usize] as usize] = r;
+            at[g as usize] += 1;
+        }
+    }
+
+    /// Where key `g`'s rows sit in `refs` (nowhere, for [`NO_GROUP`]).
+    fn matches(&self, g: u32) -> std::ops::Range<usize> {
+        match g {
+            NO_GROUP => 0..0,
+            _ => self.offsets[g as usize] as usize..self.offsets[g as usize + 1] as usize,
+        }
     }
 
     /// Re-reads (and decodes) one spilled group, through the
     /// single-entry cache.
-    fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Batch {
+    fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Result<Batch> {
         if let Some((cg, b)) = &self.cache {
             if *cg == g {
-                return b.clone();
+                return Ok(b.clone());
             }
         }
         let rec = SpillCursor::new(self.group_offsets[g as usize], self.file.len())
             .read_record(&self.file, io)
-            .expect("spilled build group missing");
-        let batch = spill::read_batch(&rec, &mut 0);
+            .ok_or_else(|| FtoError::Exec(format!("spilled join build group {g} missing")))?;
+        let batch = spill::read_batch(&rec, &mut 0)?;
         self.cache = Some((g, batch.clone()));
-        batch
+        Ok(batch)
     }
 
-    /// Assembles the candidate batch for one probe batch: outer columns
-    /// gathered by `osel` (probe row of the j-th candidate), build
-    /// columns gathered from `mem` and any spilled groups by `brefs` —
-    /// all Arc-shared, no per-row concat.
+    /// Assembles one chunk of candidates: outer columns gathered by
+    /// `osel` (the probe row of the j-th pair), build columns gathered
+    /// from `mem` and any spilled groups by `brefs` — all Arc-shared, no
+    /// per-row concat.
     fn candidates(
         &mut self,
         outer: &Batch,
@@ -1639,6 +1565,9 @@ impl JoinBuild {
         brefs: &[BuildRef],
         io: &mut IoStats,
     ) -> Result<Batch> {
+        if osel.is_empty() {
+            return Ok(Batch::empty(outer.arity() + self.arity));
+        }
         let mut sources: Vec<Batch> = vec![self.mem.clone()];
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(brefs.len());
         // Consecutive refs into the same spilled group share one source
@@ -1652,7 +1581,7 @@ impl JoinBuild {
                     let src = match last {
                         Some((g, s)) if g == group => s,
                         _ => {
-                            let b = self.group_batch(group, io);
+                            let b = self.group_batch(group, io)?;
                             sources.push(b);
                             (sources.len() - 1) as u32
                         }
@@ -1669,14 +1598,47 @@ impl JoinBuild {
     }
 }
 
-/// Hash join, vectorized: build side consumes whole batches at open,
-/// probe side streams; probe keys arena-encode per batch, matches
-/// collect into a selection vector, and output assembles by columnar
-/// gather with Arc-shared columns. Output preserves the outer's order.
-struct HashJoinOp {
+#[derive(Clone, Copy)]
+enum JoinKind {
+    Inner,
+    LeftOuter,
+}
+
+/// One outer batch's probe in progress.
+struct Probe<'a> {
+    batch: &'a Batch,
+    /// The candidate chunk being filled: each pair's outer row and build
+    /// row.
+    osel: Vec<u32>,
+    brefs: Vec<BuildRef>,
+    /// Left outer only: `batch` with NULLs for the inner's columns.
+    padded: Option<Batch>,
+    /// Left outer only: the first outer row whose output is not complete,
+    /// and whether one of its candidates passed in an earlier chunk.
+    next: usize,
+    matched: bool,
+}
+
+/// The build–probe join — the one operator behind the `NestedLoopJoin`,
+/// `HashJoin` and `LeftOuterJoin` plan nodes. The inner side materializes
+/// into a [`JoinBuild`] at open; the outer side streams, so the output
+/// inherits the outer's order (paper §5.2.1). Per outer batch the probe
+/// keys arena-encode and look up their build key id, every outer row's
+/// match list is `refs[offsets[g]..offsets[g + 1]]`, the (outer, build)
+/// pairs assemble by columnar gather at most [`ExecContext::batch_size`]
+/// at a time, and the residual predicates refine each chunk's selection
+/// vector. A left-outer join splices a null-padded copy of every outer
+/// row that no candidate passed for back into outer order.
+///
+/// | plan node | `kind` | keys | `predicates` |
+/// |---|---|---|---|
+/// | `NestedLoopJoin` | inner | none: every outer row pairs with the whole build side | all of the join's |
+/// | `HashJoin` | inner | the equi-join columns | the rest |
+/// | `LeftOuterJoin` | left outer | the ON clause's equi columns, possibly none | the rest of ON |
+struct JoinOp {
+    kind: JoinKind,
     outer: Box<dyn Operator>,
     inner: Box<dyn Operator>,
-    opos: Vec<usize>,
     okeys: SortKeys,
     predicates: Vec<PredId>,
     layout: RowLayout,
@@ -1684,14 +1646,108 @@ struct HashJoinOp {
     out: BatchQueue,
 }
 
-impl Operator for HashJoinOp {
+impl JoinOp {
+    /// Joins one outer batch — `gids[i]` is row `i`'s build key id — and
+    /// queues the result.
+    fn probe(
+        &mut self,
+        cx: &ExecContext<'_>,
+        batch: &Batch,
+        gids: &[u32],
+        io: &mut IoStats,
+    ) -> Result<()> {
+        let padded = match self.kind {
+            JoinKind::Inner => None,
+            JoinKind::LeftOuter => {
+                let nulls = Arc::new(Column::from_values(std::iter::repeat_n(
+                    &Value::Null,
+                    batch.len(),
+                )));
+                let mut cols = batch.columns().to_vec();
+                cols.extend(std::iter::repeat_n(nulls, self.build.arity));
+                Some(Batch::from_columns_with_len(cols, batch.len())?)
+            }
+        };
+        let mut p = Probe {
+            batch,
+            osel: Vec::new(),
+            brefs: Vec::new(),
+            padded,
+            next: 0,
+            matched: false,
+        };
+        for (i, &g) in gids.iter().enumerate() {
+            let mut matches = self.build.matches(g);
+            while !matches.is_empty() {
+                if p.osel.len() == cx.batch_size {
+                    // Rows before `i` have all their pairs behind them;
+                    // row `i` may have some on either side of this cut.
+                    self.emit(cx, &mut p, i, io)?;
+                    p.osel.clear();
+                    p.brefs.clear();
+                }
+                let n = matches.len().min(cx.batch_size - p.osel.len());
+                p.osel.extend(std::iter::repeat_n(i as u32, n));
+                p.brefs
+                    .extend_from_slice(&self.build.refs[matches.start..matches.start + n]);
+                matches.start += n;
+            }
+        }
+        self.emit(cx, &mut p, batch.len(), io)
+    }
+
+    /// Evaluates the probe's current chunk and queues what it settles:
+    /// the pairs that pass the residual predicates and — left outer — a
+    /// null-padded copy of every outer row below `done` that no pair
+    /// passed for, in outer order. `done` counts the outer rows whose
+    /// pairs are all in this chunk or an earlier one.
+    fn emit(
+        &mut self,
+        cx: &ExecContext<'_>,
+        p: &mut Probe<'_>,
+        done: usize,
+        io: &mut IoStats,
+    ) -> Result<()> {
+        debug_assert!(p.osel.len() <= cx.batch_size, "candidate chunk overflow");
+        if p.osel.is_empty() && p.padded.is_none() {
+            return Ok(());
+        }
+        let cand = self.build.candidates(p.batch, &p.osel, &p.brefs, io)?;
+        let Some(padded) = &p.padded else {
+            return push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand);
+        };
+        // `sel` is ascending and `osel` non-decreasing, so one forward
+        // merge splices survivors and padded rows into outer order.
+        let sel = passing(cx, &self.predicates, &cand, &self.layout)?;
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(sel.len());
+        let mut si = 0;
+        for oi in p.next..=done {
+            while si < sel.len() && p.osel[sel[si] as usize] as usize == oi {
+                pairs.push((0, sel[si]));
+                p.matched = true;
+                si += 1;
+            }
+            if oi < done {
+                if !p.matched {
+                    pairs.push((1, oi as u32));
+                }
+                p.matched = false;
+            }
+        }
+        p.next = done;
+        self.out.push(Batch::gather_multi(&[&cand, padded], &pairs));
+        Ok(())
+    }
+}
+
+impl Operator for JoinOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
         self.build.reset();
         self.inner.open(cx, io)?;
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        let mut scratch = GroupScratch::default();
         while let Some(batch) = self.inner.next_batch(cx, io)? {
             self.build
-                .absorb(&batch, cx.memory_budget, &mut kb, &mut ko, io);
+                .absorb(&batch, cx.memory_budget, &mut scratch, io);
         }
         self.inner.close();
         self.build.finish(io);
@@ -1699,7 +1755,7 @@ impl Operator for HashJoinOp {
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        let (mut kb, mut ko, mut gids) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
@@ -1708,135 +1764,8 @@ impl Operator for HashJoinOp {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &self.okeys, &mut kb, &mut ko);
-            let mut osel: Vec<u32> = Vec::new();
-            let mut brefs: Vec<BuildRef> = Vec::new();
-            for i in 0..batch.len() {
-                if self.opos.iter().any(|&p| !batch.column(p).is_valid(i)) {
-                    continue; // NULL never joins
-                }
-                if let Some(matches) = self.build.table.get(&kb[ko[i]..ko[i + 1]]) {
-                    for &r in matches {
-                        osel.push(i as u32);
-                        brefs.push(r);
-                    }
-                }
-            }
-            if osel.is_empty() {
-                continue;
-            }
-            let cand = self.build.candidates(&batch, &osel, &brefs, io)?;
-            push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
-        }
-    }
-
-    fn close(&mut self) {
-        self.build.reset();
-        self.out.clear();
-        self.outer.close();
-    }
-}
-
-/// Left outer join, vectorized: inner materialized into a [`JoinBuild`]
-/// at open (hash build when equi keys exist), outer streamed; candidate
-/// matches assemble by columnar gather, and unmatched outer rows splice
-/// in from a null-padded copy of the probe batch — all in outer order.
-struct LeftOuterJoinOp {
-    outer: Box<dyn Operator>,
-    inner: Box<dyn Operator>,
-    opos: Vec<usize>,
-    okeys: SortKeys,
-    keyed: bool,
-    predicates: Vec<PredId>,
-    layout: RowLayout,
-    build: JoinBuild,
-    out: BatchQueue,
-}
-
-impl Operator for LeftOuterJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.build.reset();
-        self.inner.open(cx, io)?;
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        while let Some(batch) = self.inner.next_batch(cx, io)? {
-            self.build
-                .absorb(&batch, cx.memory_budget, &mut kb, &mut ko, io);
-        }
-        self.inner.close();
-        self.build.finish(io);
-        self.outer.open(cx, io)
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        loop {
-            if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
-            }
-            let Some(batch) = self.outer.next_batch(cx, io)? else {
-                return Ok(None);
-            };
-            let mut osel: Vec<u32> = Vec::new();
-            let mut brefs: Vec<BuildRef> = Vec::new();
-            if self.keyed {
-                encode_batch_keys_arena(&batch, &self.okeys, &mut kb, &mut ko);
-                for i in 0..batch.len() {
-                    if self.opos.iter().any(|&p| !batch.column(p).is_valid(i)) {
-                        continue; // NULL never matches; row null-pads below
-                    }
-                    if let Some(matches) = self.build.table.get(&kb[ko[i]..ko[i + 1]]) {
-                        for &r in matches {
-                            osel.push(i as u32);
-                            brefs.push(r);
-                        }
-                    }
-                }
-            } else {
-                // No equi keys: nested loop with ON residuals.
-                for i in 0..batch.len() {
-                    for &r in &self.build.refs {
-                        osel.push(i as u32);
-                        brefs.push(r);
-                    }
-                }
-            }
-            let cand = if osel.is_empty() {
-                Batch::empty(self.layout.arity())
-            } else {
-                self.build.candidates(&batch, &osel, &brefs, io)?
-            };
-            let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
-            for pid in &self.predicates {
-                if sel.is_empty() {
-                    break;
-                }
-                vector::filter_selection(cx.graph.predicate(*pid), &cand, &self.layout, &mut sel)?;
-            }
-            // Splice surviving candidates and null-padded unmatched
-            // outers back into outer order: `sel` is ascending and
-            // `osel` non-decreasing, so one forward merge suffices.
-            let inner_arity = self.layout.arity() - batch.arity();
-            let nulls = Arc::new(Column::from_values(std::iter::repeat_n(
-                &Value::Null,
-                batch.len(),
-            )));
-            let mut pcols = batch.columns().to_vec();
-            pcols.extend(std::iter::repeat_n(nulls, inner_arity));
-            let padded = Batch::from_columns_with_len(pcols, batch.len())?;
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut si = 0;
-            for oi in 0..batch.len() as u32 {
-                let mut matched = false;
-                while si < sel.len() && osel[sel[si] as usize] == oi {
-                    pairs.push((0, sel[si]));
-                    matched = true;
-                    si += 1;
-                }
-                if !matched {
-                    pairs.push((1, oi));
-                }
-            }
-            self.out
-                .push(Batch::gather_multi(&[&cand, &padded], &pairs));
+            self.build.table.lookup(&kb, &ko, &mut gids);
+            self.probe(cx, &batch, &gids, io)?;
         }
     }
 
@@ -2327,6 +2256,33 @@ fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx) -> Result<Box<dyn Operator>
     }
 }
 
+/// Lowers a build–probe join plan node (`NestedLoopJoin`, `HashJoin`,
+/// `LeftOuterJoin`: the three parameterisations of [`JoinOp`]) over its
+/// `(child, equi-key columns)` sides; `predicates` are the residuals. The
+/// inner side is drained at `open`, so it may become a gather.
+fn lower_join(
+    kind: JoinKind,
+    plan: &Plan,
+    (outer, outer_keys): (&Arc<Plan>, &[ColId]),
+    (inner, inner_keys): (&Arc<Plan>, &[ColId]),
+    predicates: &[PredId],
+    lw: &mut LowerCx,
+) -> Result<Box<dyn Operator>> {
+    let asc = |pos: Vec<usize>| pos.into_iter().map(|p| (p, Direction::Asc)).collect();
+    let okeys = asc(positions(&outer.layout, outer_keys)?);
+    let ikeys = asc(positions(&inner.layout, inner_keys)?);
+    Ok(Box::new(JoinOp {
+        kind,
+        okeys,
+        build: JoinBuild::new(ikeys, inner.layout.arity()),
+        outer: lower_impl(outer, lw)?,
+        inner: lower_drained(inner, lw)?,
+        predicates: predicates.to_vec(),
+        layout: plan.layout.clone(),
+        out: BatchQueue::default(),
+    }))
+}
+
 /// Lowers `plan`, wrapping every operator in an [`InstrumentedOp`] when
 /// slots are present. Slots are reserved parent-before-children and
 /// children in [`Plan::children`] order, which is exactly pre-order —
@@ -2393,14 +2349,14 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             outer,
             inner,
             predicates,
-        } => Box::new(NestedLoopJoinOp {
-            outer: lower_impl(outer, lw)?,
-            inner: lower_drained(inner, lw)?,
-            predicates: predicates.clone(),
-            layout: plan.layout.clone(),
-            inner_rows: Vec::new(),
-            out: OutQueue::default(),
-        }),
+        } => lower_join(
+            JoinKind::Inner,
+            plan,
+            (outer, &[]),
+            (inner, &[]),
+            predicates,
+            lw,
+        )?,
         PlanNode::IndexNestedLoopJoin {
             outer,
             table,
@@ -2453,54 +2409,28 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             outer_keys,
             inner_keys,
             predicates,
-        } => {
-            let opos = positions(&outer.layout, outer_keys)?;
-            let keyed = !outer_keys.is_empty();
-            let build = JoinBuild::new(
-                positions(&inner.layout, inner_keys)?,
-                keyed,
-                inner.layout.arity(),
-            );
-            let o = lower_impl(outer, lw)?;
-            let i = lower_drained(inner, lw)?;
-            Box::new(LeftOuterJoinOp {
-                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                opos,
-                keyed,
-                build,
-                outer: o,
-                inner: i,
-                predicates: predicates.clone(),
-                layout: plan.layout.clone(),
-                out: BatchQueue::default(),
-            })
-        }
+        } => lower_join(
+            JoinKind::LeftOuter,
+            plan,
+            (outer, outer_keys),
+            (inner, inner_keys),
+            predicates,
+            lw,
+        )?,
         PlanNode::HashJoin {
             outer,
             inner,
             outer_keys,
             inner_keys,
             predicates,
-        } => {
-            let opos = positions(&outer.layout, outer_keys)?;
-            let build = JoinBuild::new(
-                positions(&inner.layout, inner_keys)?,
-                true,
-                inner.layout.arity(),
-            );
-            let o = lower_impl(outer, lw)?;
-            let i = lower_drained(inner, lw)?;
-            Box::new(HashJoinOp {
-                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                opos,
-                build,
-                outer: o,
-                inner: i,
-                predicates: predicates.clone(),
-                layout: plan.layout.clone(),
-                out: BatchQueue::default(),
-            })
-        }
+        } => lower_join(
+            JoinKind::Inner,
+            plan,
+            (outer, outer_keys),
+            (inner, inner_keys),
+            predicates,
+            lw,
+        )?,
         PlanNode::StreamGroupBy {
             input,
             grouping,

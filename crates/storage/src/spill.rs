@@ -20,7 +20,7 @@
 
 use crate::io::{IoStats, PAGE_SIZE};
 use fto_common::column::{Batch, Bitmap, Column, ColumnData};
-use fto_common::Value;
+use fto_common::{FtoError, Result, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -214,44 +214,57 @@ pub fn write_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one value from `buf` starting at `*pos`, advancing `*pos`.
-///
-/// Panics on a malformed buffer; spill data never leaves the process, so
-/// corruption here is an engine bug, not an input error.
-pub fn read_value(buf: &[u8], pos: &mut usize) -> Value {
-    let tag = buf[*pos];
-    *pos += 1;
-    match tag {
+fn corrupt(what: impl std::fmt::Display) -> FtoError {
+    FtoError::Exec(format!("corrupt spill data: {what}"))
+}
+
+/// The next `len` bytes of `buf`, advancing `*pos` — an error, not a
+/// panic, when the buffer ends first. Every decoder below slices its
+/// payload off the buffer through this *before* it allocates for it, so a
+/// corrupt count can never ask for more memory than the record holds.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
+    let end = pos.checked_add(len).filter(|&end| end <= buf.len());
+    let end = end.ok_or_else(|| corrupt("record truncated"))?;
+    let out = &buf[*pos..end];
+    *pos = end;
+    Ok(out)
+}
+
+fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    Ok(take(buf, pos, N)?
+        .try_into()
+        .expect("take returned N bytes"))
+}
+
+/// The next `n` fixed-width little-endian fields of `buf`.
+fn take_fields<'a, const W: usize>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+) -> Result<impl Iterator<Item = [u8; W]> + 'a> {
+    let len = n
+        .checked_mul(W)
+        .ok_or_else(|| corrupt("record truncated"))?;
+    let fields = take(buf, pos, len)?.chunks_exact(W);
+    Ok(fields.map(|f| f.try_into().expect("chunks are W bytes")))
+}
+
+/// Decodes one value from `buf` starting at `*pos`, advancing `*pos`. A
+/// truncated or malformed buffer is an [`FtoError::Exec`].
+pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
+    Ok(match take_array::<1>(buf, pos)?[0] {
         TAG_NULL => Value::Null,
-        TAG_INT => {
-            let v = i64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-            *pos += 8;
-            Value::Int(v)
-        }
-        TAG_DOUBLE => {
-            let bits = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-            *pos += 8;
-            Value::Double(f64::from_bits(bits))
-        }
+        TAG_INT => Value::Int(i64::from_le_bytes(take_array(buf, pos)?)),
+        TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?))),
         TAG_STR => {
-            let len = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-            *pos += 4;
-            let s = std::str::from_utf8(&buf[*pos..*pos + len]).expect("spilled UTF-8");
-            *pos += len;
-            Value::Str(Arc::from(s))
+            let len = u32::from_le_bytes(take_array(buf, pos)?) as usize;
+            let s = std::str::from_utf8(take(buf, pos, len)?);
+            Value::Str(Arc::from(s.map_err(|_| corrupt("string is not UTF-8"))?))
         }
-        TAG_DATE => {
-            let v = i32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
-            *pos += 4;
-            Value::Date(v)
-        }
-        TAG_BOOL => {
-            let v = buf[*pos] != 0;
-            *pos += 1;
-            Value::Bool(v)
-        }
-        other => panic!("corrupt spill value tag {other}"),
-    }
+        TAG_DATE => Value::Date(i32::from_le_bytes(take_array(buf, pos)?)),
+        TAG_BOOL => Value::Bool(take_array::<1>(buf, pos)?[0] != 0),
+        other => return Err(corrupt(format_args!("value tag {other}"))),
+    })
 }
 
 // Column-page tags for the batch codec.
@@ -336,87 +349,79 @@ pub fn write_batch(batch: &Batch, out: &mut Vec<u8>) {
     }
 }
 
-fn read_u32_at(buf: &[u8], pos: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
-    *pos += 4;
-    v
-}
-
-/// Decodes one batch written by [`write_batch`], advancing `*pos`.
-///
-/// Panics on a malformed buffer, like [`read_value`].
-pub fn read_batch(buf: &[u8], pos: &mut usize) -> Batch {
-    let nrows = read_u32_at(buf, pos) as usize;
-    let ncols = u16::from_le_bytes(buf[*pos..*pos + 2].try_into().expect("2 bytes")) as usize;
-    *pos += 2;
+/// Decodes one batch written by [`write_batch`], advancing `*pos`. A
+/// truncated or malformed buffer is an [`FtoError::Exec`]: counts are
+/// checked against the bytes that remain before anything is sized by
+/// them, and a string column's offsets and UTF-8 are validated, so what
+/// comes back is always a well-formed batch.
+pub fn read_batch(buf: &[u8], pos: &mut usize) -> Result<Batch> {
+    let nrows = u32::from_le_bytes(take_array(buf, pos)?) as usize;
+    let ncols = u16::from_le_bytes(take_array(buf, pos)?) as usize;
+    // Every column is at least its two header bytes.
+    if ncols * 2 > buf.len() - *pos {
+        return Err(corrupt("record truncated"));
+    }
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let tag = buf[*pos];
-        let has_validity = buf[*pos + 1] != 0;
-        *pos += 2;
-        let validity = has_validity.then(|| {
-            let words = (0..nrows.div_ceil(64))
-                .map(|_| {
-                    let w = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-                    *pos += 8;
-                    w
-                })
-                .collect();
-            Bitmap::from_words(words, nrows)
-        });
+        let [tag, has_validity] = take_array(buf, pos)?;
+        let validity = if has_validity != 0 {
+            let words = take_fields(buf, pos, nrows.div_ceil(64))?;
+            Some(Bitmap::from_words(
+                words.map(u64::from_le_bytes).collect(),
+                nrows,
+            ))
+        } else {
+            None
+        };
         let data = match tag {
             COL_INT64 => ColumnData::Int64(
-                (0..nrows)
-                    .map(|_| {
-                        let v =
-                            i64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-                        *pos += 8;
-                        v
-                    })
+                take_fields(buf, pos, nrows)?
+                    .map(i64::from_le_bytes)
                     .collect(),
             ),
-            COL_FLOAT64 => ColumnData::Float64(
-                (0..nrows)
-                    .map(|_| {
-                        let v =
-                            u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-                        *pos += 8;
-                        f64::from_bits(v)
-                    })
-                    .collect(),
-            ),
+            COL_FLOAT64 => {
+                let bits = take_fields(buf, pos, nrows)?.map(u64::from_le_bytes);
+                ColumnData::Float64(bits.map(f64::from_bits).collect())
+            }
             COL_UTF8 => {
-                let byte_len = read_u32_at(buf, pos) as usize;
-                let offsets = (0..=nrows).map(|_| read_u32_at(buf, pos)).collect();
-                let bytes = buf[*pos..*pos + byte_len].to_vec();
-                *pos += byte_len;
-                ColumnData::Utf8 { offsets, bytes }
+                let byte_len = u32::from_le_bytes(take_array(buf, pos)?) as usize;
+                let offsets = take_fields(buf, pos, nrows + 1)?.map(u32::from_le_bytes);
+                let offsets: Vec<u32> = offsets.collect();
+                let text = std::str::from_utf8(take(buf, pos, byte_len)?)
+                    .map_err(|_| corrupt("string column is not UTF-8"))?;
+                // Slot `i` is `text[offsets[i]..offsets[i + 1]]`: the
+                // offsets must tile the payload on character boundaries.
+                let tiles = offsets[0] == 0
+                    && offsets[nrows] as usize == byte_len
+                    && offsets.windows(2).all(|w| w[0] <= w[1])
+                    && offsets.iter().all(|&o| text.is_char_boundary(o as usize));
+                if !tiles {
+                    return Err(corrupt("string column offsets"));
+                }
+                ColumnData::Utf8 {
+                    offsets,
+                    bytes: text.as_bytes().to_vec(),
+                }
             }
             COL_DATE32 => ColumnData::Date32(
-                (0..nrows)
-                    .map(|_| {
-                        let v =
-                            i32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
-                        *pos += 4;
-                        v
-                    })
+                take_fields(buf, pos, nrows)?
+                    .map(i32::from_le_bytes)
                     .collect(),
             ),
-            COL_BOOL => ColumnData::Bool(
-                (0..nrows)
-                    .map(|_| {
-                        let v = buf[*pos] != 0;
-                        *pos += 1;
-                        v
-                    })
-                    .collect(),
-            ),
-            COL_MIXED => ColumnData::Mixed((0..nrows).map(|_| read_value(buf, pos)).collect()),
-            other => panic!("corrupt spill column tag {other}"),
+            COL_BOOL => ColumnData::Bool(take(buf, pos, nrows)?.iter().map(|&b| b != 0).collect()),
+            COL_MIXED => {
+                // Every value is at least its tag byte.
+                if nrows > buf.len() - *pos {
+                    return Err(corrupt("record truncated"));
+                }
+                let values = (0..nrows).map(|_| read_value(buf, pos));
+                ColumnData::Mixed(values.collect::<Result<_>>()?)
+            }
+            other => return Err(corrupt(format_args!("column tag {other}"))),
         };
         columns.push(Arc::new(Column { data, validity }));
     }
-    Batch::from_columns_with_len(columns, nrows).expect("spilled batch columns agree on length")
+    Batch::from_columns_with_len(columns, nrows)
 }
 
 /// A bounded page cache with clock (second-chance) eviction.
@@ -575,7 +580,10 @@ mod tests {
             write_value(v, &mut buf);
         }
         let mut pos = 0;
-        let back: Vec<Value> = vals.iter().map(|_| read_value(&buf, &mut pos)).collect();
+        let back: Vec<Value> = vals
+            .iter()
+            .map(|_| read_value(&buf, &mut pos).unwrap())
+            .collect();
         assert_eq!(pos, buf.len());
         assert_eq!(back.len(), vals.len());
         for (a, b) in back.iter().zip(&vals) {
@@ -621,7 +629,7 @@ mod tests {
         let mut buf = Vec::new();
         write_batch(&batch, &mut buf);
         let mut pos = 0;
-        let back = read_batch(&buf, &mut pos);
+        let back = read_batch(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back.len(), batch.len());
         assert_eq!(back.arity(), batch.arity());
@@ -647,7 +655,7 @@ mod tests {
             let mut buf = Vec::new();
             write_batch(&batch, &mut buf);
             let mut pos = 0;
-            let back = read_batch(&buf, &mut pos);
+            let back = read_batch(&buf, &mut pos).unwrap();
             assert_eq!(pos, buf.len());
             assert_eq!(back.len(), batch.len());
             assert_eq!(back.arity(), batch.arity());

@@ -2,10 +2,11 @@
 //! with a naive model on scans, probes, and ranges, and the columnar heap
 //! with the rows it was loaded from — through every cursor, at every
 //! batch size and partitioning — across many deterministic random cases.
+//! And the spill page decoders must turn any damaged record into an error.
 
 use fto_common::{Batch, Direction, Rng, Row, TableId, Value};
 use fto_storage::{
-    BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
+    spill, BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
     PageCursor, PAGE_SIZE,
 };
 use std::sync::Arc;
@@ -610,5 +611,116 @@ fn io_stats_equal_the_row_heap_engines() {
     for ((what, got), (want_what, want)) in got.iter().zip(want) {
         assert_eq!(what, want_what);
         assert_eq!(*got, io(want), "{what}");
+    }
+}
+
+/// Spill records never leave the process, but the decoders are `pub` and
+/// the join, group-by and sort read paths all trust them: every
+/// truncation of a written record is an error, and flipping any one bit
+/// yields an error or a well-formed batch — never a panic, and never more
+/// rows than the record has bytes to back.
+#[test]
+fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
+    let row = |vals: [Value; 6]| -> Row { vals.into_iter().collect() };
+    // Columns: Int64, Float64, Utf8 (multi-byte characters, so offsets can
+    // land inside one), Date32, Bool, and Mixed (two value types).
+    let plain = vec![
+        row([
+            Value::Int(7),
+            Value::Double(-0.0),
+            Value::str("añ\u{1F980}"),
+            Value::Date(-3),
+            Value::Bool(true),
+            Value::Int(1),
+        ]),
+        row([
+            Value::Int(i64::MIN),
+            Value::Double(f64::NAN),
+            Value::str(""),
+            Value::Date(9000),
+            Value::Bool(false),
+            Value::str("é"),
+        ]),
+        row([
+            Value::Int(3),
+            Value::Double(2.5),
+            Value::str("b"),
+            Value::Date(1),
+            Value::Bool(true),
+            Value::Double(0.5),
+        ]),
+    ];
+    // The same columns with a NULL each: validity bitmaps on the typed
+    // ones, a NULL value inside the mixed one.
+    let mut nullable = plain.clone();
+    nullable.push(row(std::array::from_fn(|_| Value::Null)));
+    // 70 rows: a second validity word.
+    let long: Vec<Row> = (0..70)
+        .map(|i| match i % 9 {
+            0 => row(std::array::from_fn(|_| Value::Null)),
+            _ => plain[i % 3].clone(),
+        })
+        .collect();
+    let batches = [
+        Batch::from_rows(&plain),
+        Batch::from_rows(&nullable),
+        Batch::from_rows(&long),
+        Batch::from_rows_arity(&[], 3),
+        Batch::from_rows(&[]),
+    ];
+    for (b, batch) in batches.iter().enumerate() {
+        let mut rec = Vec::new();
+        spill::write_batch(batch, &mut rec);
+        let mut pos = 0;
+        let back = spill::read_batch(&rec, &mut pos).unwrap();
+        assert_eq!((pos, back.to_rows().len()), (rec.len(), batch.len()));
+        for cut in 0..rec.len() {
+            let got = spill::read_batch(&rec[..cut], &mut 0);
+            assert!(got.is_err(), "batch {b} cut at {cut}: {got:?}");
+        }
+        for at in 0..rec.len() {
+            for bit in 0..8 {
+                let mut bad = rec.clone();
+                bad[at] ^= 1 << bit;
+                let Ok(got) = spill::read_batch(&bad, &mut 0) else {
+                    continue;
+                };
+                let case = format!("batch {b} byte {at} bit {bit}");
+                // Bytes 0..4 are the row count; a flip anywhere else
+                // cannot change it.
+                assert!(at < 4 || got.len() == batch.len(), "{case}");
+                assert!(got.columns().iter().all(|c| c.len() == got.len()), "{case}");
+                // A batch without columns is its row count and nothing
+                // else; with columns, every row is backed by record bytes,
+                // every slot materializes, and the batch re-encodes.
+                if got.arity() > 0 {
+                    assert!(got.len() <= bad.len(), "{case}");
+                    assert_eq!(got.to_rows().len(), got.len(), "{case}");
+                    spill::write_batch(&got, &mut Vec::new());
+                }
+            }
+        }
+    }
+    // The value codec under the mixed column, on its own.
+    for v in plain[0].iter().chain([&Value::Null]) {
+        let mut rec = Vec::new();
+        spill::write_value(v, &mut rec);
+        assert_eq!(&spill::read_value(&rec, &mut 0).unwrap(), v);
+        for cut in 0..rec.len() {
+            assert!(
+                spill::read_value(&rec[..cut], &mut 0).is_err(),
+                "{v:?} cut {cut}"
+            );
+        }
+        for at in 0..rec.len() {
+            for bit in 0..8 {
+                let mut bad = rec.clone();
+                bad[at] ^= 1 << bit;
+                let mut pos = 0;
+                if spill::read_value(&bad, &mut pos).is_ok() {
+                    assert!(pos <= bad.len(), "{v:?} byte {at} bit {bit}");
+                }
+            }
+        }
     }
 }

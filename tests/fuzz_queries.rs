@@ -86,10 +86,14 @@ const T1_COLS: [&str; 3] = ["a", "b", "c"];
 const T2_COLS: [&str; 3] = ["d", "e", "f"];
 
 fn gen_query(rng: &mut Rng) -> GenQuery {
-    let join = match rng.range_usize(0, 5) {
+    // Equi joins on a non-key and on a key column, and two non-equi ON
+    // predicates, which run as keyless inner and left joins.
+    let join = match rng.range_usize(0, 7) {
         0 | 1 => None,
         2 | 3 => Some("b = e"),
-        _ => Some("a = d"),
+        4 => Some("a = d"),
+        5 => Some("a < d"),
+        _ => Some("b <> e"),
     };
     let n_preds = rng.range_usize(0, 3);
     let preds = (0..n_preds)
@@ -210,6 +214,14 @@ fn configs() -> Vec<OptimizerConfig> {
             .with_sort_ahead(false)
             .with_merge_join(false),
         OptimizerConfig::default().with_batch_size(7),
+        // Equi joins through the nested loop (or the index nested loop).
+        OptimizerConfig::default()
+            .with_hash_join(false)
+            .with_merge_join(false),
+        // Every join build spills, and probes in seven-pair chunks.
+        OptimizerConfig::default()
+            .with_memory_budget(1 << 10)
+            .with_batch_size(7),
     ]
 }
 

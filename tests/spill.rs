@@ -235,6 +235,167 @@ fn spilled_join_builds_charge_pinned_io_under_budgets() {
     }
 }
 
+/// Joins without equi keys, which all run as the keyless case of the one
+/// build–probe operator: `(sql, forced onto the nested loop, plan node)`.
+/// Equi joins reach the nested loop only with the hash and merge joins
+/// off and no index on either join column (`budget`, `grade`, `salary`).
+const KEYLESS_JOINS: &[(&str, bool, &str)] = &[
+    (
+        "select dept_id, emp_id from dept, emp where budget = grade order by dept_id, emp_id",
+        true,
+        "nested-loop-join",
+    ),
+    (
+        "select a.emp_id, b.emp_id from emp a, emp b \
+         where a.salary = b.salary and a.grade = 0 order by a.emp_id, b.emp_id",
+        true,
+        "nested-loop-join",
+    ),
+    (
+        "select dept_id, emp_id from dept join emp on emp_id < dept_id order by dept_id, emp_id",
+        false,
+        "nested-loop-join",
+    ),
+    // Left joins: department 0 has no employee below it, the others do;
+    // only employees 0–10 have a department above them; nobody matches.
+    (
+        "select dept_id, emp_id from dept left join emp on emp_id < dept_id \
+         order by dept_id, emp_id",
+        false,
+        "left-outer-join",
+    ),
+    (
+        "select e.emp_id, dept_id from emp e left join dept on e.emp_id < dept_id \
+         order by e.emp_id, dept_id",
+        false,
+        "left-outer-join",
+    ),
+    (
+        "select dept_id, emp_id from dept left join emp on emp_id + 1000 < dept_id \
+         order by dept_id, emp_id",
+        false,
+        "left-outer-join",
+    ),
+];
+
+fn keyless_config(forced: bool) -> OptimizerConfig {
+    match forced {
+        true => OptimizerConfig::default()
+            .with_hash_join(false)
+            .with_merge_join(false),
+        false => OptimizerConfig::default(),
+    }
+}
+
+#[test]
+fn keyless_joins_match_the_interpreter_across_budgets_threads_and_batches() {
+    let db = emp_db();
+    for &(sql, forced, node) in KEYLESS_JOINS {
+        for budget in [None, Some(1usize << 10), Some(4 << 10), Some(64 << 10)] {
+            for threads in [1usize, 2, 4] {
+                for batch in [1usize, 7, 1024] {
+                    let mut config = keyless_config(forced)
+                        .with_threads(threads)
+                        .with_batch_size(batch);
+                    if let Some(b) = budget {
+                        config = config.with_memory_budget(b);
+                    }
+                    let cell = format!("{sql}\nbudget={budget:?} threads={threads} batch={batch}");
+                    let q = Session::new(&db)
+                        .config(config)
+                        .plan(sql)
+                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let plan = q.explain();
+                    assert!(
+                        plan.lines().any(|l| l.trim_start().starts_with(node)),
+                        "{cell}\n{plan}"
+                    );
+                    let streamed = q.execute().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let want = q.execute_materialized().unwrap();
+                    assert_eq!(streamed.rows(), want.rows(), "{cell}\n{plan}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn keyless_probe_never_holds_more_than_a_batch_of_candidates() {
+    // 400 outer × 400 build rows through the nested loop at batch 7: the
+    // probe assembles its 160 000 candidate pairs seven at a time (a
+    // `debug_assert!` in the operator holds it to that), and the two
+    // spilled build groups are re-read for every outer row.
+    let db = emp_db();
+    let sql = "select a.emp_id, b.emp_id from emp a, emp b where a.salary = b.salary \
+               order by a.emp_id, b.emp_id";
+    let q = Session::new(&db)
+        .config(
+            keyless_config(true)
+                .with_batch_size(7)
+                .with_memory_budget(1 << 10),
+        )
+        .plan(sql)
+        .unwrap();
+    assert!(
+        q.explain().contains("\n    nested-loop-join"),
+        "{}",
+        q.explain()
+    );
+    let out = q.execute().unwrap();
+    assert_eq!(out.rows(), q.execute_materialized().unwrap().rows());
+    assert_eq!(out.rows().len(), 400);
+}
+
+#[test]
+fn spilled_nested_loop_builds_charge_pinned_io_under_budgets() {
+    // The nested loop's build side honours the memory budget like the
+    // hash join's — same admission order, same charged bytes, same
+    // 256-row spill groups, same single-group decode cache — where the
+    // row-at-a-time operator it replaced held every inner row outside the
+    // budget and never spilled. Serial I/O at 1 KiB, pinned next to the
+    // keyed builds' above; the join's own share must include the spill.
+    let db = emp_db();
+    let pinned = |(pages, index_pages), sort_rows, rows_read, (written, read)| IoStats {
+        sequential_pages: pages,
+        random_pages: 0,
+        index_pages,
+        sort_rows,
+        rows_read,
+        spill_pages_written: written,
+        spill_pages_read: read,
+        pool_hits: 0,
+        pool_misses: pages + index_pages,
+    };
+    // In `KEYLESS_JOINS` order.
+    let pins = [
+        pinned((5, 0), 252, 412, (8, 83)),
+        pinned((8, 0), 80, 800, (6, 409)),
+        pinned((5, 0), 78, 412, (5, 62)),
+        pinned((5, 1), 67, 412, (4, 60)),
+        pinned((5, 2), 455, 412, (1, 1)),
+        pinned((5, 1), 12, 412, (4, 60)),
+    ];
+    for (&(sql, forced, node), pin) in KEYLESS_JOINS.iter().zip(pins) {
+        let q = Session::new(&db)
+            .config(keyless_config(forced).with_memory_budget(1 << 10))
+            .plan(sql)
+            .unwrap();
+        let (out, metrics) = q.execute_instrumented().unwrap();
+        assert_eq!(
+            out.rows(),
+            q.execute_materialized().unwrap().rows(),
+            "{sql}"
+        );
+        assert_eq!(out.io, pin, "{sql}");
+        let join = metrics.ops.iter().position(|op| op.name == node).unwrap();
+        let own = metrics.self_io(join).unwrap();
+        assert!(
+            own.spill_pages_written > 0 && own.spill_pages_read > 0,
+            "{sql}\nthe join's own I/O: {own:?}"
+        );
+    }
+}
+
 #[test]
 fn spilled_group_by_charges_pinned_io_under_budgets() {
     // The hash group-by's partition spill — admission order, the cost
