@@ -121,10 +121,10 @@ pub fn calibration_report(
     let factor = factor.max(1.0);
     let mut out = Vec::with_capacity(ests.len());
     for (id, (name, est_rows, est_self_cost)) in ests.into_iter().enumerate() {
-        let self_io = metrics
-            .self_io(id)
+        let own = metrics
+            .self_stats(id)
             .ok_or_else(|| FtoError::internal("inconsistent metric attribution"))?;
-        let actual_wpc = self_io.weighted_page_cost();
+        let actual_wpc = own.io.weighted_page_cost();
         let material = actual_wpc.max(est_self_cost) >= 1.0;
         let flagged = material
             && (actual_wpc > est_self_cost * factor || est_self_cost > actual_wpc * factor);

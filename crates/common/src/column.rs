@@ -785,135 +785,14 @@ pub fn batch_row_bytes(batch: &Batch, i: usize) -> usize {
         .sum::<usize>()
 }
 
-/// Misuse-resistant [`Batch`] construction from row pushes.
-///
-/// The builder fixes the arity up front (optionally with declared
-/// [`DataType`]s), rejects rows of the wrong width with a typed error, and
-/// — when types are declared — rejects non-null values of the wrong type.
-/// Without declared types it infers them, degrading a conflicted column to
-/// [`ColumnData::Mixed`] instead of erroring, which is what operators
-/// flowing untyped intermediate results want.
-#[derive(Debug)]
-pub struct BatchBuilder {
-    types: Option<Vec<DataType>>,
-    cols: Vec<Vec<Value>>,
-    len: usize,
-}
-
-impl BatchBuilder {
-    /// A builder for batches of `arity` columns with inferred types.
-    pub fn new(arity: usize) -> BatchBuilder {
-        BatchBuilder {
-            types: None,
-            cols: vec![Vec::new(); arity],
-            len: 0,
-        }
-    }
-
-    /// A builder whose columns must conform to `types` (nulls always
-    /// admissible).
-    pub fn with_types(types: Vec<DataType>) -> BatchBuilder {
-        let arity = types.len();
-        BatchBuilder {
-            types: Some(types),
-            cols: vec![Vec::new(); arity],
-            len: 0,
-        }
-    }
-
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no rows have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one row.
-    ///
-    /// Returns [`FtoError::Internal`] when the row's arity disagrees with
-    /// the builder's, or when a value contradicts a declared column type.
-    pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
-        if row.len() != self.cols.len() {
-            return Err(FtoError::internal(format!(
-                "pushed row of arity {} into batch of arity {}",
-                row.len(),
-                self.cols.len()
-            )));
-        }
-        if let Some(types) = &self.types {
-            for (c, v) in row.iter().enumerate() {
-                if let Some(t) = v.data_type() {
-                    if t != types[c] {
-                        return Err(FtoError::internal(format!(
-                            "column {c} declared {} but row {} holds {t}",
-                            types[c], self.len
-                        )));
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            self.cols.iter().all(|c| c.len() == self.len),
-            "builder columns diverged in length"
-        );
-        for (c, v) in row.iter().enumerate() {
-            self.cols[c].push(v.clone());
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Finishes the batch.
-    pub fn finish(self) -> Batch {
-        let len = self.len;
-        let columns = self
-            .cols
-            .into_iter()
-            .map(|vals| Arc::new(Column::from_values(vals.iter())))
-            .collect();
-        Batch { columns, len }
-    }
-}
-
-/// Encodes the sort key of every batch row straight from the column
-/// vectors, appending to the per-row buffers in `bufs`
-/// (`bufs.len() == batch.len()`). Byte-identical to calling
-/// [`sortkey::encode_value`] on the materialized row values: one
-/// type-dispatch per column instead of one per value, with a tight loop
-/// per fixed-width type.
-pub fn encode_batch_keys(batch: &Batch, keys: &[(usize, Direction)], bufs: &mut [Vec<u8>]) {
-    debug_assert_eq!(batch.len(), bufs.len());
-    for &(pos, dir) in keys {
-        let col = batch.column(pos);
-        // Remember where each buffer started so Desc can invert in place,
-        // exactly as `encode_value` inverts the bytes it just appended.
-        let desc = dir == Direction::Desc;
-        let marks: Vec<usize> = if desc {
-            bufs.iter().map(|b| b.len()).collect()
-        } else {
-            Vec::new()
-        };
-        encode_column_asc(col, bufs);
-        if desc {
-            for (b, &m) in bufs.iter_mut().zip(&marks) {
-                for byte in &mut b[m..] {
-                    *byte = !*byte;
-                }
-            }
-        }
-    }
-}
-
 /// Encodes the sort key of every row of `batch` into one contiguous
 /// arena: `bytes` holds the concatenated per-row keys, `offsets` (length
 /// `batch.len() + 1`) delimits them — row `i`'s key is
 /// `bytes[offsets[i]..offsets[i + 1]]`. Byte-identical to
-/// [`sortkey::encode_key`] per row, like [`encode_batch_keys`], but with
-/// no per-row or per-column buffer: a single key column appends straight
-/// to the arena; with several, every row's key is sized first and each
+/// [`sortkey::encode_key`] per row — the row encoder is the reference —
+/// with one type dispatch per column instead of one per value and no
+/// per-row or per-column buffer: a single key column appends straight to
+/// the arena; with several, every row's key is sized first and each
 /// column then writes its slots into place. The executor's sort and
 /// group-by hot paths build keys through this. Both output vectors are
 /// overwritten.
@@ -1187,77 +1066,6 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
     }
 }
 
-/// Appends the ascending-order encoding of every slot of `col` to the
-/// matching buffer in `bufs`.
-fn encode_column_asc(col: &Column, bufs: &mut [Vec<u8>]) {
-    let validity = col.validity.as_ref();
-    macro_rules! loop_valid {
-        ($vals:ident, $i:ident, $v:ident, $body:block) => {
-            for ($i, $v) in $vals.iter().enumerate() {
-                if validity.is_some_and(|bm| !bm.get($i)) {
-                    bufs[$i].push(sortkey::TAG_NULL);
-                } else {
-                    $body
-                }
-            }
-        };
-    }
-    match &col.data {
-        ColumnData::Int64(vals) => {
-            loop_valid!(vals, i, v, {
-                let buf = &mut bufs[i];
-                buf.push(sortkey::TAG_NUMERIC);
-                let g = *v as f64;
-                let r = (*v as i128 - g as i128) as i16;
-                sortkey::encode_numeric(g, r, buf);
-            });
-        }
-        ColumnData::Float64(vals) => {
-            loop_valid!(vals, i, v, {
-                let buf = &mut bufs[i];
-                buf.push(sortkey::TAG_NUMERIC);
-                sortkey::encode_numeric(*v, 0, buf);
-            });
-        }
-        ColumnData::Utf8 { offsets, bytes } => {
-            for i in 0..offsets.len() - 1 {
-                if validity.is_some_and(|bm| !bm.get(i)) {
-                    bufs[i].push(sortkey::TAG_NULL);
-                    continue;
-                }
-                let buf = &mut bufs[i];
-                buf.push(sortkey::TAG_STR);
-                for &b in &bytes[offsets[i] as usize..offsets[i + 1] as usize] {
-                    buf.push(b);
-                    if b == 0x00 {
-                        buf.push(0xFF);
-                    }
-                }
-                buf.extend_from_slice(&[0x00, 0x00]);
-            }
-        }
-        ColumnData::Date32(vals) => {
-            loop_valid!(vals, i, v, {
-                let buf = &mut bufs[i];
-                buf.push(sortkey::TAG_DATE);
-                buf.extend_from_slice(&((*v as u32) ^ 0x8000_0000).to_be_bytes());
-            });
-        }
-        ColumnData::Bool(vals) => {
-            loop_valid!(vals, i, v, {
-                let buf = &mut bufs[i];
-                buf.push(sortkey::TAG_BOOL);
-                buf.push(u8::from(*v));
-            });
-        }
-        ColumnData::Mixed(vals) => {
-            for (i, v) in vals.iter().enumerate() {
-                sortkey::encode_value_asc(v, &mut bufs[i]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1449,26 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_arity_mismatch() {
-        let mut b = BatchBuilder::new(2);
-        b.push_row(&[Value::Int(1), Value::Int(2)]).unwrap();
-        assert!(b.push_row(&[Value::Int(1)]).is_err());
-        let batch = b.finish();
-        assert_eq!(batch.len(), 1);
-    }
-
-    #[test]
-    fn builder_enforces_declared_types() {
-        let mut b = BatchBuilder::with_types(vec![DataType::Int, DataType::Str]);
-        b.push_row(&[Value::Int(1), Value::str("x")]).unwrap();
-        b.push_row(&[Value::Null, Value::Null]).unwrap();
-        assert!(b.push_row(&[Value::str("oops"), Value::str("y")]).is_err());
-        let batch = b.finish();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.column(0).data_type(), Some(DataType::Int));
-    }
-
-    #[test]
     fn from_columns_rejects_ragged_lengths() {
         let a = Arc::new(Column::from_values([Value::Int(1)].iter()));
         let b = Arc::new(Column::from_values([Value::Int(1), Value::Int(2)].iter()));
@@ -1550,11 +1338,11 @@ mod tests {
             (3, Direction::Asc),
             (5, Direction::Desc),
         ];
-        let mut bufs = vec![Vec::new(); rs.len()];
-        encode_batch_keys(&batch, &keys, &mut bufs);
-        for (row, buf) in rs.iter().zip(&bufs) {
+        let (mut arena, mut offsets) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(&batch, &keys, &mut arena, &mut offsets);
+        for (row, w) in rs.iter().zip(offsets.windows(2)) {
             let expect = sortkey::encode_key(row, &keys);
-            assert_eq!(buf, &expect, "row {row:?}");
+            assert_eq!(&arena[w[0]..w[1]], &expect[..], "row {row:?}");
         }
     }
 }

@@ -28,7 +28,7 @@ pub mod sortkey;
 pub mod value;
 
 pub use bitset::ColSet;
-pub use column::{Batch, BatchBuilder, Bitmap, Column, ColumnData};
+pub use column::{Batch, Bitmap, Column, ColumnData};
 pub use error::{FtoError, Result};
 pub use ids::{ColId, IndexId, QuantifierId, TableId};
 pub use rng::Rng;

@@ -35,9 +35,11 @@
 //! [`Run`](crate::sortkernel::Run); a merge keeps one decoded group and a
 //! row cursor per run.
 
-use crate::sortkernel::{self, gather_rows, least_head, KeyArena, Run, SortBuf};
+use crate::metrics::ExecStats;
+use crate::sortkernel::{gather_rows, least_head, KeyArena, Run, SortBuf};
 use fto_common::column::{batch_row_bytes, Batch};
 use fto_common::{FtoError, Result};
+use fto_obs::profile;
 use fto_planner::cost::MERGE_FAN_IN;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
 use std::collections::VecDeque;
@@ -125,7 +127,7 @@ impl RunReader {
     /// [`RUN_GROUP_ROWS`] rows), or parks at end of run.
     fn load(&mut self, file: &SpillFile, io: &mut IoStats) -> Result<()> {
         self.at = 0;
-        self.group = match self.cursor.read_record(file, io) {
+        self.group = match self.cursor.read_record(file, io)? {
             Some(rec) => Some(parse_run_group(&rec)?),
             None => None,
         };
@@ -141,7 +143,7 @@ impl RunReader {
 /// A streaming K-way merge over spilled run extents: holds one decoded
 /// group per run plus a cursor, so memory stays O(fan-in · group)
 /// regardless of run sizes. Reads charge `spill_pages_read` through the
-/// cursors.
+/// cursors; the merge's comparisons go to the same stream.
 struct RunMerge {
     readers: Vec<RunReader>,
 }
@@ -165,15 +167,19 @@ impl RunMerge {
     /// as one run, gathered straight from the decoded groups; `None` once
     /// every run is drained. A run whose group empties loads its next one
     /// at once, so page reads fall where a row-at-a-time merge's would.
-    fn next_run(&mut self, max: usize, file: &SpillFile, io: &mut IoStats) -> Result<Option<Run>> {
+    fn next_run(
+        &mut self,
+        max: usize,
+        file: &SpillFile,
+        stats: &mut ExecStats,
+    ) -> Result<Option<Run>> {
         let mut sources: Vec<Batch> = Vec::new();
         let mut source_of: Vec<Option<u32>> = vec![None; self.readers.len()];
         let mut sel: Vec<(u32, u32)> = Vec::new();
         let (mut keys, mut seqs) = (KeyArena::default(), Vec::new());
-        let mut cmps = 0u64;
         while sel.len() < max {
             let heads = self.readers.iter().map(RunReader::head);
-            let Some(k) = least_head(heads, &mut cmps) else {
+            let Some(k) = least_head(heads, &mut stats.sort.comparisons) else {
                 break;
             };
             let reader = &mut self.readers[k];
@@ -187,11 +193,10 @@ impl RunMerge {
             seqs.push(group.seqs[reader.at]);
             reader.at += 1;
             if reader.at == group.seqs.len() {
-                reader.load(file, io)?;
+                reader.load(file, &mut stats.io)?;
                 source_of[k] = None;
             }
         }
-        sortkernel::charge(0, cmps);
         if sel.is_empty() {
             return Ok(None);
         }
@@ -206,16 +211,18 @@ impl RunMerge {
 
 /// Reduces spilled runs to at most `MERGE_FAN_IN` by merging groups of up
 /// to F runs into new runs appended to the same file, level by level.
-/// Each level is one merge pass ([`sortkernel::SpillStats`]); reads and
-/// writes charge the spill page counters as the data actually moves.
+/// Each level is one merge pass ([`crate::SpillStats::merge_passes`]);
+/// reads and writes charge the spill page counters as the data actually
+/// moves.
 fn reduce_to_fan_in(
     file: &mut SpillFile,
     mut extents: Vec<RunExtent>,
-    io: &mut IoStats,
+    stats: &mut ExecStats,
 ) -> Result<Vec<RunExtent>> {
     let mut payload = Vec::new();
     while extents.len() > MERGE_FAN_IN {
-        sortkernel::note_merge_pass();
+        stats.spill.merge_passes += 1;
+        profile::instant("spill", || "spill.merge_pass".to_string());
         let mut next = Vec::with_capacity(extents.len().div_ceil(MERGE_FAN_IN));
         for chunk in extents.chunks(MERGE_FAN_IN) {
             if chunk.len() == 1 {
@@ -223,9 +230,9 @@ fn reduce_to_fan_in(
                 continue;
             }
             let start = file.len();
-            let mut merge = RunMerge::new(file, chunk, io)?;
-            while let Some(run) = merge.next_run(RUN_GROUP_ROWS, file, io)? {
-                append_run_group(file, &mut payload, &run, io);
+            let mut merge = RunMerge::new(file, chunk, &mut stats.io)?;
+            while let Some(run) = merge.next_run(RUN_GROUP_ROWS, file, stats)? {
+                append_run_group(file, &mut payload, &run, &mut stats.io);
             }
             next.push(RunExtent {
                 start,
@@ -257,9 +264,9 @@ impl SpilledSort {
     pub(crate) fn next_batch(
         &mut self,
         batch_size: usize,
-        io: &mut IoStats,
+        stats: &mut ExecStats,
     ) -> Result<Option<Batch>> {
-        let run = self.merge.next_run(batch_size, &self.file, io)?;
+        let run = self.merge.next_run(batch_size, &self.file, stats)?;
         Ok(run.map(|r| r.batch))
     }
 }
@@ -299,7 +306,7 @@ impl RunFormer {
         rows: Range<usize>,
         kb: &[u8],
         ko: &[usize],
-        io: &mut IoStats,
+        stats: &mut ExecStats,
     ) {
         self.buf.add_batch(batch);
         for i in rows {
@@ -307,7 +314,7 @@ impl RunFormer {
             let cost = batch_row_bytes(batch, i) + key.len() + 8;
             let full = self.bytes.saturating_add(cost) > self.budget;
             if full && self.limit.is_none() && !self.buf.is_empty() {
-                self.seal(io);
+                self.seal(stats);
                 self.buf.add_batch(batch);
             }
             self.bytes += cost;
@@ -317,7 +324,7 @@ impl RunFormer {
         if let Some(n) = self.limit {
             let len = self.buf.len();
             if len > n && (self.bytes > self.budget || len >= 2 * n.max(1)) {
-                let top = self.buf.run(&self.buf.ordered(self.limit));
+                let top = self.buf.run(&self.buf.ordered(self.limit, &mut stats.sort));
                 self.buf.clear();
                 self.buf.push_run(&top);
                 self.bytes = (0..top.seqs.len())
@@ -330,18 +337,21 @@ impl RunFormer {
     /// Sorts the buffered rows into a run and spills it. Charges
     /// `sort_rows` per run, so the external sort's total equals the
     /// in-memory one's.
-    fn seal(&mut self, io: &mut IoStats) {
-        io.sort_rows += self.buf.len() as u64;
+    fn seal(&mut self, stats: &mut ExecStats) {
+        stats.io.sort_rows += self.buf.len() as u64;
         let start = self.file.len();
         let mut payload = Vec::new();
-        for group in self.buf.ordered(None).chunks(RUN_GROUP_ROWS) {
-            append_run_group(&mut self.file, &mut payload, &self.buf.run(group), io);
+        let perm = self.buf.ordered(None, &mut stats.sort);
+        for group in perm.chunks(RUN_GROUP_ROWS) {
+            let run = self.buf.run(group);
+            append_run_group(&mut self.file, &mut payload, &run, &mut stats.io);
         }
         self.extents.push(RunExtent {
             start,
             end: self.file.len(),
         });
-        sortkernel::note_spill_runs(1);
+        stats.spill.runs_formed += 1;
+        profile::instant("spill", || "spill.runs_formed x1".to_string());
         self.buf.clear();
         self.bytes = 0;
     }
@@ -356,22 +366,23 @@ impl RunFormer {
         &mut self,
         batch_size: usize,
         out: &mut VecDeque<Sorted>,
-        io: &mut IoStats,
+        stats: &mut ExecStats,
     ) -> Result<()> {
         if self.extents.is_empty() {
-            let perm = self.buf.ordered(self.limit);
-            io.sort_rows += perm.len() as u64;
+            let perm = self.buf.ordered(self.limit, &mut stats.sort);
+            stats.io.sort_rows += perm.len() as u64;
             for chunk in perm.chunks(batch_size) {
                 out.push_back(Sorted::Batch(self.buf.gather(chunk)));
             }
         } else {
             if !self.buf.is_empty() {
-                self.seal(io);
+                self.seal(stats);
             }
             let mut file = std::mem::take(&mut self.file);
-            let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), io)?;
-            sortkernel::note_merge_pass();
-            let merge = RunMerge::new(&file, &extents, io)?;
+            let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), stats)?;
+            stats.spill.merge_passes += 1;
+            profile::instant("spill", || "spill.merge_pass".to_string());
+            let merge = RunMerge::new(&file, &extents, &mut stats.io)?;
             out.push_back(Sorted::Spilled(SpilledSort { file, merge }));
         }
         self.buf.clear();
@@ -397,29 +408,29 @@ mod tests {
     }
 
     /// Sorts `input(n)`, fed in 64-row batches, through a former.
-    fn drive(budget: usize, keys: &SortKeys, n: i64) -> (Vec<Row>, IoStats) {
-        let mut io = IoStats::new();
+    fn drive(budget: usize, keys: &SortKeys, n: i64) -> (Vec<Row>, ExecStats) {
+        let mut stats = ExecStats::default();
         let mut former = RunFormer::new(budget, None);
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         for piece in input(n).chunks(64) {
             let batch = Batch::from_rows(piece);
             encode_batch_keys_arena(&batch, keys, &mut kb, &mut ko);
-            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut io);
+            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut stats);
         }
         let mut sorted = VecDeque::new();
-        former.finish(50, &mut sorted, &mut io).unwrap();
+        former.finish(50, &mut sorted, &mut stats).unwrap();
         let mut out = Vec::new();
         for part in sorted {
             match part {
                 Sorted::Batch(b) => b.append_rows_to(&mut out),
                 Sorted::Spilled(mut s) => {
-                    while let Some(b) = s.next_batch(50, &mut io).unwrap() {
+                    while let Some(b) = s.next_batch(50, &mut stats).unwrap() {
                         b.append_rows_to(&mut out);
                     }
                 }
             }
         }
-        (out, io)
+        (out, stats)
     }
 
     #[test]
@@ -428,13 +439,14 @@ mod tests {
         // output is the input order at every budget).
         let keyed: SortKeys = vec![(0, Direction::Desc), (1, Direction::Asc)];
         for keys in [keyed, SortKeys::new()] {
-            let (unbounded, io0) = drive(usize::MAX, &keys, 500);
-            assert_eq!(io0.spill_pages_written, 0);
+            let (unbounded, stats0) = drive(usize::MAX, &keys, 500);
+            assert_eq!(stats0.io.spill_pages_written, 0);
+            assert_eq!(stats0.spill, crate::SpillStats::default());
             if keys.is_empty() {
                 assert_eq!(unbounded, input(500), "keyless sort must keep input order");
             }
             for budget in [1usize, 512, 4096, 1 << 20] {
-                let (got, io) = drive(budget, &keys, 500);
+                let (got, ExecStats { io, .. }) = drive(budget, &keys, 500);
                 assert_eq!(got, unbounded, "keys={keys:?} budget={budget}");
                 assert_eq!(io.sort_rows, 500, "sort_rows must match unbounded");
                 if budget < 4096 {
@@ -447,16 +459,20 @@ mod tests {
 
     #[test]
     fn tiny_budget_forms_many_runs_and_multi_passes() {
-        let before = sortkernel::spill_stats_snapshot();
         let keys: SortKeys = vec![(0, Direction::Desc), (1, Direction::Asc)];
-        let (out, io) = drive(1, &keys, 200);
-        let delta = sortkernel::spill_stats_snapshot().delta_since(before);
+        let (out, stats) = drive(1, &keys, 200);
         assert_eq!(out.len(), 200);
-        // One row per run: 200 runs need ceil(log_8 200) = 3 passes. Other
-        // tests share the process-wide counters, so assert lower bounds.
-        assert!(delta.runs_formed >= 200, "runs {}", delta.runs_formed);
-        assert!(delta.merge_passes >= 3, "passes {}", delta.merge_passes);
-        assert!(io.spill_pages_written > 0 && io.spill_pages_read > 0);
+        // One row per run: 200 runs need ceil(log_8 200) = 3 passes.
+        assert_eq!(
+            (stats.spill.runs_formed, stats.spill.merge_passes),
+            (200, 3)
+        );
+        assert!(stats.io.spill_pages_written > 0 && stats.io.spill_pages_read > 0);
+        // Every key is ordered once, in the run it seals into — an Int, a
+        // `row-{i}` string (tag, text, terminator) and the 8-byte tag — and
+        // the merges encode nothing.
+        let strings = 10 * (3 + 5) + 90 * (3 + 6) + 100 * (3 + 7);
+        assert_eq!(stats.sort.key_bytes, 200 * (11 + 8) + strings);
     }
 
     #[test]
@@ -465,7 +481,7 @@ mod tests {
         let keys: SortKeys = vec![(0, Direction::Asc)];
         let mut buf = SortBuf::default();
         buf.push_batch(&Batch::from_rows(&input(2)), &keys, 5..);
-        let run = buf.run(&buf.ordered(None));
+        let run = buf.run(&buf.ordered(None, &mut Default::default()));
         let (mut file, mut payload) = (SpillFile::new(), Vec::new());
         append_run_group(&mut file, &mut payload, &run, &mut IoStats::new());
         let rec = payload;

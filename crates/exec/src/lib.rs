@@ -39,19 +39,24 @@
 //!   through both engines and requires identical rows in identical order.
 //! * [`session`] — [`Session`] / [`PreparedQuery`] / [`QueryOutput`]:
 //!   `Session::new(&db).config(cfg).plan(sql)?.execute()?`.
-//! * [`metrics`] — per-operator observability. Executing through
-//!   [`execute_plan_instrumented`] (or
+//! * [`metrics`] — the accounting stream and per-operator observability.
+//!   Every operator call threads one [`ExecStats`] (page I/O plus the
+//!   sort, spill and segmented-sort counters); the finished stream is the
+//!   query's totals, exact under any number of concurrent sessions.
+//!   Executing through [`execute_plan_instrumented`] (or
 //!   `PreparedQuery::execute_instrumented` / `explain_analyze`) records
-//!   rows, batches, I/O, and time per plan node into a [`PlanMetrics`],
-//!   with per-operator I/O deltas that sum exactly to the session totals.
+//!   rows, batches, the stream's delta, and time per plan node into a
+//!   [`PlanMetrics`], with per-operator self deltas that sum exactly to
+//!   the session totals, counter by counter.
 //! * [`obs`] — session-level observability. An [`Observability`] handle
 //!   attached via [`Session::observe`](session::Session::observe)
 //!   aggregates every query into an [`fto_obs::Registry`] (counters,
 //!   latency/rows/pages histograms), keeps a slow-query log, and holds
 //!   the last optimizer decision trace (`EXPLAIN OPTIMIZER`).
 //!
-//! Entry points: [`Session`] for SQL, [`execute_plan`] for an
-//! already-planned query, [`compile_pipeline`] to drive batches by hand.
+//! Entry points: [`Session`] for SQL; [`execute_plan`] and
+//! [`execute_plan_instrumented`] — one driver, with and without metric
+//! slots — for an already-planned query.
 
 #![deny(missing_docs)]
 
@@ -67,28 +72,14 @@ pub mod stream;
 
 pub use fto_obs::{ExecutionProfile, Profiler};
 pub use interp::{run_plan_materialized, QueryResult};
-pub use metrics::{q_error, OpMetrics, PlanMetrics, WorkerOpMetrics};
+pub use metrics::{q_error, ExecStats, OpMetrics, PlanMetrics, WorkerOpMetrics};
 pub use obs::{ObsOptions, Observability};
 pub use session::{PreparedQuery, QueryOutput, Session, StatementOutput};
 pub use sortkernel::{SegmentStats, SortStats, SpillStats};
 pub use stream::{
-    compile_pipeline, execute_plan, execute_plan_instrumented, Batch, ExecContext, ExecOptions,
-    Operator, StreamResult,
+    execute_plan, execute_plan_instrumented, Batch, ExecContext, ExecOptions, Operator,
+    StreamResult,
 };
-
-/// Executes a plan to completion through the streaming executor with the
-/// default batch size.
-///
-/// Retained for source compatibility with the materializing engine's old
-/// entry point; new code should use [`Session`] or [`execute_plan`].
-#[deprecated(note = "use Session::plan(..)?.execute() or execute_plan()")]
-pub fn run_plan(
-    db: &fto_storage::Database,
-    graph: &fto_qgm::QueryGraph,
-    plan: &fto_planner::Plan,
-) -> fto_common::Result<StreamResult> {
-    execute_plan(db, graph, plan, &ExecOptions::default())
-}
 
 /// Convenience re-exports for the common execution workflow.
 pub mod prelude {

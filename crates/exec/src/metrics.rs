@@ -1,9 +1,18 @@
-//! Machine-readable per-operator execution metrics.
+//! The execution accounting stream ([`ExecStats`]) and the machine-readable
+//! per-operator metrics derived from it.
+//!
+//! Every [`Operator`](crate::stream::Operator) call threads one
+//! `&mut ExecStats` — simulated page I/O plus the sort, spill and
+//! segmented-sort counters — and whatever does work adds into the stream
+//! it was handed. Exchange workers charge a private stream that the
+//! coordinator merges back in partition order. That is the only way a
+//! counter travels: the session totals are the finished stream, so they
+//! are exact per query under any number of concurrent sessions.
 //!
 //! [`crate::stream::execute_plan_instrumented`] wraps every operator in
 //! the lowered tree and records, per plan node, the rows and batches it
-//! produced, the simulated I/O charged while its subtree was running, and
-//! the wall-clock time spent inside it. Nodes are identified by their
+//! produced, the stream's delta while its subtree was running, and the
+//! wall-clock time spent inside it. Nodes are identified by their
 //! *pre-order* position in the plan tree (root = 0, children visited
 //! outer/left first) — the same numbering
 //! [`fto_planner::Plan::explain_annotated`] passes to its annotation
@@ -14,13 +23,87 @@
 //! subtree. Exclusive ("self") figures are derived by subtracting the
 //! children's inclusive counters, which makes the rollup loss-free by
 //! construction: summing every node's self delta telescopes back to the
-//! root's inclusive total, which is exactly the session-level
-//! [`IoStats`]. The subtraction is checked — a child charging more than
-//! its parent observed is an attribution bug and surfaces as `None`
-//! rather than a silently wrong report.
+//! root's inclusive total, which is exactly the session-level stream —
+//! for every counter in it, pages and comparisons alike. The subtraction
+//! is checked — a child charging more than its parent observed is an
+//! attribution bug and surfaces as `None` rather than a silently wrong
+//! report.
 
+use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
 use fto_storage::IoStats;
 use std::time::Duration;
+
+/// Everything one execution counts — the stream threaded through every
+/// [`Operator`](crate::stream::Operator) call. Storage calls receive
+/// `&mut stats.io`; the order enforcers, exchanges and spilling operators
+/// add to the rest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Simulated page I/O.
+    pub io: IoStats,
+    /// Sort-kernel work: key bytes ordered, comparisons made.
+    pub sort: SortStats,
+    /// Runs (or hash partitions) spilled and external merge passes.
+    pub spill: SpillStats,
+    /// Prefix groups formed by segmented sorts.
+    pub segment: SegmentStats,
+}
+
+impl ExecStats {
+    /// Adds another stream's counters into this one.
+    pub fn merge(&mut self, other: &ExecStats) {
+        self.io.merge(&other.io);
+        self.sort.key_bytes += other.sort.key_bytes;
+        self.sort.comparisons += other.sort.comparisons;
+        self.spill.runs_formed += other.spill.runs_formed;
+        self.spill.merge_passes += other.spill.merge_passes;
+        self.segment.groups_formed += other.segment.groups_formed;
+    }
+
+    /// `self - other` when no counter of `other` exceeds its counterpart
+    /// in `self`; `None` otherwise (see [`IoStats::checked_sub`]).
+    pub fn checked_sub(&self, other: &ExecStats) -> Option<ExecStats> {
+        let (a, b) = (self, other);
+        Some(ExecStats {
+            io: a.io.checked_sub(&b.io)?,
+            sort: SortStats {
+                key_bytes: a.sort.key_bytes.checked_sub(b.sort.key_bytes)?,
+                comparisons: a.sort.comparisons.checked_sub(b.sort.comparisons)?,
+            },
+            spill: SpillStats {
+                runs_formed: a.spill.runs_formed.checked_sub(b.spill.runs_formed)?,
+                merge_passes: a.spill.merge_passes.checked_sub(b.spill.merge_passes)?,
+            },
+            segment: SegmentStats {
+                groups_formed: a
+                    .segment
+                    .groups_formed
+                    .checked_sub(b.segment.groups_formed)?,
+            },
+        })
+    }
+
+    /// The counters accumulated since `earlier`, which must be a snapshot
+    /// of this same stream taken before `self`: counters only grow (see
+    /// [`IoStats::delta_since`]). The per-call path of the instrumentation
+    /// wrappers, so plain subtraction, not [`ExecStats::checked_sub`].
+    pub fn delta_since(&self, earlier: &ExecStats) -> ExecStats {
+        ExecStats {
+            io: self.io.delta_since(&earlier.io),
+            sort: SortStats {
+                key_bytes: self.sort.key_bytes - earlier.sort.key_bytes,
+                comparisons: self.sort.comparisons - earlier.sort.comparisons,
+            },
+            spill: SpillStats {
+                runs_formed: self.spill.runs_formed - earlier.spill.runs_formed,
+                merge_passes: self.spill.merge_passes - earlier.spill.merge_passes,
+            },
+            segment: SegmentStats {
+                groups_formed: self.segment.groups_formed - earlier.segment.groups_formed,
+            },
+        }
+    }
+}
 
 /// The cardinality Q-error between an estimate and an actual: the
 /// multiplicative factor `max(est, act) / min(est, act)` by which the
@@ -36,9 +119,9 @@ pub fn q_error(est: f64, actual: f64) -> f64 {
 
 /// Execution metrics recorded for one plan operator.
 ///
-/// `io` and `elapsed` are inclusive of the operator's children; see the
-/// module docs. Use [`PlanMetrics::self_io`] / [`PlanMetrics::self_elapsed`]
-/// for exclusive figures.
+/// `stats` and `elapsed` are inclusive of the operator's children; see the
+/// module docs. Use [`PlanMetrics::self_stats`] /
+/// [`PlanMetrics::self_elapsed`] for exclusive figures.
 #[derive(Clone, Debug, Default)]
 pub struct OpMetrics {
     /// Operator name, as [`fto_planner::Plan::op_name`] renders it.
@@ -47,15 +130,16 @@ pub struct OpMetrics {
     pub rows: u64,
     /// Non-empty batches this operator returned to its parent.
     pub batches: u64,
-    /// Simulated I/O charged while this operator's subtree was running
+    /// Everything charged while this operator's subtree was running
     /// (inclusive of children).
-    pub io: IoStats,
+    pub stats: ExecStats,
     /// Wall-clock time spent inside this operator's subtree (inclusive).
     pub elapsed: Duration,
     /// Per-worker contributions when this node ran under an exchange at
     /// parallel degree > 1. Empty for serial execution. The workers'
-    /// rows sum to the exchange input's total; their `io` sums into this
-    /// node's inclusive `io`, so the rollup invariant is unaffected.
+    /// rows sum to the exchange input's total; their `stats` sum into
+    /// this node's inclusive `stats`, so the rollup invariant is
+    /// unaffected.
     pub workers: Vec<WorkerOpMetrics>,
     /// The planner's row estimate for this operator
     /// ([`fto_planner::Cost::rows`]), recorded at lowering time so
@@ -65,11 +149,9 @@ pub struct OpMetrics {
     /// ([`fto_planner::Plan::self_cost`]).
     pub est_cost: f64,
     /// For segmented sorts, the planner's prefix-group-count estimate;
-    /// `None` for every other operator.
+    /// `None` for every other operator. The actual count is the node's
+    /// self `segment.groups_formed`.
     pub est_groups: Option<u64>,
-    /// For segmented sorts, the number of prefix groups actually sealed;
-    /// 0 elsewhere.
-    pub segment_groups: u64,
 }
 
 impl OpMetrics {
@@ -87,8 +169,9 @@ pub struct WorkerOpMetrics {
     pub rows: u64,
     /// Non-empty batches this worker pulled from its partition pipeline.
     pub batches: u64,
-    /// Simulated I/O charged by this worker's partition pipeline.
-    pub io: IoStats,
+    /// Everything this worker's private stream charged: its partition
+    /// pipeline's I/O and the sorting it did.
+    pub stats: ExecStats,
     /// Wall-clock time this worker spent draining (and, for parallel
     /// sorts, sorting) its partition.
     pub elapsed: Duration,
@@ -117,14 +200,14 @@ impl PlanMetrics {
         self.ops.is_empty()
     }
 
-    /// I/O charged by operator `id` itself, excluding its children:
-    /// the node's inclusive counters minus each child's inclusive
-    /// counters. Returns `None` when a child recorded more than the
-    /// parent observed — an attribution bug, never a legitimate state.
-    pub fn self_io(&self, id: usize) -> Option<IoStats> {
-        let mut acc = self.ops[id].io;
+    /// What operator `id` itself charged, excluding its children: the
+    /// node's inclusive counters minus each child's inclusive counters.
+    /// Returns `None` when a child recorded more than the parent observed
+    /// — an attribution bug, never a legitimate state.
+    pub fn self_stats(&self, id: usize) -> Option<ExecStats> {
+        let mut acc = self.ops[id].stats;
         for &c in &self.children[id] {
-            acc = acc.checked_sub(&self.ops[c].io)?;
+            acc = acc.checked_sub(&self.ops[c].stats)?;
         }
         Some(acc)
     }
@@ -140,19 +223,19 @@ impl PlanMetrics {
         acc
     }
 
-    /// The root's inclusive I/O — equal to the session-level totals for
-    /// the execution that produced these metrics.
-    pub fn total_io(&self) -> IoStats {
-        self.ops.first().map(|m| m.io).unwrap_or_default()
+    /// The root's inclusive counters — equal to the session-level totals
+    /// for the execution that produced these metrics.
+    pub fn total(&self) -> ExecStats {
+        self.ops.first().map(|m| m.stats).unwrap_or_default()
     }
 
-    /// Sum of every operator's *self* I/O. Equals [`PlanMetrics::total_io`]
-    /// whenever attribution is consistent (the sum telescopes); `None` if
-    /// any node fails [`PlanMetrics::self_io`].
-    pub fn summed_self_io(&self) -> Option<IoStats> {
-        let mut total = IoStats::new();
+    /// Sum of every operator's *self* counters. Equals
+    /// [`PlanMetrics::total`] whenever attribution is consistent (the sum
+    /// telescopes); `None` if any node fails [`PlanMetrics::self_stats`].
+    pub fn summed_self(&self) -> Option<ExecStats> {
+        let mut total = ExecStats::default();
         for id in 0..self.ops.len() {
-            total.merge(&self.self_io(id)?);
+            total.merge(&self.self_stats(id)?);
         }
         Some(total)
     }
@@ -171,23 +254,25 @@ impl PlanMetrics {
         worst
     }
 
-    /// Checks the rollup invariant: every node's self delta is
-    /// well-defined and their sum equals the root's inclusive total.
-    /// Returns a description of the first violation, if any.
+    /// Checks the rollup invariant, for every counter of the stream:
+    /// every node's self delta is well-defined and their sum equals the
+    /// root's inclusive total. Returns a description of the first
+    /// violation, if any.
     pub fn validate(&self) -> std::result::Result<(), String> {
+        let mut summed = ExecStats::default();
         for id in 0..self.ops.len() {
-            if self.self_io(id).is_none() {
-                return Err(format!(
-                    "operator {id} ({}): children charged more I/O than the node observed",
+            let own = self.self_stats(id).ok_or_else(|| {
+                format!(
+                    "operator {id} ({}): children charged more than the node observed",
                     self.ops[id].name
-                ));
-            }
+                )
+            })?;
+            summed.merge(&own);
         }
-        let summed = self.summed_self_io().expect("checked above");
-        let total = self.total_io();
+        let total = self.total();
         if summed != total {
             return Err(format!(
-                "summed self I/O ({summed}) != root inclusive I/O ({total})"
+                "summed self counters ({summed:?}) != root inclusive counters ({total:?})"
             ));
         }
         Ok(())
@@ -198,20 +283,20 @@ impl PlanMetrics {
 mod tests {
     use super::*;
 
-    fn io(seq: u64, rand: u64) -> IoStats {
-        IoStats {
-            sequential_pages: seq,
-            random_pages: rand,
-            ..IoStats::new()
-        }
+    /// A stream that charged `seq` sequential pages and `cmps` comparisons.
+    fn charged(seq: u64, cmps: u64) -> ExecStats {
+        let mut stats = ExecStats::default();
+        stats.io.sequential_pages = seq;
+        stats.sort.comparisons = cmps;
+        stats
     }
 
-    fn m(name: &str, rows: u64, io: IoStats) -> OpMetrics {
+    fn m(name: &str, rows: u64, stats: ExecStats) -> OpMetrics {
         OpMetrics {
             name: name.to_string(),
             rows,
             batches: 1,
-            io,
+            stats,
             elapsed: Duration::from_micros(10),
             est_rows: rows as f64,
             ..OpMetrics::default()
@@ -219,34 +304,78 @@ mod tests {
     }
 
     #[test]
-    fn self_io_subtracts_children_and_sums_to_total() {
+    fn self_stats_subtract_children_and_sum_to_total() {
         // sort(0) -> filter(1) -> scan(2); scan charges 5 seq pages,
-        // filter adds nothing, sort adds 2 random (spill proxy).
+        // filter adds nothing, sort adds 2 comparisons.
         let pm = PlanMetrics {
             ops: vec![
-                m("sort", 10, io(5, 2)),
-                m("filter", 10, io(5, 0)),
-                m("table-scan", 40, io(5, 0)),
+                m("sort", 10, charged(5, 2)),
+                m("filter", 10, charged(5, 0)),
+                m("table-scan", 40, charged(5, 0)),
             ],
             children: vec![vec![1], vec![2], vec![]],
         };
-        assert_eq!(pm.self_io(0), Some(io(0, 2)));
-        assert_eq!(pm.self_io(1), Some(io(0, 0)));
-        assert_eq!(pm.self_io(2), Some(io(5, 0)));
-        assert_eq!(pm.summed_self_io(), Some(io(5, 2)));
-        assert_eq!(pm.total_io(), io(5, 2));
+        assert_eq!(pm.self_stats(0), Some(charged(0, 2)));
+        assert_eq!(pm.self_stats(1), Some(charged(0, 0)));
+        assert_eq!(pm.self_stats(2), Some(charged(5, 0)));
+        assert_eq!(pm.summed_self(), Some(charged(5, 2)));
+        assert_eq!(pm.total(), charged(5, 2));
         assert!(pm.validate().is_ok());
     }
 
     #[test]
+    fn stream_arithmetic_covers_every_counter() {
+        // One stream per counter, holding 1 there and 0 elsewhere: merge,
+        // checked_sub and delta_since must each see all fourteen.
+        let counters: [fn(&mut ExecStats) -> &mut u64; 14] = [
+            |s| &mut s.io.sequential_pages,
+            |s| &mut s.io.random_pages,
+            |s| &mut s.io.index_pages,
+            |s| &mut s.io.sort_rows,
+            |s| &mut s.io.rows_read,
+            |s| &mut s.io.spill_pages_written,
+            |s| &mut s.io.spill_pages_read,
+            |s| &mut s.io.pool_hits,
+            |s| &mut s.io.pool_misses,
+            |s| &mut s.sort.key_bytes,
+            |s| &mut s.sort.comparisons,
+            |s| &mut s.spill.runs_formed,
+            |s| &mut s.spill.merge_passes,
+            |s| &mut s.segment.groups_formed,
+        ];
+        let zero = ExecStats::default();
+        let mut all = zero;
+        for counter in counters {
+            let mut one = zero;
+            *counter(&mut one) = 1;
+            assert_ne!(one, zero);
+            let mut two = one;
+            two.merge(&one);
+            assert_eq!(*counter(&mut two), 2);
+            assert_eq!(two.delta_since(&one), one);
+            assert_eq!(zero.checked_sub(&one), None);
+            all.merge(&one);
+        }
+        for counter in counters {
+            assert_eq!(*counter(&mut all), 1);
+        }
+    }
+
+    #[test]
     fn inconsistent_attribution_is_detected() {
-        // Child claims more pages than the parent observed.
-        let pm = PlanMetrics {
-            ops: vec![m("limit", 1, io(1, 0)), m("table-scan", 1, io(3, 0))],
-            children: vec![vec![1], vec![]],
-        };
-        assert_eq!(pm.self_io(0), None);
-        assert!(pm.validate().is_err());
+        // Child claims more than the parent observed — pages, or any
+        // other counter of the stream.
+        for (parent, child) in [
+            (charged(1, 0), charged(3, 0)),
+            (charged(3, 1), charged(3, 2)),
+        ] {
+            let pm = PlanMetrics {
+                ops: vec![m("limit", 1, parent), m("table-scan", 1, child)],
+                children: vec![vec![1], vec![]],
+            };
+            assert_eq!(pm.self_stats(0), None);
+            assert!(pm.validate().is_err());
+        }
     }
 
     #[test]
@@ -263,11 +392,11 @@ mod tests {
 
     #[test]
     fn worst_q_error_picks_largest_with_smallest_id_on_ties() {
-        let mut a = m("scan", 100, io(1, 0));
+        let mut a = m("scan", 100, charged(1, 0));
         a.est_rows = 100.0; // q = 1
-        let mut b = m("filter", 10, io(1, 0));
+        let mut b = m("filter", 10, charged(1, 0));
         b.est_rows = 40.0; // q = 4
-        let mut c = m("sort", 10, io(1, 0));
+        let mut c = m("sort", 10, charged(1, 0));
         c.est_rows = 40.0; // q = 4, ties with b -> b (smaller id) wins
         let pm = PlanMetrics {
             ops: vec![a, b, c],

@@ -15,21 +15,23 @@
 //!   instrumented runs, and a slow-query log entry whenever a query's
 //!   wall-clock time crosses [`ObsOptions::slow_query_threshold`].
 //!
-//! The registry's `session.io.*` counters are fed from the same
-//! [`IoStats`] values the query outputs report, as exact `u64`s — they
-//! reconcile to the summed per-query totals with no drift. The handle is
+//! Every execution counter in the registry — `session.io.*`, `sort.*`,
+//! `spill.*`, `pool.*`, `segment.*` — is fed from the same
+//! [`QueryOutput`] the caller gets, itself a copy of the finished
+//! [`ExecStats`](crate::ExecStats) stream, as exact `u64`s: they
+//! reconcile to the summed per-query totals with no drift, however many
+//! sessions record into the handle at once. The handle is
 //! `Arc`-shared: clones observe into the same registry, so one
 //! [`Observability`] can aggregate across many sessions (the REPL holds
 //! one for its whole lifetime).
 
 use fto_obs::{Registry, SlowQuery, SlowQueryLog, Trace};
 use fto_planner::PlannerStats;
-use fto_storage::IoStats;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::metrics::PlanMetrics;
-use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
+use crate::session::QueryOutput;
 
 /// Tuning knobs for an [`Observability`] handle.
 #[derive(Clone, Debug)]
@@ -145,35 +147,32 @@ impl Observability {
         }
     }
 
-    /// Records one query execution: session counters, exact I/O field
-    /// totals, sort-kernel work (`sort.key_bytes` / `sort.comparisons`,
-    /// the normalized-key codec's observables), spill and buffer-pool
-    /// work under a memory budget (`spill.*` / `pool.*`),
+    /// Records one query execution from its output: session counters,
+    /// exact I/O field totals, sort-kernel work (`sort.key_bytes` /
+    /// `sort.comparisons`, the normalized-key codec's observables), spill
+    /// and buffer-pool work under a memory budget (`spill.*` / `pool.*`),
     /// segmented-sort group formation (`segment.groups_formed`), the
-    /// latency/rows/pages histograms, and plan-quality feedback when
-    /// per-operator metrics are available: the `query.qerror` histogram
-    /// (worst per-operator Q-error, in hundredths — `150` = 1.5×),
-    /// `qerror.<op>` counters for operators past
+    /// latency/rows/pages histograms, and — when per-operator metrics are
+    /// available — the rows and batches each exchange worker produced
+    /// (`exec.worker_*`) and plan-quality feedback: the `query.qerror`
+    /// histogram (worst per-operator Q-error, in hundredths — `150` =
+    /// 1.5×), `qerror.<op>` counters for operators past
     /// [`ObsOptions::qerror_threshold`], and `session.misestimated`.
     ///
     /// A slow-query log entry is recorded when the query crosses the
     /// latency threshold **or** is misestimated — carrying the annotated
     /// plan, the worst-estimated operator, and the optimizer trace
     /// collected at plan time.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_execution(
         &self,
         sql: Option<&str>,
-        elapsed: Duration,
-        rows: u64,
-        io: &IoStats,
-        sort: &SortStats,
-        spill: &SpillStats,
-        segment: &SegmentStats,
+        out: &QueryOutput,
         plan_text: &str,
         trace: Option<&Trace>,
         metrics: Option<&PlanMetrics>,
     ) {
+        let (io, sort, spill, segment) = (&out.io, &out.sort, &out.spill, &out.segment);
+        let (elapsed, rows) = (out.elapsed, out.num_rows() as u64);
         let r = &self.inner.registry;
         r.inc("session.queries");
         r.add("session.rows", rows);
@@ -222,6 +221,10 @@ impl Observability {
                 if op.rows_q_error() >= self.inner.opts.qerror_threshold {
                     r.inc(&format!("qerror.{}", op.name));
                 }
+                for w in &op.workers {
+                    r.add("exec.worker_rows", w.rows);
+                    r.add("exec.worker_batches", w.batches);
+                }
             }
         }
         let misestimated = worst
@@ -250,18 +253,6 @@ impl Observability {
             });
         }
     }
-
-    /// Records per-worker attribution from an instrumented execution:
-    /// rows and batches each exchange worker produced.
-    pub fn record_workers(&self, metrics: &PlanMetrics) {
-        let r = &self.inner.registry;
-        for op in &metrics.ops {
-            for w in &op.workers {
-                r.add("exec.worker_rows", w.rows);
-                r.add("exec.worker_batches", w.batches);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,30 +274,17 @@ mod tests {
             slow_query_threshold: Duration::from_millis(5),
             ..ObsOptions::default()
         });
-        let io = IoStats::default();
-        let sort = SortStats::default();
-        let spill = SpillStats::default();
-        let segment = SegmentStats::default();
+        let (fast, slow) = (Duration::from_millis(1), Duration::from_millis(9));
         obs.record_execution(
             Some("select 1"),
-            Duration::from_millis(1),
-            1,
-            &io,
-            &sort,
-            &spill,
-            &segment,
+            &QueryOutput::stub(fast, 1),
             "p",
             None,
             None,
         );
         obs.record_execution(
             Some("select 2"),
-            Duration::from_millis(9),
-            1,
-            &io,
-            &sort,
-            &spill,
-            &segment,
+            &QueryOutput::stub(slow, 1),
             "p",
             None,
             None,
@@ -316,6 +294,31 @@ mod tests {
         assert!(obs
             .metrics_snapshot()
             .contains("counter session.slow_queries 1"));
+    }
+
+    #[test]
+    fn worker_attribution_is_recorded_with_the_execution() {
+        use crate::metrics::{OpMetrics, WorkerOpMetrics};
+        let worker = |rows, batches| WorkerOpMetrics {
+            rows,
+            batches,
+            ..WorkerOpMetrics::default()
+        };
+        let pm = PlanMetrics {
+            ops: vec![OpMetrics {
+                name: "sort".to_string(),
+                workers: vec![worker(30, 2), worker(12, 1)],
+                ..OpMetrics::default()
+            }],
+            children: vec![vec![]],
+        };
+        let obs = Observability::default();
+        let out = QueryOutput::stub(Duration::from_micros(10), 42);
+        obs.record_execution(None, &out, "p", None, Some(&pm));
+        obs.record_execution(None, &out, "p", None, None);
+        assert_eq!(obs.registry().counter("exec.worker_rows"), 42);
+        assert_eq!(obs.registry().counter("exec.worker_batches"), 3);
+        assert_eq!(obs.registry().counter("session.queries"), 2);
     }
 
     #[test]
@@ -335,18 +338,9 @@ mod tests {
             }],
             children: vec![vec![]],
         };
-        obs.record_execution(
-            Some("select misjudged"),
-            Duration::from_micros(10),
-            50,
-            &IoStats::default(),
-            &SortStats::default(),
-            &SpillStats::default(),
-            &SegmentStats::default(),
-            "p",
-            None,
-            Some(&pm),
-        );
+        let out = QueryOutput::stub(Duration::from_micros(10), 50);
+        obs.record_execution(Some("select misjudged"), &out, "p", None, Some(&pm));
+        assert!(obs.metrics_snapshot().contains("counter session.rows 50"));
         assert_eq!(obs.slow_log().total_recorded(), 1);
         let text = obs.slow_log().render();
         assert!(

@@ -10,7 +10,7 @@
 //! drives it over a deterministic scan partition
 //! ([`fto_storage::HeapScanState::partition`] /
 //! [`fto_storage::IndexScanState::open_partition`]), and charges a
-//! private [`IoStats`] that the coordinator merges into the session
+//! private [`ExecStats`] that the coordinator merges into the session
 //! stream in partition order. Page/leaf-aligned partitions charge exactly
 //! the pages a serial scan charges, so session totals — and the
 //! [`crate::metrics::PlanMetrics`] exact-rollup invariant — are preserved
@@ -42,13 +42,12 @@
 //! early-termination behavior above them is unchanged. A segmented sort
 //! streams group by group and therefore never lowers to an exchange.
 
-use crate::metrics::{OpMetrics, WorkerOpMetrics};
-use crate::sortkernel::{gather_rows, merge_runs, Run, SortBuf, SortKeys};
+use crate::metrics::{ExecStats, OpMetrics, WorkerOpMetrics};
+use crate::sortkernel::{gather_rows, merge_runs, Run, SortBuf, SortKeys, SortStats};
 use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, ExecOptions, Operator};
 use fto_common::Result;
 use fto_obs::profile;
 use fto_planner::Plan;
-use fto_storage::IoStats;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -66,11 +65,11 @@ pub(crate) struct PartitionSpec {
     pub base_id: usize,
 }
 
-/// One worker's result: the finished payload plus its private I/O stream
-/// and drive statistics.
+/// One worker's result: the finished payload plus its private accounting
+/// stream and drive statistics.
 struct WorkerRun<T> {
     out: T,
-    io: IoStats,
+    stats: ExecStats,
     batches: u64,
     elapsed: Duration,
 }
@@ -116,7 +115,7 @@ fn on_workers<T: Send>(
 /// Runs the spec's subtree over all partitions: worker `k` drains
 /// partition `k` as column batches and then applies `finish` (e.g.
 /// sorting them into a run) before returning. A worker's private
-/// `IoStats` captures everything it charged — including whatever
+/// `ExecStats` captures everything it charged — including whatever
 /// `finish` adds — so the coordinator can merge the streams in a
 /// deterministic order.
 fn run_partitions<T, F>(
@@ -126,7 +125,7 @@ fn run_partitions<T, F>(
 ) -> Result<Vec<WorkerRun<T>>>
 where
     T: Send,
-    F: Fn(Vec<Batch>, &mut IoStats) -> T + Sync,
+    F: Fn(Vec<Batch>, &mut ExecStats) -> T + Sync,
 {
     let parts = spec.parts;
     // Workers rebuild their own contexts from plain copies of the
@@ -155,19 +154,19 @@ where
                     profiler: None,
                 },
             );
-            let mut wio = IoStats::new();
+            let mut stats = ExecStats::default();
             let mut op = lower_worker(&spec.plan, part, parts, spec.slots.clone(), spec.base_id)?;
-            op.open(&wcx, &mut wio)?;
+            op.open(&wcx, &mut stats)?;
             let mut pulled = Vec::new();
-            while let Some(batch) = op.next_batch(&wcx, &mut wio)? {
+            while let Some(batch) = op.next_batch(&wcx, &mut stats)? {
                 pulled.push(batch);
             }
             op.close();
             let batches = pulled.len() as u64;
-            let out = finish(pulled, &mut wio);
+            let out = finish(pulled, &mut stats);
             Ok(WorkerRun {
                 out,
-                io: wio,
+                stats,
                 batches,
                 elapsed: started.elapsed(),
             })
@@ -194,7 +193,7 @@ fn record_workers(slot: &SlotRef, workers: Vec<WorkerOpMetrics>) {
 /// hash group-by inputs).
 ///
 /// The gather deliberately has no metric slot of its own: the workers'
-/// wrappers record rows/batches/I/O into the exchanged subtree's slots,
+/// wrappers record rows/batches/counters into the exchanged subtree's slots,
 /// and their per-worker breakdown lands on the subtree root's
 /// [`OpMetrics::workers`].
 pub(crate) struct GatherOp {
@@ -212,16 +211,16 @@ impl GatherOp {
 }
 
 impl Operator for GatherOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         let runs = run_partitions(cx, &self.spec, |batches, _| batches)?;
         let mut workers = Vec::with_capacity(runs.len());
         self.out.clear();
         for run in runs {
-            io.merge(&run.io);
+            stats.merge(&run.stats);
             workers.push(WorkerOpMetrics {
                 rows: run.out.iter().map(|b| b.len() as u64).sum(),
                 batches: run.batches,
-                io: run.io,
+                stats: run.stats,
                 elapsed: run.elapsed,
             });
             run.out.into_iter().for_each(|b| self.out.push(b));
@@ -235,7 +234,7 @@ impl Operator for GatherOp {
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
         if self.out.is_empty() {
             return Ok(None);
         }
@@ -262,12 +261,14 @@ pub(crate) enum SortSource {
 
 /// Orders every `parts`-th row of `batches` starting at row `part` —
 /// `(0, 1)` is all of them — under `keys` into a run tagged with the
-/// rows' positions in `batches`, cut to the first `limit` rows.
+/// rows' positions in `batches`, cut to the first `limit` rows. Adds the
+/// sort's work to `stats`.
 pub(crate) fn sort_run(
     batches: &[Batch],
     keys: &SortKeys,
     limit: Option<usize>,
     (part, parts): (u64, u64),
+    stats: &mut SortStats,
 ) -> Run {
     let mut buf = SortBuf::default();
     let mut base = 0u64;
@@ -281,7 +282,7 @@ pub(crate) fn sort_run(
         }
         base += batch.len() as u64;
     }
-    buf.run(&buf.ordered(limit))
+    buf.run(&buf.ordered(limit, stats))
 }
 
 /// The parallel order enforcer for a full (no satisfied prefix) sort or
@@ -320,7 +321,7 @@ impl SortExchangeOp {
 }
 
 impl Operator for SortExchangeOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         let (keys, limit) = (&self.keys, self.limit);
         let mut workers = Vec::new();
         let mut runs = Vec::new();
@@ -329,21 +330,22 @@ impl Operator for SortExchangeOp {
                 // Each worker sorts its run inside the thread — the
                 // parallel half of the work — tagging by local position;
                 // a full sort charges the run to `sort_rows` there.
-                let sorted = run_partitions(cx, spec, |batches, wio| {
+                let sorted = run_partitions(cx, spec, |batches, wstats| {
                     let drained: u64 = batches.iter().map(|b| b.len() as u64).sum();
                     if limit.is_none() {
-                        wio.sort_rows += drained;
+                        wstats.io.sort_rows += drained;
                     }
-                    (sort_run(&batches, keys, limit, (0, 1)), drained)
+                    let run = sort_run(&batches, keys, limit, (0, 1), &mut wstats.sort);
+                    (run, drained)
                 })?;
                 let mut base = 0u64;
                 for worker in sorted {
-                    io.merge(&worker.io);
+                    stats.merge(&worker.stats);
                     let (mut run, drained) = worker.out;
                     workers.push(WorkerOpMetrics {
                         rows: run.seqs.len() as u64,
                         batches: worker.batches,
-                        io: worker.io,
+                        stats: worker.stats,
                         elapsed: worker.elapsed,
                     });
                     // Rebase local tags onto the partition's serial interval.
@@ -354,27 +356,31 @@ impl Operator for SortExchangeOp {
             }
             SortSource::RoundRobin { child, parts } => {
                 let parts = *parts as u64;
-                child.open(cx, io)?;
+                child.open(cx, stats)?;
                 let mut batches = Vec::new();
-                while let Some(batch) = child.next_batch(cx, io)? {
+                while let Some(batch) = child.next_batch(cx, stats)? {
                     if limit.is_none() {
-                        io.sort_rows += batch.len() as u64;
+                        stats.io.sort_rows += batch.len() as u64;
                     }
                     batches.push(batch);
                 }
                 child.close();
                 let sorted = on_workers(cx, parts as usize, ("bucket-sort", "bucket"), |part| {
                     let started = Instant::now();
-                    let run = sort_run(&batches, keys, limit, (part as u64, parts));
-                    (run, started.elapsed())
+                    let mut wstats = ExecStats::default();
+                    let bucket = (part as u64, parts);
+                    let run = sort_run(&batches, keys, limit, bucket, &mut wstats.sort);
+                    (run, wstats, started.elapsed())
                 });
                 // Bucket sorts touch no pages and pull no batches; only
-                // rows and sort time are meaningful per worker here.
-                for (run, elapsed) in sorted {
+                // rows, sort work and sort time are meaningful per worker
+                // here.
+                for (run, wstats, elapsed) in sorted {
+                    stats.merge(&wstats);
                     workers.push(WorkerOpMetrics {
                         rows: run.seqs.len() as u64,
                         batches: 0,
-                        io: IoStats::new(),
+                        stats: wstats,
                         elapsed,
                     });
                     runs.push(run);
@@ -384,18 +390,18 @@ impl Operator for SortExchangeOp {
         record_workers(&self.own_slot, workers);
         // A worker that drew no rows has no columns to gather from.
         runs.retain(|r| !r.seqs.is_empty());
-        self.merged = merge_runs(&runs, limit);
+        self.merged = merge_runs(&runs, limit, &mut stats.sort);
         if limit.is_some() {
             // A top-N charges what the serial operator charges: the
             // surviving prefix.
-            io.sort_rows += self.merged.len() as u64;
+            stats.io.sort_rows += self.merged.len() as u64;
         }
         self.runs = runs.into_iter().map(|r| r.batch).collect();
         self.pos = 0;
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
         if self.pos >= self.merged.len() {
             return Ok(None);
         }

@@ -18,7 +18,7 @@
 use crate::interp::run_plan_materialized;
 use crate::metrics::PlanMetrics;
 use crate::obs::Observability;
-use crate::sortkernel::{self, SegmentStats, SortStats, SpillStats};
+use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
 use crate::stream::{execute_plan, execute_plan_instrumented, Batch, ExecOptions, StreamResult};
 use fto_common::{Result, Row};
 use fto_obs::{ExecutionProfile, Profiler, Trace, TraceGuard};
@@ -313,22 +313,14 @@ impl PreparedQuery<'_> {
         if self.obs.is_some() {
             return self.execute_instrumented().map(|(out, _)| out);
         }
-        let before = sortkernel::stats_snapshot();
-        let spill_before = sortkernel::spill_stats_snapshot();
-        let segment_before = sortkernel::segment_stats_snapshot();
         let result = execute_plan(self.db, &self.graph, &self.plan, &self.exec_options())?;
-        Ok(self.wrap(
-            result,
-            sortkernel::stats_snapshot().delta_since(before),
-            sortkernel::spill_stats_snapshot().delta_since(spill_before),
-            sortkernel::segment_stats_snapshot().delta_since(segment_before),
-        ))
+        Ok(self.wrap(result))
     }
 
     /// [`PreparedQuery::execute`] with per-operator instrumentation:
     /// alongside the normal output, returns a [`PlanMetrics`] recording
-    /// rows/batches, [`IoStats`] deltas, and elapsed time per plan node
-    /// (pre-order ids, root = 0). The rows and session totals are
+    /// rows/batches, [`crate::ExecStats`] deltas, and elapsed time per plan
+    /// node (pre-order ids, root = 0). The rows and session totals are
     /// identical to the uninstrumented path. Recorded into the attached
     /// observability handle, if any.
     pub fn execute_instrumented(&self) -> Result<(QueryOutput, PlanMetrics)> {
@@ -353,32 +345,18 @@ impl PreparedQuery<'_> {
         &self,
         profiler: Option<Profiler>,
     ) -> Result<(QueryOutput, PlanMetrics)> {
-        let before = sortkernel::stats_snapshot();
-        let spill_before = sortkernel::spill_stats_snapshot();
-        let segment_before = sortkernel::segment_stats_snapshot();
         let mut opts = self.exec_options();
         opts.profiler = profiler;
         let (result, metrics) = execute_plan_instrumented(self.db, &self.graph, &self.plan, &opts)?;
-        let out = self.wrap(
-            result,
-            sortkernel::stats_snapshot().delta_since(before),
-            sortkernel::spill_stats_snapshot().delta_since(spill_before),
-            sortkernel::segment_stats_snapshot().delta_since(segment_before),
-        );
+        let out = self.wrap(result);
         if let Some(obs) = &self.obs {
             obs.record_execution(
                 self.sql.as_deref(),
-                out.elapsed,
-                out.num_rows() as u64,
-                &out.io,
-                &out.sort,
-                &out.spill,
-                &out.segment,
+                &out,
                 &self.explain(),
                 self.trace.as_ref(),
                 Some(&metrics),
             );
-            obs.record_workers(&metrics);
         }
         Ok((out, metrics))
     }
@@ -390,9 +368,7 @@ impl PreparedQuery<'_> {
     /// observability registry: its I/O model would skew the `session.io`
     /// totals that reconcile against the streaming engine.
     pub fn execute_materialized(&self) -> Result<QueryOutput> {
-        let before = sortkernel::stats_snapshot();
         let result = run_plan_materialized(self.db, &self.graph, &self.plan)?;
-        let sort = sortkernel::stats_snapshot().delta_since(before);
         let batches = if result.rows.is_empty() {
             Vec::new()
         } else {
@@ -406,31 +382,28 @@ impl PreparedQuery<'_> {
             io: result.io,
             planner: self.planner,
             elapsed: result.elapsed,
-            sort,
-            // The reference interpreter ignores the budget (it exists to
-            // check rows, not memory), so it never spills — and it full-
-            // sorts segmented enforcers, so it never forms groups.
+            // The reference interpreter exists to check rows: its sorts
+            // compare `Value`s and count nothing, it ignores the budget, so
+            // it never spills — and it full-sorts segmented enforcers, so
+            // it never forms groups.
+            sort: SortStats::default(),
             spill: SpillStats::default(),
             segment: SegmentStats::default(),
         })
     }
 
-    fn wrap(
-        &self,
-        result: StreamResult,
-        sort: SortStats,
-        spill: SpillStats,
-        segment: SegmentStats,
-    ) -> QueryOutput {
+    /// The output of a streaming execution: its counters are copied out
+    /// of the finished accounting stream.
+    fn wrap(&self, result: StreamResult) -> QueryOutput {
         QueryOutput {
             batches: result.batches,
             rows_cache: OnceLock::new(),
-            io: result.io,
+            io: result.stats.io,
             planner: self.planner,
             elapsed: result.elapsed,
-            sort,
-            spill,
-            segment,
+            sort: result.stats.sort,
+            spill: result.stats.spill,
+            segment: result.stats.segment,
         }
     }
 
@@ -487,8 +460,9 @@ impl PreparedQuery<'_> {
             self.plan
                 .explain_annotated(&|c| registry.name(c).to_string(), &|id, node| {
                     let m = &metrics.ops[id];
-                    match metrics.self_io(id) {
-                        Some(s) => {
+                    match metrics.self_stats(id) {
+                        Some(own) => {
+                            let s = own.io;
                             let mut note = format!(
                                 "est: rows={:.0} | actual: rows={} batches={} | q-err={:.2} | \
                          self pages: seq={} rand={} index={} \
@@ -508,7 +482,7 @@ impl PreparedQuery<'_> {
                                 let _ = write!(
                                     note,
                                     " | groups est={est_groups} act={}",
-                                    m.segment_groups
+                                    own.segment.groups_formed
                                 );
                             }
                             if s.spill_pages_written + s.spill_pages_read > 0 {
@@ -594,6 +568,25 @@ impl PreparedQuery<'_> {
 mod tests {
     use super::*;
 
+    impl QueryOutput {
+        /// The output of a query that took `elapsed` to return `rows`
+        /// one-column rows and counted nothing — for tests that record
+        /// outputs without running anything.
+        pub(crate) fn stub(elapsed: Duration, rows: usize) -> QueryOutput {
+            let row: Row = vec![fto_common::Value::Int(0)].into();
+            QueryOutput {
+                batches: vec![Batch::from_rows(&vec![row; rows])],
+                rows_cache: OnceLock::new(),
+                io: IoStats::default(),
+                planner: PlannerStats::default(),
+                elapsed,
+                sort: SortStats::default(),
+                spill: SpillStats::default(),
+                segment: SegmentStats::default(),
+            }
+        }
+    }
+
     fn db() -> Database {
         let mut cat = fto_catalog::Catalog::new();
         let t = cat
@@ -658,7 +651,8 @@ mod tests {
         assert!(text.contains("totals:"), "{text}");
         let (out, metrics) = q.execute_instrumented().unwrap();
         assert!(metrics.validate().is_ok(), "{:?}", metrics.validate());
-        assert_eq!(metrics.total_io(), out.io);
+        assert_eq!(metrics.total().io, out.io);
+        assert_eq!(metrics.total().sort, out.sort);
         assert_eq!(out.num_rows(), 5);
     }
 

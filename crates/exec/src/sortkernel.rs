@@ -30,75 +30,46 @@
 //! exchange coordinator and what a spilled run group decodes to;
 //! [`least_head`] is the K-way merge step over either.
 //!
-//! The kernel keeps process-wide `sort.key_bytes` / `sort.comparisons`
-//! tallies (see [`stats_snapshot`]); sessions snapshot them around each
-//! execution and feed the deltas to the metrics registry.
+//! # Counters
+//!
+//! The kernel owns no counter. [`SortStats`] (key bytes encoded,
+//! comparisons made), [`SpillStats`] and [`SegmentStats`] are plain
+//! fields of the [`ExecStats`](crate::metrics::ExecStats) stream that
+//! every [`Operator`](crate::stream::Operator) call threads, next to the
+//! [`IoStats`](fto_storage::IoStats) it has always carried: an enforcer
+//! adds into the stream it was handed, an exchange worker into its
+//! private one (merged back in partition order), and the two entry points
+//! that run below any operator — [`SortBuf::ordered`] and [`merge_runs`] —
+//! take the `&mut SortStats` to add into, the way [`least_head`] takes
+//! `&mut cmps`. So a query's counts are its own whatever else the process
+//! is running. Until PR 18 they were five process-wide atomics that
+//! sessions snapshotted around each execution, and a 20 000-row spilling
+//! sort (`order by dept, salary desc` under 64 KiB) that alone reported
+//! 506 668 key bytes / 414 687 comparisons / 41 runs / 2 merge passes
+//! reported exactly double, 1 013 336 / 829 374 / 82 / 4, from *each* of
+//! two sessions running it at once —
+//! `tests/observability.rs::concurrent_sessions_report_their_own_work`
+//! holds the rule.
 
 use fto_common::column::{encode_batch_keys_arena, Batch, Column, ColumnData};
 use fto_common::{Direction, FtoError, Result, Row, Value};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
-use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::Arc;
 
-/// Cumulative count of normalized-key bytes encoded by sort operations
-/// in this process.
-static KEY_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Cumulative count of key comparisons made by sort/merge operations in
-/// this process (byte-string comparisons in the executor's sorts, `Value`
-/// comparisons in the interpreter's; radix-distributed rows add none).
-static COMPARISONS: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of (or delta between) the kernel's process-wide counters.
+/// Sort-kernel work of one execution (or of one operator's share of it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SortStats {
-    /// Normalized-key bytes encoded (decorations, including seq tags).
+    /// Normalized-key bytes ordered (decorations, including seq tags).
     pub key_bytes: u64,
-    /// Key comparisons performed by sorts, selections, and run merges.
+    /// Key comparisons performed by sorts, selections, and run merges
+    /// (byte-string comparisons; radix-distributed rows add none).
     pub comparisons: u64,
 }
 
-impl SortStats {
-    /// The counters accumulated since `earlier` (saturating).
-    pub fn delta_since(&self, earlier: SortStats) -> SortStats {
-        SortStats {
-            key_bytes: self.key_bytes.saturating_sub(earlier.key_bytes),
-            comparisons: self.comparisons.saturating_sub(earlier.comparisons),
-        }
-    }
-}
-
-/// Reads the kernel's cumulative process-wide counters. Concurrent
-/// sessions share them; callers wanting per-query numbers snapshot
-/// before and after and take [`SortStats::delta_since`].
-pub fn stats_snapshot() -> SortStats {
-    SortStats {
-        key_bytes: KEY_BYTES.load(AtomicOrd::Relaxed),
-        comparisons: COMPARISONS.load(AtomicOrd::Relaxed),
-    }
-}
-
-/// Adds to the process-wide tallies — called once per sort/merge, not
-/// once per comparison (comparators count locally in a [`Cell`]).
-pub(crate) fn charge(key_bytes: u64, comparisons: u64) {
-    if key_bytes != 0 {
-        KEY_BYTES.fetch_add(key_bytes, AtomicOrd::Relaxed);
-    }
-    if comparisons != 0 {
-        COMPARISONS.fetch_add(comparisons, AtomicOrd::Relaxed);
-    }
-}
-
-/// Cumulative count of spilled sort/group-by runs formed in this process.
-static SPILL_RUNS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative count of external-merge passes (one per level of the
-/// multi-pass K-way merge, counted once per level, not per run).
-static MERGE_PASSES: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of (or delta between) the process-wide external-operator
-/// counters — the "actual" side of the cost model's spill estimate.
+/// External-operator work of one execution — the "actual" side of the
+/// cost model's spill estimate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Sorted runs (or hash partitions) spilled to a spill file.
@@ -109,79 +80,12 @@ pub struct SpillStats {
     pub merge_passes: u64,
 }
 
-impl SpillStats {
-    /// The counters accumulated since `earlier` (saturating).
-    pub fn delta_since(&self, earlier: SpillStats) -> SpillStats {
-        SpillStats {
-            runs_formed: self.runs_formed.saturating_sub(earlier.runs_formed),
-            merge_passes: self.merge_passes.saturating_sub(earlier.merge_passes),
-        }
-    }
-}
-
-/// Reads the cumulative process-wide spill counters; snapshot-and-delta
-/// per query like [`stats_snapshot`].
-pub fn spill_stats_snapshot() -> SpillStats {
-    SpillStats {
-        runs_formed: SPILL_RUNS.load(AtomicOrd::Relaxed),
-        merge_passes: MERGE_PASSES.load(AtomicOrd::Relaxed),
-    }
-}
-
-/// Records `n` spilled runs (or partitions) formed. Doubles as a
-/// timeline hook: when the calling thread has a profiler lane installed
-/// the event lands in the execution timeline too.
-pub(crate) fn note_spill_runs(n: u64) {
-    if n != 0 {
-        SPILL_RUNS.fetch_add(n, AtomicOrd::Relaxed);
-        fto_obs::profile::instant("spill", || format!("spill.runs_formed x{n}"));
-    }
-}
-
-/// Records one external merge pass (also a timeline instant, like
-/// [`note_spill_runs`]).
-pub(crate) fn note_merge_pass() {
-    MERGE_PASSES.fetch_add(1, AtomicOrd::Relaxed);
-    fto_obs::profile::instant("spill", || "spill.merge_pass".to_string());
-}
-
-/// Cumulative count of prefix groups formed by segmented (partial) sort
-/// operators in this process.
-static SEGMENT_GROUPS: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of (or delta between) the process-wide segmented-sort
-/// counters.
+/// Segmented (partial) sort work of one execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Prefix groups formed (each one is sorted independently on the
     /// residual suffix keys).
     pub groups_formed: u64,
-}
-
-impl SegmentStats {
-    /// The counters accumulated since `earlier` (saturating).
-    pub fn delta_since(&self, earlier: SegmentStats) -> SegmentStats {
-        SegmentStats {
-            groups_formed: self.groups_formed.saturating_sub(earlier.groups_formed),
-        }
-    }
-}
-
-/// Reads the cumulative process-wide segmented-sort counters;
-/// snapshot-and-delta per query like [`stats_snapshot`].
-pub fn segment_stats_snapshot() -> SegmentStats {
-    SegmentStats {
-        groups_formed: SEGMENT_GROUPS.load(AtomicOrd::Relaxed),
-    }
-}
-
-/// Records `n` prefix groups formed by a segmented sort (also a
-/// timeline instant, like [`note_spill_runs`]).
-pub(crate) fn note_segment_groups(n: u64) {
-    if n != 0 {
-        SEGMENT_GROUPS.fetch_add(n, AtomicOrd::Relaxed);
-        fto_obs::profile::instant("segment", || "segment.group_sealed".to_string());
-    }
 }
 
 /// Resolved sort keys: (position in the row, direction) per key column.
@@ -227,12 +131,7 @@ pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
         .into_iter()
         .map(|row| (extract(&row, keys), row))
         .collect();
-    let cmps = Cell::new(0u64);
-    decorated.sort_by(|a, b| {
-        cmps.set(cmps.get() + 1);
-        cmp_extracted(&a.0, &b.0, keys)
-    });
-    charge(0, cmps.get());
+    decorated.sort_by(|a, b| cmp_extracted(&a.0, &b.0, keys));
     *rows = decorated.into_iter().map(|(_, row)| row).collect();
 }
 
@@ -250,9 +149,7 @@ pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
         .enumerate()
         .map(|(pos, row)| (extract(&row, keys), pos, row))
         .collect();
-    let cmps = Cell::new(0u64);
     let cmp = |a: &(Box<[Value]>, usize, Row), b: &(Box<[Value]>, usize, Row)| {
-        cmps.set(cmps.get() + 1);
         cmp_extracted(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
     };
     if decorated.len() > n {
@@ -262,7 +159,6 @@ pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
     // The position makes the order total, so an unstable sort is
     // deterministic.
     decorated.sort_unstable_by(cmp);
-    charge(0, cmps.get());
     decorated.into_iter().map(|(_, _, row)| row).collect()
 }
 
@@ -377,7 +273,8 @@ impl SortBuf {
 
     /// The buffer's indices in `(key, tag)` order — the stable sort — cut
     /// to the first `limit`, which are selected before they are sorted.
-    pub(crate) fn ordered(&self, limit: Option<usize>) -> Vec<u32> {
+    /// Adds what it ordered and compared to `stats`.
+    pub(crate) fn ordered(&self, limit: Option<usize>, stats: &mut SortStats) -> Vec<u32> {
         let keys = &self.keys;
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         let mut cmps = 0u64;
@@ -402,7 +299,8 @@ impl SortBuf {
             _ => perm.sort_unstable_by(by_key),
         }
         // What was ordered: every key plus its 8-byte tag.
-        charge((keys.bytes.len() + 8 * self.len()) as u64, cmps);
+        stats.key_bytes += (keys.bytes.len() + 8 * self.len()) as u64;
+        stats.comparisons += cmps;
         perm
     }
 
@@ -509,23 +407,27 @@ pub(crate) fn least_head<'a>(
 /// K-way merges runs into one stream ordered by `(key, seq)`, stopping
 /// after `limit` rows: output row `j` is row `.1` of run `.0`. Given runs
 /// that sorted disjoint pieces of one serial input and are tagged
-/// consistently with its order, this is that input's stable sort.
-pub(crate) fn merge_runs(runs: &[Run], limit: Option<usize>) -> Vec<(u32, u32)> {
+/// consistently with its order, this is that input's stable sort. Adds
+/// its comparisons to `stats`.
+pub(crate) fn merge_runs(
+    runs: &[Run],
+    limit: Option<usize>,
+    stats: &mut SortStats,
+) -> Vec<(u32, u32)> {
     let total: usize = runs.iter().map(|r| r.seqs.len()).sum();
     let want = limit.map_or(total, |n| n.min(total));
     let mut at = vec![0usize; runs.len()];
     let mut out = Vec::with_capacity(want);
-    let mut cmps = 0u64;
     while out.len() < want {
         let heads = runs
             .iter()
             .zip(&at)
             .map(|(r, &i)| (i < r.seqs.len()).then(|| (r.keys.get(i), r.seqs[i])));
-        let k = least_head(heads, &mut cmps).expect("fewer rows merged than the runs hold");
+        let k = least_head(heads, &mut stats.comparisons)
+            .expect("fewer rows merged than the runs hold");
         out.push((k as u32, at[k] as u32));
         at[k] += 1;
     }
-    charge(0, cmps);
     out
 }
 
@@ -582,7 +484,7 @@ mod tests {
     ) -> Run {
         let mut buf = SortBuf::default();
         buf.push_batch(&Batch::from_rows_arity(rows, 2), keys, seqs);
-        buf.run(&buf.ordered(limit))
+        buf.run(&buf.ordered(limit, &mut SortStats::default()))
     }
 
     fn rows_of(batch: &Batch) -> Vec<Row> {
@@ -599,7 +501,8 @@ mod tests {
     /// The K-way merge of `runs`, as rows.
     fn merged(runs: &[Run], limit: Option<usize>) -> Vec<Row> {
         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
-        rows_of(&gather_rows(&sources, &merge_runs(runs, limit)))
+        let merged = merge_runs(runs, limit, &mut SortStats::default());
+        rows_of(&gather_rows(&sources, &merged))
     }
 
     /// Runs over `parts` contiguous pieces of `input`, tagged locally and
@@ -759,11 +662,8 @@ mod tests {
         let mut legacy: Vec<Row> = (0..4096)
             .map(|_| row(&[rng.range_i64(-8, 8), rng.range_i64(0, 4)]))
             .collect();
-        let before = stats_snapshot();
         let codec = kernel_sort(&legacy, &keys);
         let top = rows_of(&run_of(&legacy, 0.., &keys, Some(1500)).batch);
-        let delta = stats_snapshot().delta_since(before);
-        assert!(delta.key_bytes >= 4096 * 30, "encoded {delta:?}");
         sort_rows(&mut legacy, &keys);
         assert_eq!(codec, legacy);
         assert_eq!(top, legacy[..1500]);
@@ -816,17 +716,28 @@ mod tests {
 
     #[test]
     fn stats_counters_accumulate() {
+        // 100 rows under a one-Int key: 11 key bytes + the 8-byte tag per
+        // row, exactly, and only into the stats handed in. Below 64 rows
+        // the fixed-width keys are compared, above they are distributed
+        // first (fewer comparisons than rows·log rows, never none here:
+        // eleven values share each radix bucket).
         let keys = keys_from(&[(0, Direction::Asc)]);
-        let before = stats_snapshot();
-        let mut rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        kernel_sort(&rows, &keys);
-        let after = stats_snapshot();
-        let delta = after.delta_since(before);
-        assert!(delta.key_bytes > 0, "kernel sort must record key bytes");
-        assert!(delta.comparisons > 0, "kernel sort counts compares");
-        sort_rows(&mut rows, &keys);
-        let legacy_delta = stats_snapshot().delta_since(after);
-        assert!(legacy_delta.comparisons > 0, "legacy sort counts compares");
+        let rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
+        let mut buf = SortBuf::default();
+        buf.push_batch(&Batch::from_rows_arity(&rows, 2), &keys, 0..);
+        let (mut stats, mut again) = (SortStats::default(), SortStats::default());
+        let perm = buf.ordered(None, &mut stats);
+        assert_eq!(stats.key_bytes, 100 * (11 + 8));
+        assert!(stats.comparisons > 0, "ties within a bucket are compared");
+        assert_eq!(buf.ordered(None, &mut again), perm);
+        assert_eq!(again, stats, "the same sort counts the same work");
+        // A merge encodes nothing and compares one head pair per row but
+        // the last run's leftovers.
+        let runs = contiguous_runs(&rows, 2, &keys, None);
+        let mut merge = SortStats::default();
+        assert_eq!(merge_runs(&runs, None, &mut merge).len(), 100);
+        assert_eq!(merge.key_bytes, 0);
+        assert!((50..100).contains(&merge.comparisons), "{merge:?}");
     }
 
     #[test]
@@ -837,7 +748,7 @@ mod tests {
             run_of(&[row(&[1, 0]), row(&[3, 1])], 0.., &keys, None),
             run_of(&[row(&[2, 2])], 2.., &keys, None),
         ];
-        let got: Vec<i64> = merge_runs(&runs, None)
+        let got: Vec<i64> = merge_runs(&runs, None, &mut SortStats::default())
             .iter()
             .map(|&(r, i)| runs[r as usize].batch.row(i as usize)[0].as_int().unwrap())
             .collect();

@@ -39,9 +39,9 @@
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable, NO_GROUP};
 use crate::extsort::{RunFormer, Sorted};
 use crate::interp::positions;
-use crate::metrics::{OpMetrics, PlanMetrics};
+use crate::metrics::{ExecStats, OpMetrics, PlanMetrics};
 use crate::parallel::{GatherOp, PartitionSpec, SlotRef, SortExchangeOp, SortSource};
-use crate::sortkernel::{self, resolve_keys, SortKeys};
+use crate::sortkernel::{resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
 use fto_common::{ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
@@ -63,16 +63,17 @@ use std::time::{Duration, Instant};
 /// [`Operator::next_batch`].
 pub use fto_common::column::Batch;
 
-/// Result of a streaming execution: the produced batches plus I/O and
-/// timing. The row-based reference engine keeps its own
-/// [`crate::interp::QueryResult`]; the differential suites hold the two
-/// bit-identical.
+/// Result of a streaming execution: the produced batches plus the
+/// finished accounting stream and timing. The row-based reference engine
+/// keeps its own [`crate::interp::QueryResult`]; the differential suites
+/// hold the two bit-identical.
 #[derive(Debug)]
 pub struct StreamResult {
     /// Output batches in emission order (none of them empty).
     pub batches: Vec<Batch>,
-    /// Simulated I/O charged during execution.
-    pub io: IoStats,
+    /// Everything charged during execution: simulated I/O and the sort,
+    /// spill and segmented-sort counters.
+    pub stats: ExecStats,
     /// Wall-clock execution time.
     pub elapsed: Duration,
 }
@@ -170,14 +171,16 @@ impl<'a> ExecContext<'a> {
 ///
 /// Lifecycle: `open` once, `next_batch` until it returns `Ok(None)`,
 /// then `close`. Operators own their children and drive them through the
-/// same protocol.
+/// same protocol, handing down the one [`ExecStats`] stream they were
+/// handed: whatever an operator counts — pages, sorted rows, comparisons,
+/// spilled runs — it adds there and nowhere else.
 pub trait Operator {
     /// Acquires resources and opens children. Pipeline breakers drain
     /// their input here, charging any buffering I/O (e.g. `sort_rows`).
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()>;
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()>;
 
     /// Produces the next non-empty batch, or `None` when exhausted.
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>>;
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>>;
 
     /// Releases buffered state. Called once; also safe to call early to
     /// abandon a partially consumed stream.
@@ -213,14 +216,6 @@ impl Default for ExecOptions {
     }
 }
 
-/// Lowers a plan to its streaming operator tree without running it.
-///
-/// Most callers want [`execute_plan`] (or [`crate::Session`]); this is
-/// exposed for drivers that consume batches incrementally.
-pub fn compile_pipeline(plan: &Plan) -> Result<Box<dyn Operator>> {
-    lower(plan)
-}
-
 /// Executes a plan to completion through the streaming executor.
 pub fn execute_plan(
     db: &Database,
@@ -228,26 +223,12 @@ pub fn execute_plan(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<StreamResult> {
-    let start = Instant::now();
-    let mut io = IoStats::new();
-    let cx = ExecContext::new(db, graph, opts);
-    let mut root = lower_impl(plan, &mut LowerCx::new(None, cx.threads))?;
-    root.open(&cx, &mut io)?;
-    let mut batches = Vec::new();
-    while let Some(batch) = root.next_batch(&cx, &mut io)? {
-        batches.push(batch);
-    }
-    root.close();
-    Ok(StreamResult {
-        batches,
-        io,
-        elapsed: start.elapsed(),
-    })
+    drive(db, graph, plan, opts, None)
 }
 
 /// [`execute_plan`] with per-operator instrumentation: every lowered
-/// operator is wrapped so that rows/batches produced, subtree-inclusive
-/// [`IoStats`] deltas, and elapsed time are recorded per plan node,
+/// operator is wrapped so that rows/batches produced, the subtree-inclusive
+/// [`ExecStats`] delta, and elapsed time are recorded per plan node,
 /// returned as a [`PlanMetrics`] alongside the normal result.
 ///
 /// Metric slots are indexed by the plan's pre-order node id (root = 0,
@@ -260,24 +241,8 @@ pub fn execute_plan_instrumented(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<(StreamResult, PlanMetrics)> {
-    let start = Instant::now();
-    let mut io = IoStats::new();
-    let cx = ExecContext::new(db, graph, opts);
-    // Lane 0 = the coordinator thread, for the lifetime of this
-    // execution. Workers install their own lanes (see crate::parallel).
-    let _lane = cx.profiler.as_ref().map(|p| p.install_lane("coordinator"));
     let slots = Arc::new(Mutex::new(Vec::new()));
-    let mut root = lower_impl(
-        plan,
-        &mut LowerCx::new(Some(Arc::clone(&slots)), cx.threads),
-    )?;
-    root.open(&cx, &mut io)?;
-    let mut batches = Vec::new();
-    while let Some(batch) = root.next_batch(&cx, &mut io)? {
-        batches.push(batch);
-    }
-    root.close();
-    drop(root);
+    let result = drive(db, graph, plan, opts, Some(Arc::clone(&slots)))?;
     let ops = Arc::try_unwrap(slots)
         .expect("all operator wrappers dropped")
         .into_inner()
@@ -286,14 +251,38 @@ pub fn execute_plan_instrumented(
         ops,
         children: preorder_children(plan),
     };
-    Ok((
-        StreamResult {
-            batches,
-            io,
-            elapsed: start.elapsed(),
-        },
-        metrics,
-    ))
+    Ok((result, metrics))
+}
+
+/// The one execution driver: lowers `plan` — wrapping every operator to
+/// record into `slots` when there are any — opens the root, drains it and
+/// closes it, threading one [`ExecStats`] through every call. The finished
+/// stream is the execution's totals.
+fn drive(
+    db: &Database,
+    graph: &QueryGraph,
+    plan: &Plan,
+    opts: &ExecOptions,
+    slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
+) -> Result<StreamResult> {
+    let start = Instant::now();
+    let mut stats = ExecStats::default();
+    let cx = ExecContext::new(db, graph, opts);
+    // Lane 0 = the coordinator thread, for the lifetime of this
+    // execution. Workers install their own lanes (see crate::parallel).
+    let _lane = cx.profiler.as_ref().map(|p| p.install_lane("coordinator"));
+    let mut root = lower_impl(plan, &mut LowerCx::new(slots, cx.threads))?;
+    root.open(&cx, &mut stats)?;
+    let mut batches = Vec::new();
+    while let Some(batch) = root.next_batch(&cx, &mut stats)? {
+        batches.push(batch);
+    }
+    root.close();
+    Ok(StreamResult {
+        batches,
+        stats,
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Direct-children ids per plan node under pre-order numbering — the
@@ -427,17 +416,17 @@ struct ScanOp {
 }
 
 impl Operator for ScanOp {
-    fn open(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
         let heap = cx.db.heap(self.table)?;
         self.state = HeapScanState::partition(heap, self.part, self.parts);
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
         let batch = cx.with_pool(|pool| {
             self.state
-                .next_columns_pooled(heap, cx.batch_size, io, pool)
+                .next_columns_pooled(heap, cx.batch_size, &mut stats.io, pool)
         });
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
@@ -456,7 +445,7 @@ struct IndexScanOp {
 }
 
 impl Operator for IndexScanOp {
-    fn open(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
         let ix = cx.db.index(self.index)?;
         let (lo, hi) = match &self.range {
             Some(ScanRange { lo, hi }) => (lo.as_ref(), hi.as_ref()),
@@ -481,7 +470,7 @@ impl Operator for IndexScanOp {
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let ix = cx.db.index(self.index)?;
         let heap = cx.db.heap(self.table)?;
         let state = self
@@ -493,7 +482,7 @@ impl Operator for IndexScanOp {
                 ix,
                 heap,
                 cx.batch_size,
-                io,
+                &mut stats.io,
                 pool,
                 fto_storage::index_leaf_tag(self.index),
             )
@@ -517,13 +506,13 @@ struct FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.child.open(cx, io)
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         loop {
-            let Some(batch) = self.child.next_batch(cx, io)? else {
+            let Some(batch) = self.child.next_batch(cx, stats)? else {
                 return Ok(None);
             };
             let sel = passing(cx, &self.predicates, &batch, &self.layout)?;
@@ -548,12 +537,12 @@ struct ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.child.open(cx, io)
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
-        let Some(batch) = self.child.next_batch(cx, io)? else {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+        let Some(batch) = self.child.next_batch(cx, stats)? else {
             return Ok(None);
         };
         Ok(Some(vector::project_batch(
@@ -574,18 +563,18 @@ struct LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.child.open(cx, io)
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             // Early termination: the child is never pulled again, so the
             // pages behind unproduced rows are never charged.
             self.child.close();
             return Ok(None);
         }
-        let Some(mut batch) = self.child.next_batch(cx, io)? else {
+        let Some(mut batch) = self.child.next_batch(cx, stats)? else {
             return Ok(None);
         };
         if batch.len() as u64 > self.remaining {
@@ -622,15 +611,15 @@ struct StreamDistinctOp {
 }
 
 impl Operator for StreamDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.last_key = None;
-        self.child.open(cx, io)
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         loop {
-            let Some(batch) = self.child.next_batch(cx, io)? else {
+            let Some(batch) = self.child.next_batch(cx, stats)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
@@ -672,16 +661,16 @@ struct HashDistinctOp {
 }
 
 impl Operator for HashDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.seen = GroupTable::new();
-        self.child.open(cx, io)
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         let (mut gids, mut sel) = (Vec::new(), Vec::new());
         loop {
-            let Some(batch) = self.child.next_batch(cx, io)? else {
+            let Some(batch) = self.child.next_batch(cx, stats)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
@@ -708,21 +697,21 @@ struct UnionAllOp {
 }
 
 impl Operator for UnionAllOp {
-    fn open(&mut self, _cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, _cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
         // Children open lazily, one at a time, as the union advances.
         self.current = 0;
         self.opened = false;
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         while self.current < self.children.len() {
             let child = &mut self.children[self.current];
             if !self.opened {
-                child.open(cx, io)?;
+                child.open(cx, stats)?;
                 self.opened = true;
             }
-            match child.next_batch(cx, io)? {
+            match child.next_batch(cx, stats)? {
                 Some(batch) => return Ok(Some(batch)),
                 None => {
                     child.close();
@@ -774,10 +763,6 @@ struct EnforceOp {
     /// Finished groups not yet emitted, in arrival order.
     out: VecDeque<Sorted>,
     input_done: bool,
-    /// This node's metric slot, when instrumented: the groups a segmented
-    /// sort finishes count into [`OpMetrics::segment_groups`] so EXPLAIN
-    /// ANALYZE can show the actual group count next to the estimate.
-    slot: SlotRef,
 }
 
 impl EnforceOp {
@@ -786,7 +771,6 @@ impl EnforceOp {
         keys: SortKeys,
         prefix_len: usize,
         limit: Option<usize>,
-        slot: SlotRef,
     ) -> EnforceOp {
         let (pkeys, skeys) = keys.split_at(prefix_len.min(keys.len()));
         EnforceOp {
@@ -799,32 +783,30 @@ impl EnforceOp {
             group_open: false,
             out: VecDeque::new(),
             input_done: false,
-            slot,
         }
     }
 
     /// Ends the open group (no-op without one): its sorted rows queue for
-    /// emission. A segmented sort counts the group formed.
-    fn finish_group(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    /// emission. A segmented sort counts the group formed — what EXPLAIN
+    /// ANALYZE shows next to the planner's estimate.
+    fn finish_group(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         if !std::mem::take(&mut self.group_open) {
             return Ok(());
         }
         if !self.pkeys.is_empty() {
-            sortkernel::note_segment_groups(1);
-            if let Some((id, slots)) = &self.slot {
-                slots.lock().expect("metrics mutex poisoned")[*id].segment_groups += 1;
-            }
+            stats.segment.groups_formed += 1;
+            profile::instant("segment", || "segment.group_sealed".to_string());
         }
-        self.former.finish(cx.batch_size, &mut self.out, io)
+        self.former.finish(cx.batch_size, &mut self.out, stats)
     }
 
     /// Pulls one input batch into the open group, finishing a group at
     /// every prefix boundary — or, at end of input, finishes the last.
-    fn pull(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        let Some(batch) = self.child.next_batch(cx, io)? else {
+    fn pull(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+        let Some(batch) = self.child.next_batch(cx, stats)? else {
             self.input_done = true;
             self.child.close();
-            return self.finish_group(cx, io);
+            return self.finish_group(cx, stats);
         };
         let (mut sb, mut so) = (Vec::new(), Vec::new());
         encode_batch_keys_arena(&batch, &self.skeys, &mut sb, &mut so);
@@ -837,8 +819,8 @@ impl EnforceOp {
             for i in 0..batch.len() {
                 let prefix = &pb[po[i]..po[i + 1]];
                 if self.group_open && prefix != prev {
-                    self.former.push_rows(&batch, lo..i, &sb, &so, io);
-                    self.finish_group(cx, io)?;
+                    self.former.push_rows(&batch, lo..i, &sb, &so, stats);
+                    self.finish_group(cx, stats)?;
                     lo = i;
                 }
                 self.group_open = true;
@@ -847,27 +829,28 @@ impl EnforceOp {
             self.lead = prev.to_vec();
         }
         self.group_open |= !batch.is_empty();
-        self.former.push_rows(&batch, lo..batch.len(), &sb, &so, io);
+        self.former
+            .push_rows(&batch, lo..batch.len(), &sb, &so, stats);
         Ok(())
     }
 }
 
 impl Operator for EnforceOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.former = RunFormer::new(cx.memory_budget.unwrap_or(usize::MAX), self.limit);
         self.group_open = false;
         self.out = VecDeque::new();
         self.input_done = false;
-        self.child.open(cx, io)?;
+        self.child.open(cx, stats)?;
         // Without a satisfied prefix nothing can leave before the input
         // ends: a pipeline breaker, drained here.
         while self.pkeys.is_empty() && !self.input_done {
-            self.pull(cx, io)?;
+            self.pull(cx, stats)?;
         }
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         loop {
             // Drain finished groups first, in arrival order.
             match self.out.pop_front() {
@@ -875,13 +858,13 @@ impl Operator for EnforceOp {
                 Some(Sorted::Spilled(mut merge)) => {
                     // The final merge streams: the sorted group is never
                     // materialized whole, only one batch at a time.
-                    if let Some(batch) = merge.next_batch(cx.batch_size, io)? {
+                    if let Some(batch) = merge.next_batch(cx.batch_size, stats)? {
                         self.out.push_front(Sorted::Spilled(merge));
                         return Ok(Some(batch));
                     }
                 }
                 None if self.input_done => return Ok(None),
-                None => self.pull(cx, io)?,
+                None => self.pull(cx, stats)?,
             }
         }
     }
@@ -1055,7 +1038,7 @@ impl GroupState {
         mut self,
         budget: usize,
         depth: usize,
-        io: &mut IoStats,
+        stats: &mut ExecStats,
         out: &mut Vec<(Batch, Vec<u64>)>,
     ) -> Result<()> {
         let groups = self.agg.finish()?;
@@ -1068,7 +1051,8 @@ impl GroupState {
             if file.is_empty() {
                 continue;
             }
-            sortkernel::note_spill_runs(1);
+            stats.spill.runs_formed += 1;
+            profile::instant("spill", || "spill.runs_formed x1".to_string());
             let sub_budget = if depth + 1 >= MAX_GROUP_SPILL_DEPTH {
                 usize::MAX
             } else {
@@ -1076,7 +1060,7 @@ impl GroupState {
             };
             let mut sub = GroupState::new(&self.spec);
             let mut cursor = SpillCursor::new(0, file.len());
-            while let Some(rec) = cursor.read_record(&file, io) {
+            while let Some(rec) = cursor.read_record(&file, &mut stats.io)? {
                 let mut pos = group_spill_header(&rec, &mut seqs)?;
                 let batch = spill::read_batch(&rec, &mut pos)?;
                 sub.absorb_batch(
@@ -1085,10 +1069,10 @@ impl GroupState {
                     sub_budget,
                     depth as u64 + 1,
                     &mut scratch,
-                    io,
+                    &mut stats.io,
                 )?;
             }
-            sub.drain(budget, depth + 1, io, out)?;
+            sub.drain(budget, depth + 1, stats, out)?;
         }
         Ok(())
     }
@@ -1116,22 +1100,22 @@ struct HashGroupByOp {
 }
 
 impl Operator for HashGroupByOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
-        self.child.open(cx, io)?;
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+        self.child.open(cx, stats)?;
         let budget = cx.memory_budget.unwrap_or(usize::MAX);
         let mut state = GroupState::new(&self.spec);
         let mut scratch = GroupScratch::default();
         let mut seq = 0u64;
         let mut seqs: Vec<u64> = Vec::new();
-        while let Some(batch) = self.child.next_batch(cx, io)? {
+        while let Some(batch) = self.child.next_batch(cx, stats)? {
             seqs.clear();
             seqs.extend(seq..seq + batch.len() as u64);
             seq += batch.len() as u64;
-            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, io)?;
+            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, &mut stats.io)?;
         }
         self.child.close();
         let mut parts: Vec<(Batch, Vec<u64>)> = Vec::new();
-        state.drain(budget, 0, io, &mut parts)?;
+        state.drain(budget, 0, stats, &mut parts)?;
         let mut order: Vec<(u64, u32, u32)> = Vec::new();
         for (p, (_, first_seqs)) in parts.iter().enumerate() {
             order.extend(
@@ -1149,7 +1133,7 @@ impl Operator for HashGroupByOp {
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
         if self.out.is_empty() {
             return Ok(None);
         }
@@ -1218,13 +1202,13 @@ impl StreamGroupByOp {
 }
 
 impl Operator for StreamGroupByOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.agg = GroupAgg::new(Arc::clone(&self.spec));
         self.input_done = false;
-        self.child.open(cx, io)
+        self.child.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())));
@@ -1232,7 +1216,7 @@ impl Operator for StreamGroupByOp {
             if self.input_done {
                 return Ok(None);
             }
-            match self.child.next_batch(cx, io)? {
+            match self.child.next_batch(cx, stats)? {
                 Some(batch) => self.absorb(&batch)?,
                 None => {
                     self.input_done = true;
@@ -1273,13 +1257,13 @@ struct IndexNestedLoopJoinOp {
 }
 
 impl Operator for IndexNestedLoopJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         // Probe streams pay a full seek on their first fetch.
         self.cursor = PageCursor::probing();
-        self.outer.open(cx, io)
+        self.outer.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
         let ix = cx.db.index(self.index)?;
         let mut key: Vec<Value> = Vec::with_capacity(self.probe_pos.len());
@@ -1287,7 +1271,7 @@ impl Operator for IndexNestedLoopJoinOp {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
             }
-            let Some(batch) = self.outer.next_batch(cx, io)? else {
+            let Some(batch) = self.outer.next_batch(cx, stats)? else {
                 return Ok(None);
             };
             let mut osel: Vec<u32> = Vec::new();
@@ -1295,7 +1279,7 @@ impl Operator for IndexNestedLoopJoinOp {
             for oi in 0..batch.len() {
                 key.clear();
                 key.extend(self.probe_pos.iter().map(|&p| batch.column(p).value(oi)));
-                io.index_pages += 1; // descent touches one leaf
+                stats.io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
                     // Probe fetches share the budgeted buffer pool with
                     // the scans (keyed by table id); unbounded executions
@@ -1304,11 +1288,11 @@ impl Operator for IndexNestedLoopJoinOp {
                         self.cursor.touch_pooled(
                             heap.table().0 as u64,
                             heap.page_of(*rid),
-                            io,
+                            &mut stats.io,
                             pool,
                         )
                     });
-                    io.rows_read += 1;
+                    stats.io.rows_read += 1;
                     osel.push(oi as u32);
                     rids.push(*rid);
                 }
@@ -1505,11 +1489,12 @@ impl JoinBuild {
         }
     }
 
-    fn finish(&mut self, io: &mut IoStats) {
-        self.flush_groups(true, io);
+    fn finish(&mut self, stats: &mut ExecStats) {
+        self.flush_groups(true, &mut stats.io);
         self.mem = Batch::concat(self.arity, &std::mem::take(&mut self.segs));
         if !self.file.is_empty() {
-            sortkernel::note_spill_runs(1);
+            stats.spill.runs_formed += 1;
+            profile::instant("spill", || "spill.runs_formed x1".to_string());
         }
         // A stable counting pass: count each key's rows, prefix-sum the
         // counts into `offsets`, then drop the rows into place in arrival
@@ -1547,7 +1532,7 @@ impl JoinBuild {
             }
         }
         let rec = SpillCursor::new(self.group_offsets[g as usize], self.file.len())
-            .read_record(&self.file, io)
+            .read_record(&self.file, io)?
             .ok_or_else(|| FtoError::Exec(format!("spilled join build group {g} missing")))?;
         let batch = spill::read_batch(&rec, &mut 0)?;
         self.cache = Some((g, batch.clone()));
@@ -1741,31 +1726,31 @@ impl JoinOp {
 }
 
 impl Operator for JoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.build.reset();
-        self.inner.open(cx, io)?;
+        self.inner.open(cx, stats)?;
         let mut scratch = GroupScratch::default();
-        while let Some(batch) = self.inner.next_batch(cx, io)? {
+        while let Some(batch) = self.inner.next_batch(cx, stats)? {
             self.build
-                .absorb(&batch, cx.memory_budget, &mut scratch, io);
+                .absorb(&batch, cx.memory_budget, &mut scratch, &mut stats.io);
         }
         self.inner.close();
-        self.build.finish(io);
-        self.outer.open(cx, io)
+        self.build.finish(stats);
+        self.outer.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         let (mut kb, mut ko, mut gids) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
             }
-            let Some(batch) = self.outer.next_batch(cx, io)? else {
+            let Some(batch) = self.outer.next_batch(cx, stats)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &self.okeys, &mut kb, &mut ko);
             self.build.table.lookup(&kb, &ko, &mut gids);
-            self.probe(cx, &batch, &gids, io)?;
+            self.probe(cx, &batch, &gids, &mut stats.io)?;
         }
     }
 
@@ -1863,7 +1848,7 @@ fn merge_fill(
     side: &mut MergeSide,
     child: &mut Box<dyn Operator>,
     cx: &ExecContext<'_>,
-    io: &mut IoStats,
+    stats: &mut ExecStats,
 ) -> Result<bool> {
     while side.pos >= side.win.len() && !side.done {
         if side.pos > 0 {
@@ -1875,7 +1860,7 @@ fn merge_fill(
             side.ko.push(0);
             side.pos = 0;
         }
-        match child.next_batch(cx, io)? {
+        match child.next_batch(cx, stats)? {
             Some(batch) => side.absorb(batch),
             None => side.done = true,
         }
@@ -1891,7 +1876,7 @@ fn merge_take_group(
     side: &mut MergeSide,
     child: &mut Box<dyn Operator>,
     cx: &ExecContext<'_>,
-    io: &mut IoStats,
+    stats: &mut ExecStats,
 ) -> Result<Batch> {
     let mut start = side.pos;
     let mut end = start + 1;
@@ -1909,7 +1894,7 @@ fn merge_take_group(
             end -= start;
             start = 0;
         }
-        match child.next_batch(cx, io)? {
+        match child.next_batch(cx, stats)? {
             Some(batch) => side.absorb(batch),
             None => side.done = true,
         }
@@ -1935,13 +1920,13 @@ struct MergeJoinOp {
 }
 
 impl Operator for MergeJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         self.done = false;
-        self.outer.open(cx, io)?;
-        self.inner.open(cx, io)
+        self.outer.open(cx, stats)?;
+        self.inner.open(cx, stats)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
@@ -1949,8 +1934,8 @@ impl Operator for MergeJoinOp {
             if self.done {
                 return Ok(None);
             }
-            if !merge_fill(&mut self.o, &mut self.outer, cx, io)?
-                || !merge_fill(&mut self.i, &mut self.inner, cx, io)?
+            if !merge_fill(&mut self.o, &mut self.outer, cx, stats)?
+                || !merge_fill(&mut self.i, &mut self.inner, cx, stats)?
             {
                 self.done = true;
                 continue;
@@ -1968,8 +1953,8 @@ impl Operator for MergeJoinOp {
                 Ordering::Less => self.o.pos += 1,
                 Ordering::Greater => self.i.pos += 1,
                 Ordering::Equal => {
-                    let og = merge_take_group(&mut self.o, &mut self.outer, cx, io)?;
-                    let ig = merge_take_group(&mut self.i, &mut self.inner, cx, io)?;
+                    let og = merge_take_group(&mut self.o, &mut self.outer, cx, stats)?;
+                    let ig = merge_take_group(&mut self.i, &mut self.inner, cx, stats)?;
                     // Outer-major cross product by gather: outer rows
                     // repeat, inner rows tile.
                     let mut rep = Vec::with_capacity(og.len() * ig.len());
@@ -2059,16 +2044,16 @@ pub(crate) fn lower_worker(
 
 /// Records subtree-inclusive metrics for one operator into its slot.
 ///
-/// The wrapper snapshots the session [`IoStats`] before delegating and
+/// The wrapper snapshots the [`ExecStats`] stream before delegating and
 /// merges the delta afterwards, so a slot accumulates everything charged
-/// while control was inside its subtree — children included. Exclusive
-/// figures are derived later by [`PlanMetrics::self_io`]; recording
-/// inclusively here is what makes that subtraction telescope exactly to
-/// the session totals. Under an exchange, the workers' wrappers all
-/// record into the same slots (one worker's private I/O stream each), so
-/// a slot accumulates the sum over workers — which is exactly what the
-/// coordinator merges into the session stream, keeping the telescoping
-/// intact at every parallel degree.
+/// while control was inside its subtree — children included, every
+/// counter alike. Exclusive figures are derived later by
+/// [`PlanMetrics::self_stats`]; recording inclusively here is what makes
+/// that subtraction telescope exactly to the session totals. Under an
+/// exchange, the workers' wrappers all record into the same slots (one
+/// worker's private stream each), so a slot accumulates the sum over
+/// workers — which is exactly what the coordinator merges into the session
+/// stream, keeping the telescoping intact at every parallel degree.
 struct InstrumentedOp {
     inner: Box<dyn Operator>,
     id: usize,
@@ -2079,26 +2064,26 @@ struct InstrumentedOp {
 }
 
 impl InstrumentedOp {
-    fn record(&self, before: &IoStats, after: &IoStats, started: Instant) {
+    fn record(&self, before: &ExecStats, after: &ExecStats, started: Instant) {
         let mut slots = self.slots.lock().expect("metrics mutex poisoned");
         let m = &mut slots[self.id];
         m.elapsed += started.elapsed();
-        m.io.merge(&after.delta_since(before));
+        m.stats.merge(&after.delta_since(before));
     }
 }
 
 impl Operator for InstrumentedOp {
-    fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
         profile::span_begin("operator", || format!("{}.open", self.label));
-        let before = *io;
+        let before = *stats;
         let started = Instant::now();
-        let result = self.inner.open(cx, io);
-        self.record(&before, io, started);
+        let result = self.inner.open(cx, stats);
+        self.record(&before, stats, started);
         profile::span_end_with(
             "operator",
             || format!("{}.open", self.label),
             || {
-                let d = io.delta_since(&before);
+                let d = stats.io.delta_since(&before.io);
                 vec![
                     ("seq_pages", d.sequential_pages),
                     ("sort_rows", d.sort_rows),
@@ -2108,12 +2093,12 @@ impl Operator for InstrumentedOp {
         result
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
         profile::span_begin("operator", || format!("{}.next", self.label));
-        let before = *io;
+        let before = *stats;
         let started = Instant::now();
-        let result = self.inner.next_batch(cx, io);
-        self.record(&before, io, started);
+        let result = self.inner.next_batch(cx, stats);
+        self.record(&before, stats, started);
         let rows = match &result {
             Ok(Some(batch)) => batch.len() as u64,
             _ => 0,
@@ -2137,10 +2122,6 @@ impl Operator for InstrumentedOp {
         self.inner.close();
         profile::span_end("operator", || format!("{}.close", self.label));
     }
-}
-
-fn lower(plan: &Plan) -> Result<Box<dyn Operator>> {
-    lower_impl(plan, &mut LowerCx::new(None, 1))
 }
 
 /// True when a subtree can run partitioned: a chain of filters and
@@ -2237,9 +2218,7 @@ fn lower_enforcer(
         }
     }
     let child = lower_impl(input, lw)?;
-    Ok(Box::new(EnforceOp::new(
-        child, keys, prefix_len, limit, slot,
-    )))
+    Ok(Box::new(EnforceOp::new(child, keys, prefix_len, limit)))
 }
 
 /// Lowers a child subtree that its parent fully drains at `open` (a join
@@ -2566,8 +2545,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(old.rows, new.rows());
-        assert_eq!(old.io.sequential_pages, new.io.sequential_pages);
-        assert_eq!(old.io.rows_read, new.io.rows_read);
+        assert_eq!(old.io.sequential_pages, new.stats.io.sequential_pages);
+        assert_eq!(old.io.rows_read, new.stats.io.rows_read);
     }
 
     #[test]
@@ -2595,9 +2574,9 @@ mod tests {
         let full_pages = db.heap(TableId(0)).unwrap().page_count();
         assert_eq!(old.io.sequential_pages, full_pages);
         assert!(
-            new.io.sequential_pages < full_pages,
+            new.stats.io.sequential_pages < full_pages,
             "streaming LIMIT read {} of {} pages",
-            new.io.sequential_pages,
+            new.stats.io.sequential_pages,
             full_pages
         );
     }
@@ -2633,7 +2612,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(old.rows, new.rows());
-        assert_eq!(old.io.sort_rows, new.io.sort_rows);
+        assert_eq!(old.io.sort_rows, new.stats.io.sort_rows);
     }
 
     #[test]
@@ -2676,9 +2655,12 @@ mod tests {
             .unwrap();
             assert_eq!(serial.rows(), par.rows(), "threads={threads}");
             // Page-aligned partitions charge exactly the serial totals.
-            assert_eq!(serial.io.sequential_pages, par.io.sequential_pages);
-            assert_eq!(serial.io.rows_read, par.io.rows_read);
-            assert_eq!(serial.io.sort_rows, par.io.sort_rows);
+            assert_eq!(
+                serial.stats.io.sequential_pages,
+                par.stats.io.sequential_pages
+            );
+            assert_eq!(serial.stats.io.rows_read, par.stats.io.rows_read);
+            assert_eq!(serial.stats.io.sort_rows, par.stats.io.sort_rows);
         }
     }
 
@@ -2714,7 +2696,7 @@ mod tests {
                 "threads={threads}: {:?}",
                 metrics.validate()
             );
-            assert_eq!(metrics.total_io(), result.io, "threads={threads}");
+            assert_eq!(metrics.total(), result.stats, "threads={threads}");
             if threads > 1 {
                 // The Sort node carries one entry per exchange worker.
                 assert_eq!(metrics.ops[0].workers.len(), threads);
@@ -2729,11 +2711,11 @@ mod tests {
     struct Feed(VecDeque<Batch>);
 
     impl Operator for Feed {
-        fn open(&mut self, _cx: &ExecContext<'_>, _io: &mut IoStats) -> Result<()> {
+        fn open(&mut self, _: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
             Ok(())
         }
 
-        fn next_batch(&mut self, _: &ExecContext<'_>, _: &mut IoStats) -> Result<Option<Batch>> {
+        fn next_batch(&mut self, _: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
             Ok(self.0.pop_front())
         }
     }
@@ -2772,10 +2754,10 @@ mod tests {
                 }),
             ];
             for mut op in ops {
-                let mut io = IoStats::new();
-                op.open(&cx, &mut io).unwrap();
+                let mut stats = ExecStats::default();
+                op.open(&cx, &mut stats).unwrap();
                 let mut rows = Vec::new();
-                while let Some(batch) = op.next_batch(&cx, &mut io).unwrap() {
+                while let Some(batch) = op.next_batch(&cx, &mut stats).unwrap() {
                     batch.append_rows_to(&mut rows);
                 }
                 op.close();
@@ -2803,10 +2785,10 @@ mod tests {
 
     /// Opens, drains and closes `op`, checking its emission contract.
     fn drain(mut op: Box<dyn Operator>, cx: &ExecContext<'_>) -> Vec<Row> {
-        let mut io = IoStats::new();
-        op.open(cx, &mut io).unwrap();
+        let mut stats = ExecStats::default();
+        op.open(cx, &mut stats).unwrap();
         let mut rows = Vec::new();
-        while let Some(batch) = op.next_batch(cx, &mut io).unwrap() {
+        while let Some(batch) = op.next_batch(cx, &mut stats).unwrap() {
             assert!(!batch.is_empty() && batch.len() <= cx.batch_size);
             batch.append_rows_to(&mut rows);
         }
@@ -2821,7 +2803,7 @@ mod tests {
         // the exchange kernel, all equal the interpreter's stable
         // `sort_rows` / `top_n` of the same rows, bit for bit.
         use crate::parallel::sort_run;
-        use crate::sortkernel::{gather_rows, merge_runs, sort_rows, top_n};
+        use crate::sortkernel::{gather_rows, merge_runs, sort_rows, top_n, SortStats};
         let db = test_db(1);
         let graph = QueryGraph::new();
         let feed = |batches: &[Batch]| Box::new(Feed(batches.iter().cloned().collect()));
@@ -2913,7 +2895,7 @@ mod tests {
                             ..ExecOptions::default()
                         };
                         let cx = ExecContext::new(&db, &graph, &opts);
-                        let op = EnforceOp::new(feed(&batches), keys.clone(), k, limit, None);
+                        let op = EnforceOp::new(feed(&batches), keys.clone(), k, limit);
                         let got = drain(Box::new(op), &cx);
                         assert_eq!(exact(&got), want, "{case} {opts:?}");
                     }
@@ -2926,7 +2908,13 @@ mod tests {
                         let runs: Vec<_> = batches
                             .chunks(batches.len().div_ceil(parts).max(1))
                             .map(|piece| {
-                                let mut run = sort_run(piece, &keys, limit, (0, 1));
+                                let mut run = sort_run(
+                                    piece,
+                                    &keys,
+                                    limit,
+                                    (0, 1),
+                                    &mut SortStats::default(),
+                                );
                                 run.seqs.iter_mut().for_each(|s| *s += base);
                                 base += piece.iter().map(|b| b.len() as u64).sum::<u64>();
                                 run
@@ -2935,7 +2923,8 @@ mod tests {
                             .collect();
                         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
                         let mut got = Vec::new();
-                        gather_rows(&sources, &merge_runs(&runs, limit)).append_rows_to(&mut got);
+                        let merged = merge_runs(&runs, limit, &mut SortStats::default());
+                        gather_rows(&sources, &merged).append_rows_to(&mut got);
                         assert_eq!(exact(&got), want, "{case} parts={parts}");
                     }
                     let source = SortSource::RoundRobin {
@@ -2970,8 +2959,9 @@ mod tests {
     fn keyless_sort_and_top_n_return_input_order_at_every_budget() {
         // An ORDER BY reduced to nothing sorts by input position alone:
         // in memory, through the multi-pass external merge (1 KiB holds
-        // ~20 of these rows, so 500 rows form >8 runs), and through the
-        // exchanges.
+        // 14 of these rows, so 500 rows form 36 runs: one level reduces
+        // them to the fan-in of 8, the final merge is the second pass),
+        // and through the exchanges.
         let db = test_db(500);
         let graph = QueryGraph::new();
         let scan = scan_plan();
@@ -3001,7 +2991,6 @@ mod tests {
                     memory_budget,
                     ..ExecOptions::default()
                 };
-                let passes = sortkernel::spill_stats_snapshot();
                 let sorted = execute_plan(&db, &graph, &sort, &opts).unwrap();
                 assert_eq!(
                     sorted.rows(),
@@ -3009,9 +2998,9 @@ mod tests {
                     "{memory_budget:?} threads={threads}"
                 );
                 if memory_budget.is_some() && threads == 1 {
-                    let delta = sortkernel::spill_stats_snapshot().delta_since(passes);
-                    assert!(delta.merge_passes >= 2, "{delta:?}");
-                    assert!(sorted.io.spill_pages_read > 0);
+                    let spill = sorted.stats.spill;
+                    assert_eq!((spill.runs_formed, spill.merge_passes), (36, 2));
+                    assert!(sorted.stats.io.spill_pages_read > 0);
                 }
                 let first = execute_plan(&db, &graph, &top, &opts).unwrap();
                 assert_eq!(

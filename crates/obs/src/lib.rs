@@ -11,11 +11,13 @@
 //!   thread-local flag, and event payloads are built inside closures
 //!   that never run. The planner uses this to narrate its decisions
 //!   (`EXPLAIN OPTIMIZER`).
-//! * [`metrics`] — a process-wide metrics registry: named counters,
-//!   gauges and log-linear-bucket histograms with a deterministic text
-//!   exposition ([`metrics::Registry::expose`]). The session layer feeds
-//!   per-query latency/rows/pages into it; totals reconcile exactly with
-//!   the executor's own accounting.
+//! * [`metrics`] — a metrics registry: named counters, gauges and
+//!   log-linear-bucket histograms with a deterministic text exposition
+//!   ([`metrics::Registry::expose`]). The session layer feeds each
+//!   query's output into it — latency, rows, and every counter of the
+//!   accounting stream the execution threaded — so totals reconcile
+//!   exactly with the executor's own accounting, whichever sessions share
+//!   the registry.
 //! * [`slowlog`] — a bounded log of the slowest queries, each entry
 //!   carrying the SQL, the annotated plan, and the optimizer trace that
 //!   produced it.

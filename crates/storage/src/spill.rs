@@ -138,38 +138,38 @@ impl SpillCursor {
         self.last_page = Some(self.last_page.map_or(last, |p| p.max(last)));
     }
 
-    /// Reads exactly `len` bytes into an owned buffer.
-    ///
-    /// Panics if the extent holds fewer bytes — spill files are written
-    /// and read by the same operator, so a short read is a framing bug.
-    pub fn read_exact(&mut self, file: &SpillFile, len: usize, io: &mut IoStats) -> Vec<u8> {
-        assert!(self.pos + len as u64 <= self.end, "spill cursor overrun");
+    /// Reads exactly `len` bytes into an owned buffer, or fails when the
+    /// extent holds fewer: a frame length that overruns its extent is a
+    /// corrupt (or misframed) spill file, reported like every other damaged
+    /// record — as an error, never a panic.
+    fn read_exact(&mut self, file: &SpillFile, len: usize, io: &mut IoStats) -> Result<Vec<u8>> {
+        let end = self.end.min(file.len());
+        if len as u64 > end.saturating_sub(self.pos) {
+            return Err(FtoError::Exec(format!(
+                "spill frame of {len} bytes at offset {} overruns its extent (ends at {end})",
+                self.pos
+            )));
+        }
         self.charge_span(len, io);
         let out = file.slice(self.pos, len).to_vec();
         self.pos += len as u64;
-        out
+        Ok(out)
     }
 
     /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self, file: &SpillFile, io: &mut IoStats) -> u32 {
-        let b = self.read_exact(file, 4, io);
-        u32::from_le_bytes(b.try_into().expect("4 bytes"))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self, file: &SpillFile, io: &mut IoStats) -> u64 {
-        let b = self.read_exact(file, 8, io);
-        u64::from_le_bytes(b.try_into().expect("8 bytes"))
+    fn read_u32(&mut self, file: &SpillFile, io: &mut IoStats) -> Result<u32> {
+        let b = self.read_exact(file, 4, io)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Reads one record written by [`SpillFile::append_record`], or
     /// `None` when the extent is exhausted.
-    pub fn read_record(&mut self, file: &SpillFile, io: &mut IoStats) -> Option<Vec<u8>> {
+    pub fn read_record(&mut self, file: &SpillFile, io: &mut IoStats) -> Result<Option<Vec<u8>>> {
         if self.finished() {
-            return None;
+            return Ok(None);
         }
-        let len = self.read_u32(file, io) as usize;
-        Some(self.read_exact(file, len, io))
+        let len = self.read_u32(file, io)? as usize;
+        self.read_exact(file, len, io).map(Some)
     }
 }
 
@@ -540,7 +540,7 @@ mod tests {
         let mut got = Vec::new();
         while !c.finished() {
             let n = c.remaining().min(777) as usize;
-            got.extend(c.read_exact(&f, n, &mut rio));
+            got.extend(c.read_exact(&f, n, &mut rio).unwrap());
         }
         assert_eq!(got, data);
         assert_eq!(rio.spill_pages_read, 3);
@@ -554,10 +554,29 @@ mod tests {
         f.append_record(b"", &mut io);
         f.append_record(b"gamma", &mut io);
         let mut c = SpillCursor::new(0, f.len());
-        assert_eq!(c.read_record(&f, &mut io).as_deref(), Some(&b"alpha"[..]));
-        assert_eq!(c.read_record(&f, &mut io).as_deref(), Some(&b""[..]));
-        assert_eq!(c.read_record(&f, &mut io).as_deref(), Some(&b"gamma"[..]));
-        assert_eq!(c.read_record(&f, &mut io), None);
+        for want in [Some(&b"alpha"[..]), Some(b""), Some(b"gamma"), None] {
+            assert_eq!(c.read_record(&f, &mut io).unwrap().as_deref(), want);
+        }
+    }
+
+    #[test]
+    fn frame_overrunning_its_extent_is_an_error_not_a_panic() {
+        let mut f = SpillFile::new();
+        let mut io = IoStats::new();
+        f.append_record(b"alpha", &mut io);
+        // The extent ends inside the length, or inside the payload.
+        for end in [2, 4, 8] {
+            let got = SpillCursor::new(0, end).read_record(&f, &mut io);
+            assert!(matches!(got, Err(FtoError::Exec(_))), "end {end}: {got:?}");
+        }
+        // The extent runs past the end of the file: the frame that is
+        // there reads back, the one that is not is an error.
+        let mut past = SpillCursor::new(0, f.len() + 1);
+        assert_eq!(
+            past.read_record(&f, &mut io).unwrap().as_deref(),
+            Some(&b"alpha"[..])
+        );
+        assert!(past.read_record(&f, &mut io).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use fto_common::{Batch, Direction, Rng, Row, TableId, Value};
 use fto_storage::{
     spill, BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
-    PageCursor, PAGE_SIZE,
+    PageCursor, SpillCursor, SpillFile, PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -698,6 +698,34 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
                     assert_eq!(got.to_rows().len(), got.len(), "{case}");
                     spill::write_batch(&got, &mut Vec::new());
                 }
+            }
+        }
+        // The same record behind its length frame, read back through a
+        // cursor: an extent that ends inside the frame is an error (one
+        // that ends before it is simply exhausted), and a flipped length
+        // bit either overruns the extent — an error — or frames a strict
+        // prefix of the record, which decodes like any other cut.
+        let mut io = IoStats::new();
+        let mut file = SpillFile::new();
+        file.append_record(&rec, &mut io);
+        let read = |file: &SpillFile, end: u64| {
+            SpillCursor::new(0, end).read_record(file, &mut IoStats::new())
+        };
+        assert_eq!(read(&file, file.len()).unwrap(), Some(rec.clone()));
+        assert_eq!(read(&file, 0).unwrap(), None);
+        for cut in 1..file.len() {
+            assert!(read(&file, cut).is_err(), "batch {b} frame cut at {cut}");
+        }
+        for bit in 0..32 {
+            let mut bad = SpillFile::new();
+            bad.append(&(rec.len() as u32 ^ 1 << bit).to_le_bytes(), &mut io);
+            bad.append(&rec, &mut io);
+            if let Ok(framed) = read(&bad, bad.len()) {
+                let framed = framed.expect("the extent is not empty");
+                let case = format!("batch {b} frame length bit {bit}");
+                assert!(framed.len() < rec.len(), "{case}");
+                assert_eq!(framed, rec[..framed.len()], "{case}");
+                assert!(spill::read_batch(&framed, &mut 0).is_err(), "{case}");
             }
         }
     }

@@ -62,6 +62,20 @@ if [[ "${operators}" -gt 17 ]]; then
     exit 1
 fi
 
+echo "==> grep guard: one accounting stream, no process-wide or thread-local tally in the executor"
+# Every counter a query reports — pages, sort work, spilled runs, segment
+# groups — is a field of the ExecStats that Operator::{open, next_batch}
+# thread, merged across exchange workers in partition order. A static or
+# thread-local tally that sessions snapshot around an execution counts
+# every concurrent session's work as this one's. (Checked above each
+# file's #[cfg(test)].)
+for f in crates/exec/src/*.rs; do
+    if non_test "$f" | grep -n 'static .*Atomic\|thread_local!\|_snapshot()'; then
+        echo "guard failed: $f: counters ride ExecStats; a process-wide tally is wrong under two sessions"
+        exit 1
+    fi
+done
+
 echo "==> grep guard: one accumulate implementation per engine, no std hash maps in the streaming operators"
 # The streaming executor aggregates through crates/exec/src/aggkernel.rs
 # (group ids + columnar state); fto_expr::agg::Accumulator belongs to the

@@ -1,11 +1,14 @@
-//! Tests of the per-operator metrics layer: the rollup invariant (every
-//! operator's self I/O delta sums exactly to the session totals) across
-//! the differential corpus, the lazy index scan's bounded accounting
-//! under LIMIT, and the EXPLAIN ANALYZE rendering end to end.
+//! Tests of the accounting stream and the per-operator metrics layer: the
+//! rollup invariant (every operator's self delta sums exactly to the
+//! session totals, for every counter: pages, sort work, spill work,
+//! segment groups) across the differential corpus, a query's counters
+//! being its own under concurrent sessions, the lazy index scan's bounded
+//! accounting under LIMIT, and the EXPLAIN ANALYZE rendering end to end.
 
-use fto_bench::{Session, StatementOutput};
+use fto_bench::{Observability, QueryOutput, Session, StatementOutput};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Direction, Value};
+use fto_exec::ExecStats;
 use fto_planner::OptimizerConfig;
 use fto_storage::{Database, IndexScanState, IoStats};
 use fto_tpcd::{build_database, queries, TpcdConfig};
@@ -133,6 +136,17 @@ const EMP_QUERIES: &[&str] = &[
     "select grade, emp_id from emp where grade = 2 order by grade, emp_id",
 ];
 
+/// Queries whose default plan sorts within the groups of a prefix the
+/// join already delivers (from tests/segmented.rs): the corpus above has
+/// no segmented sort, and `segment.groups_formed` is under the invariant
+/// too.
+const SEGMENTED_QUERIES: &[&str] = &[
+    "select emp_dept, dept_id, salary from dept, emp \
+     where dept_id = emp_dept order by emp_dept, salary",
+    "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
+     order by dept_id, emp_id desc",
+];
+
 fn all_configs() -> Vec<OptimizerConfig> {
     vec![
         OptimizerConfig::default(),
@@ -145,10 +159,30 @@ fn all_configs() -> Vec<OptimizerConfig> {
             .with_nested_loop(false),
         OptimizerConfig::default().with_batch_size(1),
         OptimizerConfig::default().with_batch_size(17),
+        // Spill counters and exchange-worker merges under the invariant.
+        OptimizerConfig::default().with_memory_budget(4 << 10),
+        OptimizerConfig::default().with_threads(2),
     ]
 }
 
-fn assert_metrics_account_for_everything(db: &Database, sql: &str, config: OptimizerConfig) {
+/// The session totals of one execution, as the stream they were copied
+/// out of.
+fn totals(out: &QueryOutput) -> ExecStats {
+    ExecStats {
+        io: out.io,
+        sort: out.sort,
+        spill: out.spill,
+        segment: out.segment,
+    }
+}
+
+/// Checks one (query, configuration) cell; returns how many segmented
+/// sorts its plan ran.
+fn assert_metrics_account_for_everything(
+    db: &Database,
+    sql: &str,
+    config: OptimizerConfig,
+) -> usize {
     let prepared = Session::new(db)
         .config(config.clone())
         .plan(sql)
@@ -156,11 +190,12 @@ fn assert_metrics_account_for_everything(db: &Database, sql: &str, config: Optim
     let (out, metrics) = prepared
         .execute_instrumented()
         .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-    // Instrumentation must not change the answer.
+    // Instrumentation must not change the answer, or what it cost.
     let plain = prepared.execute().unwrap();
     assert_eq!(out.rows(), plain.rows(), "{sql}\nunder {config:?}");
+    assert_eq!(totals(&out), totals(&plain), "{sql}\nunder {config:?}");
     // The rollup invariant: per-operator self deltas are well-defined and
-    // sum exactly to the session totals.
+    // sum exactly to the session totals, counter by counter.
     metrics.validate().unwrap_or_else(|e| {
         panic!(
             "{sql}\nunder {config:?}: {e}\nplan:\n{}",
@@ -168,26 +203,47 @@ fn assert_metrics_account_for_everything(db: &Database, sql: &str, config: Optim
         )
     });
     assert_eq!(
-        metrics.summed_self_io().unwrap(),
-        out.io,
+        metrics.summed_self().unwrap(),
+        totals(&out),
         "sum of per-operator deltas != session totals\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
         prepared.explain()
     );
-    assert_eq!(metrics.total_io(), out.io);
+    assert_eq!(metrics.total(), totals(&out));
+    // Only a segmented sort forms groups, and the count EXPLAIN ANALYZE
+    // prints next to the estimate is that node's own.
+    let mut segmented = 0;
+    for (id, op) in metrics.ops.iter().enumerate() {
+        let groups = metrics.self_stats(id).unwrap().segment.groups_formed;
+        match op.est_groups {
+            Some(est) => {
+                segmented += 1;
+                let text = prepared.explain_analyze().unwrap();
+                let want = format!("groups est={est} act={groups}");
+                assert!(text.contains(&want), "{sql}\nno `{want}` in\n{text}");
+            }
+            None => assert_eq!(groups, 0, "{sql}\n{} formed groups", op.name),
+        }
+    }
     // The root operator's row count is the result row count.
     assert_eq!(metrics.ops[0].rows as usize, out.num_rows(), "{sql}");
     // One metric slot per plan operator.
     assert_eq!(metrics.len(), prepared.plan().count_ops(&|_| true), "{sql}");
+    segmented
 }
 
 #[test]
 fn per_operator_deltas_sum_to_session_totals_across_corpus() {
     let db = emp_db();
-    for sql in EMP_QUERIES {
+    let mut segmented = 0;
+    for sql in EMP_QUERIES.iter().chain(SEGMENTED_QUERIES) {
         for config in all_configs() {
-            assert_metrics_account_for_everything(&db, sql, config);
+            segmented += assert_metrics_account_for_everything(&db, sql, config);
         }
     }
+    assert!(
+        segmented >= SEGMENTED_QUERIES.len(),
+        "no segmented sort ran"
+    );
 }
 
 #[test]
@@ -210,6 +266,77 @@ fn per_operator_deltas_sum_to_session_totals_on_tpcd() {
             OptimizerConfig::default().with_batch_size(13),
         ] {
             assert_metrics_account_for_everything(&db, sql, config);
+        }
+    }
+}
+
+#[test]
+fn concurrent_sessions_report_their_own_work() {
+    // The counters ride the stream each execution threads through its own
+    // operators, so what a query reports is what it did — whatever other
+    // sessions are doing. A spilling sort, a segmented sort and a spilling
+    // hash group-by run alone, then on 2 and 4 threads at once (a barrier
+    // lines the rounds up so the executions overlap): every output's
+    // counters equal the solo run's, and a handle shared by the threads
+    // ends up with exactly the sum.
+    let db = emp_db();
+    let tight = OptimizerConfig::default().with_memory_budget(1 << 10);
+    let cases = [
+        (
+            "select emp_id, salary from emp order by salary desc, emp_id",
+            tight.clone(),
+        ),
+        (
+            "select emp_dept, dept_id, salary from dept, emp \
+             where dept_id = emp_dept order by emp_dept, salary",
+            OptimizerConfig::default(),
+        ),
+        (
+            "select emp_id, sum(salary) as s, count(*) as n from emp group by emp_id",
+            tight,
+        ),
+    ];
+    let run = |obs: &Observability, (sql, config): &(&str, OptimizerConfig)| {
+        let session = Session::new(&db).config(config.clone());
+        totals(&session.observe(obs.clone()).execute(sql).unwrap())
+    };
+    let alone = Observability::default();
+    let solo: Vec<ExecStats> = cases.iter().map(|case| run(&alone, case)).collect();
+    assert!(solo[0].spill.runs_formed > 8 && solo[0].spill.merge_passes > 1);
+    assert_eq!(solo[1].segment.groups_formed, 12);
+    assert!(solo[2].spill.runs_formed > 0 && solo[2].sort == Default::default());
+    let mut each = ExecStats::default();
+    solo.iter().for_each(|s| each.merge(s));
+
+    const ROUNDS: u64 = 6;
+    for threads in [2u64, 4] {
+        let shared = Observability::default();
+        let barrier = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        for (case, want) in cases.iter().zip(&solo) {
+                            assert_eq!(run(&shared, case), *want, "{}", case.0);
+                        }
+                    }
+                });
+            }
+        });
+        let n = threads * ROUNDS;
+        let registry = shared.registry();
+        for (counter, one) in [
+            ("session.queries", cases.len() as u64),
+            ("session.io.rows_read", each.io.rows_read),
+            ("sort.key_bytes", each.sort.key_bytes),
+            ("sort.comparisons", each.sort.comparisons),
+            ("spill.pages_written", each.io.spill_pages_written),
+            ("spill.runs_formed", each.spill.runs_formed),
+            ("spill.merge_passes", each.spill.merge_passes),
+            ("segment.groups_formed", each.segment.groups_formed),
+        ] {
+            assert_eq!(registry.counter(counter), n * one, "{counter} x{threads}");
         }
     }
 }

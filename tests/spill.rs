@@ -388,7 +388,7 @@ fn spilled_nested_loop_builds_charge_pinned_io_under_budgets() {
         );
         assert_eq!(out.io, pin, "{sql}");
         let join = metrics.ops.iter().position(|op| op.name == node).unwrap();
-        let own = metrics.self_io(join).unwrap();
+        let own = metrics.self_stats(join).unwrap().io;
         assert!(
             own.spill_pages_written > 0 && own.spill_pages_read > 0,
             "{sql}\nthe join's own I/O: {own:?}"
@@ -410,31 +410,27 @@ fn spilled_group_by_charges_pinned_io_under_budgets() {
     // (budget, spill pages written = read, partition runs formed).
     for (budget, pages, runs) in [(1usize << 10, 48u64, 48u64), (4 << 10, 25, 25)] {
         for threads in [1usize, 2, 4] {
-            // `runs_formed` is a delta of process-wide counters, which a
-            // spilling test on another thread can only inflate: the
-            // smallest of a few attempts is this query's own count.
-            let mut fewest_runs = u64::MAX;
-            for _ in 0..5 {
-                let config = OptimizerConfig::default()
-                    .with_memory_budget(budget)
-                    .with_threads(threads);
-                let out = Session::new(&db).config(config).execute(sql).unwrap();
-                assert_eq!(out.rows(), baseline, "budget={budget} threads={threads}");
-                let expected = IoStats {
-                    sequential_pages: 4,
-                    random_pages: 0,
-                    index_pages: 0,
-                    sort_rows: 0,
-                    rows_read: 400,
-                    spill_pages_written: pages,
-                    spill_pages_read: pages,
-                    pool_hits: 0,
-                    pool_misses: 4,
-                };
-                assert_eq!(out.io, expected, "budget={budget} threads={threads}");
-                fewest_runs = fewest_runs.min(out.spill.runs_formed);
-            }
-            assert_eq!(fewest_runs, runs, "budget={budget} threads={threads}");
+            let config = OptimizerConfig::default()
+                .with_memory_budget(budget)
+                .with_threads(threads);
+            let out = Session::new(&db).config(config).execute(sql).unwrap();
+            assert_eq!(out.rows(), baseline, "budget={budget} threads={threads}");
+            let expected = IoStats {
+                sequential_pages: 4,
+                random_pages: 0,
+                index_pages: 0,
+                sort_rows: 0,
+                rows_read: 400,
+                spill_pages_written: pages,
+                spill_pages_read: pages,
+                pool_hits: 0,
+                pool_misses: 4,
+            };
+            assert_eq!(out.io, expected, "budget={budget} threads={threads}");
+            assert_eq!(
+                out.spill.runs_formed, runs,
+                "budget={budget} threads={threads}"
+            );
         }
     }
 }
@@ -467,25 +463,18 @@ fn spilled_sorts_charge_pinned_io_under_budgets() {
     for (sql, pins) in cases {
         let baseline = unbounded_rows(&db, sql);
         for (budget, written, read, runs, passes) in pins {
-            // Process-wide counter deltas: smallest of a few attempts, as
-            // in the group-by pin above.
-            let (mut fewest_runs, mut fewest_passes) = (u64::MAX, u64::MAX);
-            for _ in 0..5 {
-                let out = Session::new(&db)
-                    .config(OptimizerConfig::default().with_memory_budget(budget))
-                    .execute(sql)
-                    .unwrap();
-                assert_eq!(out.rows(), baseline, "{sql}\nbudget={budget}");
-                assert_eq!(
-                    (out.io.spill_pages_written, out.io.spill_pages_read),
-                    (written, read),
-                    "{sql}\nbudget={budget}"
-                );
-                fewest_runs = fewest_runs.min(out.spill.runs_formed);
-                fewest_passes = fewest_passes.min(out.spill.merge_passes);
-            }
+            let out = Session::new(&db)
+                .config(OptimizerConfig::default().with_memory_budget(budget))
+                .execute(sql)
+                .unwrap();
+            assert_eq!(out.rows(), baseline, "{sql}\nbudget={budget}");
             assert_eq!(
-                (fewest_runs, fewest_passes),
+                (out.io.spill_pages_written, out.io.spill_pages_read),
+                (written, read),
+                "{sql}\nbudget={budget}"
+            );
+            assert_eq!(
+                (out.spill.runs_formed, out.spill.merge_passes),
                 (runs, passes),
                 "{sql}\nbudget={budget}"
             );
@@ -557,7 +546,8 @@ fn instrumented_accounting_stays_exact_while_spilling() {
             "{sql}: {:?}",
             metrics.validate()
         );
-        assert_eq!(metrics.total_io(), out.io, "{sql}");
+        assert_eq!(metrics.total().io, out.io, "{sql}");
+        assert_eq!(metrics.total().spill, out.spill, "{sql}");
     }
 }
 
