@@ -71,7 +71,6 @@ fn main() {
     let obs = Observability::new(ObsOptions {
         slow_query_threshold: Duration::from_millis(slow_ms),
         qerror_threshold: qerr_limit.unwrap_or(ObsOptions::default().qerror_threshold),
-        ..ObsOptions::default()
     });
     eprintln!("loading TPC-D at scale {scale}...");
     let db = build_database(TpcdConfig {

@@ -1,5 +1,6 @@
 //! Validates a Chrome trace-event JSON file emitted by the execution
-//! profiler (`\profile` in the REPL, [`fto_exec::Session::profile`]).
+//! profiler (`\profile` in the REPL,
+//! [`fto_exec::PreparedQuery::execute_profiled`]).
 //!
 //! ```text
 //! cargo run -p fto-bench --bin tracecheck -- <trace.json>

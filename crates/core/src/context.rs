@@ -16,38 +16,78 @@ use crate::eqclass::EquivalenceClasses;
 use crate::fd::FdSet;
 use crate::spec::{OrderSpec, SortKey};
 use fto_common::{ColId, ColSet};
-use fto_obs::trace::emit;
-use fto_obs::TraceEvent;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 /// Order-reasoning work done on the current thread: how many contexts
-/// were built from facts and how many reductions a context answered from
-/// its memo. Counters only grow; a caller that wants the work of one
-/// planning run subtracts two [`ContextWork::snapshot`]s taken on the
-/// thread that planned.
+/// were built from facts, how many reductions a context answered from
+/// its memo, and how often each of the paper's four operations was
+/// called. The operations run hundreds of thousands of times under one
+/// join enumeration, so they are counted here and never logged. Counters
+/// only grow; a caller that wants the work of one planning run subtracts
+/// two [`ContextWork::snapshot`]s taken on the thread that planned.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ContextWork {
     /// Calls of [`OrderContext::new`].
     pub contexts_built: u64,
     /// Calls of [`OrderContext::reduce`] answered from the memo.
     pub reduce_memo_hits: u64,
+    /// Calls of [`OrderContext::reduce`] (paper Fig. 2), the ones the
+    /// other three operations make included.
+    pub reduce: u64,
+    /// Calls of [`OrderContext::test_order`] (paper Fig. 3).
+    pub test_order: u64,
+    /// Calls of [`OrderContext::cover`] (paper Fig. 4).
+    pub cover: u64,
+    /// Calls of [`OrderContext::homogenize`] and
+    /// [`OrderContext::homogenize_prefix`] (paper Fig. 5).
+    pub homogenize: u64,
+}
+
+/// The thread's running totals, one cell per counter so that counting a
+/// call is one load and one store.
+struct Tally {
+    contexts_built: Cell<u64>,
+    reduce_memo_hits: Cell<u64>,
+    reduce: Cell<u64>,
+    test_order: Cell<u64>,
+    cover: Cell<u64>,
+    homogenize: Cell<u64>,
 }
 
 thread_local! {
-    static WORK: Cell<ContextWork> = const {
-        Cell::new(ContextWork {
-            contexts_built: 0,
-            reduce_memo_hits: 0,
-        })
+    static WORK: Tally = const {
+        Tally {
+            contexts_built: Cell::new(0),
+            reduce_memo_hits: Cell::new(0),
+            reduce: Cell::new(0),
+            test_order: Cell::new(0),
+            cover: Cell::new(0),
+            homogenize: Cell::new(0),
+        }
     };
+}
+
+/// Adds one to the counter `pick` names.
+fn count(pick: fn(&Tally) -> &Cell<u64>) {
+    WORK.with(|w| {
+        let counter = pick(w);
+        counter.set(counter.get() + 1);
+    });
 }
 
 impl ContextWork {
     /// The current thread's totals.
     pub fn snapshot() -> ContextWork {
-        WORK.get()
+        WORK.with(|w| ContextWork {
+            contexts_built: w.contexts_built.get(),
+            reduce_memo_hits: w.reduce_memo_hits.get(),
+            reduce: w.reduce.get(),
+            test_order: w.test_order.get(),
+            cover: w.cover.get(),
+            homogenize: w.homogenize.get(),
+        })
     }
 
     /// The work done between `earlier` and this snapshot.
@@ -55,13 +95,11 @@ impl ContextWork {
         ContextWork {
             contexts_built: self.contexts_built - earlier.contexts_built,
             reduce_memo_hits: self.reduce_memo_hits - earlier.reduce_memo_hits,
+            reduce: self.reduce - earlier.reduce,
+            test_order: self.test_order - earlier.test_order,
+            cover: self.cover - earlier.cover,
+            homogenize: self.homogenize - earlier.homogenize,
         }
-    }
-
-    fn record(f: impl FnOnce(&mut ContextWork)) {
-        let mut work = WORK.get();
-        f(&mut work);
-        WORK.set(work);
     }
 }
 
@@ -92,7 +130,7 @@ impl OrderContext {
         for head in eq_constant_heads(&eq) {
             norm_fds.add_constant(head);
         }
-        ContextWork::record(|w| w.contexts_built += 1);
+        count(|w| &w.contexts_built);
         OrderContext {
             eq,
             norm_fds,
@@ -133,16 +171,12 @@ impl OrderContext {
     /// When a sort is unavoidable, the reduced specification is also the
     /// *minimal* list of sort columns (paper §4.2).
     pub fn reduce(&self, spec: &OrderSpec) -> OrderSpec {
-        let reduced = if spec.is_empty() {
+        count(|w| &w.reduce);
+        if spec.is_empty() {
             OrderSpec::empty()
         } else {
             self.reduce_memoized(spec)
-        };
-        emit(|| TraceEvent::Reduce {
-            before: spec.to_string(),
-            after: reduced.to_string(),
-        });
-        reduced
+        }
     }
 
     fn reduce_memoized(&self, spec: &OrderSpec) -> OrderSpec {
@@ -150,7 +184,7 @@ impl OrderContext {
         // holder's panic as before it.
         let memo = || self.reduced.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = memo().get(spec) {
-            ContextWork::record(|w| w.reduce_memo_hits += 1);
+            count(|w| &w.reduce_memo_hits);
             return hit.clone();
         }
         let reduced = self.reduce_uncached(spec);
@@ -179,14 +213,9 @@ impl OrderContext {
     /// order is empty or a direction-respecting prefix of the reduced
     /// property.
     pub fn test_order(&self, interest: &OrderSpec, prop: &OrderSpec) -> bool {
+        count(|w| &w.test_order);
         let i = self.reduce(interest);
-        let satisfied = i.is_empty() || i.is_prefix_of(&self.reduce(prop));
-        emit(|| TraceEvent::TestOrder {
-            interest: interest.to_string(),
-            property: prop.to_string(),
-            satisfied,
-        });
-        satisfied
+        i.is_empty() || i.is_prefix_of(&self.reduce(prop))
     }
 
     /// Splits interesting order `interest` against order property `prop`
@@ -229,21 +258,16 @@ impl OrderContext {
     /// one specification `C` such that any order property satisfying `C`
     /// satisfies both inputs. Returns `None` when no cover exists.
     pub fn cover(&self, i1: &OrderSpec, i2: &OrderSpec) -> Option<OrderSpec> {
+        count(|w| &w.cover);
         let r1 = self.reduce(i1);
         let r2 = self.reduce(i2);
-        let result = if r1.is_prefix_of(&r2) {
+        if r1.is_prefix_of(&r2) {
             Some(r2)
         } else if r2.is_prefix_of(&r1) {
             Some(r1)
         } else {
             None
-        };
-        emit(|| TraceEvent::Cover {
-            i1: i1.to_string(),
-            i2: i2.to_string(),
-            cover: result.as_ref().map(OrderSpec::to_string),
-        });
-        result
+        }
     }
 
     /// **Homogenize Order** (paper Fig. 5): rewrite interesting order
@@ -259,15 +283,7 @@ impl OrderContext {
     ///
     /// Returns `None` when some column has no equivalent in the target.
     pub fn homogenize(&self, interest: &OrderSpec, targets: &ColSet) -> Option<OrderSpec> {
-        let result = self.homogenize_inner(interest, targets);
-        emit(|| TraceEvent::Homogenize {
-            interest: interest.to_string(),
-            result: result.as_ref().map(OrderSpec::to_string),
-        });
-        result
-    }
-
-    fn homogenize_inner(&self, interest: &OrderSpec, targets: &ColSet) -> Option<OrderSpec> {
+        count(|w| &w.homogenize);
         let reduced = self.reduce(interest);
         let mut out = OrderSpec::empty();
         for key in reduced.keys() {
@@ -286,6 +302,7 @@ impl OrderContext {
     /// planning makes the lost suffix redundant. The boolean reports
     /// whether the whole specification was homogenized.
     pub fn homogenize_prefix(&self, interest: &OrderSpec, targets: &ColSet) -> (OrderSpec, bool) {
+        count(|w| &w.homogenize);
         let reduced = self.reduce(interest);
         let mut out = OrderSpec::empty();
         let mut complete = true;
@@ -301,10 +318,6 @@ impl OrderContext {
                 }
             }
         }
-        emit(|| TraceEvent::Homogenize {
-            interest: interest.to_string(),
-            result: complete.then(|| out.to_string()),
-        });
         (out, complete)
     }
 

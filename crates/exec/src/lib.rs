@@ -51,8 +51,9 @@
 //! * [`obs`] — session-level observability. An [`Observability`] handle
 //!   attached via [`Session::observe`](session::Session::observe)
 //!   aggregates every query into an [`fto_obs::Registry`] (counters,
-//!   latency/rows/pages histograms), keeps a slow-query log, and holds
-//!   the last optimizer decision trace (`EXPLAIN OPTIMIZER`).
+//!   latency/rows/pages histograms) and keeps a slow-query log; the
+//!   planner's decision log (`EXPLAIN OPTIMIZER`) belongs to each
+//!   [`PreparedQuery`].
 //!
 //! Entry points: [`Session`] for SQL; [`execute_plan`] and
 //! [`execute_plan_instrumented`] — one driver, with and without metric

@@ -1,14 +1,12 @@
-//! Session-level observability: a shared metrics [`Registry`], a
-//! [`SlowQueryLog`], and the last optimizer [`Trace`], bundled behind one
-//! cheaply-cloneable handle.
+//! Session-level observability: a shared metrics [`Registry`] and a
+//! [`SlowQueryLog`], bundled behind one cheaply-cloneable handle.
 //!
 //! Attach an [`Observability`] to a [`Session`](crate::Session) with
 //! [`Session::observe`](crate::Session::observe); every query the session
 //! plans and executes is then recorded:
 //!
-//! * **planning** — the planner's decision trace (when
-//!   [`ObsOptions::trace_planning`] is on) and the `planner.*` work
-//!   counters;
+//! * **planning** — the `planner.*` work counters; the planner also
+//!   keeps its decision log, which the slow-query log prints;
 //! * **execution** — `session.*` counters (queries, rows, exact
 //!   [`IoStats`] field totals), the `query.latency_us` / `query.rows` /
 //!   `query.pages` histograms, `exec.worker_*` attribution from
@@ -25,27 +23,22 @@
 //! [`Observability`] can aggregate across many sessions (the REPL holds
 //! one for its whole lifetime).
 
-use fto_obs::{Registry, SlowQuery, SlowQueryLog, Trace};
+use fto_obs::{Registry, SlowQuery, SlowQueryLog};
 use fto_planner::PlannerStats;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::metrics::PlanMetrics;
 use crate::session::QueryOutput;
+
+/// How many slow queries the log retains (oldest evicted first).
+const SLOW_LOG_CAPACITY: usize = 32;
 
 /// Tuning knobs for an [`Observability`] handle.
 #[derive(Clone, Debug)]
 pub struct ObsOptions {
     /// Queries at least this slow are captured in the slow-query log.
     pub slow_query_threshold: Duration,
-    /// How many slow queries the log retains (oldest evicted first).
-    pub slow_log_capacity: usize,
-    /// Ring capacity for optimizer traces (events beyond it drop oldest
-    /// first; counts stay exact).
-    pub trace_capacity: usize,
-    /// Collect an optimizer trace for every planned query (not just
-    /// `EXPLAIN OPTIMIZER`), so slow-log entries carry their trace.
-    pub trace_planning: bool,
     /// Queries whose worst per-operator cardinality Q-error
     /// ([`crate::metrics::q_error`]) reaches this factor are *misestimated*:
     /// they enter the slow-query log even when fast (a bad estimate is a
@@ -61,9 +54,6 @@ impl Default for ObsOptions {
     fn default() -> Self {
         ObsOptions {
             slow_query_threshold: Duration::from_millis(100),
-            slow_log_capacity: 32,
-            trace_capacity: fto_obs::trace::DEFAULT_CAPACITY,
-            trace_planning: true,
             qerror_threshold: 16.0,
         }
     }
@@ -72,7 +62,6 @@ impl Default for ObsOptions {
 struct Inner {
     registry: Registry,
     slow_log: SlowQueryLog,
-    last_trace: Mutex<Option<Trace>>,
     opts: ObsOptions,
 }
 
@@ -90,21 +79,15 @@ impl Default for Observability {
 }
 
 impl Observability {
-    /// Creates a fresh registry/slow-log/trace bundle.
+    /// Creates a fresh registry/slow-log bundle.
     pub fn new(opts: ObsOptions) -> Observability {
         Observability {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
-                slow_log: SlowQueryLog::new(opts.slow_log_capacity),
-                last_trace: Mutex::new(None),
+                slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY),
                 opts,
             }),
         }
-    }
-
-    /// The options this handle was built with.
-    pub fn options(&self) -> &ObsOptions {
-        &self.inner.opts
     }
 
     /// The shared metrics registry.
@@ -117,33 +100,42 @@ impl Observability {
         &self.inner.slow_log
     }
 
-    /// The optimizer trace of the most recently planned query, if
-    /// tracing was on for it.
-    pub fn last_trace(&self) -> Option<Trace> {
-        self.inner
-            .last_trace
-            .lock()
-            .expect("trace poisoned")
-            .clone()
-    }
-
     /// Text exposition of every registered metric (see
     /// [`Registry::expose`]).
     pub fn metrics_snapshot(&self) -> String {
         self.inner.registry.expose()
     }
 
-    /// Records one compilation: planner work counters, and the optimizer
-    /// trace (if one was collected) as the new "last trace".
-    pub fn record_planning(&self, stats: &PlannerStats, trace: Option<&Trace>) {
-        let r = &self.inner.registry;
-        r.add("planner.joins_considered", stats.joins_considered);
-        r.add("planner.plans_generated", stats.plans_generated);
-        r.add("planner.plans_pruned", stats.plans_pruned);
-        r.add("planner.sorts_added", stats.sorts_added);
-        r.add("planner.sorts_avoided", stats.sorts_avoided);
-        if let Some(t) = trace {
-            *self.inner.last_trace.lock().expect("trace poisoned") = Some(t.clone());
+    /// Records one compilation: every planner work counter, as
+    /// `planner.<field>`.
+    pub fn record_planning(&self, stats: &PlannerStats) {
+        // Exhaustive on purpose: a field added to `PlannerStats` fails to
+        // compile here until it is registered.
+        let PlannerStats {
+            joins_considered,
+            plans_generated,
+            plans_pruned,
+            sorts_added,
+            sorts_avoided,
+            partial_sorts,
+            sort_ahead_variants,
+            boxes_planned,
+            contexts_built,
+            reduce_memo_hits,
+        } = *stats;
+        for (name, value) in [
+            ("planner.joins_considered", joins_considered),
+            ("planner.plans_generated", plans_generated),
+            ("planner.plans_pruned", plans_pruned),
+            ("planner.sorts_added", sorts_added),
+            ("planner.sorts_avoided", sorts_avoided),
+            ("planner.partial_sorts", partial_sorts),
+            ("planner.sort_ahead_variants", sort_ahead_variants),
+            ("planner.boxes_planned", boxes_planned),
+            ("planner.contexts_built", contexts_built),
+            ("planner.reduce_memo_hits", reduce_memo_hits),
+        ] {
+            self.inner.registry.add(name, value);
         }
     }
 
@@ -161,14 +153,14 @@ impl Observability {
     ///
     /// A slow-query log entry is recorded when the query crosses the
     /// latency threshold **or** is misestimated — carrying the annotated
-    /// plan, the worst-estimated operator, and the optimizer trace
-    /// collected at plan time.
+    /// plan, the worst-estimated operator, and the planner's decision
+    /// log, which `trace` renders only for a query that enters the log.
     pub fn record_execution(
         &self,
         sql: Option<&str>,
         out: &QueryOutput,
         plan_text: &str,
-        trace: Option<&Trace>,
+        trace: impl FnOnce() -> String,
         metrics: Option<&PlanMetrics>,
     ) {
         let (io, sort, spill, segment) = (&out.io, &out.sort, &out.spill, &out.segment);
@@ -245,9 +237,7 @@ impl Observability {
                 elapsed,
                 rows,
                 plan: plan_text.to_string(),
-                trace: trace
-                    .map(|t| format!("{}{}", t.render(), t.summary()))
-                    .unwrap_or_default(),
+                trace: trace(),
                 max_qerror,
                 worst_operator,
             });
@@ -279,14 +269,14 @@ mod tests {
             Some("select 1"),
             &QueryOutput::stub(fast, 1),
             "p",
-            None,
+            String::new,
             None,
         );
         obs.record_execution(
             Some("select 2"),
             &QueryOutput::stub(slow, 1),
             "p",
-            None,
+            String::new,
             None,
         );
         assert_eq!(obs.slow_log().total_recorded(), 1);
@@ -314,8 +304,8 @@ mod tests {
         };
         let obs = Observability::default();
         let out = QueryOutput::stub(Duration::from_micros(10), 42);
-        obs.record_execution(None, &out, "p", None, Some(&pm));
-        obs.record_execution(None, &out, "p", None, None);
+        obs.record_execution(None, &out, "p", String::new, Some(&pm));
+        obs.record_execution(None, &out, "p", String::new, None);
         assert_eq!(obs.registry().counter("exec.worker_rows"), 42);
         assert_eq!(obs.registry().counter("exec.worker_batches"), 3);
         assert_eq!(obs.registry().counter("session.queries"), 2);
@@ -327,7 +317,6 @@ mod tests {
         let obs = Observability::new(ObsOptions {
             slow_query_threshold: Duration::from_secs(3600),
             qerror_threshold: 4.0,
-            ..ObsOptions::default()
         });
         let pm = PlanMetrics {
             ops: vec![OpMetrics {
@@ -339,7 +328,7 @@ mod tests {
             children: vec![vec![]],
         };
         let out = QueryOutput::stub(Duration::from_micros(10), 50);
-        obs.record_execution(Some("select misjudged"), &out, "p", None, Some(&pm));
+        obs.record_execution(Some("select misjudged"), &out, "p", String::new, Some(&pm));
         assert!(obs.metrics_snapshot().contains("counter session.rows 50"));
         assert_eq!(obs.slow_log().total_recorded(), 1);
         let text = obs.slow_log().render();

@@ -21,7 +21,8 @@ use crate::obs::Observability;
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
 use crate::stream::{execute_plan, execute_plan_instrumented, Batch, ExecOptions, StreamResult};
 use fto_common::{Result, Row};
-use fto_obs::{ExecutionProfile, Profiler, Trace, TraceGuard};
+use fto_obs::{ExecutionProfile, Profiler, Trace};
+use fto_order::ContextWork;
 use fto_planner::{OptimizerConfig, Plan, Planner, PlannerStats};
 use fto_qgm::{rewrite, OrderScan, QueryGraph};
 use fto_sql::{bind, parse_query, parse_statement, ExplainMode, Statement};
@@ -119,37 +120,16 @@ impl<'db> Session<'db> {
         self
     }
 
-    /// The attached observability handle, if any.
-    pub fn observability(&self) -> Option<&Observability> {
-        self.obs.as_ref()
-    }
-
     /// Text exposition of the attached registry's metrics; `None` when no
     /// observability handle is attached.
     pub fn metrics_snapshot(&self) -> Option<String> {
         self.obs.as_ref().map(Observability::metrics_snapshot)
     }
 
-    /// The optimizer trace of the most recently planned query; `None`
-    /// when no handle is attached or tracing was off.
-    pub fn last_optimizer_trace(&self) -> Option<Trace> {
-        self.obs.as_ref().and_then(Observability::last_trace)
-    }
-
-    /// The active configuration.
-    pub fn current_config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
-    /// The underlying database.
-    pub fn database(&self) -> &'db Database {
-        self.db
-    }
-
     /// Compiles SQL to an executable query: parse → bind → predicate
     /// pushdown → view merging → order scan → cost-based planning.
     pub fn plan(&self, sql: &str) -> Result<PreparedQuery<'db>> {
-        self.plan_inner(&parse_query(sql)?, Some(sql), false)
+        self.plan_inner(&parse_query(sql)?, sql, false)
     }
 
     /// [`Session::plan`] with optimizer tracing forced on for this one
@@ -157,64 +137,47 @@ impl<'db> Session<'db> {
     /// The collected trace is available via [`PreparedQuery::trace`] and
     /// rendered by [`PreparedQuery::explain_optimizer`].
     pub fn plan_traced(&self, sql: &str) -> Result<PreparedQuery<'db>> {
-        self.plan_inner(&parse_query(sql)?, Some(sql), true)
+        self.plan_inner(&parse_query(sql)?, sql, true)
     }
 
-    /// [`Session::plan`] starting from an already-parsed query AST.
-    pub fn plan_parsed(&self, ast: &fto_sql::ast::Query) -> Result<PreparedQuery<'db>> {
-        self.plan_inner(ast, None, false)
-    }
-
-    /// Compiles with an optional optimizer trace. The trace collector is
-    /// installed around the whole compile pipeline (order scan included)
-    /// on the calling thread, so the trace never depends on the executor
-    /// thread count.
+    /// Compiles, keeping the planner's decision log when asked to or when
+    /// an observability handle is attached (an observed session traces
+    /// its planning, so slow-log entries carry their trace). Planning
+    /// runs on the calling thread whatever the executor thread count, and
+    /// so do the order-algebra calls counted from bind to plan.
     fn plan_inner(
         &self,
         ast: &fto_sql::ast::Query,
-        sql: Option<&str>,
+        sql: &str,
         force_trace: bool,
     ) -> Result<PreparedQuery<'db>> {
-        let trace_on = force_trace
-            || self
-                .obs
-                .as_ref()
-                .is_some_and(|o| o.options().trace_planning);
-        let capacity = self
-            .obs
-            .as_ref()
-            .map(|o| o.options().trace_capacity)
-            .unwrap_or(fto_obs::trace::DEFAULT_CAPACITY);
-        let guard = trace_on.then(|| TraceGuard::install(capacity));
-
-        let compiled: Result<(QueryGraph, Plan, PlannerStats)> = (|| {
-            let mut graph = bind(ast, self.db.catalog())?;
-            rewrite::push_down_predicates(&mut graph);
-            rewrite::merge_views(&mut graph);
-            OrderScan::run(&mut graph, self.db.catalog());
-            let (plan, stats) = {
-                let mut planner = Planner::new(&graph, self.db.catalog(), self.config.clone());
-                let plan = planner.plan_query()?;
-                (plan, planner.stats)
-            };
-            Ok((graph, plan, stats))
-        })();
-        let trace = guard.map(TraceGuard::finish);
-        let (graph, plan, planner_stats) = compiled?;
+        let before = ContextWork::snapshot();
+        let mut graph = bind(ast, self.db.catalog())?;
+        rewrite::push_down_predicates(&mut graph);
+        rewrite::merge_views(&mut graph);
+        OrderScan::run(&mut graph, self.db.catalog());
+        let mut planner = Planner::new(&graph, self.db.catalog(), self.config.clone());
+        if force_trace || self.obs.is_some() {
+            planner = planner.traced();
+        }
+        let plan = planner.plan_query()?;
+        let (planner_stats, trace) = (planner.stats, planner.take_trace());
+        let order_work = ContextWork::snapshot().since(before);
 
         if let Some(obs) = &self.obs {
-            obs.record_planning(&planner_stats, trace.as_ref());
+            obs.record_planning(&planner_stats);
         }
         Ok(PreparedQuery {
             db: self.db,
             graph,
             plan,
             planner: planner_stats,
+            order_work,
             batch_size: self.config.batch_size,
             threads: self.config.threads,
             memory_budget: self.config.memory_budget,
             obs: self.obs.clone(),
-            sql: sql.map(str::to_string),
+            sql: sql.to_string(),
             trace,
         })
     }
@@ -222,16 +185,6 @@ impl<'db> Session<'db> {
     /// Compile + execute in one call.
     pub fn execute(&self, sql: &str) -> Result<QueryOutput> {
         self.plan(sql)?.execute()
-    }
-
-    /// Compile + execute with the timeline profiler attached: alongside
-    /// the normal output, returns the merged [`ExecutionProfile`]
-    /// (export with [`ExecutionProfile::to_chrome_trace`] /
-    /// [`ExecutionProfile::to_folded_stacks`]). Rows, I/O totals, and
-    /// metric rollups are bit-identical to an unprofiled run.
-    pub fn profile(&self, sql: &str) -> Result<(QueryOutput, ExecutionProfile)> {
-        let (out, _, profile) = self.plan(sql)?.execute_profiled()?;
-        Ok((out, profile))
     }
 
     /// Renders the chosen plan for `sql` (estimates only) without
@@ -250,11 +203,11 @@ impl<'db> Session<'db> {
     pub fn run(&self, sql: &str) -> Result<StatementOutput> {
         match parse_statement(sql)? {
             Statement::Query(q) => Ok(StatementOutput::Rows(Box::new(
-                self.plan_inner(&q, Some(sql), false)?.execute()?,
+                self.plan_inner(&q, sql, false)?.execute()?,
             ))),
             Statement::Explain { mode, query } => {
                 let force_trace = mode == ExplainMode::Optimizer;
-                let prepared = self.plan_inner(&query, Some(sql), force_trace)?;
+                let prepared = self.plan_inner(&query, sql, force_trace)?;
                 let text = match mode {
                     ExplainMode::Plan => prepared.explain(),
                     ExplainMode::Analyze => prepared.explain_analyze()?,
@@ -282,11 +235,13 @@ pub struct PreparedQuery<'db> {
     graph: QueryGraph,
     plan: Plan,
     planner: PlannerStats,
+    /// Order-algebra calls from bind to plan, on the compiling thread.
+    order_work: ContextWork,
     batch_size: usize,
     threads: usize,
     memory_budget: Option<usize>,
     obs: Option<Observability>,
-    sql: Option<String>,
+    sql: String,
     trace: Option<Trace>,
 }
 
@@ -351,10 +306,10 @@ impl PreparedQuery<'_> {
         let out = self.wrap(result);
         if let Some(obs) = &self.obs {
             obs.record_execution(
-                self.sql.as_deref(),
+                Some(&self.sql),
                 &out,
                 &self.explain(),
-                self.trace.as_ref(),
+                || self.trace_text().unwrap_or_default(),
                 Some(&metrics),
             );
         }
@@ -407,12 +362,39 @@ impl PreparedQuery<'_> {
         }
     }
 
-    /// The optimizer trace collected while planning this query, when
-    /// tracing was on ([`Session::plan_traced`], `EXPLAIN OPTIMIZER`, or
-    /// an attached handle with
-    /// [`trace_planning`](crate::obs::ObsOptions::trace_planning)).
+    /// The planner's decision log for this compilation, when it kept one
+    /// ([`Session::plan_traced`], `EXPLAIN OPTIMIZER`, or an attached
+    /// observability handle).
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
+    }
+
+    /// The decision log as `EXPLAIN OPTIMIZER` and the slow log print it:
+    /// the retained events, then the enumeration summary and the
+    /// order-algebra call counts. Both closing lines come from counters,
+    /// so they are exact however much the ring dropped.
+    fn trace_text(&self) -> Option<String> {
+        let mut text = self.trace.as_ref()?.render();
+        let (s, w) = (&self.planner, &self.order_work);
+        let _ = writeln!(
+            text,
+            "summary: boxes={} | plans generated={} kept<={} pruned={} | \
+             sorts added={} avoided={} segmented={} | sort-ahead variants={}\n\
+             order ops: reduce={} test={} cover={} homogenize={}",
+            s.boxes_planned,
+            s.plans_generated,
+            s.plans_generated.saturating_sub(s.plans_pruned),
+            s.plans_pruned,
+            s.sorts_added,
+            s.sorts_avoided,
+            s.partial_sorts,
+            s.sort_ahead_variants,
+            w.reduce,
+            w.test_order,
+            w.cover,
+            w.homogenize,
+        );
+        Some(text)
     }
 
     /// The chosen physical plan.
@@ -551,11 +533,10 @@ impl PreparedQuery<'_> {
         if !text.ends_with('\n') {
             text.push('\n');
         }
-        match &self.trace {
-            Some(t) => {
+        match self.trace_text() {
+            Some(trace) => {
                 text.push_str("optimizer trace:\n");
-                text.push_str(&t.render());
-                text.push_str(&t.summary());
+                text.push_str(&trace);
                 let _ = writeln!(text, "planner work: {}", self.planner);
             }
             None => text.push_str("optimizer trace: <not collected; tracing was off>\n"),
@@ -711,9 +692,10 @@ mod tests {
             snapshot.contains("histogram query.latency_us"),
             "{snapshot}"
         );
+        let q = s.plan("select k from t order by k").unwrap();
         assert!(
-            s.last_optimizer_trace().is_some(),
-            "trace_planning default should capture a trace"
+            q.trace().is_some(),
+            "an observed session traces its planning"
         );
     }
 

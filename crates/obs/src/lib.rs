@@ -1,17 +1,16 @@
 //! Engine-wide observability primitives, dependency-free by design so
-//! every layer of the stack (order reasoning, planner, executor,
-//! session) can emit into them without dependency cycles.
+//! every layer of the stack that reports (planner, executor, session)
+//! can use them without dependency cycles.
 //!
-//! Three building blocks:
+//! Four building blocks:
 //!
-//! * [`trace`] — a structured trace collector: typed events and spans
-//!   recorded into a bounded ring buffer. Collection is **thread-local**
-//!   and strictly opt-in: until a [`trace::TraceGuard`] is installed on
-//!   the current thread every emission is a single branch on a
-//!   thread-local flag, and event payloads are built inside closures
-//!   that never run. The planner uses this to narrate its decisions
+//! * [`trace`] — the optimizer's decision log: typed events in a bounded
+//!   ring that drops oldest first and says how many. A plain value with
+//!   no collector behind it: the planner holds one as a field when it
+//!   was asked to trace and pushes into it from the call that bumps the
+//!   decision's counter, building the payload only then
 //!   (`EXPLAIN OPTIMIZER`).
-//! * [`metrics`] — a metrics registry: named counters, gauges and
+//! * [`metrics`] — a metrics registry: named counters and
 //!   log-linear-bucket histograms with a deterministic text exposition
 //!   ([`metrics::Registry::expose`]). The session layer feeds each
 //!   query's output into it — latency, rows, and every counter of the
@@ -24,8 +23,9 @@
 //! * [`profile`] — an opt-in execution timeline profiler: span/instant
 //!   events buffered per worker lane, merged deterministically by
 //!   (lane, seq), exported as Chrome trace-event JSON and folded stacks.
-//!   Unlike [`trace`], profile events carry timestamps — which is why
-//!   they live in their own buffers and never enter the optimizer trace.
+//!   Unlike [`trace`], collection is thread-local (exchange workers emit
+//!   from their own threads) and events carry timestamps — which is why
+//!   they never enter the optimizer trace.
 
 #![deny(missing_docs)]
 
@@ -37,4 +37,4 @@ pub mod trace;
 pub use metrics::{HistogramSnapshot, Registry};
 pub use profile::{ExecutionProfile, LaneGuard, LaneProfile, ProfileEvent, Profiler, SpanKind};
 pub use slowlog::{SlowQuery, SlowQueryLog};
-pub use trace::{Trace, TraceCounts, TraceEvent, TraceGuard};
+pub use trace::{Trace, TraceEvent};

@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges, and log-linear-bucket
+//! The metrics registry: named counters and log-linear-bucket
 //! histograms behind one mutex, with a deterministic text exposition.
 //!
 //! Counters are exact `u64` sums — the session layer feeds the executor's
@@ -164,7 +164,6 @@ pub struct HistogramSnapshot {
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -192,12 +191,6 @@ impl Registry {
         self.add(name, 1);
     }
 
-    /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.gauges.insert(name.to_string(), value);
-    }
-
     /// Records one sample into the named histogram (creating it empty).
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("registry poisoned");
@@ -214,12 +207,6 @@ impl Registry {
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().expect("registry poisoned");
-        inner.gauges.get(name).copied()
-    }
-
     /// Snapshot of a histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
         let inner = self.inner.lock().expect("registry poisoned");
@@ -233,9 +220,6 @@ impl Registry {
         let mut out = String::new();
         for (name, v) in &inner.counters {
             let _ = writeln!(out, "counter {name} {v}");
-        }
-        for (name, v) in &inner.gauges {
-            let _ = writeln!(out, "gauge {name} {v}");
         }
         for (name, h) in &inner.histograms {
             let s = h.snapshot();
@@ -310,13 +294,11 @@ mod tests {
         r.add("b.pages", 7);
         r.inc("a.queries");
         r.inc("a.queries");
-        r.set_gauge("scale", 0.01);
         r.observe("latency_us", 100);
         r.observe("latency_us", 300);
         assert_eq!(r.counter("a.queries"), 2);
         assert_eq!(r.counter("b.pages"), 7);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("scale"), Some(0.01));
         let h = r.histogram("latency_us").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 400);
@@ -324,7 +306,6 @@ mod tests {
         let a = text.find("counter a.queries 2").unwrap();
         let b = text.find("counter b.pages 7").unwrap();
         assert!(a < b, "{text}");
-        assert!(text.contains("gauge scale 0.01"), "{text}");
         assert!(
             text.contains("histogram latency_us count=2 sum=400"),
             "{text}"
@@ -340,9 +321,6 @@ mod tests {
         for name in ["zeta.c", "alpha.c", "mid.c", "beta.c", "omega.c"] {
             r.inc(name);
         }
-        for name in ["z.gauge", "a.gauge", "m.gauge"] {
-            r.set_gauge(name, 1.0);
-        }
         for name in ["z.hist", "a.hist", "m.hist"] {
             r.observe(name, 5);
         }
@@ -352,7 +330,6 @@ mod tests {
                 "counter",
                 vec!["alpha.c", "beta.c", "mid.c", "omega.c", "zeta.c"],
             ),
-            ("gauge", vec!["a.gauge", "m.gauge", "z.gauge"]),
             ("histogram", vec!["a.hist", "m.hist", "z.hist"]),
         ] {
             let listed: Vec<&str> = text

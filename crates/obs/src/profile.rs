@@ -3,11 +3,12 @@
 //! A [`Profiler`] collects *span* events (begin/end pairs) and *instant*
 //! events into per-lane buffers: lane 0 is the coordinator thread, and
 //! every exchange worker installs its own lane for the lifetime of its
-//! partition pipeline. Collection follows the same thread-local
-//! discipline as [`crate::trace`]: until a [`LaneGuard`] is installed on
-//! the current thread, every emission is a single branch on a
+//! partition pipeline. Collection is thread-local, because workers emit
+//! from threads that share no `&mut`: until a [`LaneGuard`] is installed
+//! on the current thread, every emission is a single branch on a
 //! thread-local flag and the payload closures never run — so a session
-//! that never profiles pays one predictable branch per hook.
+//! that never profiles pays one predictable branch per hook. The entry
+//! point is `PreparedQuery::execute_profiled` in `fto-exec`.
 //!
 //! # Determinism contract
 //!

@@ -1,25 +1,27 @@
-//! The structured trace collector.
+//! The optimizer's decision log.
 //!
-//! A [`TraceGuard`] installs a collector on the **current thread**; while
-//! it is installed, [`emit`] records [`TraceEvent`]s into a bounded ring
-//! buffer (oldest events are dropped first and counted). With no guard
-//! installed, [`emit`] is a single thread-local flag check and the event
-//! closure never runs — instrumented code pays nothing when tracing is
-//! off.
+//! A [`Trace`] is a plain value: a bounded ring of [`TraceEvent`]s that
+//! drops its oldest entries first and says how many it dropped. Whoever
+//! makes the decisions owns the log — the planner holds one as a field
+//! when it was asked to trace and pushes into it from the same call that
+//! bumps the decision's counter — so there is no collector to install,
+//! nothing thread-local, and two sessions planning at once cannot see
+//! each other's events.
 //!
-//! Payloads are plain pre-rendered strings: the emitting layer formats
-//! its domain objects (order specifications, plan descriptions) at the
-//! emission site, keeping this crate dependency-free. All counts in
-//! [`TraceCounts`] are maintained at emission time, so they stay exact
-//! even when the ring drops events.
+//! Payloads are plain pre-rendered strings: the recording layer formats
+//! its domain objects (order specifications, plan descriptions) when it
+//! builds the event, which keeps this crate dependency-free. The log
+//! holds *decisions* only. The four order-algebra operations run a
+//! million times under a five-table join; they are counted where they
+//! run (`fto_order::ContextWork`), not logged, and every count a report
+//! prints beside the log is the planner's own and therefore exact
+//! whatever the ring dropped.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Default ring capacity installed by [`TraceGuard::install`] callers
-/// that have no better idea; large enough that a full TPC-D Q3
-/// enumeration fits without drops.
+/// Ring capacity of a planner's log: large enough that a four-table
+/// TPC-D enumeration fits without drops.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// One typed optimizer-trace event. String payloads are rendered by the
@@ -85,38 +87,6 @@ pub enum TraceEvent {
         /// The resulting sorted plan.
         plan: String,
     },
-    /// A *Reduce Order* call (paper Fig. 2).
-    Reduce {
-        /// Specification before reduction.
-        before: String,
-        /// Canonical (minimal) specification after reduction.
-        after: String,
-    },
-    /// A *Test Order* call (paper Fig. 3).
-    TestOrder {
-        /// The interesting order tested.
-        interest: String,
-        /// The order property tested against.
-        property: String,
-        /// Whether the property satisfies the interest.
-        satisfied: bool,
-    },
-    /// A *Cover Order* call (paper Fig. 4).
-    Cover {
-        /// First interesting order.
-        i1: String,
-        /// Second interesting order.
-        i2: String,
-        /// The covering specification, if one exists.
-        cover: Option<String>,
-    },
-    /// A *Homogenize Order* call (paper Fig. 5).
-    Homogenize {
-        /// The interesting order being rewritten.
-        interest: String,
-        /// The rewritten order over the target columns, if it exists.
-        result: Option<String>,
-    },
     /// Free-form annotation.
     Note {
         /// The annotation text.
@@ -124,99 +94,58 @@ pub enum TraceEvent {
     },
 }
 
-/// Exact per-kind event counts, maintained at emission time (immune to
-/// ring-buffer drops).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCounts {
-    /// Spans opened.
-    pub spans: u64,
-    /// Candidate plans generated.
-    pub plans_generated: u64,
-    /// Plans discarded by dominance pruning.
-    pub plans_pruned: u64,
-    /// Sort enforcers added.
-    pub sorts_added: u64,
-    /// Sorts avoided via order properties.
-    pub sorts_avoided: u64,
-    /// Full sorts downgraded to segmented (partial) sorts.
-    pub partial_sorts: u64,
-    /// Sort-ahead variants generated.
-    pub sort_ahead: u64,
-    /// Reduce Order calls.
-    pub reduce: u64,
-    /// Test Order calls.
-    pub test_order: u64,
-    /// Cover Order calls.
-    pub cover: u64,
-    /// Homogenize Order calls.
-    pub homogenize: u64,
-    /// Free-form notes.
-    pub notes: u64,
-}
-
-impl TraceCounts {
-    fn bump(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::SpanStart { .. } => self.spans += 1,
-            TraceEvent::SpanEnd { .. } => {}
-            TraceEvent::PlanGenerated { .. } => self.plans_generated += 1,
-            TraceEvent::PlanPruned { .. } => self.plans_pruned += 1,
-            TraceEvent::SortAdded { .. } => self.sorts_added += 1,
-            TraceEvent::SortAvoided { .. } => self.sorts_avoided += 1,
-            TraceEvent::PartialSortChosen { .. } => self.partial_sorts += 1,
-            TraceEvent::SortAhead { .. } => self.sort_ahead += 1,
-            TraceEvent::Reduce { .. } => self.reduce += 1,
-            TraceEvent::TestOrder { .. } => self.test_order += 1,
-            TraceEvent::Cover { .. } => self.cover += 1,
-            TraceEvent::Homogenize { .. } => self.homogenize += 1,
-            TraceEvent::Note { .. } => self.notes += 1,
-        }
-    }
-}
-
-/// A finished trace: the retained events (ring-bounded), how many were
-/// dropped, and the exact per-kind counts.
-#[derive(Clone, Debug, Default)]
+/// The decision log of one planning run: the retained events and how
+/// many older ones the ring dropped to make room.
+#[derive(Clone, Debug)]
 pub struct Trace {
-    /// Retained events, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Events dropped because the ring was full (oldest first).
-    pub dropped: u64,
-    /// Exact per-kind counts (drop-immune).
-    pub counts: TraceCounts,
+    events: VecDeque<TraceEvent>,
+    dropped: u64,
+    capacity: usize,
 }
 
 impl Trace {
-    /// Renders the trace as indented text: spans nest, plan/sort events
-    /// print one line each. The high-volume order-operation events
-    /// ([`TraceEvent::Reduce`], [`TraceEvent::TestOrder`],
-    /// [`TraceEvent::Cover`], [`TraceEvent::Homogenize`]) are summarized
-    /// by [`Trace::summary`] rather than printed individually; they
-    /// remain available in [`Trace::events`] (see [`Trace::render_full`]).
+    /// An empty log retaining at most `capacity` events (at least one).
+    pub fn new(capacity: usize) -> Trace {
+        Trace {
+            events: VecDeque::with_capacity(capacity.min(1024)),
+            dropped: 0,
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Appends an event, dropping the oldest one when the ring is full.
+    pub fn push(&mut self, event: TraceEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+
+    /// Retained events, oldest first.
+    pub fn events(&self) -> &VecDeque<TraceEvent> {
+        &self.events
+    }
+
+    /// Events dropped because the ring was full (oldest first).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Renders the log as indented text: spans nest, every other event
+    /// prints one line, and a closing line says how many earlier events
+    /// the ring dropped.
     pub fn render(&self) -> String {
-        self.render_impl(false)
-    }
-
-    /// [`Trace::render`] including one line per order-operation call.
-    pub fn render_full(&self) -> String {
-        self.render_impl(true)
-    }
-
-    fn render_impl(&self, verbose: bool) -> String {
         let mut out = String::new();
         let mut depth = 0usize;
         for event in &self.events {
-            if matches!(event, TraceEvent::SpanEnd { .. }) {
-                depth = depth.saturating_sub(1);
-                continue;
-            }
             let pad = "  ".repeat(depth);
             match event {
                 TraceEvent::SpanStart { name } => {
                     let _ = writeln!(out, "{pad}{name}");
                     depth += 1;
                 }
-                TraceEvent::SpanEnd { .. } => unreachable!("handled above"),
+                TraceEvent::SpanEnd { .. } => depth = depth.saturating_sub(1),
                 TraceEvent::PlanGenerated { stage, plan } => {
                     let _ = writeln!(out, "{pad}plan[{stage}]: {plan}");
                 }
@@ -246,37 +175,6 @@ impl Trace {
                 TraceEvent::SortAhead { interest, plan } => {
                     let _ = writeln!(out, "{pad}sort-ahead for {interest}: {plan}");
                 }
-                TraceEvent::Reduce { before, after } => {
-                    if verbose {
-                        let _ = writeln!(out, "{pad}reduce {before} => {after}");
-                    }
-                }
-                TraceEvent::TestOrder {
-                    interest,
-                    property,
-                    satisfied,
-                } => {
-                    if verbose {
-                        let verdict = if *satisfied {
-                            "satisfied"
-                        } else {
-                            "not satisfied"
-                        };
-                        let _ = writeln!(out, "{pad}test {interest} against {property}: {verdict}");
-                    }
-                }
-                TraceEvent::Cover { i1, i2, cover } => {
-                    if verbose {
-                        let c = cover.as_deref().unwrap_or("<none>");
-                        let _ = writeln!(out, "{pad}cover {i1} + {i2} => {c}");
-                    }
-                }
-                TraceEvent::Homogenize { interest, result } => {
-                    if verbose {
-                        let r = result.as_deref().unwrap_or("<none>");
-                        let _ = writeln!(out, "{pad}homogenize {interest} => {r}");
-                    }
-                }
                 TraceEvent::Note { text } => {
                     let _ = writeln!(out, "{pad}note: {text}");
                 }
@@ -291,171 +189,6 @@ impl Trace {
         }
         out
     }
-
-    /// The enumeration summary: boxes planned, plans generated/kept/
-    /// pruned, sorts added vs avoided, sort-ahead variants, and the
-    /// order-operation call counts.
-    pub fn summary(&self) -> String {
-        let c = &self.counts;
-        let kept = c.plans_generated.saturating_sub(c.plans_pruned);
-        format!(
-            "summary: boxes={} | plans generated={} kept<={} pruned={} | \
-             sorts added={} avoided={} segmented={} | sort-ahead variants={}\n\
-             order ops: reduce={} test={} cover={} homogenize={}\n",
-            c.spans,
-            c.plans_generated,
-            kept,
-            c.plans_pruned,
-            c.sorts_added,
-            c.sorts_avoided,
-            c.partial_sorts,
-            c.sort_ahead,
-            c.reduce,
-            c.test_order,
-            c.cover,
-            c.homogenize,
-        )
-    }
-}
-
-struct Collector {
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-    counts: TraceCounts,
-}
-
-impl Collector {
-    fn record(&mut self, event: TraceEvent) {
-        self.counts.bump(&event);
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(event);
-    }
-
-    fn finish(self) -> Trace {
-        Trace {
-            events: self.ring.into(),
-            dropped: self.dropped,
-            counts: self.counts,
-        }
-    }
-}
-
-thread_local! {
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static RECORDED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Is a trace collector installed on the current thread?
-pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get())
-}
-
-/// Records an event if (and only if) tracing is enabled on this thread.
-/// The closure — and therefore all payload formatting — runs only on the
-/// enabled path.
-pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(collector) = c.borrow_mut().as_mut() {
-            RECORDED.with(|r| r.set(r.get() + 1));
-            collector.record(f());
-        }
-    });
-}
-
-/// Emits a [`TraceEvent::SpanStart`], returning a guard that emits the
-/// matching [`TraceEvent::SpanEnd`] on drop. Free when tracing is off
-/// (the name closure never runs).
-pub fn span<F: FnOnce() -> String>(name: F) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name: None };
-    }
-    let name = name();
-    emit(|| TraceEvent::SpanStart { name: name.clone() });
-    SpanGuard { name: Some(name) }
-}
-
-/// Closes its span on drop (see [`span`]).
-pub struct SpanGuard {
-    name: Option<String>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            emit(|| TraceEvent::SpanEnd { name });
-        }
-    }
-}
-
-/// Total events ever recorded on the **current thread**. The disabled-
-/// path regression test uses this to prove that running a workload
-/// without a collector records nothing.
-pub fn events_recorded() -> u64 {
-    RECORDED.with(|r| r.get())
-}
-
-/// Installs a trace collector on the current thread; collection stops
-/// and the trace is returned by [`TraceGuard::finish`]. Guards nest: a
-/// newly installed guard shelves the previous collector and restores it
-/// when finished or dropped.
-pub struct TraceGuard {
-    prev: Option<Collector>,
-    prev_enabled: bool,
-    finished: bool,
-}
-
-impl TraceGuard {
-    /// Starts collecting on this thread into a ring of at most
-    /// `capacity` events.
-    pub fn install(capacity: usize) -> TraceGuard {
-        let fresh = Collector {
-            ring: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-            counts: TraceCounts::default(),
-        };
-        let prev = COLLECTOR.with(|c| c.borrow_mut().replace(fresh));
-        let prev_enabled = ENABLED.with(|e| e.replace(true));
-        TraceGuard {
-            prev,
-            prev_enabled,
-            finished: false,
-        }
-    }
-
-    /// Stops collecting and returns the trace, restoring whatever
-    /// collector (if any) was active before this guard.
-    pub fn finish(mut self) -> Trace {
-        self.finished = true;
-        let collector = self.restore();
-        collector.map(Collector::finish).unwrap_or_default()
-    }
-
-    fn restore(&mut self) -> Option<Collector> {
-        let current = COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), self.prev.take()));
-        ENABLED.with(|e| e.set(self.prev_enabled));
-        current
-    }
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.restore();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -463,136 +196,70 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_records_nothing_and_runs_no_closures() {
-        assert!(!enabled());
-        let before = events_recorded();
-        let mut ran = false;
-        emit(|| {
-            ran = true;
-            TraceEvent::Note { text: "x".into() }
-        });
-        assert!(!ran);
-        assert_eq!(events_recorded(), before);
-    }
-
-    #[test]
     fn guard_collects_and_counts() {
-        let guard = TraceGuard::install(16);
-        emit(|| TraceEvent::PlanGenerated {
+        let mut trace = Trace::new(16);
+        trace.push(TraceEvent::PlanGenerated {
             stage: "access",
             plan: "scan cost=1.0".into(),
         });
-        emit(|| TraceEvent::PlanPruned {
+        trace.push(TraceEvent::PlanPruned {
             loser: "a".into(),
             winner: "b".into(),
         });
-        {
-            let _s = span(|| "box b0 (select)".to_string());
-            emit(|| TraceEvent::SortAdded {
-                spec: "(c1)".into(),
-                input: "scan".into(),
-            });
-        }
-        let trace = guard.finish();
-        assert_eq!(trace.counts.plans_generated, 1);
-        assert_eq!(trace.counts.plans_pruned, 1);
-        assert_eq!(trace.counts.sorts_added, 1);
-        assert_eq!(trace.counts.spans, 1);
+        trace.push(TraceEvent::SpanStart {
+            name: "box b0 (select)".into(),
+        });
+        trace.push(TraceEvent::SortAdded {
+            spec: "(c1)".into(),
+            input: "scan".into(),
+        });
+        trace.push(TraceEvent::SpanEnd {
+            name: "box b0 (select)".into(),
+        });
+        trace.push(TraceEvent::Note {
+            text: "done".into(),
+        });
+        assert_eq!(trace.events.len(), 6);
         assert_eq!(trace.dropped, 0);
         let text = trace.render();
         assert!(text.contains("plan[access]"), "{text}");
         assert!(text.contains("pruned: a -- dominated by b"), "{text}");
-        // The sort event is indented under the span.
+        // The sort event is indented under the span; the note after the
+        // span closed is not.
         assert!(text.contains("\n  sort added"), "{text}");
-        assert!(!enabled());
+        assert!(text.contains("\nnote: done"), "{text}");
+        assert!(!text.contains("dropped"), "{text}");
     }
 
     #[test]
     fn partial_sort_event_renders_and_counts() {
-        let guard = TraceGuard::install(16);
-        emit(|| TraceEvent::PartialSortChosen {
+        let mut trace = Trace::new(16);
+        trace.push(TraceEvent::PartialSortChosen {
             prefix: "(c1)".into(),
             suffix: "(c2)".into(),
             groups: 42,
         });
-        let trace = guard.finish();
-        assert_eq!(trace.counts.partial_sorts, 1);
+        assert_eq!(trace.events.len(), 1);
         let text = trace.render();
         assert!(
             text.contains("PartialSortChosen: prefix (c1) satisfied"),
             "{text}"
         );
         assert!(text.contains("~42 groups"), "{text}");
-        assert!(
-            trace.summary().contains("segmented=1"),
-            "{}",
-            trace.summary()
-        );
     }
 
     #[test]
     fn ring_drops_oldest_and_keeps_exact_counts() {
-        let guard = TraceGuard::install(4);
+        let mut trace = Trace::new(4);
         for i in 0..10 {
-            emit(|| TraceEvent::Note {
+            trace.push(TraceEvent::Note {
                 text: format!("n{i}"),
             });
         }
-        let trace = guard.finish();
         assert_eq!(trace.events.len(), 4);
         assert_eq!(trace.dropped, 6);
-        assert_eq!(trace.counts.notes, 10);
         assert_eq!(trace.events[0], TraceEvent::Note { text: "n6".into() });
+        assert_eq!(trace.events[3], TraceEvent::Note { text: "n9".into() });
         assert!(trace.render().contains("6 earlier events dropped"));
-    }
-
-    #[test]
-    fn guards_nest_and_restore() {
-        let outer = TraceGuard::install(16);
-        emit(|| TraceEvent::Note {
-            text: "outer".into(),
-        });
-        {
-            let inner = TraceGuard::install(16);
-            emit(|| TraceEvent::Note {
-                text: "inner".into(),
-            });
-            let t = inner.finish();
-            assert_eq!(t.counts.notes, 1);
-        }
-        emit(|| TraceEvent::Note {
-            text: "outer2".into(),
-        });
-        let t = outer.finish();
-        assert_eq!(t.counts.notes, 2);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn render_summarizes_order_ops_unless_verbose() {
-        let guard = TraceGuard::install(16);
-        emit(|| TraceEvent::Reduce {
-            before: "(c1, c2)".into(),
-            after: "(c1)".into(),
-        });
-        emit(|| TraceEvent::TestOrder {
-            interest: "(c1)".into(),
-            property: "(c1, c3)".into(),
-            satisfied: true,
-        });
-        let trace = guard.finish();
-        let brief = trace.render();
-        assert!(!brief.contains("reduce"), "{brief}");
-        let full = trace.render_full();
-        assert!(full.contains("reduce (c1, c2) => (c1)"), "{full}");
-        assert!(
-            full.contains("test (c1) against (c1, c3): satisfied"),
-            "{full}"
-        );
-        assert!(
-            trace.summary().contains("reduce=1 test=1"),
-            "{}",
-            trace.summary()
-        );
     }
 }

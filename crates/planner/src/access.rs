@@ -14,8 +14,6 @@ use crate::planner::Planner;
 use fto_catalog::IndexDef;
 use fto_common::{ColSet, Value};
 use fto_expr::{CompareOp, Expr, PredId, RowLayout};
-use fto_obs::trace::emit;
-use fto_obs::TraceEvent;
 use fto_order::{OrderSpec, SortKey, StreamProps};
 use fto_qgm::graph::Quantifier;
 
@@ -118,12 +116,8 @@ pub fn access_paths(
         paths.push(planner.apply_filter(reverse_plan, local_preds));
     }
 
-    planner.stats.plans_generated += paths.len() as u64;
     for p in &paths {
-        emit(|| TraceEvent::PlanGenerated {
-            stage: "access",
-            plan: p.trace_desc(),
-        });
+        planner.generated("access", p);
     }
     paths
 }

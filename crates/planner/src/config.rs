@@ -209,6 +209,11 @@ pub struct PlannerStats {
     /// addition to `sorts_added` (a segmented sort is still a sort
     /// enforcer).
     pub partial_sorts: u64,
+    /// Sort-ahead variants generated: plans sorted early for one of a
+    /// box's interesting orders.
+    pub sort_ahead_variants: u64,
+    /// Query-graph boxes planned.
+    pub boxes_planned: u64,
     /// Order contexts built from stream facts by
     /// [`Planner::plan_query`](crate::Planner::plan_query): one per
     /// distinct set of facts, so orders of magnitude below

@@ -19,7 +19,6 @@ use crate::plan::{Plan, PlanNode};
 use crate::planner::Planner;
 use fto_common::{ColId, ColSet, FtoError, QuantifierId, Result};
 use fto_expr::{PredClass, PredId};
-use fto_obs::trace::emit;
 use fto_obs::TraceEvent;
 use fto_order::{FactsMemo, OrderSpec, StreamProps};
 use fto_qgm::graph::{QgmBox, QuantifierInput};
@@ -124,18 +123,16 @@ fn sorted_variants(
                 continue;
             }
             let sorted = planner.add_sort(plan.clone(), &homog);
-            emit(|| TraceEvent::SortAhead {
-                interest: interest.to_string(),
-                plan: sorted.trace_desc(),
-            });
-            // A sort-ahead variant counts as a generated plan, so the
-            // trace must carry both events to reconcile with the stats.
-            emit(|| TraceEvent::PlanGenerated {
-                stage: "sort-ahead",
-                plan: sorted.trace_desc(),
-            });
+            planner.decide(
+                |s| &mut s.sort_ahead_variants,
+                || TraceEvent::SortAhead {
+                    interest: interest.to_string(),
+                    plan: sorted.trace_desc(),
+                },
+            );
+            // A sort-ahead variant is a generated plan as well.
+            planner.generated("sort-ahead", &sorted);
             out.push(sorted);
-            planner.stats.plans_generated += 1;
         }
     }
     out
@@ -241,21 +238,13 @@ fn join_pair(
         let o_order = OrderSpec::ascending(ocols.iter().copied());
         let i_order = OrderSpec::ascending(icols.iter().copied());
         let outer_sorted = if planner.order_satisfied(outer, &o_order) {
-            planner.stats.sorts_avoided += 1;
-            emit(|| TraceEvent::SortAvoided {
-                requirement: o_order.to_string(),
-                order: outer.props.order.to_string(),
-            });
+            planner.sort_avoided(&o_order, outer);
             outer.clone()
         } else {
             planner.add_sort(outer.clone(), &o_order)
         };
         let inner_sorted = if planner.order_satisfied(inner, &i_order) {
-            planner.stats.sorts_avoided += 1;
-            emit(|| TraceEvent::SortAvoided {
-                requirement: i_order.to_string(),
-                order: inner.props.order.to_string(),
-            });
+            planner.sort_avoided(&i_order, inner);
             inner.clone()
         } else {
             planner.add_sort(inner.clone(), &i_order)
@@ -324,12 +313,8 @@ fn join_pair(
         });
     }
 
-    planner.stats.plans_generated += plans.len() as u64;
     for p in &plans {
-        emit(|| TraceEvent::PlanGenerated {
-            stage: "join",
-            plan: p.trace_desc(),
-        });
+        planner.generated("join", p);
     }
     plans
 }
@@ -439,11 +424,7 @@ fn index_nlj(
             props,
             cost: Cost { total, rows },
         };
-        planner.stats.plans_generated += 1;
-        emit(|| TraceEvent::PlanGenerated {
-            stage: "join",
-            plan: plan.trace_desc(),
-        });
+        planner.generated("join", &plan);
         plans.push(plan);
     }
     plans

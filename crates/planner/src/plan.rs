@@ -301,9 +301,7 @@ impl Plan {
     /// Renders the plan as an indented tree, resolving column names with
     /// `name` (pass `|c| c.to_string()` when no registry is at hand).
     pub fn explain(&self, name: &dyn Fn(ColId) -> String) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0, name, false);
-        out
+        self.explain_annotated(name, &|_, _| String::new())
     }
 
     /// [`Plan::explain`] with the paper's data properties annotated under
@@ -311,9 +309,7 @@ impl Plan {
     /// one-record condition), and the count of applied predicates — the
     /// state the optimizer reasoned over when it picked this plan.
     pub fn explain_properties(&self, name: &dyn Fn(ColId) -> String) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0, name, true);
-        out
+        self.explain_annotated(name, &|_, node| node.properties_note(name))
     }
 
     /// [`Plan::explain`] with a caller-supplied annotation appended under
@@ -330,11 +326,11 @@ impl Plan {
     ) -> String {
         let mut out = String::new();
         let mut next_id = 0usize;
-        self.explain_annotated_into(&mut out, 0, name, annotate, &mut next_id);
+        self.explain_into(&mut out, 0, name, annotate, &mut next_id);
         out
     }
 
-    fn explain_annotated_into(
+    fn explain_into(
         &self,
         out: &mut String,
         depth: usize,
@@ -360,90 +356,44 @@ impl Plan {
             let _ = writeln!(out, "{indent}    · {note}");
         }
         for child in self.children() {
-            child.explain_annotated_into(out, depth + 1, name, annotate, next_id);
+            child.explain_into(out, depth + 1, name, annotate, next_id);
         }
     }
 
-    fn explain_into(
-        &self,
-        out: &mut String,
-        depth: usize,
-        name: &dyn Fn(ColId) -> String,
-        properties: bool,
-    ) {
-        let indent = "  ".repeat(depth);
-        let detail = self.detail(name);
-        let _ = writeln!(
-            out,
-            "{indent}{}{}{} [rows={:.0} cost={:.1}]",
-            self.op_name(),
-            if detail.is_empty() { "" } else { " " },
-            detail,
-            self.cost.rows,
-            self.cost.total,
-        );
-        if properties {
-            let order = if self.props.order.is_empty() {
-                "unordered".to_string()
-            } else {
-                let keys: Vec<String> = self
-                    .props
-                    .order
-                    .keys()
-                    .iter()
-                    .map(|k| {
-                        let mut n = name(k.col);
-                        if k.dir == fto_common::Direction::Desc {
-                            n.push_str(" desc");
-                        }
-                        n
-                    })
-                    .collect();
-                format!("order: ({})", keys.join(", "))
-            };
-            let keys = if self.props.keys.is_one_record() {
-                "one-record".to_string()
-            } else if self.props.keys.is_empty() {
-                "no keys".to_string()
-            } else {
-                let rendered: Vec<String> = self
-                    .props
-                    .keys
-                    .keys()
-                    .iter()
-                    .map(|k| {
-                        let cols: Vec<String> = k.iter().map(&name).collect();
-                        format!("{{{}}}", cols.join(", "))
-                    })
-                    .collect();
-                format!("keys: {}", rendered.join(" "))
-            };
-            let _ = writeln!(
-                out,
-                "{indent}    · {order} | {keys} | {} preds applied",
-                self.props.preds.len()
-            );
-        }
-        for child in self.children() {
-            child.explain_into(out, depth + 1, name, properties);
-        }
+    /// The annotation of [`Plan::explain_properties`]: this stream's
+    /// order, keys and applied-predicate count.
+    fn properties_note(&self, name: &dyn Fn(ColId) -> String) -> String {
+        let order = if self.props.order.is_empty() {
+            "unordered".to_string()
+        } else {
+            format!("order: ({})", spec_names(&self.props.order, name))
+        };
+        let keys = if self.props.keys.is_one_record() {
+            "one-record".to_string()
+        } else if self.props.keys.is_empty() {
+            "no keys".to_string()
+        } else {
+            let rendered: Vec<String> = self
+                .props
+                .keys
+                .keys()
+                .iter()
+                .map(|k| {
+                    let cols: Vec<String> = k.iter().map(name).collect();
+                    format!("{{{}}}", cols.join(", "))
+                })
+                .collect();
+            format!("keys: {}", rendered.join(" "))
+        };
+        format!(
+            "{order} | {keys} | {} preds applied",
+            self.props.preds.len()
+        )
     }
 
     fn detail(&self, name: &dyn Fn(ColId) -> String) -> String {
         let cols = |cs: &[ColId]| cs.iter().map(|&c| name(c)).collect::<Vec<_>>().join(", ");
-        let spec = |s: &OrderSpec| {
-            s.keys()
-                .iter()
-                .map(|k| {
-                    let mut n = name(k.col);
-                    if k.dir == fto_common::Direction::Desc {
-                        n.push_str(" desc");
-                    }
-                    n
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
+        let spec = |s: &OrderSpec| spec_names(s, name);
         match &self.node {
             PlanNode::TableScan { table, .. } => format!("{table}"),
             PlanNode::IndexScan {
@@ -545,6 +495,21 @@ impl Plan {
         }
         n
     }
+}
+
+/// `a, b desc, c`: the keys of `spec` by resolved column name.
+fn spec_names(spec: &OrderSpec, name: &dyn Fn(ColId) -> String) -> String {
+    spec.keys()
+        .iter()
+        .map(|k| {
+            let mut n = name(k.col);
+            if k.dir == fto_common::Direction::Desc {
+                n.push_str(" desc");
+            }
+            n
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 #[cfg(test)]

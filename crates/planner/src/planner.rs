@@ -9,8 +9,8 @@ use crate::plan::{Plan, PlanNode};
 use fto_catalog::Catalog;
 use fto_common::{ColSet, FtoError, IndexId, Result};
 use fto_expr::{Expr, PredId, RowLayout};
-use fto_obs::trace::{emit, span};
-use fto_obs::TraceEvent;
+use fto_obs::trace::DEFAULT_CAPACITY;
+use fto_obs::{Trace, TraceEvent};
 use fto_order::{ContextWork, FlexOrder, OrderContext, OrderSpec, StreamProps};
 use fto_qgm::graph::{BoxId, BoxKind, OutputExpr, QgmBox, QuantifierInput};
 use fto_qgm::QueryGraph;
@@ -30,6 +30,9 @@ pub struct Planner<'a> {
     pub config: OptimizerConfig,
     /// Work counters.
     pub stats: PlannerStats,
+    /// The decision log, when the planner was asked to keep one
+    /// ([`Planner::traced`]).
+    trace: Option<Trace>,
     /// The context of [`Planner::effective_ctx`] when order optimization
     /// is disabled; one for the planner's life, not one per comparison.
     trivial: OrderContext,
@@ -44,8 +47,65 @@ impl<'a> Planner<'a> {
             catalog,
             config,
             stats: PlannerStats::default(),
+            trace: None,
             trivial: OrderContext::trivial(),
         }
+    }
+
+    /// Keeps a log of every decision planning makes (builder style), for
+    /// [`Planner::take_trace`] to hand over afterwards. Logging only
+    /// observes: the plan and the counters are those of an untraced run.
+    pub fn traced(mut self) -> Self {
+        self.trace = Some(Trace::new(DEFAULT_CAPACITY));
+        self
+    }
+
+    /// The decision log kept so far, if the planner is [`Planner::traced`].
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.trace.take()
+    }
+
+    /// Records one decision: bumps the counter `pick` names and, when a
+    /// log is kept, appends the event `payload` builds. The payload — all
+    /// its formatting — runs only then.
+    pub(crate) fn decide(
+        &mut self,
+        pick: fn(&mut PlannerStats) -> &mut u64,
+        payload: impl FnOnce() -> TraceEvent,
+    ) {
+        *pick(&mut self.stats) += 1;
+        self.log(payload);
+    }
+
+    /// Appends an event that has no counter (a span's end, a note) to the
+    /// log, when one is kept.
+    fn log(&mut self, payload: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(payload());
+        }
+    }
+
+    /// Records `plan` as a candidate the enumeration stage `stage` made.
+    pub(crate) fn generated(&mut self, stage: &'static str, plan: &Plan) {
+        self.decide(
+            |s| &mut s.plans_generated,
+            || TraceEvent::PlanGenerated {
+                stage,
+                plan: plan.trace_desc(),
+            },
+        );
+    }
+
+    /// Records that `plan`'s order property satisfied `requirement`, so
+    /// no sort was placed.
+    pub(crate) fn sort_avoided(&mut self, requirement: &dyn std::fmt::Display, plan: &Plan) {
+        self.decide(
+            |s| &mut s.sorts_avoided,
+            || TraceEvent::SortAvoided {
+                requirement: requirement.to_string(),
+                order: plan.props.order.to_string(),
+            },
+        );
     }
 
     /// Plans the whole query, returning the cheapest valid plan.
@@ -65,16 +125,20 @@ impl<'a> Planner<'a> {
     /// cost + property dominance).
     pub fn plan_box(&mut self, id: BoxId) -> Result<Vec<Plan>> {
         // Borrowed from the graph, not from `self`: planning mutates
-        // only the counters.
+        // only the counters and the log.
         let graph: &'a QueryGraph = self.graph;
         let qbox = graph.boxed(id);
-        let _span = span(|| format!("box {id} ({})", kind_name(&qbox.kind)));
+        let span = || format!("box {id} ({})", kind_name(&qbox.kind));
+        self.decide(
+            |s| &mut s.boxes_planned,
+            || TraceEvent::SpanStart { name: span() },
+        );
         let mut plans = match &qbox.kind {
-            BoxKind::Select => self.plan_select(qbox)?,
-            BoxKind::GroupBy { grouping } => self.plan_group_by(qbox, grouping)?,
-            BoxKind::Union => self.plan_union(qbox)?,
-            BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on)?,
-        };
+            BoxKind::Select => self.plan_select(qbox),
+            BoxKind::GroupBy { grouping } => self.plan_group_by(qbox, grouping),
+            BoxKind::Union => self.plan_union(qbox),
+            BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on),
+        }?;
 
         // DISTINCT on the box's output.
         if qbox.distinct {
@@ -96,9 +160,10 @@ impl<'a> Planner<'a> {
         }
 
         let kept = self.prune(plans);
-        emit(|| TraceEvent::Note {
+        self.log(|| TraceEvent::Note {
             text: format!("box {id}: {} plan(s) kept", kept.len()),
         });
+        self.log(|| TraceEvent::SpanEnd { name: span() });
         Ok(kept)
     }
 
@@ -253,10 +318,13 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 let sorted = self.add_sort(plan.clone(), &homog);
-                emit(|| TraceEvent::SortAhead {
-                    interest: interest.to_string(),
-                    plan: sorted.trace_desc(),
-                });
+                self.decide(
+                    |s| &mut s.sort_ahead_variants,
+                    || TraceEvent::SortAhead {
+                        interest: interest.to_string(),
+                        plan: sorted.trace_desc(),
+                    },
+                );
                 extra.push(sorted);
             }
         }
@@ -322,11 +390,7 @@ impl<'a> Planner<'a> {
             // groups rows; otherwise sort first.
             let ctx = self.effective_ctx(&child.props);
             let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
-                self.stats.sorts_avoided += 1;
-                emit(|| TraceEvent::SortAvoided {
-                    requirement: "group-by".to_string(),
-                    order: child.props.order.to_string(),
-                });
+                self.sort_avoided(&"group-by", &child);
                 child.clone()
             } else {
                 let spec = flex.concretize(&child.props.order, ctx);
@@ -372,12 +436,8 @@ impl<'a> Planner<'a> {
                 });
             }
         }
-        self.stats.plans_generated += plans.len() as u64;
         for p in &plans {
-            emit(|| TraceEvent::PlanGenerated {
-                stage: "group-by",
-                plan: p.trace_desc(),
-            });
+            self.generated("group-by", p);
         }
 
         Ok(plans
@@ -420,11 +480,7 @@ impl<'a> Planner<'a> {
                 rows: total_rows,
             },
         };
-        self.stats.plans_generated += 1;
-        emit(|| TraceEvent::PlanGenerated {
-            stage: "union",
-            plan: plan.trace_desc(),
-        });
+        self.generated("union", &plan);
         Ok(vec![plan])
     }
 
@@ -506,12 +562,8 @@ impl<'a> Planner<'a> {
                 });
             }
         }
-        self.stats.plans_generated += plans.len() as u64;
         for p in &plans {
-            emit(|| TraceEvent::PlanGenerated {
-                stage: "outer-join",
-                plan: p.trace_desc(),
-            });
+            self.generated("outer-join", p);
         }
 
         Ok(plans
@@ -535,11 +587,7 @@ impl<'a> Planner<'a> {
 
             // Order-based distinct.
             let ordered = if flex.satisfied_by(&plan.props.order, ctx) {
-                self.stats.sorts_avoided += 1;
-                emit(|| TraceEvent::SortAvoided {
-                    requirement: "distinct".to_string(),
-                    order: plan.props.order.to_string(),
-                });
+                self.sort_avoided(&"distinct", &plan);
                 plan.clone()
             } else {
                 let spec = flex.concretize(&plan.props.order, ctx);
@@ -574,12 +622,8 @@ impl<'a> Planner<'a> {
                 });
             }
         }
-        self.stats.plans_generated += out.len() as u64;
         for p in &out {
-            emit(|| TraceEvent::PlanGenerated {
-                stage: "distinct",
-                plan: p.trace_desc(),
-            });
+            self.generated("distinct", p);
         }
         out
     }
@@ -591,7 +635,11 @@ impl<'a> Planner<'a> {
     /// is disabled (orders compare verbatim). Borrowed either way:
     /// asking a question never builds a context.
     pub fn effective_ctx<'s>(&'s self, props: &'s StreamProps) -> &'s OrderContext {
-        effective_ctx(&self.config, &self.trivial, props)
+        if self.config.order_optimization {
+            props.ctx()
+        } else {
+            &self.trivial
+        }
     }
 
     /// Does `plan` already provide `interest`?
@@ -608,8 +656,7 @@ impl<'a> Planner<'a> {
     /// an equivalent column), so the reduced specification is homogenized
     /// back onto the plan's actual layout before the sort is built.
     pub fn add_sort(&mut self, plan: Plan, spec: &OrderSpec) -> Plan {
-        // Field by field, so the counters stay writable under `ctx`.
-        let ctx = effective_ctx(&self.config, &self.trivial, &plan.props);
+        let ctx = self.effective_ctx(&plan.props);
         let reduced = ctx.reduce(spec);
         if reduced.is_empty() {
             return plan;
@@ -626,11 +673,13 @@ impl<'a> Planner<'a> {
         if minimal.is_empty() {
             return plan;
         }
-        self.stats.sorts_added += 1;
-        emit(|| TraceEvent::SortAdded {
-            spec: minimal.to_string(),
-            input: plan.trace_desc(),
-        });
+        self.decide(
+            |s| &mut s.sorts_added,
+            || TraceEvent::SortAdded {
+                spec: minimal.to_string(),
+                input: plan.trace_desc(),
+            },
+        );
         let rows = plan.cost.rows;
         let width = (plan.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
         let props = plan.props.sorted(&minimal);
@@ -644,7 +693,9 @@ impl<'a> Planner<'a> {
         // is positional only when reduce(minimal) partitions exactly
         // (the homogenize fallback can leave `minimal` unreduced).
         if self.config.enable_segmented_sort && self.config.order_optimization {
-            let (pfx, sfx) = ctx.split_requirement(&minimal, &plan.props.order);
+            let (pfx, sfx) = self
+                .effective_ctx(&plan.props)
+                .split_requirement(&minimal, &plan.props.order);
             if !pfx.is_empty() && !sfx.is_empty() && pfx.len() + sfx.len() == minimal.len() {
                 let prefix_len = pfx.len();
                 let prefix_cols: Vec<fto_common::ColId> =
@@ -654,12 +705,14 @@ impl<'a> Planner<'a> {
                     .group_count(&prefix_cols, rows)
                     .clamp(1.0, rows.max(1.0));
                 if groups > 1.0 {
-                    self.stats.partial_sorts += 1;
-                    emit(|| TraceEvent::PartialSortChosen {
-                        prefix: pfx.to_string(),
-                        suffix: sfx.to_string(),
-                        groups: groups.round() as u64,
-                    });
+                    self.decide(
+                        |s| &mut s.partial_sorts,
+                        || TraceEvent::PartialSortChosen {
+                            prefix: pfx.to_string(),
+                            suffix: sfx.to_string(),
+                            groups: groups.round() as u64,
+                        },
+                    );
                     let cost = plan.cost.plus(cost::segmented_sort(
                         rows,
                         groups,
@@ -697,11 +750,7 @@ impl<'a> Planner<'a> {
     /// when the property test fails (paper Fig. 3 drives this decision).
     pub fn ensure_order(&mut self, plan: Plan, req: &OrderSpec) -> Plan {
         if self.order_satisfied(&plan, req) {
-            self.stats.sorts_avoided += 1;
-            emit(|| TraceEvent::SortAvoided {
-                requirement: req.to_string(),
-                order: plan.props.order.to_string(),
-            });
+            self.sort_avoided(req, &plan);
             plan
         } else {
             self.add_sort(plan, req)
@@ -795,23 +844,25 @@ impl<'a> Planner<'a> {
         let mut kept: Vec<Plan> = Vec::with_capacity(plans.len());
         for plan in plans {
             if let Some(winner) = kept.iter().find(|k| self.plan_dominates(k, &plan)) {
-                self.stats.plans_pruned += 1;
-                emit(|| TraceEvent::PlanPruned {
-                    loser: plan.trace_desc(),
-                    winner: winner.trace_desc(),
-                });
+                self.decide(
+                    |s| &mut s.plans_pruned,
+                    || TraceEvent::PlanPruned {
+                        loser: plan.trace_desc(),
+                        winner: winner.trace_desc(),
+                    },
+                );
                 continue;
             }
-            let stats = &mut self.stats;
-            let (config, trivial) = (&self.config, &self.trivial);
             kept.retain(|k| {
-                let gone = plan_dominates_under(config, trivial, &plan, k);
+                let gone = self.plan_dominates(&plan, k);
                 if gone {
-                    stats.plans_pruned += 1;
-                    emit(|| TraceEvent::PlanPruned {
-                        loser: k.trace_desc(),
-                        winner: plan.trace_desc(),
-                    });
+                    self.decide(
+                        |s| &mut s.plans_pruned,
+                        || TraceEvent::PlanPruned {
+                            loser: k.trace_desc(),
+                            winner: plan.trace_desc(),
+                        },
+                    );
                 }
                 !gone
             });
@@ -821,7 +872,11 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_dominates(&self, a: &Plan, b: &Plan) -> bool {
-        plan_dominates_under(&self.config, &self.trivial, a, b)
+        if a.cost.total > b.cost.total {
+            return false;
+        }
+        a.props
+            .dominates_under(&b.props, self.effective_ctx(&a.props))
     }
 
     /// The cardinality estimator for this query.
@@ -835,35 +890,6 @@ impl<'a> Planner<'a> {
         let stats = self.catalog.stats(ix.table);
         Some(stats.row_count.div_ceil(256).max(1))
     }
-}
-
-/// Free-function form of [`Planner::effective_ctx`], for callers that
-/// write the planner's counters while they hold the context.
-fn effective_ctx<'a>(
-    config: &OptimizerConfig,
-    trivial: &'a OrderContext,
-    props: &'a StreamProps,
-) -> &'a OrderContext {
-    if config.order_optimization {
-        props.ctx()
-    } else {
-        trivial
-    }
-}
-
-/// Free-function form of the dominance test so [`Planner::prune`] can
-/// call it while its stats counters are mutably borrowed.
-fn plan_dominates_under(
-    config: &OptimizerConfig,
-    trivial: &OrderContext,
-    a: &Plan,
-    b: &Plan,
-) -> bool {
-    if a.cost.total > b.cost.total {
-        return false;
-    }
-    let ctx = effective_ctx(config, trivial, &a.props);
-    a.props.dominates_under(&b.props, ctx)
 }
 
 /// Short name of a box kind for trace spans.
@@ -1050,6 +1076,39 @@ mod tests {
             plan.count_ops(&|n| matches!(n, PlanNode::TableScan { .. })),
             1
         );
+    }
+
+    #[test]
+    fn untraced_decisions_count_but_build_no_payload() {
+        let db = simple_db();
+        let (mut g, _) = single_table_query(&db, Some(0));
+        OrderScan::run(&mut g, db.catalog());
+        let payload = |ran: &mut u32| {
+            *ran += 1;
+            TraceEvent::Note { text: "x".into() }
+        };
+
+        // Nobody asked for a log: the counter moves, the payload closure
+        // never runs, and planning does not start a log by itself.
+        let mut plain = Planner::new(&g, db.catalog(), OptimizerConfig::default());
+        let mut ran = 0;
+        plain.decide(|s| &mut s.joins_considered, || payload(&mut ran));
+        plain.log(|| payload(&mut ran));
+        plain.plan_query().unwrap();
+        assert_eq!(ran, 0);
+        assert!(plain.stats.joins_considered == 1 && plain.stats.plans_generated > 0);
+        assert!(plain.take_trace().is_none());
+
+        // Asked to trace: same counters, and each call logs its event.
+        let mut traced = Planner::new(&g, db.catalog(), OptimizerConfig::default()).traced();
+        traced.decide(|s| &mut s.joins_considered, || payload(&mut ran));
+        traced.log(|| payload(&mut ran));
+        traced.plan_query().unwrap();
+        assert_eq!(ran, 2);
+        assert_eq!(traced.stats, plain.stats);
+        let trace = traced.take_trace().unwrap();
+        assert_eq!(trace.events()[0], TraceEvent::Note { text: "x".into() });
+        assert!(trace.events().len() > 2 && trace.dropped() == 0);
     }
 
     #[test]

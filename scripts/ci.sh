@@ -76,6 +76,25 @@ for f in crates/exec/src/*.rs; do
     fi
 done
 
+echo "==> grep guard: one optimizer log, owned by the planner that fills it"
+# A planner decision is recorded by one call that bumps its PlannerStats
+# field and, when the planner was asked to trace, pushes the event into
+# the log it holds. No collector is installed on a thread and no second
+# tally shadows the counters; the order algebra's calls are counted in
+# fto-order's own ContextWork, so that crate needs nothing from fto-obs.
+# (Checked above each file's #[cfg(test)].)
+for f in crates/obs/src/trace.rs crates/planner/src/*.rs; do
+    if non_test "$f" | grep -n 'static .*Atomic\|thread_local!'; then
+        echo "guard failed: $f: the decision log and its counters are fields of the Planner"
+        exit 1
+    fi
+done
+if grep -n 'fto-obs' crates/core/Cargo.toml; then
+    echo "guard failed: fto-order depends on fto-obs again;"
+    echo "order-algebra calls are counted (ContextWork), not logged"
+    exit 1
+fi
+
 echo "==> grep guard: one accumulate implementation per engine, no std hash maps in the streaming operators"
 # The streaming executor aggregates through crates/exec/src/aggkernel.rs
 # (group ids + columnar state); fto_expr::agg::Accumulator belongs to the
@@ -164,6 +183,10 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
     if ! grep -q "sort-ahead" <<<"$smoke_out"; then
         echo "smoke failed: no sort-ahead variants in EXPLAIN OPTIMIZER output"
+        exit 1
+    fi
+    if grep -q "events dropped" <<<"$smoke_out"; then
+        echo "smoke failed: Q3's decision log overflowed its ring (order-op calls logged again?)"
         exit 1
     fi
     if ! grep -q "counter session.queries" <<<"$smoke_out"; then

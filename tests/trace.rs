@@ -2,27 +2,77 @@
 //!
 //! * **determinism** — `EXPLAIN OPTIMIZER` output is byte-identical
 //!   across repeated runs and across executor thread counts, for every
-//!   query in the differential corpus;
-//! * **disabled path** — sessions without observability record zero
-//!   trace events and produce identical rows to observed sessions;
+//!   query in the differential corpus, and for sessions planning at the
+//!   same time on other threads;
+//! * **tracing only observes** — a planner that keeps a log and one that
+//!   does not make the same decisions and count the same work, the log
+//!   holds each decision exactly once, and sessions without
+//!   observability keep no log and return identical rows;
 //! * **reconciliation** — the registry's counters equal the summed
-//!   per-query `IoStats` / `PlannerStats` totals exactly, and the trace's
-//!   own event counts equal the planner's work counters;
+//!   per-query `IoStats` / `PlannerStats` totals exactly, every planner
+//!   counter included;
 //! * **acceptance** — `EXPLAIN OPTIMIZER` on TPC-D Q3 shows sort-ahead
-//!   variants and the pruning decision for each discarded plan;
+//!   variants and the pruning decision for each discarded plan; the
+//!   four- and five-table joins keep decisions only, and the ring says
+//!   exactly how many it dropped;
 //! * **slow log** — queries past the threshold are captured with their
 //!   SQL, plan, and optimizer trace; *misestimated* queries (worst
 //!   per-operator Q-error past `ObsOptions::qerror_threshold`) are
 //!   admitted even when fast, carrying the worst-offender operator.
 
-use fto_bench::corpus::{emp_db, EMP_QUERIES};
+use fto_bench::corpus::{emp_db, join_ladder, EMP_QUERIES};
+use fto_bench::harness::tpcd_db;
 use fto_bench::{ObsOptions, Observability, Session};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Value};
-use fto_planner::OptimizerConfig;
+use fto_obs::TraceEvent;
+use fto_planner::{OptimizerConfig, Planner, PlannerStats};
+use fto_qgm::{rewrite, OrderScan};
+use fto_sql::{bind, parse_query};
 use fto_storage::Database;
 use fto_tpcd::{build_database, queries, TpcdConfig};
 use std::time::Duration;
+
+/// Every [`PlannerStats`] field under the name `\\metrics` gives it.
+/// Exhaustive: a field added to the struct fails to compile here.
+fn planner_fields(s: &PlannerStats) -> [(&'static str, u64); 10] {
+    let PlannerStats {
+        joins_considered,
+        plans_generated,
+        plans_pruned,
+        sorts_added,
+        sorts_avoided,
+        partial_sorts,
+        sort_ahead_variants,
+        boxes_planned,
+        contexts_built,
+        reduce_memo_hits,
+    } = *s;
+    [
+        ("joins_considered", joins_considered),
+        ("plans_generated", plans_generated),
+        ("plans_pruned", plans_pruned),
+        ("sorts_added", sorts_added),
+        ("sorts_avoided", sorts_avoided),
+        ("partial_sorts", partial_sorts),
+        ("sort_ahead_variants", sort_ahead_variants),
+        ("boxes_planned", boxes_planned),
+        ("contexts_built", contexts_built),
+        ("reduce_memo_hits", reduce_memo_hits),
+    ]
+}
+
+/// Events a traced planning run records: every counted decision once,
+/// plus a span end and a "plans kept" note per box.
+fn decisions(s: &PlannerStats) -> u64 {
+    3 * s.boxes_planned
+        + s.plans_generated
+        + s.plans_pruned
+        + s.sorts_added
+        + s.sorts_avoided
+        + s.partial_sorts
+        + s.sort_ahead_variants
+}
 
 #[test]
 fn explain_optimizer_is_deterministic_across_threads_and_runs() {
@@ -81,22 +131,61 @@ fn disabled_path_records_no_events_and_identical_rows() {
             .execute(sql)
             .unwrap_or_else(|e| panic!("{sql}: {e}"));
 
-        // Plain session: planning and execution must not run a single
-        // trace-event closure. The counter is thread-local, so parallel
-        // test threads cannot pollute it.
-        let before = fto_obs::trace::events_recorded();
+        // Plain session: nobody asked the planner for a log, so the
+        // compiled query carries none.
         let plain = Session::new(&db)
-            .execute(sql)
+            .plan(sql)
             .unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let after = fto_obs::trace::events_recorded();
-        assert_eq!(
-            before, after,
+        assert!(
+            plain.trace().is_none(),
             "tracing-disabled planning recorded events\nsql: {sql}"
         );
         assert_eq!(
             observed.rows(),
-            plain.rows(),
+            plain.execute().unwrap().rows(),
             "observability changed query results\nsql: {sql}"
+        );
+    }
+}
+
+#[test]
+fn tracing_only_observes_planning() {
+    // The join ladder and the corpus, planned by a planner that keeps a
+    // log and by one that does not: same counters, same plan with the
+    // same properties, and the log holds every decision exactly once.
+    let tpcd = tpcd_db(0.002).unwrap();
+    let emp = emp_db();
+    let ladder = join_ladder();
+    let cases = ladder
+        .iter()
+        .map(|(_, _, sql)| (&tpcd, sql.as_str()))
+        .chain(EMP_QUERIES.iter().map(|sql| (&emp, *sql)));
+    for (db, sql) in cases {
+        let catalog = db.catalog();
+        let mut graph = bind(&parse_query(sql).unwrap(), catalog).unwrap();
+        rewrite::push_down_predicates(&mut graph);
+        rewrite::merge_views(&mut graph);
+        OrderScan::run(&mut graph, catalog);
+
+        let mut plain = Planner::new(&graph, catalog, OptimizerConfig::default());
+        let plain_plan = plain.plan_query().unwrap();
+        assert!(plain.take_trace().is_none(), "{sql}");
+        assert!(plain.stats.plans_generated > 0 && plain.stats.boxes_planned > 0);
+
+        let mut traced = Planner::new(&graph, catalog, OptimizerConfig::default()).traced();
+        let traced_plan = traced.plan_query().unwrap();
+        assert_eq!(traced.stats, plain.stats, "{sql}");
+        let name = |c: fto_common::ColId| c.to_string();
+        assert_eq!(
+            traced_plan.explain_properties(&name),
+            plain_plan.explain_properties(&name),
+            "{sql}"
+        );
+        let trace = traced.take_trace().expect("asked to trace");
+        assert_eq!(
+            trace.events().len() as u64 + trace.dropped(),
+            decisions(&traced.stats),
+            "{sql}"
         );
     }
 }
@@ -110,11 +199,7 @@ fn registry_reconciles_exactly_with_session_totals() {
     let mut queries_run = 0u64;
     let mut rows_out = 0u64;
     let mut io = fto_storage::IoStats::default();
-    let mut joins = 0u64;
-    let mut generated = 0u64;
-    let mut pruned = 0u64;
-    let mut sorts_added = 0u64;
-    let mut sorts_avoided = 0u64;
+    let mut planned = Vec::new();
     for sql in EMP_QUERIES {
         let out = session
             .execute(sql)
@@ -122,11 +207,7 @@ fn registry_reconciles_exactly_with_session_totals() {
         queries_run += 1;
         rows_out += out.num_rows() as u64;
         io.merge(&out.io);
-        joins += out.planner.joins_considered;
-        generated += out.planner.plans_generated;
-        pruned += out.planner.plans_pruned;
-        sorts_added += out.planner.sorts_added;
-        sorts_avoided += out.planner.sorts_avoided;
+        planned.push(out.planner);
     }
 
     let r = obs.registry();
@@ -140,11 +221,24 @@ fn registry_reconciles_exactly_with_session_totals() {
     assert_eq!(r.counter("session.io.index_pages"), io.index_pages);
     assert_eq!(r.counter("session.io.sort_rows"), io.sort_rows);
     assert_eq!(r.counter("session.io.rows_read"), io.rows_read);
-    assert_eq!(r.counter("planner.joins_considered"), joins);
-    assert_eq!(r.counter("planner.plans_generated"), generated);
-    assert_eq!(r.counter("planner.plans_pruned"), pruned);
-    assert_eq!(r.counter("planner.sorts_added"), sorts_added);
-    assert_eq!(r.counter("planner.sorts_avoided"), sorts_avoided);
+    // Every planner counter, not a hand-picked few.
+    let mut totals = planner_fields(&PlannerStats::default());
+    for stats in &planned {
+        for (total, (_, value)) in totals.iter_mut().zip(planner_fields(stats)) {
+            total.1 += value;
+        }
+    }
+    for (field, total) in totals {
+        assert!(total > 0, "{field} never moved");
+        assert_eq!(r.counter(&format!("planner.{field}")), total, "{field}");
+    }
+    assert_eq!(
+        obs.metrics_snapshot()
+            .lines()
+            .filter(|l| l.starts_with("counter planner."))
+            .count(),
+        totals.len()
+    );
 
     let latency = r
         .histogram("query.latency_us")
@@ -152,34 +246,6 @@ fn registry_reconciles_exactly_with_session_totals() {
     assert_eq!(latency.count, queries_run);
     let rows_hist = r.histogram("query.rows").expect("rows histogram exists");
     assert_eq!(rows_hist.sum, rows_out);
-}
-
-#[test]
-fn trace_counts_reconcile_with_planner_stats() {
-    let db = emp_db();
-    for sql in EMP_QUERIES {
-        let prepared = Session::new(&db)
-            .plan_traced(sql)
-            .unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let stats = prepared.planner_stats();
-        let trace = prepared.trace().expect("forced trace");
-        assert_eq!(
-            trace.counts.plans_pruned, stats.plans_pruned,
-            "pruning events must match the pruned counter\nsql: {sql}"
-        );
-        assert_eq!(
-            trace.counts.plans_generated, stats.plans_generated,
-            "generation events must match the generated counter\nsql: {sql}"
-        );
-        assert_eq!(
-            trace.counts.sorts_added, stats.sorts_added,
-            "sort-added events must match the counter\nsql: {sql}"
-        );
-        assert_eq!(
-            trace.counts.sorts_avoided, stats.sorts_avoided,
-            "sort-avoided events must match the counter\nsql: {sql}"
-        );
-    }
 }
 
 #[test]
@@ -194,14 +260,19 @@ fn q3_trace_shows_sort_ahead_and_pruning() {
         .unwrap();
     let stats = prepared.planner_stats();
     let trace = prepared.trace().expect("forced trace").clone();
-    assert_eq!(trace.dropped, 0, "Q3's trace must fit the default ring");
+    assert_eq!(trace.dropped(), 0, "Q3's trace must fit the default ring");
     assert!(
-        trace.counts.sort_ahead >= 1,
+        stats.sort_ahead_variants >= 1,
         "Q3 must consider at least one sort-ahead variant\n{}",
         trace.render()
     );
+    let pruned = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::PlanPruned { .. }))
+        .count();
     assert_eq!(
-        trace.counts.plans_pruned, stats.plans_pruned,
+        pruned as u64, stats.plans_pruned,
         "every discarded plan must have its pruning decision traced"
     );
     let text = prepared.explain_optimizer();
@@ -209,6 +280,90 @@ fn q3_trace_shows_sort_ahead_and_pruning() {
     assert!(text.contains("pruned:"), "{text}");
     assert!(text.contains("dominated by"), "{text}");
     assert!(text.contains("summary:"), "{text}");
+}
+
+#[test]
+fn join_ladder_traces_hold_decisions_only() {
+    // The order algebra runs a million times under j5; those calls are
+    // counted, not logged, so the ring holds decisions only: all of
+    // j4's, and the newest 65 536 of j5's with the rest counted as
+    // dropped. The closing lines come from counters and stay exact.
+    let db = tpcd_db(0.002).unwrap();
+    let ladder = join_ladder();
+    let traced = |name: &str| {
+        let (_, _, sql) = ladder.iter().find(|(n, _, _)| *n == name).unwrap();
+        Session::new(&db).plan_traced(sql).unwrap()
+    };
+
+    let j4 = traced("j4");
+    let trace = j4.trace().expect("forced trace");
+    assert_eq!((trace.events().len(), trace.dropped()), (55_844, 0));
+    assert_eq!(decisions(&j4.planner_stats()), 55_844);
+    assert!(!j4.explain_optimizer().contains("events dropped"));
+
+    let j5 = traced("j5");
+    let trace = j5.trace().expect("forced trace");
+    assert_eq!(decisions(&j5.planner_stats()), 160_806);
+    assert_eq!((trace.events().len(), trace.dropped()), (65_536, 95_270));
+    let text = j5.explain_optimizer();
+    assert!(
+        text.contains("... 95270 earlier events dropped (ring full)\n"),
+        "the ring must say how many it dropped"
+    );
+    let closing: Vec<&str> = text.lines().rev().take(3).collect();
+    assert_eq!(
+        closing[2],
+        "summary: boxes=3 | plans generated=47107 kept<=3240 pruned=43867 | \
+         sorts added=37082 avoided=597 segmented=173 | sort-ahead variants=31971"
+    );
+    assert_eq!(
+        closing[1],
+        "order ops: reduce=1028470 test=383010 cover=10 homogenize=86026"
+    );
+    assert!(closing[0].starts_with("planner work: joins considered=3594 |"));
+}
+
+#[test]
+fn concurrent_sessions_trace_their_own_planning() {
+    // The log is a field of the planner that fills it and the order-op
+    // counts are per thread, so what a session reports is what its own
+    // planning did — whatever other sessions are planning. Q3 and fig6
+    // planned alone, then on 2 and 4 threads at once (a barrier lines the
+    // rounds up so the compilations overlap): every EXPLAIN OPTIMIZER is
+    // byte-equal to the solo run's.
+    let db = tpcd_db(0.002).unwrap();
+    let ladder = join_ladder();
+    let cases: Vec<&str> = ladder
+        .iter()
+        .filter(|(name, _, _)| ["q3", "fig6"].contains(name))
+        .map(|(_, _, sql)| sql.as_str())
+        .collect();
+    assert_eq!(cases.len(), 2);
+    let run = |sql: &str| {
+        Session::new(&db)
+            .plan_traced(sql)
+            .unwrap()
+            .explain_optimizer()
+    };
+    let solo: Vec<String> = cases.iter().map(|sql| run(sql)).collect();
+    assert!(solo.iter().all(|text| text.contains("order ops: reduce=")));
+
+    const ROUNDS: usize = 4;
+    for threads in [2usize, 4] {
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        for (sql, want) in cases.iter().zip(&solo) {
+                            assert!(run(sql) == *want, "x{threads}: {sql}");
+                        }
+                    }
+                });
+            }
+        });
+    }
 }
 
 #[test]
@@ -263,7 +418,6 @@ fn misestimated_fast_query_lands_in_the_slow_log() {
     let obs = Observability::new(ObsOptions {
         slow_query_threshold: Duration::from_secs(3600),
         qerror_threshold: 2.0,
-        ..ObsOptions::default()
     });
     let session = Session::new(&db).observe(obs.clone());
 
