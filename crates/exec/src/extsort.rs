@@ -35,11 +35,10 @@
 //! [`Run`](crate::sortkernel::Run); a merge keeps one decoded group and a
 //! row cursor per run.
 
-use crate::metrics::ExecStats;
+use crate::metrics::{ExecRecord, ExecStats};
 use crate::sortkernel::{gather_rows, least_head, KeyArena, Run, SortBuf};
 use fto_common::column::{batch_row_bytes, Batch};
 use fto_common::{FtoError, Result};
-use fto_obs::profile;
 use fto_planner::cost::MERGE_FAN_IN;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
 use std::collections::VecDeque;
@@ -217,12 +216,11 @@ impl RunMerge {
 fn reduce_to_fan_in(
     file: &mut SpillFile,
     mut extents: Vec<RunExtent>,
-    stats: &mut ExecStats,
+    rec: &mut ExecRecord,
 ) -> Result<Vec<RunExtent>> {
     let mut payload = Vec::new();
     while extents.len() > MERGE_FAN_IN {
-        stats.spill.merge_passes += 1;
-        profile::instant("spill", || "spill.merge_pass".to_string());
+        rec.mark(|s| &mut s.spill.merge_passes, "spill", "spill.merge_pass");
         let mut next = Vec::with_capacity(extents.len().div_ceil(MERGE_FAN_IN));
         for chunk in extents.chunks(MERGE_FAN_IN) {
             if chunk.len() == 1 {
@@ -230,9 +228,9 @@ fn reduce_to_fan_in(
                 continue;
             }
             let start = file.len();
-            let mut merge = RunMerge::new(file, chunk, &mut stats.io)?;
-            while let Some(run) = merge.next_run(RUN_GROUP_ROWS, file, stats)? {
-                append_run_group(file, &mut payload, &run, &mut stats.io);
+            let mut merge = RunMerge::new(file, chunk, &mut rec.stats.io)?;
+            while let Some(run) = merge.next_run(RUN_GROUP_ROWS, file, &mut rec.stats)? {
+                append_run_group(file, &mut payload, &run, &mut rec.stats.io);
             }
             next.push(RunExtent {
                 start,
@@ -306,7 +304,7 @@ impl RunFormer {
         rows: Range<usize>,
         kb: &[u8],
         ko: &[usize],
-        stats: &mut ExecStats,
+        rec: &mut ExecRecord,
     ) {
         self.buf.add_batch(batch);
         for i in rows {
@@ -314,7 +312,7 @@ impl RunFormer {
             let cost = batch_row_bytes(batch, i) + key.len() + 8;
             let full = self.bytes.saturating_add(cost) > self.budget;
             if full && self.limit.is_none() && !self.buf.is_empty() {
-                self.seal(stats);
+                self.seal(rec);
                 self.buf.add_batch(batch);
             }
             self.bytes += cost;
@@ -324,7 +322,9 @@ impl RunFormer {
         if let Some(n) = self.limit {
             let len = self.buf.len();
             if len > n && (self.bytes > self.budget || len >= 2 * n.max(1)) {
-                let top = self.buf.run(&self.buf.ordered(self.limit, &mut stats.sort));
+                let top = self
+                    .buf
+                    .run(&self.buf.ordered(self.limit, &mut rec.stats.sort));
                 self.buf.clear();
                 self.buf.push_run(&top);
                 self.bytes = (0..top.seqs.len())
@@ -337,21 +337,24 @@ impl RunFormer {
     /// Sorts the buffered rows into a run and spills it. Charges
     /// `sort_rows` per run, so the external sort's total equals the
     /// in-memory one's.
-    fn seal(&mut self, stats: &mut ExecStats) {
-        stats.io.sort_rows += self.buf.len() as u64;
+    fn seal(&mut self, rec: &mut ExecRecord) {
+        rec.stats.io.sort_rows += self.buf.len() as u64;
         let start = self.file.len();
         let mut payload = Vec::new();
-        let perm = self.buf.ordered(None, &mut stats.sort);
+        let perm = self.buf.ordered(None, &mut rec.stats.sort);
         for group in perm.chunks(RUN_GROUP_ROWS) {
             let run = self.buf.run(group);
-            append_run_group(&mut self.file, &mut payload, &run, &mut stats.io);
+            append_run_group(&mut self.file, &mut payload, &run, &mut rec.stats.io);
         }
         self.extents.push(RunExtent {
             start,
             end: self.file.len(),
         });
-        stats.spill.runs_formed += 1;
-        profile::instant("spill", || "spill.runs_formed x1".to_string());
+        rec.mark(
+            |s| &mut s.spill.runs_formed,
+            "spill",
+            "spill.runs_formed x1",
+        );
         self.buf.clear();
         self.bytes = 0;
     }
@@ -366,23 +369,22 @@ impl RunFormer {
         &mut self,
         batch_size: usize,
         out: &mut VecDeque<Sorted>,
-        stats: &mut ExecStats,
+        rec: &mut ExecRecord,
     ) -> Result<()> {
         if self.extents.is_empty() {
-            let perm = self.buf.ordered(self.limit, &mut stats.sort);
-            stats.io.sort_rows += perm.len() as u64;
+            let perm = self.buf.ordered(self.limit, &mut rec.stats.sort);
+            rec.stats.io.sort_rows += perm.len() as u64;
             for chunk in perm.chunks(batch_size) {
                 out.push_back(Sorted::Batch(self.buf.gather(chunk)));
             }
         } else {
             if !self.buf.is_empty() {
-                self.seal(stats);
+                self.seal(rec);
             }
             let mut file = std::mem::take(&mut self.file);
-            let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), stats)?;
-            stats.spill.merge_passes += 1;
-            profile::instant("spill", || "spill.merge_pass".to_string());
-            let merge = RunMerge::new(&file, &extents, &mut stats.io)?;
+            let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), rec)?;
+            rec.mark(|s| &mut s.spill.merge_passes, "spill", "spill.merge_pass");
+            let merge = RunMerge::new(&file, &extents, &mut rec.stats.io)?;
             out.push_back(Sorted::Spilled(SpilledSort { file, merge }));
         }
         self.buf.clear();
@@ -409,28 +411,28 @@ mod tests {
 
     /// Sorts `input(n)`, fed in 64-row batches, through a former.
     fn drive(budget: usize, keys: &SortKeys, n: i64) -> (Vec<Row>, ExecStats) {
-        let mut stats = ExecStats::default();
+        let mut rec = ExecRecord::default();
         let mut former = RunFormer::new(budget, None);
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         for piece in input(n).chunks(64) {
             let batch = Batch::from_rows(piece);
             encode_batch_keys_arena(&batch, keys, &mut kb, &mut ko);
-            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut stats);
+            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut rec);
         }
         let mut sorted = VecDeque::new();
-        former.finish(50, &mut sorted, &mut stats).unwrap();
+        former.finish(50, &mut sorted, &mut rec).unwrap();
         let mut out = Vec::new();
         for part in sorted {
             match part {
                 Sorted::Batch(b) => b.append_rows_to(&mut out),
                 Sorted::Spilled(mut s) => {
-                    while let Some(b) = s.next_batch(50, &mut stats).unwrap() {
+                    while let Some(b) = s.next_batch(50, &mut rec.stats).unwrap() {
                         b.append_rows_to(&mut out);
                     }
                 }
             }
         }
-        (out, stats)
+        (out, rec.stats)
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! table up front. It is kept as the *reference* implementation — the
 //! differential tests execute every query through both this interpreter
 //! and the streaming executor in [`crate::stream`] and require identical
-//! rows. New code should go through [`crate::Session`] or
-//! [`crate::execute_plan`], which use the streaming engine.
+//! rows. New code should go through [`crate::Session`], which uses the
+//! streaming engine.
 
 use fto_common::{sortkey, Direction, FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
@@ -30,9 +30,9 @@ pub struct QueryResult {
 
 /// Executes a plan to completion with the materializing interpreter.
 ///
-/// Prefer [`crate::execute_plan`] (streaming); this entry point exists as
-/// the reference engine for differential testing and for measuring the
-/// cost of full materialization.
+/// Prefer [`crate::PreparedQuery::execute`] (streaming); this entry point
+/// exists as the reference engine for differential testing and for
+/// measuring the cost of full materialization.
 pub fn run_plan_materialized(
     db: &Database,
     graph: &QueryGraph,

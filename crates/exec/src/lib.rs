@@ -39,12 +39,14 @@
 //!   through both engines and requires identical rows in identical order.
 //! * [`session`] — [`Session`] / [`PreparedQuery`] / [`QueryOutput`]:
 //!   `Session::new(&db).config(cfg).plan(sql)?.execute()?`.
-//! * [`metrics`] — the accounting stream and per-operator observability.
-//!   Every operator call threads one [`ExecStats`] (page I/O plus the
-//!   sort, spill and segmented-sort counters); the finished stream is the
-//!   query's totals, exact under any number of concurrent sessions.
-//!   Executing through [`execute_plan_instrumented`] (or
-//!   `PreparedQuery::execute_instrumented` / `explain_analyze`) records
+//! * [`metrics`] — the execution record and per-operator observability.
+//!   Every operator call threads one [`ExecRecord`]: the [`ExecStats`]
+//!   accounting stream (page I/O plus the sort, spill and segmented-sort
+//!   counters — the finished stream is the query's totals, exact under
+//!   any number of concurrent sessions) and, riding the same `&mut`, the
+//!   per-node slots of an instrumented execution, the timeline of a
+//!   profiled one and the buffer pool of a budgeted one.
+//!   `PreparedQuery::execute_instrumented` / `explain_analyze` record
 //!   rows, batches, the stream's delta, and time per plan node into a
 //!   [`PlanMetrics`], with per-operator self deltas that sum exactly to
 //!   the session totals, counter by counter.
@@ -55,9 +57,9 @@
 //!   planner's decision log (`EXPLAIN OPTIMIZER`) belongs to each
 //!   [`PreparedQuery`].
 //!
-//! Entry points: [`Session`] for SQL; [`execute_plan`] and
-//! [`execute_plan_instrumented`] — one driver, with and without metric
-//! slots — for an already-planned query.
+//! Entry point: [`Session`]. A [`PreparedQuery`]'s `execute`,
+//! `execute_instrumented` and `execute_profiled` are one driver handed a
+//! plain, an instrumented or a profiled record.
 
 #![deny(missing_docs)]
 
@@ -71,22 +73,19 @@ pub mod session;
 pub mod sortkernel;
 pub mod stream;
 
-pub use fto_obs::{ExecutionProfile, Profiler};
+pub use fto_obs::ExecutionProfile;
 pub use interp::{run_plan_materialized, QueryResult};
-pub use metrics::{q_error, ExecStats, OpMetrics, PlanMetrics, WorkerOpMetrics};
+pub use metrics::{q_error, ExecRecord, ExecStats, OpMetrics, PlanMetrics, WorkerOpMetrics};
 pub use obs::{ObsOptions, Observability};
 pub use session::{PreparedQuery, QueryOutput, Session, StatementOutput};
 pub use sortkernel::{SegmentStats, SortStats, SpillStats};
-pub use stream::{
-    execute_plan, execute_plan_instrumented, Batch, ExecContext, ExecOptions, Operator,
-    StreamResult,
-};
+pub use stream::{Batch, ExecContext, Operator};
 
 /// Convenience re-exports for the common execution workflow.
 pub mod prelude {
     pub use crate::{
-        execute_plan, ExecOptions, ObsOptions, Observability, PlanMetrics, PreparedQuery,
-        QueryOutput, QueryResult, Session, StatementOutput,
+        ObsOptions, Observability, PlanMetrics, PreparedQuery, QueryOutput, QueryResult, Session,
+        StatementOutput,
     };
     pub use fto_planner::{OptimizerConfig, PlannerStats};
     pub use fto_storage::{Database, IoStats};

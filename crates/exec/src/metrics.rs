@@ -1,22 +1,27 @@
-//! The execution accounting stream ([`ExecStats`]) and the machine-readable
-//! per-operator metrics derived from it.
+//! The execution record ([`ExecRecord`]) — the accounting stream
+//! ([`ExecStats`]) and whatever else one execution records — and the
+//! machine-readable per-operator metrics derived from it.
 //!
 //! Every [`Operator`](crate::stream::Operator) call threads one
-//! `&mut ExecStats` — simulated page I/O plus the sort, spill and
-//! segmented-sort counters — and whatever does work adds into the stream
-//! it was handed. Exchange workers charge a private stream that the
-//! coordinator merges back in partition order. That is the only way a
-//! counter travels: the session totals are the finished stream, so they
-//! are exact per query under any number of concurrent sessions.
+//! `&mut ExecRecord`. Its `stats` are the accounting stream — simulated
+//! page I/O plus the sort, spill and segmented-sort counters; beside them
+//! ride the per-node slots of an instrumented execution, the timeline of
+//! a profiled one and the buffer pool of a budgeted one. Whatever does
+//! work writes into the record it was handed, and exchange workers fill a
+//! private record the coordinator absorbs in
+//! partition order. That is the only way an observation travels — nothing
+//! is shared, locked or installed on a thread — so the session totals are
+//! the finished stream, exact per query under any number of concurrent
+//! sessions.
 //!
-//! [`crate::stream::execute_plan_instrumented`] wraps every operator in
-//! the lowered tree and records, per plan node, the rows and batches it
-//! produced, the stream's delta while its subtree was running, and the
-//! wall-clock time spent inside it. Nodes are identified by their
-//! *pre-order* position in the plan tree (root = 0, children visited
-//! outer/left first) — the same numbering
-//! [`fto_planner::Plan::explain_annotated`] passes to its annotation
-//! callback, so metrics line up with rendered plans without any joins.
+//! An instrumented execution wraps every operator in the lowered tree and
+//! records, per plan node, the rows and batches it produced, the stream's
+//! delta while its subtree was running, and the wall-clock time spent
+//! inside it. Nodes are identified by their *pre-order* position in the
+//! plan tree (root = 0, children visited outer/left first) — the same
+//! numbering [`fto_planner::Plan::explain_annotated`] passes to its
+//! annotation callback, so metrics line up with rendered plans without
+//! any joins.
 //!
 //! Recorded counters are **inclusive** of children: an operator's slot
 //! accumulates everything charged between entering and leaving its
@@ -30,7 +35,8 @@
 //! report.
 
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
-use fto_storage::IoStats;
+use fto_obs::{SpanKind, Timeline};
+use fto_storage::{BufferPool, IoStats};
 use std::time::Duration;
 
 /// Everything one execution counts — the stream threaded through every
@@ -102,6 +108,85 @@ impl ExecStats {
                 groups_formed: self.segment.groups_formed - earlier.segment.groups_formed,
             },
         }
+    }
+}
+
+/// Everything one execution records — the one `&mut` threaded through
+/// every [`Operator`](crate::stream::Operator) call. A plain execution
+/// fills only `stats`; an instrumented one also has a slot per plan node,
+/// a profiled one a timeline, a budgeted one a buffer pool.
+#[derive(Debug, Default)]
+pub struct ExecRecord {
+    /// The accounting stream: every counter the execution reports.
+    pub stats: ExecStats,
+    /// Per-node actuals (rows, batches, inclusive counters, time, worker
+    /// shares) by pre-order id; empty when not instrumented.
+    pub(crate) ops: Vec<OpMetrics>,
+    /// This thread's lane, then the lanes absorbed from exchange workers;
+    /// `None` when not profiling.
+    pub(crate) timeline: Option<Timeline>,
+    /// The bounded buffer pool heap-page touches route through under a
+    /// memory budget (`None` leaves page charging as it is unbounded).
+    pub(crate) pool: Option<BufferPool>,
+}
+
+impl ExecRecord {
+    /// A record with a buffer pool of `budget` bytes (if any), `nodes`
+    /// per-node slots (zero: not instrumented) and, when profiling, a
+    /// timeline. An exchange worker builds its own from plain copies: the
+    /// coordinator's node count and epoch, its share of the budget.
+    pub(crate) fn new(budget: Option<usize>, nodes: usize, timeline: Option<Timeline>) -> Self {
+        ExecRecord {
+            stats: ExecStats::default(),
+            ops: vec![OpMetrics::default(); nodes],
+            timeline,
+            pool: budget.map(BufferPool::new),
+        }
+    }
+
+    /// Folds a finished worker's private record into this one — counters
+    /// summed, per-node actuals summed slot by slot, lanes appended — and
+    /// returns the worker's counters, its share of the exchange. Workers
+    /// are absorbed in partition order, so lane ids are partition order.
+    pub(crate) fn absorb(&mut self, worker: ExecRecord) -> ExecStats {
+        self.stats.merge(&worker.stats);
+        for (mine, theirs) in self.ops.iter_mut().zip(worker.ops) {
+            mine.rows += theirs.rows;
+            mine.batches += theirs.batches;
+            mine.stats.merge(&theirs.stats);
+            mine.elapsed += theirs.elapsed;
+        }
+        if let (Some(mine), Some(theirs)) = (&mut self.timeline, worker.timeline) {
+            mine.absorb(theirs);
+        }
+        worker.stats
+    }
+
+    /// Puts one event on this thread's lane. Without a timeline — every
+    /// execution but a profiled one — neither payload closure runs.
+    pub(crate) fn emit(
+        &mut self,
+        kind: SpanKind,
+        cat: &'static str,
+        name: impl FnOnce() -> String,
+        args: impl FnOnce() -> Vec<(&'static str, u64)>,
+    ) {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.push(kind, cat, name(), args());
+        }
+    }
+
+    /// Counts one occurrence of a timeline-worthy event — a spilled run,
+    /// a merge pass, a sealed segment group: the counter and, when
+    /// profiling, the instant, in one call so the two cannot disagree.
+    pub(crate) fn mark(
+        &mut self,
+        counter: impl FnOnce(&mut ExecStats) -> &mut u64,
+        cat: &'static str,
+        name: &'static str,
+    ) {
+        *counter(&mut self.stats) += 1;
+        self.emit(SpanKind::Instant, cat, || name.to_string(), Vec::new);
     }
 }
 
@@ -321,6 +406,51 @@ mod tests {
         assert_eq!(pm.summed_self(), Some(charged(5, 2)));
         assert_eq!(pm.total(), charged(5, 2));
         assert!(pm.validate().is_ok());
+    }
+
+    #[test]
+    fn record_without_a_lane_runs_no_payload_closure() {
+        // The two ways an event reaches the timeline, first without one:
+        // the counter moves, nothing is built.
+        let mut built = 0;
+        let mut name = || {
+            built += 1;
+            "sort#0.open".to_string()
+        };
+        let mut rec = ExecRecord::default();
+        rec.emit(SpanKind::Begin, "operator", &mut name, Vec::new);
+        rec.mark(
+            |s| &mut s.spill.runs_formed,
+            "spill",
+            "spill.runs_formed x1",
+        );
+        assert!(rec.timeline.is_none());
+        // With one, the same calls land on its lane — and the counter
+        // moves exactly as before.
+        let lane = Timeline::new(std::time::Instant::now(), "coordinator");
+        let mut profiled = ExecRecord::new(None, 0, Some(lane));
+        profiled.emit(SpanKind::Begin, "operator", &mut name, Vec::new);
+        profiled.mark(
+            |s| &mut s.spill.runs_formed,
+            "spill",
+            "spill.runs_formed x1",
+        );
+        assert_eq!(built, 1, "only the profiled record builds the name");
+        assert_eq!(rec.stats, profiled.stats);
+        assert_eq!(rec.stats.spill.runs_formed, 1);
+        let profile = profiled.timeline.map(Timeline::finish).unwrap_or_default();
+        let events: Vec<_> = profile.lanes[0]
+            .events
+            .iter()
+            .map(|e| (e.kind, e.cat, e.name.as_str()))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (SpanKind::Begin, "operator", "sort#0.open"),
+                (SpanKind::Instant, "spill", "spill.runs_formed x1")
+            ]
+        );
     }
 
     #[test]

@@ -154,12 +154,12 @@ impl Observability {
     /// A slow-query log entry is recorded when the query crosses the
     /// latency threshold **or** is misestimated — carrying the annotated
     /// plan, the worst-estimated operator, and the planner's decision
-    /// log, which `trace` renders only for a query that enters the log.
+    /// log — `plan_text` and `trace` run only for a query that enters it.
     pub fn record_execution(
         &self,
         sql: Option<&str>,
         out: &QueryOutput,
-        plan_text: &str,
+        plan_text: impl FnOnce() -> String,
         trace: impl FnOnce() -> String,
         metrics: Option<&PlanMetrics>,
     ) {
@@ -236,7 +236,7 @@ impl Observability {
                 sql: sql.map(str::to_string),
                 elapsed,
                 rows,
-                plan: plan_text.to_string(),
+                plan: plan_text(),
                 trace: trace(),
                 max_qerror,
                 worst_operator,
@@ -265,22 +265,24 @@ mod tests {
             ..ObsOptions::default()
         });
         let (fast, slow) = (Duration::from_millis(1), Duration::from_millis(9));
-        obs.record_execution(
-            Some("select 1"),
-            &QueryOutput::stub(fast, 1),
-            "p",
-            String::new,
-            None,
-        );
-        obs.record_execution(
-            Some("select 2"),
-            &QueryOutput::stub(slow, 1),
-            "p",
-            String::new,
-            None,
-        );
+        // Only a query that enters the log renders its plan and its trace.
+        let rendered = std::cell::Cell::new(0);
+        let render = |text: &'static str| {
+            let rendered = &rendered;
+            move || {
+                rendered.set(rendered.get() + 1);
+                text.to_string()
+            }
+        };
+        let out = QueryOutput::stub(fast, 1);
+        obs.record_execution(Some("select 1"), &out, render("p1"), render("t1"), None);
+        assert_eq!(rendered.get(), 0, "a fast query rendered its plan or trace");
+        let out = QueryOutput::stub(slow, 1);
+        obs.record_execution(Some("select 2"), &out, render("p2"), render("t2"), None);
+        assert_eq!(rendered.get(), 2);
         assert_eq!(obs.slow_log().total_recorded(), 1);
-        assert!(obs.slow_log().render().contains("select 2"));
+        let text = obs.slow_log().render();
+        assert!(text.contains("select 2") && text.contains("p2"), "{text}");
         assert!(obs
             .metrics_snapshot()
             .contains("counter session.slow_queries 1"));
@@ -304,8 +306,8 @@ mod tests {
         };
         let obs = Observability::default();
         let out = QueryOutput::stub(Duration::from_micros(10), 42);
-        obs.record_execution(None, &out, "p", String::new, Some(&pm));
-        obs.record_execution(None, &out, "p", String::new, None);
+        obs.record_execution(None, &out, String::new, String::new, Some(&pm));
+        obs.record_execution(None, &out, String::new, String::new, None);
         assert_eq!(obs.registry().counter("exec.worker_rows"), 42);
         assert_eq!(obs.registry().counter("exec.worker_batches"), 3);
         assert_eq!(obs.registry().counter("session.queries"), 2);
@@ -328,7 +330,13 @@ mod tests {
             children: vec![vec![]],
         };
         let out = QueryOutput::stub(Duration::from_micros(10), 50);
-        obs.record_execution(Some("select misjudged"), &out, "p", String::new, Some(&pm));
+        obs.record_execution(
+            Some("select misjudged"),
+            &out,
+            String::new,
+            String::new,
+            Some(&pm),
+        );
         assert!(obs.metrics_snapshot().contains("counter session.rows 50"));
         assert_eq!(obs.slow_log().total_recorded(), 1);
         let text = obs.slow_log().render();

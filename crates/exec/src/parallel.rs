@@ -9,10 +9,12 @@
 //! cross threads, so [`crate::stream::Operator`] needs no `Send` bound),
 //! drives it over a deterministic scan partition
 //! ([`fto_storage::HeapScanState::partition`] /
-//! [`fto_storage::IndexScanState::open_partition`]), and charges a
-//! private [`ExecStats`] that the coordinator merges into the session
-//! stream in partition order. Page/leaf-aligned partitions charge exactly
-//! the pages a serial scan charges, so session totals — and the
+//! [`fto_storage::IndexScanState::open_partition`]), and fills a private
+//! [`ExecRecord`] — counters, per-node slots, its timeline lane, its own
+//! buffer pool — that the coordinator absorbs into the query's record in
+//! partition order: nothing is shared between the threads but the
+//! read-only context. Page/leaf-aligned partitions charge exactly the
+//! pages a serial scan charges, so session totals — and the
 //! [`crate::metrics::PlanMetrics`] exact-rollup invariant — are preserved
 //! at every degree. Workers hand back the column batches they pulled;
 //! nothing here materializes a row.
@@ -42,13 +44,13 @@
 //! early-termination behavior above them is unchanged. A segmented sort
 //! streams group by group and therefore never lowers to an exchange.
 
-use crate::metrics::{ExecStats, OpMetrics, WorkerOpMetrics};
+use crate::metrics::{ExecRecord, ExecStats, WorkerOpMetrics};
 use crate::sortkernel::{gather_rows, merge_runs, Run, SortBuf, SortKeys, SortStats};
-use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, ExecOptions, Operator};
+use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, Operator};
 use fto_common::Result;
-use fto_obs::profile;
+use fto_obs::{SpanKind, Timeline};
 use fto_planner::Plan;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything a worker needs to lower and drive its partition of an
@@ -58,50 +60,48 @@ pub(crate) struct PartitionSpec {
     pub plan: Arc<Plan>,
     /// Number of partitions (the exchange's degree of parallelism).
     pub parts: usize,
-    /// Instrumentation slots shared with the coordinator, if any.
-    pub slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
-    /// Pre-order id of the subtree's root slot (workers record into the
-    /// ids the coordinator reserved starting here).
+    /// Pre-order id of the subtree's root (workers number their wrappers
+    /// from here, so they fill the slots the coordinator has for them).
     pub base_id: usize,
 }
 
-/// One worker's result: the finished payload plus its private accounting
-/// stream and drive statistics.
+/// One worker's result: the finished payload plus its drive statistics
+/// (its accounting stream comes back with its record).
 struct WorkerRun<T> {
     out: T,
-    stats: ExecStats,
     batches: u64,
     elapsed: Duration,
 }
 
-/// Runs `work(part)` for every partition on its own scoped thread, each
-/// on a profiler lane `"{lane} p{part}"` inside an exchange span
-/// `"{span} p{part}"`. Lanes are allocated here on the coordinator,
-/// before any worker spawns, so lane numbering reflects partition order —
-/// never thread scheduling. Results come back in partition order.
+/// Runs `work(part, record)` for every partition on its own scoped
+/// thread. Each worker fills a private [`ExecRecord`] built inside its
+/// thread from plain copies — the coordinator's slot count and timeline
+/// epoch, a buffer pool of `budget` bytes — on a lane `"{lane} p{part}"`
+/// inside an exchange span `"{span} p{part}"`. The coordinator absorbs the
+/// records in partition order, so its totals, per-node sums and lane
+/// numbering never depend on thread scheduling. Results come back in
+/// partition order, each with its worker's counters.
 fn on_workers<T: Send>(
-    cx: &ExecContext<'_>,
+    rec: &mut ExecRecord,
     parts: usize,
+    budget: Option<usize>,
     (lane, span): (&str, &str),
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let lane_base = cx.profiler.as_ref().map(|p| p.alloc_lanes(parts as u32));
-    std::thread::scope(|s| {
+    work: impl Fn(usize, &mut ExecRecord) -> T + Sync,
+) -> Vec<(T, ExecStats)> {
+    let nodes = rec.ops.len();
+    let epoch = rec.timeline.as_ref().map(|t| t.epoch());
+    let finished: Vec<(T, ExecRecord)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..parts)
             .map(|part| {
                 let work = &work;
-                let profiler = cx.profiler.clone();
                 s.spawn(move || {
-                    let _lane = profiler.as_ref().map(|p| {
-                        p.install_lane_at(
-                            lane_base.expect("lanes pre-allocated") + part as u32,
-                            format!("{lane} p{part}"),
-                        )
-                    });
-                    profile::span_begin("exchange", || format!("{span} p{part}"));
-                    let out = work(part);
-                    profile::span_end("exchange", || format!("{span} p{part}"));
-                    out
+                    let timeline = epoch.map(|e| Timeline::new(e, format!("{lane} p{part}")));
+                    let mut wrec = ExecRecord::new(budget, nodes, timeline);
+                    let name = || format!("{span} p{part}");
+                    wrec.emit(SpanKind::Begin, "exchange", name, Vec::new);
+                    let out = work(part, &mut wrec);
+                    wrec.emit(SpanKind::End, "exchange", name, Vec::new);
+                    (out, wrec)
                 })
             })
             .collect();
@@ -109,81 +109,64 @@ fn on_workers<T: Send>(
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
-    })
+    });
+    finished
+        .into_iter()
+        .map(|(out, wrec)| (out, rec.absorb(wrec)))
+        .collect()
 }
 
 /// Runs the spec's subtree over all partitions: worker `k` drains
 /// partition `k` as column batches and then applies `finish` (e.g.
-/// sorting them into a run) before returning. A worker's private
-/// `ExecStats` captures everything it charged — including whatever
-/// `finish` adds — so the coordinator can merge the streams in a
-/// deterministic order.
+/// sorting them into a run) before returning. A worker's private record
+/// captures everything it charged — including whatever `finish` adds —
+/// and is absorbed into `rec` in partition order.
 fn run_partitions<T, F>(
     cx: &ExecContext<'_>,
+    rec: &mut ExecRecord,
     spec: &PartitionSpec,
     finish: F,
-) -> Result<Vec<WorkerRun<T>>>
+) -> Result<Vec<(WorkerRun<T>, ExecStats)>>
 where
     T: Send,
     F: Fn(Vec<Batch>, &mut ExecStats) -> T + Sync,
 {
     let parts = spec.parts;
-    // Workers rebuild their own contexts from plain copies of the
-    // coordinator's knobs: `ExecContext` itself is not `Sync` (its buffer
-    // pool is a `RefCell`). A memory budget splits into per-worker
-    // sub-budgets of `budget / P` (at least one byte), so P bounded
-    // partition pipelines together stay within the query's budget; each
-    // worker context builds its own private pool from its share.
-    let (db, graph, batch_size) = (cx.db, cx.graph, cx.batch_size);
+    // Worker contexts pin threads to 1: partition pipelines never nest
+    // exchanges. A memory budget splits into per-worker sub-budgets of
+    // `budget / P` (at least one byte), so P bounded partition pipelines
+    // together stay within the query's budget; each worker's record gets
+    // a private pool of its share.
     let sub_budget = cx.memory_budget.map(|b| (b / parts).max(1));
-    on_workers(
-        cx,
-        parts,
-        ("worker", "partition"),
-        |part| -> Result<WorkerRun<T>> {
-            let started = Instant::now();
-            // Worker contexts pin threads to 1: partition pipelines never
-            // nest exchanges.
-            let wcx = ExecContext::new(
-                db,
-                graph,
-                &ExecOptions {
-                    batch_size,
-                    threads: 1,
-                    memory_budget: sub_budget,
-                    profiler: None,
-                },
-            );
-            let mut stats = ExecStats::default();
-            let mut op = lower_worker(&spec.plan, part, parts, spec.slots.clone(), spec.base_id)?;
-            op.open(&wcx, &mut stats)?;
-            let mut pulled = Vec::new();
-            while let Some(batch) = op.next_batch(&wcx, &mut stats)? {
-                pulled.push(batch);
-            }
-            op.close();
-            let batches = pulled.len() as u64;
-            let out = finish(pulled, &mut stats);
-            Ok(WorkerRun {
-                out,
-                stats,
-                batches,
-                elapsed: started.elapsed(),
-            })
-        },
-    )
-    .into_iter()
-    .collect()
-}
-
-/// The (id, slots) handle an exchange uses to attach per-worker metrics
-/// to a plan node's slot.
-pub(crate) type SlotRef = Option<(usize, Arc<Mutex<Vec<OpMetrics>>>)>;
-
-fn record_workers(slot: &SlotRef, workers: Vec<WorkerOpMetrics>) {
-    if let Some((id, slots)) = slot {
-        slots.lock().expect("metrics mutex poisoned")[*id].workers = workers;
-    }
+    let wcx = ExecContext {
+        threads: 1,
+        memory_budget: sub_budget,
+        ..*cx
+    };
+    let work = |part, wrec: &mut ExecRecord| -> Result<WorkerRun<T>> {
+        let started = Instant::now();
+        // Like the coordinator, a worker instruments when its record has
+        // slots to fill.
+        let instrument = !wrec.ops.is_empty();
+        let mut op = lower_worker(&spec.plan, (part, parts), instrument, spec.base_id)?;
+        op.open(&wcx, wrec)?;
+        let mut pulled = Vec::new();
+        while let Some(batch) = op.next_batch(&wcx, wrec)? {
+            pulled.push(batch);
+        }
+        op.close(wrec);
+        let batches = pulled.len() as u64;
+        let out = finish(pulled, &mut wrec.stats);
+        Ok(WorkerRun {
+            out,
+            batches,
+            elapsed: started.elapsed(),
+        })
+    };
+    on_workers(rec, parts, sub_budget, ("worker", "partition"), work)
+        .into_iter()
+        .map(|(run, stats)| Ok((run?, stats)))
+        .collect()
 }
 
 /// Order-preserving gather: drains the P partition pipelines on worker
@@ -195,7 +178,7 @@ fn record_workers(slot: &SlotRef, workers: Vec<WorkerOpMetrics>) {
 /// The gather deliberately has no metric slot of its own: the workers'
 /// wrappers record rows/batches/counters into the exchanged subtree's slots,
 /// and their per-worker breakdown lands on the subtree root's
-/// [`OpMetrics::workers`].
+/// [`OpMetrics::workers`](crate::metrics::OpMetrics::workers).
 pub(crate) struct GatherOp {
     spec: PartitionSpec,
     out: BatchQueue,
@@ -211,30 +194,26 @@ impl GatherOp {
 }
 
 impl Operator for GatherOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        let runs = run_partitions(cx, &self.spec, |batches, _| batches)?;
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        let runs = run_partitions(cx, rec, &self.spec, |batches, _| batches)?;
         let mut workers = Vec::with_capacity(runs.len());
         self.out.clear();
-        for run in runs {
-            stats.merge(&run.stats);
+        for (run, stats) in runs {
             workers.push(WorkerOpMetrics {
                 rows: run.out.iter().map(|b| b.len() as u64).sum(),
                 batches: run.batches,
-                stats: run.stats,
+                stats,
                 elapsed: run.elapsed,
             });
             run.out.into_iter().for_each(|b| self.out.push(b));
         }
-        let slot = self
-            .spec
-            .slots
-            .as_ref()
-            .map(|s| (self.spec.base_id, Arc::clone(s)));
-        record_workers(&slot, workers);
+        if let Some(slot) = rec.ops.get_mut(self.spec.base_id) {
+            slot.workers = workers;
+        }
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<Option<Batch>> {
         if self.out.is_empty() {
             return Ok(None);
         }
@@ -242,7 +221,7 @@ impl Operator for GatherOp {
         Ok(Some(self.out.take(cx.batch_size, arity)))
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, _: &mut ExecRecord) {
         self.out.clear();
     }
 }
@@ -295,7 +274,9 @@ pub(crate) struct SortExchangeOp {
     source: SortSource,
     keys: SortKeys,
     limit: Option<usize>,
-    own_slot: SlotRef,
+    /// Pre-order id of the enforcer this exchange stands in for: where
+    /// the per-worker breakdown goes.
+    id: usize,
     runs: Vec<Batch>,
     merged: Vec<(u32, u32)>,
     pos: usize,
@@ -306,13 +287,13 @@ impl SortExchangeOp {
         source: SortSource,
         keys: SortKeys,
         limit: Option<usize>,
-        own_slot: SlotRef,
+        id: usize,
     ) -> SortExchangeOp {
         SortExchangeOp {
             source,
             keys,
             limit,
-            own_slot,
+            id,
             runs: Vec::new(),
             merged: Vec::new(),
             pos: 0,
@@ -321,7 +302,7 @@ impl SortExchangeOp {
 }
 
 impl Operator for SortExchangeOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         let (keys, limit) = (&self.keys, self.limit);
         let mut workers = Vec::new();
         let mut runs = Vec::new();
@@ -330,7 +311,7 @@ impl Operator for SortExchangeOp {
                 // Each worker sorts its run inside the thread — the
                 // parallel half of the work — tagging by local position;
                 // a full sort charges the run to `sort_rows` there.
-                let sorted = run_partitions(cx, spec, |batches, wstats| {
+                let sorted = run_partitions(cx, rec, spec, |batches, wstats| {
                     let drained: u64 = batches.iter().map(|b| b.len() as u64).sum();
                     if limit.is_none() {
                         wstats.io.sort_rows += drained;
@@ -339,13 +320,12 @@ impl Operator for SortExchangeOp {
                     (run, drained)
                 })?;
                 let mut base = 0u64;
-                for worker in sorted {
-                    stats.merge(&worker.stats);
+                for (worker, stats) in sorted {
                     let (mut run, drained) = worker.out;
                     workers.push(WorkerOpMetrics {
                         rows: run.seqs.len() as u64,
                         batches: worker.batches,
-                        stats: worker.stats,
+                        stats,
                         elapsed: worker.elapsed,
                     });
                     // Rebase local tags onto the partition's serial interval.
@@ -356,52 +336,53 @@ impl Operator for SortExchangeOp {
             }
             SortSource::RoundRobin { child, parts } => {
                 let parts = *parts as u64;
-                child.open(cx, stats)?;
+                child.open(cx, rec)?;
                 let mut batches = Vec::new();
-                while let Some(batch) = child.next_batch(cx, stats)? {
+                while let Some(batch) = child.next_batch(cx, rec)? {
                     if limit.is_none() {
-                        stats.io.sort_rows += batch.len() as u64;
+                        rec.stats.io.sort_rows += batch.len() as u64;
                     }
                     batches.push(batch);
                 }
-                child.close();
-                let sorted = on_workers(cx, parts as usize, ("bucket-sort", "bucket"), |part| {
+                child.close(rec);
+                // Bucket sorts touch no pages (so need no pool) and pull
+                // no batches; only rows, sort work and sort time are
+                // meaningful per worker here.
+                let lanes = ("bucket-sort", "bucket");
+                let sorted = on_workers(rec, parts as usize, None, lanes, |part, wrec| {
                     let started = Instant::now();
-                    let mut wstats = ExecStats::default();
                     let bucket = (part as u64, parts);
-                    let run = sort_run(&batches, keys, limit, bucket, &mut wstats.sort);
-                    (run, wstats, started.elapsed())
+                    let run = sort_run(&batches, keys, limit, bucket, &mut wrec.stats.sort);
+                    (run, started.elapsed())
                 });
-                // Bucket sorts touch no pages and pull no batches; only
-                // rows, sort work and sort time are meaningful per worker
-                // here.
-                for (run, wstats, elapsed) in sorted {
-                    stats.merge(&wstats);
+                for ((run, elapsed), stats) in sorted {
                     workers.push(WorkerOpMetrics {
                         rows: run.seqs.len() as u64,
                         batches: 0,
-                        stats: wstats,
+                        stats,
                         elapsed,
                     });
                     runs.push(run);
                 }
             }
         }
-        record_workers(&self.own_slot, workers);
+        if let Some(slot) = rec.ops.get_mut(self.id) {
+            slot.workers = workers;
+        }
         // A worker that drew no rows has no columns to gather from.
         runs.retain(|r| !r.seqs.is_empty());
-        self.merged = merge_runs(&runs, limit, &mut stats.sort);
+        self.merged = merge_runs(&runs, limit, &mut rec.stats.sort);
         if limit.is_some() {
             // A top-N charges what the serial operator charges: the
             // surviving prefix.
-            stats.io.sort_rows += self.merged.len() as u64;
+            rec.stats.io.sort_rows += self.merged.len() as u64;
         }
         self.runs = runs.into_iter().map(|r| r.batch).collect();
         self.pos = 0;
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<Option<Batch>> {
         if self.pos >= self.merged.len() {
             return Ok(None);
         }
@@ -412,11 +393,11 @@ impl Operator for SortExchangeOp {
         Ok(Some(batch))
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.runs = Vec::new();
         self.merged = Vec::new();
         if let SortSource::RoundRobin { child, .. } = &mut self.source {
-            child.close();
+            child.close(rec);
         }
     }
 }

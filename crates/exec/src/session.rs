@@ -16,12 +16,12 @@
 //! ```
 
 use crate::interp::run_plan_materialized;
-use crate::metrics::PlanMetrics;
+use crate::metrics::{ExecRecord, PlanMetrics};
 use crate::obs::Observability;
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
-use crate::stream::{execute_plan, execute_plan_instrumented, Batch, ExecOptions, StreamResult};
+use crate::stream::{drive, plan_metrics, Batch, ExecContext};
 use fto_common::{Result, Row};
-use fto_obs::{ExecutionProfile, Profiler, Trace};
+use fto_obs::{ExecutionProfile, Timeline, Trace};
 use fto_order::ContextWork;
 use fto_planner::{OptimizerConfig, Plan, Planner, PlannerStats};
 use fto_qgm::{rewrite, OrderScan, QueryGraph};
@@ -29,7 +29,7 @@ use fto_sql::{bind, parse_query, parse_statement, ExplainMode, Statement};
 use fto_storage::{Database, IoStats};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything a query execution produced: the output (columnar batches,
 /// with rows materialized on demand) plus the three observables the
@@ -173,9 +173,7 @@ impl<'db> Session<'db> {
             plan,
             planner: planner_stats,
             order_work,
-            batch_size: self.config.batch_size,
-            threads: self.config.threads,
-            memory_budget: self.config.memory_budget,
+            config: self.config.clone(),
             obs: self.obs.clone(),
             sql: sql.to_string(),
             trace,
@@ -237,24 +235,15 @@ pub struct PreparedQuery<'db> {
     planner: PlannerStats,
     /// Order-algebra calls from bind to plan, on the compiling thread.
     order_work: ContextWork,
-    batch_size: usize,
-    threads: usize,
-    memory_budget: Option<usize>,
+    /// The configuration it was planned under, whose execution knobs
+    /// (batch size, threads, memory budget) every execution runs with.
+    config: OptimizerConfig,
     obs: Option<Observability>,
     sql: String,
     trace: Option<Trace>,
 }
 
 impl PreparedQuery<'_> {
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            batch_size: self.batch_size,
-            threads: self.threads,
-            memory_budget: self.memory_budget,
-            profiler: None,
-        }
-    }
-
     /// Executes through the streaming batched executor (the default
     /// engine), at the parallel degree the session's
     /// [`OptimizerConfig::threads`] selected.
@@ -268,8 +257,7 @@ impl PreparedQuery<'_> {
         if self.obs.is_some() {
             return self.execute_instrumented().map(|(out, _)| out);
         }
-        let result = execute_plan(self.db, &self.graph, &self.plan, &self.exec_options())?;
-        Ok(self.wrap(result))
+        Ok(self.run(false, false)?.0)
     }
 
     /// [`PreparedQuery::execute`] with per-operator instrumentation:
@@ -279,41 +267,69 @@ impl PreparedQuery<'_> {
     /// identical to the uninstrumented path. Recorded into the attached
     /// observability handle, if any.
     pub fn execute_instrumented(&self) -> Result<(QueryOutput, PlanMetrics)> {
-        self.execute_instrumented_inner(None)
+        let (out, rec) = self.run(true, false)?;
+        let metrics = self.observed(rec.ops, &out);
+        Ok((out, metrics))
     }
 
     /// [`PreparedQuery::execute_instrumented`] with the timeline
-    /// profiler attached: additionally returns the merged
+    /// profiler attached: additionally returns the
     /// [`ExecutionProfile`] — per-lane operator spans, spill/segment
-    /// instants, and per-worker exchange lanes, merged deterministically
-    /// by (lane, seq). Profiling only observes: rows, [`IoStats`], and
-    /// the [`PlanMetrics`] rollup are bit-identical to
+    /// instants, and per-worker exchange lanes in partition order,
+    /// deterministic by (lane, seq). Profiling only observes: rows,
+    /// [`IoStats`], and the [`PlanMetrics`] rollup are bit-identical to
     /// [`PreparedQuery::execute_instrumented`], and the run is recorded
     /// into the attached observability handle the same way.
     pub fn execute_profiled(&self) -> Result<(QueryOutput, PlanMetrics, ExecutionProfile)> {
-        let profiler = Profiler::new();
-        let (out, metrics) = self.execute_instrumented_inner(Some(profiler.clone()))?;
-        Ok((out, metrics, profiler.finish()))
+        let (out, rec) = self.run(true, true)?;
+        let profile = rec.timeline.map(Timeline::finish).unwrap_or_default();
+        let metrics = self.observed(rec.ops, &out);
+        Ok((out, metrics, profile))
     }
 
-    fn execute_instrumented_inner(
-        &self,
-        profiler: Option<Profiler>,
-    ) -> Result<(QueryOutput, PlanMetrics)> {
-        let mut opts = self.exec_options();
-        opts.profiler = profiler;
-        let (result, metrics) = execute_plan_instrumented(self.db, &self.graph, &self.plan, &opts)?;
-        let out = self.wrap(result);
+    /// One execution through the one driver. The three public entry
+    /// points differ only in the record they hand it: per-node slots when
+    /// instrumenting, a coordinator lane when profiling, and a buffer
+    /// pool whenever the configuration sets a budget.
+    fn run(&self, instrument: bool, profile: bool) -> Result<(QueryOutput, ExecRecord)> {
+        let cx = ExecContext::new(self.db, &self.graph, &self.config);
+        let nodes = match instrument {
+            true => self.plan.count_ops(&|_| true),
+            false => 0,
+        };
+        let timeline = profile.then(|| Timeline::new(Instant::now(), "coordinator"));
+        let mut rec = ExecRecord::new(cx.memory_budget, nodes, timeline);
+        let (batches, elapsed) = drive(&cx, &self.plan, &mut rec)?;
+        // The output's counters are copied out of the finished stream.
+        let out = QueryOutput {
+            batches,
+            rows_cache: OnceLock::new(),
+            io: rec.stats.io,
+            planner: self.planner,
+            elapsed,
+            sort: rec.stats.sort,
+            spill: rec.stats.spill,
+            segment: rec.stats.segment,
+        };
+        Ok((out, rec))
+    }
+
+    /// The metrics of an instrumented execution, assembled from its
+    /// per-node actuals and recorded — with the output — into the attached
+    /// observability handle, if any. The plan and the decision log render
+    /// only for a query that enters the slow log.
+    fn observed(&self, actuals: Vec<crate::OpMetrics>, out: &QueryOutput) -> PlanMetrics {
+        let metrics = plan_metrics(&self.plan, actuals);
         if let Some(obs) = &self.obs {
             obs.record_execution(
                 Some(&self.sql),
-                &out,
-                &self.explain(),
+                out,
+                || self.explain(),
                 || self.trace_text().unwrap_or_default(),
                 Some(&metrics),
             );
         }
-        Ok((out, metrics))
+        metrics
     }
 
     /// Executes through the materializing reference interpreter. Exists
@@ -345,21 +361,6 @@ impl PreparedQuery<'_> {
             spill: SpillStats::default(),
             segment: SegmentStats::default(),
         })
-    }
-
-    /// The output of a streaming execution: its counters are copied out
-    /// of the finished accounting stream.
-    fn wrap(&self, result: StreamResult) -> QueryOutput {
-        QueryOutput {
-            batches: result.batches,
-            rows_cache: OnceLock::new(),
-            io: result.stats.io,
-            planner: self.planner,
-            elapsed: result.elapsed,
-            sort: result.stats.sort,
-            spill: result.stats.spill,
-            segment: result.stats.segment,
-        }
     }
 
     /// The planner's decision log for this compilation, when it kept one

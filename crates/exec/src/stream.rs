@@ -39,23 +39,21 @@
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable, NO_GROUP};
 use crate::extsort::{RunFormer, Sorted};
 use crate::interp::positions;
-use crate::metrics::{ExecStats, OpMetrics, PlanMetrics};
-use crate::parallel::{GatherOp, PartitionSpec, SlotRef, SortExchangeOp, SortSource};
+use crate::metrics::{ExecRecord, ExecStats, OpMetrics, PlanMetrics};
+use crate::parallel::{GatherOp, PartitionSpec, SortExchangeOp, SortSource};
 use crate::sortkernel::{resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
+use fto_common::{ColId, Direction, FtoError, IndexId, Result, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
-use fto_obs::profile;
-use fto_planner::{Plan, PlanNode, ScanRange};
+use fto_obs::SpanKind;
+use fto_planner::{OptimizerConfig, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
 use fto_storage::{
-    spill, BufferPool, Database, HeapScanState, IndexScanState, IoStats, PageCursor, SpillCursor,
-    SpillFile,
+    spill, Database, HeapScanState, IndexScanState, IoStats, PageCursor, SpillCursor, SpillFile,
 };
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The columnar batch flowing between operators. Operators never return
@@ -63,38 +61,12 @@ use std::time::{Duration, Instant};
 /// [`Operator::next_batch`].
 pub use fto_common::column::Batch;
 
-/// Result of a streaming execution: the produced batches plus the
-/// finished accounting stream and timing. The row-based reference engine
-/// keeps its own [`crate::interp::QueryResult`]; the differential suites
-/// hold the two bit-identical.
-#[derive(Debug)]
-pub struct StreamResult {
-    /// Output batches in emission order (none of them empty).
-    pub batches: Vec<Batch>,
-    /// Everything charged during execution: simulated I/O and the sort,
-    /// spill and segmented-sort counters.
-    pub stats: ExecStats,
-    /// Wall-clock execution time.
-    pub elapsed: Duration,
-}
-
-impl StreamResult {
-    /// Total output row count (no materialization).
-    pub fn num_rows(&self) -> usize {
-        self.batches.iter().map(Batch::len).sum()
-    }
-
-    /// Materializes the output as rows, in emission order.
-    pub fn rows(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.num_rows());
-        for b in &self.batches {
-            b.append_rows_to(&mut out);
-        }
-        out
-    }
-}
-
-/// Execution-wide state passed to every operator call.
+/// Execution-wide knobs passed to every operator call: immutable plain
+/// data, so exchange workers copy it (with `threads` pinned to 1 and their
+/// share of the budget). Everything an execution *records* — counters,
+/// per-node actuals, the timeline, the buffer pool's residency — lives in
+/// the [`ExecRecord`] threaded beside it.
+#[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The database supplying heaps and indexes.
     pub db: &'a Database,
@@ -109,60 +81,26 @@ pub struct ExecContext<'a> {
     /// Per-query memory budget in bytes for pipeline breakers, or `None`
     /// for unbounded in-memory execution. When set, sort and Top-N bound
     /// their buffered working sets (spilling sorted runs), hash group-by
-    /// spills overflow partitions, and the hash-join build side spills
-    /// rows past the budget — all bit-identical to unbounded execution.
+    /// spills overflow partitions, the hash-join build side spills rows
+    /// past the budget — all bit-identical to unbounded execution — and
+    /// heap-page touches route through the record's bounded buffer pool
+    /// (`budget / PAGE_SIZE` frames, clock eviction). The coordinator's
+    /// pipeline keeps the full budget; each exchange worker runs under
+    /// `budget / P` (at least one byte) with a private pool, see
+    /// [`crate::parallel`].
     pub memory_budget: Option<usize>,
-    /// The bounded buffer pool heap-page touches route through when a
-    /// budget is set (`budget / PAGE_SIZE` frames, clock eviction);
-    /// `None` leaves page charging exactly as before. `RefCell` because
-    /// operators share the context immutably; each context (coordinator
-    /// or per-worker, which gets `budget / P`) owns a private pool used
-    /// only by its own thread, and borrows are taken only around leaf
-    /// page touches, never across child calls.
-    pub pool: Option<RefCell<BufferPool>>,
-    /// Timeline profiler for this execution, or `None` (the default).
-    /// Event *emission* is thread-local (see [`fto_obs::profile`]); this
-    /// handle exists so exchange coordinators can allocate and install
-    /// per-worker lanes deterministically before spawning. Profiling
-    /// only observes: rows, [`IoStats`], and metric rollups are
-    /// bit-identical with or without it.
-    pub profiler: Option<fto_obs::Profiler>,
 }
 
 impl<'a> ExecContext<'a> {
-    /// The single construction site for execution contexts: clamps
-    /// `batch_size` and `threads` to at least 1 in one place, so the
-    /// serial, instrumented, and per-worker contexts cannot diverge on
-    /// the clamping rule.
-    ///
-    /// A memory budget composes with parallelism: the coordinator's
-    /// pipeline keeps the full budget (and its buffer pool), while each
-    /// exchange worker rebuilds its context with `budget / P` (at least
-    /// one byte) and a private pool — see
-    /// [`crate::parallel`]. Workers' spill streams are private and merge
-    /// into the session stream in partition order, so the exact-
-    /// accounting invariants hold and rows stay bit-identical at every
-    /// `(budget, threads)` combination.
-    pub fn new(db: &'a Database, graph: &'a QueryGraph, opts: &ExecOptions) -> ExecContext<'a> {
-        let memory_budget = opts.memory_budget;
-        let threads = opts.threads.max(1);
+    /// The execution knobs of `config`, with `batch_size` and `threads`
+    /// clamped to at least 1 — the one place that rule lives.
+    pub fn new(db: &'a Database, graph: &'a QueryGraph, config: &OptimizerConfig) -> Self {
         ExecContext {
             db,
             graph,
-            batch_size: opts.batch_size.max(1),
-            threads,
-            memory_budget,
-            pool: memory_budget.map(|b| RefCell::new(BufferPool::new(b))),
-            profiler: opts.profiler.clone(),
-        }
-    }
-
-    /// Runs `f` with a mutable borrow of the buffer pool (or `None` when
-    /// unbounded). Callers must not re-enter child operators inside `f`.
-    fn with_pool<R>(&self, f: impl FnOnce(Option<&mut BufferPool>) -> R) -> R {
-        match &self.pool {
-            Some(pool) => f(Some(&mut pool.borrow_mut())),
-            None => f(None),
+            batch_size: config.batch_size.max(1),
+            threads: config.threads.max(1),
+            memory_budget: config.memory_budget,
         }
     }
 }
@@ -171,135 +109,72 @@ impl<'a> ExecContext<'a> {
 ///
 /// Lifecycle: `open` once, `next_batch` until it returns `Ok(None)`,
 /// then `close`. Operators own their children and drive them through the
-/// same protocol, handing down the one [`ExecStats`] stream they were
-/// handed: whatever an operator counts — pages, sorted rows, comparisons,
-/// spilled runs — it adds there and nowhere else.
+/// same protocol, handing down the one [`ExecRecord`] they were handed:
+/// whatever an operator counts — pages, sorted rows, comparisons, spilled
+/// runs — it adds to `rec.stats` and nowhere else.
 pub trait Operator {
     /// Acquires resources and opens children. Pipeline breakers drain
     /// their input here, charging any buffering I/O (e.g. `sort_rows`).
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()>;
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()>;
 
     /// Produces the next non-empty batch, or `None` when exhausted.
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>>;
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>>;
 
     /// Releases buffered state. Called once; also safe to call early to
-    /// abandon a partially consumed stream.
-    fn close(&mut self) {}
+    /// abandon a partially consumed stream. Takes the record because a
+    /// profiled execution spans it like every other call.
+    fn close(&mut self, _rec: &mut ExecRecord) {}
 }
 
-/// Tuning options for [`execute_plan`].
-#[derive(Clone, Debug)]
-pub struct ExecOptions {
-    /// Rows per batch (clamped to ≥ 1).
-    pub batch_size: usize,
-    /// Degree of intra-query parallelism (clamped to ≥ 1). With `1`,
-    /// lowering inserts no exchange operators and execution is exactly
-    /// the classic single-threaded pipeline.
-    pub threads: usize,
-    /// Per-query memory budget in bytes, or `None` (the default) for
-    /// unbounded execution. See [`ExecContext::memory_budget`].
-    pub memory_budget: Option<usize>,
-    /// Timeline profiler to attach, or `None` (the default; zero
-    /// overhead beyond one thread-local branch per hook). See
-    /// [`ExecContext::profiler`].
-    pub profiler: Option<fto_obs::Profiler>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            batch_size: 1024,
-            threads: 1,
-            memory_budget: None,
-            profiler: None,
-        }
-    }
-}
-
-/// Executes a plan to completion through the streaming executor.
-pub fn execute_plan(
-    db: &Database,
-    graph: &QueryGraph,
+/// The one execution driver: lowers `plan` — wrapping every operator when
+/// `rec` has per-node slots to fill — opens the root, drains it and closes
+/// it, threading `rec` through every call. A plain, an instrumented and a
+/// profiled execution differ only in the record they hand in; the finished
+/// `rec.stats` are the execution's totals. Returns the output batches in
+/// emission order (none of them empty) and the wall-clock time taken.
+pub(crate) fn drive(
+    cx: &ExecContext<'_>,
     plan: &Plan,
-    opts: &ExecOptions,
-) -> Result<StreamResult> {
-    drive(db, graph, plan, opts, None)
-}
-
-/// [`execute_plan`] with per-operator instrumentation: every lowered
-/// operator is wrapped so that rows/batches produced, the subtree-inclusive
-/// [`ExecStats`] delta, and elapsed time are recorded per plan node,
-/// returned as a [`PlanMetrics`] alongside the normal result.
-///
-/// Metric slots are indexed by the plan's pre-order node id (root = 0,
-/// children outer/left first), matching
-/// [`fto_planner::Plan::explain_annotated`]. The query result is
-/// identical to the uninstrumented path — the wrappers only observe.
-pub fn execute_plan_instrumented(
-    db: &Database,
-    graph: &QueryGraph,
-    plan: &Plan,
-    opts: &ExecOptions,
-) -> Result<(StreamResult, PlanMetrics)> {
-    let slots = Arc::new(Mutex::new(Vec::new()));
-    let result = drive(db, graph, plan, opts, Some(Arc::clone(&slots)))?;
-    let ops = Arc::try_unwrap(slots)
-        .expect("all operator wrappers dropped")
-        .into_inner()
-        .expect("metrics mutex poisoned");
-    let metrics = PlanMetrics {
-        ops,
-        children: preorder_children(plan),
-    };
-    Ok((result, metrics))
-}
-
-/// The one execution driver: lowers `plan` — wrapping every operator to
-/// record into `slots` when there are any — opens the root, drains it and
-/// closes it, threading one [`ExecStats`] through every call. The finished
-/// stream is the execution's totals.
-fn drive(
-    db: &Database,
-    graph: &QueryGraph,
-    plan: &Plan,
-    opts: &ExecOptions,
-    slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
-) -> Result<StreamResult> {
+    rec: &mut ExecRecord,
+) -> Result<(Vec<Batch>, Duration)> {
     let start = Instant::now();
-    let mut stats = ExecStats::default();
-    let cx = ExecContext::new(db, graph, opts);
-    // Lane 0 = the coordinator thread, for the lifetime of this
-    // execution. Workers install their own lanes (see crate::parallel).
-    let _lane = cx.profiler.as_ref().map(|p| p.install_lane("coordinator"));
-    let mut root = lower_impl(plan, &mut LowerCx::new(slots, cx.threads))?;
-    root.open(&cx, &mut stats)?;
+    let mut root = lower_impl(plan, &mut LowerCx::new(!rec.ops.is_empty(), cx.threads))?;
+    root.open(cx, rec)?;
     let mut batches = Vec::new();
-    while let Some(batch) = root.next_batch(&cx, &mut stats)? {
+    while let Some(batch) = root.next_batch(cx, rec)? {
         batches.push(batch);
     }
-    root.close();
-    Ok(StreamResult {
-        batches,
-        stats,
-        elapsed: start.elapsed(),
-    })
+    root.close(rec);
+    Ok((batches, start.elapsed()))
 }
 
-/// Direct-children ids per plan node under pre-order numbering — the
-/// tree shape half of [`PlanMetrics`].
-fn preorder_children(plan: &Plan) -> Vec<Vec<usize>> {
-    fn walk(p: &Plan, out: &mut Vec<Vec<usize>>) -> usize {
-        let id = out.len();
-        out.push(Vec::new());
+/// The [`PlanMetrics`] of an instrumented execution: one pre-order walk
+/// of the plan — the numbering lowering assigned the wrappers — supplies
+/// each node's name, the planner's estimates and its children; `actuals`
+/// (the record's per-node slots) supply what happened.
+pub(crate) fn plan_metrics(plan: &Plan, actuals: Vec<OpMetrics>) -> PlanMetrics {
+    fn walk(p: &Plan, pm: &mut PlanMetrics) -> usize {
+        let id = pm.children.len();
+        pm.children.push(Vec::new());
+        let m = &mut pm.ops[id];
+        m.name = p.op_name().to_string();
+        m.est_rows = p.cost.rows;
+        m.est_cost = p.self_cost();
+        if let PlanNode::SegmentedSort { est_groups, .. } = &p.node {
+            m.est_groups = Some(*est_groups);
+        }
         for c in p.children() {
-            let cid = walk(c, out);
-            out[id].push(cid);
+            let cid = walk(c, pm);
+            pm.children[id].push(cid);
         }
         id
     }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
+    let mut pm = PlanMetrics {
+        ops: actuals,
+        children: Vec::new(),
+    };
+    walk(plan, &mut pm);
+    pm
 }
 
 // ---------------------------------------------------------------------
@@ -416,18 +291,20 @@ struct ScanOp {
 }
 
 impl Operator for ScanOp {
-    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<()> {
         let heap = cx.db.heap(self.table)?;
         self.state = HeapScanState::partition(heap, self.part, self.parts);
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
-        let batch = cx.with_pool(|pool| {
-            self.state
-                .next_columns_pooled(heap, cx.batch_size, &mut stats.io, pool)
-        });
+        let batch = self.state.next_columns_pooled(
+            heap,
+            cx.batch_size,
+            &mut rec.stats.io,
+            rec.pool.as_mut(),
+        );
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
@@ -445,7 +322,7 @@ struct IndexScanOp {
 }
 
 impl Operator for IndexScanOp {
-    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<()> {
         let ix = cx.db.index(self.index)?;
         let (lo, hi) = match &self.range {
             Some(ScanRange { lo, hi }) => (lo.as_ref(), hi.as_ref()),
@@ -470,27 +347,25 @@ impl Operator for IndexScanOp {
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let ix = cx.db.index(self.index)?;
         let heap = cx.db.heap(self.table)?;
         let state = self
             .state
             .as_mut()
             .ok_or_else(|| FtoError::internal("index scan used before open"))?;
-        let batch = cx.with_pool(|pool| {
-            state.next_columns_pooled(
-                ix,
-                heap,
-                cx.batch_size,
-                &mut stats.io,
-                pool,
-                fto_storage::index_leaf_tag(self.index),
-            )
-        });
+        let batch = state.next_columns_pooled(
+            ix,
+            heap,
+            cx.batch_size,
+            &mut rec.stats.io,
+            rec.pool.as_mut(),
+            fto_storage::index_leaf_tag(self.index),
+        );
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, _: &mut ExecRecord) {
         self.state = None;
     }
 }
@@ -506,13 +381,13 @@ struct FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        self.child.open(cx, stats)
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
-            let Some(batch) = self.child.next_batch(cx, stats)? else {
+            let Some(batch) = self.child.next_batch(cx, rec)? else {
                 return Ok(None);
             };
             let sel = passing(cx, &self.predicates, &batch, &self.layout)?;
@@ -525,8 +400,8 @@ impl Operator for FilterOp {
         }
     }
 
-    fn close(&mut self) {
-        self.child.close();
+    fn close(&mut self, rec: &mut ExecRecord) {
+        self.child.close(rec);
     }
 }
 
@@ -537,12 +412,12 @@ struct ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        self.child.open(cx, stats)
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
-        let Some(batch) = self.child.next_batch(cx, stats)? else {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
+        let Some(batch) = self.child.next_batch(cx, rec)? else {
             return Ok(None);
         };
         Ok(Some(vector::project_batch(
@@ -552,8 +427,8 @@ impl Operator for ProjectOp {
         )?))
     }
 
-    fn close(&mut self) {
-        self.child.close();
+    fn close(&mut self, rec: &mut ExecRecord) {
+        self.child.close(rec);
     }
 }
 
@@ -563,18 +438,18 @@ struct LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        self.child.open(cx, stats)
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             // Early termination: the child is never pulled again, so the
             // pages behind unproduced rows are never charged.
-            self.child.close();
+            self.child.close(rec);
             return Ok(None);
         }
-        let Some(mut batch) = self.child.next_batch(cx, stats)? else {
+        let Some(mut batch) = self.child.next_batch(cx, rec)? else {
             return Ok(None);
         };
         if batch.len() as u64 > self.remaining {
@@ -585,8 +460,8 @@ impl Operator for LimitOp {
         Ok(Some(batch))
     }
 
-    fn close(&mut self) {
-        self.child.close();
+    fn close(&mut self, rec: &mut ExecRecord) {
+        self.child.close(rec);
     }
 }
 
@@ -611,15 +486,15 @@ struct StreamDistinctOp {
 }
 
 impl Operator for StreamDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.last_key = None;
-        self.child.open(cx, stats)
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         loop {
-            let Some(batch) = self.child.next_batch(cx, stats)? else {
+            let Some(batch) = self.child.next_batch(cx, rec)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
@@ -645,9 +520,9 @@ impl Operator for StreamDistinctOp {
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.last_key = None;
-        self.child.close();
+        self.child.close(rec);
     }
 }
 
@@ -661,16 +536,16 @@ struct HashDistinctOp {
 }
 
 impl Operator for HashDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.seen = GroupTable::new();
-        self.child.open(cx, stats)
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         let (mut gids, mut sel) = (Vec::new(), Vec::new());
         loop {
-            let Some(batch) = self.child.next_batch(cx, stats)? else {
+            let Some(batch) = self.child.next_batch(cx, rec)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
@@ -684,9 +559,9 @@ impl Operator for HashDistinctOp {
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.seen = GroupTable::new();
-        self.child.close();
+        self.child.close(rec);
     }
 }
 
@@ -697,24 +572,24 @@ struct UnionAllOp {
 }
 
 impl Operator for UnionAllOp {
-    fn open(&mut self, _cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, _cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<()> {
         // Children open lazily, one at a time, as the union advances.
         self.current = 0;
         self.opened = false;
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         while self.current < self.children.len() {
             let child = &mut self.children[self.current];
             if !self.opened {
-                child.open(cx, stats)?;
+                child.open(cx, rec)?;
                 self.opened = true;
             }
-            match child.next_batch(cx, stats)? {
+            match child.next_batch(cx, rec)? {
                 Some(batch) => return Ok(Some(batch)),
                 None => {
-                    child.close();
+                    child.close(rec);
                     self.current += 1;
                     self.opened = false;
                 }
@@ -723,9 +598,9 @@ impl Operator for UnionAllOp {
         Ok(None)
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         for c in &mut self.children {
-            c.close();
+            c.close(rec);
         }
     }
 }
@@ -789,24 +664,27 @@ impl EnforceOp {
     /// Ends the open group (no-op without one): its sorted rows queue for
     /// emission. A segmented sort counts the group formed — what EXPLAIN
     /// ANALYZE shows next to the planner's estimate.
-    fn finish_group(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn finish_group(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         if !std::mem::take(&mut self.group_open) {
             return Ok(());
         }
         if !self.pkeys.is_empty() {
-            stats.segment.groups_formed += 1;
-            profile::instant("segment", || "segment.group_sealed".to_string());
+            rec.mark(
+                |s| &mut s.segment.groups_formed,
+                "segment",
+                "segment.group_sealed",
+            );
         }
-        self.former.finish(cx.batch_size, &mut self.out, stats)
+        self.former.finish(cx.batch_size, &mut self.out, rec)
     }
 
     /// Pulls one input batch into the open group, finishing a group at
     /// every prefix boundary — or, at end of input, finishes the last.
-    fn pull(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        let Some(batch) = self.child.next_batch(cx, stats)? else {
+    fn pull(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        let Some(batch) = self.child.next_batch(cx, rec)? else {
             self.input_done = true;
-            self.child.close();
-            return self.finish_group(cx, stats);
+            self.child.close(rec);
+            return self.finish_group(cx, rec);
         };
         let (mut sb, mut so) = (Vec::new(), Vec::new());
         encode_batch_keys_arena(&batch, &self.skeys, &mut sb, &mut so);
@@ -819,8 +697,8 @@ impl EnforceOp {
             for i in 0..batch.len() {
                 let prefix = &pb[po[i]..po[i + 1]];
                 if self.group_open && prefix != prev {
-                    self.former.push_rows(&batch, lo..i, &sb, &so, stats);
-                    self.finish_group(cx, stats)?;
+                    self.former.push_rows(&batch, lo..i, &sb, &so, rec);
+                    self.finish_group(cx, rec)?;
                     lo = i;
                 }
                 self.group_open = true;
@@ -830,27 +708,27 @@ impl EnforceOp {
         }
         self.group_open |= !batch.is_empty();
         self.former
-            .push_rows(&batch, lo..batch.len(), &sb, &so, stats);
+            .push_rows(&batch, lo..batch.len(), &sb, &so, rec);
         Ok(())
     }
 }
 
 impl Operator for EnforceOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.former = RunFormer::new(cx.memory_budget.unwrap_or(usize::MAX), self.limit);
         self.group_open = false;
         self.out = VecDeque::new();
         self.input_done = false;
-        self.child.open(cx, stats)?;
+        self.child.open(cx, rec)?;
         // Without a satisfied prefix nothing can leave before the input
         // ends: a pipeline breaker, drained here.
         while self.pkeys.is_empty() && !self.input_done {
-            self.pull(cx, stats)?;
+            self.pull(cx, rec)?;
         }
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             // Drain finished groups first, in arrival order.
             match self.out.pop_front() {
@@ -858,21 +736,21 @@ impl Operator for EnforceOp {
                 Some(Sorted::Spilled(mut merge)) => {
                     // The final merge streams: the sorted group is never
                     // materialized whole, only one batch at a time.
-                    if let Some(batch) = merge.next_batch(cx.batch_size, stats)? {
+                    if let Some(batch) = merge.next_batch(cx.batch_size, &mut rec.stats)? {
                         self.out.push_front(Sorted::Spilled(merge));
                         return Ok(Some(batch));
                     }
                 }
                 None if self.input_done => return Ok(None),
-                None => self.pull(cx, stats)?,
+                None => self.pull(cx, rec)?,
             }
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.former = RunFormer::new(usize::MAX, self.limit);
         self.out = VecDeque::new();
-        self.child.close();
+        self.child.close(rec);
     }
 }
 
@@ -1038,7 +916,7 @@ impl GroupState {
         mut self,
         budget: usize,
         depth: usize,
-        stats: &mut ExecStats,
+        rec: &mut ExecRecord,
         out: &mut Vec<(Batch, Vec<u64>)>,
     ) -> Result<()> {
         let groups = self.agg.finish()?;
@@ -1051,8 +929,11 @@ impl GroupState {
             if file.is_empty() {
                 continue;
             }
-            stats.spill.runs_formed += 1;
-            profile::instant("spill", || "spill.runs_formed x1".to_string());
+            rec.mark(
+                |s| &mut s.spill.runs_formed,
+                "spill",
+                "spill.runs_formed x1",
+            );
             let sub_budget = if depth + 1 >= MAX_GROUP_SPILL_DEPTH {
                 usize::MAX
             } else {
@@ -1060,19 +941,19 @@ impl GroupState {
             };
             let mut sub = GroupState::new(&self.spec);
             let mut cursor = SpillCursor::new(0, file.len());
-            while let Some(rec) = cursor.read_record(&file, &mut stats.io)? {
-                let mut pos = group_spill_header(&rec, &mut seqs)?;
-                let batch = spill::read_batch(&rec, &mut pos)?;
+            while let Some(frame) = cursor.read_record(&file, &mut rec.stats.io)? {
+                let mut pos = group_spill_header(&frame, &mut seqs)?;
+                let batch = spill::read_batch(&frame, &mut pos)?;
                 sub.absorb_batch(
                     &batch,
                     &seqs,
                     sub_budget,
                     depth as u64 + 1,
                     &mut scratch,
-                    &mut stats.io,
+                    &mut rec.stats.io,
                 )?;
             }
-            sub.drain(budget, depth + 1, stats, out)?;
+            sub.drain(budget, depth + 1, rec, out)?;
         }
         Ok(())
     }
@@ -1100,22 +981,22 @@ struct HashGroupByOp {
 }
 
 impl Operator for HashGroupByOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        self.child.open(cx, stats)?;
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        self.child.open(cx, rec)?;
         let budget = cx.memory_budget.unwrap_or(usize::MAX);
         let mut state = GroupState::new(&self.spec);
         let mut scratch = GroupScratch::default();
         let mut seq = 0u64;
         let mut seqs: Vec<u64> = Vec::new();
-        while let Some(batch) = self.child.next_batch(cx, stats)? {
+        while let Some(batch) = self.child.next_batch(cx, rec)? {
             seqs.clear();
             seqs.extend(seq..seq + batch.len() as u64);
             seq += batch.len() as u64;
-            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, &mut stats.io)?;
+            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, &mut rec.stats.io)?;
         }
-        self.child.close();
+        self.child.close(rec);
         let mut parts: Vec<(Batch, Vec<u64>)> = Vec::new();
-        state.drain(budget, 0, stats, &mut parts)?;
+        state.drain(budget, 0, rec, &mut parts)?;
         let mut order: Vec<(u64, u32, u32)> = Vec::new();
         for (p, (_, first_seqs)) in parts.iter().enumerate() {
             order.extend(
@@ -1133,14 +1014,14 @@ impl Operator for HashGroupByOp {
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<Option<Batch>> {
         if self.out.is_empty() {
             return Ok(None);
         }
         Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())))
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, _: &mut ExecRecord) {
         self.out.clear();
     }
 }
@@ -1202,13 +1083,13 @@ impl StreamGroupByOp {
 }
 
 impl Operator for StreamGroupByOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.agg = GroupAgg::new(Arc::clone(&self.spec));
         self.input_done = false;
-        self.child.open(cx, stats)
+        self.child.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())));
@@ -1216,7 +1097,7 @@ impl Operator for StreamGroupByOp {
             if self.input_done {
                 return Ok(None);
             }
-            match self.child.next_batch(cx, stats)? {
+            match self.child.next_batch(cx, rec)? {
                 Some(batch) => self.absorb(&batch)?,
                 None => {
                     self.input_done = true;
@@ -1226,10 +1107,10 @@ impl Operator for StreamGroupByOp {
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.agg = GroupAgg::new(Arc::clone(&self.spec));
         self.out.clear();
-        self.child.close();
+        self.child.close(rec);
     }
 }
 
@@ -1257,13 +1138,13 @@ struct IndexNestedLoopJoinOp {
 }
 
 impl Operator for IndexNestedLoopJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         // Probe streams pay a full seek on their first fetch.
         self.cursor = PageCursor::probing();
-        self.outer.open(cx, stats)
+        self.outer.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
         let ix = cx.db.index(self.index)?;
         let mut key: Vec<Value> = Vec::with_capacity(self.probe_pos.len());
@@ -1271,7 +1152,7 @@ impl Operator for IndexNestedLoopJoinOp {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
             }
-            let Some(batch) = self.outer.next_batch(cx, stats)? else {
+            let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
             };
             let mut osel: Vec<u32> = Vec::new();
@@ -1279,20 +1160,18 @@ impl Operator for IndexNestedLoopJoinOp {
             for oi in 0..batch.len() {
                 key.clear();
                 key.extend(self.probe_pos.iter().map(|&p| batch.column(p).value(oi)));
-                stats.io.index_pages += 1; // descent touches one leaf
+                rec.stats.io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
                     // Probe fetches share the budgeted buffer pool with
                     // the scans (keyed by table id); unbounded executions
                     // charge exactly as before.
-                    cx.with_pool(|pool| {
-                        self.cursor.touch_pooled(
-                            heap.table().0 as u64,
-                            heap.page_of(*rid),
-                            &mut stats.io,
-                            pool,
-                        )
-                    });
-                    stats.io.rows_read += 1;
+                    self.cursor.touch_pooled(
+                        heap.table().0 as u64,
+                        heap.page_of(*rid),
+                        &mut rec.stats.io,
+                        rec.pool.as_mut(),
+                    );
+                    rec.stats.io.rows_read += 1;
                     osel.push(oi as u32);
                     rids.push(*rid);
                 }
@@ -1307,9 +1186,9 @@ impl Operator for IndexNestedLoopJoinOp {
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.out.clear();
-        self.outer.close();
+        self.outer.close(rec);
     }
 }
 
@@ -1489,12 +1368,15 @@ impl JoinBuild {
         }
     }
 
-    fn finish(&mut self, stats: &mut ExecStats) {
-        self.flush_groups(true, &mut stats.io);
+    fn finish(&mut self, rec: &mut ExecRecord) {
+        self.flush_groups(true, &mut rec.stats.io);
         self.mem = Batch::concat(self.arity, &std::mem::take(&mut self.segs));
         if !self.file.is_empty() {
-            stats.spill.runs_formed += 1;
-            profile::instant("spill", || "spill.runs_formed x1".to_string());
+            rec.mark(
+                |s| &mut s.spill.runs_formed,
+                "spill",
+                "spill.runs_formed x1",
+            );
         }
         // A stable counting pass: count each key's rows, prefix-sum the
         // counts into `offsets`, then drop the rows into place in arrival
@@ -1726,38 +1608,38 @@ impl JoinOp {
 }
 
 impl Operator for JoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.build.reset();
-        self.inner.open(cx, stats)?;
+        self.inner.open(cx, rec)?;
         let mut scratch = GroupScratch::default();
-        while let Some(batch) = self.inner.next_batch(cx, stats)? {
+        while let Some(batch) = self.inner.next_batch(cx, rec)? {
             self.build
-                .absorb(&batch, cx.memory_budget, &mut scratch, &mut stats.io);
+                .absorb(&batch, cx.memory_budget, &mut scratch, &mut rec.stats.io);
         }
-        self.inner.close();
-        self.build.finish(stats);
-        self.outer.open(cx, stats)
+        self.inner.close(rec);
+        self.build.finish(rec);
+        self.outer.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let (mut kb, mut ko, mut gids) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
             }
-            let Some(batch) = self.outer.next_batch(cx, stats)? else {
+            let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
             };
             encode_batch_keys_arena(&batch, &self.okeys, &mut kb, &mut ko);
             self.build.table.lookup(&kb, &ko, &mut gids);
-            self.probe(cx, &batch, &gids, &mut stats.io)?;
+            self.probe(cx, &batch, &gids, &mut rec.stats.io)?;
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.build.reset();
         self.out.clear();
-        self.outer.close();
+        self.outer.close(rec);
     }
 }
 
@@ -1848,7 +1730,7 @@ fn merge_fill(
     side: &mut MergeSide,
     child: &mut Box<dyn Operator>,
     cx: &ExecContext<'_>,
-    stats: &mut ExecStats,
+    rec: &mut ExecRecord,
 ) -> Result<bool> {
     while side.pos >= side.win.len() && !side.done {
         if side.pos > 0 {
@@ -1860,7 +1742,7 @@ fn merge_fill(
             side.ko.push(0);
             side.pos = 0;
         }
-        match child.next_batch(cx, stats)? {
+        match child.next_batch(cx, rec)? {
             Some(batch) => side.absorb(batch),
             None => side.done = true,
         }
@@ -1876,7 +1758,7 @@ fn merge_take_group(
     side: &mut MergeSide,
     child: &mut Box<dyn Operator>,
     cx: &ExecContext<'_>,
-    stats: &mut ExecStats,
+    rec: &mut ExecRecord,
 ) -> Result<Batch> {
     let mut start = side.pos;
     let mut end = start + 1;
@@ -1894,7 +1776,7 @@ fn merge_take_group(
             end -= start;
             start = 0;
         }
-        match child.next_batch(cx, stats)? {
+        match child.next_batch(cx, rec)? {
             Some(batch) => side.absorb(batch),
             None => side.done = true,
         }
@@ -1920,13 +1802,13 @@ struct MergeJoinOp {
 }
 
 impl Operator for MergeJoinOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.done = false;
-        self.outer.open(cx, stats)?;
-        self.inner.open(cx, stats)
+        self.outer.open(cx, rec)?;
+        self.inner.open(cx, rec)
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
                 return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
@@ -1934,8 +1816,8 @@ impl Operator for MergeJoinOp {
             if self.done {
                 return Ok(None);
             }
-            if !merge_fill(&mut self.o, &mut self.outer, cx, stats)?
-                || !merge_fill(&mut self.i, &mut self.inner, cx, stats)?
+            if !merge_fill(&mut self.o, &mut self.outer, cx, rec)?
+                || !merge_fill(&mut self.i, &mut self.inner, cx, rec)?
             {
                 self.done = true;
                 continue;
@@ -1953,8 +1835,8 @@ impl Operator for MergeJoinOp {
                 Ordering::Less => self.o.pos += 1,
                 Ordering::Greater => self.i.pos += 1,
                 Ordering::Equal => {
-                    let og = merge_take_group(&mut self.o, &mut self.outer, cx, stats)?;
-                    let ig = merge_take_group(&mut self.i, &mut self.inner, cx, stats)?;
+                    let og = merge_take_group(&mut self.o, &mut self.outer, cx, rec)?;
+                    let ig = merge_take_group(&mut self.i, &mut self.inner, cx, rec)?;
                     // Outer-major cross product by gather: outer rows
                     // repeat, inner rows tile.
                     let mut rep = Vec::with_capacity(og.len() * ig.len());
@@ -1974,12 +1856,12 @@ impl Operator for MergeJoinOp {
         }
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, rec: &mut ExecRecord) {
         self.o = MergeSide::new(std::mem::take(&mut self.o.kpos));
         self.i = MergeSide::new(std::mem::take(&mut self.i.kpos));
         self.out.clear();
-        self.outer.close();
-        self.inner.close();
+        self.outer.close(rec);
+        self.inner.close(rec);
     }
 }
 
@@ -1987,21 +1869,20 @@ impl Operator for MergeJoinOp {
 // Lowering
 // ---------------------------------------------------------------------
 
-/// Lowering context: instrumentation slots, pre-order id assignment, and
+/// Lowering context: whether to instrument, pre-order id assignment, and
 /// the parallelism state.
 ///
-/// The coordinator lowers with `push = true` (slots are created as
-/// lowering reaches each node, so slot index == pre-order id) and
-/// `partition = None`. When lowering inserts an exchange, it *reserves*
-/// slots for the exchange's partitioned subtree without building
-/// coordinator-side operators for it; each worker then re-lowers that
-/// subtree via [`lower_worker`] with `push = false` and `next_id` starting
-/// at the subtree root's reserved id, so worker wrappers record into the
-/// already-reserved slots. Workers always lower with `threads = 1`, so
-/// exchanges never nest.
+/// Every plan node gets its pre-order id as lowering reaches it. When
+/// lowering inserts an exchange, the coordinator builds no operators for
+/// the exchanged subtree — it only advances `next_id` past it, so sibling
+/// nodes keep their ids — and each worker re-lowers that subtree via
+/// [`lower_worker`] with `next_id` starting at the subtree root's id, so
+/// a worker's wrappers fill the same slots of its private record that the
+/// coordinator's record has for those nodes. Workers always lower with
+/// `threads = 1`, so exchanges never nest.
 pub(crate) struct LowerCx {
-    slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
-    push: bool,
+    /// Wrap every operator in an [`InstrumentedOp`].
+    instrument: bool,
     next_id: usize,
     threads: usize,
     /// `Some((part, parts))` while lowering one worker's partition of an
@@ -2010,10 +1891,9 @@ pub(crate) struct LowerCx {
 }
 
 impl LowerCx {
-    pub(crate) fn new(slots: Option<Arc<Mutex<Vec<OpMetrics>>>>, threads: usize) -> LowerCx {
+    pub(crate) fn new(instrument: bool, threads: usize) -> LowerCx {
         LowerCx {
-            slots,
-            push: true,
+            instrument,
             next_id: 0,
             threads,
             partition: None,
@@ -2022,19 +1902,17 @@ impl LowerCx {
 }
 
 /// Lowers one worker's copy of an exchanged subtree: scans restricted to
-/// partition `part` of `parts`, instrumentation recording into the slots
-/// the coordinator reserved starting at `base_id`. Called from inside the
+/// partition `part` of `parts`, wrappers (when instrumenting) numbered
+/// from the subtree root's pre-order id `base_id`. Called from inside the
 /// worker thread, so the built operators never cross threads.
 pub(crate) fn lower_worker(
     plan: &Plan,
-    part: usize,
-    parts: usize,
-    slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
+    (part, parts): (usize, usize),
+    instrument: bool,
     base_id: usize,
 ) -> Result<Box<dyn Operator>> {
     let mut lw = LowerCx {
-        slots,
-        push: false,
+        instrument,
         next_id: base_id,
         threads: 1,
         partition: Some((part, parts)),
@@ -2042,7 +1920,8 @@ pub(crate) fn lower_worker(
     lower_impl(plan, &mut lw)
 }
 
-/// Records subtree-inclusive metrics for one operator into its slot.
+/// Records subtree-inclusive metrics for one operator into its slot of
+/// the record, `rec.ops[id]`.
 ///
 /// The wrapper snapshots the [`ExecStats`] stream before delegating and
 /// merges the delta afterwards, so a slot accumulates everything charged
@@ -2050,77 +1929,82 @@ pub(crate) fn lower_worker(
 /// counter alike. Exclusive figures are derived later by
 /// [`PlanMetrics::self_stats`]; recording inclusively here is what makes
 /// that subtraction telescope exactly to the session totals. Under an
-/// exchange, the workers' wrappers all record into the same slots (one
-/// worker's private stream each), so a slot accumulates the sum over
-/// workers — which is exactly what the coordinator merges into the session
-/// stream, keeping the telescoping intact at every parallel degree.
+/// exchange every worker's wrappers fill the slots of that worker's
+/// private record, and the coordinator sums them slot by slot as it
+/// absorbs the records — the same sum it merges into the session stream,
+/// keeping the telescoping intact at every parallel degree.
 struct InstrumentedOp {
     inner: Box<dyn Operator>,
     id: usize,
-    slots: Arc<Mutex<Vec<OpMetrics>>>,
-    /// `name#id` — the span label this wrapper emits into the timeline
-    /// profiler (when the executing thread has a lane installed).
+    /// `name#id` — the label of the spans this wrapper puts on the
+    /// timeline of a profiled execution.
     label: String,
 }
 
 impl InstrumentedOp {
-    fn record(&self, before: &ExecStats, after: &ExecStats, started: Instant) {
-        let mut slots = self.slots.lock().expect("metrics mutex poisoned");
-        let m = &mut slots[self.id];
+    /// Runs one `open`/`next_batch` call of the wrapped operator inside a
+    /// `label.phase` span, adding the stream's delta and the time spent
+    /// to the slot; `args` annotate the span's end from the call's result
+    /// and the delta.
+    fn observed<T>(
+        &mut self,
+        phase: &str,
+        rec: &mut ExecRecord,
+        call: impl FnOnce(&mut dyn Operator, &mut ExecRecord) -> T,
+        args: impl FnOnce(&T, &ExecStats) -> Vec<(&'static str, u64)>,
+    ) -> T {
+        let name = || format!("{}.{phase}", self.label);
+        rec.emit(SpanKind::Begin, "operator", name, Vec::new);
+        let before = rec.stats;
+        let started = Instant::now();
+        let out = call(self.inner.as_mut(), rec);
+        let delta = rec.stats.delta_since(&before);
+        let m = &mut rec.ops[self.id];
         m.elapsed += started.elapsed();
-        m.stats.merge(&after.delta_since(before));
+        m.stats.merge(&delta);
+        rec.emit(SpanKind::End, "operator", name, || args(&out, &delta));
+        out
     }
 }
 
 impl Operator for InstrumentedOp {
-    fn open(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<()> {
-        profile::span_begin("operator", || format!("{}.open", self.label));
-        let before = *stats;
-        let started = Instant::now();
-        let result = self.inner.open(cx, stats);
-        self.record(&before, stats, started);
-        profile::span_end_with(
-            "operator",
-            || format!("{}.open", self.label),
-            || {
-                let d = stats.io.delta_since(&before.io);
+    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        self.observed(
+            "open",
+            rec,
+            |op, rec| op.open(cx, rec),
+            |_, d| {
                 vec![
-                    ("seq_pages", d.sequential_pages),
-                    ("sort_rows", d.sort_rows),
+                    ("seq_pages", d.io.sequential_pages),
+                    ("sort_rows", d.io.sort_rows),
                 ]
             },
-        );
-        result
+        )
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, stats: &mut ExecStats) -> Result<Option<Batch>> {
-        profile::span_begin("operator", || format!("{}.next", self.label));
-        let before = *stats;
-        let started = Instant::now();
-        let result = self.inner.next_batch(cx, stats);
-        self.record(&before, stats, started);
-        let rows = match &result {
-            Ok(Some(batch)) => batch.len() as u64,
-            _ => 0,
-        };
+    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
+        let result = self.observed(
+            "next",
+            rec,
+            |op, rec| op.next_batch(cx, rec),
+            |result, _| {
+                let batch = result.as_ref().ok().and_then(Option::as_ref);
+                vec![("rows", batch.map_or(0, Batch::len) as u64)]
+            },
+        );
         if let Ok(Some(batch)) = &result {
-            let mut slots = self.slots.lock().expect("metrics mutex poisoned");
-            let m = &mut slots[self.id];
+            let m = &mut rec.ops[self.id];
             m.rows += batch.len() as u64;
             m.batches += 1;
         }
-        profile::span_end_with(
-            "operator",
-            || format!("{}.next", self.label),
-            || vec![("rows", rows)],
-        );
         result
     }
 
-    fn close(&mut self) {
-        profile::span_begin("operator", || format!("{}.close", self.label));
-        self.inner.close();
-        profile::span_end("operator", || format!("{}.close", self.label));
+    fn close(&mut self, rec: &mut ExecRecord) {
+        let name = || format!("{}.close", self.label);
+        rec.emit(SpanKind::Begin, "operator", name, Vec::new);
+        self.inner.close(rec);
+        rec.emit(SpanKind::End, "operator", name, Vec::new);
     }
 }
 
@@ -2136,50 +2020,17 @@ fn partitionable(plan: &Plan) -> bool {
     }
 }
 
-/// The freshly-reserved metric slot for one plan node: actual counters
-/// zeroed, the planner's estimates copied in at lowering time so every
-/// recorded slot carries its own est-vs-actual pair (Q-error feedback).
-fn op_metrics_for(plan: &Plan) -> OpMetrics {
-    OpMetrics {
-        name: plan.op_name().to_string(),
-        est_rows: plan.cost.rows,
-        est_cost: plan.self_cost(),
-        est_groups: match &plan.node {
-            PlanNode::SegmentedSort { est_groups, .. } => Some(*est_groups),
-            _ => None,
-        },
-        ..OpMetrics::default()
-    }
-}
-
-/// Reserves metric slots for an exchanged subtree the coordinator will
-/// not itself lower, mirroring [`lower_impl`]'s pre-order id assignment
-/// so worker-side wrappers land in the right slots and sibling nodes
-/// after the subtree keep their ids.
-fn reserve_subtree(plan: &Plan, lw: &mut LowerCx) {
-    lw.next_id += 1;
-    if lw.push {
-        if let Some(slots) = &lw.slots {
-            slots
-                .lock()
-                .expect("metrics mutex poisoned")
-                .push(op_metrics_for(plan));
-        }
-    }
-    for c in plan.children() {
-        reserve_subtree(c, lw);
-    }
-}
-
-/// Builds the [`PartitionSpec`] for exchanging `input` over
-/// `lw.threads` workers, reserving the subtree's metric slots.
+/// Builds the [`PartitionSpec`] for exchanging `input` over `lw.threads`
+/// workers. The coordinator lowers nothing below an exchange; it only
+/// steps `next_id` past the subtree, mirroring [`lower_impl`]'s pre-order
+/// numbering, so the workers' wrappers and the nodes after the subtree
+/// all keep their ids.
 fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx) -> PartitionSpec {
     let base_id = lw.next_id;
-    reserve_subtree(input, lw);
+    lw.next_id += input.count_ops(&|_| true);
     PartitionSpec {
         plan: Arc::clone(input),
         parts: lw.threads,
-        slots: lw.slots.clone(),
         base_id,
     }
 }
@@ -2203,18 +2054,17 @@ fn lower_enforcer(
     lw: &mut LowerCx,
 ) -> Result<Box<dyn Operator>> {
     let keys = resolve_keys(spec, &input.layout)?;
-    let slot: SlotRef = lw.slots.as_ref().map(|s| (id, Arc::clone(s)));
     if lw.partition.is_none() && lw.threads > 1 && prefix_len == 0 {
         if partitionable(input) {
             let source = SortSource::Partitioned(exchange_spec(input, lw));
-            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, slot)));
+            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, id)));
         }
         if limit.is_none() {
             let source = SortSource::RoundRobin {
                 child: lower_impl(input, lw)?,
                 parts: lw.threads,
             };
-            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, slot)));
+            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, id)));
         }
     }
     let child = lower_impl(input, lw)?;
@@ -2263,22 +2113,15 @@ fn lower_join(
 }
 
 /// Lowers `plan`, wrapping every operator in an [`InstrumentedOp`] when
-/// slots are present. Slots are reserved parent-before-children and
-/// children in [`Plan::children`] order, which is exactly pre-order —
-/// the numbering [`PlanMetrics`] documents. At parallel degree > 1 the
+/// instrumenting. Ids go parent-before-children and children in
+/// [`Plan::children`] order, which is exactly pre-order — the numbering
+/// [`PlanMetrics`] documents. At parallel degree > 1 the
 /// coordinator replaces eligible Sort/TopN nodes and fully-drained join
 /// build sides with exchange operators from [`crate::parallel`]; worker
 /// threads then re-lower the exchanged subtrees via [`lower_worker`].
 fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
     let id = lw.next_id;
     lw.next_id += 1;
-    if lw.push {
-        if let Some(slots) = &lw.slots {
-            let mut slots = slots.lock().expect("metrics mutex poisoned");
-            debug_assert_eq!(id, slots.len(), "slot ids must be pre-order");
-            slots.push(op_metrics_for(plan));
-        }
-    }
     let op: Box<dyn Operator> = match &plan.node {
         PlanNode::TableScan { table, .. } => {
             let (part, parts) = lw.partition.unwrap_or((0, 1));
@@ -2469,14 +2312,13 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             lower_enforcer(input, spec, 0, Some(*n as usize), id, lw)?
         }
     };
-    Ok(match &lw.slots {
-        Some(slots) => Box::new(InstrumentedOp {
+    Ok(match lw.instrument {
+        true => Box::new(InstrumentedOp {
             inner: op,
             id,
-            slots: Arc::clone(slots),
             label: format!("{}#{id}", plan.op_name()),
         }),
-        None => op,
+        false => op,
     })
 }
 
@@ -2484,7 +2326,7 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
 mod tests {
     use super::*;
     use crate::interp::run_plan_materialized;
-    use fto_common::{ColId, ColSet, Direction, QuantifierId};
+    use fto_common::{ColId, ColSet, Direction, QuantifierId, Row};
     use fto_order::StreamProps;
     use fto_planner::cost::Cost;
     use fto_storage::Database;
@@ -2528,22 +2370,55 @@ mod tests {
         })
     }
 
+    /// What one plain execution through the driver produced.
+    struct Run {
+        batches: Vec<Batch>,
+        stats: ExecStats,
+    }
+
+    impl Run {
+        fn num_rows(&self) -> usize {
+            self.batches.iter().map(Batch::len).sum()
+        }
+
+        fn rows(&self) -> Vec<Row> {
+            let mut out = Vec::new();
+            for b in &self.batches {
+                b.append_rows_to(&mut out);
+            }
+            out
+        }
+    }
+
+    /// Drives a hand-built plan under `config`'s execution knobs with a
+    /// plain record.
+    fn run(db: &Database, graph: &QueryGraph, plan: &Plan, config: &OptimizerConfig) -> Run {
+        let cx = ExecContext::new(db, graph, config);
+        let mut rec = ExecRecord::new(cx.memory_budget, 0, None);
+        let (batches, _) = drive(&cx, plan, &mut rec).unwrap();
+        Run {
+            batches,
+            stats: rec.stats,
+        }
+    }
+
+    fn knobs(batch_size: usize, threads: usize, budget: Option<usize>) -> OptimizerConfig {
+        let config = OptimizerConfig::default()
+            .with_batch_size(batch_size)
+            .with_threads(threads);
+        match budget {
+            Some(b) => config.with_memory_budget(b),
+            None => config,
+        }
+    }
+
     #[test]
     fn streaming_scan_matches_materialized() {
         let db = test_db(500);
         let graph = QueryGraph::new();
         let plan = scan_plan();
         let old = run_plan_materialized(&db, &graph, &plan).unwrap();
-        let new = execute_plan(
-            &db,
-            &graph,
-            &plan,
-            &ExecOptions {
-                batch_size: 64,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let new = run(&db, &graph, &plan, &knobs(64, 1, None));
         assert_eq!(old.rows, new.rows());
         assert_eq!(old.io.sequential_pages, new.stats.io.sequential_pages);
         assert_eq!(old.io.rows_read, new.stats.io.rows_read);
@@ -2564,7 +2439,7 @@ mod tests {
             cost: scan.cost,
         };
         let old = run_plan_materialized(&db, &graph, &limit).unwrap();
-        let new = execute_plan(&db, &graph, &limit, &ExecOptions::default()).unwrap();
+        let new = run(&db, &graph, &limit, &OptimizerConfig::default());
         assert_eq!(old.rows, new.rows());
         assert_eq!(new.num_rows(), 10);
         // Streaming output arrives as non-empty batches that sum to the
@@ -2601,16 +2476,7 @@ mod tests {
             cost: scan.cost,
         };
         let old = run_plan_materialized(&db, &graph, &sort).unwrap();
-        let new = execute_plan(
-            &db,
-            &graph,
-            &sort,
-            &ExecOptions {
-                batch_size: 1,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let new = run(&db, &graph, &sort, &knobs(1, 1, None));
         assert_eq!(old.rows, new.rows());
         assert_eq!(old.io.sort_rows, new.stats.io.sort_rows);
     }
@@ -2640,19 +2506,9 @@ mod tests {
             props: scan.props.clone(),
             cost: scan.cost,
         };
-        let serial = execute_plan(&db, &graph, &sort, &ExecOptions::default()).unwrap();
+        let serial = run(&db, &graph, &sort, &OptimizerConfig::default());
         for threads in [2usize, 3, 4] {
-            let par = execute_plan(
-                &db,
-                &graph,
-                &sort,
-                &ExecOptions {
-                    batch_size: 97,
-                    threads,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
+            let par = run(&db, &graph, &sort, &knobs(97, threads, None));
             assert_eq!(serial.rows(), par.rows(), "threads={threads}");
             // Page-aligned partitions charge exactly the serial totals.
             assert_eq!(
@@ -2684,19 +2540,17 @@ mod tests {
             cost: scan.cost,
         };
         for threads in [1usize, 2, 4] {
-            let opts = ExecOptions {
-                batch_size: 128,
-                threads,
-                ..ExecOptions::default()
-            };
-            let (result, metrics) = execute_plan_instrumented(&db, &graph, &sort, &opts).unwrap();
-            assert_eq!(result.num_rows(), 2048);
+            let cx = ExecContext::new(&db, &graph, &knobs(128, threads, None));
+            let mut rec = ExecRecord::new(None, sort.count_ops(&|_| true), None);
+            let (batches, _) = drive(&cx, &sort, &mut rec).unwrap();
+            assert_eq!(batches.iter().map(Batch::len).sum::<usize>(), 2048);
+            let (totals, metrics) = (rec.stats, plan_metrics(&sort, rec.ops));
             assert!(
                 metrics.validate().is_ok(),
                 "threads={threads}: {:?}",
                 metrics.validate()
             );
-            assert_eq!(metrics.total(), result.stats, "threads={threads}");
+            assert_eq!(metrics.total(), totals, "threads={threads}");
             if threads > 1 {
                 // The Sort node carries one entry per exchange worker.
                 assert_eq!(metrics.ops[0].workers.len(), threads);
@@ -2711,11 +2565,11 @@ mod tests {
     struct Feed(VecDeque<Batch>);
 
     impl Operator for Feed {
-        fn open(&mut self, _: &ExecContext<'_>, _: &mut ExecStats) -> Result<()> {
+        fn open(&mut self, _: &ExecContext<'_>, _: &mut ExecRecord) -> Result<()> {
             Ok(())
         }
 
-        fn next_batch(&mut self, _: &ExecContext<'_>, _: &mut ExecStats) -> Result<Option<Batch>> {
+        fn next_batch(&mut self, _: &ExecContext<'_>, _: &mut ExecRecord) -> Result<Option<Batch>> {
             Ok(self.0.pop_front())
         }
     }
@@ -2728,7 +2582,7 @@ mod tests {
         use fto_expr::{AggCall, AggFunc};
         let db = test_db(1);
         let graph = QueryGraph::new();
-        let cx = ExecContext::new(&db, &graph, &ExecOptions::default());
+        let cx = ExecContext::new(&db, &graph, &OptimizerConfig::default());
         let layout = RowLayout::new(vec![ColId(0)]);
         let aggs = vec![
             (ColId(1), AggCall::new(AggFunc::Count, Expr::int(1))),
@@ -2754,13 +2608,13 @@ mod tests {
                 }),
             ];
             for mut op in ops {
-                let mut stats = ExecStats::default();
-                op.open(&cx, &mut stats).unwrap();
+                let mut rec = ExecRecord::default();
+                op.open(&cx, &mut rec).unwrap();
                 let mut rows = Vec::new();
-                while let Some(batch) = op.next_batch(&cx, &mut stats).unwrap() {
+                while let Some(batch) = op.next_batch(&cx, &mut rec).unwrap() {
                     batch.append_rows_to(&mut rows);
                 }
-                op.close();
+                op.close(&mut rec);
                 if gpos.is_empty() {
                     assert_eq!(rows, vec![vec![Value::Int(0), Value::Null].into()]);
                 } else {
@@ -2785,14 +2639,14 @@ mod tests {
 
     /// Opens, drains and closes `op`, checking its emission contract.
     fn drain(mut op: Box<dyn Operator>, cx: &ExecContext<'_>) -> Vec<Row> {
-        let mut stats = ExecStats::default();
-        op.open(cx, &mut stats).unwrap();
+        let mut rec = ExecRecord::default();
+        op.open(cx, &mut rec).unwrap();
         let mut rows = Vec::new();
-        while let Some(batch) = op.next_batch(cx, &mut stats).unwrap() {
+        while let Some(batch) = op.next_batch(cx, &mut rec).unwrap() {
             assert!(!batch.is_empty() && batch.len() <= cx.batch_size);
             batch.append_rows_to(&mut rows);
         }
-        op.close();
+        op.close(&mut rec);
         rows
     }
 
@@ -2889,11 +2743,7 @@ mod tests {
                     };
                     let case = format!("seed={seed} n={n} k={k} limit={limit:?} keys={keys:?}");
                     for memory_budget in [Some(1usize), Some(1 << 10), None] {
-                        let opts = ExecOptions {
-                            batch_size: [1, 7, 1024][rng.range_usize(0, 3)],
-                            memory_budget,
-                            ..ExecOptions::default()
-                        };
+                        let opts = knobs([1, 7, 1024][rng.range_usize(0, 3)], 1, memory_budget);
                         let cx = ExecContext::new(&db, &graph, &opts);
                         let op = EnforceOp::new(feed(&batches), keys.clone(), k, limit);
                         let got = drain(Box::new(op), &cx);
@@ -2902,7 +2752,7 @@ mod tests {
                     if k > 0 {
                         continue;
                     }
-                    let cx = ExecContext::new(&db, &graph, &ExecOptions::default());
+                    let cx = ExecContext::new(&db, &graph, &OptimizerConfig::default());
                     for parts in 1..=3usize {
                         let mut base = 0u64;
                         let runs: Vec<_> = batches
@@ -2931,7 +2781,7 @@ mod tests {
                         child: feed(&batches),
                         parts: 3,
                     };
-                    let op = SortExchangeOp::new(source, keys.clone(), limit, None);
+                    let op = SortExchangeOp::new(source, keys.clone(), limit, 0);
                     assert_eq!(exact(&drain(Box::new(op), &cx)), want, "{case} dealt");
                 }
             }
@@ -2965,9 +2815,7 @@ mod tests {
         let db = test_db(500);
         let graph = QueryGraph::new();
         let scan = scan_plan();
-        let unsorted = execute_plan(&db, &graph, &scan, &ExecOptions::default())
-            .unwrap()
-            .rows();
+        let unsorted = run(&db, &graph, &scan, &OptimizerConfig::default()).rows();
         let node = |node| Plan {
             node,
             layout: scan.layout.clone(),
@@ -2985,13 +2833,8 @@ mod tests {
         });
         for memory_budget in [None, Some(1usize << 10)] {
             for threads in [1usize, 4] {
-                let opts = ExecOptions {
-                    batch_size: 64,
-                    threads,
-                    memory_budget,
-                    ..ExecOptions::default()
-                };
-                let sorted = execute_plan(&db, &graph, &sort, &opts).unwrap();
+                let opts = knobs(64, threads, memory_budget);
+                let sorted = run(&db, &graph, &sort, &opts);
                 assert_eq!(
                     sorted.rows(),
                     unsorted,
@@ -3002,7 +2845,7 @@ mod tests {
                     assert_eq!((spill.runs_formed, spill.merge_passes), (36, 2));
                     assert!(sorted.stats.io.spill_pages_read > 0);
                 }
-                let first = execute_plan(&db, &graph, &top, &opts).unwrap();
+                let first = run(&db, &graph, &top, &opts);
                 assert_eq!(
                     first.rows(),
                     unsorted[..7],

@@ -20,11 +20,11 @@
 //! * [`slowlog`] — a bounded log of the slowest queries, each entry
 //!   carrying the SQL, the annotated plan, and the optimizer trace that
 //!   produced it.
-//! * [`profile`] — an opt-in execution timeline profiler: span/instant
-//!   events buffered per worker lane, merged deterministically by
-//!   (lane, seq), exported as Chrome trace-event JSON and folded stacks.
-//!   Unlike [`trace`], collection is thread-local (exchange workers emit
-//!   from their own threads) and events carry timestamps — which is why
+//! * [`profile`] — an opt-in execution timeline: span/instant events in
+//!   per-thread lanes, identified by (lane, seq), exported as Chrome
+//!   trace-event JSON and folded stacks. A plain value like [`trace`] —
+//!   each exchange worker fills its own and the coordinator absorbs them
+//!   in partition order — but its events carry timestamps, which is why
 //!   they never enter the optimizer trace.
 
 #![deny(missing_docs)]
@@ -35,6 +35,6 @@ pub mod slowlog;
 pub mod trace;
 
 pub use metrics::{HistogramSnapshot, Registry};
-pub use profile::{ExecutionProfile, LaneGuard, LaneProfile, ProfileEvent, Profiler, SpanKind};
+pub use profile::{ExecutionProfile, LaneProfile, ProfileEvent, SpanKind, Timeline};
 pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use trace::{Trace, TraceEvent};

@@ -1,26 +1,26 @@
 //! Opt-in execution timeline profiler.
 //!
-//! A [`Profiler`] collects *span* events (begin/end pairs) and *instant*
-//! events into per-lane buffers: lane 0 is the coordinator thread, and
-//! every exchange worker installs its own lane for the lifetime of its
-//! partition pipeline. Collection is thread-local, because workers emit
-//! from threads that share no `&mut`: until a [`LaneGuard`] is installed
-//! on the current thread, every emission is a single branch on a
-//! thread-local flag and the payload closures never run — so a session
-//! that never profiles pays one predictable branch per hook. The entry
-//! point is `PreparedQuery::execute_profiled` in `fto-exec`.
+//! A [`Timeline`] is one thread's recording half of an execution: *span*
+//! (begin/end) and *instant* events go into its own lane, and the
+//! finished timelines of the exchange workers it waited for are
+//! [absorbed](Timeline::absorb) behind it. It is a plain value — nothing
+//! is installed on a thread, nothing is shared: the executor carries an
+//! `Option<Timeline>` in the record every operator call already threads,
+//! each worker fills a private one, and a call site without one builds
+//! no payload. Entry point: `PreparedQuery::execute_profiled` in
+//! `fto-exec`.
 //!
 //! # Determinism contract
 //!
 //! Profiling only *observes*: query results, `IoStats`, and the
 //! per-operator metric rollup are bit-identical whether or not a
-//! profiler is attached. Events are merged deterministically by
-//! `(lane, seq)` — the per-lane sequence number assigned at emission —
-//! never by timestamp. Timestamps (microseconds since the profiler's
-//! epoch) ride along for the exported artifacts only; they are
-//! wall-clock measurements and differ run to run, which is why nothing
-//! orders by them and why the optimizer trace ([`crate::trace`]) remains
-//! timestamp-free and byte-identical across runs.
+//! timeline is recorded. An event's identity is `(lane, seq)` — never its
+//! timestamp — and lane ids are positions: lane 0 is the thread that
+//! finishes the timeline, absorbed lanes follow in absorb order, which
+//! the executor makes partition order. Timestamps (microseconds since
+//! the execution's epoch) ride along for the exported artifacts only;
+//! they differ run to run, which is why nothing orders by them and why
+//! the optimizer trace ([`crate::trace`]) stays timestamp-free.
 //!
 //! # Exports
 //!
@@ -30,14 +30,12 @@
 //! it. [`ExecutionProfile::to_folded_stacks`] renders folded stack lines
 //! (`lane;frame;frame <self-microseconds>`) for flamegraph builders.
 
-use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Hard cap on buffered events per lane; emissions past it are counted
-/// in [`LaneProfile::dropped`] instead of growing without bound.
+/// Hard cap on buffered events per lane; emissions that would not fit
+/// are counted in [`LaneProfile::dropped`] instead of growing without
+/// bound.
 pub const LANE_CAPACITY: usize = 1 << 20;
 
 /// The phase of a profile event.
@@ -65,7 +63,7 @@ pub struct ProfileEvent {
     /// Coarse category for trace-viewer filtering (`operator`, `spill`,
     /// `segment`, `exchange`).
     pub cat: &'static str,
-    /// Microseconds since the profiler's epoch. Wall-clock measurement:
+    /// Microseconds since the execution's epoch. Wall-clock measurement:
     /// monotone within a lane, **not** deterministic across runs, and
     /// never used for ordering.
     pub ts_us: u64,
@@ -77,194 +75,112 @@ pub struct ProfileEvent {
 /// One lane's finished event buffer.
 #[derive(Clone, Debug)]
 pub struct LaneProfile {
-    /// Lane id (0 = coordinator; workers get fresh ids in spawn order).
+    /// Lane id (0 = coordinator; workers follow in partition order).
     pub lane: u32,
     /// Human label (`coordinator`, `worker p2`, ...).
     pub label: String,
     /// Events in emission order (`seq` strictly increasing).
     pub events: Vec<ProfileEvent>,
-    /// Emissions discarded after the lane hit [`LANE_CAPACITY`].
+    /// Emissions discarded because the lane had no room left for them
+    /// (see [`LANE_CAPACITY`]); the kept events still balance.
     pub dropped: u64,
 }
 
+/// One thread's recording half of an execution timeline: the lane it
+/// emits into (`lanes[0]`) followed by the finished lanes it absorbed.
 #[derive(Debug)]
-struct ProfInner {
+pub struct Timeline {
     epoch: Instant,
-    next_lane: AtomicU32,
-    lanes: Mutex<Vec<LaneProfile>>,
+    /// Spans of the own lane whose `Begin` was kept and whose `End` is
+    /// still owed a slot.
+    open: usize,
+    /// Spans of the own lane whose `Begin` was dropped at capacity; their
+    /// `End`s drop too. Always the innermost open spans: once a `Begin`
+    /// has been refused, none is admitted again.
+    shed: usize,
+    lanes: Vec<LaneProfile>,
 }
 
-/// A handle collecting one execution's timeline. Cheap to clone; clones
-/// feed the same profile.
-#[derive(Clone, Debug)]
-pub struct Profiler {
-    inner: Arc<ProfInner>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::new()
-    }
-}
-
-impl Profiler {
-    /// A fresh profiler; its epoch (timestamp zero) is now.
-    pub fn new() -> Profiler {
-        Profiler {
-            inner: Arc::new(ProfInner {
-                epoch: Instant::now(),
-                next_lane: AtomicU32::new(0),
-                lanes: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Reserves `n` consecutive lane ids and returns the first. Exchange
-    /// coordinators call this *before* spawning workers, so lane ids
-    /// reflect deterministic spawn order, not thread scheduling.
-    pub fn alloc_lanes(&self, n: u32) -> u32 {
-        self.inner.next_lane.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// Allocates the next lane id and installs it on the current thread.
-    pub fn install_lane(&self, label: impl Into<String>) -> LaneGuard {
-        let lane = self.alloc_lanes(1);
-        self.install_lane_at(lane, label)
-    }
-
-    /// Installs a pre-allocated lane id on the current thread. Emissions
-    /// on this thread buffer into the lane until the returned guard
-    /// drops, which hands the buffer back to the profiler.
-    pub fn install_lane_at(&self, lane: u32, label: impl Into<String>) -> LaneGuard {
-        COLLECTOR.with(|c| {
-            *c.borrow_mut() = Some(LaneCollector {
-                profiler: self.clone(),
-                lane,
+impl Timeline {
+    /// An empty timeline whose own lane carries `label`; timestamps count
+    /// from `epoch`, which every timeline of one execution shares.
+    pub fn new(epoch: Instant, label: impl Into<String>) -> Timeline {
+        Timeline {
+            epoch,
+            open: 0,
+            shed: 0,
+            lanes: vec![LaneProfile {
+                lane: 0,
                 label: label.into(),
-                seq: 0,
                 events: Vec::new(),
                 dropped: 0,
-            });
+            }],
+        }
+    }
+
+    /// The instant timestamps count from.
+    pub fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// Records one event into the own lane, or counts it dropped: `kind`
+    /// opens a span, closes the innermost open one (`args` annotate it:
+    /// rows, pages) or marks a point (spill run formed, segment boundary).
+    /// A `Begin` is admitted only while the lane has room for it *and* for
+    /// the `End` of every span it has open, so the kept events always
+    /// balance and never exceed [`LANE_CAPACITY`].
+    pub fn push(
+        &mut self,
+        kind: SpanKind,
+        cat: &'static str,
+        name: String,
+        args: Vec<(&'static str, u64)>,
+    ) {
+        let lane = &mut self.lanes[0];
+        let room = LANE_CAPACITY.saturating_sub(lane.events.len() + self.open);
+        let keep = match kind {
+            SpanKind::Begin => room >= 2,
+            SpanKind::Instant => room >= 1,
+            SpanKind::End => self.shed == 0,
+        };
+        // A span joins, and later leaves, the kept or the shed ones.
+        let spans = if keep { &mut self.open } else { &mut self.shed };
+        match kind {
+            SpanKind::Begin => *spans += 1,
+            SpanKind::End => *spans = spans.saturating_sub(1),
+            SpanKind::Instant => {}
+        }
+        if !keep {
+            lane.dropped += 1;
+            return;
+        }
+        lane.events.push(ProfileEvent {
+            seq: lane.events.len() as u64,
+            kind,
+            name,
+            cat,
+            ts_us: self.epoch.elapsed().as_micros() as u64,
+            args,
         });
-        ACTIVE.with(|a| a.set(true));
-        LaneGuard { _priv: () }
     }
 
-    /// Collects every finished lane into an [`ExecutionProfile`], lanes
-    /// sorted by id and each lane's events in emission (`seq`) order.
-    /// Call after all [`LaneGuard`]s have dropped.
-    pub fn finish(&self) -> ExecutionProfile {
-        let mut lanes = std::mem::take(&mut *self.inner.lanes.lock().expect("profile poisoned"));
-        lanes.sort_by_key(|l| l.lane);
-        ExecutionProfile { lanes }
-    }
-}
-
-struct LaneCollector {
-    profiler: Profiler,
-    lane: u32,
-    label: String,
-    seq: u64,
-    events: Vec<ProfileEvent>,
-    dropped: u64,
-}
-
-thread_local! {
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static COLLECTOR: RefCell<Option<LaneCollector>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the current thread's lane on drop, handing its buffer back
-/// to the owning [`Profiler`].
-pub struct LaneGuard {
-    _priv: (),
-}
-
-impl Drop for LaneGuard {
-    fn drop(&mut self) {
-        ACTIVE.with(|a| a.set(false));
-        if let Some(col) = COLLECTOR.with(|c| c.borrow_mut().take()) {
-            col.profiler
-                .inner
-                .lanes
-                .lock()
-                .expect("profile poisoned")
-                .push(LaneProfile {
-                    lane: col.lane,
-                    label: col.label,
-                    events: col.events,
-                    dropped: col.dropped,
-                });
+    /// Appends a finished timeline's lanes behind this one's, renumbered
+    /// by position. An exchange absorbs its workers in partition order,
+    /// so lane ids reflect partition order, never thread scheduling.
+    pub fn absorb(&mut self, other: Timeline) {
+        for mut lane in other.lanes {
+            lane.lane = self.lanes.len() as u32;
+            self.lanes.push(lane);
         }
     }
-}
 
-/// True when the current thread has a lane installed (i.e. emissions
-/// will record). A single thread-local branch.
-pub fn enabled() -> bool {
-    ACTIVE.with(|a| a.get())
-}
-
-fn record(
-    kind: SpanKind,
-    cat: &'static str,
-    name: impl FnOnce() -> String,
-    args: Vec<(&'static str, u64)>,
-) {
-    if !enabled() {
-        return;
+    /// The finished profile: the own lane first, absorbed lanes behind it.
+    pub fn finish(self) -> ExecutionProfile {
+        ExecutionProfile { lanes: self.lanes }
     }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            if col.events.len() >= LANE_CAPACITY {
-                col.dropped += 1;
-                return;
-            }
-            let ts_us = col.profiler.inner.epoch.elapsed().as_micros() as u64;
-            let seq = col.seq;
-            col.seq += 1;
-            col.events.push(ProfileEvent {
-                seq,
-                kind,
-                name: name(),
-                cat,
-                ts_us,
-                args,
-            });
-        }
-    });
 }
 
-/// Opens a span on the current lane. The name closure runs only when a
-/// lane is installed.
-pub fn span_begin(cat: &'static str, name: impl FnOnce() -> String) {
-    record(SpanKind::Begin, cat, name, Vec::new());
-}
-
-/// Closes the innermost open span with this name on the current lane.
-pub fn span_end(cat: &'static str, name: impl FnOnce() -> String) {
-    record(SpanKind::End, cat, name, Vec::new());
-}
-
-/// [`span_end`] with numeric annotations (rows, pages) attached; the
-/// args closure also runs only when a lane is installed.
-pub fn span_end_with(
-    cat: &'static str,
-    name: impl FnOnce() -> String,
-    args: impl FnOnce() -> Vec<(&'static str, u64)>,
-) {
-    if !enabled() {
-        return;
-    }
-    record(SpanKind::End, cat, name, args());
-}
-
-/// Records a point event (spill run formed, segment boundary, ...).
-pub fn instant(cat: &'static str, name: impl FnOnce() -> String) {
-    record(SpanKind::Instant, cat, name, Vec::new());
-}
-
-/// A finished execution timeline: per-lane event buffers merged in
+/// A finished execution timeline: per-lane event buffers in
 /// deterministic `(lane, seq)` order.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionProfile {
@@ -364,7 +280,6 @@ impl ExecutionProfile {
         for lane in &self.lanes {
             // (name, begin ts, time consumed by finished children)
             let mut stack: Vec<(String, u64, u64)> = Vec::new();
-            let mut prefix = lane.label.clone();
             for e in &lane.events {
                 match e.kind {
                     SpanKind::Begin => stack.push((e.name.clone(), e.ts_us, 0)),
@@ -377,7 +292,7 @@ impl ExecutionProfile {
                         if let Some(parent) = stack.last_mut() {
                             parent.2 += total;
                         }
-                        let mut key = prefix.clone();
+                        let mut key = lane.label.clone();
                         for (n, _, _) in &stack {
                             key.push(';');
                             key.push_str(n);
@@ -392,7 +307,6 @@ impl ExecutionProfile {
                     SpanKind::Instant => {}
                 }
             }
-            prefix.clear();
         }
         let mut out = String::new();
         for key in keys {
@@ -405,41 +319,50 @@ impl ExecutionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use SpanKind::{Begin, End, Instant as Point};
 
-    #[test]
-    fn disabled_thread_records_nothing() {
-        assert!(!enabled());
-        let mut ran = false;
-        span_begin("operator", || {
-            ran = true;
-            "x".to_string()
-        });
-        assert!(!ran, "payload closure must not run without a lane");
+    fn timeline(label: &str) -> Timeline {
+        Timeline::new(Instant::now(), label)
+    }
+
+    fn push(t: &mut Timeline, kind: SpanKind, name: &str) {
+        t.push(kind, "operator", name.to_string(), Vec::new());
     }
 
     #[test]
-    fn lanes_merge_by_id_with_per_lane_seq() {
-        let p = Profiler::new();
-        {
-            let _g = p.install_lane("coordinator");
-            span_begin("operator", || "sort#0.open".to_string());
-            instant("spill", || "spill.run_formed".to_string());
-            span_end("operator", || "sort#0.open".to_string());
+    fn absorbed_worker_lanes_number_in_partition_order() {
+        let mut t = timeline("coordinator");
+        push(&mut t, Begin, "sort#0.open");
+        push(&mut t, Point, "spill.run_formed");
+        // Two exchanges of two workers each: whatever order the threads
+        // finished in, absorbing in partition order numbers the lanes.
+        for exchange in 0..2 {
+            for part in 0..2 {
+                let mut w = Timeline::new(t.epoch(), format!("worker p{part}"));
+                push(&mut w, Begin, &format!("scan#{exchange}.next/p{part}"));
+                push(&mut w, End, &format!("scan#{exchange}.next/p{part}"));
+                t.absorb(w);
+            }
         }
-        let base = p.alloc_lanes(2);
-        for k in (0..2).rev() {
-            // Install in reverse order: merge must still sort by lane id.
-            let _g = p.install_lane_at(base + k, format!("worker p{k}"));
-            span_begin("operator", || format!("scan#1.next/p{k}"));
-            span_end("operator", || format!("scan#1.next/p{k}"));
-        }
-        let profile = p.finish();
-        assert_eq!(profile.lanes.len(), 3);
-        assert_eq!(profile.lanes[0].lane, 0);
-        assert_eq!(profile.lanes[0].label, "coordinator");
-        assert_eq!(profile.lanes[1].lane, base);
-        assert_eq!(profile.lanes[2].lane, base + 1);
-        assert_eq!(profile.event_count(), 7);
+        push(&mut t, End, "sort#0.open");
+        let profile = t.finish();
+        let lanes: Vec<(u32, &str)> = profile
+            .lanes
+            .iter()
+            .map(|l| (l.lane, l.label.as_str()))
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                (0, "coordinator"),
+                (1, "worker p0"),
+                (2, "worker p1"),
+                (3, "worker p0"),
+                (4, "worker p1")
+            ]
+        );
+        assert_eq!(profile.lanes[3].events[0].name, "scan#1.next/p0");
+        assert_eq!(profile.event_count(), 11);
         for lane in &profile.lanes {
             for (i, e) in lane.events.iter().enumerate() {
                 assert_eq!(e.seq, i as u64, "seq must be dense per lane");
@@ -452,19 +375,17 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_line_oriented_and_balanced() {
-        let p = Profiler::new();
-        {
-            let _g = p.install_lane("coordinator");
-            span_begin("operator", || "sort#0.open".to_string());
-            span_begin("operator", || "scan#1.next".to_string());
-            span_end_with(
-                "operator",
-                || "scan#1.next".to_string(),
-                || vec![("rows", 5)],
-            );
-            span_end("operator", || "sort#0.open".to_string());
-        }
-        let json = p.finish().to_chrome_trace();
+        let mut t = timeline("coordinator");
+        push(&mut t, Begin, "sort#0.open");
+        push(&mut t, Begin, "scan#1.next");
+        t.push(
+            End,
+            "operator",
+            "scan#1.next".to_string(),
+            vec![("rows", 5)],
+        );
+        push(&mut t, End, "sort#0.open");
+        let json = t.finish().to_chrome_trace();
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.trim_end().ends_with(']'), "{json}");
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2, "{json}");
@@ -475,15 +396,12 @@ mod tests {
 
     #[test]
     fn folded_stacks_nest_and_weigh() {
-        let p = Profiler::new();
-        {
-            let _g = p.install_lane("lane");
-            span_begin("operator", || "parent".to_string());
-            span_begin("operator", || "child".to_string());
-            span_end("operator", || "child".to_string());
-            span_end("operator", || "parent".to_string());
-        }
-        let folded = p.finish().to_folded_stacks();
+        let mut t = timeline("lane");
+        push(&mut t, Begin, "parent");
+        push(&mut t, Begin, "child");
+        push(&mut t, End, "child");
+        push(&mut t, End, "parent");
+        let folded = t.finish().to_folded_stacks();
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2, "{folded}");
         assert!(lines[0].starts_with("lane;parent;child "), "{folded}");
@@ -492,15 +410,33 @@ mod tests {
 
     #[test]
     fn lane_capacity_counts_drops() {
-        let p = Profiler::new();
-        {
-            let _g = p.install_lane("lane");
-            for _ in 0..(LANE_CAPACITY + 10) {
-                instant("spill", || "x".to_string());
+        // The lane fills up inside two nested open spans: their Ends keep
+        // the slots they were owed, a span that opens after the lane is
+        // full is shed whole, and every refused emission is counted.
+        let mut t = timeline("lane");
+        push(&mut t, Begin, "outer");
+        push(&mut t, Begin, "inner");
+        for _ in 0..(LANE_CAPACITY + 10) {
+            push(&mut t, Point, "x");
+        }
+        push(&mut t, Begin, "late");
+        push(&mut t, End, "late");
+        push(&mut t, End, "inner");
+        push(&mut t, End, "outer");
+        let profile = t.finish();
+        let lane = &profile.lanes[0];
+        assert_eq!(lane.events.len(), LANE_CAPACITY);
+        // Of the instants, all but the four slots the two spans take fit.
+        assert_eq!(profile.dropped(), 10 + 4 + 2);
+        let mut stack = Vec::new();
+        for (i, e) in lane.events.iter().enumerate() {
+            assert_eq!(e.seq, i as u64);
+            match e.kind {
+                Begin => stack.push(e.name.as_str()),
+                End => assert_eq!(stack.pop(), Some(e.name.as_str()), "event {i}"),
+                Point => assert_eq!(stack, ["outer", "inner"], "event {i}"),
             }
         }
-        let profile = p.finish();
-        assert_eq!(profile.lanes[0].events.len(), LANE_CAPACITY);
-        assert_eq!(profile.dropped(), 10);
+        assert!(stack.is_empty(), "spans left open: {stack:?}");
     }
 }

@@ -63,7 +63,9 @@ pub struct OptimizerConfig {
     /// bound their working set to this many bytes and spill overflow to
     /// page-charged spill files, and heap-page touches route through a
     /// bounded buffer pool of `budget / PAGE_SIZE` frames. Results are
-    /// bit-identical to unbounded execution at any budget.
+    /// bit-identical to unbounded execution at any budget. Not bounded
+    /// yet: hash DISTINCT, which keeps every distinct key in memory
+    /// whatever the budget (DESIGN.md §4h).
     pub memory_budget: Option<usize>,
 }
 

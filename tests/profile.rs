@@ -8,6 +8,11 @@
 //!   lane, Begin/End span events balance and nest with matching names,
 //!   timestamps are monotone, and parallel plans produce per-worker
 //!   lanes beyond the coordinator's;
+//! * **determinism** — lanes, and every lane's events up to their
+//!   timestamps, are the same run to run and whatever other sessions
+//!   profile at the same time;
+//! * **reconciliation** — the spill and segment instants on the timeline
+//!   are exactly as many as the execution's counters say;
 //! * **export** — the Chrome trace-event JSON and folded-stack exports
 //!   render the same events they were built from;
 //! * **Q-error** — a query whose conjunctive predicate breaks the
@@ -151,8 +156,8 @@ fn parallel_plans_profile_into_per_worker_lanes() {
             .unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert!(!profile.lanes.is_empty(), "no lanes captured\nsql: {sql}");
         assert_eq!(profile.lanes[0].label, "coordinator", "sql: {sql}");
-        // Lane ids are allocated on the coordinator before workers spawn,
-        // so the merged order is deterministic: strictly increasing ids.
+        // The coordinator absorbs its workers' lanes in partition order,
+        // so ids are positions: strictly increasing.
         for pair in profile.lanes.windows(2) {
             assert!(pair[0].lane < pair[1].lane, "lane order\nsql: {sql}");
         }
@@ -167,6 +172,115 @@ fn parallel_plans_profile_into_per_worker_lanes() {
     assert!(
         saw_workers,
         "no corpus query produced per-worker exchange lanes at threads=4"
+    );
+}
+
+/// The deterministic part of a profile: per lane its id and label and
+/// every event with the wall-clock `ts_us` left out.
+fn structure(profile: &ExecutionProfile) -> Vec<String> {
+    let mut out = Vec::new();
+    for lane in &profile.lanes {
+        out.push(format!("lane {} {:?}", lane.lane, lane.label));
+        for e in &lane.events {
+            let (kind, args) = (e.kind, &e.args);
+            out.push(format!("{} {kind:?} {} {} {args:?}", e.seq, e.cat, e.name));
+        }
+    }
+    out
+}
+
+#[test]
+fn profile_structure_is_deterministic_and_per_session() {
+    // The (lane, seq) contract: every corpus query at threads 4 profiles
+    // into the same lanes holding the same events, alone twice and while
+    // another thread profiles the same corpus (a barrier lines the rounds
+    // up so the executions overlap) — a timeline is a value each
+    // execution owns, so nothing of a neighbour's can land in it.
+    let db = emp_db();
+    let profile_of = |sql: &str| {
+        let (_, _, profile) = Session::new(&db)
+            .config(OptimizerConfig::default().with_threads(4))
+            .plan(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .execute_profiled()
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        structure(&profile)
+    };
+    let solo: Vec<Vec<String>> = EMP_QUERIES.iter().map(|sql| profile_of(sql)).collect();
+    for (sql, want) in EMP_QUERIES.iter().zip(&solo) {
+        assert_eq!(&profile_of(sql), want, "second solo run\nsql: {sql}");
+    }
+    assert!(
+        solo.iter()
+            .any(|s| s.iter().any(|l| l.contains("\"worker p3\""))),
+        "no corpus query fanned out over four worker lanes"
+    );
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..4 {
+                    barrier.wait();
+                    for (sql, want) in EMP_QUERIES.iter().zip(&solo) {
+                        assert_eq!(&profile_of(sql), want, "concurrent run\nsql: {sql}");
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn instants_reconcile_with_counters() {
+    // One call bumps a spill or segment counter and puts its instant on
+    // the calling thread's lane, so over all lanes there are exactly as
+    // many instants as the output counts — under a budget tight enough to
+    // spill sorts and hash operators, with a segmented sort in the mix,
+    // serially and with exchange workers counting on lanes of their own.
+    let db = emp_db();
+    let segmented = "select emp_dept, dept_id, salary from dept, emp \
+                     where dept_id = emp_dept order by emp_dept, salary";
+    let mut seen = [0u64; 3];
+    for threads in [1usize, 2] {
+        for sql in EMP_QUERIES.iter().chain([&segmented]) {
+            let config = OptimizerConfig::default()
+                .with_threads(threads)
+                .with_memory_budget(512);
+            let prepared = Session::new(&db)
+                .config(config)
+                .plan(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            if *sql == segmented {
+                assert!(prepared.explain().contains("segmented-sort"), "{sql}");
+            }
+            let (out, _, profile) = prepared
+                .execute_profiled()
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_well_formed(&profile, sql);
+            let instants = |name: &str| {
+                let events = profile.lanes.iter().flat_map(|l| &l.events);
+                events
+                    .filter(|e| e.kind == SpanKind::Instant && e.name == name)
+                    .count() as u64
+            };
+            let pairs = [
+                ("spill.runs_formed x1", out.spill.runs_formed),
+                ("spill.merge_pass", out.spill.merge_passes),
+                ("segment.group_sealed", out.segment.groups_formed),
+            ];
+            for (total, (name, counted)) in seen.iter_mut().zip(pairs) {
+                assert_eq!(
+                    instants(name),
+                    counted,
+                    "{name} threads={threads}\nsql: {sql}"
+                );
+                *total += counted;
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a counter never moved: {seen:?}"
     );
 }
 
