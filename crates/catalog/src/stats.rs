@@ -2,7 +2,7 @@
 //! estimation.
 
 use fto_common::value::cmp_f64_nan_high;
-use fto_common::{Batch, Column, ColumnData, Value};
+use fto_common::{Batch, Column, ColumnData, DataType, FtoError, Result, Value};
 use std::collections::HashSet;
 
 /// Per-column statistics.
@@ -70,47 +70,43 @@ impl TableStats {
     /// Builds statistics from a table's column chunks (the engine's
     /// `RUNSTATS`): per column the number of distinct non-null values
     /// and the first-seen smallest and largest of them under
-    /// [`Value::total_cmp`].
+    /// [`Value::total_cmp`]. `types` are the table's declared column
+    /// types; a chunk column of another type is an
+    /// [`FtoError::Internal`].
     pub fn from_chunks<'a>(
         chunks: impl IntoIterator<Item = &'a Batch>,
-        arity: usize,
+        types: &[DataType],
         rows_per_page: u64,
-    ) -> Self {
-        let mut columns: Vec<ColumnScan<'a>> = (0..arity).map(|_| ColumnScan::default()).collect();
+    ) -> Result<Self> {
+        let mut columns: Vec<ColumnScan<'a>> =
+            types.iter().map(|&ty| ColumnScan::new(ty)).collect();
         let mut row_count = 0u64;
         for chunk in chunks {
             row_count += chunk.len() as u64;
             for (scan, col) in columns.iter_mut().zip(chunk.columns()) {
-                scan.absorb(col);
+                scan.absorb(col)?;
             }
         }
         let rows_per_page = rows_per_page.max(1);
-        TableStats {
+        Ok(TableStats {
             row_count,
             pages: row_count.div_ceil(rows_per_page).max(1),
             columns: columns.into_iter().map(ColumnScan::finish).collect(),
-        }
+        })
     }
 }
 
-/// The distinct values of one column seen so far. Typed while every
-/// chunk of the column has the same typed representation — a set of
-/// primitives, no `Value` built or cloned per row — and `Values`, keyed
-/// by [`Value`]'s own equality (under which `Int(1)` equals
-/// `Double(1.0)`), from the first chunk that disagrees.
-#[derive(Default)]
+/// The distinct values of one column seen so far: a set of the declared
+/// type's primitives, no `Value` built or cloned per row.
 enum Distinct<'a> {
-    #[default]
-    Unseen,
     Ints(HashSet<i64>),
     Dates(HashSet<i32>),
     /// Canonical bit patterns: one NaN, one zero.
     Doubles(HashSet<u64>),
     Strs(HashSet<&'a [u8]>),
-    Values(HashSet<Value>),
+    Bools(HashSet<bool>),
 }
 
-#[derive(Default)]
 struct ColumnScan<'a> {
     distinct: Distinct<'a>,
     min: Option<Value>,
@@ -128,16 +124,21 @@ fn canonical_bits(d: f64) -> u64 {
 }
 
 impl<'a> ColumnScan<'a> {
-    fn absorb(&mut self, col: &'a Column) {
-        if matches!(self.distinct, Distinct::Unseen) {
-            self.distinct = match &col.data {
-                ColumnData::Int64(_) => Distinct::Ints(HashSet::new()),
-                ColumnData::Date32(_) => Distinct::Dates(HashSet::new()),
-                ColumnData::Float64(_) => Distinct::Doubles(HashSet::new()),
-                ColumnData::Utf8 { .. } => Distinct::Strs(HashSet::new()),
-                ColumnData::Bool(_) | ColumnData::Mixed(_) => Distinct::Values(HashSet::new()),
-            };
+    fn new(ty: DataType) -> Self {
+        ColumnScan {
+            distinct: match ty {
+                DataType::Int => Distinct::Ints(HashSet::new()),
+                DataType::Date => Distinct::Dates(HashSet::new()),
+                DataType::Double => Distinct::Doubles(HashSet::new()),
+                DataType::Str => Distinct::Strs(HashSet::new()),
+                DataType::Bool => Distinct::Bools(HashSet::new()),
+            },
+            min: None,
+            max: None,
         }
+    }
+
+    fn absorb(&mut self, col: &'a Column) -> Result<()> {
         let extremes = match (&mut self.distinct, &col.data) {
             (Distinct::Ints(set), ColumnData::Int64(v)) => {
                 scan(col, |i| v[i], |a, b| a < b, |x| set.insert(x))
@@ -157,9 +158,14 @@ impl<'a> ColumnScan<'a> {
                 |a, b| a < b,
                 |x| set.insert(x),
             ),
-            (distinct, _) => {
-                let set = distinct.values();
-                scan(col, |i| col.value(i), |a, b| a < b, |x| set.insert(x))
+            (Distinct::Bools(set), ColumnData::Bool(v)) => {
+                scan(col, |i| v[i], |a, b| a < b, |x| set.insert(x))
+            }
+            _ => {
+                return Err(FtoError::internal(format!(
+                    "statistics met a {} chunk of a column declared otherwise",
+                    col.data_type()
+                )))
             }
         };
         if let Some((lo, hi)) = extremes {
@@ -171,45 +177,20 @@ impl<'a> ColumnScan<'a> {
                 self.max = Some(hi);
             }
         }
+        Ok(())
     }
 
     fn finish(self) -> ColStats {
         ColStats {
             ndv: match self.distinct {
-                Distinct::Unseen => 0,
                 Distinct::Ints(s) => s.len(),
                 Distinct::Dates(s) => s.len(),
                 Distinct::Doubles(s) => s.len(),
                 Distinct::Strs(s) => s.len(),
-                Distinct::Values(s) => s.len(),
+                Distinct::Bools(s) => s.len(),
             } as u64,
             min: self.min,
             max: self.max,
-        }
-    }
-}
-
-impl Distinct<'_> {
-    /// The set as `Value`s, converting a typed one on first use.
-    fn values(&mut self) -> &mut HashSet<Value> {
-        let set = match std::mem::take(self) {
-            Distinct::Unseen => HashSet::new(),
-            Distinct::Ints(s) => s.into_iter().map(Value::Int).collect(),
-            Distinct::Dates(s) => s.into_iter().map(Value::Date).collect(),
-            Distinct::Doubles(s) => s
-                .into_iter()
-                .map(|b| Value::Double(f64::from_bits(b)))
-                .collect(),
-            Distinct::Strs(s) => s
-                .into_iter()
-                .map(|b| Value::str(String::from_utf8_lossy(b)))
-                .collect(),
-            Distinct::Values(s) => s,
-        };
-        *self = Distinct::Values(set);
-        match self {
-            Distinct::Values(s) => s,
-            _ => unreachable!("just assigned"),
         }
     }
 }
@@ -277,14 +258,15 @@ mod tests {
         }
     }
 
-    fn assert_matches_reference(rows: &[Row], arity: usize, chunk_rows: usize) {
+    fn assert_matches_reference(rows: &[Row], types: &[DataType], chunk_rows: usize) {
         let chunks: Vec<Batch> = rows
             .chunks(chunk_rows)
-            .map(|c| Batch::from_rows_arity(c, arity))
+            .map(|c| Batch::from_typed_rows(types, c).unwrap())
             .collect();
-        let stats = TableStats::from_chunks(&chunks, arity, 10);
+        let stats = TableStats::from_chunks(&chunks, types, 10).unwrap();
         assert_eq!(stats.row_count, rows.len() as u64);
-        for (i, (got, want)) in stats.columns.iter().zip(reference(rows, arity)).enumerate() {
+        let want = reference(rows, types.len());
+        for (i, (got, want)) in stats.columns.iter().zip(want).enumerate() {
             let at = format!("column {i}, chunks of {chunk_rows}");
             assert_eq!(got.ndv, want.ndv, "ndv of {at}");
             assert_eq!(exact(&got.min), exact(&want.min), "min of {at}");
@@ -299,7 +281,9 @@ mod tests {
             row([Value::Int(1), Value::str("a")]),
             row([Value::Int(3), Value::Null]),
         ];
-        let stats = TableStats::from_chunks(&[Batch::from_rows_arity(&rows, 2)], 2, 2);
+        let types = [DataType::Int, DataType::Str];
+        let chunk = Batch::from_typed_rows(&types, &rows).unwrap();
+        let stats = TableStats::from_chunks(&[chunk], &types, 2).unwrap();
         assert_eq!(stats.row_count, 3);
         assert_eq!(stats.pages, 2);
         assert_eq!(stats.columns[0].ndv, 2);
@@ -310,7 +294,7 @@ mod tests {
 
     #[test]
     fn empty_table_occupies_one_page() {
-        let stats = TableStats::from_chunks(&[], 1, 10);
+        let stats = TableStats::from_chunks(&[], &[DataType::Int], 10).unwrap();
         assert_eq!(stats.row_count, 0);
         assert_eq!(stats.pages, 1);
         assert_eq!(stats.columns[0].ndv, 0);
@@ -319,15 +303,16 @@ mod tests {
     #[test]
     fn typed_sets_agree_with_the_value_set_on_awkward_values() {
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
-        // One column per hazard; chunk sizes 1..=4 put the representation
-        // changes (typed -> all-NULL -> typed, Int64 -> Float64 -> Mixed)
-        // on, before and after chunk boundaries.
+        // One column per hazard; chunk sizes 1..=7 put the all-NULL
+        // chunks (typed like any other) on, before and after chunk
+        // boundaries.
+        let big = (1u64 << 60) as f64;
         let table: Vec<Row> = vec![
-            //  ints w/ NULLs    signed zeros, NaNs     Int vs Double        strings            dates            bools
+            //  ints w/ NULLs    signed zeros, NaNs     repeated doubles      strings            dates            bools
             row([
                 Value::Int(7),
                 Value::Double(0.0),
-                Value::Int(1),
+                Value::Double(1.0),
                 Value::str(""),
                 Value::Date(9),
                 Value::Bool(true),
@@ -343,7 +328,7 @@ mod tests {
             row([
                 Value::Int(-2),
                 Value::Double(nan2),
-                Value::Int(2),
+                Value::Double(2.0),
                 Value::str("ab"),
                 Value::Date(-4),
                 Value::Null,
@@ -359,7 +344,7 @@ mod tests {
             row([
                 Value::Null,
                 Value::Null,
-                Value::str("x"),
+                Value::Null,
                 Value::Null,
                 Value::Null,
                 Value::Null,
@@ -367,7 +352,7 @@ mod tests {
             row([
                 Value::Int(7),
                 Value::Double(-1.5),
-                Value::Int(1 << 60),
+                Value::Double(big),
                 Value::str("a"),
                 Value::Date(3),
                 Value::Bool(false),
@@ -375,20 +360,25 @@ mod tests {
             row([
                 Value::Int(i64::MIN),
                 Value::Double(f64::INFINITY),
-                Value::Double((1u64 << 60) as f64),
+                Value::Double(big),
                 Value::str("A"),
                 Value::Date(3),
                 Value::Null,
             ]),
         ];
+        use DataType::{Bool, Date, Double, Int, Str};
+        let types = [Int, Double, Double, Str, Date, Bool];
         for chunk_rows in 1..=table.len() {
-            assert_matches_reference(&table, 6, chunk_rows);
+            assert_matches_reference(&table, &types, chunk_rows);
         }
         // Reversed, the other member of every equal pair is first-seen.
         let reversed: Vec<Row> = table.iter().rev().cloned().collect();
         for chunk_rows in 1..=reversed.len() {
-            assert_matches_reference(&reversed, 6, chunk_rows);
+            assert_matches_reference(&reversed, &types, chunk_rows);
         }
+        // A chunk of another type than the column's is refused.
+        let ints = Batch::from_typed_rows(&[Int], &[row([Value::Int(7)])]).unwrap();
+        assert!(TableStats::from_chunks(&[ints], &[Str], 10).is_err());
     }
 
     #[test]

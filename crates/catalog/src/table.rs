@@ -7,26 +7,19 @@ use fto_common::{DataType, IndexId, TableId};
 pub struct ColumnDef {
     /// Column name (lower-cased at creation).
     pub name: String,
-    /// Declared type.
+    /// Declared type: the type of every non-NULL value the column holds
+    /// (the loader refuses any other) and of every stream column that
+    /// carries it.
     pub data_type: DataType,
-    /// Whether NULLs are admitted.
-    pub nullable: bool,
 }
 
 impl ColumnDef {
-    /// Creates a non-nullable column.
+    /// Creates a column.
     pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
         ColumnDef {
             name: name.into().to_ascii_lowercase(),
             data_type,
-            nullable: false,
         }
-    }
-
-    /// Marks the column nullable.
-    pub fn nullable(mut self) -> Self {
-        self.nullable = true;
-        self
     }
 }
 
@@ -118,7 +111,7 @@ mod tests {
             columns: vec![
                 ColumnDef::new("o_orderkey", DataType::Int),
                 ColumnDef::new("o_custkey", DataType::Int),
-                ColumnDef::new("o_comment", DataType::Str).nullable(),
+                ColumnDef::new("o_comment", DataType::Str),
             ],
             keys: vec![KeyDef::primary([0]), KeyDef::unique([1, 0])],
             indexes: vec![],
@@ -145,12 +138,5 @@ mod tests {
         let t = table();
         assert_eq!(t.row_width(), 8 + 8 + 24);
         assert_eq!(t.arity(), 3);
-    }
-
-    #[test]
-    fn nullable_flag() {
-        let t = table();
-        assert!(!t.columns[0].nullable);
-        assert!(t.columns[2].nullable);
     }
 }

@@ -7,23 +7,18 @@
 //! projection, sort-key encoding) then run tight per-type loops over the
 //! typed vectors; everything else falls back to per-row [`Value`]
 //! materialization through [`Batch::row`] / [`Batch::to_rows`], which are
-//! exact inverses of [`Batch::from_rows`] so the row-based reference
+//! exact inverses of [`Batch::from_typed_rows`] so the row-based reference
 //! interpreter stays a bit-identical differential oracle.
 //!
-//! Layout rules:
-//!
-//! * A typed column ([`ColumnData::Int64`], [`ColumnData::Float64`],
-//!   [`ColumnData::Utf8`], [`ColumnData::Date32`], [`ColumnData::Bool`])
-//!   stores one primitive per slot plus an optional validity [`Bitmap`]
-//!   (`None` means every slot is valid). Invalid slots hold the type's
-//!   default in the data vector and read back as [`Value::Null`].
-//! * A column whose non-null values disagree on type degrades to
-//!   [`ColumnData::Mixed`], a plain `Vec<Value>` with no bitmap — the
-//!   lossless fallback that keeps heterogeneous corners (e.g. an untyped
-//!   UNION branch) correct without widening the typed kernels.
-//! * An all-null column is `Int64` data with an all-zero bitmap: typed, so
-//!   downstream kernels still take their fast path, and round-tripping
-//!   through rows reproduces `Null` in every slot.
+//! Layout rule: a column has the type its schema or its bound query
+//! declares ([`ColumnData::Int64`], [`ColumnData::Float64`],
+//! [`ColumnData::Utf8`], [`ColumnData::Date32`], [`ColumnData::Bool`]) —
+//! never one inferred from the values it happens to hold — and stores one
+//! primitive per slot plus an optional validity [`Bitmap`] (`None` means
+//! every slot is valid). Invalid slots hold the type's default in the data
+//! vector and read back as [`Value::Null`]; an all-NULL or empty column
+//! still has its declared type. [`Column::from_typed_values`] is the one
+//! way values become a column, and it refuses a value of another type.
 //!
 //! Selection vectors are plain `&[u32]` row-index slices; [`Batch::gather`]
 //! materializes the selected rows with one per-type loop per column.
@@ -141,9 +136,6 @@ pub enum ColumnData {
     Date32(Vec<i32>),
     /// Booleans ([`Value::Bool`]).
     Bool(Vec<bool>),
-    /// Heterogeneously typed values, stored as-is. Never carries a
-    /// validity bitmap: nulls live in the values themselves.
-    Mixed(Vec<Value>),
 }
 
 impl ColumnData {
@@ -155,13 +147,23 @@ impl ColumnData {
             ColumnData::Utf8 { offsets, .. } => offsets.len() - 1,
             ColumnData::Date32(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
-            ColumnData::Mixed(v) => v.len(),
         }
     }
 
     /// True when the column has no slots.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The element type.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int64(_) => DataType::Int,
+            ColumnData::Float64(_) => DataType::Double,
+            ColumnData::Utf8 { .. } => DataType::Str,
+            ColumnData::Date32(_) => DataType::Date,
+            ColumnData::Bool(_) => DataType::Bool,
+        }
     }
 }
 
@@ -172,7 +174,7 @@ pub struct Column {
     /// The typed vector.
     pub data: ColumnData,
     /// Validity: `None` means all valid; otherwise bit `i` set means slot
-    /// `i` is non-null. Always `None` for [`ColumnData::Mixed`].
+    /// `i` is non-null.
     pub validity: Option<Bitmap>,
 }
 
@@ -187,29 +189,84 @@ impl Column {
         self.data.is_empty()
     }
 
-    /// The declared element type, or `None` for a [`ColumnData::Mixed`]
-    /// column.
-    pub fn data_type(&self) -> Option<DataType> {
-        match &self.data {
-            ColumnData::Int64(_) => Some(DataType::Int),
-            ColumnData::Float64(_) => Some(DataType::Double),
-            ColumnData::Utf8 { .. } => Some(DataType::Str),
-            ColumnData::Date32(_) => Some(DataType::Date),
-            ColumnData::Bool(_) => Some(DataType::Bool),
-            ColumnData::Mixed(_) => None,
+    /// The declared element type.
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
+    }
+
+    /// Builds a column of the declared type `ty` from values, in one pass —
+    /// the one way [`Value`]s become a column. NULLs take invalid slots; a
+    /// value of another type (an `Int` for a `Double` column included:
+    /// nothing is coerced) is an [`FtoError::Internal`].
+    pub fn from_typed_values<'a>(
+        ty: DataType,
+        values: impl Iterator<Item = &'a Value>,
+    ) -> Result<Column> {
+        let (mut nulls, mut refused) = (Vec::new(), None);
+        // What a slot holds when its value is not of the column's type:
+        // the type's default, as a NULL — or as the value to refuse.
+        let mut other = |i: usize, v: &'a Value| match v {
+            Value::Null => nulls.push(i),
+            _ => refused = refused.or(Some(v)),
+        };
+        // The slots of a fixed-width column; `get` tells a value of the
+        // column's type from the rest.
+        macro_rules! slots {
+            ($get:expr) => {{
+                let slot = |(i, v)| {
+                    $get(v).unwrap_or_else(|| {
+                        other(i, v);
+                        Default::default()
+                    })
+                };
+                values.enumerate().map(slot).collect()
+            }};
         }
+        let data = match ty {
+            DataType::Int => ColumnData::Int64(slots!(Value::as_int)),
+            DataType::Double => ColumnData::Float64(slots!(|v: &Value| match v {
+                Value::Double(d) => Some(*d),
+                _ => None,
+            })),
+            DataType::Date => ColumnData::Date32(slots!(Value::as_date)),
+            DataType::Bool => ColumnData::Bool(slots!(Value::as_bool)),
+            DataType::Str => {
+                let mut bytes = Vec::new();
+                let end = |(i, v): (usize, &'a Value)| {
+                    match v.as_str() {
+                        Some(s) => bytes.extend_from_slice(s.as_bytes()),
+                        None => other(i, v),
+                    }
+                    bytes.len() as u32
+                };
+                let offsets = std::iter::once(0).chain(values.enumerate().map(end));
+                ColumnData::Utf8 {
+                    offsets: offsets.collect(),
+                    bytes,
+                }
+            }
+        };
+        if let Some(v) = refused {
+            return Err(FtoError::internal(format!("{v:?} in a {ty} column")));
+        }
+        let validity = (!nulls.is_empty()).then(|| {
+            let mut bm = Bitmap::new(data.len(), true);
+            nulls.iter().for_each(|&i| bm.set(i, false));
+            bm
+        });
+        Ok(Column { data, validity })
+    }
+
+    /// `n` NULL slots of type `ty`.
+    pub fn nulls(ty: DataType, n: usize) -> Column {
+        Column::from_typed_values(ty, std::iter::repeat_n(&Value::Null, n))
+            .expect("NULL is a value of every type")
     }
 
     /// Whether slot `i` is valid (non-null).
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
-        match &self.validity {
-            Some(bm) => bm.get(i),
-            None => match &self.data {
-                ColumnData::Mixed(v) => !v[i].is_null(),
-                _ => true,
-            },
-        }
+        self.validity.as_ref().is_none_or(|bm| bm.get(i))
     }
 
     /// Materializes slot `i` as a [`Value`].
@@ -230,89 +287,15 @@ impl Column {
             }
             ColumnData::Date32(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Mixed(v) => v[i].clone(),
         }
-    }
-
-    /// Builds a column from an iterator of values, inferring the tightest
-    /// typed representation (see module docs for the degradation rules).
-    pub fn from_values<'a>(values: impl Iterator<Item = &'a Value> + Clone) -> Column {
-        // One type-inference pass, then one packing pass.
-        let mut ty: Option<DataType> = None;
-        let mut mixed = false;
-        let mut any_null = false;
-        let mut n = 0usize;
-        for v in values.clone() {
-            n += 1;
-            match v.data_type() {
-                None => any_null = true,
-                Some(t) => match ty {
-                    None => ty = Some(t),
-                    Some(prev) if prev == t => {}
-                    Some(_) => mixed = true,
-                },
-            }
-        }
-        if mixed {
-            return Column {
-                data: ColumnData::Mixed(values.cloned().collect()),
-                validity: None,
-            };
-        }
-        let validity = if any_null {
-            let mut bm = Bitmap::new(n, true);
-            for (i, v) in values.clone().enumerate() {
-                if v.is_null() {
-                    bm.set(i, false);
-                }
-            }
-            Some(bm)
-        } else {
-            None
-        };
-        let data = match ty {
-            // All-null (or empty): typed Int64 with every slot invalid.
-            None => ColumnData::Int64(vec![0; n]),
-            Some(DataType::Int) => {
-                ColumnData::Int64(values.map(|v| v.as_int().unwrap_or_default()).collect())
-            }
-            Some(DataType::Double) => ColumnData::Float64(
-                values
-                    .map(|v| match v {
-                        Value::Double(d) => *d,
-                        _ => 0.0,
-                    })
-                    .collect(),
-            ),
-            Some(DataType::Str) => {
-                let mut offsets = Vec::with_capacity(n + 1);
-                let mut bytes = Vec::new();
-                offsets.push(0u32);
-                for v in values {
-                    if let Value::Str(s) = v {
-                        bytes.extend_from_slice(s.as_bytes());
-                    }
-                    offsets.push(bytes.len() as u32);
-                }
-                ColumnData::Utf8 { offsets, bytes }
-            }
-            Some(DataType::Date) => {
-                ColumnData::Date32(values.map(|v| v.as_date().unwrap_or_default()).collect())
-            }
-            Some(DataType::Bool) => {
-                ColumnData::Bool(values.map(|v| v.as_bool().unwrap_or_default()).collect())
-            }
-        };
-        Column { data, validity }
     }
 
     /// Bytes of backing storage held by this column: the typed data
-    /// vector (element size × length; `Utf8` counts offsets plus payload,
-    /// `Mixed` counts [`crate::value_width`] per value) plus the validity
-    /// bitmap. This is the columnar counterpart of the row-shaped
-    /// [`crate::row_bytes`] accounting the memory budget charges; rows pay
-    /// per-value enum overhead, so the row measure bounds this one from
-    /// above for the same data.
+    /// vector (element size × length; `Utf8` counts offsets plus payload)
+    /// plus the validity bitmap. This is the columnar counterpart of the
+    /// row-shaped [`crate::row_bytes`] accounting the memory budget
+    /// charges; rows pay per-value enum overhead, so the row measure
+    /// bounds this one from above for the same data.
     pub fn byte_size(&self) -> usize {
         let data = match &self.data {
             ColumnData::Int64(v) => v.len() * 8,
@@ -320,7 +303,6 @@ impl Column {
             ColumnData::Utf8 { offsets, bytes } => offsets.len() * 4 + bytes.len(),
             ColumnData::Date32(v) => v.len() * 4,
             ColumnData::Bool(v) => v.len(),
-            ColumnData::Mixed(v) => v.iter().map(crate::value_width).sum(),
         };
         data + self.validity.as_ref().map_or(0, Bitmap::byte_size)
     }
@@ -363,9 +345,6 @@ impl Column {
                 ColumnData::Date32(sel.iter().map(|&i| v[i as usize]).collect())
             }
             ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Mixed(v) => {
-                ColumnData::Mixed(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
         };
         Column { data, validity }
     }
@@ -396,37 +375,26 @@ impl Column {
             }
             ColumnData::Date32(v) => ColumnData::Date32(v[offset..offset + len].to_vec()),
             ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
-            ColumnData::Mixed(v) => ColumnData::Mixed(v[offset..offset + len].to_vec()),
         };
         Column { data, validity }
     }
 
-    /// Concatenates columns end to end. Parts that share one typed
-    /// representation append buffer-to-buffer; mismatched parts fall back
-    /// to value-wise rebuilding (which may degrade to [`ColumnData::Mixed`]
-    /// — lossless either way, since typed/mixed round-trip the same
-    /// values).
-    pub fn concat(parts: &[&Column]) -> Column {
-        let parts: Vec<&Column> = parts.iter().copied().filter(|c| !c.is_empty()).collect();
-        let Some(first) = parts.first() else {
-            return Column {
-                data: ColumnData::Int64(Vec::new()),
-                validity: None,
-            };
-        };
-        let total: usize = parts.iter().map(|c| c.len()).sum();
-        let d0 = std::mem::discriminant(&first.data);
-        if !parts.iter().all(|c| std::mem::discriminant(&c.data) == d0) {
-            let vals: Vec<Value> = parts
-                .iter()
-                .flat_map(|c| (0..c.len()).map(|i| c.value(i)))
-                .collect();
-            return Column::from_values(vals.iter());
-        }
-        let validity = if parts.iter().any(|c| c.validity.is_some()) {
+    /// Concatenates columns of one type end to end, buffer to buffer.
+    /// Zero-length parts add no slots and so have no say in the type; a
+    /// non-empty part of another type — or no part at all — is an
+    /// [`FtoError::Internal`]: every stream has one declared type per
+    /// column.
+    pub fn concat(parts: &[&Column]) -> Result<Column> {
+        let full: Vec<&Column> = parts.iter().copied().filter(|c| !c.is_empty()).collect();
+        let lead = *full
+            .first()
+            .or(parts.first())
+            .ok_or_else(|| FtoError::internal("concat of no columns"))?;
+        let total: usize = full.iter().map(|c| c.len()).sum();
+        let validity = if full.iter().any(|c| c.validity.is_some()) {
             let mut bm = Bitmap::new(total, true);
             let mut base = 0usize;
-            for c in &parts {
+            for c in &full {
                 if let Some(v) = &c.validity {
                     for i in 0..c.len() {
                         if !v.get(i) {
@@ -443,42 +411,32 @@ impl Column {
         macro_rules! splice {
             ($variant:ident) => {{
                 let mut out = Vec::with_capacity(total);
-                for c in &parts {
+                for c in &full {
                     match &c.data {
                         ColumnData::$variant(v) => out.extend_from_slice(v),
-                        _ => unreachable!("concat parts share a discriminant"),
+                        _ => return Err(type_mismatch("concat", lead, c)),
                     }
                 }
                 ColumnData::$variant(out)
             }};
         }
-        let data = match &first.data {
+        let data = match &lead.data {
             ColumnData::Int64(_) => splice!(Int64),
             ColumnData::Float64(_) => splice!(Float64),
             ColumnData::Date32(_) => splice!(Date32),
             ColumnData::Bool(_) => splice!(Bool),
-            ColumnData::Mixed(_) => {
-                let mut out = Vec::with_capacity(total);
-                for c in &parts {
-                    match &c.data {
-                        ColumnData::Mixed(v) => out.extend_from_slice(v),
-                        _ => unreachable!("concat parts share a discriminant"),
-                    }
-                }
-                ColumnData::Mixed(out)
-            }
             ColumnData::Utf8 { .. } => {
                 let mut out_off = Vec::with_capacity(total + 1);
                 let mut out_bytes = Vec::new();
                 out_off.push(0u32);
-                for c in &parts {
+                for c in &full {
                     match &c.data {
                         ColumnData::Utf8 { offsets, bytes } => {
                             let base = out_bytes.len() as u32;
                             out_bytes.extend_from_slice(bytes);
                             out_off.extend(offsets[1..].iter().map(|&o| base + o));
                         }
-                        _ => unreachable!("concat parts share a discriminant"),
+                        _ => return Err(type_mismatch("concat", lead, c)),
                     }
                 }
                 ColumnData::Utf8 {
@@ -487,26 +445,22 @@ impl Column {
                 }
             }
         };
-        Column { data, validity }
+        Ok(Column { data, validity })
     }
 
-    /// Gathers slots from several source columns at once: output slot `j`
-    /// is slot `sel[j].1` of `cols[sel[j].0]`. The multi-source analogue
-    /// of [`Column::gather`], used to assemble join payloads from a
-    /// resident build batch plus decoded spill groups without per-row
-    /// materialization.
-    pub fn gather_multi(cols: &[&Column], sel: &[(u32, u32)]) -> Column {
-        let d0 = cols.first().map(|c| std::mem::discriminant(&c.data));
-        let uniform = cols
+    /// Gathers slots from several source columns of one type at once:
+    /// output slot `j` is slot `sel[j].1` of `cols[sel[j].0]`. The
+    /// multi-source analogue of [`Column::gather`], used to assemble join
+    /// payloads from a resident build batch plus decoded spill groups
+    /// without per-row materialization. The sources are one stream's, so
+    /// they share one type; a slot gathered from a source of another is an
+    /// [`FtoError::Internal`].
+    pub fn gather_multi(cols: &[&Column], sel: &[(u32, u32)]) -> Result<Column> {
+        let lead = *cols
             .iter()
-            .all(|c| Some(std::mem::discriminant(&c.data)) == d0);
-        if !uniform || cols.is_empty() {
-            let vals: Vec<Value> = sel
-                .iter()
-                .map(|&(s, i)| cols[s as usize].value(i as usize))
-                .collect();
-            return Column::from_values(vals.iter());
-        }
+            .find(|c| !c.is_empty())
+            .or(cols.first())
+            .ok_or_else(|| FtoError::internal("gather from no columns"))?;
         let validity = if cols.iter().any(|c| c.validity.is_some()) {
             let mut bm = Bitmap::new(sel.len(), true);
             for (j, &(s, i)) in sel.iter().enumerate() {
@@ -520,24 +474,26 @@ impl Column {
         } else {
             None
         };
+        // A slot asked of a source of another type takes the default and
+        // is reported once the (exactly sized) gather is done.
+        let mut stray = None;
         macro_rules! pick {
-            ($variant:ident) => {
-                ColumnData::$variant(
-                    sel.iter()
-                        .map(|&(s, i)| match &cols[s as usize].data {
-                            ColumnData::$variant(v) => v[i as usize].clone(),
-                            _ => unreachable!("gather_multi sources share a discriminant"),
-                        })
-                        .collect(),
-                )
-            };
+            ($variant:ident) => {{
+                let slot = |&(s, i): &(u32, u32)| match &cols[s as usize].data {
+                    ColumnData::$variant(v) => v[i as usize],
+                    _ => {
+                        stray = Some(s);
+                        Default::default()
+                    }
+                };
+                ColumnData::$variant(sel.iter().map(slot).collect())
+            }};
         }
-        let data = match cols[0].data {
+        let data = match &lead.data {
             ColumnData::Int64(_) => pick!(Int64),
             ColumnData::Float64(_) => pick!(Float64),
             ColumnData::Date32(_) => pick!(Date32),
             ColumnData::Bool(_) => pick!(Bool),
-            ColumnData::Mixed(_) => pick!(Mixed),
             ColumnData::Utf8 { .. } => {
                 let mut out_off = Vec::with_capacity(sel.len() + 1);
                 let mut out_bytes = Vec::new();
@@ -550,10 +506,10 @@ impl Column {
                                 offsets[i as usize + 1] as usize,
                             );
                             out_bytes.extend_from_slice(&bytes[lo..hi]);
-                            out_off.push(out_bytes.len() as u32);
                         }
-                        _ => unreachable!("gather_multi sources share a discriminant"),
+                        _ => stray = Some(s),
                     }
+                    out_off.push(out_bytes.len() as u32);
                 }
                 ColumnData::Utf8 {
                     offsets: out_off,
@@ -561,8 +517,19 @@ impl Column {
                 }
             }
         };
-        Column { data, validity }
+        if let Some(s) = stray {
+            return Err(type_mismatch("gather", lead, cols[s as usize]));
+        }
+        Ok(Column { data, validity })
     }
+}
+
+fn type_mismatch(what: &str, lead: &Column, other: &Column) -> FtoError {
+    FtoError::internal(format!(
+        "{what} of a {} column with a {} column",
+        lead.data_type(),
+        other.data_type()
+    ))
 }
 
 /// A columnar batch: equal-length reference-counted columns.
@@ -578,14 +545,13 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// An empty batch with `arity` zero-length columns.
-    pub fn empty(arity: usize) -> Batch {
-        let col = Arc::new(Column {
-            data: ColumnData::Int64(Vec::new()),
-            validity: None,
-        });
+    /// A zero-row batch with one column of each of `types`.
+    pub fn empty(types: &[DataType]) -> Batch {
         Batch {
-            columns: vec![col; arity],
+            columns: types
+                .iter()
+                .map(|&ty| Arc::new(Column::nulls(ty, 0)))
+                .collect(),
             len: 0,
         }
     }
@@ -622,24 +588,28 @@ impl Batch {
         Ok(b)
     }
 
-    /// Transposes rows into a columnar batch, inferring per-column types.
-    /// An empty slice yields a zero-row, zero-column batch; use
-    /// [`Batch::from_rows_arity`] when the arity must survive emptiness.
-    pub fn from_rows(rows: &[Row]) -> Batch {
-        let arity = rows.first().map(|r| r.len()).unwrap_or(0);
-        Batch::from_rows_arity(rows, arity)
-    }
-
-    /// Transposes rows into a columnar batch with exactly `arity` columns
-    /// (rows must all have that arity; an empty slice is fine).
-    pub fn from_rows_arity(rows: &[Row], arity: usize) -> Batch {
-        let columns = (0..arity)
-            .map(|c| Arc::new(Column::from_values(rows.iter().map(move |r| &r[c]))))
-            .collect();
-        Batch {
-            columns,
-            len: rows.len(),
+    /// Transposes rows into a batch whose columns have the declared
+    /// `types`, each built by [`Column::from_typed_values`]. A row of
+    /// another arity is an [`FtoError::Internal`] too.
+    pub fn from_typed_rows(types: &[DataType], rows: &[Row]) -> Result<Batch> {
+        if let Some(row) = rows.iter().find(|r| r.len() != types.len()) {
+            return Err(FtoError::internal(format!(
+                "row of {} values for a batch of {} columns",
+                row.len(),
+                types.len()
+            )));
         }
+        let column = |(c, &ty): (usize, &DataType)| {
+            Column::from_typed_values(ty, rows.iter().map(move |r| &r[c])).map(Arc::new)
+        };
+        Ok(Batch {
+            columns: types
+                .iter()
+                .enumerate()
+                .map(column)
+                .collect::<Result<_>>()?,
+            len: rows.len(),
+        })
     }
 
     /// Number of rows.
@@ -676,7 +646,7 @@ impl Batch {
             .into_boxed_slice()
     }
 
-    /// Materializes every row. Exact inverse of [`Batch::from_rows`].
+    /// Materializes every row. Exact inverse of [`Batch::from_typed_rows`].
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()
     }
@@ -725,39 +695,44 @@ impl Batch {
         }
     }
 
-    /// Concatenates batches of the given arity end to end (column-wise
-    /// [`Column::concat`]). A single part is a pointer copy. `arity` is
-    /// explicit so an empty part list still yields a batch of the right
-    /// width.
-    pub fn concat(arity: usize, parts: &[Batch]) -> Batch {
-        if parts.len() == 1 {
-            return parts[0].clone();
+    /// Concatenates one or more equal-arity batches end to end
+    /// (column-wise [`Column::concat`]). A single part is a pointer copy.
+    pub fn concat(parts: &[Batch]) -> Result<Batch> {
+        let [first, rest @ ..] = parts else {
+            return Err(FtoError::internal("concat of no batches"));
+        };
+        if rest.is_empty() {
+            return Ok(first.clone());
         }
-        let len = parts.iter().map(Batch::len).sum();
-        let columns = (0..arity)
+        let columns = (0..first.arity())
             .map(|c| {
                 let cols: Vec<&Column> = parts.iter().map(|b| b.column(c).as_ref()).collect();
-                Arc::new(Column::concat(&cols))
+                Column::concat(&cols).map(Arc::new)
             })
-            .collect();
-        Batch { columns, len }
+            .collect::<Result<_>>()?;
+        Ok(Batch {
+            columns,
+            len: parts.iter().map(Batch::len).sum(),
+        })
     }
 
-    /// Gathers rows from several equal-arity source batches: output row
-    /// `j` is row `sel[j].1` of `sources[sel[j].0]` (see
+    /// Gathers rows from one or more equal-arity source batches: output
+    /// row `j` is row `sel[j].1` of `sources[sel[j].0]` (see
     /// [`Column::gather_multi`]).
-    pub fn gather_multi(sources: &[&Batch], sel: &[(u32, u32)]) -> Batch {
-        let arity = sources.first().map(|b| b.arity()).unwrap_or(0);
-        let columns = (0..arity)
+    pub fn gather_multi(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batch> {
+        let first = sources
+            .first()
+            .ok_or_else(|| FtoError::internal("gather from no batches"))?;
+        let columns = (0..first.arity())
             .map(|c| {
                 let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
-                Arc::new(Column::gather_multi(&cols, sel))
+                Column::gather_multi(&cols, sel).map(Arc::new)
             })
-            .collect();
-        Batch {
+            .collect::<Result<_>>()?;
+        Ok(Batch {
             columns,
             len: sel.len(),
-        }
+        })
     }
 }
 
@@ -778,7 +753,6 @@ pub fn batch_row_bytes(batch: &Batch, i: usize) -> usize {
                     (ColumnData::Utf8 { offsets, .. }, true) => {
                         ARC_HEADER + (offsets[i + 1] - offsets[i]) as usize
                     }
-                    (ColumnData::Mixed(v), _) => crate::value_width(&v[i]) - per_value,
                     _ => 0,
                 }
         })
@@ -883,14 +857,6 @@ fn add_key_lens(col: &Column, lens: &mut [usize]) {
                 };
             }
         }
-        ColumnData::Mixed(vals) => {
-            let mut scratch = Vec::new();
-            for (v, l) in vals.iter().zip(lens) {
-                scratch.clear();
-                sortkey::encode_value_asc(v, &mut scratch);
-                *l += scratch.len();
-            }
-        }
     }
 }
 
@@ -969,14 +935,6 @@ fn write_key_slots(col: &Column, desc: bool, bytes: &mut [u8], cursors: &mut [us
                 cursors[i] = at;
             }
         }
-        ColumnData::Mixed(vals) => {
-            let mut scratch = Vec::new();
-            for (i, v) in vals.iter().enumerate() {
-                scratch.clear();
-                sortkey::encode_value_asc(v, &mut scratch);
-                put(bytes, cursors, desc, i, &scratch);
-            }
-        }
     }
 }
 
@@ -988,9 +946,7 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
     // Size the arena up front so the encoding loops never reallocate
     // (an overestimate for null slots and zero-free strings is fine).
     let estimate = match &col.data {
-        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Mixed(_) => {
-            col.len() * sortkey::NUMERIC_WIDTH
-        }
+        ColumnData::Int64(_) | ColumnData::Float64(_) => col.len() * sortkey::NUMERIC_WIDTH,
         ColumnData::Utf8 { bytes: sb, .. } => sb.len() + 3 * col.len(),
         ColumnData::Date32(_) => col.len() * 5,
         ColumnData::Bool(_) => col.len() * 2,
@@ -1057,12 +1013,6 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
                 bytes.push(u8::from(*v));
             });
         }
-        ColumnData::Mixed(vals) => {
-            for v in vals {
-                sortkey::encode_value_asc(v, bytes);
-                offsets.push(bytes.len());
-            }
-        }
     }
 }
 
@@ -1070,9 +1020,18 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
 mod tests {
     use super::*;
     use crate::Rng;
+    use DataType::{Bool, Date, Double, Int, Str};
 
     fn rows(vals: Vec<Vec<Value>>) -> Vec<Row> {
         vals.into_iter().map(|r| r.into_boxed_slice()).collect()
+    }
+
+    fn batch(types: &[DataType], vals: Vec<Vec<Value>>) -> Batch {
+        Batch::from_typed_rows(types, &rows(vals)).unwrap()
+    }
+
+    fn types_of(b: &Batch) -> Vec<DataType> {
+        b.columns().iter().map(|c| c.data_type()).collect()
     }
 
     #[test]
@@ -1098,7 +1057,7 @@ mod tests {
             vec![Value::Null, Value::Double(f64::NAN), Value::str("")],
             vec![Value::Int(i64::MIN), Value::Null, Value::Null],
         ]);
-        let b = Batch::from_rows(&rs);
+        let b = Batch::from_typed_rows(&[Int, Double, Str], &rs).unwrap();
         assert_eq!(b.len(), 3);
         assert_eq!(b.arity(), 3);
         let back = b.to_rows();
@@ -1117,42 +1076,71 @@ mod tests {
     }
 
     #[test]
-    fn mixed_column_degrades_and_round_trips() {
-        let rs = rows(vec![
-            vec![Value::Int(1)],
-            vec![Value::str("x")],
-            vec![Value::Null],
-        ]);
-        let b = Batch::from_rows(&rs);
-        assert!(b.column(0).data_type().is_none());
-        assert_eq!(b.to_rows(), rs);
+    fn a_value_of_another_type_than_declared_is_refused() {
+        // Every declared type against every other kind of value: a typed
+        // error; its own kind and NULL, welcome.
+        let samples = [
+            Value::Int(1),
+            Value::Double(1.0),
+            Value::str("x"),
+            Value::Date(1),
+            Value::Bool(true),
+        ];
+        for ty in [Int, Double, Str, Date, Bool] {
+            for v in &samples {
+                let built = Column::from_typed_values(ty, [v, &Value::Null].into_iter());
+                if v.data_type() != Some(ty) {
+                    assert!(matches!(built, Err(FtoError::Internal(_))), "{ty}: {v:?}");
+                    continue;
+                }
+                let col = built.unwrap();
+                assert_eq!((col.data_type(), col.len()), (ty, 2));
+                assert!(col.is_valid(0) && !col.is_valid(1));
+            }
+        }
+        // No `Int` → `Double` coercion through the row constructor either.
+        let mixed = rows(vec![vec![Value::Double(1.0)], vec![Value::Int(1)]]);
+        let refused = Batch::from_typed_rows(&[Double], &mixed);
+        assert!(matches!(refused, Err(FtoError::Internal(_))));
+        let ragged = rows(vec![vec![Value::Int(1), Value::Int(2)]]);
+        assert!(Batch::from_typed_rows(&[Int], &ragged).is_err());
     }
 
     #[test]
     fn all_null_column_is_typed_and_round_trips() {
-        let rs = rows(vec![vec![Value::Null], vec![Value::Null]]);
-        let b = Batch::from_rows(&rs);
-        assert_eq!(b.column(0).data_type(), Some(DataType::Int));
-        assert_eq!(b.column(0).validity.as_ref().unwrap().count_valid(), 0);
-        assert_eq!(b.to_rows(), rs);
+        for ty in [Int, Double, Str, Date, Bool] {
+            let rs = rows(vec![vec![Value::Null], vec![Value::Null]]);
+            let b = Batch::from_typed_rows(&[ty], &rs).unwrap();
+            assert_eq!(b.column(0).data_type(), ty);
+            assert_eq!(b.column(0).validity.as_ref().unwrap().count_valid(), 0);
+            assert_eq!(b.to_rows(), rs);
+            assert_eq!(b.column(0).as_ref(), &Column::nulls(ty, 2));
+        }
     }
 
     #[test]
     fn empty_batch_round_trips() {
-        let b = Batch::from_rows_arity(&[], 4);
+        let types = [Int, Str, Date, Double];
+        let b = Batch::empty(&types);
         assert!(b.is_empty());
-        assert_eq!(b.arity(), 4);
+        assert_eq!(types_of(&b), types);
         assert!(b.to_rows().is_empty());
+        assert_eq!(
+            Batch::from_typed_rows(&types, &[]).unwrap().columns(),
+            b.columns()
+        );
     }
 
     #[test]
     fn gather_selects_reorders_and_repeats() {
-        let rs = rows(vec![
-            vec![Value::Int(0), Value::str("a")],
-            vec![Value::Null, Value::str("b")],
-            vec![Value::Int(2), Value::str("c")],
-        ]);
-        let b = Batch::from_rows(&rs);
+        let b = batch(
+            &[Int, Str],
+            vec![
+                vec![Value::Int(0), Value::str("a")],
+                vec![Value::Null, Value::str("b")],
+                vec![Value::Int(2), Value::str("c")],
+            ],
+        );
         let g = b.gather(&[2, 0, 2, 1]);
         assert_eq!(
             g.to_rows(),
@@ -1174,71 +1162,90 @@ mod tests {
             vec![Value::Int(3), Value::str("ddd"), Value::Double(3.5)],
             vec![Value::Int(4), Value::str("e"), Value::Double(-4.0)],
         ]);
-        let b = Batch::from_rows(&rs);
+        let b = Batch::from_typed_rows(&[Int, Str, Double], &rs).unwrap();
         for cut in 0..=b.len() {
             let (lo, hi) = (b.slice(0, cut), b.slice(cut, b.len() - cut));
-            let back = Batch::concat(b.arity(), &[lo, hi]);
+            let back = Batch::concat(&[lo, hi]).unwrap();
             assert_eq!(back.len(), b.len());
+            assert_eq!(types_of(&back), types_of(&b), "cut={cut}");
             for (i, r) in rs.iter().enumerate() {
                 assert_eq!(&back.row(i), r, "cut={cut} row={i}");
             }
         }
-        // Empty part lists still know their arity.
-        assert_eq!(Batch::concat(3, &[]).arity(), 3);
+        // Nothing to take a width or a type from.
+        assert!(Batch::concat(&[]).is_err());
     }
 
     #[test]
-    fn concat_mismatched_variants_falls_back_losslessly() {
-        let a = Batch::from_rows(&rows(vec![vec![Value::Int(1)]]));
-        let s = Batch::from_rows(&rows(vec![vec![Value::str("x")]]));
-        let both = Batch::concat(1, &[a, s]);
-        assert_eq!(
-            both.to_rows(),
-            rows(vec![vec![Value::Int(1)], vec![Value::str("x")]])
-        );
-        assert!(both.column(0).data_type().is_none());
+    fn concat_mismatched_types_is_an_internal_error() {
+        let a = batch(&[Int], vec![vec![Value::Int(1)]]);
+        let s = batch(&[Str], vec![vec![Value::str("x")]]);
+        let refused = Batch::concat(&[a.clone(), s.clone()]);
+        assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
+        // A zero-length part adds no slots, so its type is not consulted —
+        // wherever it stands.
+        let none = Batch::empty(&[Str]);
+        for parts in [[none.clone(), a.clone()], [a.clone(), none.clone()]] {
+            let both = Batch::concat(&parts).unwrap();
+            assert_eq!(both.columns(), a.columns());
+        }
+        // All parts empty: the first one's type.
+        let empties = Batch::concat(&[none.clone(), Batch::empty(&[Int])]).unwrap();
+        assert_eq!(empties.columns(), none.columns());
     }
 
     #[test]
     fn gather_multi_matches_per_source_gather() {
-        let a = Batch::from_rows(&rows(vec![
-            vec![Value::Int(10), Value::str("aa")],
-            vec![Value::Null, Value::str("ab")],
-        ]));
-        let b = Batch::from_rows(&rows(vec![
-            vec![Value::Int(20), Value::Null],
-            vec![Value::Int(21), Value::str("bb")],
-        ]));
+        let a = batch(
+            &[Int, Str],
+            vec![
+                vec![Value::Int(10), Value::str("aa")],
+                vec![Value::Null, Value::str("ab")],
+            ],
+        );
+        let b = batch(
+            &[Int, Str],
+            vec![
+                vec![Value::Int(20), Value::Null],
+                vec![Value::Int(21), Value::str("bb")],
+            ],
+        );
         let sel = [(0u32, 1u32), (1, 0), (0, 0), (1, 1), (1, 0)];
-        let g = Batch::gather_multi(&[&a, &b], &sel);
+        let g = Batch::gather_multi(&[&a, &b], &sel).unwrap();
         let expect: Vec<Row> = sel
             .iter()
             .map(|&(s, i)| [&a, &b][s as usize].row(i as usize))
             .collect();
         assert_eq!(g.to_rows(), expect);
-        // Mismatched source variants (typed vs mixed) still gather right.
-        let m = Batch::from_rows(&rows(vec![
-            vec![Value::str("mix"), Value::Int(9)],
-            vec![Value::Int(7), Value::Int(8)],
-        ]));
-        let g2 = Batch::gather_multi(&[&a, &m], &sel);
-        let expect2: Vec<Row> = sel
-            .iter()
-            .map(|&(s, i)| [&a, &m][s as usize].row(i as usize))
-            .collect();
-        assert_eq!(g2.to_rows(), expect2);
+        // An all-NULL source is a source of the declared type like any
+        // other: the gather stays typed.
+        let n = batch(&[Int, Str], vec![vec![Value::Null, Value::Null]]);
+        let g2 = Batch::gather_multi(&[&a, &n], &[(1, 0), (0, 0)]).unwrap();
+        assert_eq!(types_of(&g2), [Int, Str]);
+        assert_eq!(g2.to_rows(), vec![n.row(0), a.row(0)]);
+        // A slot from a source of another type is refused; a source that
+        // has none to give — zero-length — is never asked.
+        let m = batch(&[Str, Int], vec![vec![Value::str("mix"), Value::Int(9)]]);
+        let refused = Batch::gather_multi(&[&a, &m], &[(0, 0), (1, 0)]);
+        assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
+        let none = Batch::empty(&[Str, Int]);
+        let g3 = Batch::gather_multi(&[&none, &a], &[(1, 1), (1, 0)]).unwrap();
+        assert_eq!(g3.to_rows(), vec![a.row(1), a.row(0)]);
+        assert!(Batch::gather_multi(&[], &[]).is_err());
     }
 
     #[test]
     fn batch_row_bytes_matches_materialized_row_bytes() {
         use crate::value::row_bytes;
-        let rs = rows(vec![
-            vec![Value::Int(1), Value::str("hello"), Value::Double(0.5)],
-            vec![Value::Null, Value::Null, Value::Double(f64::NAN)],
-            vec![Value::Int(3), Value::str(""), Value::Null],
-            vec![Value::str("mixed-in"), Value::str("x\0y"), Value::Int(4)],
-        ]);
-        let b = Batch::from_rows(&rs);
+        let b = batch(
+            &[Int, Str, Double],
+            vec![
+                vec![Value::Int(1), Value::str("hello"), Value::Double(0.5)],
+                vec![Value::Null, Value::Null, Value::Double(f64::NAN)],
+                vec![Value::Int(3), Value::str(""), Value::Null],
+                vec![Value::Int(4), Value::str("x\0y"), Value::Double(4.0)],
+            ],
+        );
         for i in 0..b.len() {
             assert_eq!(batch_row_bytes(&b, i), row_bytes(&b.row(i)), "row {i}");
         }
@@ -1258,8 +1265,8 @@ mod tests {
 
     #[test]
     fn from_columns_rejects_ragged_lengths() {
-        let a = Arc::new(Column::from_values([Value::Int(1)].iter()));
-        let b = Arc::new(Column::from_values([Value::Int(1), Value::Int(2)].iter()));
+        let a = Arc::new(Column::nulls(Int, 1));
+        let b = Arc::new(Column::nulls(Int, 2));
         assert!(Batch::from_columns(vec![a, b]).is_err());
     }
 
@@ -1282,7 +1289,7 @@ mod tests {
             ];
             rs.push(v.into_boxed_slice());
         }
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Int, Double, Str, Date, Bool], &rs).unwrap();
         let colb = batch.byte_size();
         let rowb: usize = rs.iter().map(|r| row_bytes(r)).sum();
         // Columns amortize the per-value enum overhead away, so the
@@ -1292,8 +1299,8 @@ mod tests {
         assert!(colb <= rowb, "columnar {colb} > row {rowb}");
         let slack = rs.len() * (batch.arity() * (std::mem::size_of::<Value>() + 16) + 16);
         assert!(rowb <= colb + slack, "row {rowb} > col {colb} + {slack}");
-        // Empty batches are free.
-        assert_eq!(Batch::from_rows_arity(&[], 3).byte_size(), 0);
+        // Empty batches are free but for each string column's one offset.
+        assert_eq!(Batch::empty(&[Int, Date, Bool]).byte_size(), 0);
     }
 
     #[test]
@@ -1302,10 +1309,10 @@ mod tests {
         let mut rs = Vec::new();
         for _ in 0..300 {
             let mut row = Vec::new();
-            // Columns 0..5 are homogeneously typed (with nulls); column 5
-            // mixes types so the Mixed fallback is covered too.
+            // One type per column (with nulls); column 5 is a string
+            // column that happens to hold nothing but NULLs.
             for c in 0..6usize {
-                let v = if rng.next_u64().is_multiple_of(5) {
+                let v = if c == 5 || rng.next_u64().is_multiple_of(5) {
                     Value::Null
                 } else {
                     match c {
@@ -1313,23 +1320,14 @@ mod tests {
                         1 => Value::Double(f64::from_bits(rng.next_u64())),
                         2 => Value::str(format!("s\0{}", rng.next_u64() % 100)),
                         3 => Value::Date(rng.next_u64() as i32),
-                        4 => Value::Bool(rng.next_u64().is_multiple_of(2)),
-                        _ => {
-                            if rng.next_u64().is_multiple_of(2) {
-                                Value::Int(rng.next_u64() as i64)
-                            } else {
-                                Value::str("mixed")
-                            }
-                        }
+                        _ => Value::Bool(rng.next_u64().is_multiple_of(2)),
                     }
                 };
                 row.push(v);
             }
             rs.push(row.into_boxed_slice());
         }
-        let batch = Batch::from_rows(&rs);
-        assert_eq!(batch.column(0).data_type(), Some(DataType::Int));
-        assert!(batch.column(5).data_type().is_none());
+        let batch = Batch::from_typed_rows(&[Int, Double, Str, Date, Bool, Str], &rs).unwrap();
         let keys = vec![
             (0, Direction::Asc),
             (2, Direction::Desc),
@@ -1343,6 +1341,15 @@ mod tests {
         for (row, w) in rs.iter().zip(offsets.windows(2)) {
             let expect = sortkey::encode_key(row, &keys);
             assert_eq!(&arena[w[0]..w[1]], &expect[..], "row {row:?}");
+        }
+        // A lone key column takes the flat encoder: every type, and the
+        // all-NULL string column, through it as well.
+        for c in 0..6 {
+            let keys = vec![(c, Direction::Desc)];
+            encode_batch_keys_arena(&batch, &keys, &mut arena, &mut offsets);
+            for (row, w) in rs.iter().zip(offsets.windows(2)) {
+                assert_eq!(&arena[w[0]..w[1]], &sortkey::encode_key(row, &keys)[..]);
+            }
         }
     }
 }

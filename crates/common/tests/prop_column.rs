@@ -1,10 +1,11 @@
-//! Property tests for the columnar batch layer: `from_rows → to_rows`
-//! must be an exact identity over adversarial value mixes, and the
+//! Property tests for the columnar batch layer: `from_typed_rows →
+//! to_rows` must be an exact identity over adversarial values of every
+//! declared type (and keep that type, whatever the values), and the
 //! column-at-a-time sort-key encoder must be byte-identical to the
 //! per-row [`fto_common::sortkey`] encoder on the same fuzz corpus.
 
 use fto_common::column::encode_batch_keys_arena;
-use fto_common::{sortkey, Batch, Direction, Rng, Row, Value};
+use fto_common::{sortkey, Batch, DataType, Direction, Rng, Row, Value};
 
 const CASES: u64 = 120;
 
@@ -44,28 +45,43 @@ fn fuzz_value(rng: &mut Rng, type_hint: usize) -> Value {
     }
 }
 
-/// A fuzzed row set: each column gets a type plan — homogeneous (typed
-/// column with a bitmap), all-null, or per-cell random (Mixed).
-fn fuzz_rows(rng: &mut Rng, arity: usize) -> Vec<Row> {
-    let plans: Vec<usize> = (0..arity).map(|_| rng.range_usize(0, 7)).collect();
+const TYPES: [DataType; 5] = [
+    DataType::Int,
+    DataType::Double,
+    DataType::Str,
+    DataType::Date,
+    DataType::Bool,
+];
+
+/// A fuzzed row set with its declared column types: each column draws
+/// one type per case and holds values of that type and NULLs — or, one
+/// time in six, nothing but NULLs.
+fn fuzz_rows(rng: &mut Rng, arity: usize) -> (Vec<DataType>, Vec<Row>) {
+    let plans: Vec<(usize, bool)> = (0..arity)
+        .map(|_| (rng.range_usize(0, 5), rng.range_usize(0, 6) == 0))
+        .collect();
     let nrows = rng.range_usize(0, 40);
-    (0..nrows)
+    let rows = (0..nrows)
         .map(|_| {
             plans
                 .iter()
-                .map(|&plan| match plan {
-                    // 5: all-null column; 6: per-cell random type (Mixed)
-                    5 => Value::Null,
-                    6 => {
-                        let hint = rng.range_usize(0, 5);
-                        fuzz_value(rng, hint)
-                    }
-                    hint => fuzz_value(rng, hint),
+                .map(|&(hint, all_null)| match all_null {
+                    true => Value::Null,
+                    false => fuzz_value(rng, hint),
                 })
                 .collect::<Vec<_>>()
                 .into_boxed_slice()
         })
-        .collect()
+        .collect();
+    (plans.iter().map(|&(hint, _)| TYPES[hint]).collect(), rows)
+}
+
+/// The batch of a fuzzed row set, which must hold the declared types.
+fn typed_batch(types: &[DataType], rows: &[Row], case: u64) -> Batch {
+    let batch = Batch::from_typed_rows(types, rows).unwrap();
+    let held: Vec<DataType> = batch.columns().iter().map(|c| c.data_type()).collect();
+    assert_eq!(held, types, "case {case}");
+    batch
 }
 
 /// `Value` equality that is exact on bit patterns: `to_rows` must give
@@ -83,8 +99,8 @@ fn row_round_trip_is_identity() {
     let mut rng = Rng::new(0xC01_BA7C);
     for case in 0..CASES {
         let arity = rng.range_usize(0, 6);
-        let rows = fuzz_rows(&mut rng, arity);
-        let batch = Batch::from_rows_arity(&rows, arity);
+        let (types, rows) = fuzz_rows(&mut rng, arity);
+        let batch = typed_batch(&types, &rows, case);
         assert_eq!(batch.len(), rows.len(), "case {case}");
         assert_eq!(batch.arity(), arity, "case {case}");
         let back = batch.to_rows();
@@ -103,10 +119,11 @@ fn row_round_trip_is_identity() {
 #[test]
 fn empty_batch_round_trips() {
     for arity in [0usize, 1, 4] {
-        let batch = Batch::from_rows_arity(&[], arity);
+        let batch = typed_batch(&TYPES[..arity], &[], 0);
         assert_eq!(batch.len(), 0);
         assert_eq!(batch.arity(), arity);
         assert!(batch.to_rows().is_empty());
+        assert_eq!(batch.columns(), Batch::empty(&TYPES[..arity]).columns());
     }
 }
 
@@ -115,8 +132,8 @@ fn columnar_key_encoder_matches_row_encoder() {
     let mut rng = Rng::new(0xC01_E2C0);
     for case in 0..CASES {
         let arity = rng.range_usize(1, 6);
-        let rows = fuzz_rows(&mut rng, arity);
-        let batch = Batch::from_rows_arity(&rows, arity);
+        let (types, rows) = fuzz_rows(&mut rng, arity);
+        let batch = typed_batch(&types, &rows, case);
         // Random key set over the columns, random directions, possibly
         // repeating a column under both directions.
         let nkeys = rng.range_usize(1, arity + 2);
@@ -150,8 +167,8 @@ fn gather_matches_row_selection() {
     let mut rng = Rng::new(0xC01_6A7E);
     for case in 0..CASES {
         let arity = rng.range_usize(1, 5);
-        let rows = fuzz_rows(&mut rng, arity);
-        let batch = Batch::from_rows_arity(&rows, arity);
+        let (types, rows) = fuzz_rows(&mut rng, arity);
+        let batch = typed_batch(&types, &rows, case);
         let sel: Vec<u32> = (0..rows.len() as u32).filter(|_| rng.bool()).collect();
         let gathered = batch.gather(&sel);
         assert_eq!(gathered.len(), sel.len(), "case {case}");

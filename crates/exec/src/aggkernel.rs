@@ -28,16 +28,20 @@
 //! `(gids, typed slice)` **in row order**. Row order is what makes the
 //! result bit-identical to feeding an `Accumulator` per group row by row:
 //! a group's values are folded in the order its rows arrive, so wrapping
-//! integer sums, float sums, the Int→Double widening (`saw_float`), NULL
-//! skipping and `sum` of nothing = NULL come out the same. Arguments that
-//! have no typed loop (`Mixed`/`Utf8`/`Bool`/`Date32` columns, string and
-//! date `min`/`max`, every `DISTINCT` call) go value by value into the
-//! same state through [`AggState::push_value`], the columnar twin of
+//! integer sums, float sums, NULL skipping and `sum` of nothing = NULL come
+//! out the same. Whether a `sum` is an integer or a double is not
+//! something the values decide: it is the declared type of the call's
+//! result (the binder's `agg_type`, read from the query's registry at
+//! lowering), and every aggregate column is built as that type — an
+//! all-NULL one included. Arguments that have no typed loop
+//! (`Utf8`/`Bool`/`Date32` columns, string and date `min`/`max`, every
+//! `DISTINCT` call) go value by value into the same state through
+//! [`AggState::push_value`], the columnar twin of
 //! `Accumulator::update_value`.
 
 use crate::sortkernel::SortKeys;
 use fto_common::column::{encode_batch_keys_arena, Batch, Bitmap, Column, ColumnData};
-use fto_common::{ColId, Direction, Result, Value};
+use fto_common::{ColId, DataType, Direction, Result, Value};
 use fto_expr::{vector, AggCall, AggFunc, Expr, RowLayout};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -242,10 +246,20 @@ pub(crate) struct AggSpec {
     /// The non-literal argument expressions, evaluated once per batch.
     arg_exprs: Vec<Expr>,
     layout: RowLayout,
+    /// Declared types of an output batch's columns: grouping columns,
+    /// then aggregates.
+    out_types: Vec<DataType>,
 }
 
 impl AggSpec {
-    pub(crate) fn new(gpos: &[usize], aggs: &[(ColId, AggCall)], layout: RowLayout) -> AggSpec {
+    /// `out_types` are the declared types of the output layout (grouping
+    /// columns, then one per aggregate call).
+    pub(crate) fn new(
+        gpos: &[usize],
+        aggs: &[(ColId, AggCall)],
+        layout: RowLayout,
+        out_types: Vec<DataType>,
+    ) -> AggSpec {
         let mut arg_exprs = Vec::new();
         let calls = aggs
             .iter()
@@ -265,17 +279,13 @@ impl AggSpec {
             calls,
             arg_exprs,
             layout,
+            out_types,
         }
     }
 
     /// Number of aggregate calls.
     pub(crate) fn num_aggs(&self) -> usize {
         self.calls.len()
-    }
-
-    /// Columns of an output batch: grouping columns, then aggregates.
-    pub(crate) fn out_arity(&self) -> usize {
-        self.gkeys.len() + self.calls.len()
     }
 
     /// Encodes every row's grouping key into the arena `(bytes, offsets)`.
@@ -314,14 +324,15 @@ macro_rules! for_rows {
 /// the function reads, indexed by group id (the others stay empty).
 struct AggState {
     func: AggFunc,
+    /// The declared type of the result column; for a `sum`, whether it
+    /// is the integer or the double sum.
+    out: DataType,
     /// Non-NULL (distinct) values seen — `count`, `sum`, `avg`.
     count: Vec<u64>,
     /// Wrapping sum of the integer inputs — `sum`, `avg`.
     sum_i: Vec<i64>,
-    /// Sum of the non-integer inputs, in arrival order — `sum`, `avg`.
+    /// Sum of the double inputs, in arrival order — `sum`, `avg`.
     sum_f: Vec<f64>,
-    /// Whether any non-integer input arrived — `sum`, `avg`.
-    saw_float: Vec<bool>,
     /// Running extreme, `Null` until the first value — `min`, `max`.
     best: Vec<Value>,
     /// Values already counted — `DISTINCT` calls only.
@@ -329,13 +340,13 @@ struct AggState {
 }
 
 impl AggState {
-    fn new(func: AggFunc, distinct: bool) -> AggState {
+    fn new(func: AggFunc, distinct: bool, out: DataType) -> AggState {
         AggState {
             func,
+            out,
             count: Vec::new(),
             sum_i: Vec::new(),
             sum_f: Vec::new(),
-            saw_float: Vec::new(),
             best: Vec::new(),
             seen: distinct.then(Vec::new),
         }
@@ -349,7 +360,6 @@ impl AggState {
                 self.count.resize(groups, 0);
                 self.sum_i.resize(groups, 0);
                 self.sum_f.resize(groups, 0.0);
-                self.saw_float.resize(groups, false);
             }
             AggFunc::Min | AggFunc::Max => self.best.resize(groups, Value::Null),
         }
@@ -386,10 +396,7 @@ impl AggState {
                 self.count[g] += 1;
                 match v {
                     Value::Int(x) => self.sum_i[g] = self.sum_i[g].wrapping_add(x),
-                    other => {
-                        self.saw_float[g] = true;
-                        self.sum_f[g] += other.as_double().unwrap_or(0.0);
-                    }
+                    other => self.sum_f[g] += other.as_double().unwrap_or(0.0),
                 }
             }
             AggFunc::Min | AggFunc::Max => self.offer(g, v),
@@ -403,8 +410,6 @@ impl AggState {
         let validity = col.validity.as_ref();
         if self.seen.is_none() {
             match (self.func, &col.data) {
-                // Nulls live in the values: no typed loop.
-                (_, ColumnData::Mixed(_)) => {}
                 (AggFunc::Count, _) => {
                     for_rows!(gids, validity, |_i, g| { self.count[g] += 1 });
                     return;
@@ -419,7 +424,6 @@ impl AggState {
                 (AggFunc::Sum | AggFunc::Avg, ColumnData::Float64(vals)) => {
                     for_rows!(gids, validity, |i, g| {
                         self.count[g] += 1;
-                        self.saw_float[g] = true;
                         self.sum_f[g] += vals[i];
                     });
                     return;
@@ -469,7 +473,7 @@ impl AggState {
         match self.func {
             AggFunc::Count => Value::Int(self.count[g] as i64),
             AggFunc::Sum if self.count[g] == 0 => Value::Null,
-            AggFunc::Sum if self.saw_float[g] => Value::Double(total(g)),
+            AggFunc::Sum if self.out == DataType::Double => Value::Double(total(g)),
             AggFunc::Sum => Value::Int(self.sum_i[g]),
             AggFunc::Avg if self.count[g] == 0 => Value::Null,
             AggFunc::Avg => Value::Double(total(g) / self.count[g] as f64),
@@ -477,9 +481,9 @@ impl AggState {
         }
     }
 
-    /// Finishes groups `0..n` into a column and drops their state; the
-    /// groups after them move down to id 0.
-    fn take(&mut self, n: usize) -> Column {
+    /// Finishes groups `0..n` into a column of the declared type and drops
+    /// their state; the groups after them move down to id 0.
+    fn take(&mut self, n: usize) -> Result<Column> {
         let vals: Vec<Value> = (0..n).map(|g| self.finish(g)).collect();
         fn drop_front<T>(v: &mut Vec<T>, n: usize) {
             v.drain(..n.min(v.len()));
@@ -487,12 +491,11 @@ impl AggState {
         drop_front(&mut self.count, n);
         drop_front(&mut self.sum_i, n);
         drop_front(&mut self.sum_f, n);
-        drop_front(&mut self.saw_float, n);
         drop_front(&mut self.best, n);
         if let Some(seen) = &mut self.seen {
             drop_front(seen, n);
         }
-        Column::from_values(vals.iter())
+        Column::from_typed_values(self.out, vals.iter())
     }
 }
 
@@ -510,10 +513,12 @@ pub(crate) struct GroupAgg {
 
 impl GroupAgg {
     pub(crate) fn new(spec: Arc<AggSpec>) -> GroupAgg {
+        let out_types = &spec.out_types[spec.gkeys.len()..];
         let states = spec
             .calls
             .iter()
-            .map(|&(func, distinct, _)| AggState::new(func, distinct))
+            .zip(out_types)
+            .map(|(&(func, distinct, _), &out)| AggState::new(func, distinct, out))
             .collect();
         GroupAgg {
             spec,
@@ -553,10 +558,13 @@ impl GroupAgg {
     /// column per aggregate) and forgets them; the remaining groups are
     /// renumbered from 0.
     pub(crate) fn take(&mut self, n: usize) -> Result<Batch> {
-        let keys = Batch::concat(self.spec.gkeys.len(), &self.keys);
+        let keys = match self.keys.is_empty() {
+            true => Batch::empty(&self.spec.out_types[..self.spec.gkeys.len()]),
+            false => Batch::concat(&self.keys)?,
+        };
         let mut cols = keys.slice(0, n).columns().to_vec();
         for state in &mut self.states {
-            cols.push(Arc::new(state.take(n)));
+            cols.push(Arc::new(state.take(n)?));
         }
         self.groups -= n;
         self.keys.clear();
@@ -608,9 +616,16 @@ mod tests {
         }
     }
 
-    /// A random argument value of one of six shapes; `kind` picks the
-    /// segment's type so that batches cut inside a segment are typed and
-    /// batches cut across segments are `Mixed`.
+    /// The argument column's declared type per `kind`.
+    const KINDS: [DataType; 5] = [
+        DataType::Int,
+        DataType::Double,
+        DataType::Date,
+        DataType::Str,
+        DataType::Bool,
+    ];
+
+    /// A random argument value of the case's one type (`kind`), or NULL.
     fn arg_value(rng: &mut Rng, kind: usize, nulls: bool) -> Value {
         if nulls && rng.range_usize(0, 4) == 0 {
             return Value::Null;
@@ -636,56 +651,73 @@ mod tests {
             1 => Value::Double(doubles[rng.range_usize(0, doubles.len())]),
             2 => Value::Date(rng.range_i64(-3, 4) as i32),
             3 => Value::str(["", "a", "a\0", "b", "ab"][rng.range_usize(0, 5)]),
-            4 => Value::Bool(rng.bool()),
-            _ => {
-                let k = rng.range_usize(0, 5);
-                arg_value(rng, k, false)
+            _ => Value::Bool(rng.bool()),
+        }
+    }
+
+    /// Every well-typed aggregate over a `kind` argument column, a
+    /// literal of either numeric type and an (untyped, never-counted)
+    /// NULL — plain and `DISTINCT` — with its declared result type.
+    fn typed_aggs(kind: usize) -> (Vec<(ColId, AggCall)>, Vec<DataType>) {
+        use DataType::{Double, Int};
+        let args = [
+            (Expr::col(ColId(1)), KINDS[kind]),
+            (Expr::int(1), Int),
+            (Expr::Lit(Value::Double(2.5)), Double),
+            (Expr::Lit(Value::Null), Int),
+        ];
+        let (mut aggs, mut types) = (Vec::new(), Vec::new());
+        for (arg, arg_type) in args {
+            let numeric = matches!(arg_type, Int | Double);
+            for (func, out) in [
+                (AggFunc::Count, Some(Int)),
+                (AggFunc::Sum, numeric.then_some(arg_type)),
+                (AggFunc::Min, Some(arg_type)),
+                (AggFunc::Max, Some(arg_type)),
+                (AggFunc::Avg, numeric.then_some(Double)),
+            ] {
+                let Some(out) = out else { continue };
+                let call = AggCall::new(func, arg.clone());
+                for call in [call.clone().distinct(), call] {
+                    aggs.push((ColId(100 + aggs.len() as u32), call));
+                    types.push(out);
+                }
             }
         }
+        (aggs, types)
     }
 
     #[test]
     fn columnar_state_matches_accumulators_fed_row_by_row() {
         let layout = RowLayout::new(vec![ColId(0), ColId(1)]);
-        let funcs = [
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ];
-        let mut aggs: Vec<(ColId, AggCall)> = Vec::new();
-        for func in funcs {
-            for arg in [
-                Expr::col(ColId(1)),
-                Expr::int(1),
-                Expr::Lit(Value::Double(2.5)),
-                Expr::Lit(Value::Null),
-            ] {
-                let call = AggCall::new(func, arg);
-                aggs.push((ColId(100 + aggs.len() as u32), call.clone().distinct()));
-                aggs.push((ColId(100 + aggs.len() as u32), call));
-            }
-        }
-        let spec = Arc::new(AggSpec::new(&[0], &aggs, layout.clone()));
+        let specs: Vec<_> = (0..KINDS.len())
+            .map(|kind| {
+                let (aggs, agg_types) = typed_aggs(kind);
+                let out_types = [vec![DataType::Int], agg_types].concat();
+                let spec = AggSpec::new(&[0], &aggs, layout.clone(), out_types.clone());
+                (aggs, out_types, Arc::new(spec))
+            })
+            .collect();
         let mut rng = Rng::new(0xA66_5EED);
         for case in 0..300 {
-            // Rows in type segments: a sum sees Int and Double batches
-            // alternate, and batch cuts across a segment edge are Mixed.
+            // One argument type per case; within it, stretches of values
+            // alternate with stretches of NULLs, so some batches carry the
+            // column all-NULL — still of the declared type.
+            let kind = case % KINDS.len();
+            let (aggs, out_types, spec) = &specs[kind];
+            let in_types = [DataType::Int, KINDS[kind]];
             let n = rng.range_usize(0, 120);
             let labels = rng.range_i64(1, 9);
             let nulls = rng.bool();
             let mut rows: Vec<Row> = Vec::new();
             while rows.len() < n {
-                let kind = rng.range_usize(0, 6);
+                let all_null = nulls && rng.range_usize(0, 4) == 0;
                 for _ in 0..rng.range_usize(1, 30) {
-                    rows.push(
-                        vec![
-                            Value::Int(rng.range_i64(0, labels)),
-                            arg_value(&mut rng, kind, nulls),
-                        ]
-                        .into_boxed_slice(),
-                    );
+                    let arg = match all_null {
+                        true => Value::Null,
+                        false => arg_value(&mut rng, kind, nulls),
+                    };
+                    rows.push(vec![Value::Int(rng.range_i64(0, labels)), arg].into_boxed_slice());
                 }
             }
             // Some rows belong to no group (the bounded path's overflow).
@@ -699,9 +731,9 @@ mod tests {
                 .filter(|(_, &s)| !s)
                 .map(|(r, _)| r.clone())
                 .collect();
-            let expect = hash_group_by(&kept, &layout, &[ColId(0)], &aggs).unwrap();
+            let expect = hash_group_by(&kept, &layout, &[ColId(0)], aggs).unwrap();
 
-            let mut agg = GroupAgg::new(Arc::clone(&spec));
+            let mut agg = GroupAgg::new(Arc::clone(spec));
             let mut ids: HashMap<i64, u32> = HashMap::new();
             let mut at = 0;
             while at < rows.len() {
@@ -710,7 +742,7 @@ mod tests {
                     _ => rng.range_usize(1, 40),
                 }
                 .min(rows.len() - at);
-                let batch = Batch::from_rows_arity(&rows[at..at + len], 2);
+                let batch = Batch::from_typed_rows(&in_types, &rows[at..at + len]).unwrap();
                 let (mut gids, mut first) = (Vec::new(), Vec::new());
                 for (i, row) in rows[at..at + len].iter().enumerate() {
                     if skipped[at + i] {
@@ -728,7 +760,12 @@ mod tests {
                 at += len;
             }
             assert_eq!(agg.groups(), expect.len(), "case {case}");
-            let got = rows_of(agg.finish().unwrap());
+            // The result has the declared types whatever it holds — no
+            // group at all, or a `sum` that is NULL in every group.
+            let out = agg.finish().unwrap();
+            let held: Vec<DataType> = out.columns().iter().map(|c| c.data_type()).collect();
+            assert_eq!(&held, out_types, "case {case}");
+            let got = rows_of(out);
             assert_eq!(got.len(), expect.len(), "case {case}");
             for (g, e) in got.iter().zip(&expect) {
                 for (j, (x, y)) in g.iter().zip(e.iter()).enumerate() {
@@ -750,17 +787,19 @@ mod tests {
             ),
             (ColId(10), AggCall::new(AggFunc::Max, Expr::col(ColId(1)))),
         ];
-        let spec = Arc::new(AggSpec::new(&[0], &aggs, layout));
+        let ints = |n| vec![DataType::Int; n];
+        let spec = Arc::new(AggSpec::new(&[0], &aggs, layout, ints(3)));
         let mut agg = GroupAgg::new(spec);
         let row = |k: i64, v: i64| vec![Value::Int(k), Value::Int(v)].into_boxed_slice();
-        let b1 = Batch::from_rows(&[row(1, 10), row(1, 10), row(2, 5)]);
+        let batch = |rows: &[Row]| Batch::from_typed_rows(&ints(2), rows).unwrap();
+        let b1 = batch(&[row(1, 10), row(1, 10), row(2, 5)]);
         agg.absorb(&b1, &[0, 0, 1], &[0, 2]).unwrap();
         let out = rows_of(agg.take(1).unwrap());
         assert_eq!(
             out,
             vec![vec![Value::Int(1), Value::Int(10), Value::Int(10)].into()]
         );
-        let b2 = Batch::from_rows(&[row(2, 5), row(2, 7), row(3, 1)]);
+        let b2 = batch(&[row(2, 5), row(2, 7), row(3, 1)]);
         agg.absorb(&b2, &[0, 0, 1], &[2]).unwrap();
         let out = rows_of(agg.finish().unwrap());
         assert_eq!(

@@ -201,7 +201,7 @@ impl RunMerge {
         }
         let sources: Vec<&Batch> = sources.iter().collect();
         Ok(Some(Run {
-            batch: gather_rows(&sources, &sel),
+            batch: gather_rows(&sources, &sel)?,
             keys,
             seqs,
         }))
@@ -305,14 +305,14 @@ impl RunFormer {
         kb: &[u8],
         ko: &[usize],
         rec: &mut ExecRecord,
-    ) {
+    ) -> Result<()> {
         self.buf.add_batch(batch);
         for i in rows {
             let key = &kb[ko[i]..ko[i + 1]];
             let cost = batch_row_bytes(batch, i) + key.len() + 8;
             let full = self.bytes.saturating_add(cost) > self.budget;
             if full && self.limit.is_none() && !self.buf.is_empty() {
-                self.seal(rec);
+                self.seal(rec)?;
                 self.buf.add_batch(batch);
             }
             self.bytes += cost;
@@ -324,7 +324,7 @@ impl RunFormer {
             if len > n && (self.bytes > self.budget || len >= 2 * n.max(1)) {
                 let top = self
                     .buf
-                    .run(&self.buf.ordered(self.limit, &mut rec.stats.sort));
+                    .run(&self.buf.ordered(self.limit, &mut rec.stats.sort))?;
                 self.buf.clear();
                 self.buf.push_run(&top);
                 self.bytes = (0..top.seqs.len())
@@ -332,18 +332,19 @@ impl RunFormer {
                     .sum();
             }
         }
+        Ok(())
     }
 
     /// Sorts the buffered rows into a run and spills it. Charges
     /// `sort_rows` per run, so the external sort's total equals the
     /// in-memory one's.
-    fn seal(&mut self, rec: &mut ExecRecord) {
+    fn seal(&mut self, rec: &mut ExecRecord) -> Result<()> {
         rec.stats.io.sort_rows += self.buf.len() as u64;
         let start = self.file.len();
         let mut payload = Vec::new();
         let perm = self.buf.ordered(None, &mut rec.stats.sort);
         for group in perm.chunks(RUN_GROUP_ROWS) {
-            let run = self.buf.run(group);
+            let run = self.buf.run(group)?;
             append_run_group(&mut self.file, &mut payload, &run, &mut rec.stats.io);
         }
         self.extents.push(RunExtent {
@@ -357,6 +358,7 @@ impl RunFormer {
         );
         self.buf.clear();
         self.bytes = 0;
+        Ok(())
     }
 
     /// Ends the group: queues its sorted rows on `out` and resets the
@@ -375,11 +377,11 @@ impl RunFormer {
             let perm = self.buf.ordered(self.limit, &mut rec.stats.sort);
             rec.stats.io.sort_rows += perm.len() as u64;
             for chunk in perm.chunks(batch_size) {
-                out.push_back(Sorted::Batch(self.buf.gather(chunk)));
+                out.push_back(Sorted::Batch(self.buf.gather(chunk)?));
             }
         } else {
             if !self.buf.is_empty() {
-                self.seal(rec);
+                self.seal(rec)?;
             }
             let mut file = std::mem::take(&mut self.file);
             let extents = reduce_to_fan_in(&mut file, std::mem::take(&mut self.extents), rec)?;
@@ -399,7 +401,9 @@ mod tests {
     use super::*;
     use crate::sortkernel::SortKeys;
     use fto_common::column::encode_batch_keys_arena;
-    use fto_common::{Direction, Row, Value};
+    use fto_common::{DataType, Direction, Row, Value};
+
+    const TYPES: [DataType; 2] = [DataType::Int, DataType::Str];
 
     fn row(k: i64, v: &str) -> Row {
         vec![Value::Int(k), Value::Str(v.into())].into_boxed_slice()
@@ -415,9 +419,11 @@ mod tests {
         let mut former = RunFormer::new(budget, None);
         let (mut kb, mut ko) = (Vec::new(), Vec::new());
         for piece in input(n).chunks(64) {
-            let batch = Batch::from_rows(piece);
+            let batch = Batch::from_typed_rows(&TYPES, piece).unwrap();
             encode_batch_keys_arena(&batch, keys, &mut kb, &mut ko);
-            former.push_rows(&batch, 0..batch.len(), &kb, &ko, &mut rec);
+            former
+                .push_rows(&batch, 0..batch.len(), &kb, &ko, &mut rec)
+                .unwrap();
         }
         let mut sorted = VecDeque::new();
         former.finish(50, &mut sorted, &mut rec).unwrap();
@@ -482,8 +488,11 @@ mod tests {
         // One well-formed two-row group, as `append_run_group` frames it.
         let keys: SortKeys = vec![(0, Direction::Asc)];
         let mut buf = SortBuf::default();
-        buf.push_batch(&Batch::from_rows(&input(2)), &keys, 5..);
-        let run = buf.run(&buf.ordered(None, &mut Default::default()));
+        let two = Batch::from_typed_rows(&TYPES, &input(2)).unwrap();
+        buf.push_batch(&two, &keys, 5..);
+        let run = buf
+            .run(&buf.ordered(None, &mut Default::default()))
+            .unwrap();
         let (mut file, mut payload) = (SpillFile::new(), Vec::new());
         append_run_group(&mut file, &mut payload, &run, &mut IoStats::new());
         let rec = payload;

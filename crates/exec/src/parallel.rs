@@ -129,7 +129,7 @@ fn run_partitions<T, F>(
 ) -> Result<Vec<(WorkerRun<T>, ExecStats)>>
 where
     T: Send,
-    F: Fn(Vec<Batch>, &mut ExecStats) -> T + Sync,
+    F: Fn(Vec<Batch>, &mut ExecStats) -> Result<T> + Sync,
 {
     let parts = spec.parts;
     // Worker contexts pin threads to 1: partition pipelines never nest
@@ -148,7 +148,7 @@ where
         // Like the coordinator, a worker instruments when its record has
         // slots to fill.
         let instrument = !wrec.ops.is_empty();
-        let mut op = lower_worker(&spec.plan, (part, parts), instrument, spec.base_id)?;
+        let mut op = lower_worker(&wcx, &spec.plan, (part, parts), instrument, spec.base_id)?;
         op.open(&wcx, wrec)?;
         let mut pulled = Vec::new();
         while let Some(batch) = op.next_batch(&wcx, wrec)? {
@@ -156,7 +156,7 @@ where
         }
         op.close(wrec);
         let batches = pulled.len() as u64;
-        let out = finish(pulled, &mut wrec.stats);
+        let out = finish(pulled, &mut wrec.stats)?;
         Ok(WorkerRun {
             out,
             batches,
@@ -195,7 +195,7 @@ impl GatherOp {
 
 impl Operator for GatherOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        let runs = run_partitions(cx, rec, &self.spec, |batches, _| batches)?;
+        let runs = run_partitions(cx, rec, &self.spec, |batches, _| Ok(batches))?;
         let mut workers = Vec::with_capacity(runs.len());
         self.out.clear();
         for (run, stats) in runs {
@@ -217,8 +217,7 @@ impl Operator for GatherOp {
         if self.out.is_empty() {
             return Ok(None);
         }
-        let arity = self.spec.plan.layout.arity();
-        Ok(Some(self.out.take(cx.batch_size, arity)))
+        self.out.take(cx.batch_size).map(Some)
     }
 
     fn close(&mut self, _: &mut ExecRecord) {
@@ -248,7 +247,7 @@ pub(crate) fn sort_run(
     limit: Option<usize>,
     (part, parts): (u64, u64),
     stats: &mut SortStats,
-) -> Run {
+) -> Result<Run> {
     let mut buf = SortBuf::default();
     let mut base = 0u64;
     for batch in batches {
@@ -316,8 +315,8 @@ impl Operator for SortExchangeOp {
                     if limit.is_none() {
                         wstats.io.sort_rows += drained;
                     }
-                    let run = sort_run(&batches, keys, limit, (0, 1), &mut wstats.sort);
-                    (run, drained)
+                    let run = sort_run(&batches, keys, limit, (0, 1), &mut wstats.sort)?;
+                    Ok((run, drained))
                 })?;
                 let mut base = 0u64;
                 for (worker, stats) in sorted {
@@ -356,6 +355,7 @@ impl Operator for SortExchangeOp {
                     (run, started.elapsed())
                 });
                 for ((run, elapsed), stats) in sorted {
+                    let run = run?;
                     workers.push(WorkerOpMetrics {
                         rows: run.seqs.len() as u64,
                         batches: 0,
@@ -388,7 +388,7 @@ impl Operator for SortExchangeOp {
         }
         let end = (self.pos + cx.batch_size).min(self.merged.len());
         let sources: Vec<&Batch> = self.runs.iter().collect();
-        let batch = gather_rows(&sources, &self.merged[self.pos..end]);
+        let batch = gather_rows(&sources, &self.merged[self.pos..end])?;
         self.pos = end;
         Ok(Some(batch))
     }

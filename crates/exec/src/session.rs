@@ -19,7 +19,7 @@ use crate::interp::run_plan_materialized;
 use crate::metrics::{ExecRecord, PlanMetrics};
 use crate::obs::Observability;
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
-use crate::stream::{drive, plan_metrics, Batch, ExecContext};
+use crate::stream::{drive, layout_types, plan_metrics, Batch, ExecContext};
 use fto_common::{Result, Row};
 use fto_obs::{ExecutionProfile, Timeline, Trace};
 use fto_order::ContextWork;
@@ -340,10 +340,12 @@ impl PreparedQuery<'_> {
     /// totals that reconcile against the streaming engine.
     pub fn execute_materialized(&self) -> Result<QueryOutput> {
         let result = run_plan_materialized(self.db, &self.graph, &self.plan)?;
+        // The oracle's rows, held to the types the plan declares for them.
         let batches = if result.rows.is_empty() {
             Vec::new()
         } else {
-            vec![Batch::from_rows(&result.rows)]
+            let types = layout_types(&self.graph, &self.plan.layout)?;
+            vec![Batch::from_typed_rows(&types, &result.rows)?]
         };
         let rows_cache = OnceLock::new();
         let _ = rows_cache.set(result.rows);
@@ -557,7 +559,11 @@ mod tests {
         pub(crate) fn stub(elapsed: Duration, rows: usize) -> QueryOutput {
             let row: Row = vec![fto_common::Value::Int(0)].into();
             QueryOutput {
-                batches: vec![Batch::from_rows(&vec![row; rows])],
+                batches: vec![Batch::from_typed_rows(
+                    &[fto_common::DataType::Int],
+                    &vec![row; rows],
+                )
+                .unwrap()],
                 rows_cache: OnceLock::new(),
                 io: IoStats::default(),
                 planner: PlannerStats::default(),

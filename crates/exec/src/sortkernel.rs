@@ -51,7 +51,7 @@
 //! `tests/observability.rs::concurrent_sessions_report_their_own_work`
 //! holds the rule.
 
-use fto_common::column::{encode_batch_keys_arena, Batch, Column, ColumnData};
+use fto_common::column::{encode_batch_keys_arena, Batch, Column};
 use fto_common::{Direction, FtoError, Result, Row, Value};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
@@ -305,7 +305,7 @@ impl SortBuf {
     }
 
     /// Gathers the rows at `perm`, in that order, as one batch.
-    pub(crate) fn gather(&self, perm: &[u32]) -> Batch {
+    pub(crate) fn gather(&self, perm: &[u32]) -> Result<Batch> {
         let sources: Vec<&Batch> = self.batches.iter().collect();
         let sel: Vec<(u32, u32)> = perm.iter().map(|&p| self.sel[p as usize]).collect();
         gather_rows(&sources, &sel)
@@ -313,16 +313,16 @@ impl SortBuf {
 
     /// The rows at `perm` with their keys and tags — a [`Run`] when `perm`
     /// is (a slice of) [`Self::ordered`].
-    pub(crate) fn run(&self, perm: &[u32]) -> Run {
+    pub(crate) fn run(&self, perm: &[u32]) -> Result<Run> {
         let mut keys = KeyArena::default();
         for &p in perm {
             keys.push(self.keys.get(p as usize));
         }
-        Run {
-            batch: self.gather(perm),
+        Ok(Run {
+            batch: self.gather(perm)?,
             keys,
             seqs: perm.iter().map(|&p| self.seqs[p as usize]).collect(),
-        }
+        })
     }
 }
 
@@ -431,39 +431,31 @@ pub(crate) fn merge_runs(
     out
 }
 
-/// Gathers rows from several equal-arity batches — output row `j` is row
-/// `sel[j].1` of `sources[sel[j].0]` — into the representation
-/// [`Batch::from_rows`] would infer from the same values: no validity
-/// bitmap without a NULL, an all-NULL column as invalid `Int64` zeros, a
-/// `Mixed` column whose values share a type as that type. The spill page
-/// codec writes the representation, so what an enforcer emits or spills
-/// must not depend on what its source batches happened to carry.
-pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Batch {
+/// Gathers rows from several batches of one stream — output row `j` is
+/// row `sel[j].1` of `sources[sel[j].0]` — keeping every column's declared
+/// type and carrying a validity bitmap only where a gathered slot is NULL.
+/// The spill page codec writes the bitmap, so what an enforcer emits or
+/// spills must not depend on whether its source batches happened to carry
+/// one. No sources (a worker that drew no rows) gather to no columns.
+pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batch> {
     let arity = sources.first().map_or(0, |b| b.arity());
     let columns = (0..arity)
         .map(|c| {
             let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
-            let mut col = Column::gather_multi(&cols, sel);
-            if let ColumnData::Mixed(values) = &col.data {
-                col = Column::from_values(values.iter());
+            let mut col = Column::gather_multi(&cols, sel)?;
+            if col.validity.as_ref().is_some_and(|valid| valid.all_valid()) {
+                col.validity = None;
             }
-            match &col.validity {
-                Some(valid) if valid.all_valid() => col.validity = None,
-                Some(valid) if valid.count_valid() == 0 => {
-                    col.data = ColumnData::Int64(vec![0; sel.len()]);
-                }
-                _ => {}
-            }
-            Arc::new(col)
+            Ok(Arc::new(col))
         })
-        .collect();
-    Batch::from_columns_with_len(columns, sel.len()).expect("gathered columns are sel-long")
+        .collect::<Result<_>>()?;
+    Batch::from_columns_with_len(columns, sel.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fto_common::ColId;
+    use fto_common::{ColId, DataType};
     use fto_order::SortKey;
 
     fn row(vals: &[i64]) -> Row {
@@ -472,6 +464,14 @@ mod tests {
 
     fn keys_from(cols: &[(usize, Direction)]) -> SortKeys {
         cols.to_vec()
+    }
+
+    /// The batch of two-column `rows`: a key column of the one type its
+    /// values have (`Int` when it holds none) and an `Int` payload.
+    fn batch_of(rows: &[Row]) -> Batch {
+        let key = rows.iter().find_map(|r| r[0].data_type());
+        let types = [key.unwrap_or(DataType::Int), DataType::Int];
+        Batch::from_typed_rows(&types, rows).unwrap()
     }
 
     /// `rows` tagged `seqs`, ordered by the permutation kernel into a run
@@ -483,8 +483,9 @@ mod tests {
         limit: Option<usize>,
     ) -> Run {
         let mut buf = SortBuf::default();
-        buf.push_batch(&Batch::from_rows_arity(rows, 2), keys, seqs);
+        buf.push_batch(&batch_of(rows), keys, seqs);
         buf.run(&buf.ordered(limit, &mut SortStats::default()))
+            .unwrap()
     }
 
     fn rows_of(batch: &Batch) -> Vec<Row> {
@@ -502,7 +503,7 @@ mod tests {
     fn merged(runs: &[Run], limit: Option<usize>) -> Vec<Row> {
         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
         let merged = merge_runs(runs, limit, &mut SortStats::default());
-        rows_of(&gather_rows(&sources, &merged))
+        rows_of(&gather_rows(&sources, &merged).unwrap())
     }
 
     /// Runs over `parts` contiguous pieces of `input`, tagged locally and
@@ -620,22 +621,27 @@ mod tests {
         assert_eq!(merged(&dealt_runs(&input, 4, &keys), None), serial);
     }
 
-    /// Mixed-shape rows exercising every codec branch: numerics (int and
-    /// double interleaved), strings of varying length, NULLs, dates,
-    /// bools.
-    fn mixed_rows(n: usize) -> Vec<Row> {
+    /// One row set per key type, together exercising every codec branch:
+    /// ints, doubles (NaN and both zeros among them), strings of varying
+    /// length, dates, bools — each with NULLs and heavy ties.
+    fn mixed_rows(n: usize) -> Vec<Vec<Row>> {
         let mut rng = fto_common::Rng::new(0xfeed);
-        (0..n)
-            .map(|i| {
-                let key: Value = match rng.range_usize(0, 6) {
-                    0 => Value::Null,
-                    1 => Value::Int(rng.range_i64(-50, 50)),
-                    2 => Value::Double(rng.range_f64(-50.0, 50.0)),
-                    3 => Value::str(format!("s{}", rng.range_usize(0, 40))),
-                    4 => Value::Date(rng.range_i32(0, 100)),
-                    _ => Value::Bool(rng.bool()),
-                };
-                [key, Value::Int(i as i64)].into_iter().collect()
+        (0..5)
+            .map(|kind| {
+                (0..n)
+                    .map(|i| {
+                        let key: Value = match (rng.range_usize(0, 6), kind) {
+                            (0, _) => Value::Null,
+                            (_, 0) => Value::Int(rng.range_i64(-50, 50)),
+                            (1, 1) => Value::Double([f64::NAN, -0.0, 0.0][i % 3]),
+                            (_, 1) => Value::Double(rng.range_f64(-50.0, 50.0)),
+                            (_, 2) => Value::str(format!("s{}", rng.range_usize(0, 40))),
+                            (_, 3) => Value::Date(rng.range_i32(0, 100)),
+                            _ => Value::Bool(rng.bool()),
+                        };
+                        [key, Value::Int(i as i64)].into_iter().collect()
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -644,10 +650,11 @@ mod tests {
     fn codec_sort_matches_legacy_sort_on_mixed_shapes() {
         for dir in [Direction::Asc, Direction::Desc] {
             let keys = keys_from(&[(0, dir)]);
-            let mut legacy = mixed_rows(500);
-            let codec = kernel_sort(&legacy, &keys);
-            sort_rows(&mut legacy, &keys);
-            assert_eq!(codec, legacy, "dir={dir:?}");
+            for mut legacy in mixed_rows(500) {
+                let codec = kernel_sort(&legacy, &keys);
+                sort_rows(&mut legacy, &keys);
+                assert_eq!(codec, legacy, "dir={dir:?}");
+            }
         }
     }
 
@@ -672,35 +679,38 @@ mod tests {
     #[test]
     fn codec_top_n_matches_legacy_top_n() {
         let keys = keys_from(&[(0, Direction::Asc)]);
-        let rows = mixed_rows(300);
-        for n in [0usize, 1, 7, 299, 300, 400] {
-            assert_eq!(
-                rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch),
-                top_n(rows.clone(), &keys, n),
-                "n={n}"
-            );
+        for rows in mixed_rows(300) {
+            for n in [0usize, 1, 7, 299, 300, 400] {
+                assert_eq!(
+                    rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch),
+                    top_n(rows.clone(), &keys, n),
+                    "n={n}"
+                );
+            }
         }
     }
 
     #[test]
     fn codec_runs_merge_bit_identically_to_legacy() {
         let keys = keys_from(&[(0, Direction::Asc)]);
-        let input = mixed_rows(240);
-        let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
-        for parts in [1usize, 2, 3, 5] {
-            let runs = contiguous_runs(&input, parts, &keys, None);
-            assert_eq!(merged(&runs, None), serial, "parts={parts}");
+        for input in mixed_rows(240) {
+            let mut serial = input.clone();
+            sort_rows(&mut serial, &keys);
+            for parts in [1usize, 2, 3, 5] {
+                let runs = contiguous_runs(&input, parts, &keys, None);
+                assert_eq!(merged(&runs, None), serial, "parts={parts}");
+            }
         }
     }
 
     #[test]
     fn codec_tagged_runs_restore_round_robin_deal() {
         let keys = keys_from(&[(0, Direction::Desc)]);
-        let input = mixed_rows(150);
-        let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
-        assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), serial);
+        for input in mixed_rows(150) {
+            let mut serial = input.clone();
+            sort_rows(&mut serial, &keys);
+            assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), serial);
+        }
     }
 
     #[test]
@@ -724,7 +734,7 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
         let mut buf = SortBuf::default();
-        buf.push_batch(&Batch::from_rows_arity(&rows, 2), &keys, 0..);
+        buf.push_batch(&batch_of(&rows), &keys, 0..);
         let (mut stats, mut again) = (SortStats::default(), SortStats::default());
         let perm = buf.ordered(None, &mut stats);
         assert_eq!(stats.key_bytes, 100 * (11 + 8));
@@ -774,29 +784,39 @@ mod tests {
     }
 
     #[test]
-    fn gathered_batches_take_the_representation_rows_would_infer() {
-        // A source column that carries a validity bitmap (or is Mixed)
-        // must not leak that into a gather whose rows do not need it: the
-        // spill codec writes the representation.
+    fn gathered_batches_keep_the_declared_type() {
+        // A gather keeps each column's declared type — with every slot
+        // NULL, with none, with no slot at all — and carries a validity
+        // bitmap exactly when a gathered slot is NULL, whatever its source
+        // batches carried: the spill codec writes the representation.
+        use DataType::{Double, Str};
         let rows: Vec<Row> = vec![
-            [Value::Int(1), Value::Null].into_iter().collect(),
+            [Value::Double(1.0), Value::Null].into_iter().collect(),
             [Value::Null, Value::Null].into_iter().collect(),
             [Value::Double(2.0), Value::Null].into_iter().collect(),
-            [Value::Int(3), Value::str("x")].into_iter().collect(),
+            [Value::Double(3.0), Value::str("x")].into_iter().collect(),
         ];
-        let src = Batch::from_rows(&rows);
+        let src = Batch::from_typed_rows(&[Double, Str], &rows).unwrap();
         for sel in [
             vec![0u32, 3],
             vec![0, 1, 2],
             vec![1],
             vec![3],
             vec![0, 1, 2, 3],
+            vec![],
         ] {
             let pairs: Vec<(u32, u32)> = sel.iter().map(|&i| (0, i)).collect();
-            let got = gather_rows(&[&src], &pairs);
+            let got = gather_rows(&[&src], &pairs).unwrap();
             let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
-            let want = Batch::from_rows(&picked);
+            let want = Batch::from_typed_rows(&[Double, Str], &picked).unwrap();
             assert_eq!(got.columns(), want.columns(), "sel={sel:?}");
         }
+        // Sources of one stream agree on their types; two that do not are
+        // a typed error, not a value-by-value rebuild.
+        let other = Batch::from_typed_rows(&[Str, Str], &[]).unwrap();
+        let ints = batch_of(&[row(&[1, 2])]);
+        assert_eq!(gather_rows(&[&other, &src], &[(1, 3)]).unwrap().len(), 1);
+        let refused = gather_rows(&[&ints, &src], &[(0, 0), (1, 0)]);
+        assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
     }
 }

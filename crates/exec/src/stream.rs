@@ -43,7 +43,7 @@ use crate::metrics::{ExecRecord, ExecStats, OpMetrics, PlanMetrics};
 use crate::parallel::{GatherOp, PartitionSpec, SortExchangeOp, SortSource};
 use crate::sortkernel::{resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{ColId, Direction, FtoError, IndexId, Result, TableId, Value};
+use fto_common::{ColId, DataType, Direction, FtoError, IndexId, Result, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
 use fto_obs::SpanKind;
 use fto_planner::{OptimizerConfig, Plan, PlanNode, ScanRange};
@@ -138,7 +138,7 @@ pub(crate) fn drive(
     rec: &mut ExecRecord,
 ) -> Result<(Vec<Batch>, Duration)> {
     let start = Instant::now();
-    let mut root = lower_impl(plan, &mut LowerCx::new(!rec.ops.is_empty(), cx.threads))?;
+    let mut root = lower_impl(plan, &mut LowerCx::new(cx, !rec.ops.is_empty()))?;
     root.open(cx, rec)?;
     let mut batches = Vec::new();
     while let Some(batch) = root.next_batch(cx, rec)? {
@@ -215,10 +215,9 @@ impl BatchQueue {
         self.len
     }
 
-    /// Removes and returns the next `min(n, pending)` rows as one batch.
-    /// `arity` disambiguates the all-consumed case (concat of zero
-    /// parts); callers pass their output layout's arity.
-    pub(crate) fn take(&mut self, n: usize, arity: usize) -> Batch {
+    /// Removes and returns the next `min(n, pending)` rows — at least
+    /// one: callers ask a non-empty queue — as one batch.
+    pub(crate) fn take(&mut self, n: usize) -> Result<Batch> {
         let n = n.min(self.len);
         let mut picked: Vec<Batch> = Vec::new();
         let mut need = n;
@@ -245,7 +244,7 @@ impl BatchQueue {
             }
         }
         self.len -= n;
-        Batch::concat(arity, &picked)
+        Batch::concat(&picked)
     }
 
     pub(crate) fn clear(&mut self) {
@@ -304,7 +303,7 @@ impl Operator for ScanOp {
             cx.batch_size,
             &mut rec.stats.io,
             rec.pool.as_mut(),
-        );
+        )?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
@@ -361,7 +360,7 @@ impl Operator for IndexScanOp {
             &mut rec.stats.io,
             rec.pool.as_mut(),
             fto_storage::index_leaf_tag(self.index),
-        );
+        )?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 
@@ -697,7 +696,7 @@ impl EnforceOp {
             for i in 0..batch.len() {
                 let prefix = &pb[po[i]..po[i + 1]];
                 if self.group_open && prefix != prev {
-                    self.former.push_rows(&batch, lo..i, &sb, &so, rec);
+                    self.former.push_rows(&batch, lo..i, &sb, &so, rec)?;
                     self.finish_group(cx, rec)?;
                     lo = i;
                 }
@@ -708,8 +707,7 @@ impl EnforceOp {
         }
         self.group_open |= !batch.is_empty();
         self.former
-            .push_rows(&batch, lo..batch.len(), &sb, &so, rec);
-        Ok(())
+            .push_rows(&batch, lo..batch.len(), &sb, &so, rec)
     }
 }
 
@@ -1010,7 +1008,7 @@ impl Operator for HashGroupByOp {
         let sel: Vec<(u32, u32)> = order.iter().map(|&(_, p, i)| (p, i)).collect();
         let sources: Vec<&Batch> = parts.iter().map(|(b, _)| b).collect();
         self.out.clear();
-        self.out.push(Batch::gather_multi(&sources, &sel));
+        self.out.push(Batch::gather_multi(&sources, &sel)?);
         Ok(())
     }
 
@@ -1018,7 +1016,7 @@ impl Operator for HashGroupByOp {
         if self.out.is_empty() {
             return Ok(None);
         }
-        Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())))
+        self.out.take(cx.batch_size).map(Some)
     }
 
     fn close(&mut self, _: &mut ExecRecord) {
@@ -1092,7 +1090,7 @@ impl Operator for StreamGroupByOp {
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size, self.spec.out_arity())));
+                return self.out.take(cx.batch_size).map(Some);
             }
             if self.input_done {
                 return Ok(None);
@@ -1150,7 +1148,7 @@ impl Operator for IndexNestedLoopJoinOp {
         let mut key: Vec<Value> = Vec::with_capacity(self.probe_pos.len());
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
+                return self.out.take(cx.batch_size).map(Some);
             }
             let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
@@ -1180,7 +1178,7 @@ impl Operator for IndexNestedLoopJoinOp {
                 continue;
             }
             let mut cols = batch.gather(&osel).columns().to_vec();
-            cols.extend(heap.gather(&rids).columns().iter().cloned());
+            cols.extend(heap.gather(&rids)?.columns().iter().cloned());
             let cand = Batch::from_columns_with_len(cols, osel.len())?;
             push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
         }
@@ -1236,7 +1234,10 @@ enum BuildRef {
 /// is the interpreter's at every budget.
 struct JoinBuild {
     ikeys: SortKeys,
-    arity: usize,
+    /// The declared types of the inner side's columns: what `mem` is
+    /// built as when no row stays resident, and what a left-outer join
+    /// pads an unmatched outer row with.
+    types: Vec<DataType>,
     /// Resident segments, concatenated into `mem` at [`Self::finish`].
     segs: Vec<Batch>,
     mem: Batch,
@@ -1259,12 +1260,12 @@ struct JoinBuild {
 }
 
 impl JoinBuild {
-    fn new(ikeys: SortKeys, arity: usize) -> JoinBuild {
+    fn new(ikeys: SortKeys, types: Vec<DataType>) -> JoinBuild {
         JoinBuild {
             ikeys,
-            arity,
             segs: Vec::new(),
-            mem: Batch::empty(arity),
+            mem: Batch::empty(&types),
+            types,
             mem_rows: 0,
             bytes: 0,
             table: GroupTable::new(),
@@ -1280,7 +1281,10 @@ impl JoinBuild {
     }
 
     fn reset(&mut self) {
-        *self = JoinBuild::new(std::mem::take(&mut self.ikeys), self.arity);
+        *self = JoinBuild::new(
+            std::mem::take(&mut self.ikeys),
+            std::mem::take(&mut self.types),
+        );
     }
 
     /// Absorbs one build batch: rows that fit the budget stay resident
@@ -1293,7 +1297,7 @@ impl JoinBuild {
         budget: Option<usize>,
         scratch: &mut GroupScratch,
         io: &mut IoStats,
-    ) {
+    ) -> Result<()> {
         let GroupScratch {
             key_bytes,
             key_offsets,
@@ -1350,27 +1354,31 @@ impl JoinBuild {
         }
         if !spill_sel.is_empty() {
             self.pending.push(batch.gather(&spill_sel));
-            self.flush_groups(false, io);
+            self.flush_groups(false, io)?;
         }
+        Ok(())
     }
 
     /// Seals pending overflow rows into spilled column-page records of
     /// exactly [`JOIN_SPILL_GROUP_ROWS`] rows (the final group may be
     /// shorter when `fin`).
-    fn flush_groups(&mut self, fin: bool, io: &mut IoStats) {
+    fn flush_groups(&mut self, fin: bool, io: &mut IoStats) -> Result<()> {
         let mut payload = Vec::new();
         while self.pending.len() >= JOIN_SPILL_GROUP_ROWS || (fin && !self.pending.is_empty()) {
-            let group = self.pending.take(JOIN_SPILL_GROUP_ROWS, self.arity);
+            let group = self.pending.take(JOIN_SPILL_GROUP_ROWS)?;
             payload.clear();
             spill::write_batch(&group, &mut payload);
             self.group_offsets
                 .push(self.file.append_record(&payload, io));
         }
+        Ok(())
     }
 
-    fn finish(&mut self, rec: &mut ExecRecord) {
-        self.flush_groups(true, &mut rec.stats.io);
-        self.mem = Batch::concat(self.arity, &std::mem::take(&mut self.segs));
+    fn finish(&mut self, rec: &mut ExecRecord) -> Result<()> {
+        self.flush_groups(true, &mut rec.stats.io)?;
+        if !self.segs.is_empty() {
+            self.mem = Batch::concat(&std::mem::take(&mut self.segs))?;
+        }
         if !self.file.is_empty() {
             rec.mark(
                 |s| &mut s.spill.runs_formed,
@@ -1395,6 +1403,7 @@ impl JoinBuild {
             self.refs[at[g as usize] as usize] = r;
             at[g as usize] += 1;
         }
+        Ok(())
     }
 
     /// Where key `g`'s rows sit in `refs` (nowhere, for [`NO_GROUP`]).
@@ -1432,9 +1441,6 @@ impl JoinBuild {
         brefs: &[BuildRef],
         io: &mut IoStats,
     ) -> Result<Batch> {
-        if osel.is_empty() {
-            return Ok(Batch::empty(outer.arity() + self.arity));
-        }
         let mut sources: Vec<Batch> = vec![self.mem.clone()];
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(brefs.len());
         // Consecutive refs into the same spilled group share one source
@@ -1460,7 +1466,12 @@ impl JoinBuild {
         }
         let srcs: Vec<&Batch> = sources.iter().collect();
         let mut cols = outer.gather(osel).columns().to_vec();
-        cols.extend(Batch::gather_multi(&srcs, &pairs).columns().iter().cloned());
+        cols.extend(
+            Batch::gather_multi(&srcs, &pairs)?
+                .columns()
+                .iter()
+                .cloned(),
+        );
         Batch::from_columns_with_len(cols, osel.len())
     }
 }
@@ -1526,12 +1537,9 @@ impl JoinOp {
         let padded = match self.kind {
             JoinKind::Inner => None,
             JoinKind::LeftOuter => {
-                let nulls = Arc::new(Column::from_values(std::iter::repeat_n(
-                    &Value::Null,
-                    batch.len(),
-                )));
                 let mut cols = batch.columns().to_vec();
-                cols.extend(std::iter::repeat_n(nulls, self.build.arity));
+                let inner = self.build.types.iter();
+                cols.extend(inner.map(|&ty| Arc::new(Column::nulls(ty, batch.len()))));
                 Some(Batch::from_columns_with_len(cols, batch.len())?)
             }
         };
@@ -1602,7 +1610,8 @@ impl JoinOp {
             }
         }
         p.next = done;
-        self.out.push(Batch::gather_multi(&[&cand, padded], &pairs));
+        self.out
+            .push(Batch::gather_multi(&[&cand, padded], &pairs)?);
         Ok(())
     }
 }
@@ -1614,10 +1623,10 @@ impl Operator for JoinOp {
         let mut scratch = GroupScratch::default();
         while let Some(batch) = self.inner.next_batch(cx, rec)? {
             self.build
-                .absorb(&batch, cx.memory_budget, &mut scratch, &mut rec.stats.io);
+                .absorb(&batch, cx.memory_budget, &mut scratch, &mut rec.stats.io)?;
         }
         self.inner.close(rec);
-        self.build.finish(rec);
+        self.build.finish(rec)?;
         self.outer.open(cx, rec)
     }
 
@@ -1625,7 +1634,7 @@ impl Operator for JoinOp {
         let (mut kb, mut ko, mut gids) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
+                return self.out.take(cx.batch_size).map(Some);
             }
             let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
@@ -1672,7 +1681,7 @@ struct MergeSide {
 impl MergeSide {
     fn new(kpos: Vec<usize>) -> MergeSide {
         MergeSide {
-            win: Batch::empty(0),
+            win: Batch::empty(&[]),
             kb: Vec::new(),
             ko: vec![0],
             sb: Vec::new(),
@@ -1694,7 +1703,7 @@ impl MergeSide {
             .any(|&p| !self.win.column(p).is_valid(self.pos))
     }
 
-    fn absorb(&mut self, batch: Batch) {
+    fn absorb(&mut self, batch: Batch) -> Result<()> {
         encode_batch_keys_arena(&batch, &self.keys_asc, &mut self.sb, &mut self.so);
         let base = self.kb.len();
         self.kb.extend_from_slice(&self.sb);
@@ -1702,8 +1711,9 @@ impl MergeSide {
         self.win = if self.win.is_empty() {
             batch
         } else {
-            Batch::concat(batch.arity(), &[self.win.clone(), batch])
+            Batch::concat(&[self.win.clone(), batch])?
         };
+        Ok(())
     }
 
     /// Drops the consumed prefix `[0, start)` before the window grows:
@@ -1736,14 +1746,14 @@ fn merge_fill(
         if side.pos > 0 {
             // Whole window consumed: drop it (slices handed out earlier
             // keep their columns alive via Arc).
-            side.win = Batch::empty(side.win.arity());
+            side.win = Batch::empty(&[]);
             side.kb.clear();
             side.ko.clear();
             side.ko.push(0);
             side.pos = 0;
         }
         match child.next_batch(cx, rec)? {
-            Some(batch) => side.absorb(batch),
+            Some(batch) => side.absorb(batch)?,
             None => side.done = true,
         }
     }
@@ -1777,7 +1787,7 @@ fn merge_take_group(
             start = 0;
         }
         match child.next_batch(cx, rec)? {
-            Some(batch) => side.absorb(batch),
+            Some(batch) => side.absorb(batch)?,
             None => side.done = true,
         }
     }
@@ -1811,7 +1821,7 @@ impl Operator for MergeJoinOp {
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
-                return Ok(Some(self.out.take(cx.batch_size, self.layout.arity())));
+                return self.out.take(cx.batch_size).map(Some);
             }
             if self.done {
                 return Ok(None);
@@ -1880,7 +1890,11 @@ impl Operator for MergeJoinOp {
 /// a worker's wrappers fill the same slots of its private record that the
 /// coordinator's record has for those nodes. Workers always lower with
 /// `threads = 1`, so exchanges never nest.
-pub(crate) struct LowerCx {
+pub(crate) struct LowerCx<'a> {
+    /// The query graph: its registry declares every column's type, which
+    /// the operators that *build* columns (aggregate results, a left-outer
+    /// join's NULL padding, an empty build side) read here, once.
+    graph: &'a QueryGraph,
     /// Wrap every operator in an [`InstrumentedOp`].
     instrument: bool,
     next_id: usize,
@@ -1890,15 +1904,29 @@ pub(crate) struct LowerCx {
     partition: Option<(usize, usize)>,
 }
 
-impl LowerCx {
-    pub(crate) fn new(instrument: bool, threads: usize) -> LowerCx {
+impl<'a> LowerCx<'a> {
+    pub(crate) fn new(cx: &ExecContext<'a>, instrument: bool) -> LowerCx<'a> {
         LowerCx {
+            graph: cx.graph,
             instrument,
             next_id: 0,
-            threads,
+            threads: cx.threads,
             partition: None,
         }
     }
+}
+
+/// The declared types of a layout's columns, from the query's registry —
+/// which is what every batch of a stream with that layout holds.
+pub(crate) fn layout_types(graph: &QueryGraph, layout: &RowLayout) -> Result<Vec<DataType>> {
+    let registry = &graph.registry;
+    let declared = |&c: &ColId| match c.index() < registry.len() {
+        true => Ok(registry.info(c).data_type),
+        false => Err(FtoError::internal(format!(
+            "column {c} of a plan layout is not in the query's registry"
+        ))),
+    };
+    layout.cols().iter().map(declared).collect()
 }
 
 /// Lowers one worker's copy of an exchanged subtree: scans restricted to
@@ -1906,16 +1934,17 @@ impl LowerCx {
 /// from the subtree root's pre-order id `base_id`. Called from inside the
 /// worker thread, so the built operators never cross threads.
 pub(crate) fn lower_worker(
+    cx: &ExecContext<'_>,
     plan: &Plan,
     (part, parts): (usize, usize),
     instrument: bool,
     base_id: usize,
 ) -> Result<Box<dyn Operator>> {
     let mut lw = LowerCx {
-        instrument,
         next_id: base_id,
         threads: 1,
         partition: Some((part, parts)),
+        ..LowerCx::new(cx, instrument)
     };
     lower_impl(plan, &mut lw)
 }
@@ -2025,7 +2054,7 @@ fn partitionable(plan: &Plan) -> bool {
 /// steps `next_id` past the subtree, mirroring [`lower_impl`]'s pre-order
 /// numbering, so the workers' wrappers and the nodes after the subtree
 /// all keep their ids.
-fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx) -> PartitionSpec {
+fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx<'_>) -> PartitionSpec {
     let base_id = lw.next_id;
     lw.next_id += input.count_ops(&|_| true);
     PartitionSpec {
@@ -2051,7 +2080,7 @@ fn lower_enforcer(
     prefix_len: usize,
     limit: Option<usize>,
     id: usize,
-    lw: &mut LowerCx,
+    lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
     let keys = resolve_keys(spec, &input.layout)?;
     if lw.partition.is_none() && lw.threads > 1 && prefix_len == 0 {
@@ -2077,7 +2106,7 @@ fn lower_enforcer(
 /// partition pipelines on worker threads and concatenates their outputs
 /// in partition order — which *is* the serial order, so parents observe
 /// the exact serial row stream.
-fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
+fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
     if lw.partition.is_none() && lw.threads > 1 && partitionable(plan) {
         Ok(Box::new(GatherOp::new(exchange_spec(plan, lw))))
     } else {
@@ -2095,7 +2124,7 @@ fn lower_join(
     (outer, outer_keys): (&Arc<Plan>, &[ColId]),
     (inner, inner_keys): (&Arc<Plan>, &[ColId]),
     predicates: &[PredId],
-    lw: &mut LowerCx,
+    lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
     let asc = |pos: Vec<usize>| pos.into_iter().map(|p| (p, Direction::Asc)).collect();
     let okeys = asc(positions(&outer.layout, outer_keys)?);
@@ -2103,7 +2132,7 @@ fn lower_join(
     Ok(Box::new(JoinOp {
         kind,
         okeys,
-        build: JoinBuild::new(ikeys, inner.layout.arity()),
+        build: JoinBuild::new(ikeys, layout_types(lw.graph, &inner.layout)?),
         outer: lower_impl(outer, lw)?,
         inner: lower_drained(inner, lw)?,
         predicates: predicates.to_vec(),
@@ -2119,7 +2148,7 @@ fn lower_join(
 /// coordinator replaces eligible Sort/TopN nodes and fully-drained join
 /// build sides with exchange operators from [`crate::parallel`]; worker
 /// threads then re-lower the exchanged subtrees via [`lower_worker`].
-fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
+fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
     let id = lw.next_id;
     lw.next_id += 1;
     let op: Box<dyn Operator> = match &plan.node {
@@ -2259,7 +2288,8 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             aggs,
         } => {
             let gpos = positions(&input.layout, grouping)?;
-            let spec = Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone()));
+            let types = layout_types(lw.graph, &plan.layout)?;
+            let spec = Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone(), types));
             Box::new(StreamGroupByOp {
                 child: lower_impl(input, lw)?,
                 agg: GroupAgg::new(Arc::clone(&spec)),
@@ -2276,9 +2306,10 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             aggs,
         } => {
             let gpos = positions(&input.layout, grouping)?;
+            let types = layout_types(lw.graph, &plan.layout)?;
             Box::new(HashGroupByOp {
                 child: lower_drained(input, lw)?,
-                spec: Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone())),
+                spec: Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone(), types)),
                 out: BatchQueue::default(),
             })
         }
@@ -2588,9 +2619,11 @@ mod tests {
             (ColId(1), AggCall::new(AggFunc::Count, Expr::int(1))),
             (ColId(2), AggCall::new(AggFunc::Sum, Expr::col(ColId(0)))),
         ];
-        let feed = || Box::new(Feed(VecDeque::from([Batch::empty(1)]))) as Box<dyn Operator>;
+        let int = DataType::Int;
+        let feed = || Box::new(Feed(VecDeque::from([Batch::empty(&[int])]))) as Box<dyn Operator>;
         for gpos in [vec![], vec![0usize]] {
-            let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone()));
+            let types = vec![int; gpos.len() + aggs.len()];
+            let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone(), types));
             let ops: [Box<dyn Operator>; 2] = [
                 Box::new(HashGroupByOp {
                     child: feed(),
@@ -2671,7 +2704,22 @@ mod tests {
             // Every fourth seed draws NULL-free fixed-width keys (ints and
             // dates only): the radix path, ties included.
             let fixed = seed % 4 == 1;
-            let (wide_numeric, last_kind) = (rng.bool(), rng.range_usize(0, 3));
+            // One type per column per case: `b` is ints or strings, `c`
+            // ints or doubles (NaN and both zeros among them), `d` dates,
+            // bools or doubles.
+            let (wide_numeric, last_kind) = (!fixed && rng.bool(), rng.range_usize(0, 3));
+            let last_kind = if fixed { 0 } else { last_kind };
+            let types = [
+                DataType::Int,
+                if fixed { DataType::Int } else { DataType::Str },
+                if wide_numeric {
+                    DataType::Double
+                } else {
+                    DataType::Int
+                },
+                [DataType::Date, DataType::Bool, DataType::Double][last_kind],
+                DataType::Int,
+            ];
             let rows: Vec<Row> = (0..n)
                 .map(|id| {
                     let null = |rng: &mut fto_common::Rng| !fixed && rng.chance(0.1);
@@ -2689,16 +2737,16 @@ mod tests {
                         (_, true) => 0..8,
                         _ => 0..2,
                     };
-                    let c = match rng.range_usize(kinds.start, kinds.end) {
-                        0 => Value::Null,
-                        1 => Value::Int(rng.range_i64(-3, 4)),
-                        2 => Value::Double(rng.range_i64(-3, 4) as f64),
-                        3 => Value::Double(f64::NAN),
-                        4 => Value::Double(-0.0),
-                        5 => Value::Double(0.0),
+                    let c = match (rng.range_usize(kinds.start, kinds.end), wide_numeric) {
+                        (0, _) => Value::Null,
+                        (_, false) => Value::Int(rng.range_i64(-3, 4)),
+                        (1 | 2, _) => Value::Double(rng.range_i64(-3, 4) as f64),
+                        (3, _) => Value::Double(f64::NAN),
+                        (4, _) => Value::Double(-0.0),
+                        (5, _) => Value::Double(0.0),
                         _ => Value::Double(rng.range_f64(-3.0, 3.0)),
                     };
-                    let d = match (null(&mut rng), if fixed { 0 } else { last_kind }) {
+                    let d = match (null(&mut rng), last_kind) {
                         (true, _) => Value::Null,
                         (_, 0) => Value::Date(rng.range_i32(0, 5)),
                         (_, 1) => Value::Bool(rng.bool()),
@@ -2725,7 +2773,7 @@ mod tests {
                 while at < n {
                     let len = [1, 1, rng.range_usize(2, 40), 1024, 1500][rng.range_usize(0, 5)];
                     let end = (at + len).min(n);
-                    batches.push(Batch::from_rows_arity(&input[at..end], 5));
+                    batches.push(Batch::from_typed_rows(&types, &input[at..end]).unwrap());
                     at = end;
                 }
                 let tie = (1..n).find(|&i| {
@@ -2764,7 +2812,8 @@ mod tests {
                                     limit,
                                     (0, 1),
                                     &mut SortStats::default(),
-                                );
+                                )
+                                .unwrap();
                                 run.seqs.iter_mut().for_each(|s| *s += base);
                                 base += piece.iter().map(|b| b.len() as u64).sum::<u64>();
                                 run
@@ -2774,7 +2823,9 @@ mod tests {
                         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
                         let mut got = Vec::new();
                         let merged = merge_runs(&runs, limit, &mut SortStats::default());
-                        gather_rows(&sources, &merged).append_rows_to(&mut got);
+                        gather_rows(&sources, &merged)
+                            .unwrap()
+                            .append_rows_to(&mut got);
                         assert_eq!(exact(&got), want, "{case} parts={parts}");
                     }
                     let source = SortSource::RoundRobin {

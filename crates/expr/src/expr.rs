@@ -18,7 +18,8 @@ pub enum ArithOp {
 }
 
 impl ArithOp {
-    fn symbol(self) -> &'static str {
+    /// The operator as SQL writes it.
+    pub fn symbol(self) -> &'static str {
         match self {
             ArithOp::Add => "+",
             ArithOp::Sub => "-",

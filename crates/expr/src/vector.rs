@@ -10,11 +10,11 @@
 //! Every kernel decides exactly as the row evaluator does: comparisons go
 //! through the same total order ([`cmp_f64_nan_high`], [`cmp_int_double`],
 //! byte-wise string compare), NULL comparisons are false, and arithmetic
-//! is only vectorized over numeric columns — where it cannot error — so
-//! anything that *could* diverge from row-at-a-time semantics (mixed-type
-//! columns, string arithmetic) falls back to materializing rows and
-//! running the row evaluator. The differential suites hold the two paths
-//! bit-identical.
+//! is only vectorized over numeric operands — where it cannot error. That
+//! is every arithmetic the binder admits (it types each expression and
+//! refuses the rest), so a projection has no row path; a predicate whose
+//! shape has no kernel still runs the row evaluator over the selected
+//! rows. The differential suites hold the two engines bit-identical.
 
 use crate::expr::{ArithOp, Expr};
 use crate::layout::RowLayout;
@@ -81,33 +81,20 @@ pub fn filter_selection(
 }
 
 /// Evaluates each projection expression over the whole batch, returning
-/// the projected batch. Vectorizable expressions (column references,
-/// literals, numeric arithmetic) run columnar; the rest share one row
-/// materialization of the batch.
+/// the projected batch. Every well-typed expression — column references,
+/// literals, numeric arithmetic — evaluates as a column of its declared
+/// type; one that does not (arithmetic over a non-numeric operand, an
+/// untyped NULL literal: nothing the binder lets through) is an
+/// [`FtoError::Internal`].
 pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Result<Batch> {
-    let mut cols: Vec<Option<Arc<Column>>> = Vec::with_capacity(exprs.len());
-    let mut need_rows = false;
-    for e in exprs {
-        let c = try_eval_column(e, batch, layout)?;
-        need_rows |= c.is_none();
-        cols.push(c);
-    }
-    if need_rows {
-        let rows = batch.to_rows();
-        for (e, slot) in exprs.iter().zip(cols.iter_mut()) {
-            if slot.is_none() {
-                let mut vals = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    vals.push(e.eval(row, layout)?);
-                }
-                *slot = Some(Arc::new(Column::from_values(vals.iter())));
-            }
-        }
-    }
-    let cols: Vec<Arc<Column>> = cols
-        .into_iter()
-        .map(|c| c.expect("all slots filled"))
-        .collect();
+    let cols = exprs
+        .iter()
+        .map(|e| {
+            try_eval_column(e, batch, layout)?.ok_or_else(|| {
+                FtoError::internal(format!("projected expression {e} is not well typed"))
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
     Batch::from_columns_with_len(cols, batch.len())
 }
 
@@ -115,17 +102,18 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
 ///
 /// * a column reference — `Arc` clone of the batch column (errors like
 ///   the row path when the column is missing from the layout);
-/// * a literal — materialized constant column (only when the literal *is*
-///   the expression; as an arithmetic operand it stays a scalar);
+/// * a non-NULL literal — materialized constant column of the literal's
+///   type (only when the literal *is* the expression; as an arithmetic
+///   operand it stays a scalar);
 /// * arithmetic whose operands are numeric (`Int64`/`Float64`) columns or
 ///   numeric literals — typed loops reproducing [`Expr::eval`]'s semantics
 ///   (wrapping integer ops, division by zero → NULL, any float operand
 ///   widens, NULL propagates); numeric arithmetic cannot error, so
 ///   evaluating unselected rows is unobservable.
 ///
-/// Returns `Ok(None)` when the expression must run row-at-a-time
-/// (arithmetic over strings, dates, booleans, NULL literals or mixed-type
-/// columns — where the row evaluator may error or short-circuit).
+/// Returns `Ok(None)` for an expression with no column form: a NULL
+/// literal (it has no type) and arithmetic over strings, dates, booleans
+/// or NULL literals — where the row evaluator may error or short-circuit.
 pub fn try_eval_column(
     expr: &Expr,
     batch: &Batch,
@@ -138,7 +126,7 @@ pub fn try_eval_column(
                 .ok_or_else(|| FtoError::internal(format!("column {c} missing from row layout")))?;
             Ok(Some(Arc::clone(batch.column(pos))))
         }
-        Expr::Lit(v) => Ok(Some(Arc::new(constant_column(v, batch.len())))),
+        Expr::Lit(v) => Ok(constant_column(v, batch.len()).map(Arc::new)),
         Expr::Arith { op, left, right } => {
             let (Some(l), Some(r)) = (
                 Operand::eval(left, batch, layout)?,
@@ -151,12 +139,12 @@ pub fn try_eval_column(
     }
 }
 
-/// A column of `n` copies of `v`.
-fn constant_column(v: &Value, n: usize) -> Column {
-    let (data, validity) = match v {
-        Value::Null => (ColumnData::Int64(vec![0; n]), Some(Bitmap::new(n, false))),
-        Value::Int(x) => (ColumnData::Int64(vec![*x; n]), None),
-        Value::Double(x) => (ColumnData::Float64(vec![*x; n]), None),
+/// A column of `n` copies of `v`; none for NULL, which has no type.
+fn constant_column(v: &Value, n: usize) -> Option<Column> {
+    let data = match v {
+        Value::Null => return None,
+        Value::Int(x) => ColumnData::Int64(vec![*x; n]),
+        Value::Double(x) => ColumnData::Float64(vec![*x; n]),
         Value::Str(s) => {
             let mut offsets = Vec::with_capacity(n + 1);
             let mut bytes = Vec::with_capacity(n * s.len());
@@ -165,12 +153,15 @@ fn constant_column(v: &Value, n: usize) -> Column {
                 bytes.extend_from_slice(s.as_bytes());
                 offsets.push(bytes.len() as u32);
             }
-            (ColumnData::Utf8 { offsets, bytes }, None)
+            ColumnData::Utf8 { offsets, bytes }
         }
-        Value::Date(d) => (ColumnData::Date32(vec![*d; n]), None),
-        Value::Bool(b) => (ColumnData::Bool(vec![*b; n]), None),
+        Value::Date(d) => ColumnData::Date32(vec![*d; n]),
+        Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
     };
-    Column { data, validity }
+    Some(Column {
+        data,
+        validity: None,
+    })
 }
 
 /// One side of a vectorized arithmetic node: an evaluated column, or a
@@ -350,12 +341,6 @@ fn compare_col_lit(op: CompareOp, col: &Column, lit: &Value, sel: &mut Vec<u32>)
         }
         (ColumnData::Date32(vals), Value::Date(b)) => kernel!(i, vals[i].cmp(b)),
         (ColumnData::Bool(vals), Value::Bool(b)) => kernel!(i, vals[i].cmp(b)),
-        (ColumnData::Mixed(vals), _) => {
-            sel.retain(|&ix| {
-                let v = &vals[ix as usize];
-                !v.is_null() && op.evaluate(v.total_cmp(lit))
-            });
-        }
         // Cross-type comparison (e.g. an Int64 column against a string
         // literal): rank by type tag exactly as `Value::total_cmp`.
         _ => {
@@ -400,8 +385,8 @@ fn compare_col_col(op: CompareOp, l: &Column, r: &Column, sel: &mut Vec<u32>) {
             let i = ix as usize;
             l.is_valid(i) && r.is_valid(i) && op.evaluate(ord(i))
         }),
-        // Mixed or cross-type columns: per-slot Value comparison, which
-        // carries the exact total_cmp semantics (type-rank fallback).
+        // Cross-type columns: per-slot Value comparison, which carries
+        // the exact total_cmp semantics (type-rank fallback).
         None => sel.retain(|&ix| {
             let i = ix as usize;
             l.is_valid(i) && r.is_valid(i) && op.evaluate(l.value(i).total_cmp(&r.value(i)))
@@ -410,8 +395,8 @@ fn compare_col_col(op: CompareOp, l: &Column, r: &Column, sel: &mut Vec<u32>) {
 }
 
 /// Evaluates each aggregate argument expression over the whole batch —
-/// the vectorized front half of group-by accumulation. Falls back to
-/// row-at-a-time per expression exactly like [`project_batch`].
+/// the vectorized front half of group-by accumulation, typed exactly
+/// like [`project_batch`].
 pub fn eval_agg_args(args: &[Expr], batch: &Batch, layout: &RowLayout) -> Result<Vec<Arc<Column>>> {
     Ok(project_batch(args, batch, layout)?.columns().to_vec())
 }
@@ -419,6 +404,7 @@ pub fn eval_agg_args(args: &[Expr], batch: &Batch, layout: &RowLayout) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fto_common::DataType::{Bool, Date, Double, Int, Str};
     use fto_common::{ColId, Row};
 
     fn c(i: u32) -> ColId {
@@ -470,7 +456,7 @@ mod tests {
                 Value::Null,
             ],
         ]);
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Int, Double, Str, Date, Bool], &rs).unwrap();
         let layout = RowLayout::new((0..5).map(c).collect::<Vec<_>>());
         let lits = [
             Value::Int(0),
@@ -517,7 +503,7 @@ mod tests {
             vec![Value::Null, Value::Int(5)],
             vec![Value::Int(i64::MAX), Value::Int(1)],
         ]);
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Int, Int], &rs).unwrap();
         let layout = RowLayout::new(vec![c(0), c(1)]);
         for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div] {
             let e = Expr::arith(op, Expr::col(c(0)), Expr::col(c(1)));
@@ -533,7 +519,7 @@ mod tests {
             vec![Value::Null, Value::Double(2.0), Value::str("t")],
             vec![Value::Int(10), Value::Null, Value::Null],
         ]);
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Int, Double, Str], &rs).unwrap();
         let layout = RowLayout::new(vec![c(0), c(1), c(2)]);
         let exprs = vec![
             Expr::col(c(2)),
@@ -569,7 +555,7 @@ mod tests {
             vec![Value::Int(0), Value::Null, Value::Int(i64::MIN)],
             vec![Value::Int(i64::MAX), Value::Double(f64::NAN), Value::Int(1)],
         ]);
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Int, Double, Int], &rs).unwrap();
         let layout = RowLayout::new(vec![c(0), c(1), c(2)]);
         let lits = [
             Value::Int(7),
@@ -613,31 +599,38 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(col.validity.is_none());
-        // A NULL literal operand takes the row path (which yields NULL).
+        // A NULL literal has no type, so neither it nor arithmetic over it
+        // has a column form — and a projection of one is refused.
         let null_plus = Expr::arith(ArithOp::Add, Expr::Lit(Value::Null), Expr::col(c(2)));
-        assert!(try_eval_column(&null_plus, &batch, &layout)
-            .unwrap()
-            .is_none());
+        for untyped in [Expr::Lit(Value::Null), null_plus] {
+            assert!(try_eval_column(&untyped, &batch, &layout)
+                .unwrap()
+                .is_none());
+            let refused = project_batch(&[untyped], &batch, &layout);
+            assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
+        }
     }
 
     #[test]
     fn row_fallback_only_touches_selected_rows() {
-        // String arithmetic errors row-at-a-time; a prior predicate has
-        // already deselected the poisoned row, so the fallback must not
-        // evaluate it.
+        // String arithmetic errors row-at-a-time — except over a NULL,
+        // which yields NULL before the operands are looked at. A prior
+        // predicate has already deselected the poisoned row, so the
+        // fallback must not evaluate it.
         let rs = rows(vec![
             vec![Value::str("x"), Value::Int(1)],
-            vec![Value::Int(5), Value::Int(2)],
+            vec![Value::Null, Value::Int(2)],
         ]);
-        let batch = Batch::from_rows(&rs);
+        let batch = Batch::from_typed_rows(&[Str, Int], &rs).unwrap();
         let layout = RowLayout::new(vec![c(0), c(1)]);
         let p = Predicate::new(
-            CompareOp::Gt,
+            CompareOp::IsNull,
             Expr::arith(ArithOp::Add, Expr::col(c(0)), Expr::col(c(1))),
-            Expr::int(0),
+            Expr::Lit(Value::Null),
         );
         let mut sel = vec![1u32];
         filter_selection(&p, &batch, &layout, &mut sel).unwrap();
         assert_eq!(sel, vec![1]);
+        assert!(filter_selection(&p, &batch, &layout, &mut vec![0, 1]).is_err());
     }
 }

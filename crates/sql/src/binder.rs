@@ -12,11 +12,17 @@
 //!                  grouping columns, aggregate results), DISTINCT, and
 //!                  the ORDER BY output requirement
 //! ```
+//!
+//! What binds is typed: every expression and aggregate gets its declared
+//! type bottom-up from the catalog's column types (`expr_type`,
+//! `agg_type`), an ill-typed one is an [`FtoError::Semantic`] here
+//! rather than a run-time failure or a wrong answer, and the types minted
+//! for derived columns are what the executor builds those columns as.
 
 use crate::ast::*;
 use fto_catalog::Catalog;
-use fto_common::{ColId, ColSet, DataType, FtoError, Result};
-use fto_expr::{AggCall, CompareOp, Expr, Predicate};
+use fto_common::{ColId, ColSet, DataType, FtoError, Result, Value};
+use fto_expr::{AggCall, AggFunc, CompareOp, Expr, Predicate};
 use fto_order::{OrderSpec, SortKey};
 use fto_qgm::graph::{BoxId, BoxKind, OutputCol, OutputExpr, QueryGraph};
 
@@ -57,13 +63,30 @@ fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
         branches.push(bind_any(graph, catalog, &b.query)?);
     }
 
-    let arity = graph.boxed(branches[0]).output.len();
-    for &b in &branches[1..] {
-        if graph.boxed(b).output.len() != arity {
+    // Branches agree on arity and, position by position, on type: the
+    // output takes the first branch's, and nothing is promoted (the
+    // interpreter would keep an `Int` branch and a `Double` branch apart).
+    let types_of = |graph: &QueryGraph, b: BoxId| -> Vec<DataType> {
+        let cols = graph.boxed(b).output.iter();
+        cols.map(|o| graph.registry.info(o.col).data_type).collect()
+    };
+    let first_types = types_of(graph, branches[0]);
+    let arity = first_types.len();
+    for (n, &b) in branches.iter().enumerate().skip(1) {
+        let types = types_of(graph, b);
+        if types.len() != arity {
             return Err(FtoError::Semantic(format!(
-                "UNION branches have different arities ({} vs {})",
-                arity,
-                graph.boxed(b).output.len()
+                "UNION branches have different arities ({arity} vs {})",
+                types.len()
+            )));
+        }
+        if let Some(k) = (0..arity).find(|&k| types[k] != first_types[k]) {
+            return Err(FtoError::Semantic(format!(
+                "UNION branch {} column {} is {} where the first branch has {}",
+                n + 1,
+                k + 1,
+                types[k],
+                first_types[k]
             )));
         }
     }
@@ -77,9 +100,8 @@ fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
     let first_cols = graph.boxed(branches[0]).output_cols();
     let mut outputs = Vec::with_capacity(arity);
     let mut names = Vec::with_capacity(arity);
-    for &c in &first_cols {
+    for (&c, dt) in first_cols.iter().zip(first_types) {
         let name = graph.registry.name(c).to_string();
-        let dt = graph.registry.info(c).data_type;
         let out = graph.fresh_derived(union_box, name.clone(), dt);
         outputs.push(OutputCol::passthrough(out));
         names.push(name);
@@ -206,14 +228,14 @@ fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
             WherePred::Compare(pred) => {
                 let p = Predicate::new(
                     pred.op,
-                    bind_expr(&scope, &pred.left)?,
-                    bind_expr(&scope, &pred.right)?,
+                    bind_expr(graph, &scope, &pred.left)?,
+                    bind_expr(graph, &scope, &pred.right)?,
                 );
                 let pid = graph.add_predicate(p);
                 graph.boxed_mut(sel).predicates.push(pid);
             }
             WherePred::InSubquery { expr, query } => {
-                let tested = bind_expr(&scope, expr)?;
+                let tested = bind_expr(graph, &scope, expr)?;
                 let child = bind_any(graph, catalog, query)?;
                 if graph.boxed(child).output.len() != 1 {
                     return Err(FtoError::Semantic(
@@ -329,8 +351,8 @@ fn bind_join_tree(
     for pred in on {
         let p = Predicate::new(
             pred.op,
-            bind_expr(&local, &pred.left)?,
-            bind_expr(&local, &pred.right)?,
+            bind_expr(graph, &local, &pred.left)?,
+            bind_expr(graph, &local, &pred.right)?,
         );
         pids.push(graph.add_predicate(p));
     }
@@ -395,7 +417,7 @@ fn bind_plain_select(
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                let e = bind_expr(scope, expr)?;
+                let e = bind_expr(graph, scope, expr)?;
                 match e.as_col() {
                     Some(c) => {
                         outputs.push(OutputCol::passthrough(c));
@@ -407,7 +429,7 @@ fn bind_plain_select(
                     }
                     None => {
                         let name = alias.clone().unwrap_or_else(|| format!("col{}", i + 1));
-                        let col = graph.fresh_derived(sel, name.clone(), expr_type(&e));
+                        let col = graph.fresh_derived(sel, name.clone(), expr_type(graph, &e)?);
                         outputs.push(OutputCol {
                             col,
                             expr: OutputExpr::Scalar(e),
@@ -465,7 +487,7 @@ fn bind_aggregate_select(
                 ))
             }
             SelectItem::Expr { expr, alias } => {
-                let e = bind_expr(scope, expr)?;
+                let e = bind_expr(graph, scope, expr)?;
                 if !e.cols().is_subset(&grouping_set) {
                     return Err(FtoError::Semantic(format!(
                         "select item {} must reference only grouping columns",
@@ -487,8 +509,9 @@ fn bind_aggregate_select(
                 }
             }
             SelectItem::Agg { agg, alias } => {
+                // (Typed with the call, when its result column is minted.)
                 let arg = match &agg.arg {
-                    Some(e) => bind_expr(scope, e)?,
+                    Some(e) => resolve_expr(scope, e)?,
                     None => Expr::int(1), // count(*) ≡ count(1)
                 };
                 needed.union_with(&arg.cols());
@@ -529,7 +552,7 @@ fn bind_aggregate_select(
         .map(|&c| OutputCol::passthrough(c))
         .collect();
     for (call, col_slot, name) in &mut aggs {
-        let col = graph.fresh_derived(gb, name.clone(), agg_type(call));
+        let col = graph.fresh_derived(gb, name.clone(), agg_type(graph, call)?);
         *col_slot = col;
         gb_outputs.push(OutputCol {
             col,
@@ -542,7 +565,10 @@ fn bind_aggregate_select(
     let fin = graph.add_box(BoxKind::Select);
     graph.add_box_quantifier(fin, gb);
     for (op, left, right) in having_bound {
+        // Aggregate results have columns — and with them types — only now.
         let pred = Predicate::new(op, left.lower(&aggs), right.lower(&aggs));
+        check_typed(graph, &pred.left)?;
+        check_typed(graph, &pred.right)?;
         let pid = graph.add_predicate(pred);
         graph.boxed_mut(fin).predicates.push(pid);
     }
@@ -552,7 +578,7 @@ fn bind_aggregate_select(
         let (output, name) = match item {
             FinalItem::Pass(c, name) => (OutputCol::passthrough(c), name),
             FinalItem::Computed(e, name) => {
-                let col = graph.fresh_derived(fin, name.clone(), expr_type(&e));
+                let col = graph.fresh_derived(fin, name.clone(), expr_type(graph, &e)?);
                 (
                     OutputCol {
                         col,
@@ -631,12 +657,20 @@ fn resolve_order_by(
     Ok(Some(spec))
 }
 
-fn bind_expr(scope: &Scope, e: &SqlExpr) -> Result<Expr> {
+/// Resolves a scalar expression against `scope` and types it: what binds
+/// is well typed, wherever in the statement it stands.
+fn bind_expr(graph: &QueryGraph, scope: &Scope, e: &SqlExpr) -> Result<Expr> {
+    let bound = resolve_expr(scope, e)?;
+    check_typed(graph, &bound)?;
+    Ok(bound)
+}
+
+fn resolve_expr(scope: &Scope, e: &SqlExpr) -> Result<Expr> {
     Ok(match e {
         SqlExpr::Column(r) => Expr::col(scope.resolve(r)?),
         SqlExpr::Literal(v) => Expr::Lit(v.clone()),
         SqlExpr::Arith { op, left, right } => {
-            Expr::arith(*op, bind_expr(scope, left)?, bind_expr(scope, right)?)
+            Expr::arith(*op, resolve_expr(scope, left)?, resolve_expr(scope, right)?)
         }
         SqlExpr::Agg(_) => {
             return Err(FtoError::Semantic(
@@ -696,7 +730,7 @@ fn bind_having_expr(
         ),
         SqlExpr::Agg(call) => {
             let arg = match &call.arg {
-                Some(e) => bind_expr(scope, e)?,
+                Some(e) => resolve_expr(scope, e)?,
                 None => Expr::int(1),
             };
             needed.union_with(&arg.cols());
@@ -717,15 +751,74 @@ fn bind_having_expr(
     })
 }
 
-/// Crude output typing for derived columns (display metadata only).
-fn expr_type(_e: &Expr) -> DataType {
-    DataType::Double
+/// `e` with its columns by name, for error messages.
+fn show(graph: &QueryGraph, e: &Expr) -> String {
+    match e {
+        Expr::Col(c) => graph.registry.name(*c).to_string(),
+        Expr::Lit(v) => v.to_string(),
+        Expr::Arith { op, left, right } => format!(
+            "({} {} {})",
+            show(graph, left),
+            op.symbol(),
+            show(graph, right)
+        ),
+    }
 }
 
-fn agg_type(call: &AggCall) -> DataType {
+/// The declared type of `e`: the type of every non-NULL value it
+/// evaluates to, decided here once so that no stream has to look at its
+/// values to know. The rules restate `Expr::eval`'s arithmetic — `Int ∘
+/// Int` stays `Int`, an `Int`/`Double` mix widens to `Double` — and turn
+/// what it fails on at run time, any other operand, into an
+/// [`FtoError::Semantic`] before a page is read.
+fn expr_type(graph: &QueryGraph, e: &Expr) -> Result<DataType> {
+    match e {
+        Expr::Col(c) => Ok(graph.registry.info(*c).data_type),
+        Expr::Lit(v) => v
+            .data_type()
+            .ok_or_else(|| FtoError::Semantic("a NULL literal has no type".into())),
+        Expr::Arith { op, left, right } => {
+            use DataType::{Double, Int};
+            match (expr_type(graph, left)?, expr_type(graph, right)?) {
+                (Int, Int) => Ok(Int),
+                (Int | Double, Int | Double) => Ok(Double),
+                (l, r) => Err(FtoError::Semantic(format!(
+                    "{}: cannot apply {} to {l} and {r}",
+                    show(graph, e),
+                    op.symbol()
+                ))),
+            }
+        }
+    }
+}
+
+/// Types `e` — unless it is the bare NULL of an `IS [NOT] NULL` test, the
+/// one untyped literal the grammar produces, which nothing evaluates.
+fn check_typed(graph: &QueryGraph, e: &Expr) -> Result<()> {
+    if !matches!(e, Expr::Lit(Value::Null)) {
+        expr_type(graph, e)?;
+    }
+    Ok(())
+}
+
+/// The declared type of an aggregate's result, restating
+/// `Accumulator::finish`: `count` counts, `avg` divides as a double, `sum`
+/// stays in its argument's numeric type, `min`/`max` hand back one of
+/// their arguments.
+fn agg_type(graph: &QueryGraph, call: &AggCall) -> Result<DataType> {
+    let arg = expr_type(graph, &call.arg)?;
+    let numeric = matches!(arg, DataType::Int | DataType::Double);
     match call.func {
-        fto_expr::AggFunc::Count => DataType::Int,
-        _ => DataType::Double,
+        AggFunc::Count => Ok(DataType::Int),
+        AggFunc::Min | AggFunc::Max => Ok(arg),
+        AggFunc::Sum if numeric => Ok(arg),
+        AggFunc::Avg if numeric => Ok(DataType::Double),
+        AggFunc::Sum | AggFunc::Avg => Err(FtoError::Semantic(format!(
+            "{}({}): the argument is {arg}, {} takes INT or DOUBLE",
+            call.func.name(),
+            show(graph, &call.arg),
+            call.func.name()
+        ))),
     }
 }
 
@@ -866,6 +959,104 @@ mod tests {
         assert_eq!(root.output.len(), 1);
         assert!(!root.output[0].is_passthrough());
         assert_eq!(g.registry.name(root.output[0].col), "k1");
+    }
+
+    #[test]
+    fn derived_columns_are_typed_bottom_up() {
+        use DataType::{Date, Double, Int};
+        let types = |sql: &str| -> Vec<DataType> {
+            let g = bind_sql(sql).unwrap();
+            let root = g.boxed(g.root);
+            let cols = root.output.iter();
+            cols.map(|o| g.registry.info(o.col).data_type).collect()
+        };
+        assert_eq!(
+            types(
+                "select o_orderkey + 1, o_orderkey * 2.5, l_price / o_custkey, 7, 0.5, \
+                 o_orderdate from orders, lineitem where o_orderkey = l_orderkey"
+            ),
+            [Int, Double, Double, Int, Double, Date]
+        );
+        assert_eq!(
+            types(
+                "select count(*), count(o_orderdate), sum(o_custkey), sum(l_price), \
+                 avg(o_custkey), min(o_orderdate), max(l_price), sum(o_custkey + l_price) \
+                 from orders, lineitem where o_orderkey = l_orderkey"
+            ),
+            [Int, Int, Int, Double, Double, Date, Double, Double]
+        );
+        // Through a derived table, a grouping expression and a union.
+        assert_eq!(
+            types("select v.k + 1 from (select o_orderkey * 1.0 as k from orders) as v"),
+            [Double]
+        );
+        assert_eq!(
+            types("select o_custkey * 2, max(o_orderkey) from orders group by o_custkey"),
+            [Int, Int]
+        );
+        assert_eq!(
+            types("select l_price from lineitem union select l_price * 2 from lineitem"),
+            [Double]
+        );
+    }
+
+    #[test]
+    fn ill_typed_statements_are_semantic_errors() {
+        for (sql, says) in [
+            (
+                "select o_orderdate + 1 from orders",
+                "(o_orderdate + 1): cannot apply + to DATE and INT",
+            ),
+            (
+                "select o_orderkey from orders where o_orderdate * 2 > 0",
+                "cannot apply * to DATE and INT",
+            ),
+            (
+                "select 'a' - o_custkey from orders",
+                "('a' - o_custkey): cannot apply - to VARCHAR and INT",
+            ),
+            (
+                "select sum(o_orderdate) from orders",
+                "sum(o_orderdate): the argument is DATE",
+            ),
+            (
+                "select avg(o_orderdate) from orders",
+                "avg(o_orderdate): the argument is DATE",
+            ),
+            (
+                "select count(o_orderdate + 1) from orders",
+                "cannot apply + to DATE and INT",
+            ),
+            (
+                "select o_custkey from orders group by o_custkey having max(o_orderdate) + 1 > 0",
+                "cannot apply + to DATE and INT",
+            ),
+            (
+                "select o_orderkey from orders join lineitem on o_orderdate / 2 = l_orderkey",
+                "cannot apply / to DATE and INT",
+            ),
+            (
+                "select o_orderkey from orders union select o_orderdate from orders",
+                "UNION branch 2 column 1 is DATE where the first branch has INT",
+            ),
+            // No promotion either: the interpreter would keep them apart.
+            (
+                "select o_orderkey, o_custkey from orders union all \
+                 select l_orderkey, l_price from lineitem",
+                "UNION branch 2 column 2 is DOUBLE where the first branch has INT",
+            ),
+        ] {
+            match bind_sql(sql) {
+                Err(FtoError::Semantic(msg)) => assert!(msg.contains(says), "{sql}: {msg}"),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        // Comparisons rank across types and NULL tests are untyped: both
+        // still bind.
+        bind_sql("select o_orderkey from orders where o_orderdate is not null and o_custkey < 2.5")
+            .unwrap();
+        bind_sql("select o_custkey from orders group by o_custkey having min(o_orderdate) is null")
+            .unwrap();
     }
 
     #[test]

@@ -43,12 +43,14 @@ impl Database {
         self.finish_load(loader)
     }
 
-    /// A loader for `table`'s heap. It holds no borrow of the database,
-    /// so a generator can fill several tables in one interleaved pass
-    /// without ever holding a table's worth of rows.
+    /// A loader for `table`'s heap, building every column as the type the
+    /// catalog declares for it. It holds no borrow of the database, so a
+    /// generator can fill several tables in one interleaved pass without
+    /// ever holding a table's worth of rows.
     pub fn loader(&self, table: TableId) -> Result<HeapLoader> {
         let def = self.catalog.table(table)?;
-        Ok(HeapLoader::new(table, def.arity(), def.row_width()))
+        let types: Vec<_> = def.columns.iter().map(|c| c.data_type).collect();
+        Ok(HeapLoader::new(table, &types, def.row_width()))
     }
 
     /// Installs a loaded heap (replacing the table's previous contents):
@@ -57,17 +59,20 @@ impl Database {
     pub fn finish_load(&mut self, loader: HeapLoader) -> Result<()> {
         let table = loader.table();
         let def = self.catalog.table(table)?;
-        let mut heap = loader.finish();
-        if heap.arity() != def.arity() {
+        let mut heap = loader.finish()?;
+        if !heap
+            .types()
+            .iter()
+            .eq(def.columns.iter().map(|c| &c.data_type))
+        {
             return Err(FtoError::Catalog(format!(
-                "loader of arity {} does not match table '{}' arity {}",
-                heap.arity(),
-                def.name,
-                def.arity()
+                "loader of column types {:?} does not match table '{}'",
+                heap.types(),
+                def.name
             )));
         }
         if let Some(cix) = self.catalog.indexes_for(table).find(|ix| ix.clustered) {
-            heap.cluster_by(&cix.key);
+            heap.cluster_by(&cix.key)?;
         }
 
         for ixdef in self.catalog.indexes_for(table) {
@@ -77,7 +82,7 @@ impl Database {
         }
 
         // Refresh statistics (the engine's RUNSTATS).
-        let stats = TableStats::from_chunks(heap.chunks(), heap.arity(), heap.rows_per_page());
+        let stats = TableStats::from_chunks(heap.chunks(), heap.types(), heap.rows_per_page())?;
         self.catalog.set_stats(table, stats);
 
         self.heaps.insert(table, heap);
@@ -164,9 +169,24 @@ mod tests {
     #[test]
     fn foreign_loader_rejected() {
         let (mut db, t) = make_db();
-        let loader = HeapLoader::new(t, 3, 24);
-        assert!(db.finish_load(loader).is_err());
-        assert!(db.heap(t).is_err());
+        // Another arity, and the right arity with another type.
+        for types in [&[DataType::Int; 3][..], &[DataType::Int, DataType::Double]] {
+            let loader = HeapLoader::new(t, types, 24);
+            assert!(db.finish_load(loader).is_err());
+            assert!(db.heap(t).is_err());
+        }
+    }
+
+    #[test]
+    fn ill_typed_load_is_refused_and_installs_nothing() {
+        let (mut db, t) = make_db();
+        db.load_table(t, vec![row2(1, 1)]).unwrap();
+        let bad: Row = vec![Value::Int(2), Value::Double(2.0)].into_boxed_slice();
+        let err = db.load_table(t, vec![row2(3, 3), bad]).unwrap_err();
+        assert!(matches!(&err, FtoError::Catalog(m) if m.contains("column 1 row 1")));
+        // The previous contents, statistics included, are untouched.
+        assert_eq!(db.heap(t).unwrap().to_rows(), vec![row2(1, 1)]);
+        assert_eq!(db.catalog().stats(t).row_count, 1);
     }
 
     #[test]

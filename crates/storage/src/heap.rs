@@ -10,7 +10,7 @@
 
 use crate::io::PAGE_SIZE;
 use fto_common::column::encode_batch_keys_arena;
-use fto_common::{Batch, Direction, FtoError, Result, Row, TableId, Value};
+use fto_common::{Batch, DataType, Direction, FtoError, Result, Row, TableId, Value};
 
 /// Rows per stored chunk: the executor's default batch size, so a
 /// default-sized pull at a chunk boundary is one whole chunk.
@@ -20,7 +20,9 @@ const CHUNK_ROWS: usize = 1024;
 #[derive(Debug)]
 pub struct HeapTable {
     table: TableId,
-    arity: usize,
+    /// The declared type of every column: what each chunk's columns are
+    /// built as, whatever values (or NULLs) they hold.
+    types: Vec<DataType>,
     /// Every chunk but the last holds exactly [`CHUNK_ROWS`] rows.
     chunks: Vec<Batch>,
     rows: usize,
@@ -35,7 +37,12 @@ impl HeapTable {
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.types.len()
+    }
+
+    /// The declared column types.
+    pub fn types(&self) -> &[DataType] {
+        &self.types
     }
 
     /// Number of rows.
@@ -66,8 +73,11 @@ impl HeapTable {
     /// Rows `lo..hi` in heap order. A range covering exactly one chunk
     /// shares that chunk's columns (`Arc` clones, no copy); a range
     /// inside one chunk is a typed slice; a wider one concatenates.
-    pub fn columns(&self, lo: usize, hi: usize) -> Batch {
+    pub fn columns(&self, lo: usize, hi: usize) -> Result<Batch> {
         debug_assert!(lo <= hi && hi <= self.rows);
+        if lo == hi {
+            return Ok(Batch::empty(&self.types));
+        }
         let mut parts = Vec::new();
         let mut at = lo;
         while at < hi {
@@ -77,13 +87,12 @@ impl HeapTable {
             parts.push(chunk.slice(offset, len));
             at += len;
         }
-        Batch::concat(self.arity, &parts)
+        Batch::concat(&parts)
     }
 
     /// The rows named by `rids`, in that order (ids may repeat).
-    pub fn gather(&self, rids: &[usize]) -> Batch {
-        // Only the chunks actually named become gather sources, so the
-        // gather runs typed whenever *they* agree on a representation.
+    pub fn gather(&self, rids: &[usize]) -> Result<Batch> {
+        // Only the chunks actually named become gather sources.
         let mut slot_of = vec![u32::MAX; self.chunks.len()];
         let mut sources: Vec<&Batch> = Vec::new();
         let pairs: Vec<(u32, u32)> = rids
@@ -98,7 +107,7 @@ impl HeapTable {
             })
             .collect();
         if sources.is_empty() {
-            return Batch::empty(self.arity);
+            return Ok(Batch::empty(&self.types));
         }
         Batch::gather_multi(&sources, &pairs)
     }
@@ -148,25 +157,27 @@ impl HeapTable {
     /// Reorders the heap by `keys` (stable: equal keys keep their load
     /// order). Rows already in key order — every generated table — are
     /// left exactly as loaded.
-    pub(crate) fn cluster_by(&mut self, keys: &[(usize, Direction)]) {
+    pub(crate) fn cluster_by(&mut self, keys: &[(usize, Direction)]) -> Result<()> {
         let (arena, offsets) = self.encode_keys(keys);
         let enc = |rid: usize| &arena[offsets[rid]..offsets[rid + 1]];
         if (1..self.rows).all(|rid| enc(rid - 1) <= enc(rid)) {
-            return;
+            return Ok(());
         }
         let mut order: Vec<usize> = (0..self.rows).collect();
         order.sort_by(|&a, &b| enc(a).cmp(enc(b)));
         self.chunks = order
             .chunks(CHUNK_ROWS)
             .map(|rids| self.gather(rids))
-            .collect();
+            .collect::<Result<_>>()?;
+        Ok(())
     }
 }
 
-/// Builds a [`HeapTable`] from pushed rows, sealing a column chunk every
-/// [`CHUNK_ROWS`] rows. At most one chunk of rows is alive at a time, so
-/// a load never leaves a table's worth of freed row boxes behind for
-/// later allocations to scatter into.
+/// Builds a [`HeapTable`] from pushed rows, sealing a chunk of columns —
+/// each of its declared type, built in one pass — every [`CHUNK_ROWS`]
+/// rows. At most one chunk of rows is alive at a time, so a load never
+/// leaves a table's worth of freed row boxes behind for later allocations
+/// to scatter into.
 #[derive(Debug)]
 pub struct HeapLoader {
     heap: HeapTable,
@@ -174,14 +185,14 @@ pub struct HeapLoader {
 }
 
 impl HeapLoader {
-    /// A loader for `table`, whose rows have `arity` columns and a
-    /// declared width of `row_width` bytes; page geometry is derived
-    /// from [`PAGE_SIZE`].
-    pub fn new(table: TableId, arity: usize, row_width: usize) -> HeapLoader {
+    /// A loader for `table`, whose columns have the declared `types` and
+    /// whose rows have a declared width of `row_width` bytes; page
+    /// geometry is derived from [`PAGE_SIZE`].
+    pub fn new(table: TableId, types: &[DataType], row_width: usize) -> HeapLoader {
         HeapLoader {
             heap: HeapTable {
                 table,
-                arity,
+                types: types.to_vec(),
                 chunks: Vec::new(),
                 rows: 0,
                 rows_per_page: (PAGE_SIZE / row_width.max(1)).max(1) as u64,
@@ -196,36 +207,48 @@ impl HeapLoader {
     }
 
     /// Appends a row; its row id is the number of rows pushed before it.
+    /// A row of another arity, or one holding a non-NULL value of another
+    /// type than its column declares (an `Int` in a `Double` column
+    /// included: nothing is coerced), is refused with an
+    /// [`FtoError::Catalog`].
     pub fn push(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.heap.arity {
+        let table = self.heap.table;
+        if row.len() != self.heap.arity() {
             return Err(FtoError::Catalog(format!(
-                "row arity {} does not match table {} arity {}",
+                "row arity {} does not match table {table} arity {}",
                 row.len(),
-                self.heap.table,
-                self.heap.arity
+                self.heap.arity()
             )));
+        }
+        for (ordinal, (&ty, v)) in self.heap.types.iter().zip(row.iter()).enumerate() {
+            if v.data_type().is_some_and(|found| found != ty) {
+                return Err(FtoError::Catalog(format!(
+                    "table {table} column {ordinal} row {}: declared {ty}, found {v:?}",
+                    self.heap.rows + self.pending.len()
+                )));
+            }
         }
         self.pending.push(row);
         if self.pending.len() == CHUNK_ROWS {
-            self.seal();
+            self.seal()?;
         }
         Ok(())
     }
 
-    fn seal(&mut self) {
+    fn seal(&mut self) -> Result<()> {
         self.heap.rows += self.pending.len();
-        self.heap
-            .chunks
-            .push(Batch::from_rows_arity(&self.pending, self.heap.arity));
+        let chunk = Batch::from_typed_rows(&self.heap.types, &self.pending)?;
+        self.heap.chunks.push(chunk);
         self.pending.clear();
+        Ok(())
     }
 
     /// The loaded heap.
-    pub fn finish(mut self) -> HeapTable {
+    pub fn finish(mut self) -> Result<HeapTable> {
         if !self.pending.is_empty() {
-            self.seal();
+            self.seal()?;
         }
-        self.heap
+        Ok(self.heap)
     }
 }
 
@@ -234,11 +257,11 @@ mod tests {
     use super::*;
 
     fn int_heap(width: usize, n: i64) -> HeapTable {
-        let mut l = HeapLoader::new(TableId(0), 1, width);
+        let mut l = HeapLoader::new(TableId(0), &[DataType::Int], width);
         for i in 0..n {
             l.push(vec![Value::Int(i)].into_boxed_slice()).unwrap();
         }
-        l.finish()
+        l.finish().unwrap()
     }
 
     #[test]
@@ -259,8 +282,8 @@ mod tests {
         let h = int_heap(8, 0);
         assert_eq!(h.page_count(), 1);
         assert_eq!(h.row_count(), 0);
-        assert_eq!(h.gather(&[]).arity(), 1);
-        assert_eq!(h.columns(0, 0).arity(), 1);
+        assert_eq!(h.gather(&[]).unwrap().arity(), 1);
+        assert_eq!(h.columns(0, 0).unwrap().arity(), 1);
     }
 
     #[test]
@@ -276,14 +299,14 @@ mod tests {
         assert_eq!(h.chunks().len(), 3);
         assert_eq!(h.row(CHUNK_ROWS + 1)[0], Value::Int(CHUNK_ROWS as i64 + 1));
         assert_eq!(h.to_rows().len(), n as usize);
-        let got = h.gather(&[2 * CHUNK_ROWS + 4, 0, CHUNK_ROWS, 0]);
+        let got = h.gather(&[2 * CHUNK_ROWS + 4, 0, CHUNK_ROWS, 0]).unwrap();
         let keys: Vec<i64> = got
             .to_rows()
             .iter()
             .map(|r| r[0].as_int().unwrap())
             .collect();
         assert_eq!(keys, vec![n - 1, 0, CHUNK_ROWS as i64, 0]);
-        let span = h.columns(CHUNK_ROWS - 1, CHUNK_ROWS + 2);
+        let span = h.columns(CHUNK_ROWS - 1, CHUNK_ROWS + 2).unwrap();
         let keys: Vec<i64> = span
             .to_rows()
             .iter()
@@ -295,7 +318,7 @@ mod tests {
     #[test]
     fn whole_chunk_pull_shares_the_stored_columns() {
         let h = int_heap(8, 2 * CHUNK_ROWS as i64);
-        let pulled = h.columns(CHUNK_ROWS, 2 * CHUNK_ROWS);
+        let pulled = h.columns(CHUNK_ROWS, 2 * CHUNK_ROWS).unwrap();
         assert!(std::sync::Arc::ptr_eq(
             pulled.column(0),
             h.chunks()[1].column(0)
@@ -304,25 +327,69 @@ mod tests {
 
     #[test]
     fn wrong_arity_is_rejected() {
-        let mut l = HeapLoader::new(TableId(3), 2, 16);
+        let mut l = HeapLoader::new(TableId(3), &[DataType::Int; 2], 16);
         assert!(l.push(vec![Value::Int(1)].into_boxed_slice()).is_err());
     }
 
     #[test]
+    fn a_value_of_another_type_than_declared_is_refused() {
+        // Every declared type against every other kind of value, on the
+        // first row and past a sealed chunk: a catalog error naming table,
+        // column, row, both types — and the row is not half-loaded.
+        use DataType::{Bool, Date, Double, Int, Str};
+        let samples = [
+            Value::Int(5),
+            Value::Double(5.0),
+            Value::str("5"),
+            Value::Date(5),
+            Value::Bool(true),
+        ];
+        for (ty, good) in [Int, Double, Str, Date, Bool].into_iter().zip(&samples) {
+            for loaded in [0, CHUNK_ROWS + 3] {
+                let mut l = HeapLoader::new(TableId(7), &[Int, ty], 16);
+                let row = |v: &Value| vec![Value::Int(0), v.clone()].into_boxed_slice();
+                for _ in 0..loaded {
+                    l.push(row(good)).unwrap();
+                }
+                for bad in samples.iter().filter(|v| v.data_type() != Some(ty)) {
+                    let err = l.push(row(bad)).unwrap_err();
+                    let FtoError::Catalog(msg) = &err else {
+                        panic!("{ty} column, {bad:?}: {err:?}");
+                    };
+                    let found = format!("found {bad:?}");
+                    let at = format!("table {} column 1 row {loaded}:", TableId(7));
+                    for part in [at, format!("declared {ty}"), found] {
+                        assert!(msg.contains(&part), "{msg} lacks {part}");
+                    }
+                }
+                l.push(row(&Value::Null)).unwrap();
+                let h = l.finish().unwrap();
+                assert_eq!(h.row_count() as usize, loaded + 1);
+                let rows = h.to_rows();
+                assert!(rows[..loaded].iter().all(|r| &r[1] == good));
+                assert!(rows[loaded][1].is_null());
+                let held: Vec<DataType> =
+                    h.chunks().iter().map(|c| c.column(1).data_type()).collect();
+                assert!(held.iter().all(|&t| t == ty), "{held:?}");
+            }
+        }
+    }
+
+    #[test]
     fn cluster_by_is_stable_and_skips_sorted_heaps() {
-        let mut l = HeapLoader::new(TableId(0), 2, 16);
+        let mut l = HeapLoader::new(TableId(0), &[DataType::Int; 2], 16);
         for (k, v) in [(2, 0), (1, 1), (2, 2), (1, 3)] {
             l.push(vec![Value::Int(k), Value::Int(v)].into_boxed_slice())
                 .unwrap();
         }
-        let mut h = l.finish();
-        h.cluster_by(&[(0, Direction::Asc)]);
+        let mut h = l.finish().unwrap();
+        h.cluster_by(&[(0, Direction::Asc)]).unwrap();
         let vs: Vec<i64> = h.to_rows().iter().map(|r| r[1].as_int().unwrap()).collect();
         assert_eq!(vs, vec![1, 3, 0, 2]);
 
         let mut sorted = int_heap(8, 10);
         let before = sorted.chunks()[0].column(0).clone();
-        sorted.cluster_by(&[(0, Direction::Asc)]);
+        sorted.cluster_by(&[(0, Direction::Asc)]).unwrap();
         assert!(std::sync::Arc::ptr_eq(
             &before,
             sorted.chunks()[0].column(0)

@@ -144,11 +144,11 @@ mod tests {
     use fto_common::TableId;
 
     fn heap_of(rows: impl IntoIterator<Item = [Value; 2]>) -> HeapTable {
-        let mut l = HeapLoader::new(TableId(0), 2, 16);
+        let mut l = HeapLoader::new(TableId(0), &[fto_common::DataType::Int; 2], 16);
         for row in rows {
             l.push(Box::new(row)).unwrap();
         }
-        l.finish()
+        l.finish().unwrap()
     }
 
     fn heap(rows: &[(i64, i64)]) -> HeapTable {

@@ -14,7 +14,7 @@
 use crate::heap::HeapTable;
 use crate::index::{OrderedIndex, ENTRIES_PER_LEAF};
 use crate::io::{IoStats, PageCursor};
-use fto_common::{Batch, Value};
+use fto_common::{Batch, Result, Value};
 
 /// Splits `[lo, hi)` into `parts` deterministic contiguous chunks and
 /// returns the bounds of chunk `part`, with every *interior* cut rounded
@@ -100,7 +100,12 @@ impl HeapScanState {
     /// actually crossed. A scan run to completion therefore charges
     /// exactly [`HeapTable::page_count`] pages; a scan abandoned early
     /// charges only the pages behind the rows it produced.
-    pub fn next_columns(&mut self, heap: &HeapTable, max_rows: usize, io: &mut IoStats) -> Batch {
+    pub fn next_columns(
+        &mut self,
+        heap: &HeapTable,
+        max_rows: usize,
+        io: &mut IoStats,
+    ) -> Result<Batch> {
         self.next_columns_pooled(heap, max_rows, io, None)
     }
 
@@ -119,11 +124,11 @@ impl HeapScanState {
         max_rows: usize,
         io: &mut IoStats,
         mut pool: Option<&mut crate::BufferPool>,
-    ) -> Batch {
+    ) -> Result<Batch> {
         let total = (heap.row_count() as usize).min(self.end_rid);
         let end = (self.next_rid + max_rows.max(1)).min(total);
         if self.next_rid >= end {
-            return Batch::empty(heap.arity());
+            return heap.columns(0, 0);
         }
         let tag = heap_pool_tag(heap);
         for rid in self.next_rid..end {
@@ -131,9 +136,9 @@ impl HeapScanState {
                 .touch_pooled(tag, heap.page_of(rid), io, pool.as_deref_mut());
             io.rows_read += 1;
         }
-        let batch = heap.columns(self.next_rid, end);
+        let batch = heap.columns(self.next_rid, end)?;
         self.next_rid = end;
-        batch
+        Ok(batch)
     }
 }
 
@@ -236,7 +241,7 @@ impl IndexScanState {
         heap: &HeapTable,
         max_rows: usize,
         io: &mut IoStats,
-    ) -> Batch {
+    ) -> Result<Batch> {
         self.next_columns_pooled(index, heap, max_rows, io, None, 0)
     }
 
@@ -257,7 +262,7 @@ impl IndexScanState {
         io: &mut IoStats,
         mut pool: Option<&mut crate::BufferPool>,
         leaf_tag: u64,
-    ) -> Batch {
+    ) -> Result<Batch> {
         let take = max_rows.max(1).min(self.end - self.start.min(self.end));
         let tag = heap_pool_tag(heap);
         let mut rids = Vec::with_capacity(take);
@@ -306,12 +311,12 @@ mod tests {
 
     // 100-byte rows: 40 rows per page.
     fn heap_of(rows: impl IntoIterator<Item = (i64, i64)>) -> HeapTable {
-        let mut l = HeapLoader::new(TableId(0), 2, 100);
+        let mut l = HeapLoader::new(TableId(0), &[fto_common::DataType::Int; 2], 100);
         for (a, b) in rows {
             l.push(vec![Value::Int(a), Value::Int(b)].into_boxed_slice())
                 .unwrap();
         }
-        l.finish()
+        l.finish().unwrap()
     }
 
     fn heap(n: i64) -> HeapTable {
@@ -325,7 +330,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut rows = Vec::new();
         loop {
-            let b = s.next_columns(&h, 7, &mut io);
+            let b = s.next_columns(&h, 7, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -343,7 +348,7 @@ mod tests {
         let h = heap(100); // 3 pages
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        let b = s.next_columns(&h, 10, &mut io);
+        let b = s.next_columns(&h, 10, &mut io).unwrap();
         assert_eq!(b.len(), 10);
         assert_eq!(io.sequential_pages, 1);
         assert!(io.sequential_pages < h.page_count());
@@ -354,7 +359,7 @@ mod tests {
         let h = heap(0);
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        assert!(s.next_columns(&h, 8, &mut io).is_empty());
+        assert!(s.next_columns(&h, 8, &mut io).unwrap().is_empty());
         assert_eq!(io.sequential_pages, 0);
         assert_eq!(io.rows_read, 0);
     }
@@ -367,7 +372,7 @@ mod tests {
         let mut s = IndexScanState::open(&ix, None, None, false);
         let mut keys = Vec::new();
         loop {
-            let b = s.next_columns(&ix, &h, 2, &mut io);
+            let b = s.next_columns(&ix, &h, 2, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -378,7 +383,7 @@ mod tests {
 
         let mut rio = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut rio);
+        let b = s.next_columns(&ix, &h, 10, &mut rio).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
     }
@@ -389,7 +394,7 @@ mod tests {
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false);
-        let b = s.next_columns(&ix, &h, 100, &mut io);
+        let b = s.next_columns(&ix, &h, 100, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
     }
@@ -403,13 +408,13 @@ mod tests {
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        s.next_columns(&ix, &h, 100, &mut io);
+        s.next_columns(&ix, &h, 100, &mut io).unwrap();
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        while !s.next_columns(&ix, &h, 100, &mut io).is_empty() {}
+        while !s.next_columns(&ix, &h, 100, &mut io).unwrap().is_empty() {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
 
@@ -425,6 +430,7 @@ mod tests {
         let mut s = IndexScanState::open(&ix, None, None, false);
         while !s
             .next_columns_pooled(&ix, &h, 100, &mut io, None, tag)
+            .unwrap()
             .is_empty()
         {}
         assert_eq!(io.index_pages, ix.leaf_pages());
@@ -439,6 +445,7 @@ mod tests {
             let mut s = IndexScanState::open(&ix, None, None, false);
             while !s
                 .next_columns_pooled(&ix, &h, 100, &mut io, Some(&mut pool), tag)
+                .unwrap()
                 .is_empty()
             {}
             if pass == 0 {
@@ -486,7 +493,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = HeapScanState::partition(&h, part, parts);
                 loop {
-                    let b = s.next_columns(&h, 33, &mut io);
+                    let b = s.next_columns(&h, 33, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -513,7 +520,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = IndexScanState::open_partition(&ix, None, None, false, part, parts);
                 loop {
-                    let b = s.next_columns(&ix, &h, 57, &mut io);
+                    let b = s.next_columns(&ix, &h, 57, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -539,7 +546,7 @@ mod tests {
         for part in (0..parts).rev() {
             let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts);
             loop {
-                let b = s.next_columns(&ix, &h, 64, &mut io);
+                let b = s.next_columns(&ix, &h, 64, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -565,7 +572,7 @@ mod tests {
                 4,
             );
             loop {
-                let b = s.next_columns(&ix, &h, 128, &mut io);
+                let b = s.next_columns(&ix, &h, 128, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -584,7 +591,7 @@ mod tests {
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut io);
+        let b = s.next_columns(&ix, &h, 10, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());
         assert_eq!(io.index_pages, 1);

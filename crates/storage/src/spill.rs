@@ -7,7 +7,7 @@
 //! [`IoStats`] at page granularity exactly like every other access path
 //! in the simulated I/O model. Batches cross the boundary through an exact
 //! column-page codec ([`write_batch`] / [`read_batch`]) that round-trips
-//! every [`Value`] bit for bit, NaN payloads and `-0.0` included, so a
+//! every value bit for bit, NaN payloads and `-0.0` included, so a
 //! spilled sort stays bit-identical to its in-memory twin.
 //!
 //! The same budget also bounds the page cache: [`BufferPool`] is a
@@ -20,7 +20,7 @@
 
 use crate::io::{IoStats, PAGE_SIZE};
 use fto_common::column::{Batch, Bitmap, Column, ColumnData};
-use fto_common::{FtoError, Result, Value};
+use fto_common::{FtoError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -173,47 +173,6 @@ impl SpillCursor {
     }
 }
 
-// Value codec tags. The format is internal to spill files (never
-// persisted across processes), so it favors exactness and simplicity
-// over compactness.
-const TAG_NULL: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_DOUBLE: u8 = 2;
-const TAG_STR: u8 = 3;
-const TAG_DATE: u8 = 4;
-const TAG_BOOL: u8 = 5;
-
-/// Appends the exact byte encoding of one value. Doubles are stored as
-/// raw IEEE-754 bits, so NaN payloads and `-0.0` survive the round trip
-/// bit for bit — a requirement for spilled sorts to stay bit-identical
-/// to in-memory ones.
-pub fn write_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(TAG_DOUBLE);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Date(d) => {
-            out.push(TAG_DATE);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-    }
-}
-
 fn corrupt(what: impl std::fmt::Display) -> FtoError {
     FtoError::Exec(format!("corrupt spill data: {what}"))
 }
@@ -249,31 +208,22 @@ fn take_fields<'a, const W: usize>(
     Ok(fields.map(|f| f.try_into().expect("chunks are W bytes")))
 }
 
-/// Decodes one value from `buf` starting at `*pos`, advancing `*pos`. A
-/// truncated or malformed buffer is an [`FtoError::Exec`].
-pub fn read_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
-    Ok(match take_array::<1>(buf, pos)?[0] {
-        TAG_NULL => Value::Null,
-        TAG_INT => Value::Int(i64::from_le_bytes(take_array(buf, pos)?)),
-        TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?))),
-        TAG_STR => {
-            let len = u32::from_le_bytes(take_array(buf, pos)?) as usize;
-            let s = std::str::from_utf8(take(buf, pos, len)?);
-            Value::Str(Arc::from(s.map_err(|_| corrupt("string is not UTF-8"))?))
-        }
-        TAG_DATE => Value::Date(i32::from_le_bytes(take_array(buf, pos)?)),
-        TAG_BOOL => Value::Bool(take_array::<1>(buf, pos)?[0] != 0),
-        other => return Err(corrupt(format_args!("value tag {other}"))),
-    })
+/// Appends every element's little-endian bytes: the inverse of
+/// [`take_fields`].
+fn put_fields<T: Copy, const W: usize>(out: &mut Vec<u8>, vals: &[T], le: impl Fn(T) -> [u8; W]) {
+    for &x in vals {
+        out.extend_from_slice(&le(x));
+    }
 }
 
-// Column-page tags for the batch codec.
+// Column-page tags for the batch codec. The format is internal to spill
+// files (never persisted across processes), so it favors exactness and
+// simplicity over compactness.
 const COL_INT64: u8 = 0;
 const COL_FLOAT64: u8 = 1;
 const COL_UTF8: u8 = 2;
 const COL_DATE32: u8 = 3;
 const COL_BOOL: u8 = 4;
-const COL_MIXED: u8 = 5;
 
 /// Appends the column-page encoding of a whole batch:
 ///
@@ -286,11 +236,10 @@ const COL_MIXED: u8 = 5;
 ///     Float64:       IEEE-754 bits, u64 LE        (NaN/-0.0 bit-exact)
 ///     Utf8:          [u32 byte_len][offsets u32 LE × (nrows+1)][bytes]
 ///     Bool:          one byte per slot
-///     Mixed:         [`write_value`] per slot     (lossless fallback)
 /// ```
 ///
-/// One buffer copy per column instead of one tag dispatch per value —
-/// the serde half of the vectorized spill paths. Round-trips through
+/// One buffer copy per column: the one serde of everything that spills,
+/// exact for every [`fto_common::Value`]. Round-trips through
 /// [`read_batch`] bit for bit (typed layout included, so re-spilling
 /// decoded pages is byte-stable).
 pub fn write_batch(batch: &Batch, out: &mut Vec<u8>) {
@@ -303,48 +252,22 @@ pub fn write_batch(batch: &Batch, out: &mut Vec<u8>) {
             ColumnData::Utf8 { .. } => COL_UTF8,
             ColumnData::Date32(_) => COL_DATE32,
             ColumnData::Bool(_) => COL_BOOL,
-            ColumnData::Mixed(_) => COL_MIXED,
         };
         out.push(tag);
         out.push(u8::from(col.validity.is_some()));
         if let Some(bm) = &col.validity {
-            for w in bm.words() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            put_fields(out, bm.words(), u64::to_le_bytes);
         }
         match &col.data {
-            ColumnData::Int64(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ColumnData::Float64(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
+            ColumnData::Int64(v) => put_fields(out, v, i64::to_le_bytes),
+            ColumnData::Float64(v) => put_fields(out, v, |x| x.to_bits().to_le_bytes()),
             ColumnData::Utf8 { offsets, bytes } => {
                 out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                for o in offsets {
-                    out.extend_from_slice(&o.to_le_bytes());
-                }
+                put_fields(out, offsets, u32::to_le_bytes);
                 out.extend_from_slice(bytes);
             }
-            ColumnData::Date32(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ColumnData::Bool(v) => {
-                for x in v {
-                    out.push(u8::from(*x));
-                }
-            }
-            ColumnData::Mixed(v) => {
-                for x in v {
-                    write_value(x, out);
-                }
-            }
+            ColumnData::Date32(v) => put_fields(out, v, i32::to_le_bytes),
+            ColumnData::Bool(v) => put_fields(out, v, |x| [u8::from(x)]),
         }
     }
 }
@@ -409,14 +332,6 @@ pub fn read_batch(buf: &[u8], pos: &mut usize) -> Result<Batch> {
                     .collect(),
             ),
             COL_BOOL => ColumnData::Bool(take(buf, pos, nrows)?.iter().map(|&b| b != 0).collect()),
-            COL_MIXED => {
-                // Every value is at least its tag byte.
-                if nrows > buf.len() - *pos {
-                    return Err(corrupt("record truncated"));
-                }
-                let values = (0..nrows).map(|_| read_value(buf, pos));
-                ColumnData::Mixed(values.collect::<Result<_>>()?)
-            }
             other => return Err(corrupt(format_args!("column tag {other}"))),
         };
         columns.push(Arc::new(Column { data, validity }));
@@ -512,7 +427,8 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fto_common::Row;
+    use fto_common::DataType::{Bool, Date, Double, Int, Str};
+    use fto_common::{Row, Value};
 
     #[test]
     fn append_charges_pages_incrementally() {
@@ -580,40 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn value_codec_is_bit_exact() {
-        let vals = vec![
-            Value::Null,
-            Value::Int(i64::MIN),
-            Value::Int(i64::MAX),
-            Value::Double(-0.0),
-            Value::Double(f64::from_bits(0x7FF8_0000_DEAD_BEEF)), // NaN payload
-            Value::Double(f64::NEG_INFINITY),
-            Value::str(""),
-            Value::str("sp\0ill\u{1F980}"),
-            Value::Date(i32::MIN),
-            Value::Bool(true),
-            Value::Bool(false),
-        ];
-        let mut buf = Vec::new();
-        for v in &vals {
-            write_value(v, &mut buf);
-        }
-        let mut pos = 0;
-        let back: Vec<Value> = vals
-            .iter()
-            .map(|_| read_value(&buf, &mut pos).unwrap())
-            .collect();
-        assert_eq!(pos, buf.len());
-        assert_eq!(back.len(), vals.len());
-        for (a, b) in back.iter().zip(&vals) {
-            match (a, b) {
-                (Value::Double(x), Value::Double(y)) => assert_eq!(x.to_bits(), y.to_bits()),
-                _ => assert_eq!(a, b),
-            }
-        }
-    }
-
-    #[test]
     fn batch_codec_round_trips_typed_layout_and_bits() {
         let rows: Vec<Row> = vec![
             vec![
@@ -622,7 +504,7 @@ mod tests {
                 Value::str("a\0b"),
                 Value::Date(i32::MAX),
                 Value::Bool(true),
-                Value::Int(7),
+                Value::Null,
             ],
             vec![
                 Value::Null,
@@ -630,7 +512,7 @@ mod tests {
                 Value::Null,
                 Value::Null,
                 Value::Null,
-                Value::str("mixed"),
+                Value::Null,
             ],
             vec![
                 Value::Int(3),
@@ -640,18 +522,29 @@ mod tests {
                 Value::Bool(false),
                 Value::Null,
             ],
+            vec![
+                Value::Int(i64::MAX),
+                Value::Double(f64::NEG_INFINITY),
+                Value::str("sp\0ill\u{1F980}"),
+                Value::Date(i32::MIN),
+                Value::Bool(false),
+                Value::Null,
+            ],
         ]
         .into_iter()
         .map(Vec::into_boxed_slice)
         .collect();
-        let batch = Batch::from_rows(&rows);
+        // The last column declares strings and holds only NULLs.
+        let types = [Int, Double, Str, Date, Bool, Str];
+        let batch = Batch::from_typed_rows(&types, &rows).unwrap();
         let mut buf = Vec::new();
         write_batch(&batch, &mut buf);
         let mut pos = 0;
         let back = read_batch(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back.len(), batch.len());
-        assert_eq!(back.arity(), batch.arity());
+        let held: Vec<_> = back.columns().iter().map(|c| c.data_type()).collect();
+        assert_eq!(held, types);
         // Values survive bit for bit (NaN payloads included)…
         for i in 0..batch.len() {
             for (a, b) in back.row(i).iter().zip(batch.row(i).iter()) {
@@ -670,14 +563,14 @@ mod tests {
 
     #[test]
     fn batch_codec_handles_empty_and_zero_column_batches() {
-        for batch in [Batch::from_rows_arity(&[], 4), Batch::from_rows(&[])] {
+        for batch in [Batch::empty(&[Int, Str, Date, Double]), Batch::empty(&[])] {
             let mut buf = Vec::new();
             write_batch(&batch, &mut buf);
             let mut pos = 0;
             let back = read_batch(&buf, &mut pos).unwrap();
             assert_eq!(pos, buf.len());
             assert_eq!(back.len(), batch.len());
-            assert_eq!(back.arity(), batch.arity());
+            assert_eq!(back.columns(), batch.columns());
         }
     }
 

@@ -4,6 +4,7 @@
 //! batch size and partitioning — across many deterministic random cases.
 //! And the spill page decoders must turn any damaged record into an error.
 
+use fto_common::DataType::{self, Bool, Date, Double, Int, Str};
 use fto_common::{Batch, Direction, Rng, Row, TableId, Value};
 use fto_storage::{
     spill, BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
@@ -13,12 +14,12 @@ use std::sync::Arc;
 
 const CASES: u64 = 200;
 
-fn load(arity: usize, width: usize, rows: impl IntoIterator<Item = Row>) -> HeapTable {
-    let mut loader = HeapLoader::new(TableId(0), arity, width);
+fn load(types: &[DataType], width: usize, rows: impl IntoIterator<Item = Row>) -> HeapTable {
+    let mut loader = HeapLoader::new(TableId(0), types, width);
     for row in rows {
         loader.push(row).unwrap();
     }
-    loader.finish()
+    loader.finish().unwrap()
 }
 
 fn int_rows(values: impl IntoIterator<Item = (i64, i64)>) -> impl Iterator<Item = Row> {
@@ -28,7 +29,7 @@ fn int_rows(values: impl IntoIterator<Item = (i64, i64)>) -> impl Iterator<Item 
 }
 
 fn heap_from(values: &[(i64, i64)]) -> HeapTable {
-    load(2, 16, int_rows(values.iter().copied()))
+    load(&[Int; 2], 16, int_rows(values.iter().copied()))
 }
 
 fn random_pairs(rng: &mut Rng, max_len: usize, lo: i64, hi: i64) -> Vec<(i64, i64)> {
@@ -146,7 +147,7 @@ fn null_keys_sort_high() {
         let keys = values.iter().map(|&v| Value::Int(v));
         let nulls = (0..n_null).map(|_| Value::Null);
         let h = load(
-            2,
+            &[Int; 2],
             16,
             keys.chain(nulls)
                 .map(|k| vec![k, Value::Int(0)].into_boxed_slice()),
@@ -168,7 +169,7 @@ fn null_keys_sort_high() {
 #[test]
 fn page_geometry_invariants() {
     for width in [1usize, 7, 100, 4096, 9000] {
-        let h = load(2, width, int_rows((0..50).map(|i| (i, 0))));
+        let h = load(&[Int; 2], width, int_rows((0..50).map(|i| (i, 0))));
         assert!(h.rows_per_page() >= 1);
         assert_eq!(h.page_of(0), 0);
         assert!(h.page_of(49) < h.page_count());
@@ -186,7 +187,7 @@ fn page_geometry_invariants() {
 #[test]
 fn ordered_probe_page_locality() {
     let n = 1000i64;
-    let h = load(2, 400, int_rows((0..n).map(|i| (i, 0)))); // ~10 rows per page
+    let h = load(&[Int; 2], 400, int_rows((0..n).map(|i| (i, 0)))); // ~10 rows per page
     let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
 
     let probe_sequences: [Box<dyn Fn(i64) -> i64>; 2] =
@@ -221,10 +222,13 @@ const CHUNK: usize = 1024;
 
 const ROW_COUNTS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
 
+/// The declared types of [`random_table`]'s columns.
+const TABLE_TYPES: [DataType; 5] = [Int, Str, Double, Date, Str];
+
 /// Five columns of hazards: ints with NULLs; strings, some empty, some
 /// prefixes of others, some NULL; doubles with NaN payloads and signed
-/// zeros; dates; and an int column that is NULL throughout the second
-/// chunk (so that chunk stores it as an all-NULL column).
+/// zeros; dates; and a string column that is NULL throughout the second
+/// chunk (so that chunk stores an all-NULL column — of strings).
 fn random_table(rng: &mut Rng, n: usize) -> Vec<Row> {
     (0..n)
         .map(|rid| {
@@ -250,7 +254,7 @@ fn random_table(rng: &mut Rng, n: usize) -> Vec<Row> {
             let gap = if (CHUNK..2 * CHUNK).contains(&rid) {
                 Value::Null
             } else {
-                Value::Int(rid as i64)
+                Value::str(rid.to_string())
             };
             vec![int, text, double, date, gap].into_boxed_slice()
         })
@@ -270,11 +274,12 @@ fn exact(rows: &[Row]) -> Vec<String> {
 }
 
 /// Runs `pull` to exhaustion, returning the rows it produced.
-fn drain(batch_rows: usize, arity: usize, mut pull: impl FnMut() -> Batch) -> Vec<Row> {
+fn drain(batch_rows: usize, mut pull: impl FnMut() -> Batch) -> Vec<Row> {
     let mut out = Vec::new();
     loop {
         let batch = pull();
-        assert_eq!(batch.arity(), arity, "every pull keeps the table's arity");
+        let held: Vec<DataType> = batch.columns().iter().map(|c| c.data_type()).collect();
+        assert_eq!(held, TABLE_TYPES, "every pull has the declared types");
         assert!(batch.len() <= batch_rows);
         if batch.is_empty() {
             return out;
@@ -290,7 +295,7 @@ fn heap_scans_return_the_loaded_rows() {
     let mut rng = Rng::new(0x5704_0010);
     for n in ROW_COUNTS {
         let rows = random_table(&mut rng, n);
-        let heap = load(5, 100, rows.iter().cloned());
+        let heap = load(&TABLE_TYPES, 100, rows.iter().cloned());
         let want = exact(&rows);
         assert_eq!(exact(&heap.to_rows()), want, "n={n}");
         assert_eq!(heap.row_count(), n as u64);
@@ -300,8 +305,8 @@ fn heap_scans_return_the_loaded_rows() {
                 let mut got = Vec::new();
                 for part in 0..parts {
                     let mut scan = HeapScanState::partition(&heap, part, parts);
-                    got.extend(drain(batch_rows, heap.arity(), || {
-                        scan.next_columns(&heap, batch_rows, &mut io)
+                    got.extend(drain(batch_rows, || {
+                        scan.next_columns(&heap, batch_rows, &mut io).unwrap()
                     }));
                     assert!(scan.exhausted(&heap));
                 }
@@ -322,7 +327,7 @@ fn gather_is_row_selection() {
     let mut rng = Rng::new(0x5704_0011);
     for n in ROW_COUNTS {
         let rows = random_table(&mut rng, n);
-        let heap = load(5, 100, rows.iter().cloned());
+        let heap = load(&TABLE_TYPES, 100, rows.iter().cloned());
         let mut lists: Vec<Vec<usize>> = vec![Vec::new(), (0..n).rev().collect()];
         if n > 0 {
             for len in [1, 5, 300] {
@@ -339,7 +344,7 @@ fn gather_is_row_selection() {
         }
         for rids in lists {
             let want: Vec<Row> = rids.iter().map(|&r| rows[r].clone()).collect();
-            let got = heap.gather(&rids);
+            let got = heap.gather(&rids).unwrap();
             assert_eq!(got.arity(), heap.arity());
             assert_eq!(exact(&got.to_rows()), exact(&want), "n={n} rids={rids:?}");
             for &rid in rids.iter().take(3) {
@@ -356,13 +361,13 @@ fn gather_is_row_selection() {
 fn whole_chunk_pulls_share_the_heaps_columns() {
     let mut rng = Rng::new(0x5704_0012);
     let rows = random_table(&mut rng, 3 * CHUNK + 7);
-    let heap = load(5, 100, rows.iter().cloned());
+    let heap = load(&TABLE_TYPES, 100, rows.iter().cloned());
     assert_eq!(heap.chunks().len(), 4);
     assert!(heap.chunks()[..3].iter().all(|c| c.len() == CHUNK));
     let mut io = IoStats::new();
     let mut scan = HeapScanState::new();
     for chunk in heap.chunks() {
-        let pulled = scan.next_columns(&heap, CHUNK, &mut io);
+        let pulled = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
         for (got, stored) in pulled.columns().iter().zip(chunk.columns()) {
             assert!(Arc::ptr_eq(got, stored));
         }
@@ -370,8 +375,8 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     assert!(scan.exhausted(&heap));
 
     let mut scan = HeapScanState::new();
-    scan.next_columns(&heap, 1, &mut io);
-    let shifted = scan.next_columns(&heap, CHUNK, &mut io);
+    scan.next_columns(&heap, 1, &mut io).unwrap();
+    let shifted = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
     assert_eq!(shifted.len(), CHUNK);
     assert!(!Arc::ptr_eq(shifted.column(0), heap.chunks()[0].column(0)));
 }
@@ -383,7 +388,7 @@ fn index_scans_return_the_indexed_rows() {
     let mut rng = Rng::new(0x5704_0013);
     for n in ROW_COUNTS {
         let rows = random_table(&mut rng, n);
-        let heap = load(5, 100, rows.iter().cloned());
+        let heap = load(&TABLE_TYPES, 100, rows.iter().cloned());
         let ix = OrderedIndex::build(&heap, &[0, 4], &[Direction::Asc, Direction::Desc]);
         let (lo, hi) = (Value::Int(-10), Value::Int(20));
         for (range, reverse) in [(false, false), (false, true), (true, false), (true, true)] {
@@ -400,8 +405,8 @@ fn index_scans_return_the_indexed_rows() {
             for batch_rows in [1, 7, CHUNK, 4 * CHUNK] {
                 let mut io = IoStats::new();
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
-                let got = drain(batch_rows, heap.arity(), || {
-                    scan.next_columns(&ix, &heap, batch_rows, &mut io)
+                let got = drain(batch_rows, || {
+                    scan.next_columns(&ix, &heap, batch_rows, &mut io).unwrap()
                 });
                 let at = format!("n={n} range={range} reverse={reverse} batch={batch_rows}");
                 assert_eq!(exact(&got), exact(&want), "{at}");
@@ -421,7 +426,7 @@ fn index_scans_return_the_indexed_rows() {
 fn accounting_heap(scatter: bool) -> HeapTable {
     let n = (3 * CHUNK + 7) as i64;
     load(
-        2,
+        &[Int; 2],
         100,
         int_rows((0..n).map(|i| (if scatter { i * 617 % n } else { i }, i % 5))),
     )
@@ -460,6 +465,7 @@ fn io_stats_equal_the_row_heap_engines() {
             let mut scan = HeapScanState::new();
             while !scan
                 .next_columns_pooled(&heap, 7, &mut io, pool.as_mut())
+                .unwrap()
                 .is_empty()
             {}
             record("full scan", io);
@@ -468,7 +474,8 @@ fn io_stats_equal_the_row_heap_engines() {
             let mut io = IoStats::new();
             let mut scan = HeapScanState::new();
             for _ in 0..3 {
-                scan.next_columns_pooled(&heap, 100, &mut io, pool.as_mut());
+                scan.next_columns_pooled(&heap, 100, &mut io, pool.as_mut())
+                    .unwrap();
             }
             record("abandoned scan", io);
 
@@ -482,6 +489,7 @@ fn io_stats_equal_the_row_heap_engines() {
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
                 while !scan
                     .next_columns_pooled(&ix, &heap, batch_rows, &mut io, pool.as_mut(), 1 << 32)
+                    .unwrap()
                     .is_empty()
                 {}
                 record(what, io);
@@ -501,7 +509,7 @@ fn io_stats_equal_the_row_heap_engines() {
                 }
             }
             record("probe stream", io);
-            let fetched = heap.gather(&rids);
+            let fetched = heap.gather(&rids).unwrap();
             assert_eq!(fetched.len(), rids.len());
             for (at, &rid) in rids.iter().enumerate().step_by(41) {
                 assert_eq!(fetched.row(at), heap.row(rid));
@@ -623,7 +631,8 @@ fn io_stats_equal_the_row_heap_engines() {
 fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
     let row = |vals: [Value; 6]| -> Row { vals.into_iter().collect() };
     // Columns: Int64, Float64, Utf8 (multi-byte characters, so offsets can
-    // land inside one), Date32, Bool, and Mixed (two value types).
+    // land inside one), Date32, Bool, and a second Utf8 that holds nothing
+    // but NULLs wherever it holds anything.
     let plain = vec![
         row([
             Value::Int(7),
@@ -631,7 +640,7 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
             Value::str("añ\u{1F980}"),
             Value::Date(-3),
             Value::Bool(true),
-            Value::Int(1),
+            Value::str("x"),
         ]),
         row([
             Value::Int(i64::MIN),
@@ -647,13 +656,14 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
             Value::str("b"),
             Value::Date(1),
             Value::Bool(true),
-            Value::Double(0.5),
+            Value::str(""),
         ]),
     ];
-    // The same columns with a NULL each: validity bitmaps on the typed
-    // ones, a NULL value inside the mixed one.
+    // The same columns with a NULL each — validity bitmaps — and the last
+    // one NULL throughout: a string column with an empty payload.
     let mut nullable = plain.clone();
     nullable.push(row(std::array::from_fn(|_| Value::Null)));
+    nullable.iter_mut().for_each(|r| r[5] = Value::Null);
     // 70 rows: a second validity word.
     let long: Vec<Row> = (0..70)
         .map(|i| match i % 9 {
@@ -661,12 +671,13 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
             _ => plain[i % 3].clone(),
         })
         .collect();
+    let types = [Int, Double, Str, Date, Bool, Str];
     let batches = [
-        Batch::from_rows(&plain),
-        Batch::from_rows(&nullable),
-        Batch::from_rows(&long),
-        Batch::from_rows_arity(&[], 3),
-        Batch::from_rows(&[]),
+        Batch::from_typed_rows(&types, &plain).unwrap(),
+        Batch::from_typed_rows(&types, &nullable).unwrap(),
+        Batch::from_typed_rows(&types, &long).unwrap(),
+        Batch::empty(&types[..3]),
+        Batch::empty(&[]),
     ];
     for (b, batch) in batches.iter().enumerate() {
         let mut rec = Vec::new();
@@ -726,28 +737,6 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
                 assert!(framed.len() < rec.len(), "{case}");
                 assert_eq!(framed, rec[..framed.len()], "{case}");
                 assert!(spill::read_batch(&framed, &mut 0).is_err(), "{case}");
-            }
-        }
-    }
-    // The value codec under the mixed column, on its own.
-    for v in plain[0].iter().chain([&Value::Null]) {
-        let mut rec = Vec::new();
-        spill::write_value(v, &mut rec);
-        assert_eq!(&spill::read_value(&rec, &mut 0).unwrap(), v);
-        for cut in 0..rec.len() {
-            assert!(
-                spill::read_value(&rec[..cut], &mut 0).is_err(),
-                "{v:?} cut {cut}"
-            );
-        }
-        for at in 0..rec.len() {
-            for bit in 0..8 {
-                let mut bad = rec.clone();
-                bad[at] ^= 1 << bit;
-                let mut pos = 0;
-                if spill::read_value(&bad, &mut pos).is_ok() {
-                    assert!(pos <= bad.len(), "{v:?} byte {at} bit {bit}");
-                }
             }
         }
     }

@@ -286,12 +286,13 @@ fn columnar_matrix_tpcd() {
     }
 }
 
-/// A 120-row table built to stress grouping: `k` mixes NULL, `Int` and
-/// `Double` values that compare equal (`3` and `3.0` are one group), `v`
-/// switches from `Int` to `Double` half way (a `sum` widens mid-stream),
-/// `s`/`d` are nullable strings (one a prefix of another, one with an
-/// embedded NUL) and dates, and `(p1, p2)` are string pairs whose
-/// concatenations collide.
+/// A 120-row table built to stress grouping: `k` is a `Double` column of
+/// NULLs, NaNs, both zeros (one group) and integral values that tie with
+/// the `Int` column `grp` (`3.0` joins `3`), `v` a `Double` column of
+/// NULLs, `-0.0`, integral values and fractions, `s`/`d` are strings (one
+/// a prefix of another, one with an embedded NUL) and dates with NULLs,
+/// and `(p1, p2)` are string pairs whose concatenations collide. Every
+/// column holds the type it declares: the loader admits nothing else.
 fn grouping_db() -> Database {
     let mut cat = Catalog::new();
     let g = cat
@@ -326,13 +327,17 @@ fn grouping_db() -> Database {
             .map(|i| {
                 let k = match (i % 11, i % 3) {
                     (0, _) => Value::Null,
-                    (_, 0) => Value::Int(i % 5),
-                    (_, 1) => Value::Double((i % 5) as f64),
-                    _ => Value::Int(100 + i % 4),
+                    (1, _) => Value::Double(f64::NAN),
+                    (2, _) => Value::Double(-0.0),
+                    (3, _) => Value::Double(0.0),
+                    (_, 0) => Value::Double((i % 5) as f64),
+                    (_, 1) => Value::Double((i % 5) as f64 + 0.5),
+                    _ => Value::Double((100 + i % 4) as f64),
                 };
                 let v = match i {
                     _ if i % 13 == 0 => Value::Null,
-                    _ if i < 50 => Value::Int(i * 3 - 20),
+                    _ if i % 17 == 0 => Value::Double(-0.0),
+                    _ if i < 50 => Value::Double((i * 3 - 20) as f64),
                     _ => Value::Double(i as f64 * 0.25 - 3.0),
                 };
                 let s = if i % 9 == 0 {
@@ -368,14 +373,14 @@ fn grouping_db() -> Database {
 const GROUPING_QUERIES: &[&str] = &[
     // NULL group keys (NULLs are one group).
     "select s, count(*) as n, count(s) as ns, sum(v) as sv from g group by s order by s",
-    // Int ≡ Double-equal keys: `3` and `3.0` are one group.
+    // Keys equal under `total_cmp` are one group: `-0.0` and `0.0`, every NaN.
     "select k, count(*) as n, sum(id) as ids from g group by k order by k",
-    // `sum`/`avg` widening from Int to Double mid-stream.
+    // `sum`/`avg` over doubles, `-0.0` among them.
     "select grp, sum(v) as sv, avg(v) as av, count(v) as nv from g group by grp order by grp",
     // `min`/`max` over strings and dates.
     "select grp, min(s) as s0, max(s) as s1, min(d) as d0, max(d) as d1 \
      from g group by grp order by grp",
-    // DISTINCT aggregates (over the Int/Double-mixed column too).
+    // DISTINCT aggregates (over the NaN- and zero-bearing column too).
     "select grp, count(distinct k) as dk, sum(distinct v) as dv, count(distinct s) as ds \
      from g group by grp order by grp",
     // HAVING over an aggregate that is not in the select list.
@@ -385,6 +390,17 @@ const GROUPING_QUERIES: &[&str] = &[
     // Hash distinct on string pairs whose concatenations collide.
     "select distinct p1, p2 from g",
     "select distinct k from g",
+    // Int ≡ Double-equal join keys: the `Int` column `grp` meets the
+    // `Double` column `k`, and `3` joins `3.0`.
+    "select a.id, a.grp, b.id, b.k from g a, g b where a.grp = b.k and a.id < 20 \
+     order by a.id, b.id",
+    // An aggregate column that is NULL in every group is still a double.
+    "select grp, sum(v) as sv, max(s) as s1 from g where v is null group by grp order by grp",
+    // So are a LEFT JOIN's padded columns still strings and dates, matched
+    // by no row at all or by some.
+    "select a.id, b.s, b.d from g a left join g b on a.id = b.grp and b.id < 0 order by a.id",
+    "select a.id, b.s, b.d from g a left join g b on a.id = b.id and b.grp = 2 \
+     where a.id < 30 order by a.id",
 ];
 
 /// Equality by representation: `5` is not `5.0`, doubles by bit pattern.
@@ -435,6 +451,105 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn output_column_types_are_the_plans_declared_types() {
+    // Representation is a function of the plan: whatever the values —
+    // an aggregate that is NULL in every group, a LEFT JOIN's padding,
+    // one row at a time or a thousand, spilled or not — every output
+    // batch's columns have the types the query's registry declares for
+    // the plan's output layout. The interpreter's rows are held to the
+    // same types (`execute_materialized` builds its batch as them), so
+    // this also checks the binder's typing rules against what the
+    // dynamically typed oracle actually computes.
+    let mut thread_counts = vec![1usize];
+    thread_counts.extend(env_threads());
+    let shapes = [OptimizerConfig::default(), OptimizerConfig::db2_1996()];
+    let corpora = [(emp_db(), EMP_QUERIES), (grouping_db(), GROUPING_QUERIES)];
+    for (db, corpus) in &corpora {
+        for sql in corpus.iter() {
+            for shape in &shapes {
+                for batch in [1usize, 3, 1024] {
+                    for budget in [None, Some(1usize), Some(64 << 10)] {
+                        for &threads in &thread_counts {
+                            let mut config =
+                                shape.clone().with_batch_size(batch).with_threads(threads);
+                            if let Some(b) = budget {
+                                config = config.with_memory_budget(b);
+                            }
+                            let cell =
+                                format!("{sql}\nbatch={batch} budget={budget:?} threads={threads}");
+                            let prepared = Session::new(db)
+                                .config(config)
+                                .plan(sql)
+                                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                            let registry = &prepared.graph().registry;
+                            let declared: Vec<DataType> = prepared
+                                .plan()
+                                .layout
+                                .cols()
+                                .iter()
+                                .map(|&c| registry.info(c).data_type)
+                                .collect();
+                            let streamed =
+                                prepared.execute().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                            let materialized = prepared
+                                .execute_materialized()
+                                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                            for out in [&streamed, &materialized] {
+                                for b in out.batches() {
+                                    let held: Vec<DataType> =
+                                        b.columns().iter().map(|c| c.data_type()).collect();
+                                    assert_eq!(
+                                        held,
+                                        declared,
+                                        "{cell}\nplan:\n{}",
+                                        prepared.explain()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn spilled_all_null_string_column_stays_a_string_column() {
+    // A LEFT JOIN that matches nothing pads `b.s` with NULLs — a string
+    // column that holds no string — and the ORDER BY above it sorts under
+    // a 1 KiB budget, so the padded column goes through the spill page
+    // codec as what it is declared to be. Rows bit-identical to the
+    // interpreter's, at every batch size.
+    let db = grouping_db();
+    let sql = "select a.grp, a.id, b.s from g a left join g b on a.id = b.grp and b.id < 0 \
+               order by a.grp, a.id";
+    for batch in [1usize, 7, 1024] {
+        let config = OptimizerConfig::default()
+            .with_batch_size(batch)
+            .with_memory_budget(1 << 10);
+        let prepared = Session::new(&db).config(config).plan(sql).unwrap();
+        let streamed = prepared.execute().unwrap();
+        let materialized = prepared.execute_materialized().unwrap();
+        assert!(
+            streamed.io.spill_pages_written > 0 && streamed.spill.runs_formed > 0,
+            "batch={batch}: the sort must spill\n{}",
+            prepared.explain()
+        );
+        let (got, want) = (streamed.rows(), materialized.rows());
+        assert_eq!(got.len(), 120);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want.iter()) {
+            assert!(g[2].is_null());
+            assert!(g.iter().zip(w.iter()).all(|(x, y)| same_bits(x, y)));
+        }
+        for b in streamed.batches() {
+            assert_eq!(b.column(2).data_type(), DataType::Str, "batch={batch}");
         }
     }
 }

@@ -347,13 +347,13 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     use fto_storage::{HeapLoader, OrderedIndex};
 
     // A large indexed table: 100k rows, 40 rows/page, 256 entries/leaf.
-    let mut loader = HeapLoader::new(TableId(0), 2, 100);
+    let mut loader = HeapLoader::new(TableId(0), &[DataType::Int; 2], 100);
     for i in 0..100_000i64 {
         loader
             .push(vec![Value::Int(i), Value::Int(i % 7)].into_boxed_slice())
             .unwrap();
     }
-    let heap = loader.finish();
+    let heap = loader.finish().unwrap();
     let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
 
     let mut io = IoStats::new();
@@ -369,7 +369,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     assert_eq!(io, IoStats::new(), "open() must charge nothing");
 
     // Pull 10 rows, as a LIMIT 10 would, then stop.
-    let batch = scan.next_columns(&ix, &heap, 10, &mut io);
+    let batch = scan.next_columns(&ix, &heap, 10, &mut io).unwrap();
     assert_eq!(batch.len(), 10);
     assert_eq!(io.rows_read, 10);
     // One index leaf entered; heap pages only behind the 10 rows read
@@ -380,7 +380,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     // Same bounds through reverse scans: last leaf, last page, 10 rows.
     let mut rio = IoStats::new();
     let mut rev = IndexScanState::open(&ix, None, None, true);
-    let batch = rev.next_columns(&ix, &heap, 10, &mut rio);
+    let batch = rev.next_columns(&ix, &heap, 10, &mut rio).unwrap();
     assert_eq!(batch.len(), 10);
     assert_eq!(batch.row(0)[0], Value::Int(99_999));
     assert_eq!(rio.rows_read, 10);

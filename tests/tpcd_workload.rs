@@ -216,3 +216,56 @@ fn runstats_equal_the_row_at_a_time_scan_on_every_table() {
         }
     }
 }
+
+#[test]
+fn type_errors_surface_when_the_statement_is_planned() {
+    // Each of these used to plan. The first two answered `0` (a `sum` or
+    // `avg` over a non-numeric argument added 0.0 per row), the third
+    // failed at run time on the first row it met — or succeeded, when the
+    // filter let no row through — and the fourth's output silently took
+    // its first branch's type. Now each is a semantic error from
+    // `Session::plan`, naming the expression and the operand types, before
+    // a page is read; its well-typed twin still plans and runs.
+    let db = build_database(TpcdConfig {
+        scale: 0.002,
+        seed: 42,
+    })
+    .unwrap();
+    let cases = [
+        (
+            "select sum(c_name) from customer",
+            "sum(c_name): the argument is VARCHAR",
+            "select sum(c_acctbal) from customer",
+        ),
+        (
+            "select avg(o_orderdate) from orders",
+            "avg(o_orderdate): the argument is DATE",
+            "select avg(o_totalprice) from orders",
+        ),
+        (
+            "select c_name + 1 from customer where c_custkey < 0",
+            "(c_name + 1): cannot apply + to VARCHAR and INT",
+            "select c_custkey + 1 from customer where c_custkey < 0",
+        ),
+        (
+            "select c_name + 1 from customer where c_custkey < 3",
+            "(c_name + 1): cannot apply + to VARCHAR and INT",
+            "select c_custkey + 1 from customer where c_custkey < 3",
+        ),
+        (
+            "select o_orderkey from orders union select c_name from customer",
+            "UNION branch 2 column 1 is VARCHAR where the first branch has INT",
+            "select o_orderkey from orders union select c_custkey from customer",
+        ),
+    ];
+    for (ill, says, well) in cases {
+        match Session::new(&db).plan(ill) {
+            Err(fto_common::FtoError::Semantic(msg)) => {
+                assert!(msg.contains(says), "{ill}: {msg}")
+            }
+            Err(other) => panic!("{ill}: {other:?}"),
+            Ok(_) => panic!("{ill}: planned"),
+        }
+        agree(&db, well);
+    }
+}
