@@ -18,7 +18,7 @@
 
 use fto_bench::harness::{paper_example_db, tpcd_db, FIG1_SQL, FIG6_SQL};
 use fto_bench::Session;
-use fto_planner::{OptimizerConfig, PlanNode};
+use fto_planner::{GroupMethod, OptimizerConfig, PlanNode};
 use fto_tpcd::queries;
 
 fn main() {
@@ -60,10 +60,16 @@ fn fig6() {
 
     // Structural check: the group-by streams (no sort directly beneath
     // it) and the plan output needs no final sort for the ORDER BY.
-    let streaming = prepared
-        .plan()
-        .count_ops(&|n| matches!(n, PlanNode::StreamGroupBy { .. }));
-    let top_is_sort = matches!(prepared.plan().node, PlanNode::Sort { .. });
+    let streaming = prepared.plan().count_ops(&|n| {
+        matches!(
+            n,
+            PlanNode::GroupBy {
+                method: GroupMethod::Stream,
+                ..
+            }
+        )
+    });
+    let top_is_sort = prepared.plan().op_name() == "sort";
     println!(
         "[check] streaming group-by: {}  |  top-level sort avoided: {}\n",
         yes(streaming > 0),
@@ -106,14 +112,12 @@ fn fig7_fig8(which: &str) {
     }
 }
 
-/// True when a StreamGroupBy in the tree is fed directly by a Sort.
+/// True when a streaming group-by in the tree is fed directly by a full
+/// sort.
 fn sort_feeding_group_by(plan: &fto_planner::Plan) -> bool {
-    if let PlanNode::StreamGroupBy { input, .. } = &plan.node {
-        if matches!(input.node, PlanNode::Sort { .. }) {
-            return true;
-        }
-    }
-    plan.children().iter().any(|c| sort_feeding_group_by(c))
+    let children = plan.children();
+    (plan.op_name() == "group-by(stream)" && children[0].op_name() == "sort")
+        || children.iter().any(|c| sort_feeding_group_by(c))
 }
 
 fn yes(b: bool) -> &'static str {

@@ -17,10 +17,11 @@
 //! [`StreamProps::apply_outer_join_predicate`], [`StreamProps::join`],
 //! [`StreamProps::group_by`], [`StreamProps::add_computed_columns`]): those
 //! build one new value, context included, and point the output at it.
-//! Everything else — sorting, projecting, DISTINCT, installing an order,
-//! cloning a plan — shares the input's value, so the context is never
-//! rebuilt to ask a question. [`FactsMemo`] extends the sharing to callers
-//! that derive the same facts along many paths.
+//! Everything else — sorting, projecting, grouping without aggregates
+//! (DISTINCT), installing an order, cloning a plan — shares the input's
+//! value, so the context is never rebuilt to ask a question. [`FactsMemo`]
+//! extends the sharing to callers that derive the same facts along many
+//! paths.
 
 use crate::context::OrderContext;
 use crate::eqclass::EquivalenceClasses;
@@ -326,7 +327,8 @@ impl StreamProps {
     }
 
     /// Properties after a GROUP BY on `grouping` producing aggregate
-    /// output columns `agg_cols`.
+    /// output columns `agg_cols` — DISTINCT when `grouping` is every
+    /// column and `agg_cols` is empty.
     ///
     /// * The grouping columns become a key of the output.
     /// * The FD `{grouping} → {aggregates}` holds (paper §4.1).
@@ -354,14 +356,6 @@ impl StreamProps {
             keys,
             facts,
         }
-    }
-
-    /// Properties after DISTINCT: every output column together forms a key.
-    pub fn distinct(&self) -> StreamProps {
-        let mut out = self.clone();
-        out.keys.add_key(self.cols.clone());
-        out.keys.canonicalize(self.ctx());
-        out
     }
 
     /// Plan-comparison dominance for pruning (paper §5.2.1): `self` is at
@@ -612,7 +606,8 @@ mod tests {
     #[test]
     fn distinct_makes_all_columns_a_key() {
         let p = StreamProps::base_table(cs(&[1, 2]), vec![]);
-        let d = p.distinct();
+        // DISTINCT: a grouping on every column with no aggregates.
+        let d = p.group_by(&p.cols, &ColSet::new(), OrderSpec::empty());
         assert!(d.keys.determined_by(&cs(&[1, 2])));
         assert!(!d.keys.determined_by(&cs(&[1])));
     }
@@ -631,7 +626,7 @@ mod tests {
             p.clone().with_order(asc(&[3])),
             p.sorted(&asc(&[3, 0])),
             p.project(&cs(&[0, 1])),
-            p.distinct(),
+            p.group_by(&p.cols, &ColSet::new(), p.order.clone()),
             opaque,
             group_no_aggs,
             no_columns,

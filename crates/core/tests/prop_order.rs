@@ -505,7 +505,11 @@ fn shared_context_stays_coherent_with_the_facts() {
                 1 => t.same_facts(t.props.clone().with_order(spec_strategy(&mut rng))),
                 2 => t.same_facts(t.props.sorted(&spec_strategy(&mut rng))),
                 3 => t.same_facts(t.props.project(&random_colset(&mut rng, 0, NCOLS))),
-                4 => t.same_facts(t.props.distinct()),
+                4 => t.same_facts(t.props.group_by(
+                    &t.props.cols,
+                    &ColSet::new(),
+                    t.props.order.clone(),
+                )),
                 5..=7 => {
                     let id = rng.range_usize(0, preds.len() + 1);
                     if id == preds.len() {

@@ -1,8 +1,8 @@
 //! The shared aggregation kernel: group ids over encoded keys plus
 //! columnar aggregate state, used by every grouping operator of the
 //! streaming executor (hash group-by unbounded and bounded, stream
-//! group-by, hash distinct). The materializing interpreter — the
-//! differential oracle — keeps the row-at-a-time
+//! group-by; DISTINCT is either with no aggregates). The materializing
+//! interpreter — the differential oracle — keeps the row-at-a-time
 //! [`fto_expr::agg::Accumulator`]; the two are the only accumulate
 //! implementations in the engine.
 //!
@@ -13,12 +13,11 @@
 //! dense group id in first-seen order. It is an open-addressing table of
 //! `u64` slots over one append-only key arena: no per-group allocation and
 //! no SipHash. A batch becomes `gids: Vec<u32>` plus `first`, the rows
-//! that opened a group — which *is* a hash distinct's output selection and
-//! a group-by's key-column gather list. The stream group-by derives the
-//! same two vectors from run boundaries instead of a table. The build–probe
-//! join keys its build side through the same table (`assign` while
-//! building, the read-only `lookup` while probing) and keeps its match
-//! lists beside it.
+//! that opened a group — which *is* a group-by's key-column gather list.
+//! The stream group-by derives the same two vectors from run boundaries
+//! instead of a table. The build–probe join keys its build side through
+//! the same table (`assign` while building, the read-only `lookup` while
+//! probing) and keeps its match lists beside it.
 //!
 //! # Aggregate state
 //!

@@ -8,10 +8,10 @@
 //! rows. New code should go through [`crate::Session`], which uses the
 //! streaming engine.
 
+use crate::sortkernel;
 use fto_common::{sortkey, Direction, FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
-use fto_order::OrderSpec;
-use fto_planner::{Plan, PlanNode, ScanRange};
+use fto_planner::{GroupMethod, JoinKind, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
 use fto_storage::{Database, IoStats, PageCursor};
 use std::collections::HashMap;
@@ -107,39 +107,21 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
                 })
                 .collect()
         }
-        PlanNode::Sort { input, spec } => {
-            let mut rows = exec(db, graph, input, io)?;
-            io.sort_rows += rows.len() as u64;
-            sort_rows(&mut rows, spec, &input.layout)?;
-            Ok(rows)
-        }
-        PlanNode::SegmentedSort { input, spec, .. } => {
-            // The reference engine ignores the prefix split: a stable full
-            // sort is definitionally what the segmented operator must
-            // reproduce, so the interpreter *is* the oracle for it.
-            let mut rows = exec(db, graph, input, io)?;
-            io.sort_rows += rows.len() as u64;
-            sort_rows(&mut rows, spec, &input.layout)?;
-            Ok(rows)
-        }
-        PlanNode::NestedLoopJoin {
-            outer,
-            inner,
-            predicates,
+        PlanNode::Sort {
+            input, spec, limit, ..
         } => {
-            let outer_rows = exec(db, graph, outer, io)?;
-            let inner_rows = exec(db, graph, inner, io)?;
-            let layout = &plan.layout;
-            let mut out = Vec::new();
-            for orow in &outer_rows {
-                for irow in &inner_rows {
-                    let joined = concat(orow, irow);
-                    if eval_preds(graph, predicates, &joined, layout)? {
-                        out.push(joined);
-                    }
-                }
+            // The reference engine ignores the prefix split: a stable full
+            // sort is definitionally what a segmented sort must reproduce,
+            // and its first n rows what a top-n must, so the interpreter
+            // *is* the oracle for both.
+            let mut rows = exec(db, graph, input, io)?;
+            let keys = sortkernel::resolve_keys(spec, &input.layout)?;
+            match limit {
+                None => sortkernel::sort_rows(&mut rows, &keys),
+                Some(n) => rows = sortkernel::top_n(rows, &keys, *n as usize),
             }
-            Ok(out)
+            io.sort_rows += rows.len() as u64;
+            Ok(rows)
         }
         PlanNode::IndexNestedLoopJoin {
             outer,
@@ -200,7 +182,8 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
                 &plan.layout,
             )
         }
-        PlanNode::LeftOuterJoin {
+        PlanNode::Join {
+            kind,
             outer,
             inner,
             outer_keys,
@@ -209,129 +192,50 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
         } => {
             let outer_rows = exec(db, graph, outer, io)?;
             let inner_rows = exec(db, graph, inner, io)?;
-            let layout = &plan.layout;
-            let null_pad: Row = vec![Value::Null; inner.layout.arity()].into();
-            let mut out = Vec::with_capacity(outer_rows.len());
-
-            if outer_keys.is_empty() {
-                // No equi keys: nested loop with ON residuals.
-                for orow in &outer_rows {
-                    let mut matched = false;
-                    for irow in &inner_rows {
-                        let joined = concat(orow, irow);
-                        if eval_preds(graph, predicates, &joined, layout)? {
-                            out.push(joined);
-                            matched = true;
-                        }
-                    }
-                    if !matched {
-                        out.push(concat(orow, &null_pad));
-                    }
-                }
-            } else {
-                let ipos = positions(&inner.layout, inner_keys)?;
-                let opos = positions(&outer.layout, outer_keys)?;
-                let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-                for irow in &inner_rows {
-                    let key: Vec<Value> = ipos.iter().map(|&p| irow[p].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    table.entry(key).or_default().push(irow);
-                }
-                for orow in &outer_rows {
-                    let key: Vec<Value> = opos.iter().map(|&p| orow[p].clone()).collect();
-                    let mut matched = false;
-                    if !key.iter().any(Value::is_null) {
-                        if let Some(candidates) = table.get(&key) {
-                            for irow in candidates {
-                                let joined = concat(orow, irow);
-                                if eval_preds(graph, predicates, &joined, layout)? {
-                                    out.push(joined);
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                    if !matched {
-                        out.push(concat(orow, &null_pad));
-                    }
-                }
-            }
-            Ok(out)
-        }
-        PlanNode::HashJoin {
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            predicates,
-        } => {
-            let outer_rows = exec(db, graph, outer, io)?;
-            let inner_rows = exec(db, graph, inner, io)?;
-            let ipos: Vec<usize> = positions(&inner.layout, inner_keys)?;
-            let opos: Vec<usize> = positions(&outer.layout, outer_keys)?;
+            let ipos = positions(&inner.layout, inner_keys)?;
+            let opos = positions(&outer.layout, outer_keys)?;
+            // A row's join key, or none when a key column is NULL: NULL
+            // never joins. A keyless join gives every row the empty key,
+            // so each outer row's candidates are the whole inner side.
+            let key = |row: &Row, pos: &[usize]| {
+                let key: Vec<Value> = pos.iter().map(|&p| row[p].clone()).collect();
+                (!key.iter().any(Value::is_null)).then_some(key)
+            };
             let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
             for irow in &inner_rows {
-                let key: Vec<Value> = ipos.iter().map(|&p| irow[p].clone()).collect();
-                if key.iter().any(Value::is_null) {
-                    continue; // NULL never joins
+                if let Some(key) = key(irow, &ipos) {
+                    table.entry(key).or_default().push(irow);
                 }
-                table.entry(key).or_default().push(irow);
             }
+            let null_pad: Row = vec![Value::Null; inner.layout.arity()].into();
             let mut out = Vec::new();
             for orow in &outer_rows {
-                let key: Vec<Value> = opos.iter().map(|&p| orow[p].clone()).collect();
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                if let Some(matches) = table.get(&key) {
-                    for irow in matches {
-                        let joined = concat(orow, irow);
-                        if eval_preds(graph, predicates, &joined, &plan.layout)? {
-                            out.push(joined);
-                        }
+                let candidates = key(orow, &opos).and_then(|key| table.get(&key));
+                let mut matched = false;
+                for irow in candidates.into_iter().flatten() {
+                    let joined = concat(orow, irow);
+                    if eval_preds(graph, predicates, &joined, &plan.layout)? {
+                        out.push(joined);
+                        matched = true;
                     }
                 }
-            }
-            Ok(out)
-        }
-        PlanNode::StreamGroupBy {
-            input,
-            grouping,
-            aggs,
-        } => {
-            let rows = exec(db, graph, input, io)?;
-            stream_group_by(&rows, &input.layout, grouping, aggs)
-        }
-        PlanNode::HashGroupBy {
-            input,
-            grouping,
-            aggs,
-        } => {
-            let rows = exec(db, graph, input, io)?;
-            hash_group_by(&rows, &input.layout, grouping, aggs)
-        }
-        PlanNode::StreamDistinct { input } => {
-            let rows = exec(db, graph, input, io)?;
-            let mut out: Vec<Row> = Vec::new();
-            for row in rows {
-                if out.last().map(|prev| prev != &row).unwrap_or(true) {
-                    out.push(row);
+                if !matched && *kind == JoinKind::LeftOuter {
+                    out.push(concat(orow, &null_pad));
                 }
             }
             Ok(out)
         }
-        PlanNode::HashDistinct { input } => {
+        PlanNode::GroupBy {
+            input,
+            grouping,
+            aggs,
+            method,
+        } => {
             let rows = exec(db, graph, input, io)?;
-            let mut seen: std::collections::HashSet<Row> = Default::default();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
+            match method {
+                GroupMethod::Stream => stream_group_by(&rows, &input.layout, grouping, aggs),
+                GroupMethod::Hash => hash_group_by(&rows, &input.layout, grouping, aggs),
             }
-            Ok(out)
         }
         PlanNode::UnionAll { inputs } => {
             let mut out = Vec::new();
@@ -344,13 +248,6 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             let mut rows = exec(db, graph, input, io)?;
             rows.truncate(*n as usize);
             Ok(rows)
-        }
-        PlanNode::TopN { input, spec, n } => {
-            let rows = exec(db, graph, input, io)?;
-            let keys = crate::sortkernel::resolve_keys(spec, &input.layout)?;
-            let top = crate::sortkernel::top_n(rows, &keys, *n as usize);
-            io.sort_rows += top.len() as u64;
-            Ok(top)
         }
     }
 }
@@ -381,12 +278,6 @@ fn eval_preds(
 
 fn concat(a: &Row, b: &Row) -> Row {
     a.iter().chain(b.iter()).cloned().collect()
-}
-
-pub(crate) fn sort_rows(rows: &mut Vec<Row>, spec: &OrderSpec, layout: &RowLayout) -> Result<()> {
-    let keys = crate::sortkernel::resolve_keys(spec, layout)?;
-    crate::sortkernel::sort_rows(rows, &keys);
-    Ok(())
 }
 
 fn stream_group_by(
@@ -560,6 +451,7 @@ mod tests {
     use fto_catalog::{Catalog, ColumnDef, KeyDef};
     use fto_common::{DataType, Direction};
     use fto_expr::{CompareOp, Expr, Predicate};
+    use fto_order::OrderSpec;
     use fto_planner::{OptimizerConfig, Planner};
     use fto_qgm::graph::{BoxKind, OutputCol, OutputExpr};
     use fto_qgm::OrderScan;

@@ -40,7 +40,7 @@
 //!
 //! All exchanges are pipeline breakers that materialize at `open`; they
 //! are only inserted where the serial plan drains its input at `open`
-//! anyway (Sort, TopN, join build sides, hash group-by inputs), so
+//! anyway (sort, top-n, join build sides, hash group-by inputs), so
 //! early-termination behavior above them is unchanged. A segmented sort
 //! streams group by group and therefore never lowers to an exchange.
 

@@ -58,7 +58,7 @@ pub struct QueryOutput {
     /// passes. All zero when the plan ran fully in memory.
     pub spill: SpillStats,
     /// Segmented (partial) sort work: prefix groups formed across every
-    /// `SegmentedSort` operator in the plan. Zero when no segmented sort
+    /// `segmented-sort` operator in the plan. Zero when no segmented sort
     /// ran.
     pub segment: SegmentStats,
 }

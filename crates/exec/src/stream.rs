@@ -22,13 +22,14 @@
 //! probe assembles (outer, build) candidate pairs by gather, at most a
 //! batch of them at a time. No operator materializes a row.
 //!
-//! Pipeline breakers: [`PlanNode::Sort`], [`PlanNode::TopN`], and
-//! [`PlanNode::HashGroupBy`] must consume their whole input before
-//! producing anything and drain it at `open`. Join operators materialize
-//! only their *inner* (build) side — under the memory budget, spilling
-//! what does not fit; the outer side streams. Everything
-//! else — filter, project, segmented sort (group by group), order-based
-//! group-by / distinct, merge join, limit, union — is fully streaming.
+//! Pipeline breakers: a [`PlanNode::Sort`] whose input satisfies no prefix
+//! of its order (full sort, top-n) and a hash [`PlanNode::GroupBy`] —
+//! DISTINCT included, it is the grouping with no aggregates — must consume
+//! their whole input before producing anything and drain it at `open`. A
+//! [`PlanNode::Join`] materializes only its *inner* (build) side — under
+//! the memory budget, spilling what does not fit; the outer side streams.
+//! Everything else — filter, project, segmented sort (group by group),
+//! order-based group-by, merge join, limit, union — is fully streaming.
 //!
 //! The executor is row-for-row equivalent to the materializing reference
 //! interpreter in [`crate::interp`] (enforced by the differential test
@@ -46,7 +47,7 @@ use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
 use fto_common::{ColId, DataType, Direction, FtoError, IndexId, Result, TableId, Value};
 use fto_expr::{vector, Expr, PredId, RowLayout};
 use fto_obs::SpanKind;
-use fto_planner::{OptimizerConfig, Plan, PlanNode, ScanRange};
+use fto_planner::{GroupMethod, JoinKind, OptimizerConfig, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
 use fto_storage::{
     spill, Database, HeapScanState, IndexScanState, IoStats, PageCursor, SpillCursor, SpillFile,
@@ -160,7 +161,12 @@ pub(crate) fn plan_metrics(plan: &Plan, actuals: Vec<OpMetrics>) -> PlanMetrics 
         m.name = p.op_name().to_string();
         m.est_rows = p.cost.rows;
         m.est_cost = p.self_cost();
-        if let PlanNode::SegmentedSort { est_groups, .. } = &p.node {
+        if let PlanNode::Sort {
+            prefix_len: 1..,
+            est_groups,
+            ..
+        } = &p.node
+        {
             m.est_groups = Some(*est_groups);
         }
         for c in p.children() {
@@ -464,106 +470,6 @@ impl Operator for LimitOp {
     }
 }
 
-/// All of a batch's columns as ascending sort keys — the encoding keys a
-/// distinct operator deduplicates whole rows under.
-fn all_cols_asc(batch: &Batch) -> SortKeys {
-    (0..batch.arity()).map(|p| (p, Direction::Asc)).collect()
-}
-
-/// Streaming DISTINCT over sorted input, fully vectorized: rows become
-/// memcmp-able byte strings column-at-a-time via the sort-key codec,
-/// adjacent duplicates drop on slice inequality, and the survivors
-/// gather out columnar — no per-row `Vec<Value>` materialization.
-///
-/// The codec canonicalizes exactly like `Value`'s `Eq` (both follow
-/// `total_cmp`), so byte equality drops precisely the rows a `Value`
-/// comparison would drop.
-struct StreamDistinctOp {
-    child: Box<dyn Operator>,
-    /// Last emitted row's encoded key.
-    last_key: Option<Vec<u8>>,
-}
-
-impl Operator for StreamDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        self.last_key = None;
-        self.child.open(cx, rec)
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        loop {
-            let Some(batch) = self.child.next_batch(cx, rec)? else {
-                return Ok(None);
-            };
-            encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
-            let mut sel: Vec<u32> = Vec::new();
-            let mut last = self.last_key.as_deref();
-            for i in 0..batch.len() {
-                let key = &kb[ko[i]..ko[i + 1]];
-                if last != Some(key) {
-                    last = Some(key);
-                    sel.push(i as u32);
-                }
-            }
-            if let Some(&i) = sel.last() {
-                let i = i as usize;
-                self.last_key = Some(kb[ko[i]..ko[i + 1]].to_vec());
-            }
-            if sel.len() == batch.len() {
-                return Ok(Some(batch));
-            }
-            if !sel.is_empty() {
-                return Ok(Some(batch.gather(&sel)));
-            }
-        }
-    }
-
-    fn close(&mut self, rec: &mut ExecRecord) {
-        self.last_key = None;
-        self.child.close(rec);
-    }
-}
-
-/// Hash DISTINCT, vectorized the same way as [`StreamDistinctOp`]: whole
-/// rows encode to key bytes (byte equality ≡ `Value` equality), a
-/// [`GroupTable`] remembers the keys seen, and the rows that opened a
-/// group — the table's first-seen selection — are the output.
-struct HashDistinctOp {
-    child: Box<dyn Operator>,
-    seen: GroupTable,
-}
-
-impl Operator for HashDistinctOp {
-    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        self.seen = GroupTable::new();
-        self.child.open(cx, rec)
-    }
-
-    fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        let (mut gids, mut sel) = (Vec::new(), Vec::new());
-        loop {
-            let Some(batch) = self.child.next_batch(cx, rec)? else {
-                return Ok(None);
-            };
-            encode_batch_keys_arena(&batch, &all_cols_asc(&batch), &mut kb, &mut ko);
-            self.seen.assign(&kb, &ko, &mut gids, &mut sel, |_, _| true);
-            if sel.len() == batch.len() {
-                return Ok(Some(batch));
-            }
-            if !sel.is_empty() {
-                return Ok(Some(batch.gather(&sel)));
-            }
-        }
-    }
-
-    fn close(&mut self, rec: &mut ExecRecord) {
-        self.seen = GroupTable::new();
-        self.child.close(rec);
-    }
-}
-
 struct UnionAllOp {
     children: Vec<Box<dyn Operator>>,
     current: usize,
@@ -608,9 +514,9 @@ impl Operator for UnionAllOp {
 // Pipeline breakers
 // ---------------------------------------------------------------------
 
-/// The order enforcer — the one operator behind the `Sort`,
-/// `SegmentedSort` and `TopN` plan nodes. Its input already satisfies the
-/// first `pkeys` of the required order (possibly none), so rows sharing a
+/// The order enforcer — the operator behind [`PlanNode::Sort`]. Its input
+/// already satisfies the first `pkeys` of the required order (possibly
+/// none), so rows sharing a
 /// prefix value are contiguous: groups are cut on encoded-prefix byte
 /// equality (the codec is injective up to `total_cmp`, so it cuts exactly
 /// the groups `Value` equality would), each group is ordered on `skeys`
@@ -619,11 +525,11 @@ impl Operator for UnionAllOp {
 /// back as their merge — and groups leave in arrival order, which
 /// reproduces the global stable sort bit for bit.
 ///
-/// | plan node | `pkeys` | `limit` | behaviour |
+/// | `Plan::op_name` | `pkeys` | `limit` | behaviour |
 /// |---|---|---|---|
-/// | `Sort` | none | none | one group that closes at end of input: drains at `open` |
-/// | `SegmentedSort` | `prefix_len` | none | streams group by group; `LIMIT` above stops the input |
-/// | `TopN` | none | n | drains at `open`, keeping only the best n candidates |
+/// | `sort` | none | none | one group that closes at end of input: drains at `open` |
+/// | `segmented-sort` | `prefix_len` | none | streams group by group; `LIMIT` above stops the input |
+/// | `top-n` | none | n | drains at `open`, keeping only the best n candidates |
 struct EnforceOp {
     child: Box<dyn Operator>,
     pkeys: SortKeys,
@@ -1030,7 +936,7 @@ impl Operator for HashGroupByOp {
 
 /// Order-based group-by on the aggregation kernel: group keys encode into
 /// a memcmp-able arena once per batch (byte equality ≡ `Value` equality,
-/// same canonicalization argument as [`StreamDistinctOp`]), group ids come
+/// same canonicalization argument as [`HashGroupByOp`]), group ids come
 /// from run boundaries — a byte-slice comparison against the previous
 /// row's key — and the aggregates update columnar state by group id. The
 /// last group of a batch stays open (it is group 0 of the next batch);
@@ -1476,12 +1382,6 @@ impl JoinBuild {
     }
 }
 
-#[derive(Clone, Copy)]
-enum JoinKind {
-    Inner,
-    LeftOuter,
-}
-
 /// One outer batch's probe in progress.
 struct Probe<'a> {
     batch: &'a Batch,
@@ -1497,9 +1397,9 @@ struct Probe<'a> {
     matched: bool,
 }
 
-/// The build–probe join — the one operator behind the `NestedLoopJoin`,
-/// `HashJoin` and `LeftOuterJoin` plan nodes. The inner side materializes
-/// into a [`JoinBuild`] at open; the outer side streams, so the output
+/// The build–probe join — the operator behind [`PlanNode::Join`]. The
+/// inner side materializes into a [`JoinBuild`] at open; the outer side
+/// streams, so the output
 /// inherits the outer's order (paper §5.2.1). Per outer batch the probe
 /// keys arena-encode and look up their build key id, every outer row's
 /// match list is `refs[offsets[g]..offsets[g + 1]]`, the (outer, build)
@@ -1508,11 +1408,11 @@ struct Probe<'a> {
 /// vector. A left-outer join splices a null-padded copy of every outer
 /// row that no candidate passed for back into outer order.
 ///
-/// | plan node | `kind` | keys | `predicates` |
+/// | `Plan::op_name` | `kind` | keys | `predicates` |
 /// |---|---|---|---|
-/// | `NestedLoopJoin` | inner | none: every outer row pairs with the whole build side | all of the join's |
-/// | `HashJoin` | inner | the equi-join columns | the rest |
-/// | `LeftOuterJoin` | left outer | the ON clause's equi columns, possibly none | the rest of ON |
+/// | `nested-loop-join` | inner | none: every outer row pairs with the whole build side | all of the join's |
+/// | `hash-join` | inner | the equi-join columns | the rest |
+/// | `left-outer-join` | left outer | the ON clause's equi columns, possibly none | the rest of ON |
 struct JoinOp {
     kind: JoinKind,
     outer: Box<dyn Operator>,
@@ -2064,11 +1964,10 @@ fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx<'_>) -> PartitionSpec {
     }
 }
 
-/// Lowers an order-enforcing plan node (`Sort`, `SegmentedSort`, `TopN`:
-/// the three parameterisations of [`EnforceOp`]) whose input satisfies
-/// the first `prefix_len` keys of `spec`. At parallel degree > 1 the
-/// coordinator (never a worker's partition pipeline, where `threads` is
-/// pinned to 1) replaces an enforcer *without* a satisfied prefix by a
+/// Lowers a [`PlanNode::Sort`], whose input satisfies the first
+/// `prefix_len` keys of `spec`. At parallel degree > 1 the coordinator
+/// (never a worker's partition pipeline, where `threads` is pinned to 1)
+/// replaces an enforcer *without* a satisfied prefix by a
 /// [`SortExchangeOp`] — the serial operator drains its input at `open`
 /// anyway. With a prefix the enforcer streams group by group and always
 /// lowers serially, so a `LIMIT` above it keeps its early exit at every
@@ -2078,11 +1977,12 @@ fn lower_enforcer(
     input: &Arc<Plan>,
     spec: &fto_order::OrderSpec,
     prefix_len: usize,
-    limit: Option<usize>,
+    limit: Option<u64>,
     id: usize,
     lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
     let keys = resolve_keys(spec, &input.layout)?;
+    let limit = limit.map(|n| n as usize);
     if lw.partition.is_none() && lw.threads > 1 && prefix_len == 0 {
         if partitionable(input) {
             let source = SortSource::Partitioned(exchange_spec(input, lw));
@@ -2114,10 +2014,8 @@ fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx<'_>) -> Result<Box<dyn Opera
     }
 }
 
-/// Lowers a build–probe join plan node (`NestedLoopJoin`, `HashJoin`,
-/// `LeftOuterJoin`: the three parameterisations of [`JoinOp`]) over its
-/// `(child, equi-key columns)` sides; `predicates` are the residuals. The
-/// inner side is drained at `open`, so it may become a gather.
+/// Lowers a [`PlanNode::Join`] over its `(child, equi-key columns)` sides.
+/// The inner side is drained at `open`, so it may become a gather.
 fn lower_join(
     kind: JoinKind,
     plan: &Plan,
@@ -2145,8 +2043,9 @@ fn lower_join(
 /// instrumenting. Ids go parent-before-children and children in
 /// [`Plan::children`] order, which is exactly pre-order — the numbering
 /// [`PlanMetrics`] documents. At parallel degree > 1 the
-/// coordinator replaces eligible Sort/TopN nodes and fully-drained join
-/// build sides with exchange operators from [`crate::parallel`]; worker
+/// coordinator replaces eligible sorts, top-ns and fully-drained join
+/// build sides and hash group-by inputs with exchange operators from
+/// [`crate::parallel`]; worker
 /// threads then re-lower the exchanged subtrees via [`lower_worker`].
 fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
     let id = lw.next_id;
@@ -2189,25 +2088,13 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
             exprs: exprs.iter().map(|(_, e)| e.clone()).collect(),
             layout: input.layout.clone(),
         }),
-        PlanNode::Sort { input, spec } => lower_enforcer(input, spec, 0, None, id, lw)?,
-        PlanNode::SegmentedSort {
+        PlanNode::Sort {
             input,
             spec,
             prefix_len,
+            limit,
             ..
-        } => lower_enforcer(input, spec, *prefix_len, None, id, lw)?,
-        PlanNode::NestedLoopJoin {
-            outer,
-            inner,
-            predicates,
-        } => lower_join(
-            JoinKind::Inner,
-            plan,
-            (outer, &[]),
-            (inner, &[]),
-            predicates,
-            lw,
-        )?,
+        } => lower_enforcer(input, spec, *prefix_len, *limit, id, lw)?,
         PlanNode::IndexNestedLoopJoin {
             outer,
             table,
@@ -2254,78 +2141,46 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
                 out: BatchQueue::default(),
             })
         }
-        PlanNode::LeftOuterJoin {
+        PlanNode::Join {
+            kind,
             outer,
             inner,
             outer_keys,
             inner_keys,
             predicates,
         } => lower_join(
-            JoinKind::LeftOuter,
+            *kind,
             plan,
             (outer, outer_keys),
             (inner, inner_keys),
             predicates,
             lw,
         )?,
-        PlanNode::HashJoin {
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            predicates,
-        } => lower_join(
-            JoinKind::Inner,
-            plan,
-            (outer, outer_keys),
-            (inner, inner_keys),
-            predicates,
-            lw,
-        )?,
-        PlanNode::StreamGroupBy {
+        PlanNode::GroupBy {
             input,
             grouping,
             aggs,
+            method,
         } => {
             let gpos = positions(&input.layout, grouping)?;
             let types = layout_types(lw.graph, &plan.layout)?;
             let spec = Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone(), types));
-            Box::new(StreamGroupByOp {
-                child: lower_impl(input, lw)?,
-                agg: GroupAgg::new(Arc::clone(&spec)),
-                spec,
-                open_key: Vec::new(),
-                scratch: GroupScratch::default(),
-                input_done: false,
-                out: BatchQueue::default(),
-            })
-        }
-        PlanNode::HashGroupBy {
-            input,
-            grouping,
-            aggs,
-        } => {
-            let gpos = positions(&input.layout, grouping)?;
-            let types = layout_types(lw.graph, &plan.layout)?;
-            Box::new(HashGroupByOp {
-                child: lower_drained(input, lw)?,
-                spec: Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone(), types)),
-                out: BatchQueue::default(),
-            })
-        }
-        PlanNode::StreamDistinct { input } => {
-            let child = lower_impl(input, lw)?;
-            Box::new(StreamDistinctOp {
-                child,
-                last_key: None,
-            })
-        }
-        PlanNode::HashDistinct { input } => {
-            let child = lower_impl(input, lw)?;
-            Box::new(HashDistinctOp {
-                child,
-                seen: GroupTable::new(),
-            })
+            match method {
+                GroupMethod::Stream => Box::new(StreamGroupByOp {
+                    child: lower_impl(input, lw)?,
+                    agg: GroupAgg::new(Arc::clone(&spec)),
+                    spec,
+                    open_key: Vec::new(),
+                    scratch: GroupScratch::default(),
+                    input_done: false,
+                    out: BatchQueue::default(),
+                }),
+                GroupMethod::Hash => Box::new(HashGroupByOp {
+                    child: lower_drained(input, lw)?,
+                    spec,
+                    out: BatchQueue::default(),
+                }),
+            }
         }
         PlanNode::UnionAll { inputs } => Box::new(UnionAllOp {
             children: inputs
@@ -2339,9 +2194,6 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
             child: lower_impl(input, lw)?,
             remaining: *n,
         }),
-        PlanNode::TopN { input, spec, n } => {
-            lower_enforcer(input, spec, 0, Some(*n as usize), id, lw)?
-        }
     };
     Ok(match lw.instrument {
         true => Box::new(InstrumentedOp {
@@ -2501,6 +2353,9 @@ mod tests {
                 }]
                 .into_iter()
                 .collect(),
+                prefix_len: 0,
+                est_groups: 1,
+                limit: None,
             },
             layout: scan.layout.clone(),
             props: scan.props.clone(),
@@ -2532,6 +2387,9 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
+                prefix_len: 0,
+                est_groups: 1,
+                limit: None,
             },
             layout: scan.layout.clone(),
             props: scan.props.clone(),
@@ -2565,6 +2423,9 @@ mod tests {
                 }]
                 .into_iter()
                 .collect(),
+                prefix_len: 0,
+                est_groups: 1,
+                limit: None,
             },
             layout: scan.layout.clone(),
             props: scan.props.clone(),
@@ -2873,15 +2734,16 @@ mod tests {
             props: scan.props.clone(),
             cost: scan.cost,
         };
-        let sort = node(PlanNode::Sort {
-            input: scan.clone(),
-            spec: fto_order::OrderSpec::empty(),
-        });
-        let top = node(PlanNode::TopN {
-            input: scan.clone(),
-            spec: fto_order::OrderSpec::empty(),
-            n: 7,
-        });
+        let enforce = |limit| {
+            node(PlanNode::Sort {
+                input: scan.clone(),
+                spec: fto_order::OrderSpec::empty(),
+                prefix_len: 0,
+                est_groups: 1,
+                limit,
+            })
+        };
+        let (sort, top) = (enforce(None), enforce(Some(7)));
         for memory_budget in [None, Some(1usize << 10)] {
             for threads in [1usize, 4] {
                 let opts = knobs(64, threads, memory_budget);

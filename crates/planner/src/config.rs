@@ -51,21 +51,19 @@ pub struct OptimizerConfig {
     pub threads: usize,
     /// Consider segmented (partial) sorts: when the input's order
     /// property already satisfies a prefix of a sort requirement, the
-    /// planner may emit a `SegmentedSort` enforcer that sorts only the
-    /// residual suffix within each prefix group — streaming, one group
-    /// buffered at a time, priced as Σ over groups of sort(group).
+    /// planner may emit a `Sort` with that `prefix_len`, which sorts only
+    /// the residual suffix within each prefix group — streaming, one
+    /// group buffered at a time, priced as Σ over groups of sort(group).
     /// Meaningful only when `order_optimization` is on (the split comes
     /// out of the same reduce/test machinery). Default on.
     pub enable_segmented_sort: bool,
     /// Per-query memory budget in bytes for the streaming executor, or
     /// `None` (the default) for unbounded in-memory execution. When set,
-    /// pipeline breakers (sort, Top-N, hash group-by, hash-join build)
-    /// bound their working set to this many bytes and spill overflow to
-    /// page-charged spill files, and heap-page touches route through a
-    /// bounded buffer pool of `budget / PAGE_SIZE` frames. Results are
-    /// bit-identical to unbounded execution at any budget. Not bounded
-    /// yet: hash DISTINCT, which keeps every distinct key in memory
-    /// whatever the budget (DESIGN.md §4h).
+    /// pipeline breakers (sort, Top-N, hash group-by — DISTINCT included —
+    /// and the join build) bound their working set to this many bytes and
+    /// spill overflow to page-charged spill files, and heap-page touches
+    /// route through a bounded buffer pool of `budget / PAGE_SIZE` frames.
+    /// Results are bit-identical to unbounded execution at any budget.
     pub memory_budget: Option<usize>,
 }
 

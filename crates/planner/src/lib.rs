@@ -34,5 +34,5 @@ pub mod planner;
 
 pub use config::{OptimizerConfig, PlannerStats};
 pub use cost::Cost;
-pub use plan::{Plan, PlanNode, ScanRange};
+pub use plan::{GroupMethod, JoinKind, Plan, PlanNode, ScanRange};
 pub use planner::Planner;

@@ -5,10 +5,10 @@ use crate::cardinality::CardEstimator;
 use crate::config::{OptimizerConfig, PlannerStats};
 use crate::cost::{self, Cost};
 use crate::join;
-use crate::plan::{Plan, PlanNode};
+use crate::plan::{GroupMethod, JoinKind, Plan, PlanNode};
 use fto_catalog::Catalog;
-use fto_common::{ColSet, FtoError, IndexId, Result};
-use fto_expr::{Expr, PredId, RowLayout};
+use fto_common::{ColId, ColSet, FtoError, IndexId, Result};
+use fto_expr::{AggCall, Expr, PredId, RowLayout};
 use fto_obs::trace::DEFAULT_CAPACITY;
 use fto_obs::{Trace, TraceEvent};
 use fto_order::{ContextWork, FlexOrder, OrderContext, OrderSpec, StreamProps};
@@ -140,9 +140,15 @@ impl<'a> Planner<'a> {
             BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on),
         }?;
 
-        // DISTINCT on the box's output.
+        // DISTINCT on the box's output: a grouping on every output column
+        // with no aggregates.
         if qbox.distinct {
-            plans = self.plan_distinct(qbox, plans);
+            let cols = qbox.output_cols();
+            let flex = qbox
+                .group_order
+                .clone()
+                .unwrap_or_else(|| FlexOrder::group_by(cols.iter().copied(), []));
+            plans = self.group_plans("distinct", plans, &cols, &[], &flex);
         }
 
         // Output order requirement (ORDER BY).
@@ -170,7 +176,14 @@ impl<'a> Planner<'a> {
     /// Wraps a plan in a Limit, fusing with a top-level Sort into Top-N.
     fn apply_limit(&mut self, plan: Plan, n: u64) -> Plan {
         let rows = plan.cost.rows.min(n as f64);
-        if let PlanNode::Sort { input, spec } = &plan.node {
+        if let PlanNode::Sort {
+            input,
+            spec,
+            prefix_len: 0,
+            limit: None,
+            ..
+        } = &plan.node
+        {
             // Selection + small sort instead of a full sort:
             // O(N + n log n) rather than O(N log N).
             let input_rows = input.cost.rows;
@@ -180,20 +193,23 @@ impl<'a> Planner<'a> {
                 .plus(rows * rows.max(2.0).log2() * cost::CPU_SORT_CMP)
                 .with_rows(rows);
             return Plan {
-                node: PlanNode::TopN {
+                node: PlanNode::Sort {
                     input: input.clone(),
                     spec: spec.clone(),
-                    n,
+                    prefix_len: 0,
+                    est_groups: 1,
+                    limit: Some(n),
                 },
                 layout: plan.layout.clone(),
                 props: plan.props.clone(),
                 cost,
             };
         }
-        if let PlanNode::SegmentedSort {
+        if let PlanNode::Sort {
             input,
             spec,
             prefix_len,
+            limit: None,
             ..
         } = &plan.node
         {
@@ -333,11 +349,7 @@ impl<'a> Planner<'a> {
 
     // ----- Group-by boxes -----------------------------------------------
 
-    fn plan_group_by(
-        &mut self,
-        qbox: &QgmBox,
-        grouping: &[fto_common::ColId],
-    ) -> Result<Vec<Plan>> {
+    fn plan_group_by(&mut self, qbox: &QgmBox, grouping: &[ColId]) -> Result<Vec<Plan>> {
         let q = qbox
             .quantifiers
             .first()
@@ -352,7 +364,7 @@ impl<'a> Planner<'a> {
                 .collect(),
         };
 
-        let aggs: Vec<(fto_common::ColId, fto_expr::AggCall)> = qbox
+        let aggs: Vec<(ColId, AggCall)> = qbox
             .output
             .iter()
             .filter_map(|o| match &o.expr {
@@ -369,6 +381,26 @@ impl<'a> Planner<'a> {
             )
         });
 
+        Ok(self
+            .group_plans("group-by", child_plans, grouping, &aggs, &flex)
+            .into_iter()
+            .map(|p| self.project_outputs(p, qbox))
+            .collect())
+    }
+
+    /// The groupings of each of `inputs` on `grouping` computing `aggs`:
+    /// order-based over an input ordered as `flex` asks (sorted first when
+    /// it is not), and hash-based when the configuration allows. A GROUP
+    /// BY box and a box's DISTINCT (every output column, no aggregates)
+    /// are both planned here; `stage` names which in the decision log.
+    fn group_plans(
+        &mut self,
+        stage: &'static str,
+        inputs: Vec<Plan>,
+        grouping: &[ColId],
+        aggs: &[(ColId, AggCall)],
+        flex: &FlexOrder,
+    ) -> Vec<Plan> {
         let grouping_set: ColSet = grouping.iter().copied().collect();
         let agg_cols: ColSet = aggs.iter().map(|(c, _)| *c).collect();
         let out_layout = RowLayout::new(
@@ -380,70 +412,59 @@ impl<'a> Planner<'a> {
         );
 
         let mut plans = Vec::new();
-        for child in child_plans {
+        for child in inputs {
             let groups = self
                 .estimator()
                 .group_count(grouping, child.cost.rows)
                 .max(1.0);
+            // The order-based grouping keeps its input's order on the
+            // grouping columns; the hash-based one promises none.
+            let group_by = |input: Plan, method: GroupMethod| {
+                let (order, work) = match method {
+                    GroupMethod::Stream => (
+                        input.props.order.clone(),
+                        cost::stream_group_by(input.cost.rows),
+                    ),
+                    GroupMethod::Hash => (
+                        OrderSpec::empty(),
+                        cost::hash_group_by(input.cost.rows, groups),
+                    ),
+                };
+                Plan {
+                    props: input.props.group_by(&grouping_set, &agg_cols, order),
+                    cost: input.cost.plus(work).with_rows(groups),
+                    node: PlanNode::GroupBy {
+                        input: Arc::new(input),
+                        grouping: grouping.to_vec(),
+                        aggs: aggs.to_vec(),
+                        method,
+                    },
+                    layout: out_layout.clone(),
+                }
+            };
 
             // Order-based: stream directly when the child's order already
             // groups rows; otherwise sort first.
             let ctx = self.effective_ctx(&child.props);
             let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
-                self.sort_avoided(&"group-by", &child);
+                self.sort_avoided(&stage, &child);
                 child.clone()
             } else {
                 let spec = flex.concretize(&child.props.order, ctx);
                 self.add_sort(child.clone(), &spec)
             };
-            let props = streaming_child.props.group_by(
-                &grouping_set,
-                &agg_cols,
-                streaming_child.props.order.clone(),
-            );
-            plans.push(Plan {
-                node: PlanNode::StreamGroupBy {
-                    input: Arc::new(streaming_child.clone()),
-                    grouping: grouping.to_vec(),
-                    aggs: aggs.clone(),
-                },
-                layout: out_layout.clone(),
-                props,
-                cost: streaming_child
-                    .cost
-                    .plus(cost::stream_group_by(streaming_child.cost.rows))
-                    .with_rows(groups),
-            });
+            plans.push(group_by(streaming_child, GroupMethod::Stream));
 
             // Hash-based alternative (paper §5.1: recording an input order
             // requirement "does not preclude hash-based GROUP BY").
             if self.config.enable_hash_grouping {
-                let props = child
-                    .props
-                    .group_by(&grouping_set, &agg_cols, OrderSpec::empty());
-                plans.push(Plan {
-                    node: PlanNode::HashGroupBy {
-                        input: Arc::new(child.clone()),
-                        grouping: grouping.to_vec(),
-                        aggs: aggs.clone(),
-                    },
-                    layout: out_layout.clone(),
-                    props,
-                    cost: child
-                        .cost
-                        .plus(cost::hash_group_by(child.cost.rows, groups))
-                        .with_rows(groups),
-                });
+                plans.push(group_by(child, GroupMethod::Hash));
             }
         }
         for p in &plans {
-            self.generated("group-by", p);
+            self.generated(stage, p);
         }
-
-        Ok(plans
-            .into_iter()
-            .map(|p| self.project_outputs(p, qbox))
-            .collect())
+        plans
     }
 
     // ----- Union boxes ----------------------------------------------------
@@ -487,7 +508,7 @@ impl<'a> Planner<'a> {
     // ----- Outer joins ------------------------------------------------------
 
     /// Plans a left outer join box: every (outer, inner) candidate pair
-    /// yields one LeftOuterJoin plan. The outer's order survives; ON
+    /// yields one `Join { kind: LeftOuter }` plan. The outer's order survives; ON
     /// equalities feed only one-directional FDs (paper §4.1).
     fn plan_outer_join(&mut self, qbox: &QgmBox, on: &[PredId]) -> Result<Vec<Plan>> {
         let [lq, rq] = qbox.quantifiers.as_slice() else {
@@ -549,7 +570,8 @@ impl<'a> Planner<'a> {
                     }
                     + cost::filter(rows, on.len());
                 plans.push(Plan {
-                    node: PlanNode::LeftOuterJoin {
+                    node: PlanNode::Join {
+                        kind: JoinKind::LeftOuter,
                         outer: Arc::new(left.clone()),
                         inner: Arc::new(right.clone()),
                         outer_keys: okeys.clone(),
@@ -570,62 +592,6 @@ impl<'a> Planner<'a> {
             .into_iter()
             .map(|p| self.project_outputs(p, qbox))
             .collect())
-    }
-
-    // ----- Distinct -------------------------------------------------------
-
-    fn plan_distinct(&mut self, qbox: &QgmBox, plans: Vec<Plan>) -> Vec<Plan> {
-        let flex = qbox
-            .group_order
-            .clone()
-            .unwrap_or_else(|| FlexOrder::group_by(qbox.output_cols(), []));
-        let mut out = Vec::new();
-        for plan in plans {
-            let rows = plan.cost.rows;
-            let distinct_rows = (rows * 0.5).max(1.0);
-            let ctx = self.effective_ctx(&plan.props);
-
-            // Order-based distinct.
-            let ordered = if flex.satisfied_by(&plan.props.order, ctx) {
-                self.sort_avoided(&"distinct", &plan);
-                plan.clone()
-            } else {
-                let spec = flex.concretize(&plan.props.order, ctx);
-                self.add_sort(plan.clone(), &spec)
-            };
-            let props = ordered.props.distinct();
-            out.push(Plan {
-                node: PlanNode::StreamDistinct {
-                    input: Arc::new(ordered.clone()),
-                },
-                layout: ordered.layout.clone(),
-                props,
-                cost: ordered
-                    .cost
-                    .plus(ordered.cost.rows * cost::CPU_ROW)
-                    .with_rows(distinct_rows),
-            });
-
-            // Hash-based distinct.
-            if self.config.enable_hash_grouping {
-                let props = plan.props.distinct();
-                out.push(Plan {
-                    node: PlanNode::HashDistinct {
-                        input: Arc::new(plan.clone()),
-                    },
-                    layout: plan.layout.clone(),
-                    props,
-                    cost: plan
-                        .cost
-                        .plus(cost::hash_group_by(rows, distinct_rows))
-                        .with_rows(distinct_rows),
-                });
-            }
-        }
-        for p in &out {
-            self.generated("distinct", p);
-        }
-        out
     }
 
     // ----- Shared helpers -------------------------------------------------
@@ -720,11 +686,12 @@ impl<'a> Planner<'a> {
                         cost::SORT_MEMORY,
                     ));
                     return Plan {
-                        node: PlanNode::SegmentedSort {
+                        node: PlanNode::Sort {
                             input: Arc::new(plan),
                             spec: minimal,
                             prefix_len,
                             est_groups: groups.round() as u64,
+                            limit: None,
                         },
                         layout,
                         props,
@@ -739,6 +706,9 @@ impl<'a> Planner<'a> {
             node: PlanNode::Sort {
                 input: Arc::new(plan),
                 spec: minimal,
+                prefix_len: 0,
+                est_groups: 1,
+                limit: None,
             },
             layout,
             props,
@@ -1047,6 +1017,29 @@ mod tests {
     use fto_qgm::graph::OutputCol;
     use fto_qgm::{OrderScan, QueryGraph};
 
+    /// A full sort: no satisfied prefix, no fused limit.
+    fn is_full_sort(n: &PlanNode) -> bool {
+        matches!(
+            n,
+            PlanNode::Sort {
+                prefix_len: 0,
+                limit: None,
+                ..
+            }
+        )
+    }
+
+    /// A segmented sort: the input satisfies a prefix of the spec.
+    fn is_segmented(n: &PlanNode) -> bool {
+        matches!(
+            n,
+            PlanNode::Sort {
+                prefix_len: 1..,
+                ..
+            }
+        )
+    }
+
     fn single_table_query(
         db: &fto_storage::Database,
         order_by: Option<usize>,
@@ -1118,7 +1111,7 @@ mod tests {
         OrderScan::run(&mut g, db.catalog());
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
-        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 0);
+        assert_eq!(plan.count_ops(&is_full_sort), 0);
         assert_eq!(
             plan.count_ops(&|n| matches!(n, PlanNode::IndexScan { .. })),
             1
@@ -1136,7 +1129,7 @@ mod tests {
         OrderScan::run(&mut g, db.catalog());
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
-        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 0);
+        assert_eq!(plan.count_ops(&is_full_sort), 0);
         assert_eq!(
             plan.count_ops(&|n| matches!(n, PlanNode::IndexScan { reverse: true, .. })),
             1,
@@ -1159,7 +1152,7 @@ mod tests {
         OrderScan::run(&mut g, db.catalog());
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
-        assert!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })) <= 1);
+        assert!(plan.count_ops(&is_full_sort) <= 1);
         if let Some(len) = find_sort_len(&plan) {
             assert_eq!(len, 1, "{}", plan.explain(&|c| c.to_string()));
         }
@@ -1178,13 +1171,19 @@ mod tests {
         let plan = p.plan_query().unwrap();
         // Without reduction the optimizer cannot see that (s, k) collapses
         // to (k): it must sort on both columns.
-        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 1);
+        assert_eq!(plan.count_ops(&is_full_sort), 1);
         let sort_len = find_sort_len(&plan);
         assert_eq!(sort_len, Some(2));
     }
 
     fn find_sort_len(plan: &Plan) -> Option<usize> {
-        if let PlanNode::Sort { spec, .. } = &plan.node {
+        if let PlanNode::Sort {
+            spec,
+            prefix_len: 0,
+            limit: None,
+            ..
+        } = &plan.node
+        {
             return Some(spec.len());
         }
         plan.children().iter().find_map(|c| find_sort_len(c))
@@ -1243,8 +1242,10 @@ mod tests {
     }
 
     fn find_segmented(plan: &Plan) -> Option<(usize, usize)> {
-        if let PlanNode::SegmentedSort {
-            spec, prefix_len, ..
+        if let PlanNode::Sort {
+            spec,
+            prefix_len: prefix_len @ 1..,
+            ..
         } = &plan.node
         {
             return Some((*prefix_len, spec.len()));
@@ -1263,12 +1264,12 @@ mod tests {
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
         assert_eq!(
-            plan.count_ops(&|n| matches!(n, PlanNode::SegmentedSort { .. })),
+            plan.count_ops(&is_segmented),
             1,
             "{}",
             plan.explain(&|c| c.to_string())
         );
-        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 0);
+        assert_eq!(plan.count_ops(&is_full_sort), 0);
         assert_eq!(find_segmented(&plan), Some((1, 2)));
         assert!(p.stats.partial_sorts > 0);
         // A segmented sort still counts as an added sort enforcer.
@@ -1287,7 +1288,7 @@ mod tests {
         let full = plan_with(OptimizerConfig::default().with_segmented_sort(false));
         assert!(find_segmented(&seg).is_some());
         assert_eq!(find_segmented(&full), None);
-        assert_eq!(full.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 1);
+        assert_eq!(full.count_ops(&is_full_sort), 1);
         assert!(
             seg.cost.total < full.cost.total,
             "segmented {} !< full {}",
@@ -1303,13 +1304,7 @@ mod tests {
         OrderScan::run(&mut g, db.catalog());
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
-        assert_eq!(
-            plan.count_ops(&|n| matches!(
-                n,
-                PlanNode::Sort { .. } | PlanNode::SegmentedSort { .. }
-            )),
-            0
-        );
+        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 0);
         assert!(p.stats.sorts_avoided > 0);
         assert_eq!(p.stats.partial_sorts, 0);
     }
@@ -1325,10 +1320,7 @@ mod tests {
             OrderScan::run(&mut g, db.catalog());
             let mut p = Planner::new(&g, db.catalog(), cfg);
             let plan = p.plan_query().unwrap();
-            assert_eq!(
-                plan.count_ops(&|n| matches!(n, PlanNode::SegmentedSort { .. })),
-                0
-            );
+            assert_eq!(plan.count_ops(&is_segmented), 0);
             assert_eq!(p.stats.partial_sorts, 0);
         }
     }
@@ -1351,7 +1343,7 @@ mod tests {
         // The limited plan keeps the segmented sort (under a Limit) and is
         // priced cheaper than running the segmentation to completion.
         assert_eq!(
-            limited.count_ops(&|n| matches!(n, PlanNode::SegmentedSort { .. })),
+            limited.count_ops(&is_segmented),
             1,
             "{}",
             limited.explain(&|c| c.to_string())
@@ -1363,8 +1355,8 @@ mod tests {
     fn distinct_prefers_order_when_available() {
         let db = simple_db();
         // select distinct k from t order by nothing: k is the key, so the
-        // stream is already duplicate-free; both distinct variants exist
-        // but stream-distinct over the index needs no sort.
+        // stream is already duplicate-free; both grouping methods exist
+        // but the order-based one over the index needs no sort.
         let mut g = QueryGraph::new();
         let b = g.add_box(BoxKind::Select);
         g.add_table_quantifier(b, db.catalog().table_by_name("t").unwrap());
@@ -1375,8 +1367,8 @@ mod tests {
         OrderScan::run(&mut g, db.catalog());
         let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
         let plan = p.plan_query().unwrap();
-        // Either a hash distinct on the cheap scan or a stream distinct on
+        // Either a hash grouping on the cheap scan or an order-based one on
         // the v-index; both avoid an explicit sort.
-        assert_eq!(plan.count_ops(&|n| matches!(n, PlanNode::Sort { .. })), 0);
+        assert_eq!(plan.count_ops(&is_full_sort), 0);
     }
 }

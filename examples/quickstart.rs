@@ -63,9 +63,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let naive = Session::new(&db)
         .config(OptimizerConfig::disabled())
         .plan(sql)?;
+    // A full sort: `PlanNode::Sort` with no satisfied prefix and no limit.
     let sorts = |q: &PreparedQuery| {
-        q.plan()
-            .count_ops(&|n| matches!(n, fto_planner::PlanNode::Sort { .. }))
+        q.plan().count_ops(&|n| {
+            matches!(
+                n,
+                fto_planner::PlanNode::Sort {
+                    prefix_len: 0,
+                    limit: None,
+                    ..
+                }
+            )
+        })
     };
     println!(
         "sorts in plan: {} with order optimization, {} without",

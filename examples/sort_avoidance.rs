@@ -68,9 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("without", OptimizerConfig::disabled()),
         ] {
             let compiled = Session::new(&db).config(cfg).plan(sql)?;
-            let sorts = compiled
-                .plan()
-                .count_ops(&|n| matches!(n, PlanNode::Sort { .. }));
+            let sorts = compiled.plan().count_ops(&|n| full_sort_width(n).is_some());
             let sort_cols = max_sort_width(compiled.plan());
             println!("  {mode:<24} sorts: {sorts}, widest sort: {sort_cols} column(s)");
         }
@@ -79,11 +77,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// The key count of a full sort (`PlanNode::Sort` with no satisfied
+/// prefix and no limit); `None` for every other node.
+fn full_sort_width(node: &PlanNode) -> Option<usize> {
+    match node {
+        PlanNode::Sort {
+            spec,
+            prefix_len: 0,
+            limit: None,
+            ..
+        } => Some(spec.len()),
+        _ => None,
+    }
+}
+
 fn max_sort_width(plan: &fto_planner::Plan) -> usize {
-    let own = match &plan.node {
-        PlanNode::Sort { spec, .. } => spec.len(),
-        _ => 0,
-    };
+    let own = full_sort_width(&plan.node).unwrap_or(0);
     plan.children()
         .iter()
         .map(|c| max_sort_width(c))

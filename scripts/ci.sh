@@ -56,9 +56,28 @@ if non_test crates/exec/src/sortkernel.rs \
     exit 1
 fi
 operators=$(cat crates/exec/src/stream.rs crates/exec/src/parallel.rs | grep -c '^impl Operator for' || true)
-if [[ "${operators}" -gt 17 ]]; then
-    echo "guard failed: ${operators} Operator impls in stream.rs + parallel.rs (allowed: 17);"
+if [[ "${operators}" -gt 15 ]]; then
+    echo "guard failed: ${operators} Operator impls in stream.rs + parallel.rs (allowed: 15);"
     echo "a new enforcer, exchange or build-probe join is a parameter of EnforceOp / SortExchangeOp / JoinOp, not a new operator"
+    exit 1
+fi
+
+echo "==> grep guard: the plan names what the executor runs"
+# One PlanNode variant per operator the executor has: the enforcer is
+# Sort { prefix_len, limit }, the build-probe join is Join { kind, keys },
+# grouping is GroupBy { method } and DISTINCT is that grouping with no
+# aggregates. Every consumer of a plan (lowering, the interpreter,
+# EXPLAIN, a validator) pays per variant, so the count only goes down.
+variants=$(sed -n '/^pub enum PlanNode/,/^}/p' crates/planner/src/plan.rs | grep -c '^    [A-Z][A-Za-z]* {' || true)
+if [[ "${variants}" -gt 11 ]]; then
+    echo "guard failed: ${variants} PlanNode variants (allowed: 11);"
+    echo "a new enforcer, build–probe join or grouping is a field value of \`Sort\`/\`Join\`/\`GroupBy\`, not a new variant"
+    exit 1
+fi
+if grep -rnE 'StreamDistinct|HashDistinct|SegmentedSort \{|TopN \{|HashJoin \{|NestedLoopJoin \{|LeftOuterJoin \{|plan_distinct' crates/ --include='*.rs' \
+    | grep -v 'IndexNestedLoopJoin {'; then
+    echo "guard failed: a folded plan node, a DISTINCT operator or plan_distinct is back under crates/;"
+    echo "a new enforcer, build–probe join or grouping is a field value of \`Sort\`/\`Join\`/\`GroupBy\`, not a new variant"
     exit 1
 fi
 
@@ -145,8 +164,9 @@ fi
 echo "==> grep guard: one accumulate implementation per engine, no std hash maps in the streaming operators"
 # The streaming executor aggregates through crates/exec/src/aggkernel.rs
 # (group ids + columnar state); fto_expr::agg::Accumulator belongs to the
-# interpreter, the oracle. Every encoded key in stream.rs — group-by,
-# distinct and the join build alike — lives in the kernel's GroupTable.
+# interpreter, the oracle. Every encoded key in stream.rs — group-by
+# (DISTINCT is one) and the join build alike — lives in the kernel's
+# GroupTable.
 if grep -n 'update_value(\|\.accumulator()' crates/exec/src/*.rs | grep -v '^crates/exec/src/interp\.rs:'; then
     echo "guard failed: Accumulator used outside crates/exec/src/interp.rs;"
     echo "streaming operators aggregate through aggkernel::GroupAgg"

@@ -119,12 +119,12 @@ fn tpcd_workload_agrees_across_engines() {
 
 #[test]
 fn distinct_on_encoded_keys_matches_value_comparison() {
-    // The distinct operators dedup on arena-encoded key bytes (byte
-    // equality standing in for Value equality, with the codec's
-    // canonicalization of Int/Double, NaN, and signed zero). Both
-    // distinct shapes — stream (ordered input) and hash (first-seen) —
-    // must agree with the interpreter's Value comparison, serial and
-    // parallel.
+    // DISTINCT is the group-by with no aggregates, which dedups on
+    // arena-encoded key bytes (byte equality standing in for Value
+    // equality, with the codec's canonicalization of Int/Double, NaN, and
+    // signed zero). Both methods — stream (ordered input) and hash
+    // (first-seen) — must agree with the interpreter's Value comparison,
+    // serial and parallel.
     let db = emp_db();
     let queries = [
         "select distinct grade from emp order by grade",
@@ -141,7 +141,7 @@ fn distinct_on_encoded_keys_matches_value_comparison() {
 
 #[test]
 fn vectorized_operators_agree_with_interpreter_under_forced_plan_shapes() {
-    // The columnar distinct, stream group-by, merge-join, hash-join,
+    // The columnar group-by (DISTINCT included), merge-join, hash-join
     // and left-outer-join operators against the interpreter, across
     // threads and under plan shapes that force each join flavor. (Their
     // spill-path I/O accounting is pinned as literals in tests/spill.rs.)
@@ -158,7 +158,7 @@ fn vectorized_operators_agree_with_interpreter_under_forced_plan_shapes() {
          order by dept_id, emp_id",
         "select dept_id, count(emp_id) as n from dept \
          left join emp on dept_id = emp_dept and grade = 0 group by dept_id order by dept_id",
-        // Stream and hash distinct.
+        // DISTINCT through the stream and the hash group-by.
         "select distinct emp_dept, grade from emp order by emp_dept, grade",
         "select distinct salary, grade from emp",
         // Stream group-by with the full accumulator inventory.
@@ -411,18 +411,63 @@ fn same_bits(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// DISTINCT statements over [`emp_db`] beyond the corpus's own: both
+/// shapes of the zero-aggregate grouping (400 distinct rows; 12).
+const DISTINCT_QUERIES: &[&str] = &[
+    "select distinct salary, grade from emp",
+    "select distinct emp_dept from emp",
+];
+
+/// DISTINCT under a LIMIT over the 1 500-row `orders` (two heap chunks):
+/// the hash grouping drains its input at `open`, so the limit cuts its
+/// output, not its input; the order-based one sits on a sort.
+const DISTINCT_LIMIT_QUERIES: &[&str] = &[
+    "select distinct o_custkey from orders limit 5",
+    "select distinct o_orderdate, o_shippriority from orders limit 40",
+];
+
 #[test]
 fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
-    let db = grouping_db();
-    let mut thread_counts = vec![1usize];
+    let grouping = grouping_db();
+    let emp = emp_db();
+    let tpcd = build_database(TpcdConfig {
+        scale: 0.001,
+        seed: 19,
+    })
+    .unwrap();
+    // Every statement the engine runs as a grouping: the kernel's corpus,
+    // the corpus statements with a DISTINCT box (DISTINCT, UNION, IN
+    // subqueries) and DISTINCT under a LIMIT.
+    let has_distinct = |sql: &&str| {
+        let q = Session::new(&emp).plan(sql).unwrap();
+        q.graph().boxes.iter().any(|b| b.distinct)
+    };
+    let corpora: [(&Database, Vec<&str>); 3] = [
+        (&grouping, GROUPING_QUERIES.to_vec()),
+        (
+            &emp,
+            EMP_QUERIES
+                .iter()
+                .copied()
+                .filter(has_distinct)
+                .chain(DISTINCT_QUERIES.iter().copied())
+                .collect(),
+        ),
+        (&tpcd, DISTINCT_LIMIT_QUERIES.to_vec()),
+    ];
+    assert_eq!(corpora[1].1.len(), 5 + DISTINCT_QUERIES.len());
+    let mut thread_counts = vec![1usize, 2];
     thread_counts.extend(env_threads());
-    // Default plans (hash group-by / hash distinct where cheaper) and the
-    // order-based inventory (stream group-by over sorts).
+    // Default plans (hash group-by where cheaper) and the order-based
+    // inventory (stream group-by over sorts): `with_hash_grouping` on, off.
     let shapes = [OptimizerConfig::default(), OptimizerConfig::db2_1996()];
-    for sql in GROUPING_QUERIES {
+    for (db, sql) in corpora
+        .iter()
+        .flat_map(|(db, sqls)| sqls.iter().map(move |sql| (*db, *sql)))
+    {
         for shape in &shapes {
-            for batch in [1usize, 3, 1024] {
-                for budget in [None, Some(1usize), Some(64 << 10)] {
+            for batch in [1usize, 3, 7, 1024] {
+                for budget in [None, Some(1usize), Some(1 << 10), Some(64 << 10)] {
                     for &threads in &thread_counts {
                         let mut config = shape.clone().with_batch_size(batch).with_threads(threads);
                         if let Some(b) = budget {
@@ -430,7 +475,7 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
                         }
                         let cell =
                             format!("{sql}\nbatch={batch} budget={budget:?} threads={threads}");
-                        let prepared = Session::new(&db)
+                        let prepared = Session::new(db)
                             .config(config)
                             .plan(sql)
                             .unwrap_or_else(|e| panic!("{cell}: {e}"));

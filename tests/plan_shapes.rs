@@ -6,8 +6,11 @@ use fto_bench::{PreparedQuery, Session};
 use fto_planner::{OptimizerConfig, Plan, PlanNode};
 use fto_storage::Database;
 
-fn count(plan: &Plan, pred: fn(&PlanNode) -> bool) -> usize {
-    plan.count_ops(&pred)
+/// How many nodes of `plan` the executor runs as `op` — counted by
+/// [`Plan::op_name`], which tells a full `sort` from a `segmented-sort` or
+/// a `top-n` and `group-by(stream)` from `group-by(hash)`.
+fn count(plan: &Plan, op: &str) -> usize {
+    plan.children().iter().map(|c| count(c, op)).sum::<usize>() + usize::from(plan.op_name() == op)
 }
 
 /// Compiles Q3 under one configuration against a borrowed TPC-D db.
@@ -18,19 +21,16 @@ fn q3<'a>(db: &'a Database, config: OptimizerConfig) -> PreparedQuery<'a> {
         .unwrap()
 }
 
-/// True when some StreamGroupBy is fed directly by a Sort.
+/// True when some streaming group-by is fed directly by a full sort.
 fn sort_feeds_group_by(plan: &Plan) -> bool {
-    if let PlanNode::StreamGroupBy { input, .. } = &plan.node {
-        if matches!(input.node, PlanNode::Sort { .. }) {
-            return true;
-        }
-    }
-    plan.children().iter().any(|c| sort_feeds_group_by(c))
+    let children = plan.children();
+    (plan.op_name() == "group-by(stream)" && children[0].op_name() == "sort")
+        || children.iter().any(|c| sort_feeds_group_by(c))
 }
 
-/// Depth of the highest Sort node (root = 0); deeper = pushed further down.
+/// Depth of the deepest full sort (root = 0); deeper = pushed further down.
 fn max_sort_depth(plan: &Plan, depth: usize) -> Option<usize> {
-    let own = matches!(plan.node, PlanNode::Sort { .. }).then_some(depth);
+    let own = (plan.op_name() == "sort").then_some(depth);
     plan.children()
         .iter()
         .filter_map(|c| max_sort_depth(c, depth + 1))
@@ -45,25 +45,21 @@ fn figure7_shape_order_opt_enabled() {
     let plan = enabled.plan();
     // An ordered index nested-loop join drives lineitem.
     assert!(
-        count(plan, |n| matches!(n, PlanNode::IndexNestedLoopJoin { .. })) >= 1,
+        count(plan, "index-nested-loop-join") >= 1,
         "{}",
         enabled.explain()
     );
     // The streaming group-by consumes the join order directly — no sort
     // of its own.
     assert!(
-        count(plan, |n| matches!(n, PlanNode::StreamGroupBy { .. })) == 1,
+        count(plan, "group-by(stream)") == 1,
         "{}",
         enabled.explain()
     );
     assert!(!sort_feeds_group_by(plan), "{}", enabled.explain());
     // The ORDER BY on the computed `rev` column still requires the final
     // sort (rev only exists after aggregation), exactly as in Figure 7.
-    assert!(
-        matches!(plan.node, PlanNode::Sort { .. }),
-        "{}",
-        enabled.explain()
-    );
+    assert_eq!(plan.op_name(), "sort", "{}", enabled.explain());
 }
 
 #[test]
@@ -80,7 +76,12 @@ fn figure8_shape_order_opt_disabled() {
 
 fn widest_sort(plan: &Plan) -> usize {
     let own = match &plan.node {
-        PlanNode::Sort { spec, .. } => spec.len(),
+        PlanNode::Sort {
+            spec,
+            prefix_len: 0,
+            limit: None,
+            ..
+        } => spec.len(),
         _ => 0,
     };
     plan.children()
@@ -117,16 +118,13 @@ fn figure1_shape() {
         .unwrap();
     // Order-based group-by over a sort on a.y, as the figure draws.
     assert_eq!(
-        count(compiled.plan(), |n| matches!(
-            n,
-            PlanNode::StreamGroupBy { .. }
-        )),
+        count(compiled.plan(), "group-by(stream)"),
         1,
         "{}",
         compiled.explain()
     );
     assert!(
-        count(compiled.plan(), |n| matches!(n, PlanNode::Sort { .. })) >= 1,
+        count(compiled.plan(), "sort") >= 1,
         "{}",
         compiled.explain()
     );
@@ -141,18 +139,9 @@ fn figure6_single_sort_ahead_serves_everything() {
         .unwrap();
     let plan = compiled.plan();
     // No top-level sort: the ORDER BY a.x is satisfied below.
-    assert!(
-        !matches!(plan.node, PlanNode::Sort { .. }),
-        "{}",
-        compiled.explain()
-    );
+    assert_ne!(plan.op_name(), "sort", "{}", compiled.explain());
     // Group-by streams without its own sort.
-    assert_eq!(
-        count(plan, |n| matches!(n, PlanNode::StreamGroupBy { .. })),
-        1,
-        "{}",
-        compiled.explain()
-    );
+    assert_eq!(count(plan, "group-by(stream)"), 1, "{}", compiled.explain());
     assert!(!sort_feeds_group_by(plan), "{}", compiled.explain());
     // The one descending sort below the joins (or an index order) covers
     // merge-join + GROUP BY + ORDER BY; executing confirms the order.

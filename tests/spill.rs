@@ -121,6 +121,34 @@ fn group_by_spills_partitions_under_tiny_budget() {
 }
 
 #[test]
+fn hash_distinct_honours_the_budget() {
+    // DISTINCT is the hash group-by with no aggregates, so 400 distinct
+    // (salary, grade) rows spill partitions under a budget that cannot
+    // hold them — and come back in first-seen order, as the interpreter
+    // emits them. (The separate hash DISTINCT operator this replaced held
+    // every key whatever the budget: 0 runs at every budget.)
+    let db = emp_db();
+    let sql = "select distinct salary, grade from emp";
+    for (budget, spills) in [(None, false), (Some(1usize << 10), true), (Some(1), true)] {
+        let mut config = OptimizerConfig::default();
+        if let Some(bytes) = budget {
+            config = config.with_memory_budget(bytes);
+        }
+        let q = Session::new(&db).config(config).plan(sql).unwrap();
+        assert!(
+            q.explain().starts_with("group-by(hash) (salary, grade)"),
+            "{}",
+            q.explain()
+        );
+        let out = q.execute().unwrap();
+        assert_eq!(out.rows().len(), 400);
+        assert_eq!(out.rows(), q.execute_materialized().unwrap().rows());
+        assert_eq!(out.spill.runs_formed > 0, spills, "budget={budget:?}");
+        assert_eq!(out.io.spill_pages_written > 0, spills, "budget={budget:?}");
+    }
+}
+
+#[test]
 fn left_join_build_side_spills_under_budget() {
     // The left-outer join admits build rows until the budget is hit,
     // then spills the remainder to a run file; probe output must stay

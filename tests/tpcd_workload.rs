@@ -125,7 +125,12 @@ fn order_report_groups_on_key_without_wide_sort() {
     let compiled = Session::new(&db).plan(&sql).unwrap();
     fn widest_sort(plan: &fto_planner::Plan) -> usize {
         let own = match &plan.node {
-            fto_planner::PlanNode::Sort { spec, .. } => spec.len(),
+            fto_planner::PlanNode::Sort {
+                spec,
+                prefix_len: 0,
+                limit: None,
+                ..
+            } => spec.len(),
             _ => 0,
         };
         plan.children()
