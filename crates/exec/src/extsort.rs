@@ -489,7 +489,12 @@ mod tests {
         let keys: SortKeys = vec![(0, Direction::Asc)];
         let mut buf = SortBuf::default();
         let two = Batch::from_typed_rows(&TYPES, &input(2)).unwrap();
-        buf.push_batch(&two, &keys, 5..);
+        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(&two, &keys, &mut kb, &mut ko);
+        buf.add_batch(&two);
+        for i in 0..2 {
+            buf.push(i, &kb[ko[i]..ko[i + 1]], 5 + i as u64);
+        }
         let run = buf
             .run(&buf.ordered(None, &mut Default::default()))
             .unwrap();

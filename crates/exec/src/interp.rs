@@ -78,7 +78,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             }
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
-                cursor.touch(heap.page_of(rid), io);
+                cursor.touch(0, heap.page_of(rid), io, None);
                 io.rows_read += 1;
                 out.push(heap.row(rid));
             }
@@ -151,7 +151,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
                 let key: Vec<Value> = probe_positions.iter().map(|&p| orow[p].clone()).collect();
                 io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
-                    cursor.touch(heap.page_of(*rid), io);
+                    cursor.touch(0, heap.page_of(*rid), io, None);
                     io.rows_read += 1;
                     let joined = concat(orow, &heap.row(*rid));
                     if eval_preds(graph, predicates, &joined, layout)? {

@@ -18,22 +18,21 @@
 //!   operator; a full sort, a Top-N and hash group-by are inherently
 //!   blocking, and joins materialize only their build side.
 //! * [`sortkernel`] — the interpreter's `Value`-comparator sort and
-//!   top-N (the oracle) and the permutation kernel every order enforcer
+//!   top-N (the oracle) and the permutation kernel the order enforcer
 //!   runs on: column batches held as they arrived, normalized binary
 //!   sort keys (`fto_common::sortkey`) in one arena, a permutation
 //!   ordered by `(key, input position)` — `memcmp`, or an MSB radix pass
 //!   on fixed-width keys — one gather per output batch, and the K-way
-//!   `(key, seq)` merge of runs. Its stability/tie-order contract is
-//!   what makes external and parallel merges deterministic; the
+//!   `(key, seq)` merge step over spilled runs. Its stability/tie-order
+//!   contract is what makes the external merge deterministic; the
 //!   differential suite holds both engines bit-identical.
-//! * [`parallel`] — the exchange layer. At parallel degree `p > 1`,
-//!   lowering fans partitionable pipeline segments out over `p`
-//!   `std::thread` workers: `Gather` concatenates the partitions'
-//!   batches in partition order, and `SortExchange` — the parallel form
-//!   of a full sort or top-N — has workers order partitions (or a
-//!   round-robin deal of a serial child) into runs that the coordinator
-//!   K-way-merges. Results are bit-identical to serial execution at
-//!   every degree.
+//! * [`parallel`] — the exchange layer, one operator. At parallel degree
+//!   `p > 1` (and no memory budget: a budget runs serial), lowering fans
+//!   the partitionable pipeline segments a breaker drains at `open` out
+//!   over `p` `std::thread` workers and `Gather` concatenates the
+//!   partitions' batches in partition order — the serial stream, so the
+//!   enforcer, join or group-by above it is the serial one and results
+//!   are bit-identical to serial execution at every degree.
 //! * [`interp`] — the original fully materializing interpreter, kept as
 //!   the reference engine. The differential test suite runs every query
 //!   through both engines and requires identical rows in identical order.

@@ -41,8 +41,8 @@ use std::time::Duration;
 
 /// Everything one execution counts — the stream threaded through every
 /// [`Operator`](crate::stream::Operator) call. Storage calls receive
-/// `&mut stats.io`; the order enforcers, exchanges and spilling operators
-/// add to the rest.
+/// `&mut stats.io`; the order enforcer and the spilling operators add to
+/// the rest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Simulated page I/O.
@@ -133,8 +133,9 @@ pub struct ExecRecord {
 impl ExecRecord {
     /// A record with a buffer pool of `budget` bytes (if any), `nodes`
     /// per-node slots (zero: not instrumented) and, when profiling, a
-    /// timeline. An exchange worker builds its own from plain copies: the
-    /// coordinator's node count and epoch, its share of the budget.
+    /// timeline. An exchange worker builds its own from plain copies — the
+    /// coordinator's node count and epoch — and never a pool: a budgeted
+    /// execution lowers no exchange.
     pub(crate) fn new(budget: Option<usize>, nodes: usize, timeline: Option<Timeline>) -> Self {
         ExecRecord {
             stats: ExecStats::default(),
@@ -220,11 +221,10 @@ pub struct OpMetrics {
     pub stats: ExecStats,
     /// Wall-clock time spent inside this operator's subtree (inclusive).
     pub elapsed: Duration,
-    /// Per-worker contributions when this node ran under an exchange at
-    /// parallel degree > 1. Empty for serial execution. The workers'
-    /// rows sum to the exchange input's total; their `stats` sum into
-    /// this node's inclusive `stats`, so the rollup invariant is
-    /// unaffected.
+    /// Per-worker contributions when this node is the root of a gathered
+    /// subtree at parallel degree > 1. Empty otherwise. The workers' rows
+    /// sum to this node's `rows`; their `stats` sum into this node's
+    /// inclusive `stats`, so the rollup invariant is unaffected.
     pub workers: Vec<WorkerOpMetrics>,
     /// The planner's row estimate for this operator
     /// ([`fto_planner::Cost::rows`]), recorded at lowering time so
@@ -247,18 +247,17 @@ impl OpMetrics {
     }
 }
 
-/// One worker's share of an exchange-parallel operator's work.
+/// One worker's share of a gathered subtree's work.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerOpMetrics {
-    /// Rows this worker produced into the exchange.
+    /// Rows this worker produced into the gather.
     pub rows: u64,
     /// Non-empty batches this worker pulled from its partition pipeline.
     pub batches: u64,
     /// Everything this worker's private stream charged: its partition
-    /// pipeline's I/O and the sorting it did.
+    /// pipeline's I/O.
     pub stats: ExecStats,
-    /// Wall-clock time this worker spent draining (and, for parallel
-    /// sorts, sorting) its partition.
+    /// Wall-clock time this worker spent draining its partition.
     pub elapsed: Duration,
 }
 

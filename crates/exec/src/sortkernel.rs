@@ -1,6 +1,6 @@
 //! The sort kernel: the interpreter's `Value`-comparator sort and top-N
-//! (the differential oracle), and the one permutation kernel every order
-//! enforcer of the streaming executor and the exchange layer runs on.
+//! (the differential oracle), and the one permutation kernel the order
+//! enforcer of the streaming executor — the only code that sorts — runs on.
 //!
 //! # Stability and tie-order contract
 //!
@@ -9,8 +9,8 @@
 //! NULLs per [`Value::total_cmp`]), and rows whose keys compare equal
 //! stay in **input order** — the output is what a stable sort produces.
 //! That is the determinism anchor of the engine: the differential suite
-//! holds both engines to bit-identical rows, and a parallel or external
-//! sort reproduces the serial one *only because* every run is ordered by
+//! holds both engines to bit-identical rows, and an external sort
+//! reproduces the in-memory one *only because* every run is ordered by
 //! `(key, sequence tag)` and merges break key ties by the tags.
 //!
 //! # The permutation kernel
@@ -26,9 +26,8 @@
 //! unstable. When every key has one width (numerics, dates, bools, no
 //! NULLs) a byte-wise MSB radix sort distributes instead of comparing.
 //! Payload moves once, in [`gather_rows`], per output batch. A [`Run`] —
-//! rows in order with their keys and tags — is what a worker hands the
-//! exchange coordinator and what a spilled run group decodes to;
-//! [`least_head`] is the K-way merge step over either.
+//! rows in order with their keys and tags — is what a spilled run group
+//! decodes to; [`least_head`] is the K-way merge step over them.
 //!
 //! # Counters
 //!
@@ -36,13 +35,11 @@
 //! comparisons made), [`SpillStats`] and [`SegmentStats`] are plain
 //! fields of the [`ExecStats`](crate::metrics::ExecStats) stream that
 //! every [`Operator`](crate::stream::Operator) call threads, next to the
-//! [`IoStats`](fto_storage::IoStats) it has always carried: an enforcer
-//! adds into the stream it was handed, an exchange worker into its
-//! private one (merged back in partition order), and the two entry points
-//! that run below any operator — [`SortBuf::ordered`] and [`merge_runs`] —
-//! take the `&mut SortStats` to add into, the way [`least_head`] takes
-//! `&mut cmps`. So a query's counts are its own whatever else the process
-//! is running. Until PR 18 they were five process-wide atomics that
+//! [`IoStats`](fto_storage::IoStats) it has always carried: the enforcer
+//! adds into the stream it was handed, and the entry point that runs below
+//! any operator — [`SortBuf::ordered`] — takes the `&mut SortStats` to add
+//! into, the way [`least_head`] takes `&mut cmps`. So a query's counts are
+//! its own whatever else the process is running. Until PR 18 they were five process-wide atomics that
 //! sessions snapshotted around each execution, and a 20 000-row spilling
 //! sort (`order by dept, salary desc` under 64 KiB) that alone reported
 //! 506 668 key bytes / 414 687 comparisons / 41 runs / 2 merge passes
@@ -51,7 +48,7 @@
 //! `tests/observability.rs::concurrent_sessions_report_their_own_work`
 //! holds the rule.
 
-use fto_common::column::{encode_batch_keys_arena, Batch, Column};
+use fto_common::column::{Batch, Column};
 use fto_common::{Direction, FtoError, Result, Row, Value};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
@@ -248,21 +245,6 @@ impl SortBuf {
         self.seqs.push(seq);
     }
 
-    /// Buffers every row of `batch` under `keys`, tagged from `seqs`.
-    pub(crate) fn push_batch(
-        &mut self,
-        batch: &Batch,
-        keys: &SortKeys,
-        seqs: impl Iterator<Item = u64>,
-    ) {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        encode_batch_keys_arena(batch, keys, &mut kb, &mut ko);
-        self.add_batch(batch);
-        for (i, seq) in seqs.take(batch.len()).enumerate() {
-            self.push(i, &kb[ko[i]..ko[i + 1]], seq);
-        }
-    }
-
     /// Buffers a run's rows (already in `(key, seq)` order).
     pub(crate) fn push_run(&mut self, run: &Run) {
         self.add_batch(&run.batch);
@@ -404,39 +386,12 @@ pub(crate) fn least_head<'a>(
     best.map(|(k, _)| k)
 }
 
-/// K-way merges runs into one stream ordered by `(key, seq)`, stopping
-/// after `limit` rows: output row `j` is row `.1` of run `.0`. Given runs
-/// that sorted disjoint pieces of one serial input and are tagged
-/// consistently with its order, this is that input's stable sort. Adds
-/// its comparisons to `stats`.
-pub(crate) fn merge_runs(
-    runs: &[Run],
-    limit: Option<usize>,
-    stats: &mut SortStats,
-) -> Vec<(u32, u32)> {
-    let total: usize = runs.iter().map(|r| r.seqs.len()).sum();
-    let want = limit.map_or(total, |n| n.min(total));
-    let mut at = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(want);
-    while out.len() < want {
-        let heads = runs
-            .iter()
-            .zip(&at)
-            .map(|(r, &i)| (i < r.seqs.len()).then(|| (r.keys.get(i), r.seqs[i])));
-        let k = least_head(heads, &mut stats.comparisons)
-            .expect("fewer rows merged than the runs hold");
-        out.push((k as u32, at[k] as u32));
-        at[k] += 1;
-    }
-    out
-}
-
 /// Gathers rows from several batches of one stream — output row `j` is
 /// row `sel[j].1` of `sources[sel[j].0]` — keeping every column's declared
 /// type and carrying a validity bitmap only where a gathered slot is NULL.
 /// The spill page codec writes the bitmap, so what an enforcer emits or
 /// spills must not depend on whether its source batches happened to carry
-/// one. No sources (a worker that drew no rows) gather to no columns.
+/// one. No sources gather to no columns.
 pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batch> {
     let arity = sources.first().map_or(0, |b| b.arity());
     let columns = (0..arity)
@@ -455,6 +410,7 @@ pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fto_common::column::encode_batch_keys_arena;
     use fto_common::{ColId, DataType};
     use fto_order::SortKey;
 
@@ -474,8 +430,23 @@ mod tests {
         Batch::from_typed_rows(&types, rows).unwrap()
     }
 
+    /// Buffers every row of `batch` under `keys`, tagged from `seqs`.
+    fn push_batch(
+        buf: &mut SortBuf,
+        batch: &Batch,
+        keys: &SortKeys,
+        seqs: impl Iterator<Item = u64>,
+    ) {
+        let (mut kb, mut ko) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(batch, keys, &mut kb, &mut ko);
+        buf.add_batch(batch);
+        for (i, seq) in seqs.take(batch.len()).enumerate() {
+            buf.push(i, &kb[ko[i]..ko[i + 1]], seq);
+        }
+    }
+
     /// `rows` tagged `seqs`, ordered by the permutation kernel into a run
-    /// (cut to `limit`) — what an exchange worker or a sealed spill run is.
+    /// (cut to `limit`) — what a sealed spill run is.
     fn run_of(
         rows: &[Row],
         seqs: impl Iterator<Item = u64>,
@@ -483,7 +454,7 @@ mod tests {
         limit: Option<usize>,
     ) -> Run {
         let mut buf = SortBuf::default();
-        buf.push_batch(&batch_of(rows), keys, seqs);
+        push_batch(&mut buf, &batch_of(rows), keys, seqs);
         buf.run(&buf.ordered(limit, &mut SortStats::default()))
             .unwrap()
     }
@@ -499,41 +470,36 @@ mod tests {
         rows_of(&run_of(rows, 0.., keys, None).batch)
     }
 
-    /// The K-way merge of `runs`, as rows.
-    fn merged(runs: &[Run], limit: Option<usize>) -> Vec<Row> {
+    /// Steps [`least_head`] over `runs` until every one is drained: the
+    /// merged rows and the comparisons the steps made.
+    fn merged(runs: &[Run]) -> (Vec<Row>, u64) {
+        let (mut at, mut cmps) = (vec![0usize; runs.len()], 0u64);
+        let mut sel = Vec::new();
+        loop {
+            let heads = runs
+                .iter()
+                .zip(&at)
+                .map(|(r, &i)| (i < r.seqs.len()).then(|| (r.keys.get(i), r.seqs[i])));
+            let Some(k) = least_head(heads, &mut cmps) else {
+                break;
+            };
+            sel.push((k as u32, at[k] as u32));
+            at[k] += 1;
+        }
         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
-        let merged = merge_runs(runs, limit, &mut SortStats::default());
-        rows_of(&gather_rows(&sources, &merged).unwrap())
+        (rows_of(&gather_rows(&sources, &sel).unwrap()), cmps)
     }
 
-    /// Runs over `parts` contiguous pieces of `input`, tagged locally and
-    /// rebased onto each piece's serial interval like the exchange does.
-    fn contiguous_runs(
-        input: &[Row],
-        parts: usize,
-        keys: &SortKeys,
-        limit: Option<usize>,
-    ) -> Vec<Run> {
+    /// Runs over `parts` contiguous pieces of `input`, each tagged with its
+    /// rows' input positions — the runs an external sort seals.
+    fn contiguous_runs(input: &[Row], parts: usize, keys: &SortKeys) -> Vec<Run> {
         let mut base = 0u64;
         input
             .chunks(input.len().div_ceil(parts))
             .map(|piece| {
-                let mut run = run_of(piece, 0.., keys, limit);
-                run.seqs.iter_mut().for_each(|s| *s += base);
+                let run = run_of(piece, base.., keys, None);
                 base += piece.len() as u64;
                 run
-            })
-            .collect()
-    }
-
-    /// Runs over a round-robin deal of `input`, tagged with global
-    /// positions.
-    fn dealt_runs(input: &[Row], parts: usize, keys: &SortKeys) -> Vec<Run> {
-        (0..parts)
-            .map(|p| {
-                let bucket: Vec<Row> = input.iter().skip(p).step_by(parts).cloned().collect();
-                let tags = (p as u64..).step_by(parts);
-                run_of(&bucket, tags, keys, None)
             })
             .collect()
     }
@@ -607,18 +573,9 @@ mod tests {
         let mut serial = input.clone();
         sort_rows(&mut serial, &keys);
         for parts in [1usize, 2, 3, 4, 5] {
-            let runs = contiguous_runs(&input, parts, &keys, None);
-            assert_eq!(merged(&runs, None), serial, "parts={parts}");
+            let runs = contiguous_runs(&input, parts, &keys);
+            assert_eq!(merged(&runs).0, serial, "parts={parts}");
         }
-    }
-
-    #[test]
-    fn merge_with_explicit_tags_restores_round_robin_deal() {
-        let keys = keys_from(&[(0, Direction::Asc)]);
-        let input: Vec<Row> = (0..90).map(|i| row(&[(i * 7) % 6, i])).collect();
-        let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
-        assert_eq!(merged(&dealt_runs(&input, 4, &keys), None), serial);
     }
 
     /// One row set per key type, together exercising every codec branch:
@@ -697,31 +654,10 @@ mod tests {
             let mut serial = input.clone();
             sort_rows(&mut serial, &keys);
             for parts in [1usize, 2, 3, 5] {
-                let runs = contiguous_runs(&input, parts, &keys, None);
-                assert_eq!(merged(&runs, None), serial, "parts={parts}");
+                let runs = contiguous_runs(&input, parts, &keys);
+                assert_eq!(merged(&runs).0, serial, "parts={parts}");
             }
         }
-    }
-
-    #[test]
-    fn codec_tagged_runs_restore_round_robin_deal() {
-        let keys = keys_from(&[(0, Direction::Desc)]);
-        for input in mixed_rows(150) {
-            let mut serial = input.clone();
-            sort_rows(&mut serial, &keys);
-            assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), serial);
-        }
-    }
-
-    #[test]
-    fn top_n_run_shift_rebases_stored_keys() {
-        let keys = keys_from(&[(0, Direction::Asc)]);
-        // Two "workers" with heavy ties: containment + tag order across
-        // runs must pick the earliest-input rows, exactly like serial.
-        let all: Vec<Row> = (0..60).map(|i| row(&[i % 3, i])).collect();
-        let serial = top_n(all.clone(), &keys, 10);
-        let runs = contiguous_runs(&all, 2, &keys, Some(10));
-        assert_eq!(merged(&runs, Some(10)), serial);
     }
 
     #[test]
@@ -734,20 +670,18 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
         let mut buf = SortBuf::default();
-        buf.push_batch(&batch_of(&rows), &keys, 0..);
+        push_batch(&mut buf, &batch_of(&rows), &keys, 0..);
         let (mut stats, mut again) = (SortStats::default(), SortStats::default());
         let perm = buf.ordered(None, &mut stats);
         assert_eq!(stats.key_bytes, 100 * (11 + 8));
         assert!(stats.comparisons > 0, "ties within a bucket are compared");
         assert_eq!(buf.ordered(None, &mut again), perm);
         assert_eq!(again, stats, "the same sort counts the same work");
-        // A merge encodes nothing and compares one head pair per row but
-        // the last run's leftovers.
-        let runs = contiguous_runs(&rows, 2, &keys, None);
-        let mut merge = SortStats::default();
-        assert_eq!(merge_runs(&runs, None, &mut merge).len(), 100);
-        assert_eq!(merge.key_bytes, 0);
-        assert!((50..100).contains(&merge.comparisons), "{merge:?}");
+        // A merge step compares one head pair per row but the last run's
+        // leftovers.
+        let (rows, cmps) = merged(&contiguous_runs(&rows, 2, &keys));
+        assert_eq!(rows.len(), 100);
+        assert!((50..100).contains(&cmps), "{cmps}");
     }
 
     #[test]
@@ -758,9 +692,10 @@ mod tests {
             run_of(&[row(&[1, 0]), row(&[3, 1])], 0.., &keys, None),
             run_of(&[row(&[2, 2])], 2.., &keys, None),
         ];
-        let got: Vec<i64> = merge_runs(&runs, None, &mut SortStats::default())
+        let got: Vec<i64> = merged(&runs)
+            .0
             .iter()
-            .map(|&(r, i)| runs[r as usize].batch.row(i as usize)[0].as_int().unwrap())
+            .map(|r| r[0].as_int().unwrap())
             .collect();
         assert_eq!(got, vec![1, 2, 3]);
     }
@@ -776,11 +711,7 @@ mod tests {
             rows_of(&run_of(&input, 0.., &keys, Some(9)).batch),
             input[..9]
         );
-        assert_eq!(
-            merged(&contiguous_runs(&input, 7, &keys, None), None),
-            input
-        );
-        assert_eq!(merged(&dealt_runs(&input, 3, &keys), None), input);
+        assert_eq!(merged(&contiguous_runs(&input, 7, &keys)).0, input);
     }
 
     #[test]

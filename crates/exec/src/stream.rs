@@ -41,7 +41,7 @@ use crate::aggkernel::{AggSpec, GroupAgg, GroupTable, NO_GROUP};
 use crate::extsort::{RunFormer, Sorted};
 use crate::interp::positions;
 use crate::metrics::{ExecRecord, ExecStats, OpMetrics, PlanMetrics};
-use crate::parallel::{GatherOp, PartitionSpec, SortExchangeOp, SortSource};
+use crate::parallel::{GatherOp, PartitionSpec};
 use crate::sortkernel::{resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
 use fto_common::{ColId, DataType, Direction, FtoError, IndexId, Result, TableId, Value};
@@ -63,8 +63,8 @@ use std::time::{Duration, Instant};
 pub use fto_common::column::Batch;
 
 /// Execution-wide knobs passed to every operator call: immutable plain
-/// data, so exchange workers copy it (with `threads` pinned to 1 and their
-/// share of the budget). Everything an execution *records* — counters,
+/// data, so exchange workers copy it (with `threads` pinned to 1).
+/// Everything an execution *records* — counters,
 /// per-node actuals, the timeline, the buffer pool's residency — lives in
 /// the [`ExecRecord`] threaded beside it.
 #[derive(Clone, Copy)]
@@ -75,9 +75,9 @@ pub struct ExecContext<'a> {
     pub graph: &'a QueryGraph,
     /// Maximum rows per batch (always ≥ 1).
     pub batch_size: usize,
-    /// Degree of parallelism this execution was lowered with (always ≥ 1;
-    /// worker-side contexts are always 1 so pipelines never nest
-    /// exchanges).
+    /// Degree of parallelism this execution was lowered with (always ≥ 1,
+    /// and 1 under a memory budget; worker-side contexts are always 1 so
+    /// pipelines never nest exchanges).
     pub threads: usize,
     /// Per-query memory budget in bytes for pipeline breakers, or `None`
     /// for unbounded in-memory execution. When set, sort and Top-N bound
@@ -85,22 +85,26 @@ pub struct ExecContext<'a> {
     /// spills overflow partitions, the hash-join build side spills rows
     /// past the budget — all bit-identical to unbounded execution — and
     /// heap-page touches route through the record's bounded buffer pool
-    /// (`budget / PAGE_SIZE` frames, clock eviction). The coordinator's
-    /// pipeline keeps the full budget; each exchange worker runs under
-    /// `budget / P` (at least one byte) with a private pool, see
-    /// [`crate::parallel`].
+    /// (`budget / PAGE_SIZE` frames, clock eviction). A budgeted execution
+    /// runs serially ([`ExecContext::new`]): those three breakers and the
+    /// pool are all the code the budget has to reach.
     pub memory_budget: Option<usize>,
 }
 
 impl<'a> ExecContext<'a> {
     /// The execution knobs of `config`, with `batch_size` and `threads`
-    /// clamped to at least 1 — the one place that rule lives.
+    /// clamped to at least 1, and `threads` pinned to 1 under a memory
+    /// budget — a gather holds its subtree's whole output, which no budget
+    /// bounds — the one place those rules live.
     pub fn new(db: &'a Database, graph: &'a QueryGraph, config: &OptimizerConfig) -> Self {
         ExecContext {
             db,
             graph,
             batch_size: config.batch_size.max(1),
-            threads: config.threads.max(1),
+            threads: match config.memory_budget {
+                Some(_) => 1,
+                None => config.threads.max(1),
+            },
             memory_budget: config.memory_budget,
         }
     }
@@ -304,12 +308,9 @@ impl Operator for ScanOp {
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
-        let batch = self.state.next_columns_pooled(
-            heap,
-            cx.batch_size,
-            &mut rec.stats.io,
-            rec.pool.as_mut(),
-        )?;
+        let batch =
+            self.state
+                .next_columns(heap, cx.batch_size, &mut rec.stats.io, rec.pool.as_mut())?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
@@ -359,7 +360,7 @@ impl Operator for IndexScanOp {
             .state
             .as_mut()
             .ok_or_else(|| FtoError::internal("index scan used before open"))?;
-        let batch = state.next_columns_pooled(
+        let batch = state.next_columns(
             ix,
             heap,
             cx.batch_size,
@@ -1069,7 +1070,7 @@ impl Operator for IndexNestedLoopJoinOp {
                     // Probe fetches share the budgeted buffer pool with
                     // the scans (keyed by table id); unbounded executions
                     // charge exactly as before.
-                    self.cursor.touch_pooled(
+                    self.cursor.touch(
                         heap.table().0 as u64,
                         heap.page_of(*rid),
                         &mut rec.stats.io,
@@ -1949,69 +1950,45 @@ fn partitionable(plan: &Plan) -> bool {
     }
 }
 
-/// Builds the [`PartitionSpec`] for exchanging `input` over `lw.threads`
-/// workers. The coordinator lowers nothing below an exchange; it only
-/// steps `next_id` past the subtree, mirroring [`lower_impl`]'s pre-order
-/// numbering, so the workers' wrappers and the nodes after the subtree
-/// all keep their ids.
-fn exchange_spec(input: &Arc<Plan>, lw: &mut LowerCx<'_>) -> PartitionSpec {
+/// Lowers a child subtree that its parent fully drains at `open` (the
+/// input of an enforcer without a satisfied prefix, a join build side, a
+/// hash group-by input). At parallel degree > 1 a partitionable subtree
+/// becomes a [`GatherOp`] that drains the P partition pipelines on worker
+/// threads and concatenates their outputs in partition order — which *is*
+/// the serial order, so parents observe the exact serial row stream. The
+/// coordinator lowers nothing below a gather; it only steps `next_id`
+/// past the subtree (see [`LowerCx`]).
+fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
+    if lw.partition.is_some() || lw.threads == 1 || !partitionable(plan) {
+        return lower_impl(plan, lw);
+    }
     let base_id = lw.next_id;
-    lw.next_id += input.count_ops(&|_| true);
-    PartitionSpec {
-        plan: Arc::clone(input),
+    lw.next_id += plan.count_ops(&|_| true);
+    Ok(Box::new(GatherOp::new(PartitionSpec {
+        plan: Arc::clone(plan),
         parts: lw.threads,
         base_id,
-    }
+    })))
 }
 
 /// Lowers a [`PlanNode::Sort`], whose input satisfies the first
-/// `prefix_len` keys of `spec`. At parallel degree > 1 the coordinator
-/// (never a worker's partition pipeline, where `threads` is pinned to 1)
-/// replaces an enforcer *without* a satisfied prefix by a
-/// [`SortExchangeOp`] — the serial operator drains its input at `open`
-/// anyway. With a prefix the enforcer streams group by group and always
-/// lowers serially, so a `LIMIT` above it keeps its early exit at every
-/// degree. A top-N over a non-partitionable input stays serial too: it
-/// prunes as it drains, which a round-robin deal could not.
+/// `prefix_len` keys of `spec`. Without a satisfied prefix the enforcer
+/// drains its input at `open`; with one it streams group by group, so a
+/// `LIMIT` above it keeps its early exit at every degree.
 fn lower_enforcer(
     input: &Arc<Plan>,
     spec: &fto_order::OrderSpec,
     prefix_len: usize,
     limit: Option<u64>,
-    id: usize,
     lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
     let keys = resolve_keys(spec, &input.layout)?;
+    let child = match prefix_len {
+        0 => lower_drained(input, lw)?,
+        _ => lower_impl(input, lw)?,
+    };
     let limit = limit.map(|n| n as usize);
-    if lw.partition.is_none() && lw.threads > 1 && prefix_len == 0 {
-        if partitionable(input) {
-            let source = SortSource::Partitioned(exchange_spec(input, lw));
-            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, id)));
-        }
-        if limit.is_none() {
-            let source = SortSource::RoundRobin {
-                child: lower_impl(input, lw)?,
-                parts: lw.threads,
-            };
-            return Ok(Box::new(SortExchangeOp::new(source, keys, limit, id)));
-        }
-    }
-    let child = lower_impl(input, lw)?;
     Ok(Box::new(EnforceOp::new(child, keys, prefix_len, limit)))
-}
-
-/// Lowers a child subtree that its parent fully drains at `open` (a join
-/// build side, a hash group-by input). At parallel degree > 1 a
-/// partitionable subtree becomes a [`GatherOp`] that drains the P
-/// partition pipelines on worker threads and concatenates their outputs
-/// in partition order — which *is* the serial order, so parents observe
-/// the exact serial row stream.
-fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
-    if lw.partition.is_none() && lw.threads > 1 && partitionable(plan) {
-        Ok(Box::new(GatherOp::new(exchange_spec(plan, lw))))
-    } else {
-        lower_impl(plan, lw)
-    }
 }
 
 /// Lowers a [`PlanNode::Join`] over its `(child, equi-key columns)` sides.
@@ -2042,11 +2019,10 @@ fn lower_join(
 /// Lowers `plan`, wrapping every operator in an [`InstrumentedOp`] when
 /// instrumenting. Ids go parent-before-children and children in
 /// [`Plan::children`] order, which is exactly pre-order — the numbering
-/// [`PlanMetrics`] documents. At parallel degree > 1 the
-/// coordinator replaces eligible sorts, top-ns and fully-drained join
-/// build sides and hash group-by inputs with exchange operators from
-/// [`crate::parallel`]; worker
-/// threads then re-lower the exchanged subtrees via [`lower_worker`].
+/// [`PlanMetrics`] documents. At parallel degree > 1 the coordinator
+/// lowers the partitionable inputs its breakers drain at `open` to a
+/// gather ([`lower_drained`]); worker threads then re-lower the gathered
+/// subtrees via [`lower_worker`].
 fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
     let id = lw.next_id;
     lw.next_id += 1;
@@ -2094,7 +2070,7 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
             prefix_len,
             limit,
             ..
-        } => lower_enforcer(input, spec, *prefix_len, *limit, id, lw)?,
+        } => lower_enforcer(input, spec, *prefix_len, *limit, lw)?,
         PlanNode::IndexNestedLoopJoin {
             outer,
             table,
@@ -2406,6 +2382,8 @@ mod tests {
             );
             assert_eq!(serial.stats.io.rows_read, par.stats.io.rows_read);
             assert_eq!(serial.stats.io.sort_rows, par.stats.io.sort_rows);
+            // The enforcer above the gather is the serial one.
+            assert_eq!(serial.stats.sort, par.stats.sort);
         }
     }
 
@@ -2444,9 +2422,9 @@ mod tests {
             );
             assert_eq!(metrics.total(), totals, "threads={threads}");
             if threads > 1 {
-                // The Sort node carries one entry per exchange worker.
-                assert_eq!(metrics.ops[0].workers.len(), threads);
-                let worker_rows: u64 = metrics.ops[0].workers.iter().map(|w| w.rows).sum();
+                // The gathered scan carries one entry per worker.
+                assert_eq!(metrics.ops[1].workers.len(), threads);
+                let worker_rows: u64 = metrics.ops[1].workers.iter().map(|w| w.rows).sum();
                 assert_eq!(worker_rows, 2048);
             }
         }
@@ -2545,13 +2523,11 @@ mod tests {
     }
 
     #[test]
-    fn enforcer_and_exchange_match_the_interpreter_sort_on_random_batches() {
+    fn enforcer_matches_the_interpreter_sort_on_random_batches() {
         // The one property every enforcer configuration must satisfy:
-        // (prefix k, limit, budget) serially, and (parts, limit) through
-        // the exchange kernel, all equal the interpreter's stable
+        // (prefix k, limit, budget) all equal the interpreter's stable
         // `sort_rows` / `top_n` of the same rows, bit for bit.
-        use crate::parallel::sort_run;
-        use crate::sortkernel::{gather_rows, merge_runs, sort_rows, top_n, SortStats};
+        use crate::sortkernel::{sort_rows, top_n};
         let db = test_db(1);
         let graph = QueryGraph::new();
         let feed = |batches: &[Batch]| Box::new(Feed(batches.iter().cloned().collect()));
@@ -2658,43 +2634,6 @@ mod tests {
                         let got = drain(Box::new(op), &cx);
                         assert_eq!(exact(&got), want, "{case} {opts:?}");
                     }
-                    if k > 0 {
-                        continue;
-                    }
-                    let cx = ExecContext::new(&db, &graph, &OptimizerConfig::default());
-                    for parts in 1..=3usize {
-                        let mut base = 0u64;
-                        let runs: Vec<_> = batches
-                            .chunks(batches.len().div_ceil(parts).max(1))
-                            .map(|piece| {
-                                let mut run = sort_run(
-                                    piece,
-                                    &keys,
-                                    limit,
-                                    (0, 1),
-                                    &mut SortStats::default(),
-                                )
-                                .unwrap();
-                                run.seqs.iter_mut().for_each(|s| *s += base);
-                                base += piece.iter().map(|b| b.len() as u64).sum::<u64>();
-                                run
-                            })
-                            .filter(|r| !r.seqs.is_empty())
-                            .collect();
-                        let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
-                        let mut got = Vec::new();
-                        let merged = merge_runs(&runs, limit, &mut SortStats::default());
-                        gather_rows(&sources, &merged)
-                            .unwrap()
-                            .append_rows_to(&mut got);
-                        assert_eq!(exact(&got), want, "{case} parts={parts}");
-                    }
-                    let source = SortSource::RoundRobin {
-                        child: feed(&batches),
-                        parts: 3,
-                    };
-                    let op = SortExchangeOp::new(source, keys.clone(), limit, 0);
-                    assert_eq!(exact(&drain(Box::new(op), &cx)), want, "{case} dealt");
                 }
             }
         }
@@ -2722,8 +2661,8 @@ mod tests {
         // An ORDER BY reduced to nothing sorts by input position alone:
         // in memory, through the multi-pass external merge (1 KiB holds
         // 14 of these rows, so 500 rows form 36 runs: one level reduces
-        // them to the fan-in of 8, the final merge is the second pass),
-        // and through the exchanges.
+        // them to the fan-in of 8, the final merge is the second pass) —
+        // at every degree, a budget runs serial — and above a gather.
         let db = test_db(500);
         let graph = QueryGraph::new();
         let scan = scan_plan();
@@ -2753,7 +2692,7 @@ mod tests {
                     unsorted,
                     "{memory_budget:?} threads={threads}"
                 );
-                if memory_budget.is_some() && threads == 1 {
+                if memory_budget.is_some() {
                     let spill = sorted.stats.spill;
                     assert_eq!((spill.runs_formed, spill.merge_passes), (36, 2));
                     assert!(sorted.stats.io.spill_pages_read > 0);

@@ -46,8 +46,9 @@ pub struct OptimizerConfig {
     pub batch_size: usize,
     /// Degree of intra-query parallelism in the streaming executor.
     /// `1` (the default) runs every operator on the calling thread;
-    /// `p > 1` lets lowering insert exchange operators that fan pipeline
-    /// segments out over `p` workers.
+    /// `p > 1` lets lowering insert gathers that fan pipeline segments out
+    /// over `p` workers — unless a `memory_budget` is set, which runs
+    /// serial.
     pub threads: usize,
     /// Consider segmented (partial) sorts: when the input's order
     /// property already satisfies a prefix of a sort requirement, the

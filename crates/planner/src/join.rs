@@ -240,18 +240,8 @@ fn join_pair(
         let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
         let o_order = OrderSpec::ascending(ocols.iter().copied());
         let i_order = OrderSpec::ascending(icols.iter().copied());
-        let outer_sorted = if planner.order_satisfied(outer, &o_order) {
-            planner.sort_avoided(&o_order, outer);
-            outer.clone()
-        } else {
-            planner.add_sort(outer.clone(), &o_order)
-        };
-        let inner_sorted = if planner.order_satisfied(inner, &i_order) {
-            planner.sort_avoided(&i_order, inner);
-            inner.clone()
-        } else {
-            planner.add_sort(inner.clone(), &i_order)
-        };
+        let outer_sorted = planner.ensure_order(outer.clone(), &o_order);
+        let inner_sorted = planner.ensure_order(inner.clone(), &i_order);
         let props = join_props(
             planner,
             memo,

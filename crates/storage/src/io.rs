@@ -170,11 +170,10 @@ impl PageCursor {
         }
     }
 
-    /// Records a touch of `page`, charging `stats` appropriately:
-    /// same page — free; next page — sequential; anything else — random.
-    /// The first touch follows the cursor's policy (see [`PageCursor::new`]
-    /// vs [`PageCursor::probing`]).
-    pub fn touch(&mut self, page: u64, stats: &mut IoStats) {
+    /// Charges a touch of `page` to `stats`: same page — free; next page —
+    /// sequential; anything else — random. The first touch follows the
+    /// cursor's policy (see [`PageCursor::new`] vs [`PageCursor::probing`]).
+    fn charge(&mut self, page: u64, stats: &mut IoStats) {
         match self.last_page {
             Some(last) if last == page => {}
             Some(last) if page == last + 1 => {
@@ -196,18 +195,19 @@ impl PageCursor {
         }
     }
 
-    /// As [`PageCursor::touch`], but routed through a bounded
+    /// Records a touch of `page`, routed through a bounded
     /// [`crate::BufferPool`] when one is active. Repeated touches of the
     /// current page stay free either way; a page-change touch first
     /// consults the pool — a resident page is a free *hit*, a miss pays
-    /// the usual sequential/random charge. With `pool` `None` this is
-    /// exactly `touch`, bit for bit, which is how the unbudgeted engine
-    /// keeps its historical accounting. `tag` namespaces page numbers per
-    /// storage object (table/index id) so distinct objects never alias.
+    /// the usual sequential/random charge. With `pool` `None` (the
+    /// unbudgeted engine, the interpreter) every touch is charged by the
+    /// cursor alone. `tag` namespaces page numbers per storage object
+    /// (table/index id) so distinct objects never alias in the pool;
+    /// without a pool it is unused.
     ///
     /// Invariant: when a pool is active, `pool_misses` on this cursor
     /// equals the sequential + random pages it charges.
-    pub fn touch_pooled(
+    pub fn touch(
         &mut self,
         tag: u64,
         page: u64,
@@ -215,7 +215,7 @@ impl PageCursor {
         pool: Option<&mut crate::BufferPool>,
     ) {
         let Some(pool) = pool else {
-            self.touch(page, stats);
+            self.charge(page, stats);
             return;
         };
         if self.last_page == Some(page) {
@@ -226,7 +226,7 @@ impl PageCursor {
             self.last_page = Some(page);
         } else {
             stats.pool_misses += 1;
-            self.touch(page, stats);
+            self.charge(page, stats);
         }
     }
 }
@@ -240,7 +240,7 @@ mod tests {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
         for p in 0..5 {
-            c.touch(p, &mut s);
+            c.touch(0, p, &mut s, None);
         }
         assert_eq!(s.sequential_pages, 5);
         assert_eq!(s.random_pages, 0);
@@ -250,9 +250,9 @@ mod tests {
     fn repeated_touch_is_free() {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
-        c.touch(3, &mut s);
-        c.touch(3, &mut s);
-        c.touch(3, &mut s);
+        c.touch(0, 3, &mut s, None);
+        c.touch(0, 3, &mut s, None);
+        c.touch(0, 3, &mut s, None);
         assert_eq!(s.sequential_pages, 1);
         assert_eq!(s.random_pages, 0);
     }
@@ -261,9 +261,9 @@ mod tests {
     fn jumps_are_random() {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
-        c.touch(0, &mut s);
-        c.touch(9, &mut s);
-        c.touch(2, &mut s); // backward jump
+        c.touch(0, 0, &mut s, None);
+        c.touch(0, 9, &mut s, None);
+        c.touch(0, 2, &mut s, None); // backward jump
         assert_eq!(s.sequential_pages, 1);
         assert_eq!(s.random_pages, 2);
     }
@@ -279,12 +279,12 @@ mod tests {
         let mut s_rand = IoStats::new();
         let mut c = PageCursor::new();
         for &p in &pages {
-            c.touch(p, &mut s_rand);
+            c.touch(0, p, &mut s_rand, None);
         }
         let mut s_sorted = IoStats::new();
         let mut c = PageCursor::new();
         for &p in &sorted {
-            c.touch(p, &mut s_sorted);
+            c.touch(0, p, &mut s_sorted, None);
         }
         assert!(s_sorted.weighted_page_cost() < s_rand.weighted_page_cost() / 2.0);
         assert_eq!(s_sorted.random_pages, 0);
@@ -294,12 +294,12 @@ mod tests {
     fn probing_cursor_charges_first_touch_as_random() {
         let mut c = PageCursor::probing();
         let mut s = IoStats::new();
-        c.touch(7, &mut s);
+        c.touch(0, 7, &mut s, None);
         assert_eq!(s.random_pages, 1);
         assert_eq!(s.sequential_pages, 0);
         // After the first touch the usual adjacency rules apply.
-        c.touch(7, &mut s);
-        c.touch(8, &mut s);
+        c.touch(0, 7, &mut s, None);
+        c.touch(0, 8, &mut s, None);
         assert_eq!(s.random_pages, 1);
         assert_eq!(s.sequential_pages, 1);
     }
@@ -311,7 +311,7 @@ mod tests {
         let mut s = IoStats::new();
         // First pass over pages 0..4 faults every page in.
         for p in 0..4 {
-            c.touch_pooled(1, p, &mut s, Some(&mut pool));
+            c.touch(1, p, &mut s, Some(&mut pool));
         }
         assert_eq!(s.pool_misses, 4);
         assert_eq!(s.pool_hits, 0);
@@ -319,7 +319,7 @@ mod tests {
         // Second pass with a fresh cursor: everything is resident.
         let mut c2 = PageCursor::new();
         for p in 0..4 {
-            c2.touch_pooled(1, p, &mut s, Some(&mut pool));
+            c2.touch(1, p, &mut s, Some(&mut pool));
         }
         assert_eq!(s.pool_hits, 4);
         assert_eq!(s.sequential_pages, 4, "hits charge nothing");
@@ -328,7 +328,7 @@ mod tests {
         // Without a pool, behavior is plain touch.
         let mut c3 = PageCursor::new();
         let mut s2 = IoStats::new();
-        c3.touch_pooled(1, 0, &mut s2, None);
+        c3.touch(1, 0, &mut s2, None);
         assert_eq!(s2.sequential_pages, 1);
         assert_eq!(s2.pool_hits + s2.pool_misses, 0);
     }

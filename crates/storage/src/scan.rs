@@ -99,26 +99,15 @@ impl HeapScanState {
     /// scan is exhausted), charging one sequential page per page boundary
     /// actually crossed. A scan run to completion therefore charges
     /// exactly [`HeapTable::page_count`] pages; a scan abandoned early
-    /// charges only the pages behind the rows it produced.
-    pub fn next_columns(
-        &mut self,
-        heap: &HeapTable,
-        max_rows: usize,
-        io: &mut IoStats,
-    ) -> Result<Batch> {
-        self.next_columns_pooled(heap, max_rows, io, None)
-    }
-
-    /// As [`HeapScanState::next_columns`], but page touches go through
-    /// `pool` when one is active: resident pages are free hits, misses
-    /// pay the usual charge. With `pool` `None` the accounting is
-    /// bit-identical to [`HeapScanState::next_columns`].
+    /// charges only the pages behind the rows it produced. Page touches
+    /// go through `pool` when one is active: resident pages are free
+    /// hits, misses pay the usual charge.
     ///
     /// Pages and rows are charged row by row — the unit the page cursor
     /// and the pool see must not depend on how the heap happens to chunk
     /// its columns — and the rows then come out of the heap as columns: a
     /// pull covering exactly one stored chunk shares its `Arc`s.
-    pub fn next_columns_pooled(
+    pub fn next_columns(
         &mut self,
         heap: &HeapTable,
         max_rows: usize,
@@ -133,7 +122,7 @@ impl HeapScanState {
         let tag = heap_pool_tag(heap);
         for rid in self.next_rid..end {
             self.cursor
-                .touch_pooled(tag, heap.page_of(rid), io, pool.as_deref_mut());
+                .touch(tag, heap.page_of(rid), io, pool.as_deref_mut());
             io.rows_read += 1;
         }
         let batch = heap.columns(self.next_rid, end)?;
@@ -234,27 +223,15 @@ impl IndexScanState {
     /// and each fetched heap row goes through a [`PageCursor`], so probes
     /// landing on the page just read are free — the clustering effect the
     /// paper's ordered access paths exploit. Pages past the point where
-    /// the caller stops pulling are never charged.
-    pub fn next_columns(
-        &mut self,
-        index: &OrderedIndex,
-        heap: &HeapTable,
-        max_rows: usize,
-        io: &mut IoStats,
-    ) -> Result<Batch> {
-        self.next_columns_pooled(index, heap, max_rows, io, None, 0)
-    }
-
-    /// As [`IndexScanState::next_columns`], but heap-page fetches *and*
+    /// the caller stops pulling are never charged. Heap-page fetches *and*
     /// leaf-page touches go through `pool` when one is active: resident
     /// pages are free pool hits, misses pay the usual charge. Leaves
-    /// cache under `leaf_tag` (see [`index_leaf_tag`]) so they share the
-    /// pool with heap pages without colliding. With `pool` `None` the
-    /// accounting is bit-identical to [`IndexScanState::next_columns`].
+    /// cache under `leaf_tag` (see [`index_leaf_tag`]; unused without a
+    /// pool) so they share the pool with heap pages without colliding.
     ///
     /// Charging walks the entries one by one, collecting row ids; the
     /// rows are then gathered from the heap's columns once per batch.
-    pub fn next_columns_pooled(
+    pub fn next_columns(
         &mut self,
         index: &OrderedIndex,
         heap: &HeapTable,
@@ -289,7 +266,7 @@ impl IndexScanState {
             }
             let rid = index.rid_at(pos);
             self.cursor
-                .touch_pooled(tag, heap.page_of(rid), io, pool.as_deref_mut());
+                .touch(tag, heap.page_of(rid), io, pool.as_deref_mut());
             io.rows_read += 1;
             rids.push(rid);
             if self.reverse {
@@ -330,7 +307,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut rows = Vec::new();
         loop {
-            let b = s.next_columns(&h, 7, &mut io).unwrap();
+            let b = s.next_columns(&h, 7, &mut io, None).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -348,7 +325,7 @@ mod tests {
         let h = heap(100); // 3 pages
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        let b = s.next_columns(&h, 10, &mut io).unwrap();
+        let b = s.next_columns(&h, 10, &mut io, None).unwrap();
         assert_eq!(b.len(), 10);
         assert_eq!(io.sequential_pages, 1);
         assert!(io.sequential_pages < h.page_count());
@@ -359,7 +336,7 @@ mod tests {
         let h = heap(0);
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        assert!(s.next_columns(&h, 8, &mut io).unwrap().is_empty());
+        assert!(s.next_columns(&h, 8, &mut io, None).unwrap().is_empty());
         assert_eq!(io.sequential_pages, 0);
         assert_eq!(io.rows_read, 0);
     }
@@ -372,7 +349,7 @@ mod tests {
         let mut s = IndexScanState::open(&ix, None, None, false);
         let mut keys = Vec::new();
         loop {
-            let b = s.next_columns(&ix, &h, 2, &mut io).unwrap();
+            let b = s.next_columns(&ix, &h, 2, &mut io, None, 0).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -383,7 +360,7 @@ mod tests {
 
         let mut rio = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut rio).unwrap();
+        let b = s.next_columns(&ix, &h, 10, &mut rio, None, 0).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
     }
@@ -394,7 +371,7 @@ mod tests {
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false);
-        let b = s.next_columns(&ix, &h, 100, &mut io).unwrap();
+        let b = s.next_columns(&ix, &h, 100, &mut io, None, 0).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
     }
@@ -408,13 +385,17 @@ mod tests {
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        s.next_columns(&ix, &h, 100, &mut io).unwrap();
+        s.next_columns(&ix, &h, 100, &mut io, None, 0).unwrap();
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        while !s.next_columns(&ix, &h, 100, &mut io).unwrap().is_empty() {}
+        while !s
+            .next_columns(&ix, &h, 100, &mut io, None, 0)
+            .unwrap()
+            .is_empty()
+        {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
 
@@ -429,7 +410,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
         while !s
-            .next_columns_pooled(&ix, &h, 100, &mut io, None, tag)
+            .next_columns(&ix, &h, 100, &mut io, None, tag)
             .unwrap()
             .is_empty()
         {}
@@ -444,7 +425,7 @@ mod tests {
         for pass in 0..2 {
             let mut s = IndexScanState::open(&ix, None, None, false);
             while !s
-                .next_columns_pooled(&ix, &h, 100, &mut io, Some(&mut pool), tag)
+                .next_columns(&ix, &h, 100, &mut io, Some(&mut pool), tag)
                 .unwrap()
                 .is_empty()
             {}
@@ -493,7 +474,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = HeapScanState::partition(&h, part, parts);
                 loop {
-                    let b = s.next_columns(&h, 33, &mut io).unwrap();
+                    let b = s.next_columns(&h, 33, &mut io, None).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -520,7 +501,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = IndexScanState::open_partition(&ix, None, None, false, part, parts);
                 loop {
-                    let b = s.next_columns(&ix, &h, 57, &mut io).unwrap();
+                    let b = s.next_columns(&ix, &h, 57, &mut io, None, 0).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -546,7 +527,7 @@ mod tests {
         for part in (0..parts).rev() {
             let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts);
             loop {
-                let b = s.next_columns(&ix, &h, 64, &mut io).unwrap();
+                let b = s.next_columns(&ix, &h, 64, &mut io, None, 0).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -572,7 +553,7 @@ mod tests {
                 4,
             );
             loop {
-                let b = s.next_columns(&ix, &h, 128, &mut io).unwrap();
+                let b = s.next_columns(&ix, &h, 128, &mut io, None, 0).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -591,7 +572,7 @@ mod tests {
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut io).unwrap();
+        let b = s.next_columns(&ix, &h, 10, &mut io, None, 0).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());
         assert_eq!(io.index_pages, 1);

@@ -198,7 +198,7 @@ fn ordered_probe_page_locality() {
         let mut cursor = PageCursor::new();
         for i in 0..n {
             for (_, rid) in ix.probe(&[Value::Int(seq(i))]) {
-                cursor.touch(h.page_of(*rid), &mut io);
+                cursor.touch(0, h.page_of(*rid), &mut io, None);
             }
         }
         costs.push(io.weighted_page_cost());
@@ -306,7 +306,7 @@ fn heap_scans_return_the_loaded_rows() {
                 for part in 0..parts {
                     let mut scan = HeapScanState::partition(&heap, part, parts);
                     got.extend(drain(batch_rows, || {
-                        scan.next_columns(&heap, batch_rows, &mut io).unwrap()
+                        scan.next_columns(&heap, batch_rows, &mut io, None).unwrap()
                     }));
                     assert!(scan.exhausted(&heap));
                 }
@@ -367,7 +367,7 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     let mut io = IoStats::new();
     let mut scan = HeapScanState::new();
     for chunk in heap.chunks() {
-        let pulled = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
+        let pulled = scan.next_columns(&heap, CHUNK, &mut io, None).unwrap();
         for (got, stored) in pulled.columns().iter().zip(chunk.columns()) {
             assert!(Arc::ptr_eq(got, stored));
         }
@@ -375,8 +375,8 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     assert!(scan.exhausted(&heap));
 
     let mut scan = HeapScanState::new();
-    scan.next_columns(&heap, 1, &mut io).unwrap();
-    let shifted = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
+    scan.next_columns(&heap, 1, &mut io, None).unwrap();
+    let shifted = scan.next_columns(&heap, CHUNK, &mut io, None).unwrap();
     assert_eq!(shifted.len(), CHUNK);
     assert!(!Arc::ptr_eq(shifted.column(0), heap.chunks()[0].column(0)));
 }
@@ -406,7 +406,8 @@ fn index_scans_return_the_indexed_rows() {
                 let mut io = IoStats::new();
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
                 let got = drain(batch_rows, || {
-                    scan.next_columns(&ix, &heap, batch_rows, &mut io).unwrap()
+                    scan.next_columns(&ix, &heap, batch_rows, &mut io, None, 0)
+                        .unwrap()
                 });
                 let at = format!("n={n} range={range} reverse={reverse} batch={batch_rows}");
                 assert_eq!(exact(&got), exact(&want), "{at}");
@@ -464,7 +465,7 @@ fn io_stats_equal_the_row_heap_engines() {
             let mut io = IoStats::new();
             let mut scan = HeapScanState::new();
             while !scan
-                .next_columns_pooled(&heap, 7, &mut io, pool.as_mut())
+                .next_columns(&heap, 7, &mut io, pool.as_mut())
                 .unwrap()
                 .is_empty()
             {}
@@ -474,7 +475,7 @@ fn io_stats_equal_the_row_heap_engines() {
             let mut io = IoStats::new();
             let mut scan = HeapScanState::new();
             for _ in 0..3 {
-                scan.next_columns_pooled(&heap, 100, &mut io, pool.as_mut())
+                scan.next_columns(&heap, 100, &mut io, pool.as_mut())
                     .unwrap();
             }
             record("abandoned scan", io);
@@ -488,7 +489,7 @@ fn io_stats_equal_the_row_heap_engines() {
                 let mut io = IoStats::new();
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
                 while !scan
-                    .next_columns_pooled(&ix, &heap, batch_rows, &mut io, pool.as_mut(), 1 << 32)
+                    .next_columns(&ix, &heap, batch_rows, &mut io, pool.as_mut(), 1 << 32)
                     .unwrap()
                     .is_empty()
                 {}
@@ -503,7 +504,7 @@ fn io_stats_equal_the_row_heap_engines() {
             for probe in (0..600).map(|i| i * 7 % 3200) {
                 io.index_pages += 1;
                 for (_, rid) in ix.probe(&[Value::Int(probe)]) {
-                    cursor.touch_pooled(0, heap.page_of(*rid), &mut io, pool.as_mut());
+                    cursor.touch(0, heap.page_of(*rid), &mut io, pool.as_mut());
                     io.rows_read += 1;
                     rids.push(*rid);
                 }

@@ -468,6 +468,8 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
         for shape in &shapes {
             for batch in [1usize, 3, 7, 1024] {
                 for budget in [None, Some(1usize), Some(1 << 10), Some(64 << 10)] {
+                    // The counters of this budget's `threads = 1` cell.
+                    let mut serial = None;
                     for &threads in &thread_counts {
                         let mut config = shape.clone().with_batch_size(batch).with_threads(threads);
                         if let Some(b) = budget {
@@ -483,6 +485,12 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
                         let materialized = prepared
                             .execute_materialized()
                             .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        // A budget runs serial: every counter is the serial cell's.
+                        let counters =
+                            (streamed.io, streamed.sort, streamed.spill, streamed.segment);
+                        if budget.is_some() {
+                            assert_eq!(*serial.get_or_insert(counters), counters, "{cell}");
+                        }
                         let (got, want) = (streamed.rows(), materialized.rows());
                         assert_eq!(got.len(), want.len(), "{cell}\n{}", prepared.explain());
                         for (g, w) in got.iter().zip(want.iter()) {

@@ -1,8 +1,8 @@
 //! Differential testing of morsel-parallel execution: every query in the
 //! workload corpus must produce the same answer at parallel degrees 1, 2
 //! and 4 as it does serially — bit-identical rows when the query is
-//! ordered (the exchange layer is order-preserving and the partition
-//! merge is deterministic), multiset-identical otherwise — and the
+//! ordered (the gather concatenates partitions in serial order, and the
+//! operators above it are the serial ones), multiset-identical otherwise — and the
 //! instrumented per-operator I/O rollup must stay exact at every degree.
 
 use fto_bench::Session;
@@ -277,12 +277,12 @@ fn instrumented_rollup_stays_exact_at_every_degree() {
 
 #[test]
 fn exchanges_emit_the_serial_operators_rows_and_batches() {
-    // An exchange replaces its plan node's operator, not its behaviour:
-    // from the exchanged node upward the instrumented rows *and batches* —
-    // the emission boundaries — are those of the serial plan, for a sort
-    // and a top-n (sort exchanges) and a hash join whose build side is
-    // gathered. Below an exchange only the rows are: each partition
-    // pipeline cuts its own last batch.
+    // A gather replaces its subtree's operators, not the stream they
+    // emit: from the node that drains it upward the instrumented rows
+    // *and batches* — the emission boundaries — are those of the serial
+    // plan, for a sort and a top-n (the serial enforcer over a gathered
+    // input) and a hash join whose build side is gathered. Below a gather
+    // only the rows are: each partition pipeline cuts its own last batch.
     let db = emp_db();
     for (sql, node) in [
         (
@@ -330,10 +330,10 @@ fn exchanges_emit_the_serial_operators_rows_and_batches() {
 #[test]
 fn parallel_heap_sort_charges_identical_io() {
     // On a pure heap-scan + sort pipeline the partitioning is
-    // page-aligned and the merge-exchange charges per-run sort_rows that
-    // sum to the serial total, so the headline counters must be *equal*,
-    // not merely close. (Index paths are exempt: random-page adjacency
-    // discounts can differ at partition cuts.)
+    // page-aligned and the enforcer above the gather is the serial one, so
+    // the headline counters must be *equal*, not merely close. (Index
+    // paths are exempt: random-page adjacency discounts can differ at
+    // partition cuts.)
     let db = emp_db();
     let sql = "select emp_dept, salary, emp_id from emp order by salary desc, emp_id";
     let serial = Session::new(&db)
@@ -369,15 +369,13 @@ fn parallel_heap_sort_charges_identical_io() {
 fn codec_encodes_keys_at_every_degree() {
     // A sorting query must actually go through the normalized-key path
     // at every parallel degree, and `QueryOutput::sort` must surface it.
-    // `key_bytes` is the same at every degree: each of the 400 rows' keys
-    // — two Ints, 11 bytes each, plus the 8-byte tag — is ordered exactly
-    // once, by the serial enforcer or by whichever worker drew the row.
-    // `comparisons` is not: P workers sort shorter runs (fewer comparisons
-    // each, or none below the radix cutoff's bucket sizes) and the
-    // coordinator's K-way merge then adds up to P − 1 per row, so the count
-    // depends on how the input was cut. It is still this query's own.
+    // `key_bytes` and `comparisons` are the same at every degree: each of
+    // the 400 rows' keys — two Ints, 11 bytes each, plus the 8-byte tag —
+    // is ordered exactly once, by the one enforcer, over the serial stream
+    // whether it was scanned here or gathered from P workers.
     let db = emp_db();
     let sql = "select emp_id, salary from emp order by salary desc, emp_id";
+    let mut serial = None;
     for &p in DEGREES {
         let q = Session::new(&db)
             .config(OptimizerConfig::default().with_threads(p))
@@ -390,6 +388,7 @@ fn codec_encodes_keys_at_every_degree() {
             "threads {p}: sort performed no comparisons"
         );
         assert_eq!(q.execute().unwrap().sort, out.sort, "threads {p}");
+        assert_eq!(*serial.get_or_insert(out.sort), out.sort, "threads {p}");
     }
 }
 

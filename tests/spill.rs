@@ -511,40 +511,52 @@ fn spilled_sorts_charge_pinned_io_under_budgets() {
 }
 
 #[test]
-fn budget_and_threads_compose_bit_identically() {
-    // A memory budget no longer pins execution serial: parallel workers
-    // get budget/P sub-budgets and must produce the same bytes as the
-    // unbounded serial baseline. The second query keeps a spilling hash
-    // join inside the partition pipelines, so the sub-budgets must still
-    // actually bound (and spill) the per-worker build sides.
+fn a_budget_runs_serial_at_every_thread_count() {
+    // A memory budget pins execution serial: a gather holds its subtree's
+    // whole output, which no budget bounds, so a budgeted configuration
+    // lowers no exchange and every counter a query reports equals the
+    // `threads = 1` run of the same budget — the sort spills the same
+    // runs, the join build the same partitions, the pool sees the same
+    // touches — with the rows of the unbounded serial baseline.
     let db = emp_db();
     let queries = [
         "select emp_id, salary from emp order by salary desc, emp_id",
         "select dept_name, count(*) as n, sum(salary) as total \
          from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
     ];
-    for (i, sql) in queries.iter().enumerate() {
+    for sql in queries {
         let baseline = unbounded_rows(&db, sql);
-        for threads in [1usize, 2, 4] {
-            let out = Session::new(&db)
-                .config(
-                    OptimizerConfig::default()
-                        .with_memory_budget(1 << 10)
-                        .with_threads(threads),
-                )
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\nthreads={threads}: {e}"));
-            assert_eq!(out.rows(), baseline, "{sql}\nthreads={threads}");
-            // Scans route through the per-worker bounded pools.
+        for budget in [1usize << 10, 4 << 10, 64 << 10] {
+            let run = |threads: usize| {
+                Session::new(&db)
+                    .config(
+                        OptimizerConfig::default()
+                            .with_memory_budget(budget)
+                            .with_threads(threads),
+                    )
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"))
+            };
+            let serial = run(1);
+            assert_eq!(serial.rows(), baseline, "{sql}\nbudget={budget}");
             assert!(
-                out.io.pool_hits + out.io.pool_misses > 0,
-                "{sql}\nthreads={threads}: budgeted scans must use the pool"
+                serial.io.pool_hits + serial.io.pool_misses > 0,
+                "{sql}\nbudget={budget}: budgeted scans must use the pool"
             );
-            if i == 1 {
+            if budget == 1 << 10 {
                 assert!(
-                    out.io.spill_pages_written > 0,
-                    "{sql}\nthreads={threads}: worker pipelines must spill \
-                     under their sub-budgets"
+                    serial.io.spill_pages_written > 0 && serial.spill.runs_formed > 0,
+                    "{sql}: 1 KiB must spill"
+                );
+            }
+            for threads in [2usize, 4] {
+                let out = run(threads);
+                let case = format!("{sql}\nbudget={budget} threads={threads}");
+                assert_eq!(out.rows(), baseline, "{case}");
+                assert_eq!(
+                    (out.io, out.sort, out.spill, out.segment),
+                    (serial.io, serial.sort, serial.spill, serial.segment),
+                    "{case}"
                 );
             }
         }
