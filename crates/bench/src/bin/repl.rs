@@ -37,9 +37,10 @@
 //! 16); `FTO_PROFILE_OUT=<path>` starts the shell with profiling on, as
 //! if `\profile <path>` had been typed; `FTO_MEMORY_BUDGET=<bytes>`
 //! caps per-query executor memory — sorts form spilled runs, hash
-//! group-bys spill partitions, and `\metrics` grows `spill.*` /
-//! `pool.*` counters; combined with `FTO_THREADS` each worker pipeline
-//! runs under a budget/P sub-budget.
+//! group-bys spill partitions, join builds spill their overflow rows,
+//! and `\metrics` grows `spill.*` / `pool.*` counters; a budget runs
+//! serial, so combined with `FTO_THREADS` every counter equals the
+//! `FTO_THREADS=1` run.
 
 use fto_bench::{envknob, ObsOptions, Observability, Session, StatementOutput};
 use fto_planner::OptimizerConfig;

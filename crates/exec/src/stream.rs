@@ -1138,7 +1138,9 @@ enum BuildRef {
 /// [`Self::finish`] lays the rows out as a CSR match list — key `g`'s rows
 /// are `refs[offsets[g]..offsets[g + 1]]` in build (arrival) order,
 /// resident and spilled alike — so match order, and with it output order,
-/// is the interpreter's at every budget.
+/// is the interpreter's at every budget. The probe buckets each candidate
+/// chunk's spilled refs by group and decodes every touched group once
+/// ([`Self::candidates`]), holding one decoded group at a time.
 struct JoinBuild {
     ikeys: SortKeys,
     /// The declared types of the inner side's columns: what `mem` is
@@ -1161,9 +1163,18 @@ struct JoinBuild {
     spilled_rows: u32,
     group_offsets: Vec<u64>,
     file: SpillFile,
-    /// Single-entry decode cache over spilled groups; sorted probe key
-    /// runs re-read their group once.
+    /// The one decoded spilled group alive: the last group a candidate
+    /// chunk touched, kept so the next chunk re-reads nothing when it
+    /// starts where this one ended (a keyless probe walks the groups in
+    /// order, a chunk at a time).
     cache: Option<(u32, Batch)>,
+    /// Scratch reused across batches: the resident and the overflow rows
+    /// of an absorbed batch, a sealed group's bytes, and a candidate
+    /// chunk's spilled refs as `(group, pair, row)`.
+    mem_sel: Vec<u32>,
+    spill_sel: Vec<u32>,
+    payload: Vec<u8>,
+    spilled: Vec<(u32, u32, u32)>,
 }
 
 impl JoinBuild {
@@ -1184,6 +1195,10 @@ impl JoinBuild {
             group_offsets: Vec::new(),
             file: SpillFile::new(),
             cache: None,
+            mem_sel: Vec::new(),
+            spill_sel: Vec::new(),
+            payload: Vec::new(),
+            spilled: Vec::new(),
         }
     }
 
@@ -1220,8 +1235,8 @@ impl JoinBuild {
             .assign(key_bytes, key_offsets, gids, first, |i, _| {
                 ikeys.iter().all(|&(p, _)| batch.column(p).is_valid(i))
             });
-        let mut mem_sel: Vec<u32> = Vec::new();
-        let mut spill_sel: Vec<u32> = Vec::new();
+        self.mem_sel.clear();
+        self.spill_sel.clear();
         for (i, &gid) in gids.iter().enumerate() {
             if gid == NO_GROUP {
                 continue;
@@ -1239,7 +1254,7 @@ impl JoinBuild {
                 None => false,
             };
             let r = if overflow {
-                spill_sel.push(i as u32);
+                self.spill_sel.push(i as u32);
                 let r = BuildRef::Spilled {
                     group: self.spilled_rows / JOIN_SPILL_GROUP_ROWS as u32,
                     row: self.spilled_rows % JOIN_SPILL_GROUP_ROWS as u32,
@@ -1247,20 +1262,20 @@ impl JoinBuild {
                 self.spilled_rows += 1;
                 r
             } else {
-                mem_sel.push(i as u32);
+                self.mem_sel.push(i as u32);
                 let r = BuildRef::Mem(self.mem_rows);
                 self.mem_rows += 1;
                 r
             };
             self.arrivals.push((gid, r));
         }
-        if mem_sel.len() == batch.len() {
+        if self.mem_sel.len() == batch.len() {
             self.segs.push(batch.clone());
-        } else if !mem_sel.is_empty() {
-            self.segs.push(batch.gather(&mem_sel));
+        } else if !self.mem_sel.is_empty() {
+            self.segs.push(batch.gather(&self.mem_sel));
         }
-        if !spill_sel.is_empty() {
-            self.pending.push(batch.gather(&spill_sel));
+        if !self.spill_sel.is_empty() {
+            self.pending.push(batch.gather(&self.spill_sel));
             self.flush_groups(false, io)?;
         }
         Ok(())
@@ -1270,13 +1285,12 @@ impl JoinBuild {
     /// exactly [`JOIN_SPILL_GROUP_ROWS`] rows (the final group may be
     /// shorter when `fin`).
     fn flush_groups(&mut self, fin: bool, io: &mut IoStats) -> Result<()> {
-        let mut payload = Vec::new();
         while self.pending.len() >= JOIN_SPILL_GROUP_ROWS || (fin && !self.pending.is_empty()) {
             let group = self.pending.take(JOIN_SPILL_GROUP_ROWS)?;
-            payload.clear();
-            spill::write_batch(&group, &mut payload);
+            self.payload.clear();
+            spill::write_batch(&group, &mut self.payload);
             self.group_offsets
-                .push(self.file.append_record(&payload, io));
+                .push(self.file.append_record(&self.payload, io));
         }
         Ok(())
     }
@@ -1321,26 +1335,36 @@ impl JoinBuild {
         }
     }
 
-    /// Re-reads (and decodes) one spilled group, through the
-    /// single-entry cache.
-    fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Result<Batch> {
-        if let Some((cg, b)) = &self.cache {
-            if *cg == g {
-                return Ok(b.clone());
-            }
+    /// Rows `rows` of spilled group `g`, gathered out of the one decoded
+    /// group alive: the group the last call left, or `g` re-read and
+    /// decoded in its place.
+    fn gather_group(&mut self, g: u32, rows: &[u32], io: &mut IoStats) -> Result<Batch> {
+        if let Some((_, b)) = self.cache.as_ref().filter(|(cg, _)| *cg == g) {
+            return Ok(b.gather(rows));
+        }
+        if let Some((_, old)) = self.cache.take() {
+            let sole = |c: &Arc<Column>| Arc::strong_count(c) == 1;
+            debug_assert!(
+                old.columns().iter().all(sole),
+                "a decoded group is still held"
+            );
         }
         let rec = SpillCursor::new(self.group_offsets[g as usize], self.file.len())
             .read_record(&self.file, io)?
             .ok_or_else(|| FtoError::Exec(format!("spilled join build group {g} missing")))?;
-        let batch = spill::read_batch(&rec, &mut 0)?;
-        self.cache = Some((g, batch.clone()));
-        Ok(batch)
+        let (_, b) = self.cache.insert((g, spill::read_batch(&rec, &mut 0)?));
+        Ok(b.gather(rows))
     }
 
     /// Assembles one chunk of candidates: outer columns gathered by
-    /// `osel` (the probe row of the j-th pair), build columns gathered
-    /// from `mem` and any spilled groups by `brefs` — all Arc-shared, no
-    /// per-row concat.
+    /// `osel` (the probe row of the j-th pair), build columns gathered by
+    /// `brefs` from `mem` and one piece per spilled group the chunk
+    /// touches. The spilled refs bucket by group — `(group, pair)` sorts
+    /// stably, the pair index being unique — and the groups are walked,
+    /// the one still decoded first and the rest in ascending order, each
+    /// decoded once, its rows gathered into a piece and the decoded group
+    /// let go before the next: a chunk reads a group once however its
+    /// matches hop, and the pieces sum to at most the chunk.
     fn candidates(
         &mut self,
         outer: &Batch,
@@ -1348,29 +1372,28 @@ impl JoinBuild {
         brefs: &[BuildRef],
         io: &mut IoStats,
     ) -> Result<Batch> {
-        let mut sources: Vec<Batch> = vec![self.mem.clone()];
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(brefs.len());
-        // Consecutive refs into the same spilled group share one source
-        // slot: one `group_batch` decode (through its single-entry
-        // cache) per run of matches in a group.
-        let mut last: Option<(u32, u32)> = None;
-        for &r in brefs {
+        let mut pairs = vec![(0u32, 0u32); brefs.len()];
+        let mut spilled = std::mem::take(&mut self.spilled);
+        spilled.clear();
+        for (j, &r) in brefs.iter().enumerate() {
             match r {
-                BuildRef::Mem(i) => pairs.push((0, i)),
-                BuildRef::Spilled { group, row } => {
-                    let src = match last {
-                        Some((g, s)) if g == group => s,
-                        _ => {
-                            let b = self.group_batch(group, io)?;
-                            sources.push(b);
-                            (sources.len() - 1) as u32
-                        }
-                    };
-                    last = Some((group, src));
-                    pairs.push((src, row));
-                }
+                BuildRef::Mem(i) => pairs[j] = (0, i),
+                BuildRef::Spilled { group, row } => spilled.push((group, j as u32, row)),
             }
         }
+        let live = self.cache.as_ref().map(|(g, _)| *g);
+        spilled.sort_unstable_by_key(|&(g, j, _)| (Some(g) != live, g, j));
+        let mut sources: Vec<Batch> = vec![self.mem.clone()];
+        let mut rows: Vec<u32> = Vec::new();
+        for run in spilled.chunk_by(|a, b| a.0 == b.0) {
+            rows.clear();
+            for (k, &(_, j, row)) in run.iter().enumerate() {
+                pairs[j as usize] = (sources.len() as u32, k as u32);
+                rows.push(row);
+            }
+            sources.push(self.gather_group(run[0].0, &rows, io)?);
+        }
+        self.spilled = spilled;
         let srcs: Vec<&Batch> = sources.iter().collect();
         let mut cols = outer.gather(osel).columns().to_vec();
         cols.extend(
@@ -1422,19 +1445,15 @@ struct JoinOp {
     predicates: Vec<PredId>,
     layout: RowLayout,
     build: JoinBuild,
+    /// Key-encoding scratch of the build's and the probe's batches.
+    scratch: GroupScratch,
     out: BatchQueue,
 }
 
 impl JoinOp {
-    /// Joins one outer batch — `gids[i]` is row `i`'s build key id — and
-    /// queues the result.
-    fn probe(
-        &mut self,
-        cx: &ExecContext<'_>,
-        batch: &Batch,
-        gids: &[u32],
-        io: &mut IoStats,
-    ) -> Result<()> {
+    /// Joins one outer batch — `scratch.gids[i]` is row `i`'s build key
+    /// id — and queues the result.
+    fn probe(&mut self, cx: &ExecContext<'_>, batch: &Batch, io: &mut IoStats) -> Result<()> {
         let padded = match self.kind {
             JoinKind::Inner => None,
             JoinKind::LeftOuter => {
@@ -1452,8 +1471,8 @@ impl JoinOp {
             next: 0,
             matched: false,
         };
-        for (i, &g) in gids.iter().enumerate() {
-            let mut matches = self.build.matches(g);
+        for i in 0..batch.len() {
+            let mut matches = self.build.matches(self.scratch.gids[i]);
             while !matches.is_empty() {
                 if p.osel.len() == cx.batch_size {
                     // Rows before `i` have all their pairs behind them;
@@ -1521,10 +1540,10 @@ impl Operator for JoinOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.build.reset();
         self.inner.open(cx, rec)?;
-        let mut scratch = GroupScratch::default();
         while let Some(batch) = self.inner.next_batch(cx, rec)? {
+            let scratch = &mut self.scratch;
             self.build
-                .absorb(&batch, cx.memory_budget, &mut scratch, &mut rec.stats.io)?;
+                .absorb(&batch, cx.memory_budget, scratch, &mut rec.stats.io)?;
         }
         self.inner.close(rec);
         self.build.finish(rec)?;
@@ -1532,7 +1551,6 @@ impl Operator for JoinOp {
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
-        let (mut kb, mut ko, mut gids) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if !self.out.is_empty() {
                 return self.out.take(cx.batch_size).map(Some);
@@ -1540,9 +1558,12 @@ impl Operator for JoinOp {
             let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
             };
-            encode_batch_keys_arena(&batch, &self.okeys, &mut kb, &mut ko);
-            self.build.table.lookup(&kb, &ko, &mut gids);
-            self.probe(cx, &batch, &gids, &mut rec.stats.io)?;
+            let s = &mut self.scratch;
+            encode_batch_keys_arena(&batch, &self.okeys, &mut s.key_bytes, &mut s.key_offsets);
+            self.build
+                .table
+                .lookup(&s.key_bytes, &s.key_offsets, &mut s.gids);
+            self.probe(cx, &batch, &mut rec.stats.io)?;
         }
     }
 
@@ -2008,6 +2029,7 @@ fn lower_join(
         kind,
         okeys,
         build: JoinBuild::new(ikeys, layout_types(lw.graph, &inner.layout)?),
+        scratch: GroupScratch::default(),
         outer: lower_impl(outer, lw)?,
         inner: lower_drained(inner, lw)?,
         predicates: predicates.to_vec(),
@@ -2188,7 +2210,7 @@ mod tests {
     use fto_common::{ColId, ColSet, Direction, QuantifierId, Row};
     use fto_order::StreamProps;
     use fto_planner::cost::Cost;
-    use fto_storage::Database;
+    use fto_storage::{Database, PAGE_SIZE};
     use std::sync::Arc;
 
     fn test_db(rows: i64) -> Database {
@@ -2703,6 +2725,131 @@ mod tests {
                     unsorted[..7],
                     "{memory_budget:?} threads={threads}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_spilled_build_is_decoded_once_per_chunk_however_the_matches_hop() {
+        // 4 096 build rows, key = row % 256: a key's 16 matches sit 256
+        // rows apart, so consecutive refs of a probe row never share a
+        // spilled group, and 48 probe rows (a fifth of them matchless) hop
+        // through every group. However a candidate chunk's refs hop, it
+        // reads a group at most once — a decode per hop reads the file
+        // ~50× over at batch 1024 — and `gather_group`'s debug assertion
+        // holds the probe to one decoded group alive. Rows and emission
+        // boundaries are the unbounded run's, rows the interpreter's.
+        const BUILD_ROWS: usize = 4096;
+        let mut cat = fto_catalog::Catalog::new();
+        let int = |name| fto_catalog::ColumnDef::new(name, DataType::Int);
+        let probe = cat
+            .create_table("probe", vec![int("k"), int("j")], vec![])
+            .unwrap();
+        let build = cat
+            .create_table("build", vec![int("j"), int("v")], vec![])
+            .unwrap();
+        let mut db = Database::new(cat);
+        let table = |n: usize, row: fn(i64) -> [i64; 2]| {
+            (0..n as i64)
+                .map(|i| row(i).map(Value::Int).to_vec().into_boxed_slice())
+                .collect()
+        };
+        db.load_table(probe, table(48, |k| [k, k * 37 % 320]))
+            .unwrap();
+        db.load_table(build, table(BUILD_ROWS, |i| [i % 256, i]))
+            .unwrap();
+        let mut graph = QueryGraph::new();
+        for (q, t) in [(0u32, probe), (1, build)] {
+            for ordinal in 0..2 {
+                let origin = fto_qgm::graph::ColumnOrigin::Base(QuantifierId(q), t, ordinal);
+                graph.registry.fresh("c", DataType::Int, origin);
+            }
+        }
+        let node = |node, cols: &[u32]| {
+            Arc::new(Plan {
+                node,
+                layout: RowLayout::new(cols.iter().map(|&c| ColId(c)).collect::<Vec<_>>()),
+                props: scan_plan().props.clone(),
+                cost: scan_plan().cost,
+            })
+        };
+        let scan = |t: TableId, q: u32, cols: &[u32]| {
+            let quantifier = QuantifierId(q);
+            node(
+                PlanNode::TableScan {
+                    table: t,
+                    quantifier,
+                },
+                cols,
+            )
+        };
+        let few = PlanNode::Limit {
+            input: scan(probe, 0, &[0, 1]),
+            n: 6,
+        };
+        // (kind, outer, keyed, matches of a probe row that has any).
+        let kinds = [
+            (JoinKind::Inner, scan(probe, 0, &[0, 1]), true, 16),
+            (JoinKind::Inner, node(few, &[0, 1]), false, BUILD_ROWS),
+            (JoinKind::LeftOuter, scan(probe, 0, &[0, 1]), true, 16),
+        ];
+        for (kind, outer, keyed, matches) in kinds {
+            let keys = |c: u32| if keyed { vec![ColId(c)] } else { vec![] };
+            let join = node(
+                PlanNode::Join {
+                    kind,
+                    outer: outer.clone(),
+                    inner: scan(build, 1, &[2, 3]),
+                    outer_keys: keys(1),
+                    inner_keys: keys(2),
+                    predicates: vec![],
+                },
+                &[0, 1, 2, 3],
+            );
+            let want = run_plan_materialized(&db, &graph, &join).unwrap().rows;
+            let outer_rows = run_plan_materialized(&db, &graph, &outer).unwrap().rows;
+            let mut record = vec![0u8; 4];
+            let inner_rows = run(&db, &graph, &scan(build, 1, &[2, 3]), &knobs(1024, 1, None));
+            spill::write_batch(
+                &inner_rows.batches[0].slice(0, JOIN_SPILL_GROUP_ROWS),
+                &mut record,
+            );
+            let page_max = (record.len() as u64 - 1).div_ceil(PAGE_SIZE as u64) + 1;
+            let pairs = |r: &Row| match r[1] {
+                Value::Int(j) if keyed && j >= 256 => 0,
+                _ => matches,
+            };
+            for batch in [1usize, 7, 1024] {
+                let free = run(&db, &graph, &join, &knobs(batch, 1, None));
+                assert_eq!(exact(&free.rows()), exact(&want), "{kind:?} batch={batch}");
+                assert_eq!(free.stats.io.spill_pages_read, 0);
+                let cuts = |r: &Run| r.batches.iter().map(Batch::len).collect::<Vec<_>>();
+                for budget in [1usize, 1 << 10, 64 << 10] {
+                    let cell = format!("{kind:?} keyed={keyed} batch={batch} budget={budget}");
+                    let got = run(&db, &graph, &join, &knobs(batch, 1, Some(budget)));
+                    assert_eq!(exact(&got.rows()), exact(&want), "{cell}");
+                    assert_eq!(cuts(&got), cuts(&free), "{cell}");
+                    // What the build spilled: every row past the budget, in
+                    // groups whose record overlaps at most `page_max` pages.
+                    let resident = (budget / batch_row_bytes(&free.batches[0], 0)).max(1);
+                    let groups = (BUILD_ROWS - resident).div_ceil(JOIN_SPILL_GROUP_ROWS);
+                    assert!(groups >= 8, "{cell}: {groups} spilled groups");
+                    let io = got.stats.io;
+                    // A chunk of n pairs touches at most min(n, groups)
+                    // groups; an outer batch's pairs cut into chunks of
+                    // `batch` and a last, shorter one.
+                    let touched: usize = outer_rows
+                        .chunks(batch)
+                        .map(|rows| rows.iter().map(pairs).sum::<usize>())
+                        .map(|n| n / batch * batch.min(groups) + (n % batch).min(groups))
+                        .sum();
+                    assert!(
+                        io.spill_pages_read <= touched as u64 * page_max,
+                        "{cell}: read {} pages of {} written, {touched} group touches",
+                        io.spill_pages_read,
+                        io.spill_pages_written
+                    );
+                }
             }
         }
     }

@@ -296,6 +296,16 @@ if [[ "${1:-}" != "quick" ]]; then
         exit 1
     fi
     grep -E "counter (spill|pool)\." <<<"$budget_out"
+    # A spilled join build is decoded once per group a probe chunk touches,
+    # and a sort reads each run once per merge pass: a file read many times
+    # over means the probe decodes a group per hop again (27x before PR 24).
+    spill_read=$(sed -n 's/^counter spill\.pages_read //p' <<<"$budget_out")
+    spill_written=$(sed -n 's/^counter spill\.pages_written //p' <<<"$budget_out")
+    echo "spill pages read / written: ${spill_read} / ${spill_written} = $(awk "BEGIN { printf \"%.1f\", ${spill_read} / ${spill_written} }")x"
+    if [[ "${spill_read}" -gt $((4 * spill_written)) ]]; then
+        echo "smoke failed: spill.pages_read is more than 4x spill.pages_written"
+        exit 1
+    fi
 
     echo "==> smoke: segmented sort chosen, visible in EXPLAIN OPTIMIZER + ANALYZE"
     # Clustered lineitem index (l_orderkey, l_linenumber) delivers the
