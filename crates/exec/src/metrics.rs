@@ -88,27 +88,6 @@ impl ExecStats {
             },
         })
     }
-
-    /// The counters accumulated since `earlier`, which must be a snapshot
-    /// of this same stream taken before `self`: counters only grow (see
-    /// [`IoStats::delta_since`]). The per-call path of the instrumentation
-    /// wrappers, so plain subtraction, not [`ExecStats::checked_sub`].
-    pub fn delta_since(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            io: self.io.delta_since(&earlier.io),
-            sort: SortStats {
-                key_bytes: self.sort.key_bytes - earlier.sort.key_bytes,
-                comparisons: self.sort.comparisons - earlier.sort.comparisons,
-            },
-            spill: SpillStats {
-                runs_formed: self.spill.runs_formed - earlier.spill.runs_formed,
-                merge_passes: self.spill.merge_passes - earlier.spill.merge_passes,
-            },
-            segment: SegmentStats {
-                groups_formed: self.segment.groups_formed - earlier.segment.groups_formed,
-            },
-        }
-    }
 }
 
 /// Everything one execution records — the one `&mut` threaded through
@@ -313,17 +292,6 @@ impl PlanMetrics {
         self.ops.first().map(|m| m.stats).unwrap_or_default()
     }
 
-    /// Sum of every operator's *self* counters. Equals
-    /// [`PlanMetrics::total`] whenever attribution is consistent (the sum
-    /// telescopes); `None` if any node fails [`PlanMetrics::self_stats`].
-    pub fn summed_self(&self) -> Option<ExecStats> {
-        let mut total = ExecStats::default();
-        for id in 0..self.ops.len() {
-            total.merge(&self.self_stats(id)?);
-        }
-        Some(total)
-    }
-
     /// The operator with the worst row-estimate Q-error, as
     /// `(pre-order id, q_error)`. Ties resolve to the smallest id, so
     /// the answer is deterministic. `None` only when there are no ops.
@@ -402,7 +370,6 @@ mod tests {
         assert_eq!(pm.self_stats(0), Some(charged(0, 2)));
         assert_eq!(pm.self_stats(1), Some(charged(0, 0)));
         assert_eq!(pm.self_stats(2), Some(charged(5, 0)));
-        assert_eq!(pm.summed_self(), Some(charged(5, 2)));
         assert_eq!(pm.total(), charged(5, 2));
         assert!(pm.validate().is_ok());
     }
@@ -454,8 +421,8 @@ mod tests {
 
     #[test]
     fn stream_arithmetic_covers_every_counter() {
-        // One stream per counter, holding 1 there and 0 elsewhere: merge,
-        // checked_sub and delta_since must each see all fourteen.
+        // One stream per counter, holding 1 there and 0 elsewhere: merge
+        // and checked_sub must each see all fourteen.
         let counters: [fn(&mut ExecStats) -> &mut u64; 14] = [
             |s| &mut s.io.sequential_pages,
             |s| &mut s.io.random_pages,
@@ -481,7 +448,7 @@ mod tests {
             let mut two = one;
             two.merge(&one);
             assert_eq!(*counter(&mut two), 2);
-            assert_eq!(two.delta_since(&one), one);
+            assert_eq!(two.checked_sub(&one), Some(one));
             assert_eq!(zero.checked_sub(&one), None);
             all.merge(&one);
         }

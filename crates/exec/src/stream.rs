@@ -265,11 +265,9 @@ impl BatchQueue {
 }
 
 /// The rows of `batch` that pass every predicate, ascending: a selection
-/// vector refined predicate by predicate — typed column kernels where the
-/// predicate shape allows, the row evaluator over still-selected rows
-/// otherwise. Sequential refinement preserves the interpreter's
-/// short-circuit AND: rows rejected by an earlier predicate never reach
-/// (and so never error in) a later one.
+/// vector refined predicate by predicate, each by a typed column kernel
+/// (every predicate the binder admits has one). Refinement stops once no
+/// row is left, as the interpreter's AND does.
 fn passing(
     cx: &ExecContext<'_>,
     predicates: &[PredId],
@@ -1909,7 +1907,8 @@ impl InstrumentedOp {
         let before = rec.stats;
         let started = Instant::now();
         let out = call(self.inner.as_mut(), rec);
-        let delta = rec.stats.delta_since(&before);
+        // Counters only grow: the subtraction cannot come up short.
+        let delta = rec.stats.checked_sub(&before).unwrap_or_default();
         let m = &mut rec.ops[self.id];
         m.elapsed += started.elapsed();
         m.stats.merge(&delta);

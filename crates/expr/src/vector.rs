@@ -12,9 +12,9 @@
 //! byte-wise string compare), NULL comparisons are false, and arithmetic
 //! is only vectorized over numeric operands — where it cannot error. That
 //! is every arithmetic the binder admits (it types each expression and
-//! refuses the rest), so a projection has no row path; a predicate whose
-//! shape has no kernel still runs the row evaluator over the selected
-//! rows. The differential suites hold the two engines bit-identical.
+//! refuses the rest), so neither a projection nor a predicate has a row
+//! path: an operand without a column form is an [`FtoError::Internal`].
+//! The differential suites hold the two engines bit-identical.
 
 use crate::expr::{ArithOp, Expr};
 use crate::layout::RowLayout;
@@ -29,10 +29,10 @@ use std::sync::Arc;
 /// rows satisfying `pred`, with SQL three-valued logic exactly as
 /// [`Predicate::eval`]: comparisons involving NULL filter the row.
 ///
-/// Simple shapes (column/arith vs. literal, column vs. column over typed
-/// vectors) run columnar kernels; anything else evaluates row-at-a-time,
-/// but only over the still-selected rows so error behavior matches the
-/// short-circuiting row path.
+/// Every operand the binder types has a column form
+/// ([`try_eval_column`]), and the one it leaves untyped — the NULL of
+/// `IS [NOT] NULL` — is never evaluated, so each predicate SQL can reach
+/// runs a columnar kernel; one that cannot is an [`FtoError::Internal`].
 pub fn filter_selection(
     pred: &Predicate,
     batch: &Batch,
@@ -69,15 +69,9 @@ pub fn filter_selection(
             }
         }
     }
-    // Row fallback over the surviving candidates only.
-    let mut out = Vec::with_capacity(sel.len());
-    for &i in sel.iter() {
-        if pred.eval(&batch.row(i as usize), layout)? {
-            out.push(i);
-        }
-    }
-    *sel = out;
-    Ok(())
+    Err(FtoError::internal(format!(
+        "predicate {pred} is not well typed"
+    )))
 }
 
 /// Evaluates each projection expression over the whole batch, returning
@@ -270,7 +264,7 @@ fn zip_arith<T: Copy + Default>(
 }
 
 /// Typed arithmetic over two operands of `n` rows; `None` when either is
-/// non-numeric (row fallback required).
+/// non-numeric (no column form).
 fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     let (lv, rv) = (l.validity(), r.validity());
     let both_valid = |i: usize| lv.is_none_or(|bm| bm.get(i)) && rv.is_none_or(|bm| bm.get(i));
@@ -424,9 +418,10 @@ mod tests {
     fn assert_matches_rows(pred: &Predicate, batch: &Batch, layout: &RowLayout) {
         let mut sel = sel_for(batch);
         filter_selection(pred, batch, layout, &mut sel).unwrap();
-        let expect: Vec<u32> = (0..batch.len())
-            .filter(|&i| pred.eval(&batch.row(i), layout).unwrap())
-            .map(|i| i as u32)
+        let expect: Vec<u32> = (0u32..)
+            .zip(batch.to_rows())
+            .filter(|(_, row)| pred.eval(row, layout).unwrap())
+            .map(|(i, _)| i)
             .collect();
         assert_eq!(sel, expect, "{pred}");
     }
@@ -612,25 +607,28 @@ mod tests {
     }
 
     #[test]
-    fn row_fallback_only_touches_selected_rows() {
-        // String arithmetic errors row-at-a-time — except over a NULL,
-        // which yields NULL before the operands are looked at. A prior
-        // predicate has already deselected the poisoned row, so the
-        // fallback must not evaluate it.
+    fn predicate_without_a_column_form_is_an_internal_error() {
+        // String arithmetic, which the binder refuses: no kernel and no
+        // row path, whichever rows are still selected.
         let rs = rows(vec![
             vec![Value::str("x"), Value::Int(1)],
             vec![Value::Null, Value::Int(2)],
         ]);
         let batch = Batch::from_typed_rows(&[Str, Int], &rs).unwrap();
         let layout = RowLayout::new(vec![c(0), c(1)]);
-        let p = Predicate::new(
-            CompareOp::IsNull,
-            Expr::arith(ArithOp::Add, Expr::col(c(0)), Expr::col(c(1))),
-            Expr::Lit(Value::Null),
-        );
-        let mut sel = vec![1u32];
-        filter_selection(&p, &batch, &layout, &mut sel).unwrap();
-        assert_eq!(sel, vec![1]);
-        assert!(filter_selection(&p, &batch, &layout, &mut vec![0, 1]).is_err());
+        let sum = Expr::arith(ArithOp::Add, Expr::col(c(0)), Expr::col(c(1)));
+        for p in [
+            Predicate::is_null(sum.clone()),
+            Predicate::new(CompareOp::Gt, sum.clone(), Expr::int(0)),
+            Predicate::new(CompareOp::Eq, sum, Expr::col(c(1))),
+        ] {
+            for mut sel in [vec![0u32, 1], vec![1], vec![]] {
+                let refused = filter_selection(&p, &batch, &layout, &mut sel);
+                assert!(
+                    matches!(refused, Err(FtoError::Internal(_))),
+                    "{p}: {refused:?}"
+                );
+            }
+        }
     }
 }

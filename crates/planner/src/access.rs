@@ -11,41 +11,28 @@
 use crate::cost::{self, Cost};
 use crate::plan::{Plan, PlanNode, ScanRange};
 use crate::planner::Planner;
-use fto_catalog::IndexDef;
-use fto_common::{ColSet, Value};
+use fto_catalog::{Catalog, IndexDef, TableDef};
+use fto_common::{ColSet, Result, TableId, Value};
 use fto_expr::{CompareOp, Expr, PredId, RowLayout};
 use fto_order::{OrderSpec, SortKey, StreamProps};
 use fto_qgm::graph::Quantifier;
 
-/// Generates the access paths for a base-table quantifier, with
-/// `local_preds` (the box predicates referencing only this quantifier)
-/// applied on top of each.
+/// Generates the access paths for quantifier `q` over base table `tid`,
+/// with `local_preds` (the box predicates referencing only this
+/// quantifier) applied on top of each.
 pub fn access_paths(
     planner: &mut Planner<'_>,
+    tid: TableId,
     q: &Quantifier,
     local_preds: &[PredId],
-) -> Vec<Plan> {
-    let fto_qgm::graph::QuantifierInput::Table(tid) = q.input else {
-        panic!("access_paths requires a base-table quantifier");
-    };
+) -> Result<Vec<Plan>> {
     // Borrowed from the catalog, not from `planner`, whose counters
     // `apply_filter` writes.
     let catalog = planner.catalog;
-    let table = catalog.table(tid).expect("resolved table must exist");
+    let base_props = base_props(catalog, catalog.table(tid)?, q);
     let stats = catalog.stats(tid);
     let rows = stats.row_count as f64;
     let pages = stats.pages;
-
-    let cols: ColSet = q.cols.iter().copied().collect();
-    let mut keys: Vec<ColSet> = table
-        .keys
-        .iter()
-        .map(|k| k.columns.iter().map(|&o| q.cols[o]).collect())
-        .collect();
-    for ix in catalog.indexes_for(tid).filter(|ix| ix.unique) {
-        keys.push(ix.key_ordinals().map(|o| q.cols[o]).collect());
-    }
-    let base_props = StreamProps::base_table(cols, keys);
     let layout = RowLayout::new(q.cols.clone());
 
     let mut paths = Vec::new();
@@ -119,7 +106,21 @@ pub fn access_paths(
     for p in &paths {
         planner.generated("access", p);
     }
-    paths
+    Ok(paths)
+}
+
+/// The properties of a bare scan of `table` as quantifier `q`: its
+/// columns, and as keys the table's declared keys and unique indexes.
+pub(crate) fn base_props(catalog: &Catalog, table: &TableDef, q: &Quantifier) -> StreamProps {
+    let mut keys: Vec<ColSet> = table
+        .keys
+        .iter()
+        .map(|k| k.columns.iter().map(|&o| q.cols[o]).collect())
+        .collect();
+    for ix in catalog.indexes_for(table.id).filter(|ix| ix.unique) {
+        keys.push(ix.key_ordinals().map(|o| q.cols[o]).collect());
+    }
+    StreamProps::base_table(q.col_set(), keys)
 }
 
 /// Derives a leading-column key range from the local predicates, returning
@@ -189,8 +190,17 @@ mod tests {
     use crate::config::OptimizerConfig;
     use crate::planner::tests_support::{q3_like_db, simple_db};
     use fto_expr::Predicate;
-    use fto_qgm::graph::BoxKind;
+    use fto_qgm::graph::{BoxId, BoxKind, QuantifierInput};
     use fto_qgm::QueryGraph;
+
+    /// The access paths of box `b`'s first quantifier, a base table.
+    fn first_paths(planner: &mut Planner<'_>, b: BoxId, preds: &[PredId]) -> Vec<Plan> {
+        let q = planner.graph.boxed(b).quantifiers[0].clone();
+        let QuantifierInput::Table(tid) = q.input else {
+            panic!("not a base-table quantifier");
+        };
+        access_paths(planner, tid, &q, preds).unwrap()
+    }
 
     #[test]
     fn generates_scan_plus_index_paths() {
@@ -200,8 +210,7 @@ mod tests {
         g.add_table_quantifier(b, db.catalog().table_by_name("t").unwrap());
         g.root = b;
         let mut planner = Planner::new(&g, db.catalog(), OptimizerConfig::default());
-        let q = planner.graph.boxed(b).quantifiers[0].clone();
-        let paths = access_paths(&mut planner, &q, &[]);
+        let paths = first_paths(&mut planner, b, &[]);
         // table scan + (forward, reverse) × (pk index, secondary index).
         assert_eq!(paths.len(), 5);
         assert!(paths.iter().any(|p| p.props.order.is_empty()));
@@ -230,8 +239,7 @@ mod tests {
         g.add_table_quantifier(b, db.catalog().table_by_name("t").unwrap());
         g.root = b;
         let mut planner = Planner::new(&g, db.catalog(), OptimizerConfig::default());
-        let q = planner.graph.boxed(b).quantifiers[0].clone();
-        let paths = access_paths(&mut planner, &q, &[]);
+        let paths = first_paths(&mut planner, b, &[]);
         // The pk index path's order is (k): a single column, since k is
         // the key and determines everything after it.
         let pk_path = paths
@@ -256,8 +264,7 @@ mod tests {
         g.boxed_mut(b).predicates.push(p);
         g.root = b;
         let mut planner = Planner::new(&g, db.catalog(), OptimizerConfig::default());
-        let q = planner.graph.boxed(b).quantifiers[0].clone();
-        let paths = access_paths(&mut planner, &q, &[p]);
+        let paths = first_paths(&mut planner, b, &[p]);
         // Find the pk-index path: it must carry a range and cost less
         // than the unrestricted table scan.
         let ranged = paths
@@ -283,8 +290,7 @@ mod tests {
         g.boxed_mut(b).predicates.push(p);
         g.root = b;
         let mut planner = Planner::new(&g, db.catalog(), OptimizerConfig::default());
-        let q = planner.graph.boxed(b).quantifiers[0].clone();
-        let paths = access_paths(&mut planner, &q, &[p]);
+        let paths = first_paths(&mut planner, b, &[p]);
         for path in &paths {
             assert_eq!(path.props.preds, vec![p]);
             assert!(path.props.equivalences().is_constant(cols[1]));

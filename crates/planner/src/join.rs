@@ -14,14 +14,15 @@
 //! *ordered* nested-loop join when the outer's order property covers the
 //! probe columns and the inner index is clustered), sort-merge, and hash.
 
+use crate::access;
 use crate::cost::{self, Cost};
 use crate::plan::{JoinKind, Plan, PlanNode};
 use crate::planner::Planner;
-use fto_common::{ColId, ColSet, FtoError, QuantifierId, Result};
+use fto_common::{ColId, ColSet, FtoError, QuantifierId, Result, TableId};
 use fto_expr::{PredClass, PredId};
-use fto_obs::TraceEvent;
 use fto_order::{FactsMemo, OrderSpec, StreamProps};
-use fto_qgm::graph::{QgmBox, QuantifierInput};
+use fto_qgm::graph::QgmBox;
+use fto_qgm::QueryGraph;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -49,21 +50,11 @@ pub fn enumerate(
         return Err(FtoError::Plan(format!("{n}-way joins not supported")));
     }
 
-    let interesting: Vec<OrderSpec> = if planner.config.sort_ahead {
-        qbox.interesting
-            .iter()
-            .take(planner.config.max_sort_ahead)
-            .cloned()
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let mut memo = JoinMemo::default();
     let mut best: HashMap<u32, Vec<Plan>> = HashMap::new();
     for (i, plans) in inputs.iter().enumerate() {
         let mut set = plans.clone();
-        set.extend(sorted_variants(planner, &interesting, plans));
+        set.extend(planner.sort_ahead(qbox, plans));
         best.insert(1 << i, planner.prune(set));
     }
 
@@ -93,7 +84,8 @@ pub fn enumerate(
                 if new_plans.is_empty() {
                     continue;
                 }
-                new_plans.extend(sorted_variants(planner, &interesting, &new_plans));
+                let sorted = planner.sort_ahead(qbox, &new_plans);
+                new_plans.extend(sorted);
                 let entry = best.entry(mask | bit).or_default();
                 entry.extend(new_plans);
                 let merged = std::mem::take(entry);
@@ -108,37 +100,26 @@ pub fn enumerate(
         .ok_or_else(|| FtoError::Plan("join enumeration produced no plan".into()))
 }
 
-/// Sorted variants of `plans` for each interesting order (sort-ahead).
-fn sorted_variants(
-    planner: &mut Planner<'_>,
-    interesting: &[OrderSpec],
-    plans: &[Plan],
-) -> Vec<Plan> {
-    let mut out = Vec::new();
-    for interest in interesting {
-        for plan in plans {
-            let ctx = planner.effective_ctx(&plan.props);
-            let (homog, _) = ctx.homogenize_prefix(interest, &plan.props.cols);
-            if homog.is_empty() || ctx.test_order(&homog, &plan.props.order) {
-                continue;
-            }
-            let sorted = planner.add_sort(plan.clone(), &homog);
-            planner.decide(
-                |s| &mut s.sort_ahead_variants,
-                || TraceEvent::SortAhead {
-                    interest: interest.to_string(),
-                    plan: sorted.trace_desc(),
-                },
-            );
-            // A sort-ahead variant is a generated plan as well.
-            planner.generated("sort-ahead", &sorted);
-            out.push(sorted);
-        }
-    }
-    out
+/// The equi-join column pairs among `preds`, each as (outer column,
+/// inner column) whichever side of the `=` it was written on.
+pub(crate) fn equated_pairs(
+    graph: &QueryGraph,
+    preds: &[PredId],
+    outer: &ColSet,
+    inner: &ColSet,
+) -> Vec<(ColId, ColId)> {
+    preds
+        .iter()
+        .filter_map(|&pid| match graph.predicate(pid).classify() {
+            PredClass::ColEqCol(a, b) if outer.contains(a) && inner.contains(b) => Some((a, b)),
+            PredClass::ColEqCol(a, b) if outer.contains(b) && inner.contains(a) => Some((b, a)),
+            _ => None,
+        })
+        .collect()
 }
 
-/// All join methods for one (outer plan, inner access path) pair.
+/// All join methods for one (outer plan, inner access path) pair, each
+/// counted as a generated plan.
 fn join_pair(
     planner: &mut Planner<'_>,
     memo: &mut JoinMemo,
@@ -171,23 +152,12 @@ fn join_pair(
         })
         .collect();
 
-    // Equi-join column pairs (outer col, inner col).
-    let equates: Vec<(ColId, ColId)> = applicable
-        .iter()
-        .filter_map(|&pid| match planner.graph.predicate(pid).classify() {
-            PredClass::ColEqCol(a, b) => {
-                if outer.props.cols.contains(a) && inner.props.cols.contains(b) {
-                    Some((a, b))
-                } else if outer.props.cols.contains(b) && inner.props.cols.contains(a) {
-                    Some((b, a))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        })
-        .collect();
-
+    let equates = equated_pairs(
+        planner.graph,
+        &applicable,
+        &outer.props.cols,
+        &inner.props.cols,
+    );
     let sel = planner
         .estimator()
         .conjunction_selectivity(applicable.iter().map(|&p| planner.graph.predicate(p)));
@@ -314,10 +284,10 @@ fn join_pair(
 }
 
 /// Index nested-loop joins: one per inner-table index whose leading key
-/// columns are all equated to outer columns.
+/// columns are all equated to outer columns. [`join_pair`] counts them.
 #[allow(clippy::too_many_arguments)]
 fn index_nlj(
-    planner: &mut Planner<'_>,
+    planner: &Planner<'_>,
     memo: &mut JoinMemo,
     qbox: &QgmBox,
     outer: &Plan,
@@ -328,21 +298,17 @@ fn index_nlj(
     layout: &fto_expr::RowLayout,
 ) -> Vec<Plan> {
     // The inner must be a bare access path over a base table (the probe
-    // replaces the scan); reuse its quantifier/table identity.
-    let (table, quantifier) = match base_scan_identity(inner) {
-        Some(t) => t,
-        None => return Vec::new(),
-    };
-    let inner_local_preds: Vec<PredId> = collect_filter_preds(inner);
-
+    // replaces the scan); reuse its quantifier/table identity, and its
+    // filters become probe residuals.
     let mut plans = Vec::new();
-    // Borrowed from the catalog, not from `planner`, whose counters the
-    // loop below writes.
-    let catalog = planner.catalog;
-    if catalog.table(table).is_err() {
+    let Some((table, quantifier, inner_local_preds)) = filtered_base_scan(inner) else {
         return plans;
-    }
-    let Some(inner_q) = qbox.quantifiers.iter().find(|q| q.id == quantifier) else {
+    };
+    let catalog = planner.catalog;
+    let (Ok(table_def), Some(inner_q)) = (
+        catalog.table(table),
+        qbox.quantifiers.iter().find(|q| q.id == quantifier),
+    ) else {
         return plans;
     };
 
@@ -385,9 +351,10 @@ fn index_nlj(
         // local predicates are evaluated as residuals too.
         let mut all_preds: Vec<PredId> = applicable.to_vec();
         all_preds.extend(inner_local_preds.iter().copied());
-        let inner_base = memo.probed_tables.entry(quantifier).or_insert_with(|| {
-            StreamProps::base_table(inner_q.col_set(), base_keys(planner, inner_q))
-        });
+        let inner_base = memo
+            .probed_tables
+            .entry(quantifier)
+            .or_insert_with(|| access::base_props(catalog, table_def, inner_q));
         let mut props = memo
             .facts
             .join(&outer.props, inner_base, equates, &outer.props.order);
@@ -418,7 +385,6 @@ fn index_nlj(
             props,
             cost: Cost { total, rows },
         };
-        planner.generated("join", &plan);
         plans.push(plan);
     }
     plans
@@ -444,49 +410,22 @@ fn join_props(
     props
 }
 
-/// If `plan` is a (possibly filtered) bare scan of a base table, returns
-/// its (table, quantifier) identity.
-fn base_scan_identity(plan: &Plan) -> Option<(fto_common::TableId, QuantifierId)> {
+/// If `plan` is a bare scan of a base table under zero or more filters,
+/// its (table, quantifier) identity and the filters' predicates,
+/// innermost first.
+fn filtered_base_scan(plan: &Plan) -> Option<(TableId, QuantifierId, Vec<PredId>)> {
     match &plan.node {
         PlanNode::TableScan { table, quantifier }
         | PlanNode::IndexScan {
             table, quantifier, ..
-        } => Some((*table, *quantifier)),
-        PlanNode::Filter { input, .. } => base_scan_identity(input),
+        } => Some((*table, *quantifier, Vec::new())),
+        PlanNode::Filter { input, predicates } => {
+            let mut scan = filtered_base_scan(input)?;
+            scan.2.extend(predicates.iter().copied());
+            Some(scan)
+        }
         _ => None,
     }
-}
-
-/// Filter predicates wrapped around a scan (to re-apply as probe
-/// residuals).
-fn collect_filter_preds(plan: &Plan) -> Vec<PredId> {
-    match &plan.node {
-        PlanNode::Filter { input, predicates } => {
-            let mut out = collect_filter_preds(input);
-            out.extend(predicates.iter().copied());
-            out
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Keys of a base-table quantifier mapped to query columns.
-fn base_keys(planner: &Planner<'_>, q: &fto_qgm::graph::Quantifier) -> Vec<ColSet> {
-    let QuantifierInput::Table(tid) = q.input else {
-        return Vec::new();
-    };
-    let Ok(table) = planner.catalog.table(tid) else {
-        return Vec::new();
-    };
-    let mut keys: Vec<ColSet> = table
-        .keys
-        .iter()
-        .map(|k| k.columns.iter().map(|&o| q.cols[o]).collect())
-        .collect();
-    for ix in planner.catalog.indexes_for(tid).filter(|ix| ix.unique) {
-        keys.push(ix.key_ordinals().map(|o| q.cols[o]).collect());
-    }
-    keys
 }
 
 #[cfg(test)]
@@ -608,6 +547,55 @@ mod tests {
             })
             .collect();
         assert!(counts[1] > counts[0], "{counts:?}");
+    }
+
+    #[test]
+    fn each_index_nested_loop_is_generated_once() {
+        // orders ⋈ lineitem with only the nested loops on: either inner
+        // has one usable index (orders_pk, l_orderkey_ix), so each join
+        // pair makes one nested loop and one index nested loop, and
+        // counts each once (the parent counted the index nested loop in
+        // index_nlj and again in join_pair: twice per pair).
+        let db = q3_like_db(200);
+        let cat = db.catalog();
+        let mut g = QueryGraph::new();
+        let b = g.add_box(BoxKind::Select);
+        g.add_table_quantifier(b, cat.table_by_name("orders").unwrap());
+        g.add_table_quantifier(b, cat.table_by_name("lineitem").unwrap());
+        let o = g.boxed(b).quantifiers[0].cols.clone();
+        let l = g.boxed(b).quantifiers[1].cols.clone();
+        let pid = g.add_predicate(Predicate::col_eq_col(o[0], l[0]));
+        g.boxed_mut(b).predicates.push(pid);
+        g.boxed_mut(b).output = vec![OutputCol::passthrough(o[0])];
+        g.root = b;
+        OrderScan::run(&mut g, cat);
+        let cfg = OptimizerConfig::default()
+            .with_merge_join(false)
+            .with_hash_join(false);
+        let mut p = Planner::new(&g, cat, cfg).traced();
+        p.plan_query().unwrap();
+        let trace = p.take_trace().unwrap();
+        assert_eq!(trace.dropped(), 0);
+        let generated = |op: &str| {
+            trace
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(e, fto_obs::TraceEvent::PlanGenerated { stage: "join", plan }
+                        if plan.starts_with(op))
+                })
+                .count() as u64
+        };
+        let pairs = p.stats.joins_considered;
+        assert!(pairs > 0);
+        assert_eq!(generated("nested-loop-join "), pairs);
+        assert_eq!(generated("index-nested-loop-join "), pairs);
+        let events = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e, fto_obs::TraceEvent::PlanGenerated { .. }))
+            .count() as u64;
+        assert_eq!(events, p.stats.plans_generated);
     }
 
     #[test]

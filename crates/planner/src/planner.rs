@@ -1,4 +1,10 @@
 //! The bottom-up box planner (paper §5.2).
+//!
+//! Every box is planned by one pipeline ([`Planner::plan_box`]): plan
+//! each quantifier's input, combine the inputs — join enumeration,
+//! grouping, union or outer join — then project to the box's outputs and
+//! apply its DISTINCT, ORDER BY and LIMIT. The function that makes a
+//! candidate plan counts it, once.
 
 use crate::access;
 use crate::cardinality::CardEstimator;
@@ -12,12 +18,13 @@ use fto_expr::{AggCall, Expr, PredId, RowLayout};
 use fto_obs::trace::DEFAULT_CAPACITY;
 use fto_obs::{Trace, TraceEvent};
 use fto_order::{ContextWork, FlexOrder, OrderContext, OrderSpec, StreamProps};
-use fto_qgm::graph::{BoxId, BoxKind, OutputExpr, QgmBox, QuantifierInput};
+use fto_qgm::graph::{BoxId, BoxKind, OutputExpr, QgmBox, Quantifier, QuantifierInput};
 use fto_qgm::QueryGraph;
 use std::sync::Arc;
 
-/// Estimated bytes per row for sort costing when the exact layout width
-/// is unknown; declared widths refine this at access time.
+/// A sort prices a row at 8 bytes a column plus 16, and at no less than
+/// half of this. Nothing refines it from declared column widths (ROADMAP
+/// item 7).
 const DEFAULT_ROW_WIDTH: usize = 48;
 
 /// The cost-based planner for one query.
@@ -115,14 +122,13 @@ impl<'a> Planner<'a> {
         let work = ContextWork::snapshot().since(before);
         self.stats.contexts_built += work.contexts_built;
         self.stats.reduce_memo_hits += work.reduce_memo_hits;
-        candidates?
-            .into_iter()
-            .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
-            .ok_or_else(|| FtoError::Plan("no plan produced".into()))
+        cheapest(candidates?).ok_or_else(|| FtoError::Plan("no plan produced".into()))
     }
 
     /// Plans one box, returning a Pareto set of alternatives (pruned by
-    /// cost + property dominance).
+    /// cost + property dominance): each quantifier's input, the inputs
+    /// combined as the box's kind says, then projection, DISTINCT,
+    /// ORDER BY and LIMIT.
     pub fn plan_box(&mut self, id: BoxId) -> Result<Vec<Plan>> {
         // Borrowed from the graph, not from `self`: planning mutates
         // only the counters and the log.
@@ -133,12 +139,26 @@ impl<'a> Planner<'a> {
             |s| &mut s.boxes_planned,
             || TraceEvent::SpanStart { name: span() },
         );
-        let mut plans = match &qbox.kind {
-            BoxKind::Select => self.plan_select(qbox),
-            BoxKind::GroupBy { grouping } => self.plan_group_by(qbox, grouping),
-            BoxKind::Union => self.plan_union(qbox),
-            BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on),
+        // Join enumeration starts from each input's Pareto set; grouping,
+        // union and outer join take every candidate.
+        let mut inputs = Vec::with_capacity(qbox.quantifiers.len());
+        for q in &qbox.quantifiers {
+            let candidates = self.plan_input(qbox, q)?;
+            inputs.push(match qbox.kind {
+                BoxKind::Select => self.prune(candidates),
+                _ => candidates,
+            });
+        }
+        let combined = match &qbox.kind {
+            BoxKind::Select => self.plan_select(qbox, inputs),
+            BoxKind::GroupBy { grouping } => self.plan_group_by(qbox, grouping, inputs),
+            BoxKind::Union => self.plan_union(qbox, inputs),
+            BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on, inputs),
         }?;
+        let mut plans: Vec<Plan> = combined
+            .into_iter()
+            .map(|p| self.project_outputs(p, qbox))
+            .collect();
 
         // DISTINCT on the box's output: a grouping on every output column
         // with no aggregates.
@@ -173,136 +193,65 @@ impl<'a> Planner<'a> {
         Ok(kept)
     }
 
-    /// Wraps a plan in a Limit, fusing with a top-level Sort into Top-N.
+    /// `plan` under a LIMIT of `n`. A limit directly above a sort is the
+    /// enforcer's own (a top-n, or an early exit from a segmented sort).
     fn apply_limit(&mut self, plan: Plan, n: u64) -> Plan {
-        let rows = plan.cost.rows.min(n as f64);
-        if let PlanNode::Sort {
-            input,
-            spec,
-            prefix_len: 0,
-            limit: None,
-            ..
-        } = &plan.node
-        {
-            // Selection + small sort instead of a full sort:
-            // O(N + n log n) rather than O(N log N).
-            let input_rows = input.cost.rows;
-            let cost = input
-                .cost
-                .plus(input_rows * cost::CPU_ROW)
-                .plus(rows * rows.max(2.0).log2() * cost::CPU_SORT_CMP)
-                .with_rows(rows);
-            return Plan {
-                node: PlanNode::Sort {
-                    input: input.clone(),
-                    spec: spec.clone(),
-                    prefix_len: 0,
-                    est_groups: 1,
-                    limit: Some(n),
-                },
-                layout: plan.layout.clone(),
-                props: plan.props.clone(),
-                cost,
-            };
-        }
-        if let PlanNode::Sort {
-            input,
-            spec,
-            prefix_len,
-            limit: None,
-            ..
-        } = &plan.node
-        {
-            // Early exit: a segmented sort streams one prefix group at a
-            // time, so a limit stops the enforcer (and its input) after
-            // the first ⌈n / group size⌉ groups have been formed.
-            let input_rows = input.cost.rows;
-            let prefix_cols: Vec<fto_common::ColId> =
-                spec.keys()[..*prefix_len].iter().map(|k| k.col).collect();
-            let groups = self
-                .estimator()
-                .group_count(&prefix_cols, input_rows)
-                .clamp(1.0, input_rows.max(1.0));
-            let per_group = (input_rows / groups).max(1.0);
-            let groups_needed = (n as f64 / per_group).ceil().min(groups);
-            let consumed = (groups_needed * per_group).min(input_rows);
-            let width = plan.layout.arity() * 8 + 16;
-            let partial = cost::segmented_sort(
-                consumed,
-                groups_needed,
-                width.max(DEFAULT_ROW_WIDTH / 2),
-                cost::SORT_MEMORY,
-            );
-            let full = plan.cost.total - input.cost.total;
-            // The input is only pulled until enough groups have been
-            // formed, so its streaming cost is prorated by the consumed
-            // fraction (standard limit-pushdown pricing).
-            let fraction = (consumed / input_rows.max(1.0)).min(1.0);
-            let cost = Cost {
-                total: input.cost.total * fraction + partial.min(full),
-                rows: 0.0,
+        match &plan.node {
+            PlanNode::Sort {
+                input,
+                spec,
+                prefix_len,
+                limit: None,
+                ..
+            } => self.enforcer(
+                Arc::clone(input),
+                spec.clone(),
+                plan.props.clone(),
+                *prefix_len,
+                Some(n),
+            ),
+            _ => {
+                let cost = plan.cost.with_rows(plan.cost.rows.min(n as f64));
+                limit_node(plan, n, cost)
             }
-            .with_rows(rows);
-            return Plan {
-                layout: plan.layout.clone(),
-                props: plan.props.clone(),
-                node: PlanNode::Limit {
-                    input: Arc::new(plan),
-                    n,
-                },
-                cost,
-            };
         }
-        let cost = plan.cost.with_rows(rows);
-        Plan {
-            layout: plan.layout.clone(),
-            props: plan.props.clone(),
-            node: PlanNode::Limit {
-                input: Arc::new(plan),
-                n,
-            },
-            cost,
+    }
+
+    /// One quantifier's candidate plans, with the box's predicates over
+    /// its columns alone applied: a base table's access paths, or the
+    /// child box's plans under a filter.
+    fn plan_input(&mut self, qbox: &QgmBox, q: &Quantifier) -> Result<Vec<Plan>> {
+        let local = self.local_preds(qbox, &q.col_set());
+        match q.input {
+            QuantifierInput::Table(tid) => access::access_paths(self, tid, q, &local),
+            QuantifierInput::Box(child) => {
+                let plans = self.plan_box(child)?;
+                Ok(plans
+                    .into_iter()
+                    .map(|p| self.apply_filter(p, &local))
+                    .collect())
+            }
         }
     }
 
     // ----- Select boxes -------------------------------------------------
 
-    fn plan_select(&mut self, qbox: &QgmBox) -> Result<Vec<Plan>> {
-        // Candidate plans per quantifier.
-        let mut inputs: Vec<Vec<Plan>> = Vec::with_capacity(qbox.quantifiers.len());
-        for q in &qbox.quantifiers {
-            let local = self.local_preds(qbox, &q.col_set());
-            let candidates = match q.input {
-                QuantifierInput::Table(_) => access::access_paths(self, q, &local),
-                QuantifierInput::Box(child) => {
-                    let plans = self.plan_box(child)?;
-                    plans
-                        .into_iter()
-                        .map(|p| self.apply_filter(p, &local))
-                        .collect()
-                }
-            };
-            inputs.push(self.prune(candidates));
-        }
-
-        let mut plans = if inputs.len() > 1 {
+    /// Joins a SELECT box's inputs — join enumeration, or one input and
+    /// its sort-ahead variants — then applies any box predicate not yet
+    /// applied (a correctness backstop; in practice local and join
+    /// predicates cover everything).
+    fn plan_select(&mut self, qbox: &QgmBox, mut inputs: Vec<Vec<Plan>>) -> Result<Vec<Plan>> {
+        let plans = if inputs.len() > 1 {
             join::enumerate(self, qbox, inputs)?
         } else {
             let mut plans = inputs
                 .pop()
                 .ok_or_else(|| FtoError::Plan("select box with no quantifiers".into()))?;
-            // Sort-ahead on single-input boxes: offer sorted variants for
-            // the box's interesting orders so parents can stream.
-            if self.config.sort_ahead {
-                let extra = self.sort_ahead_variants(qbox, &plans);
-                plans.extend(extra);
-            }
+            let sorted = self.sort_ahead(qbox, &plans);
+            plans.extend(sorted);
             plans
         };
-
-        // Apply any predicates not yet applied (correctness backstop; in
-        // practice local + join predicates cover everything).
-        plans = plans
+        Ok(plans
             .into_iter()
             .map(|p| {
                 let missing: Vec<PredId> = qbox
@@ -313,19 +262,19 @@ impl<'a> Planner<'a> {
                     .collect();
                 self.apply_filter(p, &missing)
             })
-            .collect();
-
-        // Project to the box's outputs.
-        Ok(plans
-            .into_iter()
-            .map(|p| self.project_outputs(p, qbox))
             .collect())
     }
 
-    /// Sorted variants of existing plans for each interesting order
-    /// (sort-ahead below whatever the parent box will add).
-    fn sort_ahead_variants(&mut self, qbox: &QgmBox, plans: &[Plan]) -> Vec<Plan> {
-        let mut extra = Vec::new();
+    /// Sort-ahead (paper §5.2): a sorted copy of each of `plans` for each
+    /// of the box's first `max_sort_ahead` interesting orders it does not
+    /// already provide, so the sort a parent needs can sink below this
+    /// box or join step. Each variant is a generated plan. None when
+    /// sort-ahead is off.
+    pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Plan]) -> Vec<Plan> {
+        let mut variants = Vec::new();
+        if !self.config.sort_ahead {
+            return variants;
+        }
         for interest in qbox.interesting.iter().take(self.config.max_sort_ahead) {
             for plan in plans {
                 let ctx = self.effective_ctx(&plan.props);
@@ -341,29 +290,26 @@ impl<'a> Planner<'a> {
                         plan: sorted.trace_desc(),
                     },
                 );
-                extra.push(sorted);
+                self.generated("sort-ahead", &sorted);
+                variants.push(sorted);
             }
         }
-        extra
+        variants
     }
 
     // ----- Group-by boxes -----------------------------------------------
 
-    fn plan_group_by(&mut self, qbox: &QgmBox, grouping: &[ColId]) -> Result<Vec<Plan>> {
-        let q = qbox
-            .quantifiers
-            .first()
-            .ok_or_else(|| FtoError::Plan("group-by box with no input".into()))?;
-        let local = self.local_preds(qbox, &q.col_set());
-        let child_plans: Vec<Plan> = match q.input {
-            QuantifierInput::Table(_) => access::access_paths(self, q, &local),
-            QuantifierInput::Box(child) => self
-                .plan_box(child)?
-                .into_iter()
-                .map(|p| self.apply_filter(p, &local))
-                .collect(),
+    fn plan_group_by(
+        &mut self,
+        qbox: &QgmBox,
+        grouping: &[ColId],
+        inputs: Vec<Vec<Plan>>,
+    ) -> Result<Vec<Plan>> {
+        let Ok([input]) = <[Vec<Plan>; 1]>::try_from(inputs) else {
+            return Err(FtoError::Plan(
+                "group-by box needs exactly one quantifier".into(),
+            ));
         };
-
         let aggs: Vec<(ColId, AggCall)> = qbox
             .output
             .iter()
@@ -381,11 +327,7 @@ impl<'a> Planner<'a> {
             )
         });
 
-        Ok(self
-            .group_plans("group-by", child_plans, grouping, &aggs, &flex)
-            .into_iter()
-            .map(|p| self.project_outputs(p, qbox))
-            .collect())
+        Ok(self.group_plans("group-by", input, grouping, &aggs, &flex))
     }
 
     /// The groupings of each of `inputs` on `grouping` computing `aggs`:
@@ -469,21 +411,15 @@ impl<'a> Planner<'a> {
 
     // ----- Union boxes ----------------------------------------------------
 
-    fn plan_union(&mut self, qbox: &QgmBox) -> Result<Vec<Plan>> {
-        let mut branch_plans = Vec::new();
+    /// Concatenates the cheapest plan of each branch (a UNION's duplicate
+    /// elimination is the box's DISTINCT).
+    fn plan_union(&mut self, qbox: &QgmBox, inputs: Vec<Vec<Plan>>) -> Result<Vec<Plan>> {
+        let mut branch_plans = Vec::with_capacity(inputs.len());
         let mut total_cost = 0.0;
         let mut total_rows = 0.0;
-        for q in &qbox.quantifiers {
-            let QuantifierInput::Box(child) = q.input else {
-                return Err(FtoError::Plan(
-                    "union quantifiers must range over boxes".into(),
-                ));
-            };
-            let best = self
-                .plan_box(child)?
-                .into_iter()
-                .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
-                .ok_or_else(|| FtoError::Plan("empty union branch".into()))?;
+        for branch in inputs {
+            let best =
+                cheapest(branch).ok_or_else(|| FtoError::Plan("empty union branch".into()))?;
             total_cost += best.cost.total;
             total_rows += best.cost.rows;
             branch_plans.push(Arc::new(best));
@@ -510,38 +446,22 @@ impl<'a> Planner<'a> {
     /// Plans a left outer join box: every (outer, inner) candidate pair
     /// yields one `Join { kind: LeftOuter }` plan. The outer's order survives; ON
     /// equalities feed only one-directional FDs (paper §4.1).
-    fn plan_outer_join(&mut self, qbox: &QgmBox, on: &[PredId]) -> Result<Vec<Plan>> {
-        let [lq, rq] = qbox.quantifiers.as_slice() else {
+    fn plan_outer_join(
+        &mut self,
+        qbox: &QgmBox,
+        on: &[PredId],
+        inputs: Vec<Vec<Plan>>,
+    ) -> Result<Vec<Plan>> {
+        let (Ok([lefts, rights]), [lq, rq]) = (
+            <[Vec<Plan>; 2]>::try_from(inputs),
+            qbox.quantifiers.as_slice(),
+        ) else {
             return Err(FtoError::Plan(
                 "outer-join box needs exactly two quantifiers".into(),
             ));
         };
-        let plan_side = |planner: &mut Self, q: &fto_qgm::graph::Quantifier| -> Result<Vec<Plan>> {
-            Ok(match q.input {
-                QuantifierInput::Table(_) => access::access_paths(planner, q, &[]),
-                QuantifierInput::Box(child) => planner.plan_box(child)?,
-            })
-        };
-        let lefts = plan_side(self, lq)?;
-        let rights = plan_side(self, rq)?;
         let preserved = lq.col_set();
-
-        // Equi pairs (outer col, inner col) from the ON conjunction.
-        let equates: Vec<(fto_common::ColId, fto_common::ColId)> = on
-            .iter()
-            .filter_map(|&pid| match self.graph.predicate(pid).classify() {
-                fto_expr::PredClass::ColEqCol(a, b) => {
-                    if preserved.contains(a) && rq.cols.contains(&b) {
-                        Some((a, b))
-                    } else if preserved.contains(b) && rq.cols.contains(&a) {
-                        Some((b, a))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            })
-            .collect();
+        let equates = join::equated_pairs(self.graph, on, &preserved, &rq.col_set());
         let (okeys, ikeys): (Vec<_>, Vec<_>) = equates.iter().copied().unzip();
 
         let sel = self
@@ -587,11 +507,7 @@ impl<'a> Planner<'a> {
         for p in &plans {
             self.generated("outer-join", p);
         }
-
-        Ok(plans
-            .into_iter()
-            .map(|p| self.project_outputs(p, qbox))
-            .collect())
+        Ok(plans)
     }
 
     // ----- Shared helpers -------------------------------------------------
@@ -627,15 +543,11 @@ impl<'a> Planner<'a> {
         if reduced.is_empty() {
             return plan;
         }
-        let layout_cols = plan.layout.col_set();
-        let minimal = match ctx.homogenize(&reduced, &layout_cols) {
-            Some(physical) => physical,
-            None => {
-                // Fall back to the caller's columns verbatim (they must be
-                // in the layout for the request to make sense at all).
-                spec.clone()
-            }
-        };
+        // Fall back to the caller's columns verbatim (they must be in the
+        // layout for the request to make sense at all).
+        let minimal = ctx
+            .homogenize(&reduced, &plan.layout.col_set())
+            .unwrap_or_else(|| spec.clone());
         if minimal.is_empty() {
             return plan;
         }
@@ -646,30 +558,22 @@ impl<'a> Planner<'a> {
                 input: plan.trace_desc(),
             },
         );
-        let rows = plan.cost.rows;
-        let width = (plan.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
         let props = plan.props.sorted(&minimal);
-        let layout = plan.layout.clone();
 
         // Segmented (partial) sort: when the input's order property
         // already satisfies a strict non-empty prefix of the minimal
         // specification, rows arrive grouped contiguously by the prefix
         // columns, so only the residual suffix needs sorting — within
-        // each group, priced as Σ over groups of sort(group). The split
-        // is positional only when reduce(minimal) partitions exactly
-        // (the homogenize fallback can leave `minimal` unreduced).
+        // each group. The split is positional only when reduce(minimal)
+        // partitions exactly (the homogenize fallback can leave
+        // `minimal` unreduced).
+        let mut prefix_len = 0;
         if self.config.enable_segmented_sort && self.config.order_optimization {
             let (pfx, sfx) = self
                 .effective_ctx(&plan.props)
                 .split_requirement(&minimal, &plan.props.order);
             if !pfx.is_empty() && !sfx.is_empty() && pfx.len() + sfx.len() == minimal.len() {
-                let prefix_len = pfx.len();
-                let prefix_cols: Vec<fto_common::ColId> =
-                    minimal.keys()[..prefix_len].iter().map(|k| k.col).collect();
-                let groups = self
-                    .estimator()
-                    .group_count(&prefix_cols, rows)
-                    .clamp(1.0, rows.max(1.0));
+                let groups = self.prefix_groups(&minimal, pfx.len(), plan.cost.rows);
                 if groups > 1.0 {
                     self.decide(
                         |s| &mut s.partial_sorts,
@@ -679,41 +583,89 @@ impl<'a> Planner<'a> {
                             groups: groups.round() as u64,
                         },
                     );
-                    let cost = plan.cost.plus(cost::segmented_sort(
-                        rows,
-                        groups,
-                        width,
-                        cost::SORT_MEMORY,
-                    ));
-                    return Plan {
-                        node: PlanNode::Sort {
-                            input: Arc::new(plan),
-                            spec: minimal,
-                            prefix_len,
-                            est_groups: groups.round() as u64,
-                            limit: None,
-                        },
-                        layout,
-                        props,
-                        cost,
-                    };
+                    prefix_len = pfx.len();
                 }
             }
         }
+        self.enforcer(Arc::new(plan), minimal, props, prefix_len, None)
+    }
 
-        let cost = plan.cost.plus(cost::sort(rows, width, cost::SORT_MEMORY));
+    /// The one builder of the order enforcer: `input` sorted on `spec`,
+    /// whose first `prefix_len` keys the input already satisfies, with at
+    /// most `limit` rows out and the properties `props` — priced as
+    /// `EnforceOp` runs it. A full sort pays `sort(n)`; a segmented one
+    /// `Σ sort(n / G)` over its G prefix groups; a top-n (a limit fused
+    /// with a full sort) selects in O(N + k log k). A limit above a
+    /// segmented sort stops it, and its input, after the ⌈k / group
+    /// size⌉ groups it needs: a `Limit` over the segmented sort, the
+    /// input's cost prorated by the fraction consumed.
+    fn enforcer(
+        &self,
+        input: Arc<Plan>,
+        spec: OrderSpec,
+        props: StreamProps,
+        prefix_len: usize,
+        limit: Option<u64>,
+    ) -> Plan {
+        let rows = input.cost.rows;
+        let width = (input.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
+        let groups = match prefix_len {
+            0 => 1.0,
+            k => self.prefix_groups(&spec, k, rows),
+        };
+        let cost = match (prefix_len, limit) {
+            (0, None) => input.cost.plus(cost::sort(rows, width, cost::SORT_MEMORY)),
+            (0, Some(n)) => {
+                let k = rows.min(n as f64);
+                input
+                    .cost
+                    .plus(rows * cost::CPU_ROW)
+                    .plus(k * k.max(2.0).log2() * cost::CPU_SORT_CMP)
+                    .with_rows(k)
+            }
+            (_, None) => {
+                input
+                    .cost
+                    .plus(cost::segmented_sort(rows, groups, width, cost::SORT_MEMORY))
+            }
+            (_, Some(n)) => {
+                let sorted = self.enforcer(Arc::clone(&input), spec, props, prefix_len, None);
+                let per_group = (rows / groups).max(1.0);
+                let groups_needed = (n as f64 / per_group).ceil().min(groups);
+                let consumed = (groups_needed * per_group).min(rows);
+                let partial =
+                    cost::segmented_sort(consumed, groups_needed, width, cost::SORT_MEMORY);
+                let full = sorted.cost.total - input.cost.total;
+                let fraction = (consumed / rows.max(1.0)).min(1.0);
+                let cost = Cost {
+                    total: input.cost.total * fraction + partial.min(full),
+                    rows: 0.0,
+                }
+                .with_rows(rows.min(n as f64));
+                return limit_node(sorted, n, cost);
+            }
+        };
         Plan {
+            layout: input.layout.clone(),
             node: PlanNode::Sort {
-                input: Arc::new(plan),
-                spec: minimal,
-                prefix_len: 0,
-                est_groups: 1,
-                limit: None,
+                input,
+                spec,
+                prefix_len,
+                est_groups: groups.round() as u64,
+                limit,
             },
-            layout,
             props,
             cost,
         }
+    }
+
+    /// The estimated number of groups `rows` rows form on the first
+    /// `prefix_len` keys of `spec`, in [1, rows].
+    fn prefix_groups(&self, spec: &OrderSpec, prefix_len: usize, rows: f64) -> f64 {
+        let cols: Vec<ColId> = spec.keys()[..prefix_len].iter().map(|k| k.col).collect();
+        self.estimator()
+            .group_count(&cols, rows)
+            .clamp(1.0, rows.max(1.0))
     }
 
     /// Ensures `plan` satisfies the order requirement `req`, adding a sort
@@ -872,9 +824,29 @@ fn kind_name(kind: &BoxKind) -> &'static str {
     }
 }
 
+/// The cheapest of `plans`.
+fn cheapest(plans: Vec<Plan>) -> Option<Plan> {
+    plans
+        .into_iter()
+        .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
+}
+
+/// `plan` under a `Limit` of `n` rows, at `cost`.
+fn limit_node(plan: Plan, n: u64, cost: Cost) -> Plan {
+    Plan {
+        layout: plan.layout.clone(),
+        props: plan.props.clone(),
+        node: PlanNode::Limit {
+            input: Arc::new(plan),
+            n,
+        },
+        cost,
+    }
+}
+
 /// Shared fixtures for the planner test suites.
-#[cfg(any(test, debug_assertions))]
-pub mod tests_support {
+#[cfg(test)]
+pub(crate) mod tests_support {
     use fto_catalog::{Catalog, ColumnDef, KeyDef};
     use fto_common::{DataType, Direction, Row, Value};
     use fto_storage::Database;

@@ -69,24 +69,6 @@ impl IoStats {
             + self.spill_pages_read as f64
     }
 
-    /// The counters accumulated since `earlier` was captured, i.e.
-    /// `self - earlier` field by field. Counters are monotonically
-    /// increasing, so `earlier` must be a snapshot of this same stream
-    /// taken before `self`.
-    pub fn delta_since(&self, earlier: &IoStats) -> IoStats {
-        IoStats {
-            sequential_pages: self.sequential_pages - earlier.sequential_pages,
-            random_pages: self.random_pages - earlier.random_pages,
-            index_pages: self.index_pages - earlier.index_pages,
-            sort_rows: self.sort_rows - earlier.sort_rows,
-            rows_read: self.rows_read - earlier.rows_read,
-            spill_pages_written: self.spill_pages_written - earlier.spill_pages_written,
-            spill_pages_read: self.spill_pages_read - earlier.spill_pages_read,
-            pool_hits: self.pool_hits - earlier.pool_hits,
-            pool_misses: self.pool_misses - earlier.pool_misses,
-        }
-    }
-
     /// `self - other` when every field of `other` is ≤ the matching field
     /// of `self`; `None` otherwise. Used by metric rollups to detect
     /// attribution bugs (a child charged more than its parent observed).
@@ -357,12 +339,17 @@ mod tests {
             pool_hits: 1,
             pool_misses: 0,
         };
-        let d = a.delta_since(&b);
-        assert_eq!(d.sequential_pages, 3);
-        assert_eq!(d.rows_read, 5);
-        assert_eq!(d.spill_pages_written, 2);
-        assert_eq!(d.spill_pages_read, 4);
-        assert_eq!(d.pool_hits, 1);
+        let d = IoStats {
+            sequential_pages: 3,
+            random_pages: 2,
+            index_pages: 0,
+            sort_rows: 1,
+            rows_read: 5,
+            spill_pages_written: 2,
+            spill_pages_read: 4,
+            pool_hits: 1,
+            pool_misses: 1,
+        };
         assert_eq!(a.checked_sub(&b), Some(d));
         // Subtracting more than was charged is an attribution bug.
         assert_eq!(b.checked_sub(&a), None);

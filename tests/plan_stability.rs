@@ -9,7 +9,11 @@
 //! must match `tests/golden/plan_stability.txt` byte for byte. The file
 //! was captured at commit a27182d, before stream facts became shared; the
 //! 15 blocks of statements with a DISTINCT were re-pinned when DISTINCT
-//! became the zero-aggregate group-by (`fold_is_spelling_only`).
+//! became the zero-aggregate group-by (`fold_is_spelling_only`), and 71
+//! `generated=` counts when each candidate came to be counted once, where
+//! it is made (PR 25: no plan line moved). Every block also checks the
+//! counting itself: no more plans pruned than generated, and — planned
+//! again with a trace — one `PlanGenerated` event per counted plan.
 //!
 //! After an *intended* plan change, regenerate it and review the diff:
 //!
@@ -20,7 +24,8 @@
 use fto_bench::corpus::{emp_db, join_ladder, EMP_QUERIES};
 use fto_bench::harness::tpcd_db;
 use fto_bench::Session;
-use fto_planner::OptimizerConfig;
+use fto_obs::TraceEvent;
+use fto_planner::{OptimizerConfig, PlannerStats};
 use fto_storage::Database;
 use std::fmt::Write as _;
 
@@ -45,10 +50,17 @@ fn configs() -> [(&'static str, OptimizerConfig); 3] {
 fn render_case(out: &mut String, db: &Database, name: &str, sql: &str) {
     for (cfg_name, cfg) in configs() {
         let prepared = Session::new(db)
-            .config(cfg)
+            .config(cfg.clone())
             .plan(sql)
             .unwrap_or_else(|e| panic!("{name} under {cfg_name}: {e}"));
         let s = prepared.planner_stats();
+        // Only a counted plan can be pruned (24 of the 105 blocks pruned
+        // more than they generated before PR 25).
+        assert!(
+            s.plans_pruned <= s.plans_generated,
+            "{name} | {cfg_name}: {s}"
+        );
+        assert_each_plan_logged_once(db, &format!("{name} | {cfg_name}"), cfg, sql, &s);
         let _ = writeln!(out, "== {name} | {cfg_name}");
         let _ = writeln!(
             out,
@@ -64,6 +76,39 @@ fn render_case(out: &mut String, db: &Database, name: &str, sql: &str) {
         if !out.ends_with('\n') {
             out.push('\n');
         }
+    }
+}
+
+/// Plans `sql` again, traced: the same counters, one `PlanGenerated`
+/// event per counted plan, and the `sort-ahead` ones are the sort-ahead
+/// variants — exactly when the ring kept every event, at most when it
+/// overflowed (`j5`).
+fn assert_each_plan_logged_once(
+    db: &Database,
+    label: &str,
+    cfg: OptimizerConfig,
+    sql: &str,
+    stats: &PlannerStats,
+) {
+    let traced = Session::new(db).config(cfg).plan_traced(sql).unwrap();
+    assert_eq!(traced.planner_stats(), *stats, "{label}");
+    let trace = traced.trace().expect("asked to trace");
+    let logged = |sort_ahead_only: bool| {
+        trace
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e, TraceEvent::PlanGenerated { stage, .. }
+                    if !sort_ahead_only || *stage == "sort-ahead")
+            })
+            .count() as u64
+    };
+    let logged = (logged(false), logged(true));
+    let counted = (stats.plans_generated, stats.sort_ahead_variants);
+    if trace.dropped() == 0 {
+        assert_eq!(logged, counted, "{label}");
+    } else {
+        assert!(logged.0 <= counted.0 && logged.1 <= counted.1, "{label}");
     }
 }
 
@@ -134,9 +179,11 @@ fn digest_without(golden: &str, skip: &[String]) -> (usize, u64) {
 /// there a DISTINCT became the zero-aggregate group-by, with the
 /// estimator's row count and no order promised out of the hash method.
 ///
-/// The pinned pair is `digest_without` of that commit's golden file. After
-/// an *intended* plan change to the other 90 blocks, re-pin it with the
-/// pair this test prints.
+/// The pinned pair was `digest_without` of that commit's golden file
+/// until PR 25 re-counted `generated=` on 71 count lines (plan lines
+/// untouched; `counters_and_plans_match_the_golden_capture` holds the
+/// rest); it is now that of PR 25's file. After an *intended* change to
+/// the other 90 blocks, re-pin it with the pair this test prints.
 #[test]
 fn fold_is_spelling_only() {
     let emp = emp_db();
@@ -152,12 +199,13 @@ fn fold_is_spelling_only() {
     assert_eq!(with_distinct.len(), 5, "{with_distinct:?}");
     assert_eq!(
         digest_without(GOLDEN, &with_distinct),
-        (90, 0x8e64_2891_0f00_29e6),
+        // (90, 0x8e64_2891_0f00_29e6) before PR 25.
+        (90, 0x7074_407d_b428_c731),
         "a block of a statement without a DISTINCT moved"
     );
 }
 
-/// The deterministic planner-work gate: `j5` generates 47 107 plans and
+/// The deterministic planner-work gate: `j5` generates 44 202 plans and
 /// must build at least an order of magnitude fewer contexts than that.
 /// Building one per dominance comparison or per sort-ahead variant (the
 /// state before facts were shared: hundreds of thousands) fails here by
@@ -176,7 +224,9 @@ fn j5_builds_far_fewer_contexts_than_plans() {
             s.sorts_avoided,
             s.partial_sorts
         ),
-        (3594, 47107, 43867, 37082, 597, 173)
+        // 47 107 generated before PR 25, which counted each index
+        // nested loop twice.
+        (3594, 44202, 43867, 37082, 597, 173)
     );
     assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
     assert!(
