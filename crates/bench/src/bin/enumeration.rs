@@ -2,9 +2,10 @@
 //! down sort-ahead orders grows enumeration work roughly quadratically in
 //! the number of interesting orders n (the paper notes n < 3 in
 //! practice, keeping the overhead acceptable) — and reports what that
-//! work costs here: planner time, time per plan and order contexts built
-//! for statements of two to five tables (TPC-D scale 0.002, where
-//! planning is nearly all of a statement's latency). Closes with the cost
+//! work costs here: planner time, time per plan, order contexts built and
+//! the disabled planner's time over the enabled one's for statements of
+//! two to five tables (TPC-D scale 0.002, where planning is nearly all of
+//! a statement's latency). Closes with the cost
 //! of one `FlexOrder::satisfied_by`, the order operation the benchmark's
 //! traced pass (`core.{reduce,test_order,cover,homogenize}_ns`) does not
 //! time.
@@ -77,22 +78,23 @@ fn main() {
     println!("Planner time by join count (TPC-D scale 0.002, best of 5)");
     println!();
     println!(
-        "| statement    | tables | plans generated | planner us | us per plan | contexts built | reduce memo hits |"
+        "| statement    | tables | plans generated | planner us | us per plan | contexts built | reduce memo hits | disabled ÷ enabled |"
     );
     println!(
-        "|--------------|--------|-----------------|------------|-------------|----------------|------------------|"
+        "|--------------|--------|-----------------|------------|-------------|----------------|------------------|--------------------|"
     );
     for w in planner_work_by_join_count(0.002, 5).unwrap() {
         let us = w.planner.as_secs_f64() * 1e6;
         println!(
-            "| {:<12} | {:>6} | {:>15} | {:>10.0} | {:>11.2} | {:>14} | {:>16} |",
+            "| {:<12} | {:>6} | {:>15} | {:>10.0} | {:>11.2} | {:>14} | {:>16} | {:>18.2} |",
             w.name,
             w.tables,
             w.stats.plans_generated,
             us,
             us / w.stats.plans_generated.max(1) as f64,
             w.stats.contexts_built,
-            w.stats.reduce_memo_hits
+            w.stats.reduce_memo_hits,
+            w.disabled.as_secs_f64() / w.planner.as_secs_f64()
         );
     }
     println!();

@@ -178,12 +178,17 @@ pub struct PlannerWork {
     /// Time inside `Planner::plan_query` alone (best of `runs`); parse,
     /// bind, rewrites and the order scan run off the clock.
     pub planner: Duration,
-    /// The planner's counters (identical on every run).
+    /// The same under [`OptimizerConfig::disabled`]: `disabled / planner`
+    /// is what order optimization costs at plan time (the benchmark's
+    /// `planner.order_opt.plan_us_ratio`, per statement).
+    pub disabled: Duration,
+    /// The default planner's counters (identical on every run).
     pub stats: PlannerStats,
 }
 
 /// Planner time and work per join count: every [`corpus::join_ladder`]
-/// statement planned `runs` times under the default configuration.
+/// statement planned `runs` times under the default configuration, and
+/// `runs` times with order optimization disabled, alternately.
 pub fn planner_work_by_join_count(scale: f64, runs: usize) -> Result<Vec<PlannerWork>> {
     let db = tpcd_db(scale)?;
     let catalog = db.catalog();
@@ -197,6 +202,7 @@ pub fn planner_work_by_join_count(scale: f64, runs: usize) -> Result<Vec<Planner
             name,
             tables,
             planner: Duration::MAX,
+            disabled: Duration::MAX,
             stats: PlannerStats::default(),
         };
         for _ in 0..runs.max(1) {
@@ -205,6 +211,11 @@ pub fn planner_work_by_join_count(scale: f64, runs: usize) -> Result<Vec<Planner
             std::hint::black_box(planner.plan_query()?);
             work.planner = work.planner.min(start.elapsed());
             work.stats = planner.stats;
+
+            let start = Instant::now();
+            let mut planner = Planner::new(&graph, catalog, OptimizerConfig::disabled());
+            std::hint::black_box(planner.plan_query()?);
+            work.disabled = work.disabled.min(start.elapsed());
         }
         out.push(work);
     }

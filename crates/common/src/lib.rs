@@ -12,6 +12,8 @@
 //!   `(table, column)` names.
 //! * [`ColSet`] — a growable bitset over `ColId`s, the workhorse of the
 //!   functional-dependency algebra.
+//! * [`hash`] — a multiplicative hasher for maps keyed by the engine's
+//!   own ids, where SipHash's collision resistance buys nothing.
 //! * [`sortkey`] — the order-preserving binary key codec: rows become
 //!   memcmp-comparable byte strings for the sort kernel, exchange
 //!   merges, and index probes.
@@ -21,6 +23,7 @@
 pub mod bitset;
 pub mod column;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod sort;
@@ -30,6 +33,7 @@ pub mod value;
 pub use bitset::ColSet;
 pub use column::{Batch, Bitmap, Column, ColumnData};
 pub use error::{FtoError, Result};
+pub use hash::FxHashMap;
 pub use ids::{ColId, IndexId, QuantifierId, TableId};
 pub use rng::Rng;
 pub use sort::Direction;

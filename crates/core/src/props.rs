@@ -28,9 +28,8 @@ use crate::eqclass::EquivalenceClasses;
 use crate::fd::{Fd, FdSet};
 use crate::keyprop::KeyProperty;
 use crate::spec::OrderSpec;
-use fto_common::{ColId, ColSet};
+use fto_common::{ColId, ColSet, FxHashMap};
 use fto_expr::{PredClass, PredId, Predicate};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -422,11 +421,12 @@ impl Hash for ById {
 /// [`FactsMemo::apply_predicate`] are [`StreamProps::join`] and
 /// [`StreamProps::apply_predicate`] in every other respect.
 ///
-/// A predicate is identified by its id, so a memo serves one query.
+/// A predicate is identified by its id, so a memo serves one query. The
+/// keys are addresses and ids, so the maps hash without SipHash.
 #[derive(Default)]
 pub struct FactsMemo {
-    unions: HashMap<(ById, ById), Arc<StreamFacts>>,
-    filtered: HashMap<(ById, PredId), Arc<StreamFacts>>,
+    unions: FxHashMap<(ById, ById), Arc<StreamFacts>>,
+    filtered: FxHashMap<(ById, PredId), Arc<StreamFacts>>,
 }
 
 impl FactsMemo {

@@ -14,7 +14,8 @@
 //!
 //! Plus a cache-coherence check on [`StreamProps`]: through random
 //! operator sequences, the context a stream shares answers exactly like
-//! one built from scratch out of independently tracked facts.
+//! one built from scratch out of independently tracked facts; and one on
+//! `test_order`'s memo: it answers, and counts, like its two reductions.
 //!
 //! Cases are generated from a fixed seed with the in-repo PRNG, so every
 //! failure is reproducible from the printed case number.
@@ -22,10 +23,11 @@
 use fto_common::{ColId, ColSet, Direction, Rng, Value};
 use fto_expr::{CompareOp, Expr, PredClass, PredId, Predicate};
 use fto_order::{
-    EquivalenceClasses, FactsMemo, Fd, FdSet, FlexOrder, OrderContext, OrderSpec, SortKey,
-    StreamProps,
+    ContextWork, EquivalenceClasses, FactsMemo, Fd, FdSet, FlexOrder, OrderContext, OrderSpec,
+    SortKey, StreamProps,
 };
 use std::cmp::Ordering;
+use std::collections::HashSet;
 
 const NCOLS: usize = 6;
 const CASES: u64 = 400;
@@ -61,6 +63,15 @@ fn col_spec(rng: &mut Rng, i: usize) -> ColSpec {
 struct World {
     rows: Vec<Vec<i64>>,
     ctx: OrderContext,
+    eq: EquivalenceClasses,
+    fds: FdSet,
+}
+
+impl World {
+    /// A new context over the world's facts, its memo empty.
+    fn fresh(&self) -> OrderContext {
+        OrderContext::new(self.eq.clone(), &self.fds)
+    }
 }
 
 fn world(rng: &mut Rng) -> World {
@@ -104,7 +115,9 @@ fn world(rng: &mut Rng) -> World {
     }
     World {
         rows,
-        ctx: OrderContext::new(eq, &fds),
+        ctx: OrderContext::new(eq.clone(), &fds),
+        eq,
+        fds,
     }
 }
 
@@ -211,6 +224,84 @@ fn test_order_reflexive() {
         assert!(w.ctx.test_order(&spec, &spec), "case {case}");
         assert!(w.ctx.test_order(&spec, &w.ctx.reduce(&spec)), "case {case}");
     }
+}
+
+/// Test Order answers both reductions under one hold of the memo's lock.
+/// Cold, warm and hit in either argument order, it must answer as the
+/// uncached reductions do, and its `ContextWork` must count what
+/// `reduce(interest)`, then `reduce(prop)` unless the first is empty,
+/// counts on a twin context asked the same questions — the counts
+/// `PlannerStats::reduce_memo_hits` is built from.
+#[test]
+fn test_order_answers_and_counts_like_its_two_reductions() {
+    const EMPTY_INTEREST: usize = 0;
+    const INTEREST_REDUCES_TO_EMPTY: usize = 1;
+    const EMPTY_PROP: usize = 2;
+    const INTEREST_HIT_PROP_MISS: usize = 3;
+    const BOTH_HIT: usize = 4;
+    let mut seen = [0u32; 5];
+    let mut rng = Rng::new(0x0d);
+    for case in 0..CASES {
+        let w = world(&mut rng);
+        let (ctx, twin) = (w.fresh(), w.fresh());
+        // What `ctx`'s memo holds: every non-empty spec it has reduced.
+        let mut memo: HashSet<OrderSpec> = HashSet::new();
+        let specs: Vec<OrderSpec> = (0..4).map(|_| spec_strategy(&mut rng)).collect();
+        for call in 0..10 {
+            let (interest, prop) = (rng.pick(&specs), rng.pick(&specs));
+            let uncached = |s: &OrderSpec| w.fresh().reduce(s);
+            let ri = uncached(interest);
+            let want = ri.is_empty() || ri.is_prefix_of(&uncached(prop));
+            let at = format!("case {case} call {call}: test_order({interest}, {prop})");
+
+            let kind = if interest.is_empty() {
+                EMPTY_INTEREST
+            } else if ri.is_empty() {
+                INTEREST_REDUCES_TO_EMPTY
+            } else if prop.is_empty() {
+                EMPTY_PROP
+            } else {
+                match (memo.contains(interest), memo.contains(prop)) {
+                    (true, false) => INTEREST_HIT_PROP_MISS,
+                    (true, true) => BOTH_HIT,
+                    _ => seen.len(),
+                }
+            };
+            if let Some(n) = seen.get_mut(kind) {
+                *n += 1;
+            }
+            if !interest.is_empty() {
+                memo.insert(interest.clone());
+            }
+            if !ri.is_empty() && !prop.is_empty() {
+                memo.insert(prop.clone());
+            }
+
+            let before = ContextWork::snapshot();
+            let twin_ri = twin.reduce(interest);
+            let twin_answer = twin_ri.is_empty() || twin_ri.is_prefix_of(&twin.reduce(prop));
+            let two_reductions = ContextWork::snapshot().since(before);
+
+            let before = ContextWork::snapshot();
+            let answer = ctx.test_order(interest, prop);
+            let work = ContextWork::snapshot().since(before);
+
+            assert_eq!(answer, want, "{at}: not the uncached answer");
+            assert_eq!(twin_answer, want, "{at}: reduce disagrees");
+            assert_eq!(
+                work,
+                ContextWork {
+                    test_order: 1,
+                    ..two_reductions
+                },
+                "{at}: counted other work than its two reductions"
+            );
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a case went unexercised: {seen:?}"
+    );
 }
 
 /// Cover Order is sound: one sort satisfies both inputs (Fig. 4).

@@ -16,6 +16,7 @@ use fto_common::{ColSet, Result, TableId, Value};
 use fto_expr::{CompareOp, Expr, PredId, RowLayout};
 use fto_order::{OrderSpec, SortKey, StreamProps};
 use fto_qgm::graph::Quantifier;
+use std::sync::Arc;
 
 /// Generates the access paths for quantifier `q` over base table `tid`,
 /// with `local_preds` (the box predicates referencing only this
@@ -25,7 +26,7 @@ pub fn access_paths(
     tid: TableId,
     q: &Quantifier,
     local_preds: &[PredId],
-) -> Result<Vec<Plan>> {
+) -> Result<Vec<Arc<Plan>>> {
     // Borrowed from the catalog, not from `planner`, whose counters
     // `apply_filter` writes.
     let catalog = planner.catalog;
@@ -47,7 +48,7 @@ pub fn access_paths(
         props: base_props.clone(),
         cost: Cost::rows(rows).plus(cost::table_scan(pages, rows)),
     };
-    paths.push(planner.apply_filter(scan, local_preds));
+    paths.push(planner.apply_filter(Arc::new(scan), local_preds));
 
     // One path per index.
     for ix in catalog.indexes_for(tid) {
@@ -83,7 +84,7 @@ pub fn access_paths(
             props: base_props.clone().with_order(order.clone()),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
-        paths.push(planner.apply_filter(plan, local_preds));
+        paths.push(planner.apply_filter(Arc::new(plan), local_preds));
 
         // The same index read backwards provides the reversed order at
         // the same cost (backward page walks prefetch as well as forward
@@ -100,7 +101,7 @@ pub fn access_paths(
             props: base_props.clone().with_order(order.reversed()),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
-        paths.push(planner.apply_filter(reverse_plan, local_preds));
+        paths.push(planner.apply_filter(Arc::new(reverse_plan), local_preds));
     }
 
     for p in &paths {
@@ -194,7 +195,7 @@ mod tests {
     use fto_qgm::QueryGraph;
 
     /// The access paths of box `b`'s first quantifier, a base table.
-    fn first_paths(planner: &mut Planner<'_>, b: BoxId, preds: &[PredId]) -> Vec<Plan> {
+    fn first_paths(planner: &mut Planner<'_>, b: BoxId, preds: &[PredId]) -> Vec<Arc<Plan>> {
         let q = planner.graph.boxed(b).quantifiers[0].clone();
         let QuantifierInput::Table(tid) = q.input else {
             panic!("not a base-table quantifier");

@@ -39,19 +39,22 @@ struct JoinMemo {
 /// Enumerates join orders for a multi-quantifier select box.
 ///
 /// `inputs[i]` holds the access-path alternatives for quantifier `i`
-/// (already filtered by their single-table predicates).
+/// (already filtered by their single-table predicates). A candidate is
+/// shared, never copied: a join holds its inputs' `Arc`s, so the many
+/// joins built over one subplan point at it, and pruning a candidate
+/// frees its own node alone.
 pub fn enumerate(
     planner: &mut Planner<'_>,
     qbox: &QgmBox,
-    inputs: Vec<Vec<Plan>>,
-) -> Result<Vec<Plan>> {
+    inputs: Vec<Vec<Arc<Plan>>>,
+) -> Result<Vec<Arc<Plan>>> {
     let n = inputs.len();
     if n > 20 {
         return Err(FtoError::Plan(format!("{n}-way joins not supported")));
     }
 
     let mut memo = JoinMemo::default();
-    let mut best: HashMap<u32, Vec<Plan>> = HashMap::new();
+    let mut best: HashMap<u32, Vec<Arc<Plan>>> = HashMap::new();
     for (i, plans) in inputs.iter().enumerate() {
         let mut set = plans.clone();
         set.extend(planner.sort_ahead(qbox, plans));
@@ -124,9 +127,9 @@ fn join_pair(
     planner: &mut Planner<'_>,
     memo: &mut JoinMemo,
     qbox: &QgmBox,
-    outer: &Plan,
-    inner: &Plan,
-) -> Vec<Plan> {
+    outer: &Arc<Plan>,
+    inner: &Arc<Plan>,
+) -> Vec<Arc<Plan>> {
     planner.stats.joins_considered += 1;
 
     // Predicates that become applicable at this join.
@@ -172,11 +175,11 @@ fn join_pair(
         let total = outer.cost.total
             + outer.cost.rows.max(1.0) * inner.cost.total
             + cost::filter(outer.cost.rows * inner.cost.rows, applicable.len().max(1));
-        plans.push(Plan {
+        plans.push(Arc::new(Plan {
             node: PlanNode::Join {
                 kind: JoinKind::Inner,
-                outer: Arc::new(outer.clone()),
-                inner: Arc::new(inner.clone()),
+                outer: Arc::clone(outer),
+                inner: Arc::clone(inner),
                 outer_keys: Vec::new(),
                 inner_keys: Vec::new(),
                 predicates: applicable.clone(),
@@ -187,7 +190,7 @@ fn join_pair(
                 total,
                 rows: out_rows,
             },
-        });
+        }));
     }
 
     // --- Index nested-loop join ------------------------------------------
@@ -210,8 +213,8 @@ fn join_pair(
         let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
         let o_order = OrderSpec::ascending(ocols.iter().copied());
         let i_order = OrderSpec::ascending(icols.iter().copied());
-        let outer_sorted = planner.ensure_order(outer.clone(), &o_order);
-        let inner_sorted = planner.ensure_order(inner.clone(), &i_order);
+        let outer_sorted = planner.ensure_order(Arc::clone(outer), &o_order);
+        let inner_sorted = planner.ensure_order(Arc::clone(inner), &i_order);
         let props = join_props(
             planner,
             memo,
@@ -233,10 +236,10 @@ fn join_pair(
             + inner_sorted.cost.total
             + cost::merge_join(outer_sorted.cost.rows, inner_rows, avg_inner_ties)
             + cost::filter(out_rows, applicable.len());
-        plans.push(Plan {
+        plans.push(Arc::new(Plan {
             node: PlanNode::MergeJoin {
-                outer: Arc::new(outer_sorted),
-                inner: Arc::new(inner_sorted),
+                outer: outer_sorted,
+                inner: inner_sorted,
                 outer_keys: ocols,
                 inner_keys: icols,
                 predicates: applicable.clone(),
@@ -247,7 +250,7 @@ fn join_pair(
                 total,
                 rows: out_rows,
             },
-        });
+        }));
     }
 
     // --- Hash join ---------------------------------------------------------
@@ -259,11 +262,11 @@ fn join_pair(
             + inner.cost.total
             + cost::hash_join(inner.cost.rows, outer.cost.rows)
             + cost::filter(out_rows, applicable.len());
-        plans.push(Plan {
+        plans.push(Arc::new(Plan {
             node: PlanNode::Join {
                 kind: JoinKind::Inner,
-                outer: Arc::new(outer.clone()),
-                inner: Arc::new(inner.clone()),
+                outer: Arc::clone(outer),
+                inner: Arc::clone(inner),
                 outer_keys: ocols,
                 inner_keys: icols,
                 predicates: applicable.clone(),
@@ -274,7 +277,7 @@ fn join_pair(
                 total,
                 rows: out_rows,
             },
-        });
+        }));
     }
 
     for p in &plans {
@@ -290,13 +293,13 @@ fn index_nlj(
     planner: &Planner<'_>,
     memo: &mut JoinMemo,
     qbox: &QgmBox,
-    outer: &Plan,
+    outer: &Arc<Plan>,
     inner: &Plan,
     equates: &[(ColId, ColId)],
     applicable: &[PredId],
     out_rows: f64,
     layout: &fto_expr::RowLayout,
-) -> Vec<Plan> {
+) -> Vec<Arc<Plan>> {
     // The inner must be a bare access path over a base table (the probe
     // replaces the scan); reuse its quantifier/table identity, and its
     // filters become probe residuals.
@@ -372,9 +375,9 @@ fn index_nlj(
         let total = outer.cost.total
             + probe_cost
             + cost::filter(outer.cost.rows * matches_per_probe, all_preds.len().max(1));
-        let plan = Plan {
+        plans.push(Arc::new(Plan {
             node: PlanNode::IndexNestedLoopJoin {
-                outer: Arc::new(outer.clone()),
+                outer: Arc::clone(outer),
                 table,
                 quantifier,
                 index: ix.id,
@@ -384,8 +387,7 @@ fn index_nlj(
             layout: layout.clone(),
             props,
             cost: Cost { total, rows },
-        };
-        plans.push(plan);
+        }));
     }
     plans
 }

@@ -122,14 +122,17 @@ impl<'a> Planner<'a> {
         let work = ContextWork::snapshot().since(before);
         self.stats.contexts_built += work.contexts_built;
         self.stats.reduce_memo_hits += work.reduce_memo_hits;
-        cheapest(candidates?).ok_or_else(|| FtoError::Plan("no plan produced".into()))
+        cheapest(candidates?)
+            .map(Arc::unwrap_or_clone)
+            .ok_or_else(|| FtoError::Plan("no plan produced".into()))
     }
 
     /// Plans one box, returning a Pareto set of alternatives (pruned by
     /// cost + property dominance): each quantifier's input, the inputs
     /// combined as the box's kind says, then projection, DISTINCT,
-    /// ORDER BY and LIMIT.
-    pub fn plan_box(&mut self, id: BoxId) -> Result<Vec<Plan>> {
+    /// ORDER BY and LIMIT. Candidates are shared: a plan holds its
+    /// children's `Arc`s, never a copy of them.
+    pub fn plan_box(&mut self, id: BoxId) -> Result<Vec<Arc<Plan>>> {
         // Borrowed from the graph, not from `self`: planning mutates
         // only the counters and the log.
         let graph: &'a QueryGraph = self.graph;
@@ -155,7 +158,7 @@ impl<'a> Planner<'a> {
             BoxKind::Union => self.plan_union(qbox, inputs),
             BoxKind::OuterJoin { on } => self.plan_outer_join(qbox, on, inputs),
         }?;
-        let mut plans: Vec<Plan> = combined
+        let mut plans: Vec<Arc<Plan>> = combined
             .into_iter()
             .map(|p| self.project_outputs(p, qbox))
             .collect();
@@ -195,7 +198,7 @@ impl<'a> Planner<'a> {
 
     /// `plan` under a LIMIT of `n`. A limit directly above a sort is the
     /// enforcer's own (a top-n, or an early exit from a segmented sort).
-    fn apply_limit(&mut self, plan: Plan, n: u64) -> Plan {
+    fn apply_limit(&mut self, plan: Arc<Plan>, n: u64) -> Arc<Plan> {
         match &plan.node {
             PlanNode::Sort {
                 input,
@@ -220,7 +223,7 @@ impl<'a> Planner<'a> {
     /// One quantifier's candidate plans, with the box's predicates over
     /// its columns alone applied: a base table's access paths, or the
     /// child box's plans under a filter.
-    fn plan_input(&mut self, qbox: &QgmBox, q: &Quantifier) -> Result<Vec<Plan>> {
+    fn plan_input(&mut self, qbox: &QgmBox, q: &Quantifier) -> Result<Vec<Arc<Plan>>> {
         let local = self.local_preds(qbox, &q.col_set());
         match q.input {
             QuantifierInput::Table(tid) => access::access_paths(self, tid, q, &local),
@@ -240,7 +243,11 @@ impl<'a> Planner<'a> {
     /// its sort-ahead variants — then applies any box predicate not yet
     /// applied (a correctness backstop; in practice local and join
     /// predicates cover everything).
-    fn plan_select(&mut self, qbox: &QgmBox, mut inputs: Vec<Vec<Plan>>) -> Result<Vec<Plan>> {
+    fn plan_select(
+        &mut self,
+        qbox: &QgmBox,
+        mut inputs: Vec<Vec<Arc<Plan>>>,
+    ) -> Result<Vec<Arc<Plan>>> {
         let plans = if inputs.len() > 1 {
             join::enumerate(self, qbox, inputs)?
         } else {
@@ -270,7 +277,7 @@ impl<'a> Planner<'a> {
     /// already provide, so the sort a parent needs can sink below this
     /// box or join step. Each variant is a generated plan. None when
     /// sort-ahead is off.
-    pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Plan]) -> Vec<Plan> {
+    pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Arc<Plan>]) -> Vec<Arc<Plan>> {
         let mut variants = Vec::new();
         if !self.config.sort_ahead {
             return variants;
@@ -282,7 +289,7 @@ impl<'a> Planner<'a> {
                 if homog.is_empty() || ctx.test_order(&homog, &plan.props.order) {
                     continue;
                 }
-                let sorted = self.add_sort(plan.clone(), &homog);
+                let sorted = self.add_sort(Arc::clone(plan), &homog);
                 self.decide(
                     |s| &mut s.sort_ahead_variants,
                     || TraceEvent::SortAhead {
@@ -303,9 +310,9 @@ impl<'a> Planner<'a> {
         &mut self,
         qbox: &QgmBox,
         grouping: &[ColId],
-        inputs: Vec<Vec<Plan>>,
-    ) -> Result<Vec<Plan>> {
-        let Ok([input]) = <[Vec<Plan>; 1]>::try_from(inputs) else {
+        inputs: Vec<Vec<Arc<Plan>>>,
+    ) -> Result<Vec<Arc<Plan>>> {
+        let Ok([input]) = <[Vec<Arc<Plan>>; 1]>::try_from(inputs) else {
             return Err(FtoError::Plan(
                 "group-by box needs exactly one quantifier".into(),
             ));
@@ -338,11 +345,11 @@ impl<'a> Planner<'a> {
     fn group_plans(
         &mut self,
         stage: &'static str,
-        inputs: Vec<Plan>,
+        inputs: Vec<Arc<Plan>>,
         grouping: &[ColId],
         aggs: &[(ColId, AggCall)],
         flex: &FlexOrder,
-    ) -> Vec<Plan> {
+    ) -> Vec<Arc<Plan>> {
         let grouping_set: ColSet = grouping.iter().copied().collect();
         let agg_cols: ColSet = aggs.iter().map(|(c, _)| *c).collect();
         let out_layout = RowLayout::new(
@@ -361,7 +368,7 @@ impl<'a> Planner<'a> {
                 .max(1.0);
             // The order-based grouping keeps its input's order on the
             // grouping columns; the hash-based one promises none.
-            let group_by = |input: Plan, method: GroupMethod| {
+            let group_by = |input: Arc<Plan>, method: GroupMethod| {
                 let (order, work) = match method {
                     GroupMethod::Stream => (
                         input.props.order.clone(),
@@ -372,17 +379,17 @@ impl<'a> Planner<'a> {
                         cost::hash_group_by(input.cost.rows, groups),
                     ),
                 };
-                Plan {
+                Arc::new(Plan {
                     props: input.props.group_by(&grouping_set, &agg_cols, order),
                     cost: input.cost.plus(work).with_rows(groups),
                     node: PlanNode::GroupBy {
-                        input: Arc::new(input),
+                        input,
                         grouping: grouping.to_vec(),
                         aggs: aggs.to_vec(),
                         method,
                     },
                     layout: out_layout.clone(),
-                }
+                })
             };
 
             // Order-based: stream directly when the child's order already
@@ -390,10 +397,10 @@ impl<'a> Planner<'a> {
             let ctx = self.effective_ctx(&child.props);
             let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
                 self.sort_avoided(&stage, &child);
-                child.clone()
+                Arc::clone(&child)
             } else {
                 let spec = flex.concretize(&child.props.order, ctx);
-                self.add_sort(child.clone(), &spec)
+                self.add_sort(Arc::clone(&child), &spec)
             };
             plans.push(group_by(streaming_child, GroupMethod::Stream));
 
@@ -413,7 +420,7 @@ impl<'a> Planner<'a> {
 
     /// Concatenates the cheapest plan of each branch (a UNION's duplicate
     /// elimination is the box's DISTINCT).
-    fn plan_union(&mut self, qbox: &QgmBox, inputs: Vec<Vec<Plan>>) -> Result<Vec<Plan>> {
+    fn plan_union(&mut self, qbox: &QgmBox, inputs: Vec<Vec<Arc<Plan>>>) -> Result<Vec<Arc<Plan>>> {
         let mut branch_plans = Vec::with_capacity(inputs.len());
         let mut total_cost = 0.0;
         let mut total_rows = 0.0;
@@ -422,11 +429,11 @@ impl<'a> Planner<'a> {
                 cheapest(branch).ok_or_else(|| FtoError::Plan("empty union branch".into()))?;
             total_cost += best.cost.total;
             total_rows += best.cost.rows;
-            branch_plans.push(Arc::new(best));
+            branch_plans.push(best);
         }
         let out_cols: Vec<fto_common::ColId> = qbox.output_cols();
         let props = StreamProps::base_table(out_cols.iter().copied().collect(), vec![]);
-        let plan = Plan {
+        let plan = Arc::new(Plan {
             node: PlanNode::UnionAll {
                 inputs: branch_plans,
             },
@@ -436,7 +443,7 @@ impl<'a> Planner<'a> {
                 total: total_cost + total_rows * cost::CPU_ROW,
                 rows: total_rows,
             },
-        };
+        });
         self.generated("union", &plan);
         Ok(vec![plan])
     }
@@ -450,10 +457,10 @@ impl<'a> Planner<'a> {
         &mut self,
         qbox: &QgmBox,
         on: &[PredId],
-        inputs: Vec<Vec<Plan>>,
-    ) -> Result<Vec<Plan>> {
+        inputs: Vec<Vec<Arc<Plan>>>,
+    ) -> Result<Vec<Arc<Plan>>> {
         let (Ok([lefts, rights]), [lq, rq]) = (
-            <[Vec<Plan>; 2]>::try_from(inputs),
+            <[Vec<Arc<Plan>>; 2]>::try_from(inputs),
             qbox.quantifiers.as_slice(),
         ) else {
             return Err(FtoError::Plan(
@@ -489,11 +496,11 @@ impl<'a> Planner<'a> {
                         cost::hash_join(right.cost.rows, left.cost.rows)
                     }
                     + cost::filter(rows, on.len());
-                plans.push(Plan {
+                plans.push(Arc::new(Plan {
                     node: PlanNode::Join {
                         kind: JoinKind::LeftOuter,
-                        outer: Arc::new(left.clone()),
-                        inner: Arc::new(right.clone()),
+                        outer: Arc::clone(left),
+                        inner: Arc::clone(right),
                         outer_keys: okeys.clone(),
                         inner_keys: ikeys.clone(),
                         predicates: on.to_vec(),
@@ -501,7 +508,7 @@ impl<'a> Planner<'a> {
                     layout: left.layout.concat(&right.layout),
                     props,
                     cost: Cost { total, rows },
-                });
+                }));
             }
         }
         for p in &plans {
@@ -537,7 +544,7 @@ impl<'a> Planner<'a> {
     /// not be physically present in the plan (projected away in favour of
     /// an equivalent column), so the reduced specification is homogenized
     /// back onto the plan's actual layout before the sort is built.
-    pub fn add_sort(&mut self, plan: Plan, spec: &OrderSpec) -> Plan {
+    pub fn add_sort(&mut self, plan: Arc<Plan>, spec: &OrderSpec) -> Arc<Plan> {
         let ctx = self.effective_ctx(&plan.props);
         let reduced = ctx.reduce(spec);
         if reduced.is_empty() {
@@ -587,7 +594,7 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-        self.enforcer(Arc::new(plan), minimal, props, prefix_len, None)
+        self.enforcer(plan, minimal, props, prefix_len, None)
     }
 
     /// The one builder of the order enforcer: `input` sorted on `spec`,
@@ -606,7 +613,7 @@ impl<'a> Planner<'a> {
         props: StreamProps,
         prefix_len: usize,
         limit: Option<u64>,
-    ) -> Plan {
+    ) -> Arc<Plan> {
         let rows = input.cost.rows;
         let width = (input.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
         let groups = match prefix_len {
@@ -645,7 +652,7 @@ impl<'a> Planner<'a> {
                 return limit_node(sorted, n, cost);
             }
         };
-        Plan {
+        Arc::new(Plan {
             layout: input.layout.clone(),
             node: PlanNode::Sort {
                 input,
@@ -656,7 +663,7 @@ impl<'a> Planner<'a> {
             },
             props,
             cost,
-        }
+        })
     }
 
     /// The estimated number of groups `rows` rows form on the first
@@ -670,7 +677,7 @@ impl<'a> Planner<'a> {
 
     /// Ensures `plan` satisfies the order requirement `req`, adding a sort
     /// when the property test fails (paper Fig. 3 drives this decision).
-    pub fn ensure_order(&mut self, plan: Plan, req: &OrderSpec) -> Plan {
+    pub fn ensure_order(&mut self, plan: Arc<Plan>, req: &OrderSpec) -> Arc<Plan> {
         if self.order_satisfied(&plan, req) {
             self.sort_avoided(req, &plan);
             plan
@@ -680,7 +687,7 @@ impl<'a> Planner<'a> {
     }
 
     /// Applies predicates via a Filter node (no-op on an empty list).
-    pub fn apply_filter(&mut self, plan: Plan, preds: &[PredId]) -> Plan {
+    pub fn apply_filter(&mut self, plan: Arc<Plan>, preds: &[PredId]) -> Arc<Plan> {
         if preds.is_empty() {
             return plan;
         }
@@ -696,19 +703,19 @@ impl<'a> Planner<'a> {
             .cost
             .plus(cost::filter(plan.cost.rows, preds.len()))
             .with_rows(rows);
-        Plan {
+        Arc::new(Plan {
             layout: plan.layout.clone(),
             node: PlanNode::Filter {
-                input: Arc::new(plan),
+                input: plan,
                 predicates: preds.to_vec(),
             },
             props,
             cost,
-        }
+        })
     }
 
     /// Projects a plan to the box's output list, minting computed columns.
-    pub fn project_outputs(&mut self, plan: Plan, qbox: &QgmBox) -> Plan {
+    pub fn project_outputs(&mut self, plan: Arc<Plan>, qbox: &QgmBox) -> Arc<Plan> {
         let out_cols: Vec<fto_common::ColId> = qbox.output_cols();
         let passthrough_only = qbox.output.iter().all(|o| o.is_passthrough());
         if passthrough_only && plan.layout.cols() == out_cols.as_slice() {
@@ -739,15 +746,12 @@ impl<'a> Planner<'a> {
         );
         let rows = plan.cost.rows;
         let cost = plan.cost.plus(rows * cost::CPU_ROW * 0.5);
-        Plan {
-            node: PlanNode::Project {
-                input: Arc::new(plan),
-                exprs,
-            },
+        Arc::new(Plan {
+            node: PlanNode::Project { input: plan, exprs },
             layout: RowLayout::new(out_cols),
             props,
             cost,
-        }
+        })
     }
 
     /// Predicates of `qbox` whose columns all come from `cols`.
@@ -762,8 +766,10 @@ impl<'a> Planner<'a> {
     /// Cost/property pruning: a plan survives unless another plan is both
     /// at least as cheap and at least as good on every property dimension
     /// (paper §5.2.1's `<=` comparison).
-    pub fn prune(&mut self, plans: Vec<Plan>) -> Vec<Plan> {
-        let mut kept: Vec<Plan> = Vec::with_capacity(plans.len());
+    /// A pruned candidate's drop frees its own node alone: its children are
+    /// shared with the candidates built over them.
+    pub fn prune(&mut self, plans: Vec<Arc<Plan>>) -> Vec<Arc<Plan>> {
+        let mut kept: Vec<Arc<Plan>> = Vec::with_capacity(plans.len());
         for plan in plans {
             if let Some(winner) = kept.iter().find(|k| self.plan_dominates(k, &plan)) {
                 self.decide(
@@ -825,23 +831,20 @@ fn kind_name(kind: &BoxKind) -> &'static str {
 }
 
 /// The cheapest of `plans`.
-fn cheapest(plans: Vec<Plan>) -> Option<Plan> {
+fn cheapest(plans: Vec<Arc<Plan>>) -> Option<Arc<Plan>> {
     plans
         .into_iter()
         .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
 }
 
 /// `plan` under a `Limit` of `n` rows, at `cost`.
-fn limit_node(plan: Plan, n: u64, cost: Cost) -> Plan {
-    Plan {
+fn limit_node(plan: Arc<Plan>, n: u64, cost: Cost) -> Arc<Plan> {
+    Arc::new(Plan {
         layout: plan.layout.clone(),
         props: plan.props.clone(),
-        node: PlanNode::Limit {
-            input: Arc::new(plan),
-            n,
-        },
+        node: PlanNode::Limit { input: plan, n },
         cost,
-    }
+    })
 }
 
 /// Shared fixtures for the planner test suites.

@@ -173,6 +173,15 @@ if [[ "${makers}" -ne 1 ]]; then
     echo "call Planner::sort_ahead"
     exit 1
 fi
+# A candidate plan is an Arc shared by every plan built over it: a parent
+# takes Arc::clone of its child, and pruning a candidate frees its own node
+# alone. A deep copy into a parent is a subtree allocated per join method
+# per pair, and freed again when the pair is pruned.
+if planner_src | grep -nE 'Arc::new\([a-z_][a-z0-9_]*\.clone\(\)\)|(add_sort|ensure_order)\([a-z_][a-z0-9_]*\.clone\(\)'; then
+    echo "guard failed: a plan is deep-copied into a parent under crates/planner/src;"
+    echo "candidates are Arc<Plan>: pass Arc::clone(&plan)"
+    exit 1
+fi
 
 echo "==> grep guard: one optimizer log, owned by the planner that fills it"
 # A planner decision is recorded by one call that bumps its PlannerStats

@@ -22,7 +22,7 @@
 //! ```
 
 use fto_bench::corpus::{emp_db, join_ladder, EMP_QUERIES};
-use fto_bench::harness::tpcd_db;
+use fto_bench::harness::{planner_work_by_join_count, tpcd_db};
 use fto_bench::Session;
 use fto_obs::TraceEvent;
 use fto_planner::{OptimizerConfig, PlannerStats};
@@ -232,6 +232,30 @@ fn j5_builds_far_fewer_contexts_than_plans() {
     assert!(
         s.contexts_built <= 4_700,
         "contexts are being rebuilt instead of shared: {s}"
+    );
+}
+
+/// The order reasoning each join-ladder statement does, by count: the
+/// contexts its planning builds and the reductions its contexts answer
+/// from their memos. The golden pins what is planned, not how much
+/// reasoning it took; a change that skips or repeats order work — a
+/// memo that forgets, a `test_order` that reduces twice — moves these.
+#[test]
+fn join_ladder_order_work_is_pinned() {
+    let work: Vec<(&str, u64, u64)> = planner_work_by_join_count(0.002, 1)
+        .unwrap()
+        .iter()
+        .map(|w| (w.name, w.stats.contexts_built, w.stats.reduce_memo_hits))
+        .collect();
+    assert_eq!(
+        work,
+        [
+            ("order_report", 12, 10_780),
+            ("q3", 106, 32_991),
+            ("fig6", 64, 46_432),
+            ("j4", 213, 331_204),
+            ("j5", 676, 1_004_815),
+        ]
     );
 }
 
