@@ -131,6 +131,13 @@ impl GroupTable {
         }
     }
 
+    /// Forgets every group, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.arena.clear();
+        self.offsets.truncate(1);
+        self.slots.fill(0);
+    }
+
     /// Number of groups admitted so far (the next group id).
     pub(crate) fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -593,7 +600,7 @@ impl GroupAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::hash_group_by;
+    use crate::interp::group_by;
     use fto_common::{Rng, Row};
     use std::collections::HashMap;
 
@@ -730,7 +737,7 @@ mod tests {
                 .filter(|(_, &s)| !s)
                 .map(|(r, _)| r.clone())
                 .collect();
-            let expect = hash_group_by(&kept, &layout, &[ColId(0)], aggs).unwrap();
+            let expect = group_by(&kept, &layout, &[ColId(0)], aggs).unwrap();
 
             let mut agg = GroupAgg::new(Arc::clone(spec));
             let mut ids: HashMap<i64, u32> = HashMap::new();

@@ -9,9 +9,9 @@
 //! streaming engine.
 
 use crate::sortkernel;
-use fto_common::{sortkey, Direction, FtoError, Result, Row, Value};
+use fto_common::{FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
-use fto_planner::{GroupMethod, JoinKind, Plan, PlanNode, ScanRange};
+use fto_planner::{JoinKind, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
 use fto_storage::{Database, IoStats, PageCursor};
 use std::collections::HashMap;
@@ -161,27 +161,6 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             }
             Ok(out)
         }
-        PlanNode::MergeJoin {
-            outer,
-            inner,
-            outer_keys,
-            inner_keys,
-            predicates,
-        } => {
-            let outer_rows = exec(db, graph, outer, io)?;
-            let inner_rows = exec(db, graph, inner, io)?;
-            merge_join(
-                graph,
-                &outer_rows,
-                &inner_rows,
-                &outer.layout,
-                &inner.layout,
-                outer_keys,
-                inner_keys,
-                predicates,
-                &plan.layout,
-            )
-        }
         PlanNode::Join {
             kind,
             outer,
@@ -189,7 +168,11 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             outer_keys,
             inner_keys,
             predicates,
+            ..
         } => {
+            // The reference engine ignores the satisfied prefix: the join
+            // by definition is what a merge join must reproduce, whatever
+            // order its inputs claim.
             let outer_rows = exec(db, graph, outer, io)?;
             let inner_rows = exec(db, graph, inner, io)?;
             let ipos = positions(&inner.layout, inner_keys)?;
@@ -229,13 +212,12 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             input,
             grouping,
             aggs,
-            method,
+            ..
         } => {
+            // Whatever the method: on input whose groups are contiguous,
+            // first-seen order is the stream order.
             let rows = exec(db, graph, input, io)?;
-            match method {
-                GroupMethod::Stream => stream_group_by(&rows, &input.layout, grouping, aggs),
-                GroupMethod::Hash => hash_group_by(&rows, &input.layout, grouping, aggs),
-            }
+            group_by(&rows, &input.layout, grouping, aggs)
         }
         PlanNode::UnionAll { inputs } => {
             let mut out = Vec::new();
@@ -280,62 +262,15 @@ fn concat(a: &Row, b: &Row) -> Row {
     a.iter().chain(b.iter()).cloned().collect()
 }
 
-fn stream_group_by(
+pub(crate) fn group_by(
     rows: &[Row],
     layout: &RowLayout,
     grouping: &[fto_common::ColId],
     aggs: &[(fto_common::ColId, AggCall)],
 ) -> Result<Vec<Row>> {
     let gpos = positions(layout, grouping)?;
-    let mut out = Vec::new();
     // A global aggregate (no grouping columns) over an empty input still
     // produces one row (COUNT(*) = 0, SUM = NULL), per SQL.
-    if rows.is_empty() && grouping.is_empty() {
-        let accs: Vec<_> = aggs.iter().map(|(_, c)| c.accumulator()).collect();
-        let row: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-        return Ok(vec![row.into_boxed_slice()]);
-    }
-    let mut current: Option<(Vec<Value>, Vec<fto_expr::agg::Accumulator>)> = None;
-
-    let flush = |key: Vec<Value>, accs: Vec<fto_expr::agg::Accumulator>, out: &mut Vec<Row>| {
-        let mut row: Vec<Value> = key;
-        row.extend(accs.iter().map(|a| a.finish()));
-        out.push(row.into_boxed_slice());
-    };
-
-    for row in rows {
-        let key: Vec<Value> = gpos.iter().map(|&p| row[p].clone()).collect();
-        match &mut current {
-            Some((ckey, accs)) if *ckey == key => {
-                for (acc, (_, call)) in accs.iter_mut().zip(aggs) {
-                    acc.update(call, row, layout)?;
-                }
-            }
-            _ => {
-                if let Some((ckey, accs)) = current.take() {
-                    flush(ckey, accs, &mut out);
-                }
-                let mut accs: Vec<_> = aggs.iter().map(|(_, c)| c.accumulator()).collect();
-                for (acc, (_, call)) in accs.iter_mut().zip(aggs) {
-                    acc.update(call, row, layout)?;
-                }
-                current = Some((key, accs));
-            }
-        }
-    }
-    if let Some((ckey, accs)) = current.take() {
-        flush(ckey, accs, &mut out);
-    }
-    Ok(out)
-}
-
-pub(crate) fn hash_group_by(
-    rows: &[Row],
-    layout: &RowLayout,
-    grouping: &[fto_common::ColId],
-    aggs: &[(fto_common::ColId, AggCall)],
-) -> Result<Vec<Row>> {
-    let gpos = positions(layout, grouping)?;
     if rows.is_empty() && grouping.is_empty() {
         let accs: Vec<_> = aggs.iter().map(|(_, c)| c.accumulator()).collect();
         let row: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
@@ -361,88 +296,6 @@ pub(crate) fn hash_group_by(
             row.into_boxed_slice()
         })
         .collect())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_join(
-    graph: &QueryGraph,
-    outer: &[Row],
-    inner: &[Row],
-    olayout: &RowLayout,
-    ilayout: &RowLayout,
-    outer_keys: &[fto_common::ColId],
-    inner_keys: &[fto_common::ColId],
-    predicates: &[fto_expr::PredId],
-    layout: &RowLayout,
-) -> Result<Vec<Row>> {
-    let opos = positions(olayout, outer_keys)?;
-    let ipos = positions(ilayout, inner_keys)?;
-    let key_cmp = |orow: &Row, irow: &Row| {
-        for (&op, &ip) in opos.iter().zip(&ipos) {
-            let ord = orow[op].total_cmp(&irow[ip]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < outer.len() && j < inner.len() {
-        // NULL keys never join; skip them on either side.
-        if opos.iter().any(|&p| outer[i][p].is_null()) {
-            i += 1;
-            continue;
-        }
-        if ipos.iter().any(|&p| inner[j][p].is_null()) {
-            j += 1;
-            continue;
-        }
-        match key_cmp(&outer[i], &inner[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Find the extent of the tie group on both sides by
-                // encoding the current group's key once and extending
-                // while candidates' encodings memcmp-equal it (same
-                // outcome as the per-column `Value` walk — the codec is
-                // order-preserving and injective up to `total_cmp`
-                // equality).
-                let okeys: Vec<(usize, Direction)> =
-                    opos.iter().map(|&p| (p, Direction::Asc)).collect();
-                let ikeys: Vec<(usize, Direction)> =
-                    ipos.iter().map(|&p| (p, Direction::Asc)).collect();
-                let lead = sortkey::encode_key(&outer[i], &okeys);
-                let mut scratch = Vec::new();
-                let mut tied = |row: &Row, keys: &[(usize, Direction)]| {
-                    scratch.clear();
-                    sortkey::encode_key_into(row, keys, &mut scratch);
-                    scratch == lead
-                };
-                let i_end = (i..outer.len())
-                    .take_while(|&x| tied(&outer[x], &okeys))
-                    .last()
-                    .unwrap()
-                    + 1;
-                let j_end = (j..inner.len())
-                    .take_while(|&y| tied(&inner[y], &ikeys))
-                    .last()
-                    .unwrap()
-                    + 1;
-                for orow in &outer[i..i_end] {
-                    for irow in &inner[j..j_end] {
-                        let joined = concat(orow, irow);
-                        if eval_preds(graph, predicates, &joined, layout)? {
-                            out.push(joined);
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

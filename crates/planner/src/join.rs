@@ -183,6 +183,7 @@ fn join_pair(
                 outer_keys: Vec::new(),
                 inner_keys: Vec::new(),
                 predicates: applicable.clone(),
+                prefix_len: 0,
             },
             layout: layout.clone(),
             props,
@@ -236,13 +237,18 @@ fn join_pair(
             + inner_sorted.cost.total
             + cost::merge_join(outer_sorted.cost.rows, inner_rows, avg_inner_ties)
             + cost::filter(out_rows, applicable.len());
+        // Both inputs are ordered on every equated pair: each matching
+        // pair of key groups is a keyless build–probe.
+        let prefix_len = ocols.len() as u32;
         plans.push(Arc::new(Plan {
-            node: PlanNode::MergeJoin {
+            node: PlanNode::Join {
+                kind: JoinKind::Inner,
                 outer: outer_sorted,
                 inner: inner_sorted,
                 outer_keys: ocols,
                 inner_keys: icols,
                 predicates: applicable.clone(),
+                prefix_len,
             },
             layout: layout.clone(),
             props,
@@ -270,6 +276,7 @@ fn join_pair(
                 outer_keys: ocols,
                 inner_keys: icols,
                 predicates: applicable.clone(),
+                prefix_len: 0,
             },
             layout,
             props,

@@ -106,27 +106,20 @@ pub enum PlanNode {
         /// Residual predicates on the concatenated row.
         predicates: Vec<PredId>,
     },
-    /// Merge join of two streams sorted on the join keys.
-    MergeJoin {
-        /// Left input, sorted on `outer_keys`.
-        outer: Arc<Plan>,
-        /// Right input, sorted on `inner_keys`.
-        inner: Arc<Plan>,
-        /// Left join key columns.
-        outer_keys: Vec<ColId>,
-        /// Right join key columns.
-        inner_keys: Vec<ColId>,
-        /// Residual predicates on the concatenated row.
-        predicates: Vec<PredId>,
-    },
     /// The build–probe join: build on the inner, probe with the outer.
     /// Preserves the outer's order (materialized build, streaming probe).
+    /// With a satisfied prefix, both inputs are ordered on the first
+    /// `prefix_len` equated pairs, so rows that can join arrive as
+    /// matching prefix groups, and each group pair is a build–probe on the
+    /// remaining pairs: the paper's merge join (§5.2.1) when the prefix is
+    /// every pair.
     ///
-    /// | `kind` | keys | [`Plan::op_name`] | `predicates` |
-    /// |---|---|---|---|
-    /// | `Inner` | none | `nested-loop-join` | all of the join's: every outer row pairs with the whole inner |
-    /// | `Inner` | the equi-join columns | `hash-join` | the residuals |
-    /// | `LeftOuter` | the ON clause's equi columns, possibly none | `left-outer-join` | the full ON conjunction; an outer row none of its candidates pass for appears once, null-padded |
+    /// | `kind` | keys | `prefix_len` | [`Plan::op_name`] | `predicates` |
+    /// |---|---|---|---|---|
+    /// | `Inner` | none | 0 | `nested-loop-join` | all of the join's: every outer row pairs with the whole inner |
+    /// | `Inner` | the equi-join columns | 0 | `hash-join` | the residuals |
+    /// | `Inner` | the equi-join columns | every pair | `merge-join` | the residuals; both inputs are sorted on the keys |
+    /// | `LeftOuter` | the ON clause's equi columns, possibly none | 0 | `left-outer-join` | the full ON conjunction; an outer row none of its candidates pass for appears once, null-padded |
     Join {
         /// What happens to an outer row without a match.
         kind: JoinKind,
@@ -140,6 +133,9 @@ pub enum PlanNode {
         inner_keys: Vec<ColId>,
         /// Predicates on the concatenated row.
         predicates: Vec<PredId>,
+        /// How many leading pairs of `outer_keys`/`inner_keys` both
+        /// inputs are ordered on (ascending).
+        prefix_len: u32,
     },
     /// Grouping. DISTINCT is a grouping on every column with no
     /// aggregates.
@@ -226,7 +222,9 @@ impl Plan {
             PlanNode::Sort { prefix_len: 0, .. } => "sort",
             PlanNode::Sort { .. } => "segmented-sort",
             PlanNode::IndexNestedLoopJoin { .. } => "index-nested-loop-join",
-            PlanNode::MergeJoin { .. } => "merge-join",
+            PlanNode::Join {
+                prefix_len: 1.., ..
+            } => "merge-join",
             PlanNode::Join {
                 kind, outer_keys, ..
             } => match kind {
@@ -267,9 +265,7 @@ impl Plan {
             | PlanNode::Sort { input, .. }
             | PlanNode::GroupBy { input, .. }
             | PlanNode::Limit { input, .. } => vec![input],
-            PlanNode::MergeJoin { outer, inner, .. } | PlanNode::Join { outer, inner, .. } => {
-                vec![outer, inner]
-            }
+            PlanNode::Join { outer, inner, .. } => vec![outer, inner],
             PlanNode::IndexNestedLoopJoin { outer, .. } => vec![outer],
             PlanNode::UnionAll { inputs } => inputs.iter().collect(),
         }
@@ -429,11 +425,6 @@ impl Plan {
                     if ordered { " [ordered]" } else { "" }
                 )
             }
-            PlanNode::MergeJoin {
-                outer_keys,
-                inner_keys,
-                ..
-            } => format!("({}) = ({})", cols(outer_keys), cols(inner_keys)),
             PlanNode::Join {
                 kind,
                 outer_keys,
@@ -530,7 +521,7 @@ mod tests {
         }
     }
 
-    fn join(kind: JoinKind, keyed: bool) -> Plan {
+    fn join(kind: JoinKind, keyed: bool, prefix_len: u32) -> Plan {
         let scan = Arc::new(leaf());
         let keys = if keyed { vec![ColId(0)] } else { vec![] };
         Plan {
@@ -541,6 +532,7 @@ mod tests {
                 outer_keys: keys.clone(),
                 inner_keys: keys,
                 predicates: vec![],
+                prefix_len,
             },
             layout: RowLayout::new(vec![ColId(0), ColId(1)]),
             props: scan.props.clone(),
@@ -576,33 +568,44 @@ mod tests {
     #[test]
     fn children_shapes() {
         let name = |c: ColId| format!("col{}", c.0);
-        for (kind, keyed, op, detail) in [
+        for (kind, keyed, prefix_len, op, detail) in [
             (
                 JoinKind::Inner,
                 false,
+                0,
                 "nested-loop-join",
                 "nested-loop-join [",
             ),
             (
                 JoinKind::Inner,
                 true,
+                0,
                 "hash-join",
                 "hash-join (col0) = (col0) [",
             ),
             (
+                JoinKind::Inner,
+                true,
+                1,
+                "merge-join",
+                "merge-join (col0) = (col0) [",
+            ),
+            (
                 JoinKind::LeftOuter,
                 true,
+                0,
                 "left-outer-join",
                 "left-outer-join (col0) = (col0) [",
             ),
             (
                 JoinKind::LeftOuter,
                 false,
+                0,
                 "left-outer-join",
                 "left-outer-join 0 on-preds [",
             ),
         ] {
-            let plan = join(kind, keyed);
+            let plan = join(kind, keyed, prefix_len);
             assert_eq!(plan.op_name(), op);
             assert!(
                 plan.explain(&name).starts_with(detail),

@@ -504,6 +504,7 @@ impl<'a> Planner<'a> {
                         outer_keys: okeys.clone(),
                         inner_keys: ikeys.clone(),
                         predicates: on.to_vec(),
+                        prefix_len: 0,
                     },
                     layout: left.layout.concat(&right.layout),
                     props,
