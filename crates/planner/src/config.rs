@@ -195,7 +195,8 @@ impl OptimizerConfig {
 /// §5.2 join-enumeration complexity experiment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlannerStats {
-    /// Join pairs (outer subset × inner quantifier × method) considered.
+    /// Join pairs considered: one per (outer plan, inner access path)
+    /// pair joined, whatever number of join methods that pair makes.
     pub joins_considered: u64,
     /// Subplans generated (before pruning).
     pub plans_generated: u64,

@@ -10,6 +10,13 @@
 //! the box by the order scan — this is *sort-ahead*, letting the sort for
 //! an ORDER BY or GROUP BY sink an arbitrary number of join levels.
 //!
+//! Connected subsets first, as System R and DB2 did: a subset grows only
+//! by the quantifiers a box predicate joins to it, and by every missing
+//! quantifier (a Cartesian product) only when no predicate joins any. A
+//! chain of five tables thus takes 20 join steps instead of 75, and a
+//! disconnected FROM list or a predicate over three quantifiers still
+//! plans.
+//!
 //! Join methods per step: nested-loop, index nested-loop (the paper's
 //! *ordered* nested-loop join when the outer's order property covers the
 //! probe columns and the inner index is clustered), sort-merge, and hash.
@@ -39,7 +46,12 @@ struct JoinMemo {
 /// Enumerates join orders for a multi-quantifier select box.
 ///
 /// `inputs[i]` holds the access-path alternatives for quantifier `i`
-/// (already filtered by their single-table predicates). A candidate is
+/// (already filtered by their single-table predicates). Subsets grow by
+/// the steps [`join_steps`] lists: by joined quantifiers first, by a
+/// Cartesian product only where no join is left. That drops the
+/// candidates built over a Cartesian product a join could have avoided;
+/// pruning is pairwise dominance, and they lose to the joined ones on
+/// every statement `tests/plan_stability.rs` pins. A candidate is
 /// shared, never copied: a join holds its inputs' `Arc`s, so the many
 /// joins built over one subplan point at it, and pruning a candidate
 /// frees its own node alone.
@@ -60,47 +72,92 @@ pub fn enumerate(
         set.extend(planner.sort_ahead(qbox, plans));
         best.insert(1 << i, planner.prune(set));
     }
+    let quantifier_cols: Vec<ColSet> = qbox.quantifiers.iter().map(|q| q.col_set()).collect();
+    let predicate_cols: Vec<ColSet> = qbox
+        .predicates
+        .iter()
+        .map(|&pid| planner.graph.predicate(pid).cols())
+        .collect();
 
     // Grow subsets by one quantifier at a time (left-deep).
-    for size in 1..n {
-        // Sorted masks keep enumeration (and hence trace output and
-        // cost-tie winners) deterministic across runs.
-        let mut masks: Vec<u32> = best
-            .keys()
-            .copied()
-            .filter(|m| m.count_ones() as usize == size)
-            .collect();
-        masks.sort_unstable();
-        for mask in masks {
-            for (i, inner_paths) in inputs.iter().enumerate() {
-                let bit = 1u32 << i;
-                if mask & bit != 0 {
-                    continue;
-                }
-                let outers = best.get(&mask).map_or(&[][..], Vec::as_slice);
-                let mut new_plans = Vec::new();
-                for outer in outers {
-                    for inner in inner_paths {
-                        new_plans.extend(join_pair(planner, &mut memo, qbox, outer, inner));
-                    }
-                }
-                if new_plans.is_empty() {
-                    continue;
-                }
-                let sorted = planner.sort_ahead(qbox, &new_plans);
-                new_plans.extend(sorted);
-                let entry = best.entry(mask | bit).or_default();
-                entry.extend(new_plans);
-                let merged = std::mem::take(entry);
-                *entry = planner.prune(merged);
+    for (mask, i) in join_steps(&quantifier_cols, &predicate_cols) {
+        let outers = best.get(&mask).map_or(&[][..], Vec::as_slice);
+        let mut new_plans = Vec::new();
+        for outer in outers {
+            for inner in &inputs[i] {
+                new_plans.extend(join_pair(planner, &mut memo, qbox, outer, inner));
             }
         }
+        if new_plans.is_empty() {
+            continue;
+        }
+        let sorted = planner.sort_ahead(qbox, &new_plans);
+        new_plans.extend(sorted);
+        let entry = best.entry(mask | 1 << i).or_default();
+        entry.extend(new_plans);
+        let merged = std::mem::take(entry);
+        *entry = planner.prune(merged);
     }
 
     let full = (1u32 << n) - 1;
     best.remove(&full)
         .filter(|p| !p.is_empty())
         .ok_or_else(|| FtoError::Plan("join enumeration produced no plan".into()))
+}
+
+/// The (subset, quantifier) join steps [`enumerate`] takes, each subset a
+/// bit mask over the box's quantifiers: every subset one step reaches is
+/// extended by [`extensions`], smaller subsets first and, within a size,
+/// in mask order — a fixed order keeps the trace and the winner among
+/// equal-cost plans the same from run to run. `quantifiers` and
+/// `predicates` hold the box's quantifiers' and predicates' columns.
+fn join_steps(quantifiers: &[ColSet], predicates: &[ColSet]) -> Vec<(u32, usize)> {
+    let mut steps = Vec::new();
+    let mut level: Vec<u32> = (0..quantifiers.len()).map(|i| 1 << i).collect();
+    for _ in 1..quantifiers.len() {
+        let mut next = Vec::new();
+        for &mask in &level {
+            for i in extensions(mask, quantifiers, predicates) {
+                steps.push((mask, i));
+                next.push(mask | 1 << i);
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        level = next;
+    }
+    steps
+}
+
+/// The quantifiers [`enumerate`] extends the subset `mask` by, in index
+/// order: those joined to it — some predicate becomes applicable at that
+/// join, the non-empty `applicable` set of [`join_pair`], told from
+/// column sets alone — or, when none is, every missing one.
+fn extensions(mask: u32, quantifiers: &[ColSet], predicates: &[ColSet]) -> Vec<usize> {
+    let mut subset = ColSet::new();
+    for (i, cols) in quantifiers.iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            subset.union_with(cols);
+        }
+    }
+    let missing: Vec<usize> = (0..quantifiers.len())
+        .filter(|&i| mask & (1 << i) == 0)
+        .collect();
+    let joined: Vec<usize> = missing
+        .iter()
+        .copied()
+        .filter(|&i| {
+            let combined = subset.union(&quantifiers[i]);
+            predicates.iter().any(|p| {
+                p.is_subset(&combined) && !p.is_subset(&subset) && !p.is_subset(&quantifiers[i])
+            })
+        })
+        .collect();
+    if joined.is_empty() {
+        missing
+    } else {
+        joined
+    }
 }
 
 /// The equi-join column pairs among `preds`, each as (outer column,
@@ -605,6 +662,82 @@ mod tests {
             .filter(|e| matches!(e, fto_obs::TraceEvent::PlanGenerated { .. }))
             .count() as u64;
         assert_eq!(events, p.stats.plans_generated);
+    }
+
+    /// Quantifier `i` sees columns 3i..3i+3; each predicate is given by
+    /// the quantifiers whose first column it reads.
+    fn shape(n: u32, preds: &[&[u32]]) -> (Vec<ColSet>, Vec<ColSet>) {
+        let quantifiers = (0..n)
+            .map(|i| ColSet::from_cols((3 * i..3 * i + 3).map(ColId)))
+            .collect();
+        let predicates = preds
+            .iter()
+            .map(|qs| ColSet::from_cols(qs.iter().map(|&q| ColId(3 * q))))
+            .collect();
+        (quantifiers, predicates)
+    }
+
+    /// Whether a predicate becomes applicable when `mask` is joined to
+    /// quantifier `i`: `join_pair`'s `applicable` set is non-empty.
+    fn joined(q: &[ColSet], p: &[ColSet], mask: u32, i: usize) -> bool {
+        let subset = (0..q.len())
+            .filter(|&j| mask & (1 << j) != 0)
+            .fold(ColSet::new(), |acc, j| acc.union(&q[j]));
+        let combined = subset.union(&q[i]);
+        p.iter()
+            .any(|p| p.is_subset(&combined) && !p.is_subset(&subset) && !p.is_subset(&q[i]))
+    }
+
+    #[test]
+    fn connected_subsets_are_joined_before_cartesian_products() {
+        // j5's chain (nation–customer–orders–lineitem–supplier), and
+        // corpus[10]'s star (e joined to d and to b) with its 5-table
+        // counterpart: every step applies a predicate, and the steps are
+        // the connected ones — 20, 6 and 36 of the 75, 9 and 75 that
+        // extending every subset by every missing quantifier takes.
+        let chain = shape(5, &[&[0, 1], &[1, 2], &[2, 3], &[3, 4]]);
+        let star3 = shape(3, &[&[0, 1], &[2, 0]]);
+        let star5 = shape(5, &[&[0, 1], &[0, 2], &[0, 3], &[0, 4]]);
+        for ((q, p), want) in [(chain, 20), (star3, 6), (star5, 36)] {
+            let steps = join_steps(&q, &p);
+            assert_eq!(steps.len(), want, "{steps:?}");
+            for &(mask, i) in &steps {
+                assert!(joined(&q, &p, mask, i), "{mask:#b} + {i} joins nothing");
+            }
+            let full = (1u32 << q.len()) - 1;
+            assert!(steps.iter().any(|&(m, i)| m | 1 << i == full));
+        }
+    }
+
+    #[test]
+    fn cartesian_products_wait_until_no_join_is_left() {
+        // {0, 1} joined, 2 isolated: 2 is crossed only onto a subset with
+        // no join left ({0, 1}, or a lone 2 onto either). A predicate over
+        // three quantifiers joins none pairwise, so the first level crosses
+        // every pair and the second applies it.
+        let (q, p) = shape(3, &[&[0, 1]]);
+        let steps = join_steps(&q, &p);
+        for &(mask, i) in &steps {
+            let any_joined = (0..3).any(|j| mask & (1 << j) == 0 && joined(&q, &p, mask, j));
+            assert!(joined(&q, &p, mask, i) || !any_joined, "{steps:?}");
+        }
+        assert_eq!(
+            steps,
+            [
+                (0b001, 1),
+                (0b010, 0),
+                (0b100, 0),
+                (0b100, 1),
+                (0b011, 2),
+                (0b101, 1),
+                (0b110, 0)
+            ]
+        );
+
+        let (q, p) = shape(3, &[&[0, 1, 2]]);
+        let steps = join_steps(&q, &p);
+        assert_eq!(steps.len(), 9, "{steps:?}");
+        assert!(steps[6..].iter().all(|&(mask, i)| joined(&q, &p, mask, i)));
     }
 
     #[test]

@@ -84,6 +84,40 @@ fn end_to_end_corpus_agrees_at_odd_batch_sizes() {
 }
 
 #[test]
+fn deferred_cartesian_products_still_plan() {
+    // Join enumeration grows a subset by a quantifier a predicate joins
+    // to it while there is one, and by a Cartesian product only when there
+    // is none: a quantifier with local predicates alone is still joined,
+    // last, and the rows are the interpreter's.
+    let db = emp_db();
+    let queries = [
+        "select dept_id, emp_id from dept, emp where grade = 3 order by dept_id, emp_id",
+        "select e.emp_id, d.dept_name, b.emp_id from emp e, dept d, emp b \
+         where e.emp_dept = d.dept_id and b.grade = 1 and b.emp_id < 20 \
+         order by e.emp_id, b.emp_id",
+    ];
+    for sql in queries {
+        for config in [
+            OptimizerConfig::default(),
+            OptimizerConfig::disabled(),
+            OptimizerConfig::default().with_memory_budget(1024),
+        ] {
+            let plan = Session::new(&db)
+                .config(config.clone())
+                .plan(sql)
+                .unwrap()
+                .explain();
+            assert!(
+                plan.lines()
+                    .any(|l| l.trim_start().starts_with("nested-loop-join")),
+                "no keyless join for the Cartesian product\nsql: {sql}\n{plan}"
+            );
+            assert_engines_agree(&db, sql, config);
+        }
+    }
+}
+
+#[test]
 fn tpcd_workload_agrees_across_engines() {
     let db = build_database(TpcdConfig {
         scale: 0.003,

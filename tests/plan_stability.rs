@@ -182,8 +182,10 @@ fn digest_without(golden: &str, skip: &[String]) -> (usize, u64) {
 /// The pinned pair was `digest_without` of that commit's golden file
 /// until PR 25 re-counted `generated=` on 71 count lines (plan lines
 /// untouched; `counters_and_plans_match_the_golden_capture` holds the
-/// rest); it is now that of PR 25's file. After an *intended* change to
-/// the other 90 blocks, re-pin it with the pair this test prints.
+/// rest), and again when join enumeration deferred Cartesian products
+/// (15 count lines of the join-ladder statements and corpus[10], no plan
+/// line). After an *intended* change to the other 90 blocks, re-pin it
+/// with the pair this test prints.
 #[test]
 fn fold_is_spelling_only() {
     let emp = emp_db();
@@ -199,13 +201,14 @@ fn fold_is_spelling_only() {
     assert_eq!(with_distinct.len(), 5, "{with_distinct:?}");
     assert_eq!(
         digest_without(GOLDEN, &with_distinct),
-        // (90, 0x8e64_2891_0f00_29e6) before PR 25.
-        (90, 0x7074_407d_b428_c731),
+        // (90, 0x8e64_2891_0f00_29e6) before each plan was counted once,
+        // (90, 0x7074_407d_b428_c731) before connected subsets first.
+        (90, 0x7155_86df_3b56_a6bd),
         "a block of a statement without a DISTINCT moved"
     );
 }
 
-/// The deterministic planner-work gate: `j5` generates 44 202 plans and
+/// The deterministic planner-work gate: `j5` generates 13 290 plans and
 /// must build at least an order of magnitude fewer contexts than that.
 /// Building one per dominance comparison or per sort-ahead variant (the
 /// state before facts were shared: hundreds of thousands) fails here by
@@ -225,12 +228,13 @@ fn j5_builds_far_fewer_contexts_than_plans() {
             s.partial_sorts
         ),
         // 47 107 generated before PR 25, which counted each index
-        // nested loop twice.
-        (3594, 44202, 43867, 37082, 597, 173)
+        // nested loop twice; (3594, 44202, 43867, 37082, 597, 173)
+        // before subsets grew by joined quantifiers first.
+        (907, 13290, 13153, 11210, 283, 0)
     );
     assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
     assert!(
-        s.contexts_built <= 4_700,
+        s.contexts_built <= 1_300,
         "contexts are being rebuilt instead of shared: {s}"
     );
 }
@@ -247,14 +251,16 @@ fn join_ladder_order_work_is_pinned() {
         .iter()
         .map(|w| (w.name, w.stats.contexts_built, w.stats.reduce_memo_hits))
         .collect();
+    // Before subsets grew by joined quantifiers first: q3 106 / 32 991,
+    // fig6 64 / 46 432, j4 213 / 331 204, j5 676 / 1 004 815.
     assert_eq!(
         work,
         [
             ("order_report", 12, 10_780),
-            ("q3", 106, 32_991),
-            ("fig6", 64, 46_432),
-            ("j4", 213, 331_204),
-            ("j5", 676, 1_004_815),
+            ("q3", 83, 21_720),
+            ("fig6", 50, 31_239),
+            ("j4", 104, 141_076),
+            ("j5", 216, 266_221),
         ]
     );
 }

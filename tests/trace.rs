@@ -13,7 +13,7 @@
 //!   counter included;
 //! * **acceptance** — `EXPLAIN OPTIMIZER` on TPC-D Q3 shows sort-ahead
 //!   variants and the pruning decision for each discarded plan; the
-//!   four- and five-table joins keep decisions only, and the ring says
+//!   four- to six-table joins keep decisions only, and the ring says
 //!   exactly how many it dropped;
 //! * **slow log** — queries past the threshold are captured with their
 //!   SQL, plan, and optimizer trace; *misestimated* queries (worst
@@ -284,45 +284,61 @@ fn q3_trace_shows_sort_ahead_and_pruning() {
 
 #[test]
 fn join_ladder_traces_hold_decisions_only() {
-    // The order algebra runs a million times under j5; those calls are
-    // counted, not logged, so the ring holds decisions only: all of
-    // j4's, and the newest 65 536 of j5's with the rest counted as
-    // dropped. The closing lines come from counters and stay exact.
+    // The order algebra runs hundreds of thousands of times under j5;
+    // those calls are counted, not logged, so the ring holds decisions
+    // only: all of j4's and j5's, and the newest 65 536 of a six-table
+    // chain's with the rest counted as dropped. The closing lines come
+    // from counters and stay exact.
     let db = tpcd_db(0.002).unwrap();
     let ladder = join_ladder();
-    let traced = |name: &str| {
+    let traced = |sql: &str| Session::new(&db).plan_traced(sql).unwrap();
+    let rung = |name: &str| {
         let (_, _, sql) = ladder.iter().find(|(n, _, _)| *n == name).unwrap();
-        Session::new(&db).plan_traced(sql).unwrap()
+        traced(sql)
     };
 
-    // Before PR 25 each index nested loop was logged twice: j4 55 844
-    // decisions; j5 160 806, 95 270 dropped, `generated=47107 kept<=3240`.
-    let j4 = traced("j4");
-    let trace = j4.trace().expect("forced trace");
-    assert_eq!((trace.events().len(), trace.dropped()), (54_799, 0));
-    assert_eq!(decisions(&j4.planner_stats()), 54_799);
-    assert!(!j4.explain_optimizer().contains("events dropped"));
+    // While every subset grew by every missing quantifier, j4 logged
+    // 54 799 decisions and j5 overflowed: 157 901, 92 365 dropped.
+    for (name, logged) in [("j4", 25_613), ("j5", 47_620)] {
+        let q = rung(name);
+        let trace = q.trace().expect("forced trace");
+        assert_eq!(
+            (trace.events().len(), trace.dropped()),
+            (logged, 0),
+            "{name}"
+        );
+        assert_eq!(decisions(&q.planner_stats()), logged as u64, "{name}");
+        assert!(!q.explain_optimizer().contains("events dropped"), "{name}");
+    }
 
-    let j5 = traced("j5");
-    let trace = j5.trace().expect("forced trace");
-    assert_eq!(decisions(&j5.planner_stats()), 157_901);
-    assert_eq!((trace.events().len(), trace.dropped()), (65_536, 92_365));
-    let text = j5.explain_optimizer();
+    let j6 = traced(
+        "select r_name, n_name, s_name, c_name, sum(l_extendedprice) as total \
+         from customer, orders, lineitem, nation, supplier, region \
+         where c_custkey = o_custkey and o_orderkey = l_orderkey \
+         and c_nationkey = n_nationkey and l_suppkey = s_suppkey \
+         and n_regionkey = r_regionkey and o_orderdate < date('1995-05-01') \
+         group by r_name, n_name, s_name, c_name \
+         order by r_name, n_name, s_name",
+    );
+    let trace = j6.trace().expect("forced trace");
+    assert_eq!(decisions(&j6.planner_stats()), 71_219);
+    assert_eq!((trace.events().len(), trace.dropped()), (65_536, 5_683));
+    let text = j6.explain_optimizer();
     assert!(
-        text.contains("... 92365 earlier events dropped (ring full)\n"),
+        text.contains("... 5683 earlier events dropped (ring full)\n"),
         "the ring must say how many it dropped"
     );
     let closing: Vec<&str> = text.lines().rev().take(3).collect();
     assert_eq!(
         closing[2],
-        "summary: boxes=3 | plans generated=44202 kept<=335 pruned=43867 | \
-         sorts added=37082 avoided=597 segmented=173 | sort-ahead variants=31971"
+        "summary: boxes=3 | plans generated=19804 kept<=202 pruned=19602 | \
+         sorts added=16819 avoided=401 segmented=0 | sort-ahead variants=14584"
     );
     assert_eq!(
         closing[1],
-        "order ops: reduce=1028470 test=383010 cover=10 homogenize=86026"
+        "order ops: reduce=424177 test=154376 cover=15 homogenize=37719"
     );
-    assert!(closing[0].starts_with("planner work: joins considered=3594 |"));
+    assert!(closing[0].starts_with("planner work: joins considered=1316 |"));
 }
 
 #[test]
