@@ -18,7 +18,7 @@
 
 use fto_bench::harness::{paper_example_db, tpcd_db, FIG1_SQL, FIG6_SQL};
 use fto_bench::Session;
-use fto_planner::{GroupMethod, OptimizerConfig, PlanNode};
+use fto_planner::{OptimizerConfig, PlanNode};
 use fto_tpcd::queries;
 
 fn main() {
@@ -63,10 +63,8 @@ fn fig6() {
     let streaming = prepared.plan().count_ops(&|n| {
         matches!(
             n,
-            PlanNode::GroupBy {
-                method: GroupMethod::Stream,
-                ..
-            }
+            PlanNode::GroupBy { grouping, prefix_len, .. }
+                if *prefix_len as usize == grouping.len()
         )
     });
     let top_is_sort = prepared.plan().op_name() == "sort";

@@ -1,7 +1,7 @@
 //! The shared aggregation kernel: group ids over encoded keys plus
-//! columnar aggregate state, used by every grouping operator of the
-//! streaming executor (hash group-by unbounded and bounded, stream
-//! group-by; DISTINCT is either with no aggregates). The materializing
+//! columnar aggregate state, used by the streaming executor's one
+//! grouping operator (DISTINCT is the grouping with no aggregates) and
+//! keyed by its build–probe join. The materializing
 //! interpreter — the differential oracle — keeps the row-at-a-time
 //! [`fto_expr::agg::Accumulator`]; the two are the only accumulate
 //! implementations in the engine.
@@ -9,12 +9,13 @@
 //! # Group ids
 //!
 //! [`GroupTable`] maps an encoded grouping key (the arena slices of
-//! [`encode_batch_keys_arena`], byte equality ≡ `Value` equality) to a
-//! dense group id in first-seen order. It is an open-addressing table of
-//! `u64` slots over one append-only key arena: no per-group allocation and
-//! no SipHash. A batch becomes `gids: Vec<u32>` plus `first`, the rows
-//! that opened a group — which *is* a group-by's key-column gather list.
-//! The stream group-by derives the same two vectors from run boundaries
+//! [`fto_common::column::encode_batch_keys_arena`], byte equality ≡
+//! `Value` equality) to a dense group id in first-seen order. It is an
+//! open-addressing table of `u64` slots over one append-only key arena: no
+//! per-group allocation and no SipHash. A batch becomes `gids: Vec<u32>`
+//! plus `first`, the rows that opened a group — which *is* a group-by's
+//! key-column gather list. A grouping whose input arrives ordered on every
+//! grouping column derives the same two vectors from run boundaries
 //! instead of a table. The build–probe join keys its build side through
 //! the same table (`assign` while building, the read-only `lookup` while
 //! probing) and keeps its match lists beside it.
@@ -39,14 +40,14 @@
 //! `Accumulator::update_value`.
 
 use crate::sortkernel::SortKeys;
-use fto_common::column::{encode_batch_keys_arena, Batch, Bitmap, Column, ColumnData};
+use fto_common::column::{Batch, Bitmap, Column, ColumnData};
 use fto_common::{ColId, DataType, Direction, Result, Value};
 use fto_expr::{vector, AggCall, AggFunc, Expr, RowLayout};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The group id of a row that belongs to no resident group (the bounded
-/// hash group-by's overflow rows, which aggregate updates skip; a join's
+/// The group id of a row that belongs to no resident group (a bounded
+/// grouping's overflow rows, which aggregate updates skip; a join's
 /// NULL-keyed build rows and unmatched probe rows).
 pub(crate) const NO_GROUP: u32 = u32::MAX;
 
@@ -195,11 +196,11 @@ impl GroupTable {
     }
 
     /// Maps every key of a batch (`bytes`/`offsets` as written by
-    /// [`encode_batch_keys_arena`]) to its group id, in row order. A key
-    /// not seen before is offered to `admit(row, key)`: admitted, it gets
-    /// the next id and its row is appended to `first`; refused, the row
-    /// gets [`NO_GROUP`] (and the key is offered again at its next row).
-    /// Both output vectors are overwritten.
+    /// [`fto_common::column::encode_batch_keys_arena`]) to its group id,
+    /// in row order. A key not seen before is offered to `admit(row, key)`:
+    /// admitted, it gets the next id and its row is appended to `first`;
+    /// refused, the row gets [`NO_GROUP`] (and the key is offered again at
+    /// its next row). Both output vectors are overwritten.
     pub(crate) fn assign(
         &mut self,
         bytes: &[u8],
@@ -294,9 +295,10 @@ impl AggSpec {
         self.calls.len()
     }
 
-    /// Encodes every row's grouping key into the arena `(bytes, offsets)`.
-    pub(crate) fn encode_keys(&self, batch: &Batch, bytes: &mut Vec<u8>, offsets: &mut Vec<usize>) {
-        encode_batch_keys_arena(batch, &self.gkeys, bytes, offsets);
+    /// The grouping positions as ascending sort keys: what a grouping's
+    /// key encoder reads.
+    pub(crate) fn keys(&self) -> &SortKeys {
+        &self.gkeys
     }
 
     /// The grouping columns of `batch` as a batch of their own (`Arc`
@@ -508,7 +510,8 @@ impl AggState {
 /// The resident groups of one aggregation: their key rows (gathered from
 /// the rows that opened them) and the columnar state of every aggregate
 /// call. Group ids are dense, in first-seen order, and assigned by the
-/// caller — a [`GroupTable`] or the stream group-by's run boundaries.
+/// caller — a [`GroupTable`] or the run boundaries of an input ordered
+/// on every grouping column.
 pub(crate) struct GroupAgg {
     spec: Arc<AggSpec>,
     states: Vec<AggState>,
@@ -783,7 +786,7 @@ mod tests {
 
     #[test]
     fn take_renumbers_the_groups_left_behind() {
-        // The stream group-by's use: finished groups leave, the open one
+        // The ordered grouping's use: finished groups leave, the open one
         // stays as group 0 and keeps absorbing.
         let layout = RowLayout::new(vec![ColId(0), ColId(1)]);
         let aggs = vec![

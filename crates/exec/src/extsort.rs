@@ -78,30 +78,43 @@ fn append_run_group(file: &mut SpillFile, payload: &mut Vec<u8>, run: &Run, io: 
     file.append_record(payload, io);
 }
 
+/// Reads the header a sort run group and a spilled group-by record both
+/// open with, `[u32 n][n × u64 LE seq]`: fills `seqs` with the n sequence
+/// numbers and returns where the record goes on. A record shorter than its
+/// count says is an error.
+pub(crate) fn seq_header(rec: &[u8], seqs: &mut Vec<u64>) -> Result<usize> {
+    let truncated = || FtoError::Exec("spill record header truncated".into());
+    let (n, rest) = rec.split_first_chunk::<4>().ok_or_else(truncated)?;
+    let len = (u32::from_le_bytes(*n) as usize).saturating_mul(8);
+    let (words, _) = rest.get(..len).ok_or_else(truncated)?.as_chunks::<8>();
+    seqs.clear();
+    seqs.extend(words.iter().map(|w| u64::from_le_bytes(*w)));
+    Ok(4 + len)
+}
+
 /// Decodes one run group record, bounds-checking every header field: a
 /// truncated or inconsistent record is an error, not a panic. (The column
 /// pages behind the header are [`spill::read_batch`]'s.)
 fn parse_run_group(rec: &[u8]) -> Result<Run> {
     let bad = || FtoError::Exec("sort run group record truncated or inconsistent".into());
-    let mut pos = 0usize;
+    let mut seqs = Vec::new();
+    let mut pos = seq_header(rec, &mut seqs)?;
+    let n = Some(seqs.len()).filter(|&n| n > 0).ok_or_else(bad)?;
     let mut take = |len: usize| {
         let field = rec.get(pos..pos.checked_add(len)?)?;
         pos += len;
         Some(field)
     };
-    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("four bytes")) as usize;
-    let n = take(4).map(le32).filter(|&n| n > 0).ok_or_else(bad)?;
-    let seqs: Vec<u64> = take(n.checked_mul(8).ok_or_else(bad)?)
-        .ok_or_else(bad)?
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes")))
-        .collect();
-    let total = take(4).map(le32).ok_or_else(bad)?;
-    let ends = take(n * 4).ok_or_else(bad)?;
+    let le32 = |b: &[u8; 4]| u32::from_le_bytes(*b) as usize;
+    let total = take(4)
+        .and_then(|b| b.first_chunk())
+        .map(le32)
+        .ok_or_else(bad)?;
+    let (ends, _) = take(n * 4).ok_or_else(bad)?.as_chunks::<4>();
     let stored = take(total).ok_or_else(bad)?;
     let mut keys = KeyArena::default();
     let mut start = 0;
-    for end in ends.chunks_exact(4).map(le32) {
+    for end in ends.iter().map(le32) {
         // Each stored key ends in its 8-byte tag, which `seqs` repeats.
         let key = stored.get(start..end).filter(|k| k.len() >= 8);
         keys.push(key.map(|k| &k[..k.len() - 8]).ok_or_else(bad)?);

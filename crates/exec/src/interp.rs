@@ -214,8 +214,8 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             aggs,
             ..
         } => {
-            // Whatever the method: on input whose groups are contiguous,
-            // first-seen order is the stream order.
+            // Whatever prefix the input claims to satisfy: on input whose
+            // groups are contiguous, first-seen order is the stream order.
             let rows = exec(db, graph, input, io)?;
             group_by(&rows, &input.layout, grouping, aggs)
         }

@@ -1,17 +1,19 @@
 //! Grouping behind `PlanNode::GroupBy` (DISTINCT is the grouping with no
-//! aggregates): the hash group-by, spilling under a budget, and the
-//! order-based group-by over contiguous groups.
+//! aggregates): one operator over a satisfied prefix of the grouping
+//! columns — the order-based group-by at every column, the hash group-by
+//! at none — spilling under a budget.
 
 use super::{Batch, BatchQueue, ExecContext, Operator};
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
+use crate::extsort::seq_header;
 use crate::metrics::ExecRecord;
-use fto_common::column::batch_row_bytes;
-use fto_common::{FtoError, Result};
+use fto_common::column::{batch_row_bytes, encode_batch_keys_arena};
+use fto_common::Result;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
 use std::sync::Arc;
 
-/// Number of key-hash partitions a budgeted hash group-by (or its
-/// recursive sub-aggregations) spills overflow rows into.
+/// Number of key-hash partitions a budgeted segment (or its recursive
+/// sub-aggregations) spills overflow rows into.
 const GROUP_SPILL_PARTITIONS: usize = 8;
 
 /// Recursion depth past which a partition aggregates fully in memory — a
@@ -33,13 +35,16 @@ fn partition_hash(key: &[u8], salt: u64) -> u64 {
     h
 }
 
-/// In-flight state of one (sub)aggregation of the hash group-by: the
-/// resident groups (key → id in `table`, key rows and aggregate state in
-/// `agg`, each group's first row's global position in `first_seqs`, which
-/// fixes its output rank), the budget charged for them, and — once the
-/// budget is crossed — the key-hash partitions overflow rows spill into.
+/// In-flight state of one (sub)aggregation of a segment: the resident
+/// groups (key → id in `table`, key rows and aggregate state in `agg`,
+/// each group's first row's global position in `first_seqs`, which fixes
+/// its output rank), the budget charged for them, and — once the budget
+/// is crossed — the key-hash partitions overflow rows spill into.
 struct GroupState {
     spec: Arc<AggSpec>,
+    /// `table` keys on the grouping columns past the first `prefix_len`,
+    /// the satisfied prefix, which is constant within a segment.
+    prefix_len: usize,
     table: GroupTable,
     agg: GroupAgg,
     first_seqs: Vec<u64>,
@@ -47,7 +52,7 @@ struct GroupState {
     parts: Vec<SpillFile>,
 }
 
-/// Per-batch scratch of the group-by operators, reused across batches.
+/// Per-batch scratch of the grouping and the join, reused across batches.
 #[derive(Default)]
 pub(super) struct GroupScratch {
     pub(super) key_bytes: Vec<u8>,
@@ -56,25 +61,11 @@ pub(super) struct GroupScratch {
     pub(super) first: Vec<u32>,
 }
 
-/// Splits an overflow record `[u32 nrows][nrows × u64 seq][column pages]`
-/// into its sequence numbers and the position its column pages start at.
-pub(super) fn group_spill_header(rec: &[u8], seqs: &mut Vec<u64>) -> Result<usize> {
-    let truncated = || FtoError::Exec("group-by spill record truncated".into());
-    let n = rec.get(..4).ok_or_else(truncated)?;
-    let n = u32::from_le_bytes(n.try_into().expect("four bytes")) as usize;
-    let body = rec.get(4..4 + 8 * n).ok_or_else(truncated)?;
-    seqs.clear();
-    seqs.extend(
-        body.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes"))),
-    );
-    Ok(4 + 8 * n)
-}
-
 impl GroupState {
-    fn new(spec: &Arc<AggSpec>) -> GroupState {
+    fn new(spec: &Arc<AggSpec>, prefix_len: usize) -> GroupState {
         GroupState {
             spec: Arc::clone(spec),
+            prefix_len,
             table: GroupTable::new(),
             agg: GroupAgg::new(Arc::clone(spec)),
             first_seqs: Vec::new(),
@@ -86,8 +77,9 @@ impl GroupState {
     /// Absorbs one batch. Rows of already-admitted keys aggregate in
     /// place (no new memory); a first-seen key is admitted while the
     /// working set fits the budget, and once it no longer does, new keys'
-    /// rows spill `[u64 seq][row]` records to the partition their key
-    /// hashes to. A key therefore lives entirely in memory or entirely in
+    /// rows spill to the partition their key hashes to, one
+    /// `[u32 nrows][nrows × u64 seq][column pages]` record per (batch,
+    /// partition). A key therefore lives entirely in memory or entirely in
     /// one partition — the hash is deterministic — which is what lets each
     /// partition re-aggregate independently.
     fn absorb_batch(
@@ -106,13 +98,13 @@ impl GroupState {
             first,
         } = scratch;
         let spec = &self.spec;
-        spec.encode_keys(batch, key_bytes, key_offsets);
+        let suffix = &spec.keys()[self.prefix_len..];
+        encode_batch_keys_arena(batch, suffix, key_bytes, key_offsets);
         let key_cols = spec.key_columns(batch)?;
         // Overflow rows collect into per-partition selection vectors and
-        // spill once per (batch, partition) as one column-page record:
-        // `[u32 nrows][nrows × u64 seq][column pages]`. Per-partition
-        // row order is arrival order either way, so replay — and with it
-        // the rebuilt aggregation — is unchanged.
+        // spill once per (batch, partition). Per-partition row order is
+        // arrival order either way, so replay — and with it the rebuilt
+        // aggregation — is unchanged.
         let mut psel: Vec<(Vec<u32>, Vec<u64>)> = Vec::new();
         let (bytes, mut resident) = (&mut self.bytes, self.table.len());
         self.table
@@ -195,10 +187,10 @@ impl GroupState {
             } else {
                 budget
             };
-            let mut sub = GroupState::new(&self.spec);
+            let mut sub = GroupState::new(&self.spec, self.prefix_len);
             let mut cursor = SpillCursor::new(0, file.len());
             while let Some(frame) = cursor.read_record(&file, &mut rec.stats.io)? {
-                let mut pos = group_spill_header(&frame, &mut seqs)?;
+                let mut pos = seq_header(&frame, &mut seqs)?;
                 let batch = spill::read_batch(&frame, &mut pos)?;
                 sub.absorb_batch(
                     &batch,
@@ -215,134 +207,166 @@ impl GroupState {
     }
 }
 
-/// Hash group-by on the aggregation kernel ([`crate::aggkernel`]): per
-/// input batch the grouping keys become memcmp-comparable byte strings
-/// via the sort-key codec (encoded column-at-a-time), a [`GroupTable`]
-/// turns them into dense first-seen group ids, and the aggregates update
-/// columnar state by group id. The codec is an order-preserving injection
-/// up to `Value::total_cmp` equality, which canonicalizes exactly like
-/// `Value`'s `Eq`/`Hash` (Int 5 ≡ Double 5.0, one NaN, one zero) — so byte
-/// equality groups precisely the rows the row engine groups, and first-
-/// seen order matches its output order.
+/// The grouping operator behind [`PlanNode::GroupBy`]. Its input arrives
+/// with the first k of its n grouping columns satisfied (possibly none),
+/// so rows sharing their values are contiguous: segments are cut on
+/// encoded-prefix byte equality, as the order enforcer cuts its groups,
+/// and group on the other columns through a [`GroupState`]. The sort-key
+/// codec's byte equality is `Value` equality (Int 5 ≡ Double 5.0, one NaN,
+/// one zero), and every row of a key aggregates in arrival order, spilled
+/// or not, so results (float sums included) are bit-identical at every
+/// budget.
 ///
-/// One path for every budget (unbounded is `usize::MAX`): output rows
-/// order by their group's first row's global position, which *is*
-/// first-seen order — and every row of a key aggregates in arrival order
-/// whether the key stayed in memory or spilled, so results (float sums
-/// included) are bit-identical at every budget.
-pub(super) struct HashGroupByOp {
-    pub(super) child: Box<dyn Operator>,
-    pub(super) spec: Arc<AggSpec>,
-    pub(super) out: BatchQueue,
+/// | `Plan::op_name` | k | behaviour |
+/// |---|---|---|
+/// | `group-by(stream)` | n | a segment is a group: no table, ids come from run boundaries, and the groups a batch closes leave with it — a `LIMIT` above stops the input |
+/// | `group-by(hash)` | 0 < n | one segment, ending with the input: drains at `open` |
+///
+/// [`PlanNode::GroupBy`]: fto_planner::PlanNode::GroupBy
+pub(super) struct GroupByOp {
+    child: Box<dyn Operator>,
+    /// The open segment's groups; its `prefix_len` is k.
+    state: GroupState,
+    /// Encoded prefix of the last row pulled: the open segment's.
+    lead: Vec<u8>,
+    /// The rows of the batch being pulled that start a segment.
+    starts: Vec<u32>,
+    /// Global position of the next input row (a segment is open past 0).
+    seq: u64,
+    scratch: GroupScratch,
+    input_done: bool,
+    out: BatchQueue,
 }
 
-impl Operator for HashGroupByOp {
-    fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        self.child.open(cx, rec)?;
-        let budget = cx.memory_budget.unwrap_or(usize::MAX);
-        let mut state = GroupState::new(&self.spec);
-        let mut scratch = GroupScratch::default();
-        let mut seq = 0u64;
-        let mut seqs: Vec<u64> = Vec::new();
-        while let Some(batch) = self.child.next_batch(cx, rec)? {
-            seqs.clear();
-            seqs.extend(seq..seq + batch.len() as u64);
-            seq += batch.len() as u64;
-            state.absorb_batch(&batch, &seqs, budget, 0, &mut scratch, &mut rec.stats.io)?;
+impl GroupByOp {
+    /// Groups `child`'s rows by `spec`, its first `prefix_len` columns
+    /// satisfied.
+    pub(super) fn new(child: Box<dyn Operator>, spec: Arc<AggSpec>, prefix_len: usize) -> Self {
+        let prefix_len = prefix_len.min(spec.keys().len());
+        GroupByOp {
+            child,
+            state: GroupState::new(&spec, prefix_len),
+            lead: Vec::new(),
+            starts: Vec::new(),
+            seq: 0,
+            scratch: GroupScratch::default(),
+            input_done: false,
+            out: BatchQueue::default(),
         }
-        self.child.close(rec);
+    }
+
+    /// True when no group can leave before the input ends: no prefix to
+    /// cut on, but columns to group by.
+    fn drains(&self) -> bool {
+        self.state.prefix_len == 0 && !self.state.spec.keys().is_empty()
+    }
+
+    /// Ends the open segment: its groups queue in first-seen order —
+    /// resident and spilled alike, ranked by their first row's global
+    /// position.
+    fn finish_segment(&mut self, budget: usize, rec: &mut ExecRecord) -> Result<()> {
+        let next = GroupState::new(&self.state.spec, self.state.prefix_len);
         let mut parts: Vec<(Batch, Vec<u64>)> = Vec::new();
-        state.drain(budget, 0, rec, &mut parts)?;
-        let mut order: Vec<(u64, u32, u32)> = Vec::new();
-        for (p, (_, first_seqs)) in parts.iter().enumerate() {
-            order.extend(
-                first_seqs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, p as u32, i as u32)),
-            );
+        std::mem::replace(&mut self.state, next).drain(budget, 0, rec, &mut parts)?;
+        // No two groups share a first row, so the ranks are distinct.
+        let mut sel: Vec<(u32, u32)> = Vec::new();
+        for (p, (groups, _)) in parts.iter().enumerate() {
+            sel.extend((0..groups.len() as u32).map(|i| (p as u32, i)));
         }
-        order.sort_unstable();
-        let sel: Vec<(u32, u32)> = order.iter().map(|&(_, p, i)| (p, i)).collect();
+        sel.sort_by_cached_key(|&(p, i)| parts[p as usize].1[i as usize]);
         let sources: Vec<&Batch> = parts.iter().map(|(b, _)| b).collect();
-        self.out.clear();
         self.out.push(Batch::gather_multi(&sources, &sel)?);
         Ok(())
     }
 
-    fn next_batch(&mut self, cx: &ExecContext<'_>, _: &mut ExecRecord) -> Result<Option<Batch>> {
-        if self.out.is_empty() {
-            return Ok(None);
+    /// Cuts `batch` on the encoded prefix: `starts` gets the rows that
+    /// start a segment — the input's first row and every row whose prefix
+    /// differs from the row before it — and `scratch.gids` each row's
+    /// segment, counted from the one `open` before the batch (0), else from
+    /// the batch's first: at k = n, its group id. A drained input is one
+    /// segment: there is nothing to cut.
+    fn cut(&mut self, batch: &Batch, open: bool) {
+        self.starts.clear();
+        self.scratch.gids.clear();
+        if self.drains() {
+            return;
         }
-        self.out.take(cx.batch_size).map(Some)
-    }
-
-    fn close(&mut self, _: &mut ExecRecord) {
-        self.out.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Order-based group-by (fully streaming)
-// ---------------------------------------------------------------------
-
-/// Order-based group-by on the aggregation kernel: group keys encode into
-/// a memcmp-able arena once per batch (byte equality ≡ `Value` equality,
-/// same canonicalization argument as [`HashGroupByOp`]), group ids come
-/// from run boundaries — a byte-slice comparison against the previous
-/// row's key — and the aggregates update columnar state by group id. The
-/// last group of a batch stays open (it is group 0 of the next batch);
-/// every group before it leaves as columns.
-pub(super) struct StreamGroupByOp {
-    pub(super) child: Box<dyn Operator>,
-    pub(super) spec: Arc<AggSpec>,
-    pub(super) agg: GroupAgg,
-    /// Encoded key of the open group (meaningful while `agg` holds one).
-    pub(super) open_key: Vec<u8>,
-    pub(super) scratch: GroupScratch,
-    pub(super) input_done: bool,
-    pub(super) out: BatchQueue,
-}
-
-impl StreamGroupByOp {
-    fn absorb(&mut self, batch: &Batch) -> Result<()> {
         let GroupScratch {
             key_bytes: kb,
             key_offsets: ko,
             gids,
-            first,
+            ..
         } = &mut self.scratch;
-        self.spec.encode_keys(batch, kb, ko);
-        gids.clear();
-        first.clear();
-        let mut open = self.agg.groups();
-        let mut prev: &[u8] = &self.open_key;
+        let prefix = &self.state.spec.keys()[..self.state.prefix_len];
+        encode_batch_keys_arena(batch, prefix, kb, ko);
+        let mut open = usize::from(open);
+        let mut prev: &[u8] = &self.lead;
         for (i, w) in ko.windows(2).enumerate() {
             let key = &kb[w[0]..w[1]];
             if open == 0 || key != prev {
                 open += 1;
-                first.push(i as u32);
+                self.starts.push(i as u32);
             }
             gids.push(open as u32 - 1);
             prev = key;
         }
-        self.agg.absorb(batch, gids, first)?;
-        if self.agg.groups() > 1 {
-            self.out.push(self.agg.take(self.agg.groups() - 1)?);
+        self.lead = prev.to_vec();
+    }
+
+    /// Pulls one input batch into the open segment, ending a segment at
+    /// every start but the input's first row — or, at end of input, ends
+    /// the last.
+    fn pull(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
+        let budget = cx.memory_budget.unwrap_or(usize::MAX);
+        let Some(batch) = self.child.next_batch(cx, rec)? else {
+            self.input_done = true;
+            if self.drains() {
+                self.child.close(rec);
+            }
+            return self.finish_segment(budget, rec);
+        };
+        let at = self.seq;
+        self.seq += batch.len() as u64;
+        self.cut(&batch, at > 0);
+        if self.state.prefix_len == self.state.spec.keys().len() {
+            // Every segment is one group: the groups this batch closed
+            // leave now, and the last stays open.
+            let agg = &mut self.state.agg;
+            agg.absorb(&batch, &self.scratch.gids, &self.starts)?;
+            if agg.groups() > 1 {
+                self.out.push(agg.take(agg.groups() - 1)?);
+            }
+            return Ok(());
         }
-        if let Some(w) = ko.windows(2).last() {
-            self.open_key.clear();
-            self.open_key.extend_from_slice(&kb[w[0]..w[1]]);
+        let seqs: Vec<u64> = (at..self.seq).collect();
+        let mut lo = 0;
+        for j in 0..=self.starts.len() {
+            let hi = self.starts.get(j).map_or(batch.len(), |&s| s as usize);
+            if hi > lo {
+                let (piece, io) = (batch.slice(lo, hi - lo), &mut rec.stats.io);
+                let scratch = &mut self.scratch;
+                self.state
+                    .absorb_batch(&piece, &seqs[lo..hi], budget, 0, scratch, io)?;
+            }
+            if j < self.starts.len() && at + hi as u64 > 0 {
+                self.finish_segment(budget, rec)?;
+            }
+            lo = hi;
         }
         Ok(())
     }
 }
 
-impl Operator for StreamGroupByOp {
+impl Operator for GroupByOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        self.agg = GroupAgg::new(Arc::clone(&self.spec));
+        self.seq = 0;
         self.input_done = false;
-        self.child.open(cx, rec)
+        self.child.open(cx, rec)?;
+        // A pipeline breaker drains its input here.
+        while self.drains() && !self.input_done {
+            self.pull(cx, rec)?;
+        }
+        Ok(())
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
@@ -353,19 +377,16 @@ impl Operator for StreamGroupByOp {
             if self.input_done {
                 return Ok(None);
             }
-            match self.child.next_batch(cx, rec)? {
-                Some(batch) => self.absorb(&batch)?,
-                None => {
-                    self.input_done = true;
-                    self.out.push(self.agg.finish()?);
-                }
-            }
+            self.pull(cx, rec)?;
         }
     }
 
     fn close(&mut self, rec: &mut ExecRecord) {
-        self.agg = GroupAgg::new(Arc::clone(&self.spec));
+        self.state = GroupState::new(&self.state.spec, self.state.prefix_len);
         self.out.clear();
-        self.child.close(rec);
+        // A drained input closed once it was drained.
+        if !self.drains() {
+            self.child.close(rec);
+        }
     }
 }

@@ -3,18 +3,18 @@
 //! input at parallel degree > 1.
 
 use super::enforce::EnforceOp;
-use super::group::{GroupScratch, HashGroupByOp, StreamGroupByOp};
+use super::group::GroupByOp;
 use super::instrument::InstrumentedOp;
 use super::join::{IndexNestedLoopJoinOp, JoinOp};
 use super::pipeline::{FilterOp, IndexScanOp, LimitOp, ProjectOp, ScanOp, UnionAllOp};
 use super::{BatchQueue, ExecContext, Operator};
-use crate::aggkernel::{AggSpec, GroupAgg};
+use crate::aggkernel::AggSpec;
 use crate::interp::positions;
 use crate::parallel::{GatherOp, PartitionSpec};
 use crate::sortkernel::resolve_keys;
 use fto_common::{ColId, DataType, Direction, FtoError, Result};
 use fto_expr::{PredId, RowLayout};
-use fto_planner::{GroupMethod, JoinKind, Plan, PlanNode};
+use fto_planner::{JoinKind, Plan, PlanNode};
 use fto_qgm::QueryGraph;
 use fto_storage::{HeapScanState, PageCursor};
 use std::sync::Arc;
@@ -101,16 +101,17 @@ fn partitionable(plan: &Plan) -> bool {
     }
 }
 
-/// Lowers a child subtree that its parent fully drains at `open` (the
-/// input of an enforcer without a satisfied prefix, a join build side, a
-/// hash group-by input). At parallel degree > 1 a partitionable subtree
-/// becomes a [`GatherOp`] that drains the P partition pipelines on worker
-/// threads and concatenates their outputs in partition order — which *is*
-/// the serial order, so parents observe the exact serial row stream. The
+/// Lowers the input of an order-consuming operator, which its parent
+/// streams over a satisfied prefix or, without one, fully `drained` at
+/// `open` (an enforcer's or a grouping's input, a join build side). At
+/// parallel degree > 1 a drained partitionable subtree becomes a
+/// [`GatherOp`] that drains the P partition pipelines on worker threads
+/// and concatenates their outputs in partition order — which *is* the
+/// serial order, so parents observe the exact serial row stream. The
 /// coordinator lowers nothing below a gather; it only steps `next_id`
 /// past the subtree (see [`LowerCx`]).
-fn lower_drained(plan: &Arc<Plan>, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
-    if lw.partition.is_some() || lw.threads == 1 || !partitionable(plan) {
+fn lower_input(plan: &Arc<Plan>, drained: bool, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
+    if !drained || lw.partition.is_some() || lw.threads == 1 || !partitionable(plan) {
         return lower_impl(plan, lw);
     }
     let base_id = lw.next_id;
@@ -134,10 +135,7 @@ fn lower_enforcer(
     lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
     let keys = resolve_keys(spec, &input.layout)?;
-    let child = match prefix_len {
-        0 => lower_drained(input, lw)?,
-        _ => lower_impl(input, lw)?,
-    };
+    let child = lower_input(input, prefix_len == 0, lw)?;
     let limit = limit.map(|n| n as usize);
     Ok(Box::new(EnforceOp::new(child, keys, prefix_len, limit)))
 }
@@ -165,10 +163,7 @@ fn lower_join(
     let ikeys = asc(positions(&inner.layout, inner_keys)?);
     let types = layout_types(lw.graph, &inner.layout)?;
     let outer_op = lower_impl(outer, lw)?;
-    let inner_op = match prefix_len {
-        0 => lower_drained(inner, lw)?,
-        _ => lower_impl(inner, lw)?,
-    };
+    let inner_op = lower_input(inner, prefix_len == 0, lw)?;
     Ok(Box::new(JoinOp::new(
         kind,
         (outer_op, okeys),
@@ -185,7 +180,7 @@ fn lower_join(
 /// [`Plan::children`] order, which is exactly pre-order — the numbering
 /// [`PlanMetrics`] documents. At parallel degree > 1 the coordinator
 /// lowers the partitionable inputs its breakers drain at `open` to a
-/// gather ([`lower_drained`]); worker threads then re-lower the gathered
+/// gather ([`lower_input`]); worker threads then re-lower the gathered
 /// subtrees via [`lower_worker`].
 pub(super) fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Operator>> {
     let id = lw.next_id;
@@ -280,27 +275,15 @@ pub(super) fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Op
             input,
             grouping,
             aggs,
-            method,
+            prefix_len,
         } => {
             let gpos = positions(&input.layout, grouping)?;
             let types = layout_types(lw.graph, &plan.layout)?;
             let spec = Arc::new(AggSpec::new(&gpos, aggs, input.layout.clone(), types));
-            match method {
-                GroupMethod::Stream => Box::new(StreamGroupByOp {
-                    child: lower_impl(input, lw)?,
-                    agg: GroupAgg::new(Arc::clone(&spec)),
-                    spec,
-                    open_key: Vec::new(),
-                    scratch: GroupScratch::default(),
-                    input_done: false,
-                    out: BatchQueue::default(),
-                }),
-                GroupMethod::Hash => Box::new(HashGroupByOp {
-                    child: lower_drained(input, lw)?,
-                    spec,
-                    out: BatchQueue::default(),
-                }),
-            }
+            // Without a satisfied prefix no group leaves before the input
+            // ends — unless there is nothing to group on.
+            let child = lower_input(input, *prefix_len == 0 && !grouping.is_empty(), lw)?;
+            Box::new(GroupByOp::new(child, spec, *prefix_len as usize))
         }
         PlanNode::UnionAll { inputs } => Box::new(UnionAllOp {
             children: inputs

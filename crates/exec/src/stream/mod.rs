@@ -290,10 +290,11 @@ fn passing(
 #[cfg(test)]
 mod tests {
     use super::enforce::EnforceOp;
-    use super::group::{group_spill_header, GroupScratch, HashGroupByOp, StreamGroupByOp};
+    use super::group::GroupByOp;
     use super::join::{JoinOp, JOIN_SPILL_GROUP_ROWS};
     use super::*;
-    use crate::aggkernel::{AggSpec, GroupAgg};
+    use crate::aggkernel::AggSpec;
+    use crate::extsort::seq_header;
     use crate::interp::run_plan_materialized;
     use crate::metrics::ExecStats;
     use crate::sortkernel::SortKeys;
@@ -303,7 +304,7 @@ mod tests {
     use fto_expr::Expr;
     use fto_order::StreamProps;
     use fto_planner::cost::Cost;
-    use fto_planner::{GroupMethod, JoinKind};
+    use fto_planner::JoinKind;
     use fto_storage::{spill, Database, PAGE_SIZE};
     use std::sync::Arc;
 
@@ -563,8 +564,8 @@ mod tests {
     #[test]
     fn empty_batches_are_not_input_to_a_global_aggregate() {
         // `select count(*), sum(c0)` over a child that yields one
-        // zero-row batch: one output row (0, NULL) from both group-bys,
-        // as from the interpreter; with a grouping column, none.
+        // zero-row batch: one output row (0, NULL) at every satisfied
+        // prefix, as from the interpreter; with a grouping column, none.
         use fto_expr::{AggCall, AggFunc};
         let db = test_db(1);
         let graph = QueryGraph::new();
@@ -579,23 +580,8 @@ mod tests {
         for gpos in [vec![], vec![0usize]] {
             let types = vec![int; gpos.len() + aggs.len()];
             let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone(), types));
-            let ops: [Box<dyn Operator>; 2] = [
-                Box::new(HashGroupByOp {
-                    child: feed(),
-                    spec: Arc::clone(&spec),
-                    out: BatchQueue::default(),
-                }),
-                Box::new(StreamGroupByOp {
-                    child: feed(),
-                    agg: GroupAgg::new(Arc::clone(&spec)),
-                    spec: Arc::clone(&spec),
-                    open_key: Vec::new(),
-                    scratch: GroupScratch::default(),
-                    input_done: false,
-                    out: BatchQueue::default(),
-                }),
-            ];
-            for mut op in ops {
+            for k in 0..=gpos.len() {
+                let mut op = GroupByOp::new(feed(), Arc::clone(&spec), k);
                 let mut rec = ExecRecord::default();
                 op.open(&cx, &mut rec).unwrap();
                 let mut rows = Vec::new();
@@ -789,11 +775,12 @@ mod tests {
     #[test]
     fn the_reference_ignores_order_claims() {
         // Two plans that claim an order their input lacks: a merge join
-        // over two scans of `v = row % 5`, and a stream group-by over one.
-        // The interpreter joins and groups by definition, so it answers
-        // each as it answers the honest plan (no prefix; hash); the
-        // streaming executor trusts the claim and answers otherwise — so
-        // the differential catches a wrong order claim.
+        // over two scans of `v = row % 5`, and a stream group-by over one
+        // — each a satisfied prefix of every key column. The interpreter
+        // joins and groups by definition, so it answers each as it
+        // answers the honest plan (no prefix); the streaming executor
+        // trusts the claim and answers otherwise — so the differential
+        // catches a wrong order claim.
         use fto_expr::{AggCall, AggFunc};
         let db = test_db(40);
         let ints: &[DataType] = &[DataType::Int, DataType::Int];
@@ -810,19 +797,16 @@ mod tests {
             };
             plan_node(node, &[0, 1, 2, 3])
         };
-        let group = |method| {
+        let group = |prefix_len| {
             let node = PlanNode::GroupBy {
                 input: scan_node(TableId(0), 0, &[0, 1]),
                 grouping: vec![ColId(1)],
                 aggs: vec![(ColId(2), AggCall::new(AggFunc::Count, Expr::int(1)))],
-                method,
+                prefix_len,
             };
             plan_node(node, &[1, 2])
         };
-        let plans = [
-            (join(0), join(1)),
-            (group(GroupMethod::Hash), group(GroupMethod::Stream)),
-        ];
+        let plans = [(join(0), join(1)), (group(0), group(1))];
         let config = OptimizerConfig::default();
         for (honest, claimed) in plans {
             let want = run_plan_materialized(&db, &graph, &honest).unwrap().rows;
@@ -946,6 +930,105 @@ mod tests {
     }
 
     #[test]
+    fn prefix_group_by_matches_the_interpreter_on_random_batch_cuts() {
+        // The grouping over a satisfied prefix of k of its two columns, at
+        // k = 0 (hash), 1 and 2 (stream), against the interpreter's
+        // first-seen grouping by definition, bit for bit — float sums
+        // included. (k = 1 is not planned yet; it runs the same code.) Keys
+        // hold NULLs, NaN of either sign and −0.0 beside 0.0, and `a` is
+        // an Int column in half the seeds and a Double one over the same
+        // numbers in the rest (2 and 2.0 encode alike); ties span random
+        // batch cuts. With and without aggregates (the latter a DISTINCT),
+        // at batch 1, 7 and 1024 under a budget of 1 B (every segment
+        // spills all its keys but the first), 1 KiB and none. The empty
+        // grouping — a global aggregate — runs over empty and non-empty
+        // input.
+        use crate::interp::group_by;
+        use crate::sortkernel::sort_rows;
+        use fto_expr::{AggCall, AggFunc};
+        let db = test_db(1);
+        let graph = QueryGraph::new();
+        let layout = RowLayout::new(vec![ColId(0), ColId(1), ColId(2)]);
+        let x = || Expr::col(ColId(2));
+        let aggs = vec![
+            (ColId(3), AggCall::new(AggFunc::Count, Expr::int(1))),
+            (ColId(4), AggCall::new(AggFunc::Sum, x())),
+            (ColId(5), AggCall::new(AggFunc::Max, x())),
+            (ColId(6), AggCall::new(AggFunc::Count, x()).distinct()),
+        ];
+        let (int, dbl) = (DataType::Int, DataType::Double);
+        let agg_types = [int, dbl, dbl, int];
+        let doubles = [f64::NAN, -f64::NAN, -0.0, 0.0, 2.0, 1.5];
+        for seed in 0..12u64 {
+            let mut rng = fto_common::Rng::new(0x6b0f ^ seed);
+            let n = match seed % 4 {
+                0 => 1100,
+                1 => 0,
+                _ => rng.range_usize(1, 300),
+            };
+            let types = [[int, dbl][seed as usize % 2], dbl, dbl];
+            let rows: Vec<Row> = (0..n)
+                .map(|_| {
+                    let a = match (rng.chance(0.1), types[0]) {
+                        (true, _) => Value::Null,
+                        (_, DataType::Int) => Value::Int(rng.range_i64(0, 4)),
+                        _ => Value::Double(rng.range_i64(0, 4) as f64),
+                    };
+                    let b = match rng.chance(0.1) {
+                        true => Value::Null,
+                        false => Value::Double(doubles[rng.range_usize(0, doubles.len())]),
+                    };
+                    let x = match rng.chance(0.1) {
+                        true => Value::Null,
+                        false => Value::Double(rng.range_f64(-3.0, 3.0)),
+                    };
+                    [a, b, x].into_iter().collect()
+                })
+                .collect();
+            let keys: SortKeys = vec![(0, Direction::Asc), (1, Direction::Asc)];
+            // (grouping positions, aggregates, satisfied prefix).
+            let mut cases = vec![(vec![], aggs.clone(), 0)];
+            for aggs in [aggs.clone(), vec![]] {
+                for k in 0..=2 {
+                    cases.push((vec![0usize, 1], aggs.clone(), k));
+                }
+            }
+            for (gpos, aggs, k) in cases {
+                // The input satisfies the first k grouping columns.
+                let mut input = rows.clone();
+                sort_rows(&mut input, &keys[..k].to_vec());
+                let grouping: Vec<ColId> = gpos.iter().map(|&p| ColId(p as u32)).collect();
+                let want = exact(&group_by(&input, &layout, &grouping, &aggs).unwrap());
+                let out_types: Vec<DataType> = gpos.iter().map(|&p| types[p]).collect();
+                let out_types = [out_types, agg_types[..aggs.len()].to_vec()].concat();
+                let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone(), out_types));
+                let case = format!(
+                    "seed={seed} n={n} grouping={gpos:?} aggs={} k={k}",
+                    aggs.len()
+                );
+                for batch_size in [1usize, 7, 1024] {
+                    for memory_budget in [Some(1usize), Some(1 << 10), None] {
+                        let mut batches = VecDeque::new();
+                        let mut at = 0;
+                        while at < n {
+                            let len = [1, 1, rng.range_usize(2, 40), 1024][rng.range_usize(0, 4)];
+                            let end = (at + len).min(n);
+                            batches.push_back(
+                                Batch::from_typed_rows(&types, &input[at..end]).unwrap(),
+                            );
+                            at = end;
+                        }
+                        let opts = knobs(batch_size, 1, memory_budget);
+                        let cx = ExecContext::new(&db, &graph, &opts);
+                        let op = GroupByOp::new(Box::new(Feed(batches)), Arc::clone(&spec), k);
+                        assert_eq!(exact(&drain(Box::new(op), &cx)), want, "{case} {opts:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn limit_over_a_merge_join_stops_both_inputs_early() {
         // A merge join returns as soon as a prefix group has queued
         // output, so a LIMIT above it stops both inputs early. Over
@@ -995,6 +1078,60 @@ mod tests {
     }
 
     #[test]
+    fn limit_over_a_stream_group_by_stops_its_input_early() {
+        // A grouping whose input satisfies every grouping column streams:
+        // the groups an input batch closes leave with it, and the input
+        // is never gathered, so a LIMIT above stops the scan early at
+        // every degree. Over `d = row / 7` (groups cross batch boundaries
+        // at batch 16) each scan batch closes two groups: a LIMIT of 5
+        // takes the first three batches, and the rows the scan read and
+        // every operator's rows and batches are the pinned ones.
+        use fto_expr::{AggCall, AggFunc};
+        let mut cat = fto_catalog::Catalog::new();
+        let int = |name| fto_catalog::ColumnDef::new(name, DataType::Int);
+        let u = cat
+            .create_table("u", vec![int("d"), int("w")], vec![])
+            .unwrap();
+        let mut db = Database::new(cat);
+        let rows = (0..2000i64).map(|i| vec![Value::Int(i / 7), Value::Int(i)].into_boxed_slice());
+        db.load_table(u, rows.collect()).unwrap();
+        // The second quantifier only declares `c2`, the sum's column.
+        let ints: &[DataType] = &[DataType::Int, DataType::Int];
+        let graph = base_graph(&[(u, ints), (u, ints)]);
+        let group = PlanNode::GroupBy {
+            input: scan_node(u, 0, &[0, 1]),
+            grouping: vec![ColId(0)],
+            aggs: vec![(ColId(2), AggCall::new(AggFunc::Sum, Expr::col(ColId(1))))],
+            prefix_len: 1,
+        };
+        let input = plan_node(group, &[0, 2]);
+        let limit = plan_node(PlanNode::Limit { input, n: 5 }, &[0, 2]);
+        let want = run_plan_materialized(&db, &graph, &limit).unwrap().rows;
+        for threads in [1usize, 2] {
+            let cx = ExecContext::new(&db, &graph, &knobs(16, threads, None));
+            let mut rec = ExecRecord::new(None, limit.count_ops(&|_| true), None);
+            let (batches, _) = drive(&cx, &limit, &mut rec).unwrap();
+            let mut got = Vec::new();
+            batches.iter().for_each(|b| b.append_rows_to(&mut got));
+            assert_eq!(got, want, "threads={threads}");
+            let rows_read = rec.stats.io.rows_read;
+            let metrics = plan_metrics(&limit, rec.ops);
+            let ops: Vec<(&str, u64, u64)> = metrics
+                .ops
+                .iter()
+                .map(|m| (m.name.as_str(), m.rows, m.batches))
+                .collect();
+            assert_eq!(rows_read, 48, "threads={threads}");
+            let expect = [
+                ("limit", 5, 3),
+                ("group-by(stream)", 6, 3),
+                ("table-scan", 48, 3),
+            ];
+            assert_eq!(ops, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn truncated_group_spill_record_is_an_error() {
         let mut rec = Vec::new();
         rec.extend_from_slice(&2u32.to_le_bytes());
@@ -1002,11 +1139,11 @@ mod tests {
         rec.extend_from_slice(&9u64.to_le_bytes());
         rec.extend_from_slice(b"pages");
         let mut seqs = vec![1, 2, 3];
-        assert_eq!(group_spill_header(&rec, &mut seqs).unwrap(), 20);
+        assert_eq!(seq_header(&rec, &mut seqs).unwrap(), 20);
         assert_eq!(seqs, [7, 9]);
         // Cut inside the count, and inside the sequence numbers.
         for cut in [0usize, 3, 4, 19] {
-            let err = group_spill_header(&rec[..cut], &mut seqs).unwrap_err();
+            let err = seq_header(&rec[..cut], &mut seqs).unwrap_err();
             assert!(matches!(err, FtoError::Exec(_)), "cut {cut}: {err:?}");
         }
     }

@@ -15,8 +15,9 @@
 //! * **sort placement** — when a sort is unavoidable, *Reduce Order*
 //!   yields the minimal sorting columns, and *Test Order* detects sorts
 //!   that can be skipped entirely ([`planner`]);
-//! * **group-by / distinct method choice** — order-based and hash-based
-//!   alternatives are costed against each other, with §7 degrees of
+//! * **group-by / distinct over a satisfied prefix** — the order-based
+//!   candidate (input ordered on every grouping column) and the hash-based
+//!   one (on none) are costed against each other, with §7 degrees of
 //!   freedom deciding whether an existing order suffices.
 //!
 //! [`OptimizerConfig::order_optimization`] switches the machinery off
@@ -34,5 +35,5 @@ pub mod planner;
 
 pub use config::{OptimizerConfig, PlannerStats};
 pub use cost::Cost;
-pub use plan::{GroupMethod, JoinKind, Plan, PlanNode, ScanRange};
+pub use plan::{JoinKind, Plan, PlanNode, ScanRange};
 pub use planner::Planner;

@@ -137,18 +137,20 @@ pub enum PlanNode {
         /// inputs are ordered on (ascending).
         prefix_len: u32,
     },
-    /// Grouping. DISTINCT is a grouping on every column with no
-    /// aggregates.
+    /// Grouping over a satisfied prefix: rows sharing the values of the
+    /// first `prefix_len` grouping columns arrive contiguously, and each
+    /// such segment groups on the rest — `group-by(stream)` at every
+    /// column (a global aggregate included), `group-by(hash)` at none.
+    /// DISTINCT is a grouping on every column with no aggregates.
     GroupBy {
-        /// Input plan; for [`GroupMethod::Stream`], ordered so groups are
-        /// contiguous.
+        /// Input plan.
         input: Arc<Plan>,
         /// Grouping columns.
         grouping: Vec<ColId>,
         /// Aggregate outputs: (result column, call).
         aggs: Vec<(ColId, AggCall)>,
-        /// Order-based or hash-based.
-        method: GroupMethod,
+        /// How many leading `grouping` columns the input's order satisfies.
+        prefix_len: u32,
     },
     /// Bag union of inputs with identical layouts.
     UnionAll {
@@ -173,15 +175,6 @@ pub enum JoinKind {
     LeftOuter,
 }
 
-/// How a [`PlanNode::GroupBy`] finds a row's group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GroupMethod {
-    /// Groups are contiguous in the input: `group-by(stream)`.
-    Stream,
-    /// A hash table over the grouping columns: `group-by(hash)`.
-    Hash,
-}
-
 /// A plan node together with its stream metadata.
 #[derive(Clone, Debug)]
 pub struct Plan {
@@ -203,9 +196,9 @@ const _: fn() = || {
     ok::<Plan>();
 };
 
-// Join enumeration clones plans by the ten thousand (`j5`: ~47 k), so a
-// fatter node is a planning-time regression: 96 bytes before the enforcer,
-// join and grouping variants were folded, 96 after.
+// Join enumeration allocates one node per candidate plan (`j5` makes
+// 13 290, shared by `Arc`, never copied), so a fatter node costs planning
+// time and memory: 96 bytes before the variants were folded, 96 after.
 const _: () = assert!(std::mem::size_of::<PlanNode>() <= 96);
 
 impl Plan {
@@ -232,10 +225,12 @@ impl Plan {
                 JoinKind::Inner if outer_keys.is_empty() => "nested-loop-join",
                 JoinKind::Inner => "hash-join",
             },
-            PlanNode::GroupBy { method, .. } => match method {
-                GroupMethod::Stream => "group-by(stream)",
-                GroupMethod::Hash => "group-by(hash)",
-            },
+            PlanNode::GroupBy {
+                grouping,
+                prefix_len,
+                ..
+            } if *prefix_len as usize == grouping.len() => "group-by(stream)",
+            PlanNode::GroupBy { .. } => "group-by(hash)",
             PlanNode::UnionAll { .. } => "union-all",
             PlanNode::Limit { .. } => "limit",
         }
@@ -613,6 +608,29 @@ mod tests {
                 plan.explain(&name)
             );
             assert_eq!(plan.children().len(), 2);
+        }
+    }
+
+    #[test]
+    fn group_by_is_named_by_its_satisfied_prefix() {
+        // Streaming when the input satisfies every grouping column — the
+        // empty grouping of a global aggregate included — hashing
+        // otherwise.
+        let scan = Arc::new(leaf());
+        for (grouping, prefix_len, op) in [
+            (vec![0, 1], 2, "group-by(stream)"),
+            (vec![0, 1], 1, "group-by(hash)"),
+            (vec![0, 1], 0, "group-by(hash)"),
+            (vec![], 0, "group-by(stream)"),
+        ] {
+            let node = PlanNode::GroupBy {
+                input: scan.clone(),
+                grouping: grouping.into_iter().map(ColId).collect(),
+                aggs: vec![],
+                prefix_len,
+            };
+            let plan = Plan { node, ..leaf() };
+            assert_eq!(plan.op_name(), op, "prefix_len={prefix_len}");
         }
     }
 

@@ -11,7 +11,7 @@ use crate::cardinality::CardEstimator;
 use crate::config::{OptimizerConfig, PlannerStats};
 use crate::cost::{self, Cost};
 use crate::join;
-use crate::plan::{GroupMethod, JoinKind, Plan, PlanNode};
+use crate::plan::{JoinKind, Plan, PlanNode};
 use fto_catalog::Catalog;
 use fto_common::{ColId, ColSet, FtoError, IndexId, Result};
 use fto_expr::{AggCall, Expr, PredId, RowLayout};
@@ -366,15 +366,19 @@ impl<'a> Planner<'a> {
                 .estimator()
                 .group_count(grouping, child.cost.rows)
                 .max(1.0);
-            // The order-based grouping keeps its input's order on the
-            // grouping columns; the hash-based one promises none.
-            let group_by = |input: Arc<Plan>, method: GroupMethod| {
-                let (order, work) = match method {
-                    GroupMethod::Stream => (
+            // The order-based grouping satisfies every grouping column
+            // and keeps its input's order; the hash-based one satisfies
+            // none and promises no order. (Without grouping columns both
+            // are the order-based one, still priced as they were planned.)
+            let group_by = |input: Arc<Plan>, ordered: bool| {
+                let (prefix_len, order, work) = match ordered {
+                    true => (
+                        grouping.len(),
                         input.props.order.clone(),
                         cost::stream_group_by(input.cost.rows),
                     ),
-                    GroupMethod::Hash => (
+                    false => (
+                        0,
                         OrderSpec::empty(),
                         cost::hash_group_by(input.cost.rows, groups),
                     ),
@@ -386,7 +390,7 @@ impl<'a> Planner<'a> {
                         input,
                         grouping: grouping.to_vec(),
                         aggs: aggs.to_vec(),
-                        method,
+                        prefix_len: prefix_len as u32,
                     },
                     layout: out_layout.clone(),
                 })
@@ -402,12 +406,12 @@ impl<'a> Planner<'a> {
                 let spec = flex.concretize(&child.props.order, ctx);
                 self.add_sort(Arc::clone(&child), &spec)
             };
-            plans.push(group_by(streaming_child, GroupMethod::Stream));
+            plans.push(group_by(streaming_child, true));
 
             // Hash-based alternative (paper §5.1: recording an input order
             // requirement "does not preclude hash-based GROUP BY").
             if self.config.enable_hash_grouping {
-                plans.push(group_by(child, GroupMethod::Hash));
+                plans.push(group_by(child, false));
             }
         }
         for p in &plans {
