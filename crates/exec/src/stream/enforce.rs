@@ -2,12 +2,12 @@
 //! and top-n as one operator over a satisfied prefix.
 
 use super::{Batch, ExecContext, Operator};
-use crate::extsort::{RunFormer, Sorted};
+use crate::extsort::{RunFormer, SortedOut};
 use crate::metrics::ExecRecord;
-use crate::sortkernel::SortKeys;
+use crate::sortkernel::{order, KeyArena, SortKeys};
 use fto_common::column::encode_batch_keys_arena;
 use fto_common::Result;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The order enforcer — the operator behind [`PlanNode::Sort`]. Its input
 /// already satisfies the first `pkeys` of the required order (possibly
@@ -15,28 +15,37 @@ use std::collections::VecDeque;
 /// prefix value are contiguous: groups are cut on encoded-prefix byte
 /// equality (the codec is injective up to `total_cmp`, so it cuts exactly
 /// the groups `Value` equality would), each group is ordered on `skeys`
-/// alone by the permutation kernel through a [`RunFormer`] — under the
-/// memory budget an oversized group seals and spills runs and streams
-/// back as their merge — and groups leave in arrival order, which
-/// reproduces the global stable sort bit for bit.
+/// alone by the permutation kernel, and groups leave in arrival order,
+/// which reproduces the global stable sort bit for bit. A group that
+/// opens and closes inside one input batch, within the memory budget, is
+/// ordered in place over the batch's own key arena; any other group goes
+/// through a [`RunFormer`] — under the budget an oversized group seals
+/// and spills runs and streams back as their merge. Both order with the
+/// one [`order`] routine, and the groups an input batch closes leave
+/// together, gathered once.
 ///
 /// | `Plan::op_name` | `pkeys` | `limit` | behaviour |
 /// |---|---|---|---|
 /// | `sort` | none | none | one group that closes at end of input: drains at `open` |
-/// | `segmented-sort` | `prefix_len` | none | streams group by group; `LIMIT` above stops the input |
+/// | `segmented-sort` | `prefix_len` | none | streams batch by batch (closed groups leave together); `LIMIT` above stops the input |
 /// | `top-n` | none | n | drains at `open`, keeping only the best n candidates |
 pub(super) struct EnforceOp {
     pub(super) child: Box<dyn Operator>,
     pub(super) pkeys: SortKeys,
     pub(super) skeys: SortKeys,
     pub(super) limit: Option<usize>,
-    /// The open group's buffered rows and spilled runs.
+    /// The buffered rows and spilled runs of a group that spans batches
+    /// or outgrows the budget.
     pub(super) former: RunFormer,
     /// Encoded prefix of the open group (meaningful while `group_open`).
     pub(super) lead: Vec<u8>,
     pub(super) group_open: bool,
+    /// The current input batch's suffix keys.
+    pub(super) keys: KeyArena,
+    /// One in-place group's permutation (scratch).
+    pub(super) perm: Vec<u32>,
     /// Finished groups not yet emitted, in arrival order.
-    pub(super) out: VecDeque<Sorted>,
+    pub(super) out: SortedOut,
     pub(super) input_done: bool,
 }
 
@@ -56,18 +65,17 @@ impl EnforceOp {
             former: RunFormer::new(usize::MAX, limit),
             lead: Vec::new(),
             group_open: false,
-            out: VecDeque::new(),
+            keys: KeyArena::default(),
+            perm: Vec::new(),
+            out: SortedOut::default(),
             input_done: false,
         }
     }
 
-    /// Ends the open group (no-op without one): its sorted rows queue for
-    /// emission. A segmented sort counts the group formed — what EXPLAIN
-    /// ANALYZE shows next to the planner's estimate.
-    fn finish_group(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        if !std::mem::take(&mut self.group_open) {
-            return Ok(());
-        }
+    /// Counts a closed prefix group formed — what EXPLAIN ANALYZE shows
+    /// next to the planner's estimate. A full sort forms none.
+    fn count_group(&mut self, rec: &mut ExecRecord) {
+        self.group_open = false;
         if !self.pkeys.is_empty() {
             rec.mark(
                 |s| &mut s.segment.groups_formed,
@@ -75,19 +83,49 @@ impl EnforceOp {
                 "segment.group_sealed",
             );
         }
-        self.former.finish(cx.batch_size, &mut self.out, rec)
     }
 
-    /// Pulls one input batch into the open group, finishing a group at
-    /// every prefix boundary — or, at end of input, finishes the last.
+    /// Ends the open group, whose last rows are `rows` of `batch` — the
+    /// first source of `out`'s selection: ordered in place when the former
+    /// holds none of the group and would take it whole, through the former
+    /// otherwise.
+    fn close_group(
+        &mut self,
+        batch: &Batch,
+        rows: Range<usize>,
+        cx: &ExecContext<'_>,
+        rec: &mut ExecRecord,
+    ) -> Result<()> {
+        if !self.former.takes_whole(batch, rows.clone(), &self.keys) {
+            self.former.push_rows(batch, rows, &self.keys, rec)?;
+            self.count_group(rec);
+            return self.former.finish(cx.batch_size, &mut self.out, rec);
+        }
+        self.count_group(rec);
+        rec.stats.io.sort_rows += rows.len() as u64;
+        self.perm.clear();
+        self.perm.extend(rows.start as u32..rows.end as u32);
+        order(&self.keys, &mut self.perm, None, &mut rec.stats.sort);
+        self.out.picked.pick(0, &self.perm);
+        Ok(())
+    }
+
+    /// Pulls one input batch, closing a group at every prefix boundary and
+    /// buffering the group still open at its end — or, at end of input,
+    /// finishes the last group — then gathers the closed groups' rows.
     fn pull(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         let Some(batch) = self.child.next_batch(cx, rec)? else {
             self.input_done = true;
             self.child.close(rec);
-            return self.finish_group(cx, rec);
+            if self.group_open {
+                self.count_group(rec);
+                self.former.finish(cx.batch_size, &mut self.out, rec)?;
+            }
+            return self.out.flush(cx.batch_size);
         };
-        let (mut sb, mut so) = (Vec::new(), Vec::new());
-        encode_batch_keys_arena(&batch, &self.skeys, &mut sb, &mut so);
+        self.keys.encode(&batch, &self.skeys);
+        self.out.picked.clear();
+        self.out.picked.add_source(&batch);
         let mut lo = 0;
         if !self.pkeys.is_empty() {
             let (mut pb, mut po) = (Vec::new(), Vec::new());
@@ -97,8 +135,7 @@ impl EnforceOp {
             for i in 0..batch.len() {
                 let prefix = &pb[po[i]..po[i + 1]];
                 if self.group_open && prefix != prev {
-                    self.former.push_rows(&batch, lo..i, &sb, &so, rec)?;
-                    self.finish_group(cx, rec)?;
+                    self.close_group(&batch, lo..i, cx, rec)?;
                     lo = i;
                 }
                 self.group_open = true;
@@ -108,7 +145,8 @@ impl EnforceOp {
         }
         self.group_open |= !batch.is_empty();
         self.former
-            .push_rows(&batch, lo..batch.len(), &sb, &so, rec)
+            .push_rows(&batch, lo..batch.len(), &self.keys, rec)?;
+        self.out.flush(cx.batch_size)
     }
 }
 
@@ -116,7 +154,7 @@ impl Operator for EnforceOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.former = RunFormer::new(cx.memory_budget.unwrap_or(usize::MAX), self.limit);
         self.group_open = false;
-        self.out = VecDeque::new();
+        self.out = SortedOut::default();
         self.input_done = false;
         self.child.open(cx, rec)?;
         // Without a satisfied prefix nothing can leave before the input
@@ -128,27 +166,21 @@ impl Operator for EnforceOp {
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
+        // Drain finished groups first, in arrival order.
         loop {
-            // Drain finished groups first, in arrival order.
-            match self.out.pop_front() {
-                Some(Sorted::Batch(batch)) => return Ok(Some(batch)),
-                Some(Sorted::Spilled(mut merge)) => {
-                    // The final merge streams: the sorted group is never
-                    // materialized whole, only one batch at a time.
-                    if let Some(batch) = merge.next_batch(cx.batch_size, &mut rec.stats)? {
-                        self.out.push_front(Sorted::Spilled(merge));
-                        return Ok(Some(batch));
-                    }
-                }
-                None if self.input_done => return Ok(None),
-                None => self.pull(cx, rec)?,
+            if let Some(batch) = self.out.next_batch(cx.batch_size, &mut rec.stats)? {
+                return Ok(Some(batch));
             }
+            if self.input_done {
+                return Ok(None);
+            }
+            self.pull(cx, rec)?;
         }
     }
 
     fn close(&mut self, rec: &mut ExecRecord) {
         self.former = RunFormer::new(usize::MAX, self.limit);
-        self.out = VecDeque::new();
+        self.out = SortedOut::default();
         self.child.close(rec);
     }
 }

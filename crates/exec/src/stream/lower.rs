@@ -125,8 +125,11 @@ fn lower_input(plan: &Arc<Plan>, drained: bool, lw: &mut LowerCx<'_>) -> Result<
 
 /// Lowers a [`PlanNode::Sort`], whose input satisfies the first
 /// `prefix_len` keys of `spec`. Without a satisfied prefix the enforcer
-/// drains its input at `open`; with one it streams group by group, so a
-/// `LIMIT` above it keeps its early exit at every degree.
+/// drains its input at `open`; with one it streams batch by batch (closed
+/// groups leave together), so a `LIMIT` above it keeps its early exit at
+/// every degree. A limit fuses into the full sort alone (top-n): the
+/// planner puts a `Limit` above a segmented sort, and no other shape is
+/// lowered.
 fn lower_enforcer(
     input: &Arc<Plan>,
     spec: &fto_order::OrderSpec,
@@ -134,6 +137,9 @@ fn lower_enforcer(
     limit: Option<u64>,
     lw: &mut LowerCx<'_>,
 ) -> Result<Box<dyn Operator>> {
+    if prefix_len > 0 && limit.is_some() {
+        return Err(FtoError::internal("a segmented sort takes no fused limit"));
+    }
     let keys = resolve_keys(spec, &input.layout)?;
     let child = lower_input(input, prefix_len == 0, lw)?;
     let limit = limit.map(|n| n as usize);

@@ -32,8 +32,9 @@
 //! [`PlanNode::Join`] materializes only its *inner* (build) side — under
 //! the memory budget, spilling what does not fit; the outer side streams.
 //! With a satisfied prefix it holds one prefix group of the inner at a
-//! time. Everything else — filter, project, segmented sort (group by
-//! group), order-based group-by, limit, union — is fully streaming.
+//! time. Everything else — filter, project, segmented sort (batch by
+//! batch: the groups an input batch closes leave together), order-based
+//! group-by, limit, union — is fully streaming.
 //!
 //! The executor is row-for-row equivalent to the materializing reference
 //! interpreter in [`crate::interp`] (enforced by the differential test
@@ -612,15 +613,23 @@ mod tests {
     }
 
     /// Opens, drains and closes `op`, checking its emission contract.
-    fn drain(mut op: Box<dyn Operator>, cx: &ExecContext<'_>) -> Vec<Row> {
-        let mut rec = ExecRecord::default();
-        op.open(cx, &mut rec).unwrap();
+    fn drain(op: Box<dyn Operator>, cx: &ExecContext<'_>) -> Vec<Row> {
+        drain_into(op, cx, &mut ExecRecord::default())
+    }
+
+    /// [`drain`], charging what `op` does to `rec`.
+    fn drain_into(
+        mut op: Box<dyn Operator>,
+        cx: &ExecContext<'_>,
+        rec: &mut ExecRecord,
+    ) -> Vec<Row> {
+        op.open(cx, rec).unwrap();
         let mut rows = Vec::new();
-        while let Some(batch) = op.next_batch(cx, &mut rec).unwrap() {
+        while let Some(batch) = op.next_batch(cx, rec).unwrap() {
             assert!(!batch.is_empty() && batch.len() <= cx.batch_size);
             batch.append_rows_to(&mut rows);
         }
-        op.close(&mut rec);
+        op.close(rec);
         rows
     }
 
@@ -737,6 +746,186 @@ mod tests {
                         assert_eq!(exact(&got), want, "{case} {opts:?}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_sort_matches_the_interpreter_on_random_batch_cuts() {
+        // The enforcer over a satisfied prefix of k ∈ {1, 2} of its three
+        // keys, against the interpreter's stable sort bit for bit. Groups
+        // of `a` hold 1 row, 2–5 rows, 6–20 rows (spanning two or three
+        // batches at the small cuts) and 40 rows (a charge past 1 KiB);
+        // `b` holds NULL, NaN of either sign, −0.0 beside 0.0 and ties
+        // (a prefix at k = 2, so equal keys of different bits share a
+        // group), and `c` is an Int column in half the seeds and a Double
+        // one over the same numbers in the rest (2 and 2.0 encode alike).
+        // At batch 1, 7 and 1024 under a budget of 1 B (every group of two
+        // rows or more spills), 1 KiB and none, the sort, spill and
+        // segment counters must equal a per-group reference: each group
+        // fed whole to its own run former, as one `SortBuf::ordered` when
+        // nothing spills — whichever groups were ordered in place.
+        use crate::extsort::{RunFormer, SortedOut};
+        use crate::sortkernel::{sort_rows, KeyArena};
+        let db = test_db(1);
+        let graph = QueryGraph::new();
+        let (int, dbl) = (DataType::Int, DataType::Double);
+        let doubles = [f64::NAN, -f64::NAN, -0.0, 0.0, 2.0, 1.5];
+        // Groups of `a` seen spanning exactly two and three input batches.
+        let mut spans = [0usize; 2];
+        for seed in 0..8u64 {
+            let mut rng = fto_common::Rng::new(0x5e65 ^ seed);
+            let types = [int, dbl, [int, dbl][seed as usize % 2], int];
+            let mut rows: Vec<Row> = Vec::new();
+            for g in 0..rng.range_usize(8, 40) {
+                let size = match rng.range_usize(0, 4) {
+                    0 => 1,
+                    1 => rng.range_usize(2, 6),
+                    2 => rng.range_usize(6, 21),
+                    _ => 40,
+                };
+                let a = match g {
+                    0 => Value::Null,
+                    _ => Value::Int(g as i64),
+                };
+                for _ in 0..size {
+                    let b = match rng.chance(0.15) {
+                        true => Value::Null,
+                        false => Value::Double(doubles[rng.range_usize(0, doubles.len())]),
+                    };
+                    let c = match (rng.range_usize(0, 8), types[2]) {
+                        (0, _) => Value::Null,
+                        (_, DataType::Int) => Value::Int(rng.range_i64(0, 4)),
+                        (1, _) => Value::Double(f64::NAN),
+                        (2, _) => Value::Double(-0.0),
+                        _ => Value::Double(rng.range_i64(0, 4) as f64),
+                    };
+                    let id = Value::Int(rows.len() as i64);
+                    rows.push([a.clone(), b, c, id].into_iter().collect());
+                }
+            }
+            let n = rows.len();
+            let dir = |rng: &mut fto_common::Rng| match rng.bool() {
+                true => Direction::Asc,
+                false => Direction::Desc,
+            };
+            let keys: SortKeys = (0..3).map(|c| (c, dir(&mut rng))).collect();
+            for k in 1..=2usize {
+                // The input satisfies the first k keys, and only those.
+                let mut input = rows.clone();
+                sort_rows(&mut input, &keys[..k].to_vec());
+                let mut want = input.clone();
+                sort_rows(&mut want, &keys);
+                let same_prefix = |x: &Row, y: &Row| {
+                    keys[..k]
+                        .iter()
+                        .all(|&(c, _)| x[c].total_cmp(&y[c]).is_eq())
+                };
+                let groups: Vec<&[Row]> = input.chunk_by(|x, y| same_prefix(x, y)).collect();
+                let mut cuts = vec![0];
+                while cuts[cuts.len() - 1] < n {
+                    let len = [1, rng.range_usize(2, 8), rng.range_usize(8, 30), 1024];
+                    cuts.push((cuts[cuts.len() - 1] + len[rng.range_usize(0, 4)]).min(n));
+                }
+                if k == 1 {
+                    let mut lo = 0;
+                    for g in &groups {
+                        let (first, last) = (lo, lo + g.len() - 1);
+                        let batch_of = |i| cuts.partition_point(|&c| c <= i);
+                        match batch_of(last) - batch_of(first) {
+                            1 => spans[0] += 1,
+                            2 => spans[1] += 1,
+                            _ => {}
+                        }
+                        lo += g.len();
+                    }
+                }
+                let batches: Vec<Batch> = cuts
+                    .windows(2)
+                    .map(|w| Batch::from_typed_rows(&types, &input[w[0]..w[1]]).unwrap())
+                    .collect();
+                let skeys = keys[k..].to_vec();
+                for batch_size in [1usize, 7, 1024] {
+                    for memory_budget in [Some(1usize), Some(1 << 10), None] {
+                        let case = format!(
+                            "seed={seed} n={n} k={k} batch={batch_size} budget={memory_budget:?}"
+                        );
+                        let opts = knobs(batch_size, 1, memory_budget);
+                        let cx = ExecContext::new(&db, &graph, &opts);
+                        let feed = Box::new(Feed(batches.iter().cloned().collect()));
+                        let op = EnforceOp::new(feed, keys.clone(), k, None);
+                        let mut rec = ExecRecord::default();
+                        let got = drain_into(Box::new(op), &cx, &mut rec);
+                        assert_eq!(exact(&got), exact(&want), "{case}");
+                        // The reference: one former per group, fed it whole.
+                        let mut refs = ExecRecord::default();
+                        let mut arena = KeyArena::default();
+                        for g in &groups {
+                            let batch = Batch::from_typed_rows(&types, g).unwrap();
+                            arena.encode(&batch, &skeys);
+                            let mut former =
+                                RunFormer::new(memory_budget.unwrap_or(usize::MAX), None);
+                            former
+                                .push_rows(&batch, 0..g.len(), &arena, &mut refs)
+                                .unwrap();
+                            refs.stats.segment.groups_formed += 1;
+                            let mut out = SortedOut::default();
+                            former.finish(batch_size, &mut out, &mut refs).unwrap();
+                            out.flush(batch_size).unwrap();
+                            while out
+                                .next_batch(batch_size, &mut refs.stats)
+                                .unwrap()
+                                .is_some()
+                            {}
+                        }
+                        let counts = |s: &ExecStats| (s.sort, s.io.sort_rows, s.segment, s.spill);
+                        assert_eq!(counts(&rec.stats), counts(&refs.stats), "{case}");
+                    }
+                }
+            }
+        }
+        assert!(
+            spans.iter().all(|&s| s > 0),
+            "groups spanning 2 and 3 batches: {spans:?}"
+        );
+    }
+
+    #[test]
+    fn a_segmented_sort_with_a_fused_limit_is_refused_at_lowering() {
+        // The planner puts a `Limit` above a segmented sort and fuses a
+        // limit into the full sort alone (top-n), so the enforcer never
+        // has to honour a limit within prefix groups: lowering refuses the
+        // unplanned shape with a typed error.
+        let db = test_db(10);
+        let graph = QueryGraph::new();
+        let cx = ExecContext::new(&db, &graph, &OptimizerConfig::default());
+        let spec: fto_order::OrderSpec = [ColId(0), ColId(1)]
+            .map(|col| fto_order::SortKey {
+                col,
+                dir: Direction::Asc,
+            })
+            .into_iter()
+            .collect();
+        for (prefix_len, limit) in [(0, None), (0, Some(3)), (1, None), (1, Some(3))] {
+            let sort = PlanNode::Sort {
+                input: scan_plan(),
+                spec: spec.clone(),
+                prefix_len,
+                est_groups: 1,
+                limit,
+            };
+            let plan = plan_node(sort, &[0, 1]);
+            let mut rec = ExecRecord::default();
+            match (
+                drive(&cx, &plan, &mut rec),
+                prefix_len > 0 && limit.is_some(),
+            ) {
+                (Ok((batches, _)), false) => {
+                    let rows: usize = batches.iter().map(Batch::len).sum();
+                    assert_eq!(rows, limit.unwrap_or(10) as usize);
+                }
+                (Err(FtoError::Internal(_)), true) => {}
+                (got, _) => panic!("prefix_len={prefix_len} limit={limit:?}: {:?}", got.err()),
             }
         }
     }

@@ -70,7 +70,7 @@ pub enum PlanNode {
     /// | `prefix_len` | `limit` | [`Plan::op_name`] | |
     /// |---|---|---|---|
     /// | 0 | `None` | `sort` | full sort |
-    /// | k > 0 | `None` | `segmented-sort` | the input already satisfies the first k keys, so rows arrive grouped by them and only the suffix is sorted, one group at a time — streaming, same output as the full stable sort |
+    /// | k > 0 | `None` | `segmented-sort` | the input already satisfies the first k keys, so rows arrive grouped by them and only the suffix is sorted, group by group — streaming batch by batch (the groups an input batch closes leave together), same output as the full stable sort |
     /// | 0 | `Some(n)` | `top-n` | the first n rows under `spec`, by selection rather than a full sort |
     Sort {
         /// Input plan, ordered on the spec's first `prefix_len` keys.

@@ -142,10 +142,10 @@ fn segmented_sort_reports_groups_formed() {
 
 #[test]
 fn segmented_sort_under_limit_stops_early() {
-    // The streaming property the segmented enforcer buys: one group is
-    // buffered at a time, so a LIMIT above it stops pulling the clustered
-    // index scan after the first group(s) — strictly fewer rows read than
-    // the unlimited query.
+    // The streaming property the segmented enforcer buys: it pulls one
+    // input batch at a time and emits the groups that batch closes, so a
+    // LIMIT above it stops pulling the clustered index scan after the
+    // first batch — the rows read are pinned.
     let db = tpcd_db();
     let base = TPCD_SEGMENTED[0];
     let limited_sql = format!("{base} limit 5");
@@ -164,12 +164,12 @@ fn segmented_sort_under_limit_stops_early() {
     );
     let limited = prepared.execute().unwrap();
     assert_eq!(limited.rows(), &full.rows()[..5]);
-    assert!(
-        limited.io.rows_read < full.io.rows_read / 10,
-        "limit over a segmented sort must stop pulling the scan: \
-         read {} rows vs {} unlimited",
-        limited.io.rows_read,
-        full.io.rows_read
+    // One 1 024-row batch of the scan closes the five rows' groups.
+    assert_eq!(
+        (limited.io.rows_read, full.io.rows_read),
+        (1024, 12080),
+        "limit over a segmented sort must stop pulling the scan after \
+         its first batch"
     );
     // The early exit survives parallel degrees: only an enforcer without
     // a satisfied prefix (which drains its input anyway) becomes an
@@ -182,6 +182,37 @@ fn segmented_sort_under_limit_stops_early() {
         assert_eq!(parallel.rows(), limited.rows(), "threads={threads}");
         assert_eq!(parallel.io, limited.io, "threads={threads}");
     }
+}
+
+#[test]
+fn segmented_sort_emits_at_most_one_gather_per_input_batch() {
+    // The groups an input batch closes leave together, gathered once in
+    // batch-size chunks — not one output batch per prefix group. With
+    // ~4 lineitems an order, per-group emission makes ~a quarter as many
+    // batches as rows; batch by batch, the closed groups of one input
+    // batch plus the group carried into it fill at most two.
+    let db = tpcd_db();
+    let q = Session::new(&db)
+        .config(OptimizerConfig::default().with_batch_size(1024))
+        .plan(TPCD_SEGMENTED[0])
+        .unwrap();
+    let (out, metrics) = q.execute_instrumented().unwrap();
+    let seg = metrics
+        .ops
+        .iter()
+        .position(|m| m.name == "segmented-sort")
+        .unwrap_or_else(|| panic!("plan:\n{}", q.explain()));
+    let input = &metrics.ops[metrics.children[seg][0]];
+    let sorted = &metrics.ops[seg];
+    assert_eq!(sorted.rows, out.num_rows() as u64);
+    assert!(
+        sorted.batches <= 2 * input.batches,
+        "{} output batches for {} input batches ({} rows, {} groups)",
+        sorted.batches,
+        input.batches,
+        sorted.rows,
+        out.segment.groups_formed
+    );
 }
 
 #[test]
