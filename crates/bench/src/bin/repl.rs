@@ -38,9 +38,9 @@
 //! if `\profile <path>` had been typed; `FTO_MEMORY_BUDGET=<bytes>`
 //! caps per-query executor memory — sorts form spilled runs, hash
 //! group-bys spill partitions, join builds spill their overflow rows,
-//! and `\metrics` grows `spill.*` / `pool.*` counters; a budget runs
-//! serial, so combined with `FTO_THREADS` every counter equals the
-//! `FTO_THREADS=1` run.
+//! and `\metrics` grows `spill.*` counters; every other page count is
+//! the unbudgeted run's. A budget runs serial, so combined with
+//! `FTO_THREADS` every counter equals the `FTO_THREADS=1` run.
 
 use fto_bench::{envknob, ObsOptions, Observability, Session, StatementOutput};
 use fto_planner::OptimizerConfig;

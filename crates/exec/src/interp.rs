@@ -1,19 +1,19 @@
 //! The recursive, fully materializing plan interpreter.
 //!
 //! This is the original engine: every operator computes its complete
-//! output before the parent sees a row, and scans charge their whole
-//! table up front. It is kept as the *reference* implementation — the
-//! differential tests execute every query through both this interpreter
-//! and the streaming executor in [`crate::stream`] and require identical
-//! rows. New code should go through [`crate::Session`], which uses the
-//! streaming engine.
+//! output before the parent sees a row. It is kept as the *reference*
+//! implementation — the differential tests execute every query through
+//! both this interpreter and the streaming executor in [`crate::stream`]
+//! and require identical rows. It checks rows, not pages: it keeps no
+//! I/O accounting of its own. New code should go through
+//! [`crate::Session`], which uses the streaming engine.
 
 use crate::sortkernel;
 use fto_common::{FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
 use fto_planner::{JoinKind, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
-use fto_storage::{Database, IoStats, PageCursor};
+use fto_storage::Database;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -22,8 +22,6 @@ use std::time::{Duration, Instant};
 pub struct QueryResult {
     /// Output rows, in the plan's output layout and order.
     pub rows: Vec<Row>,
-    /// Simulated page I/O accumulated across the whole plan.
-    pub io: IoStats,
     /// Wall-clock execution time.
     pub elapsed: Duration,
 }
@@ -38,24 +36,17 @@ pub fn run_plan_materialized(
     graph: &QueryGraph,
     plan: &Plan,
 ) -> Result<QueryResult> {
-    let mut io = IoStats::new();
     let start = Instant::now();
-    let rows = exec(db, graph, plan, &mut io)?;
+    let rows = exec(db, graph, plan)?;
     Ok(QueryResult {
         rows,
-        io,
         elapsed: start.elapsed(),
     })
 }
 
-fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Result<Vec<Row>> {
+fn exec(db: &Database, graph: &QueryGraph, plan: &Plan) -> Result<Vec<Row>> {
     match &plan.node {
-        PlanNode::TableScan { table, .. } => {
-            let heap = db.heap(*table)?;
-            io.sequential_pages += heap.page_count();
-            io.rows_read += heap.row_count();
-            Ok(heap.to_rows())
-        }
+        PlanNode::TableScan { table, .. } => Ok(db.heap(*table)?.to_rows()),
         PlanNode::IndexScan {
             index,
             table,
@@ -65,8 +56,6 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
         } => {
             let heap = db.heap(*table)?;
             let ix = db.index(*index)?;
-            io.index_pages += ix.leaf_pages();
-            let mut cursor = PageCursor::new();
             let mut rids: Vec<usize> = match range {
                 Some(ScanRange { lo, hi }) => {
                     ix.range(lo.as_ref(), hi.as_ref()).map(|(_, r)| r).collect()
@@ -76,16 +65,10 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             if *reverse {
                 rids.reverse();
             }
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                cursor.touch(0, heap.page_of(rid), io, None);
-                io.rows_read += 1;
-                out.push(heap.row(rid));
-            }
-            Ok(out)
+            Ok(rids.into_iter().map(|rid| heap.row(rid)).collect())
         }
         PlanNode::Filter { input, predicates } => {
-            let rows = exec(db, graph, input, io)?;
+            let rows = exec(db, graph, input)?;
             let layout = &input.layout;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
@@ -96,7 +79,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             Ok(out)
         }
         PlanNode::Project { input, exprs } => {
-            let rows = exec(db, graph, input, io)?;
+            let rows = exec(db, graph, input)?;
             let layout = &input.layout;
             rows.iter()
                 .map(|row| {
@@ -114,13 +97,12 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             // sort is definitionally what a segmented sort must reproduce,
             // and its first n rows what a top-n must, so the interpreter
             // *is* the oracle for both.
-            let mut rows = exec(db, graph, input, io)?;
+            let mut rows = exec(db, graph, input)?;
             let keys = sortkernel::resolve_keys(spec, &input.layout)?;
             match limit {
                 None => sortkernel::sort_rows(&mut rows, &keys),
                 Some(n) => rows = sortkernel::top_n(rows, &keys, *n as usize),
             }
-            io.sort_rows += rows.len() as u64;
             Ok(rows)
         }
         PlanNode::IndexNestedLoopJoin {
@@ -131,13 +113,11 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             predicates,
             ..
         } => {
-            let outer_rows = exec(db, graph, outer, io)?;
+            let outer_rows = exec(db, graph, outer)?;
             let heap = db.heap(*table)?;
             let ix = db.index(*index)?;
             let layout = &plan.layout;
             let olayout = &outer.layout;
-            // Probe streams pay a full seek on their first fetch.
-            let mut cursor = PageCursor::probing();
             let mut out = Vec::new();
             let probe_positions: Vec<usize> = probe_cols
                 .iter()
@@ -149,10 +129,7 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
                 .collect::<Result<Vec<_>>>()?;
             for orow in &outer_rows {
                 let key: Vec<Value> = probe_positions.iter().map(|&p| orow[p].clone()).collect();
-                io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
-                    cursor.touch(0, heap.page_of(*rid), io, None);
-                    io.rows_read += 1;
                     let joined = concat(orow, &heap.row(*rid));
                     if eval_preds(graph, predicates, &joined, layout)? {
                         out.push(joined);
@@ -173,8 +150,8 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             // The reference engine ignores the satisfied prefix: the join
             // by definition is what a merge join must reproduce, whatever
             // order its inputs claim.
-            let outer_rows = exec(db, graph, outer, io)?;
-            let inner_rows = exec(db, graph, inner, io)?;
+            let outer_rows = exec(db, graph, outer)?;
+            let inner_rows = exec(db, graph, inner)?;
             let ipos = positions(&inner.layout, inner_keys)?;
             let opos = positions(&outer.layout, outer_keys)?;
             // A row's join key, or none when a key column is NULL: NULL
@@ -216,18 +193,18 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
         } => {
             // Whatever prefix the input claims to satisfy: on input whose
             // groups are contiguous, first-seen order is the stream order.
-            let rows = exec(db, graph, input, io)?;
+            let rows = exec(db, graph, input)?;
             group_by(&rows, &input.layout, grouping, aggs)
         }
         PlanNode::UnionAll { inputs } => {
             let mut out = Vec::new();
             for input in inputs {
-                out.extend(exec(db, graph, input, io)?);
+                out.extend(exec(db, graph, input)?);
             }
             Ok(out)
         }
         PlanNode::Limit { input, n } => {
-            let mut rows = exec(db, graph, input, io)?;
+            let mut rows = exec(db, graph, input)?;
             rows.truncate(*n as usize);
             Ok(rows)
         }
@@ -483,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn io_stats_accumulate() {
+    fn table_scan_returns_every_row() {
         let db = db_two_tables();
         let cat = db.catalog();
         let mut g = fto_qgm::QueryGraph::new();
@@ -497,8 +474,6 @@ mod tests {
         let plan = planner.plan_query().unwrap();
         let result = run_plan_materialized(&db, &g, &plan).unwrap();
         assert_eq!(result.rows.len(), 50);
-        assert!(result.io.rows_read >= 50);
-        assert!(result.io.sequential_pages + result.io.random_pages > 0);
     }
 
     use fto_expr::AggCall;

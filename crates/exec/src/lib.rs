@@ -43,8 +43,8 @@
 //!   accounting stream (page I/O plus the sort, spill and segmented-sort
 //!   counters — the finished stream is the query's totals, exact under
 //!   any number of concurrent sessions) and, riding the same `&mut`, the
-//!   per-node slots of an instrumented execution, the timeline of a
-//!   profiled one and the buffer pool of a budgeted one.
+//!   per-node slots of an instrumented execution and the timeline of a
+//!   profiled one.
 //!   `PreparedQuery::execute_instrumented` / `explain_analyze` record
 //!   rows, batches, the stream's delta, and time per plan node into a
 //!   [`PlanMetrics`], with per-operator self deltas that sum exactly to

@@ -5,11 +5,10 @@
 //! Every [`Operator`](crate::stream::Operator) call threads one
 //! `&mut ExecRecord`. Its `stats` are the accounting stream — simulated
 //! page I/O plus the sort, spill and segmented-sort counters; beside them
-//! ride the per-node slots of an instrumented execution, the timeline of
-//! a profiled one and the buffer pool of a budgeted one. Whatever does
-//! work writes into the record it was handed, and exchange workers fill a
-//! private record the coordinator absorbs in
-//! partition order. That is the only way an observation travels — nothing
+//! ride the per-node slots of an instrumented execution and the timeline
+//! of a profiled one. Whatever does work writes into the record it was
+//! handed, and exchange workers fill a private record the coordinator
+//! absorbs in partition order. That is the only way an observation travels — nothing
 //! is shared, locked or installed on a thread — so the session totals are
 //! the finished stream, exact per query under any number of concurrent
 //! sessions.
@@ -36,7 +35,7 @@
 
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
 use fto_obs::{SpanKind, Timeline};
-use fto_storage::{BufferPool, IoStats};
+use fto_storage::IoStats;
 use std::time::Duration;
 
 /// Everything one execution counts — the stream threaded through every
@@ -92,8 +91,10 @@ impl ExecStats {
 
 /// Everything one execution records — the one `&mut` threaded through
 /// every [`Operator`](crate::stream::Operator) call. A plain execution
-/// fills only `stats`; an instrumented one also has a slot per plan node,
-/// a profiled one a timeline, a budgeted one a buffer pool.
+/// fills only `stats`; an instrumented one also has a slot per plan node
+/// and a profiled one a timeline. A memory budget adds nothing here: it
+/// lives on the [`ExecContext`](crate::stream::ExecContext) and changes
+/// only what spills.
 #[derive(Debug, Default)]
 pub struct ExecRecord {
     /// The accounting stream: every counter the execution reports.
@@ -104,23 +105,17 @@ pub struct ExecRecord {
     /// This thread's lane, then the lanes absorbed from exchange workers;
     /// `None` when not profiling.
     pub(crate) timeline: Option<Timeline>,
-    /// The bounded buffer pool heap-page touches route through under a
-    /// memory budget (`None` leaves page charging as it is unbounded).
-    pub(crate) pool: Option<BufferPool>,
 }
 
 impl ExecRecord {
-    /// A record with a buffer pool of `budget` bytes (if any), `nodes`
-    /// per-node slots (zero: not instrumented) and, when profiling, a
-    /// timeline. An exchange worker builds its own from plain copies — the
-    /// coordinator's node count and epoch — and never a pool: a budgeted
-    /// execution lowers no exchange.
-    pub(crate) fn new(budget: Option<usize>, nodes: usize, timeline: Option<Timeline>) -> Self {
+    /// A record with `nodes` per-node slots (zero: not instrumented) and,
+    /// when profiling, a timeline. An exchange worker builds its own from
+    /// plain copies — the coordinator's node count and epoch.
+    pub(crate) fn new(nodes: usize, timeline: Option<Timeline>) -> Self {
         ExecRecord {
             stats: ExecStats::default(),
             ops: vec![OpMetrics::default(); nodes],
             timeline,
-            pool: budget.map(BufferPool::new),
         }
     }
 
@@ -394,7 +389,7 @@ mod tests {
         // With one, the same calls land on its lane — and the counter
         // moves exactly as before.
         let lane = Timeline::new(std::time::Instant::now(), "coordinator");
-        let mut profiled = ExecRecord::new(None, 0, Some(lane));
+        let mut profiled = ExecRecord::new(0, Some(lane));
         profiled.emit(SpanKind::Begin, "operator", &mut name, Vec::new);
         profiled.mark(
             |s| &mut s.spill.runs_formed,

@@ -14,7 +14,7 @@
 //!   wall-clock time crosses [`ObsOptions::slow_query_threshold`].
 //!
 //! Every execution counter in the registry — `session.io.*`, `sort.*`,
-//! `spill.*`, `pool.*`, `segment.*` — is fed from the same
+//! `spill.*`, `segment.*` — is fed from the same
 //! [`QueryOutput`] the caller gets, itself a copy of the finished
 //! [`ExecStats`](crate::ExecStats) stream, as exact `u64`s: they
 //! reconcile to the summed per-query totals with no drift, however many
@@ -142,7 +142,7 @@ impl Observability {
     /// Records one query execution from its output: session counters,
     /// exact I/O field totals, sort-kernel work (`sort.key_bytes` /
     /// `sort.comparisons`, the normalized-key codec's observables), spill
-    /// and buffer-pool work under a memory budget (`spill.*` / `pool.*`),
+    /// work under a memory budget (`spill.*`),
     /// segmented-sort group formation (`segment.groups_formed`), the
     /// latency/rows/pages histograms, and — when per-operator metrics are
     /// available — the rows and batches each exchange worker produced
@@ -175,16 +175,12 @@ impl Observability {
         r.add("session.io.rows_read", io.rows_read);
         r.add("session.io.spill_pages_written", io.spill_pages_written);
         r.add("session.io.spill_pages_read", io.spill_pages_read);
-        r.add("session.io.pool_hits", io.pool_hits);
-        r.add("session.io.pool_misses", io.pool_misses);
         r.add("sort.key_bytes", sort.key_bytes);
         r.add("sort.comparisons", sort.comparisons);
         r.add("spill.pages_written", io.spill_pages_written);
         r.add("spill.pages_read", io.spill_pages_read);
         r.add("spill.runs_formed", spill.runs_formed);
         r.add("spill.merge_passes", spill.merge_passes);
-        r.add("pool.hits", io.pool_hits);
-        r.add("pool.misses", io.pool_misses);
         r.add("segment.groups_formed", segment.groups_formed);
         r.observe(
             "query.latency_us",

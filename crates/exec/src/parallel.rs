@@ -93,7 +93,7 @@ fn run_partitions(
                 s.spawn(move || {
                     let started = Instant::now();
                     let timeline = epoch.map(|e| Timeline::new(e, format!("worker p{part}")));
-                    let mut wrec = ExecRecord::new(None, nodes, timeline);
+                    let mut wrec = ExecRecord::new(nodes, timeline);
                     let name = || format!("partition p{part}");
                     wrec.emit(SpanKind::Begin, "exchange", name, Vec::new);
                     let pulled = drain(part, &mut wrec);

@@ -289,8 +289,7 @@ impl PreparedQuery<'_> {
 
     /// One execution through the one driver. The three public entry
     /// points differ only in the record they hand it: per-node slots when
-    /// instrumenting, a coordinator lane when profiling, and a buffer
-    /// pool whenever the configuration sets a budget.
+    /// instrumenting and a coordinator lane when profiling.
     fn run(&self, instrument: bool, profile: bool) -> Result<(QueryOutput, ExecRecord)> {
         let cx = ExecContext::new(self.db, &self.graph, &self.config);
         let nodes = match instrument {
@@ -298,7 +297,7 @@ impl PreparedQuery<'_> {
             false => 0,
         };
         let timeline = profile.then(|| Timeline::new(Instant::now(), "coordinator"));
-        let mut rec = ExecRecord::new(cx.memory_budget, nodes, timeline);
+        let mut rec = ExecRecord::new(nodes, timeline);
         let (batches, elapsed) = drive(&cx, &self.plan, &mut rec)?;
         // The output's counters are copied out of the finished stream.
         let out = QueryOutput {
@@ -334,10 +333,10 @@ impl PreparedQuery<'_> {
 
     /// Executes through the materializing reference interpreter. Exists
     /// for differential testing and engine comparisons; the rows are
-    /// identical to [`PreparedQuery::execute`], the I/O accounting is the
-    /// old all-up-front model. Deliberately *not* recorded into the
-    /// observability registry: its I/O model would skew the `session.io`
-    /// totals that reconcile against the streaming engine.
+    /// identical to [`PreparedQuery::execute`], and every counter is zero:
+    /// the interpreter checks rows, not pages. Deliberately *not* recorded
+    /// into the observability registry, whose `session.*` totals count
+    /// streaming executions.
     pub fn execute_materialized(&self) -> Result<QueryOutput> {
         let result = run_plan_materialized(self.db, &self.graph, &self.plan)?;
         // The oracle's rows, held to the types the plan declares for them.
@@ -352,13 +351,13 @@ impl PreparedQuery<'_> {
         Ok(QueryOutput {
             batches,
             rows_cache,
-            io: result.io,
             planner: self.planner,
             elapsed: result.elapsed,
-            // The reference interpreter exists to check rows: its sorts
-            // compare `Value`s and count nothing, it ignores the budget, so
-            // it never spills — and it full-sorts segmented enforcers, so
-            // it never forms groups.
+            // The reference interpreter exists to check rows: it charges
+            // no pages, its sorts compare `Value`s and count nothing, it
+            // ignores the budget, so it never spills — and it full-sorts
+            // segmented enforcers, so it never forms groups.
+            io: IoStats::default(),
             sort: SortStats::default(),
             spill: SpillStats::default(),
             segment: SegmentStats::default(),
@@ -475,13 +474,6 @@ impl PreparedQuery<'_> {
                                     note,
                                     " | spill: w={} r={}",
                                     s.spill_pages_written, s.spill_pages_read
-                                );
-                            }
-                            if s.pool_hits + s.pool_misses > 0 {
-                                let _ = write!(
-                                    note,
-                                    " | pool: hits={} misses={}",
-                                    s.pool_hits, s.pool_misses
                                 );
                             }
                             if !m.workers.is_empty() {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Index nested-loop join, vectorized: streams the outer, probing the
 /// inner table's index per row and collecting the matching row ids —
-/// leaf, page, pool and `rows_read` charges fall per probe and per
+/// leaf, page and `rows_read` charges fall per probe and per
 /// fetched row, in probe order — then assembles the candidates with one
 /// columnar gather per side per outer batch. One [`PageCursor`] persists
 /// for the operator's lifetime, so probes arriving in inner-page order
@@ -60,15 +60,7 @@ impl Operator for IndexNestedLoopJoinOp {
                 key.extend(self.probe_pos.iter().map(|&p| batch.column(p).value(oi)));
                 rec.stats.io.index_pages += 1; // descent touches one leaf
                 for (_, rid) in ix.probe(&key) {
-                    // Probe fetches share the budgeted buffer pool with
-                    // the scans (keyed by table id); unbounded executions
-                    // charge exactly as before.
-                    self.cursor.touch(
-                        heap.table().0 as u64,
-                        heap.page_of(*rid),
-                        &mut rec.stats.io,
-                        rec.pool.as_mut(),
-                    );
+                    self.cursor.touch(heap.page_of(*rid), &mut rec.stats.io);
                     rec.stats.io.rows_read += 1;
                     osel.push(oi as u32);
                     rids.push(*rid);

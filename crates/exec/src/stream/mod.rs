@@ -69,8 +69,8 @@ pub use fto_common::column::Batch;
 /// Execution-wide knobs passed to every operator call: immutable plain
 /// data, so exchange workers copy it (with `threads` pinned to 1).
 /// Everything an execution *records* — counters,
-/// per-node actuals, the timeline, the buffer pool's residency — lives in
-/// the [`ExecRecord`] threaded beside it.
+/// per-node actuals, the timeline — lives in the [`ExecRecord`] threaded
+/// beside it.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The database supplying heaps and indexes.
@@ -87,11 +87,11 @@ pub struct ExecContext<'a> {
     /// for unbounded in-memory execution. When set, sort and Top-N bound
     /// their buffered working sets (spilling sorted runs), hash group-by
     /// spills overflow partitions, the hash-join build side spills rows
-    /// past the budget — all bit-identical to unbounded execution — and
-    /// heap-page touches route through the record's bounded buffer pool
-    /// (`budget / PAGE_SIZE` frames, clock eviction). A budgeted execution
-    /// runs serially ([`ExecContext::new`]): those three breakers and the
-    /// pool are all the code the budget has to reach.
+    /// past the budget — all bit-identical to unbounded execution. Pages
+    /// are charged as in an unbounded run: a budget changes only the spill
+    /// counters. A budgeted execution runs serially
+    /// ([`ExecContext::new`]): those three breakers are all the code the
+    /// budget has to reach.
     pub memory_budget: Option<usize>,
 }
 
@@ -371,7 +371,7 @@ mod tests {
     /// plain record.
     fn run(db: &Database, graph: &QueryGraph, plan: &Plan, config: &OptimizerConfig) -> Run {
         let cx = ExecContext::new(db, graph, config);
-        let mut rec = ExecRecord::new(cx.memory_budget, 0, None);
+        let mut rec = ExecRecord::new(0, None);
         let (batches, _) = drive(&cx, plan, &mut rec).unwrap();
         Run {
             batches,
@@ -397,8 +397,9 @@ mod tests {
         let old = run_plan_materialized(&db, &graph, &plan).unwrap();
         let new = run(&db, &graph, &plan, &knobs(64, 1, None));
         assert_eq!(old.rows, new.rows());
-        assert_eq!(old.io.sequential_pages, new.stats.io.sequential_pages);
-        assert_eq!(old.io.rows_read, new.stats.io.rows_read);
+        let heap = db.heap(TableId(0)).unwrap();
+        assert_eq!(new.stats.io.sequential_pages, heap.page_count());
+        assert_eq!(new.stats.io.rows_read, heap.row_count());
     }
 
     #[test]
@@ -424,7 +425,6 @@ mod tests {
         assert!(new.batches.iter().all(|b| !b.is_empty()));
         assert_eq!(new.batches.iter().map(Batch::len).sum::<usize>(), 10);
         let full_pages = db.heap(TableId(0)).unwrap().page_count();
-        assert_eq!(old.io.sequential_pages, full_pages);
         assert!(
             new.stats.io.sequential_pages < full_pages,
             "streaming LIMIT read {} of {} pages",
@@ -458,7 +458,7 @@ mod tests {
         let old = run_plan_materialized(&db, &graph, &sort).unwrap();
         let new = run(&db, &graph, &sort, &knobs(1, 1, None));
         assert_eq!(old.rows, new.rows());
-        assert_eq!(old.io.sort_rows, new.stats.io.sort_rows);
+        assert_eq!(new.stats.io.sort_rows, 97);
     }
 
     #[test]
@@ -529,7 +529,7 @@ mod tests {
         };
         for threads in [1usize, 2, 4] {
             let cx = ExecContext::new(&db, &graph, &knobs(128, threads, None));
-            let mut rec = ExecRecord::new(None, sort.count_ops(&|_| true), None);
+            let mut rec = ExecRecord::new(sort.count_ops(&|_| true), None);
             let (batches, _) = drive(&cx, &sort, &mut rec).unwrap();
             assert_eq!(batches.iter().map(Batch::len).sum::<usize>(), 2048);
             let (totals, metrics) = (rec.stats, plan_metrics(&sort, rec.ops));
@@ -1249,7 +1249,7 @@ mod tests {
         let limit = plan_node(PlanNode::Limit { input, n: 100 }, &[0, 1, 2, 3]);
         let want = run_plan_materialized(&db, &graph, &limit).unwrap().rows;
         let cx = ExecContext::new(&db, &graph, &knobs(16, 1, None));
-        let mut rec = ExecRecord::new(None, limit.count_ops(&|_| true), None);
+        let mut rec = ExecRecord::new(limit.count_ops(&|_| true), None);
         let (batches, _) = drive(&cx, &limit, &mut rec).unwrap();
         let mut got = Vec::new();
         batches.iter().for_each(|b| b.append_rows_to(&mut got));
@@ -1298,7 +1298,7 @@ mod tests {
         let want = run_plan_materialized(&db, &graph, &limit).unwrap().rows;
         for threads in [1usize, 2] {
             let cx = ExecContext::new(&db, &graph, &knobs(16, threads, None));
-            let mut rec = ExecRecord::new(None, limit.count_ops(&|_| true), None);
+            let mut rec = ExecRecord::new(limit.count_ops(&|_| true), None);
             let (batches, _) = drive(&cx, &limit, &mut rec).unwrap();
             let mut got = Vec::new();
             batches.iter().for_each(|b| b.append_rows_to(&mut got));

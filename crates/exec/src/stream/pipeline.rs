@@ -31,9 +31,9 @@ impl Operator for ScanOp {
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
-        let batch =
-            self.state
-                .next_columns(heap, cx.batch_size, &mut rec.stats.io, rec.pool.as_mut())?;
+        let batch = self
+            .state
+            .next_columns(heap, cx.batch_size, &mut rec.stats.io)?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
@@ -83,14 +83,7 @@ impl Operator for IndexScanOp {
             .state
             .as_mut()
             .ok_or_else(|| FtoError::internal("index scan used before open"))?;
-        let batch = state.next_columns(
-            ix,
-            heap,
-            cx.batch_size,
-            &mut rec.stats.io,
-            rec.pool.as_mut(),
-            fto_storage::index_leaf_tag(self.index),
-        )?;
+        let batch = state.next_columns(ix, heap, cx.batch_size, &mut rec.stats.io)?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 

@@ -62,9 +62,9 @@ pub struct OptimizerConfig {
     /// `None` (the default) for unbounded in-memory execution. When set,
     /// pipeline breakers (sort, Top-N, hash group-by — DISTINCT included —
     /// and the join build) bound their working set to this many bytes and
-    /// spill overflow to page-charged spill files, and heap-page touches
-    /// route through a bounded buffer pool of `budget / PAGE_SIZE` frames.
-    /// Results are bit-identical to unbounded execution at any budget.
+    /// spill overflow to page-charged spill files. Results are
+    /// bit-identical to unbounded execution at any budget, and so is every
+    /// page charge but the spill traffic.
     pub memory_budget: Option<usize>,
 }
 

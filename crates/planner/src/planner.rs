@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 /// A sort prices a row at 8 bytes a column plus 16, and at no less than
 /// half of this. Nothing refines it from declared column widths (ROADMAP
-/// item 7).
+/// item 10(d)).
 const DEFAULT_ROW_WIDTH: usize = 48;
 
 /// The cost-based planner for one query.

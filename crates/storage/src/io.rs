@@ -28,12 +28,11 @@ pub struct IoStats {
     /// Pages read back from spill files (merge passes, partition
     /// replays).
     pub spill_pages_read: u64,
-    /// Page requests satisfied by the bounded buffer pool without a
-    /// charge. Zero unless a memory budget (and therefore a pool) is
-    /// active.
+    /// Always zero: the engine has no page cache, so every touch is
+    /// charged by [`PageCursor`] at every memory budget. Kept because the
+    /// benchmark's `storage.pool_hit_ratio` still reads it.
     pub pool_hits: u64,
-    /// Page requests that missed the buffer pool and paid the usual
-    /// sequential/random charge. Zero unless a pool is active.
+    /// Always zero, like [`IoStats::pool_hits`].
     pub pool_misses: u64,
 }
 
@@ -100,20 +99,13 @@ impl fmt::Display for IoStats {
             self.sort_rows,
             self.rows_read
         )?;
-        // Spill and pool counters only appear once something used them,
-        // keeping the common in-memory case's output stable.
+        // Spill counters only appear once something spilled, keeping the
+        // common in-memory case's output stable.
         if self.spill_pages_written != 0 || self.spill_pages_read != 0 {
             write!(
                 f,
                 " spill_w={} spill_r={}",
                 self.spill_pages_written, self.spill_pages_read
-            )?;
-        }
-        if self.pool_hits != 0 || self.pool_misses != 0 {
-            write!(
-                f,
-                " pool_hits={} pool_misses={}",
-                self.pool_hits, self.pool_misses
             )?;
         }
         Ok(())
@@ -155,7 +147,9 @@ impl PageCursor {
     /// Charges a touch of `page` to `stats`: same page — free; next page —
     /// sequential; anything else — random. The first touch follows the
     /// cursor's policy (see [`PageCursor::new`] vs [`PageCursor::probing`]).
-    fn charge(&mut self, page: u64, stats: &mut IoStats) {
+    /// This is the one page model: a memory budget changes what spills,
+    /// never what a touch costs.
+    pub fn touch(&mut self, page: u64, stats: &mut IoStats) {
         match self.last_page {
             Some(last) if last == page => {}
             Some(last) if page == last + 1 => {
@@ -176,41 +170,6 @@ impl PageCursor {
             }
         }
     }
-
-    /// Records a touch of `page`, routed through a bounded
-    /// [`crate::BufferPool`] when one is active. Repeated touches of the
-    /// current page stay free either way; a page-change touch first
-    /// consults the pool — a resident page is a free *hit*, a miss pays
-    /// the usual sequential/random charge. With `pool` `None` (the
-    /// unbudgeted engine, the interpreter) every touch is charged by the
-    /// cursor alone. `tag` namespaces page numbers per storage object
-    /// (table/index id) so distinct objects never alias in the pool;
-    /// without a pool it is unused.
-    ///
-    /// Invariant: when a pool is active, `pool_misses` on this cursor
-    /// equals the sequential + random pages it charges.
-    pub fn touch(
-        &mut self,
-        tag: u64,
-        page: u64,
-        stats: &mut IoStats,
-        pool: Option<&mut crate::BufferPool>,
-    ) {
-        let Some(pool) = pool else {
-            self.charge(page, stats);
-            return;
-        };
-        if self.last_page == Some(page) {
-            return;
-        }
-        if pool.touch(tag, page) {
-            stats.pool_hits += 1;
-            self.last_page = Some(page);
-        } else {
-            stats.pool_misses += 1;
-            self.charge(page, stats);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +181,7 @@ mod tests {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
         for p in 0..5 {
-            c.touch(0, p, &mut s, None);
+            c.touch(p, &mut s);
         }
         assert_eq!(s.sequential_pages, 5);
         assert_eq!(s.random_pages, 0);
@@ -232,9 +191,9 @@ mod tests {
     fn repeated_touch_is_free() {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
-        c.touch(0, 3, &mut s, None);
-        c.touch(0, 3, &mut s, None);
-        c.touch(0, 3, &mut s, None);
+        c.touch(3, &mut s);
+        c.touch(3, &mut s);
+        c.touch(3, &mut s);
         assert_eq!(s.sequential_pages, 1);
         assert_eq!(s.random_pages, 0);
     }
@@ -243,9 +202,9 @@ mod tests {
     fn jumps_are_random() {
         let mut c = PageCursor::new();
         let mut s = IoStats::new();
-        c.touch(0, 0, &mut s, None);
-        c.touch(0, 9, &mut s, None);
-        c.touch(0, 2, &mut s, None); // backward jump
+        c.touch(0, &mut s);
+        c.touch(9, &mut s);
+        c.touch(2, &mut s); // backward jump
         assert_eq!(s.sequential_pages, 1);
         assert_eq!(s.random_pages, 2);
     }
@@ -261,12 +220,12 @@ mod tests {
         let mut s_rand = IoStats::new();
         let mut c = PageCursor::new();
         for &p in &pages {
-            c.touch(0, p, &mut s_rand, None);
+            c.touch(p, &mut s_rand);
         }
         let mut s_sorted = IoStats::new();
         let mut c = PageCursor::new();
         for &p in &sorted {
-            c.touch(0, p, &mut s_sorted, None);
+            c.touch(p, &mut s_sorted);
         }
         assert!(s_sorted.weighted_page_cost() < s_rand.weighted_page_cost() / 2.0);
         assert_eq!(s_sorted.random_pages, 0);
@@ -276,43 +235,14 @@ mod tests {
     fn probing_cursor_charges_first_touch_as_random() {
         let mut c = PageCursor::probing();
         let mut s = IoStats::new();
-        c.touch(0, 7, &mut s, None);
+        c.touch(7, &mut s);
         assert_eq!(s.random_pages, 1);
         assert_eq!(s.sequential_pages, 0);
         // After the first touch the usual adjacency rules apply.
-        c.touch(0, 7, &mut s, None);
-        c.touch(0, 8, &mut s, None);
+        c.touch(7, &mut s);
+        c.touch(8, &mut s);
         assert_eq!(s.random_pages, 1);
         assert_eq!(s.sequential_pages, 1);
-    }
-
-    #[test]
-    fn pooled_touches_hit_after_first_fault() {
-        let mut pool = crate::BufferPool::with_capacity_pages(8);
-        let mut c = PageCursor::new();
-        let mut s = IoStats::new();
-        // First pass over pages 0..4 faults every page in.
-        for p in 0..4 {
-            c.touch(1, p, &mut s, Some(&mut pool));
-        }
-        assert_eq!(s.pool_misses, 4);
-        assert_eq!(s.pool_hits, 0);
-        assert_eq!(s.sequential_pages, 4);
-        // Second pass with a fresh cursor: everything is resident.
-        let mut c2 = PageCursor::new();
-        for p in 0..4 {
-            c2.touch(1, p, &mut s, Some(&mut pool));
-        }
-        assert_eq!(s.pool_hits, 4);
-        assert_eq!(s.sequential_pages, 4, "hits charge nothing");
-        // Misses equal charged pages — the documented invariant.
-        assert_eq!(s.pool_misses, s.sequential_pages + s.random_pages);
-        // Without a pool, behavior is plain touch.
-        let mut c3 = PageCursor::new();
-        let mut s2 = IoStats::new();
-        c3.touch(1, 0, &mut s2, None);
-        assert_eq!(s2.sequential_pages, 1);
-        assert_eq!(s2.pool_hits + s2.pool_misses, 0);
     }
 
     #[test]
@@ -369,15 +299,12 @@ mod tests {
         assert_eq!(a.sequential_pages, 2);
         assert_eq!(a.rows_read, 10);
         assert!(a.to_string().contains("rand_pages=4"));
-        // Zero spill/pool counters stay out of the rendered form.
+        // Zero spill counters stay out of the rendered form.
         assert!(!a.to_string().contains("spill_w"));
-        assert!(!a.to_string().contains("pool_hits"));
         assert_eq!(a.weighted_page_cost(), 2.0 + 16.0 + 6.0);
         a.spill_pages_written = 3;
         a.spill_pages_read = 2;
-        a.pool_hits = 1;
         assert!(a.to_string().contains("spill_w=3 spill_r=2"));
-        assert!(a.to_string().contains("pool_hits=1 pool_misses=0"));
         assert_eq!(a.weighted_page_cost(), 2.0 + 16.0 + 6.0 + 5.0);
     }
 }

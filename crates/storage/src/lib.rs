@@ -28,5 +28,5 @@ pub use db::Database;
 pub use heap::{HeapLoader, HeapTable};
 pub use index::OrderedIndex;
 pub use io::{IoStats, PageCursor, PAGE_SIZE};
-pub use scan::{index_leaf_tag, partition_bounds, HeapScanState, IndexScanState};
-pub use spill::{BufferPool, SpillCursor, SpillFile};
+pub use scan::{partition_bounds, HeapScanState, IndexScanState};
+pub use spill::{SpillCursor, SpillFile};

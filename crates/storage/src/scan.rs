@@ -99,49 +99,31 @@ impl HeapScanState {
     /// scan is exhausted), charging one sequential page per page boundary
     /// actually crossed. A scan run to completion therefore charges
     /// exactly [`HeapTable::page_count`] pages; a scan abandoned early
-    /// charges only the pages behind the rows it produced. Page touches
-    /// go through `pool` when one is active: resident pages are free
-    /// hits, misses pay the usual charge.
+    /// charges only the pages behind the rows it produced.
     ///
     /// Pages and rows are charged row by row — the unit the page cursor
-    /// and the pool see must not depend on how the heap happens to chunk
-    /// its columns — and the rows then come out of the heap as columns: a
+    /// sees must not depend on how the heap happens to chunk its
+    /// columns — and the rows then come out of the heap as columns: a
     /// pull covering exactly one stored chunk shares its `Arc`s.
     pub fn next_columns(
         &mut self,
         heap: &HeapTable,
         max_rows: usize,
         io: &mut IoStats,
-        mut pool: Option<&mut crate::BufferPool>,
     ) -> Result<Batch> {
         let total = (heap.row_count() as usize).min(self.end_rid);
         let end = (self.next_rid + max_rows.max(1)).min(total);
         if self.next_rid >= end {
             return heap.columns(0, 0);
         }
-        let tag = heap_pool_tag(heap);
         for rid in self.next_rid..end {
-            self.cursor
-                .touch(tag, heap.page_of(rid), io, pool.as_deref_mut());
+            self.cursor.touch(heap.page_of(rid), io);
             io.rows_read += 1;
         }
         let batch = heap.columns(self.next_rid, end)?;
         self.next_rid = end;
         Ok(batch)
     }
-}
-
-/// Buffer-pool namespace tag for a heap's pages.
-fn heap_pool_tag(heap: &HeapTable) -> u64 {
-    heap.table().0 as u64
-}
-
-/// Buffer-pool namespace tag for an index's leaf pages, disjoint from
-/// every heap tag (heaps use the bare table id; the high bit block keeps
-/// the namespaces apart), so budgeted index scans cache leaves alongside
-/// heap pages without collisions.
-pub fn index_leaf_tag(index: fto_common::IndexId) -> u64 {
-    (1u64 << 32) | index.0 as u64
 }
 
 /// Position of an in-progress (possibly reversed, possibly range-limited)
@@ -223,11 +205,7 @@ impl IndexScanState {
     /// and each fetched heap row goes through a [`PageCursor`], so probes
     /// landing on the page just read are free — the clustering effect the
     /// paper's ordered access paths exploit. Pages past the point where
-    /// the caller stops pulling are never charged. Heap-page fetches *and*
-    /// leaf-page touches go through `pool` when one is active: resident
-    /// pages are free pool hits, misses pay the usual charge. Leaves
-    /// cache under `leaf_tag` (see [`index_leaf_tag`]; unused without a
-    /// pool) so they share the pool with heap pages without colliding.
+    /// the caller stops pulling are never charged.
     ///
     /// Charging walks the entries one by one, collecting row ids; the
     /// rows are then gathered from the heap's columns once per batch.
@@ -237,11 +215,8 @@ impl IndexScanState {
         heap: &HeapTable,
         max_rows: usize,
         io: &mut IoStats,
-        mut pool: Option<&mut crate::BufferPool>,
-        leaf_tag: u64,
     ) -> Result<Batch> {
         let take = max_rows.max(1).min(self.end - self.start.min(self.end));
-        let tag = heap_pool_tag(heap);
         let mut rids = Vec::with_capacity(take);
         for _ in 0..take {
             let pos = if self.reverse {
@@ -251,22 +226,11 @@ impl IndexScanState {
             };
             let leaf = pos as u64 / ENTRIES_PER_LEAF;
             if self.last_leaf != Some(leaf) {
-                match pool.as_deref_mut() {
-                    Some(pool) => {
-                        if pool.touch(leaf_tag, leaf) {
-                            io.pool_hits += 1;
-                        } else {
-                            io.pool_misses += 1;
-                            io.index_pages += 1;
-                        }
-                    }
-                    None => io.index_pages += 1,
-                }
+                io.index_pages += 1;
                 self.last_leaf = Some(leaf);
             }
             let rid = index.rid_at(pos);
-            self.cursor
-                .touch(tag, heap.page_of(rid), io, pool.as_deref_mut());
+            self.cursor.touch(heap.page_of(rid), io);
             io.rows_read += 1;
             rids.push(rid);
             if self.reverse {
@@ -283,7 +247,6 @@ impl IndexScanState {
 mod tests {
     use super::*;
     use crate::heap::HeapLoader;
-    use crate::BufferPool;
     use fto_common::{Direction, TableId};
 
     // 100-byte rows: 40 rows per page.
@@ -307,7 +270,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut rows = Vec::new();
         loop {
-            let b = s.next_columns(&h, 7, &mut io, None).unwrap();
+            let b = s.next_columns(&h, 7, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -325,7 +288,7 @@ mod tests {
         let h = heap(100); // 3 pages
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        let b = s.next_columns(&h, 10, &mut io, None).unwrap();
+        let b = s.next_columns(&h, 10, &mut io).unwrap();
         assert_eq!(b.len(), 10);
         assert_eq!(io.sequential_pages, 1);
         assert!(io.sequential_pages < h.page_count());
@@ -336,7 +299,7 @@ mod tests {
         let h = heap(0);
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        assert!(s.next_columns(&h, 8, &mut io, None).unwrap().is_empty());
+        assert!(s.next_columns(&h, 8, &mut io).unwrap().is_empty());
         assert_eq!(io.sequential_pages, 0);
         assert_eq!(io.rows_read, 0);
     }
@@ -349,7 +312,7 @@ mod tests {
         let mut s = IndexScanState::open(&ix, None, None, false);
         let mut keys = Vec::new();
         loop {
-            let b = s.next_columns(&ix, &h, 2, &mut io, None, 0).unwrap();
+            let b = s.next_columns(&ix, &h, 2, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -360,7 +323,7 @@ mod tests {
 
         let mut rio = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut rio, None, 0).unwrap();
+        let b = s.next_columns(&ix, &h, 10, &mut rio).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
     }
@@ -371,7 +334,7 @@ mod tests {
         let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false);
-        let b = s.next_columns(&ix, &h, 100, &mut io, None, 0).unwrap();
+        let b = s.next_columns(&ix, &h, 100, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
     }
@@ -385,57 +348,13 @@ mod tests {
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        s.next_columns(&ix, &h, 100, &mut io, None, 0).unwrap();
+        s.next_columns(&ix, &h, 100, &mut io).unwrap();
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false);
-        while !s
-            .next_columns(&ix, &h, 100, &mut io, None, 0)
-            .unwrap()
-            .is_empty()
-        {}
-        assert_eq!(io.index_pages, ix.leaf_pages());
-    }
-
-    #[test]
-    fn pooled_index_scan_routes_leaves_through_pool() {
-        let h = heap_of((0..1000i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
-        let tag = index_leaf_tag(fto_common::IndexId(7));
-        assert_ne!(tag, heap_pool_tag(&h), "leaf tag must not collide");
-
-        // Without a pool the flat per-leaf charge is unchanged.
-        let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, false);
-        while !s
-            .next_columns(&ix, &h, 100, &mut io, None, tag)
-            .unwrap()
-            .is_empty()
-        {}
-        assert_eq!(io.index_pages, ix.leaf_pages());
-        assert_eq!(io.pool_hits + io.pool_misses, 0);
-
-        // With a pool, every first leaf touch is a (charged) miss; two
-        // passes over the same scan under a roomy pool make the second
-        // pass's leaves free hits.
-        let mut pool = BufferPool::new(64 * crate::PAGE_SIZE);
-        let mut io = IoStats::new();
-        for pass in 0..2 {
-            let mut s = IndexScanState::open(&ix, None, None, false);
-            while !s
-                .next_columns(&ix, &h, 100, &mut io, Some(&mut pool), tag)
-                .unwrap()
-                .is_empty()
-            {}
-            if pass == 0 {
-                assert_eq!(io.pool_misses, ix.leaf_pages() + h.page_count());
-                assert_eq!(io.index_pages, ix.leaf_pages());
-                assert_eq!(io.pool_hits, 0);
-            }
-        }
-        assert_eq!(io.pool_hits, ix.leaf_pages() + h.page_count());
+        while !s.next_columns(&ix, &h, 100, &mut io).unwrap().is_empty() {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
 
@@ -474,7 +393,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = HeapScanState::partition(&h, part, parts);
                 loop {
-                    let b = s.next_columns(&h, 33, &mut io, None).unwrap();
+                    let b = s.next_columns(&h, 33, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -501,7 +420,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = IndexScanState::open_partition(&ix, None, None, false, part, parts);
                 loop {
-                    let b = s.next_columns(&ix, &h, 57, &mut io, None, 0).unwrap();
+                    let b = s.next_columns(&ix, &h, 57, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -527,7 +446,7 @@ mod tests {
         for part in (0..parts).rev() {
             let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts);
             loop {
-                let b = s.next_columns(&ix, &h, 64, &mut io, None, 0).unwrap();
+                let b = s.next_columns(&ix, &h, 64, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -553,7 +472,7 @@ mod tests {
                 4,
             );
             loop {
-                let b = s.next_columns(&ix, &h, 128, &mut io, None, 0).unwrap();
+                let b = s.next_columns(&ix, &h, 128, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -572,7 +491,7 @@ mod tests {
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true);
-        let b = s.next_columns(&ix, &h, 10, &mut io, None, 0).unwrap();
+        let b = s.next_columns(&ix, &h, 10, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());
         assert_eq!(io.index_pages, 1);

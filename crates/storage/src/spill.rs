@@ -1,5 +1,4 @@
-//! Spill files and the bounded buffer pool behind the executor's memory
-//! budget.
+//! Spill files behind the executor's memory budget.
 //!
 //! When a query runs with a memory budget, pipeline breakers (sort,
 //! hash group-by, hash-join build) write overflow data through a
@@ -10,18 +9,13 @@
 //! every value bit for bit, NaN payloads and `-0.0` included, so a
 //! spilled sort stays bit-identical to its in-memory twin.
 //!
-//! The same budget also bounds the page cache: [`BufferPool`] is a
-//! clock-eviction pool over `(tag, page)` keys. When a pool is active,
-//! scan cursors route page touches through it — a resident page is a
-//! free *hit*, a miss pays the usual sequential/random charge — so the
-//! simulated charges become actual hit/miss behavior under memory
-//! pressure. Without a budget there is no pool and charging is
-//! bit-identical to the pre-pool engine.
+//! The budget reaches nothing else in storage: heap and index pages are
+//! charged by [`crate::PageCursor`] alone, so a budget changes only the
+//! spill counters of [`IoStats`].
 
 use crate::io::{IoStats, PAGE_SIZE};
 use fto_common::column::{Batch, Bitmap, Column, ColumnData};
 use fto_common::{FtoError, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An append-only spill stream, charged per 4 KiB page.
@@ -159,7 +153,10 @@ impl SpillCursor {
     /// Reads a little-endian `u32`.
     fn read_u32(&mut self, file: &SpillFile, io: &mut IoStats) -> Result<u32> {
         let b = self.read_exact(file, 4, io)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        let b = b
+            .first_chunk()
+            .ok_or_else(|| corrupt("record length truncated"))?;
+        Ok(u32::from_le_bytes(*b))
     }
 
     /// Reads one record written by [`SpillFile::append_record`], or
@@ -190,9 +187,8 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
 }
 
 fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    Ok(take(buf, pos, N)?
-        .try_into()
-        .expect("take returned N bytes"))
+    let head = take(buf, pos, N)?.first_chunk();
+    head.copied().ok_or_else(|| corrupt("record truncated"))
 }
 
 /// The next `n` fixed-width little-endian fields of `buf`.
@@ -204,8 +200,8 @@ fn take_fields<'a, const W: usize>(
     let len = n
         .checked_mul(W)
         .ok_or_else(|| corrupt("record truncated"))?;
-    let fields = take(buf, pos, len)?.chunks_exact(W);
-    Ok(fields.map(|f| f.try_into().expect("chunks are W bytes")))
+    let (fields, _) = take(buf, pos, len)?.as_chunks();
+    Ok(fields.iter().copied())
 }
 
 /// Appends every element's little-endian bytes: the inverse of
@@ -337,91 +333,6 @@ pub fn read_batch(buf: &[u8], pos: &mut usize) -> Result<Batch> {
         columns.push(Arc::new(Column { data, validity }));
     }
     Batch::from_columns_with_len(columns, nrows)
-}
-
-/// A bounded page cache with clock (second-chance) eviction.
-///
-/// Frames are keyed by `(tag, page)` — the tag namespaces page numbers
-/// per table or index so distinct objects never collide. The pool tracks
-/// *residency only* (which pages would be in memory), not page contents:
-/// the simulated I/O model needs hit/miss behavior, not a second copy of
-/// the data. A touch of a resident page sets its reference bit and
-/// reports a hit; a miss claims a frame, evicting the first
-/// unreferenced frame the clock hand sweeps past.
-#[derive(Debug)]
-pub struct BufferPool {
-    capacity: usize,
-    frames: Vec<Frame>,
-    map: HashMap<(u64, u64), usize>,
-    hand: usize,
-}
-
-#[derive(Debug)]
-struct Frame {
-    key: (u64, u64),
-    referenced: bool,
-}
-
-impl BufferPool {
-    /// A pool sized to `budget_bytes` of page frames (at least one).
-    pub fn new(budget_bytes: usize) -> BufferPool {
-        BufferPool::with_capacity_pages((budget_bytes / PAGE_SIZE).max(1))
-    }
-
-    /// A pool of exactly `pages` frames (at least one).
-    pub fn with_capacity_pages(pages: usize) -> BufferPool {
-        let capacity = pages.max(1);
-        BufferPool {
-            capacity,
-            frames: Vec::new(),
-            map: HashMap::new(),
-            hand: 0,
-        }
-    }
-
-    /// Number of frames.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently resident pages.
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Touches `(tag, page)`: returns `true` on a hit (page resident),
-    /// `false` on a miss (page faulted in, possibly evicting another).
-    pub fn touch(&mut self, tag: u64, page: u64) -> bool {
-        let key = (tag, page);
-        if let Some(&slot) = self.map.get(&key) {
-            self.frames[slot].referenced = true;
-            return true;
-        }
-        if self.frames.len() < self.capacity {
-            self.map.insert(key, self.frames.len());
-            self.frames.push(Frame {
-                key,
-                referenced: true,
-            });
-            return false;
-        }
-        // Clock sweep: clear reference bits until an unreferenced frame
-        // turns up. Terminates within two revolutions.
-        loop {
-            let f = &mut self.frames[self.hand];
-            if f.referenced {
-                f.referenced = false;
-                self.hand = (self.hand + 1) % self.capacity;
-            } else {
-                self.map.remove(&f.key);
-                f.key = key;
-                f.referenced = true;
-                self.map.insert(key, self.hand);
-                self.hand = (self.hand + 1) % self.capacity;
-                return false;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -572,33 +483,5 @@ mod tests {
             assert_eq!(back.len(), batch.len());
             assert_eq!(back.columns(), batch.columns());
         }
-    }
-
-    #[test]
-    fn pool_hits_and_clock_eviction() {
-        let mut p = BufferPool::with_capacity_pages(2);
-        assert!(!p.touch(0, 1)); // miss, fault in
-        assert!(!p.touch(0, 2)); // miss
-        assert!(p.touch(0, 1)); // hit
-        assert_eq!(p.resident(), 2);
-        // Pool full: faulting page 3 evicts something; the clock clears
-        // reference bits first, so both residents survive one sweep each.
-        assert!(!p.touch(0, 3));
-        assert_eq!(p.resident(), 2);
-        // Distinct tags never collide even on equal page numbers.
-        let mut q = BufferPool::with_capacity_pages(4);
-        assert!(!q.touch(1, 7));
-        assert!(!q.touch(2, 7));
-        assert!(q.touch(1, 7));
-    }
-
-    #[test]
-    fn tiny_budget_still_gets_one_frame() {
-        let mut p = BufferPool::new(10); // well under one page
-        assert_eq!(p.capacity(), 1);
-        assert!(!p.touch(0, 1));
-        assert!(p.touch(0, 1));
-        assert!(!p.touch(0, 2)); // evicts page 1
-        assert!(!p.touch(0, 1));
     }
 }

@@ -7,8 +7,8 @@
 use fto_common::DataType::{self, Bool, Date, Double, Int, Str};
 use fto_common::{Batch, Direction, Rng, Row, TableId, Value};
 use fto_storage::{
-    spill, BufferPool, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex,
-    PageCursor, SpillCursor, SpillFile, PAGE_SIZE,
+    spill, HeapLoader, HeapScanState, HeapTable, IndexScanState, IoStats, OrderedIndex, PageCursor,
+    SpillCursor, SpillFile,
 };
 use std::sync::Arc;
 
@@ -198,7 +198,7 @@ fn ordered_probe_page_locality() {
         let mut cursor = PageCursor::new();
         for i in 0..n {
             for (_, rid) in ix.probe(&[Value::Int(seq(i))]) {
-                cursor.touch(0, h.page_of(*rid), &mut io, None);
+                cursor.touch(h.page_of(*rid), &mut io);
             }
         }
         costs.push(io.weighted_page_cost());
@@ -306,7 +306,7 @@ fn heap_scans_return_the_loaded_rows() {
                 for part in 0..parts {
                     let mut scan = HeapScanState::partition(&heap, part, parts);
                     got.extend(drain(batch_rows, || {
-                        scan.next_columns(&heap, batch_rows, &mut io, None).unwrap()
+                        scan.next_columns(&heap, batch_rows, &mut io).unwrap()
                     }));
                     assert!(scan.exhausted(&heap));
                 }
@@ -367,7 +367,7 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     let mut io = IoStats::new();
     let mut scan = HeapScanState::new();
     for chunk in heap.chunks() {
-        let pulled = scan.next_columns(&heap, CHUNK, &mut io, None).unwrap();
+        let pulled = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
         for (got, stored) in pulled.columns().iter().zip(chunk.columns()) {
             assert!(Arc::ptr_eq(got, stored));
         }
@@ -375,8 +375,8 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     assert!(scan.exhausted(&heap));
 
     let mut scan = HeapScanState::new();
-    scan.next_columns(&heap, 1, &mut io, None).unwrap();
-    let shifted = scan.next_columns(&heap, CHUNK, &mut io, None).unwrap();
+    scan.next_columns(&heap, 1, &mut io).unwrap();
+    let shifted = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
     assert_eq!(shifted.len(), CHUNK);
     assert!(!Arc::ptr_eq(shifted.column(0), heap.chunks()[0].column(0)));
 }
@@ -406,8 +406,7 @@ fn index_scans_return_the_indexed_rows() {
                 let mut io = IoStats::new();
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
                 let got = drain(batch_rows, || {
-                    scan.next_columns(&ix, &heap, batch_rows, &mut io, None, 0)
-                        .unwrap()
+                    scan.next_columns(&ix, &heap, batch_rows, &mut io).unwrap()
                 });
                 let at = format!("n={n} range={range} reverse={reverse} batch={batch_rows}");
                 assert_eq!(exact(&got), exact(&want), "{at}");
@@ -433,15 +432,13 @@ fn accounting_heap(scatter: bool) -> HeapTable {
     )
 }
 
-fn io(counts: [u64; 6]) -> IoStats {
-    let [sequential_pages, random_pages, index_pages, rows_read, pool_hits, pool_misses] = counts;
+fn io(counts: [u64; 4]) -> IoStats {
+    let [sequential_pages, random_pages, index_pages, rows_read] = counts;
     IoStats {
         sequential_pages,
         random_pages,
         index_pages,
         rows_read,
-        pool_hits,
-        pool_misses,
         ..IoStats::new()
     }
 }
@@ -452,169 +449,76 @@ fn io(counts: [u64; 6]) -> IoStats {
 #[test]
 fn io_stats_equal_the_row_heap_engines() {
     let mut got: Vec<(String, IoStats)> = Vec::new();
-    for pooled in [false, true] {
-        for scatter in [false, true] {
-            let heap = accounting_heap(scatter);
-            let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
-            // Eight frames: far fewer than the heap's 77 pages.
-            let mut pool = pooled.then(|| BufferPool::new(8 * PAGE_SIZE));
-            let mut record = |what: &str, io: IoStats| {
-                got.push((format!("{what} scatter={scatter} pooled={pooled}"), io));
-            };
+    for scatter in [false, true] {
+        let heap = accounting_heap(scatter);
+        let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
+        let mut record = |what: &str, io: IoStats| {
+            got.push((format!("{what} scatter={scatter}"), io));
+        };
 
+        let mut io = IoStats::new();
+        let mut scan = HeapScanState::new();
+        while !scan.next_columns(&heap, 7, &mut io).unwrap().is_empty() {}
+        record("full scan", io);
+
+        // A LIMIT that stops pulling after three batches.
+        let mut io = IoStats::new();
+        let mut scan = HeapScanState::new();
+        for _ in 0..3 {
+            scan.next_columns(&heap, 100, &mut io).unwrap();
+        }
+        record("abandoned scan", io);
+
+        let (lo, hi) = (Value::Int(500), Value::Int(1500));
+        for (what, lo, hi, reverse, batch_rows) in [
+            ("index scan", None, None, false, 57),
+            ("reverse index scan", None, None, true, 64),
+            ("ranged index scan", Some(&lo), Some(&hi), false, 128),
+        ] {
             let mut io = IoStats::new();
-            let mut scan = HeapScanState::new();
+            let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
             while !scan
-                .next_columns(&heap, 7, &mut io, pool.as_mut())
+                .next_columns(&ix, &heap, batch_rows, &mut io)
                 .unwrap()
                 .is_empty()
             {}
-            record("full scan", io);
+            record(what, io);
+        }
 
-            // A LIMIT that stops pulling after three batches.
-            let mut io = IoStats::new();
-            let mut scan = HeapScanState::new();
-            for _ in 0..3 {
-                scan.next_columns(&heap, 100, &mut io, pool.as_mut())
-                    .unwrap();
-            }
-            record("abandoned scan", io);
-
-            let (lo, hi) = (Value::Int(500), Value::Int(1500));
-            for (what, lo, hi, reverse, batch_rows) in [
-                ("index scan", None, None, false, 57),
-                ("reverse index scan", None, None, true, 64),
-                ("ranged index scan", Some(&lo), Some(&hi), false, 128),
-            ] {
-                let mut io = IoStats::new();
-                let mut scan = IndexScanState::open(&ix, lo, hi, reverse);
-                while !scan
-                    .next_columns(&ix, &heap, batch_rows, &mut io, pool.as_mut(), 1 << 32)
-                    .unwrap()
-                    .is_empty()
-                {}
-                record(what, io);
-            }
-
-            // An index nested-loop join's probe stream: an outer of 600
-            // keys (some absent, some repeated), one descent per key.
-            let mut io = IoStats::new();
-            let mut cursor = PageCursor::probing();
-            let mut rids = Vec::new();
-            for probe in (0..600).map(|i| i * 7 % 3200) {
-                io.index_pages += 1;
-                for (_, rid) in ix.probe(&[Value::Int(probe)]) {
-                    cursor.touch(0, heap.page_of(*rid), &mut io, pool.as_mut());
-                    io.rows_read += 1;
-                    rids.push(*rid);
-                }
-            }
-            record("probe stream", io);
-            let fetched = heap.gather(&rids).unwrap();
-            assert_eq!(fetched.len(), rids.len());
-            for (at, &rid) in rids.iter().enumerate().step_by(41) {
-                assert_eq!(fetched.row(at), heap.row(rid));
+        // An index nested-loop join's probe stream: an outer of 600
+        // keys (some absent, some repeated), one descent per key.
+        let mut io = IoStats::new();
+        let mut cursor = PageCursor::probing();
+        let mut rids = Vec::new();
+        for probe in (0..600).map(|i| i * 7 % 3200) {
+            io.index_pages += 1;
+            for (_, rid) in ix.probe(&[Value::Int(probe)]) {
+                cursor.touch(heap.page_of(*rid), &mut io);
+                io.rows_read += 1;
+                rids.push(*rid);
             }
         }
+        record("probe stream", io);
+        let fetched = heap.gather(&rids).unwrap();
+        assert_eq!(fetched.len(), rids.len());
+        for (at, &rid) in rids.iter().enumerate().step_by(41) {
+            assert_eq!(fetched.row(at), heap.row(rid));
+        }
     }
-    //                                         seq  rand  leaf  rows  hits  misses
+    //                                   seq  rand  leaf  rows
     let want = [
-        (
-            "full scan scatter=false pooled=false",
-            [77, 0, 0, 3079, 0, 0],
-        ),
-        (
-            "abandoned scan scatter=false pooled=false",
-            [8, 0, 0, 300, 0, 0],
-        ),
-        (
-            "index scan scatter=false pooled=false",
-            [77, 0, 13, 3079, 0, 0],
-        ),
-        (
-            "reverse index scan scatter=false pooled=false",
-            [1, 76, 13, 3079, 0, 0],
-        ),
-        (
-            "ranged index scan scatter=false pooled=false",
-            [26, 0, 5, 1001, 0, 0],
-        ),
-        (
-            "probe stream scatter=false pooled=false",
-            [100, 2, 600, 582, 0, 0],
-        ),
-        (
-            "full scan scatter=true pooled=false",
-            [77, 0, 0, 3079, 0, 0],
-        ),
-        (
-            "abandoned scan scatter=true pooled=false",
-            [8, 0, 0, 300, 0, 0],
-        ),
-        (
-            "index scan scatter=true pooled=false",
-            [1, 3078, 13, 3079, 0, 0],
-        ),
-        (
-            "reverse index scan scatter=true pooled=false",
-            [1, 3078, 13, 3079, 0, 0],
-        ),
-        (
-            "ranged index scan scatter=true pooled=false",
-            [1, 1000, 5, 1001, 0, 0],
-        ),
-        (
-            "probe stream scatter=true pooled=false",
-            [0, 582, 600, 582, 0, 0],
-        ),
-        (
-            "full scan scatter=false pooled=true",
-            [77, 0, 0, 3079, 0, 77],
-        ),
-        (
-            "abandoned scan scatter=false pooled=true",
-            [8, 0, 0, 300, 0, 8],
-        ),
-        (
-            "index scan scatter=false pooled=true",
-            [77, 0, 13, 3079, 0, 90],
-        ),
-        (
-            "reverse index scan scatter=false pooled=true",
-            [0, 71, 11, 3079, 8, 82],
-        ),
-        (
-            "ranged index scan scatter=false pooled=true",
-            [26, 0, 5, 1001, 0, 31],
-        ),
-        (
-            "probe stream scatter=false pooled=true",
-            [100, 2, 600, 582, 0, 102],
-        ),
-        (
-            "full scan scatter=true pooled=true",
-            [77, 0, 0, 3079, 0, 77],
-        ),
-        (
-            "abandoned scan scatter=true pooled=true",
-            [8, 0, 0, 300, 0, 8],
-        ),
-        (
-            "index scan scatter=true pooled=true",
-            [1, 394, 13, 3079, 2684, 408],
-        ),
-        (
-            "reverse index scan scatter=true pooled=true",
-            [0, 389, 12, 3079, 2691, 401],
-        ),
-        (
-            "ranged index scan scatter=true pooled=true",
-            [1, 132, 5, 1001, 868, 138],
-        ),
-        (
-            "probe stream scatter=true pooled=true",
-            [0, 509, 600, 582, 73, 509],
-        ),
+        ("full scan scatter=false", [77, 0, 0, 3079]),
+        ("abandoned scan scatter=false", [8, 0, 0, 300]),
+        ("index scan scatter=false", [77, 0, 13, 3079]),
+        ("reverse index scan scatter=false", [1, 76, 13, 3079]),
+        ("ranged index scan scatter=false", [26, 0, 5, 1001]),
+        ("probe stream scatter=false", [100, 2, 600, 582]),
+        ("full scan scatter=true", [77, 0, 0, 3079]),
+        ("abandoned scan scatter=true", [8, 0, 0, 300]),
+        ("index scan scatter=true", [1, 3078, 13, 3079]),
+        ("reverse index scan scatter=true", [1, 3078, 13, 3079]),
+        ("ranged index scan scatter=true", [1, 1000, 5, 1001]),
+        ("probe stream scatter=true", [0, 582, 600, 582]),
     ];
     assert_eq!(got.len(), want.len());
     for ((what, got), (want_what, want)) in got.iter().zip(want) {
@@ -625,9 +529,9 @@ fn io_stats_equal_the_row_heap_engines() {
 
 /// Spill records never leave the process, but the decoders are `pub` and
 /// the join, group-by and sort read paths all trust them: every
-/// truncation of a written record is an error, and flipping any one bit
-/// yields an error or a well-formed batch — never a panic, and never more
-/// rows than the record has bytes to back.
+/// truncation of a written record is an error, and flipping any one bit,
+/// or inverting any one byte, yields an error or a well-formed batch —
+/// never a panic, and never more rows than the record has bytes to back.
 #[test]
 fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
     let row = |vals: [Value; 6]| -> Row { vals.into_iter().collect() };
@@ -691,13 +595,13 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
             assert!(got.is_err(), "batch {b} cut at {cut}: {got:?}");
         }
         for at in 0..rec.len() {
-            for bit in 0..8 {
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
                 let mut bad = rec.clone();
-                bad[at] ^= 1 << bit;
+                bad[at] ^= mask;
                 let Ok(got) = spill::read_batch(&bad, &mut 0) else {
                     continue;
                 };
-                let case = format!("batch {b} byte {at} bit {bit}");
+                let case = format!("batch {b} byte {at} xor {mask:#04x}");
                 // Bytes 0..4 are the row count; a flip anywhere else
                 // cannot change it.
                 assert!(at < 4 || got.len() == batch.len(), "{case}");
@@ -715,8 +619,9 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
         // The same record behind its length frame, read back through a
         // cursor: an extent that ends inside the frame is an error (one
         // that ends before it is simply exhausted), and a flipped length
-        // bit either overruns the extent — an error — or frames a strict
-        // prefix of the record, which decodes like any other cut.
+        // bit or inverted length byte either overruns the extent — an
+        // error — or frames a strict prefix of the record, which decodes
+        // like any other cut.
         let mut io = IoStats::new();
         let mut file = SpillFile::new();
         file.append_record(&rec, &mut io);
@@ -728,13 +633,14 @@ fn damaged_spill_records_decode_to_errors_or_well_formed_batches() {
         for cut in 1..file.len() {
             assert!(read(&file, cut).is_err(), "batch {b} frame cut at {cut}");
         }
-        for bit in 0..32 {
+        let bits = (0..32).map(|bit| 1u32 << bit);
+        for mask in bits.chain((0..4).map(|byte| 0xFFu32 << (8 * byte))) {
             let mut bad = SpillFile::new();
-            bad.append(&(rec.len() as u32 ^ 1 << bit).to_le_bytes(), &mut io);
+            bad.append(&(rec.len() as u32 ^ mask).to_le_bytes(), &mut io);
             bad.append(&rec, &mut io);
             if let Ok(framed) = read(&bad, bad.len()) {
                 let framed = framed.expect("the extent is not empty");
-                let case = format!("batch {b} frame length bit {bit}");
+                let case = format!("batch {b} frame length xor {mask:#010x}");
                 assert!(framed.len() < rec.len(), "{case}");
                 assert_eq!(framed, rec[..framed.len()], "{case}");
                 assert!(spill::read_batch(&framed, &mut 0).is_err(), "{case}");

@@ -363,7 +363,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     assert_eq!(io, IoStats::new(), "open() must charge nothing");
 
     // Pull 10 rows, as a LIMIT 10 would, then stop.
-    let batch = scan.next_columns(&ix, &heap, 10, &mut io, None, 0).unwrap();
+    let batch = scan.next_columns(&ix, &heap, 10, &mut io).unwrap();
     assert_eq!(batch.len(), 10);
     assert_eq!(io.rows_read, 10);
     // One index leaf entered; heap pages only behind the 10 rows read
@@ -374,7 +374,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
     // Same bounds through reverse scans: last leaf, last page, 10 rows.
     let mut rio = IoStats::new();
     let mut rev = IndexScanState::open(&ix, None, None, true);
-    let batch = rev.next_columns(&ix, &heap, 10, &mut rio, None, 0).unwrap();
+    let batch = rev.next_columns(&ix, &heap, 10, &mut rio).unwrap();
     assert_eq!(batch.len(), 10);
     assert_eq!(batch.row(0)[0], Value::Int(99_999));
     assert_eq!(rio.rows_read, 10);
