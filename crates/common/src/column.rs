@@ -24,8 +24,9 @@
 //! materializes the selected rows with one per-type loop per column.
 
 use crate::sortkey;
-use crate::value::{DataType, Row, Value};
+use crate::value::{cmp_f64_nan_high, cmp_int_double, type_rank, DataType, Row, Value};
 use crate::{Direction, FtoError, Result};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A word-packed validity bitmap: bit `i` set means slot `i` is valid
@@ -287,6 +288,39 @@ impl Column {
             }
             ColumnData::Date32(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
+        }
+    }
+
+    /// Compares slot `i` of this column with slot `j` of `other`, deciding
+    /// exactly as [`Value::total_cmp`] does on `self.value(i)` and
+    /// `other.value(j)` — NULL greatest, NaN-high doubles, `Int` against
+    /// `Double` exactly, strings byte-wise, a type mismatch by type rank —
+    /// without materializing either value.
+    #[inline]
+    pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
+        match (self.is_valid(i), other.is_valid(j)) {
+            (true, true) => {}
+            (a, b) => return b.cmp(&a),
+        }
+        use ColumnData::*;
+        match (&self.data, &other.data) {
+            (Int64(a), Int64(b)) => a[i].cmp(&b[j]),
+            (Float64(a), Float64(b)) => cmp_f64_nan_high(a[i], b[j]),
+            (Int64(a), Float64(b)) => cmp_int_double(a[i], b[j]),
+            (Float64(a), Int64(b)) => cmp_int_double(b[j], a[i]).reverse(),
+            (
+                Utf8 { offsets, bytes },
+                Utf8 {
+                    offsets: o,
+                    bytes: b,
+                },
+            ) => {
+                let a = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+                a.cmp(&b[o[j] as usize..o[j + 1] as usize])
+            }
+            (Date32(a), Date32(b)) => a[i].cmp(&b[j]),
+            (Bool(a), Bool(b)) => a[i].cmp(&b[j]),
+            (a, b) => type_rank(Some(a.data_type())).cmp(&type_rank(Some(b.data_type()))),
         }
     }
 

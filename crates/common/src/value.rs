@@ -157,7 +157,7 @@ impl Value {
             (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
             (Date(a), Date(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
-            (a, b) => type_rank(a).cmp(&type_rank(b)),
+            (a, b) => type_rank(a.data_type()).cmp(&type_rank(b.data_type())),
         }
     }
 }
@@ -203,13 +203,15 @@ pub fn cmp_int_double(a: i64, b: f64) -> Ordering {
     ((a as i128) - (g as i128)).cmp(&0)
 }
 
-fn type_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 5,
-        Value::Int(_) | Value::Double(_) => 0,
-        Value::Str(_) => 1,
-        Value::Date(_) => 2,
-        Value::Bool(_) => 3,
+/// Where a type mismatch ranks in [`Value::total_cmp`]'s fallback order;
+/// `None` is NULL's type.
+pub(crate) fn type_rank(ty: Option<DataType>) -> u8 {
+    match ty {
+        None => 5,
+        Some(DataType::Int | DataType::Double) => 0,
+        Some(DataType::Str) => 1,
+        Some(DataType::Date) => 2,
+        Some(DataType::Bool) => 3,
     }
 }
 

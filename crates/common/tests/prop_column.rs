@@ -2,10 +2,11 @@
 //! to_rows` must be an exact identity over adversarial values of every
 //! declared type (and keep that type, whatever the values), and the
 //! column-at-a-time sort-key encoder must be byte-identical to the
-//! per-row [`fto_common::sortkey`] encoder on the same fuzz corpus.
+//! per-row [`fto_common::sortkey`] encoder on the same fuzz corpus, and
+//! the typed cell comparator must decide as `Value::total_cmp` does.
 
 use fto_common::column::encode_batch_keys_arena;
-use fto_common::{sortkey, Batch, DataType, Direction, Rng, Row, Value};
+use fto_common::{sortkey, Batch, Column, DataType, Direction, Rng, Row, Value};
 
 const CASES: u64 = 120;
 
@@ -180,6 +181,79 @@ fn gather_matches_row_selection() {
                     bit_identical(a, b),
                     "case {case} slot {k} col {j}: {a:?} != {b:?}"
                 );
+            }
+        }
+    }
+}
+
+/// Values every comparison corner lives at, per [`TYPES`] entry: NULL,
+/// `Int`s and `Double`s that tie exactly (2, 2^53, 2^60, 2^63) beside the
+/// integers one past them that a rounding comparison would call equal,
+/// signed zeros, NaN and the infinities, strings that are prefixes of
+/// others and multi-byte UTF-8, and the extreme dates.
+fn edge_values(type_hint: usize) -> Vec<Value> {
+    let mut values = vec![Value::Null];
+    match type_hint {
+        0 => values.extend(
+            [
+                2,
+                0,
+                1 << 53,
+                (1 << 53) + 1,
+                (1 << 60) + 1,
+                i64::MAX,
+                i64::MIN,
+            ]
+            .map(Value::Int),
+        ),
+        1 => values.extend(
+            [
+                2.0,
+                -0.0,
+                0.0,
+                (1u64 << 53) as f64,
+                (1u64 << 60) as f64,
+                i64::MAX as f64,
+                i64::MIN as f64,
+                f64::NAN,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+            ]
+            .map(Value::Double),
+        ),
+        2 => values.extend(["", "a", "ab", "\0", "é"].map(Value::str)),
+        3 => values.extend([0, -1, i32::MIN, i32::MAX].map(Value::Date)),
+        _ => values.extend([false, true].map(Value::Bool)),
+    }
+    values
+}
+
+/// `Column::cmp_at` decides exactly as `Value::total_cmp` does on the two
+/// slots' values, for every pair of declared types — a mismatched pair
+/// included, which ranks by type as the `Value` order does.
+#[test]
+fn cmp_at_equals_value_total_cmp() {
+    let mut rng = Rng::new(0xC01_C3B7);
+    for case in 0..CASES / 4 {
+        let columns: Vec<Column> = (0..TYPES.len())
+            .map(|hint| {
+                let mut values = edge_values(hint);
+                values.extend((0..8).map(|_| fuzz_value(&mut rng, hint)));
+                Column::from_typed_values(TYPES[hint], values.iter()).unwrap()
+            })
+            .collect();
+        for a in &columns {
+            for b in &columns {
+                for i in 0..a.len() {
+                    for j in 0..b.len() {
+                        let (va, vb) = (a.value(i), b.value(j));
+                        assert_eq!(
+                            a.cmp_at(i, b, j),
+                            va.total_cmp(&vb),
+                            "case {case}: {va:?} against {vb:?}"
+                        );
+                    }
+                }
             }
         }
     }

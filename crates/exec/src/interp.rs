@@ -9,7 +9,8 @@
 //! [`crate::Session`], which uses the streaming engine.
 
 use crate::sortkernel;
-use fto_common::{FtoError, Result, Row, Value};
+use crate::stream::layout_types;
+use fto_common::{Column, FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
 use fto_planner::{JoinKind, Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
@@ -56,16 +57,18 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan) -> Result<Vec<Row>> {
         } => {
             let heap = db.heap(*table)?;
             let ix = db.index(*index)?;
-            let mut rids: Vec<usize> = match range {
-                Some(ScanRange { lo, hi }) => {
-                    ix.range(lo.as_ref(), hi.as_ref()).map(|(_, r)| r).collect()
-                }
-                None => ix.scan().map(|(_, r)| r).collect(),
+            let (start, end) = match range {
+                Some(ScanRange { lo, hi }) => ix.range_positions(lo.as_ref(), hi.as_ref())?,
+                None => (0, ix.len()),
             };
+            let mut rows: Vec<Row> = ix.rids()[start..end]
+                .iter()
+                .map(|&rid| heap.row(rid))
+                .collect();
             if *reverse {
-                rids.reverse();
+                rows.reverse();
             }
-            Ok(rids.into_iter().map(|rid| heap.row(rid)).collect())
+            Ok(rows)
         }
         PlanNode::Filter { input, predicates } => {
             let rows = exec(db, graph, input)?;
@@ -127,10 +130,17 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan) -> Result<Vec<Row>> {
                     })
                 })
                 .collect::<Result<Vec<_>>>()?;
-            for orow in &outer_rows {
-                let key: Vec<Value> = probe_positions.iter().map(|&p| orow[p].clone()).collect();
-                for (_, rid) in ix.probe(&key) {
-                    let joined = concat(orow, &heap.row(*rid));
+            // The outer's probe keys as columns of their declared types,
+            // which the index compares slot by slot.
+            let types = layout_types(graph, olayout)?;
+            let probe = probe_positions
+                .iter()
+                .map(|&p| Column::from_typed_values(types[p], outer_rows.iter().map(|r| &r[p])))
+                .collect::<Result<Vec<_>>>()?;
+            let probe: Vec<&Column> = probe.iter().collect();
+            for (oi, orow) in outer_rows.iter().enumerate() {
+                for &rid in &ix.rids()[ix.probe(&probe, oi, 0)] {
+                    let joined = concat(orow, &heap.row(rid));
                     if eval_preds(graph, predicates, &joined, layout)? {
                         out.push(joined);
                     }

@@ -9,7 +9,7 @@ use crate::aggkernel::{GroupTable, NO_GROUP};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::SortKeys;
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
-use fto_common::{DataType, FtoError, IndexId, Result, TableId, Value};
+use fto_common::{DataType, FtoError, IndexId, Result, TableId};
 use fto_expr::{PredId, RowLayout};
 use fto_planner::JoinKind;
 use fto_storage::{spill, IoStats, PageCursor, SpillCursor, SpillFile};
@@ -17,13 +17,16 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Index nested-loop join, vectorized: streams the outer, probing the
-/// inner table's index per row and collecting the matching row ids —
-/// leaf, page and `rows_read` charges fall per probe and per
-/// fetched row, in probe order — then assembles the candidates with one
-/// columnar gather per side per outer batch. One [`PageCursor`] persists
-/// for the operator's lifetime, so probes arriving in inner-page order
-/// (the paper's ordered nested-loop join) hit the just-read page for
-/// free.
+/// inner table's index per row with the outer batch's typed key columns
+/// and collecting the matching row ids — leaf, page and `rows_read`
+/// charges fall per probe and per fetched row, in probe order — then
+/// assembles the candidates with one columnar gather per side per outer
+/// batch. One [`PageCursor`] persists for the operator's lifetime, so
+/// probes arriving in inner-page order (the paper's ordered nested-loop
+/// join) hit the just-read page for free; and each probe searches the
+/// index forward from the previous probe's lower bound, so probes arriving
+/// in key order walk the index instead of descending it. Neither depends
+/// on the plan's order claim: a probe out of order pays one binary search.
 pub(super) struct IndexNestedLoopJoinOp {
     pub(super) outer: Box<dyn Operator>,
     pub(super) table: TableId,
@@ -32,6 +35,9 @@ pub(super) struct IndexNestedLoopJoinOp {
     pub(super) predicates: Vec<PredId>,
     pub(super) layout: RowLayout,
     pub(super) cursor: PageCursor,
+    /// The previous probe's lower bound: where the next probe's search
+    /// starts ([`fto_storage::OrderedIndex::probe`]).
+    pub(super) hint: usize,
     pub(super) out: BatchQueue,
 }
 
@@ -39,13 +45,13 @@ impl Operator for IndexNestedLoopJoinOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         // Probe streams pay a full seek on their first fetch.
         self.cursor = PageCursor::probing();
+        self.hint = 0;
         self.outer.open(cx, rec)
     }
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
         let ix = cx.db.index(self.index)?;
-        let mut key: Vec<Value> = Vec::with_capacity(self.probe_pos.len());
         loop {
             if !self.out.is_empty() {
                 return self.out.take(cx.batch_size).map(Some);
@@ -53,17 +59,22 @@ impl Operator for IndexNestedLoopJoinOp {
             let Some(batch) = self.outer.next_batch(cx, rec)? else {
                 return Ok(None);
             };
+            let probe: Vec<&Column> = self
+                .probe_pos
+                .iter()
+                .map(|&p| batch.column(p).as_ref())
+                .collect();
             let mut osel: Vec<u32> = Vec::new();
             let mut rids: Vec<usize> = Vec::new();
             for oi in 0..batch.len() {
-                key.clear();
-                key.extend(self.probe_pos.iter().map(|&p| batch.column(p).value(oi)));
                 rec.stats.io.index_pages += 1; // descent touches one leaf
-                for (_, rid) in ix.probe(&key) {
-                    self.cursor.touch(heap.page_of(*rid), &mut rec.stats.io);
+                let hits = ix.probe(&probe, oi, self.hint);
+                self.hint = hits.start;
+                for &rid in &ix.rids()[hits] {
+                    self.cursor.touch(heap.page_of(rid), &mut rec.stats.io);
                     rec.stats.io.rows_read += 1;
                     osel.push(oi as u32);
-                    rids.push(*rid);
+                    rids.push(rid);
                 }
             }
             if osel.is_empty() {

@@ -258,6 +258,7 @@ pub(super) fn lower_impl(plan: &Plan, lw: &mut LowerCx<'_>) -> Result<Box<dyn Op
             predicates: predicates.clone(),
             layout: plan.layout.clone(),
             cursor: PageCursor::new(),
+            hint: 0,
             out: BatchQueue::default(),
         }),
         PlanNode::Join {

@@ -72,7 +72,7 @@ impl Operator for IndexScanOp {
             self.reverse,
             kpart,
             self.parts,
-        ));
+        )?);
         Ok(())
     }
 

@@ -324,7 +324,7 @@ impl QueryGraph {
         &mut self,
         box_id: BoxId,
         table: &fto_catalog::TableDef,
-    ) -> QuantifierId {
+    ) -> &Quantifier {
         let qid = QuantifierId(self.next_quantifier);
         self.next_quantifier += 1;
         let cols: Vec<ColId> = table
@@ -339,27 +339,30 @@ impl QueryGraph {
                 )
             })
             .collect();
-        self.boxes[box_id.index()].quantifiers.push(Quantifier {
-            id: qid,
-            input: QuantifierInput::Table(table.id),
-            cols,
-        });
-        qid
+        self.push_quantifier(box_id, qid, QuantifierInput::Table(table.id), cols)
     }
 
     /// Adds to `box_id` a quantifier ranging over another box; the inner
     /// box's output ids become the visible columns (no fresh ids — one
     /// flat column space).
-    pub fn add_box_quantifier(&mut self, box_id: BoxId, inner: BoxId) -> QuantifierId {
+    pub fn add_box_quantifier(&mut self, box_id: BoxId, inner: BoxId) -> &Quantifier {
         let qid = QuantifierId(self.next_quantifier);
         self.next_quantifier += 1;
         let cols = self.boxes[inner.index()].output_cols();
-        self.boxes[box_id.index()].quantifiers.push(Quantifier {
-            id: qid,
-            input: QuantifierInput::Box(inner),
-            cols,
-        });
-        qid
+        self.push_quantifier(box_id, qid, QuantifierInput::Box(inner), cols)
+    }
+
+    /// Appends a quantifier to `box_id`, returning it.
+    fn push_quantifier(
+        &mut self,
+        box_id: BoxId,
+        id: QuantifierId,
+        input: QuantifierInput,
+        cols: Vec<ColId>,
+    ) -> &Quantifier {
+        let quantifiers = &mut self.boxes[box_id.index()].quantifiers;
+        quantifiers.push(Quantifier { id, input, cols });
+        &quantifiers[quantifiers.len() - 1]
     }
 
     /// Mints a fresh derived column (computed scalar or aggregate output)
@@ -454,8 +457,12 @@ mod tests {
         let cat = catalog();
         let mut g = QueryGraph::new();
         let b = g.add_box(BoxKind::Select);
-        let q1 = g.add_table_quantifier(b, cat.table_by_name("a").unwrap());
-        let q2 = g.add_table_quantifier(b, cat.table_by_name("a").unwrap());
+        let q1 = g
+            .add_table_quantifier(b, cat.table_by_name("a").unwrap())
+            .id;
+        let q2 = g
+            .add_table_quantifier(b, cat.table_by_name("a").unwrap())
+            .id;
         assert_ne!(q1, q2);
         let qs = &g.boxed(b).quantifiers;
         assert_ne!(qs[0].cols, qs[1].cols); // self-join stays distinct

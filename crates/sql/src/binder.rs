@@ -243,8 +243,7 @@ fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
                     ));
                 }
                 graph.boxed_mut(child).distinct = true;
-                graph.add_box_quantifier(sel, child);
-                let sub_col = graph.boxed(sel).quantifiers.last().unwrap().cols[0];
+                let sub_col = graph.add_box_quantifier(sel, child).cols[0];
                 let p = Predicate::new(CompareOp::Eq, tested, Expr::col(sub_col));
                 let pid = graph.add_predicate(p);
                 graph.boxed_mut(sel).predicates.push(pid);
@@ -278,8 +277,7 @@ fn bind_from_item(
     match item {
         TableRef::Table { name, alias } => {
             let td = catalog.table_by_name(name)?.clone();
-            graph.add_table_quantifier(sel, &td);
-            let cols = graph.boxed(sel).quantifiers.last().unwrap().cols.clone();
+            let cols = graph.add_table_quantifier(sel, &td).cols.clone();
             let qual = Some(alias.clone().unwrap_or_else(|| td.name.clone()));
             Ok(Binding {
                 col_names: td
@@ -292,8 +290,7 @@ fn bind_from_item(
         }
         TableRef::Subquery { query, alias } => {
             let child = bind_any(graph, catalog, query)?;
-            graph.add_box_quantifier(sel, child);
-            let cols = graph.boxed(sel).quantifiers.last().unwrap().cols.clone();
+            let cols = graph.add_box_quantifier(sel, child).cols.clone();
             let col_names = cols
                 .iter()
                 .map(|&c| (Some(alias.clone()), graph.registry.name(c).to_string()))
@@ -302,8 +299,7 @@ fn bind_from_item(
         }
         TableRef::Join { .. } => {
             let (jb, col_names) = bind_join_tree(graph, catalog, item)?;
-            graph.add_box_quantifier(sel, jb);
-            let cols = graph.boxed(sel).quantifiers.last().unwrap().cols.clone();
+            let cols = graph.add_box_quantifier(sel, jb).cols.clone();
             Ok(Binding { cols, col_names })
         }
     }
@@ -438,7 +434,11 @@ fn bind_plain_select(
                     }
                 }
             }
-            SelectItem::Agg { .. } => unreachable!("agg handled in aggregate path"),
+            SelectItem::Agg { .. } => {
+                return Err(FtoError::internal(
+                    "an aggregate reached the plain select path; the aggregate path binds it",
+                ))
+            }
         }
     }
     let order = resolve_order_by(graph, scope, q, &outputs, &names)?;

@@ -77,7 +77,7 @@ impl Database {
 
         for ixdef in self.catalog.indexes_for(table) {
             let (ordinals, dirs): (Vec<usize>, Vec<_>) = ixdef.key.iter().copied().unzip();
-            let ix = OrderedIndex::build(&heap, &ordinals, &dirs);
+            let ix = OrderedIndex::build(&heap, &ordinals, &dirs)?;
             self.indexes.insert(ixdef.id, ix);
         }
 
@@ -152,8 +152,11 @@ mod tests {
             .unwrap();
         db.load_table(t, vec![row2(1, 30), row2(2, 10)]).unwrap();
         let ix = db.index(ix2).unwrap();
-        let vs: Vec<i64> = ix.scan().map(|(k, _)| k[0].as_int().unwrap()).collect();
+        let vs: Vec<i64> = (0..ix.len())
+            .map(|pos| ix.keys()[0].value(pos).as_int().unwrap())
+            .collect();
         assert_eq!(vs, vec![10, 30]);
+        assert_eq!(ix.rids(), &[1, 0]);
         let stats = db.catalog().stats(t);
         assert_eq!(stats.row_count, 2);
         assert_eq!(stats.columns[1].ndv, 2);

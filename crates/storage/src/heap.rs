@@ -10,7 +10,7 @@
 
 use crate::io::PAGE_SIZE;
 use fto_common::column::encode_batch_keys_arena;
-use fto_common::{Batch, DataType, Direction, FtoError, Result, Row, TableId, Value};
+use fto_common::{Batch, Column, DataType, Direction, FtoError, Result, Row, TableId};
 
 /// Rows per stored chunk: the executor's default batch size, so a
 /// default-sized pull at a chunk boundary is one whole chunk.
@@ -92,10 +92,35 @@ impl HeapTable {
 
     /// The rows named by `rids`, in that order (ids may repeat).
     pub fn gather(&self, rids: &[usize]) -> Result<Batch> {
+        let (sources, pairs) = self.gather_sources(rids);
+        if sources.is_empty() {
+            return Ok(Batch::empty(&self.types));
+        }
+        Batch::gather_multi(&sources, &pairs)
+    }
+
+    /// Columns `ordinals` (each below [`HeapTable::arity`]) of the rows
+    /// named by `rids`, in that order: the gather of [`HeapTable::gather`]
+    /// with every other column left out.
+    pub(crate) fn gather_columns(&self, rids: &[usize], ordinals: &[usize]) -> Result<Vec<Column>> {
+        let (sources, pairs) = self.gather_sources(rids);
+        let column = |&o: &usize| match sources.is_empty() {
+            true => Ok(Column::nulls(self.types[o], 0)),
+            false => {
+                let cols: Vec<&Column> = sources.iter().map(|b| b.column(o).as_ref()).collect();
+                Column::gather_multi(&cols, &pairs)
+            }
+        };
+        ordinals.iter().map(column).collect()
+    }
+
+    /// The chunks `rids` name, each once, and every rid as a
+    /// `(source, slot)` pair into them.
+    fn gather_sources(&self, rids: &[usize]) -> (Vec<&Batch>, Vec<(u32, u32)>) {
         // Only the chunks actually named become gather sources.
         let mut slot_of = vec![u32::MAX; self.chunks.len()];
         let mut sources: Vec<&Batch> = Vec::new();
-        let pairs: Vec<(u32, u32)> = rids
+        let pairs = rids
             .iter()
             .map(|&rid| {
                 let slot = &mut slot_of[rid / CHUNK_ROWS];
@@ -106,10 +131,7 @@ impl HeapTable {
                 (*slot, (rid % CHUNK_ROWS) as u32)
             })
             .collect();
-        if sources.is_empty() {
-            return Ok(Batch::empty(&self.types));
-        }
-        Batch::gather_multi(&sources, &pairs)
+        (sources, pairs)
     }
 
     /// Materializes row `rid` — for the row-at-a-time reference
@@ -126,13 +148,6 @@ impl HeapTable {
             chunk.append_rows_to(&mut out);
         }
         out
-    }
-
-    /// Column `col` of row `rid`.
-    pub(crate) fn value(&self, rid: usize, col: usize) -> Value {
-        self.chunks[rid / CHUNK_ROWS]
-            .column(col)
-            .value(rid % CHUNK_ROWS)
     }
 
     /// The normalized sort key of every row, in one arena: row `rid`'s
@@ -255,6 +270,7 @@ impl HeapLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fto_common::Value;
 
     fn int_heap(width: usize, n: i64) -> HeapTable {
         let mut l = HeapLoader::new(TableId(0), &[DataType::Int], width);

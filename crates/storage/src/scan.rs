@@ -7,6 +7,11 @@
 //! selective prefix) cheaper in the simulated I/O model: pages after the
 //! stopping point are never paid for.
 //!
+//! An index scan is a pair of positions into the index's rid vector
+//! ([`OrderedIndex::rids`]), found once by
+//! [`OrderedIndex::range_positions`] with the same typed comparator the
+//! index nested-loop join probes with; no key is read per row.
+//!
 //! The cursors deliberately hold no reference to the table — callers pass
 //! the [`HeapTable`] on every pull — so executor operators stay free of
 //! borrow lifetimes.
@@ -156,15 +161,15 @@ impl IndexScanState {
         lo: Option<&Value>,
         hi: Option<&Value>,
         reverse: bool,
-    ) -> IndexScanState {
-        let (start, end) = index.range_positions(lo, hi);
-        IndexScanState {
+    ) -> Result<IndexScanState> {
+        let (start, end) = index.range_positions(lo, hi)?;
+        Ok(IndexScanState {
             start,
             end,
             reverse,
             last_leaf: None,
             cursor: PageCursor::new(),
-        }
+        })
     }
 
     /// [`IndexScanState::open`] restricted to partition `part` of `parts`:
@@ -182,16 +187,16 @@ impl IndexScanState {
         reverse: bool,
         part: usize,
         parts: usize,
-    ) -> IndexScanState {
-        let (start, end) = index.range_positions(lo, hi);
+    ) -> Result<IndexScanState> {
+        let (start, end) = index.range_positions(lo, hi)?;
         let (p_lo, p_hi) = partition_bounds((start, end), part, parts, ENTRIES_PER_LEAF as usize);
-        IndexScanState {
+        Ok(IndexScanState {
             start: p_lo,
             end: p_hi,
             reverse,
             last_leaf: None,
             cursor: PageCursor::new(),
-        }
+        })
     }
 
     /// True once every matching row has been returned.
@@ -229,7 +234,7 @@ impl IndexScanState {
                 io.index_pages += 1;
                 self.last_leaf = Some(leaf);
             }
-            let rid = index.rid_at(pos);
+            let rid = index.rids()[pos];
             self.cursor.touch(heap.page_of(rid), io);
             io.rows_read += 1;
             rids.push(rid);
@@ -307,9 +312,9 @@ mod tests {
     #[test]
     fn index_scan_delivers_key_order_and_reverse() {
         let h = heap_of(([5i64, 1, 3, 2, 4]).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, false);
+        let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
         let mut keys = Vec::new();
         loop {
             let b = s.next_columns(&ix, &h, 2, &mut io).unwrap();
@@ -322,7 +327,7 @@ mod tests {
         assert!(s.exhausted());
 
         let mut rio = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, true);
+        let mut s = IndexScanState::open(&ix, None, None, true).unwrap();
         let b = s.next_columns(&ix, &h, 10, &mut rio).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
@@ -331,9 +336,10 @@ mod tests {
     #[test]
     fn index_scan_range_bounds() {
         let h = heap_of((0..10i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false);
+        let mut s =
+            IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false).unwrap();
         let b = s.next_columns(&ix, &h, 100, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
@@ -342,18 +348,18 @@ mod tests {
     #[test]
     fn index_scan_charges_leaves_incrementally() {
         let h = heap_of((0..1000i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         assert_eq!(ix.leaf_pages(), 4);
 
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, false);
+        let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
         s.next_columns(&ix, &h, 100, &mut io).unwrap();
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, false);
+        let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
         while !s.next_columns(&ix, &h, 100, &mut io).unwrap().is_empty() {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
@@ -413,12 +419,13 @@ mod tests {
     #[test]
     fn partitioned_index_scan_covers_rows_and_charges_leaves_once() {
         let h = heap_of((0..1000i64).map(|i| ((i * 37) % 1000, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         for parts in [1usize, 2, 4] {
             let mut io = IoStats::new();
             let mut keys = Vec::new();
             for part in 0..parts {
-                let mut s = IndexScanState::open_partition(&ix, None, None, false, part, parts);
+                let mut s =
+                    IndexScanState::open_partition(&ix, None, None, false, part, parts).unwrap();
                 loop {
                     let b = s.next_columns(&ix, &h, 57, &mut io).unwrap();
                     if b.is_empty() {
@@ -438,13 +445,13 @@ mod tests {
     #[test]
     fn partitioned_reverse_index_scan_in_reverse_partition_order() {
         let h = heap_of((0..500i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         let parts = 3;
         let mut io = IoStats::new();
         let mut keys = Vec::new();
         // Reverse emission: high key-order partition first, each reversed.
         for part in (0..parts).rev() {
-            let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts);
+            let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts).unwrap();
             loop {
                 let b = s.next_columns(&ix, &h, 64, &mut io).unwrap();
                 if b.is_empty() {
@@ -459,7 +466,7 @@ mod tests {
     #[test]
     fn partitioned_range_scan_respects_bounds() {
         let h = heap_of((0..1000i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
         let mut io = IoStats::new();
         let mut keys = Vec::new();
         for part in 0..4 {
@@ -470,7 +477,8 @@ mod tests {
                 false,
                 part,
                 4,
-            );
+            )
+            .unwrap();
             loop {
                 let b = s.next_columns(&ix, &h, 128, &mut io).unwrap();
                 if b.is_empty() {
@@ -485,12 +493,12 @@ mod tests {
     #[test]
     fn reverse_index_scan_stays_lazy_and_bounded() {
         let h = heap_of((0..1000i64).map(|i| (i, 0)));
-        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]);
+        let ix = OrderedIndex::build(&h, &[0], &[Direction::Asc]).unwrap();
 
         // Pulling 10 rows in reverse touches one leaf (the last) and only
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
-        let mut s = IndexScanState::open(&ix, None, None, true);
+        let mut s = IndexScanState::open(&ix, None, None, true).unwrap();
         let b = s.next_columns(&ix, &h, 10, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());

@@ -8,9 +8,9 @@
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::{envknob, Session};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
-use fto_common::{DataType, Value};
+use fto_common::{DataType, Direction, Value};
 use fto_planner::OptimizerConfig;
-use fto_storage::Database;
+use fto_storage::{Database, IoStats};
 use fto_tpcd::{build_database, queries, TpcdConfig};
 
 /// Parallel degree to additionally run the whole suite at, from the
@@ -638,6 +638,116 @@ fn spilled_all_null_string_column_stays_a_string_column() {
         }
         for b in streamed.batches() {
             assert_eq!(b.column(2).data_type(), DataType::Str, "batch={batch}");
+        }
+    }
+}
+
+/// `p` probes `t` through the index `t_k` on `t.k`. `p.k` is an `Int`
+/// column in no order (a NULL every tenth row, keys absent from `t`
+/// among the rest); `t.k` is a `Double` column of NULLs, NaNs, fractions
+/// and integral values that the `Int` probes equal.
+fn probe_db() -> Database {
+    let mut cat = Catalog::new();
+    let p = cat
+        .create_table(
+            "p",
+            vec![
+                ColumnDef::new("p_id", DataType::Int),
+                ColumnDef::new("p_k", DataType::Int),
+            ],
+            vec![KeyDef::primary([0])],
+        )
+        .unwrap();
+    let t = cat
+        .create_table(
+            "t",
+            vec![
+                ColumnDef::new("t_id", DataType::Int),
+                ColumnDef::new("t_k", DataType::Double),
+                ColumnDef::new("t_v", DataType::Int),
+            ],
+            vec![KeyDef::primary([0])],
+        )
+        .unwrap();
+    cat.create_index("t_k_ix", t, vec![(1, Direction::Asc)], false, false)
+        .unwrap();
+    let mut db = Database::new(cat);
+    let p_rows = (0..40i64).map(|i| {
+        let k = match i % 10 {
+            0 => Value::Null,
+            _ => Value::Int((i * 37) % 101 - 3),
+        };
+        vec![Value::Int(i), k].into_boxed_slice()
+    });
+    db.load_table(p, p_rows.collect()).unwrap();
+    let t_rows = (0..3000i64).map(|i| {
+        let k = match i % 9 {
+            0 => Value::Null,
+            1 => Value::Double(f64::NAN),
+            2 => Value::Double((i % 20) as f64 + 0.5),
+            _ => Value::Double(((i * 13) % 1500 - 3) as f64),
+        };
+        vec![Value::Int(i), k, Value::Int(i % 4)].into_boxed_slice()
+    });
+    db.load_table(t, t_rows.collect()).unwrap();
+    db
+}
+
+#[test]
+fn index_nested_loop_join_output_does_not_depend_on_probe_order() {
+    // The probes reach the index nested-loop join in heap order, or sorted
+    // descending over the ascending index: each searches the index from
+    // the previous probe's position, and the result may not depend on
+    // that. Rows equal the interpreter's and the hash join's — NULL keys
+    // on both sides meet in the index, and the residual equality drops
+    // every NULL = NULL pair — and the full IoStats are the literals the
+    // Value-keyed index (binary search from the root per probe) charged.
+    let db = probe_db();
+    let inlj = OptimizerConfig::default()
+        .with_hash_join(false)
+        .with_merge_join(false);
+    let hash = OptimizerConfig::default()
+        .with_nested_loop(false)
+        .with_merge_join(false);
+    let queries = [
+        "select p_id, t_id, t_k from p, t where p_k = t_k order by p_id, t_id",
+        "select p_id, p_k, t_id from p, t where p_k = t_k and t_v < 3 \
+         order by p_k desc, p_id, t_id",
+    ];
+    let pinned = |sequential_pages, random_pages, index_pages, sort_rows, rows_read| IoStats {
+        sequential_pages,
+        random_pages,
+        index_pages,
+        sort_rows,
+        rows_read,
+        ..IoStats::new()
+    };
+    // Four NULL probes fetch the index's 333 NULL entries each.
+    let want = [pinned(69, 48, 40, 84, 1420), pinned(69, 48, 40, 74, 1420)];
+    for (sql, want) in queries.iter().zip(want) {
+        let by_hash = Session::new(&db).config(hash.clone()).plan(sql).unwrap();
+        let by_hash = by_hash.execute().unwrap();
+        for batch in [1usize, 7, 1024] {
+            let prepared = Session::new(&db)
+                .config(inlj.clone().with_batch_size(batch))
+                .plan(sql)
+                .unwrap();
+            let plan = prepared.explain();
+            assert!(plan.contains("index-nested-loop-join"), "{sql}\n{plan}");
+            let streamed = prepared.execute().unwrap();
+            let materialized = prepared.execute_materialized().unwrap();
+            assert_eq!(
+                streamed.rows(),
+                materialized.rows(),
+                "{sql} batch={batch}\n{plan}"
+            );
+            assert_eq!(
+                streamed.rows(),
+                by_hash.rows(),
+                "{sql} batch={batch}\n{plan}"
+            );
+            assert!(streamed.rows().iter().flatten().all(|v| !v.is_null()));
+            assert_eq!(streamed.io, want, "{sql} batch={batch}\n{plan}");
         }
     }
 }

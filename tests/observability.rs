@@ -348,10 +348,10 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
             .unwrap();
     }
     let heap = loader.finish().unwrap();
-    let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]);
+    let ix = OrderedIndex::build(&heap, &[0], &[Direction::Asc]).unwrap();
 
     let mut io = IoStats::new();
-    let mut scan = IndexScanState::open(&ix, None, None, false);
+    let mut scan = IndexScanState::open(&ix, None, None, false).unwrap();
     // The scan state must not have materialized the 100k matching rids at
     // open: it is a pair of positions, and its Debug rendering stays tiny
     // (an eager rid vector would render all hundred thousand entries).
@@ -373,7 +373,7 @@ fn index_scan_under_limit_stays_lazy_and_bounded() {
 
     // Same bounds through reverse scans: last leaf, last page, 10 rows.
     let mut rio = IoStats::new();
-    let mut rev = IndexScanState::open(&ix, None, None, true);
+    let mut rev = IndexScanState::open(&ix, None, None, true).unwrap();
     let batch = rev.next_columns(&ix, &heap, 10, &mut rio).unwrap();
     assert_eq!(batch.len(), 10);
     assert_eq!(batch.row(0)[0], Value::Int(99_999));
