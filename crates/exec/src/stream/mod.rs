@@ -52,7 +52,7 @@ mod pipeline;
 pub(crate) use lower::{layout_types, lower_worker};
 
 use crate::metrics::{ExecRecord, OpMetrics, PlanMetrics};
-use fto_common::Result;
+use fto_common::{FtoError, Result};
 use fto_expr::{vector, PredId, RowLayout};
 use fto_planner::{OptimizerConfig, Plan, PlanNode};
 use fto_qgm::QueryGraph;
@@ -230,15 +230,18 @@ impl BatchQueue {
     }
 
     /// Removes and returns the next `min(n, pending)` rows — at least
-    /// one: callers ask a non-empty queue — as one batch.
+    /// one: callers ask a non-empty queue — as one batch. An internal
+    /// error if the queued batches hold fewer rows than the queue counts.
     pub(crate) fn take(&mut self, n: usize) -> Result<Batch> {
         let n = n.min(self.len);
         let mut picked: Vec<Batch> = Vec::new();
         let mut need = n;
         while need > 0 {
-            let avail = self.parts.front().expect("take past queue length").len() - self.front;
+            let Some(part) = self.parts.pop_front() else {
+                return Err(FtoError::internal("take past the batch queue's length"));
+            };
+            let avail = part.len() - self.front;
             if avail <= need {
-                let part = self.parts.pop_front().expect("front checked above");
                 picked.push(if self.front == 0 {
                     part
                 } else {
@@ -247,12 +250,8 @@ impl BatchQueue {
                 self.front = 0;
                 need -= avail;
             } else {
-                picked.push(
-                    self.parts
-                        .front()
-                        .expect("front checked above")
-                        .slice(self.front, need),
-                );
+                picked.push(part.slice(self.front, need));
+                self.parts.push_front(part);
                 self.front += need;
                 need = 0;
             }

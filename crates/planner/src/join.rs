@@ -6,9 +6,11 @@
 //! different order properties are **not** compared against each other
 //! (paper §5.2 — the very source of the O(n²) enumeration growth measured
 //! by the complexity bench). For every subset the planner additionally
-//! offers sorted variants of its plans, one per interesting order hung off
-//! the box by the order scan — this is *sort-ahead*, letting the sort for
-//! an ORDER BY or GROUP BY sink an arbitrary number of join levels.
+//! offers one sorted variant per interesting order hung off the box by the
+//! order scan: the sort over whichever of the subset's new plans makes
+//! input plus sort cheapest, priced over all of them before one is built.
+//! This is *sort-ahead*, letting the sort for an ORDER BY or GROUP BY sink
+//! an arbitrary number of join levels.
 //!
 //! Connected subsets first, as System R and DB2 did: a subset grows only
 //! by the quantifiers a box predicate joins to it, and by every missing

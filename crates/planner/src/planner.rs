@@ -272,34 +272,56 @@ impl<'a> Planner<'a> {
             .collect())
     }
 
-    /// Sort-ahead (paper §5.2): a sorted copy of each of `plans` for each
-    /// of the box's first `max_sort_ahead` interesting orders it does not
-    /// already provide, so the sort a parent needs can sink below this
-    /// box or join step. Each variant is a generated plan. None when
-    /// sort-ahead is off.
+    /// Sort-ahead (paper §5.2): for each of the box's first
+    /// `max_sort_ahead` interesting orders, one sorted copy of the
+    /// cheapest of `plans` that does not already provide it, so the sort
+    /// a parent needs can sink below this box or join step. Each
+    /// candidate's enforcer is priced ([`Planner::sort_shape`],
+    /// [`enforcer_cost`]), unless its input alone already costs the least
+    /// total found, and only the one with the least total is built and
+    /// counted as a generated plan; ties keep the first, as
+    /// [`Planner::prune`] does. The others would be pruned by it: within
+    /// one call every sorted copy for an interest carries the same facts
+    /// and the same order. None when sort-ahead is off.
     pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Arc<Plan>]) -> Vec<Arc<Plan>> {
         let mut variants = Vec::new();
         if !self.config.sort_ahead {
             return variants;
         }
         for interest in qbox.interesting.iter().take(self.config.max_sort_ahead) {
+            let (mut best, mut least) = (None, f64::INFINITY);
             for plan in plans {
+                // A sort never costs less than nothing: a candidate whose
+                // input already costs the least total found cannot win.
+                if plan.cost.total >= least {
+                    continue;
+                }
                 let ctx = self.effective_ctx(&plan.props);
                 let (homog, _) = ctx.homogenize_prefix(interest, &plan.props.cols);
                 if homog.is_empty() || ctx.test_order(&homog, &plan.props.order) {
                     continue;
                 }
-                let sorted = self.add_sort(Arc::clone(plan), &homog);
-                self.decide(
-                    |s| &mut s.sort_ahead_variants,
-                    || TraceEvent::SortAhead {
-                        interest: interest.to_string(),
-                        plan: sorted.trace_desc(),
-                    },
-                );
-                self.generated("sort-ahead", &sorted);
-                variants.push(sorted);
+                let Some(shape) = self.sort_shape(plan, &homog) else {
+                    continue;
+                };
+                let total = shape.price(plan).total;
+                if total < least {
+                    (best, least) = (Some((plan, shape)), total);
+                }
             }
+            let Some((plan, shape)) = best else {
+                continue;
+            };
+            let sorted = self.place_sort(Arc::clone(plan), shape);
+            self.decide(
+                |s| &mut s.sort_ahead_variants,
+                || TraceEvent::SortAhead {
+                    interest: interest.to_string(),
+                    plan: sorted.trace_desc(),
+                },
+            );
+            self.generated("sort-ahead", &sorted);
+            variants.push(sorted);
         }
         variants
     }
@@ -543,74 +565,94 @@ impl<'a> Planner<'a> {
     }
 
     /// Wraps `plan` in a sort producing `spec` (reduced to its minimal
-    /// column list under the effective context).
+    /// column list under the effective context): the sort `sort_shape`
+    /// describes, placed by `place_sort`. `plan` itself when it needs
+    /// none.
+    pub fn add_sort(&mut self, plan: Arc<Plan>, spec: &OrderSpec) -> Arc<Plan> {
+        match self.sort_shape(&plan, spec) {
+            Some(shape) => self.place_sort(plan, shape),
+            None => plan,
+        }
+    }
+
+    /// The sort [`Planner::add_sort`] would place over `plan` for `spec`,
+    /// without placing it: `None` when `spec` reduces to nothing.
     ///
     /// Reduction rewrites columns to equivalence-class heads, which may
     /// not be physically present in the plan (projected away in favour of
     /// an equivalent column), so the reduced specification is homogenized
-    /// back onto the plan's actual layout before the sort is built.
-    pub fn add_sort(&mut self, plan: Arc<Plan>, spec: &OrderSpec) -> Arc<Plan> {
+    /// back onto the plan's actual layout.
+    ///
+    /// Segmented (partial) sort: when the input's order property
+    /// already satisfies a strict non-empty prefix of the minimal
+    /// specification, rows arrive grouped contiguously by the prefix
+    /// columns, so only the residual suffix needs sorting — within
+    /// each group. The split is positional only when reduce(minimal)
+    /// partitions exactly (the homogenize fallback can leave
+    /// `minimal` unreduced).
+    fn sort_shape(&self, plan: &Plan, spec: &OrderSpec) -> Option<SortShape> {
         let ctx = self.effective_ctx(&plan.props);
         let reduced = ctx.reduce(spec);
         if reduced.is_empty() {
-            return plan;
+            return None;
         }
         // Fall back to the caller's columns verbatim (they must be in the
         // layout for the request to make sense at all).
-        let minimal = ctx
+        let spec = ctx
             .homogenize(&reduced, &plan.layout.col_set())
             .unwrap_or_else(|| spec.clone());
-        if minimal.is_empty() {
-            return plan;
+        if spec.is_empty() {
+            return None;
         }
-        self.decide(
-            |s| &mut s.sorts_added,
-            || TraceEvent::SortAdded {
-                spec: minimal.to_string(),
-                input: plan.trace_desc(),
-            },
-        );
-        let props = plan.props.sorted(&minimal);
-
-        // Segmented (partial) sort: when the input's order property
-        // already satisfies a strict non-empty prefix of the minimal
-        // specification, rows arrive grouped contiguously by the prefix
-        // columns, so only the residual suffix needs sorting — within
-        // each group. The split is positional only when reduce(minimal)
-        // partitions exactly (the homogenize fallback can leave
-        // `minimal` unreduced).
-        let mut prefix_len = 0;
+        let mut segment = None;
         if self.config.enable_segmented_sort && self.config.order_optimization {
-            let (pfx, sfx) = self
-                .effective_ctx(&plan.props)
-                .split_requirement(&minimal, &plan.props.order);
-            if !pfx.is_empty() && !sfx.is_empty() && pfx.len() + sfx.len() == minimal.len() {
-                let groups = self.prefix_groups(&minimal, pfx.len(), plan.cost.rows);
+            let (prefix, suffix) = ctx.split_requirement(&spec, &plan.props.order);
+            if !prefix.is_empty() && !suffix.is_empty() && prefix.len() + suffix.len() == spec.len()
+            {
+                let groups = self.prefix_groups(&spec, prefix.len(), plan.cost.rows);
                 if groups > 1.0 {
-                    self.decide(
-                        |s| &mut s.partial_sorts,
-                        || TraceEvent::PartialSortChosen {
-                            prefix: pfx.to_string(),
-                            suffix: sfx.to_string(),
-                            groups: groups.round() as u64,
-                        },
-                    );
-                    prefix_len = pfx.len();
+                    segment = Some(Segment {
+                        prefix,
+                        suffix,
+                        groups,
+                    });
                 }
             }
         }
-        self.enforcer(plan, minimal, props, prefix_len, None)
+        Some(SortShape { spec, segment })
+    }
+
+    /// Places the sort `shape` describes over `plan` (shaped by
+    /// [`Planner::sort_shape`] for it) and records the decisions: a sort
+    /// added, and a partial sort chosen when it is segmented.
+    fn place_sort(&mut self, plan: Arc<Plan>, shape: SortShape) -> Arc<Plan> {
+        self.decide(
+            |s| &mut s.sorts_added,
+            || TraceEvent::SortAdded {
+                spec: shape.spec.to_string(),
+                input: plan.trace_desc(),
+            },
+        );
+        if let Some(seg) = &shape.segment {
+            self.decide(
+                |s| &mut s.partial_sorts,
+                || TraceEvent::PartialSortChosen {
+                    prefix: seg.prefix.to_string(),
+                    suffix: seg.suffix.to_string(),
+                    groups: seg.groups.round() as u64,
+                },
+            );
+        }
+        let props = plan.props.sorted(&shape.spec);
+        let prefix_len = shape.prefix_len();
+        self.enforcer(plan, shape.spec, props, prefix_len, None)
     }
 
     /// The one builder of the order enforcer: `input` sorted on `spec`,
     /// whose first `prefix_len` keys the input already satisfies, with at
-    /// most `limit` rows out and the properties `props` — priced as
-    /// `EnforceOp` runs it. A full sort pays `sort(n)`; a segmented one
-    /// `Σ sort(n / G)` over its G prefix groups; a top-n (a limit fused
-    /// with a full sort) selects in O(N + k log k). A limit above a
-    /// segmented sort stops it, and its input, after the ⌈k / group
-    /// size⌉ groups it needs: a `Limit` over the segmented sort, the
-    /// input's cost prorated by the fraction consumed.
+    /// most `limit` rows out and the properties `props`, priced by
+    /// [`enforcer_cost`]. A limit above a segmented sort is a `Limit`
+    /// over the segmented sort.
     fn enforcer(
         &self,
         input: Arc<Plan>,
@@ -619,56 +661,32 @@ impl<'a> Planner<'a> {
         prefix_len: usize,
         limit: Option<u64>,
     ) -> Arc<Plan> {
-        let rows = input.cost.rows;
-        let width = (input.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
         let groups = match prefix_len {
             0 => 1.0,
-            k => self.prefix_groups(&spec, k, rows),
+            k => self.prefix_groups(&spec, k, input.cost.rows),
         };
-        let cost = match (prefix_len, limit) {
-            (0, None) => input.cost.plus(cost::sort(rows, width, cost::SORT_MEMORY)),
-            (0, Some(n)) => {
-                let k = rows.min(n as f64);
-                input
-                    .cost
-                    .plus(rows * cost::CPU_ROW)
-                    .plus(k * k.max(2.0).log2() * cost::CPU_SORT_CMP)
-                    .with_rows(k)
-            }
-            (_, None) => {
-                input
-                    .cost
-                    .plus(cost::segmented_sort(rows, groups, width, cost::SORT_MEMORY))
-            }
-            (_, Some(n)) => {
-                let sorted = self.enforcer(Arc::clone(&input), spec, props, prefix_len, None);
-                let per_group = (rows / groups).max(1.0);
-                let groups_needed = (n as f64 / per_group).ceil().min(groups);
-                let consumed = (groups_needed * per_group).min(rows);
-                let partial =
-                    cost::segmented_sort(consumed, groups_needed, width, cost::SORT_MEMORY);
-                let full = sorted.cost.total - input.cost.total;
-                let fraction = (consumed / rows.max(1.0)).min(1.0);
-                let cost = Cost {
-                    total: input.cost.total * fraction + partial.min(full),
-                    rows: 0.0,
-                }
-                .with_rows(rows.min(n as f64));
-                return limit_node(sorted, n, cost);
-            }
+        let cost = enforcer_cost(&input, prefix_len, groups, limit);
+        let sort = |limit, cost| {
+            Arc::new(Plan {
+                layout: input.layout.clone(),
+                node: PlanNode::Sort {
+                    input: Arc::clone(&input),
+                    spec,
+                    prefix_len,
+                    est_groups: groups.round() as u64,
+                    limit,
+                },
+                props,
+                cost,
+            })
         };
-        Arc::new(Plan {
-            layout: input.layout.clone(),
-            node: PlanNode::Sort {
-                input,
-                spec,
-                prefix_len,
-                est_groups: groups.round() as u64,
-                limit,
-            },
-            props,
-            cost,
-        })
+        match (prefix_len, limit) {
+            (1.., Some(n)) => {
+                let sorted = enforcer_cost(&input, prefix_len, groups, None);
+                limit_node(sort(None, sorted), n, cost)
+            }
+            _ => sort(limit, cost),
+        }
     }
 
     /// The estimated number of groups `rows` rows form on the first
@@ -840,6 +858,75 @@ fn cheapest(plans: Vec<Arc<Plan>>) -> Option<Arc<Plan>> {
     plans
         .into_iter()
         .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
+}
+
+/// The sort [`Planner::add_sort`] places: the minimal specification, and
+/// the satisfied prefix when the sort is segmented.
+struct SortShape {
+    spec: OrderSpec,
+    segment: Option<Segment>,
+}
+
+/// A segmented sort's split: the prefix its input satisfies, the suffix
+/// it sorts within each prefix group, and the estimated group count.
+struct Segment {
+    prefix: OrderSpec,
+    suffix: OrderSpec,
+    groups: f64,
+}
+
+impl SortShape {
+    /// The number of leading keys the input already satisfies.
+    fn prefix_len(&self) -> usize {
+        self.segment.as_ref().map_or(0, |seg| seg.prefix.len())
+    }
+
+    /// What this sort over `input` costs, input included: the cost of
+    /// the plan [`Planner::place_sort`] would build, without building it.
+    fn price(&self, input: &Plan) -> Cost {
+        let groups = self.segment.as_ref().map_or(1.0, |seg| seg.groups);
+        enforcer_cost(input, self.prefix_len(), groups, None)
+    }
+}
+
+/// The one price of the order enforcer, as `EnforceOp` runs it: `input`
+/// sorted with its first `prefix_len` keys satisfied, in `groups` prefix
+/// groups, with at most `limit` rows out. A full sort pays `sort(n)`; a
+/// segmented one `Σ sort(n / G)` over its G prefix groups; a top-n (a
+/// limit fused with a full sort) selects in O(N + k log k). A limit above
+/// a segmented sort stops it, and its input, after the ⌈k / group size⌉
+/// groups it needs: the input's cost prorated by the fraction consumed.
+fn enforcer_cost(input: &Plan, prefix_len: usize, groups: f64, limit: Option<u64>) -> Cost {
+    let rows = input.cost.rows;
+    let width = (input.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
+    match (prefix_len, limit) {
+        (0, None) => input.cost.plus(cost::sort(rows, width, cost::SORT_MEMORY)),
+        (0, Some(n)) => {
+            let k = rows.min(n as f64);
+            input
+                .cost
+                .plus(rows * cost::CPU_ROW)
+                .plus(k * k.max(2.0).log2() * cost::CPU_SORT_CMP)
+                .with_rows(k)
+        }
+        (_, None) => input
+            .cost
+            .plus(cost::segmented_sort(rows, groups, width, cost::SORT_MEMORY)),
+        (_, Some(n)) => {
+            let sorted = enforcer_cost(input, prefix_len, groups, None);
+            let per_group = (rows / groups).max(1.0);
+            let groups_needed = (n as f64 / per_group).ceil().min(groups);
+            let consumed = (groups_needed * per_group).min(rows);
+            let partial = cost::segmented_sort(consumed, groups_needed, width, cost::SORT_MEMORY);
+            let full = sorted.total - input.cost.total;
+            let fraction = (consumed / rows.max(1.0)).min(1.0);
+            Cost {
+                total: input.cost.total * fraction + partial.min(full),
+                rows: 0.0,
+            }
+            .with_rows(rows.min(n as f64))
+        }
+    }
 }
 
 /// `plan` under a `Limit` of `n` rows, at `cost`.
@@ -1329,6 +1416,76 @@ mod tests {
             limited.explain(&|c| c.to_string())
         );
         assert!(limited.cost.total < unlimited.cost.total);
+    }
+
+    #[test]
+    fn sort_ahead_builds_the_cheapest_of_the_sorts_it_prices() {
+        let db = super::tests_support::q3_like_db(200);
+        let (mut g, cols) = lineitem_query(&db, &[0, 3]);
+        let late = g.add_predicate(Predicate::new(
+            fto_expr::CompareOp::Gt,
+            Expr::col(cols[3]),
+            Expr::Lit(Value::Date(30)),
+        ));
+        OrderScan::run(&mut g, db.catalog());
+        // (l_orderkey, l_shipdate) is a segmented sort over the clustered
+        // index; the other two are full sorts of every candidate.
+        let root = g.root;
+        g.boxed_mut(root).interesting = vec![
+            OrderSpec::ascending([cols[0], cols[3]]),
+            OrderSpec::ascending([cols[3]]),
+            OrderSpec::ascending([cols[2], cols[1]]),
+        ];
+        let qbox = g.boxed(root);
+        let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
+        let mut plans = p.plan_input(qbox, &qbox.quantifiers[0]).unwrap();
+        let filtered: Vec<_> = plans
+            .iter()
+            .map(|plan| p.apply_filter(Arc::clone(plan), &[late]))
+            .collect();
+        plans.extend(filtered);
+        assert!(plans.len() >= 3, "{} candidates", plans.len());
+
+        // Each (interest, candidate) sort, priced and then built: the two
+        // totals agree bit for bit, and the first cheapest is the one
+        // sort-ahead should build.
+        let mut cheapest = Vec::new();
+        let mut segmented = 0;
+        for interest in &qbox.interesting {
+            let mut built: Vec<Arc<Plan>> = Vec::new();
+            for plan in &plans {
+                let ctx = p.effective_ctx(&plan.props);
+                let (homog, _) = ctx.homogenize_prefix(interest, &plan.props.cols);
+                if homog.is_empty() || ctx.test_order(&homog, &plan.props.order) {
+                    continue;
+                }
+                let priced = p.sort_shape(plan, &homog).unwrap().price(plan);
+                let sorted = p.add_sort(Arc::clone(plan), &homog);
+                assert_eq!(priced.total.to_bits(), sorted.cost.total.to_bits());
+                segmented += usize::from(is_segmented(&sorted.node));
+                built.push(sorted);
+            }
+            assert!(built.len() >= 2, "{interest}: {} sorts", built.len());
+            cheapest.extend(built.into_iter().reduce(|a, b| {
+                if b.cost.total < a.cost.total {
+                    b
+                } else {
+                    a
+                }
+            }));
+        }
+        assert!(segmented > 0);
+
+        let before = p.stats;
+        let variants = p.sort_ahead(qbox, &plans);
+        assert_eq!(variants.len(), qbox.interesting.len());
+        for (variant, want) in variants.iter().zip(&cheapest) {
+            assert_eq!(variant.cost.total.to_bits(), want.cost.total.to_bits());
+            assert!(Arc::ptr_eq(variant.children()[0], want.children()[0]));
+            assert_eq!(variant.props.order, want.props.order);
+        }
+        assert_eq!(p.stats.sort_ahead_variants - before.sort_ahead_variants, 3);
+        assert_eq!(p.stats.sorts_added - before.sorts_added, 3);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! 15 blocks of statements with a DISTINCT were re-pinned when DISTINCT
 //! became the zero-aggregate group-by (`fold_is_spelling_only`), and 71
 //! `generated=` counts when each candidate came to be counted once, where
-//! it is made (PR 25: no plan line moved). Every block also checks the
+//! it is made, and 60 count lines when sort-ahead came to build one
+//! enforcer per interesting order, over the cheapest candidate (neither
+//! moved a plan line). Every block also checks the
 //! counting itself: no more plans pruned than generated, and — planned
 //! again with a trace — one `PlanGenerated` event per counted plan.
 //!
@@ -184,8 +186,10 @@ fn digest_without(golden: &str, skip: &[String]) -> (usize, u64) {
 /// untouched; `counters_and_plans_match_the_golden_capture` holds the
 /// rest), and again when join enumeration deferred Cartesian products
 /// (15 count lines of the join-ladder statements and corpus[10], no plan
-/// line). After an *intended* change to the other 90 blocks, re-pin it
-/// with the pair this test prints.
+/// line), and again when sort-ahead came to build one enforcer per
+/// interesting order (60 count lines, no plan line). After an *intended*
+/// change to the other 90 blocks, re-pin it with the pair this test
+/// prints.
 #[test]
 fn fold_is_spelling_only() {
     let emp = emp_db();
@@ -202,13 +206,15 @@ fn fold_is_spelling_only() {
     assert_eq!(
         digest_without(GOLDEN, &with_distinct),
         // (90, 0x8e64_2891_0f00_29e6) before each plan was counted once,
-        // (90, 0x7074_407d_b428_c731) before connected subsets first.
-        (90, 0x7155_86df_3b56_a6bd),
+        // (90, 0x7074_407d_b428_c731) before connected subsets first,
+        // (90, 0x7155_86df_3b56_a6bd) before sort-ahead built only the
+        // cheapest enforcer per interesting order.
+        (90, 0x7a62_b511_4c4f_f437),
         "a block of a statement without a DISTINCT moved"
     );
 }
 
-/// The deterministic planner-work gate: `j5` generates 13 290 plans and
+/// The deterministic planner-work gate: `j5` generates 3 678 plans and
 /// must build at least an order of magnitude fewer contexts than that.
 /// Building one per dominance comparison or per sort-ahead variant (the
 /// state before facts were shared: hundreds of thousands) fails here by
@@ -229,8 +235,10 @@ fn j5_builds_far_fewer_contexts_than_plans() {
         ),
         // 47 107 generated before PR 25, which counted each index
         // nested loop twice; (3594, 44202, 43867, 37082, 597, 173)
-        // before subsets grew by joined quantifiers first.
-        (907, 13290, 13153, 11210, 283, 0)
+        // before subsets grew by joined quantifiers first; (907, 13290,
+        // 13153, 11210, 283, 0) while sort-ahead built a sorted copy of
+        // every candidate, not of the cheapest one per interesting order.
+        (907, 3678, 3541, 1598, 283, 0)
     );
     assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
     assert!(
@@ -252,15 +260,17 @@ fn join_ladder_order_work_is_pinned() {
         .map(|w| (w.name, w.stats.contexts_built, w.stats.reduce_memo_hits))
         .collect();
     // Before subsets grew by joined quantifiers first: q3 106 / 32 991,
-    // fig6 64 / 46 432, j4 213 / 331 204, j5 676 / 1 004 815.
+    // fig6 64 / 46 432, j4 213 / 331 204, j5 676 / 1 004 815. Before
+    // sort-ahead priced every candidate and built one sort per interest,
+    // the memo hits were 10 780 / 21 720 / 31 239 / 141 076 / 266 221.
     assert_eq!(
         work,
         [
-            ("order_report", 12, 10_780),
-            ("q3", 83, 21_720),
-            ("fig6", 50, 31_239),
-            ("j4", 104, 141_076),
-            ("j5", 216, 266_221),
+            ("order_report", 12, 3_970),
+            ("q3", 83, 10_028),
+            ("fig6", 50, 15_406),
+            ("j4", 104, 42_035),
+            ("j5", 216, 85_020),
         ]
     );
 }

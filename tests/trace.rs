@@ -25,7 +25,7 @@ use fto_bench::harness::tpcd_db;
 use fto_bench::{ObsOptions, Observability, Session};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Value};
-use fto_obs::TraceEvent;
+use fto_obs::{Trace, TraceEvent};
 use fto_planner::{OptimizerConfig, Planner, PlannerStats};
 use fto_qgm::{rewrite, OrderScan};
 use fto_sql::{bind, parse_query};
@@ -286,9 +286,9 @@ fn q3_trace_shows_sort_ahead_and_pruning() {
 fn join_ladder_traces_hold_decisions_only() {
     // The order algebra runs hundreds of thousands of times under j5;
     // those calls are counted, not logged, so the ring holds decisions
-    // only: all of j4's and j5's, and the newest 65 536 of a six-table
-    // chain's with the rest counted as dropped. The closing lines come
-    // from counters and stay exact.
+    // only: all of j4's, j5's and a six-table chain's. A ring too small
+    // for a log keeps its newest events and counts the rest as dropped.
+    // The closing lines come from counters and stay exact.
     let db = tpcd_db(0.002).unwrap();
     let ladder = join_ladder();
     let traced = |sql: &str| Session::new(&db).plan_traced(sql).unwrap();
@@ -298,8 +298,10 @@ fn join_ladder_traces_hold_decisions_only() {
     };
 
     // While every subset grew by every missing quantifier, j4 logged
-    // 54 799 decisions and j5 overflowed: 157 901, 92 365 dropped.
-    for (name, logged) in [("j4", 25_613), ("j5", 47_620)] {
+    // 54 799 decisions and j5 overflowed: 157 901, 92 365 dropped. While
+    // sort-ahead built a sorted copy of every candidate, j4 logged 25 613
+    // and j5 47 620.
+    for (name, logged) in [("j4", 4_995), ("j5", 9_172)] {
         let q = rung(name);
         let trace = q.trace().expect("forced trace");
         assert_eq!(
@@ -311,6 +313,8 @@ fn join_ladder_traces_hold_decisions_only() {
         assert!(!q.explain_optimizer().contains("events dropped"), "{name}");
     }
 
+    // The six-table chain overflowed the ring (71 219 decisions, 5 683
+    // dropped) while sort-ahead built a sorted copy of every candidate.
     let j6 = traced(
         "select r_name, n_name, s_name, c_name, sum(l_extendedprice) as total \
          from customer, orders, lineitem, nation, supplier, region \
@@ -321,24 +325,35 @@ fn join_ladder_traces_hold_decisions_only() {
          order by r_name, n_name, s_name",
     );
     let trace = j6.trace().expect("forced trace");
-    assert_eq!(decisions(&j6.planner_stats()), 71_219);
-    assert_eq!((trace.events().len(), trace.dropped()), (65_536, 5_683));
+    assert_eq!(decisions(&j6.planner_stats()), 13_239);
+    assert_eq!((trace.events().len(), trace.dropped()), (13_239, 0));
     let text = j6.explain_optimizer();
-    assert!(
-        text.contains("... 5683 earlier events dropped (ring full)\n"),
-        "the ring must say how many it dropped"
-    );
+    assert!(!text.contains("events dropped"));
     let closing: Vec<&str> = text.lines().rev().take(3).collect();
     assert_eq!(
         closing[2],
-        "summary: boxes=3 | plans generated=19804 kept<=202 pruned=19602 | \
-         sorts added=16819 avoided=401 segmented=0 | sort-ahead variants=14584"
+        "summary: boxes=3 | plans generated=5309 kept<=202 pruned=5107 | \
+         sorts added=2324 avoided=401 segmented=0 | sort-ahead variants=89"
     );
     assert_eq!(
         closing[1],
-        "order ops: reduce=424177 test=154376 cover=15 homogenize=37719"
+        "order ops: reduce=134614 test=44670 cover=15 homogenize=14508"
     );
     assert!(closing[0].starts_with("planner work: joins considered=1316 |"));
+
+    // The same log through a ring of 4 096: the newest 4 096 events stay,
+    // in order, and the rendering says how many it dropped.
+    let mut ring = Trace::new(4_096);
+    for event in trace.events() {
+        ring.push(event.clone());
+    }
+    assert_eq!((ring.events().len(), ring.dropped()), (4_096, 9_143));
+    assert!(ring.events().iter().eq(trace.events().iter().skip(9_143)));
+    assert!(
+        ring.render()
+            .ends_with("... 9143 earlier events dropped (ring full)\n"),
+        "the ring must say how many it dropped"
+    );
 }
 
 #[test]
