@@ -8,6 +8,7 @@
 
 #![deny(missing_docs)]
 
+pub mod answer;
 pub mod corpus;
 pub mod envknob;
 pub mod harness;

@@ -7,8 +7,9 @@
 //! projection, sort-key encoding) then run tight per-type loops over the
 //! typed vectors; everything else falls back to per-row [`Value`]
 //! materialization through [`Batch::row`] / [`Batch::to_rows`], which are
-//! exact inverses of [`Batch::from_typed_rows`] so the row-based reference
-//! interpreter stays a bit-identical differential oracle.
+//! exact inverses of [`Batch::from_typed_rows`] so the row-based
+//! query-level oracle's rows and the executor's batches convert without
+//! loss.
 //!
 //! Layout rule: a column has the type its schema or its bound query
 //! declares ([`ColumnData::Int64`], [`ColumnData::Float64`],

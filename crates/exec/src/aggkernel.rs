@@ -1,10 +1,9 @@
 //! The shared aggregation kernel: group ids over encoded keys plus
 //! columnar aggregate state, used by the streaming executor's one
 //! grouping operator (DISTINCT is the grouping with no aggregates) and
-//! keyed by its build–probe join. The materializing
-//! interpreter — the differential oracle — keeps the row-at-a-time
-//! [`fto_expr::agg::Accumulator`]; the two are the only accumulate
-//! implementations in the engine.
+//! keyed by its build–probe join. The query-level oracle keeps the
+//! row-at-a-time [`fto_expr::agg::Accumulator`]; the two are the only
+//! accumulate implementations in the engine.
 //!
 //! # Group ids
 //!
@@ -603,7 +602,7 @@ impl GroupAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::group_by;
+    use crate::oracle::group_by;
     use fto_common::{Rng, Row};
     use std::collections::HashMap;
 

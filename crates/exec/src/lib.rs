@@ -17,15 +17,14 @@
 //!   produce. Sort, segmented sort and Top-N are one order-enforcing
 //!   operator; a full sort, a Top-N and hash group-by are inherently
 //!   blocking, and joins materialize only their build side.
-//! * [`sortkernel`] — the interpreter's `Value`-comparator sort and
-//!   top-N (the oracle) and the permutation kernel the order enforcer
-//!   runs on: column batches held as they arrived, normalized binary
-//!   sort keys (`fto_common::sortkey`) in one arena, a permutation
-//!   ordered by `(key, input position)` — `memcmp`, or an MSB radix pass
-//!   on fixed-width keys — one gather per output batch, and the K-way
+//! * [`sortkernel`] — the permutation kernel the order enforcer runs on:
+//!   column batches held as they arrived, normalized binary sort keys
+//!   (`fto_common::sortkey`) in one arena, a permutation ordered by
+//!   `(key, input position)` — `memcmp`, or an MSB radix pass on
+//!   fixed-width keys — one gather per output batch, and the K-way
 //!   `(key, seq)` merge step over spilled runs. Its stability/tie-order
-//!   contract is what makes the external merge deterministic; the
-//!   differential suite holds both engines bit-identical.
+//!   contract is what makes the external merge deterministic, and every
+//!   batch size, budget and thread count return the serial run's rows.
 //! * [`parallel`] — the exchange layer, one operator. At parallel degree
 //!   `p > 1` (and no memory budget: a budget runs serial), lowering fans
 //!   the partitionable pipeline segments a breaker drains at `open` out
@@ -33,9 +32,12 @@
 //!   partitions' batches in partition order — the serial stream, so the
 //!   enforcer, join or group-by above it is the serial one and results
 //!   are bit-identical to serial execution at every degree.
-//! * [`interp`] — the original fully materializing interpreter, kept as
-//!   the reference engine. The differential test suite runs every query
-//!   through both engines and requires identical rows in identical order.
+//! * `oracle` — the query-level oracle behind
+//!   [`PreparedQuery::execute_materialized`]: a naive, row-at-a-time
+//!   evaluator of the query graph the binder returns — no rewrite, no
+//!   order scan, no plan — against which the test suites check every
+//!   answer the engine gives (the same multiset of rows, in the ORDER
+//!   BY's order). It is the only other way rows are computed.
 //! * [`session`] — [`Session`] / [`PreparedQuery`] / [`QueryOutput`]:
 //!   `Session::new(&db).config(cfg).plan(sql)?.execute()?`.
 //! * [`metrics`] — the execution record and per-operator observability.
@@ -64,26 +66,27 @@
 
 pub(crate) mod aggkernel;
 pub(crate) mod extsort;
-pub mod interp;
 pub mod metrics;
 pub mod obs;
+pub(crate) mod oracle;
 pub mod parallel;
 pub mod session;
 pub mod sortkernel;
 pub mod stream;
 
 pub use fto_obs::ExecutionProfile;
-pub use interp::{run_plan_materialized, QueryResult};
 pub use metrics::{q_error, ExecRecord, ExecStats, OpMetrics, PlanMetrics, WorkerOpMetrics};
 pub use obs::{ObsOptions, Observability};
 pub use session::{PreparedQuery, QueryOutput, Session, StatementOutput};
 pub use sortkernel::{SegmentStats, SortStats, SpillStats};
 pub use stream::{Batch, ExecContext, Operator};
 
-/// Convenience re-exports for the common execution workflow.
+/// Convenience re-exports for the common execution workflow: plan and
+/// execute through [`Session`]; [`PreparedQuery::execute_materialized`]
+/// is the query-level oracle's answer to check a run against.
 pub mod prelude {
     pub use crate::{
-        ObsOptions, Observability, PlanMetrics, PreparedQuery, QueryOutput, QueryResult, Session,
+        ObsOptions, Observability, PlanMetrics, PreparedQuery, QueryOutput, Session,
         StatementOutput,
     };
     pub use fto_planner::{OptimizerConfig, PlannerStats};

@@ -15,12 +15,12 @@
 //! # Ok(()) }
 //! ```
 
-use crate::interp::run_plan_materialized;
 use crate::metrics::{ExecRecord, PlanMetrics};
 use crate::obs::Observability;
+use crate::oracle;
 use crate::sortkernel::{SegmentStats, SortStats, SpillStats};
-use crate::stream::{drive, layout_types, plan_metrics, Batch, ExecContext};
-use fto_common::{Result, Row};
+use crate::stream::{drive, plan_metrics, Batch, ExecContext};
+use fto_common::{DataType, Result, Row};
 use fto_obs::{ExecutionProfile, Timeline, Trace};
 use fto_order::ContextWork;
 use fto_planner::{OptimizerConfig, Plan, Planner, PlannerStats};
@@ -331,32 +331,41 @@ impl PreparedQuery<'_> {
         metrics
     }
 
-    /// Executes through the materializing reference interpreter. Exists
-    /// for differential testing and engine comparisons; the rows are
-    /// identical to [`PreparedQuery::execute`], and every counter is zero:
-    /// the interpreter checks rows, not pages. Deliberately *not* recorded
-    /// into the observability registry, whose `session.*` totals count
-    /// streaming executions.
+    /// The query-level oracle's answer to this query: the graph
+    /// [`fto_sql::bind`] returns for its SQL, evaluated row at a time box
+    /// by box — no predicate pushdown, view merging or order scan, and no
+    /// plan (see `crate::oracle`). Exists to check the engine's answers:
+    /// the rows are *an* answer to the query, the same multiset as
+    /// [`PreparedQuery::execute`]'s, in an order that respects the ORDER
+    /// BY but may break its ties otherwise, and held to the types the
+    /// bound query declares. Every counter is zero: the oracle checks
+    /// rows, not pages, and ignores the configuration's execution knobs.
+    /// Deliberately *not* recorded into the observability registry, whose
+    /// `session.*` totals count streaming executions.
     pub fn execute_materialized(&self) -> Result<QueryOutput> {
-        let result = run_plan_materialized(self.db, &self.graph, &self.plan)?;
-        // The oracle's rows, held to the types the plan declares for them.
-        let batches = if result.rows.is_empty() {
-            Vec::new()
-        } else {
-            let types = layout_types(&self.graph, &self.plan.layout)?;
-            vec![Batch::from_typed_rows(&types, &result.rows)?]
+        let start = Instant::now();
+        let query = match parse_statement(&self.sql)? {
+            Statement::Query(query) | Statement::Explain { query, .. } => query,
+        };
+        let graph = bind(&query, self.db.catalog())?;
+        let rows = oracle::answer(self.db, &graph)?;
+        let root = graph.boxed(graph.root);
+        let types: Vec<DataType> = root
+            .output
+            .iter()
+            .map(|o| graph.registry.info(o.col).data_type)
+            .collect();
+        let batches = match rows.is_empty() {
+            true => Vec::new(),
+            false => vec![Batch::from_typed_rows(&types, &rows)?],
         };
         let rows_cache = OnceLock::new();
-        let _ = rows_cache.set(result.rows);
+        let _ = rows_cache.set(rows);
         Ok(QueryOutput {
             batches,
             rows_cache,
             planner: self.planner,
-            elapsed: result.elapsed,
-            // The reference interpreter exists to check rows: it charges
-            // no pages, its sorts compare `Value`s and count nothing, it
-            // ignores the budget, so it never spills — and it full-sorts
-            // segmented enforcers, so it never forms groups.
+            elapsed: start.elapsed(),
             io: IoStats::default(),
             sort: SortStats::default(),
             spill: SpillStats::default(),
@@ -609,6 +618,8 @@ mod tests {
 
     #[test]
     fn both_engines_agree_through_prepared_query() {
+        // An ORDER BY without ties fixes the answer's row order: the
+        // oracle's rows are the engine's, and so are their types.
         let db = db();
         let session = Session::new(&db);
         let q = session
@@ -618,6 +629,10 @@ mod tests {
         let materialized = q.execute_materialized().unwrap();
         assert_eq!(streaming.rows(), materialized.rows());
         assert_eq!(streaming.num_rows(), 4);
+        assert_eq!(
+            streaming.batches()[0].columns(),
+            materialized.batches()[0].columns()
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The sort kernel: the interpreter's `Value`-comparator sort and top-N
-//! (the differential oracle), and the one permutation kernel the order
-//! enforcer of the streaming executor — the only code that sorts — runs on.
+//! The sort kernel: the one permutation kernel the order enforcer of the
+//! streaming executor — the only code that sorts — runs on.
 //!
 //! # Stability and tie-order contract
 //!
 //! Every entry point implements the same total order: rows compare by
 //! the resolved sort keys (each column through [`Direction::apply`],
-//! NULLs per [`Value::total_cmp`]), and rows whose keys compare equal
-//! stay in **input order** — the output is what a stable sort produces.
-//! That is the determinism anchor of the engine: the differential suite
-//! holds both engines to bit-identical rows, and an external sort
-//! reproduces the in-memory one *only because* every run is ordered by
+//! NULLs per `Value::total_cmp`), and rows whose keys compare equal
+//! stay in **input order** — the output is what a stable sort produces,
+//! the query-level oracle's `Value`-comparator sort included, which the
+//! kernel's tests hold it to bit for bit. That is the determinism anchor
+//! of the engine: every batch size, budget and thread count returns the
+//! rows of the serial, unbudgeted run, and an external sort reproduces
+//! the in-memory one *only because* every run is ordered by
 //! `(key, sequence tag)` and merges break key ties by the tags.
 //!
 //! # The permutation kernel
@@ -50,10 +51,9 @@
 //! holds the rule.
 
 use fto_common::column::{encode_batch_keys_arena, Batch, Column};
-use fto_common::{Direction, FtoError, Result, Row, Value};
+use fto_common::{Direction, FtoError, Result};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Sort-kernel work of one execution (or of one operator's share of it).
@@ -99,65 +99,6 @@ pub fn resolve_keys(spec: &OrderSpec, layout: &RowLayout) -> Result<SortKeys> {
             })
         })
         .collect()
-}
-
-/// Extracted key columns for one row, compared positionally with the
-/// keys' directions.
-fn extract(row: &Row, keys: &SortKeys) -> Box<[Value]> {
-    keys.iter().map(|&(pos, _)| row[pos].clone()).collect()
-}
-
-fn cmp_extracted(a: &[Value], b: &[Value], keys: &SortKeys) -> Ordering {
-    for (i, &(_, dir)) in keys.iter().enumerate() {
-        let ord = dir.apply(a[i].total_cmp(&b[i]));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Stably sorts `rows` by `keys` (ties keep input order) using
-/// decorate–sort–undecorate with the `Value` comparator — the
-/// interpreter's sort, and the reference the encoded sorts are tested
-/// against.
-pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    let mut decorated: Vec<(Box<[Value]>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .map(|row| (extract(&row, keys), row))
-        .collect();
-    decorated.sort_by(|a, b| cmp_extracted(&a.0, &b.0, keys));
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// The first `n` rows of the stable sort of `rows` by `keys` — the
-/// interpreter's top-N. Selection runs before the sort, so only the
-/// winning prefix pays `O(n log n)`; the input position breaks ties, which
-/// pins the *choice* among rows tied at the cut (the earliest win) as well
-/// as their order.
-pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut decorated: Vec<(Box<[Value]>, usize, Row)> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(pos, row)| (extract(&row, keys), pos, row))
-        .collect();
-    let cmp = |a: &(Box<[Value]>, usize, Row), b: &(Box<[Value]>, usize, Row)| {
-        cmp_extracted(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
-    };
-    if decorated.len() > n {
-        decorated.select_nth_unstable_by(n - 1, cmp);
-        decorated.truncate(n);
-    }
-    // The position makes the order total, so an unstable sort is
-    // deterministic.
-    decorated.sort_unstable_by(cmp);
-    decorated.into_iter().map(|(_, _, row)| row).collect()
 }
 
 /// Encoded sort keys of a row sequence in one arena: row `i`'s key is
@@ -488,9 +429,19 @@ pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::sort_rows;
     use fto_common::column::encode_batch_keys_arena;
-    use fto_common::{ColId, DataType};
+    use fto_common::{ColId, DataType, Row, Value};
     use fto_order::SortKey;
+
+    /// The oracle's stable sort of `rows`, cut to the first `limit`: what
+    /// the kernel must return.
+    fn reference(rows: &[Row], keys: &SortKeys, limit: Option<usize>) -> Vec<Row> {
+        let mut sorted = rows.to_vec();
+        sort_rows(&mut sorted, keys);
+        sorted.truncate(limit.unwrap_or(sorted.len()));
+        sorted
+    }
 
     fn row(vals: &[i64]) -> Row {
         vals.iter().map(|&v| Value::Int(v)).collect()
@@ -625,6 +576,7 @@ mod tests {
     fn empty_keys_leave_input_untouched() {
         let mut rows: Vec<Row> = vec![row(&[3, 0]), row(&[1, 0]), row(&[2, 0])];
         let expected = rows.clone();
+        assert_eq!(kernel_sort(&rows, &Vec::new()), expected);
         sort_rows(&mut rows, &Vec::new());
         assert_eq!(rows, expected);
     }
@@ -634,11 +586,8 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         // Many ties across the n boundary; payload distinguishes rows.
         let rows: Vec<Row> = (0..40).map(|i| row(&[i % 4, i])).collect();
-        let mut sorted = rows.clone();
-        sort_rows(&mut sorted, &keys);
         for n in [0usize, 1, 5, 10, 11, 39, 40, 100] {
-            let want: Vec<Row> = sorted.iter().take(n).cloned().collect();
-            assert_eq!(top_n(rows.clone(), &keys, n), want, "n={n}");
+            let want = reference(&rows, &keys, Some(n));
             let got = rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch);
             assert_eq!(got, want, "kernel n={n}");
         }
@@ -648,8 +597,7 @@ mod tests {
     fn merge_of_contiguous_runs_reproduces_serial_stable_sort() {
         let keys = keys_from(&[(0, Direction::Desc)]);
         let input: Vec<Row> = (0..120).map(|i| row(&[(i * 13) % 5, i])).collect();
-        let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
+        let serial = reference(&input, &keys, None);
         for parts in [1usize, 2, 3, 4, 5] {
             let runs = contiguous_runs(&input, parts, &keys);
             assert_eq!(merged(&runs).0, serial, "parts={parts}");
@@ -685,10 +633,9 @@ mod tests {
     fn codec_sort_matches_legacy_sort_on_mixed_shapes() {
         for dir in [Direction::Asc, Direction::Desc] {
             let keys = keys_from(&[(0, dir)]);
-            for mut legacy in mixed_rows(500) {
-                let codec = kernel_sort(&legacy, &keys);
-                sort_rows(&mut legacy, &keys);
-                assert_eq!(codec, legacy, "dir={dir:?}");
+            for rows in mixed_rows(500) {
+                let want = reference(&rows, &keys, None);
+                assert_eq!(kernel_sort(&rows, &keys), want, "dir={dir:?}");
             }
         }
     }
@@ -697,18 +644,17 @@ mod tests {
     fn codec_sort_takes_radix_path_on_fixed_width_keys() {
         // All-Int composite keys are fixed width (11 bytes per column),
         // so this drives the MSB radix path; the result must still equal
-        // the legacy stable sort — also on a selected (no longer
+        // the oracle's stable sort — also on a selected (no longer
         // index-ordered) top-N prefix.
         let keys = keys_from(&[(0, Direction::Desc), (1, Direction::Asc)]);
         let mut rng = fto_common::Rng::new(3);
-        let mut legacy: Vec<Row> = (0..4096)
+        let rows: Vec<Row> = (0..4096)
             .map(|_| row(&[rng.range_i64(-8, 8), rng.range_i64(0, 4)]))
             .collect();
-        let codec = kernel_sort(&legacy, &keys);
-        let top = rows_of(&run_of(&legacy, 0.., &keys, Some(1500)).batch);
-        sort_rows(&mut legacy, &keys);
-        assert_eq!(codec, legacy);
-        assert_eq!(top, legacy[..1500]);
+        let want = reference(&rows, &keys, None);
+        assert_eq!(kernel_sort(&rows, &keys), want);
+        let top = rows_of(&run_of(&rows, 0.., &keys, Some(1500)).batch);
+        assert_eq!(top, want[..1500]);
     }
 
     #[test]
@@ -718,7 +664,7 @@ mod tests {
             for n in [0usize, 1, 7, 299, 300, 400] {
                 assert_eq!(
                     rows_of(&run_of(&rows, 0.., &keys, Some(n)).batch),
-                    top_n(rows.clone(), &keys, n),
+                    reference(&rows, &keys, Some(n)),
                     "n={n}"
                 );
             }
@@ -729,8 +675,7 @@ mod tests {
     fn codec_runs_merge_bit_identically_to_legacy() {
         let keys = keys_from(&[(0, Direction::Asc)]);
         for input in mixed_rows(240) {
-            let mut serial = input.clone();
-            sort_rows(&mut serial, &keys);
+            let serial = reference(&input, &keys, None);
             for parts in [1usize, 2, 3, 5] {
                 let runs = contiguous_runs(&input, parts, &keys);
                 assert_eq!(merged(&runs).0, serial, "parts={parts}");

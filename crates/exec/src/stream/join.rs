@@ -145,7 +145,7 @@ enum BuildRef {
 /// [`Self::finish`] lays the rows out as a CSR match list — key `g`'s rows
 /// are `refs[offsets[g]..offsets[g + 1]]` in build (arrival) order,
 /// resident and spilled alike — so match order, and with it output order,
-/// is the interpreter's at every budget. The probe buckets each candidate
+/// is the unbudgeted run's at every budget. The probe buckets each candidate
 /// chunk's spilled refs by group and decodes every touched group once
 /// ([`Self::candidates`]), holding one decoded group at a time.
 struct JoinBuild {

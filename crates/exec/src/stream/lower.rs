@@ -9,7 +9,6 @@ use super::join::{IndexNestedLoopJoinOp, JoinOp};
 use super::pipeline::{FilterOp, IndexScanOp, LimitOp, ProjectOp, ScanOp, UnionAllOp};
 use super::{BatchQueue, ExecContext, Operator};
 use crate::aggkernel::AggSpec;
-use crate::interp::positions;
 use crate::parallel::{GatherOp, PartitionSpec};
 use crate::sortkernel::resolve_keys;
 use fto_common::{ColId, DataType, Direction, FtoError, Result};
@@ -67,6 +66,17 @@ pub(crate) fn layout_types(graph: &QueryGraph, layout: &RowLayout) -> Result<Vec
         ))),
     };
     layout.cols().iter().map(declared).collect()
+}
+
+/// The positions of `cols` in `layout`.
+fn positions(layout: &RowLayout, cols: &[ColId]) -> Result<Vec<usize>> {
+    cols.iter()
+        .map(|&c| {
+            layout
+                .position(c)
+                .ok_or_else(|| FtoError::internal(format!("column {c} missing from layout")))
+        })
+        .collect()
 }
 
 /// Lowers one worker's copy of an exchanged subtree: scans restricted to

@@ -36,11 +36,11 @@
 //! batch: the groups an input batch closes leave together), order-based
 //! group-by, limit, union — is fully streaming.
 //!
-//! The executor is row-for-row equivalent to the materializing reference
-//! interpreter in [`crate::interp`] (enforced by the differential test
-//! suite), including output order: streaming operators reproduce the
-//! reference engine's exact emission order, not merely the same bag of
-//! rows.
+//! The executor's answers are checked against the query-level oracle
+//! behind `PreparedQuery::execute_materialized`, which evaluates the
+//! bound query without a plan, and its emission order is a function of
+//! the plan alone: every batch size, memory budget and thread count
+//! returns the serial, unbudgeted run's rows bit for bit.
 
 mod enforce;
 mod group;
@@ -49,7 +49,7 @@ mod join;
 mod lower;
 mod pipeline;
 
-pub(crate) use lower::{layout_types, lower_worker};
+pub(crate) use lower::lower_worker;
 
 use crate::metrics::{ExecRecord, OpMetrics, PlanMetrics};
 use fto_common::{FtoError, Result};
@@ -270,7 +270,7 @@ impl BatchQueue {
 /// The rows of `batch` that pass every predicate, ascending: a selection
 /// vector refined predicate by predicate, each by a typed column kernel
 /// (every predicate the binder admits has one). Refinement stops once no
-/// row is left, as the interpreter's AND does.
+/// row is left, as an AND does.
 fn passing(
     cx: &ExecContext<'_>,
     predicates: &[PredId],
@@ -295,8 +295,8 @@ mod tests {
     use super::*;
     use crate::aggkernel::AggSpec;
     use crate::extsort::seq_header;
-    use crate::interp::run_plan_materialized;
     use crate::metrics::ExecStats;
+    use crate::oracle::{group_by, sort_rows};
     use crate::sortkernel::SortKeys;
     use fto_common::column::batch_row_bytes;
     use fto_common::{ColId, ColSet, DataType, Direction, FtoError, QuantifierId, Row};
@@ -307,6 +307,51 @@ mod tests {
     use fto_planner::JoinKind;
     use fto_storage::{spill, Database, PAGE_SIZE};
     use std::sync::Arc;
+
+    /// The rows of [`test_db`]'s table `t`: `(k, v) = (i, i % 5)`.
+    fn test_rows(rows: i64) -> Vec<Row> {
+        (0..rows)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 5)].into_boxed_slice())
+            .collect()
+    }
+
+    /// `rows` stably sorted by `keys` with the oracle's comparator.
+    fn sorted(rows: &[Row], keys: &[(usize, Direction)]) -> Vec<Row> {
+        let mut rows = rows.to_vec();
+        sort_rows(&mut rows, keys);
+        rows
+    }
+
+    /// The join by definition, outer row after outer row, each one's
+    /// matches in inner order: every pair whose `keys` (outer position,
+    /// inner position) are equal and not NULL and that `keep` passes — and
+    /// with `pad` (a LEFT JOIN's inner width), an outer row no pair is
+    /// kept for, padded with NULLs.
+    fn joined(
+        outer: &[Row],
+        inner: &[Row],
+        keys: &[(usize, usize)],
+        pad: Option<usize>,
+        keep: impl Fn(&Row) -> bool,
+    ) -> Vec<Row> {
+        let mut out = Vec::new();
+        for o in outer {
+            let before = out.len();
+            for i in inner {
+                if keys.iter().all(|&(a, b)| !o[a].is_null() && o[a] == i[b]) {
+                    let row: Row = o.iter().chain(i.iter()).cloned().collect();
+                    if keep(&row) {
+                        out.push(row);
+                    }
+                }
+            }
+            if let Some(width) = pad.filter(|_| out.len() == before) {
+                let nulls = std::iter::repeat_n(Value::Null, width);
+                out.push(o.iter().cloned().chain(nulls).collect());
+            }
+        }
+        out
+    }
 
     fn test_db(rows: i64) -> Database {
         let mut cat = fto_catalog::Catalog::new();
@@ -321,13 +366,7 @@ mod tests {
             )
             .unwrap();
         let mut db = Database::new(cat);
-        db.load_table(
-            t,
-            (0..rows)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 5)].into_boxed_slice())
-                .collect(),
-        )
-        .unwrap();
+        db.load_table(t, test_rows(rows)).unwrap();
         db
     }
 
@@ -393,9 +432,8 @@ mod tests {
         let db = test_db(500);
         let graph = QueryGraph::new();
         let plan = scan_plan();
-        let old = run_plan_materialized(&db, &graph, &plan).unwrap();
         let new = run(&db, &graph, &plan, &knobs(64, 1, None));
-        assert_eq!(old.rows, new.rows());
+        assert_eq!(new.rows(), test_rows(500));
         let heap = db.heap(TableId(0)).unwrap();
         assert_eq!(new.stats.io.sequential_pages, heap.page_count());
         assert_eq!(new.stats.io.rows_read, heap.row_count());
@@ -415,9 +453,8 @@ mod tests {
             props: scan.props.clone(),
             cost: scan.cost,
         };
-        let old = run_plan_materialized(&db, &graph, &limit).unwrap();
         let new = run(&db, &graph, &limit, &OptimizerConfig::default());
-        assert_eq!(old.rows, new.rows());
+        assert_eq!(new.rows(), test_rows(5000)[..10]);
         assert_eq!(new.num_rows(), 10);
         // Streaming output arrives as non-empty batches that sum to the
         // row count — operators never emit empties.
@@ -454,9 +491,8 @@ mod tests {
             props: scan.props.clone(),
             cost: scan.cost,
         };
-        let old = run_plan_materialized(&db, &graph, &sort).unwrap();
         let new = run(&db, &graph, &sort, &knobs(1, 1, None));
-        assert_eq!(old.rows, new.rows());
+        assert_eq!(new.rows(), sorted(&test_rows(97), &[(1, Direction::Desc)]));
         assert_eq!(new.stats.io.sort_rows, 97);
     }
 
@@ -565,7 +601,7 @@ mod tests {
     fn empty_batches_are_not_input_to_a_global_aggregate() {
         // `select count(*), sum(c0)` over a child that yields one
         // zero-row batch: one output row (0, NULL) at every satisfied
-        // prefix, as from the interpreter; with a grouping column, none.
+        // prefix, as SQL has it; with a grouping column, none.
         use fto_expr::{AggCall, AggFunc};
         let db = test_db(1);
         let graph = QueryGraph::new();
@@ -635,9 +671,8 @@ mod tests {
     #[test]
     fn enforcer_matches_the_interpreter_sort_on_random_batches() {
         // The one property every enforcer configuration must satisfy:
-        // (prefix k, limit, budget) all equal the interpreter's stable
-        // `sort_rows` / `top_n` of the same rows, bit for bit.
-        use crate::sortkernel::{sort_rows, top_n};
+        // (prefix k, limit, budget) all equal the oracle's stable sort of
+        // the same rows (its first `limit` for a top-n), bit for bit.
         let db = test_db(1);
         let graph = QueryGraph::new();
         let feed = |batches: &[Batch]| Box::new(Feed(batches.iter().cloned().collect()));
@@ -709,10 +744,8 @@ mod tests {
             let keys: SortKeys = (0..4).map(|c| (c, dir(&mut rng))).collect();
             for k in 0..3usize {
                 // The input satisfies the first k keys, and only those.
-                let mut input = rows.clone();
-                sort_rows(&mut input, &keys[..k].to_vec());
-                let mut want = input.clone();
-                sort_rows(&mut want, &keys);
+                let input = sorted(&rows, &keys[..k]);
+                let want = sorted(&input, &keys);
                 // Random cuts: single rows, small batches, and batches
                 // that cross a 1 024-row chunk.
                 let mut batches = Vec::new();
@@ -732,10 +765,7 @@ mod tests {
                     _ => vec![None],
                 };
                 for limit in limits {
-                    let want = match limit {
-                        Some(n) => exact(&top_n(input.clone(), &keys, n)),
-                        None => exact(&want),
-                    };
+                    let want = exact(&want[..limit.unwrap_or(n).min(n)]);
                     let case = format!("seed={seed} n={n} k={k} limit={limit:?} keys={keys:?}");
                     for memory_budget in [Some(1usize), Some(1 << 10), None] {
                         let opts = knobs([1, 7, 1024][rng.range_usize(0, 3)], 1, memory_budget);
@@ -752,7 +782,7 @@ mod tests {
     #[test]
     fn segmented_sort_matches_the_interpreter_on_random_batch_cuts() {
         // The enforcer over a satisfied prefix of k ∈ {1, 2} of its three
-        // keys, against the interpreter's stable sort bit for bit. Groups
+        // keys, against the oracle's stable sort bit for bit. Groups
         // of `a` hold 1 row, 2–5 rows, 6–20 rows (spanning two or three
         // batches at the small cuts) and 40 rows (a charge past 1 KiB);
         // `b` holds NULL, NaN of either sign, −0.0 beside 0.0 and ties
@@ -765,7 +795,7 @@ mod tests {
         // fed whole to its own run former, as one `SortBuf::ordered` when
         // nothing spills — whichever groups were ordered in place.
         use crate::extsort::{RunFormer, SortedOut};
-        use crate::sortkernel::{sort_rows, KeyArena};
+        use crate::sortkernel::KeyArena;
         let db = test_db(1);
         let graph = QueryGraph::new();
         let (int, dbl) = (DataType::Int, DataType::Double);
@@ -811,10 +841,8 @@ mod tests {
             let keys: SortKeys = (0..3).map(|c| (c, dir(&mut rng))).collect();
             for k in 1..=2usize {
                 // The input satisfies the first k keys, and only those.
-                let mut input = rows.clone();
-                sort_rows(&mut input, &keys[..k].to_vec());
-                let mut want = input.clone();
-                sort_rows(&mut want, &keys);
+                let input = sorted(&rows, &keys[..k]);
+                let want = sorted(&input, &keys);
                 let same_prefix = |x: &Row, y: &Row| {
                     keys[..k]
                         .iter()
@@ -961,62 +989,15 @@ mod tests {
     }
 
     #[test]
-    fn the_reference_ignores_order_claims() {
-        // Two plans that claim an order their input lacks: a merge join
-        // over two scans of `v = row % 5`, and a stream group-by over one
-        // — each a satisfied prefix of every key column. The interpreter
-        // joins and groups by definition, so it answers each as it
-        // answers the honest plan (no prefix); the streaming executor
-        // trusts the claim and answers otherwise — so the differential
-        // catches a wrong order claim.
-        use fto_expr::{AggCall, AggFunc};
-        let db = test_db(40);
-        let ints: &[DataType] = &[DataType::Int, DataType::Int];
-        let graph = base_graph(&[(TableId(0), ints), (TableId(0), ints)]);
-        let join = |prefix_len| {
-            let node = PlanNode::Join {
-                kind: JoinKind::Inner,
-                outer: scan_node(TableId(0), 0, &[0, 1]),
-                inner: scan_node(TableId(0), 1, &[2, 3]),
-                outer_keys: vec![ColId(1)],
-                inner_keys: vec![ColId(3)],
-                predicates: vec![],
-                prefix_len,
-            };
-            plan_node(node, &[0, 1, 2, 3])
-        };
-        let group = |prefix_len| {
-            let node = PlanNode::GroupBy {
-                input: scan_node(TableId(0), 0, &[0, 1]),
-                grouping: vec![ColId(1)],
-                aggs: vec![(ColId(2), AggCall::new(AggFunc::Count, Expr::int(1)))],
-                prefix_len,
-            };
-            plan_node(node, &[1, 2])
-        };
-        let plans = [(join(0), join(1)), (group(0), group(1))];
-        let config = OptimizerConfig::default();
-        for (honest, claimed) in plans {
-            let want = run_plan_materialized(&db, &graph, &honest).unwrap().rows;
-            let name = claimed.op_name();
-            let reference = run_plan_materialized(&db, &graph, &claimed).unwrap();
-            assert_eq!(reference.rows, want, "{name}");
-            assert_eq!(run(&db, &graph, &honest, &config).rows(), want, "{name}");
-            assert_ne!(run(&db, &graph, &claimed, &config).rows(), want, "{name}");
-        }
-    }
-
-    #[test]
     fn prefix_join_matches_the_interpreter_on_random_batch_cuts() {
         // The join over a satisfied prefix of k of its equated pairs, at
-        // k = 0 (hash join) and k = all (merge join), against the
-        // interpreter's join by definition: duplicate-heavy keys whose ties
+        // k = 0 (hash join) and k = all (merge join), against the join by
+        // definition: duplicate-heavy keys whose ties
         // span batch boundaries, NULL keys on both sides, Int keys meeting
         // Double keys (`2` joins `2.0`, `0` joins `-0.0`), one- and
         // two-column keys, with and without a residual `x < y`. Lowered
         // and driven at batch 1, 3 and 1024, and over random cuts of the
         // same inputs.
-        use crate::sortkernel::sort_rows;
         use fto_expr::{CompareOp, Predicate};
         let (int, dbl, str) = (DataType::Int, DataType::Double, DataType::Str);
         let types: [&[DataType]; 2] = [&[int, str, int], &[dbl, str, int]];
@@ -1055,7 +1036,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                sort_rows(&mut rows, &vec![(0, Direction::Asc), (1, Direction::Asc)]);
+                sort_rows(&mut rows, &[(0, Direction::Asc), (1, Direction::Asc)]);
                 db.load_table(tables[side], rows.clone()).unwrap();
                 sides.push(rows);
             }
@@ -1075,7 +1056,9 @@ mod tests {
                             prefix_len: k as u32,
                         };
                         let join = plan_node(join, &[0, 1, 2, 3, 4, 5]);
-                        let want = exact(&run_plan_materialized(&db, &graph, &join).unwrap().rows);
+                        let keys: Vec<(usize, usize)> = (0..pairs).map(|p| (p, p)).collect();
+                        let x_lt_y = |r: &Row| predicates.is_empty() || r[2] < r[5];
+                        let want = exact(&joined(&sides[0], &sides[1], &keys, None, x_lt_y));
                         let case = format!("seed={seed} pairs={pairs} k={k} preds={predicates:?}");
                         for batch in [1usize, 3, 1024] {
                             let got = run(&db, &graph, &join, &knobs(batch, 1, None));
@@ -1120,7 +1103,7 @@ mod tests {
     #[test]
     fn prefix_group_by_matches_the_interpreter_on_random_batch_cuts() {
         // The grouping over a satisfied prefix of k of its two columns, at
-        // k = 0 (hash), 1 and 2 (stream), against the interpreter's
+        // k = 0 (hash), 1 and 2 (stream), against the oracle's
         // first-seen grouping by definition, bit for bit — float sums
         // included. (k = 1 is not planned yet; it runs the same code.) Keys
         // hold NULLs, NaN of either sign and −0.0 beside 0.0, and `a` is
@@ -1131,8 +1114,6 @@ mod tests {
         // spills all its keys but the first), 1 KiB and none. The empty
         // grouping — a global aggregate — runs over empty and non-empty
         // input.
-        use crate::interp::group_by;
-        use crate::sortkernel::sort_rows;
         use fto_expr::{AggCall, AggFunc};
         let db = test_db(1);
         let graph = QueryGraph::new();
@@ -1183,8 +1164,7 @@ mod tests {
             }
             for (gpos, aggs, k) in cases {
                 // The input satisfies the first k grouping columns.
-                let mut input = rows.clone();
-                sort_rows(&mut input, &keys[..k].to_vec());
+                let input = sorted(&rows, &keys[..k]);
                 let grouping: Vec<ColId> = gpos.iter().map(|&p| ColId(p as u32)).collect();
                 let want = exact(&group_by(&input, &layout, &grouping, &aggs).unwrap());
                 let out_types: Vec<DataType> = gpos.iter().map(|&p| types[p]).collect();
@@ -1231,8 +1211,10 @@ mod tests {
             .create_table("u", vec![int("d"), int("w")], vec![])
             .unwrap();
         let mut db = Database::new(cat);
-        let rows = (0..2000i64).map(|i| vec![Value::Int(i / 7), Value::Int(i)].into_boxed_slice());
-        db.load_table(u, rows.collect()).unwrap();
+        let rows: Vec<Row> = (0..2000i64)
+            .map(|i| vec![Value::Int(i / 7), Value::Int(i)].into_boxed_slice())
+            .collect();
+        db.load_table(u, rows.clone()).unwrap();
         let ints: &[DataType] = &[DataType::Int, DataType::Int];
         let graph = base_graph(&[(u, ints), (u, ints)]);
         let join = PlanNode::Join {
@@ -1246,7 +1228,8 @@ mod tests {
         };
         let input = plan_node(join, &[0, 1, 2, 3]);
         let limit = plan_node(PlanNode::Limit { input, n: 100 }, &[0, 1, 2, 3]);
-        let want = run_plan_materialized(&db, &graph, &limit).unwrap().rows;
+        // Each outer row matches 7: the first 15 make the first 100 rows.
+        let want = joined(&rows[..15], &rows, &[(0, 0)], None, |_| true)[..100].to_vec();
         let cx = ExecContext::new(&db, &graph, &knobs(16, 1, None));
         let mut rec = ExecRecord::new(limit.count_ops(&|_| true), None);
         let (batches, _) = drive(&cx, &limit, &mut rec).unwrap();
@@ -1281,20 +1264,24 @@ mod tests {
             .create_table("u", vec![int("d"), int("w")], vec![])
             .unwrap();
         let mut db = Database::new(cat);
-        let rows = (0..2000i64).map(|i| vec![Value::Int(i / 7), Value::Int(i)].into_boxed_slice());
-        db.load_table(u, rows.collect()).unwrap();
+        let rows: Vec<Row> = (0..2000i64)
+            .map(|i| vec![Value::Int(i / 7), Value::Int(i)].into_boxed_slice())
+            .collect();
+        db.load_table(u, rows.clone()).unwrap();
         // The second quantifier only declares `c2`, the sum's column.
         let ints: &[DataType] = &[DataType::Int, DataType::Int];
         let graph = base_graph(&[(u, ints), (u, ints)]);
+        let aggs = vec![(ColId(2), AggCall::new(AggFunc::Sum, Expr::col(ColId(1))))];
         let group = PlanNode::GroupBy {
             input: scan_node(u, 0, &[0, 1]),
             grouping: vec![ColId(0)],
-            aggs: vec![(ColId(2), AggCall::new(AggFunc::Sum, Expr::col(ColId(1))))],
+            aggs: aggs.clone(),
             prefix_len: 1,
         };
         let input = plan_node(group, &[0, 2]);
         let limit = plan_node(PlanNode::Limit { input, n: 5 }, &[0, 2]);
-        let want = run_plan_materialized(&db, &graph, &limit).unwrap().rows;
+        let layout = RowLayout::new(vec![ColId(0), ColId(1)]);
+        let want = group_by(&rows, &layout, &[ColId(0)], &aggs).unwrap()[..5].to_vec();
         for threads in [1usize, 2] {
             let cx = ExecContext::new(&db, &graph, &knobs(16, threads, None));
             let mut rec = ExecRecord::new(limit.count_ops(&|_| true), None);
@@ -1396,7 +1383,7 @@ mod tests {
         // reads a group at most once — a decode per hop reads the file
         // ~50× over at batch 1024 — and `gather_group`'s debug assertion
         // holds the probe to one decoded group alive. Rows and emission
-        // boundaries are the unbounded run's, rows the interpreter's.
+        // boundaries are the unbounded run's, rows the join's by definition.
         const BUILD_ROWS: usize = 4096;
         let mut cat = fto_catalog::Catalog::new();
         let int = |name| fto_catalog::ColumnDef::new(name, DataType::Int);
@@ -1412,10 +1399,10 @@ mod tests {
                 .map(|i| row(i).map(Value::Int).to_vec().into_boxed_slice())
                 .collect()
         };
-        db.load_table(probe, table(48, |k| [k, k * 37 % 320]))
-            .unwrap();
-        db.load_table(build, table(BUILD_ROWS, |i| [i % 256, i]))
-            .unwrap();
+        let probe_rows: Vec<Row> = table(48, |k| [k, k * 37 % 320]);
+        let build_rows: Vec<Row> = table(BUILD_ROWS, |i| [i % 256, i]);
+        db.load_table(probe, probe_rows.clone()).unwrap();
+        db.load_table(build, build_rows.clone()).unwrap();
         let mut graph = QueryGraph::new();
         for (q, t) in [(0u32, probe), (1, build)] {
             for ordinal in 0..2 {
@@ -1445,13 +1432,32 @@ mod tests {
             input: scan(probe, 0, &[0, 1]),
             n: 6,
         };
-        // (kind, outer, keyed, matches of a probe row that has any).
+        // (kind, outer, its rows, keyed, matches of a probe row that has
+        // any).
         let kinds = [
-            (JoinKind::Inner, scan(probe, 0, &[0, 1]), true, 16),
-            (JoinKind::Inner, node(few, &[0, 1]), false, BUILD_ROWS),
-            (JoinKind::LeftOuter, scan(probe, 0, &[0, 1]), true, 16),
+            (
+                JoinKind::Inner,
+                scan(probe, 0, &[0, 1]),
+                &probe_rows[..],
+                true,
+                16,
+            ),
+            (
+                JoinKind::Inner,
+                node(few, &[0, 1]),
+                &probe_rows[..6],
+                false,
+                BUILD_ROWS,
+            ),
+            (
+                JoinKind::LeftOuter,
+                scan(probe, 0, &[0, 1]),
+                &probe_rows[..],
+                true,
+                16,
+            ),
         ];
-        for (kind, outer, keyed, matches) in kinds {
+        for (kind, outer, outer_rows, keyed, matches) in kinds {
             let keys = |c: u32| if keyed { vec![ColId(c)] } else { vec![] };
             let join = node(
                 PlanNode::Join {
@@ -1465,8 +1471,9 @@ mod tests {
                 },
                 &[0, 1, 2, 3],
             );
-            let want = run_plan_materialized(&db, &graph, &join).unwrap().rows;
-            let outer_rows = run_plan_materialized(&db, &graph, &outer).unwrap().rows;
+            let keys = if keyed { vec![(1, 0)] } else { vec![] };
+            let pad = (kind == JoinKind::LeftOuter).then_some(2);
+            let want = joined(outer_rows, &build_rows, &keys, pad, |_| true);
             let mut record = vec![0u8; 4];
             let inner_rows = run(&db, &graph, &scan(build, 1, &[2, 3]), &knobs(1024, 1, None));
             spill::write_batch(

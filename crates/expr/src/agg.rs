@@ -122,7 +122,7 @@ impl Accumulator {
     /// Feeds one already-evaluated argument value. Semantics identical to
     /// [`Accumulator::update`]; the streaming executor's columnar
     /// aggregation kernel reproduces them bit for bit without going
-    /// through this type, which serves the reference interpreter.
+    /// through this type, which serves the query-level oracle.
     pub fn update_value(&mut self, v: Value) {
         if v.is_null() {
             return;

@@ -65,7 +65,7 @@ fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
 
     // Branches agree on arity and, position by position, on type: the
     // output takes the first branch's, and nothing is promoted (the
-    // interpreter would keep an `Int` branch and a `Double` branch apart).
+    // oracle would keep an `Int` branch and a `Double` branch apart).
     let types_of = |graph: &QueryGraph, b: BoxId| -> Vec<DataType> {
         let cols = graph.boxed(b).output.iter();
         cols.map(|o| graph.registry.info(o.col).data_type).collect()
@@ -1039,7 +1039,7 @@ mod tests {
                 "select o_orderkey from orders union select o_orderdate from orders",
                 "UNION branch 2 column 1 is DATE where the first branch has INT",
             ),
-            // No promotion either: the interpreter would keep them apart.
+            // No promotion either: the oracle would keep them apart.
             (
                 "select o_orderkey, o_custkey from orders union all \
                  select l_orderkey, l_price from lineitem",

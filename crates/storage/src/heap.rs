@@ -134,9 +134,8 @@ impl HeapTable {
         (sources, pairs)
     }
 
-    /// Materializes row `rid` — for the row-at-a-time reference
-    /// interpreter and tests; the executor reads [`HeapTable::columns`]
-    /// and [`HeapTable::gather`].
+    /// Materializes row `rid` — for tests; the executor reads
+    /// [`HeapTable::columns`] and [`HeapTable::gather`].
     pub fn row(&self, rid: usize) -> Row {
         self.chunks[rid / CHUNK_ROWS].row(rid % CHUNK_ROWS)
     }

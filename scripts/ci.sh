@@ -34,33 +34,38 @@ for f in crates/exec/src/stream/*.rs crates/expr/src/vector.rs; do
     fi
 done
 for f in crates/exec/src/stream/*.rs; do
-    if non_test "$f" | grep -n 'interp::.*\(concat\|eval_preds\)'; then
-        echo "guard failed: $f imports the interpreter's row helpers;"
-        echo "residual predicates refine a selection vector (passing), rows are the interpreter's"
+    if non_test "$f" | grep -n 'oracle::'; then
+        echo "guard failed: $f imports the oracle's row helpers;"
+        echo "residual predicates refine a selection vector (passing), rows are the oracle's"
         exit 1
     fi
 done
+
+echo "==> grep guard: the oracle shares no code with the optimizer or the executor"
+# crates/exec/src/oracle.rs evaluates the bound query graph as the binder
+# returns it, so a wrong rewrite, order claim or operator cannot give the
+# same wrong rows on both sides of a comparison: it never sees a plan,
+# runs no rewrite or order scan, and calls none of the executor's kernels.
+# (Checked above the file's #[cfg(test)].)
+if non_test crates/exec/src/oracle.rs \
+    | grep -n 'fto_planner\|Plan\|crate::stream\|sortkernel\|aggkernel\|extsort\|sortkey\|rewrite::\|OrderScan'; then
+    echo "guard failed: crates/exec/src/oracle.rs uses the optimizer or the executor;"
+    echo "the oracle evaluates the bound query graph row at a time, on its own"
+    exit 1
+fi
 
 echo "==> grep guard: one order enforcer, and it never materializes a row"
 # Sort, segmented sort and top-n are one operator over one permutation
 # kernel, and the gather hands column batches around: no Vec<Row>, no
 # row<->column transposition in the exchange layer, the external sort or
-# the kernel. (Checked above each file's #[cfg(test)]; in sortkernel.rs
-# the interpreter's two entry points, sort_rows and top_n, are the
-# Value-comparator oracle and stay row-based.)
-for f in parallel extsort; do
+# the kernel. (Checked above each file's #[cfg(test)].)
+for f in parallel extsort sortkernel; do
     if non_test "crates/exec/src/$f.rs" | grep -n 'Vec<Row>\|from_rows(\|append_rows_to('; then
         echo "guard failed: crates/exec/src/$f.rs materializes rows;"
         echo "hold column batches and gather once per output batch (sortkernel::gather_rows)"
         exit 1
     fi
 done
-if non_test crates/exec/src/sortkernel.rs \
-    | sed '/^pub fn sort_rows(/,/^}/d; /^pub fn top_n(/,/^}/d' \
-    | grep -n 'Vec<Row>\|from_rows(\|append_rows_to('; then
-    echo "guard failed: crates/exec/src/sortkernel.rs materializes rows outside sort_rows/top_n"
-    exit 1
-fi
 operators=$(cat crates/exec/src/stream/*.rs crates/exec/src/parallel.rs | grep -c '^impl Operator for' || true)
 if [[ "${operators}" -gt 12 ]]; then
     echo "guard failed: ${operators} Operator impls in stream/ + parallel.rs (allowed: 12);"
@@ -82,9 +87,9 @@ echo "==> grep guard: the plan names what the executor runs"
 # one whose inputs satisfy every equated pair — is
 # Join { kind, keys, prefix_len }, grouping is GroupBy { prefix_len } and
 # DISTINCT is that grouping with no aggregates. Every consumer of a plan
-# (lowering, the interpreter, EXPLAIN, a validator) pays per variant, so
-# the count only goes down. The interpreter computes a join and a grouping
-# by definition, whatever order their inputs claim.
+# (lowering, EXPLAIN, a validator) pays per variant, so the count only
+# goes down. The query-level oracle consumes no plan: it joins and groups
+# the bound query by definition.
 variants=$(sed -n '/^pub enum PlanNode/,/^}/p' crates/planner/src/plan.rs | grep -c '^    [A-Z][A-Za-z]* {' || true)
 if [[ "${variants}" -gt 10 ]]; then
     echo "guard failed: ${variants} PlanNode variants (allowed: 10);"
@@ -98,8 +103,8 @@ if grep -rnE 'StreamDistinct|HashDistinct|SegmentedSort \{|TopN \{|HashJoin \{|N
     exit 1
 fi
 if grep -rnE 'fn (merge_join|stream_group_by)\(' crates/exec/src --include='*.rs'; then
-    echo "guard failed: the interpreter has an order-trusting merge join or stream group-by again;"
-    echo "the reference joins and groups by definition, whatever order its input claims"
+    echo "guard failed: a second, order-trusting merge join or stream group-by is back in crates/exec/src;"
+    echo "the one join is JoinOp, the one grouping GroupByOp, and the oracle joins and groups by definition"
     exit 1
 fi
 
@@ -140,8 +145,8 @@ fi
 
 echo "==> grep guard: one index representation, probed with typed columns"
 # An OrderedIndex is one typed key column per key part plus a rid vector,
-# and every reader — the index nested-loop join, the scan cursors, the
-# interpreter — reads those: no per-entry Vec<Value> key, no probe that
+# and every reader — the index nested-loop join, the scan cursors —
+# reads those: no per-entry Vec<Value> key, no probe that
 # takes Values, and the join builds no Value per probe (it hands the outer
 # batch's key columns and a row index to OrderedIndex::probe). (Checked
 # above each file's #[cfg(test)].)
@@ -268,11 +273,11 @@ fi
 echo "==> grep guard: one accumulate implementation per engine, no std hash maps in the streaming operators"
 # The streaming executor aggregates through crates/exec/src/aggkernel.rs
 # (group ids + columnar state); fto_expr::agg::Accumulator belongs to the
-# interpreter, the oracle. Every encoded key in stream/ — group-by
+# query-level oracle. Every encoded key in stream/ — group-by
 # (DISTINCT is one) and the join build alike — lives in the kernel's
 # GroupTable.
-if grep -n 'update_value(\|\.accumulator()' crates/exec/src/*.rs crates/exec/src/stream/*.rs | grep -v '^crates/exec/src/interp\.rs:'; then
-    echo "guard failed: Accumulator used outside crates/exec/src/interp.rs;"
+if grep -n 'update_value(\|\.accumulator()' crates/exec/src/*.rs crates/exec/src/stream/*.rs | grep -v '^crates/exec/src/oracle\.rs:'; then
+    echo "guard failed: Accumulator used outside crates/exec/src/oracle.rs;"
     echo "streaming operators aggregate through aggkernel::GroupAgg"
     exit 1
 fi
@@ -284,18 +289,18 @@ for f in crates/exec/src/stream/*.rs; do
     fi
 done
 
-echo "==> grep guard: the heap is read as columns; only the interpreter materializes its rows"
+echo "==> grep guard: the heap is read as columns; only the oracle materializes its rows"
 # The scan cursors hand out the heap's column chunks (whole, sliced or
 # gathered); transposing rows back into columns per pull is the cost the
 # columnar heap removed. HeapTable::row()/to_rows() exist for the
-# reference interpreter (and tests), not for streaming operators.
+# query-level oracle (and tests), not for streaming operators.
 if grep -n 'push_row' crates/storage/src/scan.rs; then
     echo "guard failed: crates/storage/src/scan.rs builds batches row by row again;"
     echo "use HeapTable::columns / HeapTable::gather"
     exit 1
 fi
-if grep -n 'heap\.row(\|to_rows(' crates/exec/src/*.rs crates/exec/src/stream/*.rs | grep -v '^crates/exec/src/interp\.rs:'; then
-    echo "guard failed: heap.row()/to_rows() outside crates/exec/src/interp.rs;"
+if grep -n 'heap\.row(\|to_rows(' crates/exec/src/*.rs crates/exec/src/stream/*.rs | grep -v '^crates/exec/src/oracle\.rs:'; then
+    echo "guard failed: heap.row()/to_rows() outside crates/exec/src/oracle.rs;"
     echo "streaming operators read HeapTable::columns / HeapTable::gather"
     exit 1
 fi

@@ -1,10 +1,14 @@
-//! Differential testing of the two execution engines: every query in the
-//! workload corpus must produce identical rows, in identical order,
-//! through the streaming batched executor and the materializing
-//! reference interpreter — under every optimizer configuration and
-//! across batch sizes. Plus the I/O property the streaming engine
-//! exists for: LIMIT stops paying for pages it never reads.
+//! Differential testing of the engine against the query-level oracle:
+//! every query in the workload corpus, under every optimizer
+//! configuration and across batch sizes, budgets and thread counts, must
+//! give the oracle's answer for the unrewritten query (the same multiset
+//! of rows, in the ORDER BY's order) — and each plan the same rows, bit
+//! for bit, at every batch size, budget and thread count as at its
+//! serial, unbudgeted run at batch 1024. Plus the I/O property the
+//! streaming engine exists for: LIMIT stops paying for pages it never
+//! reads.
 
+use fto_bench::answer::{assert_answer, exact, reference_knobs, Answer};
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::{envknob, Session};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
@@ -42,31 +46,19 @@ fn all_configs() -> Vec<OptimizerConfig> {
     configs
 }
 
+/// Runs `sql` under `config`: the oracle's answer, and the reference
+/// cell's rows bit for bit (see `fto_bench::answer::assert_answer`).
 fn assert_engines_agree(db: &Database, sql: &str, config: OptimizerConfig) {
-    let prepared = Session::new(db)
-        .config(config.clone())
-        .plan(sql)
-        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-    let streamed = prepared
-        .execute()
-        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-    let materialized = prepared
-        .execute_materialized()
-        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-    assert_eq!(
-        streamed.rows(),
-        materialized.rows(),
-        "engine mismatch\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
-        prepared.explain()
-    );
+    assert_answer(db, sql, &config, &Answer::of(db, sql));
 }
 
 #[test]
 fn end_to_end_corpus_agrees_across_engines() {
     let db = emp_db();
     for sql in EMP_QUERIES {
+        let answer = Answer::of(&db, sql);
         for config in all_configs() {
-            assert_engines_agree(&db, sql, config);
+            assert_answer(&db, sql, &config, &answer);
         }
     }
 }
@@ -83,12 +75,61 @@ fn end_to_end_corpus_agrees_at_odd_batch_sizes() {
     }
 }
 
+/// Statements only an oracle that evaluates the unrewritten query can
+/// judge: each holds a shape a predicate pushdown or a view merge could
+/// get wrong — and the same wrong rows would come from any engine that
+/// runs the rewritten plan — over data that shows it: unmatched outer
+/// rows, duplicates under a DISTINCT, ties at a LIMIT. Not in
+/// `EMP_QUERIES`, whose plans `tests/golden/plan_stability.txt` pins.
+const UNREWRITTEN_QUERIES: &[&str] = &[
+    // A WHERE conjunct on the null-supplying side of a LEFT JOIN removes
+    // the padded rows (departments 6–11 match no employee below 6) and
+    // the matched rows it fails; in the ON clause it would pad them.
+    "select dept_id, emp_id, grade from dept left join emp \
+     on dept_id = emp_dept and emp_id < 6 where grade < 3 order by dept_id, emp_id",
+    "select dept_id, count(emp_id) as n from dept left join emp \
+     on dept_id = emp_dept and emp_id < 30 where emp_id > 5 group by dept_id order by dept_id",
+    // A join over a DISTINCT derived table whose input repeats each value.
+    "select d.emp_dept, dept_name from (select distinct emp_dept from emp) d, dept \
+     where d.emp_dept = dept_id order by dept_name",
+    "select dept_name, g.grade from dept, (select distinct emp_dept, grade from emp) g \
+     where g.emp_dept = dept_id and dept_id < 3 order by dept_name, g.grade",
+    // IN over a subquery whose values repeat: a semi-join, one row per
+    // department.
+    "select dept_id, dept_name from dept where dept_id in \
+     (select emp_dept from emp where grade = 1) order by dept_id",
+    // HAVING on an aggregate, in and out of the select list.
+    "select emp_dept, count(*) as n from emp group by emp_dept \
+     having avg(salary) > 49400 order by emp_dept",
+    "select grade, count(*) as n from emp group by grade having max(salary) > 68500",
+    // UNION removes the duplicates UNION ALL keeps.
+    "select grade from emp where emp_id < 20 union select emp_dept from emp where emp_id < 10",
+    "select grade from emp where emp_id < 20 union all select emp_dept from emp where emp_id < 10",
+    // Ties at the LIMIT cut: 80 employees share each grade.
+    "select grade, emp_id from emp order by grade limit 10",
+    "select emp_dept, salary from emp order by emp_dept desc limit 50",
+];
+
+#[test]
+fn unrewritten_queries_agree_with_the_oracle() {
+    let db = emp_db();
+    for sql in UNREWRITTEN_QUERIES {
+        let answer = Answer::of(&db, sql);
+        assert!(!answer.rows().is_empty(), "{sql}");
+        let mut configs = all_configs();
+        configs.extend([1usize, 17].map(|b| OptimizerConfig::default().with_batch_size(b)));
+        for config in configs {
+            assert_answer(&db, sql, &config, &answer);
+        }
+    }
+}
+
 #[test]
 fn deferred_cartesian_products_still_plan() {
     // Join enumeration grows a subset by a quantifier a predicate joins
     // to it while there is one, and by a Cartesian product only when there
     // is none: a quantifier with local predicates alone is still joined,
-    // last, and the rows are the interpreter's.
+    // last, and the rows are the oracle's answer.
     let db = emp_db();
     let queries = [
         "select dept_id, emp_id from dept, emp where grade = 3 order by dept_id, emp_id",
@@ -157,7 +198,7 @@ fn distinct_on_encoded_keys_matches_value_comparison() {
     // arena-encoded key bytes (byte equality standing in for Value
     // equality, with the codec's canonicalization of Int/Double, NaN, and
     // signed zero). Both methods — stream (ordered input) and hash
-    // (first-seen) — must agree with the interpreter's Value comparison,
+    // (first-seen) — must agree with the oracle's Value comparison,
     // serial and parallel.
     let db = emp_db();
     let queries = [
@@ -176,7 +217,7 @@ fn distinct_on_encoded_keys_matches_value_comparison() {
 #[test]
 fn vectorized_operators_agree_with_interpreter_under_forced_plan_shapes() {
     // The columnar group-by (DISTINCT included), merge-join, hash-join
-    // and left-outer-join operators against the interpreter, across
+    // and left-outer-join operators against the oracle, across
     // threads and under plan shapes that force each join flavor. (Their
     // spill-path I/O accounting is pinned as literals in tests/spill.rs.)
     let db = emp_db();
@@ -232,8 +273,7 @@ fn limit_reads_strictly_fewer_pages_than_materialized() {
         .plan(sql)
         .unwrap();
     let streamed = prepared.execute().unwrap();
-    let materialized = prepared.execute_materialized().unwrap();
-    assert_eq!(streamed.rows(), materialized.rows());
+    Answer::of(&db, sql).check(streamed.rows()).unwrap();
     let streamed_pages = streamed.io.sequential_pages + streamed.io.random_pages;
     let emp = db.catalog().table_by_name("emp").unwrap().id;
     let heap_pages = db.heap(emp).unwrap().page_count();
@@ -249,37 +289,22 @@ fn limit_reads_strictly_fewer_pages_than_materialized() {
 
 #[test]
 fn columnar_matrix_batch_threads_codec() {
-    // The columnar executor against the row-at-a-time interpreter over
-    // the matrix the batch representation can perturb: batch size
-    // (column boundaries) and parallel degree (exchange merges of
-    // columnar partitions). Rows must be bit-identical everywhere, and
+    // The columnar executor over the matrix the batch representation can
+    // perturb: batch size (column boundaries) and parallel degree
+    // (exchange merges of columnar partitions). Every cell gives the
+    // oracle's answer and the reference cell's rows bit for bit, and
     // within one (query, batch size) cell every thread count must charge
     // exactly the same I/O.
     let db = emp_db();
     for sql in EMP_QUERIES {
+        let answer = Answer::of(&db, sql);
         for batch in [1usize, 7, 1024] {
             let mut baseline: Option<fto_storage::IoStats> = None;
             for threads in [1usize, 2, 4] {
                 let config = OptimizerConfig::default()
                     .with_batch_size(batch)
                     .with_threads(threads);
-                let prepared = Session::new(&db)
-                    .config(config.clone())
-                    .plan(sql)
-                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                let streamed = prepared
-                    .execute()
-                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                let materialized = prepared
-                    .execute_materialized()
-                    .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                assert_eq!(
-                    streamed.rows(),
-                    materialized.rows(),
-                    "columnar engine diverged from interpreter\nsql: {sql}\n\
-                     batch={batch} threads={threads}\nplan:\n{}",
-                    prepared.explain()
-                );
+                let streamed = assert_answer(&db, sql, &config, &answer);
                 match &baseline {
                     None => baseline = Some(streamed.io),
                     Some(expected) => assert_eq!(
@@ -438,14 +463,6 @@ const GROUPING_QUERIES: &[&str] = &[
      where a.id < 30 order by a.id",
 ];
 
-/// Equality by representation: `5` is not `5.0`, doubles by bit pattern.
-fn same_bits(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b && a.data_type() == b.data_type(),
-    }
-}
-
 /// DISTINCT statements over [`emp_db`] beyond the corpus's own: both
 /// shapes of the zero-aggregate grouping (400 distinct rows; 12).
 const DISTINCT_QUERIES: &[&str] = &[
@@ -500,7 +517,18 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
         .iter()
         .flat_map(|(db, sqls)| sqls.iter().map(move |sql| (*db, *sql)))
     {
+        let answer = Answer::of(db, sql);
         for shape in &shapes {
+            // The plan's reference cell gives the oracle's answer, and every
+            // other cell its rows bit for bit.
+            let reference = Session::new(db)
+                .config(reference_knobs(shape))
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            if let Err(e) = answer.check(reference.rows()) {
+                panic!("wrong answer: {e}\n{sql}\nunder {shape:?}");
+            }
+            let want = exact(reference.rows());
             for batch in [1usize, 3, 7, 1024] {
                 for budget in [None, Some(1usize), Some(1 << 10), Some(64 << 10)] {
                     // The counters of this budget's `threads = 1` cell.
@@ -517,25 +545,18 @@ fn grouping_corpus_is_bit_identical_across_batch_budget_threads() {
                             .plan(sql)
                             .unwrap_or_else(|e| panic!("{cell}: {e}"));
                         let streamed = prepared.execute().unwrap_or_else(|e| panic!("{cell}: {e}"));
-                        let materialized = prepared
-                            .execute_materialized()
-                            .unwrap_or_else(|e| panic!("{cell}: {e}"));
                         // A budget runs serial: every counter is the serial cell's.
                         let counters =
                             (streamed.io, streamed.sort, streamed.spill, streamed.segment);
                         if budget.is_some() {
                             assert_eq!(*serial.get_or_insert(counters), counters, "{cell}");
                         }
-                        let (got, want) = (streamed.rows(), materialized.rows());
-                        assert_eq!(got.len(), want.len(), "{cell}\n{}", prepared.explain());
-                        for (g, w) in got.iter().zip(want.iter()) {
-                            assert!(
-                                g.len() == w.len()
-                                    && g.iter().zip(w.iter()).all(|(x, y)| same_bits(x, y)),
-                                "{cell}\ngot  {g:?}\nwant {w:?}\nplan:\n{}",
-                                prepared.explain()
-                            );
-                        }
+                        assert_eq!(
+                            exact(streamed.rows()),
+                            want,
+                            "{cell}\nplan:\n{}",
+                            prepared.explain()
+                        );
                     }
                 }
             }
@@ -549,10 +570,10 @@ fn output_column_types_are_the_plans_declared_types() {
     // an aggregate that is NULL in every group, a LEFT JOIN's padding,
     // one row at a time or a thousand, spilled or not — every output
     // batch's columns have the types the query's registry declares for
-    // the plan's output layout. The interpreter's rows are held to the
-    // same types (`execute_materialized` builds its batch as them), so
-    // this also checks the binder's typing rules against what the
-    // dynamically typed oracle actually computes.
+    // the plan's output layout. The oracle's rows are held to the types
+    // the bound query declares (`execute_materialized` builds its batch
+    // as them), so this also checks the binder's typing rules against
+    // what the dynamically typed oracle actually computes.
     let mut thread_counts = vec![1usize];
     thread_counts.extend(env_threads());
     let shapes = [OptimizerConfig::default(), OptimizerConfig::db2_1996()];
@@ -612,30 +633,23 @@ fn spilled_all_null_string_column_stays_a_string_column() {
     // A LEFT JOIN that matches nothing pads `b.s` with NULLs — a string
     // column that holds no string — and the ORDER BY above it sorts under
     // a 1 KiB budget, so the padded column goes through the spill page
-    // codec as what it is declared to be. Rows bit-identical to the
-    // interpreter's, at every batch size.
+    // codec as what it is declared to be. Rows are the oracle's answer,
+    // and the unbudgeted run's bit for bit, at every batch size.
     let db = grouping_db();
     let sql = "select a.grp, a.id, b.s from g a left join g b on a.id = b.grp and b.id < 0 \
                order by a.grp, a.id";
+    let answer = Answer::of(&db, sql);
     for batch in [1usize, 7, 1024] {
         let config = OptimizerConfig::default()
             .with_batch_size(batch)
             .with_memory_budget(1 << 10);
-        let prepared = Session::new(&db).config(config).plan(sql).unwrap();
-        let streamed = prepared.execute().unwrap();
-        let materialized = prepared.execute_materialized().unwrap();
+        let streamed = assert_answer(&db, sql, &config, &answer);
         assert!(
             streamed.io.spill_pages_written > 0 && streamed.spill.runs_formed > 0,
-            "batch={batch}: the sort must spill\n{}",
-            prepared.explain()
+            "batch={batch}: the sort must spill"
         );
-        let (got, want) = (streamed.rows(), materialized.rows());
-        assert_eq!(got.len(), 120);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert!(g[2].is_null());
-            assert!(g.iter().zip(w.iter()).all(|(x, y)| same_bits(x, y)));
-        }
+        assert_eq!(streamed.rows().len(), 120);
+        assert!(streamed.rows().iter().all(|r| r[2].is_null()));
         for b in streamed.batches() {
             assert_eq!(b.column(2).data_type(), DataType::Str, "batch={batch}");
         }
@@ -698,7 +712,7 @@ fn index_nested_loop_join_output_does_not_depend_on_probe_order() {
     // The probes reach the index nested-loop join in heap order, or sorted
     // descending over the ascending index: each searches the index from
     // the previous probe's position, and the result may not depend on
-    // that. Rows equal the interpreter's and the hash join's — NULL keys
+    // that. Rows are the oracle's answer and the hash join's — NULL keys
     // on both sides meet in the index, and the residual equality drops
     // every NULL = NULL pair — and the full IoStats are the literals the
     // Value-keyed index (binary search from the root per probe) charged.
@@ -725,6 +739,7 @@ fn index_nested_loop_join_output_does_not_depend_on_probe_order() {
     // Four NULL probes fetch the index's 333 NULL entries each.
     let want = [pinned(69, 48, 40, 84, 1420), pinned(69, 48, 40, 74, 1420)];
     for (sql, want) in queries.iter().zip(want) {
+        let answer = Answer::of(&db, sql);
         let by_hash = Session::new(&db).config(hash.clone()).plan(sql).unwrap();
         let by_hash = by_hash.execute().unwrap();
         for batch in [1usize, 7, 1024] {
@@ -735,12 +750,9 @@ fn index_nested_loop_join_output_does_not_depend_on_probe_order() {
             let plan = prepared.explain();
             assert!(plan.contains("index-nested-loop-join"), "{sql}\n{plan}");
             let streamed = prepared.execute().unwrap();
-            let materialized = prepared.execute_materialized().unwrap();
-            assert_eq!(
-                streamed.rows(),
-                materialized.rows(),
-                "{sql} batch={batch}\n{plan}"
-            );
+            if let Err(e) = answer.check(streamed.rows()) {
+                panic!("wrong answer: {e}\n{sql} batch={batch}\n{plan}");
+            }
             assert_eq!(
                 streamed.rows(),
                 by_hash.rows(),

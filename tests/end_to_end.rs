@@ -1,10 +1,10 @@
 //! Cross-crate end-to-end tests: SQL through parse → bind → rewrite →
 //! order scan → plan → execute, validated against a naive reference
 //! evaluator, across every optimizer configuration. Any plan the
-//! optimizer can pick must produce the same rows — through both the
-//! streaming executor (the default) and the materializing reference
-//! engine.
+//! optimizer can pick must produce the same rows, and each one must be
+//! the answer the query-level oracle gives for the unrewritten query.
 
+use fto_bench::answer::{assert_answer, Answer};
 use fto_bench::Session;
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Direction, Row, Value};
@@ -97,35 +97,24 @@ fn test_db() -> Database {
     db
 }
 
-/// Executes `sql` under every configuration — through the streaming
-/// engine *and* the materializing reference engine — and checks all runs
-/// agree; returns the first run's rows.
+/// Executes `sql` under every configuration, checks each run against the
+/// oracle's answer and all runs against each other; returns the first
+/// run's rows.
 fn run_all_configs(db: &Database, sql: &str) -> Vec<Row> {
+    let answer = Answer::of(db, sql);
     let mut reference: Option<Vec<Row>> = None;
     for config in all_configs() {
-        let prepared = Session::new(db)
-            .config(config.clone())
-            .plan(sql)
-            .unwrap_or_else(|e| panic!("{sql} under {config:?}: {e}"));
-        let streamed = prepared
-            .execute()
-            .unwrap_or_else(|e| panic!("{sql} under {config:?}: {e}"));
-        let materialized = prepared
-            .execute_materialized()
-            .unwrap_or_else(|e| panic!("{sql} under {config:?}: {e}"));
-        assert_eq!(
-            streamed.rows(),
-            materialized.rows(),
-            "engine mismatch for {sql} under {config:?}\nplan:\n{}",
-            prepared.explain()
-        );
+        let streamed = assert_answer(db, sql, &config, &answer);
         match &reference {
             None => reference = Some(streamed.rows().to_vec()),
             Some(expected) => assert_eq!(
                 &streamed.rows(),
                 expected,
                 "row mismatch for {sql} under {config:?}\nplan:\n{}",
-                prepared.explain()
+                Session::new(db)
+                    .config(config.clone())
+                    .explain(sql)
+                    .unwrap()
             ),
         }
     }

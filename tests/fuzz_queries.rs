@@ -1,14 +1,15 @@
 //! Randomized end-to-end differential testing: generated SQL queries run
 //! under every optimizer configuration must produce identical results —
 //! whatever join order, join method, access path, sort placement, or
-//! group-by strategy each configuration picks. Every query also runs
-//! through both the streaming and the materializing engine.
+//! group-by strategy each configuration picks — and the query-level
+//! oracle's answer for the unrewritten query.
 //!
 //! Output determinism is guaranteed by always ordering by every output
 //! column (a total order on the output multiset). Generation is a
 //! seeded deterministic sweep (the container is offline, so no external
 //! property-testing framework).
 
+use fto_bench::answer::{assert_answer, Answer};
 use fto_bench::Session;
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Direction, Rng, Value};
@@ -232,31 +233,20 @@ fn all_configs_agree() {
     for case in 0..96 {
         let q = gen_query(&mut rng);
         let sql = render(&q);
+        let answer = Answer::of(&db, &sql);
         let mut reference: Option<Vec<fto_common::Row>> = None;
         for config in configs() {
-            let prepared = Session::new(&db)
-                .config(config.clone())
-                .plan(&sql)
-                .unwrap_or_else(|e| panic!("case {case}: {sql}\nunder {config:?}: {e}"));
-            let streamed = prepared
-                .execute()
-                .unwrap_or_else(|e| panic!("case {case}: {sql}\nunder {config:?}: {e}"));
-            let materialized = prepared
-                .execute_materialized()
-                .unwrap_or_else(|e| panic!("case {case}: {sql}\nunder {config:?}: {e}"));
-            assert_eq!(
-                streamed.rows(),
-                materialized.rows(),
-                "engine mismatch\ncase {case}\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
-                prepared.explain()
-            );
+            let streamed = assert_answer(&db, &sql, &config, &answer);
             match &reference {
                 None => reference = Some(streamed.rows().to_vec()),
                 Some(expected) => assert_eq!(
                     &streamed.rows(),
                     expected,
                     "row mismatch\ncase {case}\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
-                    prepared.explain()
+                    Session::new(&db)
+                        .config(config.clone())
+                        .explain(&sql)
+                        .unwrap()
                 ),
             }
         }

@@ -5,6 +5,7 @@
 //! operators above it are the serial ones), multiset-identical otherwise — and the
 //! instrumented per-operator I/O rollup must stay exact at every degree.
 
+use fto_bench::answer::Answer;
 use fto_bench::Session;
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Direction, Value};
@@ -147,11 +148,12 @@ fn rows_as_sorted_text(rows: &[Box<[Value]>]) -> Vec<String> {
 }
 
 /// Runs `sql` serially and at each parallel degree under `config`,
-/// asserting the parallel streaming output matches both the serial
-/// streaming output and the materializing reference interpreter.
-/// Ordered queries must match bit-for-bit; unordered ones as multisets.
+/// asserting the parallel streaming output matches the serial streaming
+/// output and is the query-level oracle's answer. Ordered queries must
+/// match the serial run bit-for-bit; unordered ones as multisets.
 fn assert_parallel_agrees(db: &Database, sql: &str, config: OptimizerConfig) {
     let ordered = sql.contains("order by");
+    let answer = Answer::of(db, sql);
     let serial = Session::new(db)
         .config(config.clone().with_threads(1))
         .plan(sql)
@@ -166,20 +168,17 @@ fn assert_parallel_agrees(db: &Database, sql: &str, config: OptimizerConfig) {
         let parallel = prepared
             .execute()
             .unwrap_or_else(|e| panic!("{sql}\nthreads {p} under {config:?}: {e}"));
-        let materialized = prepared
-            .execute_materialized()
-            .unwrap_or_else(|e| panic!("{sql}\nthreads {p} under {config:?}: {e}"));
+        if let Err(e) = answer.check(parallel.rows()) {
+            panic!(
+                "wrong answer at parallel degree {p}: {e}\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
+                prepared.explain()
+            );
+        }
         if ordered {
             assert_eq!(
                 parallel.rows(),
                 serial.rows(),
                 "parallel degree {p} diverged from serial\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
-                prepared.explain()
-            );
-            assert_eq!(
-                parallel.rows(),
-                materialized.rows(),
-                "parallel degree {p} diverged from interpreter\nsql: {sql}\nconfig: {config:?}\nplan:\n{}",
                 prepared.explain()
             );
         } else {

@@ -2,9 +2,10 @@
 //! the stream below already delivers a prefix of the requested order
 //! (clustered index, ordered join output), the planner sorts only within
 //! prefix groups — and the output must stay bit-identical to the full
-//! sort, to the materializing interpreter, and to itself across threads,
-//! budgets, and both key representations.
+//! sort and to itself across threads, budgets, and both key
+//! representations, and be the query-level oracle's answer.
 
+use fto_bench::answer::Answer;
 use fto_bench::corpus::emp_db;
 use fto_bench::Session;
 use fto_planner::OptimizerConfig;
@@ -58,6 +59,7 @@ fn assert_plan_is_segmented(db: &Database, sql: &str) {
 fn run_matrix(db: &Database, sql: &str) {
     // Baseline: segmented sort disabled, full sort enforcer, serial,
     // unbounded. Everything else must match it byte for byte.
+    let answer = Answer::of(db, sql);
     let baseline = Session::new(db)
         .config(OptimizerConfig::default().with_segmented_sort(false))
         .execute(sql)
@@ -84,15 +86,9 @@ fn run_matrix(db: &Database, sql: &str) {
                  threads={threads} budget={budget:?}\nplan:\n{}",
                 prepared.explain()
             );
-            let materialized = prepared
-                .execute_materialized()
-                .unwrap_or_else(|e| panic!("{sql}\nthreads={threads} budget={budget:?}: {e}"));
-            assert_eq!(
-                streamed.rows(),
-                materialized.rows(),
-                "segmented sort diverged from the interpreter\nsql: {sql}\n\
-                 threads={threads} budget={budget:?}"
-            );
+            if let Err(e) = answer.check(streamed.rows()) {
+                panic!("wrong answer: {e}\nsql: {sql}\nthreads={threads} budget={budget:?}");
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! stays exact (per-operator deltas summing to the session totals) on the
 //! spilling paths too.
 
+use fto_bench::answer::{assert_answer, exact, reference_knobs, Answer};
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::Session;
 use fto_common::Row;
@@ -117,25 +118,26 @@ fn group_by_spills_partitions_under_tiny_budget() {
 fn hash_distinct_honours_the_budget() {
     // DISTINCT is the hash group-by with no aggregates, so 400 distinct
     // (salary, grade) rows spill partitions under a budget that cannot
-    // hold them — and come back in first-seen order, as the interpreter
-    // emits them. (The separate hash DISTINCT operator this replaced held
-    // every key whatever the budget: 0 runs at every budget.)
+    // hold them — and come back in first-seen order, as the unbudgeted
+    // run emits them, the oracle's answer. (The separate hash DISTINCT
+    // operator this replaced held every key whatever the budget: 0 runs
+    // at every budget.)
     let db = emp_db();
     let sql = "select distinct salary, grade from emp";
+    let answer = Answer::of(&db, sql);
     for (budget, spills) in [(None, false), (Some(1usize << 10), true), (Some(1), true)] {
         let mut config = OptimizerConfig::default();
         if let Some(bytes) = budget {
             config = config.with_memory_budget(bytes);
         }
-        let q = Session::new(&db).config(config).plan(sql).unwrap();
+        let q = Session::new(&db).config(config.clone()).plan(sql).unwrap();
         assert!(
             q.explain().starts_with("group-by(hash) (salary, grade)"),
             "{}",
             q.explain()
         );
-        let out = q.execute().unwrap();
+        let out = assert_answer(&db, sql, &config, &answer);
         assert_eq!(out.rows().len(), 400);
-        assert_eq!(out.rows(), q.execute_materialized().unwrap().rows());
         assert_eq!(out.spill.runs_formed > 0, spills, "budget={budget:?}");
         assert_eq!(out.io.spill_pages_written > 0, spills, "budget={budget:?}");
     }
@@ -317,6 +319,7 @@ fn keyless_config(forced: bool) -> OptimizerConfig {
 fn keyless_joins_match_the_interpreter_across_budgets_threads_and_batches() {
     let db = emp_db();
     for &(sql, forced, node) in KEYLESS_JOINS {
+        let answer = Answer::of(&db, sql);
         for budget in [None, Some(1usize << 10), Some(4 << 10), Some(64 << 10)] {
             for threads in [1usize, 2, 4] {
                 for batch in [1usize, 7, 1024] {
@@ -328,7 +331,7 @@ fn keyless_joins_match_the_interpreter_across_budgets_threads_and_batches() {
                     }
                     let cell = format!("{sql}\nbudget={budget:?} threads={threads} batch={batch}");
                     let q = Session::new(&db)
-                        .config(config)
+                        .config(config.clone())
                         .plan(sql)
                         .unwrap_or_else(|e| panic!("{cell}: {e}"));
                     let plan = q.explain();
@@ -336,9 +339,7 @@ fn keyless_joins_match_the_interpreter_across_budgets_threads_and_batches() {
                         plan.lines().any(|l| l.trim_start().starts_with(node)),
                         "{cell}\n{plan}"
                     );
-                    let streamed = q.execute().unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    let want = q.execute_materialized().unwrap();
-                    assert_eq!(streamed.rows(), want.rows(), "{cell}\n{plan}");
+                    assert_answer(&db, sql, &config, &answer);
                 }
             }
         }
@@ -354,21 +355,16 @@ fn keyless_probe_never_holds_more_than_a_batch_of_candidates() {
     let db = emp_db();
     let sql = "select a.emp_id, b.emp_id from emp a, emp b where a.salary = b.salary \
                order by a.emp_id, b.emp_id";
-    let q = Session::new(&db)
-        .config(
-            keyless_config(true)
-                .with_batch_size(7)
-                .with_memory_budget(1 << 10),
-        )
-        .plan(sql)
-        .unwrap();
+    let config = keyless_config(true)
+        .with_batch_size(7)
+        .with_memory_budget(1 << 10);
+    let q = Session::new(&db).config(config.clone()).plan(sql).unwrap();
     assert!(
         q.explain().contains("\n    nested-loop-join"),
         "{}",
         q.explain()
     );
-    let out = q.execute().unwrap();
-    assert_eq!(out.rows(), q.execute_materialized().unwrap().rows());
+    let out = assert_answer(&db, sql, &config, &Answer::of(&db, sql));
     assert_eq!(out.rows().len(), 400);
 }
 
@@ -405,16 +401,13 @@ fn spilled_nested_loop_builds_charge_pinned_io_under_budgets() {
         pinned((5, 1), 12, 412, (4, 15)),  // read 60
     ];
     for (&(sql, forced, node), pin) in KEYLESS_JOINS.iter().zip(pins) {
-        let q = Session::new(&db)
-            .config(keyless_config(forced).with_memory_budget(1 << 10))
-            .plan(sql)
-            .unwrap();
+        let config = keyless_config(forced).with_memory_budget(1 << 10);
+        let q = Session::new(&db).config(config.clone()).plan(sql).unwrap();
         let (out, metrics) = q.execute_instrumented().unwrap();
-        assert_eq!(
-            out.rows(),
-            q.execute_materialized().unwrap().rows(),
-            "{sql}"
-        );
+        Answer::of(&db, sql).check(out.rows()).unwrap();
+        let unbudgeted = Session::new(&db).config(reference_knobs(&config));
+        let want = unbudgeted.execute(sql).unwrap();
+        assert_eq!(exact(out.rows()), exact(want.rows()), "{sql}");
         assert_eq!(out.io, pin, "{sql}");
         let join = metrics.ops.iter().position(|op| op.name == node).unwrap();
         let own = metrics.self_stats(join).unwrap().io;

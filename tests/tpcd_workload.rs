@@ -1,8 +1,8 @@
 //! The full TPC-D-style workload through the stack, checked for
-//! cross-configuration agreement, for streaming-vs-materialized engine
-//! agreement, and for the semantic invariants each query's definition
-//! implies.
+//! cross-configuration agreement, for the query-level oracle's answer,
+//! and for the semantic invariants each query's definition implies.
 
+use fto_bench::answer::{assert_answer, Answer};
 use fto_bench::Session;
 use fto_planner::OptimizerConfig;
 use fto_sql::dates::parse_date;
@@ -26,34 +26,24 @@ fn configs() -> [OptimizerConfig; 4] {
     ]
 }
 
-/// Runs `sql` under every configuration through both engines and checks
-/// all runs agree; returns the first run's rows.
+/// Runs `sql` under every configuration, checks each run against the
+/// oracle's answer and all runs against each other; returns the first
+/// run's rows.
 fn agree(db: &Database, sql: &str) -> Vec<fto_common::Row> {
+    let answer = Answer::of(db, sql);
     let mut reference: Option<Vec<fto_common::Row>> = None;
     for config in configs() {
-        let prepared = Session::new(db)
-            .config(config.clone())
-            .plan(sql)
-            .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
-        let streamed = prepared
-            .execute()
-            .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
-        let materialized = prepared
-            .execute_materialized()
-            .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
-        assert_eq!(
-            streamed.rows(),
-            materialized.rows(),
-            "engine mismatch under {config:?}\n{}",
-            prepared.explain()
-        );
+        let streamed = assert_answer(db, sql, &config, &answer);
         match &reference {
             None => reference = Some(streamed.rows().to_vec()),
             Some(expected) => assert_eq!(
                 &streamed.rows(),
                 expected,
                 "mismatch under {config:?}\n{}",
-                prepared.explain()
+                Session::new(db)
+                    .config(config.clone())
+                    .explain(sql)
+                    .unwrap()
             ),
         }
     }
