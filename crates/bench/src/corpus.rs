@@ -136,6 +136,41 @@ pub const EMP_QUERIES: &[&str] = &[
     "select grade, emp_id from emp where grade = 2 order by grade, emp_id",
 ];
 
+/// Statements only an oracle that evaluates the unrewritten query can
+/// judge: each holds a shape a predicate pushdown or a view merge could
+/// get wrong — and the same wrong rows would come from any engine that
+/// runs the rewritten plan — over data that shows it: unmatched outer
+/// rows, duplicates under a DISTINCT, ties at a LIMIT. Not in
+/// `EMP_QUERIES`, whose plans `tests/golden/plan_stability.txt` pins.
+pub const UNREWRITTEN_QUERIES: &[&str] = &[
+    // A WHERE conjunct on the null-supplying side of a LEFT JOIN removes
+    // the padded rows (departments 6–11 match no employee below 6) and
+    // the matched rows it fails; in the ON clause it would pad them.
+    "select dept_id, emp_id, grade from dept left join emp \
+     on dept_id = emp_dept and emp_id < 6 where grade < 3 order by dept_id, emp_id",
+    "select dept_id, count(emp_id) as n from dept left join emp \
+     on dept_id = emp_dept and emp_id < 30 where emp_id > 5 group by dept_id order by dept_id",
+    // A join over a DISTINCT derived table whose input repeats each value.
+    "select d.emp_dept, dept_name from (select distinct emp_dept from emp) d, dept \
+     where d.emp_dept = dept_id order by dept_name",
+    "select dept_name, g.grade from dept, (select distinct emp_dept, grade from emp) g \
+     where g.emp_dept = dept_id and dept_id < 3 order by dept_name, g.grade",
+    // IN over a subquery whose values repeat: a semi-join, one row per
+    // department.
+    "select dept_id, dept_name from dept where dept_id in \
+     (select emp_dept from emp where grade = 1) order by dept_id",
+    // HAVING on an aggregate, in and out of the select list.
+    "select emp_dept, count(*) as n from emp group by emp_dept \
+     having avg(salary) > 49400 order by emp_dept",
+    "select grade, count(*) as n from emp group by grade having max(salary) > 68500",
+    // UNION removes the duplicates UNION ALL keeps.
+    "select grade from emp where emp_id < 20 union select emp_dept from emp where emp_id < 10",
+    "select grade from emp where emp_id < 20 union all select emp_dept from emp where emp_id < 10",
+    // Ties at the LIMIT cut: 80 employees share each grade.
+    "select grade, emp_id from emp order by grade limit 10",
+    "select emp_dept, salary from emp order by emp_dept desc limit 50",
+];
+
 /// TPC-D statements of two to five tables, each with the number of tables
 /// it joins: the `compile_heavy` templates of `benchmark/`, constants
 /// fixed. Planning dominates them on a small database, so they are what
@@ -185,6 +220,55 @@ pub fn join_ladder() -> Vec<(&'static str, usize, String)> {
              and o_orderdate < date('1995-05-01') \
              group by n_name, s_name, c_name \
              order by n_name, s_name"
+                .to_string(),
+        ),
+    ]
+}
+
+/// TPC-D statements of six to eight tables, each with the number of
+/// tables it joins: `j5` of [`join_ladder`] plus `part` (`j6`), then
+/// `region` (`j7`), then a second `nation`, the supplier's (`j8`). Not in
+/// the join ladder, so neither the planner golden test nor `benchmark/`'s
+/// `compile_heavy` runs them; the reference-planner check does.
+pub fn wide_joins() -> Vec<(&'static str, usize, String)> {
+    vec![
+        (
+            "j6",
+            6,
+            "select n_name, s_name, c_name, p_brand, sum(l_extendedprice) as total \
+             from customer, orders, lineitem, nation, supplier, part \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and c_nationkey = n_nationkey and l_suppkey = s_suppkey \
+             and l_partkey = p_partkey and o_orderdate < date('1995-05-01') \
+             group by n_name, s_name, c_name, p_brand \
+             order by n_name, s_name"
+                .to_string(),
+        ),
+        (
+            "j7",
+            7,
+            "select r_name, n_name, s_name, c_name, p_brand, sum(l_extendedprice) as total \
+             from customer, orders, lineitem, nation, supplier, part, region \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and c_nationkey = n_nationkey and l_suppkey = s_suppkey \
+             and l_partkey = p_partkey and n_regionkey = r_regionkey \
+             and o_orderdate < date('1995-05-01') \
+             group by r_name, n_name, s_name, c_name, p_brand \
+             order by r_name, n_name, s_name"
+                .to_string(),
+        ),
+        (
+            "j8",
+            8,
+            "select r_name, cn.n_name as c_nation, sn.n_name as s_nation, c_name, p_brand, \
+             sum(l_extendedprice) as total \
+             from customer, orders, lineitem, nation cn, supplier, part, region, nation sn \
+             where c_custkey = o_custkey and o_orderkey = l_orderkey \
+             and c_nationkey = cn.n_nationkey and l_suppkey = s_suppkey \
+             and l_partkey = p_partkey and cn.n_regionkey = r_regionkey \
+             and s_nationkey = sn.n_nationkey and o_orderdate < date('1995-05-01') \
+             group by r_name, cn.n_name, sn.n_name, c_name, p_brand \
+             order by r_name, cn.n_name, sn.n_name"
                 .to_string(),
         ),
     ]

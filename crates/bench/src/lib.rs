@@ -11,6 +11,7 @@
 pub mod answer;
 pub mod corpus;
 pub mod envknob;
+pub mod fuzz;
 pub mod harness;
 
 pub use fto_exec::{

@@ -366,14 +366,22 @@ impl StreamProps {
     ///
     /// Two plans with mutually incomparable properties must both be kept.
     pub fn dominates(&self, other: &StreamProps) -> bool {
-        self.dominates_under(other, self.ctx())
+        self.dominates_under(other, &other.order, self.ctx())
     }
 
-    /// [`StreamProps::dominates`] with an explicit reasoning context —
-    /// pass [`OrderContext::trivial`] to compare orders verbatim (the
-    /// paper's "order optimization disabled" baseline).
-    pub fn dominates_under(&self, other: &StreamProps, ctx: &OrderContext) -> bool {
-        if !ctx.test_order(&other.order, &self.order) {
+    /// [`StreamProps::dominates`] with `other` taken as ordered by
+    /// `other_order` — the part of its order that counts, which a planner
+    /// may cut short of `other.order` when no operator can use the rest —
+    /// and with an explicit reasoning context: pass
+    /// [`OrderContext::trivial`] to compare orders verbatim (the paper's
+    /// "order optimization disabled" baseline).
+    pub fn dominates_under(
+        &self,
+        other: &StreamProps,
+        other_order: &OrderSpec,
+        ctx: &OrderContext,
+    ) -> bool {
+        if !ctx.test_order(other_order, &self.order) {
             return false;
         }
         if !other
@@ -744,6 +752,12 @@ mod tests {
         let mut binds_order_col = base();
         binds_order_col.apply_predicate(PredId(1), &Predicate::eq(Expr::col(c(1)), Expr::int(5)));
         assert!(binds_order_col.dominates(&ordered));
+        // Taken as ordered by a prefix of its order, a stream is at most
+        // as good as one ordered by that prefix.
+        let longer = base().with_order(asc(&[1, 2]));
+        assert!(!ordered.dominates(&longer));
+        assert!(ordered.dominates_under(&longer, &asc(&[1]), ordered.ctx()));
+        assert!(!unordered.dominates_under(&longer, &asc(&[1]), unordered.ctx()));
     }
 
     #[test]

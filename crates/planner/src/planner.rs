@@ -14,7 +14,7 @@ use crate::join;
 use crate::plan::{JoinKind, Plan, PlanNode};
 use fto_catalog::Catalog;
 use fto_common::{ColId, ColSet, FtoError, IndexId, Result};
-use fto_expr::{AggCall, Expr, PredId, RowLayout};
+use fto_expr::{AggCall, Expr, PredClass, PredId, RowLayout};
 use fto_obs::trace::DEFAULT_CAPACITY;
 use fto_obs::{Trace, TraceEvent};
 use fto_order::{ContextWork, FlexOrder, OrderContext, OrderSpec, StreamProps};
@@ -43,6 +43,11 @@ pub struct Planner<'a> {
     /// The context of [`Planner::effective_ctx`] when order optimization
     /// is disabled; one for the planner's life, not one per comparison.
     trivial: OrderContext,
+    /// Which leading part of an order can serve an operator anywhere in
+    /// the query: all that counts of it when plans are compared.
+    useful: UsefulOrders,
+    /// Whether this is the reference planner ([`Planner::exhaustive`]).
+    exhaustive: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -56,7 +61,21 @@ impl<'a> Planner<'a> {
             stats: PlannerStats::default(),
             trace: None,
             trivial: OrderContext::trivial(),
+            useful: UsefulOrders::new(graph, catalog),
+            exhaustive: false,
         }
+    }
+
+    /// Makes this the reference planner (builder style), which tests hold
+    /// the planner's pruning against: it searches the same space — the
+    /// same join steps, access paths and first `max_sort_ahead`
+    /// interesting orders — but builds sort-ahead over every candidate,
+    /// not the cheapest, and prunes a plan only for another that is no
+    /// dearer and has exactly the same order, predicates, keys and
+    /// columns. Its root cost is the least the search space holds.
+    pub fn exhaustive(mut self) -> Self {
+        self.exhaustive = true;
+        self
     }
 
     /// Keeps a log of every decision planning makes (builder style), for
@@ -282,14 +301,16 @@ impl<'a> Planner<'a> {
     /// counted as a generated plan; ties keep the first, as
     /// [`Planner::prune`] does. The others would be pruned by it: within
     /// one call every sorted copy for an interest carries the same facts
-    /// and the same order. None when sort-ahead is off.
+    /// and the same order. The reference planner ([`Planner::exhaustive`])
+    /// builds a sorted copy of every candidate. None when sort-ahead is
+    /// off.
     pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Arc<Plan>]) -> Vec<Arc<Plan>> {
         let mut variants = Vec::new();
         if !self.config.sort_ahead {
             return variants;
         }
         for interest in qbox.interesting.iter().take(self.config.max_sort_ahead) {
-            let (mut best, mut least) = (None, f64::INFINITY);
+            let (mut chosen, mut least) = (Vec::new(), f64::INFINITY);
             for plan in plans {
                 // A sort never costs less than nothing: a candidate whose
                 // input already costs the least total found cannot win.
@@ -304,24 +325,28 @@ impl<'a> Planner<'a> {
                 let Some(shape) = self.sort_shape(plan, &homog) else {
                     continue;
                 };
-                let total = shape.price(plan).total;
-                if total < least {
-                    (best, least) = (Some((plan, shape)), total);
+                if !self.exhaustive {
+                    let total = shape.price(plan).total;
+                    if total >= least {
+                        continue;
+                    }
+                    least = total;
+                    chosen.clear();
                 }
+                chosen.push((plan, shape));
             }
-            let Some((plan, shape)) = best else {
-                continue;
-            };
-            let sorted = self.place_sort(Arc::clone(plan), shape);
-            self.decide(
-                |s| &mut s.sort_ahead_variants,
-                || TraceEvent::SortAhead {
-                    interest: interest.to_string(),
-                    plan: sorted.trace_desc(),
-                },
-            );
-            self.generated("sort-ahead", &sorted);
-            variants.push(sorted);
+            for (plan, shape) in chosen {
+                let sorted = self.place_sort(Arc::clone(plan), shape);
+                self.decide(
+                    |s| &mut s.sort_ahead_variants,
+                    || TraceEvent::SortAhead {
+                        interest: interest.to_string(),
+                        plan: sorted.trace_desc(),
+                    },
+                );
+                self.generated("sort-ahead", &sorted);
+                variants.push(sorted);
+            }
         }
         variants
     }
@@ -788,13 +813,18 @@ impl<'a> Planner<'a> {
 
     /// Cost/property pruning: a plan survives unless another plan is both
     /// at least as cheap and at least as good on every property dimension
-    /// (paper §5.2.1's `<=` comparison).
+    /// that matters (paper §5.2.1's `<=` comparison, [`Planner::plan_dominates`]).
+    /// Each candidate's useful prefix is cut once, on arrival.
     /// A pruned candidate's drop frees its own node alone: its children are
     /// shared with the candidates built over them.
     pub fn prune(&mut self, plans: Vec<Arc<Plan>>) -> Vec<Arc<Plan>> {
-        let mut kept: Vec<Arc<Plan>> = Vec::with_capacity(plans.len());
+        let mut kept: Vec<(Arc<Plan>, OrderSpec)> = Vec::with_capacity(plans.len());
         for plan in plans {
-            if let Some(winner) = kept.iter().find(|k| self.plan_dominates(k, &plan)) {
+            let useful = self.useful.prefix(&plan.props.order);
+            if let Some((winner, _)) = kept
+                .iter()
+                .find(|(k, _)| self.plan_dominates(k, &plan, &useful))
+            {
                 self.decide(
                     |s| &mut s.plans_pruned,
                     || TraceEvent::PlanPruned {
@@ -804,8 +834,8 @@ impl<'a> Planner<'a> {
                 );
                 continue;
             }
-            kept.retain(|k| {
-                let gone = self.plan_dominates(&plan, k);
+            kept.retain(|(k, k_useful)| {
+                let gone = self.plan_dominates(&plan, k, k_useful);
                 if gone {
                     self.decide(
                         |s| &mut s.plans_pruned,
@@ -817,17 +847,33 @@ impl<'a> Planner<'a> {
                 }
                 !gone
             });
-            kept.push(plan);
+            kept.push((plan, useful));
         }
-        kept
+        kept.into_iter().map(|(plan, _)| plan).collect()
     }
 
-    fn plan_dominates(&self, a: &Plan, b: &Plan) -> bool {
+    /// Whether `a` makes `b` redundant: `a` is no dearer, and at least as
+    /// good on `b`'s predicates, keys and order — where `b`'s order counts
+    /// only up to `b_useful`, its useful prefix ([`UsefulOrders::prefix`]),
+    /// when `a` yields no more rows than `b`. Against a larger `a` the
+    /// whole order counts: the estimator can size one subset differently
+    /// by join order (an index nested loop applies its inner's filter
+    /// selectivity a second time), and everything above a plan pays per
+    /// row — cut regardless, `j5` and `j6` lose their cheapest plan under
+    /// `db2_1996`. The reference planner asks for equal properties instead.
+    fn plan_dominates(&self, a: &Plan, b: &Plan, b_useful: &OrderSpec) -> bool {
         if a.cost.total > b.cost.total {
             return false;
         }
+        if self.exhaustive {
+            return same_props(&a.props, &b.props);
+        }
+        let counted = match a.cost.rows > b.cost.rows {
+            true => &b.props.order,
+            false => b_useful,
+        };
         a.props
-            .dominates_under(&b.props, self.effective_ctx(&a.props))
+            .dominates_under(&b.props, counted, self.effective_ctx(&a.props))
     }
 
     /// The cardinality estimator for this query.
@@ -850,6 +896,75 @@ fn kind_name(kind: &BoxKind) -> &'static str {
         BoxKind::GroupBy { .. } => "group-by",
         BoxKind::Union => "union",
         BoxKind::OuterJoin { .. } => "outer-join",
+    }
+}
+
+/// Whether two streams have exactly the same order, predicates, keys
+/// and columns: the reference planner's only ground for pruning.
+fn same_props(a: &StreamProps, b: &StreamProps) -> bool {
+    a.order == b.order && a.preds == b.preds && a.keys == b.keys && a.cols == b.cols
+}
+
+/// The leading part of an order that an operator anywhere in the query
+/// could use (paper §5.1: the order scan says which orders matter).
+///
+/// A column is *useful* when some box names it in an interesting order,
+/// its ORDER BY or its grouping requirement, or some `col = col`
+/// predicate — a merge join's or an ordered index nested loop's input
+/// order — reads it, outer-join ON predicates included; and so is every
+/// column equivalent to one of those. Orders are judged against the
+/// query-global context ([`fto_qgm::global_context`]): every equivalence,
+/// constant and dependency any subplan can come to hold, so an order that
+/// is useless where it is made cannot turn useful higher up.
+struct UsefulOrders {
+    /// The query-global optimistic context.
+    global: OrderContext,
+    /// The useful columns, as heads of `global`'s equivalence classes.
+    heads: ColSet,
+}
+
+impl UsefulOrders {
+    fn new(graph: &QueryGraph, catalog: &Catalog) -> UsefulOrders {
+        let global = fto_qgm::global_context(graph, catalog);
+        let mut cols = ColSet::new();
+        for qbox in &graph.boxes {
+            for order in qbox.interesting.iter().chain(&qbox.output_order) {
+                cols.union_with(&order.col_set());
+            }
+            if let Some(flex) = &qbox.group_order {
+                cols.union_with(&flex.col_set());
+            }
+        }
+        for pred in &graph.predicates {
+            if let PredClass::ColEqCol(a, b) = pred.classify() {
+                cols.insert(a);
+                cols.insert(b);
+            }
+        }
+        let eq = global.equivalences();
+        let heads = cols.iter().map(|c| eq.head(c)).collect();
+        UsefulOrders { global, heads }
+    }
+
+    /// The leading keys of `order` that count: each key on a useful
+    /// column, or one the query's dependencies determine from the keys
+    /// before it (a constant-bound column included), up to the first
+    /// other key. No operator can use a key past that one: `global` holds
+    /// every fact the query states, so that key stays in any order
+    /// planning derives from this one, on a column nothing asks for,
+    /// ahead of the rest.
+    fn prefix(&self, order: &OrderSpec) -> OrderSpec {
+        let eq = self.global.equivalences();
+        let mut before = ColSet::new();
+        let keys = order.keys();
+        for (i, key) in keys.iter().enumerate() {
+            let head = eq.head(key.col);
+            if !self.heads.contains(head) && !self.global.fds().determines(&before, head) {
+                return OrderSpec::new(&keys[..i]);
+            }
+            before.insert(head);
+        }
+        order.clone()
     }
 }
 
@@ -1283,8 +1398,7 @@ mod tests {
             for b in &plans {
                 if !std::ptr::eq(a, b) {
                     assert!(
-                        !(a.cost.total <= b.cost.total
-                            && a.props.dominates_under(&b.props, a.props.ctx())),
+                        !(a.cost.total <= b.cost.total && a.props.dominates(&b.props)),
                         "pruning left a dominated plan"
                     );
                 }
@@ -1486,6 +1600,170 @@ mod tests {
         }
         assert_eq!(p.stats.sort_ahead_variants - before.sort_ahead_variants, 3);
         assert_eq!(p.stats.sorts_added - before.sorts_added, 3);
+    }
+
+    /// A candidate for pruning tests: a scan of `cols` ordered on
+    /// `order`, costing `cost` for 100 rows, whose own facts hold only
+    /// `key` (when given) — none of the query's predicates.
+    fn candidate(cols: &[ColId], key: Option<ColId>, order: &[ColId], cost: f64) -> Arc<Plan> {
+        let keys = key.map(ColSet::singleton).into_iter().collect();
+        let props = StreamProps::base_table(cols.iter().copied().collect(), keys)
+            .with_order(OrderSpec::ascending(order.iter().copied()));
+        Arc::new(Plan {
+            node: PlanNode::TableScan {
+                table: fto_common::TableId(0),
+                quantifier: fto_common::QuantifierId(0),
+            },
+            layout: RowLayout::new(cols.to_vec()),
+            props,
+            cost: Cost {
+                total: cost,
+                rows: 100.0,
+            },
+        })
+    }
+
+    /// The costs of the candidates `prune` keeps, planning `g`.
+    fn kept(g: &QueryGraph, db: &fto_storage::Database, plans: Vec<Arc<Plan>>) -> Vec<f64> {
+        let mut p = Planner::new(g, db.catalog(), OptimizerConfig::default());
+        let kept = p.prune(plans);
+        kept.iter().map(|k| k.cost.total).collect()
+    }
+
+    /// customer and orders joined on `c_custkey = o_custkey`, outputting
+    /// `c_mktsegment`, order-scanned: the box and the two tables' columns.
+    fn customer_orders(
+        db: &fto_storage::Database,
+        distinct: bool,
+    ) -> (QueryGraph, Vec<ColId>, Vec<ColId>) {
+        let cat = db.catalog();
+        let mut g = QueryGraph::new();
+        let b = g.add_box(BoxKind::Select);
+        g.add_table_quantifier(b, cat.table_by_name("customer").unwrap());
+        g.add_table_quantifier(b, cat.table_by_name("orders").unwrap());
+        let c = g.boxed(b).quantifiers[0].cols.clone();
+        let o = g.boxed(b).quantifiers[1].cols.clone();
+        let pid = g.add_predicate(Predicate::col_eq_col(c[0], o[1]));
+        g.boxed_mut(b).predicates.push(pid);
+        g.boxed_mut(b).output = vec![OutputCol::passthrough(c[1])];
+        g.boxed_mut(b).distinct = distinct;
+        g.root = b;
+        OrderScan::run(&mut g, db.catalog());
+        (g, c, o)
+    }
+
+    #[test]
+    fn an_order_counts_up_to_its_last_useful_key() {
+        // ORDER BY v: (v, s) compares as (v), so the (v)-ordered plan
+        // prunes it; the cheaper unordered plan stays beside both.
+        let db = simple_db();
+        let (mut g, cols) = single_table_query(&db, Some(1));
+        OrderScan::run(&mut g, db.catalog());
+        let (k, v, s) = (cols[0], cols[1], cols[2]);
+        let plans = vec![
+            candidate(&cols, Some(k), &[], 5.0),
+            candidate(&cols, Some(k), &[v], 10.0),
+            candidate(&cols, Some(k), &[v, s], 12.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [5.0, 10.0]);
+    }
+
+    #[test]
+    fn an_order_a_later_join_equates_to_an_interest_survives() {
+        // The only interest is on c_custkey. An orders plan ordered on
+        // o_custkey serves it once the join applies c_custkey =
+        // o_custkey — a fact its own context does not hold yet.
+        let db = super::tests_support::q3_like_db(50);
+        let (mut g, c, o) = customer_orders(&db, false);
+        let root = g.root;
+        g.boxed_mut(root).interesting = vec![OrderSpec::ascending([c[0]])];
+        let plans = vec![
+            candidate(&o, Some(o[0]), &[], 5.0),
+            candidate(&o, Some(o[0]), &[o[1]], 8.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [5.0, 8.0]);
+    }
+
+    #[test]
+    fn a_key_the_query_determines_from_the_keys_before_it_is_kept() {
+        // ORDER BY k, v, and k → s holds in the query (k is t's key) but
+        // not yet in these plans' facts: (k, s, v) still serves (k, v)
+        // once it does, so the (k)-ordered plan does not prune it.
+        let db = simple_db();
+        let (mut g, cols) = single_table_query(&db, None);
+        let (k, v, s) = (cols[0], cols[1], cols[2]);
+        let root = g.root;
+        g.boxed_mut(root).output_order = Some(OrderSpec::ascending([k, v]));
+        OrderScan::run(&mut g, db.catalog());
+        let plans = vec![
+            candidate(&cols, None, &[k], 10.0),
+            candidate(&cols, None, &[k, s, v], 12.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [10.0, 12.0]);
+    }
+
+    #[test]
+    fn a_constant_bound_leading_key_is_skipped_not_cut() {
+        // ORDER BY v where s = 'x': (s, v) serves (v) once the predicate
+        // is applied, so it is not cut to nothing before then.
+        let db = simple_db();
+        let (mut g, cols) = single_table_query(&db, Some(1));
+        let (k, v, s) = (cols[0], cols[1], cols[2]);
+        let root = g.root;
+        let pid = g.add_predicate(Predicate::col_eq_const(s, Value::str("x")));
+        g.boxed_mut(root).predicates.push(pid);
+        OrderScan::run(&mut g, db.catalog());
+        let plans = vec![
+            candidate(&cols, Some(k), &[], 5.0),
+            candidate(&cols, Some(k), &[s, v], 12.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [5.0, 12.0]);
+    }
+
+    #[test]
+    fn a_distinct_box_keeps_an_order_on_its_join_columns() {
+        // The DISTINCT's grouping order replaced the box's merge-join
+        // interests, but a merge join or an ordered index nested loop can
+        // still use an orders plan ordered on o_custkey.
+        let db = super::tests_support::q3_like_db(50);
+        let (g, c, o) = customer_orders(&db, true);
+        let interesting = &g.boxed(g.root).interesting;
+        assert_eq!(interesting, &[OrderSpec::ascending([c[1]])]);
+        let plans = vec![
+            candidate(&o, Some(o[0]), &[], 5.0),
+            candidate(&o, Some(o[0]), &[o[1]], 8.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [5.0, 8.0]);
+    }
+
+    #[test]
+    fn a_stronger_key_keeps_a_dearer_plan() {
+        // No planning decision reads the key property, so no root cost of
+        // the reference check moves when dominance ignores keys; this is
+        // where ignoring them shows.
+        let db = simple_db();
+        let (mut g, cols) = single_table_query(&db, None);
+        OrderScan::run(&mut g, db.catalog());
+        let plans = vec![
+            candidate(&cols, None, &[], 5.0),
+            candidate(&cols, Some(cols[0]), &[], 8.0),
+        ];
+        assert_eq!(kept(&g, &db, plans), [5.0, 8.0]);
+    }
+
+    #[test]
+    fn a_cut_order_never_lets_a_larger_plan_prune_a_smaller_one() {
+        // (v, s) counts as (v) only against a plan that yields no more
+        // rows: estimates for one subset can differ by join order, and
+        // everything above a plan pays per row.
+        let db = simple_db();
+        let (mut g, cols) = single_table_query(&db, Some(1));
+        OrderScan::run(&mut g, db.catalog());
+        let (k, v, s) = (cols[0], cols[1], cols[2]);
+        let mut larger = Arc::unwrap_or_clone(candidate(&cols, Some(k), &[v], 10.0));
+        larger.cost.rows = 150.0;
+        let plans = vec![Arc::new(larger), candidate(&cols, Some(k), &[v, s], 12.0)];
+        assert_eq!(kept(&g, &db, plans), [10.0, 12.0]);
     }
 
     #[test]

@@ -241,6 +241,24 @@ for f in crates/planner/src/*.rs; do
         exit 1
     fi
 done
+# Plans are compared by one rule, Planner::plan_dominates, which counts an
+# order only up to the prefix some operator of the query could use. A
+# second caller of StreamProps::dominates_under would compare whole orders
+# again, or cut them another way, and the two would prune differently.
+callers=$(planner_src | sed '/fn plan_dominates(/,/^    }$/d' | grep -c 'dominates_under(' || true)
+if [[ "${callers}" -ne 0 ]]; then
+    echo "guard failed: ${callers} non-test calls of dominates_under( under crates/planner/src outside fn plan_dominates;"
+    echo "compare plans with Planner::plan_dominates"
+    exit 1
+fi
+# The reference planner (Planner::exhaustive) builds a sorted copy of every
+# candidate and keeps every plan whose properties differ: a yardstick for
+# the tests, never a way to plan a query.
+if grep -rn --include='*.rs' 'exhaustive(' crates examples benchmark/src | grep -v '^crates/planner/'; then
+    echo "guard failed: the reference planner is asked for outside crates/planner and tests/;"
+    echo "Planner::exhaustive is for tests/reference_planner.rs"
+    exit 1
+fi
 # A candidate plan is an Arc shared by every plan built over it: a parent
 # takes Arc::clone of its child, and pruning a candidate frees its own node
 # alone. A deep copy into a parent is a subtree allocated per join method

@@ -9,7 +9,7 @@
 //! reads.
 
 use fto_bench::answer::{assert_answer, exact, reference_knobs, Answer};
-use fto_bench::corpus::{emp_db, EMP_QUERIES};
+use fto_bench::corpus::{emp_db, EMP_QUERIES, UNREWRITTEN_QUERIES};
 use fto_bench::{envknob, Session};
 use fto_catalog::{Catalog, ColumnDef, KeyDef};
 use fto_common::{DataType, Direction, Value};
@@ -74,41 +74,6 @@ fn end_to_end_corpus_agrees_at_odd_batch_sizes() {
         }
     }
 }
-
-/// Statements only an oracle that evaluates the unrewritten query can
-/// judge: each holds a shape a predicate pushdown or a view merge could
-/// get wrong — and the same wrong rows would come from any engine that
-/// runs the rewritten plan — over data that shows it: unmatched outer
-/// rows, duplicates under a DISTINCT, ties at a LIMIT. Not in
-/// `EMP_QUERIES`, whose plans `tests/golden/plan_stability.txt` pins.
-const UNREWRITTEN_QUERIES: &[&str] = &[
-    // A WHERE conjunct on the null-supplying side of a LEFT JOIN removes
-    // the padded rows (departments 6–11 match no employee below 6) and
-    // the matched rows it fails; in the ON clause it would pad them.
-    "select dept_id, emp_id, grade from dept left join emp \
-     on dept_id = emp_dept and emp_id < 6 where grade < 3 order by dept_id, emp_id",
-    "select dept_id, count(emp_id) as n from dept left join emp \
-     on dept_id = emp_dept and emp_id < 30 where emp_id > 5 group by dept_id order by dept_id",
-    // A join over a DISTINCT derived table whose input repeats each value.
-    "select d.emp_dept, dept_name from (select distinct emp_dept from emp) d, dept \
-     where d.emp_dept = dept_id order by dept_name",
-    "select dept_name, g.grade from dept, (select distinct emp_dept, grade from emp) g \
-     where g.emp_dept = dept_id and dept_id < 3 order by dept_name, g.grade",
-    // IN over a subquery whose values repeat: a semi-join, one row per
-    // department.
-    "select dept_id, dept_name from dept where dept_id in \
-     (select emp_dept from emp where grade = 1) order by dept_id",
-    // HAVING on an aggregate, in and out of the select list.
-    "select emp_dept, count(*) as n from emp group by emp_dept \
-     having avg(salary) > 49400 order by emp_dept",
-    "select grade, count(*) as n from emp group by grade having max(salary) > 68500",
-    // UNION removes the duplicates UNION ALL keeps.
-    "select grade from emp where emp_id < 20 union select emp_dept from emp where emp_id < 10",
-    "select grade from emp where emp_id < 20 union all select emp_dept from emp where emp_id < 10",
-    // Ties at the LIMIT cut: 80 employees share each grade.
-    "select grade, emp_id from emp order by grade limit 10",
-    "select emp_dept, salary from emp order by emp_dept desc limit 50",
-];
 
 #[test]
 fn unrewritten_queries_agree_with_the_oracle() {

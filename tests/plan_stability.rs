@@ -11,9 +11,12 @@
 //! 15 blocks of statements with a DISTINCT were re-pinned when DISTINCT
 //! became the zero-aggregate group-by (`fold_is_spelling_only`), and 71
 //! `generated=` counts when each candidate came to be counted once, where
-//! it is made, and 60 count lines when sort-ahead came to build one
-//! enforcer per interesting order, over the cheapest candidate (neither
-//! moved a plan line). Every block also checks the
+//! it is made, 60 count lines when sort-ahead came to build one
+//! enforcer per interesting order, over the cheapest candidate, and 69
+//! when dominance came to count a plan's order only up to the prefix some
+//! operator of the query could use: a plan ordered on a column nothing
+//! asks for no longer survives beside a cheaper unordered one (none of
+//! the three moved a plan line). Every block also checks the
 //! counting itself: no more plans pruned than generated, and — planned
 //! again with a trace — one `PlanGenerated` event per counted plan.
 //!
@@ -187,9 +190,10 @@ fn digest_without(golden: &str, skip: &[String]) -> (usize, u64) {
 /// rest), and again when join enumeration deferred Cartesian products
 /// (15 count lines of the join-ladder statements and corpus[10], no plan
 /// line), and again when sort-ahead came to build one enforcer per
-/// interesting order (60 count lines, no plan line). After an *intended*
-/// change to the other 90 blocks, re-pin it with the pair this test
-/// prints.
+/// interesting order (60 count lines, no plan line), and again when an
+/// order came to count in dominance only up to its useful prefix (69
+/// count lines, no plan line). After an *intended* change to the other 90
+/// blocks, re-pin it with the pair this test prints.
 #[test]
 fn fold_is_spelling_only() {
     let emp = emp_db();
@@ -208,13 +212,15 @@ fn fold_is_spelling_only() {
         // (90, 0x8e64_2891_0f00_29e6) before each plan was counted once,
         // (90, 0x7074_407d_b428_c731) before connected subsets first,
         // (90, 0x7155_86df_3b56_a6bd) before sort-ahead built only the
-        // cheapest enforcer per interesting order.
-        (90, 0x7a62_b511_4c4f_f437),
+        // cheapest enforcer per interesting order, (90,
+        // 0x7a62_b511_4c4f_f437) before an order counted only up to its
+        // useful prefix.
+        (90, 0x8776_b472_c642_f03f),
         "a block of a statement without a DISTINCT moved"
     );
 }
 
-/// The deterministic planner-work gate: `j5` generates 3 678 plans and
+/// The deterministic planner-work gate: `j5` generates 1 764 plans and
 /// must build at least an order of magnitude fewer contexts than that.
 /// Building one per dominance comparison or per sort-ahead variant (the
 /// state before facts were shared: hundreds of thousands) fails here by
@@ -237,8 +243,10 @@ fn j5_builds_far_fewer_contexts_than_plans() {
         // nested loop twice; (3594, 44202, 43867, 37082, 597, 173)
         // before subsets grew by joined quantifiers first; (907, 13290,
         // 13153, 11210, 283, 0) while sort-ahead built a sorted copy of
-        // every candidate, not of the cheapest one per interesting order.
-        (907, 3678, 3541, 1598, 283, 0)
+        // every candidate, not of the cheapest one per interesting order;
+        // (907, 3678, 3541, 1598, 283, 0) while dominance compared whole
+        // orders, not their useful prefixes.
+        (423, 1764, 1675, 722, 191, 0)
     );
     assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
     assert!(
@@ -263,14 +271,17 @@ fn join_ladder_order_work_is_pinned() {
     // fig6 64 / 46 432, j4 213 / 331 204, j5 676 / 1 004 815. Before
     // sort-ahead priced every candidate and built one sort per interest,
     // the memo hits were 10 780 / 21 720 / 31 239 / 141 076 / 266 221.
+    // While dominance compared whole orders: 12 / 3 970, 83 / 10 028,
+    // 50 / 15 406, 104 / 42 035 and 216 / 85 020 (fewer plans survive
+    // now, but their joins meet a few more combinations of facts).
     assert_eq!(
         work,
         [
-            ("order_report", 12, 3_970),
-            ("q3", 83, 10_028),
-            ("fig6", 50, 15_406),
-            ("j4", 104, 42_035),
-            ("j5", 216, 85_020),
+            ("order_report", 12, 2_146),
+            ("q3", 92, 7_910),
+            ("fig6", 54, 7_317),
+            ("j4", 112, 19_433),
+            ("j5", 224, 33_930),
         ]
     );
 }
