@@ -1,20 +1,21 @@
-//! Regenerates the §5.2 join-enumeration complexity observation: pushing
-//! down sort-ahead orders grows enumeration work roughly quadratically in
-//! the number of interesting orders n (the paper notes n < 3 in
-//! practice, keeping the overhead acceptable) — and reports what that
-//! work costs here: planner time, time per plan, order contexts built and
-//! the disabled planner's time over the enabled one's for statements of
-//! two to five tables (TPC-D scale 0.002, where planning is nearly all of
-//! a statement's latency). Closes with the cost
-//! of one `FlexOrder::satisfied_by`, the order operation the benchmark's
-//! traced pass (`core.{reduce,test_order,cover,homogenize}_ns`) does not
-//! time.
+//! Regenerates the §5.2 join-enumeration complexity observation: the
+//! paper prices sort-ahead at O(n²) in the number of interesting orders
+//! n, tolerable because n < 3 in practice. Here sort-ahead serves every
+//! interest, so the table gives each statement's n (the most interests
+//! any one box holds) and its plans generated with sort-ahead off and on,
+//! for the join ladder and `j6`–`j8` (TPC-D scale 0.002). It then reports
+//! what the work costs: planner time, time per plan, order contexts built
+//! and the disabled planner's time over the enabled one's for statements
+//! of two to five tables (the same scale, where planning is nearly all of
+//! a statement's latency). Closes with the cost of one
+//! `FlexOrder::satisfied_by`, the order operation the benchmark's traced
+//! pass (`core.{reduce,test_order,cover,homogenize}_ns`) does not time.
 //!
 //! ```text
-//! cargo run -p fto-bench --release --bin enumeration [-- <max_n>]
+//! cargo run -p fto-bench --release --bin enumeration
 //! ```
 
-use fto_bench::harness::{enumeration_complexity, planner_work_by_join_count};
+use fto_bench::harness::{planner_work_by_join_count, sort_ahead_work};
 use fto_common::{ColId, ColSet, Value};
 use fto_order::{EquivalenceClasses, FdSet, FlexOrder, OrderContext, OrderSpec};
 use std::time::{Duration, Instant};
@@ -51,29 +52,20 @@ fn flex_satisfied_by() -> Duration {
 }
 
 fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    println!("Join-enumeration work vs number of sort-ahead orders (TPC-D Q3)");
-    println!();
-    println!("| n (sort-ahead orders) | subplans generated | vs n=0 |");
-    println!("|-----------------------|--------------------|--------|");
-    let points = enumeration_complexity(0.005, max_n).unwrap();
-    let base = points[0].1.max(1);
-    for (n, plans) in &points {
-        println!(
-            "| {:>21} | {:>18} | {:>5.2}x |",
-            n,
-            plans,
-            *plans as f64 / base as f64
-        );
-    }
+    println!("Join-enumeration work with sort-ahead off and on (TPC-D scale 0.002)");
     println!();
     println!(
-        "The paper's claim: complexity grows by O(n^2) for n sort-ahead \
-         orders, tolerable because n < 3 in practice."
+        "| statement    | tables | n (interests) | plans, sort-ahead off | plans, on | on ÷ off |"
     );
+    println!(
+        "|--------------|--------|---------------|-----------------------|-----------|----------|"
+    );
+    for (name, tables, n, [off, on]) in sort_ahead_work(0.002).unwrap() {
+        println!(
+            "| {name:<12} | {tables:>6} | {n:>13} | {off:>21} | {on:>9} | {:>7.2}x |",
+            on as f64 / off.max(1) as f64
+        );
+    }
     println!();
     println!("Planner time by join count (TPC-D scale 0.002, best of 5)");
     println!();

@@ -152,19 +152,33 @@ pub fn calibration_report(
     Ok(out)
 }
 
-/// The §5.2 enumeration-complexity experiment: planner work vs the number
-/// of sort-ahead orders admitted. Returns `(n, plans_generated)` pairs.
-pub fn enumeration_complexity(scale: f64, max_orders: usize) -> Result<Vec<(usize, u64)>> {
+/// One statement's sort-ahead work: `(name, tables, n, [plans generated
+/// with sort-ahead off, on])`, where n is the most interesting orders one
+/// box holds after the order scan — every one of which sort-ahead serves.
+pub type SortAheadWork = (&'static str, usize, usize, [u64; 2]);
+
+/// The §5.2 enumeration-complexity experiment: [`SortAheadWork`] for every
+/// [`corpus::join_ladder`] and [`corpus::wide_joins`] statement, ordered
+/// by tables joined.
+pub fn sort_ahead_work(scale: f64) -> Result<Vec<SortAheadWork>> {
     let db = tpcd_db(scale)?;
-    let sql = queries::q3_default();
     let mut out = Vec::new();
-    for n in 0..=max_orders {
-        let cfg = OptimizerConfig::default()
-            .with_sort_ahead(n > 0)
-            .with_max_sort_ahead(n);
-        let prepared = Session::new(&db).config(cfg).plan(&sql)?;
-        out.push((n, prepared.planner_stats().plans_generated));
+    for (name, tables, sql) in corpus::join_ladder()
+        .into_iter()
+        .chain(corpus::wide_joins())
+    {
+        let plan = |on| {
+            let cfg = OptimizerConfig::default().with_sort_ahead(on);
+            Session::new(&db).config(cfg).plan(&sql)
+        };
+        let (off, on) = (plan(false)?, plan(true)?);
+        let graph = on.graph();
+        let boxes = graph.bottom_up().into_iter();
+        let n = boxes.map(|b| graph.boxed(b).interesting.len()).max();
+        let plans = [off, on].map(|q| q.planner_stats().plans_generated);
+        out.push((name, tables, n.unwrap_or(0), plans));
     }
+    out.sort_by_key(|w| w.1);
     Ok(out)
 }
 
@@ -326,9 +340,10 @@ mod tests {
 
     #[test]
     fn enumeration_grows_with_orders() {
-        let points = enumeration_complexity(0.001, 2).unwrap();
-        assert_eq!(points.len(), 3);
-        assert!(points[2].1 >= points[0].1);
+        let work = sort_ahead_work(0.001).unwrap();
+        assert_eq!(work.len(), 8);
+        assert!(work.iter().all(|w| w.3[1] >= w.3[0]), "{work:?}");
+        assert!(work.iter().any(|w| w.3[1] > w.3[0]), "{work:?}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 /// The defaults model the paper's "production DB2". Setting
 /// [`order_optimization`](OptimizerConfig::order_optimization) to `false`
 /// reproduces the disabled build used for Table 1: reduction, covering,
-/// homogenization, and sort-ahead all stop; order properties only satisfy
-/// requirements by verbatim column-prefix match.
+/// homogenization, sort-ahead and segmented sorts all stop; order
+/// properties only satisfy requirements by verbatim column-prefix match.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
 /// [`Default`], the named presets ([`disabled`](OptimizerConfig::disabled),
@@ -24,11 +24,14 @@
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct OptimizerConfig {
-    /// Master switch for the paper's techniques.
+    /// Master switch for the paper's techniques, segmented (partial)
+    /// sorts included: a `Sort` whose input already satisfies a prefix
+    /// of the requirement sorts only the residual suffix within each
+    /// prefix group, priced as Σ over groups of sort(group).
     pub order_optimization: bool,
-    /// Allow sort-ahead (pushing sorts below joins). Meaningful only when
-    /// `order_optimization` is on; exposed separately for the ablation
-    /// benches.
+    /// Allow sort-ahead (pushing sorts below joins), for every one of a
+    /// box's interesting orders. Meaningful only when `order_optimization`
+    /// is on; exposed separately for the ablation benches.
     pub sort_ahead: bool,
     /// Consider merge joins.
     pub enable_merge_join: bool,
@@ -38,9 +41,6 @@ pub struct OptimizerConfig {
     pub enable_hash_grouping: bool,
     /// Consider (index) nested-loop joins.
     pub enable_nested_loop: bool,
-    /// Maximum number of sort-ahead orders tried per join step (the paper
-    /// notes n < 3 in practice; the complexity bench raises this).
-    pub max_sort_ahead: usize,
     /// Rows per batch in the streaming executor. Operators pull and
     /// produce batches of (at most) this many rows.
     pub batch_size: usize,
@@ -50,14 +50,6 @@ pub struct OptimizerConfig {
     /// over `p` workers — unless a `memory_budget` is set, which runs
     /// serial.
     pub threads: usize,
-    /// Consider segmented (partial) sorts: when the input's order
-    /// property already satisfies a prefix of a sort requirement, the
-    /// planner may emit a `Sort` with that `prefix_len`, which sorts only
-    /// the residual suffix within each prefix group — streaming, one
-    /// group buffered at a time, priced as Σ over groups of sort(group).
-    /// Meaningful only when `order_optimization` is on (the split comes
-    /// out of the same reduce/test machinery). Default on.
-    pub enable_segmented_sort: bool,
     /// Per-query memory budget in bytes for the streaming executor, or
     /// `None` (the default) for unbounded in-memory execution. When set,
     /// pipeline breakers (sort, Top-N, hash group-by — DISTINCT included —
@@ -77,10 +69,8 @@ impl Default for OptimizerConfig {
             enable_hash_join: true,
             enable_hash_grouping: true,
             enable_nested_loop: true,
-            max_sort_ahead: 4,
             batch_size: 1024,
             threads: 1,
-            enable_segmented_sort: true,
             memory_budget: None,
         }
     }
@@ -95,9 +85,7 @@ impl OptimizerConfig {
 
     /// The paper's "order optimization disabled" baseline.
     pub fn disabled() -> Self {
-        OptimizerConfig::default()
-            .with_order_optimization(false)
-            .with_sort_ahead(false)
+        OptimizerConfig::default().with_order_optimization(false)
     }
 
     /// The 1996 DB2/CS operator inventory: order-based joins and grouping
@@ -115,9 +103,7 @@ impl OptimizerConfig {
     /// [`OptimizerConfig::db2_1996`] with order optimization disabled —
     /// the exact build the paper benchmarked against in Table 1.
     pub fn db2_1996_disabled() -> Self {
-        OptimizerConfig::db2_1996()
-            .with_order_optimization(false)
-            .with_sort_ahead(false)
+        OptimizerConfig::db2_1996().with_order_optimization(false)
     }
 
     /// Sets the master order-optimization switch.
@@ -156,12 +142,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the maximum number of sort-ahead orders per join step.
-    pub fn with_max_sort_ahead(mut self, n: usize) -> Self {
-        self.max_sort_ahead = n;
-        self
-    }
-
     /// Sets the streaming executor's batch size (rows per batch, ≥ 1).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
         self.batch_size = rows.max(1);
@@ -172,13 +152,6 @@ impl OptimizerConfig {
     /// `1` disables exchange insertion entirely.
     pub fn with_threads(mut self, p: usize) -> Self {
         self.threads = p.max(1);
-        self
-    }
-
-    /// Enables or disables segmented (partial) sort enforcers (default
-    /// on). See [`OptimizerConfig::enable_segmented_sort`].
-    pub fn with_segmented_sort(mut self, on: bool) -> Self {
-        self.enable_segmented_sort = on;
         self
     }
 
@@ -257,14 +230,7 @@ mod tests {
         assert!(c.enable_merge_join && c.enable_hash_join && c.enable_nested_loop);
         assert_eq!(c.batch_size, 1024);
         assert_eq!(c.threads, 1);
-        assert!(c.enable_segmented_sort);
         assert_eq!(c.memory_budget, None);
-    }
-
-    #[test]
-    fn segmented_sort_builder_toggles() {
-        let c = OptimizerConfig::new().with_segmented_sort(false);
-        assert!(!c.enable_segmented_sort);
     }
 
     #[test]
@@ -279,7 +245,8 @@ mod tests {
     fn disabled_turns_off_order_machinery_only() {
         let c = OptimizerConfig::disabled();
         assert!(!c.order_optimization);
-        assert!(!c.sort_ahead);
+        // The master switch alone stops sort-ahead and segmented sorts.
+        assert!(c.sort_ahead);
         assert!(c.enable_merge_join);
     }
 
@@ -288,12 +255,10 @@ mod tests {
         let c = OptimizerConfig::new()
             .with_merge_join(false)
             .with_nested_loop(false)
-            .with_max_sort_ahead(9)
             .with_batch_size(0)
             .with_threads(0);
         assert!(!c.enable_merge_join);
         assert!(!c.enable_nested_loop);
-        assert_eq!(c.max_sort_ahead, 9);
         // Batch size and parallel degree are clamped to at least one.
         assert_eq!(c.batch_size, 1);
         assert_eq!(c.threads, 1);

@@ -594,27 +594,54 @@ mod tests {
 
     #[test]
     fn more_sort_ahead_orders_grow_enumeration() {
-        // The §5.2 complexity claim, in miniature: more interesting
-        // orders → more subplans generated.
+        // The §5.2 complexity claim, in miniature: sort-ahead over the
+        // box's interesting orders → more subplans generated than none.
         let db = q3_like_db(300);
-        let counts: Vec<u64> = [0usize, 4]
+        let counts: Vec<u64> = [false, true]
             .iter()
-            .map(|&max| {
+            .map(|&on| {
                 let (mut g, all) = q3_join_graph(&db);
                 let root = g.root;
                 g.boxed_mut(root).output_order = Some(OrderSpec::ascending([all[2]]));
                 OrderScan::run(&mut g, db.catalog());
-                let cfg = OptimizerConfig {
-                    max_sort_ahead: max,
-                    sort_ahead: max > 0,
-                    ..OptimizerConfig::default()
-                };
+                let cfg = OptimizerConfig::default().with_sort_ahead(on);
                 let mut p = Planner::new(&g, db.catalog(), cfg);
                 p.plan_query().unwrap();
+                assert_eq!(p.stats.sort_ahead_variants > 0, on);
                 p.stats.plans_generated
             })
             .collect();
         assert!(counts[1] > counts[0], "{counts:?}");
+    }
+
+    #[test]
+    fn sort_ahead_serves_every_interesting_order() {
+        // Five interests, none provided by an access path: the fifth gets
+        // its sorted variant as the first does (the paper's n < 3 is no
+        // cap here).
+        let db = q3_like_db(300);
+        let (mut g, all) = q3_join_graph(&db);
+        OrderScan::run(&mut g, db.catalog());
+        let interests: Vec<OrderSpec> = [4, 5, 7, 8, 9]
+            .iter()
+            .map(|&i| OrderSpec::ascending([all[i]]))
+            .collect();
+        let root = g.root;
+        g.boxed_mut(root).interesting = interests.clone();
+        let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default()).traced();
+        p.plan_query().unwrap();
+        let trace = p.take_trace().unwrap();
+        assert_eq!(trace.dropped(), 0);
+        for spec in &interests {
+            let wanted = spec.to_string();
+            assert!(
+                trace.events().iter().any(|e| matches!(
+                    e,
+                    fto_obs::TraceEvent::SortAhead { interest, .. } if *interest == wanted
+                )),
+                "no sort-ahead variant for {wanted}"
+            );
+        }
     }
 
     #[test]

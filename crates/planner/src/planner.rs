@@ -68,11 +68,11 @@ impl<'a> Planner<'a> {
 
     /// Makes this the reference planner (builder style), which tests hold
     /// the planner's pruning against: it searches the same space — the
-    /// same join steps, access paths and first `max_sort_ahead`
-    /// interesting orders — but builds sort-ahead over every candidate,
-    /// not the cheapest, and prunes a plan only for another that is no
-    /// dearer and has exactly the same order, predicates, keys and
-    /// columns. Its root cost is the least the search space holds.
+    /// same join steps, access paths and every interesting order — but
+    /// builds sort-ahead over every candidate, not the cheapest, and
+    /// prunes a plan only for another that is no dearer and has exactly
+    /// the same order, predicates, keys and columns. Its root cost is the
+    /// least the search space holds.
     pub fn exhaustive(mut self) -> Self {
         self.exhaustive = true;
         self
@@ -291,25 +291,26 @@ impl<'a> Planner<'a> {
             .collect())
     }
 
-    /// Sort-ahead (paper §5.2): for each of the box's first
-    /// `max_sort_ahead` interesting orders, one sorted copy of the
-    /// cheapest of `plans` that does not already provide it, so the sort
-    /// a parent needs can sink below this box or join step. Each
-    /// candidate's enforcer is priced ([`Planner::sort_shape`],
-    /// [`enforcer_cost`]), unless its input alone already costs the least
-    /// total found, and only the one with the least total is built and
-    /// counted as a generated plan; ties keep the first, as
-    /// [`Planner::prune`] does. The others would be pruned by it: within
-    /// one call every sorted copy for an interest carries the same facts
-    /// and the same order. The reference planner ([`Planner::exhaustive`])
-    /// builds a sorted copy of every candidate. None when sort-ahead is
-    /// off.
+    /// Sort-ahead (paper §5.2): for each of the box's interesting orders —
+    /// every one: the paper caps n only because enumeration grows as
+    /// O(n²), which one enforcer per interest and useful-prefix dominance
+    /// keep flat here — one sorted copy of the cheapest of `plans` that
+    /// does not already provide it, so the sort a parent needs can sink
+    /// below this box or join step. Each candidate's enforcer is priced
+    /// ([`Planner::sort_shape`], [`enforcer_cost`]), unless its input
+    /// alone already costs the least total found, and only the one with
+    /// the least total is built and counted as a generated plan; ties keep
+    /// the first, as [`Planner::prune`] does. The others would be pruned
+    /// by it: within one call every sorted copy for an interest carries
+    /// the same facts and the same order. The reference planner
+    /// ([`Planner::exhaustive`]) builds a sorted copy of every candidate.
+    /// None when sort-ahead or order optimization is off.
     pub(crate) fn sort_ahead(&mut self, qbox: &QgmBox, plans: &[Arc<Plan>]) -> Vec<Arc<Plan>> {
         let mut variants = Vec::new();
-        if !self.config.sort_ahead {
+        if !(self.config.sort_ahead && self.config.order_optimization) {
             return variants;
         }
-        for interest in qbox.interesting.iter().take(self.config.max_sort_ahead) {
+        for interest in &qbox.interesting {
             let (mut chosen, mut least) = (Vec::new(), f64::INFINITY);
             for plan in plans {
                 // A sort never costs less than nothing: a candidate whose
@@ -614,7 +615,8 @@ impl<'a> Planner<'a> {
     /// columns, so only the residual suffix needs sorting — within
     /// each group. The split is positional only when reduce(minimal)
     /// partitions exactly (the homogenize fallback can leave
-    /// `minimal` unreduced).
+    /// `minimal` unreduced). Like every other use of the order algebra,
+    /// it is off when order optimization is.
     fn sort_shape(&self, plan: &Plan, spec: &OrderSpec) -> Option<SortShape> {
         let ctx = self.effective_ctx(&plan.props);
         let reduced = ctx.reduce(spec);
@@ -630,7 +632,7 @@ impl<'a> Planner<'a> {
             return None;
         }
         let mut segment = None;
-        if self.config.enable_segmented_sort && self.config.order_optimization {
+        if self.config.order_optimization {
             let (prefix, suffix) = ctx.split_requirement(&spec, &plan.props.order);
             if !prefix.is_empty() && !suffix.is_empty() && prefix.len() + suffix.len() == spec.len()
             {
@@ -1422,16 +1424,12 @@ mod tests {
         (g, cols)
     }
 
-    fn find_segmented(plan: &Plan) -> Option<(usize, usize)> {
-        if let PlanNode::Sort {
-            spec,
-            prefix_len: prefix_len @ 1..,
-            ..
-        } = &plan.node
-        {
-            return Some((*prefix_len, spec.len()));
+    /// The first segmented sort in `plan`, if any.
+    fn find_segmented(plan: &Plan) -> Option<&Plan> {
+        if is_segmented(&plan.node) {
+            return Some(plan);
         }
-        plan.children().iter().find_map(|c| find_segmented(c))
+        plan.children().into_iter().find_map(|c| find_segmented(c))
     }
 
     #[test]
@@ -1451,7 +1449,8 @@ mod tests {
             plan.explain(&|c| c.to_string())
         );
         assert_eq!(plan.count_ops(&is_full_sort), 0);
-        assert_eq!(find_segmented(&plan), Some((1, 2)));
+        let seg = find_segmented(&plan).unwrap();
+        assert!(matches!(&seg.node, PlanNode::Sort { spec, prefix_len: 1, .. } if spec.len() == 2));
         assert!(p.stats.partial_sorts > 0);
         // A segmented sort still counts as an added sort enforcer.
         assert!(p.stats.sorts_added >= p.stats.partial_sorts);
@@ -1460,21 +1459,19 @@ mod tests {
     #[test]
     fn segmented_sort_beats_full_sort_on_cost() {
         let db = super::tests_support::q3_like_db(200);
-        let plan_with = |cfg: OptimizerConfig| {
-            let (mut g, _) = lineitem_query(&db, &[0, 3]);
-            OrderScan::run(&mut g, db.catalog());
-            Planner::new(&g, db.catalog(), cfg).plan_query().unwrap()
-        };
-        let seg = plan_with(OptimizerConfig::default());
-        let full = plan_with(OptimizerConfig::default().with_segmented_sort(false));
-        assert!(find_segmented(&seg).is_some());
-        assert_eq!(find_segmented(&full), None);
-        assert_eq!(full.count_ops(&is_full_sort), 1);
+        let (mut g, _) = lineitem_query(&db, &[0, 3]);
+        OrderScan::run(&mut g, db.catalog());
+        let plan = Planner::new(&g, db.catalog(), OptimizerConfig::default())
+            .plan_query()
+            .unwrap();
+        let seg = find_segmented(&plan).expect("a segmented sort");
+        // The full sort the same input would need instead.
+        let full = enforcer_cost(seg.children()[0], 0, 1.0, None);
         assert!(
-            seg.cost.total < full.cost.total,
+            seg.cost.total < full.total,
             "segmented {} !< full {}",
             seg.cost.total,
-            full.cost.total
+            full.total
         );
     }
 
@@ -1493,17 +1490,13 @@ mod tests {
     #[test]
     fn segmented_sort_respects_disabled_modes() {
         let db = super::tests_support::q3_like_db(50);
-        for cfg in [
-            OptimizerConfig::default().with_segmented_sort(false),
-            OptimizerConfig::disabled(),
-        ] {
-            let (mut g, _) = lineitem_query(&db, &[0, 3]);
-            OrderScan::run(&mut g, db.catalog());
-            let mut p = Planner::new(&g, db.catalog(), cfg);
-            let plan = p.plan_query().unwrap();
-            assert_eq!(plan.count_ops(&is_segmented), 0);
-            assert_eq!(p.stats.partial_sorts, 0);
-        }
+        let (mut g, _) = lineitem_query(&db, &[0, 3]);
+        OrderScan::run(&mut g, db.catalog());
+        let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::disabled());
+        let plan = p.plan_query().unwrap();
+        assert_eq!(plan.count_ops(&is_segmented), 0);
+        assert_eq!(plan.count_ops(&is_full_sort), 1);
+        assert_eq!(p.stats.partial_sorts, 0);
     }
 
     #[test]

