@@ -7,13 +7,12 @@
 //!
 //! # Group ids
 //!
-//! [`GroupTable`] maps an encoded grouping key (the arena slices of
-//! [`fto_common::column::encode_batch_keys_arena`], byte equality ≡
-//! `Value` equality) to a dense group id in first-seen order. It is an
-//! open-addressing table of `u64` slots over one append-only key arena: no
-//! per-group allocation and no SipHash. A batch becomes `gids: Vec<u32>`
-//! plus `first`, the rows that opened a group — which *is* a group-by's
-//! key-column gather list. A grouping whose input arrives ordered on every
+//! [`GroupTable`] maps an encoded grouping key (a [`KeyArena`] slice,
+//! byte equality ≡ `Value` equality) to a dense group id in first-seen
+//! order. It is an open-addressing table of `u64` slots over one
+//! append-only key arena: no per-group allocation and no SipHash. A batch
+//! becomes `gids: Vec<u32>` plus `first`, the rows that opened a group —
+//! which *is* a group-by's key-column gather list. A grouping whose input arrives ordered on every
 //! grouping column derives the same two vectors from run boundaries
 //! instead of a table. The build–probe join keys its build side through
 //! the same table (`assign` while building, the read-only `lookup` while
@@ -38,7 +37,7 @@
 //! [`AggState::push_value`], the columnar twin of
 //! `Accumulator::update_value`.
 
-use crate::sortkernel::SortKeys;
+use crate::sortkernel::{KeyArena, SortKeys};
 use fto_common::column::{Batch, Bitmap, Column, ColumnData};
 use fto_common::{ColId, DataType, Direction, Result, Value};
 use fto_expr::{vector, AggCall, AggFunc, Expr, RowLayout};
@@ -115,36 +114,28 @@ fn keys_equal(a: &[u8], b: &[u8]) -> bool {
 /// high half: a probe compares tags before it touches the key arena.
 /// Linear probing at load ≤ ½; growth re-hashes the arena's keys.
 pub(crate) struct GroupTable {
-    /// Admitted keys, concatenated in group-id order.
-    arena: Vec<u8>,
-    /// Group `g`'s key is `arena[offsets[g]..offsets[g + 1]]`.
-    offsets: Vec<usize>,
+    /// Admitted keys in group-id order: group `g`'s key is `keys.get(g)`.
+    keys: KeyArena,
     slots: Vec<u64>,
 }
 
 impl GroupTable {
     pub(crate) fn new() -> GroupTable {
         GroupTable {
-            arena: Vec::new(),
-            offsets: vec![0],
+            keys: KeyArena::default(),
             slots: vec![0; 16],
         }
     }
 
     /// Forgets every group, keeping the buffers.
     pub(crate) fn clear(&mut self) {
-        self.arena.clear();
-        self.offsets.truncate(1);
+        self.keys.clear();
         self.slots.fill(0);
     }
 
     /// Number of groups admitted so far (the next group id).
     pub(crate) fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn key(&self, gid: usize) -> &[u8] {
-        &self.arena[self.offsets[gid]..self.offsets[gid + 1]]
+        self.keys.len()
     }
 
     /// The group id of `key`, or the empty slot its probe ended at.
@@ -158,7 +149,7 @@ impl GroupTable {
             }
             if slot >> 32 == hash >> 32 {
                 let gid = slot as u32 - 1;
-                if keys_equal(self.key(gid as usize), key) {
+                if keys_equal(self.keys.get(gid as usize), key) {
                     return Ok(gid);
                 }
             }
@@ -171,8 +162,7 @@ impl GroupTable {
             .ok()
             .filter(|&g| g < NO_GROUP - 1)
             .expect("group ids fit 32 bits");
-        self.arena.extend_from_slice(key);
-        self.offsets.push(self.arena.len());
+        self.keys.push(key);
         self.slots[at] = (hash >> 32) << 32 | u64::from(gid + 1);
         if self.len() * 2 > self.slots.len() {
             self.grow();
@@ -184,7 +174,7 @@ impl GroupTable {
         let mut slots = vec![0u64; self.slots.len() * 2];
         let mask = slots.len() - 1;
         for gid in 0..self.len() {
-            let hash = hash_key(self.key(gid));
+            let hash = hash_key(self.keys.get(gid));
             let mut at = hash as usize & mask;
             while slots[at] != 0 {
                 at = (at + 1) & mask;
@@ -194,24 +184,22 @@ impl GroupTable {
         self.slots = slots;
     }
 
-    /// Maps every key of a batch (`bytes`/`offsets` as written by
-    /// [`fto_common::column::encode_batch_keys_arena`]) to its group id,
-    /// in row order. A key not seen before is offered to `admit(row, key)`:
-    /// admitted, it gets the next id and its row is appended to `first`;
-    /// refused, the row gets [`NO_GROUP`] (and the key is offered again at
-    /// its next row). Both output vectors are overwritten.
+    /// Maps every key of a batch's arena to its group id, in row order. A
+    /// key not seen before is offered to `admit(row, key)`: admitted, it
+    /// gets the next id and its row is appended to `first`; refused, the
+    /// row gets [`NO_GROUP`] (and the key is offered again at its next
+    /// row). Both output vectors are overwritten.
     pub(crate) fn assign(
         &mut self,
-        bytes: &[u8],
-        offsets: &[usize],
+        keys: &KeyArena,
         gids: &mut Vec<u32>,
         first: &mut Vec<u32>,
         mut admit: impl FnMut(usize, &[u8]) -> bool,
     ) {
         gids.clear();
         first.clear();
-        for (i, w) in offsets.windows(2).enumerate() {
-            let key = &bytes[w[0]..w[1]];
+        for i in 0..keys.len() {
+            let key = keys.get(i);
             let hash = hash_key(key);
             gids.push(match self.find(key, hash) {
                 Ok(gid) => gid,
@@ -226,10 +214,10 @@ impl GroupTable {
 
     /// The read-only half of [`Self::assign`]: every key's group id, or
     /// [`NO_GROUP`] for a key never admitted. `gids` is overwritten.
-    pub(crate) fn lookup(&self, bytes: &[u8], offsets: &[usize], gids: &mut Vec<u32>) {
+    pub(crate) fn lookup(&self, keys: &KeyArena, gids: &mut Vec<u32>) {
         gids.clear();
-        gids.extend(offsets.windows(2).map(|w| {
-            let key = &bytes[w[0]..w[1]];
+        gids.extend((0..keys.len()).map(|i| {
+            let key = keys.get(i);
             self.find(key, hash_key(key)).unwrap_or(NO_GROUP)
         }));
     }
@@ -851,14 +839,13 @@ mod tests {
         let mut reference: HashMap<Vec<u8>, u32> = HashMap::new();
         let (mut gids, mut first) = (Vec::new(), Vec::new());
         for chunk in keys.chunks(1000) {
-            let (mut bytes, mut offsets) = (Vec::new(), vec![0usize]);
+            let mut arena = KeyArena::default();
             for k in chunk {
-                bytes.extend_from_slice(k);
-                offsets.push(bytes.len());
+                arena.push(k);
             }
             // Refuse every seventh new key: it must stay unknown.
             let mut offered = 0usize;
-            table.assign(&bytes, &offsets, &mut gids, &mut first, |_, _| {
+            table.assign(&arena, &mut gids, &mut first, |_, _| {
                 offered += 1;
                 !offered.is_multiple_of(7)
             });

@@ -124,18 +124,22 @@ impl KeyArena {
         &self.bytes[self.offsets[i]..self.offsets[i + 1]]
     }
 
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     pub(crate) fn push(&mut self, key: &[u8]) {
         self.bytes.extend_from_slice(key);
         self.offsets.push(self.bytes.len());
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bytes.clear();
         self.offsets.truncate(1);
     }
 
     /// Replaces the arena's keys with `batch`'s rows' keys under `keys`.
-    pub(crate) fn encode(&mut self, batch: &Batch, keys: &SortKeys) {
+    pub(crate) fn encode(&mut self, batch: &Batch, keys: &[(usize, Direction)]) {
         encode_batch_keys_arena(batch, keys, &mut self.bytes, &mut self.offsets);
     }
 }
@@ -430,7 +434,6 @@ pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batc
 mod tests {
     use super::*;
     use crate::oracle::sort_rows;
-    use fto_common::column::encode_batch_keys_arena;
     use fto_common::{ColId, DataType, Row, Value};
     use fto_order::SortKey;
 
@@ -466,11 +469,11 @@ mod tests {
         keys: &SortKeys,
         seqs: impl Iterator<Item = u64>,
     ) {
-        let (mut kb, mut ko) = (Vec::new(), Vec::new());
-        encode_batch_keys_arena(batch, keys, &mut kb, &mut ko);
+        let mut arena = KeyArena::default();
+        arena.encode(batch, keys);
         buf.add_batch(batch);
         for (i, seq) in seqs.take(batch.len()).enumerate() {
-            buf.push(i, &kb[ko[i]..ko[i + 1]], seq);
+            buf.push(i, arena.get(i), seq);
         }
     }
 

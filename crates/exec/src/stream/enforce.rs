@@ -1,21 +1,18 @@
 //! The order enforcer behind `PlanNode::Sort`: full sort, segmented sort
 //! and top-n as one operator over a satisfied prefix.
 
+use super::prefix::PrefixReader;
 use super::{Batch, ExecContext, Operator};
 use crate::extsort::{RunFormer, SortedOut};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::{order, KeyArena, SortKeys};
-use fto_common::column::encode_batch_keys_arena;
 use fto_common::Result;
 use std::ops::Range;
 
 /// The order enforcer — the operator behind [`PlanNode::Sort`]. Its input
-/// already satisfies the first `pkeys` of the required order (possibly
-/// none), so rows sharing a
-/// prefix value are contiguous: groups are cut on encoded-prefix byte
-/// equality (the codec is injective up to `total_cmp`, so it cuts exactly
-/// the groups `Value` equality would), each group is ordered on `skeys`
-/// alone by the permutation kernel, and groups leave in arrival order,
+/// already satisfies a prefix of the required order (possibly none): its
+/// groups are the runs the [`PrefixReader`] cuts, each group is ordered on
+/// `skeys` alone by the permutation kernel, and groups leave in arrival order,
 /// which reproduces the global stable sort bit for bit. A group that
 /// opens and closes inside one input batch, within the memory budget, is
 /// ordered in place over the batch's own key arena; any other group goes
@@ -24,22 +21,20 @@ use std::ops::Range;
 /// one [`order`] routine, and the groups an input batch closes leave
 /// together, gathered once.
 ///
-/// | `Plan::op_name` | `pkeys` | `limit` | behaviour |
+/// | `Plan::op_name` | prefix | `limit` | behaviour |
 /// |---|---|---|---|
 /// | `sort` | none | none | one group that closes at end of input: drains at `open` |
 /// | `segmented-sort` | `prefix_len` | none | streams batch by batch (closed groups leave together); `LIMIT` above stops the input |
 /// | `top-n` | none | n | drains at `open`, keeping only the best n candidates |
 pub(super) struct EnforceOp {
     pub(super) child: Box<dyn Operator>,
-    pub(super) pkeys: SortKeys,
+    /// Cuts the groups: its run is the open group.
+    pub(super) prefix: PrefixReader,
     pub(super) skeys: SortKeys,
     pub(super) limit: Option<usize>,
     /// The buffered rows and spilled runs of a group that spans batches
     /// or outgrows the budget.
     pub(super) former: RunFormer,
-    /// Encoded prefix of the open group (meaningful while `group_open`).
-    pub(super) lead: Vec<u8>,
-    pub(super) group_open: bool,
     /// The current input batch's suffix keys.
     pub(super) keys: KeyArena,
     /// One in-place group's permutation (scratch).
@@ -59,12 +54,10 @@ impl EnforceOp {
         let (pkeys, skeys) = keys.split_at(prefix_len.min(keys.len()));
         EnforceOp {
             child,
-            pkeys: pkeys.to_vec(),
+            prefix: PrefixReader::new(pkeys.to_vec()),
             skeys: skeys.to_vec(),
             limit,
             former: RunFormer::new(usize::MAX, limit),
-            lead: Vec::new(),
-            group_open: false,
             keys: KeyArena::default(),
             perm: Vec::new(),
             out: SortedOut::default(),
@@ -75,8 +68,7 @@ impl EnforceOp {
     /// Counts a closed prefix group formed — what EXPLAIN ANALYZE shows
     /// next to the planner's estimate. A full sort forms none.
     fn count_group(&mut self, rec: &mut ExecRecord) {
-        self.group_open = false;
-        if !self.pkeys.is_empty() {
+        if !self.prefix.keys.is_empty() {
             rec.mark(
                 |s| &mut s.segment.groups_formed,
                 "segment",
@@ -117,7 +109,7 @@ impl EnforceOp {
         let Some(batch) = self.child.next_batch(cx, rec)? else {
             self.input_done = true;
             self.child.close(rec);
-            if self.group_open {
+            if self.prefix.open {
                 self.count_group(rec);
                 self.former.finish(cx.batch_size, &mut self.out, rec)?;
             }
@@ -126,24 +118,15 @@ impl EnforceOp {
         self.keys.encode(&batch, &self.skeys);
         self.out.picked.clear();
         self.out.picked.add_source(&batch);
+        let open = self.prefix.cut(&batch);
         let mut lo = 0;
-        if !self.pkeys.is_empty() {
-            let (mut pb, mut po) = (Vec::new(), Vec::new());
-            encode_batch_keys_arena(&batch, &self.pkeys, &mut pb, &mut po);
-            let lead = std::mem::take(&mut self.lead);
-            let mut prev: &[u8] = &lead;
-            for i in 0..batch.len() {
-                let prefix = &pb[po[i]..po[i + 1]];
-                if self.group_open && prefix != prev {
-                    self.close_group(&batch, lo..i, cx, rec)?;
-                    lo = i;
-                }
-                self.group_open = true;
-                prev = prefix;
+        for j in 0..self.prefix.starts.len() {
+            let start = self.prefix.starts[j] as usize;
+            if open || start > 0 {
+                self.close_group(&batch, lo..start, cx, rec)?;
             }
-            self.lead = prev.to_vec();
+            lo = start;
         }
-        self.group_open |= !batch.is_empty();
         self.former
             .push_rows(&batch, lo..batch.len(), &self.keys, rec)?;
         self.out.flush(cx.batch_size)
@@ -153,13 +136,13 @@ impl EnforceOp {
 impl Operator for EnforceOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.former = RunFormer::new(cx.memory_budget.unwrap_or(usize::MAX), self.limit);
-        self.group_open = false;
+        self.prefix.open = false;
         self.out = SortedOut::default();
         self.input_done = false;
         self.child.open(cx, rec)?;
         // Without a satisfied prefix nothing can leave before the input
         // ends: a pipeline breaker, drained here.
-        while self.pkeys.is_empty() && !self.input_done {
+        while self.prefix.keys.is_empty() && !self.input_done {
             self.pull(cx, rec)?;
         }
         Ok(())

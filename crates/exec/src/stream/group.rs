@@ -3,11 +3,13 @@
 //! columns — the order-based group-by at every column, the hash group-by
 //! at none — spilling under a budget.
 
+use super::prefix::PrefixReader;
 use super::{Batch, BatchQueue, ExecContext, Operator};
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
 use crate::extsort::seq_header;
 use crate::metrics::ExecRecord;
-use fto_common::column::{batch_row_bytes, encode_batch_keys_arena};
+use crate::sortkernel::KeyArena;
+use fto_common::column::batch_row_bytes;
 use fto_common::Result;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
 use std::sync::Arc;
@@ -55,8 +57,7 @@ struct GroupState {
 /// Per-batch scratch of the grouping and the join, reused across batches.
 #[derive(Default)]
 pub(super) struct GroupScratch {
-    pub(super) key_bytes: Vec<u8>,
-    pub(super) key_offsets: Vec<usize>,
+    pub(super) keys: KeyArena,
     pub(super) gids: Vec<u32>,
     pub(super) first: Vec<u32>,
 }
@@ -91,15 +92,9 @@ impl GroupState {
         scratch: &mut GroupScratch,
         io: &mut IoStats,
     ) -> Result<()> {
-        let GroupScratch {
-            key_bytes,
-            key_offsets,
-            gids,
-            first,
-        } = scratch;
+        let GroupScratch { keys, gids, first } = scratch;
         let spec = &self.spec;
-        let suffix = &spec.keys()[self.prefix_len..];
-        encode_batch_keys_arena(batch, suffix, key_bytes, key_offsets);
+        keys.encode(batch, &spec.keys()[self.prefix_len..]);
         let key_cols = spec.key_columns(batch)?;
         // Overflow rows collect into per-partition selection vectors and
         // spill once per (batch, partition). Per-partition row order is
@@ -107,28 +102,27 @@ impl GroupState {
         // aggregation — is unchanged.
         let mut psel: Vec<(Vec<u32>, Vec<u64>)> = Vec::new();
         let (bytes, mut resident) = (&mut self.bytes, self.table.len());
-        self.table
-            .assign(key_bytes, key_offsets, gids, first, |i, key| {
-                // Estimated resident cost of admitting this group: its
-                // index key, key values, and rough per-accumulator (64)
-                // and hash-entry (48) overheads — what the budget charges,
-                // not what the columnar state occupies.
-                let cost = key.len() + batch_row_bytes(&key_cols, i) + 64 * spec.num_aggs() + 48;
-                if *bytes + cost > budget && resident > 0 {
-                    if psel.is_empty() {
-                        psel = (0..GROUP_SPILL_PARTITIONS)
-                            .map(|_| (Vec::new(), Vec::new()))
-                            .collect();
-                    }
-                    let p = (partition_hash(key, salt) as usize) % GROUP_SPILL_PARTITIONS;
-                    psel[p].0.push(i as u32);
-                    psel[p].1.push(seqs[i]);
-                    return false;
+        self.table.assign(keys, gids, first, |i, key| {
+            // Estimated resident cost of admitting this group: its
+            // index key, key values, and rough per-accumulator (64)
+            // and hash-entry (48) overheads — what the budget charges,
+            // not what the columnar state occupies.
+            let cost = key.len() + batch_row_bytes(&key_cols, i) + 64 * spec.num_aggs() + 48;
+            if *bytes + cost > budget && resident > 0 {
+                if psel.is_empty() {
+                    psel = (0..GROUP_SPILL_PARTITIONS)
+                        .map(|_| (Vec::new(), Vec::new()))
+                        .collect();
                 }
-                *bytes += cost;
-                resident += 1;
-                true
-            });
+                let p = (partition_hash(key, salt) as usize) % GROUP_SPILL_PARTITIONS;
+                psel[p].0.push(i as u32);
+                psel[p].1.push(seqs[i]);
+                return false;
+            }
+            *bytes += cost;
+            resident += 1;
+            true
+        });
         self.first_seqs
             .extend(first.iter().map(|&i| seqs[i as usize]));
         self.agg.absorb(batch, gids, first)?;
@@ -208,14 +202,12 @@ impl GroupState {
 }
 
 /// The grouping operator behind [`PlanNode::GroupBy`]. Its input arrives
-/// with the first k of its n grouping columns satisfied (possibly none),
-/// so rows sharing their values are contiguous: segments are cut on
-/// encoded-prefix byte equality, as the order enforcer cuts its groups,
-/// and group on the other columns through a [`GroupState`]. The sort-key
-/// codec's byte equality is `Value` equality (Int 5 ≡ Double 5.0, one NaN,
-/// one zero), and every row of a key aggregates in arrival order, spilled
-/// or not, so results (float sums included) are bit-identical at every
-/// budget.
+/// with the first k of its n grouping columns satisfied (possibly none):
+/// its segments are the runs the [`PrefixReader`] cuts, and group on the
+/// other columns through a [`GroupState`]. The sort-key codec's byte
+/// equality is `Value` equality, and every row of a key aggregates in
+/// arrival order, spilled or not, so results (float sums included) are
+/// bit-identical at every budget.
 ///
 /// | `Plan::op_name` | k | behaviour |
 /// |---|---|---|
@@ -227,11 +219,9 @@ pub(super) struct GroupByOp {
     child: Box<dyn Operator>,
     /// The open segment's groups; its `prefix_len` is k.
     state: GroupState,
-    /// Encoded prefix of the last row pulled: the open segment's.
-    lead: Vec<u8>,
-    /// The rows of the batch being pulled that start a segment.
-    starts: Vec<u32>,
-    /// Global position of the next input row (a segment is open past 0).
+    /// Cuts the segments: its run is the open segment.
+    prefix: PrefixReader,
+    /// Global position of the next input row.
     seq: u64,
     scratch: GroupScratch,
     input_done: bool,
@@ -245,9 +235,8 @@ impl GroupByOp {
         let prefix_len = prefix_len.min(spec.keys().len());
         GroupByOp {
             child,
+            prefix: PrefixReader::new(spec.keys()[..prefix_len].to_vec()),
             state: GroupState::new(&spec, prefix_len),
-            lead: Vec::new(),
-            starts: Vec::new(),
             seq: 0,
             scratch: GroupScratch::default(),
             input_done: false,
@@ -279,43 +268,10 @@ impl GroupByOp {
         Ok(())
     }
 
-    /// Cuts `batch` on the encoded prefix: `starts` gets the rows that
-    /// start a segment — the input's first row and every row whose prefix
-    /// differs from the row before it — and `scratch.gids` each row's
-    /// segment, counted from the one `open` before the batch (0), else from
-    /// the batch's first: at k = n, its group id. A drained input is one
-    /// segment: there is nothing to cut.
-    fn cut(&mut self, batch: &Batch, open: bool) {
-        self.starts.clear();
-        self.scratch.gids.clear();
-        if self.drains() {
-            return;
-        }
-        let GroupScratch {
-            key_bytes: kb,
-            key_offsets: ko,
-            gids,
-            ..
-        } = &mut self.scratch;
-        let prefix = &self.state.spec.keys()[..self.state.prefix_len];
-        encode_batch_keys_arena(batch, prefix, kb, ko);
-        let mut open = usize::from(open);
-        let mut prev: &[u8] = &self.lead;
-        for (i, w) in ko.windows(2).enumerate() {
-            let key = &kb[w[0]..w[1]];
-            if open == 0 || key != prev {
-                open += 1;
-                self.starts.push(i as u32);
-            }
-            gids.push(open as u32 - 1);
-            prev = key;
-        }
-        self.lead = prev.to_vec();
-    }
-
     /// Pulls one input batch into the open segment, ending a segment at
-    /// every start but the input's first row — or, at end of input, ends
-    /// the last.
+    /// every run the prefix reader starts but the input's first — or, at
+    /// end of input, ends the last. A drained input is one segment: its
+    /// prefix is empty.
     fn pull(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         let budget = cx.memory_budget.unwrap_or(usize::MAX);
         let Some(batch) = self.child.next_batch(cx, rec)? else {
@@ -327,28 +283,36 @@ impl GroupByOp {
         };
         let at = self.seq;
         self.seq += batch.len() as u64;
-        self.cut(&batch, at > 0);
+        let open = self.prefix.cut(&batch);
+        let starts = &self.prefix.starts;
         if self.state.prefix_len == self.state.spec.keys().len() {
-            // Every segment is one group: the groups this batch closed
-            // leave now, and the last stays open.
+            // Every segment is one group. A row's id counts the runs begun
+            // up to it, the one open before the batch being 0: the groups
+            // this batch closed leave now, and the last stays open.
+            let (gids, base) = (&mut self.scratch.gids, usize::from(open));
+            gids.clear();
+            let ends = starts.iter().copied().chain([batch.len() as u32]);
+            for (j, end) in ends.enumerate() {
+                gids.resize(end as usize, (base + j).saturating_sub(1) as u32);
+            }
             let agg = &mut self.state.agg;
-            agg.absorb(&batch, &self.scratch.gids, &self.starts)?;
+            agg.absorb(&batch, gids, starts)?;
             if agg.groups() > 1 {
                 self.out.push(agg.take(agg.groups() - 1)?);
             }
             return Ok(());
         }
         let seqs: Vec<u64> = (at..self.seq).collect();
-        let mut lo = 0;
-        for j in 0..=self.starts.len() {
-            let hi = self.starts.get(j).map_or(batch.len(), |&s| s as usize);
+        let (mut lo, n) = (0, batch.len());
+        for j in 0..=self.prefix.starts.len() {
+            let hi = self.prefix.starts.get(j).map_or(n, |&s| s as usize);
             if hi > lo {
                 let (piece, io) = (batch.slice(lo, hi - lo), &mut rec.stats.io);
                 let scratch = &mut self.scratch;
                 self.state
                     .absorb_batch(&piece, &seqs[lo..hi], budget, 0, scratch, io)?;
             }
-            if j < self.starts.len() && at + hi as u64 > 0 {
+            if j < self.prefix.starts.len() && at + hi as u64 > 0 {
                 self.finish_segment(budget, rec)?;
             }
             lo = hi;
@@ -360,6 +324,7 @@ impl GroupByOp {
 impl Operator for GroupByOp {
     fn open(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
         self.seq = 0;
+        self.prefix.open = false;
         self.input_done = false;
         self.child.open(cx, rec)?;
         // A pipeline breaker drains its input here.

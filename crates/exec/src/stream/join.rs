@@ -4,11 +4,12 @@
 //! join is a keyless build–probe per prefix group.
 
 use super::group::GroupScratch;
+use super::prefix::PrefixReader;
 use super::{passing, Batch, BatchQueue, ExecContext, Operator};
 use crate::aggkernel::{GroupTable, NO_GROUP};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::SortKeys;
-use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
+use fto_common::column::{batch_row_bytes, Column};
 use fto_common::{DataType, FtoError, IndexId, Result, TableId};
 use fto_expr::{PredId, RowLayout};
 use fto_planner::JoinKind;
@@ -242,21 +243,15 @@ impl JoinBuild {
         scratch: &mut GroupScratch,
         io: &mut IoStats,
     ) -> Result<()> {
-        let GroupScratch {
-            key_bytes,
-            key_offsets,
-            gids,
-            first,
-        } = scratch;
-        encode_batch_keys_arena(&batch, &self.ikeys, key_bytes, key_offsets);
+        let GroupScratch { keys, gids, first } = scratch;
+        keys.encode(&batch, &self.ikeys);
         // NULL never joins: a key with a NULL in it is never admitted, so
         // its rows get no key id and drop below — and, the codec being
         // injective, a probe key with a NULL in it finds nothing.
         let ikeys = &self.ikeys;
-        self.table
-            .assign(key_bytes, key_offsets, gids, first, |i, _| {
-                ikeys.iter().all(|&(p, _)| batch.column(p).is_valid(i))
-            });
+        self.table.assign(keys, gids, first, |i, _| {
+            ikeys.iter().all(|&(p, _)| batch.column(p).is_valid(i))
+        });
         self.mem_sel.clear();
         self.spill_sel.clear();
         for (i, &gid) in gids.iter().enumerate() {
@@ -637,20 +632,21 @@ impl JoinOp {
                 i.pos += 1;
                 continue;
             }
-            match o.key(o.pos).cmp(i.key(i.pos)) {
+            match o.key().cmp(i.key()) {
                 Ordering::Less => o.pos += 1,
                 Ordering::Greater => i.pos += 1,
                 Ordering::Equal => {
-                    let lead = o.key(o.pos).to_vec();
-                    while let Some(piece) = o.next_piece(&lead, self.outer.as_mut(), cx, rec)? {
-                        self.pieces.push(piece);
-                    }
+                    let pieces = &mut self.pieces;
+                    o.take_run(self.outer.as_mut(), cx, rec, |piece, _| {
+                        pieces.push(piece);
+                        Ok(())
+                    })?;
                     // A group's build is not charged to the budget.
                     self.build.reset();
-                    while let Some(piece) = i.next_piece(&lead, self.inner.as_mut(), cx, rec)? {
-                        let io = &mut rec.stats.io;
-                        self.build.absorb(piece, None, &mut self.scratch, io)?;
-                    }
+                    let (build, scratch) = (&mut self.build, &mut self.scratch);
+                    i.take_run(self.inner.as_mut(), cx, rec, |piece, rec| {
+                        build.absorb(piece, None, scratch, &mut rec.stats.io)
+                    })?;
                     self.build.finish(rec)?;
                     return Ok(true);
                 }
@@ -688,10 +684,8 @@ impl Operator for JoinOp {
             let mut pieces = std::mem::take(&mut self.pieces);
             for batch in pieces.drain(..) {
                 let s = &mut self.scratch;
-                encode_batch_keys_arena(&batch, &self.okeys, &mut s.key_bytes, &mut s.key_offsets);
-                self.build
-                    .table
-                    .lookup(&s.key_bytes, &s.key_offsets, &mut s.gids);
+                s.keys.encode(&batch, &self.okeys);
+                self.build.table.lookup(&s.keys, &mut s.gids);
                 self.probe(cx, &batch, &mut rec.stats.io)?;
             }
             self.pieces = pieces;
@@ -711,18 +705,15 @@ impl Operator for JoinOp {
 }
 
 /// One input of a join with a satisfied prefix: the batch the merge
-/// stands in, every row's encoded prefix, and the row it stands on. Runs
-/// of rows sharing a prefix are cut on encoded-prefix byte equality, as
-/// the order enforcer cuts groups, and leave as pieces of the batches
-/// they arrived in: a run spanning batches is never concatenated.
+/// stands in, its prefix reader — every row's encoded prefix, the rows
+/// that start a run — and the row it stands on. A run leaves as pieces of
+/// the batches it arrived in: a run spanning batches is never
+/// concatenated.
 struct RunCursor {
-    /// The prefix's key positions, ascending: the codec's canonical form,
-    /// so both sides' encodings compare byte for byte.
-    keys: SortKeys,
+    /// Over the prefix's key positions, ascending: the codec's canonical
+    /// form, so both sides' encodings compare byte for byte.
+    prefix: PrefixReader,
     batch: Batch,
-    /// Encoded prefix of every row of `batch` (`ko` holds n + 1 offsets).
-    kb: Vec<u8>,
-    ko: Vec<usize>,
     pos: usize,
     done: bool,
 }
@@ -730,43 +721,25 @@ struct RunCursor {
 impl RunCursor {
     fn new(keys: SortKeys) -> RunCursor {
         RunCursor {
-            keys,
+            prefix: PrefixReader::new(keys),
             batch: Batch::empty(&[]),
-            kb: Vec::new(),
-            ko: vec![0],
             pos: 0,
             done: false,
         }
     }
 
-    fn key(&self, i: usize) -> &[u8] {
-        &self.kb[self.ko[i]..self.ko[i + 1]]
+    /// The current row's encoded prefix.
+    fn key(&self) -> &[u8] {
+        self.prefix.key(self.pos)
     }
 
     /// True when the current row's prefix holds a NULL.
     fn null(&self) -> bool {
         let pos = self.pos;
-        self.keys
+        self.prefix
+            .keys
             .iter()
             .any(|&(p, _)| !self.batch.column(p).is_valid(pos))
-    }
-
-    /// Moves on to the input's next batch, or marks the input done.
-    fn pull(
-        &mut self,
-        child: &mut dyn Operator,
-        cx: &ExecContext<'_>,
-        rec: &mut ExecRecord,
-    ) -> Result<()> {
-        match child.next_batch(cx, rec)? {
-            Some(batch) => {
-                encode_batch_keys_arena(&batch, &self.keys, &mut self.kb, &mut self.ko);
-                self.batch = batch;
-                self.pos = 0;
-            }
-            None => self.done = true,
-        }
-        Ok(())
     }
 
     /// Stands on a row, pulling past the end of the batch: false at end
@@ -778,34 +751,41 @@ impl RunCursor {
         rec: &mut ExecRecord,
     ) -> Result<bool> {
         while self.pos >= self.batch.len() && !self.done {
-            self.pull(child, cx, rec)?;
+            match child.next_batch(cx, rec)? {
+                Some(batch) => {
+                    self.prefix.cut(&batch);
+                    self.batch = batch;
+                    self.pos = 0;
+                }
+                None => self.done = true,
+            }
         }
         Ok(self.pos < self.batch.len())
     }
 
-    /// The next piece of the run whose prefix is `lead`: the rows from
-    /// here to the end of the batch that share it, pulling the next batch
-    /// when the run reaches the end of this one. `None` once a row differs
-    /// or the input ends.
-    fn next_piece(
+    /// Takes the run the cursor stands in, handing `each` its pieces —
+    /// from here to the run's end or the batch's — and pulling the next
+    /// batch when the run reaches the end of this one, until a row starts
+    /// another run or the input ends.
+    fn take_run(
         &mut self,
-        lead: &[u8],
         child: &mut dyn Operator,
         cx: &ExecContext<'_>,
         rec: &mut ExecRecord,
-    ) -> Result<Option<Batch>> {
+        mut each: impl FnMut(Batch, &mut ExecRecord) -> Result<()>,
+    ) -> Result<()> {
         loop {
-            let start = self.pos;
-            while self.pos < self.batch.len() && self.key(self.pos) == lead {
-                self.pos += 1;
+            let starts = &self.prefix.starts;
+            let next = starts.partition_point(|&s| s as usize <= self.pos);
+            let end = starts.get(next).map_or(self.batch.len(), |&s| s as usize);
+            each(self.batch.slice(self.pos, end - self.pos), rec)?;
+            self.pos = end;
+            if end < self.batch.len()
+                || !self.fill(child, cx, rec)?
+                || self.prefix.starts.first() == Some(&0)
+            {
+                return Ok(());
             }
-            if self.pos > start {
-                return Ok(Some(self.batch.slice(start, self.pos - start)));
-            }
-            if self.pos < self.batch.len() || self.done {
-                return Ok(None);
-            }
-            self.pull(child, cx, rec)?;
         }
     }
 }

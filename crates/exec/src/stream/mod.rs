@@ -48,6 +48,7 @@ mod instrument;
 mod join;
 mod lower;
 mod pipeline;
+mod prefix;
 
 pub(crate) use lower::lower_worker;
 
@@ -914,6 +915,100 @@ mod tests {
         assert!(
             spans.iter().all(|&s| s > 0),
             "groups spanning 2 and 3 batches: {spans:?}"
+        );
+    }
+
+    #[test]
+    fn prefix_reader_matches_a_row_at_a_time_reference_on_random_batch_cuts() {
+        // The one reader the enforcer, the grouping and the merge join cut
+        // runs with, against the definition row by row: a row starts a run
+        // when it is the input's first or its prefix differs, by
+        // `total_cmp`, from the row before it — across batch boundaries
+        // and empty batches — and `key(i)` is the row's `encode_key`.
+        // Prefixes of k ∈ {0, 1, 2} columns, ASC or DESC, hold NULL, NaN
+        // of either sign and −0.0 beside 0.0 (each pair one run). A second
+        // pass after clearing `open` reads the input afresh.
+        use super::prefix::PrefixReader;
+        use fto_common::sortkey::encode_key;
+        let types = [DataType::Int, DataType::Double, DataType::Int];
+        let doubles = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.5];
+        // Runs spanning 3+ batches, batches that are one whole run, and
+        // empty batches a run continues across.
+        let mut seen = [0usize; 3];
+        for seed in 0..16u64 {
+            let mut rng = fto_common::Rng::new(0x9ef1 ^ seed);
+            let mut rows: Vec<Row> = Vec::new();
+            for _ in 0..rng.range_usize(4, 24) {
+                let size =
+                    [1, rng.range_usize(2, 6), rng.range_usize(6, 40)][rng.range_usize(0, 3)];
+                let a = match rng.chance(0.2) {
+                    true => Value::Null,
+                    false => Value::Int(rng.range_i64(0, 3)),
+                };
+                for _ in 0..size {
+                    let b = match rng.chance(0.2) {
+                        true => Value::Null,
+                        false => Value::Double(doubles[rng.range_usize(0, doubles.len())]),
+                    };
+                    let id = Value::Int(rows.len() as i64);
+                    rows.push([a.clone(), b, id].into_iter().collect());
+                }
+            }
+            let n = rows.len();
+            let mut cuts = vec![0];
+            while cuts[cuts.len() - 1] < n {
+                let len = [0, 1, rng.range_usize(2, 8), rng.range_usize(8, 30), n];
+                cuts.push((cuts[cuts.len() - 1] + len[rng.range_usize(0, 5)]).min(n));
+            }
+            for k in 0..=2usize {
+                let keys: SortKeys = (0..k)
+                    .map(|c| (c, [Direction::Asc, Direction::Desc][rng.range_usize(0, 2)]))
+                    .collect();
+                let same =
+                    |x: &Row, y: &Row| keys.iter().all(|&(c, _)| x[c].total_cmp(&y[c]).is_eq());
+                let starts: Vec<bool> = (0..n)
+                    .map(|i| i == 0 || !same(&rows[i - 1], &rows[i]))
+                    .collect();
+                let mut reader = PrefixReader::new(keys.clone());
+                for pass in 0..2 {
+                    reader.open = false;
+                    for w in cuts.windows(2) {
+                        let (lo, hi) = (w[0], w[1]);
+                        let case = format!("seed={seed} k={k} pass={pass} rows {lo}..{hi}");
+                        let batch = Batch::from_typed_rows(&types, &rows[lo..hi]).unwrap();
+                        assert_eq!(reader.cut(&batch), lo > 0, "{case}");
+                        assert_eq!(reader.open, hi > 0, "{case}");
+                        let got: Vec<usize> =
+                            reader.starts.iter().map(|&s| lo + s as usize).collect();
+                        let want: Vec<usize> = (lo..hi).filter(|&i| starts[i]).collect();
+                        assert_eq!(got, want, "{case}");
+                        for i in (lo..hi).filter(|_| k > 0) {
+                            assert_eq!(reader.key(i - lo), encode_key(&rows[i], &keys), "{case}");
+                        }
+                        if k > 0 && pass == 0 {
+                            let run_ends_at = |i: usize| i == n || starts[i];
+                            seen[1] += usize::from(
+                                hi > lo && starts[lo] && want.len() == 1 && run_ends_at(hi),
+                            );
+                            seen[2] += usize::from(lo == hi && 0 < lo && lo < n && !starts[lo]);
+                        }
+                    }
+                }
+                if k > 0 {
+                    // Each run's span: how many non-empty batches it touches.
+                    let run_starts: Vec<usize> = (0..n).filter(|&i| starts[i]).chain([n]).collect();
+                    for r in run_starts.windows(2) {
+                        let touched = cuts
+                            .windows(2)
+                            .filter(|w| w[0] < w[1] && w[0] < r[1] && r[0] < w[1]);
+                        seen[0] += usize::from(touched.count() >= 3);
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s > 0),
+            "long runs, whole-run batches, empty batches inside a run: {seen:?}"
         );
     }
 

@@ -170,11 +170,6 @@ impl Predicate {
         }
     }
 
-    /// True when this is an equality between two distinct columns.
-    pub fn is_col_eq_col(&self) -> bool {
-        matches!(self.classify(), PredClass::ColEqCol(..))
-    }
-
     /// The columns referenced by both operands.
     pub fn cols(&self) -> ColSet {
         let mut s = self.left.cols();

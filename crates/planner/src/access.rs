@@ -16,6 +16,7 @@ use fto_common::{ColSet, Result, TableId, Value};
 use fto_expr::{CompareOp, Expr, PredId, RowLayout};
 use fto_order::{OrderSpec, SortKey, StreamProps};
 use fto_qgm::graph::Quantifier;
+use fto_storage::ENTRIES_PER_LEAF;
 use std::sync::Arc;
 
 /// Generates the access paths for quantifier `q` over base table `tid`,
@@ -63,15 +64,9 @@ pub fn access_paths(
         );
         let (range, fraction) = derive_range(planner, q, ix, local_preds);
         let fetch_rows = rows * fraction;
-        let scan_cost = cost::index_scan(
-            planner
-                .index_leaf_pages(ix.id)
-                .unwrap_or_else(|| (stats.row_count.div_ceil(256)).max(1)),
-            pages,
-            fetch_rows,
-            fraction,
-            ix.clustered,
-        );
+        // Storage's leaf geometry, over the table's rows.
+        let leaf_pages = stats.row_count.div_ceil(ENTRIES_PER_LEAF).max(1);
+        let scan_cost = cost::index_scan(leaf_pages, pages, fetch_rows, fraction, ix.clustered);
         let plan = Plan {
             node: PlanNode::IndexScan {
                 index: ix.id,

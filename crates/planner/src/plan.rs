@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use crate::cost::Cost;
 
-/// Simulated page size as f64 (bytes) for spill arithmetic.
-pub const SIM_PAGE_BYTES: f64 = 4096.0;
+/// Simulated page size as f64 (bytes) for spill arithmetic: storage's.
+pub const SIM_PAGE_BYTES: f64 = fto_storage::PAGE_SIZE as f64;
 
 /// A key range restriction on the leading column of an index scan.
 /// Bounds are inclusive; the residual predicate re-checks exact

@@ -13,7 +13,7 @@ use crate::cost::{self, Cost};
 use crate::join;
 use crate::plan::{JoinKind, Plan, PlanNode};
 use fto_catalog::Catalog;
-use fto_common::{ColId, ColSet, FtoError, IndexId, Result};
+use fto_common::{ColId, ColSet, FtoError, Result};
 use fto_expr::{AggCall, Expr, PredClass, PredId, RowLayout};
 use fto_obs::trace::DEFAULT_CAPACITY;
 use fto_obs::{Trace, TraceEvent};
@@ -881,13 +881,6 @@ impl<'a> Planner<'a> {
     /// The cardinality estimator for this query.
     pub fn estimator(&self) -> CardEstimator<'_> {
         CardEstimator::new(self.graph, self.catalog)
-    }
-
-    /// Simulated leaf-page count of an index, from table statistics.
-    pub fn index_leaf_pages(&self, index: IndexId) -> Option<u64> {
-        let ix = self.catalog.index(index).ok()?;
-        let stats = self.catalog.stats(ix.table);
-        Some(stats.row_count.div_ceil(256).max(1))
     }
 }
 

@@ -228,17 +228,6 @@ impl QgmBox {
         self.output.iter().map(|o| o.col).collect()
     }
 
-    /// All columns visible inside the box (union of quantifier columns).
-    pub fn visible_cols(&self) -> ColSet {
-        let mut s = ColSet::new();
-        for q in &self.quantifiers {
-            for &c in &q.cols {
-                s.insert(c);
-            }
-        }
-        s
-    }
-
     /// Adds an interesting order if no recorded order already covers it
     /// (exact-duplicate suppression; semantic covering happens in the
     /// order scan where a context is available).
@@ -428,6 +417,7 @@ impl Default for QueryGraph {
 mod tests {
     use super::*;
     use fto_catalog::{Catalog, ColumnDef, KeyDef};
+    use fto_expr::PredClass;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -538,6 +528,6 @@ mod tests {
         let mut g = QueryGraph::new();
         let p = g.add_predicate(Predicate::col_eq_col(ColId(0), ColId(1)));
         assert_eq!(p, PredId(0));
-        assert!(g.predicate(p).is_col_eq_col());
+        assert!(matches!(g.predicate(p).classify(), PredClass::ColEqCol(..)));
     }
 }

@@ -22,7 +22,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Entries per simulated index leaf page (keys are small).
-pub(crate) const ENTRIES_PER_LEAF: u64 = 256;
+pub const ENTRIES_PER_LEAF: u64 = 256;
 
 /// An ordered index over a heap table.
 #[derive(Debug)]

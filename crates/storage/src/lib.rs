@@ -26,7 +26,7 @@ pub mod spill;
 
 pub use db::Database;
 pub use heap::{HeapLoader, HeapTable};
-pub use index::OrderedIndex;
+pub use index::{OrderedIndex, ENTRIES_PER_LEAF};
 pub use io::{IoStats, PageCursor, PAGE_SIZE};
 pub use scan::{partition_bounds, HeapScanState, IndexScanState};
 pub use spill::{SpillCursor, SpillFile};

@@ -325,6 +325,32 @@ for f in crates/exec/src/stream/*.rs; do
     fi
 done
 
+echo "==> grep guard: one key arena, one prefix reader"
+# A batch's encoded keys are a sortkernel::KeyArena wherever the executor
+# holds them — the sort kernel's buffers, the group table's keys, the
+# grouping's and the join's per-batch scratch — and KeyArena::encode is
+# the one caller of the batch key encoder. The satisfied prefix of the
+# enforcer, the grouping and the merge join is read by one
+# stream::prefix::PrefixReader, the only holder of a carried prefix (its
+# `lead`): a second copy of the encode/compare/carry rule drifts from the
+# first. (Checked above each file's #[cfg(test)].)
+for f in crates/exec/src/*.rs crates/exec/src/stream/*.rs; do
+    [[ "$f" == crates/exec/src/sortkernel.rs ]] && continue
+    if non_test "$f" | grep -n 'encode_batch_keys_arena('; then
+        echo "guard failed: $f encodes a batch's keys outside KeyArena::encode;"
+        echo "hold them in a sortkernel::KeyArena"
+        exit 1
+    fi
+done
+for f in crates/exec/src/stream/*.rs; do
+    [[ "$f" == crates/exec/src/stream/prefix.rs ]] && continue
+    if non_test "$f" | grep -nE '^\s*(pub(\([a-z]+\))? )?lead:'; then
+        echo "guard failed: $f carries its own prefix across batches;"
+        echo "cut runs with stream::prefix::PrefixReader"
+        exit 1
+    fi
+done
+
 echo "==> grep guard: the heap is read as columns; only the oracle materializes its rows"
 # The scan cursors hand out the heap's column chunks (whole, sliced or
 # gathered); transposing rows back into columns per pull is the cost the
