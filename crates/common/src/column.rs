@@ -713,6 +713,18 @@ impl Batch {
         }
     }
 
+    /// The columns at `positions`, in that order, every row kept: `Arc`
+    /// clones, never a data copy.
+    pub fn select(&self, positions: &[usize]) -> Batch {
+        Batch {
+            columns: positions
+                .iter()
+                .map(|&p| Arc::clone(&self.columns[p]))
+                .collect(),
+            len: self.len,
+        }
+    }
+
     /// Copies rows `offset..offset + len` into a new batch. A full-range
     /// slice is a pointer copy (`Arc` clones), not a data copy.
     pub fn slice(&self, offset: usize, len: usize) -> Batch {

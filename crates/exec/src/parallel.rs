@@ -37,7 +37,7 @@
 
 use crate::metrics::{ExecRecord, WorkerOpMetrics};
 use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, Operator};
-use fto_common::Result;
+use fto_common::{ColSet, Result};
 use fto_obs::{SpanKind, Timeline};
 use fto_planner::Plan;
 use std::sync::Arc;
@@ -48,6 +48,9 @@ use std::time::Instant;
 pub(crate) struct PartitionSpec {
     /// The subtree each worker lowers privately.
     pub plan: Arc<Plan>,
+    /// The columns the gather's consumer reads: every worker lowers the
+    /// subtree for them, so the gather emits what a serial lowering would.
+    pub needed: ColSet,
     /// Number of partitions (the gather's degree of parallelism).
     pub parts: usize,
     /// Pre-order id of the subtree's root (workers number their wrappers
@@ -77,7 +80,15 @@ fn run_partitions(
     let drain = |part: usize, wrec: &mut ExecRecord| -> Result<Vec<Batch>> {
         // Like the coordinator, a worker instruments when its record has
         // slots to fill.
-        let mut op = lower_worker(&wcx, &spec.plan, (part, parts), nodes > 0, spec.base_id)?;
+        let (instrument, base) = (nodes > 0, spec.base_id);
+        let mut op = lower_worker(
+            &wcx,
+            &spec.plan,
+            &spec.needed,
+            (part, parts),
+            instrument,
+            base,
+        )?;
         op.open(&wcx, wrec)?;
         let mut pulled = Vec::new();
         while let Some(batch) = op.next_batch(&wcx, wrec)? {

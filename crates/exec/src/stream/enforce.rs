@@ -2,7 +2,7 @@
 //! and top-n as one operator over a satisfied prefix.
 
 use super::prefix::PrefixReader;
-use super::{Batch, ExecContext, Operator};
+use super::{Batch, ExecContext, Operator, Trim};
 use crate::extsort::{RunFormer, SortedOut};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::{order, KeyArena, SortKeys};
@@ -32,6 +32,10 @@ pub(super) struct EnforceOp {
     pub(super) prefix: PrefixReader,
     pub(super) skeys: SortKeys,
     pub(super) limit: Option<usize>,
+    /// The columns the consumer reads: a key column it does not read
+    /// leaves each input batch once its keys are encoded, so groups buffer,
+    /// spill and gather only the rest.
+    pub(super) keep: Trim,
     /// The buffered rows and spilled runs of a group that spans batches
     /// or outgrows the budget.
     pub(super) former: RunFormer,
@@ -50,6 +54,7 @@ impl EnforceOp {
         keys: SortKeys,
         prefix_len: usize,
         limit: Option<usize>,
+        keep: Trim,
     ) -> EnforceOp {
         let (pkeys, skeys) = keys.split_at(prefix_len.min(keys.len()));
         EnforceOp {
@@ -57,6 +62,7 @@ impl EnforceOp {
             prefix: PrefixReader::new(pkeys.to_vec()),
             skeys: skeys.to_vec(),
             limit,
+            keep,
             former: RunFormer::new(usize::MAX, limit),
             keys: KeyArena::default(),
             perm: Vec::new(),
@@ -116,9 +122,10 @@ impl EnforceOp {
             return self.out.flush(cx.batch_size);
         };
         self.keys.encode(&batch, &self.skeys);
+        let open = self.prefix.cut(&batch);
+        let batch = self.keep.apply(batch);
         self.out.picked.clear();
         self.out.picked.add_source(&batch);
-        let open = self.prefix.cut(&batch);
         let mut lo = 0;
         for j in 0..self.prefix.starts.len() {
             let start = self.prefix.starts[j] as usize;

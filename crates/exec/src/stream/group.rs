@@ -4,7 +4,7 @@
 //! at none — spilling under a budget.
 
 use super::prefix::PrefixReader;
-use super::{Batch, BatchQueue, ExecContext, Operator};
+use super::{Batch, BatchQueue, ExecContext, Operator, Trim};
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
 use crate::extsort::seq_header;
 use crate::metrics::ExecRecord;
@@ -226,12 +226,19 @@ pub(super) struct GroupByOp {
     scratch: GroupScratch,
     input_done: bool,
     out: BatchQueue,
+    /// The output columns the consumer reads.
+    keep: Trim,
 }
 
 impl GroupByOp {
     /// Groups `child`'s rows by `spec`, its first `prefix_len` columns
-    /// satisfied.
-    pub(super) fn new(child: Box<dyn Operator>, spec: Arc<AggSpec>, prefix_len: usize) -> Self {
+    /// satisfied, and hands on the output columns `keep` names.
+    pub(super) fn new(
+        child: Box<dyn Operator>,
+        spec: Arc<AggSpec>,
+        prefix_len: usize,
+        keep: Trim,
+    ) -> Self {
         let prefix_len = prefix_len.min(spec.keys().len());
         GroupByOp {
             child,
@@ -241,6 +248,7 @@ impl GroupByOp {
             scratch: GroupScratch::default(),
             input_done: false,
             out: BatchQueue::default(),
+            keep,
         }
     }
 
@@ -337,7 +345,8 @@ impl Operator for GroupByOp {
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         loop {
             if !self.out.is_empty() {
-                return self.out.take(cx.batch_size).map(Some);
+                let batch = self.out.take(cx.batch_size)?;
+                return Ok(Some(self.keep.apply(batch)));
             }
             if self.input_done {
                 return Ok(None);

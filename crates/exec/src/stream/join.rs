@@ -5,7 +5,7 @@
 
 use super::group::GroupScratch;
 use super::prefix::PrefixReader;
-use super::{passing, Batch, BatchQueue, ExecContext, Operator};
+use super::{passing, Batch, BatchQueue, ExecContext, Operator, Trim};
 use crate::aggkernel::{GroupTable, NO_GROUP};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::SortKeys;
@@ -33,8 +33,16 @@ pub(super) struct IndexNestedLoopJoinOp {
     pub(super) table: TableId,
     pub(super) index: IndexId,
     pub(super) probe_pos: Vec<usize>,
+    /// The outer columns a candidate carries: a probe column no predicate
+    /// and no consumer reads leaves once the probes are made.
+    pub(super) otrim: Trim,
+    /// The inner table's columns a candidate carries.
+    pub(super) ordinals: Vec<usize>,
     pub(super) predicates: Vec<PredId>,
+    /// The candidates' layout, which the predicates read.
     pub(super) layout: RowLayout,
+    /// The candidate columns the consumer reads.
+    pub(super) keep: Trim,
     pub(super) cursor: PageCursor,
     /// The previous probe's lower bound: where the next probe's search
     /// starts ([`fto_storage::OrderedIndex::probe`]).
@@ -81,10 +89,12 @@ impl Operator for IndexNestedLoopJoinOp {
             if osel.is_empty() {
                 continue;
             }
-            let mut cols = batch.gather(&osel).columns().to_vec();
-            cols.extend(heap.gather(&rids)?.columns().iter().cloned());
+            let mut cols = self.otrim.apply(batch).gather(&osel).columns().to_vec();
+            let inner = heap.gather_columns(&rids, &self.ordinals)?;
+            cols.extend(inner.into_iter().map(Arc::new));
             let cand = Batch::from_columns_with_len(cols, osel.len())?;
-            push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand)?;
+            let (predicates, layout) = (&self.predicates, &self.layout);
+            push_matches(&mut self.out, cx, predicates, layout, &self.keep, cand)?;
         }
     }
 
@@ -94,20 +104,22 @@ impl Operator for IndexNestedLoopJoinOp {
     }
 }
 
-/// Queues the rows of a join's candidate batch that pass every residual
-/// predicate (survivors gather once).
+/// Queues the columns `keep` names of the rows of a join's candidate
+/// batch, laid out as `layout`, that pass every residual predicate
+/// (survivors gather once).
 fn push_matches(
     out: &mut BatchQueue,
     cx: &ExecContext<'_>,
     predicates: &[PredId],
     layout: &RowLayout,
+    keep: &Trim,
     cand: Batch,
 ) -> Result<()> {
     let sel = passing(cx, predicates, &cand, layout)?;
     if sel.len() == cand.len() {
-        out.push(cand);
+        out.push(keep.apply(cand));
     } else if !sel.is_empty() {
-        out.push(cand.gather(&sel));
+        out.push(keep.apply(cand).gather(&sel));
     }
     Ok(())
 }
@@ -151,7 +163,11 @@ enum BuildRef {
 /// ([`Self::candidates`]), holding one decoded group at a time.
 struct JoinBuild {
     ikeys: SortKeys,
-    /// The declared types of the inner side's columns: what `mem` is
+    /// The inner columns a candidate carries: a key column no predicate
+    /// and no consumer reads leaves each build batch once its keys are
+    /// encoded, so resident and spilled rows hold only the rest.
+    trim: Trim,
+    /// The declared types of the carried inner columns: what `mem` is
     /// built as when no row stays resident, and what a left-outer join
     /// pads an unmatched outer row with.
     types: Vec<DataType>,
@@ -186,9 +202,10 @@ struct JoinBuild {
 }
 
 impl JoinBuild {
-    fn new(ikeys: SortKeys, types: Vec<DataType>) -> JoinBuild {
+    fn new(ikeys: SortKeys, trim: Trim, types: Vec<DataType>) -> JoinBuild {
         JoinBuild {
             ikeys,
+            trim,
             segs: Vec::new(),
             mem: Batch::empty(&types),
             types,
@@ -228,6 +245,7 @@ impl JoinBuild {
     fn release(&mut self) {
         *self = JoinBuild::new(
             std::mem::take(&mut self.ikeys),
+            std::mem::take(&mut self.trim),
             std::mem::take(&mut self.types),
         );
     }
@@ -252,6 +270,7 @@ impl JoinBuild {
         self.table.assign(keys, gids, first, |i, _| {
             ikeys.iter().all(|&(p, _)| batch.column(p).is_valid(i))
         });
+        let batch = self.trim.apply(batch);
         self.mem_sel.clear();
         self.spill_sel.clear();
         for (i, &gid) in gids.iter().enumerate() {
@@ -478,8 +497,13 @@ pub(super) struct JoinOp {
     /// The outer's equated columns past the satisfied prefix: the probe
     /// keys.
     okeys: SortKeys,
+    /// The outer columns a candidate carries.
+    otrim: Trim,
     predicates: Vec<PredId>,
+    /// The candidates' layout, which the predicates read.
     layout: RowLayout,
+    /// The candidate columns the consumer reads.
+    keep: Trim,
     /// Keyed on the inner's equated columns past the prefix.
     build: JoinBuild,
     /// With a satisfied prefix: the outer's and the inner's run cursors.
@@ -495,14 +519,16 @@ pub(super) struct JoinOp {
 impl JoinOp {
     /// Joins `outer` and `inner` on the equated key positions
     /// `okeys`/`ikeys`, both inputs ordered on the first `prefix_len`
-    /// pairs; `types` declares the inner's columns.
+    /// pairs. A candidate pairs the outer columns `otrim` names with the
+    /// inner columns `itrim` names, whose types `types` declares, and is
+    /// laid out as `layout`; the columns `keep` names leave.
     pub(super) fn new(
         kind: JoinKind,
-        (outer, mut okeys): (Box<dyn Operator>, SortKeys),
-        (inner, mut ikeys): (Box<dyn Operator>, SortKeys),
+        (outer, mut okeys, otrim): (Box<dyn Operator>, SortKeys, Trim),
+        (inner, mut ikeys, itrim): (Box<dyn Operator>, SortKeys, Trim),
         prefix_len: usize,
         predicates: Vec<PredId>,
-        layout: RowLayout,
+        (keep, layout): (Trim, RowLayout),
         types: Vec<DataType>,
     ) -> JoinOp {
         let k = prefix_len.min(okeys.len());
@@ -515,9 +541,11 @@ impl JoinOp {
             outer,
             inner,
             okeys,
+            otrim,
             predicates,
             layout,
-            build: JoinBuild::new(ikeys, types),
+            keep,
+            build: JoinBuild::new(ikeys, itrim, types),
             runs,
             pieces: Vec::new(),
             scratch: GroupScratch::default(),
@@ -582,12 +610,14 @@ impl JoinOp {
             return Ok(());
         }
         let cand = self.build.candidates(p.batch, &p.osel, &p.brefs, io)?;
+        let (predicates, layout) = (&self.predicates, &self.layout);
         let Some(padded) = &p.padded else {
-            return push_matches(&mut self.out, cx, &self.predicates, &self.layout, cand);
+            return push_matches(&mut self.out, cx, predicates, layout, &self.keep, cand);
         };
         // `sel` is ascending and `osel` non-decreasing, so one forward
         // merge splices survivors and padded rows into outer order.
-        let sel = passing(cx, &self.predicates, &cand, &self.layout)?;
+        let sel = passing(cx, predicates, &cand, layout)?;
+        let (cand, padded) = (self.keep.apply(cand), self.keep.apply(padded.clone()));
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(sel.len());
         let mut si = 0;
         for oi in p.next..=done {
@@ -605,7 +635,7 @@ impl JoinOp {
         }
         p.next = done;
         self.out
-            .push(Batch::gather_multi(&[&cand, padded], &pairs)?);
+            .push(Batch::gather_multi(&[&cand, &padded], &pairs)?);
         Ok(())
     }
 
@@ -686,6 +716,7 @@ impl Operator for JoinOp {
                 let s = &mut self.scratch;
                 s.keys.encode(&batch, &self.okeys);
                 self.build.table.lookup(&s.keys, &mut s.gids);
+                let batch = self.otrim.apply(batch);
                 self.probe(cx, &batch, &mut rec.stats.io)?;
             }
             self.pieces = pieces;

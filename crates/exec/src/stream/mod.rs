@@ -53,7 +53,7 @@ mod prefix;
 pub(crate) use lower::lower_worker;
 
 use crate::metrics::{ExecRecord, OpMetrics, PlanMetrics};
-use fto_common::{FtoError, Result};
+use fto_common::{ColId, FtoError, Result};
 use fto_expr::{vector, PredId, RowLayout};
 use fto_planner::{OptimizerConfig, Plan, PlanNode};
 use fto_qgm::QueryGraph;
@@ -148,7 +148,8 @@ pub(crate) fn drive(
     rec: &mut ExecRecord,
 ) -> Result<(Vec<Batch>, Duration)> {
     let start = Instant::now();
-    let mut root = lower_impl(plan, &mut LowerCx::new(cx, !rec.ops.is_empty()))?;
+    let lw = &mut LowerCx::new(cx, !rec.ops.is_empty());
+    let (mut root, _) = lower_impl(plan, &plan.layout.col_set(), lw)?;
     root.open(cx, rec)?;
     let mut batches = Vec::new();
     while let Some(batch) = root.next_batch(cx, rec)? {
@@ -265,6 +266,42 @@ impl BatchQueue {
         self.parts.clear();
         self.front = 0;
         self.len = 0;
+    }
+}
+
+/// The positions of `cols` in `layout`.
+fn positions(layout: &RowLayout, cols: &[ColId]) -> Result<Vec<usize>> {
+    cols.iter()
+        .map(|&c| {
+            layout
+                .position(c)
+                .ok_or_else(|| FtoError::internal(format!("column {c} missing from layout")))
+        })
+        .collect()
+}
+
+/// The columns an operator hands on, as positions in the row it works on:
+/// every one, or only those its consumer reads. A column the operator
+/// reads itself and its consumer does not — a sort key, a join key, a
+/// residual predicate's column — leaves the row here, by `Arc` clone.
+#[derive(Default)]
+struct Trim(Option<Vec<usize>>);
+
+impl Trim {
+    /// The trim from rows laid out as `working` to rows laid out as `out`,
+    /// whose columns `working` holds in the same order.
+    fn new(working: &RowLayout, out: &RowLayout) -> Result<Trim> {
+        if working.cols() == out.cols() {
+            return Ok(Trim(None));
+        }
+        positions(working, out.cols()).map(|p| Trim(Some(p)))
+    }
+
+    fn apply(&self, batch: Batch) -> Batch {
+        match &self.0 {
+            None => batch,
+            Some(keep) => batch.select(keep),
+        }
     }
 }
 
@@ -618,7 +655,7 @@ mod tests {
             let types = vec![int; gpos.len() + aggs.len()];
             let spec = Arc::new(AggSpec::new(&gpos, &aggs, layout.clone(), types));
             for k in 0..=gpos.len() {
-                let mut op = GroupByOp::new(feed(), Arc::clone(&spec), k);
+                let mut op = GroupByOp::new(feed(), Arc::clone(&spec), k, Trim::default());
                 let mut rec = ExecRecord::default();
                 op.open(&cx, &mut rec).unwrap();
                 let mut rows = Vec::new();
@@ -771,7 +808,8 @@ mod tests {
                     for memory_budget in [Some(1usize), Some(1 << 10), None] {
                         let opts = knobs([1, 7, 1024][rng.range_usize(0, 3)], 1, memory_budget);
                         let cx = ExecContext::new(&db, &graph, &opts);
-                        let op = EnforceOp::new(feed(&batches), keys.clone(), k, limit);
+                        let op =
+                            EnforceOp::new(feed(&batches), keys.clone(), k, limit, Trim::default());
                         let got = drain(Box::new(op), &cx);
                         assert_eq!(exact(&got), want, "{case} {opts:?}");
                     }
@@ -881,7 +919,7 @@ mod tests {
                         let opts = knobs(batch_size, 1, memory_budget);
                         let cx = ExecContext::new(&db, &graph, &opts);
                         let feed = Box::new(Feed(batches.iter().cloned().collect()));
-                        let op = EnforceOp::new(feed, keys.clone(), k, None);
+                        let op = EnforceOp::new(feed, keys.clone(), k, None, Trim::default());
                         let mut rec = ExecRecord::default();
                         let got = drain_into(Box::new(op), &cx, &mut rec);
                         assert_eq!(exact(&got), exact(&want), "{case}");
@@ -1172,7 +1210,8 @@ mod tests {
                                 at = end;
                             }
                             let keys: SortKeys = (0..pairs).map(|p| (p, Direction::Asc)).collect();
-                            (Box::new(Feed(batches)) as Box<dyn Operator>, keys)
+                            let feed = Box::new(Feed(batches)) as Box<dyn Operator>;
+                            (feed, keys, Trim::default())
                         };
                         let (outer, inner) = (feed(0), feed(1));
                         let layout = join.layout.clone();
@@ -1183,7 +1222,7 @@ mod tests {
                             inner,
                             k,
                             predicates.clone(),
-                            layout,
+                            (Trim::default(), layout),
                             inner_types,
                         );
                         let opts = knobs([1, 7, 1024][rng.range_usize(0, 3)], 1, None);
@@ -1283,7 +1322,12 @@ mod tests {
                         }
                         let opts = knobs(batch_size, 1, memory_budget);
                         let cx = ExecContext::new(&db, &graph, &opts);
-                        let op = GroupByOp::new(Box::new(Feed(batches)), Arc::clone(&spec), k);
+                        let op = GroupByOp::new(
+                            Box::new(Feed(batches)),
+                            Arc::clone(&spec),
+                            k,
+                            Trim::default(),
+                        );
                         assert_eq!(exact(&drain(Box::new(op), &cx)), want, "{case} {opts:?}");
                     }
                 }
@@ -1612,6 +1656,109 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn operators_carry_only_the_columns_their_consumer_reads() {
+        // A filter over a six-column table whose consumer reads two of its
+        // columns emits two-column batches holding exactly the rows the
+        // full gather holds, restricted to those two: serially and through
+        // a gather's workers, under a union of two such inputs, and under
+        // an enforcer ordered on a third column its consumer does not read
+        // (in memory and spilling under a budget).
+        use fto_expr::{CompareOp, Predicate};
+        let (int, dbl, str) = (DataType::Int, DataType::Double, DataType::Str);
+        let types: &[DataType] = &[int, str, dbl, int, str, int];
+        let mut cat = fto_catalog::Catalog::new();
+        let cols = (0..types.len())
+            .map(|c| fto_catalog::ColumnDef::new(format!("c{c}"), types[c]))
+            .collect();
+        let table = cat.create_table("w", cols, vec![]).unwrap();
+        let rows: Vec<Row> = (0..2600i64)
+            .map(|i| {
+                let row = [
+                    Value::Int(i),
+                    Value::str(format!("s{}", i % 7)),
+                    Value::Double((i % 13) as f64 * 0.5),
+                    Value::Int(i % 11),
+                    Value::str(format!("pad{i}")),
+                    Value::Int((i * 7919) % 1000),
+                ];
+                row.into_iter().collect()
+            })
+            .collect();
+        let mut db = Database::new(cat);
+        db.load_table(table, rows.clone()).unwrap();
+        // Quantifier 0's columns are 0–5, quantifier 1's 6–11.
+        let mut graph = base_graph(&[(table, types), (table, types)]);
+        let (lt, ge) = (CompareOp::Lt, CompareOp::Ge);
+        let low = graph.add_predicate(Predicate::new(lt, Expr::col(ColId(3)), Expr::int(6)));
+        let high = graph.add_predicate(Predicate::new(ge, Expr::col(ColId(9)), Expr::int(6)));
+        let filter = |q: u32, pred: PredId| {
+            let cols: Vec<u32> = (6 * q..6 * q + 6).collect();
+            let input = scan_node(table, q, &cols);
+            let node = PlanNode::Filter {
+                input,
+                predicates: vec![pred],
+            };
+            plan_node(node, &cols)
+        };
+        let (low_rows, high_rows): (Vec<Row>, Vec<Row>) =
+            rows.iter().cloned().partition(|r| r[3] < Value::Int(6));
+        let narrow = |rows: &[Row]| -> Vec<Row> {
+            let pick = |r: &Row| [1, 5].iter().map(|&c| r[c].clone()).collect();
+            rows.iter().map(pick).collect()
+        };
+        // Drains `op`, every batch of it two columns wide.
+        let two_wide = |mut op: Box<dyn Operator>, cx: &ExecContext<'_>| {
+            let mut rec = ExecRecord::default();
+            op.open(cx, &mut rec).unwrap();
+            let mut rows = Vec::new();
+            while let Some(batch) = op.next_batch(cx, &mut rec).unwrap() {
+                assert_eq!(batch.arity(), 2, "a batch carries a column nobody reads");
+                batch.append_rows_to(&mut rows);
+            }
+            op.close(&mut rec);
+            exact(&rows)
+        };
+        let read = ColSet::from_cols([ColId(5), ColId(1)]);
+        for (threads, budget) in [(1usize, None), (2, None), (1, Some(2048))] {
+            let cx = ExecContext::new(&db, &graph, &knobs(300, threads, budget));
+            let case = format!("threads={threads} budget={budget:?}");
+            // The filter as a drained input: at two threads, a gather over
+            // two workers' filters.
+            let mut lw = LowerCx::new(&cx, false);
+            let (op, layout) = lower::lower_input(&filter(0, low), &read, true, &mut lw).unwrap();
+            assert_eq!(layout.cols(), [ColId(1), ColId(5)], "{case}");
+            assert_eq!(two_wide(op, &cx), exact(&narrow(&low_rows)), "{case}");
+
+            let union = PlanNode::UnionAll {
+                inputs: vec![filter(0, low), filter(1, high)],
+            };
+            let union = plan_node(union, &[12, 13, 14, 15, 16, 17]);
+            let needed = ColSet::from_cols([ColId(13), ColId(17)]);
+            let (op, layout) = lower_impl(&union, &needed, &mut LowerCx::new(&cx, false)).unwrap();
+            assert_eq!(layout.cols(), [ColId(13), ColId(17)], "{case}");
+            let both = [narrow(&low_rows), narrow(&high_rows)].concat();
+            assert_eq!(two_wide(op, &cx), exact(&both), "{case}");
+
+            let spec = [fto_order::SortKey {
+                col: ColId(2),
+                dir: Direction::Desc,
+            }];
+            let sort = PlanNode::Sort {
+                input: filter(0, low),
+                spec: spec.into_iter().collect(),
+                prefix_len: 0,
+                est_groups: 1,
+                limit: None,
+            };
+            let sort = plan_node(sort, &[0, 1, 2, 3, 4, 5]);
+            let (op, layout) = lower_impl(&sort, &read, &mut LowerCx::new(&cx, false)).unwrap();
+            assert_eq!(layout.cols(), [ColId(1), ColId(5)], "{case}");
+            let want = narrow(&sorted(&low_rows, &[(2, Direction::Desc)]));
+            assert_eq!(two_wide(op, &cx), exact(&want), "{case}");
         }
     }
 }

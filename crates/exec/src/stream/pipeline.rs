@@ -2,7 +2,7 @@
 //! limit and union all. None holds state across batches beyond a cursor
 //! or a count.
 
-use super::{passing, Batch, ExecContext, Operator};
+use super::{passing, Batch, ExecContext, Operator, Trim};
 use crate::metrics::ExecRecord;
 use fto_common::{FtoError, IndexId, Result, TableId};
 use fto_expr::{vector, Expr, PredId, RowLayout};
@@ -15,6 +15,8 @@ use fto_storage::{HeapScanState, IndexScanState};
 
 pub(super) struct ScanOp {
     pub(super) table: TableId,
+    /// The heap columns the consumer reads, in the order it reads them.
+    pub(super) ordinals: Vec<usize>,
     /// Which page-aligned partition of the heap this cursor walks;
     /// `(0, 1)` outside worker pipelines, i.e. the whole heap.
     pub(super) part: usize,
@@ -31,9 +33,9 @@ impl Operator for ScanOp {
 
     fn next_batch(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<Option<Batch>> {
         let heap = cx.db.heap(self.table)?;
-        let batch = self
-            .state
-            .next_columns(heap, cx.batch_size, &mut rec.stats.io)?;
+        let batch =
+            self.state
+                .next_columns(heap, &self.ordinals, cx.batch_size, &mut rec.stats.io)?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
@@ -41,6 +43,8 @@ impl Operator for ScanOp {
 pub(super) struct IndexScanOp {
     pub(super) index: IndexId,
     pub(super) table: TableId,
+    /// The heap columns the consumer reads, in the order it reads them.
+    pub(super) ordinals: Vec<usize>,
     pub(super) range: Option<ScanRange>,
     pub(super) reverse: bool,
     /// Which leaf-aligned partition of the matching entries this cursor
@@ -83,7 +87,8 @@ impl Operator for IndexScanOp {
             .state
             .as_mut()
             .ok_or_else(|| FtoError::internal("index scan used before open"))?;
-        let batch = state.next_columns(ix, heap, cx.batch_size, &mut rec.stats.io)?;
+        let batch =
+            state.next_columns(ix, heap, &self.ordinals, cx.batch_size, &mut rec.stats.io)?;
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 
@@ -99,7 +104,10 @@ impl Operator for IndexScanOp {
 pub(super) struct FilterOp {
     pub(super) child: Box<dyn Operator>,
     pub(super) predicates: Vec<PredId>,
+    /// The child's layout, which the predicates read.
     pub(super) layout: RowLayout,
+    /// The columns the consumer reads: the only ones survivors gather.
+    pub(super) keep: Trim,
 }
 
 impl Operator for FilterOp {
@@ -113,12 +121,14 @@ impl Operator for FilterOp {
                 return Ok(None);
             };
             let sel = passing(cx, &self.predicates, &batch, &self.layout)?;
-            if sel.len() == batch.len() {
-                return Ok(Some(batch));
+            if sel.is_empty() {
+                continue;
             }
-            if !sel.is_empty() {
-                return Ok(Some(batch.gather(&sel)));
-            }
+            let batch = self.keep.apply(batch);
+            return Ok(Some(match sel.len() == batch.len() {
+                true => batch,
+                false => batch.gather(&sel),
+            }));
         }
     }
 
@@ -175,8 +185,7 @@ impl Operator for LimitOp {
             return Ok(None);
         };
         if batch.len() as u64 > self.remaining {
-            let keep: Vec<u32> = (0..self.remaining as u32).collect();
-            batch = batch.gather(&keep);
+            batch = batch.slice(0, self.remaining as usize);
         }
         self.remaining -= batch.len() as u64;
         Ok(Some(batch))

@@ -11,6 +11,7 @@
 use crate::io::PAGE_SIZE;
 use fto_common::column::encode_batch_keys_arena;
 use fto_common::{Batch, Column, DataType, Direction, FtoError, Result, Row, TableId};
+use std::sync::Arc;
 
 /// Rows per stored chunk: the executor's default batch size, so a
 /// default-sized pull at a chunk boundary is one whole chunk.
@@ -70,13 +71,15 @@ impl HeapTable {
         &self.chunks
     }
 
-    /// Rows `lo..hi` in heap order. A range covering exactly one chunk
-    /// shares that chunk's columns (`Arc` clones, no copy); a range
-    /// inside one chunk is a typed slice; a wider one concatenates.
-    pub fn columns(&self, lo: usize, hi: usize) -> Result<Batch> {
+    /// Columns `ordinals` (each below [`HeapTable::arity`]) of rows
+    /// `lo..hi`, in heap order. A range covering exactly one chunk shares
+    /// that chunk's columns (`Arc` clones, no copy); a range inside one
+    /// chunk is a typed slice; a wider one concatenates.
+    pub fn columns(&self, lo: usize, hi: usize, ordinals: &[usize]) -> Result<Batch> {
         debug_assert!(lo <= hi && hi <= self.rows);
         if lo == hi {
-            return Ok(Batch::empty(&self.types));
+            let types: Vec<DataType> = ordinals.iter().map(|&o| self.types[o]).collect();
+            return Ok(Batch::empty(&types));
         }
         let mut parts = Vec::new();
         let mut at = lo;
@@ -84,25 +87,15 @@ impl HeapTable {
             let chunk = &self.chunks[at / CHUNK_ROWS];
             let offset = at % CHUNK_ROWS;
             let len = (chunk.len() - offset).min(hi - at);
-            parts.push(chunk.slice(offset, len));
+            parts.push(chunk.select(ordinals).slice(offset, len));
             at += len;
         }
         Batch::concat(&parts)
     }
 
-    /// The rows named by `rids`, in that order (ids may repeat).
-    pub fn gather(&self, rids: &[usize]) -> Result<Batch> {
-        let (sources, pairs) = self.gather_sources(rids);
-        if sources.is_empty() {
-            return Ok(Batch::empty(&self.types));
-        }
-        Batch::gather_multi(&sources, &pairs)
-    }
-
     /// Columns `ordinals` (each below [`HeapTable::arity`]) of the rows
-    /// named by `rids`, in that order: the gather of [`HeapTable::gather`]
-    /// with every other column left out.
-    pub(crate) fn gather_columns(&self, rids: &[usize], ordinals: &[usize]) -> Result<Vec<Column>> {
+    /// named by `rids`, in that order (ids may repeat).
+    pub fn gather_columns(&self, rids: &[usize], ordinals: &[usize]) -> Result<Vec<Column>> {
         let (sources, pairs) = self.gather_sources(rids);
         let column = |&o: &usize| match sources.is_empty() {
             true => Ok(Column::nulls(self.types[o], 0)),
@@ -135,7 +128,7 @@ impl HeapTable {
     }
 
     /// Materializes row `rid` — for tests; the executor reads
-    /// [`HeapTable::columns`] and [`HeapTable::gather`].
+    /// [`HeapTable::columns`] and [`HeapTable::gather_columns`].
     pub fn row(&self, rid: usize) -> Row {
         self.chunks[rid / CHUNK_ROWS].row(rid % CHUNK_ROWS)
     }
@@ -179,10 +172,12 @@ impl HeapTable {
         }
         let mut order: Vec<usize> = (0..self.rows).collect();
         order.sort_by(|&a, &b| enc(a).cmp(enc(b)));
-        self.chunks = order
-            .chunks(CHUNK_ROWS)
-            .map(|rids| self.gather(rids))
-            .collect::<Result<_>>()?;
+        let every: Vec<usize> = (0..self.arity()).collect();
+        let chunk = |rids: &[usize]| {
+            let cols = self.gather_columns(rids, &every)?;
+            Batch::from_columns_with_len(cols.into_iter().map(Arc::new).collect(), rids.len())
+        };
+        self.chunks = order.chunks(CHUNK_ROWS).map(chunk).collect::<Result<_>>()?;
         Ok(())
     }
 }
@@ -297,8 +292,9 @@ mod tests {
         let h = int_heap(8, 0);
         assert_eq!(h.page_count(), 1);
         assert_eq!(h.row_count(), 0);
-        assert_eq!(h.gather(&[]).unwrap().arity(), 1);
-        assert_eq!(h.columns(0, 0).unwrap().arity(), 1);
+        assert_eq!(h.gather_columns(&[], &[0]).unwrap().len(), 1);
+        assert_eq!(h.columns(0, 0, &[0]).unwrap().arity(), 1);
+        assert_eq!(h.columns(0, 0, &[]).unwrap().arity(), 0);
     }
 
     #[test]
@@ -314,14 +310,12 @@ mod tests {
         assert_eq!(h.chunks().len(), 3);
         assert_eq!(h.row(CHUNK_ROWS + 1)[0], Value::Int(CHUNK_ROWS as i64 + 1));
         assert_eq!(h.to_rows().len(), n as usize);
-        let got = h.gather(&[2 * CHUNK_ROWS + 4, 0, CHUNK_ROWS, 0]).unwrap();
-        let keys: Vec<i64> = got
-            .to_rows()
-            .iter()
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
+        let got = h
+            .gather_columns(&[2 * CHUNK_ROWS + 4, 0, CHUNK_ROWS, 0], &[0])
+            .unwrap();
+        let keys: Vec<i64> = (0..4).map(|i| got[0].value(i).as_int().unwrap()).collect();
         assert_eq!(keys, vec![n - 1, 0, CHUNK_ROWS as i64, 0]);
-        let span = h.columns(CHUNK_ROWS - 1, CHUNK_ROWS + 2).unwrap();
+        let span = h.columns(CHUNK_ROWS - 1, CHUNK_ROWS + 2, &[0]).unwrap();
         let keys: Vec<i64> = span
             .to_rows()
             .iter()
@@ -333,7 +327,7 @@ mod tests {
     #[test]
     fn whole_chunk_pull_shares_the_stored_columns() {
         let h = int_heap(8, 2 * CHUNK_ROWS as i64);
-        let pulled = h.columns(CHUNK_ROWS, 2 * CHUNK_ROWS).unwrap();
+        let pulled = h.columns(CHUNK_ROWS, 2 * CHUNK_ROWS, &[0]).unwrap();
         assert!(std::sync::Arc::ptr_eq(
             pulled.column(0),
             h.chunks()[1].column(0)

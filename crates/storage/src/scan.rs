@@ -20,6 +20,7 @@ use crate::heap::HeapTable;
 use crate::index::{OrderedIndex, ENTRIES_PER_LEAF};
 use crate::io::{IoStats, PageCursor};
 use fto_common::{Batch, Result, Value};
+use std::sync::Arc;
 
 /// Splits `[lo, hi)` into `parts` deterministic contiguous chunks and
 /// returns the bounds of chunk `part`, with every *interior* cut rounded
@@ -108,24 +109,26 @@ impl HeapScanState {
     ///
     /// Pages and rows are charged row by row — the unit the page cursor
     /// sees must not depend on how the heap happens to chunk its
-    /// columns — and the rows then come out of the heap as columns: a
-    /// pull covering exactly one stored chunk shares its `Arc`s.
+    /// columns, nor on which of them the caller reads — and columns
+    /// `ordinals` of the rows then come out of the heap: a pull covering
+    /// exactly one stored chunk shares its `Arc`s.
     pub fn next_columns(
         &mut self,
         heap: &HeapTable,
+        ordinals: &[usize],
         max_rows: usize,
         io: &mut IoStats,
     ) -> Result<Batch> {
         let total = (heap.row_count() as usize).min(self.end_rid);
         let end = (self.next_rid + max_rows.max(1)).min(total);
         if self.next_rid >= end {
-            return heap.columns(0, 0);
+            return heap.columns(0, 0, ordinals);
         }
         for rid in self.next_rid..end {
             self.cursor.touch(heap.page_of(rid), io);
             io.rows_read += 1;
         }
-        let batch = heap.columns(self.next_rid, end)?;
+        let batch = heap.columns(self.next_rid, end, ordinals)?;
         self.next_rid = end;
         Ok(batch)
     }
@@ -212,12 +215,14 @@ impl IndexScanState {
     /// paper's ordered access paths exploit. Pages past the point where
     /// the caller stops pulling are never charged.
     ///
-    /// Charging walks the entries one by one, collecting row ids; the
-    /// rows are then gathered from the heap's columns once per batch.
+    /// Charging walks the entries one by one, collecting row ids;
+    /// columns `ordinals` of the rows are then gathered from the heap
+    /// once per batch.
     pub fn next_columns(
         &mut self,
         index: &OrderedIndex,
         heap: &HeapTable,
+        ordinals: &[usize],
         max_rows: usize,
         io: &mut IoStats,
     ) -> Result<Batch> {
@@ -244,7 +249,8 @@ impl IndexScanState {
                 self.start += 1;
             }
         }
-        heap.gather(&rids)
+        let cols = heap.gather_columns(&rids, ordinals)?;
+        Batch::from_columns_with_len(cols.into_iter().map(Arc::new).collect(), rids.len())
     }
 }
 
@@ -275,7 +281,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut rows = Vec::new();
         loop {
-            let b = s.next_columns(&h, 7, &mut io).unwrap();
+            let b = s.next_columns(&h, &[0, 1], 7, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -293,7 +299,7 @@ mod tests {
         let h = heap(100); // 3 pages
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        let b = s.next_columns(&h, 10, &mut io).unwrap();
+        let b = s.next_columns(&h, &[0, 1], 10, &mut io).unwrap();
         assert_eq!(b.len(), 10);
         assert_eq!(io.sequential_pages, 1);
         assert!(io.sequential_pages < h.page_count());
@@ -304,7 +310,7 @@ mod tests {
         let h = heap(0);
         let mut s = HeapScanState::new();
         let mut io = IoStats::new();
-        assert!(s.next_columns(&h, 8, &mut io).unwrap().is_empty());
+        assert!(s.next_columns(&h, &[0, 1], 8, &mut io).unwrap().is_empty());
         assert_eq!(io.sequential_pages, 0);
         assert_eq!(io.rows_read, 0);
     }
@@ -317,7 +323,7 @@ mod tests {
         let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
         let mut keys = Vec::new();
         loop {
-            let b = s.next_columns(&ix, &h, 2, &mut io).unwrap();
+            let b = s.next_columns(&ix, &h, &[0, 1], 2, &mut io).unwrap();
             if b.is_empty() {
                 break;
             }
@@ -328,7 +334,7 @@ mod tests {
 
         let mut rio = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true).unwrap();
-        let b = s.next_columns(&ix, &h, 10, &mut rio).unwrap();
+        let b = s.next_columns(&ix, &h, &[0, 1], 10, &mut rio).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![5, 4, 3, 2, 1]);
     }
@@ -340,7 +346,7 @@ mod tests {
         let mut io = IoStats::new();
         let mut s =
             IndexScanState::open(&ix, Some(&Value::Int(3)), Some(&Value::Int(6)), false).unwrap();
-        let b = s.next_columns(&ix, &h, 100, &mut io).unwrap();
+        let b = s.next_columns(&ix, &h, &[0, 1], 100, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
     }
@@ -354,13 +360,17 @@ mod tests {
         // Consuming only the first batch touches one leaf.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
-        s.next_columns(&ix, &h, 100, &mut io).unwrap();
+        s.next_columns(&ix, &h, &[0, 1], 100, &mut io).unwrap();
         assert_eq!(io.index_pages, 1);
 
         // Run to completion: exactly leaf_pages() leaves.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, false).unwrap();
-        while !s.next_columns(&ix, &h, 100, &mut io).unwrap().is_empty() {}
+        while !s
+            .next_columns(&ix, &h, &[0, 1], 100, &mut io)
+            .unwrap()
+            .is_empty()
+        {}
         assert_eq!(io.index_pages, ix.leaf_pages());
     }
 
@@ -399,7 +409,7 @@ mod tests {
             for part in 0..parts {
                 let mut s = HeapScanState::partition(&h, part, parts);
                 loop {
-                    let b = s.next_columns(&h, 33, &mut io).unwrap();
+                    let b = s.next_columns(&h, &[0, 1], 33, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -427,7 +437,7 @@ mod tests {
                 let mut s =
                     IndexScanState::open_partition(&ix, None, None, false, part, parts).unwrap();
                 loop {
-                    let b = s.next_columns(&ix, &h, 57, &mut io).unwrap();
+                    let b = s.next_columns(&ix, &h, &[0, 1], 57, &mut io).unwrap();
                     if b.is_empty() {
                         break;
                     }
@@ -453,7 +463,7 @@ mod tests {
         for part in (0..parts).rev() {
             let mut s = IndexScanState::open_partition(&ix, None, None, true, part, parts).unwrap();
             loop {
-                let b = s.next_columns(&ix, &h, 64, &mut io).unwrap();
+                let b = s.next_columns(&ix, &h, &[0, 1], 64, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -480,7 +490,7 @@ mod tests {
             )
             .unwrap();
             loop {
-                let b = s.next_columns(&ix, &h, 128, &mut io).unwrap();
+                let b = s.next_columns(&ix, &h, &[0, 1], 128, &mut io).unwrap();
                 if b.is_empty() {
                     break;
                 }
@@ -499,7 +509,7 @@ mod tests {
         // the heap pages behind those 10 rows.
         let mut io = IoStats::new();
         let mut s = IndexScanState::open(&ix, None, None, true).unwrap();
-        let b = s.next_columns(&ix, &h, 10, &mut io).unwrap();
+        let b = s.next_columns(&ix, &h, &[0, 1], 10, &mut io).unwrap();
         let keys: Vec<i64> = b.to_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, (990..1000).rev().collect::<Vec<i64>>());
         assert_eq!(io.index_pages, 1);

@@ -22,6 +22,17 @@ fn load(types: &[DataType], width: usize, rows: impl IntoIterator<Item = Row>) -
     loader.finish().unwrap()
 }
 
+/// Every column ordinal of `heap`, in order.
+fn every(heap: &HeapTable) -> Vec<usize> {
+    (0..heap.arity()).collect()
+}
+
+/// Columns `ordinals` of the rows `rids` names, as one batch.
+fn gathered(heap: &HeapTable, rids: &[usize], ordinals: &[usize]) -> Batch {
+    let cols = heap.gather_columns(rids, ordinals).unwrap();
+    Batch::from_columns_with_len(cols.into_iter().map(Arc::new).collect(), rids.len()).unwrap()
+}
+
 fn int_rows(values: impl IntoIterator<Item = (i64, i64)>) -> impl Iterator<Item = Row> {
     values
         .into_iter()
@@ -452,7 +463,8 @@ fn heap_scans_return_the_loaded_rows() {
                 for part in 0..parts {
                     let mut scan = HeapScanState::partition(&heap, part, parts);
                     got.extend(drain(batch_rows, || {
-                        scan.next_columns(&heap, batch_rows, &mut io).unwrap()
+                        scan.next_columns(&heap, &every(&heap), batch_rows, &mut io)
+                            .unwrap()
                     }));
                     assert!(scan.exhausted(&heap));
                 }
@@ -466,7 +478,7 @@ fn heap_scans_return_the_loaded_rows() {
     }
 }
 
-/// `gather` is row selection: random, repeated, reversed and empty id
+/// `gather_columns` is row selection: random, repeated, reversed and empty id
 /// lists, within one chunk and across several.
 #[test]
 fn gather_is_row_selection() {
@@ -490,9 +502,17 @@ fn gather_is_row_selection() {
         }
         for rids in lists {
             let want: Vec<Row> = rids.iter().map(|&r| rows[r].clone()).collect();
-            let got = heap.gather(&rids).unwrap();
+            let got = gathered(&heap, &rids, &every(&heap));
             assert_eq!(got.arity(), heap.arity());
             assert_eq!(exact(&got.to_rows()), exact(&want), "n={n} rids={rids:?}");
+            // Any columns, in any order: the same rows restricted to them.
+            let ordinals = [4, 0, 2];
+            let narrow: Vec<Row> = want
+                .iter()
+                .map(|r| ordinals.iter().map(|&o| r[o].clone()).collect())
+                .collect();
+            let got = gathered(&heap, &rids, &ordinals);
+            assert_eq!(exact(&got.to_rows()), exact(&narrow), "n={n} rids={rids:?}");
             for &rid in rids.iter().take(3) {
                 assert_eq!(exact(&[heap.row(rid)]), exact(&[rows[rid].clone()]));
             }
@@ -513,7 +533,9 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     let mut io = IoStats::new();
     let mut scan = HeapScanState::new();
     for chunk in heap.chunks() {
-        let pulled = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
+        let pulled = scan
+            .next_columns(&heap, &every(&heap), CHUNK, &mut io)
+            .unwrap();
         for (got, stored) in pulled.columns().iter().zip(chunk.columns()) {
             assert!(Arc::ptr_eq(got, stored));
         }
@@ -521,8 +543,10 @@ fn whole_chunk_pulls_share_the_heaps_columns() {
     assert!(scan.exhausted(&heap));
 
     let mut scan = HeapScanState::new();
-    scan.next_columns(&heap, 1, &mut io).unwrap();
-    let shifted = scan.next_columns(&heap, CHUNK, &mut io).unwrap();
+    scan.next_columns(&heap, &every(&heap), 1, &mut io).unwrap();
+    let shifted = scan
+        .next_columns(&heap, &every(&heap), CHUNK, &mut io)
+        .unwrap();
     assert_eq!(shifted.len(), CHUNK);
     assert!(!Arc::ptr_eq(shifted.column(0), heap.chunks()[0].column(0)));
 }
@@ -552,7 +576,8 @@ fn index_scans_return_the_indexed_rows() {
                 let mut io = IoStats::new();
                 let mut scan = IndexScanState::open(&ix, lo, hi, reverse).unwrap();
                 let got = drain(batch_rows, || {
-                    scan.next_columns(&ix, &heap, batch_rows, &mut io).unwrap()
+                    scan.next_columns(&ix, &heap, &every(&heap), batch_rows, &mut io)
+                        .unwrap()
                 });
                 let at = format!("n={n} range={range} reverse={reverse} batch={batch_rows}");
                 assert_eq!(exact(&got), exact(&want), "{at}");
@@ -604,14 +629,19 @@ fn io_stats_equal_the_row_heap_engines() {
 
         let mut io = IoStats::new();
         let mut scan = HeapScanState::new();
-        while !scan.next_columns(&heap, 7, &mut io).unwrap().is_empty() {}
+        while !scan
+            .next_columns(&heap, &every(&heap), 7, &mut io)
+            .unwrap()
+            .is_empty()
+        {}
         record("full scan", io);
 
         // A LIMIT that stops pulling after three batches.
         let mut io = IoStats::new();
         let mut scan = HeapScanState::new();
         for _ in 0..3 {
-            scan.next_columns(&heap, 100, &mut io).unwrap();
+            scan.next_columns(&heap, &every(&heap), 100, &mut io)
+                .unwrap();
         }
         record("abandoned scan", io);
 
@@ -624,7 +654,7 @@ fn io_stats_equal_the_row_heap_engines() {
             let mut io = IoStats::new();
             let mut scan = IndexScanState::open(&ix, lo, hi, reverse).unwrap();
             while !scan
-                .next_columns(&ix, &heap, batch_rows, &mut io)
+                .next_columns(&ix, &heap, &every(&heap), batch_rows, &mut io)
                 .unwrap()
                 .is_empty()
             {}
@@ -645,7 +675,7 @@ fn io_stats_equal_the_row_heap_engines() {
             }
         }
         record("probe stream", io);
-        let fetched = heap.gather(&rids).unwrap();
+        let fetched = gathered(&heap, &rids, &every(&heap));
         assert_eq!(fetched.len(), rids.len());
         for (at, &rid) in rids.iter().enumerate().step_by(41) {
             assert_eq!(fetched.row(at), heap.row(rid));

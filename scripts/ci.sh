@@ -358,12 +358,42 @@ echo "==> grep guard: the heap is read as columns; only the oracle materializes 
 # query-level oracle (and tests), not for streaming operators.
 if grep -n 'push_row' crates/storage/src/scan.rs; then
     echo "guard failed: crates/storage/src/scan.rs builds batches row by row again;"
-    echo "use HeapTable::columns / HeapTable::gather"
+    echo "use HeapTable::columns / HeapTable::gather_columns"
     exit 1
 fi
 if grep -n 'heap\.row(\|to_rows(' crates/exec/src/*.rs crates/exec/src/stream/*.rs | grep -v '^crates/exec/src/oracle\.rs:'; then
     echo "guard failed: heap.row()/to_rows() outside crates/exec/src/oracle.rs;"
-    echo "streaming operators read HeapTable::columns / HeapTable::gather"
+    echo "streaming operators read HeapTable::columns / HeapTable::gather_columns"
+    exit 1
+fi
+# One heap read path, and it names the columns it reads: an all-column
+# gather is what carried every stored column through the filter and the
+# index nested-loop join whatever their consumers read.
+if non_test crates/storage/src/heap.rs | grep -n 'pub fn gather('; then
+    echo "guard failed: crates/storage/src/heap.rs has an all-column gather again;"
+    echo "read the columns a consumer needs with HeapTable::gather_columns"
+    exit 1
+fi
+
+echo "==> grep guard: lowering resolves positions against the layouts its children return"
+# Lowering hands each operator's parent the layout the operator emits —
+# plan.layout restricted to the columns its consumer reads — and the
+# parent resolves its keys, predicates and expressions against that. A
+# position resolved against a child plan's layout points into columns the
+# child no longer carries, so non-test stream/lower.rs reads no layout but
+# the node's own (`plan.layout`). One exception, `branch_cols`: a union
+# matches its inputs by position, so it reads an input plan's column ids
+# (`branch.layout`) and checks them against what the input's lowering
+# returned.
+if non_test crates/exec/src/stream/lower.rs \
+    | sed -E 's/\bplan\.layout\b//g; s/let cols = branch\.layout\.cols\(\);//' \
+    | grep -nE '\.layout\b'; then
+    echo "guard failed: crates/exec/src/stream/lower.rs reads a child plan's layout;"
+    echo "resolve positions against the layout lower_impl / lower_input returned"
+    exit 1
+fi
+if [ "$(non_test crates/exec/src/stream/lower.rs | grep -c 'branch\.layout')" -ne 1 ]; then
+    echo "guard failed: crates/exec/src/stream/lower.rs reads branch.layout outside branch_cols"
     exit 1
 fi
 

@@ -124,6 +124,39 @@ fn deferred_cartesian_products_still_plan() {
 }
 
 #[test]
+fn union_inputs_keep_their_positions_under_a_narrow_consumer() {
+    // A union matches its inputs by position, and its consumer reads only
+    // some of them: each input carries just the columns at those
+    // positions, which it holds in another order than the first input
+    // (`emp_dept` before `emp_id`), under a filter, a join and a grouping.
+    let db = emp_db();
+    let queries = [
+        "select grade, salary from (select emp_id, grade, salary from emp where grade < 2 \
+         union all select salary, emp_dept, emp_id from emp where emp_id < 30) u \
+         where salary > 10 order by grade, salary",
+        "select d.dept_name, u.salary from dept d, (select emp_dept, grade, salary from emp \
+         where grade = 0 union all select budget, dept_id, dept_id + 1000 from dept) u \
+         where u.emp_dept = d.dept_id order by d.dept_name, u.salary",
+        "select grade, count(*) as n from (select emp_id, grade from emp \
+         union all select emp_dept, salary from emp where emp_id < 5) u \
+         group by grade order by grade",
+    ];
+    for sql in queries {
+        let answer = Answer::of(&db, sql);
+        assert!(!answer.rows().is_empty(), "{sql}");
+        let mut configs = all_configs();
+        configs.extend([
+            OptimizerConfig::default().with_batch_size(1),
+            OptimizerConfig::default().with_threads(2),
+            OptimizerConfig::default().with_memory_budget(1024),
+        ]);
+        for config in configs {
+            assert_answer(&db, sql, &config, &answer);
+        }
+    }
+}
+
+#[test]
 fn tpcd_workload_agrees_across_engines() {
     let db = build_database(TpcdConfig {
         scale: 0.003,

@@ -196,7 +196,10 @@ fn spilled_join_builds_charge_pinned_io_under_budgets() {
     // agreed bit for bit); `spill_pages_read` was re-pinned when the probe
     // stopped decoding a group per hop (the number it read until then is
     // the comment beside each literal, and no cell reads more than that);
-    // rows are held to the unbounded baseline.
+    // rows are held to the unbounded baseline. Both spill counters were
+    // re-pinned again when every operator began carrying only the columns
+    // its consumer reads: each cell's pair is the (written, read) it
+    // charged while whole rows were carried, and no cell spills more.
     let db = emp_db();
     let pinned = |index_pages, sort_rows, written, read| IoStats {
         sequential_pages: 5,
@@ -209,28 +212,35 @@ fn spilled_join_builds_charge_pinned_io_under_budgets() {
         pool_hits: 0,
         pool_misses: 0,
     };
-    // (query, serial I/O at 1 KiB, serial I/O at 4 KiB).
+    // (query, serial I/O at 1 KiB, serial I/O at 4 KiB), each with the
+    // spill pages the cell charged carrying whole rows.
     let cases = [
         (
             "select dept_name, count(*) as n, sum(salary) as total \
              from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
-            pinned(0, 12, 5, 7), // read 62
-            pinned(0, 12, 3, 4), // read 48
+            (pinned(0, 12, 3, 5), (5, 7)), // was 5 / 7 (read 62)
+            (pinned(0, 12, 2, 3), (3, 4)), // was 3 / 4 (read 48)
         ),
         (
             "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
              order by dept_id, emp_id",
-            pinned(1, 400, 16, 41), // read 96
-            pinned(1, 400, 3, 4),   // read 48
+            (pinned(1, 400, 14, 39), (16, 41)), // was 16 / 41 (read 96)
+            (pinned(1, 400, 2, 3), (3, 4)),     // was 3 / 4 (read 48)
         ),
         (
             "select dept_id, emp_id, salary from dept left join emp \
              on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
-            pinned(0, 12, 5, 7), // read 62
-            pinned(0, 12, 3, 4), // read 48
+            (pinned(0, 12, 5, 7), (5, 7)), // was 5 / 7 (read 62)
+            (pinned(0, 12, 3, 4), (3, 4)), // was 3 / 4 (read 48)
         ),
     ];
-    for (sql, at_1k, at_4k) in cases {
+    for (sql, (at_1k, was_1k), (at_4k, was_4k)) in cases {
+        for (io, was) in [(at_1k, was_1k), (at_4k, was_4k)] {
+            assert!(
+                spills_no_more(&io, was),
+                "{sql}\n{io:?} spills more than {was:?}"
+            );
+        }
         let baseline = unbounded_rows(&db, sql);
         let run = |budget: usize, threads: usize| {
             let config = OptimizerConfig::default()
@@ -261,6 +271,12 @@ fn spilled_join_builds_charge_pinned_io_under_budgets() {
             );
         }
     }
+}
+
+/// True when `io` writes and reads no more spill pages than the
+/// `(written, read)` pair `was`.
+fn spills_no_more(io: &IoStats, (written, read): (u64, u64)) -> bool {
+    io.spill_pages_written <= written && io.spill_pages_read <= read
 }
 
 /// Joins without equi keys, which all run as the keyless case of the one
@@ -377,8 +393,13 @@ fn spilled_nested_loop_builds_charge_pinned_io_under_budgets() {
     // only the other groups) — where the row-at-a-time operator it
     // replaced held every inner row outside the budget and never spilled.
     // Serial I/O at 1 KiB, pinned next to the keyed builds' above with the
-    // pages read before the probe bucketed its refs beside each; the
-    // join's own share must include the spill.
+    // pages read before the probe bucketed its refs beside each; every
+    // join's own share includes the spill in at least one cell. Re-pinned
+    // when operators began carrying only the columns their consumer reads,
+    // which also pinned the join's own spill pages exactly: each cell's
+    // last pair is the (written, read) it charged carrying whole rows, and
+    // no cell spills more. The fifth join's build, now one 12-row column,
+    // fits 1 KiB, so it spills at 256 B.
     let db = emp_db();
     let pinned = |(pages, index_pages), sort_rows, rows_read, (written, read)| IoStats {
         sequential_pages: pages,
@@ -391,29 +412,44 @@ fn spilled_nested_loop_builds_charge_pinned_io_under_budgets() {
         pool_hits: 0,
         pool_misses: 0,
     };
-    // In `KEYLESS_JOINS` order.
-    let pins = [
-        pinned((5, 0), 252, 412, (8, 38)), // read 83
-        pinned((8, 0), 80, 800, (6, 92)),  // read 409
-        pinned((5, 0), 78, 412, (5, 17)),  // read 62
-        pinned((5, 1), 67, 412, (4, 15)),  // read 60
-        pinned((5, 2), 455, 412, (1, 1)),  // the sort's page: the join fits
-        pinned((5, 1), 12, 412, (4, 15)),  // read 60
+    // (index into `KEYLESS_JOINS`, budget, the query's I/O, the join's own
+    // spill pages, the query's spill pages carrying whole rows).
+    let kib = 1usize << 10;
+    let cells = [
+        (0, kib, pinned((5, 0), 252, 412, (5, 30)), (2, 9), (8, 38)), // was 8 / 38 (read 83)
+        (1, kib, pinned((8, 0), 80, 800, (4, 59)), (2, 50), (6, 92)), // was 6 / 92 (read 409)
+        (2, kib, pinned((5, 0), 78, 412, (1, 6)), (1, 6), (5, 17)),   // was 5 / 17 (read 62)
+        (3, kib, pinned((5, 1), 67, 412, (1, 6)), (1, 6), (4, 15)),   // was 4 / 15 (read 60)
+        (4, kib, pinned((5, 2), 455, 412, (0, 0)), (0, 0), (1, 1)),   // was 1 / 1
+        (4, 256, pinned((5, 2), 455, 412, (9, 24)), (1, 1), (9, 24)), // was 9 / 24
+        (5, kib, pinned((5, 1), 12, 412, (1, 6)), (1, 6), (4, 15)),   // was 4 / 15 (read 60)
     ];
-    for (&(sql, forced, node), pin) in KEYLESS_JOINS.iter().zip(pins) {
-        let config = keyless_config(forced).with_memory_budget(1 << 10);
+    for (join, &(sql, ..)) in KEYLESS_JOINS.iter().enumerate() {
+        let spills = |&(j, _, _, (own_written, _), _): &(usize, _, _, (u64, u64), _)| {
+            j == join && own_written > 0
+        };
+        assert!(cells.iter().any(spills), "{sql}: no cell spills its build");
+    }
+    for (join, budget, pin, join_own, was) in cells {
+        let (sql, forced, node) = KEYLESS_JOINS[join];
+        assert!(
+            spills_no_more(&pin, was),
+            "{sql}\n{pin:?} spills more than {was:?}"
+        );
+        let config = keyless_config(forced).with_memory_budget(budget);
         let q = Session::new(&db).config(config.clone()).plan(sql).unwrap();
         let (out, metrics) = q.execute_instrumented().unwrap();
         Answer::of(&db, sql).check(out.rows()).unwrap();
         let unbudgeted = Session::new(&db).config(reference_knobs(&config));
         let want = unbudgeted.execute(sql).unwrap();
         assert_eq!(exact(out.rows()), exact(want.rows()), "{sql}");
-        assert_eq!(out.io, pin, "{sql}");
+        assert_eq!(out.io, pin, "{sql}\nbudget={budget}");
         let join = metrics.ops.iter().position(|op| op.name == node).unwrap();
         let own = metrics.self_stats(join).unwrap().io;
-        assert!(
-            own.spill_pages_written > 0 && own.spill_pages_read > 0,
-            "{sql}\nthe join's own I/O: {own:?}"
+        assert_eq!(
+            (own.spill_pages_written, own.spill_pages_read),
+            join_own,
+            "{sql}\nbudget={budget}: the join's own I/O: {own:?}"
         );
     }
 }
@@ -467,26 +503,40 @@ fn spilled_sorts_charge_pinned_io_under_budgets() {
     // enforcer must seal, spill and merge exactly what those did. One full
     // sort, and one segmented sort whose ~33-row groups each external-sort
     // above a hash join whose spilled build is part of the pages read (194
-    // and 72 while the probe decoded a group per hop).
+    // and 72 while the probe decoded a group per hop). The segmented
+    // sort's cells were re-pinned when operators began carrying only the
+    // columns their consumer reads: its rows and the join's build lost
+    // their key columns, and at 4 KiB its groups now sort in memory, so a
+    // 2 KiB cell keeps it merging. Each cell's last pair is the spill pages
+    // (written, read) it charged carrying whole rows, and no cell spills
+    // more.
     let db = emp_db();
-    // (query, [(budget, pages written, pages read, runs formed, merge passes)]).
+    // (query, [(budget, pages written, pages read, runs formed, merge
+    // passes, pages written and read carrying whole rows)]).
     let cases = [
         (
             "select emp_id, salary from emp order by salary desc, emp_id",
-            [
-                (1usize << 10, 12u64, 56u64, 40u64, 2u64),
-                (4 << 10, 12, 23, 10, 2),
-            ],
+            &[
+                (1usize << 10, 12u64, 56u64, 40u64, 2u64, (12, 56)),
+                (4 << 10, 12, 23, 10, 2, (12, 23)),
+            ][..],
         ),
         (
             "select emp_dept, dept_id, salary from dept, emp \
              where dept_id = emp_dept order by emp_dept, salary",
-            [(1 << 10, 29, 139, 111, 25), (4 << 10, 15, 28, 25, 12)],
+            &[
+                (1 << 10, 14, 51, 49, 12, (29, 139)), // was 29 / 139, 111 runs, 25 passes
+                (2 << 10, 14, 27, 25, 12, (15, 52)),  // was 15 / 52, 49 runs, 12 passes
+                (4 << 10, 2, 3, 1, 0, (15, 28)),      // was 15 / 28, 25 runs, 12 passes
+            ],
         ),
     ];
     for (sql, pins) in cases {
+        // Each query keeps a cell whose sort forms several runs and merges.
+        assert!(pins.iter().any(|p| p.3 > 1 && p.4 > 0), "{sql}");
         let baseline = unbounded_rows(&db, sql);
-        for (budget, written, read, runs, passes) in pins {
+        for &(budget, written, read, runs, passes, was) in pins {
+            assert!(written <= was.0 && read <= was.1, "{sql}\nbudget={budget}");
             let out = Session::new(&db)
                 .config(OptimizerConfig::default().with_memory_budget(budget))
                 .execute(sql)
