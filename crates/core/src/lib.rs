@@ -22,12 +22,15 @@
 //!
 //! ## Data properties (paper §5.2.1)
 //!
-//! [`StreamProps`] maintains the four properties the paper tracks per plan
-//! stream — order, applied predicates, keys, and functional dependencies —
-//! together with their propagation rules through filters, projections,
-//! joins, and group-by. The facts order reasoning rests on (equivalences,
-//! FDs, and the [`OrderContext`] derived from them) are one immutable
-//! [`StreamFacts`] value that streams share until a predicate changes it.
+//! [`StreamProps`] maintains the properties the paper tracks per plan
+//! stream — order, applied predicates and columns, over functional
+//! dependencies — together with their propagation rules through filters,
+//! projections, joins, and group-by. The facts order reasoning rests on
+//! (equivalences, FDs, and the [`OrderContext`] derived from them) are one
+//! immutable [`StreamFacts`] value that streams share until a predicate
+//! changes it. The paper's key property is read through the facts: a key
+//! is the dependency `key → all columns`, and a key bound to constants
+//! (the one-record condition) determines every column.
 //!
 //! ## Degrees of freedom (paper §7)
 //!
@@ -71,7 +74,6 @@ pub mod context;
 pub mod eqclass;
 pub mod fd;
 pub mod freedom;
-pub mod keyprop;
 pub mod props;
 pub mod spec;
 
@@ -79,6 +81,5 @@ pub use context::{ContextWork, OrderContext};
 pub use eqclass::EquivalenceClasses;
 pub use fd::{Fd, FdSet};
 pub use freedom::{FlexColumn, FlexOrder};
-pub use keyprop::KeyProperty;
 pub use props::{FactsMemo, StreamFacts, StreamProps};
 pub use spec::{OrderSpec, SortKey};

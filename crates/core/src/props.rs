@@ -1,6 +1,13 @@
 //! [`StreamProps`]: the per-stream data properties the paper tracks
-//! (§5.2.1) — order, applied predicates, keys, and functional dependencies
-//! — together with their propagation through relational operators.
+//! (§5.2.1) — order, applied predicates and columns, over the facts
+//! (equivalences and functional dependencies) — together with their
+//! propagation through relational operators.
+//!
+//! The paper also tracks keys, for two ends: deriving dependencies (a key
+//! determines every column) and the one-record condition. Both come from
+//! the facts here: a key enters as the dependency `key → all columns`, and
+//! a key bound to constants determines every column, so `reduce` empties
+//! any order on such a stream.
 //!
 //! Each operator in a plan determines the properties of its output stream
 //! from the properties of its inputs and the operation applied (paper §3).
@@ -26,7 +33,6 @@
 use crate::context::OrderContext;
 use crate::eqclass::EquivalenceClasses;
 use crate::fd::{Fd, FdSet};
-use crate::keyprop::KeyProperty;
 use crate::spec::OrderSpec;
 use fto_common::{ColId, ColSet, FxHashMap};
 use fto_expr::{PredClass, PredId, Predicate};
@@ -108,28 +114,25 @@ pub struct StreamProps {
     pub order: OrderSpec,
     /// The predicate property: ids of predicates already applied, sorted.
     pub preds: Vec<PredId>,
-    /// The key property (uniqueness facts, incl. the one-record condition).
-    pub keys: KeyProperty,
     /// The functional-dependency property, the column equivalences and
     /// their context; shared with every stream they hold on equally.
     facts: Arc<StreamFacts>,
 }
 
 impl StreamProps {
-    /// Properties of a base-table access: the table's columns, its keys
-    /// (each contributing the FD `key → all columns`), no applied
-    /// predicates, and no order (scans add an order separately via
+    /// Properties of a base-table access: the table's columns, the FD
+    /// `key → all columns` of each of its keys, no applied predicates, and
+    /// no order (scans add an order separately via
     /// [`StreamProps::with_order`]).
     pub fn base_table(cols: ColSet, keys: Vec<ColSet>) -> StreamProps {
         let mut fds = FdSet::new();
-        for k in &keys {
-            fds.add_key(k.clone(), cols.clone());
+        for k in keys {
+            fds.add_key(k, cols.clone());
         }
         StreamProps {
             cols,
             order: OrderSpec::empty(),
             preds: Vec::new(),
-            keys: KeyProperty::from_keys(keys),
             facts: StreamFacts::new(EquivalenceClasses::new(), fds),
         }
     }
@@ -165,9 +168,8 @@ impl StreamProps {
     }
 
     /// Applies a predicate to the stream: records it in the predicate
-    /// property, feeds equivalence classes and FDs per the paper's §4.1
-    /// mapping, and re-canonicalizes the key property (which may surface
-    /// the one-record condition).
+    /// property and feeds equivalence classes and FDs per the paper's §4.1
+    /// mapping.
     pub fn apply_predicate(&mut self, id: PredId, pred: &Predicate) {
         if self.record_pred(id) {
             self.set_facts(self.facts.with_predicate(pred));
@@ -185,15 +187,12 @@ impl StreamProps {
         }
     }
 
-    /// Points the stream at `facts` and re-derives what depends on them.
+    /// Points the stream at `facts`. The physical order of rows is
+    /// unchanged by filtering; keep the order property but re-reduce it,
+    /// since new constants may have shortened it.
     fn set_facts(&mut self, facts: Arc<StreamFacts>) {
         self.facts = facts;
-        let ctx = &self.facts.ctx;
-        self.keys.canonicalize(ctx);
-        // The physical order of rows is unchanged by filtering; keep the
-        // order property but re-reduce it, since new constants may have
-        // shortened it.
-        self.order = ctx.reduce(&self.order);
+        self.order = self.ctx().reduce(&self.order);
     }
 
     /// Properties after projecting the stream down to `keep`.
@@ -202,8 +201,6 @@ impl StreamProps {
     ///   retained equivalent (the context may substitute an equivalent
     ///   retained column, so `SELECT b.x ... WHERE a.x = b.x` keeps an
     ///   order on `a.x`).
-    /// * Keys containing projected-away columns are dropped (paper
-    ///   §5.2.1).
     /// * FDs and equivalences are retained in full: they remain true
     ///   statements about the visible columns and may mention invisible
     ///   ones harmlessly.
@@ -214,7 +211,6 @@ impl StreamProps {
             cols,
             order,
             preds: self.preds.clone(),
-            keys: self.keys.project(keep),
             facts: Arc::clone(&self.facts),
         }
     }
@@ -247,24 +243,19 @@ impl StreamProps {
     /// * available columns are the union;
     /// * applied predicates are the union (the inputs applied disjoint
     ///   sets);
-    /// * FDs and equivalences are unioned;
-    /// * the key property is computed by [`KeyProperty::join`] from the
-    ///   equi-join pairs in `equates`;
+    /// * FDs and equivalences are unioned (a key of either input stays a
+    ///   key FD; once the join predicates equate an input's key to columns
+    ///   of the other, those columns determine that input's columns);
     /// * the order property is `outer_order` — the caller passes the order
     ///   the join method actually preserves (the outer stream's order for
     ///   nested-loop and merge joins, or empty).
     ///
     /// The caller then applies the join predicates through
     /// [`StreamProps::apply_predicate`], which merges the equivalence
-    /// classes and re-canonicalizes keys.
-    pub fn join(
-        left: &StreamProps,
-        right: &StreamProps,
-        equates: &[(ColId, ColId)],
-        outer_order: OrderSpec,
-    ) -> StreamProps {
+    /// classes.
+    pub fn join(left: &StreamProps, right: &StreamProps, outer_order: OrderSpec) -> StreamProps {
         let facts = StreamFacts::union(&left.facts, &right.facts);
-        StreamProps::joined(left, right, equates, &outer_order, facts)
+        StreamProps::joined(left, right, &outer_order, facts)
     }
 
     /// The join output over `facts`, which hold on it: the two inputs'
@@ -272,7 +263,6 @@ impl StreamProps {
     fn joined(
         left: &StreamProps,
         right: &StreamProps,
-        equates: &[(ColId, ColId)],
         outer_order: &OrderSpec,
         facts: Arc<StreamFacts>,
     ) -> StreamProps {
@@ -286,7 +276,6 @@ impl StreamProps {
             cols: left.cols.union(&right.cols),
             order: facts.ctx.reduce(outer_order),
             preds,
-            keys: KeyProperty::join(&left.keys, &right.keys, equates),
             facts,
         }
     }
@@ -298,14 +287,10 @@ impl StreamProps {
     /// Null padding invalidates every fact local to the inner side (its
     /// constants, equivalences, and FDs no longer hold once unmatched
     /// rows carry NULLs), so the output keeps only the preserved side's
-    /// facts plus the key property; the preserved side's order survives.
-    pub fn left_outer_join(
-        left: &StreamProps,
-        right: &StreamProps,
-        equates: &[(ColId, ColId)],
-    ) -> StreamProps {
+    /// facts; the preserved side's order survives.
+    pub fn left_outer_join(left: &StreamProps, right: &StreamProps) -> StreamProps {
         let facts = Arc::clone(&left.facts);
-        StreamProps::joined(left, right, equates, &left.order, facts)
+        StreamProps::joined(left, right, &left.order, facts)
     }
 
     /// Records an outer-join ON predicate (paper §4.1): the predicate id
@@ -329,8 +314,8 @@ impl StreamProps {
     /// output columns `agg_cols` — DISTINCT when `grouping` is every
     /// column and `agg_cols` is empty.
     ///
-    /// * The grouping columns become a key of the output.
-    /// * The FD `{grouping} → {aggregates}` holds (paper §4.1).
+    /// * The grouping columns are a key of the output: the FD
+    ///   `{grouping} → {aggregates}` holds (paper §4.1).
     /// * For order-based (streaming) group-by the input order survives on
     ///   the grouping columns; the caller passes `input_order` for a
     ///   streaming group-by or `OrderSpec::empty()` for a hash group-by.
@@ -343,16 +328,11 @@ impl StreamProps {
         let cols = grouping.union(agg_cols);
         let group_fd = (!agg_cols.is_empty()).then(|| Fd::key(grouping.clone(), cols.clone()));
         let facts = self.facts.with_fds(group_fd);
-        let ctx = &facts.ctx;
-        let mut keys = self.keys.clone().project(&cols);
-        keys.add_key(grouping.clone());
-        keys.canonicalize(ctx);
-        let (order, _) = ctx.homogenize_prefix(&input_order, &cols);
+        let (order, _) = facts.ctx.homogenize_prefix(&input_order, &cols);
         StreamProps {
             cols,
             order,
             preds: self.preds.clone(),
-            keys,
             facts,
         }
     }
@@ -361,8 +341,7 @@ impl StreamProps {
     /// least as good as `other` on the property dimensions when
     ///
     /// * `self`'s order property satisfies `other`'s (reduced prefix), and
-    /// * `self` has applied every predicate `other` has, and
-    /// * every key of `other` is implied by some key of `self`.
+    /// * `self` has applied every predicate `other` has.
     ///
     /// Two plans with mutually incomparable properties must both be kept.
     pub fn dominates(&self, other: &StreamProps) -> bool {
@@ -381,21 +360,11 @@ impl StreamProps {
         other_order: &OrderSpec,
         ctx: &OrderContext,
     ) -> bool {
-        if !ctx.test_order(other_order, &self.order) {
-            return false;
-        }
-        if !other
-            .preds
-            .iter()
-            .all(|p| self.preds.binary_search(p).is_ok())
-        {
-            return false;
-        }
-        other
-            .keys
-            .keys()
-            .iter()
-            .all(|ok| self.keys.keys().iter().any(|sk| sk.is_subset(ok)))
+        ctx.test_order(other_order, &self.order)
+            && other
+                .preds
+                .iter()
+                .all(|p| self.preds.binary_search(p).is_ok())
     }
 }
 
@@ -444,7 +413,6 @@ impl FactsMemo {
         &mut self,
         left: &StreamProps,
         right: &StreamProps,
-        equates: &[(ColId, ColId)],
         outer_order: &OrderSpec,
     ) -> StreamProps {
         let key = (
@@ -455,7 +423,7 @@ impl FactsMemo {
             .unions
             .entry(key)
             .or_insert_with(|| StreamFacts::union(&left.facts, &right.facts));
-        StreamProps::joined(left, right, equates, outer_order, Arc::clone(facts))
+        StreamProps::joined(left, right, outer_order, Arc::clone(facts))
     }
 
     /// [`StreamProps::apply_predicate`], deriving the filtered facts only
@@ -500,7 +468,8 @@ mod tests {
     fn base_table_key_fd() {
         let p = base();
         assert!(p.fds().determines(&cs(&[0]), c(3)));
-        assert!(p.keys.determined_by(&cs(&[0])));
+        assert!(!p.fds().determines(&cs(&[1, 2, 3]), c(0)));
+        assert_eq!(p.ctx().reduce(&asc(&[0, 3, 1])), asc(&[0]));
         assert!(p.order.is_empty());
         assert!(p.preds.is_empty());
     }
@@ -533,9 +502,13 @@ mod tests {
 
     #[test]
     fn constant_on_key_gives_one_record() {
-        let mut p = base();
+        // At most one row: every column is determined, so no order
+        // remains to be had.
+        let mut p = base().with_order(asc(&[2, 1]));
         p.apply_predicate(PredId(0), &Predicate::col_eq_const(c(0), Value::Int(9)));
-        assert!(p.keys.is_one_record());
+        assert!(p.order.is_empty());
+        assert!(p.ctx().reduce(&asc(&[3, 1, 2])).is_empty());
+        assert!(p.fds().determines(&ColSet::new(), c(3)));
     }
 
     #[test]
@@ -557,13 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn project_drops_keys() {
-        let p = StreamProps::base_table(cs(&[0, 1]), vec![cs(&[0])]);
-        let projected = p.project(&cs(&[1]));
-        assert!(projected.keys.is_empty());
-    }
-
-    #[test]
     fn sorted_replaces_order_only() {
         let mut p = base();
         p.apply_predicate(PredId(0), &Predicate::col_eq_col(c(1), c(2)));
@@ -579,11 +545,11 @@ mod tests {
         let left = StreamProps::base_table(cs(&[0, 1, 2]), vec![cs(&[0])]).with_order(asc(&[1]));
         let right = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
         // join predicate: 1 = 10 (n-to-1: right key fully qualified).
-        let mut joined = StreamProps::join(&left, &right, &[(c(1), c(10))], left.order.clone());
+        let mut joined = StreamProps::join(&left, &right, left.order.clone());
         joined.apply_predicate(PredId(5), &Predicate::col_eq_col(c(1), c(10)));
         assert_eq!(joined.cols, cs(&[0, 1, 2, 10, 11]));
-        // n-to-1: left key {0} propagates.
-        assert!(joined.keys.determined_by(&cs(&[0])));
+        // n-to-1: the left key {0} still determines every column.
+        assert_eq!(joined.ctx().reduce(&asc(&[0, 11, 2, 10])), asc(&[0]));
         // Order on the outer is preserved.
         assert_eq!(joined.order, asc(&[1]));
         // Equivalence 1 = 10 holds downstream.
@@ -599,8 +565,8 @@ mod tests {
         let p = base().with_order(asc(&[1, 2]));
         let out = p.group_by(&cs(&[1, 2]), &cs(&[7]), asc(&[1, 2]));
         assert_eq!(out.cols, cs(&[1, 2, 7]));
-        assert!(out.keys.determined_by(&cs(&[1, 2])));
         assert!(out.fds().determines(&cs(&[1, 2]), c(7)));
+        assert_eq!(out.ctx().reduce(&asc(&[1, 2, 7])), asc(&[1, 2]));
         assert_eq!(out.order, asc(&[1, 2]));
     }
 
@@ -615,9 +581,11 @@ mod tests {
     fn distinct_makes_all_columns_a_key() {
         let p = StreamProps::base_table(cs(&[1, 2]), vec![]);
         // DISTINCT: a grouping on every column with no aggregates.
+        // Every column together is trivially a key; no smaller set is.
         let d = p.group_by(&p.cols, &ColSet::new(), OrderSpec::empty());
-        assert!(d.keys.determined_by(&cs(&[1, 2])));
-        assert!(!d.keys.determined_by(&cs(&[1])));
+        assert_eq!(d.cols, cs(&[1, 2]));
+        assert!(!d.fds().determines(&cs(&[1]), c(2)));
+        assert_eq!(d.ctx().reduce(&asc(&[1, 2])), asc(&[1, 2]));
     }
 
     #[test]
@@ -661,7 +629,7 @@ mod tests {
             1
         );
         assert_eq!(
-            built(&|| drop(StreamProps::join(&p, &other, &[], OrderSpec::empty()))),
+            built(&|| drop(StreamProps::join(&p, &other, OrderSpec::empty()))),
             1
         );
         assert_eq!(
@@ -678,7 +646,7 @@ mod tests {
         // from that side states something new.
         assert_eq!(
             built(&|| {
-                let mut oj = StreamProps::left_outer_join(&p, &other, &[(c(1), c(10))]);
+                let mut oj = StreamProps::left_outer_join(&p, &other);
                 assert!(Arc::ptr_eq(oj.facts(), p.facts()));
                 oj.apply_outer_join_predicate(
                     PredId(0),
@@ -704,7 +672,7 @@ mod tests {
         let right = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
         let pred = Predicate::col_eq_col(c(1), c(10));
         let direct = {
-            let mut j = StreamProps::join(&left, &right, &[(c(1), c(10))], left.order.clone());
+            let mut j = StreamProps::join(&left, &right, left.order.clone());
             j.apply_predicate(PredId(5), &pred);
             j
         };
@@ -713,7 +681,7 @@ mod tests {
         let via_memo: Vec<StreamProps> = [left.clone(), left.sorted(&asc(&[2]))]
             .iter()
             .map(|outer| {
-                let mut j = memo.join(outer, &right, &[(c(1), c(10))], &outer.order);
+                let mut j = memo.join(outer, &right, &outer.order);
                 memo.apply_predicate(&mut j, PredId(5), &pred);
                 memo.apply_predicate(&mut j, PredId(5), &pred);
                 j
@@ -724,10 +692,9 @@ mod tests {
         assert!(Arc::ptr_eq(via_memo[0].facts(), via_memo[1].facts()));
         assert_eq!(via_memo[0].order, direct.order);
         assert_eq!(via_memo[0].preds, direct.preds);
-        assert_eq!(via_memo[0].keys, direct.keys);
         assert_eq!(via_memo[0].fds(), direct.fds());
         // A different pair of inputs is a different entry.
-        let other = memo.join(&right, &left, &[(c(10), c(1))], &right.order);
+        let other = memo.join(&right, &left, &right.order);
         assert!(!Arc::ptr_eq(other.facts(), via_memo[0].facts()));
     }
 
@@ -762,9 +729,20 @@ mod tests {
 
     #[test]
     fn dominance_on_keys() {
-        let strong = StreamProps::base_table(cs(&[0, 1]), vec![cs(&[0])]);
-        let weak = StreamProps::base_table(cs(&[0, 1]), vec![]);
-        assert!(strong.dominates(&weak));
-        assert!(!weak.dominates(&strong));
+        // A key counts in dominance through its dependency alone: on a
+        // stream keyed by {0}, (0) satisfies (0, 1); on an unkeyed one it
+        // does not.
+        let keyed = StreamProps::base_table(cs(&[0, 1]), vec![cs(&[0])]);
+        assert!(keyed
+            .clone()
+            .with_order(asc(&[0]))
+            .dominates(&keyed.clone().with_order(asc(&[0, 1]))));
+        let unkeyed = StreamProps::base_table(cs(&[0, 1]), vec![]);
+        assert!(!unkeyed
+            .clone()
+            .with_order(asc(&[0]))
+            .dominates(&unkeyed.clone().with_order(asc(&[0, 1]))));
+        // A key with nothing else to tell them apart decides nothing.
+        assert!(unkeyed.dominates(&keyed) && keyed.dominates(&unkeyed));
     }
 }

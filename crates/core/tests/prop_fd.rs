@@ -1,8 +1,8 @@
-//! Randomized laws of the functional-dependency algebra and the key
-//! property, generated deterministically with the in-repo PRNG.
+//! Randomized laws of the functional-dependency algebra, generated
+//! deterministically with the in-repo PRNG.
 
 use fto_common::{ColId, ColSet, Rng};
-use fto_order::{EquivalenceClasses, Fd, FdSet, KeyProperty, OrderContext};
+use fto_order::{Fd, FdSet};
 
 const NCOLS: u32 = 8;
 const CASES: u64 = 400;
@@ -25,11 +25,6 @@ fn fdset(rng: &mut Rng) -> FdSet {
         set.add(Fd::new(head, tail));
     }
     set
-}
-
-fn keys(rng: &mut Rng, max: usize) -> Vec<ColSet> {
-    let n = rng.range_usize(0, max);
-    (0..n).map(|_| colset(rng)).collect()
 }
 
 /// Closure is extensive, monotone, and idempotent (a closure operator in
@@ -101,72 +96,5 @@ fn rename_preserves_derivations() {
             renamed.determines(&probe_renamed, shift(col)),
             "case {case}"
         );
-    }
-}
-
-/// Key-property minimization: no kept key is a superset of another, and
-/// `determined_by` is preserved by minimization.
-#[test]
-fn key_property_is_minimal() {
-    let mut rng = Rng::new(0xFD_05);
-    for case in 0..CASES {
-        let ks = keys(&mut rng, 6);
-        let probe = colset(&mut rng);
-        let kp = KeyProperty::from_keys(ks.clone());
-        for (i, a) in kp.keys().iter().enumerate() {
-            for (j, b) in kp.keys().iter().enumerate() {
-                if i != j {
-                    assert!(!a.is_subset(b), "case {case}: {a:?} subsumes {b:?}");
-                }
-            }
-        }
-        // Anything determined by the raw keys is determined by the
-        // minimized property.
-        let raw_hit = ks.iter().any(|k| k.is_subset(&probe));
-        assert_eq!(kp.determined_by(&probe), raw_hit, "case {case}");
-    }
-}
-
-/// Canonicalization never weakens the property: anything determined
-/// before is determined after (under closure reasoning).
-#[test]
-fn canonicalize_never_weakens() {
-    let mut rng = Rng::new(0xFD_06);
-    for case in 0..CASES {
-        let ks = keys(&mut rng, 5);
-        let fds = fdset(&mut rng);
-        let ctx = OrderContext::new(EquivalenceClasses::new(), &fds);
-        let mut kp = KeyProperty::from_keys(ks.clone());
-        kp.canonicalize(&ctx);
-        for k in ks {
-            // The original key (closed under the FDs) must still be
-            // recognized as determining records.
-            let closed = fds.closure(&k);
-            assert!(
-                kp.is_empty() || kp.determined_by(&closed),
-                "case {case}: lost key {k:?}; kp = {kp:?}"
-            );
-        }
-    }
-}
-
-/// Join propagation returns only keys derivable from the inputs' columns
-/// (no invented columns).
-#[test]
-fn join_keys_use_input_columns() {
-    let mut rng = Rng::new(0xFD_07);
-    for case in 0..CASES {
-        let lk = keys(&mut rng, 3);
-        let rk = keys(&mut rng, 3);
-        let left = KeyProperty::from_keys(lk.clone());
-        let right = KeyProperty::from_keys(rk.clone());
-        let mut universe = ColSet::new();
-        for k in lk.iter().chain(rk.iter()) {
-            universe.union_with(k);
-        }
-        let joined = KeyProperty::join(&left, &right, &[]);
-        for k in joined.keys() {
-            assert!(k.is_subset(&universe), "case {case}");
-        }
     }
 }

@@ -510,8 +510,8 @@ impl Tracked {
     fn join(&self, right: &Tracked, memo: Option<&mut FactsMemo>) -> Tracked {
         let order = self.props.order.clone();
         let props = match memo {
-            Some(memo) => memo.join(&self.props, &right.props, &[], &order),
-            None => StreamProps::join(&self.props, &right.props, &[], order),
+            Some(memo) => memo.join(&self.props, &right.props, &order),
+            None => StreamProps::join(&self.props, &right.props, order),
         };
         let mut out = self.same_facts(props);
         out.fds.absorb(&right.fds);
@@ -623,11 +623,7 @@ fn shared_context_stays_coherent_with_the_facts() {
                     }
                 }
                 8 => t.join(&pool[other], via_memo.then_some(&mut memo)),
-                9 => t.same_facts(StreamProps::left_outer_join(
-                    &t.props,
-                    &pool[other].props,
-                    &[],
-                )),
+                9 => t.same_facts(StreamProps::left_outer_join(&t.props, &pool[other].props)),
                 10 => {
                     let grouping = random_colset(&mut rng, 1, 3);
                     let aggs = if rng.bool() {

@@ -106,7 +106,8 @@ pub fn access_paths(
 }
 
 /// The properties of a bare scan of `table` as quantifier `q`: its
-/// columns, and as keys the table's declared keys and unique indexes.
+/// columns, and a `key → all columns` dependency for each of the table's
+/// declared keys and unique indexes.
 pub(crate) fn base_props(catalog: &Catalog, table: &TableDef, q: &Quantifier) -> StreamProps {
     let mut keys: Vec<ColSet> = table
         .keys

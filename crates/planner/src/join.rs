@@ -230,7 +230,7 @@ fn join_pair(
 
     // --- Nested-loop join (inner rescanned per outer row) ---------------
     if planner.config.enable_nested_loop {
-        let props = join_props(planner, memo, outer, inner, &equates, &applicable);
+        let props = join_props(planner, memo, outer, inner, &applicable);
         let total = outer.cost.total
             + outer.cost.rows.max(1.0) * inner.cost.total
             + cost::filter(outer.cost.rows * inner.cost.rows, applicable.len().max(1));
@@ -275,14 +275,7 @@ fn join_pair(
         let i_order = OrderSpec::ascending(icols.iter().copied());
         let outer_sorted = planner.ensure_order(Arc::clone(outer), &o_order);
         let inner_sorted = planner.ensure_order(Arc::clone(inner), &i_order);
-        let props = join_props(
-            planner,
-            memo,
-            &outer_sorted,
-            &inner_sorted,
-            &equates,
-            &applicable,
-        );
+        let props = join_props(planner, memo, &outer_sorted, &inner_sorted, &applicable);
         // Expected inner rows per distinct join-key value: the tie groups
         // the streaming merge join buffers and rescans per outer row.
         let inner_rows = inner_sorted.cost.rows;
@@ -322,7 +315,7 @@ fn join_pair(
     if planner.config.enable_hash_join && !equates.is_empty() {
         let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
         // Streaming probe preserves the outer's order.
-        let props = join_props(planner, memo, outer, inner, &equates, &applicable);
+        let props = join_props(planner, memo, outer, inner, &applicable);
         let total = outer.cost.total
             + inner.cost.total
             + cost::hash_join(inner.cost.rows, outer.cost.rows)
@@ -416,7 +409,7 @@ fn index_nlj(
         );
 
         // Properties: outer order survives; inner contributes its base
-        // props (keys, columns); the join predicates apply; the inner's
+        // props (key FDs, columns); the join predicates apply; the inner's
         // local predicates are evaluated as residuals too.
         let mut all_preds: Vec<PredId> = applicable.to_vec();
         all_preds.extend(inner_local_preds.iter().copied());
@@ -426,7 +419,7 @@ fn index_nlj(
             .or_insert_with(|| access::base_props(catalog, table_def, inner_q));
         let mut props = memo
             .facts
-            .join(&outer.props, inner_base, equates, &outer.props.order);
+            .join(&outer.props, inner_base, &outer.props.order);
         for &pid in &all_preds {
             memo.facts
                 .apply_predicate(&mut props, pid, planner.graph.predicate(pid));
@@ -465,12 +458,11 @@ fn join_props(
     memo: &mut JoinMemo,
     outer: &Plan,
     inner: &Plan,
-    equates: &[(ColId, ColId)],
     applicable: &[PredId],
 ) -> StreamProps {
     let mut props = memo
         .facts
-        .join(&outer.props, &inner.props, equates, &outer.props.order);
+        .join(&outer.props, &inner.props, &outer.props.order);
     for &pid in applicable {
         memo.facts
             .apply_predicate(&mut props, pid, planner.graph.predicate(pid));

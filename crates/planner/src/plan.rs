@@ -273,9 +273,9 @@ impl Plan {
     }
 
     /// [`Plan::explain`] with the paper's data properties annotated under
-    /// every operator: the order property, the key property (or the
-    /// one-record condition), and the count of applied predicates — the
-    /// state the optimizer reasoned over when it picked this plan.
+    /// every operator: the order property and the count of applied
+    /// predicates — the state the optimizer reasoned over when it picked
+    /// this plan.
     pub fn explain_properties(&self, name: &dyn Fn(ColId) -> String) -> String {
         self.explain_annotated(name, &|_, node| node.properties_note(name))
     }
@@ -329,34 +329,14 @@ impl Plan {
     }
 
     /// The annotation of [`Plan::explain_properties`]: this stream's
-    /// order, keys and applied-predicate count.
+    /// order and applied-predicate count.
     fn properties_note(&self, name: &dyn Fn(ColId) -> String) -> String {
         let order = if self.props.order.is_empty() {
             "unordered".to_string()
         } else {
             format!("order: ({})", spec_names(&self.props.order, name))
         };
-        let keys = if self.props.keys.is_one_record() {
-            "one-record".to_string()
-        } else if self.props.keys.is_empty() {
-            "no keys".to_string()
-        } else {
-            let rendered: Vec<String> = self
-                .props
-                .keys
-                .keys()
-                .iter()
-                .map(|k| {
-                    let cols: Vec<String> = k.iter().map(name).collect();
-                    format!("{{{}}}", cols.join(", "))
-                })
-                .collect();
-            format!("keys: {}", rendered.join(" "))
-        };
-        format!(
-            "{order} | {keys} | {} preds applied",
-            self.props.preds.len()
-        )
+        format!("{order} | {} preds applied", self.props.preds.len())
     }
 
     fn detail(&self, name: &dyn Fn(ColId) -> String) -> String {

@@ -531,9 +531,9 @@ impl<'a> Planner<'a> {
         for left in &lefts {
             for right in &rights {
                 self.stats.joins_considered += 1;
-                // The preserved side's facts and order, the joined key
-                // property, then the one-directional ON FDs.
-                let mut props = StreamProps::left_outer_join(&left.props, &right.props, &equates);
+                // The preserved side's facts and order, then the
+                // one-directional ON FDs.
+                let mut props = StreamProps::left_outer_join(&left.props, &right.props);
                 for &pid in on {
                     props.apply_outer_join_predicate(pid, self.graph.predicate(pid), &preserved);
                 }
@@ -894,10 +894,10 @@ fn kind_name(kind: &BoxKind) -> &'static str {
     }
 }
 
-/// Whether two streams have exactly the same order, predicates, keys
-/// and columns: the reference planner's only ground for pruning.
+/// Whether two streams have exactly the same order, predicates and
+/// columns: the reference planner's only ground for pruning.
 fn same_props(a: &StreamProps, b: &StreamProps) -> bool {
-    a.order == b.order && a.preds == b.preds && a.keys == b.keys && a.cols == b.cols
+    a.order == b.order && a.preds == b.preds && a.cols == b.cols
 }
 
 /// The leading part of an order that an operator anywhere in the query
@@ -1723,10 +1723,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stronger_key_keeps_a_dearer_plan() {
-        // No planning decision reads the key property, so no root cost of
-        // the reference check moves when dominance ignores keys; this is
-        // where ignoring them shows.
+    fn a_key_alone_keeps_no_dearer_plan() {
+        // Dominance compares orders and predicates: a key counts only
+        // through the dependency it states, which decides nothing between
+        // two unordered plans.
         let db = simple_db();
         let (mut g, cols) = single_table_query(&db, None);
         OrderScan::run(&mut g, db.catalog());
@@ -1734,7 +1734,7 @@ mod tests {
             candidate(&cols, None, &[], 5.0),
             candidate(&cols, Some(cols[0]), &[], 8.0),
         ];
-        assert_eq!(kept(&g, &db, plans), [5.0, 8.0]);
+        assert_eq!(kept(&g, &db, plans), [5.0]);
     }
 
     #[test]

@@ -30,13 +30,15 @@ use fto_qgm::graph::{BoxId, BoxKind, OutputCol, OutputExpr, QueryGraph};
 /// for the rewrites and the order scan.
 pub fn bind(query: &Query, catalog: &Catalog) -> Result<QueryGraph> {
     let mut graph = QueryGraph::new();
-    let root = bind_any(&mut graph, catalog, query)?;
+    let (root, _) = bind_any(&mut graph, catalog, query)?;
     graph.root = root;
     Ok(graph)
 }
 
-/// Binds either a plain query or a UNION of queries.
-fn bind_any(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<BoxId> {
+/// Binds either a plain query or a UNION of queries, returning its box and
+/// the names of its output columns (aliases where the select list gives
+/// them), by which an enclosing query refers to them.
+fn bind_any(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Named> {
     if q.union_branches.is_empty() {
         bind_query(graph, catalog, q)
     } else {
@@ -47,7 +49,7 @@ fn bind_any(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<BoxI
 /// Binds `q UNION [ALL] b1 UNION [ALL] b2 ...` into a Union box; the
 /// trailing ORDER BY / LIMIT / set-semantics DISTINCT apply to the whole
 /// union.
-fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<BoxId> {
+fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Named> {
     let first_core = Query {
         union_branches: Vec::new(),
         order_by: Vec::new(),
@@ -55,12 +57,13 @@ fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
         ..q.clone()
     };
     let mut distinct_union = false;
-    let mut branches = vec![bind_any(graph, catalog, &first_core)?];
+    let (first, first_names) = bind_any(graph, catalog, &first_core)?;
+    let mut branches = vec![first];
     for b in &q.union_branches {
         if !b.all {
             distinct_union = true;
         }
-        branches.push(bind_any(graph, catalog, &b.query)?);
+        branches.push(bind_any(graph, catalog, &b.query)?.0);
     }
 
     // Branches agree on arity and, position by position, on type: the
@@ -97,30 +100,29 @@ fn bind_union(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
     }
     // Union outputs are fresh columns (a merged value is not any single
     // branch's column); names and types come from the first branch.
-    let first_cols = graph.boxed(branches[0]).output_cols();
-    let mut outputs = Vec::with_capacity(arity);
-    let mut names = Vec::with_capacity(arity);
-    for (&c, dt) in first_cols.iter().zip(first_types) {
-        let name = graph.registry.name(c).to_string();
-        let out = graph.fresh_derived(union_box, name.clone(), dt);
-        outputs.push(OutputCol::passthrough(out));
-        names.push(name);
-    }
+    let outputs: Vec<OutputCol> = first_names
+        .iter()
+        .zip(first_types)
+        .map(|(name, dt)| OutputCol::passthrough(graph.fresh_derived(union_box, name, dt)))
+        .collect();
 
     let empty_scope = Scope {
         bindings: Vec::new(),
     };
-    let order = resolve_order_by(graph, &empty_scope, q, &outputs, &names)?;
+    let order = resolve_order_by(graph, &empty_scope, q, &outputs, &first_names)?;
     let b = graph.boxed_mut(union_box);
     b.output = outputs;
     b.distinct = distinct_union;
     b.output_order = order;
     b.limit = q.limit;
-    Ok(union_box)
+    Ok((union_box, first_names))
 }
 
 /// Per-column (qualifier, name) metadata of a binding.
 type QualifiedNames = Vec<(Option<String>, String)>;
+
+/// A bound query's box and its output column names.
+type Named = (BoxId, Vec<String>);
 
 /// One visible FROM binding. Columns carry individual qualifiers so an
 /// explicit join tree (one binding, many source tables) still resolves
@@ -196,7 +198,7 @@ fn display_ref(r: &ColumnRef) -> String {
     }
 }
 
-fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<BoxId> {
+fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Named> {
     let sel = graph.add_box(BoxKind::Select);
 
     // FROM items become quantifiers.
@@ -236,7 +238,7 @@ fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Bo
             }
             WherePred::InSubquery { expr, query } => {
                 let tested = bind_expr(graph, &scope, expr)?;
-                let child = bind_any(graph, catalog, query)?;
+                let (child, _) = bind_any(graph, catalog, query)?;
                 if graph.boxed(child).output.len() != 1 {
                     return Err(FtoError::Semantic(
                         "IN subquery must produce exactly one column".into(),
@@ -289,11 +291,11 @@ fn bind_from_item(
             })
         }
         TableRef::Subquery { query, alias } => {
-            let child = bind_any(graph, catalog, query)?;
+            let (child, names) = bind_any(graph, catalog, query)?;
             let cols = graph.add_box_quantifier(sel, child).cols.clone();
-            let col_names = cols
-                .iter()
-                .map(|&c| (Some(alias.clone()), graph.registry.name(c).to_string()))
+            let col_names = names
+                .into_iter()
+                .map(|n| (Some(alias.clone()), n))
                 .collect();
             Ok(Binding { cols, col_names })
         }
@@ -378,12 +380,11 @@ fn attach_join_side(
                 .collect())
         }
         TableRef::Subquery { query, alias } => {
-            let child = bind_any(graph, catalog, query)?;
-            let cols = graph.boxed(child).output_cols();
+            let (child, names) = bind_any(graph, catalog, query)?;
             graph.add_box_quantifier(jb, child);
-            Ok(cols
-                .iter()
-                .map(|&c| (Some(alias.clone()), graph.registry.name(c).to_string()))
+            Ok(names
+                .into_iter()
+                .map(|n| (Some(alias.clone()), n))
                 .collect())
         }
         TableRef::Join { .. } => {
@@ -401,14 +402,15 @@ fn bind_plain_select(
     scope: &Scope,
     q: &Query,
     sel: BoxId,
-) -> Result<BoxId> {
+) -> Result<Named> {
     let mut outputs: Vec<OutputCol> = Vec::new();
     let mut names: Vec<String> = Vec::new();
+    let mut passed = ColSet::new();
     for (i, item) in q.items.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
                 for (col, name) in scope.all_cols() {
-                    outputs.push(OutputCol::passthrough(col));
+                    outputs.push(pass_once(graph, sel, &mut passed, col, &name)?);
                     names.push(name);
                 }
             }
@@ -416,12 +418,11 @@ fn bind_plain_select(
                 let e = bind_expr(graph, scope, expr)?;
                 match e.as_col() {
                     Some(c) => {
-                        outputs.push(OutputCol::passthrough(c));
-                        names.push(
-                            alias
-                                .clone()
-                                .unwrap_or_else(|| graph.registry.name(c).to_string()),
-                        );
+                        let name = alias
+                            .clone()
+                            .unwrap_or_else(|| graph.registry.name(c).to_string());
+                        outputs.push(pass_once(graph, sel, &mut passed, c, &name)?);
+                        names.push(name);
                     }
                     None => {
                         let name = alias.clone().unwrap_or_else(|| format!("col{}", i + 1));
@@ -447,7 +448,28 @@ fn bind_plain_select(
     b.distinct = q.distinct;
     b.output_order = order;
     b.limit = q.limit;
-    Ok(sel)
+    Ok((sel, names))
+}
+
+/// The output passing `col` through as `name` from box `b`: the column
+/// itself the first time, then a fresh derived copy (`Expr::col(col)`),
+/// so that no box outputs a column twice.
+fn pass_once(
+    graph: &mut QueryGraph,
+    b: BoxId,
+    passed: &mut ColSet,
+    col: ColId,
+    name: &str,
+) -> Result<OutputCol> {
+    if passed.insert(col) {
+        return Ok(OutputCol::passthrough(col));
+    }
+    let e = Expr::col(col);
+    let copy = graph.fresh_derived(b, name, expr_type(graph, &e)?);
+    Ok(OutputCol {
+        col: copy,
+        expr: OutputExpr::Scalar(e),
+    })
 }
 
 /// The aggregating shape: select box → group-by box → final select box.
@@ -456,14 +478,17 @@ fn bind_aggregate_select(
     scope: &Scope,
     q: &Query,
     sel: BoxId,
-) -> Result<BoxId> {
-    // Resolve grouping columns and aggregate calls.
-    let grouping: Vec<ColId> = q
-        .group_by
-        .iter()
-        .map(|r| scope.resolve(r))
-        .collect::<Result<Vec<_>>>()?;
-    let grouping_set: ColSet = grouping.iter().copied().collect();
+) -> Result<Named> {
+    // Resolve grouping columns (a repeat groups by nothing more) and
+    // aggregate calls.
+    let mut grouping: Vec<ColId> = Vec::new();
+    let mut grouping_set = ColSet::new();
+    for r in &q.group_by {
+        let c = scope.resolve(r)?;
+        if grouping_set.insert(c) {
+            grouping.push(c);
+        }
+    }
 
     enum FinalItem {
         /// Pass a grouping column through.
@@ -574,9 +599,10 @@ fn bind_aggregate_select(
     }
     let mut outputs = Vec::new();
     let mut names = Vec::new();
+    let mut passed = ColSet::new();
     for item in final_items {
         let (output, name) = match item {
-            FinalItem::Pass(c, name) => (OutputCol::passthrough(c), name),
+            FinalItem::Pass(c, name) => (pass_once(graph, fin, &mut passed, c, &name)?, name),
             FinalItem::Computed(e, name) => {
                 let col = graph.fresh_derived(fin, name.clone(), expr_type(graph, &e)?);
                 (
@@ -598,7 +624,7 @@ fn bind_aggregate_select(
     b.distinct = q.distinct;
     b.output_order = order;
     b.limit = q.limit;
-    Ok(fin)
+    Ok((fin, names))
 }
 
 /// Resolves ORDER BY items against the output list (aliases and ordinals)

@@ -287,6 +287,25 @@ if grep -rnE 'max_sort_ahead|enable_segmented_sort|with_segmented_sort' crates t
     exit 1
 fi
 
+echo "==> count guard: StreamProps has at most 3 public properties, and keys are dependencies"
+# A key enters the order algebra as the dependency key -> all columns,
+# and a key bound to constants empties any order through reduce: the
+# paper's one-record condition. A separate key property decided nothing
+# and cost one closure loop per key on every applied predicate. The
+# properties are cols, order and preds, over the shared facts; the count
+# only goes down.
+props=$(sed -n '/^pub struct StreamProps {/,/^}/p' crates/core/src/props.rs | grep -c '^    pub [a-z_]*:' || true)
+if [[ "${props}" -gt 3 ]]; then
+    echo "guard failed: StreamProps has ${props} public fields (allowed: 3);"
+    echo "state the new fact as a dependency in StreamFacts instead"
+    exit 1
+fi
+if grep -rnE 'KeyProperty|keyprop' crates tests examples; then
+    echo "guard failed: a key property is back;"
+    echo "keys are FdSet::add_key dependencies, read through OrderContext::reduce"
+    exit 1
+fi
+
 echo "==> grep guard: one optimizer log, owned by the planner that fills it"
 # A planner decision is recorded by one call that bumps its PlannerStats
 # field and, when the planner was asked to trace, pushes the event into

@@ -3,8 +3,9 @@
 //! Simmen, Shekita, Malkemus, SIGMOD 1996.
 
 use fto_common::{ColId, ColSet, Value};
+use fto_expr::{PredId, Predicate};
 use fto_order::{
-    EquivalenceClasses, FdSet, FlexColumn, FlexOrder, KeyProperty, OrderContext, OrderSpec,
+    EquivalenceClasses, FdSet, FlexColumn, FlexOrder, OrderContext, OrderSpec, StreamProps,
 };
 
 fn asc(cols: &[u32]) -> OrderSpec {
@@ -114,7 +115,6 @@ fn section_4_4_homogenize_example() {
 /// violate both.
 #[test]
 fn section_4_1_outer_join_fd() {
-    use fto_order::StreamProps;
     let (x, y) = (ColId(0), ColId(10));
     let preserved: ColSet = [ColId(0), ColId(1)].into_iter().collect();
     let mut props = StreamProps::base_table(
@@ -138,31 +138,77 @@ fn section_4_1_outer_join_fd() {
     assert_eq!(ctx.reduce(&OrderSpec::ascending([y, x])).len(), 2);
 }
 
-/// §5.2.1 key propagation: n-to-1 joins propagate the outer key property,
-/// 1-to-n the inner's, and m-to-n concatenates key pairs.
+/// The output of joining `left` (columns 0 and 5, key {0}) to `right`
+/// (columns 10 and 11, key {10}) on `left_col = right_col`.
+fn keyed_join(left_col: u32, right_col: u32) -> StreamProps {
+    let left = StreamProps::base_table(cs(&[0, 5]), vec![cs(&[0])]);
+    let right = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
+    let mut joined = StreamProps::join(&left, &right, OrderSpec::empty());
+    joined.apply_predicate(
+        PredId(0),
+        &Predicate::col_eq_col(ColId(left_col), ColId(right_col)),
+    );
+    joined
+}
+
+/// §5.2.1 key propagation, read through the dependencies: an n-to-1 join
+/// keeps the outer's key, and an m-to-n join is keyed by the pair.
 #[test]
 fn section_5_2_1_key_propagation() {
-    let left = KeyProperty::from_keys(vec![cs(&[0])]);
-    let right = KeyProperty::from_keys(vec![cs(&[10])]);
-    // right key fully qualified by join predicate (5 = 10): n-to-1.
-    let j = KeyProperty::join(&left, &right, &[(ColId(5), ColId(10))]);
-    assert_eq!(j.keys(), &[cs(&[0])]);
-    // neither qualified: concatenated pairs.
-    let j = KeyProperty::join(&left, &right, &[(ColId(5), ColId(11))]);
-    assert_eq!(j.keys(), &[cs(&[0, 10])]);
+    // The inner's key is fully qualified by the join predicate (5 = 10):
+    // n-to-1, so the outer key determines the inner's columns too.
+    let n_to_1 = keyed_join(5, 10);
+    assert_eq!(n_to_1.ctx().reduce(&asc(&[0, 11])), asc(&[0]));
+    assert_eq!(n_to_1.ctx().reduce(&asc(&[0, 10, 5, 11])), asc(&[0]));
+    // Neither key qualified (5 = 11): only the pair of keys determines
+    // a row.
+    let m_to_n = keyed_join(5, 11);
+    assert_eq!(m_to_n.ctx().reduce(&asc(&[0, 11])), asc(&[0]));
+    assert_eq!(m_to_n.ctx().reduce(&asc(&[0, 10])), asc(&[0, 10]));
+    assert_eq!(m_to_n.ctx().reduce(&asc(&[0, 10, 5, 11])), asc(&[0, 10]));
 }
 
 /// §5.2.1: "if the DB2 optimizer detects that some key has become fully
 /// qualified by equality predicates ... a one-record condition is
-/// flagged."
+/// flagged." Here the key's dependency says the same: a key bound to a
+/// constant determines every column, so any order reduces to the empty
+/// one.
 #[test]
 fn section_5_2_1_one_record_condition() {
+    let (k, v, w) = (0, 1, 2);
     let mut eq = EquivalenceClasses::new();
-    eq.bind_constant(ColId(0), Value::Int(5));
-    let ctx = OrderContext::new(eq, &FdSet::new());
-    let mut kp = KeyProperty::from_keys(vec![cs(&[0])]);
-    kp.canonicalize(&ctx);
-    assert!(kp.is_one_record());
+    eq.bind_constant(ColId(k), Value::Int(5));
+    let mut fds = FdSet::new();
+    fds.add_key(cs(&[k]), cs(&[k, v, w]));
+    let ctx = OrderContext::new(eq, &fds);
+    assert!(ctx.reduce(&asc(&[v, w])).is_empty());
+    assert!(ctx.test_order(&asc(&[w, v]), &OrderSpec::empty()));
+
+    // The same through a stream's properties.
+    let mut props = StreamProps::base_table(cs(&[k, v, w]), vec![cs(&[k])]);
+    props.apply_predicate(PredId(0), &Predicate::col_eq_const(ColId(k), Value::Int(5)));
+    assert!(props.ctx().reduce(&asc(&[v, w])).is_empty());
+}
+
+/// §5.2.1's one-record condition in a plan: `emp_id` is `emp`'s key, so
+/// `emp_id = 5` leaves at most one row and the ORDER BY needs no sort.
+#[test]
+fn section_5_2_1_one_record_needs_no_sort() {
+    fn sorts(plan: &fto_planner::Plan) -> usize {
+        let own = usize::from(plan.op_name().contains("sort") || plan.op_name() == "top-n");
+        own + plan.children().iter().map(|c| sorts(c)).sum::<usize>()
+    }
+    let db = fto_bench::corpus::emp_db();
+    let session = fto_bench::Session::new(&db);
+    let q = session
+        .plan("select emp_id, salary, grade from emp where emp_id = 5 order by salary, grade")
+        .unwrap();
+    assert_eq!(sorts(q.plan()), 0, "{}", q.explain());
+    // Without the key's constant the ORDER BY takes a sort.
+    let q = session
+        .plan("select emp_id, salary, grade from emp where emp_dept = 5 order by salary, grade")
+        .unwrap();
+    assert_eq!(sorts(q.plan()), 1, "{}", q.explain());
 }
 
 /// §7: "consider a GROUP BY for x, y, sum(distinct z). This can be

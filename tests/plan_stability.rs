@@ -5,7 +5,7 @@
 //! For the five `compile_heavy` benchmark templates at TPC-D scale 0.002
 //! ([`join_ladder`]) plus the differential corpus, under three configurations, the six
 //! decision counters of [`PlannerStats`] and the chosen plan — rendered
-//! with every node's cost, rows, order, key and predicate properties —
+//! with every node's cost, rows, order and predicate properties —
 //! must match `tests/golden/plan_stability.txt` byte for byte. The file
 //! was captured at commit a27182d, before stream facts became shared; the
 //! 15 blocks of statements with a DISTINCT were re-pinned when DISTINCT
@@ -21,7 +21,9 @@
 //! not the first four: its fifth, `(n_name)`, sorts the 25 `nation` rows
 //! early and the final sort becomes a segmented `(n_name | s_name,
 //! c_name)` one (estimated cost 596.5 → 563.4; no other block moved, and
-//! no `disabled` block). Every block also checks the
+//! no `disabled` block). Every property line lost its key segment
+//! (`no keys`, `one-record`, `keys: …`) when the key property was
+//! dropped; nothing else in the file moved. Every block also checks the
 //! counting itself: no more plans pruned than generated, and — planned
 //! again with a trace — one `PlanGenerated` event per counted plan.
 //!
@@ -222,8 +224,9 @@ fn fold_is_spelling_only() {
         // cheapest enforcer per interesting order, (90,
         // 0x7a62_b511_4c4f_f437) before an order counted only up to its
         // useful prefix, (90, 0x8776_b472_c642_f03f) before sort-ahead
-        // served every interesting order.
-        (90, 0x7e9f_f693_e2d8_0237),
+        // served every interesting order, (90, 0x7e9f_f693_e2d8_0237)
+        // before the property lines lost their key segment.
+        (90, 0x6e2d_9565_7fc4_508a),
         "a block of a statement without a DISTINCT moved"
     );
 }

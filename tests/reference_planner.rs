@@ -3,8 +3,8 @@
 //! [`Planner::exhaustive`] searches the planner's own space — the same
 //! join steps, access paths and every interesting order — but builds
 //! sort-ahead over every candidate and prunes a plan only for one that
-//! is no dearer with exactly the same order, predicates, keys and
-//! columns. Its root cost is thus the least the space holds. The
+//! is no dearer with exactly the same order, predicates and columns.
+//! Its root cost is thus the least the space holds. The
 //! planner prunes far harder: `<=` dominance (paper §5.2.1), with an
 //! order counting only up to its useful prefix, and one sort-ahead
 //! variant per interesting order. For every statement below, under each
