@@ -512,6 +512,92 @@ mod tests {
     }
 
     #[test]
+    fn composite_key_bound_to_constants_gives_one_record() {
+        // Key {0, 1}: binding one column leaves the other determining
+        // every column; binding both leaves at most one row.
+        let mut p = StreamProps::base_table(cs(&[0, 1, 2, 3]), vec![cs(&[0, 1])]);
+        p.apply_predicate(PredId(0), &Predicate::col_eq_const(c(0), Value::Int(5)));
+        assert_eq!(p.ctx().reduce(&asc(&[2])), asc(&[2]));
+        assert_eq!(p.ctx().reduce(&asc(&[1, 2, 3])), asc(&[1]));
+        p.apply_predicate(PredId(1), &Predicate::col_eq_const(c(1), Value::Int(6)));
+        assert!(p.ctx().reduce(&asc(&[2, 3])).is_empty());
+        assert!(p.ctx().fds().determines_all(&ColSet::new(), &cs(&[2, 3])));
+    }
+
+    #[test]
+    fn key_fd_determines_from_supersets_only() {
+        let cols = cs(&[1, 2, 3]);
+        let keyed = StreamProps::base_table(cols.clone(), vec![cs(&[1, 2])]);
+        assert!(keyed.fds().determines_all(&cs(&[1, 2]), &cols));
+        assert!(keyed.fds().determines_all(&cs(&[1, 2, 3]), &cols));
+        assert!(!keyed.fds().determines(&cs(&[1]), c(3)));
+        let unkeyed = StreamProps::base_table(cols, vec![]);
+        assert!(!unkeyed.fds().determines(&cs(&[1]), c(2)));
+    }
+
+    #[test]
+    fn empty_key_gives_one_record() {
+        // The empty key determines every column from nothing, and so
+        // subsumes any other key.
+        for keys in [vec![ColSet::new()], vec![cs(&[1]), ColSet::new()]] {
+            let p = StreamProps::base_table(cs(&[1, 2]), keys);
+            assert!(p.fds().determines_all(&ColSet::new(), &cs(&[1, 2])));
+            assert!(p.ctx().reduce(&asc(&[2, 1])).is_empty());
+            assert!(p.with_order(asc(&[1])).order.is_empty());
+        }
+    }
+
+    /// Left: columns {0, 1, 2} with `left_keys`; right: columns {10, 11}
+    /// with key {10}; joined on `l = r`.
+    fn keyed_join(left_keys: &[&[u32]], l: u32, r: u32) -> StreamProps {
+        let keys = left_keys.iter().map(|k| cs(k)).collect();
+        let left = StreamProps::base_table(cs(&[0, 1, 2]), keys);
+        let right = StreamProps::base_table(cs(&[10, 11]), vec![cs(&[10])]);
+        let mut joined = StreamProps::join(&left, &right, OrderSpec::empty());
+        joined.apply_predicate(PredId(0), &Predicate::col_eq_col(c(l), c(r)));
+        joined
+    }
+
+    #[test]
+    fn n_to_1_join_left_key_determines_every_column() {
+        // 2 = 10 qualifies the right key: the left key {0} determines
+        // every column, the right key does not determine the left's.
+        let j = keyed_join(&[&[0]], 2, 10);
+        assert_eq!(j.ctx().reduce(&asc(&[0, 11, 10, 2, 1])), asc(&[0]));
+        assert_eq!(j.ctx().reduce(&asc(&[10, 0])).len(), 2);
+    }
+
+    #[test]
+    fn one_to_n_join_right_key_determines_every_column() {
+        // 0 = 11 qualifies the left key: the right key {10} determines
+        // every column, the left key does not determine the right's.
+        let j = keyed_join(&[&[0]], 0, 11);
+        assert_eq!(j.ctx().reduce(&asc(&[10, 0, 1, 2, 11])), asc(&[10]));
+        assert_eq!(j.ctx().reduce(&asc(&[0, 10])).len(), 2);
+    }
+
+    #[test]
+    fn one_to_one_join_either_key_determines_every_column() {
+        let j = keyed_join(&[&[0]], 0, 10);
+        let head = j.equivalences().head(c(0));
+        assert_eq!(j.ctx().reduce(&asc(&[0, 1, 2, 11])), asc(&[head.0]));
+        assert_eq!(j.ctx().reduce(&asc(&[10, 11, 1, 2])), asc(&[head.0]));
+        assert!(j.fds().determines(&cs(&[0]), c(2)));
+        assert!(j.fds().determines(&cs(&[10]), c(11)));
+    }
+
+    #[test]
+    fn m_to_n_join_key_pair_determines_every_column() {
+        // 2 = 11 qualifies neither key: a left key and the right key
+        // together determine every column, neither alone does.
+        let j = keyed_join(&[&[0], &[1]], 2, 11);
+        assert_eq!(j.ctx().reduce(&asc(&[0, 10, 1, 2, 11])), asc(&[0, 10]));
+        assert_eq!(j.ctx().reduce(&asc(&[1, 10, 0, 2, 11])), asc(&[1, 10]));
+        assert_eq!(j.ctx().reduce(&asc(&[0, 10])), asc(&[0, 10]));
+        assert_eq!(j.ctx().reduce(&asc(&[10, 0])), asc(&[10, 0]));
+    }
+
+    #[test]
     fn project_keeps_order_through_equivalents() {
         // Order on column 1; 1 = 2 applied; project away 1 but keep 2.
         let mut p = StreamProps::base_table(cs(&[1, 2, 3]), vec![]);

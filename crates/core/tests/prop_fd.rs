@@ -1,8 +1,8 @@
 //! Randomized laws of the functional-dependency algebra, generated
 //! deterministically with the in-repo PRNG.
 
-use fto_common::{ColId, ColSet, Rng};
-use fto_order::{Fd, FdSet};
+use fto_common::{ColId, ColSet, Rng, Value};
+use fto_order::{EquivalenceClasses, Fd, FdSet, OrderContext, OrderSpec};
 
 const NCOLS: u32 = 8;
 const CASES: u64 = 400;
@@ -25,6 +25,11 @@ fn fdset(rng: &mut Rng) -> FdSet {
         set.add(Fd::new(head, tail));
     }
     set
+}
+
+fn keys(rng: &mut Rng, max: usize) -> Vec<ColSet> {
+    let n = rng.range_usize(0, max);
+    (0..n).map(|_| colset(rng)).collect()
 }
 
 /// Closure is extensive, monotone, and idempotent (a closure operator in
@@ -76,6 +81,49 @@ fn adding_fds_is_monotone() {
         bigger.add(Fd::new(extra_head, extra_tail));
         if before {
             assert!(bigger.determines(&probe, col), "case {case}");
+        }
+    }
+}
+
+/// Canonicalizing the facts into head space never weakens a key: once
+/// equivalences and constants are folded in, each key's image still
+/// determines every column, so reducing the key followed by the whole
+/// table keeps only key columns.
+#[test]
+fn canonicalize_never_weakens() {
+    let mut rng = Rng::new(0xFD_06);
+    let all: ColSet = (0..NCOLS).map(ColId).collect();
+    for case in 0..CASES {
+        let ks = keys(&mut rng, 5);
+        let mut fds = fdset(&mut rng);
+        for k in &ks {
+            fds.add_key(k.clone(), all.clone());
+        }
+        let mut eq = EquivalenceClasses::new();
+        for _ in 0..rng.range_usize(0, 3) {
+            let a = ColId(rng.range_i64(0, NCOLS as i64) as u32);
+            let b = ColId(rng.range_i64(0, NCOLS as i64) as u32);
+            eq.merge(a, b);
+        }
+        if rng.range_usize(0, 2) == 1 {
+            let a = ColId(rng.range_i64(0, NCOLS as i64) as u32);
+            eq.bind_constant(a, Value::Int(7));
+        }
+        let head = |c: ColId| eq.head(c);
+        let head_all: ColSet = all.iter().map(head).collect();
+        let ctx = OrderContext::new(eq.clone(), &fds);
+        for k in ks {
+            let hk: ColSet = k.iter().map(head).collect();
+            assert!(
+                ctx.fds().determines_all(&hk, &head_all),
+                "case {case}: lost key {k:?}"
+            );
+            let spec = OrderSpec::ascending(k.iter().chain(all.iter()));
+            let reduced = ctx.reduce(&spec);
+            assert!(
+                reduced.col_set().is_subset(&hk),
+                "case {case}: key {k:?} reduced {spec:?} to {reduced:?}"
+            );
         }
     }
 }
