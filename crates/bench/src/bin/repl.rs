@@ -286,14 +286,7 @@ fn dispatch(
         }
         match compile(&lower, base_config(modern)).and_then(|q| run(q, profile_out)) {
             Ok((q, r)) => {
-                let graph = q.graph();
-                let names: Vec<&str> = graph
-                    .boxed(graph.root)
-                    .output
-                    .iter()
-                    .map(|o| graph.registry.name(o.col))
-                    .collect();
-                println!("{}", names.join(" | "));
+                println!("{}", q.graph().output_names.join(" | "));
                 for row in r.rows().iter().take(20) {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                     println!("{}", cells.join(" | "));

@@ -340,19 +340,13 @@ impl OrderContext {
     /// applied later still qualify, because homogenization produces an
     /// order that must eventually satisfy `interest` (paper §4.4).
     ///
-    /// Returns `None` when some column has no equivalent in the target.
+    /// The complete case of [`OrderContext::homogenize_prefix`]: `None`
+    /// when some column has no equivalent in the target.
     pub fn homogenize(&self, interest: &OrderSpec, targets: &ColSet) -> Option<OrderSpec> {
-        count(|w| &w.homogenize);
-        let reduced = self.reduce(interest);
-        let mut out = OrderSpec::empty();
-        for key in reduced.keys() {
-            let subst = self.class_member_in(key.col, targets)?;
-            out.push(SortKey {
-                col: subst,
-                dir: key.dir,
-            });
+        match self.homogenize_prefix(interest, targets) {
+            (out, true) => Some(out),
+            (_, false) => None,
         }
-        Some(out)
     }
 
     /// The optimistic variant used by the order scan (paper §5.1): when
@@ -364,20 +358,13 @@ impl OrderContext {
         count(|w| &w.homogenize);
         let reduced = self.reduce(interest);
         let mut out = OrderSpec::empty();
-        let mut complete = true;
         for key in reduced.keys() {
-            match self.class_member_in(key.col, targets) {
-                Some(subst) => out.push(SortKey {
-                    col: subst,
-                    dir: key.dir,
-                }),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
+            let Some(col) = self.class_member_in(key.col, targets) else {
+                return (out, false);
+            };
+            out.push(SortKey { col, dir: key.dir });
         }
-        (out, complete)
+        (out, true)
     }
 
     /// The smallest member of `col`'s equivalence class contained in

@@ -10,8 +10,10 @@
 //! *general* interesting order recording which columns are permutable and
 //! which directions are free. [`FlexOrder`] is that representation: an
 //! ordered list of *segments*, each a set of mutually permutable
-//! [`FlexColumn`]s. Satisfaction is tested greedily against a concrete
-//! order property, consuming one segment at a time.
+//! [`FlexColumn`]s. One greedy walk, [`FlexOrder::concretize`], reads the
+//! concrete order a stream's order property offers it, segment by segment;
+//! satisfaction is the paper's Test Order of the property against that
+//! order.
 
 use crate::context::OrderContext;
 use crate::spec::{OrderSpec, SortKey};
@@ -182,124 +184,71 @@ impl FlexOrder {
     }
 
     /// **Generalized Test Order**: does the concrete order property `prop`
-    /// satisfy this generalized order under `ctx`?
-    ///
-    /// The test walks the reduced property greedily: each segment must be
-    /// matched by the next `|segment|` property columns, in any
-    /// permutation, with compatible directions. A property column that is
-    /// functionally determined by the columns of the segments processed so
-    /// far (including the current one) cannot split a group — rows equal
-    /// on those columns are equal on it too — so it is skipped rather than
-    /// failing the match (e.g. with the FD `{x} → {y}`, the property
-    /// `(y, x)` satisfies GROUP BY x).
+    /// satisfy this generalized order under `ctx`? It does exactly when
+    /// `prop` satisfies the one concrete order [`FlexOrder::concretize`]
+    /// reads off it: the paper's Test Order (Fig. 3) over the walk, so
+    /// that an [`FlexOrder::exact`] order answers as `test_order` does.
+    /// With the FD `{x} → {y}`, the property `(y, x)` satisfies GROUP BY x.
     pub fn satisfied_by(&self, prop: &OrderSpec, ctx: &OrderContext) -> bool {
-        let reduced_self = self.reduce(ctx);
-        if reduced_self.is_empty() {
-            return true;
-        }
-        let prop = ctx.reduce(prop);
-        let mut pos = 0usize;
-        let mut determinants = ColSet::new();
-        let mut consumed = ColSet::new();
-        for seg in &reduced_self.segments {
-            for fc in seg {
-                determinants.insert(fc.col);
-            }
-            let mut remaining: Vec<&FlexColumn> = seg.iter().collect();
-            loop {
-                // Discharge direction-free flex columns the consumed
-                // property columns already determine: rows equal on the
-                // flex columns are equal on the consumed columns
-                // (skip-rule invariant), so they share one property
-                // tie-run, within which such a column is constant — it
-                // cannot split a group. A pinned direction is an *order*
-                // requirement, not mere adjacency, and is never
-                // dischargeable.
-                remaining
-                    .retain(|fc| !(fc.dir.is_none() && ctx.fds().determines(&consumed, fc.col)));
-                if remaining.is_empty() {
-                    break;
-                }
-                let Some(key) = prop.keys().get(pos) else {
-                    return false;
-                };
-                match remaining.iter().position(|fc| fc.admits(key, ctx)) {
-                    Some(idx) => {
-                        remaining.swap_remove(idx);
-                        consumed.insert(key.col);
-                        pos += 1;
-                    }
-                    None => {
-                        // A property key that collides with a *pinned*
-                        // remaining column has the wrong direction: the
-                        // column can never be matched later (reduction
-                        // removed repeats), so fail now.
-                        let direction_conflict = remaining.iter().any(|fc| {
-                            fc.dir.is_some() && ctx.equivalences().same_class(fc.col, key.col)
-                        });
-                        if !direction_conflict && ctx.fds().determines(&determinants, key.col) {
-                            // Constant within each group: harmless
-                            // interleaver.
-                            consumed.insert(key.col);
-                            pos += 1;
-                        } else {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
+        ctx.test_order(&self.concretize(prop, ctx), prop)
     }
 
     /// A concrete order satisfying this generalized order that extends the
     /// stream's existing (reduced) order property as far as possible — the
-    /// order the planner asks a sort to produce. Columns already implied
-    /// keep the property's choice; the rest are pinned ascending in
-    /// segment order.
+    /// order the planner asks a sort to produce, and the one
+    /// [`FlexOrder::satisfied_by`] tests the property against.
+    ///
+    /// The walk follows the property one key at a time, segment by
+    /// segment:
+    /// * a key that a remaining column of the segment admits is taken;
+    /// * a remaining column that the keys taken so far determine is
+    ///   discharged, whatever its direction: it is constant within each
+    ///   run of those keys (Reduce Order);
+    /// * a key that the segments so far determine cannot split a group, so
+    ///   it may come first — which is how ORDER BY y combines with GROUP BY
+    ///   x under `{x} → {y}` — but only while no remaining column of the
+    ///   segment is pinned, since a pinned direction asks for order, not
+    ///   adjacency;
+    /// * any other key, or the end of the property, diverges: the rest of
+    ///   the segment and every later segment are pinned, ascending where
+    ///   the direction is free.
     pub fn concretize(&self, prop: &OrderSpec, ctx: &OrderContext) -> OrderSpec {
-        let reduced = self.reduce(ctx);
         let prop = ctx.reduce(prop);
+        let mut keys = prop.keys();
         let mut out = OrderSpec::empty();
-        let mut pos = 0usize;
+        let mut placed = ColSet::new();
         let mut determinants = ColSet::new();
-        let mut diverged = false;
-        for seg in &reduced.segments {
-            for fc in seg {
-                determinants.insert(fc.col);
-            }
+        for seg in &self.reduce(ctx).segments {
+            determinants.extend(seg.iter().map(|fc| fc.col));
             let mut remaining: Vec<&FlexColumn> = seg.iter().collect();
-            // Follow the property while it keeps matching this segment;
-            // interleaved property columns that the grouping columns
-            // determine may be emitted too (they cannot split groups),
-            // which is how ORDER BY y combines with GROUP BY x under
-            // {x} → {y}.
-            while !remaining.is_empty() {
-                let key = if diverged { None } else { prop.keys().get(pos) };
-                match key {
-                    Some(key) => {
-                        if let Some(idx) = remaining.iter().position(|fc| fc.admits(key, ctx)) {
-                            remaining.swap_remove(idx);
-                            out.push(*key);
-                            pos += 1;
-                        } else if ctx.fds().determines(&determinants, key.col) {
-                            out.push(*key);
-                            pos += 1;
-                        } else {
-                            diverged = true;
-                        }
-                    }
-                    None => {
-                        // Property exhausted or diverged: pin the rest.
-                        diverged = true;
-                        for fc in remaining.drain(..) {
-                            out.push(SortKey {
-                                col: fc.col,
-                                dir: fc.dir.unwrap_or(Direction::Asc),
-                            });
-                        }
-                    }
+            loop {
+                let known = ctx.fds().closure(&placed);
+                remaining.retain(|fc| !known.contains(fc.col));
+                if remaining.is_empty() {
+                    break;
                 }
+                let Some((key, rest)) = keys.split_first() else {
+                    break;
+                };
+                if let Some(idx) = remaining.iter().position(|fc| fc.admits(key, ctx)) {
+                    remaining.swap_remove(idx);
+                } else if !(remaining.iter().all(|fc| fc.dir.is_none())
+                    && ctx.fds().determines(&determinants, key.col))
+                {
+                    // Diverged: no later segment follows the property.
+                    keys = &[];
+                    break;
+                }
+                out.push(*key);
+                placed.insert(key.col);
+                keys = rest;
+            }
+            for fc in remaining {
+                out.push(SortKey {
+                    col: fc.col,
+                    dir: fc.dir.unwrap_or(Direction::Asc),
+                });
+                placed.insert(fc.col);
             }
         }
         ctx.reduce(&out)
@@ -473,6 +422,30 @@ mod tests {
         let prop = asc(&[9, 0, 1]);
         let sort = flex.concretize(&prop, &ctx);
         assert!(flex.satisfied_by(&sort, &ctx));
+    }
+
+    /// Under `{b} → {c}`, rows sorted by `(c, b)` have every `b` group
+    /// contiguous but are not ordered by `b`: the key `c` may come before
+    /// a direction-free `b`, never before a pinned one.
+    #[test]
+    fn a_determined_key_comes_first_only_before_free_columns() {
+        let (a, b, c) = (c(0), c(1), c(2));
+        let mut fds = FdSet::new();
+        fds.add(crate::fd::Fd::implies(b, c));
+        let ctx = OrderContext::new(EquivalenceClasses::new(), &fds);
+        let prop = OrderSpec::ascending([c, b]);
+        let exact = FlexOrder::exact(&OrderSpec::ascending([b]));
+        assert!(!ctx.test_order(&OrderSpec::ascending([b]), &prop));
+        assert!(!exact.satisfied_by(&prop, &ctx));
+        assert_eq!(exact.concretize(&prop, &ctx), OrderSpec::ascending([b]));
+        let pinned = FlexOrder::new(vec![vec![
+            FlexColumn::pinned(b, Direction::Asc),
+            FlexColumn::free(a),
+        ]]);
+        assert!(!pinned.satisfied_by(&OrderSpec::ascending([c, b, a]), &ctx));
+        let grouping = FlexOrder::group_by([b], []);
+        assert!(grouping.satisfied_by(&prop, &ctx));
+        assert_eq!(grouping.concretize(&prop, &ctx), prop);
     }
 
     #[test]

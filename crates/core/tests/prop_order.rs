@@ -10,7 +10,11 @@
 //! * `test_order(I, OP)` ⟹ data sorted by `OP` is ordered by `I`;
 //! * `cover(I1, I2) = C` ⟹ data sorted by `C` is ordered by both;
 //! * `homogenize(I, T) = H` ⟹ data sorted by `H` is ordered by `I`;
-//! * `FlexOrder::satisfied_by(P)` ⟹ groups are contiguous under `P`.
+//! * `FlexOrder::satisfied_by(P)` ⟹ groups are contiguous under `P`;
+//! * `FlexOrder::satisfied_by` is Test Order over `FlexOrder::concretize`,
+//!   so an exact order answers as `test_order` does, and a pinned
+//!   permutable segment is satisfied only by a property that orders the
+//!   rows by its concretization.
 //!
 //! Plus a cache-coherence check on [`StreamProps`]: through random
 //! operator sequences, the context a stream shares answers exactly like
@@ -23,8 +27,8 @@
 use fto_common::{ColId, ColSet, Direction, Rng, Value};
 use fto_expr::{CompareOp, Expr, PredClass, PredId, Predicate};
 use fto_order::{
-    ContextWork, EquivalenceClasses, FactsMemo, Fd, FdSet, FlexOrder, OrderContext, OrderSpec,
-    SortKey, StreamProps,
+    ContextWork, EquivalenceClasses, FactsMemo, Fd, FdSet, FlexColumn, FlexOrder, OrderContext,
+    OrderSpec, SortKey, StreamProps,
 };
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -407,6 +411,83 @@ fn flex_concretize_satisfies() {
             "case {case}: concretize({prop}) = {sort} does not satisfy {flex}"
         );
     }
+}
+
+/// An exact order embedded as a generalized one answers as Test Order
+/// does: its one walk never lets a determined key come before a pinned
+/// column. Fifty pairs per world, since few worlds tell the two apart.
+#[test]
+fn flex_exact_is_test_order() {
+    let mut rng = Rng::new(0x0e);
+    for case in 0..CASES {
+        let w = world(&mut rng);
+        for _ in 0..50 {
+            let (interest, prop) = (spec_strategy(&mut rng), spec_strategy(&mut rng));
+            assert_eq!(
+                FlexOrder::exact(&interest).satisfied_by(&prop, &w.ctx),
+                w.ctx.test_order(&interest, &prop),
+                "case {case}: exact({interest}) against {prop}"
+            );
+        }
+    }
+}
+
+/// A GROUP BY order, with and without a DISTINCT argument's segment, is
+/// satisfied exactly when the property satisfies its concretization.
+#[test]
+fn flex_satisfaction_is_test_order_over_concretize() {
+    let mut rng = Rng::new(0x0f);
+    for case in 0..CASES {
+        let w = world(&mut rng);
+        let cols: Vec<ColId> = random_colset(&mut rng, 1, 4).iter().collect();
+        let distinct_arg = ColId(rng.range_i64(0, NCOLS as i64) as u32);
+        for flex in [
+            FlexOrder::group_by(cols.iter().copied(), []),
+            FlexOrder::group_by(cols.iter().copied(), [distinct_arg]),
+        ] {
+            let prop = spec_strategy(&mut rng);
+            assert_eq!(
+                flex.satisfied_by(&prop, &w.ctx),
+                w.ctx.test_order(&flex.concretize(&prop, &w.ctx), &prop),
+                "case {case}: {flex} against {prop}"
+            );
+        }
+    }
+}
+
+/// One permutable segment, every column pinned ascending (a merge join's
+/// requirement on its equated columns): when a property satisfies it, the
+/// rows sorted by the property are ordered by its concretization, and so
+/// by a permutation of all the segment's columns ascending.
+#[test]
+fn flex_pinned_segment_orders_rows_by_its_concretization() {
+    let mut rng = Rng::new(0x10);
+    let mut satisfied = 0;
+    for case in 0..CASES {
+        let w = world(&mut rng);
+        let cols: Vec<ColId> = random_colset(&mut rng, 1, 4).iter().collect();
+        let flex = FlexOrder::new(vec![cols
+            .iter()
+            .map(|&c| FlexColumn::pinned(c, Direction::Asc))
+            .collect()]);
+        let prop = spec_strategy(&mut rng);
+        if flex.satisfied_by(&prop, &w.ctx) {
+            satisfied += 1;
+            let concrete = flex.concretize(&prop, &w.ctx);
+            let permutation: OrderSpec = concrete
+                .keys()
+                .iter()
+                .copied()
+                .chain(cols.iter().map(|&c| SortKey::asc(c)))
+                .collect();
+            let rows = sorted_by(&w.rows, &prop);
+            assert!(
+                is_ordered_by(&rows, &permutation),
+                "case {case}: {prop} satisfies {flex} but does not order by {permutation}"
+            );
+        }
+    }
+    assert!(satisfied > 0, "no case was satisfied");
 }
 
 /// Reduced specifications mention only equivalence-class heads and

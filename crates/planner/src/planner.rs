@@ -445,13 +445,14 @@ impl<'a> Planner<'a> {
             };
 
             // Order-based: stream directly when the child's order already
-            // groups rows; otherwise sort first.
+            // satisfies the order `flex` reads off it (`satisfied_by`, one
+            // walk); otherwise sort into that order first.
             let ctx = self.effective_ctx(&child.props);
-            let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
+            let spec = flex.concretize(&child.props.order, ctx);
+            let streaming_child = if ctx.test_order(&spec, &child.props.order) {
                 self.sort_avoided(&stage, &child);
                 Arc::clone(&child)
             } else {
-                let spec = flex.concretize(&child.props.order, ctx);
                 self.add_sort(Arc::clone(&child), &spec)
             };
             plans.push(group_by(streaming_child, true));

@@ -248,6 +248,10 @@ pub struct QueryGraph {
     pub boxes: Vec<QgmBox>,
     /// The root (output) box.
     pub root: BoxId,
+    /// The names of the root box's outputs, position by position: the
+    /// select list's aliases where it gives them (a UNION's come from its
+    /// first branch). The rewrites never reorder the root's outputs.
+    pub output_names: Vec<String>,
     /// All predicates of the query; index = PredId.
     pub predicates: Vec<Predicate>,
     /// The column registry.
@@ -261,6 +265,7 @@ impl QueryGraph {
         QueryGraph {
             boxes: Vec::new(),
             root: BoxId(0),
+            output_names: Vec::new(),
             predicates: Vec::new(),
             registry: ColumnRegistry::new(),
             next_quantifier: 0,

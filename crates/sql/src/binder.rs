@@ -30,8 +30,9 @@ use fto_qgm::graph::{BoxId, BoxKind, OutputCol, OutputExpr, QueryGraph};
 /// for the rewrites and the order scan.
 pub fn bind(query: &Query, catalog: &Catalog) -> Result<QueryGraph> {
     let mut graph = QueryGraph::new();
-    let (root, _) = bind_any(&mut graph, catalog, query)?;
+    let (root, names) = bind_any(&mut graph, catalog, query)?;
     graph.root = root;
+    graph.output_names = names;
     Ok(graph)
 }
 
@@ -269,17 +270,18 @@ fn bind_query(graph: &mut QueryGraph, catalog: &Catalog, q: &Query) -> Result<Na
     }
 }
 
-/// Binds one FROM item into `sel`, returning its visible binding.
+/// Binds one FROM item (a table, a subquery or a join tree) as a
+/// quantifier of box `b`, returning its visible binding.
 fn bind_from_item(
     graph: &mut QueryGraph,
     catalog: &Catalog,
-    sel: BoxId,
+    b: BoxId,
     item: &TableRef,
 ) -> Result<Binding> {
     match item {
         TableRef::Table { name, alias } => {
             let td = catalog.table_by_name(name)?.clone();
-            let cols = graph.add_table_quantifier(sel, &td).cols.clone();
+            let cols = graph.add_table_quantifier(b, &td).cols.clone();
             let qual = Some(alias.clone().unwrap_or_else(|| td.name.clone()));
             Ok(Binding {
                 col_names: td
@@ -292,7 +294,7 @@ fn bind_from_item(
         }
         TableRef::Subquery { query, alias } => {
             let (child, names) = bind_any(graph, catalog, query)?;
-            let cols = graph.add_box_quantifier(sel, child).cols.clone();
+            let cols = graph.add_box_quantifier(b, child).cols.clone();
             let col_names = names
                 .into_iter()
                 .map(|n| (Some(alias.clone()), n))
@@ -301,7 +303,7 @@ fn bind_from_item(
         }
         TableRef::Join { .. } => {
             let (jb, col_names) = bind_join_tree(graph, catalog, item)?;
-            let cols = graph.add_box_quantifier(sel, jb).cols.clone();
+            let cols = graph.add_box_quantifier(b, jb).cols.clone();
             Ok(Binding { cols, col_names })
         }
     }
@@ -329,14 +331,15 @@ fn bind_join_tree(
         JoinKind::Inner => BoxKind::Select,
         JoinKind::LeftOuter => BoxKind::OuterJoin { on: Vec::new() },
     });
-    let mut col_names = attach_join_side(graph, catalog, jb, left)?;
-    let rnames = attach_join_side(graph, catalog, jb, right)?;
-    col_names.extend(rnames);
+    let mut col_names = bind_from_item(graph, catalog, jb, left)?.col_names;
+    col_names.extend(bind_from_item(graph, catalog, jb, right)?.col_names);
 
-    let mut cols: Vec<ColId> = Vec::new();
-    for q in &graph.boxed(jb).quantifiers {
-        cols.extend(q.cols.iter().copied());
-    }
+    let cols: Vec<ColId> = graph
+        .boxed(jb)
+        .quantifiers
+        .iter()
+        .flat_map(|q| q.cols.iter().copied())
+        .collect();
     graph.boxed_mut(jb).output = cols.iter().map(|&c| OutputCol::passthrough(c)).collect();
 
     let local = Scope {
@@ -359,40 +362,6 @@ fn bind_join_tree(
         JoinKind::LeftOuter => graph.boxed_mut(jb).kind = BoxKind::OuterJoin { on: pids },
     }
     Ok((jb, col_names))
-}
-
-/// Attaches one side of a join tree as a quantifier of `jb`.
-fn attach_join_side(
-    graph: &mut QueryGraph,
-    catalog: &Catalog,
-    jb: BoxId,
-    side: &TableRef,
-) -> Result<QualifiedNames> {
-    match side {
-        TableRef::Table { name, alias } => {
-            let td = catalog.table_by_name(name)?.clone();
-            graph.add_table_quantifier(jb, &td);
-            let qual = Some(alias.clone().unwrap_or_else(|| td.name.clone()));
-            Ok(td
-                .columns
-                .iter()
-                .map(|c| (qual.clone(), c.name.clone()))
-                .collect())
-        }
-        TableRef::Subquery { query, alias } => {
-            let (child, names) = bind_any(graph, catalog, query)?;
-            graph.add_box_quantifier(jb, child);
-            Ok(names
-                .into_iter()
-                .map(|n| (Some(alias.clone()), n))
-                .collect())
-        }
-        TableRef::Join { .. } => {
-            let (child, names) = bind_join_tree(graph, catalog, side)?;
-            graph.add_box_quantifier(jb, child);
-            Ok(names)
-        }
-    }
 }
 
 /// The non-aggregating shape: outputs, DISTINCT, and ORDER BY all live on
@@ -976,6 +945,33 @@ mod tests {
     fn order_by_non_output_column_rejected() {
         let err = bind_sql("select o_custkey from orders order by o_orderdate").unwrap_err();
         assert!(matches!(err, FtoError::Semantic(_)));
+    }
+
+    #[test]
+    fn output_names_are_the_select_lists() {
+        let names = |sql: &str| bind_sql(sql).unwrap().output_names;
+        assert_eq!(
+            names("select o_orderkey as x from orders where o_orderkey < 2"),
+            ["x"]
+        );
+        assert_eq!(
+            names("select * from (select o_orderkey as k, o_custkey from orders) t"),
+            ["k", "o_custkey"]
+        );
+        assert_eq!(
+            names("select o_orderkey as x, o_orderkey as y from orders"),
+            ["x", "y"]
+        );
+        assert_eq!(
+            names(
+                "select o_orderkey as a, o_custkey as b from orders \
+                 union all select l_orderkey, l_orderkey from lineitem"
+            ),
+            ["a", "b"]
+        );
+        let g = bind_sql("select o_custkey, count(*) as n from orders group by o_custkey").unwrap();
+        assert_eq!(g.output_names, ["o_custkey", "n"]);
+        assert_eq!(g.output_names.len(), g.boxed(g.root).output.len());
     }
 
     #[test]

@@ -370,6 +370,23 @@ for f in crates/exec/src/stream/*.rs; do
     fi
 done
 
+echo "==> grep guard: one walk for generalized orders"
+# FlexOrder::concretize is the one walk of a generalized order against a
+# stream's order property, and satisfied_by is the paper's Test Order over
+# the order it reads off: a second walk drifts from the first (the two
+# once disagreed on a key that an FD determines coming before a pinned
+# column). (Checked above the file's #[cfg(test)].)
+f=crates/core/src/freedom.rs
+if [[ $(non_test "$f" | grep -c 'prop\.keys()') -ne 1 ]]; then
+    echo "guard failed: $f reads the order property's keys in more than one place;"
+    echo "walk a generalized order only in FlexOrder::concretize"
+    exit 1
+fi
+if ! non_test "$f" | grep -A2 'pub fn satisfied_by' | grep -q 'ctx\.test_order(&self\.concretize(prop, ctx), prop)'; then
+    echo "guard failed: FlexOrder::satisfied_by in $f is not Test Order over concretize"
+    exit 1
+fi
+
 echo "==> grep guard: the heap is read as columns; only the oracle materializes its rows"
 # The scan cursors hand out the heap's column chunks (whole, sliced or
 # gathered); transposing rows back into columns per pull is the cost the
