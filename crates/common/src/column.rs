@@ -21,8 +21,10 @@
 //! still has its declared type. [`Column::from_typed_values`] is the one
 //! way values become a column, and it refuses a value of another type.
 //!
-//! Selection vectors are plain `&[u32]` row-index slices; [`Batch::gather`]
-//! materializes the selected rows with one per-type loop per column.
+//! A batch may carry a selection: the ascending slots of its columns that
+//! are its rows, which a filter attaches instead of copying the rows it
+//! keeps. [`Batch::gather`] materializes named slots with one per-type
+//! loop per column.
 
 use crate::sortkey;
 use crate::value::{cmp_f64_nan_high, cmp_int_double, type_rank, DataType, Row, Value};
@@ -360,8 +362,9 @@ impl Column {
                 ColumnData::Float64(sel.iter().map(|&i| v[i as usize]).collect())
             }
             ColumnData::Utf8 { offsets, bytes } => {
+                let span = |i: u32| (offsets[i as usize + 1] - offsets[i as usize]) as usize;
                 let mut out_off = Vec::with_capacity(sel.len() + 1);
-                let mut out_bytes = Vec::new();
+                let mut out_bytes = Vec::with_capacity(sel.iter().map(|&i| span(i)).sum());
                 out_off.push(0u32);
                 for &i in sel {
                     let (lo, hi) = (
@@ -567,16 +570,28 @@ fn type_mismatch(what: &str, lead: &Column, other: &Column) -> FtoError {
     ))
 }
 
-/// A columnar batch: equal-length reference-counted columns.
+/// A columnar batch: equal-length reference-counted columns, and which of
+/// their slots are the batch's rows.
 ///
 /// Columns are `Arc`-shared so projection of a bare column reference and
-/// pass-through operators are pointer copies, not data copies. The row
+/// pass-through operators are pointer copies, not data copies. The slot
 /// count is carried explicitly so a zero-column batch (no projected
 /// columns) still knows its cardinality.
+///
+/// A filter does not copy the rows it keeps: it attaches a *selection*,
+/// the ascending slots that passed, and hands the columns on unchanged.
+/// [`Batch::len`] counts the selected rows, and row `i` — for
+/// [`Batch::row`], [`Batch::slice`] and the key encoder — is the `i`-th
+/// selected slot. Everything that indexes columns directly reads slots:
+/// [`Batch::columns`], [`Batch::gather`], [`batch_row_bytes`]. A batch
+/// without a selection is *dense*: its rows are its slots.
 #[derive(Clone, Debug)]
 pub struct Batch {
     columns: Vec<Arc<Column>>,
-    len: usize,
+    /// Slots per column.
+    slots: usize,
+    /// The slots that are rows, ascending; `None`: every slot.
+    sel: Option<Arc<[u32]>>,
 }
 
 impl Batch {
@@ -587,37 +602,46 @@ impl Batch {
                 .iter()
                 .map(|&ty| Arc::new(Column::nulls(ty, 0)))
                 .collect(),
-            len: 0,
+            slots: 0,
+            sel: None,
         }
     }
 
-    /// Builds a batch from equal-length columns.
+    /// Builds a dense batch from equal-length columns.
     ///
     /// Returns [`FtoError::Internal`] when column lengths disagree.
     pub fn from_columns(columns: Vec<Arc<Column>>) -> Result<Batch> {
-        let len = columns.first().map(|c| c.len()).unwrap_or(0);
+        let slots = columns.first().map(|c| c.len()).unwrap_or(0);
         for (i, c) in columns.iter().enumerate() {
-            if c.len() != len {
+            if c.len() != slots {
                 return Err(FtoError::internal(format!(
-                    "batch column {i} has length {} but column 0 has {len}",
+                    "batch column {i} has length {} but column 0 has {slots}",
                     c.len()
                 )));
             }
         }
-        Ok(Batch { columns, len })
+        Ok(Batch {
+            columns,
+            slots,
+            sel: None,
+        })
     }
 
     /// As [`Batch::from_columns`], but with an explicit row count for the
     /// zero-column case (e.g. `SELECT` lists that project nothing).
     pub fn from_columns_with_len(columns: Vec<Arc<Column>>, len: usize) -> Result<Batch> {
         if columns.is_empty() {
-            return Ok(Batch { columns, len });
+            return Ok(Batch {
+                columns,
+                slots: len,
+                sel: None,
+            });
         }
         let b = Batch::from_columns(columns)?;
-        if b.len != len {
+        if b.slots != len {
             return Err(FtoError::internal(format!(
                 "batch declared {len} rows but columns hold {}",
-                b.len
+                b.slots
             )));
         }
         Ok(b)
@@ -643,18 +667,59 @@ impl Batch {
                 .enumerate()
                 .map(column)
                 .collect::<Result<_>>()?,
-            len: rows.len(),
+            slots: rows.len(),
+            sel: None,
         })
     }
 
-    /// Number of rows.
+    /// Number of rows: the selected slots, or every slot of a dense batch.
     pub fn len(&self) -> usize {
-        self.len
+        self.sel.as_ref().map_or(self.slots, |s| s.len())
     }
 
     /// True when the batch has no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// Number of slots in each column, selected or not.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// The slots that are the batch's rows, ascending; `None` for a dense
+    /// batch.
+    pub fn selection(&self) -> Option<&[u32]> {
+        self.sel.as_deref()
+    }
+
+    /// The same columns with the rows `sel` selected: ascending slots of
+    /// these columns, which may come from this batch's own selection
+    /// refined. Selecting every slot leaves the batch dense.
+    pub fn with_selection(self, sel: Vec<u32>) -> Batch {
+        debug_assert!(
+            sel.windows(2).all(|w| w[0] < w[1]),
+            "selection not ascending"
+        );
+        debug_assert!(sel.last().is_none_or(|&i| (i as usize) < self.slots));
+        let sel = (sel.len() != self.slots).then(|| Arc::from(sel));
+        Batch { sel, ..self }
+    }
+
+    /// A batch of `columns` — each of this batch's slot count — with this
+    /// batch's rows selected.
+    pub fn with_columns(&self, columns: Vec<Arc<Column>>) -> Result<Batch> {
+        let dense = Batch::from_columns_with_len(columns, self.slots)?;
+        Ok(Batch {
+            sel: self.sel.clone(),
+            ..dense
+        })
+    }
+
+    /// The slot holding row `i`.
+    #[inline]
+    pub fn slot(&self, i: usize) -> usize {
+        self.sel.as_ref().map_or(i, |s| s[i] as usize)
     }
 
     /// Number of columns.
@@ -662,7 +727,7 @@ impl Batch {
         self.columns.len()
     }
 
-    /// The columns, in position order.
+    /// The columns, in position order: every slot, selected or not.
     pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
@@ -674,22 +739,23 @@ impl Batch {
 
     /// Materializes row `i`.
     pub fn row(&self, i: usize) -> Row {
+        let slot = self.slot(i);
         self.columns
             .iter()
-            .map(|c| c.value(i))
+            .map(|c| c.value(slot))
             .collect::<Vec<_>>()
             .into_boxed_slice()
     }
 
     /// Materializes every row. Exact inverse of [`Batch::from_typed_rows`].
     pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        (0..self.len()).map(|i| self.row(i)).collect()
     }
 
     /// Appends every row to `out` without an intermediate vector.
     pub fn append_rows_to(&self, out: &mut Vec<Row>) {
-        out.reserve(self.len);
-        for i in 0..self.len {
+        out.reserve(self.len());
+        for i in 0..self.len() {
             out.push(self.row(i));
         }
     }
@@ -701,7 +767,9 @@ impl Batch {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
-    /// Materializes the rows named by `sel`, in order, as a new batch.
+    /// Materializes the slots named by `sel`, in order, as a new dense
+    /// batch. The indices name slots, not rows: a selection the batch
+    /// carries is not consulted.
     pub fn gather(&self, sel: &[u32]) -> Batch {
         Batch {
             columns: self
@@ -709,28 +777,38 @@ impl Batch {
                 .iter()
                 .map(|c| Arc::new(c.gather(sel)))
                 .collect(),
-            len: sel.len(),
+            slots: sel.len(),
+            sel: None,
         }
     }
 
     /// The columns at `positions`, in that order, every row kept: `Arc`
-    /// clones, never a data copy.
+    /// clones, never a data copy; the selection carries over.
     pub fn select(&self, positions: &[usize]) -> Batch {
         Batch {
             columns: positions
                 .iter()
                 .map(|&p| Arc::clone(&self.columns[p]))
                 .collect(),
-            len: self.len,
+            slots: self.slots,
+            sel: self.sel.clone(),
         }
     }
 
-    /// Copies rows `offset..offset + len` into a new batch. A full-range
-    /// slice is a pointer copy (`Arc` clones), not a data copy.
+    /// Rows `offset..offset + len`. A full-range slice is a pointer copy
+    /// (`Arc` clones); a selected batch slices its selection and keeps its
+    /// columns; a dense one copies the slots into a new batch.
     pub fn slice(&self, offset: usize, len: usize) -> Batch {
-        debug_assert!(offset + len <= self.len);
-        if offset == 0 && len == self.len {
+        debug_assert!(offset + len <= self.len());
+        if offset == 0 && len == self.len() {
             return self.clone();
+        }
+        if let Some(sel) = &self.sel {
+            return Batch {
+                columns: self.columns.clone(),
+                slots: self.slots,
+                sel: Some(Arc::from(&sel[offset..offset + len])),
+            };
         }
         Batch {
             columns: self
@@ -738,12 +816,14 @@ impl Batch {
                 .iter()
                 .map(|c| Arc::new(c.slice(offset, len)))
                 .collect(),
-            len,
+            slots: len,
+            sel: None,
         }
     }
 
     /// Concatenates one or more equal-arity batches end to end
-    /// (column-wise [`Column::concat`]). A single part is a pointer copy.
+    /// (column-wise [`Column::concat`]). A single part is a pointer copy;
+    /// several must be dense.
     pub fn concat(parts: &[Batch]) -> Result<Batch> {
         let [first, rest @ ..] = parts else {
             return Err(FtoError::internal("concat of no batches"));
@@ -751,6 +831,7 @@ impl Batch {
         if rest.is_empty() {
             return Ok(first.clone());
         }
+        refuse_selected("concat", parts.iter())?;
         let columns = (0..first.arity())
             .map(|c| {
                 let cols: Vec<&Column> = parts.iter().map(|b| b.column(c).as_ref()).collect();
@@ -759,17 +840,19 @@ impl Batch {
             .collect::<Result<_>>()?;
         Ok(Batch {
             columns,
-            len: parts.iter().map(Batch::len).sum(),
+            slots: parts.iter().map(Batch::len).sum(),
+            sel: None,
         })
     }
 
-    /// Gathers rows from one or more equal-arity source batches: output
-    /// row `j` is row `sel[j].1` of `sources[sel[j].0]` (see
+    /// Gathers rows from one or more equal-arity dense source batches:
+    /// output row `j` is row `sel[j].1` of `sources[sel[j].0]` (see
     /// [`Column::gather_multi`]).
     pub fn gather_multi(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batch> {
         let first = sources
             .first()
             .ok_or_else(|| FtoError::internal("gather from no batches"))?;
+        refuse_selected("gather", sources.iter().copied())?;
         let columns = (0..first.arity())
             .map(|c| {
                 let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
@@ -778,17 +861,29 @@ impl Batch {
             .collect::<Result<_>>()?;
         Ok(Batch {
             columns,
-            len: sel.len(),
+            slots: sel.len(),
+            sel: None,
         })
     }
 }
 
-/// [`crate::row_bytes`] of row `i` of `batch`, computed straight from the
-/// column vectors — exactly what `row_bytes(&batch.row(i))` would return,
-/// without materializing the row. Budgeted operators charge admission
-/// costs through this so the columnar paths account byte-for-byte like
-/// the row-shimmed ones.
-pub fn batch_row_bytes(batch: &Batch, i: usize) -> usize {
+/// An [`FtoError::Internal`] when one of `parts` carries a selection: the
+/// multi-batch splices take dense batches, which is what every consumer
+/// but the grouping reads.
+fn refuse_selected<'a>(what: &str, mut parts: impl Iterator<Item = &'a Batch>) -> Result<()> {
+    match parts.any(|b| b.sel.is_some()) {
+        true => Err(FtoError::internal(format!("{what} of a selected batch"))),
+        false => Ok(()),
+    }
+}
+
+/// [`crate::row_bytes`] of the row in slot `slot` of `batch`, computed
+/// straight from the column vectors — exactly what
+/// `row_bytes(&batch.gather(&[slot]).row(0))` would return, without
+/// materializing the row. Budgeted operators charge admission costs
+/// through this so the columnar paths account byte-for-byte like the
+/// row-shimmed ones.
+pub fn batch_row_bytes(batch: &Batch, slot: usize) -> usize {
     const ARC_HEADER: usize = 16;
     let per_value = std::mem::size_of::<Value>();
     16 + batch
@@ -796,9 +891,9 @@ pub fn batch_row_bytes(batch: &Batch, i: usize) -> usize {
         .iter()
         .map(|c| {
             per_value
-                + match (&c.data, c.is_valid(i)) {
+                + match (&c.data, c.is_valid(slot)) {
                     (ColumnData::Utf8 { offsets, .. }, true) => {
-                        ARC_HEADER + (offsets[i + 1] - offsets[i]) as usize
+                        ARC_HEADER + (offsets[slot + 1] - offsets[slot]) as usize
                     }
                     _ => 0,
                 }
@@ -809,28 +904,42 @@ pub fn batch_row_bytes(batch: &Batch, i: usize) -> usize {
 /// Encodes the sort key of every row of `batch` into one contiguous
 /// arena: `bytes` holds the concatenated per-row keys, `offsets` (length
 /// `batch.len() + 1`) delimits them — row `i`'s key is
-/// `bytes[offsets[i]..offsets[i + 1]]`. Byte-identical to
-/// [`sortkey::encode_key`] per row — the row encoder is the reference —
-/// with one type dispatch per column instead of one per value and no
-/// per-row or per-column buffer: a single key column appends straight to
-/// the arena; with several, every row's key is sized first and each
-/// column then writes its slots into place. The executor's sort and
-/// group-by hot paths build keys through this. Both output vectors are
-/// overwritten.
+/// `bytes[offsets[i]..offsets[i + 1]]`. A selected batch encodes its
+/// selected rows only. Byte-identical to [`sortkey::encode_key`] per row
+/// — the row encoder is the reference — with one type dispatch per column
+/// instead of one per value and no per-row or per-column buffer: a single
+/// key column appends straight to the arena; with several, every row's
+/// key is sized first and each column then writes its slots into place.
+/// The executor's sort and group-by hot paths build keys through this.
+/// Both output vectors are overwritten.
 pub fn encode_batch_keys_arena(
     batch: &Batch,
     keys: &[(usize, Direction)],
     bytes: &mut Vec<u8>,
     offsets: &mut Vec<usize>,
 ) {
-    let n = batch.len();
+    match batch.selection() {
+        None => encode_rows(batch, 0..batch.slots(), keys, bytes, offsets),
+        Some(sel) => encode_rows(batch, sel.iter().map(|&i| i as usize), keys, bytes, offsets),
+    }
+}
+
+/// [`encode_batch_keys_arena`] over the slots `rows` yields.
+fn encode_rows<I: ExactSizeIterator<Item = usize> + Clone>(
+    batch: &Batch,
+    rows: I,
+    keys: &[(usize, Direction)],
+    bytes: &mut Vec<u8>,
+    offsets: &mut Vec<usize>,
+) {
+    let n = rows.len();
     bytes.clear();
     offsets.clear();
     if let [(pos, dir)] = keys {
         // One key: a row's slot ends where the next begins, so appending
         // is already "in place" (and measures 10–40 % faster than sizing
         // first on fixed-width and short-string columns).
-        encode_column_flat(batch.column(*pos), bytes, offsets);
+        encode_column_flat(batch.column(*pos), rows, bytes, offsets);
         if *dir == Direction::Desc {
             for b in bytes.iter_mut() {
                 *b = !*b;
@@ -842,7 +951,7 @@ pub fn encode_batch_keys_arena(
     // Size: sum each row's per-column lengths into `offsets[i + 1]`, then
     // turn the lengths into row start positions.
     for &(pos, _) in keys {
-        add_key_lens(batch.column(pos), &mut offsets[1..]);
+        add_key_lens(batch.column(pos), rows.clone(), &mut offsets[1..]);
     }
     let mut total = 0usize;
     for o in &mut offsets[1..] {
@@ -857,6 +966,7 @@ pub fn encode_batch_keys_arena(
     for &(pos, dir) in keys {
         write_key_slots(
             batch.column(pos),
+            rows.clone(),
             dir == Direction::Desc,
             bytes,
             &mut offsets[1..],
@@ -869,28 +979,19 @@ const DATE_WIDTH: usize = 5;
 /// Encoded width of a non-null bool slot (tag + one byte).
 const BOOL_WIDTH: usize = 2;
 
-/// Adds the encoded length of every slot of `col` to the matching entry
-/// of `lens`.
-fn add_key_lens(col: &Column, lens: &mut [usize]) {
+/// Adds the encoded length of slot `rows[j]` of `col` to `lens[j]`.
+fn add_key_lens(col: &Column, rows: impl Iterator<Item = usize>, lens: &mut [usize]) {
     let validity = col.validity.as_ref();
-    let fixed = |lens: &mut [usize], width: usize| match validity {
-        None => lens.iter_mut().for_each(|l| *l += width),
-        Some(bm) => {
-            for (i, l) in lens.iter_mut().enumerate() {
-                *l += if bm.get(i) { width } else { 1 };
-            }
-        }
-    };
-    match &col.data {
-        ColumnData::Int64(_) | ColumnData::Float64(_) => fixed(lens, sortkey::NUMERIC_WIDTH),
-        ColumnData::Date32(_) => fixed(lens, DATE_WIDTH),
-        ColumnData::Bool(_) => fixed(lens, BOOL_WIDTH),
+    let width = match &col.data {
+        ColumnData::Int64(_) | ColumnData::Float64(_) => sortkey::NUMERIC_WIDTH,
+        ColumnData::Date32(_) => DATE_WIDTH,
+        ColumnData::Bool(_) => BOOL_WIDTH,
         ColumnData::Utf8 { offsets, bytes } => {
             // Tag, body with every 0x00 escaped to two bytes, two-byte
             // terminator. One scan of the whole buffer says whether any
             // slot needs its zero bytes counted at all.
             let escapes = bytes.contains(&0);
-            for (i, l) in lens.iter_mut().enumerate() {
+            for (l, i) in lens.iter_mut().zip(rows) {
                 *l += if validity.is_some_and(|bm| !bm.get(i)) {
                     1
                 } else {
@@ -903,49 +1004,62 @@ fn add_key_lens(col: &Column, lens: &mut [usize]) {
                     3 + (hi - lo) + zeros
                 };
             }
+            return;
+        }
+    };
+    match validity {
+        None => lens.iter_mut().for_each(|l| *l += width),
+        Some(bm) => {
+            for (l, i) in lens.iter_mut().zip(rows) {
+                *l += if bm.get(i) { width } else { 1 };
+            }
         }
     }
 }
 
-/// Writes the encoding of every slot of `col` into `bytes` at the row's
-/// cursor and advances the cursor; descending keys invert every byte
+/// Writes the encoding of slot `rows[j]` of `col` into `bytes` at row
+/// `j`'s cursor and advances the cursor; descending keys invert every byte
 /// written, exactly as [`sortkey::encode_value`] does.
-fn write_key_slots(col: &Column, desc: bool, bytes: &mut [u8], cursors: &mut [usize]) {
+fn write_key_slots(
+    col: &Column,
+    rows: impl Iterator<Item = usize>,
+    desc: bool,
+    bytes: &mut [u8],
+    cursors: &mut [usize],
+) {
     let validity = col.validity.as_ref();
     #[inline(always)]
-    fn put(bytes: &mut [u8], cursors: &mut [usize], desc: bool, i: usize, enc: &[u8]) {
-        let at = cursors[i];
+    fn put(bytes: &mut [u8], cursors: &mut [usize], desc: bool, j: usize, enc: &[u8]) {
+        let at = cursors[j];
         let dst = &mut bytes[at..at + enc.len()];
         dst.copy_from_slice(enc);
         if desc {
             dst.iter_mut().for_each(|b| *b = !*b);
         }
-        cursors[i] = at + enc.len();
+        cursors[j] = at + enc.len();
     }
     // Fixed-width slots go through stack arrays so the copies have a
     // compile-time length.
     macro_rules! fixed {
         ($vals:ident, $v:ident, $enc:expr) => {
-            for (i, $v) in $vals.iter().enumerate() {
+            for (j, i) in rows.enumerate() {
                 if validity.is_some_and(|bm| !bm.get(i)) {
-                    put(bytes, cursors, desc, i, &[sortkey::TAG_NULL]);
+                    put(bytes, cursors, desc, j, &[sortkey::TAG_NULL]);
                 } else {
-                    put(bytes, cursors, desc, i, &$enc);
+                    let $v = &$vals[i];
+                    put(bytes, cursors, desc, j, &$enc);
                 }
             }
         };
     }
-    let numeric = |g: f64, r: i16| {
+    let numeric = |(g, r): (f64, i16)| {
         let mut enc = [sortkey::TAG_NUMERIC; sortkey::NUMERIC_WIDTH];
         enc[1..].copy_from_slice(&sortkey::numeric_payload(g, r));
         enc
     };
     match &col.data {
-        ColumnData::Int64(vals) => fixed!(vals, v, {
-            let g = *v as f64;
-            numeric(g, (*v as i128 - g as i128) as i16)
-        }),
-        ColumnData::Float64(vals) => fixed!(vals, v, numeric(*v, 0)),
+        ColumnData::Int64(vals) => fixed!(vals, v, numeric(sortkey::int_numeric(*v))),
+        ColumnData::Float64(vals) => fixed!(vals, v, numeric((*v, 0))),
         ColumnData::Date32(vals) => fixed!(vals, v, {
             let mut enc = [sortkey::TAG_DATE; DATE_WIDTH];
             enc[1..].copy_from_slice(&((*v as u32) ^ 0x8000_0000).to_be_bytes());
@@ -956,13 +1070,13 @@ fn write_key_slots(col: &Column, desc: bool, bytes: &mut [u8], cursors: &mut [us
             offsets: so,
             bytes: sb,
         } => {
-            for i in 0..so.len() - 1 {
+            for (j, i) in rows.enumerate() {
                 if validity.is_some_and(|bm| !bm.get(i)) {
-                    put(bytes, cursors, desc, i, &[sortkey::TAG_NULL]);
+                    put(bytes, cursors, desc, j, &[sortkey::TAG_NULL]);
                     continue;
                 }
                 // Escape straight into place: no per-slot scratch copy.
-                let start = cursors[i];
+                let start = cursors[j];
                 let mut at = start;
                 bytes[at] = sortkey::TAG_STR;
                 at += 1;
@@ -979,34 +1093,40 @@ fn write_key_slots(col: &Column, desc: bool, bytes: &mut [u8], cursors: &mut [us
                 if desc {
                     bytes[start..at].iter_mut().for_each(|b| *b = !*b);
                 }
-                cursors[i] = at;
+                cursors[j] = at;
             }
         }
     }
 }
 
-/// Appends the ascending-order encoding of every slot of `col` to
-/// `bytes`, recording slot boundaries in `offsets` (starts by pushing 0,
-/// then one offset per slot).
-fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize>) {
-    let validity = col.validity.as_ref();
+/// Appends the ascending-order encoding of every slot `rows` yields of
+/// `col` to `bytes`, recording slot boundaries in `offsets` (starts by
+/// pushing 0, then one offset per slot).
+fn encode_column_flat(
+    col: &Column,
+    rows: impl ExactSizeIterator<Item = usize>,
+    bytes: &mut Vec<u8>,
+    offsets: &mut Vec<usize>,
+) {
+    let (validity, n) = (col.validity.as_ref(), rows.len());
     // Size the arena up front so the encoding loops never reallocate
     // (an overestimate for null slots and zero-free strings is fine).
     let estimate = match &col.data {
-        ColumnData::Int64(_) | ColumnData::Float64(_) => col.len() * sortkey::NUMERIC_WIDTH,
-        ColumnData::Utf8 { bytes: sb, .. } => sb.len() + 3 * col.len(),
-        ColumnData::Date32(_) => col.len() * 5,
-        ColumnData::Bool(_) => col.len() * 2,
+        ColumnData::Int64(_) | ColumnData::Float64(_) => n * sortkey::NUMERIC_WIDTH,
+        ColumnData::Utf8 { bytes: sb, .. } => sb.len() + 3 * n,
+        ColumnData::Date32(_) => n * DATE_WIDTH,
+        ColumnData::Bool(_) => n * BOOL_WIDTH,
     };
     bytes.reserve(estimate);
-    offsets.reserve(col.len() + 1);
+    offsets.reserve(n + 1);
     offsets.push(0);
     macro_rules! loop_valid {
-        ($vals:ident, $i:ident, $v:ident, $body:block) => {
-            for ($i, $v) in $vals.iter().enumerate() {
-                if validity.is_some_and(|bm| !bm.get($i)) {
+        ($vals:ident, $v:ident, $body:block) => {
+            for i in rows {
+                if validity.is_some_and(|bm| !bm.get(i)) {
                     bytes.push(sortkey::TAG_NULL);
                 } else {
+                    let $v = &$vals[i];
                     $body
                 }
                 offsets.push(bytes.len());
@@ -1015,15 +1135,14 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
     }
     match &col.data {
         ColumnData::Int64(vals) => {
-            loop_valid!(vals, i, v, {
+            loop_valid!(vals, v, {
                 bytes.push(sortkey::TAG_NUMERIC);
-                let g = *v as f64;
-                let r = (*v as i128 - g as i128) as i16;
+                let (g, r) = sortkey::int_numeric(*v);
                 sortkey::encode_numeric(g, r, bytes);
             });
         }
         ColumnData::Float64(vals) => {
-            loop_valid!(vals, i, v, {
+            loop_valid!(vals, v, {
                 bytes.push(sortkey::TAG_NUMERIC);
                 sortkey::encode_numeric(*v, 0, bytes);
             });
@@ -1032,7 +1151,7 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
             offsets: so,
             bytes: sb,
         } => {
-            for i in 0..so.len() - 1 {
+            for i in rows {
                 if validity.is_some_and(|bm| !bm.get(i)) {
                     bytes.push(sortkey::TAG_NULL);
                 } else {
@@ -1049,13 +1168,13 @@ fn encode_column_flat(col: &Column, bytes: &mut Vec<u8>, offsets: &mut Vec<usize
             }
         }
         ColumnData::Date32(vals) => {
-            loop_valid!(vals, i, v, {
+            loop_valid!(vals, v, {
                 bytes.push(sortkey::TAG_DATE);
                 bytes.extend_from_slice(&((*v as u32) ^ 0x8000_0000).to_be_bytes());
             });
         }
         ColumnData::Bool(vals) => {
-            loop_valid!(vals, i, v, {
+            loop_valid!(vals, v, {
                 bytes.push(sortkey::TAG_BOOL);
                 bytes.push(u8::from(*v));
             });
@@ -1198,6 +1317,108 @@ mod tests {
                 vec![Value::Null, Value::str("b")],
             ])
         );
+    }
+
+    #[test]
+    fn a_selected_batch_reads_as_its_gathered_rows() {
+        // Rows, slices, column picks, row sizes and encoded keys of a
+        // batch with a selection are those of the dense batch its
+        // selected slots gather to; selecting every slot is no selection,
+        // and the multi-batch splices refuse a selected part.
+        let rs = rows(vec![
+            vec![Value::Int(0), Value::str("a\0"), Value::Double(-0.0)],
+            vec![Value::Null, Value::str(""), Value::Double(f64::NAN)],
+            vec![Value::Int(2), Value::Null, Value::Null],
+            vec![Value::Int(1 << 60), Value::str("ddd"), Value::Double(3.5)],
+            vec![Value::Int(4), Value::str("e"), Value::Double(-4.0)],
+            vec![Value::Int(-5), Value::str("ab"), Value::Double(1e300)],
+        ]);
+        let b = Batch::from_typed_rows(&[Int, Str, Double], &rs).unwrap();
+        let sel = vec![1u32, 2, 3, 5];
+        let s = b.clone().with_selection(sel.clone());
+        let g = b.gather(&sel);
+        assert_eq!((s.len(), s.slots(), s.selection()), (4, 6, Some(&sel[..])));
+        assert_eq!(s.to_rows(), g.to_rows());
+        for (lo, len) in [(0, 4), (1, 2), (3, 1), (2, 0)] {
+            assert_eq!(s.slice(lo, len).to_rows(), g.slice(lo, len).to_rows());
+        }
+        assert_eq!(s.select(&[2, 0]).to_rows(), g.select(&[2, 0]).to_rows());
+        for (j, &slot) in sel.iter().enumerate() {
+            assert_eq!(batch_row_bytes(&s, slot as usize), batch_row_bytes(&g, j));
+        }
+        let (mut arena, mut offsets) = (Vec::new(), Vec::new());
+        let (mut want, mut want_offsets) = (Vec::new(), Vec::new());
+        for keys in [
+            vec![(1, Direction::Desc)],
+            vec![
+                (0, Direction::Asc),
+                (2, Direction::Desc),
+                (1, Direction::Asc),
+            ],
+        ] {
+            encode_batch_keys_arena(&s, &keys, &mut arena, &mut offsets);
+            encode_batch_keys_arena(&g, &keys, &mut want, &mut want_offsets);
+            assert_eq!((&arena, &offsets), (&want, &want_offsets), "{keys:?}");
+        }
+        let all = b.clone().with_selection((0..6).collect());
+        assert_eq!(all.selection(), None);
+        assert!(Batch::concat(&[s.clone(), g.clone()]).is_err());
+        assert!(Batch::gather_multi(&[&g, &s], &[(0, 0)]).is_err());
+    }
+
+    #[test]
+    fn integer_keys_match_the_i128_residual_formula() {
+        // The three integer encoders — the flat one-key arena, the
+        // multi-key slot writer and the row encoder — against the
+        // definition `(g, v − g)`, `g` the nearest double and the
+        // residual taken in `i128`: on random `i64`s and at the edges of
+        // the 2^53 shortcut.
+        let mut rng = Rng::new(0x1128);
+        let big = 1i64 << 53;
+        let mut ints = vec![
+            big,
+            -big,
+            big + 1,
+            -big - 1,
+            big - 1,
+            1 - big,
+            i64::MIN,
+            i64::MAX,
+        ];
+        ints.extend((0..500).map(|k| match k % 3 {
+            0 => rng.next_u64() as i64,
+            1 => (rng.next_u64() >> (rng.next_u64() % 64)) as i64,
+            _ => rng.range_i64(-1000, 1000),
+        }));
+        let expect = |v: i64| {
+            let g = v as f64;
+            let mut key = vec![sortkey::TAG_NUMERIC];
+            key.extend(sortkey::numeric_payload(g, (v as i128 - g as i128) as i16));
+            key
+        };
+        let rs: Vec<Row> = ints
+            .iter()
+            .map(|&v| vec![Value::Int(v), Value::Int(v)].into_boxed_slice())
+            .collect();
+        let batch = Batch::from_typed_rows(&[Int, Int], &rs).unwrap();
+        let (mut flat, mut flat_offsets) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(&batch, &[(0, Direction::Asc)], &mut flat, &mut flat_offsets);
+        let both = [(0, Direction::Asc), (1, Direction::Asc)];
+        let (mut slots, mut slot_offsets) = (Vec::new(), Vec::new());
+        encode_batch_keys_arena(&batch, &both, &mut slots, &mut slot_offsets);
+        for (i, &v) in ints.iter().enumerate() {
+            let want = expect(v);
+            let mut row = Vec::new();
+            sortkey::encode_value_asc(&Value::Int(v), &mut row);
+            assert_eq!(row, want, "row encoder, {v}");
+            assert_eq!(
+                &flat[flat_offsets[i]..flat_offsets[i + 1]],
+                &want[..],
+                "flat, {v}"
+            );
+            let key = &slots[slot_offsets[i]..slot_offsets[i + 1]];
+            assert_eq!(key, &[&want[..], &want[..]].concat()[..], "slots, {v}");
+        }
     }
 
     #[test]

@@ -69,10 +69,7 @@ pub fn encode_value_asc(v: &Value, buf: &mut Vec<u8>) {
         Value::Null => buf.push(TAG_NULL),
         Value::Int(a) => {
             buf.push(TAG_NUMERIC);
-            let g = *a as f64;
-            // Exact: |g| <= 2^63 and g is integral, so the cast back is
-            // lossless; round-to-nearest bounds the residual to ±512.
-            let r = (*a as i128 - g as i128) as i16;
+            let (g, r) = int_numeric(*a);
             encode_numeric(g, r, buf);
         }
         Value::Double(d) => {
@@ -99,6 +96,23 @@ pub fn encode_value_asc(v: &Value, buf: &mut Vec<u8>) {
             buf.push(u8::from(*b));
         }
     }
+}
+
+/// An integer's numeric key parts `(g, r)`: `g` the nearest double, `r`
+/// the residual `v − g`. Every integer below 2^53 in magnitude is a
+/// double, so its residual is 0; only larger ones take the exact `i128`
+/// difference (|g| <= 2^63 and g is integral, so the cast back is
+/// lossless; round-to-nearest bounds the residual to ±512). The test
+/// keeps the common case off the float-to-`i128` conversion, a library
+/// call per value.
+#[inline]
+pub(crate) fn int_numeric(v: i64) -> (f64, i16) {
+    let g = v as f64;
+    let r = match v.unsigned_abs() < 1 << 53 {
+        true => 0,
+        false => (v as i128 - g as i128) as i16,
+    };
+    (g, r)
 }
 
 /// Flipped-double + sign-flipped-residual numeric payload. Shared with

@@ -289,28 +289,30 @@ impl AggSpec {
     }
 
     /// The grouping columns of `batch` as a batch of their own (`Arc`
-    /// clones): what a group's key values are gathered from, and what the
-    /// bounded group-by sizes an admitted group's key row by.
-    pub(crate) fn key_columns(&self, batch: &Batch) -> Result<Batch> {
-        let cols = self
-            .gkeys
-            .iter()
-            .map(|&(p, _)| Arc::clone(batch.column(p)))
-            .collect();
-        Batch::from_columns_with_len(cols, batch.len())
+    /// clones, the selection kept): what a group's key values are gathered
+    /// from, and what the bounded group-by sizes an admitted group's key
+    /// row by.
+    pub(crate) fn key_columns(&self, batch: &Batch) -> Batch {
+        let positions: Vec<usize> = self.gkeys.iter().map(|&(p, _)| p).collect();
+        batch.select(&positions)
     }
 }
 
-/// Visits `(row, group)` for every row that has a group and a valid
-/// (non-NULL) slot, in row order.
+/// Visits `(slot, group)` for every row that has a group and a valid
+/// (non-NULL) slot, in row order: row `j` is slot `j`, or slot `sel[j]`
+/// of a selected batch.
 macro_rules! for_rows {
-    ($gids:expr, $validity:expr, |$i:ident, $g:ident| $body:block) => {{
+    ($gids:expr, $sel:expr, $validity:expr, |$i:ident, $g:ident| $body:block) => {{
         let validity: Option<&Bitmap> = $validity;
-        for ($i, &gid) in $gids.iter().enumerate() {
+        let mut visit = |$i: usize, gid: u32| {
             if gid != NO_GROUP && validity.is_none_or(|bm| bm.get($i)) {
                 let $g = gid as usize;
                 $body
             }
+        };
+        match $sel {
+            None => $gids.iter().enumerate().for_each(|(i, &gid)| visit(i, gid)),
+            Some(sel) => $gids.iter().zip(sel).for_each(|(&gid, &i)| visit(i as usize, gid)),
         }
     }};
 }
@@ -398,39 +400,39 @@ impl AggState {
         }
     }
 
-    /// Folds one argument column into the state: row `i` into group
-    /// `gids[i]`.
-    fn update(&mut self, gids: &[u32], col: &Column) {
-        debug_assert_eq!(gids.len(), col.len());
+    /// Folds one argument column into the state: row `j` — slot `j`, or
+    /// slot `sel[j]` — into group `gids[j]`.
+    fn update(&mut self, gids: &[u32], sel: Option<&[u32]>, col: &Column) {
+        debug_assert_eq!(gids.len(), sel.map_or(col.len(), <[u32]>::len));
         let validity = col.validity.as_ref();
         if self.seen.is_none() {
             match (self.func, &col.data) {
                 (AggFunc::Count, _) => {
-                    for_rows!(gids, validity, |_i, g| { self.count[g] += 1 });
+                    for_rows!(gids, sel, validity, |_i, g| { self.count[g] += 1 });
                     return;
                 }
                 (AggFunc::Sum | AggFunc::Avg, ColumnData::Int64(vals)) => {
-                    for_rows!(gids, validity, |i, g| {
+                    for_rows!(gids, sel, validity, |i, g| {
                         self.count[g] += 1;
                         self.sum_i[g] = self.sum_i[g].wrapping_add(vals[i]);
                     });
                     return;
                 }
                 (AggFunc::Sum | AggFunc::Avg, ColumnData::Float64(vals)) => {
-                    for_rows!(gids, validity, |i, g| {
+                    for_rows!(gids, sel, validity, |i, g| {
                         self.count[g] += 1;
                         self.sum_f[g] += vals[i];
                     });
                     return;
                 }
                 (AggFunc::Min | AggFunc::Max, ColumnData::Int64(vals)) => {
-                    for_rows!(gids, validity, |i, g| {
+                    for_rows!(gids, sel, validity, |i, g| {
                         self.offer(g, Value::Int(vals[i]))
                     });
                     return;
                 }
                 (AggFunc::Min | AggFunc::Max, ColumnData::Float64(vals)) => {
-                    for_rows!(gids, validity, |i, g| {
+                    for_rows!(gids, sel, validity, |i, g| {
                         self.offer(g, Value::Double(vals[i]))
                     });
                     return;
@@ -438,9 +440,9 @@ impl AggState {
                 _ => {}
             }
         }
-        for (i, &gid) in gids.iter().enumerate() {
+        for (j, &gid) in gids.iter().enumerate() {
             if gid != NO_GROUP {
-                let v = col.value(i);
+                let v = col.value(sel.map_or(j, |s| s[j] as usize));
                 if !v.is_null() {
                     self.push_value(gid as usize, v);
                 }
@@ -529,12 +531,18 @@ impl GroupAgg {
         self.groups
     }
 
-    /// Absorbs one batch: row `i` belongs to group `gids[i]`
-    /// ([`NO_GROUP`]: to none), and `first` lists, in id order, the rows
-    /// that open the groups after the resident ones.
+    /// Absorbs one batch — its selected rows, when it carries a selection:
+    /// row `i` belongs to group `gids[i]` ([`NO_GROUP`]: to none), and
+    /// `first` lists, in id order, the rows that open the groups after the
+    /// resident ones. Only those rows' keys are copied.
     pub(crate) fn absorb(&mut self, batch: &Batch, gids: &[u32], first: &[u32]) -> Result<()> {
+        let sel = batch.selection();
         if !first.is_empty() {
-            self.keys.push(self.spec.key_columns(batch)?.gather(first));
+            let slots: Vec<u32> = first
+                .iter()
+                .map(|&i| batch.slot(i as usize) as u32)
+                .collect();
+            self.keys.push(self.spec.key_columns(batch).gather(&slots));
             self.groups += first.len();
             for state in &mut self.states {
                 state.grow(self.groups);
@@ -544,7 +552,7 @@ impl GroupAgg {
         for (state, (_, _, arg)) in self.states.iter_mut().zip(&self.spec.calls) {
             match arg {
                 AggArg::Lit(v) => state.update_lit(gids, v),
-                AggArg::Col(c) => state.update(gids, &args[*c]),
+                AggArg::Col(c) => state.update(gids, sel, &args[*c]),
             }
         }
         Ok(())

@@ -18,8 +18,9 @@
 //! partitions charge exactly the pages a serial scan charges, so session
 //! totals — and the [`crate::metrics::PlanMetrics`] exact-rollup invariant
 //! — are preserved at every degree. Workers hand back the column batches
-//! they pulled; nothing here materializes a row, and nothing here sorts:
-//! the enforcer above a gather is the serial one.
+//! they pulled, densified on the worker's thread (a filter's selection
+//! is applied there, in parallel); nothing here materializes a row, and
+//! nothing here sorts: the enforcer above a gather is the serial one.
 //!
 //! Determinism contract (what makes parallel output bit-identical to
 //! serial): the gather concatenates worker outputs in partition order, and
@@ -36,7 +37,7 @@
 //! therefore never sits on a gather.
 
 use crate::metrics::{ExecRecord, WorkerOpMetrics};
-use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, Operator};
+use crate::stream::{dense, lower_worker, Batch, BatchQueue, ExecContext, Operator};
 use fto_common::{ColSet, Result};
 use fto_obs::{SpanKind, Timeline};
 use fto_planner::Plan;
@@ -92,7 +93,7 @@ fn run_partitions(
         op.open(&wcx, wrec)?;
         let mut pulled = Vec::new();
         while let Some(batch) = op.next_batch(&wcx, wrec)? {
-            pulled.push(batch);
+            pulled.push(dense(batch));
         }
         op.close(wrec);
         Ok(pulled)

@@ -2,7 +2,7 @@
 //! and top-n as one operator over a satisfied prefix.
 
 use super::prefix::PrefixReader;
-use super::{Batch, ExecContext, Operator, Trim};
+use super::{dense, Batch, ExecContext, Operator, Trim};
 use crate::extsort::{RunFormer, SortedOut};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::{order, KeyArena, SortKeys};
@@ -112,7 +112,7 @@ impl EnforceOp {
     /// buffering the group still open at its end — or, at end of input,
     /// finishes the last group — then gathers the closed groups' rows.
     fn pull(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<()> {
-        let Some(batch) = self.child.next_batch(cx, rec)? else {
+        let Some(batch) = self.child.next_batch(cx, rec)?.map(dense) else {
             self.input_done = true;
             self.child.close(rec);
             if self.prefix.open {

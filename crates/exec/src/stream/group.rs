@@ -75,7 +75,8 @@ impl GroupState {
         }
     }
 
-    /// Absorbs one batch. Rows of already-admitted keys aggregate in
+    /// Absorbs one batch — its selected rows alone, `seqs` holding each
+    /// row's global position. Rows of already-admitted keys aggregate in
     /// place (no new memory); a first-seen key is admitted while the
     /// working set fits the budget, and once it no longer does, new keys'
     /// rows spill to the partition their key hashes to, one
@@ -95,19 +96,20 @@ impl GroupState {
         let GroupScratch { keys, gids, first } = scratch;
         let spec = &self.spec;
         keys.encode(batch, &spec.keys()[self.prefix_len..]);
-        let key_cols = spec.key_columns(batch)?;
-        // Overflow rows collect into per-partition selection vectors and
-        // spill once per (batch, partition). Per-partition row order is
-        // arrival order either way, so replay — and with it the rebuilt
+        let key_cols = spec.key_columns(batch);
+        // Overflow rows collect into per-partition lists of their slots
+        // and spill once per (batch, partition). Per-partition row order
+        // is arrival order either way, so replay — and with it the rebuilt
         // aggregation — is unchanged.
         let mut psel: Vec<(Vec<u32>, Vec<u64>)> = Vec::new();
         let (bytes, mut resident) = (&mut self.bytes, self.table.len());
         self.table.assign(keys, gids, first, |i, key| {
+            let slot = batch.slot(i);
             // Estimated resident cost of admitting this group: its
             // index key, key values, and rough per-accumulator (64)
             // and hash-entry (48) overheads — what the budget charges,
             // not what the columnar state occupies.
-            let cost = key.len() + batch_row_bytes(&key_cols, i) + 64 * spec.num_aggs() + 48;
+            let cost = key.len() + batch_row_bytes(&key_cols, slot) + 64 * spec.num_aggs() + 48;
             if *bytes + cost > budget && resident > 0 {
                 if psel.is_empty() {
                     psel = (0..GROUP_SPILL_PARTITIONS)
@@ -115,7 +117,7 @@ impl GroupState {
                         .collect();
                 }
                 let p = (partition_hash(key, salt) as usize) % GROUP_SPILL_PARTITIONS;
-                psel[p].0.push(i as u32);
+                psel[p].0.push(slot as u32);
                 psel[p].1.push(seqs[i]);
                 return false;
             }
@@ -204,7 +206,11 @@ impl GroupState {
 /// The grouping operator behind [`PlanNode::GroupBy`]. Its input arrives
 /// with the first k of its n grouping columns satisfied (possibly none):
 /// its segments are the runs the [`PrefixReader`] cuts, and group on the
-/// other columns through a [`GroupState`]. The sort-key codec's byte
+/// other columns through a [`GroupState`]. It reads a filtered input's
+/// selection as it comes: keys are encoded, groups assigned, the budget
+/// charged, overflow rows spilled and aggregates folded for the selected
+/// rows alone, and only a new group's key row and a spilled row are
+/// copied. The sort-key codec's byte
 /// equality is `Value` equality, and every row of a key aggregates in
 /// arrival order, spilled or not, so results (float sums included) are
 /// bit-identical at every budget.

@@ -5,7 +5,7 @@
 
 use super::group::GroupScratch;
 use super::prefix::PrefixReader;
-use super::{passing, Batch, BatchQueue, ExecContext, Operator, Trim};
+use super::{dense, passing, Batch, BatchQueue, ExecContext, Operator, Trim};
 use crate::aggkernel::{GroupTable, NO_GROUP};
 use crate::metrics::ExecRecord;
 use crate::sortkernel::SortKeys;
@@ -65,7 +65,7 @@ impl Operator for IndexNestedLoopJoinOp {
             if !self.out.is_empty() {
                 return self.out.take(cx.batch_size).map(Some);
             }
-            let Some(batch) = self.outer.next_batch(cx, rec)? else {
+            let Some(batch) = self.outer.next_batch(cx, rec)?.map(dense) else {
                 return Ok(None);
             };
             let probe: Vec<&Column> = self
@@ -646,7 +646,8 @@ impl JoinOp {
     /// prefixes and takes the outer run before the inner.
     fn next_group(&mut self, cx: &ExecContext<'_>, rec: &mut ExecRecord) -> Result<bool> {
         let Some((o, i)) = &mut self.runs else {
-            self.pieces.extend(self.outer.next_batch(cx, rec)?);
+            self.pieces
+                .extend(self.outer.next_batch(cx, rec)?.map(dense));
             return Ok(!self.pieces.is_empty());
         };
         loop {
@@ -693,7 +694,7 @@ impl Operator for JoinOp {
             return self.inner.open(cx, rec);
         }
         self.inner.open(cx, rec)?;
-        while let Some(batch) = self.inner.next_batch(cx, rec)? {
+        while let Some(batch) = self.inner.next_batch(cx, rec)?.map(dense) {
             let scratch = &mut self.scratch;
             self.build
                 .absorb(batch, cx.memory_budget, scratch, &mut rec.stats.io)?;
@@ -782,7 +783,7 @@ impl RunCursor {
         rec: &mut ExecRecord,
     ) -> Result<bool> {
         while self.pos >= self.batch.len() && !self.done {
-            match child.next_batch(cx, rec)? {
+            match child.next_batch(cx, rec)?.map(dense) {
                 Some(batch) => {
                     self.prefix.cut(&batch);
                     self.batch = batch;

@@ -9,10 +9,15 @@
 //! million-row table pays for the handful of pages behind the ten rows it
 //! returns, not the whole heap.
 //!
-//! Hot operators run columnar: filters refine a selection vector with
-//! typed kernels and gather survivors (never materializing rows),
-//! projections of bare column references are `Arc` clones, hash group-by
-//! computes its keys by byte-encoding the grouping columns
+//! Hot operators run columnar: a filter refines a selection vector with
+//! branch-free typed kernels and passes it up attached to its input's
+//! columns, copying no row; a projection passes the selection through
+//! (bare column references are `Arc` clones, arithmetic takes its NULLs
+//! from the selected slots); the grouping encodes keys, assigns groups and folds
+//! aggregates over the selected rows alone. Every other consumer reads
+//! rows by position, so it densifies its input through [`dense`] — the
+//! one place a selection is applied, once, where a dense batch is needed.
+//! Hash group-by computes its keys by byte-encoding the grouping columns
 //! column-at-a-time, and the order enforcer holds its input batches as
 //! they arrived, sorts a permutation over their encoded keys and gathers
 //! the payload once per output batch. The scans never build a batch: the
@@ -153,7 +158,7 @@ pub(crate) fn drive(
     root.open(cx, rec)?;
     let mut batches = Vec::new();
     while let Some(batch) = root.next_batch(cx, rec)? {
-        batches.push(batch);
+        batches.push(dense(batch));
     }
     root.close(rec);
     Ok((batches, start.elapsed()))
@@ -305,17 +310,34 @@ impl Trim {
     }
 }
 
-/// The rows of `batch` that pass every predicate, ascending: a selection
-/// vector refined predicate by predicate, each by a typed column kernel
-/// (every predicate the binder admits has one). Refinement stops once no
-/// row is left, as an AND does.
+/// `batch` with its selected rows gathered into dense columns: the one
+/// place a selection is applied. A filter hands its selection up instead
+/// of copying the rows it keeps, and a projection and the grouping work
+/// over it; every other consumer reads rows by position and densifies its
+/// input here — the enforcer, both sides of the build–probe join, the
+/// index nested-loop join's outer input, limit, union, the gather
+/// exchange's workers and the root. A dense batch passes untouched.
+pub(crate) fn dense(batch: Batch) -> Batch {
+    match batch.selection() {
+        None => batch,
+        Some(sel) => batch.gather(sel),
+    }
+}
+
+/// The slots of `batch` that hold a row passing every predicate,
+/// ascending: its selection (every slot, when dense) refined predicate by
+/// predicate, each by a typed column kernel (every predicate the binder
+/// admits has one). Refinement stops once no row is left, as an AND does.
 fn passing(
     cx: &ExecContext<'_>,
     predicates: &[PredId],
     batch: &Batch,
     layout: &RowLayout,
 ) -> Result<Vec<u32>> {
-    let mut sel: Vec<u32> = (0..batch.len() as u32).collect();
+    let mut sel: Vec<u32> = match batch.selection() {
+        Some(sel) => sel.to_vec(),
+        None => (0..batch.slots() as u32).collect(),
+    };
     for pid in predicates {
         if sel.is_empty() {
             break;

@@ -1,8 +1,9 @@
 //! The pipelined operators: table and index scans, filter, project,
 //! limit and union all. None holds state across batches beyond a cursor
-//! or a count.
+//! or a count. The filter emits a selection over its input's columns and
+//! the projection passes it through; limit and union densify.
 
-use super::{passing, Batch, ExecContext, Operator, Trim};
+use super::{dense, passing, Batch, ExecContext, Operator, Trim};
 use crate::metrics::ExecRecord;
 use fto_common::{FtoError, IndexId, Result, TableId};
 use fto_expr::{vector, Expr, PredId, RowLayout};
@@ -101,12 +102,15 @@ impl Operator for IndexScanOp {
 // Row-at-a-time streamers
 // ---------------------------------------------------------------------
 
+/// Refines each input batch's selection by the predicates and emits the
+/// input's columns — those the consumer reads, `Arc` clones — with the
+/// survivors selected: no row is copied here.
 pub(super) struct FilterOp {
     pub(super) child: Box<dyn Operator>,
     pub(super) predicates: Vec<PredId>,
     /// The child's layout, which the predicates read.
     pub(super) layout: RowLayout,
-    /// The columns the consumer reads: the only ones survivors gather.
+    /// The columns the consumer reads: the only ones handed on.
     pub(super) keep: Trim,
 }
 
@@ -124,11 +128,7 @@ impl Operator for FilterOp {
             if sel.is_empty() {
                 continue;
             }
-            let batch = self.keep.apply(batch);
-            return Ok(Some(match sel.len() == batch.len() {
-                true => batch,
-                false => batch.gather(&sel),
-            }));
+            return Ok(Some(self.keep.apply(batch).with_selection(sel)));
         }
     }
 
@@ -181,7 +181,7 @@ impl Operator for LimitOp {
             self.child.close(rec);
             return Ok(None);
         }
-        let Some(mut batch) = self.child.next_batch(cx, rec)? else {
+        let Some(mut batch) = self.child.next_batch(cx, rec)?.map(dense) else {
             return Ok(None);
         };
         if batch.len() as u64 > self.remaining {
@@ -218,7 +218,7 @@ impl Operator for UnionAllOp {
                 self.opened = true;
             }
             match child.next_batch(cx, rec)? {
-                Some(batch) => return Ok(Some(batch)),
+                Some(batch) => return Ok(Some(dense(batch))),
                 None => {
                     child.close(rec);
                     self.current += 1;

@@ -2,10 +2,11 @@
 //!
 //! The executor's hot paths call these instead of the per-row
 //! [`Predicate::eval`] / [`Expr::eval`]: predicates refine a selection
-//! vector with one type dispatch per *column* (tight monomorphic loops
-//! over the typed vectors), and projections evaluate whole columns —
-//! a bare column reference is an `Arc` clone, numeric arithmetic runs a
-//! per-type loop.
+//! vector with one kernel per (column type, operator) — the type and the
+//! operator are picked once per batch, and each row costs one store and
+//! one add, never a branch on its outcome — and projections evaluate
+//! whole columns: a bare column reference is an `Arc` clone, numeric
+//! arithmetic runs one per-type loop over every slot.
 //!
 //! Every kernel decides exactly as the row evaluator does: comparisons go
 //! through the same total order ([`cmp_f64_nan_high`], [`cmp_int_double`],
@@ -25,8 +26,8 @@ use fto_common::{FtoError, Result, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Refines `sel` (candidate row indices into `batch`, ascending) to the
-/// rows satisfying `pred`, with SQL three-valued logic exactly as
+/// Refines `sel` (candidate slots of `batch`, ascending) to the slots
+/// satisfying `pred`, with SQL three-valued logic exactly as
 /// [`Predicate::eval`]: comparisons involving NULL filter the row.
 ///
 /// Every operand the binder types has a column form
@@ -43,7 +44,11 @@ pub fn filter_selection(
         CompareOp::IsNull | CompareOp::IsNotNull => {
             if let Some(col) = try_eval_column(&pred.left, batch, layout)? {
                 let want_null = pred.op == CompareOp::IsNull;
-                sel.retain(|&i| col.is_valid(i as usize) != want_null);
+                match &col.validity {
+                    Some(bm) => refine(sel, |i| bm.get(i) != want_null),
+                    None if want_null => sel.clear(),
+                    None => {}
+                }
                 return Ok(());
             }
         }
@@ -75,11 +80,11 @@ pub fn filter_selection(
 }
 
 /// Evaluates each projection expression over the whole batch, returning
-/// the projected batch. Every well-typed expression — column references,
-/// literals, numeric arithmetic — evaluates as a column of its declared
-/// type; one that does not (arithmetic over a non-numeric operand, an
-/// untyped NULL literal: nothing the binder lets through) is an
-/// [`FtoError::Internal`].
+/// the projected batch — with the input's rows selected. Every
+/// well-typed expression — column references, literals, numeric
+/// arithmetic — evaluates as a column of its declared type; one that does
+/// not (arithmetic over a non-numeric operand, an untyped NULL literal:
+/// nothing the binder lets through) is an [`FtoError::Internal`].
 pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Result<Batch> {
     let cols = exprs
         .iter()
@@ -89,10 +94,11 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    Batch::from_columns_with_len(cols, batch.len())
+    batch.with_columns(cols)
 }
 
-/// Evaluates `expr` as a whole column when it is vectorizable:
+/// Evaluates `expr` as a whole column — one value per slot of `batch` —
+/// when it is vectorizable:
 ///
 /// * a column reference — `Arc` clone of the batch column (errors like
 ///   the row path when the column is missing from the layout);
@@ -102,8 +108,11 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
 /// * arithmetic whose operands are numeric (`Int64`/`Float64`) columns or
 ///   numeric literals — typed loops reproducing [`Expr::eval`]'s semantics
 ///   (wrapping integer ops, division by zero → NULL, any float operand
-///   widens, NULL propagates); numeric arithmetic cannot error, so
-///   evaluating unselected rows is unobservable.
+///   widens, NULL propagates). Values are computed for every slot —
+///   numeric arithmetic cannot error — but on a selected batch only the
+///   selected slots decide NULLs and whether the column carries a
+///   validity bitmap, so the column gathers to exactly what computing
+///   over the gathered rows gives.
 ///
 /// Returns `Ok(None)` for an expression with no column form: a NULL
 /// literal (it has no type) and arithmetic over strings, dates, booleans
@@ -120,7 +129,7 @@ pub fn try_eval_column(
                 .ok_or_else(|| FtoError::internal(format!("column {c} missing from row layout")))?;
             Ok(Some(Arc::clone(batch.column(pos))))
         }
-        Expr::Lit(v) => Ok(constant_column(v, batch.len()).map(Arc::new)),
+        Expr::Lit(v) => Ok(constant_column(v, batch.slots()).map(Arc::new)),
         Expr::Arith { op, left, right } => {
             let (Some(l), Some(r)) = (
                 Operand::eval(left, batch, layout)?,
@@ -128,7 +137,7 @@ pub fn try_eval_column(
             ) else {
                 return Ok(None);
             };
-            Ok(arith_operands(*op, &l, &r, batch.len()).map(Arc::new))
+            Ok(arith_operands(*op, &l, &r, batch).map(Arc::new))
         }
     }
 }
@@ -219,53 +228,60 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// `out[i] = apply(a[i], b[i])` over `n` rows, a literal side read as the
-/// same scalar every row. A row is NULL when `valid` says an input slot
-/// is, or when `apply` returns `None` (division by zero); the validity
-/// bitmap is allocated at the first such row, so all-valid results carry
-/// none. `valid` is `None` when neither input has a bitmap.
+/// `out[i] = value(a[i], b[i])` over every slot of `batch`, a literal
+/// side read as the same scalar every slot, in one pass without a branch
+/// (`value` is total). Of the batch's rows, one is NULL — the default,
+/// unset in a validity bitmap that is allocated at the first such slot,
+/// so all-valid results carry none — when `valid` says an input slot is,
+/// or when `defined` refuses its operands (division by zero); that second
+/// pass is made only when `valid` (some input has a bitmap) or `defined`
+/// is given. Slots a selection leaves out hold whatever `value` gave
+/// them: nothing reads them.
 fn zip_arith<T: Copy + Default>(
-    n: usize,
+    batch: &Batch,
     a: Side<'_, T>,
     b: Side<'_, T>,
     valid: Option<&dyn Fn(usize) -> bool>,
-    apply: impl Fn(T, T) -> Option<T>,
+    value: impl Fn(T, T) -> T,
+    defined: Option<fn(T, T) -> bool>,
 ) -> (Vec<T>, Option<Bitmap>) {
-    fn run<T: Copy + Default>(
-        n: usize,
-        a: impl Fn(usize) -> T,
-        b: impl Fn(usize) -> T,
-        valid: Option<&dyn Fn(usize) -> bool>,
-        apply: impl Fn(T, T) -> Option<T>,
-    ) -> (Vec<T>, Option<Bitmap>) {
-        let mut nulls: Option<Bitmap> = None;
-        let mut out = Vec::with_capacity(n);
-        let mut or_null = |i: usize, cell: Option<T>| {
-            cell.unwrap_or_else(|| {
-                nulls
-                    .get_or_insert_with(|| Bitmap::new(n, true))
-                    .set(i, false);
-                T::default()
-            })
-        };
-        match valid {
-            None => out.extend((0..n).map(|i| or_null(i, apply(a(i), b(i))))),
-            Some(valid) => out
-                .extend((0..n).map(|i| or_null(i, valid(i).then(|| apply(a(i), b(i))).flatten()))),
+    let n = batch.slots();
+    // Slice iterators, not indices: the loops vectorize.
+    let mut out: Vec<T> = match (a, b) {
+        (Side::Col(x), Side::Col(y)) => (x[..n].iter().zip(&y[..n]))
+            .map(|(&p, &q)| value(p, q))
+            .collect(),
+        (Side::Col(x), Side::Lit(q)) => x[..n].iter().map(|&p| value(p, q)).collect(),
+        (Side::Lit(p), Side::Col(y)) => y[..n].iter().map(|&q| value(p, q)).collect(),
+        (Side::Lit(p), Side::Lit(q)) => vec![value(p, q); n],
+    };
+    if valid.is_none() && defined.is_none() {
+        return (out, None);
+    }
+    let at = |side: Side<'_, T>, i: usize| match side {
+        Side::Col(v) => v[i],
+        Side::Lit(c) => c,
+    };
+    let mut nulls: Option<Bitmap> = None;
+    let mut check = |i: usize| {
+        let undefined = || defined.is_some_and(|d| !d(at(a, i), at(b, i)));
+        if valid.is_some_and(|v| !v(i)) || undefined() {
+            nulls
+                .get_or_insert_with(|| Bitmap::new(n, true))
+                .set(i, false);
+            out[i] = T::default();
         }
-        (out, nulls)
+    };
+    match batch.selection() {
+        None => (0..n).for_each(&mut check),
+        Some(sel) => sel.iter().for_each(|&i| check(i as usize)),
     }
-    match (a, b) {
-        (Side::Col(x), Side::Col(y)) => run(n, |i| x[i], |i| y[i], valid, apply),
-        (Side::Col(x), Side::Lit(y)) => run(n, |i| x[i], |_| y, valid, apply),
-        (Side::Lit(x), Side::Col(y)) => run(n, |_| x, |i| y[i], valid, apply),
-        (Side::Lit(x), Side::Lit(y)) => run(n, |_| x, |_| y, valid, apply),
-    }
+    (out, nulls)
 }
 
-/// Typed arithmetic over two operands of `n` rows; `None` when either is
-/// non-numeric (no column form).
-fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
+/// Typed arithmetic over two operands of `batch`'s slots; `None` when
+/// either is non-numeric (no column form).
+fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, batch: &Batch) -> Option<Column> {
     let (lv, rv) = (l.validity(), r.validity());
     let both_valid = |i: usize| lv.is_none_or(|bm| bm.get(i)) && rv.is_none_or(|bm| bm.get(i));
     let valid: Option<&dyn Fn(usize) -> bool> = if lv.is_some() || rv.is_some() {
@@ -274,11 +290,12 @@ fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Op
         None
     };
     if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+        let div = |x: i64, y: i64| if y == 0 { 0 } else { x.wrapping_div(y) };
         let (data, validity) = match op {
-            ArithOp::Add => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_add(y))),
-            ArithOp::Sub => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_sub(y))),
-            ArithOp::Mul => zip_arith(n, a, b, valid, |x, y| Some(x.wrapping_mul(y))),
-            ArithOp::Div => zip_arith(n, a, b, valid, |x, y| (y != 0).then(|| x.wrapping_div(y))),
+            ArithOp::Add => zip_arith(batch, a, b, valid, i64::wrapping_add, None),
+            ArithOp::Sub => zip_arith(batch, a, b, valid, i64::wrapping_sub, None),
+            ArithOp::Mul => zip_arith(batch, a, b, valid, i64::wrapping_mul, None),
+            ArithOp::Div => zip_arith(batch, a, b, valid, div, Some(|_, y| y != 0)),
         };
         return Some(Column {
             data: ColumnData::Int64(data),
@@ -288,10 +305,10 @@ fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Op
     let (mut wl, mut wr) = (Vec::new(), Vec::new());
     let (a, b) = (l.floats(&mut wl)?, r.floats(&mut wr)?);
     let (data, validity) = match op {
-        ArithOp::Add => zip_arith(n, a, b, valid, |x, y| Some(x + y)),
-        ArithOp::Sub => zip_arith(n, a, b, valid, |x, y| Some(x - y)),
-        ArithOp::Mul => zip_arith(n, a, b, valid, |x, y| Some(x * y)),
-        ArithOp::Div => zip_arith(n, a, b, valid, |x, y| (y != 0.0).then(|| x / y)),
+        ArithOp::Add => zip_arith(batch, a, b, valid, |x, y| x + y, None),
+        ArithOp::Sub => zip_arith(batch, a, b, valid, |x, y| x - y, None),
+        ArithOp::Mul => zip_arith(batch, a, b, valid, |x, y| x * y, None),
+        ArithOp::Div => zip_arith(batch, a, b, valid, |x, y| x / y, Some(|_, y| y != 0.0)),
     };
     Some(Column {
         data: ColumnData::Float64(data),
@@ -299,92 +316,115 @@ fn arith_operands(op: ArithOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Op
     })
 }
 
-/// Retains in `sel` the rows where `col[i] op lit` holds (false on NULL
-/// either side). One type dispatch, then a tight per-type loop.
+/// Keeps the candidates in `sel` that `pass`: each candidate is written
+/// at the cursor, which then advances by the predicate's result — one
+/// store and one add per candidate, and no branch on whether it passed.
+#[inline(always)]
+fn refine(sel: &mut Vec<u32>, pass: impl Fn(usize) -> bool) {
+    let mut n = 0;
+    for k in 0..sel.len() {
+        let i = sel[k];
+        sel[n] = i;
+        n += usize::from(pass(i as usize));
+    }
+    sel.truncate(n);
+}
+
+/// [`refine`] by `pass` on the slots both validity bitmaps (`None`: all
+/// valid) mark valid, ANDed without a branch.
+#[inline(always)]
+fn refine_valid(sel: &mut Vec<u32>, validity: [Option<&Bitmap>; 2], pass: impl Fn(usize) -> bool) {
+    match validity {
+        [None, None] => refine(sel, pass),
+        [Some(v), None] | [None, Some(v)] => refine(sel, |i| v.get(i) & pass(i)),
+        [Some(v), Some(w)] => refine(sel, |i| v.get(i) & w.get(i) & pass(i)),
+    }
+}
+
+/// Refines `$sel` to the valid slots whose ordering `$ord` (an expression
+/// of slot `$i`) satisfies `$op`: the operator is matched once, and each
+/// arm is its own monomorphic kernel.
+macro_rules! by_op {
+    ($op:expr, $sel:expr, $valid:expr, |$i:ident| $ord:expr) => {{
+        use Ordering::{Equal, Greater, Less};
+        match $op {
+            CompareOp::Eq => refine_valid($sel, $valid, |$i| $ord == Equal),
+            CompareOp::Ne => refine_valid($sel, $valid, |$i| $ord != Equal),
+            CompareOp::Lt => refine_valid($sel, $valid, |$i| $ord == Less),
+            CompareOp::Le => refine_valid($sel, $valid, |$i| $ord != Greater),
+            CompareOp::Gt => refine_valid($sel, $valid, |$i| $ord == Greater),
+            CompareOp::Ge => refine_valid($sel, $valid, |$i| $ord != Less),
+            // The null tests take no ordering: `filter_selection` answers
+            // them before any kernel is picked.
+            CompareOp::IsNull | CompareOp::IsNotNull => $sel.clear(),
+        }
+    }};
+}
+
+/// Refines `sel` to the slots where `col[i] op lit` holds (false on NULL
+/// either side): one kernel per (column type, operator).
 fn compare_col_lit(op: CompareOp, col: &Column, lit: &Value, sel: &mut Vec<u32>) {
     if lit.is_null() {
         sel.clear();
         return;
     }
-    macro_rules! kernel {
-        ($i:ident, $ord:expr) => {
-            sel.retain(|&ix| {
-                let $i = ix as usize;
-                col.is_valid($i) && op.evaluate($ord)
-            })
-        };
-    }
+    let valid = [col.validity.as_ref(), None];
     match (&col.data, lit) {
-        (ColumnData::Int64(vals), Value::Int(b)) => kernel!(i, vals[i].cmp(b)),
+        (ColumnData::Int64(vals), Value::Int(b)) => by_op!(op, sel, valid, |i| vals[i].cmp(b)),
         (ColumnData::Int64(vals), Value::Double(b)) => {
-            kernel!(i, cmp_int_double(vals[i], *b))
+            by_op!(op, sel, valid, |i| cmp_int_double(vals[i], *b))
         }
         (ColumnData::Float64(vals), Value::Double(b)) => {
-            kernel!(i, cmp_f64_nan_high(vals[i], *b))
+            by_op!(op, sel, valid, |i| cmp_f64_nan_high(vals[i], *b))
+        }
+        // An integer below 2^53 in magnitude is a double: against a
+        // double it ranks as that double does, NaN high.
+        (ColumnData::Float64(vals), Value::Int(b)) if b.unsigned_abs() < 1 << 53 => {
+            let b = *b as f64;
+            by_op!(op, sel, valid, |i| cmp_f64_nan_high(vals[i], b))
         }
         (ColumnData::Float64(vals), Value::Int(b)) => {
-            kernel!(i, cmp_int_double(*b, vals[i]).reverse())
+            by_op!(op, sel, valid, |i| cmp_int_double(*b, vals[i]).reverse())
         }
         (ColumnData::Utf8 { offsets, bytes }, Value::Str(s)) => {
             let needle = s.as_bytes();
-            sel.retain(|&ix| {
-                let i = ix as usize;
-                col.is_valid(i)
-                    && op.evaluate(bytes[offsets[i] as usize..offsets[i + 1] as usize].cmp(needle))
-            });
+            let slot = |i: usize| &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+            by_op!(op, sel, valid, |i| slot(i).cmp(needle))
         }
-        (ColumnData::Date32(vals), Value::Date(b)) => kernel!(i, vals[i].cmp(b)),
-        (ColumnData::Bool(vals), Value::Bool(b)) => kernel!(i, vals[i].cmp(b)),
+        (ColumnData::Date32(vals), Value::Date(b)) => by_op!(op, sel, valid, |i| vals[i].cmp(b)),
+        (ColumnData::Bool(vals), Value::Bool(b)) => by_op!(op, sel, valid, |i| vals[i].cmp(b)),
         // Cross-type comparison (e.g. an Int64 column against a string
         // literal): rank by type tag exactly as `Value::total_cmp`.
-        _ => {
-            sel.retain(|&ix| {
-                let i = ix as usize;
-                col.is_valid(i) && op.evaluate(col.value(i).total_cmp(lit))
-            });
-        }
+        _ => by_op!(op, sel, valid, |i| col.value(i).total_cmp(lit)),
     }
 }
 
-/// Retains in `sel` the rows where `l[i] op r[i]` holds (false when
-/// either side is NULL).
+/// Refines `sel` to the slots where `l[i] op r[i]` holds (false when
+/// either side is NULL): one kernel per (column types, operator).
 fn compare_col_col(op: CompareOp, l: &Column, r: &Column, sel: &mut Vec<u32>) {
-    let ord_fn: Option<Box<dyn Fn(usize) -> Ordering>> = match (&l.data, &r.data) {
-        (ColumnData::Int64(a), ColumnData::Int64(b)) => Some(Box::new(move |i| a[i].cmp(&b[i]))),
-        (ColumnData::Float64(a), ColumnData::Float64(b)) => {
-            Some(Box::new(move |i| cmp_f64_nan_high(a[i], b[i])))
-        }
-        (ColumnData::Int64(a), ColumnData::Float64(b)) => {
-            Some(Box::new(move |i| cmp_int_double(a[i], b[i])))
-        }
-        (ColumnData::Float64(a), ColumnData::Int64(b)) => {
-            Some(Box::new(move |i| cmp_int_double(b[i], a[i]).reverse()))
+    use ColumnData::{Bool, Date32, Float64, Int64, Utf8};
+    let valid = [l.validity.as_ref(), r.validity.as_ref()];
+    match (&l.data, &r.data) {
+        (Int64(a), Int64(b)) => by_op!(op, sel, valid, |i| a[i].cmp(&b[i])),
+        (Float64(a), Float64(b)) => by_op!(op, sel, valid, |i| cmp_f64_nan_high(a[i], b[i])),
+        (Int64(a), Float64(b)) => by_op!(op, sel, valid, |i| cmp_int_double(a[i], b[i])),
+        (Float64(a), Int64(b)) => {
+            by_op!(op, sel, valid, |i| cmp_int_double(b[i], a[i]).reverse())
         }
         (
-            ColumnData::Utf8 { offsets, bytes },
-            ColumnData::Utf8 {
+            Utf8 { offsets, bytes },
+            Utf8 {
                 offsets: ro,
                 bytes: rb,
             },
-        ) => Some(Box::new(move |i| {
-            bytes[offsets[i] as usize..offsets[i + 1] as usize]
-                .cmp(&rb[ro[i] as usize..ro[i + 1] as usize])
-        })),
-        (ColumnData::Date32(a), ColumnData::Date32(b)) => Some(Box::new(move |i| a[i].cmp(&b[i]))),
-        (ColumnData::Bool(a), ColumnData::Bool(b)) => Some(Box::new(move |i| a[i].cmp(&b[i]))),
-        _ => None,
-    };
-    match ord_fn {
-        Some(ord) => sel.retain(|&ix| {
-            let i = ix as usize;
-            l.is_valid(i) && r.is_valid(i) && op.evaluate(ord(i))
-        }),
+        ) => by_op!(op, sel, valid, |i| bytes
+            [offsets[i] as usize..offsets[i + 1] as usize]
+            .cmp(&rb[ro[i] as usize..ro[i + 1] as usize])),
+        (Date32(a), Date32(b)) => by_op!(op, sel, valid, |i| a[i].cmp(&b[i])),
+        (Bool(a), Bool(b)) => by_op!(op, sel, valid, |i| a[i].cmp(&b[i])),
         // Cross-type columns: per-slot Value comparison, which carries
         // the exact total_cmp semantics (type-rank fallback).
-        None => sel.retain(|&ix| {
-            let i = ix as usize;
-            l.is_valid(i) && r.is_valid(i) && op.evaluate(l.value(i).total_cmp(&r.value(i)))
-        }),
+        _ => by_op!(op, sel, valid, |i| l.value(i).total_cmp(&r.value(i))),
     }
 }
 
@@ -428,65 +468,117 @@ mod tests {
 
     #[test]
     fn typed_compare_kernels_match_row_eval() {
-        let rs = rows(vec![
-            vec![
-                Value::Int(3),
-                Value::Double(1.5),
-                Value::str("b"),
-                Value::Date(10),
-                Value::Bool(true),
-            ],
-            vec![
-                Value::Null,
-                Value::Double(f64::NAN),
-                Value::Null,
-                Value::Date(-4),
-                Value::Bool(false),
-            ],
-            vec![
-                Value::Int(-7),
-                Value::Double(-0.0),
-                Value::str("a\0x"),
-                Value::Null,
-                Value::Null,
-            ],
-        ]);
-        let batch = Batch::from_typed_rows(&[Int, Double, Str, Date, Bool], &rs).unwrap();
-        let layout = RowLayout::new((0..5).map(c).collect::<Vec<_>>());
+        // Each (column type, operator) kernel against `Predicate::eval`:
+        // `Int`, `Double`, `Date`, `Str` and `Bool` columns (two of each,
+        // NULLs among them) against literals of every type — an `Int`
+        // column against `Double` literals, a `Double` column against
+        // `Int` literals on both sides of 2^53 — and against every other
+        // column, plus an arithmetic operand. Candidates are every slot,
+        // every third, a sparse random tenth or none, refined on the
+        // dense batch and, as a filter above a filter sees them, on the
+        // batch carrying them as its selection.
+        use fto_common::Rng;
+        const BIG: i64 = 1 << 53;
+        let types = [Int, Int, Double, Double, Date, Date, Str, Str, Bool, Bool];
+        let layout = RowLayout::new((0..10).map(c).collect::<Vec<_>>());
         let lits = [
             Value::Int(0),
+            Value::Int(2),
+            Value::Int(-1),
+            Value::Int(BIG - 1),
+            Value::Int(BIG + 1),
+            Value::Int(-BIG - 1),
             Value::Double(0.0),
-            Value::str("a\0x"),
+            Value::Double(1.5),
+            Value::Double(2.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(BIG as f64),
+            Value::Date(3),
             Value::Date(-4),
+            Value::str("b"),
+            Value::str("a\0x"),
+            Value::str(""),
             Value::Bool(true),
             Value::Null,
-            Value::Double(f64::NAN),
         ];
-        for op in [
+        let mut rng = Rng::new(0x5e1ec7);
+        let value = |rng: &mut Rng, ty: fto_common::DataType| match (rng.chance(0.15), ty) {
+            (true, _) => Value::Null,
+            (_, Int) => Value::Int(*rng.pick(&[-1, 0, 2, 3, BIG - 1, BIG, BIG + 1, -BIG - 1])),
+            (_, Double) => Value::Double(*rng.pick(&[
+                -0.0,
+                0.0,
+                1.5,
+                2.0,
+                f64::NAN,
+                BIG as f64,
+                (BIG + 2) as f64,
+                -(BIG as f64) - 2.0,
+            ])),
+            (_, Date) => Value::Date(rng.range_i32(-5, 6)),
+            (_, Str) => Value::str(*rng.pick(&["", "a", "b", "a\0x", "ba"])),
+            (_, _) => Value::Bool(rng.bool()),
+        };
+        let ops = [
             CompareOp::Eq,
             CompareOp::Ne,
             CompareOp::Lt,
             CompareOp::Le,
             CompareOp::Gt,
             CompareOp::Ge,
-        ] {
-            for col in 0..5u32 {
-                for lit in &lits {
-                    let p = Predicate::new(op, Expr::col(c(col)), Expr::Lit(lit.clone()));
-                    assert_matches_rows(&p, &batch, &layout);
-                    // Literal on the left.
-                    let p = Predicate::new(op, Expr::Lit(lit.clone()), Expr::col(c(col)));
-                    assert_matches_rows(&p, &batch, &layout);
+        ];
+        for case in 0..6 {
+            let n = [0, 1, 70][case % 3];
+            let rs: Vec<Row> = (0..n)
+                .map(|_| types.iter().map(|&ty| value(&mut rng, ty)).collect())
+                .collect();
+            let batch = Batch::from_typed_rows(&types, &rs).unwrap();
+            let sels: Vec<Vec<u32>> = vec![
+                (0..n as u32).collect(),
+                (0..n as u32).step_by(3).collect(),
+                (0..n as u32).filter(|_| rng.chance(0.1)).collect(),
+                Vec::new(),
+            ];
+            let mut preds = Vec::new();
+            for op in ops {
+                for col in 0..10u32 {
+                    for lit in &lits {
+                        preds.push(Predicate::new(
+                            op,
+                            Expr::col(c(col)),
+                            Expr::Lit(lit.clone()),
+                        ));
+                        preds.push(Predicate::new(
+                            op,
+                            Expr::Lit(lit.clone()),
+                            Expr::col(c(col)),
+                        ));
+                    }
+                    for col2 in 0..10u32 {
+                        preds.push(Predicate::new(op, Expr::col(c(col)), Expr::col(c(col2))));
+                    }
                 }
-                for col2 in 0..5u32 {
-                    let p = Predicate::new(op, Expr::col(c(col)), Expr::col(c(col2)));
-                    assert_matches_rows(&p, &batch, &layout);
+                let sum = Expr::arith(ArithOp::Add, Expr::col(c(0)), Expr::col(c(2)));
+                preds.push(Predicate::new(op, sum, Expr::int(3)));
+            }
+            for col in 0..10u32 {
+                preds.push(Predicate::is_null(Expr::col(c(col))));
+                preds.push(Predicate::is_not_null(Expr::col(c(col))));
+            }
+            for sel in &sels {
+                let selected = batch.clone().with_selection(sel.clone());
+                for p in &preds {
+                    let want: Vec<u32> = (sel.iter().copied())
+                        .filter(|&i| p.eval(&rs[i as usize], &layout).unwrap())
+                        .collect();
+                    for b in [&batch, &selected] {
+                        let mut got = sel.clone();
+                        filter_selection(p, b, &layout, &mut got).unwrap();
+                        assert_eq!(got, want, "{p} over {sel:?}");
+                    }
                 }
             }
-        }
-        for col in 0..5u32 {
-            assert_matches_rows(&Predicate::is_null(Expr::col(c(col))), &batch, &layout);
-            assert_matches_rows(&Predicate::is_not_null(Expr::col(c(col))), &batch, &layout);
         }
     }
 

@@ -237,8 +237,10 @@ const COL_BOOL: u8 = 4;
 /// One buffer copy per column: the one serde of everything that spills,
 /// exact for every [`fto_common::Value`]. Round-trips through
 /// [`read_batch`] bit for bit (typed layout included, so re-spilling
-/// decoded pages is byte-stable).
+/// decoded pages is byte-stable). A page holds every slot of its columns,
+/// so the batch must be dense: what spills is gathered first.
 pub fn write_batch(batch: &Batch, out: &mut Vec<u8>) {
+    debug_assert!(batch.selection().is_none(), "a spilled batch is dense");
     out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
     out.extend_from_slice(&(batch.arity() as u16).to_le_bytes());
     for col in batch.columns() {

@@ -433,6 +433,31 @@ if [ "$(non_test crates/exec/src/stream/lower.rs | grep -c 'branch\.layout')" -n
     exit 1
 fi
 
+echo "==> grep guard: a filter passes its selection up; one function applies a selection"
+# A filter attaches the rows it keeps to its input's columns as a
+# selection instead of gathering them; the projection passes it through
+# and the grouping works over it. Every other consumer reads rows by
+# position and densifies its input through stream::dense, the one place a
+# selection is applied. So non-test stream/pipeline.rs gathers nothing,
+# and a batch's selection is read in three places only: dense, the
+# filter's refinement (stream::passing) and the grouping's fold
+# (GroupAgg::absorb). (Checked above each file's #[cfg(test)].)
+if non_test crates/exec/src/stream/pipeline.rs | grep -n '\.gather('; then
+    echo "guard failed: crates/exec/src/stream/pipeline.rs gathers rows;"
+    echo "a filter attaches its selection (Batch::with_selection); consumers densify through stream::dense"
+    exit 1
+fi
+readers=$(for f in crates/exec/src/*.rs crates/exec/src/stream/*.rs; do non_test "$f"; done | grep -c '\.selection()' || true)
+if [[ "${readers}" -ne 3 ]]; then
+    echo "guard failed: ${readers} non-test reads of a batch's selection in crates/exec/src (allowed: 3);"
+    echo "densify through stream::dense, or work over the selection in the grouping"
+    exit 1
+fi
+if ! non_test crates/exec/src/stream/mod.rs | grep -A4 '^pub(crate) fn dense(' | grep -q 'batch\.gather(sel)'; then
+    echo "guard failed: stream::dense no longer applies the selection"
+    exit 1
+fi
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 

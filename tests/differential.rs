@@ -827,3 +827,218 @@ fn index_nested_loop_join_output_does_not_depend_on_probe_order() {
         }
     }
 }
+
+/// The operator a filter's output reaches through projections alone, as
+/// `"name/child"` — `child` being which input of it the filter feeds — or
+/// `"root"`, for each filter of an EXPLAIN tree. A filter hands its
+/// selection up, a projection passes it through, and this is the
+/// operator that then reads it.
+fn filter_consumers(explain: &str) -> Vec<String> {
+    // (depth, operator name) per node, in pre-order.
+    let nodes: Vec<(usize, &str)> = explain
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| {
+            let text = l.trim_start();
+            let name = text.split([' ', '[']).next().unwrap_or(text);
+            ((l.len() - text.len()) / 2, name)
+        })
+        .collect();
+    let parent = |i: usize| (0..i).rev().find(|&j| nodes[j].0 < nodes[i].0);
+    let mut consumers = Vec::new();
+    for (i, &(_, name)) in nodes.iter().enumerate() {
+        if name != "filter" {
+            continue;
+        }
+        let mut at = i;
+        let reader = loop {
+            match parent(at) {
+                Some(p) if nodes[p].1 == "project" => at = p,
+                Some(p) => {
+                    let depth = nodes[at].0;
+                    let child = (p + 1..at).filter(|&j| nodes[j].0 == depth).count();
+                    break format!("{}/{child}", nodes[p].1);
+                }
+                None => break "root".to_string(),
+            }
+        };
+        consumers.push(reader);
+    }
+    consumers
+}
+
+#[test]
+fn selected_batches_agree_with_the_oracle_and_the_dense_serial_cell() {
+    // A filter emits its input's columns with a selection attached. The
+    // grouping (hash, stream, global, DISTINCT) reads it as it comes; a
+    // projection computing expressions passes it through; the enforcer
+    // (sort, top-n), both join inputs, the index nested-loop join's outer,
+    // limit, union and the root densify it. Each shape, at batch 1, 7
+    // and 1024, threads 1 and 2, and budgets none, 1 KiB and 64 KiB, gives
+    // the oracle's answer and the serial, unbudgeted batch-1024 cell's
+    // rows bit for bit — and each statement's plan has its filter under
+    // the operator it is here for.
+    let db = build_database(TpcdConfig {
+        scale: 0.001,
+        seed: 19,
+    })
+    .unwrap();
+    let default = OptimizerConfig::default;
+    let hash_join = || default().with_merge_join(false).with_nested_loop(false);
+    let inlj = || {
+        let joins = default().with_merge_join(false).with_hash_join(false);
+        joins.with_sort_ahead(false)
+    };
+    let cases: [(&str, OptimizerConfig, &str); 13] = [
+        (
+            "group-by(hash)/0",
+            default(),
+            "select l_suppkey, sum(l_quantity) as q, count(*) as n from lineitem \
+             where l_shipdate <= date('1996-01-01') group by l_suppkey",
+        ),
+        (
+            "group-by(hash)/0",
+            default(),
+            "select l_returnflag, l_linestatus, sum(l_extendedprice * (1 - l_discount)) as p, \
+             avg(l_quantity) as q, count(*) as n from lineitem \
+             where l_shipdate <= date('1998-06-01') group by l_returnflag, l_linestatus",
+        ),
+        (
+            "group-by(stream)/0",
+            OptimizerConfig::db2_1996(),
+            "select l_orderkey, sum(l_quantity) as q, max(l_discount) as d from lineitem \
+             where l_discount > 0.05 group by l_orderkey",
+        ),
+        (
+            "group-by(stream)/0",
+            default(),
+            "select sum(l_extendedprice * l_discount) as revenue, count(*) as n from lineitem \
+             where l_shipdate >= date('1994-01-01') and l_shipdate < date('1995-01-01') \
+             and l_discount >= 0.05 and l_discount <= 0.07 and l_quantity < 24",
+        ),
+        (
+            "group-by(hash)/0",
+            default(),
+            "select distinct l_suppkey, l_returnflag from lineitem where l_quantity < 10",
+        ),
+        (
+            "sort/0",
+            default(),
+            "select l_orderkey, l_returnflag, l_extendedprice from lineitem \
+             where l_quantity < 5 order by l_extendedprice, l_orderkey",
+        ),
+        (
+            "top-n/0",
+            default(),
+            "select l_orderkey, l_returnflag, l_extendedprice from lineitem \
+             where l_quantity < 5 order by l_extendedprice desc, l_orderkey limit 7",
+        ),
+        (
+            "hash-join/1",
+            hash_join(),
+            "select o_orderkey, o_orderdate, l_linenumber, l_returnflag from orders, lineitem \
+             where o_orderkey = l_orderkey and l_quantity < 5",
+        ),
+        (
+            "hash-join/0",
+            hash_join(),
+            "select c_name, o_orderkey, o_totalprice from customer, orders \
+             where c_custkey = o_custkey and o_orderdate < date('1993-01-01') \
+             and c_acctbal > 0",
+        ),
+        (
+            "index-nested-loop-join/0",
+            inlj(),
+            "select o_orderkey, l_linenumber from orders, lineitem \
+             where o_orderkey = l_orderkey and o_orderdate < date('1993-01-01')",
+        ),
+        (
+            "limit/0",
+            default(),
+            "select l_orderkey, l_returnflag, l_quantity from lineitem \
+             where l_quantity < 5 limit 13",
+        ),
+        (
+            "union-all/1",
+            default(),
+            "select o_orderkey, o_custkey from orders where o_totalprice < 50000 \
+             union all select c_custkey, c_nationkey from customer where c_acctbal > 0",
+        ),
+        (
+            "root",
+            default(),
+            "select l_orderkey, l_linenumber, l_extendedprice * (1 - l_discount) as net, \
+             l_quantity * 2 as q2, l_quantity / (l_discount - 0.05) as r from lineitem \
+             where l_shipdate > date('1996-06-01')",
+        ),
+    ];
+    for (reader, shape, sql) in cases {
+        let plan = Session::new(&db)
+            .config(shape.clone())
+            .plan(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .explain();
+        assert!(
+            filter_consumers(&plan).iter().any(|r| r == reader),
+            "no filter feeds {reader}: {:?}\n{sql}\n{plan}",
+            filter_consumers(&plan)
+        );
+        let answer = Answer::of(&db, sql);
+        for batch in [1usize, 7, 1024] {
+            for threads in [1usize, 2] {
+                for budget in [None, Some(1usize << 10), Some(64 << 10)] {
+                    let mut config = shape.clone().with_batch_size(batch).with_threads(threads);
+                    if let Some(b) = budget {
+                        config = config.with_memory_budget(b);
+                    }
+                    assert_answer(&db, sql, &config, &answer);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_filtered_hash_grouping_spills_what_it_spilled_over_gathered_rows() {
+    // `bounded_memory`'s `agg_by_cust` shape: a hash grouping over a
+    // filter, under a budget. The grouping reads the filter's selection
+    // in place of gathered rows; what it admits, charges and spills, and
+    // so every spill page, is what it was when the filter gathered. The
+    // literals are that engine's counts: (budget, batch, pages written,
+    // pages read, partitions spilled).
+    let db = build_database(TpcdConfig {
+        scale: 0.005,
+        seed: 19,
+    })
+    .unwrap();
+    let sql = "select o_custkey, sum(o_totalprice) as total, count(*) as n from orders \
+               where o_orderdate < date('1997-01-01') group by o_custkey";
+    let pinned: [(usize, usize, u64, u64, u64); 9] = [
+        (1 << 10, 1, 351, 351, 49),
+        (1 << 10, 7, 319, 319, 49),
+        (1 << 10, 1024, 212, 212, 49),
+        (16 << 10, 1, 70, 70, 15),
+        (16 << 10, 7, 64, 64, 15),
+        (16 << 10, 1024, 46, 46, 15),
+        (64 << 10, 1, 40, 40, 8),
+        (64 << 10, 7, 38, 38, 8),
+        (64 << 10, 1024, 25, 25, 8),
+    ];
+    let answer = Answer::of(&db, sql);
+    for (budget, batch, written, read, runs) in pinned {
+        let config = OptimizerConfig::default()
+            .with_batch_size(batch)
+            .with_memory_budget(budget);
+        let plan = Session::new(&db).config(config.clone()).plan(sql).unwrap();
+        assert_eq!(filter_consumers(&plan.explain()), ["group-by(hash)/0"]);
+        let out = assert_answer(&db, sql, &config, &answer);
+        let got = (out.io.spill_pages_written, out.io.spill_pages_read);
+        let cell = format!("budget={budget} batch={batch}");
+        assert_eq!(got, (written, read), "{cell}");
+        assert_eq!(
+            (out.spill.runs_formed, out.spill.merge_passes),
+            (runs, 0),
+            "{cell}"
+        );
+    }
+}
