@@ -423,24 +423,33 @@ impl Column {
     /// [`FtoError::Internal`]: every stream has one declared type per
     /// column.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
-        let full: Vec<&Column> = parts.iter().copied().filter(|c| !c.is_empty()).collect();
-        let lead = *full
+        let parts: Vec<Part<'_>> = parts.iter().map(|&c| (c, None)).collect();
+        Column::splice(&parts)
+    }
+
+    /// [`Column::concat`] of each part's slots `sel` names (every slot,
+    /// for `None`), in one pass: a selected part's rows are copied once.
+    fn splice(parts: &[Part<'_>]) -> Result<Column> {
+        let rows = |&(c, sel): &Part<'_>| sel.map_or(c.len(), <[u32]>::len);
+        let full: Vec<Part<'_>> = parts.iter().copied().filter(|p| rows(p) != 0).collect();
+        let lead = full
             .first()
             .or(parts.first())
+            .map(|&(c, _)| c)
             .ok_or_else(|| FtoError::internal("concat of no columns"))?;
-        let total: usize = full.iter().map(|c| c.len()).sum();
-        let validity = if full.iter().any(|c| c.validity.is_some()) {
+        let total: usize = full.iter().map(rows).sum();
+        let validity = if full.iter().any(|(c, _)| c.validity.is_some()) {
             let mut bm = Bitmap::new(total, true);
             let mut base = 0usize;
-            for c in &full {
+            for p @ &(c, sel) in &full {
                 if let Some(v) = &c.validity {
-                    for i in 0..c.len() {
-                        if !v.get(i) {
-                            bm.set(base + i, false);
+                    for j in 0..rows(p) {
+                        if !v.get(sel.map_or(j, |s| s[j] as usize)) {
+                            bm.set(base + j, false);
                         }
                     }
                 }
-                base += c.len();
+                base += rows(p);
             }
             Some(bm)
         } else {
@@ -449,9 +458,12 @@ impl Column {
         macro_rules! splice {
             ($variant:ident) => {{
                 let mut out = Vec::with_capacity(total);
-                for c in &full {
-                    match &c.data {
-                        ColumnData::$variant(v) => out.extend_from_slice(v),
+                for &(c, sel) in &full {
+                    match (&c.data, sel) {
+                        (ColumnData::$variant(v), None) => out.extend_from_slice(v),
+                        (ColumnData::$variant(v), Some(s)) => {
+                            out.extend(s.iter().map(|&i| v[i as usize]))
+                        }
                         _ => return Err(type_mismatch("concat", lead, c)),
                     }
                 }
@@ -467,12 +479,19 @@ impl Column {
                 let mut out_off = Vec::with_capacity(total + 1);
                 let mut out_bytes = Vec::new();
                 out_off.push(0u32);
-                for c in &full {
-                    match &c.data {
-                        ColumnData::Utf8 { offsets, bytes } => {
+                for &(c, sel) in &full {
+                    match (&c.data, sel) {
+                        (ColumnData::Utf8 { offsets, bytes }, None) => {
                             let base = out_bytes.len() as u32;
                             out_bytes.extend_from_slice(bytes);
                             out_off.extend(offsets[1..].iter().map(|&o| base + o));
+                        }
+                        (ColumnData::Utf8 { offsets, bytes }, Some(s)) => {
+                            for &i in s {
+                                let (lo, hi) = (offsets[i as usize], offsets[i as usize + 1]);
+                                out_bytes.extend_from_slice(&bytes[lo as usize..hi as usize]);
+                                out_off.push(out_bytes.len() as u32);
+                            }
                         }
                         _ => return Err(type_mismatch("concat", lead, c)),
                     }
@@ -569,6 +588,10 @@ fn type_mismatch(what: &str, lead: &Column, other: &Column) -> FtoError {
         other.data_type()
     ))
 }
+
+/// One part of a [`Column::splice`]: a column and the slots of it to
+/// take, ascending (`None`: every slot).
+type Part<'a> = (&'a Column, Option<&'a [u32]>);
 
 /// A columnar batch: equal-length reference-counted columns, and which of
 /// their slots are the batch's rows.
@@ -822,8 +845,9 @@ impl Batch {
     }
 
     /// Concatenates one or more equal-arity batches end to end
-    /// (column-wise [`Column::concat`]). A single part is a pointer copy;
-    /// several must be dense.
+    /// (column-wise [`Column::concat`]). A single part is a pointer copy,
+    /// its selection kept; several make one dense batch, each part's rows
+    /// — its selected slots, when it carries a selection — copied once.
     pub fn concat(parts: &[Batch]) -> Result<Batch> {
         let [first, rest @ ..] = parts else {
             return Err(FtoError::internal("concat of no batches"));
@@ -831,11 +855,13 @@ impl Batch {
         if rest.is_empty() {
             return Ok(first.clone());
         }
-        refuse_selected("concat", parts.iter())?;
         let columns = (0..first.arity())
             .map(|c| {
-                let cols: Vec<&Column> = parts.iter().map(|b| b.column(c).as_ref()).collect();
-                Column::concat(&cols).map(Arc::new)
+                let cols: Vec<Part<'_>> = parts
+                    .iter()
+                    .map(|b| (b.column(c).as_ref(), b.sel.as_deref()))
+                    .collect();
+                Column::splice(&cols).map(Arc::new)
             })
             .collect::<Result<_>>()?;
         Ok(Batch {
@@ -867,9 +893,8 @@ impl Batch {
     }
 }
 
-/// An [`FtoError::Internal`] when one of `parts` carries a selection: the
-/// multi-batch splices take dense batches, which is what every consumer
-/// but the grouping reads.
+/// An [`FtoError::Internal`] when one of `parts` carries a selection: a
+/// multi-batch gather names dense slots.
 fn refuse_selected<'a>(what: &str, mut parts: impl Iterator<Item = &'a Batch>) -> Result<()> {
     match parts.any(|b| b.sel.is_some()) {
         true => Err(FtoError::internal(format!("{what} of a selected batch"))),
@@ -971,6 +996,164 @@ fn encode_rows<I: ExactSizeIterator<Item = usize> + Clone>(
             bytes,
             &mut offsets[1..],
         );
+    }
+}
+
+/// The longest key [`encode_batch_keys_lanes`] writes: two `u64` lanes.
+pub const LANE_BYTES: usize = 16;
+
+/// Writes the sort key of every row of `batch` — its selected rows, when
+/// it carries a selection — into two `u64` lanes: row `j`'s key,
+/// byte-identical to [`encode_batch_keys_arena`]'s, zero-padded in
+/// `lanes[j]` (read as two little-endian words), its length in `lens[j]`.
+/// It writes straight from the key columns, one column at a time, each
+/// row's slot at the row's cursor. Whether every key fits is known before
+/// a byte is written, from the key columns' types: a numeric slot takes
+/// 11 bytes, a date 5, a bool 2, a NULL 1, and a string 3 plus its
+/// length — unless its column holds a `0x00`, which the codec escapes and
+/// which rules the batch out. A batch whose keys may not fit writes
+/// nothing and returns `false`. Both output vectors are overwritten.
+pub fn encode_batch_keys_lanes(
+    batch: &Batch,
+    keys: &[(usize, Direction)],
+    lanes: &mut Vec<[u8; LANE_BYTES]>,
+    lens: &mut Vec<u8>,
+) -> bool {
+    lanes.clear();
+    lens.clear();
+    match batch.selection() {
+        None => encode_lanes(batch, 0..batch.slots(), keys, lanes, lens),
+        Some(sel) => encode_lanes(batch, sel.iter().map(|&i| i as usize), keys, lanes, lens),
+    }
+}
+
+/// [`encode_batch_keys_lanes`] over the slots `rows` yields.
+fn encode_lanes<I: ExactSizeIterator<Item = usize> + Clone>(
+    batch: &Batch,
+    rows: I,
+    keys: &[(usize, Direction)],
+    lanes: &mut Vec<[u8; LANE_BYTES]>,
+    lens: &mut Vec<u8>,
+) -> bool {
+    let mut width = 0;
+    for &(pos, _) in keys {
+        width += match &batch.column(pos).data {
+            ColumnData::Int64(_) | ColumnData::Float64(_) => sortkey::NUMERIC_WIDTH,
+            ColumnData::Date32(_) => DATE_WIDTH,
+            ColumnData::Bool(_) => BOOL_WIDTH,
+            ColumnData::Utf8 { offsets, .. } => {
+                let longest = rows.clone().map(|i| offsets[i + 1] - offsets[i]).max();
+                3 + longest.unwrap_or(0) as usize
+            }
+        };
+        if width > LANE_BYTES {
+            return false;
+        }
+    }
+    let escapes = |&(pos, _): &(usize, Direction)| match &batch.column(pos).data {
+        ColumnData::Utf8 { bytes, .. } => bytes.contains(&0),
+        _ => false,
+    };
+    if keys.iter().any(escapes) {
+        return false;
+    }
+    lanes.resize(rows.len(), [0; LANE_BYTES]);
+    lens.resize(rows.len(), 0);
+    for (c, &(pos, dir)) in keys.iter().enumerate() {
+        let invert = |enc: u128, width: usize| match dir {
+            Direction::Asc => enc,
+            Direction::Desc => !enc & u128::MAX >> (128 - 8 * width),
+        };
+        let col = batch.column(pos);
+        let slots = lanes.iter_mut().zip(lens.iter_mut()).zip(rows.clone());
+        if c == 0 {
+            // The first column starts every key: stored, not merged.
+            for_each_lane_slot(col, slots, |lane, len, enc, width| {
+                *lane = invert(enc, width).to_le_bytes();
+                *len = width as u8;
+            });
+        } else {
+            // The next ones go in at each row's cursor, ORed into the
+            // lanes' zero padding.
+            for_each_lane_slot(col, slots, |lane, len, enc, width| {
+                let at = usize::from(*len);
+                let merged = u128::from_le_bytes(*lane) | invert(enc, width) << (8 * at);
+                *lane = merged.to_le_bytes();
+                *len = (at + width) as u8;
+            });
+        }
+    }
+    true
+}
+
+/// Calls `put(lane, len, enc, width)` for every `((lane, len), slot)`
+/// that `slots` yields: the encoding of `slot` of `col` in ascending
+/// order as a little-endian `u128`, first byte lowest, and its width. A
+/// string's encoding leaves its `0x00 0x00` terminator to the zero bytes
+/// above it. Every slot must fit 16 bytes, and no string may hold a
+/// `0x00`: the caller has checked both.
+fn for_each_lane_slot<'a>(
+    col: &Column,
+    slots: impl Iterator<Item = ((&'a mut [u8; LANE_BYTES], &'a mut u8), usize)>,
+    mut put: impl FnMut(&mut [u8; LANE_BYTES], &mut u8, u128, usize),
+) {
+    let validity = col.validity.as_ref();
+    macro_rules! fixed {
+        ($vals:ident, $width:expr, |$v:ident| $enc:expr) => {
+            for ((lane, len), i) in slots {
+                match validity.is_some_and(|bm| !bm.get(i)) {
+                    true => put(lane, len, u128::from(sortkey::TAG_NULL), 1),
+                    false => {
+                        let $v = $vals[i];
+                        put(lane, len, $enc, $width)
+                    }
+                }
+            }
+        };
+    }
+    // The numeric payload's two big-endian words, after the tag.
+    let numeric = |(g, r): (f64, i16)| {
+        u128::from(sortkey::TAG_NUMERIC)
+            | u128::from(sortkey::numeric_bits(g).swap_bytes()) << 8
+            | u128::from(sortkey::residual_bits(r).swap_bytes()) << 72
+    };
+    match &col.data {
+        ColumnData::Int64(vals) => fixed!(vals, sortkey::NUMERIC_WIDTH, |v| numeric(
+            sortkey::int_numeric(v)
+        )),
+        ColumnData::Float64(vals) => fixed!(vals, sortkey::NUMERIC_WIDTH, |v| numeric((v, 0))),
+        ColumnData::Date32(vals) => fixed!(vals, DATE_WIDTH, |v| {
+            let flipped = (v as u32) ^ 0x8000_0000;
+            u128::from(sortkey::TAG_DATE) | u128::from(flipped.swap_bytes()) << 8
+        }),
+        ColumnData::Bool(vals) => fixed!(vals, BOOL_WIDTH, |v| {
+            u128::from(sortkey::TAG_BOOL) | u128::from(v) << 8
+        }),
+        ColumnData::Utf8 { offsets, bytes } => {
+            for ((lane, len), i) in slots {
+                if validity.is_some_and(|bm| !bm.get(i)) {
+                    put(lane, len, u128::from(sortkey::TAG_NULL), 1);
+                    continue;
+                }
+                let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+                // The string is at most 13 bytes: read a whole word past
+                // it where the buffer has one, and keep its bytes.
+                let body = match bytes[lo..].first_chunk::<LANE_BYTES>() {
+                    Some(word) => u128::from_le_bytes(*word) & ((1 << (8 * (hi - lo))) - 1),
+                    None => {
+                        let mut word = [0; LANE_BYTES];
+                        word[..hi - lo].copy_from_slice(&bytes[lo..hi]);
+                        u128::from_le_bytes(word)
+                    }
+                };
+                put(
+                    lane,
+                    len,
+                    u128::from(sortkey::TAG_STR) | body << 8,
+                    hi - lo + 3,
+                );
+            }
+        }
     }
 }
 
@@ -1362,7 +1545,13 @@ mod tests {
         }
         let all = b.clone().with_selection((0..6).collect());
         assert_eq!(all.selection(), None);
-        assert!(Batch::concat(&[s.clone(), g.clone()]).is_err());
+        // Concatenated, a selected part gives its selected rows.
+        let both = Batch::concat(&[s.clone(), g.clone(), s.slice(1, 2)]).unwrap();
+        assert_eq!(both.selection(), None);
+        assert_eq!(
+            both.to_rows(),
+            [g.to_rows(), g.to_rows(), g.slice(1, 2).to_rows()].concat()
+        );
         assert!(Batch::gather_multi(&[&g, &s], &[(0, 0)]).is_err());
     }
 
@@ -1617,6 +1806,97 @@ mod tests {
             encode_batch_keys_arena(&batch, &keys, &mut arena, &mut offsets);
             for (row, w) in rs.iter().zip(offsets.windows(2)) {
                 assert_eq!(&arena[w[0]..w[1]], &sortkey::encode_key(row, &keys)[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_keys_are_the_codec_bytes_zero_padded() {
+        // Every row's lanes hold `sortkey::encode_key`'s bytes and then
+        // zeros, over a selection too; a batch whose keys may be longer
+        // than 16 bytes, or whose string column holds a `0x00`, writes
+        // nothing and says so.
+        let mut rng = Rng::new(0x1A4E);
+        let strs = ["", "a", "abcdefghijkl", "abcdefghijklm", "abcdefghijklmn"];
+        let rs: Vec<Row> = (0..200)
+            .map(|i| {
+                let v = [
+                    Value::Int(rng.next_u64() as i64 >> (rng.next_u64() % 64)),
+                    Value::Double(f64::from_bits(rng.next_u64())),
+                    Value::Date(rng.next_u64() as i32),
+                    Value::Bool(rng.next_u64().is_multiple_of(2)),
+                    Value::str(strs[i % strs.len()]),
+                    Value::str(["x", "x\0"][i % 2]),
+                ];
+                let null = |v: Value| match rng.next_u64().is_multiple_of(5) {
+                    true => Value::Null,
+                    false => v,
+                };
+                v.into_iter().map(null).collect()
+            })
+            .collect();
+        let batch = Batch::from_typed_rows(&[Int, Double, Date, Bool, Str, Str], &rs).unwrap();
+        let short = |len: usize| move |i: &u32| strs[*i as usize % strs.len()].len() <= len;
+        let (mut lanes, mut lens) = (Vec::new(), Vec::new());
+        // The keys, the rows to select, and whether they fit.
+        type Case = (Vec<(usize, Direction)>, Vec<u32>, bool);
+        let cases: Vec<Case> = vec![
+            (vec![], (0..200).collect(), true),
+            (vec![(0, Direction::Asc)], (0..200).collect(), true),
+            (
+                vec![(1, Direction::Desc)],
+                (0..200).step_by(3).collect(),
+                true,
+            ),
+            (
+                vec![(2, Direction::Asc), (0, Direction::Desc)],
+                (0..200).collect(),
+                true,
+            ),
+            (
+                vec![(3, Direction::Desc), (2, Direction::Asc)],
+                vec![],
+                true,
+            ),
+            // A string alone: 15 and 16 bytes fit, 17 does not.
+            (
+                vec![(4, Direction::Asc)],
+                (0..200).filter(short(13)).collect(),
+                true,
+            ),
+            (vec![(4, Direction::Desc)], (0..200).collect(), false),
+            // 11 + 3 + 2 = 16 bytes fit; 11 + 3 + 12 do not.
+            (
+                vec![(0, Direction::Asc), (4, Direction::Asc)],
+                (0..200).filter(short(2)).collect(),
+                true,
+            ),
+            (
+                vec![(0, Direction::Asc), (4, Direction::Asc)],
+                (0..200).filter(short(12)).collect(),
+                false,
+            ),
+            // A `0x00` anywhere in the string column rules it out.
+            (
+                vec![(5, Direction::Asc)],
+                (0..200).step_by(2).collect(),
+                false,
+            ),
+        ];
+        for (keys, sel, fits) in cases {
+            let selected = batch.clone().with_selection(sel.clone());
+            let wrote = encode_batch_keys_lanes(&selected, &keys, &mut lanes, &mut lens);
+            assert_eq!(wrote, fits, "{keys:?}");
+            if !fits {
+                assert!(lanes.is_empty() && lens.is_empty(), "{keys:?}");
+                continue;
+            }
+            assert_eq!((lanes.len(), lens.len()), (sel.len(), sel.len()));
+            for (j, &slot) in sel.iter().enumerate() {
+                let mut want = sortkey::encode_key(&rs[slot as usize], &keys);
+                assert_eq!(usize::from(lens[j]), want.len(), "{keys:?} row {slot}");
+                want.resize(LANE_BYTES, 0);
+                assert_eq!(lanes[j][..], want[..], "{keys:?} row {slot}");
             }
         }
     }

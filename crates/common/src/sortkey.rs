@@ -119,6 +119,16 @@ pub(crate) fn int_numeric(v: i64) -> (f64, i16) {
 /// the columnar encoders in [`crate::column`] so every path stays
 /// byte-identical by construction.
 pub(crate) fn numeric_payload(g: f64, r: i16) -> [u8; NUMERIC_WIDTH - 1] {
+    let mut out = [0u8; NUMERIC_WIDTH - 1];
+    out[..8].copy_from_slice(&numeric_bits(g).to_be_bytes());
+    out[8..].copy_from_slice(&residual_bits(r).to_be_bytes());
+    out
+}
+
+/// The payload's first eight bytes, as a big-endian word: `g`'s bits
+/// flipped so they order as an unsigned integer.
+#[inline]
+pub(crate) fn numeric_bits(g: f64) -> u64 {
     let bits = if g.is_nan() {
         // Canonical positive quiet NaN: flips above +inf, so NaN sorts
         // last among numerics — the same order as `Value::total_cmp`.
@@ -128,15 +138,18 @@ pub(crate) fn numeric_payload(g: f64, r: i16) -> [u8; NUMERIC_WIDTH - 1] {
     } else {
         g.to_bits()
     };
-    let flipped = if bits & 0x8000_0000_0000_0000 != 0 {
+    if bits & 0x8000_0000_0000_0000 != 0 {
         !bits
     } else {
         bits | 0x8000_0000_0000_0000
-    };
-    let mut out = [0u8; NUMERIC_WIDTH - 1];
-    out[..8].copy_from_slice(&flipped.to_be_bytes());
-    out[8..].copy_from_slice(&((r as u16) ^ 0x8000).to_be_bytes());
-    out
+    }
+}
+
+/// The payload's last two bytes, as a big-endian word: the residual with
+/// its sign bit flipped.
+#[inline]
+pub(crate) fn residual_bits(r: i16) -> u16 {
+    (r as u16) ^ 0x8000
 }
 
 /// Appends [`numeric_payload`] to `buf`.

@@ -7,10 +7,18 @@
 //!
 //! # Group ids
 //!
-//! [`GroupTable`] maps an encoded grouping key (a [`KeyArena`] slice,
+//! [`GroupTable`] maps an encoded grouping key (its sort-key codec bytes,
 //! byte equality ≡ `Value` equality) to a dense group id in first-seen
-//! order. It is an open-addressing table of `u64` slots over one
-//! append-only key arena: no per-group allocation and no SipHash. A batch
+//! order. A batch's keys arrive as a [`GroupKeys`]: a key of at most 16
+//! bytes — every key of TPC-D Q1 and of the benchmark's `agg_by_*`
+//! groupings — is two `u64` lanes and a length, written straight from the
+//! key columns; a batch with a longer key (or a string holding `0x00`)
+//! encodes to a [`KeyArena`] instead, and its lanes are read off it. The
+//! table is open addressing over `u64` slots (a hash tag and a group id)
+//! at load ≤ ¼, with each group's lanes and length beside the slots: a
+//! probe compares them in registers and reads the table's arena only for
+//! a key over 16 bytes. One hash, [`hash_key`], covers both ways a key
+//! arrives. No per-group allocation and no SipHash. A batch
 //! becomes `gids: Vec<u32>` plus `first`, the rows that opened a group —
 //! which *is* a group-by's key-column gather list. A grouping whose input arrives ordered on every
 //! grouping column derives the same two vectors from run boundaries
@@ -37,8 +45,8 @@
 //! [`AggState::push_value`], the columnar twin of
 //! `Accumulator::update_value`.
 
-use crate::sortkernel::{KeyArena, SortKeys};
-use fto_common::column::{Batch, Bitmap, Column, ColumnData};
+use crate::sortkernel::{GroupKeys, KeyArena, SortKeys};
+use fto_common::column::{Batch, Bitmap, Column, ColumnData, LANE_BYTES};
 use fto_common::{ColId, DataType, Direction, Result, Value};
 use fto_expr::{vector, AggCall, AggFunc, Expr, RowLayout};
 use std::collections::HashSet;
@@ -49,11 +57,13 @@ use std::sync::Arc;
 /// NULL-keyed build rows and unmatched probe rows).
 pub(crate) const NO_GROUP: u32 = u32::MAX;
 
-/// Hashes an encoded key: eight bytes at a time, the tail as one
-/// overlapping word read at `len − 8` (a variable-length copy into a
-/// zeroed word is a `memcpy` call plus a store-forwarding stall — 28 vs
-/// 7 ns a row on the 11-byte numeric key); keys under eight bytes pack
-/// into one word. Each word goes through a *folded* multiply — the high
+/// The key hash: one function of a key's codec bytes, whichever way they
+/// were written. The first 16 bytes, zero-padded, are the two
+/// little-endian words a short key's lanes already hold; the bytes past
+/// them follow eight at a time, the tail as one overlapping word read at
+/// `len − 8` (a variable-length copy into a zeroed word is a `memcpy` call
+/// plus a store-forwarding stall — 28 vs 7 ns a row on the 11-byte
+/// numeric key). Each word goes through a *folded* multiply — the high
 /// half of the 128-bit product xored into the low half — because a plain
 /// multiply only carries entropy upward while the table masks the low
 /// bits: the codec's small integers vary in the top bytes of their first
@@ -61,68 +71,76 @@ pub(crate) const NO_GROUP: u32 = u32::MAX;
 /// of its only word, which a multiply and one `h ^ h >> 32` fold leave
 /// out of the low byte altogether (every `(x, 'f')` then shares a slot
 /// with `(x, 'o')` and the probe mispredicts on half the rows).
-fn hash_key(key: &[u8]) -> u64 {
+#[inline(always)]
+fn hash_key(lanes: [u64; 2], key: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let mix = |h: u64, w: u64| {
         let p = u128::from(h ^ w) * u128::from(K);
         p as u64 ^ (p >> 64) as u64
     };
-    let word =
-        |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("an eight-byte slice"));
     // The length seeds the hash, so a key and its zero-extended prefix
     // differ before the first word.
-    let mut h = (key.len() as u64).wrapping_mul(K);
-    if key.len() < 8 {
-        return mix(h, key.iter().fold(0, |w, &b| w << 8 | u64::from(b)));
-    }
-    let mut at = 0;
-    while at + 8 <= key.len() {
-        h = mix(h, word(at));
-        at += 8;
-    }
-    if at < key.len() {
-        h = mix(h, word(key.len() - 8));
+    let seed = (key.len() as u64).wrapping_mul(K);
+    let mut h = mix(mix(seed, lanes[0]), lanes[1]);
+    if key.len() > LANE_BYTES {
+        let (words, tail) = key[LANE_BYTES..].as_chunks::<8>();
+        for &w in words {
+            h = mix(h, u64::from_le_bytes(w));
+        }
+        if let (false, Some(&w)) = (tail.is_empty(), key.last_chunk::<8>()) {
+            h = mix(h, u64::from_le_bytes(w));
+        }
     }
     h
 }
 
-/// Byte equality of two keys, read the way [`hash_key`] reads them: a
-/// slice `==` of unknown length is a `memcmp` call per probe.
-fn keys_equal(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
+/// One group's key as a probe compares it: its lanes and its length,
+/// saturated (a key over 16 bytes is compared in the arena as well).
+#[derive(Clone, Copy)]
+struct ShortKey {
+    lanes: [u64; 2],
+    len: u32,
+}
+
+impl ShortKey {
+    #[inline(always)]
+    fn new(lanes: [u64; 2], key: &[u8]) -> ShortKey {
+        let len = u32::try_from(key.len()).unwrap_or(u32::MAX);
+        ShortKey { lanes, len }
     }
-    if a.len() < 8 {
-        return a.iter().zip(b).all(|(x, y)| x == y);
+
+    /// Equality in one branch.
+    #[inline(always)]
+    fn same(self, other: ShortKey) -> bool {
+        let differ = (self.lanes[0] ^ other.lanes[0])
+            | (self.lanes[1] ^ other.lanes[1])
+            | u64::from(self.len ^ other.len);
+        differ == 0
     }
-    let word = |s: &[u8], at: usize| {
-        u64::from_le_bytes(s[at..at + 8].try_into().expect("an eight-byte slice"))
-    };
-    let mut at = 0;
-    while at + 8 <= a.len() {
-        if word(a, at) != word(b, at) {
-            return false;
-        }
-        at += 8;
-    }
-    word(a, a.len() - 8) == word(b, a.len() - 8)
 }
 
 /// Encoded key → dense first-seen group id.
 ///
 /// A slot is `0` (empty) or `tag << 32 | gid + 1`, `tag` being the hash's
-/// high half: a probe compares tags before it touches the key arena.
-/// Linear probing at load ≤ ½; growth re-hashes the arena's keys.
+/// high half. A probe compares tags, then the group's lanes and length —
+/// two words and a length, in registers — and only a key over 16 bytes
+/// goes on to the arena. Linear probing at load ≤ ¼: a key displaced from
+/// its home slot costs its rows a mispredicted branch each, so the table
+/// trades slots (8 bytes each) for fewer displaced keys; growth re-hashes
+/// the groups' keys.
 pub(crate) struct GroupTable {
-    /// Admitted keys in group-id order: group `g`'s key is `keys.get(g)`.
-    keys: KeyArena,
+    /// Group `g`'s lanes and length at `keys[g]`.
+    keys: Vec<ShortKey>,
+    /// Group `g`'s key when it is over 16 bytes long, else empty.
+    long: KeyArena,
     slots: Vec<u64>,
 }
 
 impl GroupTable {
     pub(crate) fn new() -> GroupTable {
         GroupTable {
-            keys: KeyArena::default(),
+            keys: Vec::new(),
+            long: KeyArena::default(),
             slots: vec![0; 16],
         }
     }
@@ -130,6 +148,7 @@ impl GroupTable {
     /// Forgets every group, keeping the buffers.
     pub(crate) fn clear(&mut self) {
         self.keys.clear();
+        self.long.clear();
         self.slots.fill(0);
     }
 
@@ -138,8 +157,22 @@ impl GroupTable {
         self.keys.len()
     }
 
-    /// The group id of `key`, or the empty slot its probe ended at.
-    fn find(&self, key: &[u8], hash: u64) -> std::result::Result<u32, usize> {
+    /// Group `gid`'s key hash, from its lanes (and its arena bytes, for a
+    /// key over 16 bytes).
+    fn hash_of(&self, gid: usize) -> u64 {
+        let short = self.keys[gid];
+        let bytes = lanes_bytes(short.lanes);
+        let key = match short.len as usize {
+            n if n <= LANE_BYTES => &bytes[..n],
+            _ => self.long.get(gid),
+        };
+        hash_key(short.lanes, key)
+    }
+
+    /// The group id of `key` (`short` its lanes and length), or the empty
+    /// slot its probe ended at.
+    #[inline(always)]
+    fn find(&self, short: ShortKey, key: &[u8], hash: u64) -> std::result::Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
@@ -149,7 +182,9 @@ impl GroupTable {
             }
             if slot >> 32 == hash >> 32 {
                 let gid = slot as u32 - 1;
-                if keys_equal(self.keys.get(gid as usize), key) {
+                if self.keys[gid as usize].same(short)
+                    && (key.len() <= LANE_BYTES || self.long.get(gid as usize) == key)
+                {
                     return Ok(gid);
                 }
             }
@@ -157,14 +192,16 @@ impl GroupTable {
         }
     }
 
-    fn insert(&mut self, key: &[u8], hash: u64, at: usize) -> u32 {
+    fn insert(&mut self, short: ShortKey, key: &[u8], hash: u64, at: usize) -> u32 {
         let gid = u32::try_from(self.len())
             .ok()
             .filter(|&g| g < NO_GROUP - 1)
             .expect("group ids fit 32 bits");
-        self.keys.push(key);
+        self.keys.push(short);
+        self.long
+            .push(if key.len() > LANE_BYTES { key } else { &[] });
         self.slots[at] = (hash >> 32) << 32 | u64::from(gid + 1);
-        if self.len() * 2 > self.slots.len() {
+        if self.len() * 4 > self.slots.len() {
             self.grow();
         }
         gid
@@ -174,7 +211,7 @@ impl GroupTable {
         let mut slots = vec![0u64; self.slots.len() * 2];
         let mask = slots.len() - 1;
         for gid in 0..self.len() {
-            let hash = hash_key(self.keys.get(gid));
+            let hash = self.hash_of(gid);
             let mut at = hash as usize & mask;
             while slots[at] != 0 {
                 at = (at + 1) & mask;
@@ -184,14 +221,14 @@ impl GroupTable {
         self.slots = slots;
     }
 
-    /// Maps every key of a batch's arena to its group id, in row order. A
-    /// key not seen before is offered to `admit(row, key)`: admitted, it
-    /// gets the next id and its row is appended to `first`; refused, the
-    /// row gets [`NO_GROUP`] (and the key is offered again at its next
-    /// row). Both output vectors are overwritten.
+    /// Maps every key of a batch to its group id, in row order. A key not
+    /// seen before is offered to `admit(row, key)`: admitted, it gets the
+    /// next id and its row is appended to `first`; refused, the row gets
+    /// [`NO_GROUP`] (and the key is offered again at its next row). Both
+    /// output vectors are overwritten.
     pub(crate) fn assign(
         &mut self,
-        keys: &KeyArena,
+        keys: &GroupKeys,
         gids: &mut Vec<u32>,
         first: &mut Vec<u32>,
         mut admit: impl FnMut(usize, &[u8]) -> bool,
@@ -199,13 +236,13 @@ impl GroupTable {
         gids.clear();
         first.clear();
         for i in 0..keys.len() {
-            let key = keys.get(i);
-            let hash = hash_key(key);
-            gids.push(match self.find(key, hash) {
+            let (lanes, key) = (keys.lanes(i), keys.get(i));
+            let (short, hash) = (ShortKey::new(lanes, key), hash_key(lanes, key));
+            gids.push(match self.find(short, key, hash) {
                 Ok(gid) => gid,
                 Err(at) if admit(i, key) => {
                     first.push(i as u32);
-                    self.insert(key, hash, at)
+                    self.insert(short, key, hash, at)
                 }
                 Err(_) => NO_GROUP,
             });
@@ -214,13 +251,20 @@ impl GroupTable {
 
     /// The read-only half of [`Self::assign`]: every key's group id, or
     /// [`NO_GROUP`] for a key never admitted. `gids` is overwritten.
-    pub(crate) fn lookup(&self, keys: &KeyArena, gids: &mut Vec<u32>) {
+    pub(crate) fn lookup(&self, keys: &GroupKeys, gids: &mut Vec<u32>) {
         gids.clear();
         gids.extend((0..keys.len()).map(|i| {
-            let key = keys.get(i);
-            self.find(key, hash_key(key)).unwrap_or(NO_GROUP)
+            let (lanes, key) = (keys.lanes(i), keys.get(i));
+            let short = ShortKey::new(lanes, key);
+            self.find(short, key, hash_key(lanes, key))
+                .unwrap_or(NO_GROUP)
         }));
     }
+}
+
+/// Lanes back as the bytes they hold.
+fn lanes_bytes(lanes: [u64; 2]) -> [u8; LANE_BYTES] {
+    (u128::from(lanes[0]) | u128::from(lanes[1]) << 64).to_le_bytes()
 }
 
 /// Where an aggregate's argument comes from, resolved once per operator.
@@ -819,7 +863,8 @@ mod tests {
     #[test]
     fn group_table_ids_are_first_seen_order() {
         // Against a HashMap reference: keys that are prefixes of each
-        // other, the empty key, repeats, refusals, and growth past 2^16.
+        // other (zero-extended ones among them, which fill the same
+        // lanes), the empty key, repeats, refusals, and growth past 2^16.
         let mut keys: Vec<Vec<u8>> = vec![
             vec![],
             vec![0],
@@ -853,7 +898,8 @@ mod tests {
             }
             // Refuse every seventh new key: it must stay unknown.
             let mut offered = 0usize;
-            table.assign(&arena, &mut gids, &mut first, |_, _| {
+            let keys = GroupKeys::from_arena(arena);
+            table.assign(&keys, &mut gids, &mut first, |_, _| {
                 offered += 1;
                 !offered.is_multiple_of(7)
             });
@@ -880,5 +926,174 @@ mod tests {
         }
         assert_eq!(table.len(), reference.len());
         assert!(table.len() > 1 << 16);
+    }
+
+    /// Every key type with NULLs; strings whose keys take 15, 16 and 17
+    /// bytes, alone and after an integer; strings holding `0x00`; long
+    /// names sharing their first 16 encoded bytes (j5's `Customer#…`).
+    fn reference_rows(rng: &mut Rng, n: usize) -> Vec<Row> {
+        let short = [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "abcdefghijkl",
+            "abcdefghijklm",
+            "abcdefghijklmn",
+        ];
+        let doubles = [0.0, -0.0, 1.5, f64::NAN, 2.0, -7.25];
+        (0..n)
+            .map(|_| {
+                let vals = [
+                    Value::Int(rng.range_i64(-3, 40)),
+                    Value::Double(doubles[rng.range_usize(0, doubles.len())]),
+                    Value::Date(rng.range_i32(-2, 5)),
+                    Value::Bool(rng.bool()),
+                    Value::str(short[rng.range_usize(0, short.len())]),
+                    Value::str(format!("Customer#{:09}", rng.range_usize(0, 30))),
+                    Value::str(["a\0", "\0", "a", "b\0b", ""][rng.range_usize(0, 5)]),
+                ];
+                vals.into_iter()
+                    .map(|v| match rng.range_usize(0, 6) {
+                        0 => Value::Null,
+                        _ => v,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_table_matches_a_first_seen_reference_over_codec_bytes() {
+        // Ids are first-seen order over `sortkey::encode_key` bytes, and a
+        // lookup finds exactly the keys admitted before it — whether a
+        // batch's keys went into the lanes or the arena: a short key meets
+        // itself across the two paths (a batch takes the arena when any of
+        // its selected strings is too long, or its column holds a `0x00`).
+        use fto_common::sortkey::encode_key;
+        use std::collections::BTreeMap;
+        use DataType::{Bool, Date, Double, Int, Str};
+        use Direction::{Asc, Desc};
+        let types = [Int, Double, Date, Bool, Str, Str, Str];
+        let mut rng = Rng::new(0x1A7E5);
+        let rows = reference_rows(&mut rng, 2500);
+        let key_sets: Vec<SortKeys> = vec![
+            vec![],
+            vec![(0, Asc)],
+            vec![(1, Desc)],
+            vec![(2, Desc), (3, Asc)],
+            vec![(4, Asc)],
+            vec![(0, Asc), (4, Desc)],
+            vec![(5, Asc)],
+            vec![(6, Asc)],
+            vec![(2, Asc), (1, Asc), (0, Desc)],
+        ];
+        for keys in &key_sets {
+            for size in [1, 7, 1024] {
+                // Dense, every third row, sparse, none.
+                for pick in 0..4 {
+                    let case = format!("keys {keys:?} batch {size} selection {pick}");
+                    let mut table = GroupTable::new();
+                    let mut reference: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
+                    let mut group_keys = GroupKeys::default();
+                    let (mut gids, mut first, mut found) = (Vec::new(), Vec::new(), Vec::new());
+                    for (b, chunk) in rows.chunks(size).enumerate() {
+                        let sel: Vec<u32> = (0..chunk.len() as u32)
+                            .filter(|&i| match pick {
+                                0 => true,
+                                1 => (b * size + i as usize).is_multiple_of(3),
+                                2 => rng.range_usize(0, 10) == 0,
+                                _ => false,
+                            })
+                            .collect();
+                        let batch = Batch::from_typed_rows(&types, chunk).unwrap();
+                        group_keys.encode(&batch.with_selection(sel.clone()), keys);
+                        assert_eq!(group_keys.len(), sel.len(), "{case}");
+                        let want: Vec<Vec<u8>> = sel
+                            .iter()
+                            .map(|&s| encode_key(&chunk[s as usize], keys))
+                            .collect();
+                        table.lookup(&group_keys, &mut found);
+                        for (j, key) in want.iter().enumerate() {
+                            assert_eq!(group_keys.get(j), &key[..], "{case}");
+                            let mut padded = key.clone();
+                            padded.resize(padded.len().max(LANE_BYTES), 0);
+                            let word =
+                                u128::from_le_bytes(padded[..LANE_BYTES].try_into().unwrap());
+                            let want_lanes = [word as u64, (word >> 64) as u64];
+                            assert_eq!(group_keys.lanes(j), want_lanes, "{case}");
+                            let known = reference.get(key).copied();
+                            assert_eq!(found[j], known.unwrap_or(NO_GROUP), "{case}");
+                        }
+                        table.assign(&group_keys, &mut gids, &mut first, |_, _| true);
+                        let mut want_first = Vec::new();
+                        for (j, key) in want.into_iter().enumerate() {
+                            let next = reference.len() as u32;
+                            let gid = *reference.entry(key).or_insert_with(|| {
+                                want_first.push(j as u32);
+                                next
+                            });
+                            assert_eq!(gids[j], gid, "{case}");
+                        }
+                        assert_eq!(first, want_first, "{case}");
+                    }
+                    assert_eq!(table.len(), reference.len(), "{case}");
+                }
+            }
+        }
+    }
+
+    /// The table's mean probe length over its resident keys: slots from a
+    /// key's home slot to its own, inclusive.
+    fn mean_probes(table: &GroupTable) -> f64 {
+        let mask = table.slots.len() - 1;
+        let used = table.slots.iter().enumerate().filter(|(_, &s)| s != 0);
+        let (n, total) = used.fold((0, 0), |(n, total), (at, &s)| {
+            let home = table.hash_of(s as u32 as usize - 1) as usize;
+            (n + 1, total + (at.wrapping_sub(home) & mask) + 1)
+        });
+        total as f64 / n as f64
+    }
+
+    #[test]
+    fn lane_hash_spreads_q1_keys_and_small_integers() {
+        // DESIGN §4m's third hash trap: Q1's `(x, 'f')` / `(x, 'o')` keys
+        // vary in bytes 1 and 5 of one word, the codec's small integers in
+        // the top bytes of their first; a hash that leaves those bits out
+        // of the low ones piles them into shared slots. At load ≤ ½ — at
+        // every table size on the way — the mean probe stays ≤ 2.
+        let mut flags = Vec::new();
+        for x in b'A'..=b'Z' {
+            for status in ["f", "o", "F", "O"] {
+                let row = [Value::str((x as char).to_string()), Value::str(status)];
+                flags.push(row.into_iter().collect::<Row>());
+            }
+        }
+        let ints: Vec<Row> = (1..=4000)
+            .map(|i| [Value::Int(i)].into_iter().collect())
+            .collect();
+        let cases = [
+            (vec![DataType::Str, DataType::Str], flags, 1),
+            (vec![DataType::Int], ints, 50),
+        ];
+        for (types, rows, step) in cases {
+            let keys: SortKeys = (0..types.len()).map(|p| (p, Direction::Asc)).collect();
+            let mut table = GroupTable::new();
+            let mut group_keys = GroupKeys::default();
+            let (mut gids, mut first) = (Vec::new(), Vec::new());
+            for chunk in rows.chunks(step) {
+                let batch = Batch::from_typed_rows(&types, chunk).unwrap();
+                group_keys.encode(&batch, &keys);
+                table.assign(&group_keys, &mut gids, &mut first, |_, _| true);
+                assert!(table.len() * 2 <= table.slots.len());
+                let mean = mean_probes(&table);
+                assert!(
+                    mean <= 2.0,
+                    "{types:?}: {} keys, mean probe {mean}",
+                    table.len()
+                );
+            }
+            assert_eq!(table.len(), rows.len());
+        }
     }
 }

@@ -18,9 +18,10 @@
 //! partitions charge exactly the pages a serial scan charges, so session
 //! totals — and the [`crate::metrics::PlanMetrics`] exact-rollup invariant
 //! — are preserved at every degree. Workers hand back the column batches
-//! they pulled, densified on the worker's thread (a filter's selection
-//! is applied there, in parallel); nothing here materializes a row, and
-//! nothing here sorts: the enforcer above a gather is the serial one.
+//! they pulled, a filter's selection still attached, and the gather's
+//! re-cut copies each selected row once, straight into its output batch
+//! (`Batch::concat`); nothing here materializes a row, and nothing here
+//! sorts: the enforcer above a gather is the serial one.
 //!
 //! Determinism contract (what makes parallel output bit-identical to
 //! serial): the gather concatenates worker outputs in partition order, and
@@ -37,7 +38,7 @@
 //! therefore never sits on a gather.
 
 use crate::metrics::{ExecRecord, WorkerOpMetrics};
-use crate::stream::{dense, lower_worker, Batch, BatchQueue, ExecContext, Operator};
+use crate::stream::{lower_worker, Batch, BatchQueue, ExecContext, Operator};
 use fto_common::{ColSet, Result};
 use fto_obs::{SpanKind, Timeline};
 use fto_planner::Plan;
@@ -93,7 +94,7 @@ fn run_partitions(
         op.open(&wcx, wrec)?;
         let mut pulled = Vec::new();
         while let Some(batch) = op.next_batch(&wcx, wrec)? {
-            pulled.push(dense(batch));
+            pulled.push(batch);
         }
         op.close(wrec);
         Ok(pulled)
@@ -137,7 +138,8 @@ fn run_partitions(
 
 /// Order-preserving gather: drains the P partition pipelines on worker
 /// threads and concatenates the batches they pulled in partition order —
-/// exactly the serial emission order — re-cut to `batch_size`. Inserted
+/// exactly the serial emission order — re-cut to `batch_size`, copying a
+/// selected batch's rows once as it splices them. Inserted
 /// where the parent fully drains the child at `open` (an enforcer without
 /// a satisfied prefix, join build sides, hash group-by inputs).
 ///

@@ -50,7 +50,9 @@
 //! `tests/observability.rs::concurrent_sessions_report_their_own_work`
 //! holds the rule.
 
-use fto_common::column::{encode_batch_keys_arena, Batch, Column};
+use fto_common::column::{
+    encode_batch_keys_arena, encode_batch_keys_lanes, Batch, Column, LANE_BYTES,
+};
 use fto_common::{Direction, FtoError, Result};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
@@ -141,6 +143,76 @@ impl KeyArena {
     /// Replaces the arena's keys with `batch`'s rows' keys under `keys`.
     pub(crate) fn encode(&mut self, batch: &Batch, keys: &[(usize, Direction)]) {
         encode_batch_keys_arena(batch, keys, &mut self.bytes, &mut self.offsets);
+    }
+}
+
+/// The grouping keys of one batch, one per row, as the group table reads
+/// them: each key's codec bytes zero-padded to [`LANE_BYTES`] — two `u64`
+/// lanes holding the whole key when it is that short, its first 16 bytes
+/// otherwise. A batch whose keys all fit is written straight into the
+/// lanes from its key columns, with each key's length; any other encodes
+/// to the arena, and its lanes are read off it.
+#[derive(Default)]
+pub(crate) struct GroupKeys {
+    lanes: Vec<[u8; LANE_BYTES]>,
+    /// Each key's length when the lanes hold every key; else empty.
+    lens: Vec<u8>,
+    /// Every key when some may be longer than the lanes; else empty.
+    arena: KeyArena,
+}
+
+impl GroupKeys {
+    /// Replaces the keys with `batch`'s rows' keys under `keys`.
+    pub(crate) fn encode(&mut self, batch: &Batch, keys: &[(usize, Direction)]) {
+        self.arena.clear();
+        if encode_batch_keys_lanes(batch, keys, &mut self.lanes, &mut self.lens) {
+            return;
+        }
+        self.arena.encode(batch, keys);
+        self.read_arena();
+    }
+
+    /// The keys an arena holds.
+    #[cfg(test)]
+    pub(crate) fn from_arena(arena: KeyArena) -> GroupKeys {
+        let mut keys = GroupKeys {
+            arena,
+            ..GroupKeys::default()
+        };
+        keys.read_arena();
+        keys
+    }
+
+    /// Reads every key's lanes off the arena.
+    fn read_arena(&mut self) {
+        for i in 0..self.arena.len() {
+            let key = self.arena.get(i);
+            let mut lanes = [0; LANE_BYTES];
+            let n = key.len().min(LANE_BYTES);
+            lanes[..n].copy_from_slice(&key[..n]);
+            self.lanes.push(lanes);
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Row `i`'s lanes: its key's first 16 bytes, zero-padded, as two
+    /// little-endian words.
+    #[inline(always)]
+    pub(crate) fn lanes(&self, i: usize) -> [u64; 2] {
+        let v = u128::from_le_bytes(self.lanes[i]);
+        [v as u64, (v >> 64) as u64]
+    }
+
+    /// Row `i`'s key: its codec bytes.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> &[u8] {
+        match self.lens.get(i) {
+            Some(&n) => &self.lanes[i][..usize::from(n)],
+            None => self.arena.get(i),
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use super::{Batch, BatchQueue, ExecContext, Operator, Trim};
 use crate::aggkernel::{AggSpec, GroupAgg, GroupTable};
 use crate::extsort::seq_header;
 use crate::metrics::ExecRecord;
-use crate::sortkernel::KeyArena;
+use crate::sortkernel::GroupKeys;
 use fto_common::column::batch_row_bytes;
 use fto_common::Result;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
@@ -57,7 +57,7 @@ struct GroupState {
 /// Per-batch scratch of the grouping and the join, reused across batches.
 #[derive(Default)]
 pub(super) struct GroupScratch {
-    pub(super) keys: KeyArena,
+    pub(super) keys: GroupKeys,
     pub(super) gids: Vec<u32>,
     pub(super) first: Vec<u32>,
 }

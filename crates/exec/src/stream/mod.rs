@@ -18,9 +18,11 @@
 //! rows by position, so it densifies its input through [`dense`] — the
 //! one place a selection is applied, once, where a dense batch is needed.
 //! Hash group-by computes its keys by byte-encoding the grouping columns
-//! column-at-a-time, and the order enforcer holds its input batches as
-//! they arrived, sorts a permutation over their encoded keys and gathers
-//! the payload once per output batch. The scans never build a batch: the
+//! column-at-a-time (a key of at most 16 bytes straight into two `u64`
+//! lanes, which the group table compares in registers), and the order
+//! enforcer holds its input batches as they arrived, sorts a permutation
+//! over their encoded keys and gathers the payload once per output
+//! batch. The scans never build a batch: the
 //! heap stores column chunks and hands them out whole, sliced or
 //! gathered. The nested-loop, hash, merge and left-outer joins are one
 //! build–probe operator: the build side keys a group table plus a CSR
@@ -315,8 +317,10 @@ impl Trim {
 /// of copying the rows it keeps, and a projection and the grouping work
 /// over it; every other consumer reads rows by position and densifies its
 /// input here — the enforcer, both sides of the build–probe join, the
-/// index nested-loop join's outer input, limit, union, the gather
-/// exchange's workers and the root. A dense batch passes untouched.
+/// index nested-loop join's outer input, limit, union and the root. (The
+/// gather exchange re-cuts its workers' selected batches with
+/// `Batch::concat`, which copies the selected rows as it splices.) A
+/// dense batch passes untouched.
 pub(crate) fn dense(batch: Batch) -> Batch {
     match batch.selection() {
         None => batch,

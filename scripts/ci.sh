@@ -193,7 +193,7 @@ echo "==> count guard: non-test unwrap/expect/panic!/unreachable! sites per engi
 # ROADMAP item 2: hostile input must produce typed errors, so the panic
 # sites left in engine code are documented internal invariants and their
 # number only goes down. Lower a ceiling when a PR removes sites.
-for entry in exec:3 obs:8 planner:0 common:5 sql:0 storage:0 expr:1 catalog:0 core:0 qgm:0; do
+for entry in exec:1 obs:8 planner:0 common:5 sql:0 storage:0 expr:1 catalog:0 core:0 qgm:0; do
     crate="${entry%%:*}" ceiling="${entry##*:}" sites=0
     while IFS= read -r f; do
         n=$(non_test "$f" | grep -c '\.unwrap()\|\.expect(\|panic!(\|unreachable!(' || true)
@@ -344,23 +344,39 @@ for f in crates/exec/src/stream/*.rs; do
     fi
 done
 
-echo "==> grep guard: one key arena, one prefix reader"
+echo "==> grep guard: one key arena, one lane writer, one key hash, one prefix reader"
 # A batch's encoded keys are a sortkernel::KeyArena wherever the executor
-# holds them — the sort kernel's buffers, the group table's keys, the
-# grouping's and the join's per-batch scratch — and KeyArena::encode is
-# the one caller of the batch key encoder. The satisfied prefix of the
-# enforcer, the grouping and the merge join is read by one
-# stream::prefix::PrefixReader, the only holder of a carried prefix (its
-# `lead`): a second copy of the encode/compare/carry rule drifts from the
-# first. (Checked above each file's #[cfg(test)].)
+# holds them — the sort kernel's buffers, the group table's long keys, the
+# enforcer's and the prefix reader's per-batch scratch — or, for the
+# grouping's and the join's per-batch scratch, a sortkernel::GroupKeys:
+# the same codec bytes, a short key's in two u64 lanes. KeyArena::encode
+# and GroupKeys::encode are the only callers of the two batch key
+# encoders. The group table's key hash is defined in aggkernel.rs alone:
+# a second hash of the same bytes would file the same key under two ids.
+# The satisfied prefix of the enforcer, the grouping and the merge join is
+# read by one stream::prefix::PrefixReader, the only holder of a carried
+# prefix (its `lead`): a second copy of the encode/compare/carry rule
+# drifts from the first. (Checked above each file's #[cfg(test)].)
 for f in crates/exec/src/*.rs crates/exec/src/stream/*.rs; do
     [[ "$f" == crates/exec/src/sortkernel.rs ]] && continue
-    if non_test "$f" | grep -n 'encode_batch_keys_arena('; then
-        echo "guard failed: $f encodes a batch's keys outside KeyArena::encode;"
-        echo "hold them in a sortkernel::KeyArena"
+    if non_test "$f" | grep -n 'encode_batch_keys_arena(\|encode_batch_keys_lanes('; then
+        echo "guard failed: $f encodes a batch's keys outside KeyArena::encode / GroupKeys::encode;"
+        echo "hold them in a sortkernel::KeyArena or a sortkernel::GroupKeys"
         exit 1
     fi
 done
+for f in crates/exec/src/*.rs crates/exec/src/stream/*.rs crates/common/src/*.rs; do
+    [[ "$f" == crates/exec/src/aggkernel.rs ]] && continue
+    if non_test "$f" | grep -n 'fn hash_key\|\* u128::from('; then
+        echo "guard failed: $f defines a key hash (or a folded multiply);"
+        echo "hash group-table keys with aggkernel::hash_key"
+        exit 1
+    fi
+done
+if [[ $(non_test crates/exec/src/aggkernel.rs | grep -c 'fn hash_key(') -ne 1 ]]; then
+    echo "guard failed: crates/exec/src/aggkernel.rs should define the key hash once"
+    exit 1
+fi
 for f in crates/exec/src/stream/*.rs; do
     [[ "$f" == crates/exec/src/stream/prefix.rs ]] && continue
     if non_test "$f" | grep -nE '^\s*(pub(\([a-z]+\))? )?lead:'; then
@@ -438,7 +454,9 @@ echo "==> grep guard: a filter passes its selection up; one function applies a s
 # selection instead of gathering them; the projection passes it through
 # and the grouping works over it. Every other consumer reads rows by
 # position and densifies its input through stream::dense, the one place a
-# selection is applied. So non-test stream/pipeline.rs gathers nothing,
+# selection is applied in the executor (the gather's re-cut splices its
+# workers' selected batches with fto_common's Batch::concat, which copies
+# each selected row once). So non-test stream/pipeline.rs gathers nothing,
 # and a batch's selection is read in three places only: dense, the
 # filter's refinement (stream::passing) and the grouping's fold
 # (GroupAgg::absorb). (Checked above each file's #[cfg(test)].)

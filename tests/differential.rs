@@ -1042,3 +1042,131 @@ fn a_filtered_hash_grouping_spills_what_it_spilled_over_gathered_rows() {
         );
     }
 }
+
+/// Join keys the codec must get exactly right, in two tables: integers
+/// either side of 2^53 on one side and the doubles they round to on the
+/// other, both zeros, NaN, NULL, and strings short enough for the group
+/// table's lanes, long ones sharing their first 16 encoded bytes, and
+/// ones holding `0x00`.
+fn lane_join_db() -> Database {
+    let mut cat = Catalog::new();
+    let li = cat
+        .create_table(
+            "li",
+            vec![
+                ColumnDef::new("li_id", DataType::Int),
+                ColumnDef::new("li_k", DataType::Int),
+                ColumnDef::new("li_s", DataType::Str),
+            ],
+            vec![KeyDef::primary([0])],
+        )
+        .unwrap();
+    let ld = cat
+        .create_table(
+            "ld",
+            vec![
+                ColumnDef::new("ld_id", DataType::Int),
+                ColumnDef::new("ld_k", DataType::Double),
+                ColumnDef::new("ld_s", DataType::Str),
+            ],
+            vec![KeyDef::primary([0])],
+        )
+        .unwrap();
+    let big = 1i64 << 53;
+    let ints = [
+        Value::Int(big - 1),
+        Value::Int(big),
+        Value::Int(big + 1),
+        Value::Int(-big - 1),
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(7),
+        Value::Null,
+    ];
+    let doubles = [
+        Value::Double((big - 1) as f64),
+        Value::Double(big as f64),
+        Value::Double((big + 2) as f64),
+        Value::Double(-big as f64),
+        Value::Double(-0.0),
+        Value::Double(0.0),
+        Value::Double(f64::NAN),
+        Value::Double(1.0),
+        Value::Double(7.5),
+        Value::Null,
+    ];
+    let strings = |i: i64| match i % 7 {
+        0 => Value::Null,
+        1 => Value::str("a"),
+        2 => Value::str("abcdefghijklm"),
+        3 => Value::str("a\0"),
+        _ => Value::str(format!("Customer#{:09}", i % 5)),
+    };
+    let mut db = Database::new(cat);
+    let li_rows = (0..60i64).map(|i| {
+        let k = ints[(i % ints.len() as i64) as usize].clone();
+        vec![Value::Int(i), k, strings(i)].into_boxed_slice()
+    });
+    db.load_table(li, li_rows.collect()).unwrap();
+    let ld_rows = (0..80i64).map(|i| {
+        let k = doubles[(i % doubles.len() as i64) as usize].clone();
+        vec![Value::Int(i), k, strings(i * 3)].into_boxed_slice()
+    });
+    db.load_table(ld, ld_rows.collect()).unwrap();
+    db
+}
+
+#[test]
+fn join_keys_agree_with_the_oracle_through_the_lanes() {
+    // The build–probe join keys its build side in the group table, whose
+    // short keys live in two `u64` lanes and long ones in the arena as
+    // well; a build row and a probe row match when their codec bytes do.
+    // So an `Int` meets the `Double` it equals — 2^53 ± 1 included, where
+    // the residual tells them apart — −0.0 meets 0.0, NaN meets NaN, a
+    // key with a NULL in it meets nothing, and a batch of short strings
+    // (the lanes) finds keys a batch with long ones (the arena) admitted.
+    let db = lane_join_db();
+    let queries = [
+        "select li_id, ld_id, li_k, ld_k from li join ld on li_k = ld_k",
+        "select ld_id, li_id, li_k, ld_k from ld join li on ld_k = li_k",
+        "select a.ld_id, b.ld_id, a.ld_k from ld a, ld b where a.ld_k = b.ld_k",
+        "select li_id, ld_id, li_s from li join ld on li_s = ld_s",
+        "select li_id, ld_id from li join ld on li_k = ld_k and li_s = ld_s",
+    ];
+    for sql in queries {
+        let answer = Answer::of(&db, sql);
+        assert!(!answer.rows().is_empty(), "{sql}");
+        let mut hashed = false;
+        for config in every_cell() {
+            let plan = Session::new(&db).config(config.clone()).plan(sql).unwrap();
+            hashed |= plan.explain().contains("hash-join");
+            let out = assert_answer(&db, sql, &config, &answer);
+            assert!(
+                out.rows().iter().all(|r| r.iter().all(|v| !v.is_null())),
+                "a NULL key matched\n{sql}"
+            );
+        }
+        assert!(hashed, "no configuration hashes the join\n{sql}");
+    }
+    // The keys either side of 2^53: an integer matches the double it
+    // equals and no other.
+    let big = 1i64 << 53;
+    let out = Session::new(&db).execute(queries[0]).unwrap();
+    let matched = |k: i64| out.rows().iter().filter(|r| r[2] == Value::Int(k)).count();
+    assert!(matched(big - 1) > 0 && matched(big) > 0);
+    assert_eq!(matched(big + 1), 0);
+    assert_eq!(matched(-big - 1), 0);
+    // −0.0 meets 0.0 and NaN meets NaN.
+    let out = Session::new(&db).execute(queries[2]).unwrap();
+    let zeros = out
+        .rows()
+        .iter()
+        .filter(|r| r[2].as_double() == Some(0.0))
+        .count();
+    assert_eq!(zeros, 16 * 16);
+    let nans = out
+        .rows()
+        .iter()
+        .filter(|r| r[2].as_double().is_some_and(f64::is_nan));
+    assert_eq!(nans.count(), 8 * 8);
+}

@@ -392,6 +392,35 @@ fn codec_encodes_keys_at_every_degree() {
 }
 
 #[test]
+fn a_filtered_top_n_counts_alike_at_every_parallel_degree() {
+    // A top-n prunes its candidates once per batch it pulls, so its sort
+    // counters follow how its input is cut. Above a gather the workers'
+    // batches (each carrying its filter's selection) are concatenated and
+    // re-cut to `batch_size`, so every degree above 1 pulls the same
+    // batches — and orders the same key bytes in the same comparisons —
+    // whatever rows each worker's filter kept.
+    let db = emp_db();
+    let sql = "select emp_id, salary from emp where salary > 60000 \
+               order by salary desc, emp_id limit 5";
+    for batch in [3, 7, 64] {
+        let run = |threads: usize| {
+            let config = OptimizerConfig::default()
+                .with_threads(threads)
+                .with_batch_size(batch);
+            Session::new(&db).config(config).execute(sql).unwrap()
+        };
+        let serial = run(1);
+        let at2 = run(2);
+        assert!(at2.sort.comparisons > 0, "batch {batch}");
+        for threads in [2, 3, 4] {
+            let out = run(threads);
+            assert_eq!(out.rows(), serial.rows(), "batch {batch} threads {threads}");
+            assert_eq!(out.sort, at2.sort, "batch {batch} threads {threads}");
+        }
+    }
+}
+
+#[test]
 fn explain_analyze_reports_workers_per_exchange() {
     let db = emp_db();
     let prepared = Session::new(&db)
