@@ -23,13 +23,19 @@
 //!
 //! A batch may carry a selection: the ascending slots of its columns that
 //! are its rows, which a filter attaches instead of copying the rows it
-//! keeps. [`Batch::gather`] materializes named slots with one per-type
-//! loop per column.
+//! keeps and a slice instead of copying its range. Slots are copied by two
+//! per-type loops: `Column::copy` takes ranges and selections of columns
+//! part after part ([`Batch::gather`], [`Batch::concat`]), and
+//! [`Column::gather_multi`] picks `(source, slot)` pairs interleaved. Both
+//! keep one validity rule: a copy carries a bitmap only when a copied slot
+//! is NULL, so what is copied — and spilled — does not depend on whether
+//! its sources carried one.
 
 use crate::sortkey;
 use crate::value::{cmp_f64_nan_high, cmp_int_double, type_rank, DataType, Row, Value};
 use crate::{Direction, FtoError, Result};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A word-packed validity bitmap: bit `i` set means slot `i` is valid
@@ -344,193 +350,47 @@ impl Column {
         data + self.validity.as_ref().map_or(0, Bitmap::byte_size)
     }
 
-    /// Materializes the rows named by `sel` (in order) into a new column.
-    /// Indices must be in bounds; they may repeat or reorder freely.
-    pub fn gather(&self, sel: &[u32]) -> Column {
-        let validity = self.validity.as_ref().map(|bm| {
-            let mut out = Bitmap::new(sel.len(), true);
-            for (j, &i) in sel.iter().enumerate() {
-                if !bm.get(i as usize) {
-                    out.set(j, false);
-                }
-            }
-            out
-        });
-        let data = match &self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float64(v) => {
-                ColumnData::Float64(sel.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::Utf8 { offsets, bytes } => {
-                let span = |i: u32| (offsets[i as usize + 1] - offsets[i as usize]) as usize;
-                let mut out_off = Vec::with_capacity(sel.len() + 1);
-                let mut out_bytes = Vec::with_capacity(sel.iter().map(|&i| span(i)).sum());
-                out_off.push(0u32);
-                for &i in sel {
-                    let (lo, hi) = (
-                        offsets[i as usize] as usize,
-                        offsets[i as usize + 1] as usize,
-                    );
-                    out_bytes.extend_from_slice(&bytes[lo..hi]);
-                    out_off.push(out_bytes.len() as u32);
-                }
-                ColumnData::Utf8 {
-                    offsets: out_off,
-                    bytes: out_bytes,
-                }
-            }
-            ColumnData::Date32(v) => {
-                ColumnData::Date32(sel.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
-        };
-        Column { data, validity }
-    }
-
-    /// Copies slots `offset..offset + len` into a new column.
-    pub fn slice(&self, offset: usize, len: usize) -> Column {
-        let validity = self.validity.as_ref().map(|bm| {
-            let mut out = Bitmap::new(len, true);
-            for j in 0..len {
-                if !bm.get(offset + j) {
-                    out.set(j, false);
-                }
-            }
-            out
-        });
-        let data = match &self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(v[offset..offset + len].to_vec()),
-            ColumnData::Float64(v) => ColumnData::Float64(v[offset..offset + len].to_vec()),
-            ColumnData::Utf8 { offsets, bytes } => {
-                let base = offsets[offset];
-                ColumnData::Utf8 {
-                    offsets: offsets[offset..=offset + len]
-                        .iter()
-                        .map(|&o| o - base)
-                        .collect(),
-                    bytes: bytes[base as usize..offsets[offset + len] as usize].to_vec(),
-                }
-            }
-            ColumnData::Date32(v) => ColumnData::Date32(v[offset..offset + len].to_vec()),
-            ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
-        };
-        Column { data, validity }
-    }
-
-    /// Concatenates columns of one type end to end, buffer to buffer.
-    /// Zero-length parts add no slots and so have no say in the type; a
-    /// non-empty part of another type — or no part at all — is an
-    /// [`FtoError::Internal`]: every stream has one declared type per
-    /// column.
-    pub fn concat(parts: &[&Column]) -> Result<Column> {
-        let parts: Vec<Part<'_>> = parts.iter().map(|&c| (c, None)).collect();
-        Column::splice(&parts)
-    }
-
-    /// [`Column::concat`] of each part's slots `sel` names (every slot,
-    /// for `None`), in one pass: a selected part's rows are copied once.
-    fn splice(parts: &[Part<'_>]) -> Result<Column> {
-        let rows = |&(c, sel): &Part<'_>| sel.map_or(c.len(), <[u32]>::len);
-        let full: Vec<Part<'_>> = parts.iter().copied().filter(|p| rows(p) != 0).collect();
-        let lead = full
-            .first()
+    /// Copies the slots `parts` name, part after part, into one new
+    /// column: the one loop every contiguous copy of slots runs — a gather
+    /// of named slots, a concatenation, a splice of ranges and selections
+    /// of several columns. The parts are one stream's, so they share one
+    /// type: a part with no slots to give has no say in it, and a non-empty
+    /// part of another — or no part at all — is an [`FtoError::Internal`].
+    /// The copy carries a validity bitmap only when a copied slot is NULL.
+    fn copy(parts: &[Part<'_>]) -> Result<Column> {
+        let lead = parts
+            .iter()
+            .find(|(_, slots)| !slots.is_empty())
             .or(parts.first())
             .map(|&(c, _)| c)
-            .ok_or_else(|| FtoError::internal("concat of no columns"))?;
-        let total: usize = full.iter().map(rows).sum();
-        let validity = if full.iter().any(|(c, _)| c.validity.is_some()) {
-            let mut bm = Bitmap::new(total, true);
-            let mut base = 0usize;
-            for p @ &(c, sel) in &full {
-                if let Some(v) = &c.validity {
-                    for j in 0..rows(p) {
-                        if !v.get(sel.map_or(j, |s| s[j] as usize)) {
-                            bm.set(base + j, false);
-                        }
-                    }
-                }
-                base += rows(p);
-            }
-            Some(bm)
-        } else {
-            None
-        };
-        macro_rules! splice {
-            ($variant:ident) => {{
-                let mut out = Vec::with_capacity(total);
-                for &(c, sel) in &full {
-                    match (&c.data, sel) {
-                        (ColumnData::$variant(v), None) => out.extend_from_slice(v),
-                        (ColumnData::$variant(v), Some(s)) => {
-                            out.extend(s.iter().map(|&i| v[i as usize]))
-                        }
-                        _ => return Err(type_mismatch("concat", lead, c)),
-                    }
-                }
-                ColumnData::$variant(out)
-            }};
+            .ok_or_else(|| FtoError::internal("copy of no columns"))?;
+        match copy_as(lead, parts) {
+            (col, None) => Ok(col),
+            (_, Some(stray)) => Err(type_mismatch("copy", lead, stray)),
         }
-        let data = match &lead.data {
-            ColumnData::Int64(_) => splice!(Int64),
-            ColumnData::Float64(_) => splice!(Float64),
-            ColumnData::Date32(_) => splice!(Date32),
-            ColumnData::Bool(_) => splice!(Bool),
-            ColumnData::Utf8 { .. } => {
-                let mut out_off = Vec::with_capacity(total + 1);
-                let mut out_bytes = Vec::new();
-                out_off.push(0u32);
-                for &(c, sel) in &full {
-                    match (&c.data, sel) {
-                        (ColumnData::Utf8 { offsets, bytes }, None) => {
-                            let base = out_bytes.len() as u32;
-                            out_bytes.extend_from_slice(bytes);
-                            out_off.extend(offsets[1..].iter().map(|&o| base + o));
-                        }
-                        (ColumnData::Utf8 { offsets, bytes }, Some(s)) => {
-                            for &i in s {
-                                let (lo, hi) = (offsets[i as usize], offsets[i as usize + 1]);
-                                out_bytes.extend_from_slice(&bytes[lo as usize..hi as usize]);
-                                out_off.push(out_bytes.len() as u32);
-                            }
-                        }
-                        _ => return Err(type_mismatch("concat", lead, c)),
-                    }
-                }
-                ColumnData::Utf8 {
-                    offsets: out_off,
-                    bytes: out_bytes,
-                }
-            }
-        };
-        Ok(Column { data, validity })
     }
 
     /// Gathers slots from several source columns of one type at once:
-    /// output slot `j` is slot `sel[j].1` of `cols[sel[j].0]`. The
-    /// multi-source analogue of [`Column::gather`], used to assemble join
-    /// payloads from a resident build batch plus decoded spill groups
-    /// without per-row materialization. The sources are one stream's, so
-    /// they share one type; a slot gathered from a source of another is an
-    /// [`FtoError::Internal`].
+    /// output slot `j` is slot `sel[j].1` of `cols[sel[j].0]` — the one loop
+    /// for interleaved picks, which assembles join payloads from a resident
+    /// build batch plus decoded spill groups, and merged sort runs. The
+    /// sources are one stream's, so they share one type; a slot gathered
+    /// from a source of another is an [`FtoError::Internal`]. Validity as
+    /// `Column::copy`'s: a bitmap only when a gathered slot is NULL.
     pub fn gather_multi(cols: &[&Column], sel: &[(u32, u32)]) -> Result<Column> {
         let lead = *cols
             .iter()
             .find(|c| !c.is_empty())
             .or(cols.first())
             .ok_or_else(|| FtoError::internal("gather from no columns"))?;
-        let validity = if cols.iter().any(|c| c.validity.is_some()) {
-            let mut bm = Bitmap::new(sel.len(), true);
+        let mut validity = None;
+        if cols.iter().any(|c| c.validity.is_some()) {
             for (j, &(s, i)) in sel.iter().enumerate() {
-                if let Some(v) = &cols[s as usize].validity {
-                    if !v.get(i as usize) {
-                        bm.set(j, false);
-                    }
+                if !cols[s as usize].is_valid(i as usize) {
+                    mark_null(&mut validity, sel.len(), j);
                 }
             }
-            Some(bm)
-        } else {
-            None
-        };
+        }
         // A slot asked of a source of another type takes the default and
         // is reported once the (exactly sized) gather is done.
         let mut stray = None;
@@ -581,6 +441,91 @@ impl Column {
     }
 }
 
+/// Marks slot `j` of a copy of `len` slots NULL: the one validity rule of
+/// every copy, which allocates the bitmap at the first NULL it copies.
+fn mark_null(validity: &mut Option<Bitmap>, len: usize, j: usize) {
+    validity
+        .get_or_insert_with(|| Bitmap::new(len, true))
+        .set(j, false);
+}
+
+/// [`Column::copy`] of `parts` into a column of `lead`'s type, and the
+/// first non-empty part of another type, if one was asked for: its slots
+/// take the type's default.
+fn copy_as<'a>(lead: &Column, parts: &[Part<'a>]) -> (Column, Option<&'a Column>) {
+    let total = parts.iter().map(|(_, slots)| slots.len()).sum();
+    let (mut validity, mut base) = (None, 0);
+    for &(c, slots) in parts {
+        if let Some(bm) = &c.validity {
+            slots.for_each(|j, i| {
+                if !bm.get(i) {
+                    mark_null(&mut validity, total, base + j);
+                }
+            });
+        }
+        base += slots.len();
+    }
+    let mut stray = None;
+    macro_rules! copy {
+        ($variant:ident) => {{
+            let mut out = Vec::with_capacity(total);
+            for &(c, slots) in parts {
+                match (&c.data, slots) {
+                    (ColumnData::$variant(v), Slots::Range(lo, hi)) => {
+                        out.extend_from_slice(&v[lo..hi])
+                    }
+                    (ColumnData::$variant(v), Slots::Pick(s)) => {
+                        out.extend(s.iter().map(|&i| v[i as usize]))
+                    }
+                    _ => {
+                        stray = stray.or((!slots.is_empty()).then_some(c));
+                        out.resize(out.len() + slots.len(), Default::default());
+                    }
+                }
+            }
+            ColumnData::$variant(out)
+        }};
+    }
+    let data = match &lead.data {
+        ColumnData::Int64(_) => copy!(Int64),
+        ColumnData::Float64(_) => copy!(Float64),
+        ColumnData::Date32(_) => copy!(Date32),
+        ColumnData::Bool(_) => copy!(Bool),
+        ColumnData::Utf8 { .. } => {
+            let mut out_off = Vec::with_capacity(total + 1);
+            let mut out_bytes = Vec::new();
+            out_off.push(0u32);
+            for &(c, slots) in parts {
+                let ColumnData::Utf8 { offsets, bytes } = &c.data else {
+                    stray = stray.or((!slots.is_empty()).then_some(c));
+                    out_off.resize(out_off.len() + slots.len(), out_bytes.len() as u32);
+                    continue;
+                };
+                let span = |i: usize| offsets[i] as usize..offsets[i + 1] as usize;
+                match slots {
+                    Slots::Range(lo, hi) => {
+                        let (from, at) = (offsets[lo], out_bytes.len() as u32);
+                        out_bytes.extend_from_slice(&bytes[from as usize..offsets[hi] as usize]);
+                        out_off.extend(offsets[lo + 1..=hi].iter().map(|&o| o - from + at));
+                    }
+                    Slots::Pick(s) => {
+                        out_bytes.reserve(s.iter().map(|&i| span(i as usize).len()).sum());
+                        for &i in s {
+                            out_bytes.extend_from_slice(&bytes[span(i as usize)]);
+                            out_off.push(out_bytes.len() as u32);
+                        }
+                    }
+                }
+            }
+            ColumnData::Utf8 {
+                offsets: out_off,
+                bytes: out_bytes,
+            }
+        }
+    };
+    (Column { data, validity }, stray)
+}
+
 fn type_mismatch(what: &str, lead: &Column, other: &Column) -> FtoError {
     FtoError::internal(format!(
         "{what} of a {} column with a {} column",
@@ -589,9 +534,40 @@ fn type_mismatch(what: &str, lead: &Column, other: &Column) -> FtoError {
     ))
 }
 
-/// One part of a [`Column::splice`]: a column and the slots of it to
-/// take, ascending (`None`: every slot).
-type Part<'a> = (&'a Column, Option<&'a [u32]>);
+/// Which slots of a column a [`Column::copy`] part takes, in order.
+#[derive(Clone, Copy, Debug)]
+enum Slots<'a> {
+    /// Slots `lo..hi`.
+    Range(usize, usize),
+    /// The named slots, which may repeat or reorder freely.
+    Pick(&'a [u32]),
+}
+
+impl Slots<'_> {
+    /// Number of slots taken.
+    fn len(&self) -> usize {
+        match *self {
+            Slots::Range(lo, hi) => hi - lo,
+            Slots::Pick(s) => s.len(),
+        }
+    }
+
+    /// True when no slot is taken.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Calls `f(j, slot)` for the `j`-th slot taken, in order.
+    fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        match *self {
+            Slots::Range(lo, hi) => (lo..hi).enumerate().for_each(|(j, i)| f(j, i)),
+            Slots::Pick(s) => s.iter().enumerate().for_each(|(j, &i)| f(j, i as usize)),
+        }
+    }
+}
+
+/// One part of a [`Column::copy`]: a column and the slots of it to take.
+type Part<'a> = (&'a Column, Slots<'a>);
 
 /// A columnar batch: equal-length reference-counted columns, and which of
 /// their slots are the batch's rows.
@@ -601,13 +577,15 @@ type Part<'a> = (&'a Column, Option<&'a [u32]>);
 /// count is carried explicitly so a zero-column batch (no projected
 /// columns) still knows its cardinality.
 ///
-/// A filter does not copy the rows it keeps: it attaches a *selection*,
-/// the ascending slots that passed, and hands the columns on unchanged.
-/// [`Batch::len`] counts the selected rows, and row `i` — for
-/// [`Batch::row`], [`Batch::slice`] and the key encoder — is the `i`-th
-/// selected slot. Everything that indexes columns directly reads slots:
-/// [`Batch::columns`], [`Batch::gather`], [`batch_row_bytes`]. A batch
-/// without a selection is *dense*: its rows are its slots.
+/// Neither a filter nor a slice copies the rows it keeps: each attaches a
+/// *selection*, the ascending slots that are rows, and hands the columns
+/// on unchanged — a slice is a view. [`Batch::len`] counts the selected
+/// rows, and row `i` — for [`Batch::row`], [`Batch::slice`] and the key
+/// encoder — is the `i`-th selected slot. Everything that indexes columns
+/// directly reads slots: [`Batch::columns`], [`Batch::gather`],
+/// [`batch_row_bytes`]. A batch without a selection is *dense*: its rows
+/// are its slots. Rows are copied only into a batch that must be dense, by
+/// `Column::copy` or [`Column::gather_multi`].
 #[derive(Clone, Debug)]
 pub struct Batch {
     columns: Vec<Arc<Column>>,
@@ -790,16 +768,13 @@ impl Batch {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
-    /// Materializes the slots named by `sel`, in order, as a new dense
-    /// batch. The indices name slots, not rows: a selection the batch
-    /// carries is not consulted.
+    /// Copies the slots named by `sel`, in order, into a new dense batch
+    /// (see `Column::copy`). The indices name slots, not rows: a
+    /// selection the batch carries is not consulted.
     pub fn gather(&self, sel: &[u32]) -> Batch {
+        let column = |c: &Arc<Column>| Arc::new(copy_as(c, &[(c, Slots::Pick(sel))]).0);
         Batch {
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.gather(sel)))
-                .collect(),
+            columns: self.columns.iter().map(column).collect(),
             slots: sel.len(),
             sel: None,
         }
@@ -818,36 +793,53 @@ impl Batch {
         }
     }
 
-    /// Rows `offset..offset + len`. A full-range slice is a pointer copy
-    /// (`Arc` clones); a selected batch slices its selection and keeps its
-    /// columns; a dense one copies the slots into a new batch.
+    /// Rows `offset..offset + len`, as a view: the same `Arc` columns with
+    /// those rows selected — a range of a dense batch's slots, a piece of
+    /// a selected one's selection. No slot is copied; a full-range slice
+    /// is the batch itself.
     pub fn slice(&self, offset: usize, len: usize) -> Batch {
         debug_assert!(offset + len <= self.len());
-        if offset == 0 && len == self.len() {
+        if len == self.len() {
             return self.clone();
         }
-        if let Some(sel) = &self.sel {
-            return Batch {
-                columns: self.columns.clone(),
-                slots: self.slots,
-                sel: Some(Arc::from(&sel[offset..offset + len])),
-            };
-        }
+        let sel = match &self.sel {
+            Some(sel) => Arc::from(&sel[offset..offset + len]),
+            None => (offset as u32..(offset + len) as u32).collect(),
+        };
         Batch {
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.slice(offset, len)))
-                .collect(),
-            slots: len,
-            sel: None,
+            columns: self.columns.clone(),
+            slots: self.slots,
+            sel: Some(sel),
         }
     }
 
-    /// Concatenates one or more equal-arity batches end to end
-    /// (column-wise [`Column::concat`]). A single part is a pointer copy,
-    /// its selection kept; several make one dense batch, each part's rows
-    /// — its selected slots, when it carries a selection — copied once.
+    /// The slots from the batch's first row to its last: every slot of a
+    /// dense batch, the range of a slice of one.
+    pub fn span(&self) -> Range<usize> {
+        let Some(sel) = self.sel.as_deref() else {
+            return 0..self.slots;
+        };
+        match (sel.first(), sel.last()) {
+            (Some(&first), Some(&last)) => first as usize..last as usize + 1,
+            _ => 0..0,
+        }
+    }
+
+    /// The slots that are this batch's rows, as a copy takes them: a
+    /// range when they are contiguous — a dense batch, or a slice of one —
+    /// and its selection otherwise.
+    fn rows(&self) -> Slots<'_> {
+        let span = self.span();
+        match self.sel.as_deref() {
+            Some(sel) if sel.len() != span.len() => Slots::Pick(sel),
+            _ => Slots::Range(span.start, span.end),
+        }
+    }
+
+    /// Concatenates one or more equal-arity batches end to end. A single
+    /// part is the part itself, views and selections kept; several make
+    /// one dense batch, each part's rows copied once by
+    /// `Column::copy`.
     pub fn concat(parts: &[Batch]) -> Result<Batch> {
         let [first, rest @ ..] = parts else {
             return Err(FtoError::internal("concat of no batches"));
@@ -857,11 +849,9 @@ impl Batch {
         }
         let columns = (0..first.arity())
             .map(|c| {
-                let cols: Vec<Part<'_>> = parts
-                    .iter()
-                    .map(|b| (b.column(c).as_ref(), b.sel.as_deref()))
-                    .collect();
-                Column::splice(&cols).map(Arc::new)
+                let cols: Vec<Part<'_>> =
+                    parts.iter().map(|b| (&*b.columns[c], b.rows())).collect();
+                Column::copy(&cols).map(Arc::new)
             })
             .collect::<Result<_>>()?;
         Ok(Batch {
@@ -878,7 +868,9 @@ impl Batch {
         let first = sources
             .first()
             .ok_or_else(|| FtoError::internal("gather from no batches"))?;
-        refuse_selected("gather", sources.iter().copied())?;
+        if sources.iter().any(|b| b.sel.is_some()) {
+            return Err(FtoError::internal("gather of a selected batch"));
+        }
         let columns = (0..first.arity())
             .map(|c| {
                 let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
@@ -890,15 +882,6 @@ impl Batch {
             slots: sel.len(),
             sel: None,
         })
-    }
-}
-
-/// An [`FtoError::Internal`] when one of `parts` carries a selection: a
-/// multi-batch gather names dense slots.
-fn refuse_selected<'a>(what: &str, mut parts: impl Iterator<Item = &'a Batch>) -> Result<()> {
-    match parts.any(|b| b.sel.is_some()) {
-        true => Err(FtoError::internal(format!("{what} of a selected batch"))),
-        false => Ok(()),
     }
 }
 
@@ -1481,28 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_selects_reorders_and_repeats() {
-        let b = batch(
-            &[Int, Str],
-            vec![
-                vec![Value::Int(0), Value::str("a")],
-                vec![Value::Null, Value::str("b")],
-                vec![Value::Int(2), Value::str("c")],
-            ],
-        );
-        let g = b.gather(&[2, 0, 2, 1]);
-        assert_eq!(
-            g.to_rows(),
-            rows(vec![
-                vec![Value::Int(2), Value::str("c")],
-                vec![Value::Int(0), Value::str("a")],
-                vec![Value::Int(2), Value::str("c")],
-                vec![Value::Null, Value::str("b")],
-            ])
-        );
-    }
-
-    #[test]
     fn a_selected_batch_reads_as_its_gathered_rows() {
         // Rows, slices, column picks, row sizes and encoded keys of a
         // batch with a selection are those of the dense batch its
@@ -1611,30 +1572,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_concat_round_trip_any_split() {
-        let rs = rows(vec![
-            vec![Value::Int(0), Value::str("a\0"), Value::Double(-0.0)],
-            vec![Value::Null, Value::str(""), Value::Double(f64::NAN)],
-            vec![Value::Int(2), Value::Null, Value::Null],
-            vec![Value::Int(3), Value::str("ddd"), Value::Double(3.5)],
-            vec![Value::Int(4), Value::str("e"), Value::Double(-4.0)],
-        ]);
-        let b = Batch::from_typed_rows(&[Int, Str, Double], &rs).unwrap();
-        for cut in 0..=b.len() {
-            let (lo, hi) = (b.slice(0, cut), b.slice(cut, b.len() - cut));
-            let back = Batch::concat(&[lo, hi]).unwrap();
-            assert_eq!(back.len(), b.len());
-            assert_eq!(types_of(&back), types_of(&b), "cut={cut}");
-            for (i, r) in rs.iter().enumerate() {
-                assert_eq!(&back.row(i), r, "cut={cut} row={i}");
-            }
-        }
-        // Nothing to take a width or a type from.
-        assert!(Batch::concat(&[]).is_err());
-    }
-
-    #[test]
     fn concat_mismatched_types_is_an_internal_error() {
+        // The parts of a copy are one stream's: a part of another type is
+        // a typed error, not a value-by-value rebuild.
         let a = batch(&[Int], vec![vec![Value::Int(1)]]);
         let s = batch(&[Str], vec![vec![Value::str("x")]]);
         let refused = Batch::concat(&[a.clone(), s.clone()]);
@@ -1649,46 +1589,19 @@ mod tests {
         // All parts empty: the first one's type.
         let empties = Batch::concat(&[none.clone(), Batch::empty(&[Int])]).unwrap();
         assert_eq!(empties.columns(), none.columns());
-    }
-
-    #[test]
-    fn gather_multi_matches_per_source_gather() {
-        let a = batch(
-            &[Int, Str],
-            vec![
-                vec![Value::Int(10), Value::str("aa")],
-                vec![Value::Null, Value::str("ab")],
-            ],
-        );
-        let b = batch(
-            &[Int, Str],
-            vec![
-                vec![Value::Int(20), Value::Null],
-                vec![Value::Int(21), Value::str("bb")],
-            ],
-        );
-        let sel = [(0u32, 1u32), (1, 0), (0, 0), (1, 1), (1, 0)];
-        let g = Batch::gather_multi(&[&a, &b], &sel).unwrap();
-        let expect: Vec<Row> = sel
-            .iter()
-            .map(|&(s, i)| [&a, &b][s as usize].row(i as usize))
-            .collect();
-        assert_eq!(g.to_rows(), expect);
-        // An all-NULL source is a source of the declared type like any
-        // other: the gather stays typed.
-        let n = batch(&[Int, Str], vec![vec![Value::Null, Value::Null]]);
-        let g2 = Batch::gather_multi(&[&a, &n], &[(1, 0), (0, 0)]).unwrap();
-        assert_eq!(types_of(&g2), [Int, Str]);
-        assert_eq!(g2.to_rows(), vec![n.row(0), a.row(0)]);
-        // A slot from a source of another type is refused; a source that
-        // has none to give — zero-length — is never asked.
-        let m = batch(&[Str, Int], vec![vec![Value::str("mix"), Value::Int(9)]]);
-        let refused = Batch::gather_multi(&[&a, &m], &[(0, 0), (1, 0)]);
-        assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
-        let none = Batch::empty(&[Str, Int]);
-        let g3 = Batch::gather_multi(&[&none, &a], &[(1, 1), (1, 0)]).unwrap();
-        assert_eq!(g3.to_rows(), vec![a.row(1), a.row(0)]);
+        // Nothing to take a width or a type from.
+        assert!(Batch::concat(&[]).is_err());
         assert!(Batch::gather_multi(&[], &[]).is_err());
+        // The interleaved gather likewise: a slot from a source of another
+        // type is refused; a source that has none to give — zero-length —
+        // is never asked.
+        let pair = batch(&[Int, Str], vec![vec![Value::Int(10), Value::str("aa")]]);
+        let mixed = batch(&[Str, Int], vec![vec![Value::str("mix"), Value::Int(9)]]);
+        let refused = Batch::gather_multi(&[&pair, &mixed], &[(0, 0), (1, 0)]);
+        assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
+        let nothing = Batch::empty(&[Str, Int]);
+        let got = Batch::gather_multi(&[&nothing, &pair], &[(1, 0), (1, 0)]).unwrap();
+        assert_eq!(got.to_rows(), vec![pair.row(0), pair.row(0)]);
     }
 
     #[test]

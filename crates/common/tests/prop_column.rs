@@ -2,11 +2,13 @@
 //! to_rows` must be an exact identity over adversarial values of every
 //! declared type (and keep that type, whatever the values), and the
 //! column-at-a-time sort-key encoder must be byte-identical to the
-//! per-row [`fto_common::sortkey`] encoder on the same fuzz corpus, and
-//! the typed cell comparator must decide as `Value::total_cmp` does.
+//! per-row [`fto_common::sortkey`] encoder on the same fuzz corpus, the
+//! typed cell comparator must decide as `Value::total_cmp` does, and every
+//! copy of column slots must be the row-wise copy under one validity rule.
 
-use fto_common::column::encode_batch_keys_arena;
+use fto_common::column::{encode_batch_keys_arena, Bitmap};
 use fto_common::{sortkey, Batch, Column, DataType, Direction, Rng, Row, Value};
+use std::sync::Arc;
 
 const CASES: u64 = 120;
 
@@ -256,5 +258,162 @@ fn cmp_at_equals_value_total_cmp() {
                 }
             }
         }
+    }
+}
+
+/// What `stream::dense` in the executor does: a selected batch's rows
+/// gathered into dense columns, a dense batch untouched.
+fn dense(batch: Batch) -> Batch {
+    match batch.selection() {
+        Some(sel) => batch.gather(sel),
+        None => batch,
+    }
+}
+
+/// Fuzzed batches of one stream — one declared type per column — cut from
+/// one fuzzed row set: each column holds NULLs, or carries a bitmap with
+/// every slot valid, or none; a batch is dense or selects a random subset
+/// of its slots.
+fn law_sources(rng: &mut Rng, types: &[DataType], rows: &[Row], case: u64) -> Vec<Batch> {
+    let mut sources = Vec::new();
+    let mut at = 0;
+    while sources.is_empty() || at < rows.len() {
+        let n = rng.range_usize(0, rows.len() - at + 1);
+        let dense = typed_batch(types, &rows[at..at + n], case);
+        at += n;
+        let columns = dense.columns().iter().map(|c| match rng.range_usize(0, 3) {
+            0 if c.validity.is_none() => Arc::new(Column {
+                data: c.data.clone(),
+                validity: Some(Bitmap::new(c.len(), true)),
+            }),
+            _ => Arc::clone(c),
+        });
+        let batch = Batch::from_columns_with_len(columns.collect(), n).unwrap();
+        sources.push(match rng.bool() {
+            true => batch,
+            false => batch.with_selection((0..n as u32).filter(|_| rng.bool()).collect()),
+        });
+    }
+    sources
+}
+
+/// A random range of `n` rows, as `(offset, len)`: empty ones included.
+fn random_range(rng: &mut Rng, n: usize) -> (usize, usize) {
+    let offset = rng.range_usize(0, n + 1);
+    (offset, rng.range_usize(0, n - offset + 1))
+}
+
+/// Asserts `got` and `want` are the same rows, bit for bit.
+fn assert_rows(got: &[Row], want: &[Row], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.iter().zip(w.iter()).all(|(a, b)| bit_identical(a, b));
+        assert!(same, "{what} row {i}: {g:?} != {w:?}");
+    }
+}
+
+/// Asserts `got` is a dense copy of `want`'s rows in the declared `types`
+/// that carries a validity bitmap in exactly the columns where a copied
+/// slot is NULL.
+fn assert_copy(got: &Batch, want: &[Row], types: &[DataType], what: &str) {
+    assert_eq!(got.selection(), None, "{what}: a copy is dense");
+    let held: Vec<DataType> = got.columns().iter().map(|c| c.data_type()).collect();
+    assert_eq!(held, types, "{what}");
+    assert_rows(&got.to_rows(), want, what);
+    for (c, col) in got.columns().iter().enumerate() {
+        let null = want.iter().any(|r| r[c].is_null());
+        assert_eq!(col.validity.is_some(), null, "{what} column {c}");
+    }
+}
+
+/// Asserts every column of `view` is the same `Arc` as `of`'s.
+fn assert_shares(view: &Batch, of: &Batch, what: &str) {
+    for (v, o) in view.columns().iter().zip(of.columns()) {
+        assert!(Arc::ptr_eq(v, o), "{what}: copied");
+    }
+}
+
+/// One copy law over every way slots are copied: `Batch::concat` of any
+/// parts — dense and selected batches, slices of either, empty parts, a
+/// single part — `Batch::slice` then densified, `Batch::gather` of slots
+/// in any order with repeats, and `Batch::gather_multi` across sources all
+/// give the row-wise reference's rows in the declared types, and a copy
+/// carries a bitmap exactly when a copied slot is NULL, whatever bitmaps
+/// its sources carried. A slice shares its batch's columns, and so does a
+/// concatenation of one part.
+#[test]
+fn every_copy_is_the_row_wise_copy() {
+    let mut rng = Rng::new(0xC01_C0B7);
+    for case in 0..CASES {
+        let arity = rng.range_usize(1, 5);
+        let (types, rows) = fuzz_rows(&mut rng, arity);
+        let sources = law_sources(&mut rng, &types, &rows, case);
+        let what = |op: &str| format!("case {case} {op}");
+
+        for b in &sources {
+            let (offset, len) = random_range(&mut rng, b.len());
+            let s = b.slice(offset, len);
+            let want = &b.to_rows()[offset..offset + len];
+            assert_shares(&s, b, &what("slice"));
+            assert_rows(&s.to_rows(), want, &what("slice"));
+            if s.selection().is_some() {
+                assert_copy(&dense(s), want, &types, &what("dense slice"));
+            }
+        }
+
+        let parts: Vec<Batch> = (0..rng.range_usize(1, 5))
+            .map(|_| {
+                let b = rng.pick(&sources).clone();
+                match rng.bool() {
+                    true => b,
+                    false => {
+                        let (offset, len) = random_range(&mut rng, b.len());
+                        b.slice(offset, len)
+                    }
+                }
+            })
+            .collect();
+        let want: Vec<Row> = parts.iter().flat_map(Batch::to_rows).collect();
+        let got = Batch::concat(&parts).unwrap();
+        match &parts[..] {
+            [one] => {
+                assert_eq!(got.selection(), one.selection(), "{}", what("concat"));
+                assert_shares(&got, one, &what("concat of one part"));
+                assert_rows(&got.to_rows(), &want, &what("concat"));
+            }
+            _ => assert_copy(&got, &want, &types, &what("concat")),
+        }
+
+        let b = rng.pick(&sources);
+        let sel: Vec<u32> = match b.slots() {
+            0 => Vec::new(),
+            n => (0..rng.range_usize(0, 2 * n + 1))
+                .map(|_| rng.range_usize(0, n) as u32)
+                .collect(),
+        };
+        let slot = |i: &u32| -> Row { b.columns().iter().map(|c| c.value(*i as usize)).collect() };
+        let want: Vec<Row> = sel.iter().map(slot).collect();
+        assert_copy(&b.gather(&sel), &want, &types, &what("gather"));
+
+        let dense_sources: Vec<Batch> = sources.iter().cloned().map(dense).collect();
+        let refs: Vec<&Batch> = dense_sources.iter().collect();
+        let full: Vec<u32> = (0..refs.len() as u32)
+            .filter(|&s| !refs[s as usize].is_empty())
+            .collect();
+        let pairs: Vec<(u32, u32)> = match full.is_empty() {
+            true => Vec::new(),
+            false => (0..rng.range_usize(0, 40))
+                .map(|_| {
+                    let s = *rng.pick(&full);
+                    (s, rng.range_usize(0, refs[s as usize].len()) as u32)
+                })
+                .collect(),
+        };
+        let want: Vec<Row> = pairs
+            .iter()
+            .map(|&(s, i)| refs[s as usize].row(i as usize))
+            .collect();
+        let got = Batch::gather_multi(&refs, &pairs).unwrap();
+        assert_copy(&got, &want, &types, &what("gather_multi"));
     }
 }

@@ -46,6 +46,7 @@
 //! `Accumulator::update_value`.
 
 use crate::sortkernel::{GroupKeys, KeyArena, SortKeys};
+use crate::stream::dense;
 use fto_common::column::{Batch, Bitmap, Column, ColumnData, LANE_BYTES};
 use fto_common::{ColId, DataType, Direction, Result, Value};
 use fto_expr::{vector, AggCall, AggFunc, Expr, RowLayout};
@@ -610,7 +611,7 @@ impl GroupAgg {
             true => Batch::empty(&self.spec.out_types[..self.spec.gkeys.len()]),
             false => Batch::concat(&self.keys)?,
         };
-        let mut cols = keys.slice(0, n).columns().to_vec();
+        let mut cols = dense(keys.slice(0, n)).columns().to_vec();
         for state in &mut self.states {
             cols.push(Arc::new(state.take(n)?));
         }

@@ -39,7 +39,7 @@
 //! row cursor per run.
 
 use crate::metrics::{ExecRecord, ExecStats};
-use crate::sortkernel::{gather_rows, least_head, KeyArena, Run, Selection, SortBuf};
+use crate::sortkernel::{least_head, KeyArena, Run, Selection, SortBuf};
 use fto_common::column::{batch_row_bytes, Batch};
 use fto_common::{FtoError, Result};
 use fto_planner::cost::MERGE_FAN_IN;
@@ -223,7 +223,7 @@ impl RunMerge {
         }
         let sources: Vec<&Batch> = sources.iter().collect();
         Ok(Some(Run {
-            batch: gather_rows(&sources, &sel)?,
+            batch: Batch::gather_multi(&sources, &sel)?,
             keys,
             seqs,
         }))

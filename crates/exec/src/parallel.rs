@@ -18,10 +18,11 @@
 //! partitions charge exactly the pages a serial scan charges, so session
 //! totals — and the [`crate::metrics::PlanMetrics`] exact-rollup invariant
 //! — are preserved at every degree. Workers hand back the column batches
-//! they pulled, a filter's selection still attached, and the gather's
-//! re-cut copies each selected row once, straight into its output batch
-//! (`Batch::concat`); nothing here materializes a row, and nothing here
-//! sorts: the enforcer above a gather is the serial one.
+//! they pulled, a filter's selection still attached; the gather's re-cut
+//! is a view within one batch and copies each row once, straight into its
+//! output batch, where it spans batches (`Batch::concat`). Nothing here
+//! materializes a row, and nothing here sorts: the enforcer above a gather
+//! is the serial one.
 //!
 //! Determinism contract (what makes parallel output bit-identical to
 //! serial): the gather concatenates worker outputs in partition order, and
@@ -138,8 +139,9 @@ fn run_partitions(
 
 /// Order-preserving gather: drains the P partition pipelines on worker
 /// threads and concatenates the batches they pulled in partition order —
-/// exactly the serial emission order — re-cut to `batch_size`, copying a
-/// selected batch's rows once as it splices them. Inserted
+/// exactly the serial emission order — re-cut to `batch_size`. A re-cut
+/// within one pulled batch is a view of it; one that spans batches copies
+/// each row once, a selected batch's included. Inserted
 /// where the parent fully drains the child at `open` (an enforcer without
 /// a satisfied prefix, join build sides, hash group-by inputs).
 ///

@@ -27,7 +27,7 @@
 //! rows are always in tag order among equal keys, so the index is the
 //! input-position tiebreak and the comparison sort may be unstable. When every key has one width (numerics, dates, bools, no
 //! NULLs) a byte-wise MSB radix sort distributes instead of comparing.
-//! Payload moves once, in [`gather_rows`], per output batch. A [`Run`] —
+//! Payload moves once, in [`Batch::gather_multi`], per output batch. A [`Run`] —
 //! rows in order with their keys and tags — is what a spilled run group
 //! decodes to; [`least_head`] is the K-way merge step over them.
 //!
@@ -50,13 +50,10 @@
 //! `tests/observability.rs::concurrent_sessions_report_their_own_work`
 //! holds the rule.
 
-use fto_common::column::{
-    encode_batch_keys_arena, encode_batch_keys_lanes, Batch, Column, LANE_BYTES,
-};
+use fto_common::column::{encode_batch_keys_arena, encode_batch_keys_lanes, Batch, LANE_BYTES};
 use fto_common::{Direction, FtoError, Result};
 use fto_expr::RowLayout;
 use fto_order::OrderSpec;
-use std::sync::Arc;
 
 /// Sort-kernel work of one execution (or of one operator's share of it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -264,7 +261,7 @@ impl Selection {
     pub(crate) fn gather(&self, perm: &[u32]) -> Result<Batch> {
         let sources: Vec<&Batch> = self.sources.iter().collect();
         let sel: Vec<(u32, u32)> = perm.iter().map(|&p| self.rows[p as usize]).collect();
-        gather_rows(&sources, &sel)
+        Batch::gather_multi(&sources, &sel)
     }
 
     /// Gathers the picked rows in batches of at most `batch_size` rows,
@@ -277,7 +274,7 @@ impl Selection {
     ) -> Result<()> {
         let sources: Vec<&Batch> = self.sources.iter().collect();
         for chunk in self.rows.chunks(batch_size) {
-            emit(gather_rows(&sources, chunk)?);
+            emit(Batch::gather_multi(&sources, chunk)?);
         }
         self.rows.clear();
         Ok(())
@@ -481,27 +478,6 @@ pub(crate) fn least_head<'a>(
     best.map(|(k, _)| k)
 }
 
-/// Gathers rows from several batches of one stream — output row `j` is
-/// row `sel[j].1` of `sources[sel[j].0]` — keeping every column's declared
-/// type and carrying a validity bitmap only where a gathered slot is NULL.
-/// The spill page codec writes the bitmap, so what an enforcer emits or
-/// spills must not depend on whether its source batches happened to carry
-/// one. No sources gather to no columns.
-pub(crate) fn gather_rows(sources: &[&Batch], sel: &[(u32, u32)]) -> Result<Batch> {
-    let arity = sources.first().map_or(0, |b| b.arity());
-    let columns = (0..arity)
-        .map(|c| {
-            let cols: Vec<&Column> = sources.iter().map(|b| b.column(c).as_ref()).collect();
-            let mut col = Column::gather_multi(&cols, sel)?;
-            if col.validity.as_ref().is_some_and(|valid| valid.all_valid()) {
-                col.validity = None;
-            }
-            Ok(Arc::new(col))
-        })
-        .collect::<Result<_>>()?;
-    Batch::from_columns_with_len(columns, sel.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,7 +567,7 @@ mod tests {
             at[k] += 1;
         }
         let sources: Vec<&Batch> = runs.iter().map(|r| &r.batch).collect();
-        (rows_of(&gather_rows(&sources, &sel).unwrap()), cmps)
+        (rows_of(&Batch::gather_multi(&sources, &sel).unwrap()), cmps)
     }
 
     /// Runs over `parts` contiguous pieces of `input`, each tagged with its
@@ -835,7 +811,7 @@ mod tests {
             vec![],
         ] {
             let pairs: Vec<(u32, u32)> = sel.iter().map(|&i| (0, i)).collect();
-            let got = gather_rows(&[&src], &pairs).unwrap();
+            let got = Batch::gather_multi(&[&src], &pairs).unwrap();
             let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
             let want = Batch::from_typed_rows(&[Double, Str], &picked).unwrap();
             assert_eq!(got.columns(), want.columns(), "sel={sel:?}");
@@ -844,8 +820,13 @@ mod tests {
         // a typed error, not a value-by-value rebuild.
         let other = Batch::from_typed_rows(&[Str, Str], &[]).unwrap();
         let ints = batch_of(&[row(&[1, 2])]);
-        assert_eq!(gather_rows(&[&other, &src], &[(1, 3)]).unwrap().len(), 1);
-        let refused = gather_rows(&[&ints, &src], &[(0, 0), (1, 0)]);
+        assert_eq!(
+            Batch::gather_multi(&[&other, &src], &[(1, 3)])
+                .unwrap()
+                .len(),
+            1
+        );
+        let refused = Batch::gather_multi(&[&ints, &src], &[(0, 0), (1, 0)]);
         assert!(matches!(refused, Err(FtoError::Internal(_))), "{refused:?}");
     }
 }

@@ -322,7 +322,7 @@ impl JoinBuild {
     /// shorter when `fin`).
     fn flush_groups(&mut self, fin: bool, io: &mut IoStats) -> Result<()> {
         while self.pending.len() >= JOIN_SPILL_GROUP_ROWS || (fin && !self.pending.is_empty()) {
-            let group = self.pending.take(JOIN_SPILL_GROUP_ROWS)?;
+            let group = dense(self.pending.take(JOIN_SPILL_GROUP_ROWS)?);
             self.payload.clear();
             spill::write_batch(&group, &mut self.payload);
             self.group_offsets
@@ -810,7 +810,7 @@ impl RunCursor {
             let starts = &self.prefix.starts;
             let next = starts.partition_point(|&s| s as usize <= self.pos);
             let end = starts.get(next).map_or(self.batch.len(), |&s| s as usize);
-            each(self.batch.slice(self.pos, end - self.pos), rec)?;
+            each(dense(self.batch.slice(self.pos, end - self.pos)), rec)?;
             self.pos = end;
             if end < self.batch.len()
                 || !self.fill(child, cx, rec)?

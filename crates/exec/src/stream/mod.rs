@@ -210,9 +210,10 @@ pub(crate) fn plan_metrics(plan: &Plan, actuals: Vec<OpMetrics>) -> PlanMetrics 
 /// `take(n)` emits exactly `min(n, pending)` rows, so an operator's
 /// emission boundaries (and with them its instrumented row/batch counts)
 /// depend only on how many rows it queued, not on how they were batched.
-/// Queued batches are stored whole (Arc-shared columns); a take that
-/// consumes an entire queued batch at offset zero re-emits it without
-/// copying.
+/// Queued batches are stored whole (Arc-shared columns). A take within one
+/// queued batch copies nothing: it is that batch, or a view of it
+/// ([`Batch::slice`]). A take that spans batches copies each row once,
+/// into one dense batch ([`Batch::concat`]).
 #[derive(Default)]
 pub(crate) struct BatchQueue {
     parts: VecDeque<Batch>,
@@ -313,14 +314,15 @@ impl Trim {
 }
 
 /// `batch` with its selected rows gathered into dense columns: the one
-/// place a selection is applied. A filter hands its selection up instead
-/// of copying the rows it keeps, and a projection and the grouping work
-/// over it; every other consumer reads rows by position and densifies its
-/// input here — the enforcer, both sides of the build–probe join, the
-/// index nested-loop join's outer input, limit, union and the root. (The
-/// gather exchange re-cuts its workers' selected batches with
-/// `Batch::concat`, which copies the selected rows as it splices.) A
-/// dense batch passes untouched.
+/// place the executor applies a selection. A filter hands its selection up
+/// instead of copying the rows it keeps, a slice is a view of its batch's
+/// columns, and a projection, a limit and the grouping work over either;
+/// every consumer that reads rows as slots densifies its input here — the
+/// enforcer, both sides of the build–probe join, the merge join's runs,
+/// the index nested-loop join's outer input, union, the root, a spilled
+/// join-build group and the grouping's finished keys. (A queue take or a
+/// heap read that spans batches copies each selected row once, in
+/// `Batch::concat`.) A dense batch passes untouched.
 pub(crate) fn dense(batch: Batch) -> Batch {
     match batch.selection() {
         None => batch,
@@ -1642,7 +1644,7 @@ mod tests {
             let mut record = vec![0u8; 4];
             let inner_rows = run(&db, &graph, &scan(build, 1, &[2, 3]), &knobs(1024, 1, None));
             spill::write_batch(
-                &inner_rows.batches[0].slice(0, JOIN_SPILL_GROUP_ROWS),
+                &dense(inner_rows.batches[0].slice(0, JOIN_SPILL_GROUP_ROWS)),
                 &mut record,
             );
             let page_max = (record.len() as u64 - 1).div_ceil(PAGE_SIZE as u64) + 1;

@@ -1,7 +1,8 @@
 //! The pipelined operators: table and index scans, filter, project,
 //! limit and union all. None holds state across batches beyond a cursor
-//! or a count. The filter emits a selection over its input's columns and
-//! the projection passes it through; limit and union densify.
+//! or a count. The filter emits a selection over its input's columns, the
+//! projection passes it through, and limit cuts it (a slice is a view);
+//! union densifies.
 
 use super::{dense, passing, Batch, ExecContext, Operator, Trim};
 use crate::metrics::ExecRecord;
@@ -181,7 +182,7 @@ impl Operator for LimitOp {
             self.child.close(rec);
             return Ok(None);
         }
-        let Some(mut batch) = self.child.next_batch(cx, rec)?.map(dense) else {
+        let Some(mut batch) = self.child.next_batch(cx, rec)? else {
             return Ok(None);
         };
         if batch.len() as u64 > self.remaining {

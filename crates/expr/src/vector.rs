@@ -24,6 +24,7 @@ use fto_common::column::{Batch, Bitmap, Column, ColumnData};
 use fto_common::value::{cmp_f64_nan_high, cmp_int_double};
 use fto_common::{FtoError, Result, Value};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Refines `sel` (candidate slots of `batch`, ascending) to the slots
@@ -108,11 +109,11 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
 /// * arithmetic whose operands are numeric (`Int64`/`Float64`) columns or
 ///   numeric literals — typed loops reproducing [`Expr::eval`]'s semantics
 ///   (wrapping integer ops, division by zero → NULL, any float operand
-///   widens, NULL propagates). Values are computed for every slot —
-///   numeric arithmetic cannot error — but on a selected batch only the
-///   selected slots decide NULLs and whether the column carries a
-///   validity bitmap, so the column gathers to exactly what computing
-///   over the gathered rows gives.
+///   widens, NULL propagates). Values are computed for every slot from
+///   the batch's first row to its last — numeric arithmetic cannot error
+///   — but on a selected batch only the selected slots decide NULLs and
+///   whether the column carries a validity bitmap, so the column gathers
+///   to exactly what computing over the gathered rows gives.
 ///
 /// Returns `Ok(None)` for an expression with no column form: a NULL
 /// literal (it has no type) and arithmetic over strings, dates, booleans
@@ -228,15 +229,17 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// `out[i] = value(a[i], b[i])` over every slot of `batch`, a literal
-/// side read as the same scalar every slot, in one pass without a branch
-/// (`value` is total). Of the batch's rows, one is NULL — the default,
-/// unset in a validity bitmap that is allocated at the first such slot,
-/// so all-valid results carry none — when `valid` says an input slot is,
-/// or when `defined` refuses its operands (division by zero); that second
-/// pass is made only when `valid` (some input has a bitmap) or `defined`
-/// is given. Slots a selection leaves out hold whatever `value` gave
-/// them: nothing reads them.
+/// `out[i] = value(a[i], b[i])` over the slots of `batch` from its first
+/// row to its last — every slot of a dense batch, only the range of a
+/// view (`Batch::slice`) of a longer one — a literal side read as the
+/// same scalar every slot, in one pass without a branch (`value` is
+/// total). Of the batch's rows, one is NULL — the default, unset in a
+/// validity bitmap that is allocated at the first such slot, so all-valid
+/// results carry none — when `valid` says an input slot is, or when
+/// `defined` refuses its operands (division by zero); that second pass is
+/// made only when `valid` (some input has a bitmap) or `defined` is
+/// given. Slots a selection leaves out hold the default or whatever
+/// `value` gave them: nothing reads them.
 fn zip_arith<T: Copy + Default>(
     batch: &Batch,
     a: Side<'_, T>,
@@ -246,15 +249,19 @@ fn zip_arith<T: Copy + Default>(
     defined: Option<fn(T, T) -> bool>,
 ) -> (Vec<T>, Option<Bitmap>) {
     let n = batch.slots();
+    let Range { start: lo, end: hi } = batch.span();
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    out.resize(lo, T::default());
     // Slice iterators, not indices: the loops vectorize.
-    let mut out: Vec<T> = match (a, b) {
-        (Side::Col(x), Side::Col(y)) => (x[..n].iter().zip(&y[..n]))
-            .map(|(&p, &q)| value(p, q))
-            .collect(),
-        (Side::Col(x), Side::Lit(q)) => x[..n].iter().map(|&p| value(p, q)).collect(),
-        (Side::Lit(p), Side::Col(y)) => y[..n].iter().map(|&q| value(p, q)).collect(),
-        (Side::Lit(p), Side::Lit(q)) => vec![value(p, q); n],
-    };
+    match (a, b) {
+        (Side::Col(x), Side::Col(y)) => {
+            out.extend((x[lo..hi].iter().zip(&y[lo..hi])).map(|(&p, &q)| value(p, q)))
+        }
+        (Side::Col(x), Side::Lit(q)) => out.extend(x[lo..hi].iter().map(|&p| value(p, q))),
+        (Side::Lit(p), Side::Col(y)) => out.extend(y[lo..hi].iter().map(|&q| value(p, q))),
+        (Side::Lit(p), Side::Lit(q)) => out.resize(hi, value(p, q)),
+    }
+    out.resize(n, T::default());
     if valid.is_none() && defined.is_none() {
         return (out, None);
     }
@@ -635,7 +642,7 @@ mod tests {
     fn literal_operands_stay_scalars_in_operand_order() {
         // `lit ∘ col` must not be computed as `col ∘ lit`: Sub and Div do
         // not commute. Every shape against the row evaluator, doubles by
-        // bit pattern.
+        // bit pattern, over a dense batch, views and a selection.
         let rs = rows(vec![
             vec![Value::Int(4), Value::Double(0.5), Value::Int(3)],
             vec![Value::Null, Value::Double(-0.0), Value::Int(-8)],
@@ -667,16 +674,28 @@ mod tests {
                 Expr::arith(op, Expr::int(1), Expr::col(c(1))),
             ));
         }
-        let out = project_batch(&exprs, &batch, &layout).unwrap();
-        for (i, row) in batch.to_rows().iter().enumerate() {
-            for (j, e) in exprs.iter().enumerate() {
-                let expect = e.eval(row, &layout).unwrap();
-                let got = out.column(j).value(i);
-                match (&got, &expect) {
-                    (Value::Double(p), Value::Double(q)) => {
-                        assert_eq!(p.to_bits(), q.to_bits(), "{e} row {i}")
+        // Over the batch, views of it (which compute only their range)
+        // and a selection of it: the rows are the row evaluator's.
+        let views = [
+            batch.clone(),
+            batch.slice(1, 2),
+            batch.slice(3, 1),
+            batch.slice(2, 0),
+            batch.clone().with_selection(vec![0, 3]),
+        ];
+        for view in &views {
+            let out = project_batch(&exprs, view, &layout).unwrap();
+            for (i, row) in view.to_rows().iter().enumerate() {
+                let at = view.selection();
+                for (j, e) in exprs.iter().enumerate() {
+                    let expect = e.eval(row, &layout).unwrap();
+                    let got = out.column(j).value(out.slot(i));
+                    match (&got, &expect) {
+                        (Value::Double(p), Value::Double(q)) => {
+                            assert_eq!(p.to_bits(), q.to_bits(), "{e} row {i} of {at:?}")
+                        }
+                        _ => assert_eq!(got, expect, "{e} row {i} of {at:?}"),
                     }
-                    _ => assert_eq!(got, expect, "{e} row {i}"),
                 }
             }
         }

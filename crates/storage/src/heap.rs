@@ -72,9 +72,10 @@ impl HeapTable {
     }
 
     /// Columns `ordinals` (each below [`HeapTable::arity`]) of rows
-    /// `lo..hi`, in heap order. A range covering exactly one chunk shares
-    /// that chunk's columns (`Arc` clones, no copy); a range inside one
-    /// chunk is a typed slice; a wider one concatenates.
+    /// `lo..hi`, in heap order. A range inside one chunk shares that
+    /// chunk's columns (`Arc` clones, no copy): the whole chunk, or a view
+    /// of it with the range selected. A range across chunks copies each
+    /// row once, into one dense batch.
     pub fn columns(&self, lo: usize, hi: usize, ordinals: &[usize]) -> Result<Batch> {
         debug_assert!(lo <= hi && hi <= self.rows);
         if lo == hi {

@@ -451,15 +451,16 @@ fi
 
 echo "==> grep guard: a filter passes its selection up; one function applies a selection"
 # A filter attaches the rows it keeps to its input's columns as a
-# selection instead of gathering them; the projection passes it through
-# and the grouping works over it. Every other consumer reads rows by
-# position and densifies its input through stream::dense, the one place a
-# selection is applied in the executor (the gather's re-cut splices its
-# workers' selected batches with fto_common's Batch::concat, which copies
-# each selected row once). So non-test stream/pipeline.rs gathers nothing,
-# and a batch's selection is read in three places only: dense, the
-# filter's refinement (stream::passing) and the grouping's fold
-# (GroupAgg::absorb). (Checked above each file's #[cfg(test)].)
+# selection instead of gathering them, and a slice is a view that selects
+# its range; the projection and the limit pass either through and the
+# grouping works over it. Every consumer that reads rows as slots
+# densifies its input through stream::dense, the one place the executor
+# applies a selection (a queue take or a heap read that spans batches
+# splices them with fto_common's Batch::concat, which copies each selected
+# row once). So non-test stream/pipeline.rs gathers nothing, and a
+# batch's selection is read in three places only: dense, the filter's
+# refinement (stream::passing) and the grouping's fold (GroupAgg::absorb).
+# (Checked above each file's #[cfg(test)].)
 if non_test crates/exec/src/stream/pipeline.rs | grep -n '\.gather('; then
     echo "guard failed: crates/exec/src/stream/pipeline.rs gathers rows;"
     echo "a filter attaches its selection (Batch::with_selection); consumers densify through stream::dense"
@@ -475,6 +476,33 @@ if ! non_test crates/exec/src/stream/mod.rs | grep -A4 '^pub(crate) fn dense(' |
     echo "guard failed: stream::dense no longer applies the selection"
     exit 1
 fi
+
+echo "==> grep guard: a slice is a view; one copy loop per access pattern"
+# Batch::slice keeps its batch's Arc columns and selects the range, so
+# Column has no slice of its own and the body of Batch::slice copies no
+# slot. Every contiguous copy of slots — a gather, a concatenation, a
+# densified view — runs Column::copy, and interleaved (source, slot)
+# picks run Column::gather_multi, under one validity rule (a bitmap only
+# when a copied slot is NULL); the sort kernel has no gather of its own.
+# (Checked above each file's #[cfg(test)].)
+f=crates/common/src/column.rs
+if non_test "$f" | sed -n '/^impl Column {/,/^}/p' | grep -n 'fn slice('; then
+    echo "guard failed: Column defines a slice again in $f;"
+    echo "slice a Batch: it selects the range of the same columns"
+    exit 1
+fi
+if non_test "$f" | sed -n '/^    pub fn slice(/,/^    }/p' | grep -nE 'gather|copy|to_vec'; then
+    echo "guard failed: Batch::slice in $f copies;"
+    echo "a slice is a view; consumers that need dense rows go through stream::dense"
+    exit 1
+fi
+while IFS= read -r f; do
+    if non_test "$f" | grep -n 'fn gather_rows('; then
+        echo "guard failed: $f defines gather_rows again;"
+        echo "gather interleaved rows with Batch::gather_multi"
+        exit 1
+    fi
+done < <(find crates/exec/src -name '*.rs')
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
@@ -499,11 +527,25 @@ cargo test -q
 echo "==> FTO_TEST_THREADS=4 cargo test -q --test differential --test parallel"
 FTO_TEST_THREADS=4 cargo test -q -p fto-bench --test differential --test parallel
 
+# Every build of the benchmark rewrites benchmark/Cargo.lock: the file
+# still lists fto-obs among an engine crate's dependencies, and cargo drops
+# that stale entry (a one-line diff after any benchmark build; see the
+# FOUND line in CHANGES.md). The file sits under the benchmark's frozen
+# paths, so it is copied aside before the two benchmark steps and put back
+# byte for byte after them, on failure too.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+restore_lock() { cp "$lock_copy" benchmark/Cargo.lock && rm -f "$lock_copy"; }
+trap restore_lock EXIT
+
 echo "==> benchmark/: builds against the engine's public surface, allowed-API list holds"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark/: quick smoke of every workload and path, answers checked (not comparable numbers)"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --quick
+
+restore_lock
+trap - EXIT
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cost-model calibration report (scale 0.005)"
