@@ -6,7 +6,8 @@
 //! or a sort) and may carry a key-range restriction derived from the
 //! applied predicates. All single-table predicates are applied on top, so
 //! every access path for a quantifier has the same predicate property and
-//! plans differ only in cost, order, and fetch pattern.
+//! the same row estimate, the table scan's filter's, and plans differ only
+//! in cost, order, and fetch pattern.
 
 use crate::cost::{self, Cost};
 use crate::plan::{Plan, PlanNode, ScanRange};
@@ -49,7 +50,11 @@ pub fn access_paths(
         props: base_props.clone(),
         cost: Cost::rows(rows).plus(cost::table_scan(pages, rows)),
     };
-    paths.push(planner.apply_filter(Arc::new(scan), local_preds));
+    let scan = planner.apply_filter(Arc::new(scan), local_preds);
+    // An index path's key range sets what it fetches; the filter on top
+    // keeps the scan's rows, so the range's selectivity counts once.
+    let kept = scan.cost.rows;
+    paths.push(scan);
 
     // One path per index.
     for ix in catalog.indexes_for(tid) {
@@ -79,7 +84,7 @@ pub fn access_paths(
             props: base_props.clone().with_order(order.clone()),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
-        paths.push(planner.apply_filter(Arc::new(plan), local_preds));
+        paths.push(planner.filter_keeping(Arc::new(plan), local_preds, kept));
 
         // The same index read backwards provides the reversed order at
         // the same cost (backward page walks prefetch as well as forward
@@ -96,7 +101,7 @@ pub fn access_paths(
             props: base_props.clone().with_order(order.reversed()),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
-        paths.push(planner.apply_filter(Arc::new(reverse_plan), local_preds));
+        paths.push(planner.filter_keeping(Arc::new(reverse_plan), local_preds, kept));
     }
 
     for p in &paths {

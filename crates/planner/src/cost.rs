@@ -108,12 +108,27 @@ pub fn sort_spill_passes(bytes: f64, memory: usize) -> f64 {
 }
 
 /// Cost of sorting `rows` rows of `row_width` bytes with `memory` bytes of
-/// work space: n·log₂(n) comparisons plus, when the input exceeds memory,
-/// one spill write + read of every page *per merge pass* —
-/// [`sort_spill_passes`] of them. (An earlier version charged exactly one
-/// pass regardless of how far the input exceeded memory, which under-costed
-/// heavily oversized sorts relative to pre-sorted index paths.)
-pub fn sort(rows: f64, row_width: usize, memory: usize) -> f64 {
+/// work space, arriving in `groups` contiguous groups each sorted on its
+/// own: `G · sort(n / G)` over uniform groups of `n / G` rows. A full sort
+/// is one group; a segmented sort, whose input already satisfies a prefix
+/// of the requirement, sorts only the residual suffix within each prefix
+/// group (Guravannavar et al. price a partially sorted input the same
+/// way), so it is cheaper whenever the prefix has more than one distinct
+/// value: `n·log₂(n/G)` comparisons instead of `n·log₂(n)`, and one
+/// group's working set priced against memory instead of the whole
+/// input's. The group count is clamped to `[1, rows]`.
+pub fn sort(rows: f64, groups: f64, row_width: usize, memory: usize) -> f64 {
+    let groups = groups.clamp(1.0, rows.max(1.0));
+    groups * sort_group(rows / groups, row_width, memory)
+}
+
+/// Cost of sorting one group of `rows` rows: n·log₂(n) comparisons plus,
+/// when the group exceeds memory, one spill write + read of every page
+/// *per merge pass* — [`sort_spill_passes`] of them. (An earlier version
+/// charged exactly one pass regardless of how far the input exceeded
+/// memory, which under-costed heavily oversized sorts relative to
+/// pre-sorted index paths.)
+fn sort_group(rows: f64, row_width: usize, memory: usize) -> f64 {
     if rows <= 1.0 {
         return rows * CPU_SORT_CMP;
     }
@@ -121,20 +136,6 @@ pub fn sort(rows: f64, row_width: usize, memory: usize) -> f64 {
     let bytes = rows * row_width as f64;
     let pages = bytes / crate::plan::SIM_PAGE_BYTES;
     cmp + sort_spill_passes(bytes, memory) * 2.0 * pages * SEQ_PAGE
-}
-
-/// Cost of a *segmented* sort: the input already satisfies a prefix of
-/// the requirement, delivering `groups` contiguous prefix groups, and
-/// only the residual suffix is sorted within each group — Σ over groups
-/// of `sort(group)` plus one boundary check per row ([`CPU_PRED`]: a
-/// prefix-key byte comparison). With uniform groups of `rows / groups`
-/// rows the comparison term is `rows·log₂(rows/groups)` instead of the
-/// full sort's `rows·log₂(rows)`, and the spill term prices one group's
-/// working set against memory instead of the whole input — segmented
-/// beats full whenever the prefix has more than one distinct value.
-pub fn segmented_sort(rows: f64, groups: f64, row_width: usize, memory: usize) -> f64 {
-    let groups = groups.clamp(1.0, rows.max(1.0));
-    groups * sort(rows / groups, row_width, memory) + rows * CPU_PRED
 }
 
 /// Per-probe cost of an index nested-loop join into a table.
@@ -222,17 +223,17 @@ mod tests {
 
     #[test]
     fn sort_grows_superlinearly() {
-        let small = sort(1_000.0, 32, 1 << 30);
-        let big = sort(10_000.0, 32, 1 << 30);
+        let small = sort(1_000.0, 1.0, 32, 1 << 30);
+        let big = sort(10_000.0, 1.0, 32, 1 << 30);
         assert!(big > 10.0 * small);
-        assert_eq!(sort(0.0, 32, 1024), 0.0);
-        assert!(sort(1.0, 32, 1024) > 0.0);
+        assert_eq!(sort(0.0, 1.0, 32, 1024), 0.0);
+        assert!(sort(1.0, 1.0, 32, 1024) > 0.0);
     }
 
     #[test]
     fn sort_spill_charges_io() {
-        let in_mem = sort(10_000.0, 100, 10_000 * 100 + 1);
-        let spilled = sort(10_000.0, 100, 1 << 10);
+        let in_mem = sort(10_000.0, 1.0, 100, 10_000 * 100 + 1);
+        let spilled = sort(10_000.0, 1.0, 100, 1 << 10);
         assert!(spilled > in_mem);
     }
 
@@ -267,7 +268,7 @@ mod tests {
         let cmp = rows * rows.log2() * CPU_SORT_CMP;
         let one_pass_spill = 2.0 * pages as f64 * SEQ_PAGE; // the old bug
         let scan_sort_old = table_scan(pages, rows) + cmp + one_pass_spill;
-        let scan_sort_fixed = table_scan(pages, rows) + sort(rows, width, memory);
+        let scan_sort_fixed = table_scan(pages, rows) + sort(rows, 1.0, width, memory);
         let index_path = index_scan(pages / 60, pages, rows, 1.0, false);
 
         assert!(
@@ -282,25 +283,22 @@ mod tests {
 
     #[test]
     fn segmented_sort_beats_full_sort_past_one_group() {
+        // One law for every sort: one group costs exactly the full sort,
+        // more groups cost strictly less, monotonically, and the group
+        // count is clamped to [1, rows].
         let rows = 1_000_000.0;
-        let full = sort(rows, 48, 1 << 30);
-        // One group degenerates to the full sort plus boundary checks.
-        let one = segmented_sort(rows, 1.0, 48, 1 << 30);
-        assert!((one - (full + rows * CPU_PRED)).abs() < 1e-6);
-        // More groups, cheaper — monotonically.
-        let g10 = segmented_sort(rows, 10.0, 48, 1 << 30);
-        let g1k = segmented_sort(rows, 1_000.0, 48, 1 << 30);
-        let g100k = segmented_sort(rows, 100_000.0, 48, 1 << 30);
-        assert!(g10 < full && g1k < g10 && g100k < g1k);
-        // Groups are clamped into [1, rows].
-        assert_eq!(
-            segmented_sort(100.0, 0.0, 48, 1 << 30),
-            segmented_sort(100.0, 1.0, 48, 1 << 30)
-        );
-        assert_eq!(
-            segmented_sort(100.0, 1e9, 48, 1 << 30),
-            segmented_sort(100.0, 100.0, 48, 1 << 30)
-        );
+        let price = |groups: f64| sort(rows, groups, 48, 1 << 30);
+        let full = sort_group(rows, 48, 1 << 30);
+        assert_eq!(price(1.0).to_bits(), full.to_bits());
+        let costs: Vec<f64> = [1.0, 2.0, 10.0, 1_000.0, 100_000.0, rows]
+            .into_iter()
+            .map(price)
+            .collect();
+        assert!(costs.windows(2).all(|w| w[1] < w[0]), "{costs:?}");
+        assert_eq!(price(0.0), price(1.0));
+        assert_eq!(price(-5.0), price(1.0));
+        assert_eq!(price(1e9), price(rows));
+        assert_eq!(sort(0.0, 0.0, 48, 1 << 30), 0.0);
     }
 
     #[test]
@@ -310,8 +308,8 @@ mod tests {
         let rows = 100_000.0;
         let width = 100usize;
         let memory = 64 << 10;
-        let full = sort(rows, width, memory);
-        let seg = segmented_sort(rows, 1_000.0, width, memory);
+        let full = sort(rows, 1.0, width, memory);
+        let seg = sort(rows, 1_000.0, width, memory);
         assert!(sort_spill_passes(rows * width as f64, memory) > 0.0);
         assert_eq!(
             sort_spill_passes(rows / 1_000.0 * width as f64, memory),

@@ -223,8 +223,8 @@ fn join_pair(
     let sel = planner
         .estimator()
         .conjunction_selectivity(applicable.iter().map(|&p| planner.graph.predicate(p)));
+    // Every method yields the same rows: one estimate per subset.
     let out_rows = (outer.cost.rows * inner.cost.rows * sel).max(0.0);
-    let layout = outer.layout.concat(&inner.layout);
 
     let mut plans = Vec::new();
 
@@ -234,23 +234,15 @@ fn join_pair(
         let total = outer.cost.total
             + outer.cost.rows.max(1.0) * inner.cost.total
             + cost::filter(outer.cost.rows * inner.cost.rows, applicable.len().max(1));
-        plans.push(Arc::new(Plan {
-            node: PlanNode::Join {
-                kind: JoinKind::Inner,
-                outer: Arc::clone(outer),
-                inner: Arc::clone(inner),
-                outer_keys: Vec::new(),
-                inner_keys: Vec::new(),
-                predicates: applicable.clone(),
-                prefix_len: 0,
-            },
-            layout: layout.clone(),
+        plans.push(join_plan(
+            JoinKind::Inner,
+            [Arc::clone(outer), Arc::clone(inner)],
+            &[],
+            0,
+            &applicable,
             props,
-            cost: Cost {
-                total,
-                rows: out_rows,
-            },
-        }));
+            Cost::rows(out_rows).plus(total),
+        ));
     }
 
     // --- Index nested-loop join ------------------------------------------
@@ -264,14 +256,13 @@ fn join_pair(
             &equates,
             &applicable,
             out_rows,
-            &layout,
         ));
     }
 
     // --- Merge join -------------------------------------------------------
     if planner.config.enable_merge_join && !equates.is_empty() {
         let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
-        let o_order = OrderSpec::ascending(ocols.iter().copied());
+        let o_order = OrderSpec::ascending(ocols);
         let i_order = OrderSpec::ascending(icols.iter().copied());
         let outer_sorted = planner.ensure_order(Arc::clone(outer), &o_order);
         let inner_sorted = planner.ensure_order(Arc::clone(inner), &i_order);
@@ -291,52 +282,34 @@ fn join_pair(
             + cost::filter(out_rows, applicable.len());
         // Both inputs are ordered on every equated pair: each matching
         // pair of key groups is a keyless build–probe.
-        let prefix_len = ocols.len() as u32;
-        plans.push(Arc::new(Plan {
-            node: PlanNode::Join {
-                kind: JoinKind::Inner,
-                outer: outer_sorted,
-                inner: inner_sorted,
-                outer_keys: ocols,
-                inner_keys: icols,
-                predicates: applicable.clone(),
-                prefix_len,
-            },
-            layout: layout.clone(),
+        plans.push(join_plan(
+            JoinKind::Inner,
+            [outer_sorted, inner_sorted],
+            &equates,
+            equates.len() as u32,
+            &applicable,
             props,
-            cost: Cost {
-                total,
-                rows: out_rows,
-            },
-        }));
+            Cost::rows(out_rows).plus(total),
+        ));
     }
 
     // --- Hash join ---------------------------------------------------------
     if planner.config.enable_hash_join && !equates.is_empty() {
-        let (ocols, icols): (Vec<ColId>, Vec<ColId>) = equates.iter().copied().unzip();
         // Streaming probe preserves the outer's order.
         let props = join_props(planner, memo, outer, inner, &applicable);
         let total = outer.cost.total
             + inner.cost.total
             + cost::hash_join(inner.cost.rows, outer.cost.rows)
             + cost::filter(out_rows, applicable.len());
-        plans.push(Arc::new(Plan {
-            node: PlanNode::Join {
-                kind: JoinKind::Inner,
-                outer: Arc::clone(outer),
-                inner: Arc::clone(inner),
-                outer_keys: ocols,
-                inner_keys: icols,
-                predicates: applicable.clone(),
-                prefix_len: 0,
-            },
-            layout,
+        plans.push(join_plan(
+            JoinKind::Inner,
+            [Arc::clone(outer), Arc::clone(inner)],
+            &equates,
+            0,
+            &applicable,
             props,
-            cost: Cost {
-                total,
-                rows: out_rows,
-            },
-        }));
+            Cost::rows(out_rows).plus(total),
+        ));
     }
 
     for p in &plans {
@@ -346,7 +319,8 @@ fn join_pair(
 }
 
 /// Index nested-loop joins: one per inner-table index whose leading key
-/// columns are all equated to outer columns. [`join_pair`] counts them.
+/// columns are all equated to outer columns, each yielding the `out_rows`
+/// every other method of [`join_pair`] yields. [`join_pair`] counts them.
 #[allow(clippy::too_many_arguments)]
 fn index_nlj(
     planner: &Planner<'_>,
@@ -357,7 +331,6 @@ fn index_nlj(
     equates: &[(ColId, ColId)],
     applicable: &[PredId],
     out_rows: f64,
-    layout: &fto_expr::RowLayout,
 ) -> Vec<Arc<Plan>> {
     // The inner must be a bare access path over a base table (the probe
     // replaces the scan); reuse its quantifier/table identity, and its
@@ -377,6 +350,7 @@ fn index_nlj(
     let stats = catalog.stats(table);
     let inner_rows = stats.row_count as f64;
     let inner_pages = stats.pages;
+    let layout = outer.layout.concat(&inner.layout);
 
     for ix in catalog.indexes_for(table) {
         // Map each leading key part to an equated outer column.
@@ -425,12 +399,6 @@ fn index_nlj(
                 .apply_predicate(&mut props, pid, planner.graph.predicate(pid));
         }
 
-        let local_sel = planner.estimator().conjunction_selectivity(
-            inner_local_preds
-                .iter()
-                .map(|&p| planner.graph.predicate(p)),
-        );
-        let rows = (out_rows * local_sel).max(0.0);
         let total = outer.cost.total
             + probe_cost
             + cost::filter(outer.cost.rows * matches_per_probe, all_preds.len().max(1));
@@ -445,10 +413,40 @@ fn index_nlj(
             },
             layout: layout.clone(),
             props,
-            cost: Cost { total, rows },
+            cost: Cost::rows(out_rows).plus(total),
         }));
     }
     plans
+}
+
+/// The one builder of a [`PlanNode::Join`]: `outer` joined to `inner` on
+/// the (outer, inner) column pairs `keys`, the first `prefix_len` of which
+/// both inputs are ordered on (a merge join), applying `predicates`, with
+/// the two inputs' columns side by side.
+pub(crate) fn join_plan(
+    kind: JoinKind,
+    [outer, inner]: [Arc<Plan>; 2],
+    keys: &[(ColId, ColId)],
+    prefix_len: u32,
+    predicates: &[PredId],
+    props: StreamProps,
+    cost: Cost,
+) -> Arc<Plan> {
+    let (outer_keys, inner_keys) = keys.iter().copied().unzip();
+    Arc::new(Plan {
+        layout: outer.layout.concat(&inner.layout),
+        node: PlanNode::Join {
+            kind,
+            outer,
+            inner,
+            outer_keys,
+            inner_keys,
+            predicates: predicates.to_vec(),
+            prefix_len,
+        },
+        props,
+        cost,
+    })
 }
 
 /// Combined stream properties for a join output that preserves the
@@ -634,6 +632,80 @@ mod tests {
                 "no sort-ahead variant for {wanted}"
             );
         }
+    }
+
+    #[test]
+    fn every_plan_of_a_subset_has_one_cardinality() {
+        // One row estimate per subset, whatever the plan: every access
+        // path of a quantifier keeps the table scan's rows (forward and
+        // reversed index reads, one with a range on its leading key), and
+        // every method joining orders to lineitem yields the same rows.
+        let db = q3_like_db(500);
+        let (mut g, all) = q3_join_graph(&db);
+        let root = g.root;
+        let o_orderkey = all[2];
+        let ranged = g.add_predicate(Predicate::new(
+            CompareOp::Lt,
+            Expr::col(o_orderkey),
+            Expr::int(200),
+        ));
+        g.boxed_mut(root).predicates.push(ranged);
+        OrderScan::run(&mut g, db.catalog());
+        let qbox = g.boxed(root);
+        let mut p = Planner::new(&g, db.catalog(), OptimizerConfig::default());
+        let mut paths = Vec::new();
+        for q in &qbox.quantifiers {
+            let fto_qgm::graph::QuantifierInput::Table(tid) = q.input else {
+                panic!("not a base-table quantifier");
+            };
+            let local = p.local_preds(qbox, &q.col_set());
+            let qpaths = access::access_paths(&mut p, tid, q, &local).unwrap();
+            let scan = qpaths[0].cost.rows;
+            assert_eq!(
+                qpaths[0].count_ops(&|n| matches!(n, PlanNode::TableScan { .. })),
+                1
+            );
+            for path in &qpaths {
+                assert_eq!(path.cost.rows, scan, "{}", path.explain(&|c| c.to_string()));
+            }
+            paths.push(qpaths);
+        }
+        let is_ranged = |n: &PlanNode| matches!(n, PlanNode::IndexScan { range: Some(_), .. });
+        let reversed = |n: &PlanNode| matches!(n, PlanNode::IndexScan { reverse: true, .. });
+        assert_eq!(
+            paths[1]
+                .iter()
+                .map(|p| p.count_ops(&is_ranged))
+                .sum::<usize>(),
+            2
+        );
+        assert_eq!(
+            paths[1]
+                .iter()
+                .map(|p| p.count_ops(&reversed))
+                .sum::<usize>(),
+            1
+        );
+
+        let mut memo = JoinMemo::default();
+        let mut methods = std::collections::BTreeSet::new();
+        let mut rows = Vec::new();
+        for outer in &paths[1] {
+            for inner in &paths[2] {
+                for plan in join_pair(&mut p, &mut memo, qbox, outer, inner) {
+                    methods.insert(plan.op_name());
+                    rows.push(plan.cost.rows);
+                }
+            }
+        }
+        let want = [
+            "hash-join",
+            "index-nested-loop-join",
+            "merge-join",
+            "nested-loop-join",
+        ];
+        assert!(methods.iter().eq(want.iter()), "{methods:?}");
+        assert!(rows.iter().all(|&r| r == rows[0]), "{rows:?}");
     }
 
     #[test]

@@ -229,18 +229,46 @@ fi
 # Planner::enforcer builds every Sort with and sort-ahead prices each
 # candidate's sort with before building only the cheapest. A second copy
 # of the arithmetic would let a priced sort and the built one drift apart.
+# Every sort has one price, cost::sort's G · sort(n / G): a full sort is
+# one group, so no second formula for the segmented case comes back.
 enforcer_cost=$(non_test crates/planner/src/planner.rs | sed -n '/^fn enforcer_cost(/,/^}/p')
 if [[ -z "${enforcer_cost}" ]]; then
     echo "guard failed: fn enforcer_cost not found in crates/planner/src/planner.rs"
     exit 1
 fi
 for f in crates/planner/src/*.rs; do
-    if non_test "$f" | sed '/^fn enforcer_cost(/,/^}/d' | grep -n 'cost::sort(\|cost::segmented_sort('; then
+    if non_test "$f" | sed '/^fn enforcer_cost(/,/^}/d' | grep -n 'cost::sort('; then
         echo "guard failed: $f prices a sort outside enforcer_cost;"
         echo "price the enforcer with enforcer_cost (SortShape::price), not a copy of its arithmetic"
         exit 1
     fi
 done
+if grep -rnw 'segmented_sort' crates/ --include='*.rs'; then
+    echo "guard failed: a segmented_sort price is back under crates/;"
+    echo "a segmented sort is cost::sort over its prefix groups, a full sort one group"
+    exit 1
+fi
+# One row estimate per join subset: every access path of a quantifier
+# keeps the table scan's filter's rows, and every join method of a pair
+# yields join_pair's out_rows. Dominance then needs no rows guard, and an
+# index nested loop no selectivity of its own (it once applied its inner's
+# filter a second time, sizing one subset two ways by join order).
+dominates=$(non_test crates/planner/src/planner.rs | sed -n '/fn plan_dominates(/,/^    }$/p')
+index_nlj=$(non_test crates/planner/src/join.rs | sed -n '/^fn index_nlj(/,/^}/p')
+if [[ -z "${dominates}" || -z "${index_nlj}" ]]; then
+    echo "guard failed: fn plan_dominates or fn index_nlj not found under crates/planner/src"
+    exit 1
+fi
+if grep -n 'cost\.rows' <<<"${dominates}"; then
+    echo "guard failed: Planner::plan_dominates reads cost.rows;"
+    echo "every plan of a subset has one row estimate: prune by cost, order and predicates"
+    exit 1
+fi
+if grep -n 'conjunction_selectivity(' <<<"${index_nlj}"; then
+    echo "guard failed: index_nlj computes a selectivity of its own;"
+    echo "an index nested loop yields join_pair's out_rows, like every join method"
+    exit 1
+fi
 # Plans are compared by one rule, Planner::plan_dominates, which counts an
 # order only up to the prefix some operator of the query could use. A
 # second caller of StreamProps::dominates_under would compare whole orders

@@ -9,8 +9,8 @@
 //! order counting only up to its useful prefix, and one sort-ahead
 //! variant per interesting order. For every statement below, under each
 //! configuration, the planner's root cost must equal the reference's bit
-//! for bit. Tied costs may pick different plans, so costs are compared,
-//! not plans.
+//! for bit, and its root row estimate the reference's to a relative 1e-9.
+//! Tied costs may pick different plans, so costs are compared, not plans.
 
 use fto_bench::corpus::{emp_db, join_ladder, wide_joins, EMP_QUERIES, UNREWRITTEN_QUERIES};
 use fto_bench::fuzz::{fuzz_db, generated_queries};
@@ -69,6 +69,13 @@ fn check<'s>(db: &Database, statements: impl IntoIterator<Item = (String, &'s st
                 reference.cost.total,
                 plan.explain(&|c| c.to_string()),
                 reference.explain(&|c| c.to_string()),
+            );
+            // One estimate per subset: whichever join order and methods
+            // each kept, both roots size the same result.
+            let (rows, want) = (plan.cost.rows, reference.cost.rows);
+            assert!(
+                (rows - want).abs() <= 1e-9 * want.abs(),
+                "{label} | {cfg_name}: the planner's root yields {rows} rows, the reference's {want}\n{sql}"
             );
         }
     }
